@@ -1,7 +1,8 @@
 //! E15: cost of the deterministic observability layer (`pds2-obs`).
 //!
-//! Two questions, answered on `block_validation_500tx` (the hottest
-//! instrumented path in the repo):
+//! Two questions, answered on `block_validation_500tx_cold_median` (the
+//! hottest instrumented path in the repo: a cold signature cache, median
+//! of paired reps):
 //!
 //! 1. **What does the no-op sink cost?** Compares the instrumented
 //!    `validate_external_block` with tracing disabled (the production
@@ -186,7 +187,9 @@ fn main() {
     let block = build_block(block_txs);
     let verifier = producer_chain();
 
-    println!("obs overhead: block_validation_{block_txs}tx, median of {reps} paired reps ...");
+    println!(
+        "obs overhead: block_validation_{block_txs}tx_cold_median, median of {reps} paired reps ..."
+    );
     let (baseline_ms, noop_ms) = noop_overhead(reps, &block, &verifier);
     let overhead_pct = (noop_ms / baseline_ms - 1.0) * 100.0;
     println!(

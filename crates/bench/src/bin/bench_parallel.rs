@@ -82,7 +82,10 @@ fn block_validation_bench(threads: usize) -> Row {
     let block = chain.produce_block();
     assert_eq!(block.transactions.len(), BLOCK_TXS);
     // Rebuilding each SignedTransaction gives cold digest caches, so every
-    // timed validation does the full per-tx hashing + signature work.
+    // timed validation re-hashes each tx. The verified-signature cache
+    // stays warm from `submit` above (hence the row's `_warm` suffix): a
+    // signature costs one hash here, not a Schnorr check. `bench_crypto`
+    // and `bench_obs` time the cold-cache variants.
     let cold = || Block {
         header: block.header.clone(),
         transactions: block
@@ -102,7 +105,7 @@ fn block_validation_bench(threads: usize) -> Row {
         });
     });
     Row {
-        name: "block_validation_500tx",
+        name: "block_validation_500tx_warm",
         serial_ms,
         parallel_ms,
     }

@@ -317,14 +317,18 @@ impl Blockchain {
         ctx: TraceCtx,
     ) -> Result<Digest, ChainError> {
         pds2_obs::counter!("chain.txs_submitted").inc();
-        if !tx.verify_signature() {
-            pds2_obs::counter!("chain.txs_rejected").inc();
-            return Err(ChainError::InvalidSignature);
-        }
+        // Cheap reject before expensive reject: `seen` only ever holds
+        // hashes of transactions that already passed verification, so a
+        // known body is refused for one set lookup instead of a Schnorr
+        // check (recovery resubmits every journaled tx since genesis).
         let hash = tx.hash();
         if self.seen.contains(&hash) {
             pds2_obs::counter!("chain.txs_rejected").inc();
             return Err(ChainError::Duplicate);
+        }
+        if !tx.verify_signature() {
+            pds2_obs::counter!("chain.txs_rejected").inc();
+            return Err(ChainError::InvalidSignature);
         }
         let account_nonce = self.state.nonce(&tx.tx.sender());
         if tx.tx.nonce < account_nonce {
@@ -1167,6 +1171,27 @@ mod tests {
         let tx = signed_transfer(&alice, 0, bob, 1);
         chain.submit(tx.clone()).unwrap();
         assert_eq!(chain.submit(tx), Err(ChainError::Duplicate));
+    }
+
+    #[test]
+    fn duplicate_with_corrupted_signature_still_rejected() {
+        // The duplicate check runs before the signature check, so a known
+        // body never reaches the verifier; it must be refused all the same.
+        let alice = KeyPair::from_seed(1);
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        let mut chain = test_chain(&alice);
+        let tx = signed_transfer(&alice, 0, bob, 1);
+        chain.submit(tx.clone()).unwrap();
+        let mut forged = tx.signature.clone();
+        forged.s = forged.s.add(&pds2_crypto::BigUint::one());
+        let forged = SignedTransaction::new(tx.tx.clone(), forged);
+        assert!(!forged.verify_signature());
+        assert_eq!(chain.submit(forged.clone()), Err(ChainError::Duplicate));
+        assert_eq!(chain.mempool_len(), 1);
+        // Still refused once the original is included.
+        chain.produce_block();
+        assert_eq!(chain.submit(forged), Err(ChainError::Duplicate));
+        assert_eq!(chain.mempool_len(), 0);
     }
 
     #[test]

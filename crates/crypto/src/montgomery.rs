@@ -7,7 +7,19 @@
 //! (CIOS — coarsely integrated operand scanning): `-n^{-1} mod 2^64` and
 //! `R^2 mod n` for `R = 2^{64k}` where `k` is the limb count of `n`.
 //! Every subsequent modular multiplication is then one `O(k^2)` pass with
-//! no division and no allocation beyond the output limbs.
+//! no division and no allocation.
+//!
+//! There is one CIOS body, `Kernel::mul`, generic over how a residue is
+//! stored (`Limbs`). [`MontgomeryCtx::new`] looks at the modulus' limb
+//! count and picks the instantiation:
+//!
+//! * **compile-time width** — a 5-limb modulus (the 260-bit Schnorr
+//!   group prime `p`, DESIGN.md §5d) runs on `[u64; 5]` residues. The
+//!   limb count is a constant, so the limb loops unroll and stay in
+//!   registers, and residues and window tables live on the stack;
+//! * **run-time width** — every other odd modulus (Paillier `n²`, MPC
+//!   fields, Miller–Rabin candidates) runs the same code on `Vec<u64>`
+//!   residues, allocated before an exponentiation's loop and reused.
 //!
 //! On top of the multiplier sit three exponentiation strategies:
 //!
@@ -15,74 +27,318 @@
 //!   ~`bits` squarings plus one table multiply per 4 bits, versus one
 //!   multiply per set bit for the bit-by-bit schoolbook loop;
 //! * [`MontgomeryCtx::modpow_with_table`] — the same walk over a caller
-//!   supplied [`PowTable`], so fixed bases (the group generator, a
-//!   frequently-seen public key) amortise their table across calls;
+//!   supplied [`PowTable`], so a fixed base (the group generator)
+//!   amortises its table across calls;
 //! * [`MontgomeryCtx::modpow_dual`] — Shamir/Straus simultaneous double
 //!   exponentiation: `a^x · b^y mod n` in ONE interleaved pass sharing
 //!   the squaring chain, which is what Schnorr verification
 //!   (`g^s · y^{q-e}`) needs.
 //!
+//! A [`PowTable`] is one contiguous block of 16 residues, and windows are
+//! read straight from the exponent's limbs. Between entering and leaving
+//! an exponentiation loop nothing touches the heap.
+//!
 //! Results are plain [`BigUint`] values, bit-identical to the schoolbook
 //! path — the representation changes inside a call, never the outcome —
 //! so the repo-wide determinism invariant (identical results at every
 //! `PDS2_THREADS`) is untouched. Property tests in
-//! `crates/crypto/tests/proptests.rs` pin the equivalence over random
-//! operands and the edge cases (0, 1, n−1, operand = n).
+//! `crates/crypto/tests/proptests.rs` pin the equivalence of both
+//! instantiations and the schoolbook reference over random operands and
+//! the edge cases (0, 1, n−1, operand = n, the final-subtraction carry).
 
 use crate::bigint::BigUint;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
-/// Precomputed per-modulus state for Montgomery multiplication.
+/// Fixed window width for all exponentiation strategies. It divides 64,
+/// so a window never straddles two exponent limbs.
+const WINDOW: u32 = 4;
+const TABLE_LEN: usize = 1 << WINDOW;
+
+/// Limb count of the one modulus size that gets the compile-time-width
+/// kernel: the 260-bit Schnorr group prime.
+const FIXED_LIMBS: usize = 5;
+
+/// How residues of one width are stored.
 ///
-/// Valid for odd moduli `n > 1`. `R = 2^{64·k}` with `k = n.limbs().len()`.
+/// `[u64; K]` fixes the limb count at compile time; `Vec<u64>` carries it
+/// at run time. [`Kernel`] is written once against this trait.
+trait Limbs: Clone + AsRef<[u64]> + AsMut<[u64]> {
+    /// [`TABLE_LEN`] residues in one contiguous block.
+    type Table: Clone + std::fmt::Debug;
+    /// A zero residue of `k` limbs.
+    fn zeroed(k: usize) -> Self;
+    /// A table of [`TABLE_LEN`] zero residues of `k` limbs.
+    fn zeroed_table(k: usize) -> Self::Table;
+    /// Entry `i` of a table of `k`-limb residues.
+    fn entry(table: &Self::Table, i: usize, k: usize) -> &[u64];
+    /// Entry `i` of a table of `k`-limb residues, mutably.
+    fn entry_mut(table: &mut Self::Table, i: usize, k: usize) -> &mut [u64];
+}
+
+impl<const K: usize> Limbs for [u64; K] {
+    type Table = [[u64; K]; TABLE_LEN];
+    fn zeroed(k: usize) -> Self {
+        debug_assert_eq!(k, K);
+        [0; K]
+    }
+    fn zeroed_table(k: usize) -> Self::Table {
+        debug_assert_eq!(k, K);
+        [[0; K]; TABLE_LEN]
+    }
+    fn entry(table: &Self::Table, i: usize, _k: usize) -> &[u64] {
+        &table[i]
+    }
+    fn entry_mut(table: &mut Self::Table, i: usize, _k: usize) -> &mut [u64] {
+        &mut table[i]
+    }
+}
+
+impl Limbs for Vec<u64> {
+    type Table = Vec<u64>;
+    fn zeroed(k: usize) -> Self {
+        vec![0; k]
+    }
+    fn zeroed_table(k: usize) -> Self::Table {
+        vec![0; k * TABLE_LEN]
+    }
+    fn entry(table: &Self::Table, i: usize, k: usize) -> &[u64] {
+        &table[i * k..(i + 1) * k]
+    }
+    fn entry_mut(table: &mut Self::Table, i: usize, k: usize) -> &mut [u64] {
+        &mut table[i * k..(i + 1) * k]
+    }
+}
+
+/// Per-modulus Montgomery state at one residue width, and every
+/// algorithm that runs on it. `R = 2^{64·k}` with `k` the limb count of
+/// the modulus.
 #[derive(Clone, Debug)]
-pub struct MontgomeryCtx {
-    /// Modulus limbs (little-endian, no leading zeros).
-    n: Vec<u64>,
+struct Kernel<L> {
+    /// Modulus limbs (little-endian, top limb non-zero).
+    n: L,
     /// `-n^{-1} mod 2^64` (exists because `n` is odd).
     n0inv: u64,
     /// `R mod n` — the Montgomery representation of 1.
-    r1: Vec<u64>,
+    r1: L,
     /// `R^2 mod n` — converts a value into Montgomery form in one mul.
-    r2: Vec<u64>,
+    r2: L,
+}
+
+impl<L: Limbs> Kernel<L> {
+    /// Precomputes the state for an odd `modulus > 1`.
+    fn new(modulus: &BigUint) -> Self {
+        let limbs = modulus.limbs();
+        let k = limbs.len();
+        // n0inv = -(n[0]^-1) mod 2^64 via Newton iteration (doubles the
+        // number of correct low bits each round; 6 rounds cover 64 bits).
+        let mut inv = limbs[0];
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(limbs[0].wrapping_mul(inv)));
+        }
+        debug_assert_eq!(limbs[0].wrapping_mul(inv), 1);
+        // R mod n and R^2 mod n: the only divisions this kernel ever does.
+        let r1 = BigUint::one().shl(64 * k as u32).rem(modulus);
+        let r2 = BigUint::one().shl(128 * k as u32).rem(modulus);
+        Kernel {
+            n: padded(limbs, k),
+            n0inv: inv.wrapping_neg(),
+            r1: padded(r1.limbs(), k),
+            r2: padded(r2.limbs(), k),
+        }
+    }
+
+    /// Limb count of the modulus: a constant at `L = [u64; K]`.
+    #[inline]
+    fn k(&self) -> usize {
+        self.n.as_ref().len()
+    }
+
+    /// CIOS Montgomery multiplication: `out = a · b · R^{-1} mod n`.
+    ///
+    /// `a` and `b` are k-limb values `< n`; so is the result. This is the
+    /// only multiplication body in the module: at `L = [u64; K]` the limb
+    /// count is a constant and both limb loops unroll.
+    #[inline]
+    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        let n = self.n.as_ref();
+        let k = n.len();
+        // One check up front lets every index below go unchecked.
+        assert!(out.len() == k && a.len() == k && b.len() == k);
+        // The running state is k + 1 limbs: `out` plus `hi`.
+        out.fill(0);
+        let mut hi = 0u64;
+        for &ai in a {
+            // t += ai * b
+            let mut carry = 0u64;
+            for j in 0..k {
+                let cur = out[j] as u128 + ai as u128 * b[j] as u128 + carry as u128;
+                out[j] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            let top = hi as u128 + carry as u128;
+            // m = t[0] * n0inv mod 2^64; t = (t + m * n) >> 64.
+            let m = out[0].wrapping_mul(self.n0inv);
+            let mut carry = ((out[0] as u128 + m as u128 * n[0] as u128) >> 64) as u64;
+            for j in 1..k {
+                let cur = out[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
+                out[j - 1] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            let top = top + carry as u128;
+            out[k - 1] = top as u64;
+            hi = (top >> 64) as u64; // never exceeds 1
+        }
+        // Final conditional subtraction brings the result below n; its
+        // last borrow cancels `hi`.
+        if hi != 0 || cmp_limbs(out, n) != Ordering::Less {
+            let mut borrow = false;
+            for j in 0..k {
+                let (d, b1) = out[j].overflowing_sub(n[j]);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                out[j] = d;
+                borrow = b1 | b2;
+            }
+        }
+    }
+
+    /// Converts `x < n` into Montgomery form.
+    fn to_mont(&self, x: &BigUint) -> L {
+        let mut out = L::zeroed(self.k());
+        let plain: L = padded(x.limbs(), self.k());
+        self.mul(out.as_mut(), plain.as_ref(), self.r2.as_ref());
+        out
+    }
+
+    /// Converts a Montgomery-form value back to a plain `BigUint`.
+    fn demont(&self, a: &[u64]) -> BigUint {
+        let mut one = L::zeroed(self.k());
+        one.as_mut()[0] = 1;
+        let mut out = L::zeroed(self.k());
+        self.mul(out.as_mut(), a, one.as_ref());
+        BigUint::from_limbs(out.as_ref().to_vec())
+    }
+
+    /// `(a * b) mod n` for `a, b < n`.
+    fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let mut out = L::zeroed(self.k());
+        self.mul(
+            out.as_mut(),
+            self.to_mont(a).as_ref(),
+            self.to_mont(b).as_ref(),
+        );
+        self.demont(out.as_ref())
+    }
+
+    /// The w=4 window table for `base < n`: Montgomery forms of
+    /// `base^0 .. base^15`.
+    fn table(&self, base: &BigUint) -> L::Table {
+        let k = self.k();
+        let base_m = self.to_mont(base);
+        let mut table = L::zeroed_table(k);
+        L::entry_mut(&mut table, 0, k).copy_from_slice(self.r1.as_ref());
+        let mut next = L::zeroed(k);
+        for i in 1..TABLE_LEN {
+            self.mul(next.as_mut(), L::entry(&table, i - 1, k), base_m.as_ref());
+            L::entry_mut(&mut table, i, k).copy_from_slice(next.as_ref());
+        }
+        table
+    }
+
+    /// Shamir/Straus simultaneous double exponentiation `a^x · b^y mod n`
+    /// over window tables for `a` and `b`: one squaring chain, up to two
+    /// table multiplies per window. The two residues it works on are set
+    /// up before the loop, which allocates nothing.
+    fn pow_dual(
+        &self,
+        a_table: &L::Table,
+        x: &BigUint,
+        b_table: &L::Table,
+        y: &BigUint,
+    ) -> BigUint {
+        let k = self.k();
+        let mut acc = self.r1.clone(); // Mont(1)
+        let mut tmp = L::zeroed(k);
+        for w in (0..x.bits().max(y.bits()).div_ceil(WINDOW)).rev() {
+            for _ in 0..WINDOW {
+                self.mul(tmp.as_mut(), acc.as_ref(), acc.as_ref());
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            for (table, exp) in [(a_table, x), (b_table, y)] {
+                let idx = window_at(exp.limbs(), w);
+                if idx != 0 {
+                    self.mul(tmp.as_mut(), acc.as_ref(), L::entry(table, idx, k));
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
+            }
+        }
+        self.demont(acc.as_ref())
+    }
+}
+
+/// The kernel instantiation a modulus runs on, chosen by its limb count.
+#[derive(Clone, Debug)]
+enum Width {
+    /// Compile-time width: `[u64; 5]` residues on the stack.
+    Fixed(Kernel<[u64; FIXED_LIMBS]>),
+    /// Run-time width: the same code over `Vec<u64>` residues.
+    RunTime(Kernel<Vec<u64>>),
+}
+
+/// Precomputed per-modulus state for Montgomery multiplication.
+///
+/// Valid for odd moduli `n > 1`.
+#[derive(Clone, Debug)]
+pub struct MontgomeryCtx {
+    kernel: Width,
     /// The modulus as a `BigUint` (for reductions and the public getter).
     modulus: BigUint,
 }
 
 /// A precomputed window table of powers `base^0 .. base^15` in Montgomery
-/// form, reusable across exponentiations with the same base and modulus.
+/// form — one contiguous block of 16 residues — reusable across
+/// exponentiations with the same base and modulus. For the 5-limb Schnorr
+/// modulus it is a plain 640-byte value with no heap part.
 #[derive(Clone, Debug)]
-pub struct PowTable {
-    entries: Vec<Vec<u64>>, // entries[i] = Mont(base^i), i in 0..16
-}
+pub struct PowTable(Table);
 
-/// Fixed window width for all exponentiation strategies.
-const WINDOW: u32 = 4;
-const TABLE_LEN: usize = 1 << WINDOW;
+// The large variant is the point: boxing it would put the per-call key
+// table of a verification back on the heap.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone, Debug)]
+enum Table {
+    Fixed(<[u64; FIXED_LIMBS] as Limbs>::Table),
+    RunTime(<Vec<u64> as Limbs>::Table),
+}
 
 impl MontgomeryCtx {
     /// Builds a context for an odd modulus `> 1`; `None` otherwise.
+    ///
+    /// A 5-limb modulus gets the compile-time-width kernel, every other
+    /// size the run-time-width one; results are identical either way.
     pub fn new(modulus: &BigUint) -> Option<MontgomeryCtx> {
+        Self::build(modulus, modulus.limbs().len() == FIXED_LIMBS)
+    }
+
+    /// Like [`Self::new`] but always on the run-time-width kernel, so the
+    /// differential tests can run both instantiations on one 5-limb
+    /// modulus. Not a tuning choice: production code calls [`Self::new`].
+    #[doc(hidden)]
+    pub fn new_run_time_width(modulus: &BigUint) -> Option<MontgomeryCtx> {
+        Self::build(modulus, false)
+    }
+
+    fn build(modulus: &BigUint, fixed: bool) -> Option<MontgomeryCtx> {
         if modulus.is_even() || modulus.is_one() || modulus.is_zero() {
             return None;
         }
-        let n = modulus.limbs().to_vec();
-        let k = n.len();
-        // n0inv = -(n[0]^-1) mod 2^64 via Newton iteration (doubles the
-        // number of correct low bits each round; 6 rounds cover 64 bits).
-        let mut inv = n[0];
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
-        }
-        debug_assert_eq!(n[0].wrapping_mul(inv), 1);
-        let n0inv = inv.wrapping_neg();
-        // R mod n and R^2 mod n: the only divisions this context ever does.
-        let r1 = BigUint::one().shl(64 * k as u32).rem(modulus);
-        let r2 = BigUint::one().shl(128 * k as u32).rem(modulus);
+        let kernel = if fixed {
+            Width::Fixed(Kernel::new(modulus))
+        } else {
+            Width::RunTime(Kernel::new(modulus))
+        };
         Some(MontgomeryCtx {
-            n0inv,
-            r1: pad(r1.limbs(), k),
-            r2: pad(r2.limbs(), k),
-            n,
+            kernel,
             modulus: modulus.clone(),
         })
     }
@@ -92,58 +348,14 @@ impl MontgomeryCtx {
         &self.modulus
     }
 
-    /// CIOS Montgomery multiplication: `a · b · R^{-1} mod n`.
-    ///
-    /// `a` and `b` are k-limb values `< n`; the result is k limbs `< n`.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.n.len();
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(b.len(), k);
-        // t holds k+2 limbs of running state; t[k+1] never exceeds 1.
-        let mut t = vec![0u64; k + 2];
-        for &ai in a {
-            // t += ai * b
-            let mut carry: u128 = 0;
-            for (j, &bj) in b.iter().enumerate() {
-                let cur = t[j] as u128 + ai as u128 * bj as u128 + carry;
-                t[j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[k] as u128 + carry;
-            t[k] = cur as u64;
-            t[k + 1] = (cur >> 64) as u64;
-            // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64.
-            let m = t[0].wrapping_mul(self.n0inv);
-            let mut carry: u128 = (t[0] as u128 + m as u128 * self.n[0] as u128) >> 64;
-            for j in 1..k {
-                let cur = t[j] as u128 + m as u128 * self.n[j] as u128 + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[k] as u128 + carry;
-            t[k - 1] = cur as u64;
-            t[k] = t[k + 1] + (cur >> 64) as u64;
-            t[k + 1] = 0;
+    /// `x mod n`, borrowing `x` when it is already reduced (the hot case:
+    /// public keys and table bases are range-checked before they get here).
+    fn reduced<'a>(&self, x: &'a BigUint) -> Cow<'a, BigUint> {
+        if x.cmp_val(&self.modulus) == Ordering::Less {
+            Cow::Borrowed(x)
+        } else {
+            Cow::Owned(x.rem(&self.modulus))
         }
-        // Final conditional subtraction brings the result below n.
-        if t[k] != 0 || ge(&t[..k], &self.n) {
-            sub_in_place(&mut t, &self.n);
-        }
-        t.truncate(k);
-        t
-    }
-
-    /// Converts a value (reduced mod n first) into Montgomery form.
-    fn to_mont(&self, x: &BigUint) -> Vec<u64> {
-        let reduced = x.rem(&self.modulus);
-        self.mont_mul(&pad(reduced.limbs(), self.n.len()), &self.r2)
-    }
-
-    /// Converts a Montgomery-form value back to a plain `BigUint`.
-    fn demont(&self, a: &[u64]) -> BigUint {
-        let mut one = vec![0u64; self.n.len()];
-        one[0] = 1;
-        BigUint::from_limbs(self.mont_mul(a, &one))
     }
 
     /// `(a * b) mod n` through the Montgomery multiplier.
@@ -151,21 +363,20 @@ impl MontgomeryCtx {
     /// Worth it only when the context is already cached: a one-shot call
     /// pays two conversions on top of the multiply.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.demont(&self.mont_mul(&am, &bm))
+        let (a, b) = (self.reduced(a), self.reduced(b));
+        match &self.kernel {
+            Width::Fixed(kernel) => kernel.mul_mod(&a, &b),
+            Width::RunTime(kernel) => kernel.mul_mod(&a, &b),
+        }
     }
 
     /// Builds the w=4 window table for `base` (16 Montgomery entries).
     pub fn pow_table(&self, base: &BigUint) -> PowTable {
-        let base_m = self.to_mont(base);
-        let mut entries = Vec::with_capacity(TABLE_LEN);
-        entries.push(self.r1.clone()); // base^0 = 1
-        entries.push(base_m.clone());
-        for i in 2..TABLE_LEN {
-            entries.push(self.mont_mul(&entries[i - 1], &base_m));
-        }
-        PowTable { entries }
+        let base = self.reduced(base);
+        PowTable(match &self.kernel {
+            Width::Fixed(kernel) => Table::Fixed(kernel.table(&base)),
+            Width::RunTime(kernel) => Table::RunTime(kernel.table(&base)),
+        })
     }
 
     /// `base^exp mod n` by fixed-window (w = 4) exponentiation.
@@ -175,24 +386,18 @@ impl MontgomeryCtx {
 
     /// `base^exp mod n` reusing a precomputed window table for `base`.
     pub fn modpow_with_table(&self, table: &PowTable, exp: &BigUint) -> BigUint {
-        debug_assert_eq!(table.entries[0].len(), self.n.len());
-        let windows = exp.bits().div_ceil(WINDOW);
-        let mut acc = self.r1.clone(); // Mont(1)
-        for w in (0..windows).rev() {
-            for _ in 0..WINDOW {
-                acc = self.mont_mul(&acc, &acc);
-            }
-            let idx = window_at(exp, w);
-            if idx != 0 {
-                acc = self.mont_mul(&acc, &table.entries[idx]);
-            }
-        }
-        self.demont(&acc)
+        // A zero second exponent never selects a second-table entry, so
+        // the dual walk is the single-base walk: one loop serves both.
+        self.modpow_dual(table, exp, table, &BigUint::zero())
     }
 
     /// Shamir/Straus simultaneous double exponentiation:
     /// `a^x · b^y mod n` in one interleaved pass over a shared squaring
     /// chain, given window tables for both bases.
+    ///
+    /// # Panics
+    ///
+    /// If a table was built by a context for a different modulus size.
     pub fn modpow_dual(
         &self,
         a_table: &PowTable,
@@ -200,69 +405,37 @@ impl MontgomeryCtx {
         b_table: &PowTable,
         y: &BigUint,
     ) -> BigUint {
-        let windows = x.bits().max(y.bits()).div_ceil(WINDOW);
-        let mut acc = self.r1.clone();
-        for w in (0..windows).rev() {
-            for _ in 0..WINDOW {
-                acc = self.mont_mul(&acc, &acc);
+        match (&self.kernel, &a_table.0, &b_table.0) {
+            (Width::Fixed(kernel), Table::Fixed(a), Table::Fixed(b)) => kernel.pow_dual(a, x, b, y),
+            (Width::RunTime(kernel), Table::RunTime(a), Table::RunTime(b)) => {
+                kernel.pow_dual(a, x, b, y)
             }
-            let ix = window_at(x, w);
-            if ix != 0 {
-                acc = self.mont_mul(&acc, &a_table.entries[ix]);
-            }
-            let iy = window_at(y, w);
-            if iy != 0 {
-                acc = self.mont_mul(&acc, &b_table.entries[iy]);
-            }
+            _ => panic!("window table built for a different modulus"),
         }
-        self.demont(&acc)
     }
 }
 
 /// Extracts 4-bit window `w` (windows counted from the least significant
-/// bit) of `exp` as a table index.
-fn window_at(exp: &BigUint, w: u32) -> usize {
-    let base = w * WINDOW;
-    let mut idx = 0usize;
-    for b in 0..WINDOW {
-        if exp.bit(base + b) {
-            idx |= 1 << b;
-        }
-    }
-    idx
+/// bit) straight from the exponent's limbs; zero past the top limb.
+#[inline]
+fn window_at(exp: &[u64], w: u32) -> usize {
+    let bit = w * WINDOW;
+    exp.get((bit / 64) as usize)
+        .map_or(0, |limb| (limb >> (bit % 64)) as usize & (TABLE_LEN - 1))
 }
 
-/// Zero-pads a limb slice to `k` limbs.
-fn pad(limbs: &[u64], k: usize) -> Vec<u64> {
-    let mut out = limbs.to_vec();
-    out.resize(k, 0);
+/// `limbs` zero-padded to a `k`-limb residue.
+fn padded<L: Limbs>(limbs: &[u64], k: usize) -> L {
+    let mut out = L::zeroed(k);
+    out.as_mut()[..limbs.len()].copy_from_slice(limbs);
     out
 }
 
-/// `a >= b` on equal-length little-endian limb slices.
-fn ge(a: &[u64], b: &[u64]) -> bool {
+/// Compares equal-length little-endian limb slices as integers.
+#[inline]
+fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
     debug_assert_eq!(a.len(), b.len());
-    for i in (0..a.len()).rev() {
-        match a[i].cmp(&b[i]) {
-            std::cmp::Ordering::Greater => return true,
-            std::cmp::Ordering::Less => return false,
-            std::cmp::Ordering::Equal => {}
-        }
-    }
-    true
-}
-
-/// `t -= b` in place over `b.len() + 1` limbs of `t` (t[len] absorbs the
-/// final borrow from the redundant top limb).
-fn sub_in_place(t: &mut [u64], b: &[u64]) {
-    let mut borrow = 0u64;
-    for (i, &bi) in b.iter().enumerate() {
-        let (d1, b1) = t[i].overflowing_sub(bi);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        t[i] = d2;
-        borrow = (b1 as u64) + (b2 as u64);
-    }
-    t[b.len()] = t[b.len()].wrapping_sub(borrow);
+    a.iter().rev().cmp(b.iter().rev())
 }
 
 #[cfg(test)]
@@ -362,11 +535,35 @@ mod tests {
     fn to_from_mont_roundtrip() {
         let mut rng = StdRng::seed_from_u64(15);
         let n = odd_modulus(&mut rng, 320);
-        let ctx = MontgomeryCtx::new(&n).unwrap();
+        let fixed: Kernel<[u64; FIXED_LIMBS]> = Kernel::new(&n);
+        let run_time: Kernel<Vec<u64>> = Kernel::new(&n);
         for _ in 0..100 {
-            let x = BigUint::random_bits(&mut rng, 320);
-            let m = ctx.to_mont(&x);
-            assert_eq!(ctx.demont(&m), x.rem(&n));
+            let x = BigUint::random_bits(&mut rng, 320).rem(&n);
+            let m = fixed.to_mont(&x);
+            assert_eq!(m.as_slice(), run_time.to_mont(&x).as_slice());
+            assert_eq!(fixed.demont(&m), x);
+            assert_eq!(run_time.demont(&m), x);
+        }
+    }
+
+    #[test]
+    fn windows_come_straight_from_the_limbs() {
+        let exp = [0xfedc_ba98_7654_3210u64, 0x5];
+        for w in 0..16 {
+            assert_eq!(window_at(&exp, w), w as usize);
+        }
+        assert_eq!(window_at(&exp, 16), 5);
+        assert_eq!(window_at(&exp, 17), 0);
+        assert_eq!(window_at(&exp, 32), 0); // past the top limb
+        assert_eq!(window_at(&[], 0), 0);
+    }
+
+    #[test]
+    fn five_limb_moduli_pick_the_fixed_kernel() {
+        let mut rng = StdRng::seed_from_u64(18);
+        for (bits, fixed) in [(256u32, false), (257, true), (320, true), (321, false)] {
+            let ctx = MontgomeryCtx::new(&odd_modulus(&mut rng, bits)).unwrap();
+            assert_eq!(matches!(ctx.kernel, Width::Fixed(_)), fixed, "bits={bits}");
         }
     }
 

@@ -279,3 +279,136 @@ fn montgomery_edge_operands_match_schoolbook() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The one CIOS body at both widths vs the schoolbook reference.
+// ---------------------------------------------------------------------------
+
+/// Limb counts on both sides of the width choice: `MontgomeryCtx::new`
+/// takes the compile-time-width kernel at 5 limbs only.
+const KERNEL_LIMBS: [usize; 6] = [1, 4, 5, 6, 16, 33];
+
+/// The two kernel instantiations for `m`. Off 5 limbs both run at
+/// run-time width, which is the point: one body, whatever the width.
+fn both_widths(m: &BigUint) -> [MontgomeryCtx; 2] {
+    [
+        MontgomeryCtx::new(m).expect("odd modulus > 1"),
+        MontgomeryCtx::new_run_time_width(m).expect("odd modulus > 1"),
+    ]
+}
+
+/// Asserts that both instantiations and the schoolbook path agree
+/// bit-for-bit on a multiplication, a single and a dual exponentiation.
+fn assert_kernels_match_schoolbook(
+    m: &BigUint,
+    a: &BigUint,
+    b: &BigUint,
+    x: &BigUint,
+    y: &BigUint,
+) {
+    let mul = a.mul_mod(b, m);
+    let pow = a.modpow_schoolbook(x, m);
+    let dual = pow.mul_mod(&b.modpow_schoolbook(y, m), m);
+    for ctx in both_widths(m) {
+        assert_eq!(ctx.mul_mod(a, b), mul, "mul m={m:?} a={a:?} b={b:?}");
+        assert_eq!(ctx.modpow(a, x), pow, "pow m={m:?} a={a:?} x={x:?}");
+        assert_eq!(
+            ctx.modpow_dual(&ctx.pow_table(a), x, &ctx.pow_table(b), y),
+            dual,
+            "dual m={m:?} a={a:?} x={x:?} b={b:?} y={y:?}"
+        );
+    }
+}
+
+fn limbs(n: usize) -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(any::<u64>(), n..n + 1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn kernel_widths_match_schoolbook(
+        width in 0..KERNEL_LIMBS.len(),
+        top_heavy in any::<bool>(),
+        m in limbs(33),
+        a in limbs(34),
+        b in limbs(33),
+        x in proptest::collection::vec(any::<u64>(), 0..5),
+        y in proptest::collection::vec(any::<u64>(), 0..5),
+    ) {
+        let k = KERNEL_LIMBS[width];
+        let mut m = m[..k].to_vec();
+        m[0] |= 1;
+        // A non-zero top limb makes the modulus exactly k limbs; a set
+        // top bit also makes sums overflow the k-th limb.
+        m[k - 1] |= if top_heavy { 1 << 63 } else { 1 };
+        let m = BigUint::from_limbs(m);
+        let m = if m.is_one() { BigUint::from_u64(3) } else { m };
+        // `a` may exceed the modulus by a limb; `b` is at most as wide.
+        let a = BigUint::from_limbs(a[..k + 1].to_vec());
+        let b = BigUint::from_limbs(b[..k].to_vec());
+        assert_kernels_match_schoolbook(
+            &m,
+            &a,
+            &b,
+            &BigUint::from_limbs(x),
+            &BigUint::from_limbs(y),
+        );
+    }
+}
+
+/// The boundary operands on the Schnorr prime itself, where the
+/// compile-time-width kernel runs in production.
+#[test]
+fn kernel_widths_match_schoolbook_on_group_prime_edges() {
+    let p = pds2_crypto::schnorr::Group::standard().p.clone();
+    let edges = [
+        BigUint::zero(),
+        BigUint::one(),
+        p.sub(&BigUint::one()),
+        p.clone(),
+        p.add(&BigUint::one()),
+        BigUint::one().shl(320).sub(&BigUint::one()),
+    ];
+    for a in &edges {
+        for b in &edges {
+            assert_kernels_match_schoolbook(&p, a, b, b, a);
+        }
+    }
+}
+
+/// 5-limb moduli just below 2^320 with Montgomery operands just below the
+/// modulus: the pre-subtraction value `(X·Y + m·n) / R` reaches `R`, so the
+/// final subtraction is taken on the carry limb, not on the comparison.
+#[test]
+fn kernel_final_subtraction_carry_branch_matches_schoolbook() {
+    let r = BigUint::one().shl(320);
+    let mut forced = 0;
+    for c in [1u64, 3, 189, 0xffff_ffff_ffff_fffd] {
+        let n = r.sub(&BigUint::from_u64(c));
+        let r_inv = r.modinv(&n).expect("R is coprime to an odd modulus");
+        // n' = -n^{-1} mod R, the full-width analogue of the kernel's n0inv.
+        let n_prime = r.sub(&n.modinv(&r).expect("odd n is coprime to R"));
+        for dx in 1..4u64 {
+            for dy in 1..4u64 {
+                let big_x = n.sub(&BigUint::from_u64(dx));
+                let big_y = n.sub(&BigUint::from_u64(dy));
+                let xy = big_x.mul(&big_y);
+                let m = xy.rem(&r).mul(&n_prime).rem(&r);
+                if xy.add(&m.mul(&n)).shr(320) >= r {
+                    forced += 1;
+                }
+                // `mul_mod(a, b)` multiplies the Montgomery forms a·R and
+                // b·R, so these plain operands put X and Y into the kernel.
+                let a = big_x.mul_mod(&r_inv, &n);
+                let b = big_y.mul_mod(&r_inv, &n);
+                let expected = a.mul_mod(&b, &n);
+                for ctx in both_widths(&n) {
+                    assert_eq!(ctx.mul_mod(&a, &b), expected, "c={c} dx={dx} dy={dy}");
+                }
+            }
+        }
+    }
+    assert!(forced >= 4, "only {forced} cases reached the carry limb");
+}

@@ -28,7 +28,7 @@
 //!   per-domain sequence reset at capture start) so IDs are stable
 //!   and greppable. Emission is gated on one relaxed atomic load —
 //!   when no capture is active the entire layer costs under 1% on
-//!   `block_validation_500tx` (measured by `bench_obs`).
+//!   `block_validation_500tx_cold_median` (measured by `bench_obs`).
 //! - **Sinks** ([`SinkKind`]): ring buffer for tests, JSONL writer for
 //!   benches and offline analysis, and a digest-only null sink. The
 //!   digest is folded in the collector *before* the sink sees the
