@@ -1,4 +1,4 @@
-//! State-commitment benchmarks (DESIGN.md §5g, experiment E18): sparse-
+//! State-commitment benchmarks (DESIGN.md §5f, experiment E18): sparse-
 //! Merkle root-update cost against the full-rehash oracle across account
 //! counts, (non-)inclusion proof size and verification time, and crash
 //! recovery — cold-start log replay vs snapshot restore.

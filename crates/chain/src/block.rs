@@ -34,7 +34,7 @@ pub struct BlockHeader {
 
 impl BlockHeader {
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn signing_bytes(
+    fn signing_bytes(
         height: u64,
         parent: &Digest,
         state_root: &Digest,
@@ -57,7 +57,46 @@ impl BlockHeader {
         enc.finish()
     }
 
-    /// Builds and signs a header.
+    /// Builds a header naming `proposer` and seals it with whatever
+    /// `sign` returns for the header's signing bytes: the proposer's own
+    /// signature, or the committee's threshold signature — the header
+    /// body is the same either way.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sealed(
+        proposer: PublicKey,
+        height: u64,
+        parent: Digest,
+        state_root: Digest,
+        tx_root: Digest,
+        timestamp: u64,
+        base_fee: u64,
+        gas_used: u64,
+        sign: impl FnOnce(&[u8]) -> Signature,
+    ) -> BlockHeader {
+        let signature = sign(&Self::signing_bytes(
+            height,
+            &parent,
+            &state_root,
+            &tx_root,
+            timestamp,
+            base_fee,
+            gas_used,
+            &proposer,
+        ));
+        BlockHeader {
+            height,
+            parent,
+            state_root,
+            tx_root,
+            timestamp,
+            base_fee,
+            gas_used,
+            proposer,
+            signature,
+        }
+    }
+
+    /// Builds a header and signs it with the proposer's own key.
     #[allow(clippy::too_many_arguments)]
     pub fn new_signed(
         keys: &KeyPair,
@@ -69,17 +108,8 @@ impl BlockHeader {
         base_fee: u64,
         gas_used: u64,
     ) -> BlockHeader {
-        let payload = Self::signing_bytes(
-            height,
-            &parent,
-            &state_root,
-            &tx_root,
-            timestamp,
-            base_fee,
-            gas_used,
-            &keys.public,
-        );
-        BlockHeader {
+        Self::sealed(
+            keys.public.clone(),
             height,
             parent,
             state_root,
@@ -87,35 +117,24 @@ impl BlockHeader {
             timestamp,
             base_fee,
             gas_used,
-            proposer: keys.public.clone(),
-            signature: keys.sign(&payload),
-        }
+            |payload| keys.sign(payload),
+        )
     }
 
-    /// Verifies the proposer signature.
-    ///
-    /// Routed through [`crate::sigcache`]: during sync replay and fork
-    /// choice the same headers are re-validated repeatedly, and an
-    /// already-accepted header costs one hash instead of an
-    /// exponentiation.
+    /// Verifies the signature against the embedded proposer's key.
     pub fn verify_signature(&self) -> bool {
-        let payload = Self::signing_bytes(
-            self.height,
-            &self.parent,
-            &self.state_root,
-            &self.tx_root,
-            self.timestamp,
-            self.base_fee,
-            self.gas_used,
-            &self.proposer,
-        );
-        crate::sigcache::verify_cached(&payload, &self.proposer, &self.signature)
+        self.verify_signature_with(&self.proposer)
     }
 
     /// Verifies the header signature against an explicit key instead of
     /// the embedded proposer — threshold mode checks the committee's
     /// group key while the header keeps naming its round-robin proposer
     /// (which still drives the coinbase and `WrongProposer` checks).
+    ///
+    /// Routed through [`crate::sigcache`]: during sync replay and fork
+    /// choice the same headers are re-validated repeatedly, and an
+    /// already-accepted header costs one hash instead of an
+    /// exponentiation.
     pub fn verify_signature_with(&self, key: &PublicKey) -> bool {
         let payload = Self::signing_bytes(
             self.height,
@@ -176,15 +195,21 @@ pub struct Block {
 }
 
 impl Block {
-    /// Computes the Merkle root over a transaction list.
+    /// The Merkle tree over a transaction list: header roots and
+    /// inclusion proofs both come from it.
     ///
     /// Leaves are the domain-separated hashes of the (cached) transaction
     /// digests, computed in parallel in index order — the same tree
     /// `MerkleTree::from_leaves` would build over the digest bytes.
-    pub fn compute_tx_root(txs: &[SignedTransaction]) -> Digest {
+    pub(crate) fn tx_tree(txs: &[SignedTransaction]) -> MerkleTree {
         let leaf_hashes =
             pds2_par::par_map_indexed(txs, |_, t| merkle::leaf_hash(t.hash().as_bytes()));
-        MerkleTree::from_leaf_hashes(leaf_hashes).root()
+        MerkleTree::from_leaf_hashes(leaf_hashes)
+    }
+
+    /// Computes the Merkle root over a transaction list.
+    pub fn compute_tx_root(txs: &[SignedTransaction]) -> Digest {
+        Self::tx_tree(txs).root()
     }
 
     /// Checks that the header's tx root matches the body.

@@ -17,11 +17,16 @@
 //! - [`smt`] — the copy-on-write sparse Merkle tree authenticating the
 //!   state, with (non-)inclusion proofs for light clients;
 //! - [`backend`] — pluggable state-commitment backends: the incremental
-//!   SMT and the full-rehash reference oracle (DESIGN.md §5g);
-//! - [`block`] — blocks, headers, Merkle transaction roots;
+//!   SMT and the full-rehash reference oracle (DESIGN.md §5f);
+//! - [`block`] — blocks, headers (one constructor, sealed by the
+//!   proposer or the committee), Merkle transaction roots;
 //! - [`mempool`] — the fee-market transaction pool: per-account nonce
 //!   chains, priority selection, bounded admission with eviction;
-//! - [`chain`] — the ledger: mempool, PoA production, receipts, events;
+//! - [`chain`] — the ledger as one block pipeline, a file per stage:
+//!   admit → produce → validate → apply → persist → prove, shared by
+//!   the producer, followers and crash recovery (DESIGN.md §5f);
+//! - [`threshold`] — t-of-n committee sealing of block headers
+//!   (DESIGN.md §5i);
 //! - [`sync`] — block sync over `pds2-net`: catch-up, fork choice on
 //!   rejoin, crash-stop recovery (the chaos-harness consumer);
 //! - [`sigcache`] — bounded cache of verified-signature digests, so sync

@@ -1,7 +1,7 @@
 //! World state and transaction execution.
 //!
 //! [`WorldState`] holds native accounts, the two token modules and every
-//! deployed contract instance. [`WorldState::apply_transaction`] is the
+//! deployed contract instance. [`WorldState::apply_transaction_env`] is the
 //! single state-transition function: it meters gas, enforces nonces,
 //! executes the payload atomically (failed transactions leave no effects
 //! beyond the nonce bump) and produces a [`TxReceipt`].
@@ -64,6 +64,23 @@ pub struct TxReceipt {
     pub events: Vec<Event>,
     /// Address of the deployed contract, for deploy transactions.
     pub deployed: Option<Address>,
+}
+
+impl TxReceipt {
+    /// The receipt of a transaction that failed: no output, no events,
+    /// nothing deployed.
+    pub fn failed(tx_hash: Digest, gas_used: u64, effective_gas_price: u64, error: String) -> Self {
+        TxReceipt {
+            tx_hash,
+            success: false,
+            gas_used,
+            effective_gas_price,
+            output: Vec::new(),
+            error: Some(error),
+            events: Vec::new(),
+            deployed: None,
+        }
+    }
 }
 
 /// A deployed contract instance. `deployer` and `init` are retained so
@@ -245,7 +262,7 @@ impl WorldState {
     }
 
     /// Canonical root hash of the entire state: the sparse-Merkle root
-    /// over the [`LeafKey`] → value-bytes map (see DESIGN.md §5g).
+    /// over the [`LeafKey`] → value-bytes map (see DESIGN.md §5f).
     ///
     /// Commits lazily: leaves touched since the last call are
     /// recomputed from the live maps and folded into the backend's
@@ -446,53 +463,6 @@ impl WorldState {
         Ok(st)
     }
 
-    /// Executes one signed transaction against the state.
-    ///
-    /// The caller (block producer / validator) must have verified the
-    /// signature; this function re-checks it defensively and treats a bad
-    /// signature or nonce as an invalid transaction (no state change, no
-    /// receipt nonce bump).
-    pub fn apply_transaction(
-        &mut self,
-        registry: &ContractRegistry,
-        signed: &SignedTransaction,
-        block_height: u64,
-        tx_index: u32,
-    ) -> TxReceipt {
-        self.apply_transaction_traced(
-            registry,
-            signed,
-            block_height,
-            tx_index,
-            pds2_obs::TraceCtx::NONE,
-        )
-    }
-
-    /// [`WorldState::apply_transaction`] with an explicit causal context.
-    ///
-    /// The context flows into [`CallCtx::trace`] so contract code (and the
-    /// marketplace state machine built on it) can attach its phase events
-    /// to the workload's trace. Passing [`TraceCtx::NONE`] is exactly
-    /// `apply_transaction`.
-    ///
-    /// [`TraceCtx::NONE`]: pds2_obs::TraceCtx::NONE
-    pub fn apply_transaction_traced(
-        &mut self,
-        registry: &ContractRegistry,
-        signed: &SignedTransaction,
-        block_height: u64,
-        tx_index: u32,
-        trace: pds2_obs::TraceCtx,
-    ) -> TxReceipt {
-        self.apply_transaction_env(
-            registry,
-            signed,
-            &BlockEnv::free(block_height),
-            tx_index,
-            trace,
-        )
-    }
-
     /// Executes one transaction under a block environment, charging
     /// EIP-1559 fees around the state transition:
     ///
@@ -510,6 +480,12 @@ impl WorldState {
     /// A zero effective price (free/legacy transaction at zero base fee)
     /// skips the fee machinery entirely and is byte-identical to the
     /// historical execution path.
+    ///
+    /// The caller (block producer / validator) must have verified the
+    /// signature; it is re-checked defensively, and a bad signature or
+    /// nonce is an invalid transaction (no state change, no nonce bump).
+    /// `trace` flows into [`CallCtx::trace`] so contract code can attach
+    /// its phase events to the submitting workload's trace.
     pub fn apply_transaction_env(
         &mut self,
         registry: &ContractRegistry,
@@ -519,19 +495,15 @@ impl WorldState {
         trace: pds2_obs::TraceCtx,
     ) -> TxReceipt {
         let Some(price) = signed.tx.effective_gas_price(env.base_fee) else {
-            return TxReceipt {
-                tx_hash: signed.hash(),
-                success: false,
-                gas_used: 0,
-                effective_gas_price: 0,
-                output: Vec::new(),
-                error: Some(format!(
+            return TxReceipt::failed(
+                signed.hash(),
+                0,
+                0,
+                format!(
                     "fee cap {} below base fee {}",
                     signed.tx.max_fee_per_gas, env.base_fee
-                )),
-                events: Vec::new(),
-                deployed: None,
-            };
+                ),
+            );
         };
         if price == 0 {
             return self.apply_inner(registry, signed, env.height, tx_index, trace);
@@ -544,19 +516,15 @@ impl WorldState {
         }
         let upfront = signed.tx.gas_limit as u128 * price as u128;
         if self.balance(&sender) < upfront {
-            return TxReceipt {
-                tx_hash: signed.hash(),
-                success: false,
-                gas_used: 0,
-                effective_gas_price: price,
-                output: Vec::new(),
-                error: Some(format!(
+            return TxReceipt::failed(
+                signed.hash(),
+                0,
+                price,
+                format!(
                     "insufficient funds for gas: need {upfront}, have {}",
                     self.balance(&sender)
-                )),
-                events: Vec::new(),
-                deployed: None,
-            };
+                ),
+            );
         }
         self.accounts.entry(sender).or_default().balance -= upfront;
         self.mark(LeafKey::Account(sender));
@@ -593,16 +561,7 @@ impl WorldState {
         let tx_hash = signed.hash();
         let sender = signed.tx.sender();
 
-        let fail = |error: String, gas_used: u64| TxReceipt {
-            tx_hash,
-            success: false,
-            gas_used,
-            effective_gas_price: 0,
-            output: Vec::new(),
-            error: Some(error),
-            events: Vec::new(),
-            deployed: None,
-        };
+        let fail = |error: String, gas_used: u64| TxReceipt::failed(tx_hash, gas_used, 0, error);
 
         if !signed.verify_signature() {
             return fail("invalid signature".into(), 0);
@@ -984,7 +943,8 @@ mod tests {
                 amount: 400,
             },
         );
-        let r = st.apply_transaction(&reg, &tx, 1, 0);
+        let r =
+            st.apply_transaction_env(&reg, &tx, &BlockEnv::free(1), 0, pds2_obs::TraceCtx::NONE);
         assert!(r.success, "{:?}", r.error);
         assert_eq!(st.balance(&bob), 400);
         assert_eq!(st.balance(&Address::of(&alice.public)), 600);
@@ -1007,7 +967,8 @@ mod tests {
                 amount: 400,
             },
         );
-        let r = st.apply_transaction(&reg, &tx, 1, 0);
+        let r =
+            st.apply_transaction_env(&reg, &tx, &BlockEnv::free(1), 0, pds2_obs::TraceCtx::NONE);
         assert!(!r.success);
         assert_eq!(st.balance(&bob), 0);
         assert_eq!(st.nonce(&Address::of(&alice.public)), 1, "nonce consumed");
@@ -1020,7 +981,8 @@ mod tests {
         let mut st = funded_state(&alice, 1000);
         let reg = registry();
         let tx = make_tx(&alice, 5, TxKind::Transfer { to: bob, amount: 1 });
-        let r = st.apply_transaction(&reg, &tx, 1, 0);
+        let r =
+            st.apply_transaction_env(&reg, &tx, &BlockEnv::free(1), 0, pds2_obs::TraceCtx::NONE);
         assert!(!r.success);
         assert!(r.error.unwrap().contains("bad nonce"));
         assert_eq!(st.nonce(&Address::of(&alice.public)), 0, "nonce unchanged");
@@ -1036,7 +998,8 @@ mod tests {
         if let TxKind::Transfer { amount, .. } = &mut tx.tx.kind {
             *amount = 999; // tamper after signing
         }
-        let r = st.apply_transaction(&reg, &tx, 1, 0);
+        let r =
+            st.apply_transaction_env(&reg, &tx, &BlockEnv::free(1), 0, pds2_obs::TraceCtx::NONE);
         assert!(!r.success);
         assert_eq!(r.error.unwrap(), "invalid signature");
         assert_eq!(st.balance(&bob), 0);
@@ -1055,7 +1018,13 @@ mod tests {
                 init: Vec::new(),
             },
         );
-        let r = st.apply_transaction(&reg, &deploy, 1, 0);
+        let r = st.apply_transaction_env(
+            &reg,
+            &deploy,
+            &BlockEnv::free(1),
+            0,
+            pds2_obs::TraceCtx::NONE,
+        );
         assert!(r.success, "{:?}", r.error);
         let addr = r.deployed.unwrap();
         assert!(st.has_contract(&addr));
@@ -1070,7 +1039,8 @@ mod tests {
                 value: 0,
             },
         );
-        let r = st.apply_transaction(&reg, &call, 2, 0);
+        let r =
+            st.apply_transaction_env(&reg, &call, &BlockEnv::free(2), 0, pds2_obs::TraceCtx::NONE);
         assert!(r.success, "{:?}", r.error);
         assert_eq!(u64::from_le_bytes(r.output[..8].try_into().unwrap()), 1);
         assert_eq!(r.events.len(), 1);
@@ -1090,7 +1060,16 @@ mod tests {
                 init: Vec::new(),
             },
         );
-        let addr = st.apply_transaction(&reg, &deploy, 1, 0).deployed.unwrap();
+        let addr = st
+            .apply_transaction_env(
+                &reg,
+                &deploy,
+                &BlockEnv::free(1),
+                0,
+                pds2_obs::TraceCtx::NONE,
+            )
+            .deployed
+            .unwrap();
         let snap_before = st.contract_snapshot(&addr).unwrap();
 
         let call = make_tx(
@@ -1102,7 +1081,8 @@ mod tests {
                 value: 0,
             },
         );
-        let r = st.apply_transaction(&reg, &call, 2, 0);
+        let r =
+            st.apply_transaction_env(&reg, &call, &BlockEnv::free(2), 0, pds2_obs::TraceCtx::NONE);
         assert!(!r.success);
         assert!(r.error.unwrap().contains("deliberate"));
         assert_eq!(
@@ -1127,7 +1107,16 @@ mod tests {
                 init: Vec::new(),
             },
         );
-        let addr = st.apply_transaction(&reg, &deploy, 1, 0).deployed.unwrap();
+        let addr = st
+            .apply_transaction_env(
+                &reg,
+                &deploy,
+                &BlockEnv::free(1),
+                0,
+                pds2_obs::TraceCtx::NONE,
+            )
+            .deployed
+            .unwrap();
 
         // Attach 100; contract pays back half.
         let call = make_tx(
@@ -1139,7 +1128,8 @@ mod tests {
                 value: 100,
             },
         );
-        let r = st.apply_transaction(&reg, &call, 2, 0);
+        let r =
+            st.apply_transaction_env(&reg, &call, &BlockEnv::free(2), 0, pds2_obs::TraceCtx::NONE);
         assert!(r.success, "{:?}", r.error);
         assert_eq!(st.balance(&addr), 50);
         assert_eq!(st.balance(&alice_addr), 950);
@@ -1160,7 +1150,16 @@ mod tests {
                 init: Vec::new(),
             },
         );
-        let addr = st.apply_transaction(&reg, &deploy, 1, 0).deployed.unwrap();
+        let addr = st
+            .apply_transaction_env(
+                &reg,
+                &deploy,
+                &BlockEnv::free(1),
+                0,
+                pds2_obs::TraceCtx::NONE,
+            )
+            .deployed
+            .unwrap();
         let call = make_tx(
             &alice,
             1,
@@ -1170,7 +1169,8 @@ mod tests {
                 value: 10,
             },
         );
-        let r = st.apply_transaction(&reg, &call, 2, 0);
+        let r =
+            st.apply_transaction_env(&reg, &call, &BlockEnv::free(2), 0, pds2_obs::TraceCtx::NONE);
         assert!(!r.success);
         assert_eq!(st.balance(&alice_addr), 1000, "escrow refunded");
         assert_eq!(st.balance(&addr), 0);
@@ -1190,7 +1190,8 @@ mod tests {
                 value: 0,
             },
         );
-        let r = st.apply_transaction(&reg, &call, 1, 0);
+        let r =
+            st.apply_transaction_env(&reg, &call, &BlockEnv::free(1), 0, pds2_obs::TraceCtx::NONE);
         assert!(!r.success);
         assert!(r.error.unwrap().contains("no contract"));
     }
@@ -1210,7 +1211,8 @@ mod tests {
             priority_fee_per_gas: 0,
         }
         .sign(&alice);
-        let r = st.apply_transaction(&reg, &tx, 1, 0);
+        let r =
+            st.apply_transaction_env(&reg, &tx, &BlockEnv::free(1), 0, pds2_obs::TraceCtx::NONE);
         assert!(!r.success);
         assert!(r.error.unwrap().contains("intrinsic"));
     }
@@ -1228,7 +1230,13 @@ mod tests {
                 initial_supply: 500,
             }),
         );
-        let r = st.apply_transaction(&reg, &create, 1, 0);
+        let r = st.apply_transaction_env(
+            &reg,
+            &create,
+            &BlockEnv::free(1),
+            0,
+            pds2_obs::TraceCtx::NONE,
+        );
         assert!(r.success);
         let token = crate::erc20::TokenId(u64::from_le_bytes(r.output[..8].try_into().unwrap()));
         assert_eq!(st.erc20.balance_of(token, &Address::of(&alice.public)), 500);
@@ -1353,7 +1361,7 @@ mod tests {
         let reg = registry();
         let r0 = st.state_root();
         let tx = make_tx(&alice, 0, TxKind::Transfer { to: bob, amount: 1 });
-        st.apply_transaction(&reg, &tx, 1, 0);
+        st.apply_transaction_env(&reg, &tx, &BlockEnv::free(1), 0, pds2_obs::TraceCtx::NONE);
         let r1 = st.state_root();
         assert_ne!(r0, r1);
         // Deterministic: same state, same root.

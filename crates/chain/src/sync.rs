@@ -131,8 +131,7 @@ pub struct ChainReplica {
     /// (a stale proposer would re-sign an already-decided height).
     syncing: bool,
     /// Durable store surviving crash-stop faults (`None` = volatile
-    /// replica that rebuilds from genesis on crash, the pre-§5g
-    /// behaviour).
+    /// replica that rebuilds from genesis on crash).
     store: Option<Arc<Mutex<ChainLog>>>,
     /// Snapshot cadence handed to the chain alongside the store.
     snapshot_every: u64,
@@ -240,8 +239,7 @@ impl ChainReplica {
     /// disagree, or `None` when one is a prefix of the other of equal
     /// length. Chaos harnesses call this after a run to localize a
     /// replica divergence to its forking block without diffing block
-    /// bodies — the seed of the committee checkpoint fraud proof
-    /// (ROADMAP item 1).
+    /// bodies.
     pub fn first_divergent_height(&self, other: &ChainReplica) -> Option<u64> {
         pds2_obs::diff::first_divergent_height(&self.block_checkpoints, &other.block_checkpoints)
     }
@@ -322,6 +320,12 @@ impl ChainReplica {
         self.blocks_applied += blocks.len() as u64;
         self.forks_adopted += 1;
         let orphaned = std::mem::replace(&mut self.chain, candidate);
+        // The candidate was rebuilt from genesis without a store; hand it
+        // this replica's journal before reinstating, so the reinstated
+        // pool is journaled too.
+        if let Some(store) = &self.store {
+            self.chain.restart_store(store.clone(), self.snapshot_every);
+        }
         let mut reinstated: Vec<crate::tx::SignedTransaction> = Vec::new();
         for block in orphaned.blocks() {
             reinstated.extend(block.transactions.iter().cloned());
@@ -527,6 +531,18 @@ mod tests {
         })
     }
 
+    fn transfer(from: &KeyPair, to: Address, amount: u128) -> crate::tx::SignedTransaction {
+        crate::tx::Transaction {
+            from: from.public.clone(),
+            nonce: 0,
+            kind: crate::tx::TxKind::Transfer { to, amount },
+            gas_limit: 100_000,
+            max_fee_per_gas: 0,
+            priority_fee_per_gas: 0,
+        }
+        .sign(from)
+    }
+
     #[test]
     fn sync_msg_codec_roundtrip() {
         let f = factory();
@@ -596,7 +612,6 @@ mod tests {
 
     #[test]
     fn fork_adoption_reinstates_orphaned_transactions() {
-        use crate::tx::{Transaction, TxKind};
         let f = factory();
         let mut canonical = f();
         for _ in 0..4 {
@@ -605,19 +620,10 @@ mod tests {
         let mut replica = ChainReplica::new(f, Some(0), 1_000, 5_000);
         let alice = KeyPair::from_seed(1);
         let bob = Address::of(&KeyPair::from_seed(2).public);
-        let tx = Transaction {
-            from: alice.public.clone(),
-            nonce: 0,
-            kind: TxKind::Transfer {
-                to: bob,
-                amount: 42,
-            },
-            gas_limit: 100_000,
-            max_fee_per_gas: 0,
-            priority_fee_per_gas: 0,
-        }
-        .sign(&alice);
-        let h = replica.chain_mut().submit(tx).unwrap();
+        let h = replica
+            .chain_mut()
+            .submit(transfer(&alice, bob, 42))
+            .unwrap();
         replica.chain_mut().produce_block(); // included on the doomed fork
         assert!(replica.chain().receipt(&h).is_some());
 
@@ -648,7 +654,6 @@ mod tests {
 
     #[test]
     fn persistent_crash_recovers_from_store() {
-        use crate::tx::{Transaction, TxKind};
         let f = factory();
         let store = Arc::new(Mutex::new(ChainLog::new()));
         let mut replica = ChainReplica::new_persistent(f, Some(0), 1_000, 5_000, store, 2);
@@ -657,19 +662,11 @@ mod tests {
         }
         // A journaled-but-unincluded transaction must survive the crash.
         let alice = KeyPair::from_seed(1);
-        let tx = Transaction {
-            from: alice.public.clone(),
-            nonce: 0,
-            kind: TxKind::Transfer {
-                to: Address::of(&KeyPair::from_seed(2).public),
-                amount: 7,
-            },
-            gas_limit: 100_000,
-            max_fee_per_gas: 0,
-            priority_fee_per_gas: 0,
-        }
-        .sign(&alice);
-        replica.chain_mut().submit(tx).unwrap();
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        replica
+            .chain_mut()
+            .submit(transfer(&alice, bob, 7))
+            .unwrap();
         let head = replica.chain().head_hash();
         let root = replica.chain().state.state_root();
 
@@ -682,5 +679,37 @@ mod tests {
         // The recovered chain keeps journaling: the next block persists.
         replica.chain_mut().produce_block();
         assert!(replica.chain().has_store());
+    }
+
+    #[test]
+    fn persistent_crash_after_fork_adoption_recovers_the_adopted_chain() {
+        let f = factory();
+        let mut canonical = f();
+        for _ in 0..4 {
+            canonical.produce_block();
+        }
+        let store = Arc::new(Mutex::new(ChainLog::new()));
+        let mut replica = ChainReplica::new_persistent(f, Some(0), 1_000, 5_000, store, 2);
+        let alice = KeyPair::from_seed(1);
+        let tx = transfer(&alice, Address::of(&KeyPair::from_seed(2).public), 42);
+        let h = replica.chain_mut().submit(tx).unwrap();
+        replica.chain_mut().produce_block(); // included on the doomed fork
+
+        assert!(replica.adopt_if_longer(canonical.blocks()));
+        assert!(
+            replica.chain().has_store(),
+            "adopted chain keeps journaling"
+        );
+
+        replica.on_crash();
+        assert_eq!(replica.chain().height(), 4);
+        assert_eq!(replica.chain().head_hash(), canonical.head_hash());
+        assert_eq!(
+            replica.chain().state.state_root(),
+            canonical.state.state_root()
+        );
+        // The orphaned transaction was journaled on reinstatement.
+        assert_eq!(replica.chain().mempool_len(), 1);
+        assert_eq!(replica.chain().mempool_txs()[0].hash(), h);
     }
 }

@@ -25,7 +25,6 @@
 //! instrumented DKG emits spans — a cache-warmth leak into obs digests.
 //! The cache path therefore uses the span-free `run_dkg_quiet`.
 
-use crate::sigcache;
 use parking_lot::Mutex;
 use pds2_crypto::schnorr::{PublicKey, Signature};
 use pds2_crypto::sha256::Sha256;
@@ -93,12 +92,6 @@ impl ThresholdCtx {
             );
         }
         sig
-    }
-
-    /// Verifies a header payload/signature against the group key,
-    /// routed through the [`crate::sigcache`] like single-key headers.
-    pub fn verify(&self, payload: &[u8], sig: &Signature) -> bool {
-        sigcache::verify_cached(payload, self.group_public(), sig)
     }
 }
 
@@ -173,8 +166,8 @@ mod tests {
     fn seal_verifies_under_group_key_only() {
         let ctx = committee_for(&pubs(4));
         let sig = ctx.seal(9, b"header payload");
-        assert!(ctx.verify(b"header payload", &sig));
-        assert!(!ctx.verify(b"other payload", &sig));
+        assert!(ctx.group_public().verify(b"header payload", &sig));
+        assert!(!ctx.group_public().verify(b"other payload", &sig));
         // Sealing is deterministic (replicas must agree byte-for-byte).
         assert_eq!(ctx.seal(9, b"header payload"), sig);
     }

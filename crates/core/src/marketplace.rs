@@ -1542,18 +1542,7 @@ impl Marketplace {
         .sign(keys);
         let hash = match self.chain.submit(tx) {
             Ok(h) => h,
-            Err(e) => {
-                return TxReceipt {
-                    tx_hash: Digest::ZERO,
-                    success: false,
-                    gas_used: 0,
-                    effective_gas_price: 0,
-                    output: Vec::new(),
-                    error: Some(e.to_string()),
-                    events: Vec::new(),
-                    deployed: None,
-                }
-            }
+            Err(e) => return TxReceipt::failed(Digest::ZERO, 0, 0, e.to_string()),
         };
         self.chain.produce_block();
         self.chain

@@ -1,5 +1,5 @@
 //! Append-only chain log with a snapshot slot — the durable store
-//! behind crash-recoverable chain state (DESIGN.md §5g).
+//! behind crash-recoverable chain state (DESIGN.md §5f).
 //!
 //! The log is a single append-only byte buffer of checksummed frames
 //! plus one replaceable snapshot slot. It is chain-agnostic: payloads

@@ -13,7 +13,7 @@
 //!   release to executors;
 //! - [`chainlog`] — the append-only, checksummed block/receipt log with
 //!   a snapshot slot that makes chain state crash-recoverable
-//!   (DESIGN.md §5g).
+//!   (DESIGN.md §5f).
 
 pub mod chainlog;
 pub mod semantic;

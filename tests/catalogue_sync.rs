@@ -28,10 +28,9 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Metric names at `counter!("…")` / `gauge!("…")` / `histogram!("…")`
-/// call sites under `crates/*/src`. Names with a `test.` prefix are
-/// unit-test fixtures, not part of the operational surface.
-fn emitted_names() -> BTreeSet<String> {
+/// The string literal following each occurrence of any of `openers`
+/// (each ending in `"`) in the sources under `crates/*/src`.
+fn literals_after(openers: &[&str]) -> BTreeSet<String> {
     let crates = repo_root().join("crates");
     let mut files = Vec::new();
     for entry in std::fs::read_dir(&crates).expect("crates dir").flatten() {
@@ -47,19 +46,26 @@ fn emitted_names() -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for file in files {
         let body = std::fs::read_to_string(&file).unwrap_or_default();
-        for macro_name in ["counter!(\"", "gauge!(\"", "histogram!(\""] {
-            for (at, _) in body.match_indices(macro_name) {
-                let rest = &body[at + macro_name.len()..];
+        for opener in openers {
+            for (at, _) in body.match_indices(opener) {
+                let rest = &body[at + opener.len()..];
                 if let Some(end) = rest.find('"') {
-                    let name = &rest[..end];
-                    if !name.is_empty() && !name.starts_with("test.") {
-                        names.insert(name.to_string());
-                    }
+                    names.insert(rest[..end].to_string());
                 }
             }
         }
     }
     names
+}
+
+/// Metric names at `counter!("…")` / `gauge!("…")` / `histogram!("…")`
+/// call sites under `crates/*/src`. Names with a `test.` prefix are
+/// unit-test fixtures, not part of the operational surface.
+fn emitted_names() -> BTreeSet<String> {
+    literals_after(&["counter!(\"", "gauge!(\"", "histogram!(\""])
+        .into_iter()
+        .filter(|name| !name.is_empty() && !name.starts_with("test."))
+        .collect()
 }
 
 fn looks_like_metric_name(s: &str) -> bool {
@@ -142,5 +148,28 @@ fn metric_catalogue_matches_code() {
         "metrics documented in OBSERVABILITY.md but emitted nowhere in \
          crates/*/src: {stale:?}\n(remove the stale row or restore the \
          call site)"
+    );
+}
+
+/// Configuration belongs in values passed by the caller, not in the
+/// process environment. Four `PDS2_*` reads remain until the benchmark
+/// stops naming them; this pins the set so it can only shrink.
+#[test]
+fn env_knobs_do_not_grow() {
+    let read: Vec<String> = literals_after(&["env::var(\""])
+        .into_iter()
+        .filter(|name| name.starts_with("PDS2_"))
+        .collect();
+    assert_eq!(
+        read,
+        [
+            "PDS2_NET_SCHED",
+            "PDS2_SIG_MODE",
+            "PDS2_STATE_BACKEND",
+            "PDS2_THREADS"
+        ],
+        "crates/*/src reads a different set of PDS2_* environment variables; \
+         remove the read (pass the value in) or, when deleting a knob, \
+         shrink this list"
     );
 }
