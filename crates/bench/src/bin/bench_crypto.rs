@@ -9,6 +9,14 @@
 //! checked for bit-equality across `PDS2_THREADS ∈ {1, 4, 8}` on both
 //! paths. A disagreement aborts the run.
 //!
+//! The `hash` rows time the SHA-256 compression kernel (DESIGN.md §5d
+//! "hash kernel"): the portable loop, whatever kernel this CPU
+//! dispatches to (named in the fingerprint as `sha256_backend`), one
+//! sparse-Merkle node hash and one `Digest::short`. The dispatched
+//! kernel is checked against the portable one before timing; on a CPU
+//! without SHA extensions both are the same loop and the check is
+//! trivially true.
+//!
 //! Writes `BENCH_crypto.json` in the working directory.
 //!
 //! `cargo run --release -p pds2-bench --bin bench_crypto`
@@ -22,7 +30,9 @@ use pds2_chain::contract::ContractRegistry;
 use pds2_chain::sigcache;
 use pds2_chain::tx::{SignedTransaction, Transaction, TxKind};
 use pds2_crypto::schnorr::Group;
+use pds2_crypto::sha256::{self, sha256, Sha256};
 use pds2_crypto::{BigUint, KeyPair};
+use std::hint::black_box;
 use std::time::Instant;
 
 const BLOCK_TXS: usize = 500;
@@ -38,6 +48,69 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t.elapsed().as_secs_f64() * 1e3);
     }
     best
+}
+
+/// Best-of-`reps` nanoseconds per call over `iters` back-to-back calls.
+fn time_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
+    time_ms(reps, || (0..iters).for_each(|_| f())) * 1e6 / iters as f64
+}
+
+/// The SHA-256 rows: `(name, ns)`. Asserts dispatched == portable on a
+/// 64-block message before timing anything.
+fn hash_rows(reps: usize, iters: usize) -> Vec<(&'static str, f64)> {
+    const BLOCKS: usize = 64;
+    const LEN: usize = BLOCKS * 64;
+    let mut padded = [0u8; LEN + 64];
+    for (i, b) in padded[..LEN].iter_mut().enumerate() {
+        *b = (i as u8).wrapping_mul(31);
+    }
+    padded[LEN] = 0x80;
+    padded[LEN + 56..].copy_from_slice(&(LEN as u64 * 8).to_be_bytes());
+    let msg = &padded[..LEN];
+
+    let mut state = [
+        0x6a09e667u32,
+        0xbb67ae85,
+        0x3c6ef372,
+        0xa54ff53a,
+        0x510e527f,
+        0x9b05688c,
+        0x1f83d9ab,
+        0x5be0cd19,
+    ];
+    sha256::compress_portable(&mut state, &padded);
+    let portable: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
+    assert_eq!(
+        sha256(msg).as_bytes()[..],
+        portable[..],
+        "{} kernel disagrees with the portable compression",
+        sha256::backend()
+    );
+
+    let compress_portable = time_ns(reps, iters / BLOCKS + 1, || {
+        sha256::compress_portable(black_box(&mut state), black_box(msg));
+    }) / BLOCKS as f64;
+    let mut hasher = Sha256::new();
+    let compress = time_ns(reps, iters / BLOCKS + 1, || {
+        hasher.update(black_box(msg));
+    }) / BLOCKS as f64;
+    black_box(hasher.finalize());
+    let (left, right) = (sha256(b"left"), sha256(b"right"));
+    let smt_node = time_ns(reps, iters, || {
+        black_box(pds2_chain::smt::node_hash(
+            black_box(&left),
+            black_box(&right),
+        ));
+    });
+    let short = time_ns(reps, iters, || {
+        black_box(black_box(&left).short());
+    });
+    vec![
+        ("sha256_compress_ns_portable", compress_portable),
+        ("sha256_compress_ns", compress),
+        ("smt_node_hash_ns", smt_node),
+        ("digest_short_ns", short),
+    ]
 }
 
 struct Row {
@@ -285,6 +358,7 @@ fn main() {
         (3, 64, 32, BLOCK_TXS, REPLAY_BLOCKS)
     };
     let cores = pds2_par::hardware_cores();
+    let backend = sha256::backend();
 
     println!("crypto fast path: agreement corpus ...");
     let checked = assert_paths_agree(corpus);
@@ -292,6 +366,7 @@ fn main() {
     let threads_checked = assert_state_roots_thread_invariant();
     println!("  state roots bit-identical across threads {threads_checked:?}\n");
 
+    let hash = hash_rows(reps, if smoke { 10_000 } else { 1_000_000 });
     let rows = [
         verify_single_bench(reps, n_msgs),
         block_validation_bench(reps, block_txs),
@@ -300,6 +375,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"cores\": {cores},\n"));
+    json.push_str(&format!("  \"sha256_backend\": \"{backend}\",\n"));
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(
         "  \"note\": \"best-of-N wall clock at a single thread; before = the named baseline, \
@@ -327,6 +403,15 @@ fn main() {
             row.after_ms,
             speedup,
             if i + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n  \"hash\": [\n");
+    println!();
+    for (i, (name, ns)) in hash.iter().enumerate() {
+        println!("{name:<28} {ns:>8.1} ns   ({backend})");
+        json.push_str(&format!(
+            "    {{\"name\": \"{name}\", \"ns\": {ns:.1}}}{}\n",
+            if i + 1 < hash.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]\n}\n");

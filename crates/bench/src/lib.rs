@@ -5,6 +5,8 @@
 //! regenerates one row-set of EXPERIMENTS.md; see DESIGN.md §4 for the
 //! experiment index.
 
+#![forbid(unsafe_code)]
+
 use pds2_chain::address::Address;
 use pds2_core::marketplace::{Marketplace, StorageChoice};
 use pds2_core::workload::{RewardScheme, TaskKind, WorkloadSpec};

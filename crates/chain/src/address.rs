@@ -42,7 +42,8 @@ impl std::fmt::Debug for Address {
 
 impl std::fmt::Display for Address {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.short())
+        f.write_str("0x")?;
+        f.write_str(&self.0.short())
     }
 }
 

@@ -24,7 +24,7 @@ use crate::erc20::TokenId;
 use crate::erc721::NftId;
 use crate::smt::{SmtProof, SmtTree};
 use pds2_crypto::codec::{Encode, Encoder};
-use pds2_crypto::sha256::{Digest, Sha256};
+use pds2_crypto::sha256::{sha256_pair, Digest};
 
 /// Domain prefix for leaf-key digests (keeps state keys disjoint from
 /// every other hash domain in the system).
@@ -91,10 +91,7 @@ impl LeafKey {
             }
             LeafKey::Burned => enc.put_u8(8),
         }
-        let mut h = Sha256::new();
-        h.update(KEY_DOMAIN);
-        h.update(&enc.finish());
-        h.finalize()
+        sha256_pair(KEY_DOMAIN, &enc.finish())
     }
 }
 

@@ -31,7 +31,7 @@ impl Blockchain {
             pds2_obs::counter!("chain.txs_rejected").inc();
             return Err(ChainError::InvalidSignature);
         }
-        let account_nonce = self.state.nonce(&tx.tx.sender());
+        let account_nonce = self.state.nonce(&tx.sender());
         if tx.tx.nonce < account_nonce {
             pds2_obs::counter!("chain.txs_rejected").inc();
             return Err(ChainError::StaleNonce {

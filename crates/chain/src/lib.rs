@@ -34,6 +34,8 @@
 //!   signature this process has already accepted (DESIGN.md §5d);
 //! - [`event`] — the audit-trail event log.
 
+#![forbid(unsafe_code)]
+
 pub mod address;
 pub mod backend;
 pub mod block;

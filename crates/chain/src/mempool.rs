@@ -309,7 +309,7 @@ impl Mempool {
                 block_gas_limit,
             });
         }
-        let sender = tx.tx.sender();
+        let sender = tx.sender();
         let nonce = tx.tx.nonce;
         debug_assert!(nonce >= state_nonce, "chain admits stale nonces?");
 

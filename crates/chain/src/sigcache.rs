@@ -29,7 +29,7 @@
 use parking_lot::Mutex;
 use pds2_crypto::schnorr::{PublicKey, Signature};
 use pds2_crypto::sha256::{Digest, Sha256};
-use pds2_crypto::Encode;
+use pds2_crypto::BigUint;
 use pds2_obs::Counter;
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -65,21 +65,44 @@ fn cache() -> &'static Mutex<Generations> {
     })
 }
 
+/// Bytes `BigUint::encode_into` writes for `n`: a `u64` count, then the
+/// minimal big-endian magnitude.
+fn encoded_len(n: &BigUint) -> u64 {
+    8 + u64::from(n.bits().div_ceil(8))
+}
+
+/// Feeds the hasher exactly the bytes `BigUint::encode_into` would
+/// append for `n`, straight from the limbs.
+fn update_biguint(h: &mut Sha256, n: &BigUint) {
+    let len = encoded_len(n) - 8;
+    h.update(&len.to_le_bytes());
+    let limbs = n.limbs();
+    // Minimal big-endian: only the top limb loses leading zero bytes.
+    let mut skip = limbs.len() * 8 - len as usize;
+    for limb in limbs.iter().rev() {
+        h.update(&limb.to_be_bytes()[skip..]);
+        skip = 0;
+    }
+}
+
 /// Collision-resistant digest of a (message, key, signature) triple.
 ///
 /// Length-prefixed and domain-separated, so distinct triples can never
-/// produce the same preimage bytes.
+/// produce the same preimage bytes. The preimage is
+/// `domain ‖ len ‖ message ‖ len ‖ key.to_bytes() ‖ len ‖ sig.to_bytes()`
+/// (lengths `u64` little-endian), fed to the hasher piecewise so that
+/// neither encoding is materialised.
 pub fn triple_digest(message: &[u8], key: &PublicKey, sig: &Signature) -> Digest {
-    let key_bytes = key.to_bytes();
-    let sig_bytes = Encode::to_bytes(sig);
+    let y = key.element();
     let mut h = Sha256::new();
     h.update(b"pds2-sigcache-v1");
     h.update(&(message.len() as u64).to_le_bytes());
     h.update(message);
-    h.update(&(key_bytes.len() as u64).to_le_bytes());
-    h.update(&key_bytes);
-    h.update(&(sig_bytes.len() as u64).to_le_bytes());
-    h.update(&sig_bytes);
+    h.update(&encoded_len(y).to_le_bytes());
+    update_biguint(&mut h, y);
+    h.update(&(encoded_len(&sig.e) + encoded_len(&sig.s)).to_le_bytes());
+    update_biguint(&mut h, &sig.e);
+    update_biguint(&mut h, &sig.s);
     h.finalize()
 }
 
@@ -163,6 +186,55 @@ mod tests {
             hits, 0,
             "failures must keep paying (and failing) the real check"
         );
+    }
+
+    #[test]
+    fn streamed_preimage_equals_the_encoded_one() {
+        use pds2_crypto::Encode;
+        // The digest as it was defined before the encodings were
+        // streamed: both `to_bytes()` materialised.
+        let by_encoding = |message: &[u8], key: &PublicKey, sig: &Signature| {
+            let (key_bytes, sig_bytes) = (key.to_bytes(), Encode::to_bytes(sig));
+            let mut h = Sha256::new();
+            h.update(b"pds2-sigcache-v1");
+            h.update(&(message.len() as u64).to_le_bytes());
+            h.update(message);
+            h.update(&(key_bytes.len() as u64).to_le_bytes());
+            h.update(&key_bytes);
+            h.update(&(sig_bytes.len() as u64).to_le_bytes());
+            h.update(&sig_bytes);
+            h.finalize()
+        };
+        let kp = KeyPair::from_seed(35);
+        let sig = kp.sign(b"m");
+        assert_eq!(
+            triple_digest(b"m", &kp.public, &sig),
+            by_encoding(b"m", &kp.public, &sig)
+        );
+        // Every top-limb width, zero, and limb boundaries.
+        let shapes = [
+            BigUint::from_bytes_be(&[]),
+            BigUint::from_bytes_be(&[1]),
+            BigUint::from_bytes_be(&[0xff; 7]),
+            BigUint::from_bytes_be(&[0x80; 8]),
+            BigUint::from_bytes_be(&[1, 0, 0, 0, 0, 0, 0, 0, 0]),
+            BigUint::from_bytes_be(&[0xab; 33]),
+            BigUint::from_bytes_be(&[0x01; 64]),
+        ];
+        for y in &shapes {
+            for e in &shapes {
+                let key = PublicKey::from_element(y.clone());
+                let sig = Signature {
+                    e: e.clone(),
+                    s: y.clone(),
+                };
+                assert_eq!(
+                    triple_digest(b"shape", &key, &sig),
+                    by_encoding(b"shape", &key, &sig),
+                    "y={y:?} e={e:?}"
+                );
+            }
+        }
     }
 
     #[test]

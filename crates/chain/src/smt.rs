@@ -32,7 +32,7 @@
 //! O(touched keys · depth) hashes and old roots stay valid snapshots.
 
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
-use pds2_crypto::sha256::{Digest, Sha256};
+use pds2_crypto::sha256::{sha256, Digest};
 use std::sync::Arc;
 
 /// Domain prefix for leaf hashes.
@@ -57,22 +57,24 @@ fn bit(key: &Digest, d: usize) -> bool {
     (key.as_bytes()[d >> 3] >> (7 - (d & 7))) & 1 == 1
 }
 
+/// `sha256(prefix ‖ a ‖ b)`: 65 bytes laid out on the stack, which
+/// `sha256` hashes as two blocks in one call.
+fn tagged_hash(prefix: u8, a: &Digest, b: &Digest) -> Digest {
+    let mut buf = [0u8; 65];
+    buf[0] = prefix;
+    buf[1..33].copy_from_slice(a.as_bytes());
+    buf[33..].copy_from_slice(b.as_bytes());
+    sha256(&buf)
+}
+
 /// `sha256(0x02 ‖ key ‖ value_digest)`.
 pub fn leaf_hash(key: &Digest, value: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[LEAF_PREFIX]);
-    h.update(key.as_bytes());
-    h.update(value.as_bytes());
-    h.finalize()
+    tagged_hash(LEAF_PREFIX, key, value)
 }
 
 /// `sha256(0x03 ‖ left ‖ right)`.
 pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[NODE_PREFIX]);
-    h.update(left.as_bytes());
-    h.update(right.as_bytes());
-    h.finalize()
+    tagged_hash(NODE_PREFIX, left, right)
 }
 
 enum Node {
@@ -442,7 +444,7 @@ impl SmtProof {
 /// from a validated block header.
 pub fn verify_proof(root: &Digest, key: &Digest, value: Option<&[u8]>, proof: &SmtProof) -> bool {
     match value {
-        Some(bytes) => proof.verify_inclusion(root, key, &pds2_crypto::sha256(bytes)),
+        Some(bytes) => proof.verify_inclusion(root, key, &sha256(bytes)),
         None => proof.verify_absence(root, key),
     }
 }
@@ -486,7 +488,6 @@ impl Decode for SmtProof {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pds2_crypto::sha256;
     use std::collections::BTreeMap;
 
     fn key(i: u64) -> Digest {

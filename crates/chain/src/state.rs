@@ -482,8 +482,8 @@ impl WorldState {
     /// historical execution path.
     ///
     /// The caller (block producer / validator) must have verified the
-    /// signature; it is re-checked defensively, and a bad signature or
-    /// nonce is an invalid transaction (no state change, no nonce bump).
+    /// signature; it is re-checked defensively (once), and a bad signature
+    /// or nonce is an invalid transaction (no state change, no nonce bump).
     /// `trace` flows into [`CallCtx::trace`] so contract code can attach
     /// its phase events to the submitting workload's trace.
     pub fn apply_transaction_env(
@@ -505,14 +505,14 @@ impl WorldState {
                 ),
             );
         };
-        if price == 0 {
-            return self.apply_inner(registry, signed, env.height, tx_index, trace);
-        }
-        let sender = signed.tx.sender();
-        // Let a bad signature or nonce produce its usual failure receipt
-        // before any money moves.
-        if !signed.verify_signature() || signed.tx.nonce != self.nonce(&sender) {
-            return self.apply_inner(registry, signed, env.height, tx_index, trace);
+        // The one signature check of this execution; `apply_inner` is
+        // handed the verdict.
+        let sig_ok = signed.verify_signature();
+        let sender = signed.sender();
+        // A free transaction has no fee to handle; a bad signature or
+        // nonce produces its usual failure receipt before any money moves.
+        if price == 0 || !sig_ok || signed.tx.nonce != self.nonce(&sender) {
+            return self.apply_inner(registry, signed, sig_ok, env.height, tx_index, trace);
         }
         let upfront = signed.tx.gas_limit as u128 * price as u128;
         if self.balance(&sender) < upfront {
@@ -528,7 +528,7 @@ impl WorldState {
         }
         self.accounts.entry(sender).or_default().balance -= upfront;
         self.mark(LeafKey::Account(sender));
-        let mut receipt = self.apply_inner(registry, signed, env.height, tx_index, trace);
+        let mut receipt = self.apply_inner(registry, signed, sig_ok, env.height, tx_index, trace);
         let gas_cost = receipt.gas_used as u128 * price as u128;
         self.accounts.entry(sender).or_default().balance += upfront - gas_cost;
         let burn = receipt.gas_used as u128 * env.base_fee as u128;
@@ -548,22 +548,24 @@ impl WorldState {
         receipt
     }
 
-    /// The fee-agnostic state transition (signature, nonce, gas metering,
-    /// payload execution, receipt assembly).
+    /// The fee-agnostic state transition (signature verdict, nonce, gas
+    /// metering, payload execution, receipt assembly). `sig_ok` is the
+    /// caller's `signed.verify_signature()`.
     fn apply_inner(
         &mut self,
         registry: &ContractRegistry,
         signed: &SignedTransaction,
+        sig_ok: bool,
         block_height: u64,
         tx_index: u32,
         trace: pds2_obs::TraceCtx,
     ) -> TxReceipt {
         let tx_hash = signed.hash();
-        let sender = signed.tx.sender();
+        let sender = signed.sender();
 
         let fail = |error: String, gas_used: u64| TxReceipt::failed(tx_hash, gas_used, 0, error);
 
-        if !signed.verify_signature() {
+        if !sig_ok {
             return fail("invalid signature".into(), 0);
         }
         let expected_nonce = self.nonce(&sender);
@@ -583,8 +585,7 @@ impl WorldState {
         let sender_nonce_used = signed.tx.nonce;
 
         let mut meter = GasMeter::new(signed.tx.gas_limit);
-        let intrinsic =
-            gas::TX_BASE.saturating_add(signed.tx.to_bytes().len() as u64 * gas::PER_BYTE);
+        let intrinsic = gas::TX_BASE.saturating_add(signed.body_len() as u64 * gas::PER_BYTE);
         if meter.charge(intrinsic).is_err() {
             return fail("out of gas (intrinsic)".into(), meter.used());
         }
@@ -1351,6 +1352,41 @@ mod tests {
         assert!(r.error.unwrap().contains("insufficient funds for gas"));
         assert_eq!(st.balance(&alice_addr), 100, "nothing charged");
         assert_eq!(st.nonce(&alice_addr), 0, "nonce untouched");
+    }
+
+    #[test]
+    fn forged_signature_on_fee_path_moves_no_money() {
+        let alice = KeyPair::from_seed(1);
+        let alice_addr = Address::of(&alice.public);
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        let mut st = funded_state(&alice, 10_000_000);
+        let reg = registry();
+        let mut signed = Transaction {
+            from: alice.public.clone(),
+            nonce: 0,
+            kind: TxKind::Transfer { to: bob, amount: 1 },
+            gas_limit: 100_000,
+            max_fee_per_gas: 2,
+            priority_fee_per_gas: 0,
+        }
+        .sign(&alice);
+        if let TxKind::Transfer { amount, .. } = &mut signed.tx.kind {
+            *amount = 999; // tamper after signing
+        }
+        let env = BlockEnv {
+            height: 1,
+            base_fee: 2,
+            coinbase: Address(pds2_crypto::sha256(b"cb")),
+        };
+        let root = st.state_root();
+        let r = st.apply_transaction_env(&reg, &signed, &env, 0, pds2_obs::TraceCtx::NONE);
+        assert!(!r.success);
+        assert_eq!(r.error.as_deref(), Some("invalid signature"));
+        assert_eq!((r.gas_used, r.effective_gas_price), (0, 0));
+        assert_eq!(st.balance(&alice_addr), 10_000_000, "no gas escrowed");
+        assert_eq!(st.nonce(&alice_addr), 0);
+        assert_eq!(st.burned(), 0);
+        assert_eq!(st.state_root(), root);
     }
 
     #[test]

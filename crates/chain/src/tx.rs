@@ -5,7 +5,7 @@ use crate::erc20::Erc20Op;
 use crate::erc721::Erc721Op;
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use pds2_crypto::schnorr::{KeyPair, PublicKey, Signature};
-use pds2_crypto::sha256::Digest;
+use pds2_crypto::sha256::{sha256, Digest};
 use std::sync::OnceLock;
 
 /// What a transaction does.
@@ -201,20 +201,27 @@ impl Decode for Transaction {
 
 /// A signed transaction ready for submission.
 ///
-/// The body digest is computed lazily and cached: signature verification
-/// and Merkle-root construction both need it, so a block's worth of
-/// transactions hashes each body exactly once. The cache is write-once —
-/// mutating `tx` after the digest has been observed (possible because the
-/// fields are public) leaves a stale cache and is unsupported outside
-/// tamper-style tests that mutate before the first `hash()` call.
+/// The body digest and the sender address are computed lazily and
+/// cached: admission, the mempool, signature verification, execution and
+/// Merkle-root construction all need them, so a transaction's body and
+/// its sender key are each hashed exactly once per copy. The caches are
+/// write-once — mutating `tx` after either has been observed (possible
+/// because the fields are public) leaves a stale cache and is unsupported
+/// outside tamper-style tests that mutate before the first `hash()` /
+/// `sender()` call.
 #[derive(Clone, Debug)]
 pub struct SignedTransaction {
     /// The signed body.
     pub tx: Transaction,
     /// Schnorr signature over the body hash.
     pub signature: Signature,
-    /// Lazily-computed digest of `tx` (excluded from equality).
-    cached_hash: OnceLock<Digest>,
+    /// Lazily-computed digest and encoded length of `tx` (excluded from
+    /// equality). The length is held in 32 bits, saturating, because every
+    /// copy of a transaction in a block, a pool or a journal replay
+    /// carries this cell.
+    cached_body: OnceLock<(Digest, u32)>,
+    /// Lazily-computed `Address::of(&tx.from)` (excluded from equality).
+    cached_sender: OnceLock<Address>,
 }
 
 impl PartialEq for SignedTransaction {
@@ -231,13 +238,37 @@ impl SignedTransaction {
         SignedTransaction {
             tx,
             signature,
-            cached_hash: OnceLock::new(),
+            cached_body: OnceLock::new(),
+            cached_sender: OnceLock::new(),
         }
+    }
+
+    fn body(&self) -> (Digest, u32) {
+        *self.cached_body.get_or_init(|| {
+            let bytes = self.tx.to_bytes();
+            let len = u32::try_from(bytes.len()).unwrap_or(u32::MAX);
+            (sha256(&bytes), len)
+        })
     }
 
     /// The transaction hash (identifier), cached after the first call.
     pub fn hash(&self) -> Digest {
-        *self.cached_hash.get_or_init(|| self.tx.hash())
+        self.body().0
+    }
+
+    /// Length of the canonical encoding of the unsigned body, which
+    /// intrinsic gas is priced on; learnt when the body was hashed.
+    pub(crate) fn body_len(&self) -> usize {
+        match self.body().1 {
+            // Saturated: a body of 4 GiB or more is measured again.
+            u32::MAX => self.tx.to_bytes().len(),
+            len => len as usize,
+        }
+    }
+
+    /// Sender address, cached after the first call.
+    pub fn sender(&self) -> Address {
+        *self.cached_sender.get_or_init(|| self.tx.sender())
     }
 
     /// Verifies the signature against the embedded sender key.

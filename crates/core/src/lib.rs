@@ -71,6 +71,8 @@
 //! assert_eq!(fin.provider_shares.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod authenticity;
 pub mod certificate;
 pub mod contract;

@@ -21,6 +21,8 @@
 //! implementation is a research artifact: it is not constant-time and key
 //! sizes are chosen for simulation speed. Do not reuse as production crypto.
 
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
+
 pub mod bigint;
 pub mod chacha20;
 pub mod codec;

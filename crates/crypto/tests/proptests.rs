@@ -3,13 +3,34 @@
 use pds2_crypto::bigint::BigUint;
 use pds2_crypto::codec::{Decode, Encode, Encoder};
 use pds2_crypto::merkle::MerkleTree;
-use pds2_crypto::sha256::sha256;
+use pds2_crypto::sha256::{self, sha256, Digest, Sha256};
 use pds2_crypto::MontgomeryCtx;
 use proptest::prelude::*;
 
 /// Strategy producing BigUints up to ~256 bits from raw byte vectors.
 fn biguint() -> impl Strategy<Value = BigUint> {
     proptest::collection::vec(any::<u8>(), 0..32).prop_map(|v| BigUint::from_bytes_be(&v))
+}
+
+/// SHA-256 built on the portable compression alone (padding done here):
+/// the reference side of `sha256_paths_agree`.
+fn sha256_portable(data: &[u8]) -> Digest {
+    let mut msg = data.to_vec();
+    msg.push(0x80);
+    while msg.len() % 64 != 56 {
+        msg.push(0);
+    }
+    msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+    let mut state = [
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+        0x5be0cd19,
+    ];
+    sha256::compress_portable(&mut state, &msg);
+    let mut out = [0u8; 32];
+    for (o, w) in out.chunks_exact_mut(4).zip(state) {
+        o.copy_from_slice(&w.to_be_bytes());
+    }
+    Digest(out)
 }
 
 fn biguint_nonzero() -> impl Strategy<Value = BigUint> {
@@ -127,6 +148,33 @@ proptest! {
     #[test]
     fn sha256_is_pure(data in proptest::collection::vec(any::<u8>(), 0..300)) {
         prop_assert_eq!(sha256(&data), sha256(&data));
+    }
+
+    #[test]
+    fn sha256_paths_agree(
+        data in proptest::collection::vec(any::<u8>(), 0..300),
+        cut_a in any::<usize>(),
+        cut_b in any::<usize>(),
+        misalign in 0usize..16,
+    ) {
+        static REPORT: std::sync::Once = std::sync::Once::new();
+        REPORT.call_once(|| {
+            // On "portable" both sides of the comparison ran the same loop.
+            println!("sha256_paths_agree: dispatched backend is {}", sha256::backend());
+        });
+        // The same message at a shifted address: the kernel may assume
+        // nothing about the alignment of the caller's slice.
+        let mut shifted = vec![0u8; misalign + data.len()];
+        shifted[misalign..].copy_from_slice(&data);
+        let msg = &shifted[misalign..];
+        let (a, b) = (cut_a % (msg.len() + 1), cut_b % (msg.len() + 1));
+        let (a, b) = (a.min(b), a.max(b));
+        let mut streaming = Sha256::new();
+        streaming.update(&msg[..a]).update(&msg[a..b]).update(&msg[b..]);
+        let expected = sha256_portable(&data);
+        prop_assert_eq!(streaming.finalize(), expected);
+        prop_assert_eq!(sha256(msg), expected);
+        prop_assert_eq!(sha256::sha256_pair(&msg[..a], &msg[a..]), expected);
     }
 
     #[test]

@@ -32,6 +32,8 @@
 //! signatures, at any `PDS2_THREADS` value. Observability: `gov.*`
 //! counters plus `gov/dkg` and `gov/sign` spans (OBSERVABILITY.md).
 
+#![forbid(unsafe_code)]
+
 pub mod dkg;
 pub mod net;
 pub mod sign;

@@ -20,6 +20,8 @@
 //! ([`PublicKey::encode_signed`] / [`PrivateKey::decode_signed`]); real
 //! features use fixed-point scaling ([`fixed`]).
 
+#![forbid(unsafe_code)]
+
 use pds2_crypto::bigint::BigUint;
 use rand::Rng;
 

@@ -13,6 +13,8 @@
 //! - [`attack`] — the loss-threshold membership-inference attack used to
 //!   *measure* leakage with and without DP (experiment E11).
 
+#![forbid(unsafe_code)]
+
 pub mod attack;
 pub mod dp;
 pub mod federated;

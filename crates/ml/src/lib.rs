@@ -13,6 +13,8 @@
 //!   building block);
 //! - [`metrics`] — accuracy, MSE, log loss, AUC.
 
+#![forbid(unsafe_code)]
+
 pub mod data;
 pub mod linalg;
 pub mod metrics;

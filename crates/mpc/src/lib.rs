@@ -35,6 +35,8 @@
 //! assert!(cost.rounds >= 4 && cost.bytes_sent > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod additive;
 pub mod engine;
 pub mod field;

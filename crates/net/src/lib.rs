@@ -22,6 +22,8 @@
 //! node_id)` instead of materialized vectors — 100k+-node scenarios run
 //! in cache-resident state (`bench_scale`, E19).
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod link;
 pub mod sched;

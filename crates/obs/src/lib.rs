@@ -43,6 +43,8 @@
 //! serialize against other tests in the same binary, since the
 //! registry and collector are process-global.
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 mod metrics;
 pub mod report;

@@ -50,6 +50,8 @@
 //! the determinism contract (bit-identical at any worker count) already
 //! guarantees that.
 
+#![forbid(unsafe_code)]
+
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -12,6 +12,8 @@
 //!   receive noisier versions of the optimal model (Chen et al., cited by
 //!   the paper as the §IV-A pricing answer).
 
+#![forbid(unsafe_code)]
+
 pub mod pricing;
 pub mod shapley;
 pub mod utility;

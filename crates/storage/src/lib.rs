@@ -15,6 +15,8 @@
 //!   a snapshot slot that makes chain state crash-recoverable
 //!   (DESIGN.md §5f).
 
+#![forbid(unsafe_code)]
+
 pub mod chainlog;
 pub mod semantic;
 pub mod store;

@@ -20,6 +20,8 @@
 //!
 //! See DESIGN.md for the substitution argument (paper → simulation).
 
+#![forbid(unsafe_code)]
+
 pub mod attestation;
 pub mod cost;
 pub mod measurement;

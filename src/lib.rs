@@ -9,6 +9,9 @@
 //! cross-cutting substrates: hand-rolled cryptography ([`crypto`]),
 //! deterministic parallelism ([`par`]) and deterministic
 //! observability ([`obs`], see `OBSERVABILITY.md`).
+
+#![forbid(unsafe_code)]
+
 pub use pds2_chain as chain;
 pub use pds2_core as market;
 pub use pds2_crypto as crypto;
