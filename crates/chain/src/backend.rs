@@ -4,9 +4,10 @@
 //! into `(LeafKey, value bytes)` pairs and delegates root computation to
 //! a [`StateBackend`]. Two deterministic implementations exist:
 //!
-//! - [`SmtBackend`] (default) — an incremental copy-on-write sparse
-//!   Merkle tree ([`crate::smt`]). Each block's commit costs
-//!   O(touched keys · depth) hashes, independent of total state size.
+//! - [`SmtBackend`] (default) — an incremental sparse Merkle tree
+//!   updated in place in two flat node arrays ([`crate::smt`]). Each
+//!   block's commit costs O(touched keys · depth) hashes, independent
+//!   of total state size.
 //! - [`FullRehashBackend`] — the reference oracle. It ignores the dirty
 //!   set entirely and rebuilds the tree from a fresh enumeration of
 //!   *every* leaf in the live maps, mirroring the schoolbook-oracle
@@ -23,8 +24,7 @@ use crate::address::Address;
 use crate::erc20::TokenId;
 use crate::erc721::NftId;
 use crate::smt::{SmtProof, SmtTree};
-use pds2_crypto::codec::{Encode, Encoder};
-use pds2_crypto::sha256::{sha256_pair, Digest};
+use pds2_crypto::sha256::{sha256, Digest};
 
 /// Domain prefix for leaf-key digests (keeps state keys disjoint from
 /// every other hash domain in the system).
@@ -56,42 +56,37 @@ pub enum LeafKey {
 }
 
 impl LeafKey {
-    /// The 256-bit tree key for this leaf.
+    /// The 256-bit tree key for this leaf: `sha256` of the domain prefix,
+    /// a variant tag, the token or NFT id (if any) and the addresses (if
+    /// any) in canonical-codec form. At most 15 + 1 + 8 + 32 + 32 bytes,
+    /// laid out on the stack and hashed in one call.
     pub fn digest(&self) -> Digest {
-        let mut enc = Encoder::new();
-        match self {
-            LeafKey::Account(a) => {
-                enc.put_u8(0);
-                a.encode(&mut enc);
-            }
-            LeafKey::Erc20Meta(t) => {
-                enc.put_u8(1);
-                t.encode(&mut enc);
-            }
-            LeafKey::Erc20Bal(t, a) => {
-                enc.put_u8(2);
-                t.encode(&mut enc);
-                a.encode(&mut enc);
-            }
-            LeafKey::Erc20Allow(t, o, s) => {
-                enc.put_u8(3);
-                t.encode(&mut enc);
-                o.encode(&mut enc);
-                s.encode(&mut enc);
-            }
-            LeafKey::Erc20Next => enc.put_u8(4),
-            LeafKey::Erc721Token(id) => {
-                enc.put_u8(5);
-                id.encode(&mut enc);
-            }
-            LeafKey::Erc721Next => enc.put_u8(6),
-            LeafKey::Contract(a) => {
-                enc.put_u8(7);
-                a.encode(&mut enc);
-            }
-            LeafKey::Burned => enc.put_u8(8),
+        let (tag, id, addrs): (u8, Option<u64>, [Option<&Address>; 2]) = match self {
+            LeafKey::Account(a) => (0, None, [Some(a), None]),
+            LeafKey::Erc20Meta(t) => (1, Some(t.0), [None, None]),
+            LeafKey::Erc20Bal(t, a) => (2, Some(t.0), [Some(a), None]),
+            LeafKey::Erc20Allow(t, o, s) => (3, Some(t.0), [Some(o), Some(s)]),
+            LeafKey::Erc20Next => (4, None, [None, None]),
+            LeafKey::Erc721Token(id) => (5, Some(id.0), [None, None]),
+            LeafKey::Erc721Next => (6, None, [None, None]),
+            LeafKey::Contract(a) => (7, None, [Some(a), None]),
+            LeafKey::Burned => (8, None, [None, None]),
+        };
+        let mut buf = [0u8; 88];
+        let mut len = 0;
+        let mut put = |bytes: &[u8]| {
+            buf[len..len + bytes.len()].copy_from_slice(bytes);
+            len += bytes.len();
+        };
+        put(KEY_DOMAIN);
+        put(&[tag]);
+        if let Some(id) = id {
+            put(&id.to_le_bytes());
         }
-        sha256_pair(KEY_DOMAIN, &enc.finish())
+        for addr in addrs.into_iter().flatten() {
+            put(addr.0.as_bytes());
+        }
+        sha256(&buf[..len])
     }
 }
 
@@ -136,7 +131,7 @@ pub trait StateBackend {
     /// `(new root, node hashes computed)`.
     fn commit(
         &mut self,
-        changed: &[(Digest, Option<Digest>)],
+        changed: Vec<(Digest, Option<Digest>)>,
         full: &mut dyn FnMut() -> Vec<(Digest, Digest)>,
     ) -> (Digest, u64);
 
@@ -165,10 +160,10 @@ impl StateBackend for SmtBackend {
 
     fn commit(
         &mut self,
-        changed: &[(Digest, Option<Digest>)],
+        changed: Vec<(Digest, Option<Digest>)>,
         _full: &mut dyn FnMut() -> Vec<(Digest, Digest)>,
     ) -> (Digest, u64) {
-        let hashed = self.tree.commit(changed.to_vec());
+        let hashed = self.tree.commit(changed);
         self.committed = true;
         (self.tree.root_hash(), hashed)
     }
@@ -203,7 +198,7 @@ impl StateBackend for FullRehashBackend {
 
     fn commit(
         &mut self,
-        _changed: &[(Digest, Option<Digest>)],
+        _changed: Vec<(Digest, Option<Digest>)>,
         full: &mut dyn FnMut() -> Vec<(Digest, Digest)>,
     ) -> (Digest, u64) {
         let (tree, hashed) = SmtTree::from_leaves(full());
@@ -250,6 +245,34 @@ mod tests {
     }
 
     #[test]
+    fn leaf_key_preimage_is_the_canonical_encoding() {
+        use pds2_crypto::codec::{Encode, Encoder};
+        let (a, b) = (Address(sha256(b"a")), Address(sha256(b"b")));
+        let (t, n) = (TokenId(0x0102_0304_0506_0708), NftId(u64::MAX - 1));
+        let encoded = |tag: u8, fields: &[&dyn Encode]| {
+            let mut enc = Encoder::new();
+            enc.put_raw(KEY_DOMAIN);
+            enc.put_u8(tag);
+            for f in fields {
+                f.encode(&mut enc);
+            }
+            sha256(&enc.finish())
+        };
+        assert_eq!(LeafKey::Account(a).digest(), encoded(0, &[&a]));
+        assert_eq!(LeafKey::Erc20Meta(t).digest(), encoded(1, &[&t]));
+        assert_eq!(LeafKey::Erc20Bal(t, a).digest(), encoded(2, &[&t, &a]));
+        assert_eq!(
+            LeafKey::Erc20Allow(t, a, b).digest(),
+            encoded(3, &[&t, &a, &b])
+        );
+        assert_eq!(LeafKey::Erc20Next.digest(), encoded(4, &[]));
+        assert_eq!(LeafKey::Erc721Token(n).digest(), encoded(5, &[&n]));
+        assert_eq!(LeafKey::Erc721Next.digest(), encoded(6, &[]));
+        assert_eq!(LeafKey::Contract(b).digest(), encoded(7, &[&b]));
+        assert_eq!(LeafKey::Burned.digest(), encoded(8, &[]));
+    }
+
+    #[test]
     fn backends_agree_under_incremental_changes() {
         let mut smt = BackendKind::Smt.make();
         let mut oracle = BackendKind::FullRehash.make();
@@ -268,8 +291,8 @@ mod tests {
                 }
             }
             let mut full = || map.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>();
-            let (r1, _) = smt.commit(&changed, &mut full);
-            let (r2, _) = oracle.commit(&changed, &mut full);
+            let (r1, _) = smt.commit(changed.clone(), &mut full);
+            let (r2, _) = oracle.commit(changed, &mut full);
             assert_eq!(r1, r2, "round {round}");
             assert_eq!(smt.leaf_count(), oracle.leaf_count());
         }

@@ -14,8 +14,9 @@
 //! - [`erc721`] — NFTs committing to datasets and workload code;
 //! - [`contract`] — the native-contract framework with atomic rollback;
 //! - [`state`] — the world state and the transaction execution function;
-//! - [`smt`] — the copy-on-write sparse Merkle tree authenticating the
-//!   state, with (non-)inclusion proofs for light clients;
+//! - [`smt`] — the sparse Merkle tree authenticating the state, two
+//!   flat node arrays updated in place, with (non-)inclusion proofs for
+//!   light clients;
 //! - [`backend`] — pluggable state-commitment backends: the incremental
 //!   SMT and the full-rehash reference oracle (DESIGN.md §5f);
 //! - [`block`] — blocks, headers (one constructor, sealed by the

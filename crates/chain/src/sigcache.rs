@@ -159,34 +159,10 @@ pub fn clear() {
 
 #[cfg(test)]
 mod tests {
+    // Tests that read the process-wide counters live in
+    // `tests/sigcache.rs`, a process of their own.
     use super::*;
     use pds2_crypto::KeyPair;
-
-    #[test]
-    fn accepted_signature_is_remembered() {
-        clear();
-        let kp = KeyPair::from_seed(31);
-        let sig = kp.sign(b"cache me");
-        assert!(verify_cached(b"cache me", &kp.public, &sig));
-        let (h0, _) = stats();
-        assert!(verify_cached(b"cache me", &kp.public, &sig));
-        let (h1, _) = stats();
-        assert_eq!(h1, h0 + 1, "second verification must be a cache hit");
-    }
-
-    #[test]
-    fn rejected_signature_is_never_cached() {
-        clear();
-        let kp = KeyPair::from_seed(32);
-        let sig = kp.sign(b"good");
-        assert!(!verify_cached(b"evil", &kp.public, &sig));
-        assert!(!verify_cached(b"evil", &kp.public, &sig));
-        let (hits, _) = stats();
-        assert_eq!(
-            hits, 0,
-            "failures must keep paying (and failing) the real check"
-        );
-    }
 
     #[test]
     fn streamed_preimage_equals_the_encoded_one() {

@@ -1,4 +1,4 @@
-//! Copy-on-write sparse Merkle tree over 256-bit keys.
+//! Sparse Merkle tree over 256-bit keys, stored in two flat arrays.
 //!
 //! The tree authenticates the key → value-digest map that
 //! [`crate::state::WorldState`] flattens its accounts, token ledgers and
@@ -27,13 +27,22 @@
 //! there is no prover-controlled index a forged non-inclusion proof
 //! could lie about.
 //!
-//! Nodes are reference-counted ([`Arc`]); an update clones the touched
-//! path and shares everything else, so a commit costs
-//! O(touched keys · depth) hashes and old roots stay valid snapshots.
+//! Storage. Leaves (96 bytes) and internal nodes (40 bytes) sit in one
+//! `Vec` each and name each other by `u32` slot (`Ref`); a slot whose
+//! node is deleted goes on that array's free list and is the next one
+//! handed out. A commit sorts its updates and descends once: an internal
+//! node splits the updates on its bit, visits only the halves that have
+//! any, and is rewritten in its own slot when a child changed. So a
+//! commit costs O(touched keys · depth) hashes and allocates nothing
+//! beyond the sorted update list.
+//!
+//! There is one version of the tree. `Clone` copies both arrays, and a
+//! commit leaves no previous root behind; nothing in the workspace reads
+//! one. A rollback (ROADMAP item 3) should keep a per-block undo list of
+//! `(key, old value)` and replay it as an ordinary commit.
 
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use pds2_crypto::sha256::{sha256, Digest};
-use std::sync::Arc;
 
 /// Domain prefix for leaf hashes.
 const LEAF_PREFIX: u8 = 0x02;
@@ -43,13 +52,8 @@ const NODE_PREFIX: u8 = 0x03;
 /// Proofs cannot be deeper than the key width (256-bit sha256 keys).
 pub const MAX_DEPTH: usize = 256;
 
-/// Updates per commit above which node hashing fans out across the
-/// `pds2-par` worker pool.
-const PAR_COMMIT_MIN: usize = 1024;
-
-/// Depth of the parallel frontier: the tree is split into
-/// `2^PAR_DEPTH` independent subtrees, one work item each.
-const PAR_DEPTH: usize = 4;
+/// One update of a commit: `Some` upserts the value digest, `None` deletes.
+type Update = (Digest, Option<Digest>);
 
 /// Bit `d` (MSB-first across the digest bytes) of a key.
 #[inline]
@@ -77,160 +81,77 @@ pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
     tagged_hash(NODE_PREFIX, left, right)
 }
 
-enum Node {
-    Leaf {
-        key: Digest,
-        value: Digest,
-        hash: Digest,
-    },
-    Internal {
-        left: Option<Arc<Node>>,
-        right: Option<Arc<Node>>,
-        hash: Digest,
-    },
+/// Names a subtree: a slot of the leaf array when the top bit is set, a
+/// slot of the internal-node array otherwise, or [`Ref::EMPTY`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Ref(u32);
+
+/// What a [`Ref`] points at.
+enum Slot {
+    Empty,
+    Leaf(usize),
+    Internal(usize),
 }
 
-impl Node {
-    fn hash(&self) -> Digest {
-        match self {
-            Node::Leaf { hash, .. } | Node::Internal { hash, .. } => *hash,
+impl Ref {
+    const EMPTY: Ref = Ref(u32::MAX);
+    const LEAF_BIT: u32 = 1 << 31;
+
+    fn slot(self) -> Slot {
+        if self == Ref::EMPTY {
+            Slot::Empty
+        } else if self.0 & Ref::LEAF_BIT != 0 {
+            Slot::Leaf((self.0 ^ Ref::LEAF_BIT) as usize)
+        } else {
+            Slot::Internal(self.0 as usize)
         }
     }
 }
 
-fn opt_hash(node: &Option<Arc<Node>>) -> Digest {
-    node.as_ref().map_or(Digest::ZERO, |n| n.hash())
-}
-
-fn make_leaf(key: Digest, value: Digest, hashed: &mut u64) -> Arc<Node> {
-    *hashed += 1;
-    Arc::new(Node::Leaf {
-        key,
-        value,
-        hash: leaf_hash(&key, &value),
-    })
-}
-
-/// Canonical parent of two child subtrees: empty + empty is empty, a
-/// lone leaf floats up (a one-key subtree *is* a leaf), anything else
-/// is an internal node.
-fn combine(
-    left: Option<Arc<Node>>,
-    right: Option<Arc<Node>>,
-    hashed: &mut u64,
-) -> Option<Arc<Node>> {
-    match (&left, &right) {
-        (None, None) => None,
-        (Some(n), None) if matches!(**n, Node::Leaf { .. }) => left,
-        (None, Some(n)) if matches!(**n, Node::Leaf { .. }) => right,
-        _ => {
-            *hashed += 1;
-            let hash = node_hash(&opt_hash(&left), &opt_hash(&right));
-            Some(Arc::new(Node::Internal { left, right, hash }))
-        }
+impl Default for Ref {
+    fn default() -> Ref {
+        Ref::EMPTY
     }
 }
 
-/// Builds a canonical subtree from sorted, distinct `(key, value)` pairs
-/// whose keys all share bits `0..depth`.
-fn build_leaves(depth: usize, items: &[(Digest, Digest)], hashed: &mut u64) -> Option<Arc<Node>> {
-    match items {
-        [] => None,
-        [(k, v)] => Some(make_leaf(*k, *v, hashed)),
-        _ => {
-            debug_assert!(depth < MAX_DEPTH, "distinct sha256 keys must diverge");
-            let split = items.partition_point(|(k, _)| !bit(k, depth));
-            let left = build_leaves(depth + 1, &items[..split], hashed);
-            let right = build_leaves(depth + 1, &items[split..], hashed);
-            combine(left, right, hashed)
-        }
-    }
+#[derive(Clone, Copy)]
+struct Leaf {
+    key: Digest,
+    value: Digest,
+    hash: Digest,
 }
 
-/// Applies sorted, distinct updates (`None` = delete) to a subtree.
-fn apply_updates(
-    node: Option<&Arc<Node>>,
-    depth: usize,
-    ups: &[(Digest, Option<Digest>)],
-    hashed: &mut u64,
-) -> Option<Arc<Node>> {
-    if ups.is_empty() {
-        return node.cloned();
-    }
-    let inserts = |ups: &[(Digest, Option<Digest>)]| -> Vec<(Digest, Digest)> {
-        ups.iter().filter_map(|(k, v)| v.map(|v| (*k, v))).collect()
-    };
-    match node.map(|n| &**n) {
-        None => build_leaves(depth, &inserts(ups), hashed),
-        Some(Node::Leaf { key, value, .. }) => {
-            // Merge the existing leaf into the update set unless an
-            // update overrides (or deletes) it.
-            let mut items = inserts(ups);
-            if !ups.iter().any(|(k, _)| k == key) {
-                let pos = items.partition_point(|(k, _)| k < key);
-                items.insert(pos, (*key, *value));
-            }
-            build_leaves(depth, &items, hashed)
-        }
-        Some(Node::Internal { left, right, .. }) => {
-            debug_assert!(depth < MAX_DEPTH, "distinct sha256 keys must diverge");
-            let split = ups.partition_point(|(k, _)| !bit(k, depth));
-            let new_left = apply_updates(left.as_ref(), depth + 1, &ups[..split], hashed);
-            let new_right = apply_updates(right.as_ref(), depth + 1, &ups[split..], hashed);
-            let unchanged = |a: &Option<Arc<Node>>, b: &Option<Arc<Node>>| match (a, b) {
-                (Some(x), Some(y)) => Arc::ptr_eq(x, y),
-                (None, None) => true,
-                _ => false,
-            };
-            if unchanged(&new_left, left) && unchanged(&new_right, right) {
-                return node.cloned();
-            }
-            combine(new_left, new_right, hashed)
-        }
-    }
+#[derive(Clone, Copy)]
+struct Internal {
+    left: Ref,
+    right: Ref,
+    hash: Digest,
 }
 
-/// Collects the `2^(PAR_DEPTH - depth)` subtree roots at the parallel
-/// frontier, placing shallow leaves into the slot their key selects.
-fn split_frontier(node: Option<Arc<Node>>, depth: usize, out: &mut Vec<Option<Arc<Node>>>) {
-    let slots = 1 << (PAR_DEPTH - depth);
-    match node.as_deref() {
-        _ if depth == PAR_DEPTH => out.push(node),
-        None => out.extend(std::iter::repeat_with(|| None).take(slots)),
-        Some(Node::Leaf { key, .. }) => {
-            let mut idx = 0;
-            for d in depth..PAR_DEPTH {
-                idx = (idx << 1) | bit(key, d) as usize;
-            }
-            out.extend((0..slots).map(|i| if i == idx { node.clone() } else { None }));
-        }
-        Some(Node::Internal { left, right, .. }) => {
-            split_frontier(left.clone(), depth + 1, out);
-            split_frontier(right.clone(), depth + 1, out);
-        }
+/// Puts `node` in the slot freed last, or in a new one, and returns the
+/// slot. Slot numbers stay below [`Ref::EMPTY`]'s in either array.
+fn store<T>(slots: &mut Vec<T>, free: &mut Vec<u32>, node: T) -> u32 {
+    if let Some(i) = free.pop() {
+        slots[i as usize] = node;
+        return i;
     }
+    assert!(
+        slots.len() < (Ref::LEAF_BIT - 1) as usize,
+        "sparse Merkle store is full: a u32 slot number addresses 2^31 - 1 nodes of a kind"
+    );
+    slots.push(node);
+    (slots.len() - 1) as u32
 }
 
-/// Rebuilds the tree top from the updated frontier slots.
-fn join_frontier(
-    slots: &mut std::vec::IntoIter<Option<Arc<Node>>>,
-    depth: usize,
-    hashed: &mut u64,
-) -> Option<Arc<Node>> {
-    if depth == PAR_DEPTH {
-        return slots.next().expect("frontier slot count is exact");
-    }
-    let left = join_frontier(slots, depth + 1, hashed);
-    let right = join_frontier(slots, depth + 1, hashed);
-    combine(left, right, hashed)
-}
-
-/// A copy-on-write sparse Merkle tree (see the module docs for the
-/// canonical shape and hashing rules).
+/// A sparse Merkle tree (see the module docs for the canonical shape,
+/// the hashing rules and the storage).
 #[derive(Clone, Default)]
 pub struct SmtTree {
-    root: Option<Arc<Node>>,
-    leaves: usize,
+    root: Ref,
+    leaves: Vec<Leaf>,
+    internals: Vec<Internal>,
+    free_leaves: Vec<u32>,
+    free_internals: Vec<u32>,
 }
 
 impl SmtTree {
@@ -244,8 +165,7 @@ impl SmtTree {
     pub fn from_leaves(mut leaves: Vec<(Digest, Digest)>) -> (SmtTree, u64) {
         leaves.sort_unstable_by_key(|a| a.0);
         leaves.dedup_by(|a, b| a.0 == b.0);
-        let updates: Vec<(Digest, Option<Digest>)> =
-            leaves.into_iter().map(|(k, v)| (k, Some(v))).collect();
+        let updates: Vec<Update> = leaves.into_iter().map(|(k, v)| (k, Some(v))).collect();
         let mut tree = SmtTree::new();
         let hashed = tree.commit(updates);
         (tree, hashed)
@@ -253,107 +173,39 @@ impl SmtTree {
 
     /// Root hash ([`Digest::ZERO`] when empty).
     pub fn root_hash(&self) -> Digest {
-        opt_hash(&self.root)
+        self.hash_of(self.root)
     }
 
     /// Number of leaves present.
     pub fn len(&self) -> usize {
-        self.leaves
+        self.leaves.len() - self.free_leaves.len()
     }
 
     /// Whether the tree holds no leaves.
     pub fn is_empty(&self) -> bool {
-        self.leaves == 0
+        self.len() == 0
     }
 
     /// Value digest stored under `key`, if present.
     pub fn get(&self, key: &Digest) -> Option<Digest> {
-        let mut cur = self.root.as_ref();
-        let mut depth = 0;
-        while let Some(node) = cur {
-            match &**node {
-                Node::Leaf { key: k, value, .. } => {
-                    return (k == key).then_some(*value);
-                }
-                Node::Internal { left, right, .. } => {
-                    cur = if bit(key, depth) {
-                        right.as_ref()
-                    } else {
-                        left.as_ref()
-                    };
-                    depth += 1;
-                }
-            }
-        }
-        None
+        let leaf = self.descend(key, |_| {})?;
+        (leaf.key == *key).then_some(leaf.value)
     }
 
     /// Applies a batch of updates (`Some` upsert, `None` delete; later
     /// entries for the same key win) and returns the number of node
-    /// hashes computed. Large batches fan out over `pds2-par`; the
-    /// result is bit-identical at every thread count because each
-    /// frontier subtree is an independent pure function of its inputs.
+    /// hashes computed: a function of the tree and the batch alone.
     pub fn commit(&mut self, mut updates: Vec<(Digest, Option<Digest>)>) -> u64 {
-        if updates.is_empty() {
-            return 0;
-        }
         // Stable sort + keep-last dedup: the final write per key wins.
         updates.sort_by_key(|a| a.0);
         updates.reverse();
         updates.dedup_by(|a, b| a.0 == b.0);
         updates.reverse();
-        // Net leaf-count delta, from what each key held before.
-        for (k, v) in &updates {
-            match (self.get(k).is_some(), v.is_some()) {
-                (false, true) => self.leaves += 1,
-                (true, false) => self.leaves -= 1,
-                _ => {}
-            }
-        }
+        // One growth step for a bulk build instead of a doubling series.
+        self.leaves.reserve(updates.len());
+        self.internals.reserve(updates.len());
         let mut hashed = 0u64;
-        // Gate on batch size ONLY (never on thread count): the frontier
-        // split changes which top-level nodes get rebuilt, so tying it
-        // to `current_threads()` would make the hash count — an obs
-        // counter — vary across `PDS2_THREADS`.
-        if updates.len() >= PAR_COMMIT_MIN {
-            let mut slots = Vec::with_capacity(1 << PAR_DEPTH);
-            split_frontier(self.root.clone(), 0, &mut slots);
-            // Partition the sorted updates into the same 2^PAR_DEPTH
-            // key-prefix groups the frontier slots cover.
-            let mut groups: Vec<&[(Digest, Option<Digest>)]> = Vec::with_capacity(slots.len());
-            let mut rest: &[(Digest, Option<Digest>)] = &updates;
-            for i in 0..slots.len() {
-                let end = if i + 1 == slots.len() {
-                    rest.len()
-                } else {
-                    rest.partition_point(|(k, _)| {
-                        let mut idx = 0;
-                        for d in 0..PAR_DEPTH {
-                            idx = (idx << 1) | bit(k, d) as usize;
-                        }
-                        idx <= i
-                    })
-                };
-                let (group, tail) = rest.split_at(end);
-                groups.push(group);
-                rest = tail;
-            }
-            type Slot<'a> = (Option<Arc<Node>>, &'a [(Digest, Option<Digest>)]);
-            let work: Vec<Slot<'_>> = slots.into_iter().zip(groups).collect();
-            let results = pds2_par::par_map_indexed(&work, |_, (node, ups)| {
-                let mut h = 0u64;
-                let sub = apply_updates(node.as_ref(), PAR_DEPTH, ups, &mut h);
-                (sub, h)
-            });
-            let mut new_slots = Vec::with_capacity(results.len());
-            for (sub, h) in results {
-                new_slots.push(sub);
-                hashed += h;
-            }
-            self.root = join_frontier(&mut new_slots.into_iter(), 0, &mut hashed);
-        } else {
-            self.root = apply_updates(self.root.as_ref(), 0, &updates, &mut hashed);
-        }
+        self.root = self.apply(self.root, 0, &updates, &mut hashed).0;
         hashed
     }
 
@@ -364,32 +216,127 @@ impl SmtTree {
     /// `key`'s path).
     pub fn prove(&self, key: &Digest) -> SmtProof {
         let mut siblings = Vec::new();
-        let mut cur = self.root.as_ref();
-        let mut depth = 0;
+        let found = self
+            .descend(key, |sibling| siblings.push(self.hash_of(sibling)))
+            .map(|leaf| (leaf.key, leaf.value));
+        SmtProof { siblings, found }
+    }
+
+    /// Walks `key`'s path from the root, handing `off_path` the subtree
+    /// not taken at each level, to the leaf the path ends in (if any).
+    fn descend(&self, key: &Digest, mut off_path: impl FnMut(Ref)) -> Option<&Leaf> {
+        let (mut cur, mut depth) = (self.root, 0);
         loop {
-            match cur.map(|n| &**n) {
-                None => {
-                    return SmtProof {
-                        siblings,
-                        found: None,
-                    }
-                }
-                Some(Node::Leaf { key: k, value, .. }) => {
-                    return SmtProof {
-                        siblings,
-                        found: Some((*k, *value)),
-                    }
-                }
-                Some(Node::Internal { left, right, .. }) => {
-                    if bit(key, depth) {
-                        siblings.push(opt_hash(left));
-                        cur = right.as_ref();
+            match cur.slot() {
+                Slot::Empty => return None,
+                Slot::Leaf(i) => return Some(&self.leaves[i]),
+                Slot::Internal(i) => {
+                    let Internal { left, right, .. } = self.internals[i];
+                    let (on, off) = if bit(key, depth) {
+                        (right, left)
                     } else {
-                        siblings.push(opt_hash(right));
-                        cur = left.as_ref();
-                    }
+                        (left, right)
+                    };
+                    off_path(off);
+                    cur = on;
                     depth += 1;
                 }
+            }
+        }
+    }
+
+    fn hash_of(&self, node: Ref) -> Digest {
+        match node.slot() {
+            Slot::Empty => Digest::ZERO,
+            Slot::Leaf(i) => self.leaves[i].hash,
+            Slot::Internal(i) => self.internals[i].hash,
+        }
+    }
+
+    fn new_leaf(&mut self, key: Digest, value: Digest, hashed: &mut u64) -> Ref {
+        *hashed += 1;
+        let hash = leaf_hash(&key, &value);
+        let leaf = Leaf { key, value, hash };
+        Ref(store(&mut self.leaves, &mut self.free_leaves, leaf) | Ref::LEAF_BIT)
+    }
+
+    /// Canonical parent of two child subtrees: empty + empty is empty, a
+    /// lone leaf floats up (a one-key subtree *is* a leaf), anything else
+    /// is an internal node.
+    fn combine(&mut self, left: Ref, right: Ref, hashed: &mut u64) -> Ref {
+        match (left.slot(), right.slot()) {
+            (Slot::Empty, Slot::Empty | Slot::Leaf(_)) => right,
+            (Slot::Leaf(_), Slot::Empty) => left,
+            _ => {
+                *hashed += 1;
+                let hash = node_hash(&self.hash_of(left), &self.hash_of(right));
+                let node = Internal { left, right, hash };
+                Ref(store(&mut self.internals, &mut self.free_internals, node))
+            }
+        }
+    }
+
+    /// Builds the canonical subtree at `depth` of the upserts among
+    /// sorted, distinct `ups` (all sharing bits `0..depth`) plus `kept`,
+    /// the displaced leaf of this path when no update names its key.
+    fn build(
+        &mut self,
+        depth: usize,
+        ups: &[Update],
+        kept: Option<(Digest, Digest)>,
+        hashed: &mut u64,
+    ) -> Ref {
+        match (ups, kept) {
+            ([], None) => Ref::EMPTY,
+            ([], Some((k, v))) => self.new_leaf(k, v, hashed),
+            ([(k, v)], None) => v.map_or(Ref::EMPTY, |v| self.new_leaf(*k, v, hashed)),
+            _ => {
+                assert!(depth < MAX_DEPTH, "distinct 256-bit keys must diverge");
+                let split = ups.partition_point(|(k, _)| !bit(k, depth));
+                let (kept_left, kept_right) = match kept {
+                    Some((k, _)) if bit(&k, depth) => (None, kept),
+                    _ => (kept, None),
+                };
+                let left = self.build(depth + 1, &ups[..split], kept_left, hashed);
+                let right = self.build(depth + 1, &ups[split..], kept_right, hashed);
+                self.combine(left, right, hashed)
+            }
+        }
+    }
+
+    /// Applies sorted, distinct updates to the subtree at `node` and
+    /// returns what stands there now, and whether it was rewritten. A
+    /// slot given up here is the one `store` hands out next, so a node
+    /// that stays a node is rewritten where it was.
+    fn apply(&mut self, node: Ref, depth: usize, ups: &[Update], hashed: &mut u64) -> (Ref, bool) {
+        if ups.is_empty() {
+            return (node, false);
+        }
+        match node.slot() {
+            Slot::Empty => {
+                let built = self.build(depth, ups, None, hashed);
+                (built, built != Ref::EMPTY)
+            }
+            // A leaf under the updates is re-created (and re-hashed) from
+            // the merged set unless an update overrides or deletes it.
+            Slot::Leaf(i) => {
+                let Leaf { key, value, .. } = self.leaves[i];
+                self.free_leaves.push(i as u32);
+                let named = ups.binary_search_by_key(&key, |u| u.0).is_ok();
+                let kept = (!named).then_some((key, value));
+                (self.build(depth, ups, kept, hashed), true)
+            }
+            Slot::Internal(i) => {
+                assert!(depth < MAX_DEPTH, "distinct 256-bit keys must diverge");
+                let Internal { left, right, .. } = self.internals[i];
+                let split = ups.partition_point(|(k, _)| !bit(k, depth));
+                let (left, left_new) = self.apply(left, depth + 1, &ups[..split], hashed);
+                let (right, right_new) = self.apply(right, depth + 1, &ups[split..], hashed);
+                if !(left_new || right_new) {
+                    return (node, false);
+                }
+                self.free_internals.push(i as u32);
+                (self.combine(left, right, hashed), true)
             }
         }
     }
@@ -599,6 +546,174 @@ mod tests {
             .collect();
         assert_eq!(roots2[0], roots2[1]);
         assert_eq!(roots2[0], roots2[2]);
+    }
+
+    /// Slots of both arrays that hold a live node.
+    fn live_slots(tree: &SmtTree) -> (usize, usize) {
+        (
+            tree.leaves.len() - tree.free_leaves.len(),
+            tree.internals.len() - tree.free_internals.len(),
+        )
+    }
+
+    #[test]
+    fn node_sizes_are_the_documented_ones() {
+        // `bench_state` derives `tree_bytes` from these two figures.
+        assert_eq!(std::mem::size_of::<Leaf>(), 96);
+        assert_eq!(std::mem::size_of::<Internal>(), 40);
+        // A fresh build hashes every node once and frees nothing.
+        let (tree, hashed) = SmtTree::from_leaves((0..500).map(|i| (key(i), val(i))).collect());
+        assert_eq!(tree.leaves.len(), 500);
+        assert_eq!(tree.internals.len() as u64, hashed - 500);
+        assert!(tree.free_leaves.is_empty() && tree.free_internals.is_empty());
+    }
+
+    #[test]
+    fn deleted_slots_are_reused() {
+        // Insert-then-delete over a 256-key universe: whatever a round
+        // frees the next round takes, so the arrays never outgrow the
+        // widest round. Slack: a round holds at most 32 extra leaves and
+        // a leaf sits under fewer than 32 internal nodes of its own.
+        let mut tree = SmtTree::new();
+        let mut bound = (0, 0);
+        for round in 0..10_000u64 {
+            let picked: Vec<Digest> = (0..1 + round % 32)
+                .map(|j| key((round * 31 + j * 7) % 256))
+                .collect();
+            tree.commit(picked.iter().map(|k| (*k, Some(val(round)))).collect());
+            if round == 0 {
+                bound = (tree.leaves.len() + 32, tree.internals.len() + 32 * 32);
+            }
+            assert!(tree.leaves.len() <= bound.0, "round {round}");
+            assert!(tree.internals.len() <= bound.1, "round {round}");
+            tree.commit(picked.iter().map(|k| (*k, None)).collect());
+            assert_eq!(live_slots(&tree), (0, 0), "round {round}");
+            assert_eq!(tree.root_hash(), Digest::ZERO);
+        }
+    }
+
+    #[test]
+    fn emptied_tree_is_the_empty_tree_and_reuses_its_slots() {
+        let mut tree = SmtTree::new();
+        tree.commit(vec![(key(1), Some(val(1)))]);
+        assert!(tree.root == Ref(Ref::LEAF_BIT), "first leaf sits in slot 0");
+        tree.commit(vec![(key(1), None)]);
+        assert_eq!(tree.root_hash(), Digest::ZERO);
+        assert_eq!((tree.len(), tree.is_empty()), (0, true));
+        tree.commit(vec![(key(2), Some(val(2)))]);
+        assert!(tree.root == Ref(Ref::LEAF_BIT), "slot 0 is reused");
+        assert_eq!(tree.leaves.len(), 1);
+
+        // The same from a populated tree, emptied in one batch.
+        let (mut tree, _) = SmtTree::from_leaves((0..300).map(|i| (key(i), val(i))).collect());
+        let (leaves, internals) = (tree.leaves.len(), tree.internals.len());
+        tree.commit((0..300).map(|i| (key(i), None)).collect());
+        assert_eq!(tree.root_hash(), Digest::ZERO);
+        assert_eq!((tree.len(), live_slots(&tree)), (0, (0, 0)));
+        tree.commit((300..600).map(|i| (key(i), Some(val(i)))).collect());
+        assert_eq!(tree.len(), 300);
+        assert_eq!(tree.leaves.len(), leaves, "leaf slots are reused");
+        assert!(tree.internals.len() <= internals.max(live_slots(&tree).1));
+    }
+
+    #[test]
+    fn clone_is_an_independent_copy() {
+        let (base, _) = SmtTree::from_leaves((0..200).map(|i| (key(i), val(i))).collect());
+        let snapshot = |t: &SmtTree| {
+            let proofs: Vec<SmtProof> = (0..220).map(|i| t.prove(&key(i))).collect();
+            (t.root_hash(), t.len(), proofs)
+        };
+        let before = snapshot(&base);
+        let mut copy = base.clone();
+        assert_eq!(snapshot(&copy), before);
+        // Overwrites, deletes and inserts on the copy only.
+        copy.commit(
+            (0..400)
+                .map(|i| (key(i), (i % 3 != 0).then(|| val(i + 1_000))))
+                .collect(),
+        );
+        assert_ne!(copy.root_hash(), before.0);
+        assert_eq!(snapshot(&base), before, "original moved with its clone");
+        // And the other way round.
+        let after = snapshot(&copy);
+        let mut base = base;
+        base.commit((0..200).map(|i| (key(i), None)).collect());
+        assert!(base.is_empty());
+        assert_eq!(snapshot(&copy), after, "clone moved with its original");
+    }
+
+    #[test]
+    fn lone_leaf_grows_a_path_and_collapses_back() {
+        // Two keys that agree on their first two bits and a third that
+        // leaves them at bit 0.
+        let a = key(0);
+        let b = (1..)
+            .map(key)
+            .find(|k| bit(k, 0) == bit(&a, 0) && bit(k, 1) == bit(&a, 1))
+            .unwrap();
+        let c = (1..).map(key).find(|k| bit(k, 0) != bit(&a, 0)).unwrap();
+        let fork = (0..).find(|&d| bit(&a, d) != bit(&b, d)).unwrap();
+        assert!(fork >= 2);
+        let (la, lb, lc) = (
+            leaf_hash(&a, &val(1)),
+            leaf_hash(&b, &val(2)),
+            leaf_hash(&c, &val(3)),
+        );
+        // `under(h, from)`: the root of a path from depth `from` down
+        // to `h` along `a`'s bits, with nothing beside it.
+        let under = |h: Digest, from: usize| {
+            (from..fork).rev().fold(h, |h, d| {
+                if bit(&a, d) {
+                    node_hash(&Digest::ZERO, &h)
+                } else {
+                    node_hash(&h, &Digest::ZERO)
+                }
+            })
+        };
+        let pair = if bit(&a, fork) {
+            node_hash(&lb, &la)
+        } else {
+            node_hash(&la, &lb)
+        };
+
+        let mut tree = SmtTree::new();
+        assert_eq!(tree.commit(vec![(a, Some(val(1)))]), 1);
+        assert_eq!(tree.root_hash(), la, "one key is a leaf at depth 0");
+        assert_eq!(live_slots(&tree), (1, 0));
+
+        // `a` is displaced down to the fork: both leaves and every node
+        // of the path are hashed.
+        assert_eq!(tree.commit(vec![(b, Some(val(2)))]), 2 + fork as u64 + 1);
+        assert_eq!(tree.root_hash(), under(pair, 0));
+        assert_eq!(live_slots(&tree), (2, fork + 1));
+        assert_eq!(tree.prove(&a).siblings.len(), fork + 1);
+
+        // A third key on the other side of bit 0 rehashes the root only.
+        assert_eq!(tree.commit(vec![(c, Some(val(3)))]), 2);
+        let below = under(pair, 1);
+        let root = if bit(&a, 0) {
+            node_hash(&lc, &below)
+        } else {
+            node_hash(&below, &lc)
+        };
+        assert_eq!(tree.root_hash(), root);
+
+        // Deleting `b` floats `a` up past the whole path, whose slots
+        // are freed: root = (a, c) at depth 0.
+        assert_eq!(tree.commit(vec![(b, None)]), 1);
+        let root = if bit(&a, 0) {
+            node_hash(&lc, &la)
+        } else {
+            node_hash(&la, &lc)
+        };
+        assert_eq!(tree.root_hash(), root);
+        assert_eq!(live_slots(&tree), (2, 1));
+        assert_eq!(tree.free_internals.len(), fork);
+
+        // Deleting `c` floats `a` to the root; nothing is hashed.
+        assert_eq!(tree.commit(vec![(c, None)]), 0);
+        assert_eq!(tree.root_hash(), la);
+        assert_eq!(live_slots(&tree), (1, 0));
     }
 
     #[test]

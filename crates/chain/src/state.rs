@@ -278,21 +278,42 @@ impl WorldState {
         let updates: Vec<(Digest, Option<Digest>)> = committer
             .dirty
             .iter()
-            .map(|k| (k.digest(), self.leaf_value(k).map(|b| sha256(&b))))
+            .map(|k| (k.digest(), self.leaf_digest(k)))
             .collect();
+        let touched = updates.len() as u64;
         let span = pds2_obs::span("state", "commit", pds2_obs::Stamp::None);
         let mut full = || self.full_leaves();
-        let (root, hashed) = committer.backend.commit(&updates, &mut full);
+        let (root, hashed) = committer.backend.commit(updates, &mut full);
         committer.dirty.clear();
         pds2_obs::counter!("state.smt.nodes_hashed").add(hashed);
         span.finish(
             pds2_obs::Stamp::None,
             vec![
-                ("touched", pds2_obs::Value::from(updates.len() as u64)),
+                ("touched", pds2_obs::Value::from(touched)),
                 ("nodes_hashed", pds2_obs::Value::from(hashed)),
             ],
         );
         root
+    }
+
+    /// What the tree stores for one leaf: `sha256` of its
+    /// [`Self::leaf_value`]. The fixed-width values a transfer block
+    /// touches (accounts, balances, the burn counter) are encoded on the
+    /// stack; the rest go through `leaf_value`.
+    fn leaf_digest(&self, key: &LeafKey) -> Option<Digest> {
+        let amount = |v: u128| sha256(&v.to_le_bytes());
+        match key {
+            LeafKey::Account(a) => self.accounts.get(a).map(|acct| {
+                let mut buf = [0u8; 24];
+                buf[..16].copy_from_slice(&acct.balance.to_le_bytes());
+                buf[16..].copy_from_slice(&acct.nonce.to_le_bytes());
+                sha256(&buf)
+            }),
+            LeafKey::Erc20Bal(t, a) => self.erc20.bal_entry(*t, a).map(amount),
+            LeafKey::Erc20Allow(t, o, s) => self.erc20.allowance_entry(*t, o, s).map(amount),
+            LeafKey::Burned => (self.burned != 0).then(|| amount(self.burned)),
+            _ => self.leaf_value(key).map(|b| sha256(&b)),
+        }
     }
 
     /// Canonical value bytes of one leaf, `None` when the leaf is
@@ -1387,6 +1408,92 @@ mod tests {
         assert_eq!(st.nonce(&alice_addr), 0);
         assert_eq!(st.burned(), 0);
         assert_eq!(st.state_root(), root);
+    }
+
+    #[test]
+    fn leaf_digest_is_the_hash_of_the_leaf_value_for_every_kind() {
+        let alice = KeyPair::from_seed(1);
+        let alice_addr = Address::of(&alice.public);
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        let mut st = funded_state(&alice, 100_000_000);
+        let reg = registry();
+        let kinds = [
+            TxKind::Erc20(Erc20Op::Create {
+                symbol: "RWD".into(),
+                initial_supply: 500,
+            }),
+            TxKind::Erc20(Erc20Op::Approve {
+                token: crate::erc20::TokenId(0),
+                spender: bob,
+                amount: 77,
+            }),
+            TxKind::Erc721(Erc721Op::Mint {
+                kind: crate::erc721::AssetKind::Dataset,
+                content: sha256(b"dataset"),
+                label: "d".into(),
+            }),
+            TxKind::Deploy {
+                code_id: "counter".into(),
+                init: Vec::new(),
+            },
+            TxKind::Transfer { to: bob, amount: 7 },
+        ];
+        // A non-zero base fee, so the burn counter is a leaf too.
+        let env = BlockEnv {
+            height: 1,
+            base_fee: 2,
+            coinbase: bob,
+        };
+        let mut contract = None;
+        for (nonce, kind) in kinds.into_iter().enumerate() {
+            let mut tx = make_tx(&alice, nonce as u64, kind).tx;
+            tx.max_fee_per_gas = 2;
+            let r = st.apply_transaction_env(
+                &reg,
+                &tx.sign(&alice),
+                &env,
+                nonce as u32,
+                pds2_obs::TraceCtx::NONE,
+            );
+            assert!(r.success, "{:?}", r.error);
+            contract = contract.or(r.deployed);
+        }
+        let token = crate::erc20::TokenId(0);
+        let absent = Address(sha256(b"nobody"));
+        let present = [
+            LeafKey::Account(alice_addr),
+            LeafKey::Account(bob),
+            LeafKey::Erc20Meta(token),
+            LeafKey::Erc20Bal(token, alice_addr),
+            LeafKey::Erc20Allow(token, alice_addr, bob),
+            LeafKey::Erc20Next,
+            LeafKey::Erc721Token(crate::erc721::NftId(0)),
+            LeafKey::Erc721Next,
+            LeafKey::Contract(contract.unwrap()),
+            LeafKey::Burned,
+        ];
+        let missing = [
+            LeafKey::Account(absent),
+            LeafKey::Erc20Bal(token, absent),
+            LeafKey::Erc20Allow(token, bob, alice_addr),
+            LeafKey::Contract(absent),
+        ];
+        for key in present.iter().chain(&missing) {
+            let value = st.leaf_value(key);
+            assert_eq!(value.is_some(), present.contains(key), "{key:?}");
+            assert_eq!(st.leaf_digest(key), value.map(|b| sha256(&b)), "{key:?}");
+        }
+        // And the tree holds exactly these digests under these keys.
+        let root = st.state_root();
+        for key in &present {
+            let (value, proof) = st.prove_leaf(key);
+            assert!(crate::smt::verify_proof(
+                &root,
+                &key.digest(),
+                value.as_deref(),
+                &proof
+            ));
+        }
     }
 
     #[test]

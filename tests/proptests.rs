@@ -371,7 +371,7 @@ mod state_backend_props {
 
 // ---------------------------------------------------------------------------
 // Model-based state machine for the sparse Merkle tree itself: random
-// insert/update/delete sequences run against the real COW tree while a
+// insert/update/delete sequences run against the real tree while a
 // HashMap mirror tracks the exact leaf set. After every commit the tree
 // root must equal a from-scratch build of the mirror, lookups must agree,
 // and (non-)inclusion proofs must verify for present and absent keys.
