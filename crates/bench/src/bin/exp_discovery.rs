@@ -114,7 +114,7 @@ fn main() {
     );
 
     // Demonstrate the same effect through a store.
-    let mut store = LocalStore::new();
+    let mut store = LocalStore::new(pds2_crypto::KeyPair::from_seed(1).public);
     for r in records {
         store.put(r);
     }

@@ -102,10 +102,7 @@ impl Encode for SignedReading {
         self.device_key.encode(enc);
         enc.put_u64(self.sequence);
         enc.put_u64(self.timestamp);
-        enc.put_u64(self.features.len() as u64);
-        for f in &self.features {
-            enc.put_f64(*f);
-        }
+        enc.put_seq(&self.features);
         enc.put_f64(self.target);
         self.signature.encode(enc);
     }
@@ -117,11 +114,7 @@ impl Decode for SignedReading {
         let device_key = PublicKey::decode(dec)?;
         let sequence = dec.get_u64()?;
         let timestamp = dec.get_u64()?;
-        let n = dec.get_u64()? as usize;
-        let mut features = Vec::with_capacity(n);
-        for _ in 0..n {
-            features.push(dec.get_f64()?);
-        }
+        let features = dec.get_seq()?;
         let target = dec.get_f64()?;
         let signature = Signature::decode(dec)?;
         Ok(SignedReading {

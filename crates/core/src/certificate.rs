@@ -9,7 +9,7 @@
 use pds2_chain::address::Address;
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use pds2_crypto::schnorr::{KeyPair, PublicKey, Signature};
-use pds2_crypto::sha256::Digest;
+use pds2_crypto::sha256::{Digest, DIGEST_LEN};
 use pds2_storage::store::RecordId;
 
 /// A provider's signed consent to participate in one workload through one
@@ -144,7 +144,8 @@ impl Decode for ParticipationCertificate {
         let provider = PublicKey::decode(dec)?;
         let workload_id = dec.get_u64()?;
         let contract = Address::decode(dec)?;
-        let n = dec.get_u64()? as usize;
+        let n = dec.get_u64()?;
+        let n = dec.bounded_count(n, DIGEST_LEN)?;
         let mut records = Vec::with_capacity(n);
         for _ in 0..n {
             records.push(RecordId(dec.get_digest()?));

@@ -24,7 +24,7 @@ use pds2_chain::address::Address;
 use pds2_chain::contract::{CallCtx, Contract, ContractError};
 use pds2_chain::erc20::TokenId;
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
-use pds2_crypto::sha256::Digest;
+use pds2_crypto::sha256::{Digest, DIGEST_LEN};
 use std::collections::BTreeMap;
 
 /// Contract type id registered with the chain.
@@ -134,6 +134,13 @@ impl WorkloadState {
         self.contributions.values().map(|c| c.records).sum()
     }
 
+    /// The height ABORT has to be past: START's height plus the execution
+    /// timeout. `None` when the workload was deployed without a timeout.
+    /// The contract enforces it; the marketplace mines up to it.
+    pub fn abort_height(&self) -> Option<u64> {
+        (self.exec_timeout_blocks != 0).then(|| self.started_height + self.exec_timeout_blocks)
+    }
+
     fn start_conditions_met(&self) -> bool {
         self.contributions.len() as u32 >= self.min_providers
             && self.total_records() >= self.min_records
@@ -171,10 +178,7 @@ impl Encode for WorkloadState {
             c.executor.encode(enc);
         }
         enc.put_option(&self.result);
-        enc.put_u64(self.slashed.len() as u64);
-        for s in &self.slashed {
-            s.encode(enc);
-        }
+        enc.put_seq(&self.slashed);
     }
 }
 
@@ -214,11 +218,7 @@ impl Decode for WorkloadState {
             );
         }
         let result = dec.get_option()?;
-        let n_slashed = dec.get_u64()? as usize;
-        let mut slashed = Vec::with_capacity(n_slashed);
-        for _ in 0..n_slashed {
-            slashed.push(Address::decode(dec)?);
-        }
+        let slashed = dec.get_seq()?;
         Ok(WorkloadState {
             consumer,
             spec_hash,
@@ -409,6 +409,31 @@ impl WorkloadContract {
             None => ctx.transfer_out(to, amount),
             Some(token) => ctx.transfer_token_out(token, to, amount),
         }
+    }
+
+    /// The one way a workload ends without a payout: whatever escrow is
+    /// left goes back to the consumer and the contract is Cancelled.
+    /// `counter` and `reason` say which of CANCEL, EXPIRE and ABORT it was.
+    fn refund_and_cancel(
+        &mut self,
+        ctx: &mut CallCtx<'_>,
+        counter: &pds2_obs::Counter,
+        from: &'static str,
+        reason: &'static str,
+    ) {
+        if self.state.funded > 0 {
+            self.pay(ctx, self.state.consumer, self.state.funded);
+            self.state.funded = 0;
+        }
+        self.state.phase = Phase::Cancelled;
+        counter.inc();
+        pds2_obs::trace_event!(
+            "market",
+            "contract.phase",
+            pds2_obs::Stamp::Block(ctx.block_height),
+            ctx.trace,
+            "from" => from, "to" => "cancelled", "reason" => reason,
+        );
     }
 
     fn require_phase(&self, phase: Phase) -> Result<(), ContractError> {
@@ -629,7 +654,8 @@ impl Contract for WorkloadContract {
                     .map(|(a, _)| **a)
                     .collect();
                 // Parse and validate shares.
-                let n = dec.get_u64().map_err(parse)? as usize;
+                let n = dec.get_u64().map_err(parse)?;
+                let n = dec.bounded_count(n, DIGEST_LEN + 16).map_err(parse)?;
                 let mut shares = Vec::with_capacity(n);
                 let mut total_shares: u128 = 0;
                 for _ in 0..n {
@@ -698,19 +724,8 @@ impl Contract for WorkloadContract {
                 if ctx.sender != self.state.consumer {
                     return Err(ContractError::Revert("only the consumer may cancel".into()));
                 }
-                if self.state.funded > 0 {
-                    self.pay(ctx, self.state.consumer, self.state.funded);
-                    self.state.funded = 0;
-                }
-                self.state.phase = Phase::Cancelled;
-                pds2_obs::counter!("market.contracts_cancelled").inc();
-                pds2_obs::trace_event!(
-                    "market",
-                    "contract.phase",
-                    pds2_obs::Stamp::Block(ctx.block_height),
-                    ctx.trace,
-                    "from" => "open", "to" => "cancelled", "reason" => "cancel",
-                );
+                let counter = pds2_obs::counter!("market.contracts_cancelled");
+                self.refund_and_cancel(ctx, counter, "open", "cancel");
                 ctx.emit("workload.cancelled", format!("by={}", ctx.sender))?;
                 Ok(Vec::new())
             }
@@ -725,19 +740,8 @@ impl Contract for WorkloadContract {
                         self.state.deadline_height, ctx.block_height
                     )));
                 }
-                if self.state.funded > 0 {
-                    self.pay(ctx, self.state.consumer, self.state.funded);
-                    self.state.funded = 0;
-                }
-                self.state.phase = Phase::Cancelled;
-                pds2_obs::counter!("market.contracts_expired").inc();
-                pds2_obs::trace_event!(
-                    "market",
-                    "contract.phase",
-                    pds2_obs::Stamp::Block(ctx.block_height),
-                    ctx.trace,
-                    "from" => "open", "to" => "cancelled", "reason" => "expired",
-                );
+                let counter = pds2_obs::counter!("market.contracts_expired");
+                self.refund_and_cancel(ctx, counter, "open", "expired");
                 ctx.emit(
                     "workload.expired",
                     format!("by={} at_height={}", ctx.sender, ctx.block_height),
@@ -746,31 +750,17 @@ impl Contract for WorkloadContract {
             }
             calls::ABORT => {
                 self.require_phase(Phase::Executing)?;
-                if self.state.exec_timeout_blocks == 0 {
-                    return Err(ContractError::Revert(
-                        "workload has no execution timeout".into(),
-                    ));
-                }
-                let abort_height = self.state.started_height + self.state.exec_timeout_blocks;
+                let abort_height = self.state.abort_height().ok_or_else(|| {
+                    ContractError::Revert("workload has no execution timeout".into())
+                })?;
                 if ctx.block_height <= abort_height {
                     return Err(ContractError::Revert(format!(
                         "execution timeout {abort_height} not reached at height {}",
                         ctx.block_height
                     )));
                 }
-                if self.state.funded > 0 {
-                    self.pay(ctx, self.state.consumer, self.state.funded);
-                    self.state.funded = 0;
-                }
-                self.state.phase = Phase::Cancelled;
-                pds2_obs::counter!("market.contracts_aborted").inc();
-                pds2_obs::trace_event!(
-                    "market",
-                    "contract.phase",
-                    pds2_obs::Stamp::Block(ctx.block_height),
-                    ctx.trace,
-                    "from" => "executing", "to" => "cancelled", "reason" => "abort",
-                );
+                let counter = pds2_obs::counter!("market.contracts_aborted");
+                self.refund_and_cancel(ctx, counter, "executing", "abort");
                 ctx.emit(
                     "workload.aborted",
                     format!("by={} at_height={}", ctx.sender, ctx.block_height),
@@ -1106,6 +1096,31 @@ mod tests {
         let r = h.call(&consumer, calls::finalize(&[(outsider, 1)]), 0);
         assert!(!r.success);
         assert!(r.error.unwrap().contains("non-contributor"));
+    }
+
+    #[test]
+    fn finalize_share_count_is_bounded_by_its_input() {
+        let mut h = Harness::new(2);
+        h.drive_to_executing();
+        for e in &h.executors.clone() {
+            assert!(h.call(e, calls::submit_result(sha256(b"r")), 0).success);
+        }
+        let before = h.state();
+        // Nine bytes from anyone: the tag, and a share count that nothing
+        // follows. It is a failed call, not an allocation.
+        let stranger = KeyPair::from_seed(55);
+        for count in [1u64 << 60, 1] {
+            let mut input = vec![calls::FINALIZE];
+            input.extend_from_slice(&count.to_le_bytes());
+            let r = h.call(&stranger, input, 0);
+            assert!(!r.success);
+            assert!(r.error.unwrap().contains("length prefix exceeds input"));
+            assert_eq!(h.state(), before, "count {count}: rolled back");
+        }
+        // The workload still finalizes.
+        let p = h.providers.clone();
+        let r = h.call(&h.consumer.clone(), calls::finalize(&[(p[0], 10_000)]), 0);
+        assert!(r.success, "{:?}", r.error);
     }
 
     #[test]

@@ -14,7 +14,11 @@
 //!   endorsements and the executor-side verification pipeline;
 //! - [`marketplace`] — the orchestrator wiring all five roles of Fig. 1
 //!   through the complete Fig. 2 lifecycle, with the Fig. 3 storage
-//!   configurations (provider-owned vs outsourced sealed storage).
+//!   configurations (provider-owned vs outsourced sealed storage). One
+//!   file per phase under `marketplace/`, in lifecycle order: `register`,
+//!   `submit` (escrow), `attest`, `accept`, `execute`, `reward`, `abort`;
+//!   `mod.rs` holds the state they share, the transaction sender and the
+//!   lookups.
 //!
 //! ## Quickstart
 //!

@@ -214,8 +214,10 @@ pub fn encode_dataset(data: &Dataset, enc: &mut Encoder) {
 
 /// Decodes a dataset written by [`encode_dataset`].
 pub fn decode_dataset(dec: &mut Decoder<'_>) -> Result<Dataset, DecodeError> {
-    let n = dec.get_u64()? as usize;
+    let rows = dec.get_u64()?;
     let d = dec.get_u32()? as usize;
+    // A row is `d` features and a target, eight bytes each.
+    let n = dec.bounded_count(rows, d.saturating_add(1).saturating_mul(8))?;
     let mut x = Vec::with_capacity(n);
     let mut y = Vec::with_capacity(n);
     for _ in 0..n {

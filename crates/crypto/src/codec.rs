@@ -196,10 +196,8 @@ impl<'a> Decoder<'a> {
     }
 
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
-        let len = self.get_u64()? as usize;
-        if len > self.remaining() {
-            return Err(DecodeError::LengthOverflow);
-        }
+        let len = self.get_u64()?;
+        let len = self.bounded_count(len, 1)?;
         Ok(self.take(len)?.to_vec())
     }
 
@@ -216,12 +214,22 @@ impl<'a> Decoder<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
-    pub fn get_seq<T: Decode>(&mut self) -> Result<Vec<T>, DecodeError> {
-        let len = self.get_u64()? as usize;
-        // Each element needs at least one byte; reject absurd prefixes early.
-        if len > self.remaining() {
-            return Err(DecodeError::LengthOverflow);
+    /// Bounds an element count read from the input by what is left of it:
+    /// `count` elements of at least `min_elem_len` encoded bytes each must
+    /// still fit. Every decoder that allocates for a count calls this
+    /// first, so a forged prefix costs an error, not an allocation.
+    #[inline]
+    pub fn bounded_count(&self, count: u64, min_elem_len: usize) -> Result<usize, DecodeError> {
+        match usize::try_from(count) {
+            Ok(n) if n <= self.remaining() / min_elem_len.max(1) => Ok(n),
+            _ => Err(DecodeError::LengthOverflow),
         }
+    }
+
+    pub fn get_seq<T: Decode>(&mut self) -> Result<Vec<T>, DecodeError> {
+        let len = self.get_u64()?;
+        // Each element needs at least one byte.
+        let len = self.bounded_count(len, 1)?;
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(T::decode(self)?);
@@ -470,6 +478,28 @@ mod tests {
         // Trailing bytes.
         let dec = Decoder::new(&[1]);
         assert_eq!(dec.expect_end(), Err(DecodeError::TrailingBytes));
+    }
+
+    #[test]
+    fn bounded_count_limits_elements_to_remaining_input() {
+        let dec = Decoder::new(&[0u8; 24]);
+        assert_eq!(dec.bounded_count(3, 8), Ok(3));
+        assert_eq!(dec.bounded_count(4, 8), Err(DecodeError::LengthOverflow));
+        assert_eq!(dec.bounded_count(24, 0), Ok(24), "no element is free");
+        assert_eq!(dec.bounded_count(25, 0), Err(DecodeError::LengthOverflow));
+        assert_eq!(dec.bounded_count(0, usize::MAX), Ok(0));
+        assert_eq!(
+            dec.bounded_count(u64::MAX, 1),
+            Err(DecodeError::LengthOverflow)
+        );
+        // A sequence prefix is checked before it is allocated for.
+        let mut enc = Encoder::new();
+        enc.put_u64(1 << 60);
+        let bytes = enc.finish();
+        assert_eq!(
+            Decoder::new(&bytes).get_seq::<u64>(),
+            Err(DecodeError::LengthOverflow)
+        );
     }
 
     #[test]

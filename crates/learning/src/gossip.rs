@@ -142,10 +142,8 @@ impl Encode for GossipMsg {
 
 impl Decode for GossipMsg {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let n = dec.get_u32()? as usize;
-        if n > dec.remaining() / 8 {
-            return Err(DecodeError::LengthOverflow);
-        }
+        let n = dec.get_u32()?;
+        let n = dec.bounded_count(n.into(), 8)?;
         let mut params = Vec::with_capacity(n);
         for _ in 0..n {
             params.push(dec.get_f64()?);

@@ -8,12 +8,18 @@
 //! point): [`LocalStore`] keeps plaintext on provider-owned hardware,
 //! while [`ThirdPartyStore`] — outsourced storage per Fig. 3 — holds only
 //! sealed ciphertext and *published* (redacted) metadata, so the storage
-//! operator never sees raw data. Access is mediated by provider-signed
-//! [`AccessGrant`]s.
+//! operator never sees raw data.
+//!
+//! Access is mediated by provider-signed [`AccessGrant`]s. A store is
+//! created for one owner and releases a record only to a grant that its
+//! owner signed, that names the asking executor and that has not expired
+//! (`check_grant`). What a [`ThirdPartyStore`] releases is the sealed
+//! record in a wire layout only this module knows:
+//! [`ThirdPartyStore::open_wire`] is its reader.
 
 use crate::semantic::{Metadata, Ontology, Requirement};
 use pds2_crypto::chacha20::{open as seal_open, seal, SealedBlob, KEY_LEN, NONCE_LEN};
-use pds2_crypto::codec::{Encode, Encoder};
+use pds2_crypto::codec::{Decoder, Encode, Encoder};
 use pds2_crypto::merkle::MerkleTree;
 use pds2_crypto::schnorr::{KeyPair, PublicKey, Signature};
 use pds2_crypto::sha256::{sha256, Digest};
@@ -160,6 +166,21 @@ impl AccessGrant {
     }
 }
 
+/// What either store checks before it releases a record. The signature
+/// alone proves nothing, since the grant carries the key it verifies
+/// against: the store has to know whose records it holds.
+fn check_grant(
+    owner: &PublicKey,
+    grant: &AccessGrant,
+    executor: &Digest,
+    now: u64,
+) -> Result<(), StorageError> {
+    if &grant.provider != owner {
+        return Err(StorageError::InvalidGrant("not the record owner"));
+    }
+    grant.verify(grant.record, grant.workload_id, executor, now)
+}
+
 /// The storage-subsystem interface shared by all backends.
 pub trait StorageBackend {
     /// Stores a record, returning its content id.
@@ -205,15 +226,18 @@ pub trait StorageBackend {
 }
 
 /// Provider-owned storage: full plaintext, full metadata (Fig. 3 left).
-#[derive(Default)]
 pub struct LocalStore {
+    owner: PublicKey,
     records: BTreeMap<RecordId, Record>,
 }
 
 impl LocalStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty store for the provider whose grants it will honour.
+    pub fn new(owner: PublicKey) -> Self {
+        LocalStore {
+            owner,
+            records: BTreeMap::new(),
+        }
     }
 
     /// Direct record access (owner only — not part of the backend trait).
@@ -251,7 +275,7 @@ impl StorageBackend for LocalStore {
             .records
             .get(&grant.record)
             .ok_or(StorageError::NotFound)?;
-        grant.verify(grant.record, grant.workload_id, executor, now)?;
+        check_grant(&self.owner, grant, executor, now)?;
         Ok(record.payload.clone())
     }
 
@@ -268,6 +292,7 @@ impl StorageBackend for LocalStore {
 /// Outsourced storage (Fig. 3 right): the operator holds sealed payloads
 /// and only the provider-chosen *published* view of the metadata.
 pub struct ThirdPartyStore {
+    owner: PublicKey,
     sealed: BTreeMap<RecordId, (SealedBlob, Metadata)>,
     provider_key: [u8; KEY_LEN],
     publish_level: u8,
@@ -275,11 +300,12 @@ pub struct ThirdPartyStore {
 }
 
 impl ThirdPartyStore {
-    /// Creates a store for a provider. `publish_level` is the metadata
-    /// detail level the provider is willing to reveal to the operator
-    /// (the E10 leakage knob).
-    pub fn new(provider_key: [u8; KEY_LEN], publish_level: u8) -> Self {
+    /// Creates a store for the provider `owner`, whose grants it will
+    /// honour. `publish_level` is the metadata detail level the provider is
+    /// willing to reveal to the operator (the E10 leakage knob).
+    pub fn new(owner: PublicKey, provider_key: [u8; KEY_LEN], publish_level: u8) -> Self {
         ThirdPartyStore {
+            owner,
             sealed: BTreeMap::new(),
             provider_key,
             publish_level,
@@ -291,6 +317,22 @@ impl ThirdPartyStore {
     /// conveyed out-of-band through the TEE session).
     pub fn unseal_payload(key: &[u8; KEY_LEN], blob: &SealedBlob) -> Result<Vec<u8>, StorageError> {
         seal_open(key, blob).ok_or(StorageError::CorruptCiphertext)
+    }
+
+    /// Opens a sealed record as [`StorageBackend::fetch_with_grant`]
+    /// releases it (`nonce ‖ ciphertext ‖ tag`), with the key the provider
+    /// conveys to an attested enclave. Bytes that do not parse are a
+    /// corrupt ciphertext like any other.
+    pub fn open_wire(key: &[u8; KEY_LEN], wire: &[u8]) -> Result<Vec<u8>, StorageError> {
+        let corrupt = |_| StorageError::CorruptCiphertext;
+        let mut dec = Decoder::new(wire);
+        let nonce = dec.get_raw(NONCE_LEN).map_err(corrupt)?;
+        let blob = SealedBlob {
+            nonce: nonce.try_into().expect("NONCE_LEN bytes were read"),
+            ciphertext: dec.get_bytes().map_err(corrupt)?,
+            tag: dec.get_digest().map_err(corrupt)?,
+        };
+        Self::unseal_payload(key, &blob)
     }
 }
 
@@ -328,9 +370,9 @@ impl StorageBackend for ThirdPartyStore {
             .sealed
             .get(&grant.record)
             .ok_or(StorageError::NotFound)?;
-        grant.verify(grant.record, grant.workload_id, executor, now)?;
+        check_grant(&self.owner, grant, executor, now)?;
         // The operator releases ciphertext only; decryption happens at the
-        // executor with the provider-shared key.
+        // executor with the provider-shared key ([`Self::open_wire`]).
         let mut enc = Encoder::new();
         enc.put_raw(&blob.nonce);
         enc.put_bytes(&blob.ciphertext);
@@ -370,6 +412,11 @@ mod tests {
         }
     }
 
+    /// The provider every store in these tests belongs to.
+    fn owner() -> KeyPair {
+        KeyPair::from_seed(1)
+    }
+
     fn ontology() -> Ontology {
         let mut o = Ontology::new();
         o.declare("sensor/environment/temperature");
@@ -378,7 +425,7 @@ mod tests {
 
     #[test]
     fn local_store_roundtrip() {
-        let mut s = LocalStore::new();
+        let mut s = LocalStore::new(owner().public);
         let id = s.put(sample_record(1));
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(id).unwrap().payload, b"reading-1");
@@ -387,7 +434,7 @@ mod tests {
 
     #[test]
     fn matching_on_published_metadata() {
-        let mut s = LocalStore::new();
+        let mut s = LocalStore::new(owner().public);
         s.put(sample_record(1));
         s.put(sample_record(2));
         let o = ontology();
@@ -405,9 +452,9 @@ mod tests {
 
     #[test]
     fn grant_flow_local() {
-        let provider = KeyPair::from_seed(1);
+        let provider = owner();
         let executor_id = sha256(b"executor-1");
-        let mut s = LocalStore::new();
+        let mut s = LocalStore::new(owner().public);
         let id = s.put(sample_record(1));
         let grant = AccessGrant::issue(&provider, id, 7, executor_id, 1000);
         let payload = s.fetch_with_grant(&grant, &executor_id, 500).unwrap();
@@ -416,10 +463,10 @@ mod tests {
 
     #[test]
     fn grant_rejections() {
-        let provider = KeyPair::from_seed(1);
+        let provider = owner();
         let executor_id = sha256(b"executor-1");
         let other_executor = sha256(b"executor-2");
-        let mut s = LocalStore::new();
+        let mut s = LocalStore::new(owner().public);
         let id = s.put(sample_record(1));
         let grant = AccessGrant::issue(&provider, id, 7, executor_id, 1000);
 
@@ -441,6 +488,13 @@ mod tests {
             forged.verify(id, 8, &executor_id, 500).unwrap_err(),
             StorageError::InvalidGrant("bad signature")
         );
+        // Signed by someone other than the store's owner, for themselves.
+        let stranger = AccessGrant::issue(&KeyPair::from_seed(0xbad), id, 7, executor_id, 1000);
+        assert_eq!(
+            s.fetch_with_grant(&stranger, &executor_id, 500)
+                .unwrap_err(),
+            StorageError::InvalidGrant("not the record owner")
+        );
         // Missing record.
         let ghost = AccessGrant::issue(&provider, RecordId::of(b"ghost"), 7, executor_id, 1000);
         assert_eq!(
@@ -452,11 +506,11 @@ mod tests {
     #[test]
     fn third_party_store_never_sees_plaintext() {
         let key = [9u8; KEY_LEN];
-        let mut s = ThirdPartyStore::new(key, 1);
+        let mut s = ThirdPartyStore::new(owner().public, key, 1);
         let record = sample_record(1);
         let id = s.put(record.clone());
         // Fetch returns ciphertext bytes, not the payload.
-        let provider = KeyPair::from_seed(1);
+        let provider = owner();
         let executor_id = sha256(b"executor-1");
         let grant = AccessGrant::issue(&provider, id, 7, executor_id, 1000);
         let wire = s.fetch_with_grant(&grant, &executor_id, 500).unwrap();
@@ -470,7 +524,7 @@ mod tests {
 
     #[test]
     fn third_party_metadata_is_redacted() {
-        let mut s = ThirdPartyStore::new([0u8; KEY_LEN], 1);
+        let mut s = ThirdPartyStore::new(owner().public, [0u8; KEY_LEN], 1);
         let id = s.put(sample_record(1));
         let published = s.published_metadata(id).unwrap();
         assert!(published.get("type").is_some());
@@ -484,40 +538,61 @@ mod tests {
     #[test]
     fn sealed_payload_roundtrip_via_wire_format() {
         let key = [7u8; KEY_LEN];
-        let mut s = ThirdPartyStore::new(key, 0);
+        let mut s = ThirdPartyStore::new(owner().public, key, 0);
         let id = s.put(sample_record(3));
-        let provider = KeyPair::from_seed(1);
+        let provider = owner();
         let executor_id = sha256(b"ex");
         let grant = AccessGrant::issue(&provider, id, 1, executor_id, 10);
         let wire = s.fetch_with_grant(&grant, &executor_id, 5).unwrap();
-        // Decode the wire format back into a SealedBlob.
-        let mut dec = pds2_crypto::codec::Decoder::new(&wire);
-        let nonce: [u8; NONCE_LEN] = dec.get_raw(NONCE_LEN).unwrap().try_into().unwrap();
-        let ciphertext = dec.get_bytes().unwrap();
-        let tag = dec.get_digest().unwrap();
-        let blob = SealedBlob {
-            nonce,
-            ciphertext,
-            tag,
-        };
-        let plain = ThirdPartyStore::unseal_payload(&key, &blob).unwrap();
+        let plain = ThirdPartyStore::open_wire(&key, &wire).unwrap();
         assert_eq!(plain, b"reading-3");
-        // Wrong key fails.
+        // A wrong key, a flipped byte and a short read all fail alike.
+        let mut flipped = wire.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        for (key, wire) in [
+            (&[0u8; KEY_LEN], &wire[..]),
+            (&key, &flipped[..]),
+            (&key, &wire[..wire.len() - 1]),
+            (&key, &wire[..NONCE_LEN - 1]),
+        ] {
+            assert_eq!(
+                ThirdPartyStore::open_wire(key, wire).unwrap_err(),
+                StorageError::CorruptCiphertext
+            );
+        }
+    }
+
+    #[test]
+    fn a_grant_its_holder_signed_for_itself_opens_nothing() {
+        // Anyone can mint a well-signed grant naming themselves as provider.
+        let me = sha256(b"me");
+        let mut local = LocalStore::new(owner().public);
+        let mut third = ThirdPartyStore::new(owner().public, [7u8; KEY_LEN], 0);
+        let id = local.put(sample_record(1));
+        assert_eq!(third.put(sample_record(1)), id);
+        let forged = AccessGrant::issue(&KeyPair::from_seed(0xbad), id, 1, me, 10);
+        forged.verify(id, 1, &me, 0).expect("the signature is fine");
+        let refused = Err(StorageError::InvalidGrant("not the record owner"));
+        assert_eq!(local.fetch_with_grant(&forged, &me, 0), refused);
+        assert_eq!(third.fetch_with_grant(&forged, &me, 0), refused);
+        // The owner's grant for the same record still opens both.
+        let granted = AccessGrant::issue(&owner(), id, 1, me, 10);
         assert_eq!(
-            ThirdPartyStore::unseal_payload(&[0u8; KEY_LEN], &blob).unwrap_err(),
-            StorageError::CorruptCiphertext
+            local.fetch_with_grant(&granted, &me, 0).unwrap(),
+            b"reading-1"
         );
+        assert!(third.fetch_with_grant(&granted, &me, 0).is_ok());
     }
 
     #[test]
     fn content_roots_commit_to_contents() {
-        let mut s1 = LocalStore::new();
+        let mut s1 = LocalStore::new(owner().public);
         s1.put(sample_record(1));
         let r1 = s1.content_root();
         s1.put(sample_record(2));
         assert_ne!(s1.content_root(), r1);
         // Empty store commits to the zero sentinel.
-        assert_eq!(LocalStore::new().content_root(), Digest::ZERO);
+        assert_eq!(LocalStore::new(owner().public).content_root(), Digest::ZERO);
     }
 
     #[test]
@@ -530,10 +605,10 @@ mod tests {
             min: 0.5,
             max: 2.0,
         };
-        let mut hidden = ThirdPartyStore::new([0u8; KEY_LEN], 0);
+        let mut hidden = ThirdPartyStore::new(owner().public, [0u8; KEY_LEN], 0);
         hidden.put(sample_record(1));
         assert!(hidden.match_workload(&req, &o).is_empty());
-        let mut open = ThirdPartyStore::new([0u8; KEY_LEN], 1);
+        let mut open = ThirdPartyStore::new(owner().public, [0u8; KEY_LEN], 1);
         open.put(sample_record(1));
         assert_eq!(open.match_workload(&req, &o).len(), 1);
     }

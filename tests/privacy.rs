@@ -176,7 +176,8 @@ fn third_party_operator_sees_only_ciphertext_and_redacted_metadata() {
     use pds2::storage::semantic::{MetaValue, Metadata};
     use pds2::storage::store::{Record, StorageBackend, ThirdPartyStore};
     let key = [9u8; 32];
-    let mut store = ThirdPartyStore::new(key, 0);
+    let owner = pds2_crypto::KeyPair::from_seed(1).public;
+    let mut store = ThirdPartyStore::new(owner, key, 0);
     let secret_payload = b"very-identifying-sensor-trace".to_vec();
     let meta = Metadata::new()
         .with(
