@@ -1,23 +1,21 @@
-//! Pluggable state-commitment backends.
+//! The state commitment: leaf keys and the tree that holds them.
 //!
 //! [`crate::state::WorldState`] flattens every piece of consensus state
-//! into `(LeafKey, value bytes)` pairs and delegates root computation to
-//! a [`StateBackend`]. Two deterministic implementations exist:
+//! into `(LeafKey, value bytes)` pairs; a `Commitment` keeps the sparse
+//! Merkle tree ([`crate::smt`]) over them and differs by [`BackendKind`]
+//! in one place, how a commit reaches the tree:
 //!
-//! - [`SmtBackend`] (default) — an incremental sparse Merkle tree
-//!   updated in place in two flat node arrays ([`crate::smt`]). Each
-//!   block's commit costs O(touched keys · depth) hashes, independent
-//!   of total state size.
-//! - [`FullRehashBackend`] — the reference oracle. It ignores the dirty
-//!   set entirely and rebuilds the tree from a fresh enumeration of
-//!   *every* leaf in the live maps, mirroring the schoolbook-oracle
-//!   pattern used for the crypto fast paths. Any dirty-tracking bug in
-//!   the incremental path shows up as a root divergence against this
-//!   backend.
+//! - [`BackendKind::Smt`] (default) folds the changed leaves into the tree
+//!   in place, O(touched keys · depth) hashes whatever the state size;
+//! - [`BackendKind::FullRehash`], the reference oracle, ignores the
+//!   changed set and rebuilds the tree from a fresh enumeration of *every*
+//!   leaf in the live maps, like the schoolbook oracles of the crypto fast
+//!   paths. A dirty-tracking bug on the incremental path shows up as a
+//!   root that differs from this one.
 //!
-//! Both produce **bit-identical roots** for identical logical state —
-//! the root is a pure function of the canonical leaf set. Selection is
-//! via [`BackendKind::from_env`] (`PDS2_STATE_BACKEND=smt|rehash`) or
+//! Both give **bit-identical roots** for identical logical state: the
+//! root is a pure function of the canonical leaf set. Selection is via
+//! [`BackendKind::from_env`] (`PDS2_STATE_BACKEND=smt|rehash`) or
 //! [`crate::state::WorldState::set_backend`].
 
 use crate::address::Address;
@@ -109,114 +107,64 @@ impl BackendKind {
         }
     }
 
-    /// Instantiates an empty backend of this kind.
-    pub fn make(self) -> Box<dyn StateBackend> {
-        match self {
-            BackendKind::Smt => Box::new(SmtBackend::default()),
-            BackendKind::FullRehash => Box::new(FullRehashBackend::default()),
+    /// An empty commitment of this kind.
+    pub(crate) fn make(self) -> Commitment {
+        Commitment {
+            kind: self,
+            tree: SmtTree::default(),
+            committed: false,
         }
     }
 }
 
-/// State-commitment strategy. `commit` receives both the changed-key
-/// delta and a thunk enumerating the full canonical leaf set; an
-/// incremental backend uses the delta, an oracle uses the enumeration.
-/// Either way the returned root must be the canonical SMT root of the
-/// current leaf set.
-pub trait StateBackend {
+/// The authenticated leaf set: one tree, filled the way `kind` says.
+pub(crate) struct Commitment {
+    kind: BackendKind,
+    tree: SmtTree,
+    committed: bool,
+}
+
+impl Commitment {
     /// Backend name for diagnostics and bench output.
-    fn name(&self) -> &'static str;
+    pub(crate) fn name(&self) -> &'static str {
+        match self.kind {
+            BackendKind::Smt => "smt",
+            BackendKind::FullRehash => "rehash",
+        }
+    }
 
     /// Applies a batch of leaf changes (`None` = delete) and returns
-    /// `(new root, node hashes computed)`.
-    fn commit(
+    /// `(new root, node hashes computed)`. The incremental kind uses the
+    /// delta; the oracle ignores it and takes `full`, the enumeration of
+    /// the whole canonical leaf set, so it is blind to any dirty-tracking
+    /// mistake. Either way the root is the canonical SMT root of the
+    /// current leaf set.
+    pub(crate) fn commit(
         &mut self,
         changed: Vec<(Digest, Option<Digest>)>,
-        full: &mut dyn FnMut() -> Vec<(Digest, Digest)>,
-    ) -> (Digest, u64);
+        full: impl FnOnce() -> Vec<(Digest, Digest)>,
+    ) -> (Digest, u64) {
+        let hashed = match self.kind {
+            BackendKind::Smt => self.tree.commit(changed),
+            BackendKind::FullRehash => {
+                let (tree, hashed) = SmtTree::from_leaves(full());
+                self.tree = tree;
+                hashed
+            }
+        };
+        self.committed = true;
+        (self.tree.root_hash(), hashed)
+    }
 
     /// Root of the last commit (`None` before the first).
-    fn root(&self) -> Option<Digest>;
+    pub(crate) fn root(&self) -> Option<Digest> {
+        self.committed.then(|| self.tree.root_hash())
+    }
 
     /// Merkle (non-)inclusion proof for a tree key, against the last
     /// committed root.
-    fn prove(&self, key: &Digest) -> SmtProof;
-
-    /// Leaves currently present.
-    fn leaf_count(&self) -> usize;
-}
-
-/// Incremental sparse-Merkle backend (see [`crate::smt`]).
-#[derive(Default)]
-pub struct SmtBackend {
-    tree: SmtTree,
-    committed: bool,
-}
-
-impl StateBackend for SmtBackend {
-    fn name(&self) -> &'static str {
-        "smt"
-    }
-
-    fn commit(
-        &mut self,
-        changed: Vec<(Digest, Option<Digest>)>,
-        _full: &mut dyn FnMut() -> Vec<(Digest, Digest)>,
-    ) -> (Digest, u64) {
-        let hashed = self.tree.commit(changed);
-        self.committed = true;
-        (self.tree.root_hash(), hashed)
-    }
-
-    fn root(&self) -> Option<Digest> {
-        self.committed.then(|| self.tree.root_hash())
-    }
-
-    fn prove(&self, key: &Digest) -> SmtProof {
+    pub(crate) fn prove(&self, key: &Digest) -> SmtProof {
         self.tree.prove(key)
-    }
-
-    fn leaf_count(&self) -> usize {
-        self.tree.len()
-    }
-}
-
-/// Reference oracle: rebuilds the whole tree from a fresh full-state
-/// enumeration on every commit, ignoring the delta. O(total state) per
-/// block — correct by construction, and deliberately blind to any
-/// dirty-tracking mistake the incremental path could make.
-#[derive(Default)]
-pub struct FullRehashBackend {
-    tree: SmtTree,
-    committed: bool,
-}
-
-impl StateBackend for FullRehashBackend {
-    fn name(&self) -> &'static str {
-        "rehash"
-    }
-
-    fn commit(
-        &mut self,
-        _changed: Vec<(Digest, Option<Digest>)>,
-        full: &mut dyn FnMut() -> Vec<(Digest, Digest)>,
-    ) -> (Digest, u64) {
-        let (tree, hashed) = SmtTree::from_leaves(full());
-        self.tree = tree;
-        self.committed = true;
-        (self.tree.root_hash(), hashed)
-    }
-
-    fn root(&self) -> Option<Digest> {
-        self.committed.then(|| self.tree.root_hash())
-    }
-
-    fn prove(&self, key: &Digest) -> SmtProof {
-        self.tree.prove(key)
-    }
-
-    fn leaf_count(&self) -> usize {
-        self.tree.len()
     }
 }
 
@@ -290,11 +238,11 @@ mod tests {
                     changed.push((k, Some(v)));
                 }
             }
-            let mut full = || map.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>();
-            let (r1, _) = smt.commit(changed.clone(), &mut full);
-            let (r2, _) = oracle.commit(changed, &mut full);
+            let full = || map.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>();
+            let (r1, _) = smt.commit(changed.clone(), full);
+            let (r2, _) = oracle.commit(changed, full);
             assert_eq!(r1, r2, "round {round}");
-            assert_eq!(smt.leaf_count(), oracle.leaf_count());
+            assert_eq!(smt.tree.len(), oracle.tree.len());
         }
     }
 

@@ -232,6 +232,16 @@ pub(crate) mod test_support {
                     ctx.transfer_out(ctx.sender, u128::MAX);
                     Ok(Vec::new())
                 }
+                Some(4) => {
+                    // pay the sender in tokens: `token u64 ‖ amount u128`
+                    // per payout
+                    for payout in input[1..].chunks_exact(24) {
+                        let token = u64::from_le_bytes(payout[..8].try_into().unwrap());
+                        let amount = u128::from_le_bytes(payout[8..].try_into().unwrap());
+                        ctx.transfer_token_out(TokenId(token), ctx.sender, amount);
+                    }
+                    Ok(Vec::new())
+                }
                 _ => Err(ContractError::BadInput("unknown method".into())),
             }
         }

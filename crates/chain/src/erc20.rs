@@ -6,6 +6,7 @@
 //! allowances, minting (creator-controlled) and burning.
 
 use crate::address::Address;
+use crate::backend::LeafKey;
 use crate::event::{Event, EventSink};
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use std::collections::BTreeMap;
@@ -275,7 +276,7 @@ impl Erc20Module {
                 Ok(None)
             }
             Erc20Op::Transfer { token, to, amount } => {
-                self.move_tokens(*token, sender, *to, *amount)?;
+                self.module_transfer(*token, sender, *to, *amount)?;
                 events.emit(Event::token(
                     "erc20.transfer",
                     format!("token={} from={sender} to={to} amount={amount}", token.0),
@@ -324,7 +325,7 @@ impl Erc20Module {
                         .allowances
                         .insert((*owner, sender), allowance - amount);
                 }
-                self.move_tokens(*token, *owner, *to, *amount)?;
+                self.module_transfer(*token, *owner, *to, *amount)?;
                 events.emit(Event::token(
                     "erc20.transfer_from",
                     format!(
@@ -351,7 +352,41 @@ impl Erc20Module {
         }
     }
 
-    fn move_tokens(
+    /// The leaves `op` from `sender` can have written, `created` being the
+    /// id [`Self::apply`] returned. To be marked on success AND failure: a
+    /// failed `Transfer` or `Burn` still creates a zero balance entry for
+    /// the sender (`entry().or_default()` precedes the check), and missing
+    /// it would silently fork the root. Every marked leaf is recomputed
+    /// from the live maps, so naming one that did not change is harmless.
+    pub(crate) fn touched_leaves(
+        sender: Address,
+        op: &Erc20Op,
+        created: Option<TokenId>,
+    ) -> Vec<LeafKey> {
+        use LeafKey::{Erc20Allow as Allow, Erc20Bal as Bal, Erc20Meta as Meta};
+        match *op {
+            Erc20Op::Create { .. } => created.map_or(Vec::new(), |id| {
+                vec![LeafKey::Erc20Next, Meta(id), Bal(id, sender)]
+            }),
+            Erc20Op::Mint { token, to, .. } => vec![Meta(token), Bal(token, to)],
+            Erc20Op::Transfer { token, to, .. } => vec![Bal(token, sender), Bal(token, to)],
+            Erc20Op::Approve { token, spender, .. } => vec![Allow(token, sender, spender)],
+            Erc20Op::TransferFrom {
+                token, owner, to, ..
+            } => vec![
+                Allow(token, owner, sender),
+                Bal(token, owner),
+                Bal(token, to),
+            ],
+            Erc20Op::Burn { token, .. } => vec![Meta(token), Bal(token, sender)],
+        }
+    }
+
+    /// Moves `amount` of `token` from one balance to another. Besides
+    /// `Transfer` and `TransferFrom` it serves, without a signed op, the
+    /// trusted native contracts (e.g. the workload contract paying rewards
+    /// from escrow).
+    pub fn module_transfer(
         &mut self,
         token: TokenId,
         from: Address,
@@ -369,18 +404,6 @@ impl Erc20Module {
         *from_bal -= amount;
         *state.balances.entry(to).or_default() += amount;
         Ok(())
-    }
-
-    /// Transfers tokens without a signed op — used by trusted native
-    /// contracts (e.g. the workload contract paying rewards from escrow).
-    pub fn module_transfer(
-        &mut self,
-        token: TokenId,
-        from: Address,
-        to: Address,
-        amount: u128,
-    ) -> Result<(), TokenError> {
-        self.move_tokens(token, from, to, amount)
     }
 
     /// Balance query.
@@ -409,97 +432,49 @@ impl Erc20Module {
         self.tokens.get(&token).map(|t| t.symbol.as_str())
     }
 
-    /// Next token id to be assigned (0 when no token was ever created).
-    pub(crate) fn next_id(&self) -> u64 {
-        self.next_id
+    /// The leaves this ledger has: the id counter once a token was
+    /// created, and per token its metadata and every balance and allowance
+    /// entry. Explicit zeros are entries: a failed transfer leaves one
+    /// behind and approvals of 0 are stored, and those must hash
+    /// identically on every node.
+    pub(crate) fn leaf_keys(&self) -> impl Iterator<Item = LeafKey> + '_ {
+        let next = (self.next_id != 0).then_some(LeafKey::Erc20Next);
+        next.into_iter()
+            .chain(self.tokens.iter().flat_map(|(&id, t)| {
+                let balances = t.balances.keys().map(move |a| LeafKey::Erc20Bal(id, *a));
+                let allowances = t
+                    .allowances
+                    .keys()
+                    .map(move |(o, s)| LeafKey::Erc20Allow(id, *o, *s));
+                std::iter::once(LeafKey::Erc20Meta(id))
+                    .chain(balances)
+                    .chain(allowances)
+            }))
     }
 
-    /// Token metadata leaf value: `(symbol, minter, total_supply)`,
-    /// present iff the token exists.
-    pub(crate) fn meta_entry(&self, token: TokenId) -> Option<(&str, Option<Address>, u128)> {
-        self.tokens
-            .get(&token)
-            .map(|t| (t.symbol.as_str(), t.minter, t.total_supply))
-    }
-
-    /// Balance map entry — `Some(0)` when an explicit zero entry exists,
-    /// `None` when the holder has no entry at all. The state root leafs
-    /// exactly the entries present (failed transfers can leave zero
-    /// entries behind, and those must hash identically on every node).
-    pub(crate) fn bal_entry(&self, token: TokenId, owner: &Address) -> Option<u128> {
-        self.tokens
-            .get(&token)
-            .and_then(|t| t.balances.get(owner).copied())
-    }
-
-    /// Allowance map entry, distinguishing absent from explicit zero
-    /// (approvals of 0 are stored).
-    pub(crate) fn allowance_entry(
-        &self,
-        token: TokenId,
-        owner: &Address,
-        spender: &Address,
-    ) -> Option<u128> {
-        self.tokens
-            .get(&token)
-            .and_then(|t| t.allowances.get(&(*owner, *spender)).copied())
-    }
-
-    /// All live token ids.
-    pub(crate) fn token_ids(&self) -> impl Iterator<Item = TokenId> + '_ {
-        self.tokens.keys().copied()
-    }
-
-    /// All balance entries of one token (including explicit zeros).
-    pub(crate) fn balance_entries(
-        &self,
-        token: TokenId,
-    ) -> impl Iterator<Item = (Address, u128)> + '_ {
-        self.tokens
-            .get(&token)
-            .into_iter()
-            .flat_map(|t| t.balances.iter().map(|(a, b)| (*a, *b)))
-    }
-
-    /// All allowance entries of one token.
-    pub(crate) fn allowance_entries(
-        &self,
-        token: TokenId,
-    ) -> impl Iterator<Item = (Address, Address, u128)> + '_ {
-        self.tokens
-            .get(&token)
-            .into_iter()
-            .flat_map(|t| t.allowances.iter().map(|((o, s), a)| (*o, *s, *a)))
-    }
-
-    /// Canonical digest of the whole module state (for state roots).
-    pub fn state_digest(&self) -> pds2_crypto::Digest {
+    /// Canonical value bytes of one of this ledger's leaves; `None` when
+    /// the entry is absent or the key is not an ERC-20 one.
+    pub(crate) fn leaf_value(&self, key: &LeafKey) -> Option<Vec<u8>> {
         let mut enc = Encoder::new();
-        enc.put_u64(self.next_id);
-        enc.put_u64(self.tokens.len() as u64);
-        for (id, t) in &self.tokens {
-            id.encode(&mut enc);
-            enc.put_str(&t.symbol);
-            enc.put_option(&t.minter);
-            enc.put_u128(t.total_supply);
-            enc.put_u64(t.balances.len() as u64);
-            for (addr, bal) in &t.balances {
-                addr.encode(&mut enc);
-                enc.put_u128(*bal);
+        match key {
+            LeafKey::Erc20Meta(t) => {
+                let t = self.tokens.get(t)?;
+                enc.put_str(&t.symbol);
+                enc.put_option(&t.minter);
+                enc.put_u128(t.total_supply);
             }
-            enc.put_u64(t.allowances.len() as u64);
-            for ((o, s), a) in &t.allowances {
-                o.encode(&mut enc);
-                s.encode(&mut enc);
-                enc.put_u128(*a);
+            LeafKey::Erc20Bal(t, a) => enc.put_u128(*self.tokens.get(t)?.balances.get(a)?),
+            LeafKey::Erc20Allow(t, o, s) => {
+                enc.put_u128(*self.tokens.get(t)?.allowances.get(&(*o, *s))?)
             }
+            LeafKey::Erc20Next if self.next_id != 0 => enc.put_u64(self.next_id),
+            _ => return None,
         }
-        pds2_crypto::sha256(&enc.finish())
+        Some(enc.finish())
     }
 }
 
-// Snapshot codec (crash recovery): same canonical layout as
-// `state_digest`, so restoring a snapshot reproduces the digest exactly.
+// Snapshot codec (crash recovery).
 impl Encode for Erc20Module {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u64(self.next_id);
@@ -762,28 +737,6 @@ mod tests {
             .unwrap_err(),
             TokenError::UnknownToken
         );
-    }
-
-    #[test]
-    fn state_digest_tracks_changes() {
-        let mut m = Erc20Module::default();
-        let d0 = m.state_digest();
-        let alice = addr(1);
-        let id = create_token(&mut m, alice, 100);
-        let d1 = m.state_digest();
-        assert_ne!(d0, d1);
-        let mut ev = EventSink::new();
-        m.apply(
-            alice,
-            &Erc20Op::Transfer {
-                token: id,
-                to: addr(2),
-                amount: 1,
-            },
-            &mut ev,
-        )
-        .unwrap();
-        assert_ne!(d1, m.state_digest());
     }
 
     #[test]

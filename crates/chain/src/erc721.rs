@@ -6,6 +6,7 @@
 //! per workload-code package.
 
 use crate::address::Address;
+use crate::backend::LeafKey;
 use crate::event::{Event, EventSink};
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use pds2_crypto::Digest;
@@ -310,6 +311,21 @@ impl Erc721Module {
         }
     }
 
+    /// The leaves `op` can have written, `created` being the id
+    /// [`Self::apply`] returned. Failed NFT ops do not mutate, but the
+    /// token is named either way: recomputing an untouched leaf is a no-op.
+    pub(crate) fn touched_leaves(op: &Erc721Op, created: Option<NftId>) -> Vec<LeafKey> {
+        match *op {
+            Erc721Op::Mint { .. } => created.map_or(Vec::new(), |id| {
+                vec![LeafKey::Erc721Next, LeafKey::Erc721Token(id)]
+            }),
+            Erc721Op::Transfer { id, .. }
+            | Erc721Op::Approve { id, .. }
+            | Erc721Op::TransferFrom { id, .. }
+            | Erc721Op::Burn { id } => vec![LeafKey::Erc721Token(id)],
+        }
+    }
+
     /// Owner query.
     pub fn owner_of(&self, id: NftId) -> Option<Address> {
         self.tokens.get(&id).map(|t| t.owner)
@@ -330,30 +346,22 @@ impl Erc721Module {
         self.tokens.len()
     }
 
-    /// Next NFT id to be assigned (0 when nothing was ever minted).
-    pub(crate) fn next_id(&self) -> u64 {
-        self.next_id
+    /// The leaves this ledger has: the id counter once anything was
+    /// minted, and one per live token.
+    pub(crate) fn leaf_keys(&self) -> impl Iterator<Item = LeafKey> + '_ {
+        let next = (self.next_id != 0).then_some(LeafKey::Erc721Next);
+        next.into_iter()
+            .chain(self.tokens.keys().map(|id| LeafKey::Erc721Token(*id)))
     }
 
-    /// All live tokens with metadata.
-    pub(crate) fn token_entries(&self) -> impl Iterator<Item = (NftId, &NftInfo)> + '_ {
-        self.tokens.iter().map(|(id, t)| (*id, t))
-    }
-
-    /// Canonical digest of module state (for state roots).
-    pub fn state_digest(&self) -> Digest {
-        let mut enc = Encoder::new();
-        enc.put_u64(self.next_id);
-        enc.put_u64(self.tokens.len() as u64);
-        for (id, t) in &self.tokens {
-            id.encode(&mut enc);
-            t.owner.encode(&mut enc);
-            t.kind.encode(&mut enc);
-            enc.put_digest(&t.content);
-            enc.put_str(&t.label);
-            enc.put_option(&t.approved);
+    /// Canonical value bytes of one of this ledger's leaves; `None` when
+    /// the token is absent or the key is not an ERC-721 one.
+    pub(crate) fn leaf_value(&self, key: &LeafKey) -> Option<Vec<u8>> {
+        match key {
+            LeafKey::Erc721Token(id) => self.tokens.get(id).map(|info| info.to_bytes()),
+            LeafKey::Erc721Next if self.next_id != 0 => Some(self.next_id.to_bytes()),
+            _ => None,
         }
-        pds2_crypto::sha256(&enc.finish())
     }
 }
 
@@ -588,13 +596,5 @@ mod tests {
         for op in ops {
             assert_eq!(Erc721Op::from_bytes(&op.to_bytes()).unwrap(), op);
         }
-    }
-
-    #[test]
-    fn state_digest_tracks_changes() {
-        let mut m = Erc721Module::default();
-        let d0 = m.state_digest();
-        mint(&mut m, addr(1), "data");
-        assert_ne!(d0, m.state_digest());
     }
 }

@@ -84,7 +84,7 @@ impl EventSink {
         self.events
     }
 
-    /// Drops all collected events (used when a transaction reverts).
+    /// Drops all collected events.
     pub fn clear(&mut self) {
         self.events.clear();
     }

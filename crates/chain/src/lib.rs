@@ -10,15 +10,21 @@
 //! - [`address`] — accounts and address derivation;
 //! - [`tx`] — signed transactions (transfers, token ops, deploy, call);
 //! - [`gas`] — gas schedule and metering;
-//! - [`erc20`] — fungible tokens (consumer rewards);
-//! - [`erc721`] — NFTs committing to datasets and workload code;
+//! - [`erc20`] — fungible tokens (consumer rewards), and the layout of
+//!   their state leaves;
+//! - [`erc721`] — NFTs committing to datasets and workload code, and the
+//!   layout of theirs;
 //! - [`contract`] — the native-contract framework with atomic rollback;
-//! - [`state`] — the world state and the transaction execution function;
+//! - [`state`] — the world state and the one state transition, a file per
+//!   concern: price → signature → nonce → escrow → payload → settle
+//!   (`transition`, `call`), then commit (`commit`) and the recovery
+//!   snapshot (DESIGN.md §5f);
 //! - [`smt`] — the sparse Merkle tree authenticating the state, two
 //!   flat node arrays updated in place, with (non-)inclusion proofs for
 //!   light clients;
-//! - [`backend`] — pluggable state-commitment backends: the incremental
-//!   SMT and the full-rehash reference oracle (DESIGN.md §5f);
+//! - [`backend`] — the leaf keys and the one commitment struct over the
+//!   tree, filled incrementally or, as the reference oracle, by a full
+//!   rehash (DESIGN.md §5f);
 //! - [`block`] — blocks, headers (one constructor, sealed by the
 //!   proposer or the committee), Merkle transaction roots;
 //! - [`mempool`] — the fee-market transaction pool: per-account nonce
@@ -55,7 +61,7 @@ pub mod threshold;
 pub mod tx;
 
 pub use address::{Account, Address};
-pub use backend::{BackendKind, LeafKey, StateBackend};
+pub use backend::{BackendKind, LeafKey};
 pub use block::{Block, BlockHeader};
 pub use chain::{verify_account_proof, AccountProof, Blockchain, ChainConfig, ChainError};
 pub use contract::{CallCtx, Contract, ContractError, ContractRegistry};

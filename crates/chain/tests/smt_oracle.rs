@@ -1,6 +1,6 @@
 //! An oracle for the sparse Merkle tree that shares no code with it.
 //!
-//! `FullRehashBackend` and every other differential check in the
+//! The full-rehash backend and every other differential check in the
 //! workspace rebuild through `SmtTree::from_leaves`, so they compare the
 //! tree with itself. `spec_root` / `spec_proof` below are the module-doc
 //! rules of `pds2_chain::smt` written as plain recursion over a sorted

@@ -141,12 +141,20 @@ impl WorkloadState {
         (self.exec_timeout_blocks != 0).then(|| self.started_height + self.exec_timeout_blocks)
     }
 
+    /// What START needs funded: the provider reward and one fee per
+    /// registered executor. Both amounts come from the deployer's init
+    /// bytes; `None` when they do not fit a `u128`, which no escrow meets.
+    fn required_escrow(&self) -> Option<u128> {
+        self.executor_fee
+            .checked_mul(self.executors.len() as u128)?
+            .checked_add(self.provider_reward)
+    }
+
     fn start_conditions_met(&self) -> bool {
         self.contributions.len() as u32 >= self.min_providers
             && self.total_records() >= self.min_records
             && !self.executors.is_empty()
-            && self.funded
-                >= self.provider_reward + self.executor_fee * self.executors.len() as u128
+            && self.required_escrow().is_some_and(|r| self.funded >= r)
     }
 }
 
@@ -559,8 +567,9 @@ impl Contract for WorkloadContract {
                         self.state.total_records(),
                         self.state.min_records,
                         self.state.funded,
-                        self.state.provider_reward
-                            + self.state.executor_fee * self.state.executors.len() as u128
+                        self.state
+                            .required_escrow()
+                            .map_or("more than any escrow".into(), |r| r.to_string())
                     )));
                 }
                 self.state.phase = Phase::Executing;
@@ -806,6 +815,21 @@ mod tests {
         }
 
         fn new_with_timeout(n_executors: usize, exec_timeout_blocks: u64) -> Harness {
+            let init = WorkloadContract::init_bytes(
+                sha256(b"spec"),
+                sha256(b"code"),
+                10_000,
+                500,
+                2,
+                10,
+                0,
+                exec_timeout_blocks,
+                None,
+            );
+            Harness::with_init(n_executors, init)
+        }
+
+        fn with_init(n_executors: usize, init: Vec<u8>) -> Harness {
             let consumer = KeyPair::from_seed(1);
             let executors: Vec<KeyPair> = (0..n_executors as u64)
                 .map(|i| KeyPair::from_seed(100 + i))
@@ -821,18 +845,6 @@ mod tests {
             }
             let chain = Blockchain::single_validator(999, &alloc, registry);
 
-            // Deploy.
-            let init = WorkloadContract::init_bytes(
-                sha256(b"spec"),
-                sha256(b"code"),
-                10_000,
-                500,
-                2,
-                10,
-                0,
-                exec_timeout_blocks,
-                None,
-            );
             let mut h = Harness {
                 chain,
                 consumer,
@@ -1339,6 +1351,62 @@ mod tests {
         let r = h.call(&stranger, calls::expire(), 0);
         assert!(!r.success);
         assert!(r.error.unwrap().contains("no deadline"));
+    }
+
+    /// A workload with no quorum and no reward pool, so one executor can
+    /// drive it alone.
+    fn quorumless_init(executor_fee: u128, reward_token: Option<TokenId>) -> Vec<u8> {
+        WorkloadContract::init_bytes(
+            sha256(b"spec"),
+            sha256(b"code"),
+            0,
+            executor_fee,
+            0,
+            0,
+            0,
+            0,
+            reward_token,
+        )
+    }
+
+    #[test]
+    fn finalize_in_a_token_that_does_not_exist_fails_and_rolls_back() {
+        let mut h = Harness::with_init(1, quorumless_init(0, Some(TokenId(999))));
+        let exec = h.executors[0].clone();
+        for input in [
+            calls::register_executor(),
+            calls::start(),
+            calls::submit_result(sha256(b"model")),
+        ] {
+            let r = h.call(&exec, input, 0);
+            assert!(r.success, "{:?}", r.error);
+        }
+        let before = h.state();
+        // Pays the executor its fee of 0 in token 999.
+        let r = h.call(&exec, calls::finalize(&[]), 0);
+        assert!(!r.success);
+        assert_eq!(
+            r.error.as_deref(),
+            Some("contract balance too low for payout")
+        );
+        assert_eq!(h.state(), before, "call rolled back");
+        assert_eq!(before.phase, Phase::Executing);
+    }
+
+    #[test]
+    fn start_escrow_check_does_not_wrap() {
+        // Two fees of 2^127 are 2^128: past `u128`, so nothing funds them.
+        let mut h = Harness::with_init(2, quorumless_init(1 << 127, None));
+        for e in h.executors.clone() {
+            let r = h.call(&e, calls::register_executor(), 0);
+            assert!(r.success, "{:?}", r.error);
+        }
+        let exec = h.executors[0].clone();
+        let r = h.call(&exec, calls::start(), 0);
+        assert!(!r.success);
+        let error = r.error.unwrap();
+        assert!(error.contains("funded 0/more than any escrow"), "{error}");
+        assert_eq!(h.state().phase, Phase::Open);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Node for Chatter {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: u64) {
         self.received.push(msg);
-        if msg % 2 == 0 && msg < 1_000_000 {
+        if msg.is_multiple_of(2) && msg < 1_000_000 {
             ctx.send(from, msg + 1_000_001);
         }
     }

@@ -212,67 +212,220 @@ proptest! {
 mod state_backend_props {
     use super::*;
     use pds2_chain::backend::BackendKind;
-    use pds2_chain::chain::Blockchain;
+    use pds2_chain::chain::{Blockchain, ChainConfig};
     use pds2_chain::contract::ContractRegistry;
     use pds2_chain::erc20::Erc20Op;
+    use pds2_chain::erc721::{AssetKind, Erc721Op};
     use pds2_chain::tx::{Transaction, TxKind};
+    use pds2_chain::{NftId, TokenId};
+    use pds2_core::contract::{calls, WorkloadContract, WORKLOAD_CODE_ID};
     use proptest::prop_oneof;
 
     const N_ACCOUNTS: usize = 3;
+    const TOKEN: TokenId = TokenId(0);
 
-    /// One random transaction: native transfers (some overdrawn, so they
-    /// fail), ERC-20 creates/mints/transfers/burns (some unauthorized or
-    /// overdrawn — failed token ops still create zero-balance entries,
-    /// the classic dirty-tracking trap), and burns via priority fees.
+    /// What one random transaction does; accounts are named by index.
+    /// Native transfers (some overdrawn, so they fail), every ERC-20 op
+    /// (some unauthorized or overdrawn — failed token ops still create
+    /// zero-balance entries, the classic dirty-tracking trap), NFT mints
+    /// (some duplicates), transfers and burns (some by a stranger), and
+    /// the steps of a token-denominated workload contract: deploy it, send
+    /// it tokens, FUND it (with native value attached it reverts and the
+    /// escrow is refunded), CANCEL it (the escrow comes back as a token
+    /// payout; from anyone but the deployer it reverts and the contract is
+    /// rolled back). `which` picks one of the workloads deployed so far.
+    /// The base fee is 1, so whatever runs burns half of what it pays for
+    /// gas and tips the proposer the other half.
     #[derive(Clone, Debug)]
     enum WorkOp {
         Native {
-            from: usize,
             to: usize,
             amount: u128,
         },
-        Erc20Create {
-            from: usize,
-        },
+        Erc20Create,
         Erc20Mint {
-            from: usize,
             to: usize,
             amount: u128,
         },
         Erc20Transfer {
-            from: usize,
             to: usize,
             amount: u128,
         },
         Erc20Burn {
-            from: usize,
             amount: u128,
+        },
+        Erc20Approve {
+            spender: usize,
+            amount: u128,
+        },
+        Erc20TransferFrom {
+            owner: usize,
+            to: usize,
+            amount: u128,
+        },
+        NftMint {
+            content: u8,
+        },
+        NftTransfer {
+            id: u64,
+            to: usize,
+        },
+        NftBurn {
+            id: u64,
+        },
+        WorkloadDeploy,
+        WorkloadEscrow {
+            which: usize,
+            amount: u128,
+        },
+        WorkloadFund {
+            which: usize,
+            value: u128,
+        },
+        WorkloadCancel {
+            which: usize,
         },
     }
 
-    fn op_strategy() -> impl Strategy<Value = WorkOp> {
-        prop_oneof![
-            (0usize..N_ACCOUNTS, 0usize..N_ACCOUNTS, 0u128..200_000)
-                .prop_map(|(from, to, amount)| WorkOp::Native { from, to, amount }),
-            (0usize..N_ACCOUNTS).prop_map(|from| WorkOp::Erc20Create { from }),
-            (0usize..N_ACCOUNTS, 0usize..N_ACCOUNTS, 0u128..500)
-                .prop_map(|(from, to, amount)| WorkOp::Erc20Mint { from, to, amount }),
-            (0usize..N_ACCOUNTS, 0usize..N_ACCOUNTS, 0u128..500)
-                .prop_map(|(from, to, amount)| WorkOp::Erc20Transfer { from, to, amount }),
-            (0usize..N_ACCOUNTS, 0u128..500)
-                .prop_map(|(from, amount)| WorkOp::Erc20Burn { from, amount }),
-        ]
+    /// A sender and what it sends.
+    fn op_strategy() -> impl Strategy<Value = (usize, WorkOp)> {
+        let who = || 0usize..N_ACCOUNTS;
+        let op = prop_oneof![
+            (who(), 0u128..200_000).prop_map(|(to, amount)| WorkOp::Native { to, amount }),
+            Just(WorkOp::Erc20Create),
+            (who(), 0u128..500).prop_map(|(to, amount)| WorkOp::Erc20Mint { to, amount }),
+            (who(), 0u128..500).prop_map(|(to, amount)| WorkOp::Erc20Transfer { to, amount }),
+            (0u128..500).prop_map(|amount| WorkOp::Erc20Burn { amount }),
+            (who(), 0u128..500)
+                .prop_map(|(spender, amount)| WorkOp::Erc20Approve { spender, amount }),
+            (who(), who(), 0u128..300).prop_map(|(owner, to, amount)| WorkOp::Erc20TransferFrom {
+                owner,
+                to,
+                amount
+            }),
+            (0u8..6).prop_map(|content| WorkOp::NftMint { content }),
+            (0u64..4, who()).prop_map(|(id, to)| WorkOp::NftTransfer { id, to }),
+            (0u64..4).prop_map(|id| WorkOp::NftBurn { id }),
+            Just(WorkOp::WorkloadDeploy),
+            (0usize..4, 0u128..400)
+                .prop_map(|(which, amount)| WorkOp::WorkloadEscrow { which, amount }),
+            (0usize..4, 0u128..2).prop_map(|(which, value)| WorkOp::WorkloadFund { which, value }),
+            (0usize..4).prop_map(|which| WorkOp::WorkloadCancel { which }),
+        ];
+        (who(), op)
+    }
+
+    /// Every case starts with these from account 0, so that token 0, NFT 0
+    /// and a funded workload exist for the random operations to hit; the
+    /// test also checks that these five succeeded, which it cannot know of
+    /// a random one.
+    const PROLOGUE: [WorkOp; 5] = [
+        WorkOp::Erc20Create,
+        WorkOp::NftMint { content: 0 },
+        WorkOp::WorkloadDeploy,
+        WorkOp::WorkloadEscrow {
+            which: 0,
+            amount: 300,
+        },
+        WorkOp::WorkloadFund { which: 0, value: 0 },
+    ];
+
+    /// The payload of `op`; `workloads` are the addresses deployed to so far.
+    fn payload(op: &WorkOp, addrs: &[Address], workloads: &[Address]) -> TxKind {
+        let workload = |which: usize| match workloads {
+            [] => Address::contract(&addrs[0], u64::MAX), // no contract there
+            list => list[which % list.len()],
+        };
+        let call = |which, input, value| TxKind::Call {
+            contract: workload(which),
+            input,
+            value,
+        };
+        let token = TOKEN;
+        match *op {
+            WorkOp::Native { to, amount } => TxKind::Transfer {
+                to: addrs[to],
+                amount,
+            },
+            WorkOp::Erc20Create => TxKind::Erc20(Erc20Op::Create {
+                symbol: "TOK".into(),
+                initial_supply: 1_000,
+            }),
+            WorkOp::Erc20Mint { to, amount } => TxKind::Erc20(Erc20Op::Mint {
+                token,
+                to: addrs[to],
+                amount,
+            }),
+            WorkOp::Erc20Transfer { to, amount } => TxKind::Erc20(Erc20Op::Transfer {
+                token,
+                to: addrs[to],
+                amount,
+            }),
+            WorkOp::Erc20Burn { amount } => TxKind::Erc20(Erc20Op::Burn { token, amount }),
+            WorkOp::Erc20Approve { spender, amount } => TxKind::Erc20(Erc20Op::Approve {
+                token,
+                spender: addrs[spender],
+                amount,
+            }),
+            WorkOp::Erc20TransferFrom { owner, to, amount } => {
+                TxKind::Erc20(Erc20Op::TransferFrom {
+                    token,
+                    owner: addrs[owner],
+                    to: addrs[to],
+                    amount,
+                })
+            }
+            WorkOp::NftMint { content } => TxKind::Erc721(Erc721Op::Mint {
+                kind: AssetKind::Dataset,
+                content: sha256(&[content]),
+                label: "d".into(),
+            }),
+            WorkOp::NftTransfer { id, to } => TxKind::Erc721(Erc721Op::Transfer {
+                id: NftId(id),
+                to: addrs[to],
+            }),
+            WorkOp::NftBurn { id } => TxKind::Erc721(Erc721Op::Burn { id: NftId(id) }),
+            WorkOp::WorkloadDeploy => TxKind::Deploy {
+                code_id: WORKLOAD_CODE_ID.into(),
+                init: WorkloadContract::init_bytes(
+                    sha256(b"spec"),
+                    sha256(b"code"),
+                    100,
+                    10,
+                    1,
+                    1,
+                    0,
+                    0,
+                    Some(token),
+                ),
+            },
+            WorkOp::WorkloadEscrow { which, amount } => TxKind::Erc20(Erc20Op::Transfer {
+                token,
+                to: workload(which),
+                amount,
+            }),
+            WorkOp::WorkloadFund { which, value } => call(which, calls::fund(), value),
+            WorkOp::WorkloadCancel { which } => call(which, calls::cancel(), 0),
+        }
     }
 
     fn build_chain(kind: BackendKind) -> Blockchain {
-        let mut chain = Blockchain::single_validator(
-            77,
+        let mut registry = ContractRegistry::new();
+        registry.register(WORKLOAD_CODE_ID, WorkloadContract::construct);
+        // Every transaction escrows 400 000 for gas: the third account can
+        // pay for one and then depends on what the others send it.
+        let mut chain = Blockchain::new(
+            vec![KeyPair::from_seed(77)],
             &[
-                (Address::of(&KeyPair::from_seed(100).public), 100_000),
-                (Address::of(&KeyPair::from_seed(101).public), 50_000),
-                (Address::of(&KeyPair::from_seed(102).public), 0),
+                (Address::of(&KeyPair::from_seed(100).public), 100_000_000),
+                (Address::of(&KeyPair::from_seed(101).public), 50_000_000),
+                (Address::of(&KeyPair::from_seed(102).public), 600_000),
             ],
-            ContractRegistry::new(),
+            registry,
+            ChainConfig {
+                initial_base_fee: 1,
+                ..ChainConfig::default()
+            },
         );
         chain.state.set_backend(kind);
         chain
@@ -287,59 +440,43 @@ mod state_backend_props {
         ) {
             let keys: Vec<KeyPair> =
                 (0..N_ACCOUNTS as u64).map(|i| KeyPair::from_seed(100 + i)).collect();
+            let addrs: Vec<Address> = keys.iter().map(|k| Address::of(&k.public)).collect();
             let mut smt = build_chain(BackendKind::Smt);
             let mut oracle = build_chain(BackendKind::FullRehash);
             prop_assert_eq!(smt.state.backend_name(), "smt");
             prop_assert_eq!(oracle.state.backend_name(), "rehash");
             prop_assert_eq!(smt.state.state_root(), oracle.state.state_root());
 
-            let mut nonces = [0u64; N_ACCOUNTS];
+            let ops: Vec<(usize, WorkOp)> =
+                PROLOGUE.iter().map(|op| (0, op.clone())).chain(ops).collect();
+            let mut workloads = Vec::new();
+            let mut submitted = Vec::new();
             for batch in ops.chunks(4) {
-                for op in batch {
-                    let (from, kind) = match *op {
-                        WorkOp::Native { from, to, amount } => (from, TxKind::Transfer {
-                            to: Address::of(&keys[to].public),
-                            amount,
-                        }),
-                        WorkOp::Erc20Create { from } => (from, TxKind::Erc20(Erc20Op::Create {
-                            symbol: "TOK".into(),
-                            initial_supply: 1_000,
-                        })),
-                        WorkOp::Erc20Mint { from, to, amount } => {
-                            (from, TxKind::Erc20(Erc20Op::Mint {
-                                token: pds2_chain::TokenId(0),
-                                to: Address::of(&keys[to].public),
-                                amount,
-                            }))
-                        }
-                        WorkOp::Erc20Transfer { from, to, amount } => {
-                            (from, TxKind::Erc20(Erc20Op::Transfer {
-                                token: pds2_chain::TokenId(0),
-                                to: Address::of(&keys[to].public),
-                                amount,
-                            }))
-                        }
-                        WorkOp::Erc20Burn { from, amount } => {
-                            (from, TxKind::Erc20(Erc20Op::Burn { token: pds2_chain::TokenId(0), amount }))
-                        }
-                    };
+                // A transaction that cannot pay for its gas is included
+                // without consuming its nonce: start from the state's.
+                let mut nonces: Vec<u64> = addrs.iter().map(|a| smt.state.nonce(a)).collect();
+                for (from, op) in batch {
+                    let from = *from;
                     let tx = Transaction {
                         from: keys[from].public.clone(),
                         nonce: nonces[from],
-                        kind,
+                        kind: payload(op, &addrs, &workloads),
                         gas_limit: 200_000,
                         max_fee_per_gas: 2,
                         priority_fee_per_gas: 1,
                     }
                     .sign(&keys[from]);
-                    nonces[from] += 1;
-                    // Admission can fail (unaffordable fees on a drained
-                    // account) — identically on both chains.
+                    submitted.push(tx.hash());
+                    // Admission can fail (the same transaction again, after
+                    // it could not pay for its gas): identically on both.
                     let a = smt.submit(tx.clone());
                     let b = oracle.submit(tx);
                     prop_assert_eq!(a.is_ok(), b.is_ok(), "admission diverged");
-                    if a.is_err() {
-                        nonces[from] -= 1;
+                    if a.is_ok() {
+                        if matches!(op, WorkOp::WorkloadDeploy) {
+                            workloads.push(Address::contract(&addrs[from], nonces[from]));
+                        }
+                        nonces[from] += 1;
                     }
                 }
                 let b1 = smt.produce_block();
@@ -355,14 +492,17 @@ mod state_backend_props {
                     "O(1) supply counter drifted from the ground truth"
                 );
             }
+            for hash in &submitted[..PROLOGUE.len()] {
+                let receipt = smt.receipt(hash).expect("included");
+                prop_assert!(receipt.success, "prologue: {:?}", receipt.error);
+            }
             // Cross-check the proof path against the oracle root: an
             // account proof taken from the SMT chain verifies against the
             // root the full-rehash oracle computed independently.
-            let addr = Address::of(&keys[0].public);
-            let proof = smt.prove_account(&addr);
+            let proof = smt.prove_account(&addrs[0]);
             prop_assert!(pds2_chain::verify_account_proof(
                 &oracle.state.state_root(),
-                &addr,
+                &addrs[0],
                 &proof,
             ));
         }
