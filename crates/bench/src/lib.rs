@@ -1,9 +1,10 @@
 //! # pds2-bench
 //!
-//! Shared harness code for the PDS² experiment binaries (`src/bin/exp_*`)
-//! and Criterion micro-benchmarks (`benches/`). Each experiment binary
-//! regenerates one row-set of EXPERIMENTS.md; see DESIGN.md §4 for the
-//! experiment index.
+//! Shared harness code for the PDS² experiment binaries (`src/bin/exp_*`,
+//! each regenerating one row-set of EXPERIMENTS.md; see DESIGN.md §4 for
+//! the experiment index) and [`micro`], the one timing harness, which
+//! `src/bin/bench_micro` fills with the rows the end-to-end benchmark
+//! under `benchmark/` cannot see.
 
 #![forbid(unsafe_code)]
 
@@ -14,7 +15,8 @@ use pds2_ml::data::{gaussian_blobs, Dataset};
 use pds2_storage::semantic::{MetaValue, Metadata, Requirement};
 use pds2_tee::measurement::EnclaveCode;
 
-/// Prints a fixed-width table to stdout.
+/// Prints a fixed-width table to stdout. Rows may be shorter or longer
+/// than `headers`.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -27,7 +29,9 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let line = |cells: &[String]| {
         let mut out = String::new();
         for (i, cell) in cells.iter().enumerate() {
-            out.push_str(&format!("{:>width$}  ", cell, width = widths[i]));
+            // A cell beyond the last header column prints at its own width.
+            let width = widths.get(i).copied().unwrap_or(0);
+            out.push_str(&format!("{cell:>width$}  "));
         }
         println!("{}", out.trim_end());
     };
@@ -140,6 +144,7 @@ pub fn build_world(
     }
 }
 
+pub mod micro;
 pub mod trace_scenario;
 
 /// Round-robin provider→executor assignments.
@@ -177,6 +182,8 @@ mod tests {
             &[
                 vec!["1".into(), "2".into()],
                 vec!["wide-cell-content".into(), "3".into()],
+                vec!["short".into()],
+                vec!["4".into(), "5".into(), "past-the-last-header".into()],
             ],
         );
     }

@@ -120,53 +120,22 @@ impl Blockchain {
         Ok(())
     }
 
-    /// Applies a run of external blocks, pipelining signature
-    /// verification against state application: while block `i` executes,
-    /// a helper thread pre-verifies block `i+1`'s header and transaction
-    /// signatures, warming [`crate::sigcache`] so `i+1`'s validation pass
-    /// hits the cache instead of re-paying the exponentiations.
+    /// Applies a run of external blocks in order, stopping at the first
+    /// one refused: `Ok(n)` when all `n` applied, `Err((i, e))` when block
+    /// `i` was refused with blocks `0..i` applied. A block refused by
+    /// validation leaves the chain where block `i - 1` put it.
     ///
-    /// Verification is a pure function of the block bytes and the cache
-    /// only short-circuits signatures that full verification would also
-    /// accept, so the chain state after this call is bit-identical to
-    /// applying the blocks serially — at any `PDS2_THREADS` setting. With
-    /// one worker thread (or a single block) it *is* the serial loop.
-    ///
-    /// Returns the number of blocks applied; stops at the first error.
+    /// Nothing is pipelined: the helper thread the name recalls lost to
+    /// this loop at two workers and is gone (ROADMAP item 3). The name
+    /// stays because `benchmark/src/adapter.rs` calls it.
     pub fn apply_external_blocks_pipelined(
         &mut self,
         blocks: &[Block],
     ) -> Result<usize, (usize, ChainError)> {
-        if pds2_par::current_threads() <= 1 || blocks.len() <= 1 {
-            for (i, b) in blocks.iter().enumerate() {
-                self.apply_external_block(b).map_err(|e| (i, e))?;
-            }
-            return Ok(blocks.len());
+        for (i, b) in blocks.iter().enumerate() {
+            self.apply_external_block(b).map_err(|e| (i, e))?;
         }
-        let threshold = self.threshold.clone();
-        std::thread::scope(|scope| {
-            let mut warm: Option<std::thread::ScopedJoinHandle<'_, ()>> = None;
-            for (i, b) in blocks.iter().enumerate() {
-                if let Some(next) = blocks.get(i + 1) {
-                    let threshold = threshold.as_deref();
-                    warm = Some(scope.spawn(move || {
-                        // Results are irrelevant here: either outcome
-                        // leaves the sigcache warmed for the real check
-                        // (against whichever key this mode verifies).
-                        let _ = Self::header_sig_ok(threshold, &next.header);
-                        for tx in &next.transactions {
-                            let _ = tx.verify_signature();
-                        }
-                    }));
-                }
-                let res = self.apply_external_block(b);
-                if let Some(h) = warm.take() {
-                    let _ = h.join();
-                }
-                res.map_err(|e| (i, e))?;
-            }
-            Ok(blocks.len())
-        })
+        Ok(blocks.len())
     }
 }
 
@@ -177,34 +146,33 @@ mod tests {
     use pds2_crypto::schnorr::KeyPair;
 
     #[test]
-    fn pipelined_apply_matches_serial() {
+    fn a_run_stops_at_the_first_refused_block_and_keeps_what_it_applied() {
         let alice = KeyPair::from_seed(1);
         let bob = Address::of(&KeyPair::from_seed(2).public);
-        // Produce a small chain on one node...
         let mut producer = test_chain(&alice);
         let mut blocks = Vec::new();
-        for nonce in 0..6u64 {
+        for nonce in 0..4u64 {
             producer
                 .submit(signed_transfer(&alice, nonce, bob, 10))
                 .unwrap();
             blocks.push(producer.produce_block());
         }
-        // ...and replay it onto two fresh replicas, serially and pipelined.
-        let mut serial = test_chain(&alice);
-        for b in &blocks {
-            serial.apply_external_block(b).unwrap();
+        // Validation refuses a wrong height before anything executes (a
+        // wrong `state_root` is only seen after execution).
+        blocks[2].header.height += 1;
+
+        let mut after_two = test_chain(&alice);
+        for b in &blocks[..2] {
+            after_two.apply_external_block(b).unwrap();
         }
-        crate::sigcache::clear();
-        let mut pipelined = test_chain(&alice);
-        let n = pipelined.apply_external_blocks_pipelined(&blocks).unwrap();
-        assert_eq!(n, blocks.len());
-        assert_eq!(pipelined.height(), serial.height());
-        assert_eq!(pipelined.head_hash(), serial.head_hash());
+        let mut replica = test_chain(&alice);
         assert_eq!(
-            pipelined.state.state_root(),
-            serial.state.state_root(),
-            "bit-identical state after pipelined apply"
+            replica.apply_external_blocks_pipelined(&blocks),
+            Err((2, ChainError::InvalidBlock("wrong height")))
         );
-        assert_eq!(pipelined.base_fee(), serial.base_fee());
+        assert_eq!(replica.height(), 2);
+        assert_eq!(replica.head_hash(), after_two.head_hash());
+        assert_eq!(replica.state.state_root(), after_two.state.state_root());
+        assert_eq!(replica.base_fee(), after_two.base_fee());
     }
 }

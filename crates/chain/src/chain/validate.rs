@@ -3,7 +3,6 @@
 
 use super::{Blockchain, ChainError};
 use crate::block::{Block, BlockHeader};
-use crate::threshold::ThresholdCtx;
 
 impl Blockchain {
     /// Validates a block received from elsewhere against the current
@@ -34,7 +33,7 @@ impl Blockchain {
             if block.header.proposer != self.proposer_for(height).public {
                 return Err(ChainError::WrongProposer);
             }
-            if !Self::header_sig_ok(self.threshold.as_deref(), &block.header) {
+            if !self.header_sig_ok(&block.header) {
                 return Err(ChainError::InvalidBlock("bad header signature"));
             }
             if !block.tx_root_matches() {
@@ -70,10 +69,9 @@ impl Blockchain {
 
     /// Whether `header` carries the signature this chain's mode expects:
     /// the named proposer's own, or — with a threshold committee — the
-    /// group's. Takes the committee rather than `&self` so the pipelined
-    /// warmer can ask from its helper thread.
-    pub(super) fn header_sig_ok(threshold: Option<&ThresholdCtx>, header: &BlockHeader) -> bool {
-        match threshold {
+    /// group's.
+    pub(super) fn header_sig_ok(&self, header: &BlockHeader) -> bool {
+        match &self.threshold {
             None => header.verify_signature(),
             Some(ctx) => header.verify_signature_with(ctx.group_public()),
         }

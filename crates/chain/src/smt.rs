@@ -558,7 +558,7 @@ mod tests {
 
     #[test]
     fn node_sizes_are_the_documented_ones() {
-        // `bench_state` derives `tree_bytes` from these two figures.
+        // `bench_micro` derives `chain.smt.tree_bytes` from these two figures.
         assert_eq!(std::mem::size_of::<Leaf>(), 96);
         assert_eq!(std::mem::size_of::<Internal>(), 40);
         // A fresh build hashes every node once and frees nothing.

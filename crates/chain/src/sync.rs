@@ -278,9 +278,9 @@ impl ChainReplica {
         }
     }
 
-    /// Applies consecutive external blocks, skipping any already-known
-    /// prefix, with signature verification pipelined one block ahead of
-    /// state application. Returns `Err` on the first validation failure.
+    /// Applies consecutive external blocks in order, skipping any
+    /// already-known prefix. Returns `Err` on the first block refused;
+    /// the blocks before it stay applied and are counted.
     fn apply_batch(&mut self, blocks: &[Block]) -> Result<(), ChainError> {
         let start = blocks
             .iter()

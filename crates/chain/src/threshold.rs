@@ -15,8 +15,8 @@
 //! the coinbase — and therefore state roots — are bit-identical in both
 //! modes), verification still routes through [`crate::sigcache`], and
 //! the aggregate passes the unmodified `PublicKey::verify` fast path,
-//! which is how the `BENCH_gov.json` criterion "aggregate verify within
-//! 3× single verify" holds with margin (~1×).
+//! which is how `bench_micro`'s bound "aggregate verify within 3× single
+//! verify" holds with margin (~1×).
 //!
 //! Committees are cached process-globally, keyed by a digest of the
 //! validator set: replica sync rebuilds chains from their genesis

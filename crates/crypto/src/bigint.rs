@@ -545,8 +545,7 @@ impl BigUint {
 
     /// `self^exponent mod modulus` by bit-by-bit square-and-multiply with
     /// divrem reduction — the reference implementation the Montgomery
-    /// path is checked against (kept public for property tests and the
-    /// `bench_crypto` before/after comparison).
+    /// path is checked against (kept public for property tests).
     pub fn modpow_schoolbook(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
         if modulus.is_one() {

@@ -501,7 +501,7 @@ pub struct ScaleGossipOpts {
 /// the paper-vision shape where most user devices contribute connectivity
 /// and only some contribute data. Per-node state stays small (empty
 /// datasets skip local SGD), so 100k+-node fleets are practical; the
-/// E19 `bench_scale` bin drives this to find the scaling knee.
+/// E19 `exp_scale` bin drives this to completion at 100k nodes.
 pub fn run_gossip_experiment_at_scale<M, F>(
     train: &Dataset,
     test: &Dataset,

@@ -20,7 +20,7 @@
 //! [`topology::Topology`] derives per-node attributes, regional
 //! latencies, churn traces and arrival schedules from `hash(seed,
 //! node_id)` instead of materialized vectors — 100k+-node scenarios run
-//! in cache-resident state (`bench_scale`, E19).
+//! in cache-resident state (`exp_scale`, E19).
 
 #![forbid(unsafe_code)]
 

@@ -5,7 +5,7 @@
 //! `(time, seq)` order, where `seq` is the monotone sequence number
 //! assigned at push time. Both schedulers implement exactly that order,
 //! so golden traces, `NetStats` and obs digests are identical whichever
-//! one is selected — the chaos tests and `bench_scale` assert it.
+//! one is selected — the chaos tests and `tests/scheduler.rs` assert it.
 //!
 //! ## The wheel
 //!

@@ -271,7 +271,7 @@ impl<N: Node> Simulator<N> {
     }
 
     /// Creates a simulator with an explicit scheduler — the differential
-    /// tests and `bench_scale` drive both kinds side by side.
+    /// tests and `bench_micro` drive both kinds side by side.
     pub fn with_scheduler(
         nodes: Vec<N>,
         link: LinkModel,

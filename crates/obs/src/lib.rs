@@ -27,8 +27,8 @@
 //!   domain-separated (high 32 bits hash the domain, low 32 bits a
 //!   per-domain sequence reset at capture start) so IDs are stable
 //!   and greppable. Emission is gated on one relaxed atomic load —
-//!   when no capture is active the entire layer costs under 1% on
-//!   `block_validation_500tx_cold_median` (measured by `bench_obs`).
+//!   when no capture is active a disabled site costs under 1% of the
+//!   signature check it wraps (`bench_micro`'s `obs.disabled_site_ns`).
 //! - **Sinks** ([`SinkKind`]): ring buffer for tests, JSONL writer for
 //!   benches and offline analysis, and a digest-only null sink. The
 //!   digest is folded in the collector *before* the sink sees the

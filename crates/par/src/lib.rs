@@ -35,8 +35,8 @@
 //! ## Serial-fallback cutoff
 //!
 //! Spawning workers the hardware cannot run concurrently only buys
-//! scheduling overhead (the original `BENCH_parallel.json` measured
-//! block validation at 0.72× with `PDS2_THREADS=4` on a 1-core host).
+//! scheduling overhead (block validation once measured 0.72× with
+//! `PDS2_THREADS=4` on a 1-core host).
 //! Two guards remove that penalty without touching results:
 //!
 //! * **effective-core detection** — an env-derived worker count is
