@@ -18,6 +18,7 @@
 use pds2_bench::trace_scenario;
 use pds2_obs as obs;
 use pds2_obs::diff::{self, Verdict};
+use pds2_obs::jsonl::Row;
 use std::path::{Path, PathBuf};
 
 const SEEDS: [u64; 2] = [0xE21, 0xE22];
@@ -25,8 +26,8 @@ const SEEDS: [u64; 2] = [0xE21, 0xE22];
 /// Runs the scenario phases into `path`, planting one extra `net` event
 /// between phases when `plant` is set (mid-stream, so the delta lands
 /// inside the checkpoint chain, not at its tail), and returns the
-/// capture summary.
-fn capture(path: &Path, phases: &[u64], plant: bool) -> obs::CaptureSummary {
+/// capture's report.
+fn capture(path: &Path, phases: &[u64], plant: bool) -> obs::TraceReport {
     let cap = obs::capture(obs::SinkKind::Jsonl(path.to_path_buf()));
     let mut first = true;
     for &seed in phases {
@@ -80,16 +81,12 @@ fn main() {
     // Ground truth from the perturbed file itself: the planted event's
     // seq is the first stream position where the captures differ.
     let body_b = std::fs::read_to_string(&pb).expect("perturbed capture readable");
-    let intruder_row = body_b
+    let ground_truth = body_b
         .lines()
-        .find(|l| l.contains("\"name\":\"intruder\""))
-        .expect("planted event recorded");
-    let ground_truth: u64 = intruder_row
-        .split("\"seq\":")
-        .nth(1)
-        .and_then(|r| r.split(',').next())
-        .and_then(|n| n.trim().parse().ok())
-        .expect("planted event row carries a seq");
+        .filter_map(|l| Row::parse(l)?.event())
+        .find(|e| e.name == "intruder")
+        .expect("planted event recorded")
+        .seq;
 
     let report = diff::diff_files(&pa, &pb, 3).expect("diff runs");
     match &report.verdict {

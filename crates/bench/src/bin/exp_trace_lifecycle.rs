@@ -20,7 +20,8 @@
 
 use pds2_bench::trace_scenario;
 use pds2_obs as obs;
-use pds2_obs::report::{RawEvent, TraceAnalysis};
+use pds2_obs::jsonl::RawEvent;
+use pds2_obs::report::TraceAnalysis;
 
 const SEED: u64 = 0xE16;
 

@@ -120,6 +120,21 @@ pub struct WorkloadState {
     pub slashed: Vec<Address>,
 }
 
+/// The escrow formula: the provider reward and one fee per executor.
+/// `None` when they do not fit a `u128`, which no escrow meets. The
+/// consumer's marketplace funds this much for the executors it allows
+/// (`WorkloadSpec::required_escrow`) and START demands it for the
+/// executors that registered.
+pub fn required_escrow(
+    provider_reward: u128,
+    executor_fee: u128,
+    executors: usize,
+) -> Option<u128> {
+    executor_fee
+        .checked_mul(executors as u128)?
+        .checked_add(provider_reward)
+}
+
 impl WorkloadState {
     /// Decodes the canonical snapshot (off-chain inspection).
     pub fn from_snapshot(bytes: &[u8]) -> Result<WorkloadState, DecodeError> {
@@ -141,13 +156,14 @@ impl WorkloadState {
         (self.exec_timeout_blocks != 0).then(|| self.started_height + self.exec_timeout_blocks)
     }
 
-    /// What START needs funded: the provider reward and one fee per
-    /// registered executor. Both amounts come from the deployer's init
-    /// bytes; `None` when they do not fit a `u128`, which no escrow meets.
+    /// What START needs funded for the executors registered so far. Both
+    /// amounts come from the deployer's init bytes.
     fn required_escrow(&self) -> Option<u128> {
-        self.executor_fee
-            .checked_mul(self.executors.len() as u128)?
-            .checked_add(self.provider_reward)
+        required_escrow(
+            self.provider_reward,
+            self.executor_fee,
+            self.executors.len(),
+        )
     }
 
     fn start_conditions_met(&self) -> bool {

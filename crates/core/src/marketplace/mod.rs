@@ -80,6 +80,9 @@ pub enum MarketError {
     BadPhase(String),
     /// Spec/feature-shape mismatch.
     ShapeMismatch(String),
+    /// The spec's provider reward plus its executor fees is more than a
+    /// `u128` holds; nothing was sent to the chain.
+    EscrowOverflow,
 }
 
 impl std::fmt::Display for MarketError {
@@ -93,6 +96,9 @@ impl std::fmt::Display for MarketError {
             MarketError::Authenticity(e) => write!(f, "authenticity failure: {e}"),
             MarketError::BadPhase(e) => write!(f, "bad phase: {e}"),
             MarketError::ShapeMismatch(e) => write!(f, "shape mismatch: {e}"),
+            MarketError::EscrowOverflow => {
+                write!(f, "provider reward plus executor fees overflow the escrow")
+            }
         }
     }
 }

@@ -169,17 +169,72 @@ fn compute_shares(
             to_reward_shares(&phi, total as f64)
         }
     };
-    // Integer conversion with remainder to the largest share.
-    let mut shares: Vec<(Address, u128)> = provider_data
+    provider_data
         .iter()
-        .zip(&raw)
-        .map(|((addr, _), v)| (*addr, v.floor().max(0.0) as u128))
-        .collect();
-    let assigned: u128 = shares.iter().map(|(_, v)| v).sum();
-    if assigned < total {
-        if let Some(max_entry) = shares.iter_mut().max_by_key(|(_, v)| *v) {
-            max_entry.1 += total - assigned;
-        }
+        .map(|(addr, _)| *addr)
+        .zip(integer_shares(&raw, total))
+        .collect()
+}
+
+/// The float → integer step: each share floored, then the largest share
+/// takes the difference so that the shares sum to `total` exactly. The
+/// floors can fall short of the pool (fractions dropped) or overshoot it
+/// (`total * w / sum` in `f64` is only good to 2^-53 of a pool that may
+/// be 10^18 and more, and FINALIZE reverts on a unit too many). Either
+/// way the difference is at most a few units per share, far below the
+/// largest share, which is at least the mean.
+fn integer_shares(raw: &[f64], total: u128) -> Vec<u128> {
+    let mut shares: Vec<u128> = raw.iter().map(|v| v.floor().max(0.0) as u128).collect();
+    let assigned = shares.iter().fold(0u128, |sum, v| sum.saturating_add(*v));
+    if let Some(largest) = shares.iter_mut().max() {
+        *largest = if assigned < total {
+            *largest + (total - assigned)
+        } else {
+            largest.saturating_sub(assigned - total)
+        };
     }
     shares
+}
+
+#[cfg(test)]
+mod tests {
+    use super::integer_shares;
+    use pds2_rewards::shapley::proportional;
+    use proptest::prelude::*;
+
+    /// Equal splits of one token and of a hundred at 18 decimals: with
+    /// the floors alone, 27 of the provider counts 2…64 overshoot the
+    /// first pool and 22 the second.
+    #[test]
+    fn equal_splits_of_token_sized_pools_sum_to_the_pool() {
+        for pool in [10u128.pow(18), 10u128.pow(20)] {
+            for n in 1..=64 {
+                let shares = integer_shares(&proportional(&vec![64.0; n], pool as f64), pool);
+                assert_eq!(shares.iter().sum::<u128>(), pool, "{n} providers");
+            }
+        }
+    }
+
+    proptest! {
+        /// Pools of every magnitude up to `u128::MAX / 4`, 1…64
+        /// providers, weights equal, skewed or zero.
+        #[test]
+        fn integer_shares_sum_to_the_pool_exactly(
+            pool in (any::<u128>(), 0u32..126).prop_map(|(x, shift)| (x >> 2) >> shift),
+            weights in proptest::collection::vec(
+                prop_oneof![Just(0u32), Just(1u32), 1u32..1000, any::<u32>()],
+                1..65,
+            ),
+            equal in any::<bool>(),
+        ) {
+            let weights: Vec<f64> = weights
+                .iter()
+                .map(|w| if equal { weights[0] } else { *w } as f64)
+                .collect();
+            let shares = integer_shares(&proportional(&weights, pool as f64), pool);
+            prop_assert_eq!(shares.len(), weights.len());
+            let paid = shares.iter().try_fold(0u128, |sum, v| sum.checked_add(*v));
+            prop_assert_eq!(paid, Some(pool));
+        }
+    }
 }

@@ -45,6 +45,9 @@ impl Marketplace {
                 "spec measurement does not match supplied code".into(),
             ));
         }
+        let escrow = spec
+            .required_escrow(max_executors)
+            .ok_or(MarketError::EscrowOverflow)?;
         let keys = &actor(&self.consumers, &consumer, "consumer")?.keys;
         // A workload entering the system is the root of a new trace: every
         // later phase (join, accept, start, execute, payout) re-enters this
@@ -94,7 +97,6 @@ impl Marketplace {
         // Fund the escrow. Native currency rides on the FUND call; an
         // ERC-20 escrow is transferred first and FUND, carrying no value,
         // acknowledges the balance (§III-A token rewards).
-        let escrow = spec.required_escrow(max_executors);
         if let Some(token) = spec.reward_token {
             let transfer = Erc20Op::Transfer {
                 token,

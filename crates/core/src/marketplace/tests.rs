@@ -82,6 +82,31 @@ fn build_world_with_timeout(
     }
 }
 
+/// The escrow formula is checked before anything reaches the chain: a
+/// spec whose fees overflow it used to panic (debug) or wrap (release)
+/// after the code NFT was minted and the contract deployed.
+#[test]
+fn a_spec_whose_escrow_overflows_is_refused_before_any_transaction() {
+    let mut market = Marketplace::new(42);
+    let consumer = market.register_consumer(1, 1_000_000);
+    let code = EnclaveCode::new("logistic-trainer", 1, b"trainer-binary-v1".to_vec());
+    let validation = gaussian_blobs(20, 3, 0.7, 7);
+    let mut spec = sample_spec_with(
+        code.measurement(),
+        validation,
+        RewardScheme::ProportionalToRecords,
+        1,
+    );
+    spec.executor_fee = u128::MAX / 2;
+    assert!(spec.required_escrow(1).is_some());
+    assert_eq!(spec.required_escrow(3), None);
+    let height = market.chain.height();
+    let err = market.submit_workload(consumer, spec, code, 3).unwrap_err();
+    assert!(matches!(err, MarketError::EscrowOverflow), "{err}");
+    assert_eq!(market.chain.height(), height, "nothing was mined");
+    assert!(market.chain.events_by_topic("erc721.mint").is_empty());
+}
+
 #[test]
 fn full_lifecycle_proportional() {
     let mut w = build_world(4, 2, RewardScheme::ProportionalToRecords);

@@ -134,9 +134,14 @@ impl WorkloadSpec {
     }
 
     /// Total escrow the consumer must fund: provider rewards plus fees for
-    /// `n_executors` executors.
-    pub fn required_escrow(&self, n_executors: u32) -> u128 {
-        self.provider_reward + self.executor_fee * n_executors as u128
+    /// `n_executors` executors. `None` when that is more than a `u128`
+    /// holds: such a spec cannot be funded.
+    pub fn required_escrow(&self, n_executors: u32) -> Option<u128> {
+        crate::contract::required_escrow(
+            self.provider_reward,
+            self.executor_fee,
+            n_executors as usize,
+        )
     }
 }
 
@@ -322,8 +327,8 @@ mod tests {
     #[test]
     fn escrow_accounts_for_executors() {
         let spec = sample_spec();
-        assert_eq!(spec.required_escrow(0), 10_000);
-        assert_eq!(spec.required_escrow(4), 12_000);
+        assert_eq!(spec.required_escrow(0), Some(10_000));
+        assert_eq!(spec.required_escrow(4), Some(12_000));
     }
 
     #[test]

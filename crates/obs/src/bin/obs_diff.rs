@@ -9,12 +9,13 @@
 //! divergent segment (O(log n) digest compares, no event bodies), then
 //! only that segment's events are read to name the exact first
 //! divergent `seq`, with a ±K context window and a domain
-//! classification. Captures without checkpoint rows (pre-segmentation
-//! files) fall back to a full linear compare with the same verdict
+//! classification. A capture without checkpoint rows is an empty one,
+//! and the streams are then compared row by row with the same verdict
 //! semantics.
 //!
 //! Exit codes: 0 = identical, 1 = divergence found (verdict printed),
-//! 2 = usage or I/O error. `--json` prints the machine-readable
+//! 2 = usage or I/O error, a damaged checkpoint chain included (a
+//! missing or unparseable checkpoint row is not a verdict). `--json` prints the machine-readable
 //! verdict instead of the human report; `--out FILE` additionally
 //! writes the full report (text + JSON trailer) to `FILE`.
 

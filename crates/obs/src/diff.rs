@@ -17,20 +17,96 @@
 //! the chains and opens a single segment instead of replaying the
 //! side-chain.
 
-use crate::trace::{Event, SegmentCheckpoint};
+use crate::jsonl::{self, push_quoted, Row};
+use crate::trace::SegmentCheckpoint;
+use crate::TraceReport;
 use pds2_crypto::sha256::Digest;
-use std::io::{BufRead, BufReader};
+use std::io::{self, BufRead, BufReader};
 use std::path::Path;
 
-/// One side of a diff: the checkpoint chain plus a way to fetch the
-/// event lines of a single segment on demand.
-struct Side {
-    label: String,
-    checkpoints: Vec<SegmentCheckpoint>,
-    /// Event rows (canonical JSON, ascending `seq`): the full stream
-    /// for in-process / fallback sides, only the divergent segment's
-    /// slice for file-backed bisection.
-    events: Vec<(u64, String)>,
+/// One event row of one side: its `seq` and the line. Sides hold them
+/// in ascending `seq`.
+type SeqRow = (u64, String);
+
+/// Where one side of a diff comes from. Either kind yields a label, the
+/// checkpoint chain, and the event rows of one `seq` range.
+enum Source<'a> {
+    /// A JSONL capture on disk. Each of the two questions is one pass
+    /// over the file, and neither parses an event body it does not
+    /// keep.
+    File(&'a Path),
+    /// A finished in-process capture and the name to report it under.
+    Report(&'a TraceReport, &'a str),
+}
+
+impl Source<'_> {
+    fn label(&self) -> String {
+        match self {
+            Source::File(path) => path.display().to_string(),
+            Source::Report(_, label) => label.to_string(),
+        }
+    }
+
+    /// The checkpoint chain. A file's chain is checked as it is read: a
+    /// row that is no row of the format, or a checkpoint whose index is
+    /// not its position, means rows are damaged or missing, and
+    /// bisecting what is left would blame a segment that is intact.
+    fn checkpoints(&self) -> io::Result<Vec<SegmentCheckpoint>> {
+        let path = match self {
+            Source::File(path) => path,
+            Source::Report(report, _) => return Ok(report.segments.clone()),
+        };
+        let mut chain = Vec::new();
+        for (at, line) in BufReader::new(std::fs::File::open(path)?)
+            .lines()
+            .enumerate()
+        {
+            let line = line?;
+            if jsonl::peek_seq(&line).is_some() {
+                continue;
+            }
+            match Row::parse(&line) {
+                Some(Row::Checkpoint(cp)) if cp.index == chain.len() as u64 => chain.push(cp),
+                Some(Row::Event(_) | Row::Trailer) => {}
+                Some(Row::Checkpoint(_)) | None => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "{}: row {} is neither an event, the trailer nor checkpoint {}: \
+                             the checkpoint chain is damaged",
+                            path.display(),
+                            at + 1,
+                            chain.len()
+                        ),
+                    ))
+                }
+            }
+        }
+        Ok(chain)
+    }
+
+    /// The event rows with `lo <= seq <= hi`.
+    fn rows(&self, lo: u64, hi: u64) -> io::Result<Vec<SeqRow>> {
+        let within = |seq: &u64| (lo..=hi).contains(seq);
+        match self {
+            Source::File(path) => {
+                let mut rows = Vec::new();
+                for line in BufReader::new(std::fs::File::open(path)?).lines() {
+                    let line = line?;
+                    if let Some(seq) = jsonl::peek_seq(&line).filter(within) {
+                        rows.push((seq, line));
+                    }
+                }
+                Ok(rows)
+            }
+            Source::Report(report, _) => Ok(report
+                .entries
+                .iter()
+                .filter(|e| within(&e.seq))
+                .map(|e| (e.seq, e.to_json()))
+                .collect()),
+        }
+    }
 }
 
 /// What the diff concluded, machine-readable.
@@ -126,7 +202,6 @@ impl DiffReport {
 
     /// One-line JSON verdict for machine consumption (CI, harnesses).
     pub fn to_json(&self) -> String {
-        use crate::sink::escape_json;
         let mut s = String::with_capacity(256);
         s.push_str("{\"verdict\":");
         match &self.verdict {
@@ -146,9 +221,8 @@ impl DiffReport {
                     ("domain_b", domain_b),
                     ("name_b", name_b),
                 ] {
-                    s.push_str(&format!(",\"{key}\":\""));
-                    escape_json(val, &mut s);
-                    s.push('"');
+                    s.push_str(&format!(",\"{key}\":"));
+                    push_quoted(val, &mut s);
                 }
             }
             Verdict::PrefixOf {
@@ -156,18 +230,16 @@ impl DiffReport {
                 common_events,
             } => {
                 s.push_str(&format!("\"prefix\",\"common_events\":{common_events}"));
-                s.push_str(",\"shorter\":\"");
-                escape_json(shorter, &mut s);
-                s.push('"');
+                s.push_str(",\"shorter\":");
+                push_quoted(shorter, &mut s);
             }
             Verdict::DigestOnly { segment } => {
                 s.push_str(&format!("\"digest_only\",\"segment\":{segment}"));
             }
         }
         if !self.classification.is_empty() {
-            s.push_str(",\"classification\":\"");
-            escape_json(&self.classification, &mut s);
-            s.push('"');
+            s.push_str(",\"classification\":");
+            push_quoted(&self.classification, &mut s);
         }
         s.push_str(&format!(
             ",\"checkpoints_compared\":{},\"bodies_read\":{},\"bisected\":{}}}",
@@ -248,159 +320,62 @@ impl DiffReport {
     }
 }
 
-/// Extracts an unsigned integer field from a canonical JSON row.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts a string field from a canonical JSON row (no unescaping —
-/// domains/names are static identifiers).
-fn json_str<'l>(line: &'l str, key: &str) -> Option<&'l str> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    Some(&rest[..rest.find('"')?])
-}
-
-fn parse_checkpoint(line: &str) -> Option<SegmentCheckpoint> {
-    Some(SegmentCheckpoint {
-        index: json_u64(line, "checkpoint")?,
-        start_seq: json_u64(line, "start_seq")?,
-        end_seq: json_u64(line, "end_seq")?,
-        digest: Digest::from_hex(json_str(line, "digest")?)?,
-        chained: Digest::from_hex(json_str(line, "chained")?)?,
-    })
-}
-
-fn is_event_line(line: &str) -> bool {
-    line.starts_with("{\"seq\":")
-}
-
-/// Loads one side from a JSONL capture. Only checkpoint rows are
-/// retained; event rows inside `want` (a `seq` range) are kept, the
-/// rest are skipped without inspection beyond the line prefix.
-fn load_file(
-    path: &Path,
-    want: Option<(u64, u64)>,
-    bodies_read: &mut u64,
-) -> std::io::Result<Side> {
-    let file = std::fs::File::open(path)?;
-    let mut side = Side {
-        label: path.display().to_string(),
-        checkpoints: Vec::new(),
-        events: Vec::new(),
-    };
-    for line in BufReader::new(file).lines() {
-        let line = line?;
-        if line.starts_with("{\"checkpoint\"") {
-            if let Some(cp) = parse_checkpoint(&line) {
-                side.checkpoints.push(cp);
-            }
-        } else if is_event_line(&line) {
-            let seq = json_u64(&line, "seq").unwrap_or(0);
-            let keep = match want {
-                None => true,
-                Some((lo, hi)) => seq >= lo && seq <= hi,
-            };
-            if keep {
-                *bodies_read += 1;
-                side.events.push((seq, line));
-            }
-        }
+/// First index in `0..n` at which `differs` holds, given that it is
+/// monotone (once two chained lists part, every later entry differs
+/// too), by binary search. Returns the index, `None` when all `n`
+/// agree, and the number of probes made.
+fn first_mismatch(n: usize, differs: impl Fn(usize) -> bool) -> (Option<usize>, u64) {
+    if n == 0 {
+        return (None, 0);
     }
-    Ok(side)
-}
-
-fn side_from_report(report: &crate::TraceReport, label: &str, bodies_read: &mut u64) -> Side {
-    *bodies_read += report.entries.len() as u64;
-    Side {
-        label: label.to_string(),
-        checkpoints: report.segments.clone(),
-        events: report
-            .entries
-            .iter()
-            .map(|e: &Event| (e.seq, e.to_json()))
-            .collect(),
+    let mut probes = 1;
+    if !differs(n - 1) {
+        return (None, probes);
     }
-}
-
-/// First checkpoint index whose `chained` digests disagree, by binary
-/// search (mismatch is monotone: a divergent segment poisons every
-/// later chained value). Returns `(index, compares)`; `None` index when
-/// the common prefix of checkpoints agrees entirely.
-fn bisect_chains(a: &[SegmentCheckpoint], b: &[SegmentCheckpoint]) -> (Option<usize>, u64) {
-    let common = a.len().min(b.len());
-    let mut compares = 0u64;
-    if common == 0 {
-        return (None, compares);
-    }
-    let mismatch = |i: usize| a[i].chained != b[i].chained || a[i].end_seq != b[i].end_seq;
-    compares += 1;
-    if !mismatch(common - 1) {
-        return (None, compares);
-    }
-    let (mut lo, mut hi) = (0usize, common - 1); // invariant: mismatch(hi)
+    let (mut lo, mut hi) = (0, n - 1); // invariant: differs(hi)
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        compares += 1;
-        if mismatch(mid) {
+        probes += 1;
+        if differs(mid) {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    (Some(lo), compares)
+    (Some(lo), probes)
 }
 
-/// Compares the two sides' event rows over `[start, end]` and returns
-/// the first position where they disagree, as
-/// `(seq, row_a, row_b)`; `None` when every shared row matches and both
-/// sides end together.
-#[allow(clippy::type_complexity)]
-fn first_divergent_row(
-    a: &[(u64, String)],
-    b: &[(u64, String)],
-    start: u64,
-    end: u64,
-) -> Option<(u64, Option<String>, Option<String>)> {
-    let slice = |side: &[(u64, String)]| -> Vec<(u64, String)> {
-        side.iter()
-            .filter(|(seq, _)| *seq >= start && *seq <= end)
-            .cloned()
-            .collect()
-    };
-    let (ra, rb) = (slice(a), slice(b));
-    let n = ra.len().max(rb.len());
-    for i in 0..n {
-        match (ra.get(i), rb.get(i)) {
-            (Some((sa, la)), Some((sb, lb))) => {
-                if sa != sb || la != lb {
-                    return Some(((*sa).min(*sb), Some(la.clone()), Some(lb.clone())));
-                }
+/// First position in `[lo, hi]` where the two sides' rows disagree, as
+/// `(seq, row_a, row_b)`, a side that has run out giving `None`; `None`
+/// when every row matches and both sides end together.
+fn first_divergent_row<'r>(
+    a: &'r [SeqRow],
+    b: &'r [SeqRow],
+    lo: u64,
+    hi: u64,
+) -> Option<(u64, Option<&'r str>, Option<&'r str>)> {
+    let within = |side: &'r [SeqRow]| side.iter().filter(move |(seq, _)| (lo..=hi).contains(seq));
+    let (mut rows_a, mut rows_b) = (within(a), within(b));
+    loop {
+        match (rows_a.next(), rows_b.next()) {
+            (None, None) => return None,
+            (Some(ra), Some(rb)) if ra == rb => {}
+            (ra, rb) => {
+                let seq = ra.iter().chain(&rb).map(|(seq, _)| *seq).min()?;
+                let row = |r: Option<&'r SeqRow>| r.map(|(_, line)| line.as_str());
+                return Some((seq, row(ra), row(rb)));
             }
-            (Some((sa, la)), None) => return Some((*sa, Some(la.clone()), None)),
-            (None, Some((sb, lb))) => return Some((*sb, None, Some(lb.clone()))),
-            (None, None) => unreachable!(),
         }
     }
-    None
 }
 
-fn context_window(a: &[(u64, String)], b: &[(u64, String)], seq: u64, k: u64) -> Vec<ContextLine> {
-    let lo = seq.saturating_sub(k);
-    let hi = seq + k;
-    let find = |side: &[(u64, String)], s: u64| -> Option<String> {
+fn context_window(a: &[SeqRow], b: &[SeqRow], seq: u64, k: u64) -> Vec<ContextLine> {
+    let find = |side: &[SeqRow], s: u64| -> Option<String> {
         side.iter()
             .find(|(seq, _)| *seq == s)
             .map(|(_, line)| line.clone())
     };
-    (lo..=hi)
+    (seq.saturating_sub(k)..=seq.saturating_add(k))
         .filter_map(|s| {
             let (ra, rb) = (find(a, s), find(b, s));
             if ra.is_none() && rb.is_none() {
@@ -426,291 +401,145 @@ fn classify(domain_a: &str, domain_b: &str) -> String {
     }
 }
 
-/// Diffs two sides whose checkpoints and (relevant) events are loaded.
+/// `(domain, name)` of an event row; empty for a row that does not parse.
+fn names(row: &str) -> (String, String) {
+    match Row::parse(row).and_then(Row::event) {
+        Some(e) => (e.domain, e.name),
+        None => Default::default(),
+    }
+}
+
+/// Compares the loaded rows over `[lo, hi]` and fills in the verdict.
+/// `segment` is the segment whose digests disagreed, `None` when the
+/// whole streams are compared row by row.
 fn diff_sides(
-    a: Side,
-    b: Side,
-    seg: Option<usize>,
-    checkpoints_compared: u64,
-    bodies_read: u64,
+    mut report: DiffReport,
+    a: &[SeqRow],
+    b: &[SeqRow],
+    (lo, hi): (u64, u64),
+    segment: Option<u64>,
     context_k: u64,
-    bisected: bool,
 ) -> DiffReport {
-    let (range, segment_index) = match seg {
-        Some(i) => (
-            (
-                a.checkpoints[i].start_seq,
-                a.checkpoints[i].end_seq.max(b.checkpoints[i].end_seq),
-            ),
-            i as u64,
-        ),
-        None => ((0, u64::MAX), 0),
-    };
-    let divergence = first_divergent_row(&a.events, &b.events, range.0, range.1);
-    let mut report = DiffReport {
-        label_a: a.label.clone(),
-        label_b: b.label.clone(),
-        verdict: Verdict::Identical,
-        context: Vec::new(),
-        classification: String::new(),
-        checkpoints_compared,
-        bodies_read,
-        bisected,
-    };
-    match divergence {
-        // One side's stream ends where the other continues, every
-        // shared row having matched: a strict prefix, not a conflict.
-        Some((seq, None, Some(_))) => {
-            report.context = context_window(&a.events, &b.events, seq, context_k);
-            report.verdict = Verdict::PrefixOf {
-                shorter: a.label.clone(),
-                common_events: seq,
-            };
-            report
+    let Some((seq, row_a, row_b)) = first_divergent_row(a, b, lo, hi) else {
+        if let Some(segment) = segment {
+            // The segment's digests disagreed yet every rendered row
+            // matched: the divergence lives only in the canonical
+            // binary encoding.
+            report.verdict = Verdict::DigestOnly { segment };
         }
-        Some((seq, Some(_), None)) => {
-            report.context = context_window(&a.events, &b.events, seq, context_k);
-            report.verdict = Verdict::PrefixOf {
-                shorter: b.label.clone(),
-                common_events: seq,
-            };
-            report
-        }
-        Some((seq, row_a, row_b)) => {
-            let domain_a = row_a
-                .as_deref()
-                .and_then(|l| json_str(l, "domain"))
-                .unwrap_or("")
-                .to_string();
-            let name_a = row_a
-                .as_deref()
-                .and_then(|l| json_str(l, "name"))
-                .unwrap_or("")
-                .to_string();
-            let domain_b = row_b
-                .as_deref()
-                .and_then(|l| json_str(l, "domain"))
-                .unwrap_or("")
-                .to_string();
-            let name_b = row_b
-                .as_deref()
-                .and_then(|l| json_str(l, "name"))
-                .unwrap_or("")
-                .to_string();
+        return report;
+    };
+    report.context = context_window(a, b, seq, context_k);
+    report.verdict = match (row_a, row_b) {
+        (Some(row_a), Some(row_b)) => {
+            let ((domain_a, name_a), (domain_b, name_b)) = (names(row_a), names(row_b));
             report.classification = classify(&domain_a, &domain_b);
-            report.context = context_window(&a.events, &b.events, seq, context_k);
-            report.verdict = Verdict::DivergesAt {
+            Verdict::DivergesAt {
                 seq,
-                segment: seg.map(|i| i as u64).unwrap_or(seq / crate::SEGMENT_EVENTS),
+                segment: segment.unwrap_or(seq / crate::SEGMENT_EVENTS),
                 domain_a,
                 name_a,
                 domain_b,
                 name_b,
-            };
-            report
-        }
-        None => {
-            // No row disagreed in the examined range.
-            match seg {
-                Some(_) => {
-                    // This segment's digests disagreed yet every
-                    // rendered row matched: the divergence lives only
-                    // in the canonical binary encoding.
-                    report.verdict = Verdict::DigestOnly {
-                        segment: segment_index,
-                    };
-                    report
-                }
-                None => {
-                    // Full-stream compare with no disagreement: check
-                    // for a pure length difference.
-                    let (na, nb) = (a.events.len() as u64, b.events.len() as u64);
-                    if na != nb {
-                        let shorter = if na < nb { &a.label } else { &b.label };
-                        report.verdict = Verdict::PrefixOf {
-                            shorter: shorter.clone(),
-                            common_events: na.min(nb),
-                        };
-                    }
-                    report
-                }
             }
         }
-    }
+        // One side's stream ends where the other continues, every
+        // shared row having matched: a strict prefix, not a conflict.
+        (row_a, _) => Verdict::PrefixOf {
+            shorter: if row_a.is_none() {
+                report.label_a.clone()
+            } else {
+                report.label_b.clone()
+            },
+            common_events: seq,
+        },
+    };
+    report
 }
 
-/// Diffs two JSONL captures on disk. Uses checkpoint bisection when
-/// both files carry checkpoint rows (reading only O(n/segment)
-/// checkpoints plus one segment of event bodies per side); falls back
-/// to a full linear compare otherwise. `context_k` is the ± window of
-/// event rows reported around the divergence.
-pub fn diff_files(path_a: &Path, path_b: &Path, context_k: u64) -> std::io::Result<DiffReport> {
-    // Pass 1: checkpoints only (event bodies skipped by line prefix).
-    let mut bodies = 0u64;
-    let probe_a = load_file(path_a, Some((1, 0)), &mut bodies)?;
-    let probe_b = load_file(path_b, Some((1, 0)), &mut bodies)?;
-    let have_checkpoints = !probe_a.checkpoints.is_empty() && !probe_b.checkpoints.is_empty();
-    if !have_checkpoints {
-        // Legacy captures: linear compare of everything.
-        let mut bodies = 0u64;
-        let a = load_file(path_a, None, &mut bodies)?;
-        let b = load_file(path_b, None, &mut bodies)?;
-        return Ok(diff_sides(a, b, None, 0, bodies, context_k, false));
-    }
-    let (seg, compares) = bisect_chains(&probe_a.checkpoints, &probe_b.checkpoints);
-    let seg = match seg {
-        Some(i) => i,
+/// The one diff driver. Bisects the two checkpoint chains; when the
+/// shared checkpoints agree the answer is identical-or-prefix and no
+/// event row is read; otherwise reads the first divergent segment (±
+/// `context_k`) of each side and names the row. A side with no
+/// checkpoints is an empty capture, and the streams are then compared
+/// row by row.
+fn diff_sources(a: Source, b: Source, context_k: u64) -> io::Result<DiffReport> {
+    let (chain_a, chain_b) = (a.checkpoints()?, b.checkpoints()?);
+    let common = chain_a.len().min(chain_b.len());
+    let (segment, probes) = first_mismatch(common, |i| {
+        chain_a[i].chained != chain_b[i].chained || chain_a[i].end_seq != chain_b[i].end_seq
+    });
+    let mut report = DiffReport {
+        label_a: a.label(),
+        label_b: b.label(),
+        verdict: Verdict::Identical,
+        context: Vec::new(),
+        classification: String::new(),
+        checkpoints_compared: probes,
+        bodies_read: 0,
+        bisected: common > 0,
+    };
+    let (lo, hi) = match segment {
+        Some(i) => (
+            chain_a[i].start_seq,
+            chain_a[i].end_seq.max(chain_b[i].end_seq),
+        ),
+        None if common == 0 => (0, u64::MAX),
         None => {
-            // Common checkpoint prefix agrees; any divergence is a
-            // trailing-length difference.
-            let (ca, cb) = (&probe_a.checkpoints, &probe_b.checkpoints);
-            if ca.len() == cb.len() {
-                return Ok(DiffReport {
-                    label_a: probe_a.label,
-                    label_b: probe_b.label,
-                    verdict: Verdict::Identical,
-                    context: Vec::new(),
-                    classification: String::new(),
-                    checkpoints_compared: compares,
-                    bodies_read: 0,
-                    bisected: true,
-                });
+            if chain_a.len() != chain_b.len() {
+                let (shorter, label) = if chain_a.len() < chain_b.len() {
+                    (&chain_a, &report.label_a)
+                } else {
+                    (&chain_b, &report.label_b)
+                };
+                report.verdict = Verdict::PrefixOf {
+                    shorter: label.clone(),
+                    common_events: shorter[common - 1].end_seq + 1,
+                };
             }
-            let (short, long) = if ca.len() < cb.len() {
-                (&probe_a, &probe_b)
-            } else {
-                (&probe_b, &probe_a)
-            };
-            let common = short
-                .checkpoints
-                .last()
-                .map(|cp| cp.end_seq + 1)
-                .unwrap_or(0);
-            let _ = long;
-            return Ok(DiffReport {
-                label_a: probe_a.label.clone(),
-                label_b: probe_b.label.clone(),
-                verdict: Verdict::PrefixOf {
-                    shorter: short.label.clone(),
-                    common_events: common,
-                },
-                context: Vec::new(),
-                classification: String::new(),
-                checkpoints_compared: compares,
-                bodies_read: 0,
-                bisected: true,
-            });
+            return Ok(report);
         }
     };
-    // Pass 2: event bodies of the divergent segment only.
-    let range_a = (
-        probe_a.checkpoints[seg].start_seq,
-        probe_a.checkpoints[seg]
-            .end_seq
-            .max(probe_b.checkpoints[seg].end_seq)
-            + context_k,
-    );
-    let mut bodies = 0u64;
-    let mut a = load_file(
-        path_a,
-        Some((range_a.0.saturating_sub(context_k), range_a.1)),
-        &mut bodies,
-    )?;
-    let mut b = load_file(
-        path_b,
-        Some((range_a.0.saturating_sub(context_k), range_a.1)),
-        &mut bodies,
-    )?;
-    a.checkpoints = probe_a.checkpoints;
-    b.checkpoints = probe_b.checkpoints;
+    let (from, to) = (lo.saturating_sub(context_k), hi.saturating_add(context_k));
+    let (rows_a, rows_b) = (a.rows(from, to)?, b.rows(from, to)?);
+    report.bodies_read = (rows_a.len() + rows_b.len()) as u64;
+    let segment = segment.map(|i| i as u64);
     Ok(diff_sides(
-        a,
-        b,
-        Some(seg),
-        compares,
-        bodies,
+        report,
+        &rows_a,
+        &rows_b,
+        (lo, hi),
+        segment,
         context_k,
-        true,
     ))
 }
 
-/// Diffs two in-process capture summaries (ring sinks must have
-/// retained all events for exact localization; evicted events diff as
-/// absent rows). Checkpoint bisection narrows the compare to one
-/// segment exactly as the file path does.
+/// Diffs two JSONL captures on disk, reading each file's checkpoints
+/// and then at most one segment of its event bodies. `context_k` is the
+/// ± window of event rows reported around the divergence. A file that
+/// cannot be read, or whose checkpoint chain is damaged, is an error
+/// (`io::ErrorKind::InvalidData` for the latter), not a verdict.
+pub fn diff_files(path_a: &Path, path_b: &Path, context_k: u64) -> io::Result<DiffReport> {
+    diff_sources(Source::File(path_a), Source::File(path_b), context_k)
+}
+
+/// Diffs two in-process captures (ring sinks must have retained all
+/// events for exact localization; evicted events diff as absent rows).
+/// Checkpoint bisection narrows the compare to one segment exactly as
+/// the file path does.
 pub fn diff_reports(
-    a: &crate::TraceReport,
-    b: &crate::TraceReport,
+    a: &TraceReport,
+    b: &TraceReport,
     label_a: &str,
     label_b: &str,
     context_k: u64,
 ) -> DiffReport {
-    let mut bodies = 0u64;
-    let side_a = side_from_report(a, label_a, &mut bodies);
-    let side_b = side_from_report(b, label_b, &mut bodies);
-    let (seg, compares) = bisect_chains(&side_a.checkpoints, &side_b.checkpoints);
-    match seg {
-        Some(i) => {
-            // Only the divergent segment's bodies count as "read".
-            let (lo, hi) = (
-                side_a.checkpoints[i].start_seq,
-                side_a.checkpoints[i]
-                    .end_seq
-                    .max(side_b.checkpoints[i].end_seq),
-            );
-            let read = side_a
-                .events
-                .iter()
-                .chain(side_b.events.iter())
-                .filter(|(s, _)| *s >= lo && *s <= hi)
-                .count() as u64;
-            diff_sides(side_a, side_b, Some(i), compares, read, context_k, true)
-        }
-        None => {
-            let same_len = side_a.checkpoints.len() == side_b.checkpoints.len();
-            if same_len && !side_a.checkpoints.is_empty() {
-                DiffReport {
-                    label_a: side_a.label,
-                    label_b: side_b.label,
-                    verdict: Verdict::Identical,
-                    context: Vec::new(),
-                    classification: String::new(),
-                    checkpoints_compared: compares,
-                    bodies_read: 0,
-                    bisected: true,
-                }
-            } else if !side_a.checkpoints.is_empty() && !side_b.checkpoints.is_empty() {
-                let (short_label, common) = {
-                    let (s, l) = if side_a.checkpoints.len() < side_b.checkpoints.len() {
-                        (&side_a, &side_b)
-                    } else {
-                        (&side_b, &side_a)
-                    };
-                    let _ = l;
-                    (
-                        s.label.clone(),
-                        s.checkpoints.last().map(|c| c.end_seq + 1).unwrap_or(0),
-                    )
-                };
-                DiffReport {
-                    label_a: side_a.label,
-                    label_b: side_b.label,
-                    verdict: Verdict::PrefixOf {
-                        shorter: short_label,
-                        common_events: common,
-                    },
-                    context: Vec::new(),
-                    classification: String::new(),
-                    checkpoints_compared: compares,
-                    bodies_read: 0,
-                    bisected: true,
-                }
-            } else {
-                // One or both captures empty: linear compare.
-                diff_sides(side_a, side_b, None, compares, bodies, context_k, false)
-            }
-        }
-    }
+    diff_sources(
+        Source::Report(a, label_a),
+        Source::Report(b, label_b),
+        context_k,
+    )
+    .expect("an in-process capture is read without I/O")
 }
 
 /// First height at which two chained block-checkpoint lists disagree
@@ -723,32 +552,10 @@ pub fn diff_reports(
 /// comparing block bodies.
 pub fn first_divergent_height(a: &[(u64, Digest)], b: &[(u64, Digest)]) -> Option<u64> {
     let common = a.len().min(b.len());
-    if common > 0 && a[common - 1] == b[common - 1] {
-        // Shared prefix agrees (chaining makes mismatch monotone).
-        return match a.len().cmp(&b.len()) {
-            std::cmp::Ordering::Equal => None,
-            std::cmp::Ordering::Less => Some(b[common].0),
-            std::cmp::Ordering::Greater => Some(a[common].0),
-        };
+    match first_mismatch(common, |i| a[i] != b[i]).0 {
+        Some(i) => Some(a[i].0),
+        None => a.get(common).or(b.get(common)).map(|entry| entry.0),
     }
-    if common == 0 {
-        return match a.len().cmp(&b.len()) {
-            std::cmp::Ordering::Equal => None,
-            std::cmp::Ordering::Less => Some(b[0].0),
-            std::cmp::Ordering::Greater => Some(a[0].0),
-        };
-    }
-    // Binary search the first mismatching index.
-    let (mut lo, mut hi) = (0usize, common - 1); // invariant: a[hi] != b[hi]
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if a[mid] != b[mid] {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Some(a[lo].0)
 }
 
 #[cfg(test)]

@@ -30,10 +30,10 @@
 //!   when no capture is active a disabled site costs under 1% of the
 //!   signature check it wraps (`bench_micro`'s `obs.disabled_site_ns`).
 //! - **Sinks** ([`SinkKind`]): ring buffer for tests, JSONL writer for
-//!   benches and offline analysis, and a digest-only null sink. The
-//!   digest is folded in the collector *before* the sink sees the
-//!   event, so ring, JSONL and null captures of the same run produce
-//!   the same digest.
+//!   benches and offline analysis ([`jsonl`] owns the file format), and
+//!   a digest-only null sink. The digest is folded in the collector
+//!   *before* the sink sees the event, so ring, JSONL and null captures
+//!   of the same run produce the same digest.
 //!
 //! Determinism contract: events must be emitted from serial code paths
 //! only (the discrete-event simulator loop, block production and
@@ -46,6 +46,7 @@
 #![forbid(unsafe_code)]
 
 pub mod diff;
+pub mod jsonl;
 mod metrics;
 pub mod report;
 mod sink;
@@ -53,8 +54,8 @@ mod trace;
 pub mod window;
 
 pub use metrics::{
-    counter_handle, gauge_handle, histogram_handle, reset_metrics, snapshot, Counter, Gauge,
-    Histogram, HistogramSnapshot, MetricsSnapshot, HISTOGRAM_BUCKETS,
+    counter_handle, gauge_handle, histogram_handle, snapshot, Counter, Gauge, Histogram,
+    HistogramSnapshot, MetricsSnapshot,
 };
 pub use sink::SinkKind;
 pub use trace::{
@@ -62,11 +63,6 @@ pub use trace::{
     test_lock, trace_digest, Capture, Event, EventKind, SegmentCheckpoint, Span, Stamp, TraceCtx,
     TraceReport, Value, SEGMENT_EVENTS,
 };
-
-/// What a finished capture summarizes: digest, segment checkpoints,
-/// Merkle root, retained events. Alias kept so call sites can speak the
-/// paper's vocabulary ("the capture summary a committee signs over").
-pub type CaptureSummary = TraceReport;
 
 /// Interns (once per call site) and returns a `&'static` [`Counter`].
 ///

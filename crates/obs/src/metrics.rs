@@ -4,8 +4,8 @@
 //! increment is one relaxed atomic operation with no lock and no hash
 //! lookup (call sites cache the handle in a `OnceLock` via the
 //! [`counter!`](crate::counter!) family of macros). Counters and
-//! histograms are monotonic totals; [`reset_metrics`] and per-handle
-//! `reset` exist for benches and tests that need cold starts.
+//! histograms are monotonic totals; per-handle `reset` exists for
+//! benches and tests that need cold starts.
 //!
 //! Metrics are deliberately *not* part of the trace digest: parallel
 //! workers increment them in nondeterministic interleavings, and cache
@@ -127,7 +127,7 @@ impl Gauge {
 /// Bucket upper bounds: powers of four (1, 4, 16, …, 4^15) plus a
 /// catch-all. Fourteen doublings cover everything from per-tx gas to
 /// per-block byte counts without tuning.
-pub const HISTOGRAM_BUCKETS: usize = 17;
+const HISTOGRAM_BUCKETS: usize = 17;
 
 /// Fixed-bucket histogram of `u64` observations.
 pub struct Histogram {
@@ -147,16 +147,16 @@ impl Histogram {
         }
     }
 
+    /// The bucket `v` falls in: the first whose bound is at least `v`.
+    pub(crate) fn bucket_index(v: u64) -> usize {
+        (0..HISTOGRAM_BUCKETS - 1)
+            .find(|&i| v <= Self::bucket_bound(i))
+            .unwrap_or(HISTOGRAM_BUCKETS - 1)
+    }
+
     /// Records one observation.
     pub fn observe(&self, v: u64) {
-        let mut idx = HISTOGRAM_BUCKETS - 1;
-        for i in 0..HISTOGRAM_BUCKETS - 1 {
-            if v <= Self::bucket_bound(i) {
-                idx = i;
-                break;
-            }
-        }
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
@@ -195,6 +195,21 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// The snapshot a [`Histogram`] that observed exactly `values`
+    /// would give (the sum saturates).
+    pub(crate) fn from_values(values: &[u64]) -> HistogramSnapshot {
+        let mut snap = HistogramSnapshot {
+            count: values.len() as u64,
+            sum: 0,
+            buckets: vec![0; HISTOGRAM_BUCKETS],
+        };
+        for &v in values {
+            snap.buckets[Histogram::bucket_index(v)] += 1;
+            snap.sum = snap.sum.saturating_add(v);
+        }
+        snap
+    }
+
     /// Mean observation, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -432,21 +447,6 @@ pub fn snapshot() -> MetricsSnapshot {
     snap
 }
 
-/// Zeroes every registered metric (handles stay valid). Bench/test
-/// helper; production code never resets.
-pub fn reset_metrics() {
-    let reg = registry().lock();
-    for c in reg.counters.values() {
-        c.reset();
-    }
-    for g in reg.gauges.values() {
-        g.reset();
-    }
-    for h in reg.histograms.values() {
-        h.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,17 +492,7 @@ mod tests {
         assert_eq!(s.quantile(0.0), 0.0);
         assert_eq!(s.quantile(1.0), 16.0);
         assert_eq!(s.quantile(2.0), s.quantile(1.0));
-        assert_eq!(HistogramSnapshot::default_empty().quantile(0.5), 0.0);
-    }
-
-    impl HistogramSnapshot {
-        fn default_empty() -> HistogramSnapshot {
-            HistogramSnapshot {
-                count: 0,
-                sum: 0,
-                buckets: vec![0; HISTOGRAM_BUCKETS],
-            }
-        }
+        assert_eq!(HistogramSnapshot::from_values(&[]).quantile(0.5), 0.0);
     }
 
     /// The unbounded last bucket has no upper edge: quantiles landing

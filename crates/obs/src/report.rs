@@ -24,9 +24,9 @@
 //! and [`TraceAnalysis::report_digest`] are bit-identical across
 //! reruns, `PDS2_THREADS`, and ring-vs-JSONL capture of the same run.
 
-use crate::metrics::{Histogram, HistogramSnapshot, MetricsSnapshot, HISTOGRAM_BUCKETS};
-use crate::sink::escape_json;
-use crate::trace::{Event, EventKind, Stamp, Value};
+use crate::jsonl::{RawEvent, Row};
+use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
+use crate::trace::{EventKind, Stamp};
 use pds2_crypto::sha256::Sha256;
 use std::collections::BTreeMap;
 
@@ -38,389 +38,6 @@ pub const SIM_US_PER_BLOCK: u64 = 12_000_000;
 /// Logical microseconds assigned to one learning round when mapping
 /// [`Stamp::Round`] onto the simulated-time axis.
 pub const SIM_US_PER_ROUND: u64 = 1_000_000;
-
-/// Field value as recovered from a capture. Numbers keep full integer
-/// precision (`u128`/`i128`) — span and trace ids exceed 2^53, so
-/// routing them through `f64` would corrupt them.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RawValue {
-    /// Non-negative integer.
-    U(u128),
-    /// Negative integer.
-    I(i128),
-    /// Float (finite; non-finite floats are JSONL-quoted and come back
-    /// as strings).
-    F(f64),
-    /// String.
-    S(String),
-}
-
-impl RawValue {
-    fn render_json(&self, out: &mut String) {
-        match self {
-            RawValue::U(v) => out.push_str(&v.to_string()),
-            RawValue::I(v) => out.push_str(&v.to_string()),
-            RawValue::F(v) => out.push_str(&format!("{v}")),
-            RawValue::S(v) => {
-                out.push('"');
-                escape_json(v, out);
-                out.push('"');
-            }
-        }
-    }
-}
-
-impl From<&Value> for RawValue {
-    fn from(v: &Value) -> RawValue {
-        match v {
-            Value::U64(v) => RawValue::U(*v as u128),
-            Value::U128(v) => RawValue::U(*v),
-            Value::I64(v) if *v < 0 => RawValue::I(*v as i128),
-            Value::I64(v) => RawValue::U(*v as u128),
-            Value::F64(v) if v.is_finite() => {
-                // Mirror `Event::to_json`: integral floats print as
-                // integers, so they come back as integers.
-                let s = format!("{v}");
-                match s.parse::<u128>() {
-                    Ok(u) => RawValue::U(u),
-                    Err(_) => match s.parse::<i128>() {
-                        Ok(i) => RawValue::I(i),
-                        Err(_) => RawValue::F(*v),
-                    },
-                }
-            }
-            Value::F64(v) => RawValue::S(format!("{v}")),
-            Value::Str(s) => RawValue::S(s.clone()),
-        }
-    }
-}
-
-/// One event as recovered from a capture (owned strings — JSONL rows
-/// have no `&'static` interned names).
-#[derive(Clone, Debug, PartialEq)]
-pub struct RawEvent {
-    /// Position in the capture's stream.
-    pub seq: u64,
-    /// Point / span-start / span-end.
-    pub kind: EventKind,
-    /// Subsystem.
-    pub domain: String,
-    /// Event name.
-    pub name: String,
-    /// Owning span id (0 = free-standing).
-    pub span: u64,
-    /// Trace id (0 = untraced).
-    pub trace: u64,
-    /// Causal parent span id (0 = root/untraced).
-    pub parent: u64,
-    /// Logical timestamp.
-    pub stamp: Stamp,
-    /// Payload fields in emission order.
-    pub fields: Vec<(String, RawValue)>,
-}
-
-impl From<&Event> for RawEvent {
-    fn from(e: &Event) -> RawEvent {
-        RawEvent {
-            seq: e.seq,
-            kind: e.kind,
-            domain: e.domain.to_string(),
-            name: e.name.to_string(),
-            span: e.span,
-            trace: e.trace,
-            parent: e.parent,
-            stamp: e.stamp,
-            fields: e
-                .fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), RawValue::from(v)))
-                .collect(),
-        }
-    }
-}
-
-impl RawEvent {
-    /// Re-renders the event in the JSONL row format. For any line
-    /// produced by [`Event::to_json`], `parse → to_json` reproduces the
-    /// line byte-for-byte (asserted by the round-trip tests), which is
-    /// what makes ring- and JSONL-sourced analyses agree.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str(&format!(
-            "{{\"seq\":{},\"kind\":\"{}\",\"domain\":\"{}\",\"name\":\"{}\"",
-            self.seq,
-            match self.kind {
-                EventKind::Point => "point",
-                EventKind::SpanStart => "span_start",
-                EventKind::SpanEnd => "span_end",
-            },
-            self.domain,
-            self.name
-        ));
-        if self.span != 0 {
-            s.push_str(&format!(",\"span\":{}", self.span));
-        }
-        if self.trace != 0 {
-            s.push_str(&format!(",\"trace\":{}", self.trace));
-        }
-        if self.parent != 0 {
-            s.push_str(&format!(",\"parent\":{}", self.parent));
-        }
-        match self.stamp {
-            Stamp::None => {}
-            Stamp::Sim(t) => s.push_str(&format!(",\"sim_us\":{t}")),
-            Stamp::Block(h) => s.push_str(&format!(",\"block\":{h}")),
-            Stamp::Round(r) => s.push_str(&format!(",\"round\":{r}")),
-        }
-        if !self.fields.is_empty() {
-            s.push_str(",\"fields\":{");
-            for (i, (key, value)) in self.fields.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push('"');
-                escape_json(key, &mut s);
-                s.push_str("\":");
-                value.render_json(&mut s);
-            }
-            s.push('}');
-        }
-        s.push('}');
-        s
-    }
-
-    /// First field named `key` as a `u64`, if present and in range.
-    pub fn field_u64(&self, key: &str) -> Option<u64> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| match v {
-                RawValue::U(u) => u64::try_from(*u).ok(),
-                _ => None,
-            })
-    }
-
-    /// Parses one JSONL row. Returns `None` on malformed input.
-    pub fn parse_json_line(line: &str) -> Option<RawEvent> {
-        let json = Parser::parse(line)?;
-        let obj = match json {
-            JsonValue::Object(kv) => kv,
-            _ => return None,
-        };
-        let get = |key: &str| obj.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let get_u64 = |key: &str| match get(key) {
-            Some(JsonValue::U(u)) => u64::try_from(*u).ok(),
-            _ => None,
-        };
-        let kind = match get("kind")? {
-            JsonValue::S(s) if s == "point" => EventKind::Point,
-            JsonValue::S(s) if s == "span_start" => EventKind::SpanStart,
-            JsonValue::S(s) if s == "span_end" => EventKind::SpanEnd,
-            _ => return None,
-        };
-        let stamp = if let Some(t) = get_u64("sim_us") {
-            Stamp::Sim(t)
-        } else if let Some(h) = get_u64("block") {
-            Stamp::Block(h)
-        } else if let Some(r) = get_u64("round") {
-            Stamp::Round(r)
-        } else {
-            Stamp::None
-        };
-        let string = |key: &str| match get(key) {
-            Some(JsonValue::S(s)) => Some(s.clone()),
-            _ => None,
-        };
-        let fields = match get("fields") {
-            None => Vec::new(),
-            Some(JsonValue::Object(kv)) => kv
-                .iter()
-                .map(|(k, v)| {
-                    let raw = match v {
-                        JsonValue::U(u) => RawValue::U(*u),
-                        JsonValue::I(i) => RawValue::I(*i),
-                        JsonValue::F(f) => RawValue::F(*f),
-                        JsonValue::S(s) => RawValue::S(s.clone()),
-                        JsonValue::Object(_) => return None,
-                    };
-                    Some((k.clone(), raw))
-                })
-                .collect::<Option<Vec<_>>>()?,
-            Some(_) => return None,
-        };
-        Some(RawEvent {
-            seq: get_u64("seq")?,
-            kind,
-            domain: string("domain")?,
-            name: string("name")?,
-            span: get_u64("span").unwrap_or(0),
-            trace: get_u64("trace").unwrap_or(0),
-            parent: get_u64("parent").unwrap_or(0),
-            stamp,
-            fields,
-        })
-    }
-}
-
-/// Minimal JSON value for the row parser. Integer precision is kept
-/// exact; the JSONL format never emits arrays, booleans or nulls.
-enum JsonValue {
-    Object(Vec<(String, JsonValue)>),
-    S(String),
-    U(u128),
-    I(i128),
-    F(f64),
-}
-
-/// Hand-rolled parser for the JSONL row grammar (objects, strings,
-/// numbers; no external JSON dependency is available offline).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(s: &'a str) -> Option<JsonValue> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos == p.bytes.len() {
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn value(&mut self) -> Option<JsonValue> {
-        self.skip_ws();
-        match self.bytes.get(self.pos)? {
-            b'{' => self.object(),
-            b'"' => Some(JsonValue::S(self.string()?)),
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => None,
-        }
-    }
-
-    fn object(&mut self) -> Option<JsonValue> {
-        self.eat(b'{')?;
-        let mut kv = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Some(JsonValue::Object(kv));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            kv.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos)? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(JsonValue::Object(kv));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.bytes.get(self.pos) != Some(&b'"') {
-            return None;
-        }
-        self.pos += 1;
-        let mut out = Vec::new();
-        loop {
-            match *self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return String::from_utf8(out).ok();
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match *self.bytes.get(self.pos)? {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'n' => out.push(b'\n'),
-                        b'r' => out.push(b'\r'),
-                        b't' => out.push(b'\t'),
-                        b'b' => out.push(0x08),
-                        b'f' => out.push(0x0c),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            let c = char::from_u32(code)?;
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                b => {
-                    out.push(b);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<JsonValue> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-        if !float {
-            if let Ok(u) = text.parse::<u128>() {
-                return Some(JsonValue::U(u));
-            }
-            if let Ok(i) = text.parse::<i128>() {
-                return Some(JsonValue::I(i));
-            }
-        }
-        text.parse::<f64>().ok().map(JsonValue::F)
-    }
-}
 
 /// One reconstructed span in the causal DAG.
 #[derive(Clone, Debug)]
@@ -535,27 +152,6 @@ fn render_dist(out: &mut String, label: &str, values: &mut [u64]) {
         ));
     }
     out.push('\n');
-}
-
-fn histogram_of(values: &[u64]) -> HistogramSnapshot {
-    let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-    let mut sum = 0u64;
-    for &v in values {
-        let mut idx = HISTOGRAM_BUCKETS - 1;
-        for i in 0..HISTOGRAM_BUCKETS - 1 {
-            if v <= Histogram::bucket_bound(i) {
-                idx = i;
-                break;
-            }
-        }
-        buckets[idx] += 1;
-        sum = sum.saturating_add(v);
-    }
-    HistogramSnapshot {
-        count: values.len() as u64,
-        sum,
-        buckets,
-    }
 }
 
 /// The reconstructed causal DAG plus every derived statistic.
@@ -675,8 +271,7 @@ impl TraceAnalysis {
     pub fn from_jsonl(body: &str) -> TraceAnalysis {
         let events: Vec<RawEvent> = body
             .lines()
-            .filter(|l| !l.trim().is_empty())
-            .filter_map(RawEvent::parse_json_line)
+            .filter_map(|l| Row::parse(l)?.event())
             .collect();
         TraceAnalysis::from_events(&events)
     }
@@ -822,15 +417,15 @@ impl TraceAnalysis {
         snap.counters.insert("trace.events".into(), self.events);
         snap.histograms.insert(
             "trace.hop_latency_us".into(),
-            histogram_of(&self.hop_latencies_us),
+            HistogramSnapshot::from_values(&self.hop_latencies_us),
         );
         snap.histograms.insert(
             "trace.blocks_to_inclusion".into(),
-            histogram_of(&self.blocks_to_inclusion),
+            HistogramSnapshot::from_values(&self.blocks_to_inclusion),
         );
         snap.histograms.insert(
             "trace.submit_to_payout_us".into(),
-            histogram_of(&self.submit_to_payout_us),
+            HistogramSnapshot::from_values(&self.submit_to_payout_us),
         );
         snap
     }
@@ -926,7 +521,7 @@ impl TraceAnalysis {
 mod tests {
     use super::*;
     use crate as obs;
-    use crate::SinkKind;
+    use crate::{SinkKind, Value};
 
     /// Builds a tiny two-level trace and checks the DAG, critical path
     /// and folded stacks against hand-computed values.

@@ -7,8 +7,7 @@
 //! (`crate::trace_digest`). Sinks only decide what, if anything, is
 //! retained for later inspection.
 
-use crate::trace::{Event, SegmentCheckpoint};
-use pds2_crypto::sha256::Digest;
+use crate::trace::Event;
 use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
@@ -67,45 +66,23 @@ impl ActiveSink {
                 }
                 buf.push_back(event.clone());
             }
-            ActiveSink::Jsonl { writer, .. } => {
-                // Disk errors must not abort a simulation mid-run; the
-                // capture report's path lets callers re-check the file.
-                let _ = writer.write_all(event.to_json().as_bytes());
-                let _ = writer.write_all(b"\n");
-            }
+            ActiveSink::Jsonl { .. } => self.write_row(|| event.to_json()),
             ActiveSink::Null => {}
         }
     }
 
-    /// Records a closed segment's checkpoint. Only the JSONL sink
-    /// persists anything (one checkpoint row); checkpoints are *not*
-    /// folded into the trace digest, so this cannot break sink
-    /// invariance. In-process captures read checkpoints off the
+    /// Writes one row of the capture file; only the JSONL sink persists
+    /// anything (and only then is the row rendered). Checkpoint and
+    /// trailer rows come through here too: they are *not* folded into
+    /// the trace digest, so this cannot break sink invariance, and
+    /// in-process captures read them off the
     /// [`TraceReport`](crate::TraceReport) instead.
-    pub(crate) fn record_checkpoint(&mut self, cp: &SegmentCheckpoint) {
+    pub(crate) fn write_row(&mut self, row: impl FnOnce() -> String) {
         if let ActiveSink::Jsonl { writer, .. } = self {
-            let _ = writer.write_all(cp.to_json().as_bytes());
+            // Disk errors must not abort a simulation mid-run; the
+            // capture report's path lets callers re-check the file.
+            let _ = writer.write_all(row().as_bytes());
             let _ = writer.write_all(b"\n");
-        }
-    }
-
-    /// Records the capture trailer (segment count, Merkle root over
-    /// segment digests, final trace digest). JSONL sink only; lets
-    /// `obs_diff` short-circuit identical files on one line.
-    pub(crate) fn record_trailer(
-        &mut self,
-        segments: &[SegmentCheckpoint],
-        root: Digest,
-        digest: &Digest,
-    ) {
-        if let ActiveSink::Jsonl { writer, .. } = self {
-            let line = format!(
-                "{{\"segment_root\":\"{}\",\"segments\":{},\"trace_digest\":\"{}\"}}\n",
-                root.to_hex(),
-                segments.len(),
-                digest.to_hex()
-            );
-            let _ = writer.write_all(line.as_bytes());
         }
     }
 
@@ -118,21 +95,6 @@ impl ActiveSink {
                 (Vec::new(), 0, Some(path))
             }
             ActiveSink::Null => (Vec::new(), 0, None),
-        }
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
 }

@@ -8,7 +8,8 @@
 //! height or learning round — so the chain commits only to *logical*
 //! behaviour and is bit-identical across reruns and `PDS2_THREADS`.
 
-use crate::sink::{escape_json, ActiveSink, SinkKind};
+use crate::jsonl::trailer_json;
+use crate::sink::{ActiveSink, SinkKind};
 use parking_lot::{Mutex, MutexGuard};
 use pds2_crypto::sha256::{sha256_pair, Digest, Sha256};
 use std::collections::HashMap;
@@ -211,68 +212,6 @@ impl Event {
             }
         }
     }
-
-    /// One-line JSON object (the JSONL sink's row format).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str(&format!(
-            "{{\"seq\":{},\"kind\":\"{}\",\"domain\":\"{}\",\"name\":\"{}\"",
-            self.seq,
-            match self.kind {
-                EventKind::Point => "point",
-                EventKind::SpanStart => "span_start",
-                EventKind::SpanEnd => "span_end",
-            },
-            self.domain,
-            self.name
-        ));
-        if self.span != 0 {
-            s.push_str(&format!(",\"span\":{}", self.span));
-        }
-        if self.trace != 0 {
-            s.push_str(&format!(",\"trace\":{}", self.trace));
-        }
-        if self.parent != 0 {
-            s.push_str(&format!(",\"parent\":{}", self.parent));
-        }
-        match self.stamp {
-            Stamp::None => {}
-            Stamp::Sim(t) => s.push_str(&format!(",\"sim_us\":{t}")),
-            Stamp::Block(h) => s.push_str(&format!(",\"block\":{h}")),
-            Stamp::Round(r) => s.push_str(&format!(",\"round\":{r}")),
-        }
-        if !self.fields.is_empty() {
-            s.push_str(",\"fields\":{");
-            for (i, (key, value)) in self.fields.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push('"');
-                escape_json(key, &mut s);
-                s.push_str("\":");
-                match value {
-                    Value::U64(v) => s.push_str(&v.to_string()),
-                    Value::U128(v) => s.push_str(&v.to_string()),
-                    Value::I64(v) => s.push_str(&v.to_string()),
-                    Value::F64(v) => {
-                        if v.is_finite() {
-                            s.push_str(&format!("{v}"));
-                        } else {
-                            s.push_str(&format!("\"{v}\""));
-                        }
-                    }
-                    Value::Str(v) => {
-                        s.push('"');
-                        escape_json(v, &mut s);
-                        s.push('"');
-                    }
-                }
-            }
-            s.push('}');
-        }
-        s.push('}');
-        s
-    }
 }
 
 /// Number of events per digest segment. Small enough that diffing one
@@ -301,22 +240,6 @@ pub struct SegmentCheckpoint {
     pub digest: Digest,
     /// Chained digest over all segments up to and including this one.
     pub chained: Digest,
-}
-
-impl SegmentCheckpoint {
-    /// One-line JSON object (the JSONL sink's checkpoint row). The
-    /// leading `"checkpoint"` key distinguishes these rows from event
-    /// rows; `crate::report` skips them, `crate::diff` parses them.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"checkpoint\":{},\"start_seq\":{},\"end_seq\":{},\"digest\":\"{}\",\"chained\":\"{}\"}}",
-            self.index,
-            self.start_seq,
-            self.end_seq,
-            self.digest.to_hex(),
-            self.chained.to_hex()
-        )
-    }
 }
 
 /// Merkle root over segment digests (duplicate-last padding on odd
@@ -452,7 +375,7 @@ fn close_segment(col: &mut Collector) {
         chained,
     };
     if let Some(sink) = col.active.as_mut() {
-        sink.record_checkpoint(&cp);
+        sink.write_row(|| cp.to_json());
     }
     col.chained = chained;
     col.segments.push(cp);
@@ -757,7 +680,7 @@ fn finish_locked(col: &mut Collector) -> TraceReport {
     }
     let root = segment_merkle_root(&col.segments);
     if let Some(sink) = col.active.as_mut() {
-        sink.record_trailer(&col.segments, root, &col.digest);
+        sink.write_row(|| trailer_json(&root, col.segments.len(), &col.digest));
     }
     let (entries, evicted, path) = col
         .active

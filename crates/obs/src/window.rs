@@ -11,40 +11,17 @@
 //! transitions are regular digested trace events, pinned by the same
 //! golden-digest machinery as everything else.
 //!
-//! Two layers:
-//!
-//! - [`WindowedMetric`]: a ring of time buckets holding count, sum and
-//!   a power-of-four histogram; supports sliding-window rates and
-//!   quantiles at any logical instant.
-//! - [`SloMonitor`]: a multi-window burn-rate alert rule in the
-//!   Google-SRE style. An observation is *bad* when it exceeds the
-//!   objective's threshold; the monitor fires when the bad fraction
-//!   burns the error budget at ≥ the configured rate over a short
-//!   *and* a long window (the short window gives fast detection, the
-//!   long one suppresses single-burst noise).
+//! [`SloMonitor`] is a multi-window burn-rate alert rule in the
+//! Google-SRE style. An observation is *bad* when it exceeds the
+//! objective's threshold; the monitor fires when the bad fraction burns
+//! the error budget at ≥ the configured rate over a short *and* a long
+//! window (the short window gives fast detection, the long one
+//! suppresses single-burst noise). A quantile objective is a budget:
+//! "p99 ≤ T" is "at most 1% of observations exceed T", `budget_bp = 100`,
+//! so the windows count observations and bad observations and nothing
+//! else.
 
 use crate::trace::Stamp;
-
-/// Histogram bucket count (mirrors the registry's power-of-four
-/// layout: bucket `i` holds values ≤ `4^i`, last bucket unbounded).
-const BUCKETS: usize = crate::HISTOGRAM_BUCKETS;
-
-fn value_bucket(value: u64) -> usize {
-    for i in 0..BUCKETS - 1 {
-        if value <= 1u64 << (2 * i) {
-            return i;
-        }
-    }
-    BUCKETS - 1
-}
-
-fn bucket_bound(i: usize) -> u64 {
-    if i >= BUCKETS - 1 {
-        u64::MAX
-    } else {
-        1u64 << (2 * i)
-    }
-}
 
 #[derive(Clone)]
 struct Bucket {
@@ -52,39 +29,34 @@ struct Bucket {
     /// `u64::MAX` when empty.
     stamp: u64,
     count: u64,
-    sum: u64,
     bad: u64,
-    hist: [u64; BUCKETS],
 }
 
 const EMPTY_BUCKET: Bucket = Bucket {
     stamp: u64::MAX,
     count: 0,
-    sum: 0,
     bad: 0,
-    hist: [0; BUCKETS],
 };
 
-/// Sliding-window rates and quantiles over logical time.
+/// Sliding-window counts over logical time.
 ///
 /// The window is a ring of `buckets` slots, each covering
 /// `window_us / buckets` of logical time; a query at instant `t`
 /// aggregates every slot whose time-bucket lies within `(t - window,
 /// t]`. Observations and queries are pure integer bookkeeping —
 /// identical inputs yield identical outputs on every platform.
-#[derive(Clone)]
-pub struct WindowedMetric {
+struct WindowedMetric {
     bucket_us: u64,
     slots: Vec<Bucket>,
-    /// Optional badness threshold: observations strictly greater count
-    /// toward [`bad`](WindowedMetric::bad).
+    /// Badness threshold: observations strictly greater count toward
+    /// [`bad`](WindowedMetric::bad).
     threshold: u64,
 }
 
 impl WindowedMetric {
     /// A window spanning `window_us` of logical time, divided into
     /// `buckets` ring slots (expiry granularity = `window_us/buckets`).
-    pub fn new(window_us: u64, buckets: usize) -> WindowedMetric {
+    fn new(window_us: u64, buckets: usize) -> WindowedMetric {
         let buckets = buckets.max(1);
         WindowedMetric {
             bucket_us: (window_us / buckets as u64).max(1),
@@ -95,18 +67,13 @@ impl WindowedMetric {
 
     /// Sets the badness threshold (observations `> threshold` count as
     /// bad in [`bad`](WindowedMetric::bad)).
-    pub fn with_threshold(mut self, threshold: u64) -> WindowedMetric {
+    fn with_threshold(mut self, threshold: u64) -> WindowedMetric {
         self.threshold = threshold;
         self
     }
 
-    /// Total logical time the window spans.
-    pub fn window_us(&self) -> u64 {
-        self.bucket_us * self.slots.len() as u64
-    }
-
     /// Records `value` at logical instant `t_us`.
-    pub fn observe(&mut self, t_us: u64, value: u64) {
+    fn observe(&mut self, t_us: u64, value: u64) {
         let idx = t_us / self.bucket_us;
         let slot = (idx % self.slots.len() as u64) as usize;
         let b = &mut self.slots[slot];
@@ -115,11 +82,9 @@ impl WindowedMetric {
             b.stamp = idx;
         }
         b.count += 1;
-        b.sum += value;
         if value > self.threshold {
             b.bad += 1;
         }
-        b.hist[value_bucket(value)] += 1;
     }
 
     fn live(&self, t_us: u64) -> impl Iterator<Item = &Bucket> {
@@ -131,51 +96,13 @@ impl WindowedMetric {
     }
 
     /// Observations inside the window ending at `t_us`.
-    pub fn count(&self, t_us: u64) -> u64 {
+    fn count(&self, t_us: u64) -> u64 {
         self.live(t_us).map(|b| b.count).sum()
     }
 
     /// Bad observations (`> threshold`) inside the window.
-    pub fn bad(&self, t_us: u64) -> u64 {
+    fn bad(&self, t_us: u64) -> u64 {
         self.live(t_us).map(|b| b.bad).sum()
-    }
-
-    /// Sum of observed values inside the window.
-    pub fn sum(&self, t_us: u64) -> u64 {
-        self.live(t_us).map(|b| b.sum).sum()
-    }
-
-    /// Observations per second of logical time, ×100 (integer, so the
-    /// value itself is digestable without float formatting concerns).
-    pub fn rate_per_sec_x100(&self, t_us: u64) -> u64 {
-        self.count(t_us) * 100_000_000 / self.window_us()
-    }
-
-    /// Upper bucket bound of the `q_x100`-th percentile (`q_x100` in
-    /// 0..=100) over the window, or 0 for an empty window. Quantiles
-    /// are bucket-resolution (power-of-four bounds), which is enough
-    /// to compare against an SLO threshold that is itself coarse.
-    pub fn quantile_x100(&self, t_us: u64, q_x100: u64) -> u64 {
-        let mut merged = [0u64; BUCKETS];
-        let mut total = 0u64;
-        for b in self.live(t_us) {
-            for (m, h) in merged.iter_mut().zip(b.hist.iter()) {
-                *m += h;
-            }
-            total += b.count;
-        }
-        if total == 0 {
-            return 0;
-        }
-        let rank = (q_x100 * total).div_ceil(100).max(1);
-        let mut seen = 0u64;
-        for (i, m) in merged.iter().enumerate() {
-            seen += m;
-            if seen >= rank {
-                return bucket_bound(i);
-            }
-        }
-        bucket_bound(BUCKETS - 1)
     }
 }
 
@@ -328,22 +255,6 @@ mod tests {
         // 2 s later the whole window has rolled over.
         assert_eq!(w.count(2_900_000), 0);
         assert_eq!(w.bad(2_900_000), 0);
-    }
-
-    #[test]
-    fn quantile_tracks_distribution() {
-        let mut w = WindowedMetric::new(1_000_000, 10);
-        for i in 0..100u64 {
-            // 90 small values, 10 large.
-            w.observe(i * 10_000, if i % 10 == 9 { 5_000 } else { 3 });
-        }
-        let t = 990_000;
-        assert!(w.quantile_x100(t, 50) <= 4, "median must be small");
-        assert!(
-            w.quantile_x100(t, 99) >= 4096,
-            "p99 must land in the large bucket, got {}",
-            w.quantile_x100(t, 99)
-        );
     }
 
     #[test]

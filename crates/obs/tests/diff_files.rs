@@ -6,10 +6,11 @@
 
 use pds2_obs as obs;
 use pds2_obs::diff::{self, Verdict};
+use pds2_obs::jsonl::Row;
 use pds2_obs::{SinkKind, Stamp};
 use std::path::Path;
 
-fn capture_to(path: &Path, n: u64, intruder_at: Option<u64>) -> obs::CaptureSummary {
+fn capture_to(path: &Path, n: u64, intruder_at: Option<u64>) -> obs::TraceReport {
     let cap = obs::capture(SinkKind::Jsonl(path.to_path_buf()));
     for i in 0..n {
         obs::event!("chain", "tick", Stamp::Sim(i * 10), "i" => i);
@@ -96,6 +97,67 @@ fn planted_delta_localized_to_exact_seq_with_bounded_reads() {
     }
 
     for p in [pa, pb, pc, pd] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+/// A capture that lost a checkpoint row is damaged, and the diff says
+/// so; it does not bisect the shifted chain and blame an intact
+/// segment. A capture cut off at a segment boundary lost nothing it
+/// still claims, and stays a prefix.
+#[test]
+fn damaged_checkpoint_chain_is_an_error_and_truncation_is_a_prefix() {
+    let _g = obs::test_lock();
+    let dir = std::env::temp_dir();
+    let pa = dir.join("pds2_diff_damage_a.jsonl");
+    let pb = dir.join("pds2_diff_damage_b.jsonl");
+    let n = 5 * obs::SEGMENT_EVENTS;
+    let a = capture_to(&pa, n, None);
+    assert_eq!(a.segments.len(), 5);
+    let body = std::fs::read_to_string(&pa).expect("capture written");
+
+    // B = A with its `"checkpoint":1` row deleted: same events.
+    let is_checkpoint_1 =
+        |l: &&str| matches!(Row::parse(l), Some(Row::Checkpoint(cp)) if cp.index == 1);
+    assert_eq!(body.lines().filter(is_checkpoint_1).count(), 1);
+    let damaged: Vec<&str> = body.lines().filter(|l| !is_checkpoint_1(l)).collect();
+    std::fs::write(&pb, damaged.join("\n") + "\n").expect("write damaged copy");
+    for (x, y) in [(&pa, &pb), (&pb, &pa)] {
+        let err = diff::diff_files(x, y, 3).expect_err("a damaged chain is not a verdict");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("pds2_diff_damage_b.jsonl") && msg.contains("checkpoint 1"),
+            "the error names the file and the row it wanted: {msg}"
+        );
+    }
+
+    // A checkpoint row that starts as one but does not parse.
+    let torn = body.replacen("{\"checkpoint\":2,", "{\"checkpoint\":2,\"torn", 1);
+    assert_ne!(torn, body);
+    std::fs::write(&pb, torn).expect("write torn copy");
+    let err = diff::diff_files(&pa, &pb, 3).expect_err("a torn checkpoint row is damage");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+    // B = A cut off after segment 1's checkpoint row: events, later
+    // checkpoints and trailer all gone together.
+    let keep = body
+        .lines()
+        .position(|l| is_checkpoint_1(&l))
+        .expect("checkpoint 1 present");
+    let truncated: Vec<&str> = body.lines().take(keep + 1).collect();
+    std::fs::write(&pb, truncated.join("\n") + "\n").expect("write truncated copy");
+    let prefix = diff::diff_files(&pa, &pb, 3).expect("a truncated capture still diffs");
+    assert_eq!(
+        prefix.verdict,
+        Verdict::PrefixOf {
+            shorter: pb.display().to_string(),
+            common_events: 2 * obs::SEGMENT_EVENTS,
+        }
+    );
+    assert_eq!(prefix.bodies_read, 0);
+
+    for p in [pa, pb] {
         std::fs::remove_file(p).ok();
     }
 }

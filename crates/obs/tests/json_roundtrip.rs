@@ -8,8 +8,14 @@
 //! a failure is a unit-test failure, not a flake.
 
 use pds2_obs as obs;
-use pds2_obs::report::RawEvent;
+use pds2_obs::jsonl::{RawEvent, Row};
 use pds2_obs::{SinkKind, Stamp, Value};
+
+fn parse_event(line: &str) -> RawEvent {
+    Row::parse(line)
+        .and_then(Row::event)
+        .unwrap_or_else(|| panic!("line must parse as an event: {line}"))
+}
 
 /// xorshift64*: tiny deterministic generator, no external deps.
 struct Rng(u64);
@@ -43,7 +49,7 @@ fn nasty_strings() -> Vec<String> {
 }
 
 fn random_value(rng: &mut Rng, strings: &[String]) -> Value {
-    match rng.next() % 6 {
+    match rng.next() % 7 {
         0 => Value::U64(rng.next()),
         1 => Value::U128((rng.next() as u128) << 64 | rng.next() as u128),
         2 => Value::I64(rng.next() as i64),
@@ -53,6 +59,8 @@ fn random_value(rng: &mut Rng, strings: &[String]) -> Value {
             Value::F64(f)
         }
         4 => Value::F64((rng.next() % 1_000_000) as f64), // integral float
+        // Negative zero prints `-0`, which no integer does.
+        5 => Value::F64(-0.0),
         _ => Value::Str(strings[(rng.next() as usize) % strings.len()].clone()),
     }
 }
@@ -99,8 +107,7 @@ fn to_json_roundtrips_all_value_variants() {
     assert!(report.events >= 500);
     for event in &report.entries {
         let line = event.to_json();
-        let parsed =
-            RawEvent::parse_json_line(&line).unwrap_or_else(|| panic!("line must parse: {line}"));
+        let parsed = parse_event(&line);
         assert_eq!(
             parsed.to_json(),
             line,
@@ -114,7 +121,8 @@ fn to_json_roundtrips_all_value_variants() {
 }
 
 /// Non-finite floats serialize as quoted strings (JSON has no NaN/inf
-/// literal) and still round-trip through the parser.
+/// literal) and still round-trip through the parser; so does negative
+/// zero, which prints `-0` and must not come back as the integer 0.
 #[test]
 fn non_finite_floats_survive_as_strings() {
     let _g = obs::test_lock();
@@ -127,13 +135,14 @@ fn non_finite_floats_survive_as_strings() {
             ("nan", Value::F64(f64::NAN)),
             ("inf", Value::F64(f64::INFINITY)),
             ("ninf", Value::F64(f64::NEG_INFINITY)),
+            ("nzero", Value::F64(-0.0)),
         ],
     );
     let report = cap.finish();
     let line = report.entries[0].to_json();
-    let parsed = RawEvent::parse_json_line(&line).expect("parses");
+    let parsed = parse_event(&line);
     assert_eq!(parsed.to_json(), line);
-    assert_eq!(parsed.fields.len(), 3);
+    assert_eq!(parsed.fields.len(), 4);
 }
 
 /// Every line the JSONL sink writes is one complete, parseable event —
@@ -172,16 +181,14 @@ fn jsonl_sink_lines_are_individually_valid() {
     std::fs::remove_file(&path).ok();
 
     assert_eq!(ring.digest, jsonl.digest);
-    // Checkpoint / trailer rows are metadata, not events: they carry no
-    // "seq" key, so RawEvent parsing skips them by construction.
+    // Checkpoint and trailer rows are metadata, not events.
     let lines: Vec<&str> = body
         .lines()
-        .filter(|l| !l.starts_with("{\"checkpoint\"") && !l.starts_with("{\"segment_root\""))
+        .filter(|l| matches!(Row::parse(l), Some(Row::Event(_))))
         .collect();
     assert_eq!(lines.len() as u64, jsonl.events, "one event line per event");
     for (line, expect) in lines.iter().zip(&ring.entries) {
-        let parsed =
-            RawEvent::parse_json_line(line).unwrap_or_else(|| panic!("invalid line: {line}"));
+        let parsed = parse_event(line);
         assert_eq!(parsed.seq, expect.seq);
         assert_eq!(parsed.domain, expect.domain);
         assert_eq!(parsed.name, expect.name);

@@ -4,6 +4,7 @@
 //! degenerate traces still replay-check).
 
 use pds2_obs as obs;
+use pds2_obs::jsonl::Row;
 use pds2_obs::report::TraceAnalysis;
 use pds2_obs::{SinkKind, Stamp};
 
@@ -80,4 +81,28 @@ fn degenerate_inputs_differ_in_digest() {
     let a = TraceAnalysis::from_jsonl("");
     let b = TraceAnalysis::from_jsonl(single);
     assert_ne!(a.report_digest(), b.report_digest());
+}
+
+#[test]
+fn a_line_nested_deeper_than_a_row_is_refused_without_using_the_stack() {
+    // A row nests two objects deep. 100 000 levels recursed through
+    // `value → object → value` would need far more than this thread has.
+    const DEPTH: usize = 100_000;
+    let hostile = format!("{}1{}", "{\"a\":".repeat(DEPTH), "}".repeat(DEPTH));
+    let good = r#"{"seq":0,"kind":"point","domain":"a","name":"x","sim_us":1}"#;
+    let body = format!(
+        "{good}\n{hostile}\n{}",
+        good.replace("\"seq\":0", "\"seq\":1")
+    );
+    std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            assert_eq!(Row::parse(&hostile), None);
+            let a = TraceAnalysis::from_jsonl(&body);
+            assert_eq!(a.events, 2, "the rows around the hostile line analyse");
+            assert_eq!(a.free_points.len(), 2);
+        })
+        .expect("thread spawns")
+        .join()
+        .expect("no panic, and no stack overflow takes the process down");
 }

@@ -54,8 +54,20 @@ fn build(
     n_executors: usize,
     scheme: RewardScheme,
 ) -> (Marketplace, Address, Vec<Address>, Vec<Address>, u64) {
+    build_with_reward(seed, n_providers, n_executors, scheme, 10_000_000, 30_000)
+}
+
+/// [`build`] with the consumer's grant and the provider reward chosen.
+fn build_with_reward(
+    seed: u64,
+    n_providers: usize,
+    n_executors: usize,
+    scheme: RewardScheme,
+    consumer_funds: u128,
+    provider_reward: u128,
+) -> (Marketplace, Address, Vec<Address>, Vec<Address>, u64) {
     let mut market = Marketplace::new(seed);
-    let consumer = market.register_consumer(1, 10_000_000);
+    let consumer = market.register_consumer(1, consumer_funds);
     let data = gaussian_blobs(80 * n_providers, 4, 0.7, seed ^ 7);
     let (train, validation) = data.split(0.2, seed ^ 8);
     let shards = train.partition_iid(n_providers, seed ^ 9);
@@ -72,7 +84,8 @@ fn build(
         .map(|i| market.register_executor(2000 + i as u64))
         .collect();
     let code = EnclaveCode::new("trainer", 1, b"trainer-v1".to_vec());
-    let spec = classification_spec(&code, validation, scheme, n_providers as u32);
+    let mut spec = classification_spec(&code, validation, scheme, n_providers as u32);
+    spec.provider_reward = provider_reward;
     let workload = market
         .submit_workload(consumer, spec, code, n_executors as u32)
         .unwrap();
@@ -166,6 +179,44 @@ fn rewards_conserve_escrow_exactly() {
     // Contract is fully drained.
     let contract = market.workload_contract(workload).unwrap();
     assert_eq!(market.chain.state.balance(&contract), 0);
+}
+
+/// One token at the ERC-20 norm of 18 decimals (the paper's §III-A
+/// fungible-token reward) split between seven equal providers. In `f64`
+/// the seven floored shares add up to 48 units more than the pool, which
+/// FINALIZE refuses; a workload without an execution timeout has no
+/// ABORT either, so the escrow stayed locked.
+#[test]
+fn seven_equal_providers_split_a_pool_of_ten_to_the_eighteen_exactly() {
+    const POOL: u128 = 1_000_000_000_000_000_000;
+    let (mut market, _consumer, providers, executors, workload) = build_with_reward(
+        17,
+        7,
+        1,
+        RewardScheme::ProportionalToRecords,
+        2 * POOL,
+        POOL,
+    );
+    let assignments: Vec<_> = providers.iter().map(|&p| (p, executors[0])).collect();
+    let (_, fin) = market
+        .run_full_lifecycle(workload, &assignments)
+        .expect("the workload finalizes");
+    assert_eq!(fin.provider_shares.len(), 7);
+    let paid: u128 = fin.provider_shares.iter().map(|(_, v)| v).sum();
+    assert_eq!(paid, POOL, "the shares are the pool, to the unit");
+    let amounts = fin.provider_shares.iter().map(|(_, v)| *v);
+    let (least, most) = (amounts.clone().min().unwrap(), amounts.max().unwrap());
+    assert!(
+        most - least <= 64,
+        "equal providers, equal shares but for the rounding: {least}..{most}"
+    );
+    for (p, share) in &fin.provider_shares {
+        assert_eq!(market.chain.state.balance(p), *share);
+    }
+    assert_eq!(
+        market.workload_state(workload).unwrap().phase,
+        Phase::Completed
+    );
 }
 
 #[test]

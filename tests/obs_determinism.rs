@@ -23,7 +23,8 @@ use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
 use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, Simulator};
 use pds2_obs as obs;
-use pds2_obs::report::{RawEvent, TraceAnalysis};
+use pds2_obs::jsonl::RawEvent;
+use pds2_obs::report::TraceAnalysis;
 use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
