@@ -1,7 +1,8 @@
 //! The micro rows `benchmark/` cannot see, all on [`pds2_bench::micro`]:
 //! size sweeps over what the benchmark fixes (state size, pool depth,
-//! fleet size) and layers its workloads never reach (the hash kernel,
-//! threshold signing, tracing switched off, the oblivious primitives).
+//! fleet size, readings per signed batch) and layers its workloads never
+//! reach (the hash kernel, threshold signing, tracing switched off, the
+//! oblivious primitives).
 //! Anything on the path of a benchmark workload is measured there and
 //! not here; EXPERIMENTS.md E15 and E17–E20 read their tables from the
 //! file this writes.
@@ -21,6 +22,7 @@ use pds2_chain::address::Address;
 use pds2_chain::mempool::{Mempool, SelectionStats};
 use pds2_chain::smt::{self, SmtTree};
 use pds2_chain::tx::{SignedTransaction, Transaction, TxKind};
+use pds2_core::authenticity::{Device, ManufacturerRegistry, ReadingVerifier};
 use pds2_crypto::sha256::{self, sha256, Sha256};
 use pds2_crypto::{Digest, Encode, KeyPair, PublicKey, Signature};
 use pds2_gov::dkg::{run_dkg_quiet, ThresholdParams};
@@ -604,6 +606,51 @@ fn obs_rows(m: &mut Micro, mode: Mode, verify_us: f64) {
 }
 
 // ---------------------------------------------------------------------
+// Readings per signed batch (§IV-B). The benchmark's
+// `core.authenticity.reading_verify_us` times 64 batches of one, each a
+// signature check; what a reading costs inside a batch is a sweep over
+// something it fixes.
+// ---------------------------------------------------------------------
+
+fn authenticity_rows(m: &mut Micro, mode: Mode) {
+    let mut registry = ManufacturerRegistry::new();
+    let manufacturer = KeyPair::from_seed(1);
+    registry.register_manufacturer(manufacturer.public.clone());
+    let mut device = Device::new(1);
+    registry.endorse(&manufacturer, &device).unwrap();
+    let mut per_reading = Vec::new();
+    for batch in [1usize, 32, 256] {
+        let readings: Vec<_> = (0..(mode.iters(1024) / batch).max(1))
+            .flat_map(|_| device.sign_batch((0..batch).map(|i| (0, vec![i as f64; 4], 1.0))))
+            .collect();
+        // A verifier refuses what it has seen: each sample is a new one,
+        // so every batch root is checked cold once.
+        let mut samples: Vec<f64> = (0..mode.samples)
+            .map(|_| {
+                let mut verifier = ReadingVerifier::new(&registry);
+                let t = Instant::now();
+                for r in &readings {
+                    verifier.verify(black_box(r)).expect("honest reading");
+                }
+                t.elapsed().as_secs_f64() * 1e6 / readings.len() as f64
+            })
+            .collect();
+        per_reading.push(m.record(
+            &format!("core.authenticity.verify_us_per_reading@{batch}"),
+            "us",
+            &mut samples,
+        ));
+    }
+    assert!(
+        per_reading[1] <= per_reading[0] / 8.0,
+        "a reading in a batch of 32 ({:.2} us) must cost at most an eighth of one \
+         signed alone ({:.2} us)",
+        per_reading[1],
+        per_reading[0]
+    );
+}
+
+// ---------------------------------------------------------------------
 // The §III-B oblivious primitives against their trace-leaking
 // counterpart: no lifecycle reaches them.
 // ---------------------------------------------------------------------
@@ -653,6 +700,7 @@ fn main() {
     mempool_rows(&mut m, mode);
     sched_rows(&mut m, mode);
     obs_rows(&mut m, mode, verify_us);
+    authenticity_rows(&mut m, mode);
     tee_rows(&mut m, mode);
     m.finish("BENCH_micro.json");
 }

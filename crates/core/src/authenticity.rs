@@ -6,14 +6,20 @@
 //! executors … the signature also serves as a 'seal of quality'."
 //!
 //! - [`Device`] — an IoT device with an embedded key, producing signed,
-//!   timestamped, monotonically-sequenced readings;
+//!   timestamped, monotonically-sequenced readings. The device signs the
+//!   Merkle root of a batch of readings once; each reading carries that
+//!   signature and its inclusion path, so it still verifies on its own
+//!   and a provider can disclose any subset of a batch. A single reading
+//!   is a batch of one;
 //! - [`ManufacturerRegistry`] — manufacturers endorse device keys, the
 //!   "seal of quality" buyers price in;
 //! - [`ReadingVerifier`] — the executor-side checks: signature validity,
 //!   manufacturer endorsement, per-device timestamp monotonicity and
-//!   global duplicate rejection.
+//!   global duplicate rejection, each decided per reading. It checks one
+//!   signature per batch root and the path of every reading.
 
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
+use pds2_crypto::merkle::{MerkleProof, MerkleTree};
 use pds2_crypto::schnorr::{KeyPair, PublicKey, Signature};
 use pds2_crypto::sha256::{sha256, Digest};
 use std::collections::{HashMap, HashSet};
@@ -43,8 +49,13 @@ pub struct SignedReading {
     pub features: Vec<f64>,
     /// Target/label value.
     pub target: f64,
-    /// Device signature over everything above.
+    /// Device signature over the Merkle root of the batch this reading
+    /// was signed in. The leaves are the batch's [`Self::reading_hash`]es,
+    /// which bind everything above.
     pub signature: Signature,
+    /// Inclusion path from this reading's hash to the signed root; empty
+    /// for a batch of one.
+    pub path: MerkleProof,
 }
 
 impl SignedReading {
@@ -79,21 +90,34 @@ impl SignedReading {
         ))
     }
 
-    /// Checks only the cryptographic signature (see [`ReadingVerifier`]
-    /// for the full §IV-B pipeline).
+    /// Checks only the cryptography, with nothing remembered: the key is
+    /// the claimed device's, the path leads from this reading to a root,
+    /// and the device signed that root (see [`ReadingVerifier`] for the
+    /// full §IV-B pipeline).
     pub fn signature_valid(&self) -> bool {
-        if DeviceId(sha256(&self.device_key.to_bytes())) != self.device {
-            return false;
-        }
-        let payload = Self::payload_bytes(
-            &self.device,
-            self.sequence,
-            self.timestamp,
-            &self.features,
-            self.target,
-        );
-        self.device_key.verify(&payload, &self.signature)
+        self.key_matches_device() && self.root_signed(&self.path.root_from(self.reading_hash()))
     }
+
+    fn key_matches_device(&self) -> bool {
+        DeviceId(sha256(&self.device_key.to_bytes())) == self.device
+    }
+
+    /// The one exponentiation: whether the carried signature is the
+    /// device key's over `root`.
+    fn root_signed(&self, root: &Digest) -> bool {
+        self.device_key
+            .verify(&batch_root_payload(&self.device, root), &self.signature)
+    }
+}
+
+/// What a device signs for a batch. The tag is not the per-reading one, so
+/// a root signature is never a signature over a reading's own bytes.
+fn batch_root_payload(device: &DeviceId, root: &Digest) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_raw(b"pds2-reading-batch-v1");
+    enc.put_digest(&device.0);
+    enc.put_digest(root);
+    enc.finish()
 }
 
 impl Encode for SignedReading {
@@ -105,6 +129,7 @@ impl Encode for SignedReading {
         enc.put_seq(&self.features);
         enc.put_f64(self.target);
         self.signature.encode(enc);
+        self.path.encode(enc);
     }
 }
 
@@ -117,6 +142,7 @@ impl Decode for SignedReading {
         let features = dec.get_seq()?;
         let target = dec.get_f64()?;
         let signature = Signature::decode(dec)?;
+        let path = MerkleProof::decode(dec)?;
         Ok(SignedReading {
             device,
             device_key,
@@ -125,6 +151,7 @@ impl Decode for SignedReading {
             features,
             target,
             signature,
+            path,
         })
     }
 }
@@ -160,32 +187,69 @@ impl Device {
         &self.keys.public
     }
 
-    /// Produces one signed reading. Timestamps must be non-decreasing;
-    /// the device firmware enforces this.
+    /// Produces one signed reading: a batch of one. Timestamps must be
+    /// non-decreasing; the device firmware enforces this.
     pub fn sign_reading(
         &mut self,
         timestamp: u64,
         features: Vec<f64>,
         target: f64,
     ) -> SignedReading {
-        assert!(
-            timestamp >= self.last_timestamp,
-            "device clock must not run backwards"
-        );
-        self.last_timestamp = timestamp;
-        let sequence = self.next_sequence;
-        self.next_sequence += 1;
-        let payload =
-            SignedReading::payload_bytes(&self.id, sequence, timestamp, &features, target);
-        SignedReading {
-            device: self.id,
-            device_key: self.keys.public.clone(),
-            sequence,
-            timestamp,
-            features,
-            target,
-            signature: self.keys.sign(&payload),
+        self.sign_batch([(timestamp, features, target)])
+            .pop()
+            .expect("one row in, one reading out")
+    }
+
+    /// Signs `(timestamp, features, target)` rows as one batch: one
+    /// signature over the Merkle root of the readings' hashes, carried by
+    /// every reading with its own inclusion path. Sequence numbers follow
+    /// row order; timestamps must be non-decreasing along it. No rows, no
+    /// signature.
+    pub fn sign_batch(
+        &mut self,
+        rows: impl IntoIterator<Item = (u64, Vec<f64>, f64)>,
+    ) -> Vec<SignedReading> {
+        let rows: Vec<(u64, u64, Vec<f64>, f64)> = rows
+            .into_iter()
+            .map(|(timestamp, features, target)| {
+                assert!(
+                    timestamp >= self.last_timestamp,
+                    "device clock must not run backwards"
+                );
+                self.last_timestamp = timestamp;
+                let sequence = self.next_sequence;
+                self.next_sequence += 1;
+                (sequence, timestamp, features, target)
+            })
+            .collect();
+        if rows.is_empty() {
+            return Vec::new();
         }
+        let tree = MerkleTree::from_leaf_hashes(
+            rows.iter()
+                .map(|(sequence, timestamp, features, target)| {
+                    sha256(&SignedReading::payload_bytes(
+                        &self.id, *sequence, *timestamp, features, *target,
+                    ))
+                })
+                .collect(),
+        );
+        let signature = self.keys.sign(&batch_root_payload(&self.id, &tree.root()));
+        rows.into_iter()
+            .enumerate()
+            .map(
+                |(i, (sequence, timestamp, features, target))| SignedReading {
+                    device: self.id,
+                    device_key: self.keys.public.clone(),
+                    sequence,
+                    timestamp,
+                    features,
+                    target,
+                    signature: signature.clone(),
+                    path: tree.prove(i).expect("one leaf per row"),
+                },
+            )
+            .collect()
     }
 }
 
@@ -298,10 +362,17 @@ pub struct ReadingVerifier<'a> {
     registry: &'a ManufacturerRegistry,
     seen: HashSet<Digest>,
     device_high_water: HashMap<DeviceId, (u64, u64)>, // (sequence, timestamp)
+    /// The signature each verified batch root was verified under. Only a
+    /// reading carrying the same signature bytes for the same device and
+    /// root skips the exponentiation; a failed check leaves no entry.
+    verified_roots: HashMap<(DeviceId, Digest), Signature>,
     /// Readings accepted.
     pub accepted: u64,
     /// Readings rejected, by count.
     pub rejected: u64,
+    /// Signature verifications run (exponentiations paid): one per batch
+    /// when every reading of it is honest.
+    pub signatures_checked: u64,
 }
 
 impl<'a> ReadingVerifier<'a> {
@@ -311,8 +382,10 @@ impl<'a> ReadingVerifier<'a> {
             registry,
             seen: HashSet::new(),
             device_high_water: HashMap::new(),
+            verified_roots: HashMap::new(),
             accepted: 0,
             rejected: 0,
+            signatures_checked: 0,
         }
     }
 
@@ -327,13 +400,13 @@ impl<'a> ReadingVerifier<'a> {
     }
 
     fn verify_inner(&mut self, reading: &SignedReading) -> Result<(), ReadingRejection> {
-        if !reading.signature_valid() {
+        let hash = reading.reading_hash();
+        if !self.signature_valid(reading, hash) {
             return Err(ReadingRejection::BadSignature);
         }
         if !self.registry.is_endorsed(reading.device) {
             return Err(ReadingRejection::UntrustedDevice);
         }
-        let hash = reading.reading_hash();
         if self.seen.contains(&hash) {
             return Err(ReadingRejection::Duplicate);
         }
@@ -349,6 +422,27 @@ impl<'a> ReadingVerifier<'a> {
         self.device_high_water
             .insert(reading.device, (reading.sequence, reading.timestamp));
         Ok(())
+    }
+
+    /// [`SignedReading::signature_valid`], paying the exponentiation once
+    /// per batch root. The key and the path are checked for every reading.
+    fn signature_valid(&mut self, reading: &SignedReading, hash: Digest) -> bool {
+        if !reading.key_matches_device() {
+            return false;
+        }
+        let root = reading.path.root_from(hash);
+        let batch = (reading.device, root);
+        if self.verified_roots.get(&batch) == Some(&reading.signature) {
+            return true;
+        }
+        self.signatures_checked += 1;
+        let valid = reading.root_signed(&root);
+        if valid {
+            self.verified_roots
+                .entry(batch)
+                .or_insert_with(|| reading.signature.clone());
+        }
+        valid
     }
 }
 
@@ -472,10 +566,300 @@ mod tests {
         let back = SignedReading::from_bytes(&bytes).unwrap();
         assert_eq!(back, r);
         assert!(back.signature_valid());
+        // 33 readings: the last one is promoted past every level but the
+        // top and carries the shortest path.
+        for r in batch(&mut device, 33, 8) {
+            let back = SignedReading::from_bytes(&r.to_bytes()).unwrap();
+            assert_eq!(back, r);
+            assert!(back.signature_valid());
+        }
     }
 
     #[test]
     fn distinct_devices_distinct_ids() {
         assert_ne!(Device::new(1).id(), Device::new(2).id());
+    }
+
+    /// `n` readings signed as one batch, timestamps from `t0`.
+    fn batch(device: &mut Device, n: usize, t0: u64) -> Vec<SignedReading> {
+        device.sign_batch((0..n).map(|i| (t0 + i as u64, vec![i as f64, 0.5], 1.0)))
+    }
+
+    fn endorsed() -> (ManufacturerRegistry, Device) {
+        let (mut registry, manufacturer, device) = setup();
+        registry.endorse(&manufacturer, &device).unwrap();
+        (registry, device)
+    }
+
+    /// The same signature with its response scalar off by one.
+    fn other_signature_bytes(sig: &Signature) -> Signature {
+        Signature {
+            e: sig.e.clone(),
+            s: sig.s.add(&pds2_crypto::BigUint::one()),
+        }
+    }
+
+    #[test]
+    fn every_reading_of_a_batch_verifies_alone_and_through_the_verifier() {
+        // 3, 5, 33 and 70 leave odd nodes to promote at different levels.
+        for n in [1, 2, 3, 5, 32, 33, 70] {
+            let (registry, mut device) = endorsed();
+            let readings = batch(&mut device, n, 0);
+            assert_eq!(readings.len(), n);
+            let mut verifier = ReadingVerifier::new(&registry);
+            for (i, r) in readings.iter().enumerate() {
+                assert_eq!(r.sequence, i as u64);
+                assert_eq!(r.path.leaf_index, i);
+                assert_eq!(r.signature, readings[0].signature, "one signature, n={n}");
+                assert!(r.signature_valid(), "alone, n={n} i={i}");
+                assert_eq!(verifier.verify(r), Ok(()), "verifier, n={n} i={i}");
+            }
+            assert_eq!(verifier.accepted, n as u64);
+            assert_eq!(verifier.signatures_checked, 1, "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_single_reading_is_a_batch_of_one() {
+        let mut device = Device::new(5);
+        let r = device.sign_reading(3, vec![1.0], 2.0);
+        assert!(r.path.steps.is_empty());
+        assert_eq!(r.path.root_from(r.reading_hash()), r.reading_hash());
+        let mut same = Device::new(5);
+        assert_eq!(same.sign_batch([(3, vec![1.0], 2.0)]), vec![r]);
+        // No rows: no signature, no sequence number spent.
+        assert!(same.sign_batch([]).is_empty());
+        assert_eq!(same.sign_reading(3, vec![], 0.0).sequence, 1);
+    }
+
+    #[test]
+    fn signatures_checked_counts_batches_not_readings() {
+        let (registry, mut device) = endorsed();
+        let mut verifier = ReadingVerifier::new(&registry);
+        for r in batch(&mut device, 32, 0) {
+            assert_eq!(verifier.verify(&r), Ok(()));
+        }
+        assert_eq!(verifier.signatures_checked, 1);
+        for r in batch(&mut device, 7, 32) {
+            assert_eq!(verifier.verify(&r), Ok(()));
+        }
+        assert_eq!(
+            verifier.signatures_checked, 2,
+            "a second batch, same device"
+        );
+        for t in 0..5 {
+            let r = device.sign_reading(100 + t, vec![t as f64], 0.0);
+            assert_eq!(verifier.verify(&r), Ok(()));
+        }
+        assert_eq!(
+            verifier.signatures_checked, 7,
+            "n single readings, n checks"
+        );
+        assert_eq!((verifier.accepted, verifier.rejected), (44, 0));
+    }
+
+    /// Every way to alter reading 2 of a batch of 6 (path: sibling on the
+    /// left, pair on the left, pair of the odd tail on the right).
+    fn tampered_copies(honest: &SignedReading) -> Vec<(&'static str, SignedReading)> {
+        let mut out = Vec::new();
+        let mut push = |what, edit: &dyn Fn(&mut SignedReading)| {
+            let mut r = honest.clone();
+            edit(&mut r);
+            out.push((what, r));
+        };
+        push("sequence", &|r| r.sequence += 1);
+        push("timestamp", &|r| r.timestamp += 1);
+        push("feature", &|r| r.features[0] += 1.0);
+        push("feature count", &|r| r.features.push(0.0));
+        push("target", &|r| r.target = -r.target);
+        push("sibling", &|r| r.path.steps[1].sibling.0[31] ^= 1);
+        push("side bit", &|r| {
+            r.path.steps[0].sibling_on_right = !r.path.steps[0].sibling_on_right
+        });
+        push("dropped first step", &|r| {
+            r.path.steps.remove(0);
+        });
+        push("dropped last step", &|r| {
+            r.path.steps.pop();
+        });
+        push("added step", &|r| {
+            let step = r.path.steps[0];
+            r.path.steps.push(step)
+        });
+        push("no path", &|r| r.path.steps.clear());
+        push("signature s", &|r| {
+            r.signature = other_signature_bytes(&r.signature)
+        });
+        push("signature e", &|r| {
+            r.signature.e = r.signature.e.add(&pds2_crypto::BigUint::one())
+        });
+        out
+    }
+
+    #[test]
+    fn any_tamper_is_a_bad_signature_with_the_batch_root_cached_or_not() {
+        let (registry, mut device) = endorsed();
+        let readings = batch(&mut device, 6, 0);
+        assert_eq!(readings[2].path.steps.len(), 3);
+        for (what, forged) in tampered_copies(&readings[2]) {
+            assert!(!forged.signature_valid(), "alone: {what}");
+            // Cold: the forgery is the first thing the verifier sees.
+            let mut cold = ReadingVerifier::new(&registry);
+            assert_eq!(
+                cold.verify(&forged),
+                Err(ReadingRejection::BadSignature),
+                "cold: {what}"
+            );
+            // Warm: the honest root is already remembered.
+            let mut warm = ReadingVerifier::new(&registry);
+            assert_eq!(warm.verify(&readings[0]), Ok(()));
+            assert_eq!(
+                warm.verify(&forged),
+                Err(ReadingRejection::BadSignature),
+                "warm: {what}"
+            );
+            // Neither remembers anything of it: the honest reading it was
+            // made from passes after it, on the remembered root if any.
+            assert_eq!(cold.verify(&readings[2]), Ok(()), "after cold: {what}");
+            assert_eq!(warm.verify(&readings[2]), Ok(()), "after warm: {what}");
+            assert_eq!(cold.signatures_checked, 2, "{what}");
+            assert_eq!(warm.signatures_checked, 2, "{what}");
+        }
+    }
+
+    #[test]
+    fn a_reading_under_another_batchs_signature_and_path_is_refused() {
+        let (registry, mut device) = endorsed();
+        let a = batch(&mut device, 4, 0);
+        let b = batch(&mut device, 4, 4);
+        let mut verifier = ReadingVerifier::new(&registry);
+        assert_eq!(verifier.verify(&b[0]), Ok(()));
+        // Batch A's reading dressed in the proof of batch B's leaf 1, whose
+        // root and signature the verifier has just accepted.
+        let mut grafted = a[1].clone();
+        grafted.signature = b[1].signature.clone();
+        grafted.path = b[1].path.clone();
+        assert!(!grafted.signature_valid());
+        assert_eq!(
+            verifier.verify(&grafted),
+            Err(ReadingRejection::BadSignature)
+        );
+        // Its own path under the other batch's signature: a root the device
+        // did sign, but not with these bytes.
+        let mut resigned = a[1].clone();
+        resigned.signature = b[1].signature.clone();
+        assert_eq!(
+            verifier.verify(&resigned),
+            Err(ReadingRejection::BadSignature)
+        );
+        assert_eq!(verifier.verify(&b[1]), Ok(()));
+    }
+
+    #[test]
+    fn other_signature_bytes_for_a_verified_root_are_refused_and_evict_nothing() {
+        let (registry, mut device) = endorsed();
+        let readings = batch(&mut device, 8, 0);
+        let mut verifier = ReadingVerifier::new(&registry);
+        assert_eq!(verifier.verify(&readings[0]), Ok(()));
+        assert_eq!(verifier.signatures_checked, 1);
+        // Same device, same root, a valid path: only the signature differs,
+        // so the remembered root must not vouch for it.
+        let mut forged = readings[1].clone();
+        forged.signature = other_signature_bytes(&forged.signature);
+        assert_eq!(
+            verifier.verify(&forged),
+            Err(ReadingRejection::BadSignature)
+        );
+        assert_eq!(verifier.signatures_checked, 2, "a miss runs the full check");
+        // The remembered signature is still the honest one.
+        for r in &readings[1..] {
+            assert_eq!(verifier.verify(r), Ok(()));
+        }
+        assert_eq!(verifier.signatures_checked, 2, "hits all the way");
+        assert_eq!((verifier.accepted, verifier.rejected), (8, 1));
+    }
+
+    #[test]
+    fn a_forged_reading_first_does_not_poison_the_honest_ones_after_it() {
+        let (registry, mut device) = endorsed();
+        let readings = batch(&mut device, 8, 0);
+        let mut forged = readings[0].clone();
+        forged.signature = other_signature_bytes(&forged.signature);
+        let mut verifier = ReadingVerifier::new(&registry);
+        for _ in 0..2 {
+            assert_eq!(
+                verifier.verify(&forged),
+                Err(ReadingRejection::BadSignature)
+            );
+        }
+        assert_eq!(verifier.signatures_checked, 2, "a failure is not cached");
+        for r in &readings {
+            assert_eq!(verifier.verify(r), Ok(()));
+        }
+        assert_eq!(verifier.signatures_checked, 3);
+        // And the forgery still fails against the remembered root.
+        assert_eq!(
+            verifier.verify(&forged),
+            Err(ReadingRejection::BadSignature)
+        );
+    }
+
+    #[test]
+    fn a_disclosed_in_order_subset_of_a_batch_is_accepted() {
+        let (registry, mut device) = endorsed();
+        let readings = batch(&mut device, 10, 0);
+        let mut verifier = ReadingVerifier::new(&registry);
+        for i in [1, 4, 5, 9] {
+            assert_eq!(verifier.verify(&readings[i]), Ok(()), "i={i}");
+        }
+        assert_eq!(verifier.signatures_checked, 1);
+        // Replay rules are still per reading, inside a verified batch too.
+        assert_eq!(
+            verifier.verify(&readings[9]),
+            Err(ReadingRejection::Duplicate)
+        );
+        assert_eq!(
+            verifier.verify(&readings[7]),
+            Err(ReadingRejection::SequenceReplay)
+        );
+    }
+
+    #[test]
+    fn a_remembered_root_does_not_vouch_for_another_key_or_an_unendorsed_device() {
+        let (registry, mut device) = endorsed();
+        let readings = batch(&mut device, 4, 0);
+        let mut verifier = ReadingVerifier::new(&registry);
+        assert_eq!(verifier.verify(&readings[0]), Ok(()));
+        let mut swapped = readings[1].clone();
+        swapped.device_key = KeyPair::from_seed(666).public;
+        assert_eq!(
+            verifier.verify(&swapped),
+            Err(ReadingRejection::BadSignature)
+        );
+        let mut rogue = Device::new(99);
+        for r in batch(&mut rogue, 3, 0) {
+            assert_eq!(verifier.verify(&r), Err(ReadingRejection::UntrustedDevice));
+        }
+    }
+
+    #[test]
+    fn root_and_reading_signatures_are_different_domains() {
+        let mut device = Device::new(6);
+        let r = device.sign_reading(1, vec![1.0], 0.0);
+        let own_bytes =
+            SignedReading::payload_bytes(&r.device, r.sequence, r.timestamp, &r.features, r.target);
+        // The signature a device used to put on a reading's own bytes is
+        // not a root signature...
+        let mut old_form = r.clone();
+        old_form.signature = device.keys.sign(&own_bytes);
+        assert!(device.keys.public.verify(&own_bytes, &old_form.signature));
+        assert!(!old_form.signature_valid());
+        // ...and a root signature is not one over the reading's bytes, nor
+        // over the bare root.
+        assert!(r.signature_valid());
+        assert!(!r.device_key.verify(&own_bytes, &r.signature));
+        assert!(!r
+            .device_key
+            .verify(r.reading_hash().as_bytes(), &r.signature));
     }
 }

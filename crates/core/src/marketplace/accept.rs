@@ -35,7 +35,8 @@ impl Marketplace {
     ///
     /// The provider first verifies the executor's enclave attestation,
     /// then issues access grants and a participation certificate; the
-    /// executor fetches the data, verifies every device signature and
+    /// executor fetches the data, verifies every reading (one signature
+    /// check per signed batch, one inclusion path per reading) and
     /// registers the contribution on-chain.
     pub fn provider_accept(
         &mut self,
@@ -72,7 +73,7 @@ impl Marketplace {
         }
         let n_readings: u64 = matching
             .iter()
-            .map(|id| account.readings.get(id).map_or(0, |r| r.len() as u64))
+            .filter_map(|id| account.reading_counts.get(id))
             .sum();
         let grants: Vec<AccessGrant> = matching
             .iter()
@@ -116,8 +117,8 @@ impl Marketplace {
             };
             let readings = decode_readings(&payload)
                 .map_err(|e| MarketError::Authenticity(format!("payload decode: {e}")))?;
-            for reading in &readings {
-                if let Ok(()) = verifier.verify(reading) {
+            for reading in readings {
+                if let Ok(()) = verifier.verify(&reading) {
                     if reading.features.len() != feature_dim {
                         return Err(MarketError::ShapeMismatch(format!(
                             "reading has {} features, workload expects {feature_dim}",
@@ -134,12 +135,16 @@ impl Marketplace {
                             continue;
                         }
                     }
-                    dataset_rows.push(reading.features.clone());
                     dataset_targets.push(reading.target);
+                    dataset_rows.push(reading.features);
                 }
             }
         }
-        let (accepted, rejected) = (verifier.accepted, verifier.rejected);
+        let (accepted, rejected, signatures_checked) = (
+            verifier.accepted,
+            verifier.rejected,
+            verifier.signatures_checked,
+        );
         if dataset_rows.is_empty() {
             return Err(MarketError::Authenticity(
                 "no readings survived verification".into(),
@@ -172,6 +177,7 @@ impl Marketplace {
         runtime.verifier_stats.0 += accepted;
         runtime.verifier_stats.1 += rejected;
         runtime.verifier_stats.2 += out_of_bounds;
+        runtime.verifier_stats.3 += signatures_checked;
         self.tick();
         pds2_obs::trace_event!(
             "market",

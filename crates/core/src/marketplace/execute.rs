@@ -32,6 +32,9 @@ pub struct ExecutionReport {
     /// Readings discarded by §IV-C executor-side data verification
     /// (authentic but outside the workload's declared value bounds).
     pub readings_out_of_bounds: u64,
+    /// Device signatures the executors checked for those readings: one per
+    /// signed batch, however many readings it holds.
+    pub signatures_checked: u64,
 }
 
 /// Retry discipline for [`Marketplace::execute_with_retry`]: how often to
@@ -200,7 +203,8 @@ impl Marketplace {
             )?;
         }
 
-        let (readings_accepted, readings_rejected, readings_out_of_bounds) = runtime.verifier_stats;
+        let (readings_accepted, readings_rejected, readings_out_of_bounds, signatures_checked) =
+            runtime.verifier_stats;
         self.workloads
             .get_mut(&workload_id)
             .expect("looked up above")
@@ -213,6 +217,7 @@ impl Marketplace {
             readings_accepted,
             readings_rejected,
             readings_out_of_bounds,
+            signatures_checked,
         })
     }
 

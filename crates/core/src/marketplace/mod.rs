@@ -14,8 +14,9 @@
 //! 4. `accept` — storage subsystems match provider data against the
 //!    precondition; a provider verifies the executor's quote, then hands
 //!    over data under signed access grants and a participation
-//!    certificate; the executor verifies every device signature (§IV-B)
-//!    and registers the contribution on-chain;
+//!    certificate; the executor verifies every reading against its
+//!    device's batch signature (§IV-B) and registers the contribution
+//!    on-chain;
 //! 5. `execute` — once the contract's quorum is met the governance layer
 //!    starts execution; executors train inside (simulated) enclaves and
 //!    aggregate peer-to-peer; the agreed result hash goes on-chain;
@@ -41,7 +42,7 @@ pub use execute::{hash_params, ExecutionReport, RetryPolicy};
 pub use register::StorageChoice;
 pub use reward::FinalizeReport;
 
-use crate::authenticity::{Device, ManufacturerRegistry, SignedReading};
+use crate::authenticity::{Device, ManufacturerRegistry};
 use crate::contract::{WorkloadContract, WorkloadState, WORKLOAD_CODE_ID};
 use crate::workload::WorkloadSpec;
 use pds2_chain::address::Address;
@@ -123,8 +124,9 @@ struct ProviderAccount {
     /// provider conveys to an attested enclave; `None` for plaintext.
     sealing_key: Option<[u8; 32]>,
     devices: Vec<Device>,
-    /// Readings per record (the provider's own plaintext copy).
-    readings: HashMap<RecordId, Vec<SignedReading>>,
+    /// How many readings each record holds (what a participation
+    /// certificate states; the readings themselves are in `store`).
+    reading_counts: HashMap<RecordId, u64>,
 }
 
 struct ExecutorAccount {
@@ -156,9 +158,10 @@ struct WorkloadRuntime {
     participation_tx: HashMap<Address, Digest>,
     /// Final agreed model parameters after execution.
     result_params: Option<Vec<f64>>,
-    /// Readings the executors' verification (accepted, rejected, found
-    /// out of bounds) across every provider accepted so far.
-    verifier_stats: (u64, u64, u64),
+    /// The executors' verification across every provider accepted so far:
+    /// readings (accepted, rejected, found out of bounds) and the device
+    /// signatures checked for them.
+    verifier_stats: (u64, u64, u64, u64),
     /// Causal context minted when the workload was submitted; every later
     /// lifecycle phase re-enters it so the whole submit→payout story is
     /// one trace ([`TraceCtx::NONE`] when no capture was active).

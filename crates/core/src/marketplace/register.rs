@@ -1,12 +1,12 @@
 //! Registration and data ingestion: who the actors are, how they join the
-//! marketplace, and how a provider's devices sign readings into its
-//! storage subsystem.
+//! marketplace, and how a provider's devices sign readings, a batch per
+//! record, into its storage subsystem.
 
 use super::{
     actor, actor_mut, send, ConsumerAccount, ExecutorAccount, MarketError, Marketplace,
     ProviderAccount,
 };
-use crate::authenticity::{Device, DeviceId, SignedReading};
+use crate::authenticity::{Device, DeviceId};
 use pds2_chain::address::Address;
 use pds2_chain::erc20::{Erc20Op, TokenId};
 use pds2_chain::erc721::{AssetKind, Erc721Op};
@@ -70,7 +70,7 @@ impl Marketplace {
                 store,
                 sealing_key,
                 devices: Vec::new(),
-                readings: HashMap::new(),
+                reading_counts: HashMap::new(),
             },
         );
         addr
@@ -141,9 +141,10 @@ impl Marketplace {
         Ok(id)
     }
 
-    /// A provider's device signs `data` reading-by-reading; the signed
-    /// batch is stored in the provider's storage subsystem and registered
-    /// on-chain as a dataset NFT.
+    /// A provider's device signs `data` as one batch (one signature, an
+    /// inclusion path per reading); the signed readings are stored as one
+    /// record in the provider's storage subsystem and registered on-chain
+    /// as a dataset NFT.
     pub fn provider_ingest(
         &mut self,
         provider: Address,
@@ -157,13 +158,13 @@ impl Marketplace {
             .devices
             .get_mut(device_index)
             .ok_or(MarketError::UnknownActor("device"))?;
-        let readings: Vec<SignedReading> = data
-            .x
-            .iter()
-            .zip(&data.y)
-            .enumerate()
-            .map(|(i, (row, &y))| device.sign_reading(now + i as u64, row.clone(), y))
-            .collect();
+        let readings = device.sign_batch(
+            data.x
+                .iter()
+                .zip(&data.y)
+                .enumerate()
+                .map(|(i, (row, &y))| (now + i as u64, row.clone(), y)),
+        );
         let mut enc = Encoder::new();
         enc.put_seq(&readings);
         let record = Record {
@@ -172,7 +173,7 @@ impl Marketplace {
             timestamp: now,
         };
         let id = account.store.put(record);
-        account.readings.insert(id, readings);
+        account.reading_counts.insert(id, readings.len() as u64);
 
         // Register the dataset on-chain as an NFT committing to its hash.
         send(

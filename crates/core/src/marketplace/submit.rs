@@ -129,7 +129,7 @@ impl Marketplace {
                 executor_data: HashMap::new(),
                 participation_tx: HashMap::new(),
                 result_params: None,
-                verifier_stats: (0, 0, 0),
+                verifier_stats: (0, 0, 0, 0),
                 trace,
             },
         );

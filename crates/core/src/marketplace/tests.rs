@@ -149,6 +149,55 @@ fn full_lifecycle_proportional() {
     assert!(!w.market.chain.events_by_topic("erc721.mint").is_empty());
 }
 
+/// The benchmark's lifecycle shape. Each provider's record is one signed
+/// batch, so the executors pay one signature check per provider and a path
+/// per reading; a record that came back as 32 batches of one would cost 512.
+#[test]
+fn sixteen_providers_of_32_readings_cost_sixteen_signature_checks() {
+    let mut market = Marketplace::new(42);
+    let consumer = market.register_consumer(1, 1_000_000);
+    let providers: Vec<Address> = (0..16)
+        .map(|i| {
+            let storage = if i % 2 == 0 {
+                StorageChoice::Local
+            } else {
+                StorageChoice::ThirdParty { publish_level: 1 }
+            };
+            let p = market.register_provider(1000 + i, storage);
+            market.provider_add_device(p).unwrap();
+            let shard = gaussian_blobs(32, 3, 0.7, 100 + i);
+            market
+                .provider_ingest(p, 0, &shard, temperature_metadata())
+                .unwrap();
+            p
+        })
+        .collect();
+    let executors = [
+        market.register_executor(2000),
+        market.register_executor(2001),
+    ];
+    let code = EnclaveCode::new("logistic-trainer", 1, b"trainer-binary-v1".to_vec());
+    let spec = sample_spec_with(
+        code.measurement(),
+        gaussian_blobs(40, 3, 0.7, 7),
+        RewardScheme::ProportionalToRecords,
+        16,
+    );
+    let workload = market.submit_workload(consumer, spec, code, 2).unwrap();
+    for e in executors {
+        market.executor_join(e, workload).unwrap();
+    }
+    let assignments: Vec<(Address, Address)> = providers
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (p, executors[i % 2]))
+        .collect();
+    let (exec, _) = market.run_full_lifecycle(workload, &assignments).unwrap();
+    assert_eq!(exec.readings_accepted, 16 * 32);
+    assert_eq!(exec.readings_rejected, 0);
+    assert_eq!(exec.signatures_checked, 16);
+}
+
 #[test]
 fn full_lifecycle_shapley() {
     let mut w = build_world(3, 1, RewardScheme::ShapleyExact);

@@ -9,6 +9,7 @@ use pds2_core::certificate::ParticipationCertificate;
 use pds2_core::contract::{Phase, WorkloadState};
 use pds2_core::workload::{decode_dataset, encode_dataset};
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
+use pds2_crypto::merkle::MerkleProof;
 use pds2_crypto::sha256::sha256;
 use pds2_crypto::KeyPair;
 use pds2_storage::store::RecordId;
@@ -39,6 +40,28 @@ fn signed_reading_feature_count() {
     // device ‖ device key ‖ sequence ‖ timestamp ‖ count
     let count_at = 32 + reading.device_key.to_bytes().len() + 16;
     assert_count_bounded(&reading.to_bytes(), count_at, SignedReading::from_bytes);
+}
+
+#[test]
+fn signed_reading_path_step_count() {
+    let mut device = Device::new(1);
+    let batch = device.sign_batch((0..33).map(|i| (i, vec![1.0, 2.0], 0.5)));
+    for reading in [&batch[0], &batch[32]] {
+        let bytes = reading.to_bytes();
+        // The path is the last field: leaf index ‖ count ‖ 33-byte steps.
+        let count_at = bytes.len() - 33 * reading.path.steps.len() - 8;
+        assert_count_bounded(&bytes, count_at, SignedReading::from_bytes);
+    }
+    // The steps are there, and still no path is longer than a tree a
+    // `usize` can index.
+    let mut long = batch[0].clone();
+    long.path.steps = vec![long.path.steps[0]; MerkleProof::MAX_STEPS + 1];
+    assert_eq!(
+        SignedReading::from_bytes(&long.to_bytes()).err(),
+        Some(DecodeError::LengthOverflow)
+    );
+    long.path.steps.pop();
+    assert!(SignedReading::from_bytes(&long.to_bytes()).is_ok());
 }
 
 #[test]

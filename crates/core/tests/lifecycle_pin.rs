@@ -21,17 +21,21 @@ use pds2_storage::semantic::{MetaValue, Metadata, Requirement};
 use pds2_tee::measurement::EnclaveCode;
 
 // Generated at d0065fe, the commit before `marketplace.rs` was cut along
-// the lifecycle.
-const TRACE_DIGEST: &str = "9426cc71091d76f421382e5d1d40b4a8453313b38e2c376e92a421f60fbedcf7";
+// the lifecycle. `TRACE_DIGEST`, `head`, `state_root` and `events_sha` were
+// regenerated once by the PR on top of 4f10d0c that made a device sign a
+// batch: a record id is the hash of its readings' bytes, which now hold a
+// root signature and a path, and the dataset NFTs carry the record ids.
+// Every other field, and the event count, held.
+const TRACE_DIGEST: &str = "c0c9002242a2bc560c8949b9a4421c8684f8451ed542312c66e7693b701a42af";
 const TRACE_EVENTS: u64 = 370;
 
 fn pinned() -> Outcome {
     let hex = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
     Outcome {
         height: 57,
-        head: "5dc8fad125d91e81c55d8b5c1cc86872e6ab0804caa6c1b31f0341855699615c".into(),
-        state_root: "7f2c73c87b7a64e3b5621886a173527409fbb3cf73d897226c0fc9c7f764e585".into(),
-        events_sha: "b8009a25db8e37fe68bee5b8aca08ab8c7ae2d1f1d0ea083aa92e95b64b0c48f".into(),
+        head: "d712383d1d1ce6bcb300f83c3cdd912fed6db734e5dbfdc95f5234075c29c405".into(),
+        state_root: "8bac1f6933e892ea1becb342cce0db81ec0817a0de3bbfa8811b7fecc88ce240".into(),
+        events_sha: "b6fb034c3f8b5b2a9420fa28572e451ad44ab2a54428dc91d8f4c072cc42a471".into(),
         result_hashes: hex(&[
             "806f5f916bb3e00514366c3d33be6489eadc8cacf1ac3b8d88d002eeecc5d174",
             "849107174f50a04b5d0a5953b1869184e96ad56eca18df84aa747af907b034eb",

@@ -1,11 +1,13 @@
 //! Merkle trees with inclusion proofs.
 //!
 //! Used by the governance layer to commit to transaction sets in block
-//! headers and by the storage subsystem to commit to dataset contents, so
+//! headers, by the storage subsystem to commit to dataset contents, so
 //! that a provider can later prove an individual record was part of a
-//! registered dataset without revealing the rest.
+//! registered dataset without revealing the rest, and by devices to sign
+//! a batch of readings once (each reading carries its proof, encoded).
 
-use crate::sha256::{sha256_pair, Digest};
+use crate::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
+use crate::sha256::{sha256_pair, Digest, DIGEST_LEN};
 
 /// Domain-separation prefixes to prevent leaf/node second-preimage attacks.
 const LEAF_PREFIX: [u8; 1] = [0x00];
@@ -141,6 +143,10 @@ impl MerkleTree {
 }
 
 impl MerkleProof {
+    /// The longest path a decoder accepts: a tree of 2⁶⁴ leaves, more than
+    /// a `usize` index can address.
+    pub const MAX_STEPS: usize = 64;
+
     /// Verifies that `leaf_data` hashes up to `root` through this proof.
     pub fn verify(&self, leaf_data: &[u8], root: &Digest) -> bool {
         self.verify_hash(leaf_hash(leaf_data), root)
@@ -148,15 +154,51 @@ impl MerkleProof {
 
     /// Verifies starting from a pre-computed leaf hash.
     pub fn verify_hash(&self, leaf: Digest, root: &Digest) -> bool {
-        let mut acc = leaf;
-        for step in &self.steps {
-            acc = if step.sibling_on_right {
+        self.root_from(leaf) == *root
+    }
+
+    /// The root this path leads to from `leaf`. Only the steps decide it:
+    /// `leaf_index` says where the prover found the leaf and is not bound
+    /// by the root.
+    pub fn root_from(&self, leaf: Digest) -> Digest {
+        self.steps.iter().fold(leaf, |acc, step| {
+            if step.sibling_on_right {
                 node_hash(&acc, &step.sibling)
             } else {
                 node_hash(&step.sibling, &acc)
-            };
+            }
+        })
+    }
+}
+
+impl Encode for MerkleProof {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.leaf_index as u64);
+        enc.put_u64(self.steps.len() as u64);
+        for step in &self.steps {
+            enc.put_digest(&step.sibling);
+            enc.put_bool(step.sibling_on_right);
         }
-        acc == *root
+    }
+}
+
+impl Decode for MerkleProof {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let leaf_index =
+            usize::try_from(dec.get_u64()?).map_err(|_| DecodeError::LengthOverflow)?;
+        let count = dec.get_u64()?;
+        let count = dec.bounded_count(count, DIGEST_LEN + 1)?;
+        if count > Self::MAX_STEPS {
+            return Err(DecodeError::LengthOverflow);
+        }
+        let mut steps = Vec::with_capacity(count);
+        for _ in 0..count {
+            steps.push(ProofStep {
+                sibling: dec.get_digest()?,
+                sibling_on_right: dec.get_bool()?,
+            });
+        }
+        Ok(MerkleProof { leaf_index, steps })
     }
 }
 
@@ -221,6 +263,41 @@ mod tests {
         let mut proof = t.prove(3).unwrap();
         proof.steps[0].sibling_on_right = !proof.steps[0].sibling_on_right;
         assert!(!proof.verify(&ls[3], &t.root()));
+    }
+
+    #[test]
+    fn proof_codec_roundtrip_and_step_cap() {
+        for n in [1, 2, 33] {
+            let t = MerkleTree::from_leaves(&leaves(n));
+            for i in 0..n {
+                let proof = t.prove(i).unwrap();
+                assert_eq!(MerkleProof::from_bytes(&proof.to_bytes()), Ok(proof));
+            }
+        }
+        let step = ProofStep {
+            sibling: Digest([7; 32]),
+            sibling_on_right: true,
+        };
+        let at_cap = MerkleProof {
+            leaf_index: 0,
+            steps: vec![step; MerkleProof::MAX_STEPS],
+        };
+        assert!(MerkleProof::from_bytes(&at_cap.to_bytes()).is_ok());
+        let over = MerkleProof {
+            leaf_index: 0,
+            steps: vec![step; MerkleProof::MAX_STEPS + 1],
+        };
+        assert_eq!(
+            MerkleProof::from_bytes(&over.to_bytes()),
+            Err(DecodeError::LengthOverflow)
+        );
+        // A side byte is a bool, nothing else.
+        let mut bytes = at_cap.to_bytes();
+        *bytes.last_mut().unwrap() = 2;
+        assert_eq!(
+            MerkleProof::from_bytes(&bytes),
+            Err(DecodeError::InvalidTag(2))
+        );
     }
 
     #[test]

@@ -42,6 +42,7 @@ fuzz_decode!(signed_reading_never_panics, SignedReading);
 fuzz_decode!(certificate_never_panics, ParticipationCertificate);
 fuzz_decode!(requirement_never_panics, Requirement);
 fuzz_decode!(smt_proof_never_panics, pds2_chain::SmtProof);
+fuzz_decode!(merkle_proof_never_panics, pds2_crypto::MerkleProof);
 fuzz_decode!(partial_sig_never_panics, pds2_gov::PartialSig);
 
 proptest! {

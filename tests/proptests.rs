@@ -1,7 +1,9 @@
 //! Cross-crate property-based tests: invariants that must hold for
 //! arbitrary inputs across the PDS² stack.
 
-use pds2::market::authenticity::Device;
+use pds2::market::authenticity::{
+    Device, ManufacturerRegistry, ReadingRejection, ReadingVerifier, SignedReading,
+};
 use pds2::market::certificate::ParticipationCertificate;
 use pds2::market::workload::{RewardScheme, TaskKind, WorkloadSpec};
 use pds2::ml::data::Dataset;
@@ -102,6 +104,87 @@ proptest! {
             _ => tampered.sequence = tampered.sequence.wrapping_add(1),
         }
         prop_assert!(!tampered.signature_valid());
+    }
+
+    /// A device signs a batch once. Whatever the batch size (1…70, so odd
+    /// nodes are promoted at every level), every reading verifies alone,
+    /// any in-order subset verifies through one verifier for one signature
+    /// check, and one tamper on one reading is a bad signature whether the
+    /// verifier has already accepted the batch's root or not.
+    #[test]
+    fn batch_readings_verify_and_any_tamper_is_refused(
+        seed in 0u64..500,
+        n in 1usize..=70,
+        disclosed in any::<u128>(),
+        victim in any::<usize>(),
+        tamper in 0usize..9,
+        at in any::<usize>(),
+        warm in any::<bool>(),
+    ) {
+        let mut registry = ManufacturerRegistry::new();
+        let manufacturer = KeyPair::from_seed(50);
+        registry.register_manufacturer(manufacturer.public.clone());
+        let mut device = Device::new(seed);
+        registry.endorse(&manufacturer, &device).unwrap();
+        let readings =
+            device.sign_batch((0..n).map(|i| (seed + i as u64, vec![i as f64, 0.5], 1.0)));
+        prop_assert_eq!(readings.len(), n);
+        for r in &readings {
+            prop_assert!(r.signature_valid());
+            prop_assert!(SignedReading::from_bytes(&r.to_bytes()).unwrap().signature_valid());
+        }
+
+        let mut verifier = ReadingVerifier::new(&registry);
+        let subset: Vec<&SignedReading> = readings
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| disclosed >> i & 1 == 1)
+            .map(|(_, r)| r)
+            .collect();
+        for r in &subset {
+            prop_assert_eq!(verifier.verify(r), Ok(()));
+        }
+        prop_assert_eq!(verifier.accepted, subset.len() as u64);
+        prop_assert_eq!(verifier.signatures_checked, subset.len().min(1) as u64);
+
+        let victim = victim % n;
+        let honest = &readings[victim];
+        let mut forged = honest.clone();
+        let steps = forged.path.steps.len();
+        let extra_step = pds2_crypto::merkle::ProofStep {
+            sibling: sha256(b"sibling"),
+            sibling_on_right: at & 1 == 0,
+        };
+        match tamper {
+            0 => forged.target += 1.0,
+            1 => forged.timestamp = forged.timestamp.wrapping_add(1),
+            2 => forged.sequence = forged.sequence.wrapping_add(1),
+            3 => forged.features[at % 2] -= 1.0,
+            4 => forged.signature.s = forged.signature.s.add(&pds2_crypto::BigUint::one()),
+            // A batch of one has no path to alter: it gets a step instead.
+            5..=7 if steps == 0 => forged.path.steps.push(extra_step),
+            5 => forged.path.steps[at % steps].sibling.0[at % 32] ^= 1 << (at % 8),
+            6 => {
+                let step = &mut forged.path.steps[at % steps];
+                step.sibling_on_right = !step.sibling_on_right;
+            }
+            7 => {
+                forged.path.steps.remove(at % steps);
+            }
+            _ => forged.path.steps.insert(at % (steps + 1), extra_step),
+        }
+        prop_assert!(!forged.signature_valid());
+        let mut verifier = ReadingVerifier::new(&registry);
+        if warm {
+            prop_assert_eq!(verifier.verify(&readings[0]), Ok(()));
+        }
+        prop_assert_eq!(verifier.verify(&forged), Err(ReadingRejection::BadSignature));
+        // The forgery taught the verifier nothing: the honest reading it
+        // was made from passes after it (unless it was the warm-up).
+        if !(warm && victim == 0) {
+            prop_assert_eq!(verifier.verify(honest), Ok(()));
+        }
+        prop_assert_eq!(verifier.signatures_checked, 2);
     }
 
     /// Field axioms for the SMC prime field under arbitrary u64 inputs.
