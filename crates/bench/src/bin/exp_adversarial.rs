@@ -9,9 +9,10 @@
 use pds2_bench::{build_world, print_table, round_robin_assignments};
 use pds2_chain::address::Address;
 use pds2_chain::tx::{Transaction, TxKind};
+use pds2_core::contract::Call;
 use pds2_core::marketplace::{MarketError, StorageChoice};
 use pds2_core::workload::RewardScheme;
-use pds2_crypto::{sha256, KeyPair};
+use pds2_crypto::{sha256, Encode, KeyPair};
 
 fn main() {
     println!("E12: adversarial scenarios (§II-E tamper-proofness)\n");
@@ -128,9 +129,8 @@ fn main() {
         w.market.try_start(w.workload).unwrap();
         w.market.execute(w.workload).unwrap();
         // Direct malicious finalize with inflated shares via raw tx.
-        use pds2_core::contract::calls;
         let contract = w.market.workload_contract(w.workload).unwrap();
-        let inflated = calls::finalize(&[(w.providers[0], u128::MAX / 2)]);
+        let inflated = Call::Finalize(vec![(w.providers[0], u128::MAX / 2)]).to_bytes();
         let consumer_keys = KeyPair::from_seed(1); // consumer seed in build_world
         let nonce = w
             .market

@@ -45,7 +45,7 @@ fn main() {
             .run_full_lifecycle(world.workload, &assignments)
             .unwrap();
         let st = world.market.workload_state(world.workload).unwrap();
-        let fee = st.executor_fee as f64;
+        let fee = st.init.executor_fee as f64;
         // Mean per-executor compute cost.
         let mean_ns: f64 = exec
             .enclave_costs
@@ -100,7 +100,7 @@ fn main() {
             .unwrap();
         let st = world.market.workload_state(world.workload).unwrap();
         let spent: u128 = fin.provider_shares.iter().map(|(_, v)| v).sum::<u128>()
-            + fin.paid_executors.len() as u128 * st.executor_fee;
+            + fin.paid_executors.len() as u128 * st.init.executor_fee;
         let above_chance = (exec.validation_score - 0.5).max(1e-6);
         rows.push(vec![
             n_providers.to_string(),
@@ -137,13 +137,13 @@ fn main() {
         .unwrap();
     let st = world.market.workload_state(world.workload).unwrap();
     let provider_total: u128 = fin.provider_shares.iter().map(|(_, v)| v).sum();
-    let fees = fin.paid_executors.len() as u128 * st.executor_fee;
+    let fees = fin.paid_executors.len() as u128 * st.init.executor_fee;
     let supply_after = world.market.chain.state.total_native_supply();
     println!("providers earned : {provider_total}");
     println!("executors earned : {fees}");
     println!("total supply     : {supply_before} -> {supply_after} (conserved)");
     assert_eq!(supply_before, supply_after);
-    assert_eq!(provider_total, st.provider_reward);
+    assert_eq!(provider_total, st.init.provider_reward);
     println!(
         "\nshape: the marketplace is a closed token economy — the consumer's \
          spend equals provider rewards plus honest-executor fees, and the \

@@ -85,6 +85,6 @@ pub mod workload;
 
 pub use authenticity::{Device, DeviceId, ManufacturerRegistry, ReadingVerifier, SignedReading};
 pub use certificate::ParticipationCertificate;
-pub use contract::{Phase, WorkloadContract, WorkloadState, WORKLOAD_CODE_ID};
+pub use contract::{Call, Init, Phase, WorkloadContract, WorkloadState, WORKLOAD_CODE_ID};
 pub use marketplace::{ExecutionReport, FinalizeReport, MarketError, Marketplace, StorageChoice};
 pub use workload::{RewardScheme, TaskKind, WorkloadSpec};

@@ -2,7 +2,7 @@
 //! execution timeout has passed, ABORT refunds the consumer.
 
 use super::{actor, call, send, workload, MarketError, Marketplace};
-use crate::contract::calls;
+use crate::contract::Call;
 
 impl Marketplace {
     /// Gracefully aborts an Executing workload whose executors crashed
@@ -26,7 +26,7 @@ impl Marketplace {
             &mut self.chain,
             self.current_trace,
             &actor(&self.consumers, &runtime.consumer, "consumer")?.keys,
-            call(runtime.contract, calls::abort()),
+            call(runtime.contract, Call::Abort),
         )?;
         self.tick();
         pds2_obs::counter!("market.aborts").inc();

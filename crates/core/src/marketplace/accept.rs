@@ -4,7 +4,7 @@
 use super::{actor, call, send, workload, MarketError, Marketplace};
 use crate::authenticity::{ReadingVerifier, SignedReading};
 use crate::certificate::ParticipationCertificate;
-use crate::contract::calls;
+use crate::contract::Call;
 use pds2_chain::address::Address;
 use pds2_crypto::codec::{DecodeError, Decoder};
 use pds2_crypto::sha256::sha256;
@@ -160,7 +160,7 @@ impl Marketplace {
             &actor(&self.executors, &executor, "executor")?.keys,
             call(
                 runtime.contract,
-                calls::submit_participation(&[(provider, n_verified, cert_hash)]),
+                Call::SubmitParticipation(vec![(provider, n_verified, cert_hash)]),
             ),
         )?;
 

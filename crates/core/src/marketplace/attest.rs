@@ -4,7 +4,7 @@
 //! launched and dropped when the executor crashes.
 
 use super::{actor_mut, call, send, workload, MarketError, Marketplace};
-use crate::contract::calls;
+use crate::contract::Call;
 use pds2_chain::address::Address;
 use pds2_crypto::sha256::sha256;
 use pds2_tee::attestation::Quote;
@@ -28,7 +28,7 @@ impl Marketplace {
             &mut self.chain,
             self.current_trace,
             &self.executors[&executor].keys,
-            call(runtime.contract, calls::register_executor()),
+            call(runtime.contract, Call::RegisterExecutor),
         )?;
         runtime.executors.push(executor);
         runtime.quotes.insert(executor, quote);

@@ -3,7 +3,7 @@
 //! on-chain. With the retry discipline that waits for crashed executors.
 
 use super::{actor, call, send, send_raw, workload, MarketError, Marketplace};
-use crate::contract::{calls, Phase, WorkloadState};
+use crate::contract::{Call, Phase, WorkloadState};
 use crate::workload::{TaskKind, WorkloadSpec};
 use pds2_chain::address::Address;
 use pds2_chain::state::TxReceipt;
@@ -69,7 +69,7 @@ impl Marketplace {
             &mut self.chain,
             self.current_trace,
             &actor(&self.consumers, &runtime.consumer, "consumer")?.keys,
-            call(runtime.contract, calls::start()),
+            call(runtime.contract, Call::Start),
         );
         self.tick();
         Ok(receipt.success)
@@ -199,7 +199,7 @@ impl Marketplace {
                 &mut self.chain,
                 self.current_trace,
                 &self.executors[executor].keys,
-                call(runtime.contract, calls::submit_result(result_hash)),
+                call(runtime.contract, Call::SubmitResult(result_hash)),
             )?;
         }
 
@@ -271,7 +271,7 @@ impl Marketplace {
             &mut self.chain,
             self.current_trace,
             &actor(&self.executors, &executor, "executor")?.keys,
-            call(contract, calls::submit_result(forged)),
+            call(contract, Call::SubmitResult(forged)),
         ))
     }
 }

@@ -43,13 +43,14 @@ pub use register::StorageChoice;
 pub use reward::FinalizeReport;
 
 use crate::authenticity::{Device, ManufacturerRegistry};
-use crate::contract::{WorkloadContract, WorkloadState, WORKLOAD_CODE_ID};
+use crate::contract::{Call, WorkloadContract, WorkloadState, WORKLOAD_CODE_ID};
 use crate::workload::WorkloadSpec;
 use pds2_chain::address::Address;
 use pds2_chain::chain::Blockchain;
 use pds2_chain::contract::ContractRegistry;
 use pds2_chain::state::TxReceipt;
 use pds2_chain::tx::{Transaction, TxKind};
+use pds2_crypto::codec::{Decode, Encode};
 use pds2_crypto::schnorr::KeyPair;
 use pds2_crypto::sha256::Digest;
 use pds2_ml::data::Dataset;
@@ -241,10 +242,10 @@ fn send(
 
 /// A call into a workload contract that carries no native value: every
 /// lifecycle transaction but the mints, the deploy and a native FUND.
-fn call(contract: Address, input: Vec<u8>) -> TxKind {
+fn call(contract: Address, call: Call) -> TxKind {
     TxKind::Call {
         contract,
-        input,
+        input: call.to_bytes(),
         value: 0,
     }
 }
@@ -352,8 +353,7 @@ impl Marketplace {
             .state
             .contract_snapshot(&runtime.contract)
             .ok_or_else(|| MarketError::ChainFailure("contract missing".into()))?;
-        WorkloadState::from_snapshot(&snapshot)
-            .map_err(|e| MarketError::ChainFailure(e.to_string()))
+        WorkloadState::from_bytes(&snapshot).map_err(|e| MarketError::ChainFailure(e.to_string()))
     }
 
     /// Convenience: drives a workload through the whole Fig. 2 lifecycle.

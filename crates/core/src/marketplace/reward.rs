@@ -3,7 +3,7 @@
 //! it is paid, the trained model and a proof of participation.
 
 use super::{actor, call, hash_params, send, workload, MarketError, Marketplace};
-use crate::contract::calls;
+use crate::contract::Call;
 use crate::workload::{RewardScheme, WorkloadSpec};
 use pds2_chain::address::Address;
 use pds2_ml::data::Dataset;
@@ -42,7 +42,7 @@ impl Marketplace {
             &mut self.chain,
             self.current_trace,
             &actor(&self.consumers, &runtime.consumer, "consumer")?.keys,
-            call(runtime.contract, calls::finalize(&shares)),
+            call(runtime.contract, Call::Finalize(shares.clone())),
         )?;
         let state = self.workload_state(workload_id)?;
         // Fees go only to executors whose submitted result matches the

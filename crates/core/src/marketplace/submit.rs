@@ -3,12 +3,13 @@
 //! tracking the off-chain half.
 
 use super::{actor, send, MarketError, Marketplace, WorkloadRuntime};
-use crate::contract::{calls, WorkloadContract, WORKLOAD_CODE_ID};
+use crate::contract::{Call, Init, WORKLOAD_CODE_ID};
 use crate::workload::WorkloadSpec;
 use pds2_chain::address::Address;
 use pds2_chain::erc20::Erc20Op;
 use pds2_chain::erc721::{AssetKind, Erc721Op};
 use pds2_chain::tx::TxKind;
+use pds2_crypto::codec::Encode;
 use pds2_crypto::sha256::sha256;
 use pds2_tee::measurement::EnclaveCode;
 use std::collections::HashMap;
@@ -76,20 +77,21 @@ impl Marketplace {
             }),
         )?;
         // Deploy the workload contract.
-        let init = WorkloadContract::init_bytes(
-            spec.spec_hash(),
-            spec.code_measurement.0,
-            spec.provider_reward,
-            spec.executor_fee,
-            spec.min_providers,
-            spec.min_records,
-            0, // marketplace workloads carry no on-chain deadline by default
+        let init = Init {
+            spec_hash: spec.spec_hash(),
+            code_measurement: spec.code_measurement.0,
+            provider_reward: spec.provider_reward,
+            executor_fee: spec.executor_fee,
+            min_providers: spec.min_providers,
+            min_records: spec.min_records,
+            // Marketplace workloads carry no on-chain deadline by default.
+            deadline_height: 0,
             exec_timeout_blocks,
-            spec.reward_token,
-        );
+            reward_token: spec.reward_token,
+        };
         let deploy = TxKind::Deploy {
             code_id: WORKLOAD_CODE_ID.into(),
-            init,
+            init: init.to_bytes(),
         };
         let contract = send(&mut self.chain, trace, keys, deploy)?
             .deployed
@@ -107,7 +109,7 @@ impl Marketplace {
         }
         let fund = TxKind::Call {
             contract,
-            input: calls::fund(),
+            input: Call::Fund.to_bytes(),
             value: if spec.reward_token.is_some() {
                 0
             } else {

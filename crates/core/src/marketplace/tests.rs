@@ -132,7 +132,7 @@ fn full_lifecycle_proportional() {
     // All provider rewards disbursed.
     let total: u128 = fin.provider_shares.iter().map(|(_, v)| v).sum();
     let st = w.market.workload_state(w.workload).unwrap();
-    assert_eq!(total, st.provider_reward);
+    assert_eq!(total, st.init.provider_reward);
     // Providers actually hold their balances on-chain.
     for (p, v) in &fin.provider_shares {
         assert_eq!(w.market.chain.state.balance(p), *v);

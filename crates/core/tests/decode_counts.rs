@@ -6,7 +6,7 @@
 use pds2_chain::address::Address;
 use pds2_core::authenticity::{Device, SignedReading};
 use pds2_core::certificate::ParticipationCertificate;
-use pds2_core::contract::{Phase, WorkloadState};
+use pds2_core::contract::{Init, Phase, WorkloadState};
 use pds2_core::workload::{decode_dataset, encode_dataset};
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use pds2_crypto::merkle::MerkleProof;
@@ -119,15 +119,17 @@ fn dataset_row_width() {
 fn workload_state_slashed_count() {
     let state = WorkloadState {
         consumer: Address::of(&KeyPair::from_seed(1).public),
-        spec_hash: sha256(b"spec"),
-        code_measurement: sha256(b"code"),
-        provider_reward: 10,
-        executor_fee: 1,
-        min_providers: 1,
-        min_records: 1,
-        deadline_height: 0,
-        exec_timeout_blocks: 0,
-        reward_token: None,
+        init: Init {
+            spec_hash: sha256(b"spec"),
+            code_measurement: sha256(b"code"),
+            provider_reward: 10,
+            executor_fee: 1,
+            min_providers: 1,
+            min_records: 1,
+            deadline_height: 0,
+            exec_timeout_blocks: 0,
+            reward_token: None,
+        },
         funded: 11,
         phase: Phase::Open,
         started_height: 0,
@@ -139,5 +141,5 @@ fn workload_state_slashed_count() {
     // The slashed list is the last field, and empty here: its count is the
     // last eight bytes.
     let bytes = state.to_bytes();
-    assert_count_bounded(&bytes, bytes.len() - 8, WorkloadState::from_snapshot);
+    assert_count_bounded(&bytes, bytes.len() - 8, WorkloadState::from_bytes);
 }

@@ -324,8 +324,30 @@ impl Encode for Requirement {
     }
 }
 
+/// How deep `Not` / `All` / `Any` may nest in a decoded requirement.
+/// Decoding recurses once per level, so without a cap a run of `Not` tags
+/// is a stack overflow instead of an error.
+pub const MAX_NESTING: usize = 32;
+
 impl Decode for Requirement {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Self::decode_nested(dec, 0)
+    }
+}
+
+impl Requirement {
+    fn decode_nested(dec: &mut Decoder<'_>, depth: usize) -> Result<Self, DecodeError> {
+        if depth > MAX_NESTING {
+            return Err(DecodeError::Invalid("requirement nested too deep"));
+        }
+        let seq = |dec: &mut Decoder<'_>| {
+            let len = dec.get_u64()?;
+            // Each element needs at least one byte.
+            let len = dec.bounded_count(len, 1)?;
+            (0..len)
+                .map(|_| Self::decode_nested(dec, depth + 1))
+                .collect::<Result<Vec<_>, _>>()
+        };
         match dec.get_u8()? {
             0 => Ok(Requirement::HasClass {
                 attr: dec.get_str()?,
@@ -343,9 +365,12 @@ impl Decode for Requirement {
             3 => Ok(Requirement::Exists {
                 attr: dec.get_str()?,
             }),
-            4 => Ok(Requirement::All(dec.get_seq()?)),
-            5 => Ok(Requirement::Any(dec.get_seq()?)),
-            6 => Ok(Requirement::Not(Box::new(Requirement::decode(dec)?))),
+            4 => Ok(Requirement::All(seq(dec)?)),
+            5 => Ok(Requirement::Any(seq(dec)?)),
+            6 => Ok(Requirement::Not(Box::new(Self::decode_nested(
+                dec,
+                depth + 1,
+            )?))),
             t => Err(DecodeError::InvalidTag(t)),
         }
     }
@@ -523,5 +548,28 @@ mod tests {
         ]);
         let bytes = req.to_bytes();
         assert_eq!(Requirement::from_bytes(&bytes).unwrap(), req);
+    }
+
+    #[test]
+    fn requirement_nesting_is_capped_on_decode() {
+        let nested = |levels: usize| {
+            let leaf = Requirement::Exists { attr: "x".into() };
+            (0..levels).fold(leaf, |r, level| match level % 3 {
+                0 => Requirement::Not(Box::new(r)),
+                1 => Requirement::All(vec![r]),
+                _ => Requirement::Any(vec![r]),
+            })
+        };
+        let deepest = nested(MAX_NESTING);
+        assert_eq!(Requirement::from_bytes(&deepest.to_bytes()), Ok(deepest));
+        assert_eq!(
+            Requirement::from_bytes(&nested(MAX_NESTING + 1).to_bytes()),
+            Err(DecodeError::Invalid("requirement nested too deep"))
+        );
+        // Without the cap this is a stack overflow: one frame per `Not` tag.
+        assert_eq!(
+            Requirement::from_bytes(&vec![6u8; 1 << 20]),
+            Err(DecodeError::Invalid("requirement nested too deep"))
+        );
     }
 }

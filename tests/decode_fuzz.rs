@@ -1,179 +1,669 @@
 //! Decode-robustness: every parser that faces bytes from the network or
 //! the chain must reject hostile input with an error — never panic, never
-//! over-allocate.
+//! over-allocate — and what does decode must not pass for something it is
+//! not.
+//!
+//! The decodable types are listed once, in [`build_table`]: a name, one
+//! valid encoding, and how to decode it and ask whether the value would be
+//! believed (its signature, root or digest holds). Four drivers run over
+//! the list: every strict prefix of a sample is an error; every single-bit
+//! flip of a sample is an error, the sample again, or a value its own check
+//! refuses; arbitrary bytes, alone and spliced into a sample, never panic;
+//! a sample re-encodes to its own bytes. `every_decodable_type_has_a_row`
+//! greps the workspace for `impl Decode for` and fails when a type has no
+//! row, so a new wire type cannot skip any of this.
 
-use pds2::market::authenticity::SignedReading;
+use pds2::market::authenticity::Device;
 use pds2::market::certificate::ParticipationCertificate;
-use pds2::market::workload::WorkloadSpec;
-use pds2::market::WorkloadState;
-use pds2::storage::semantic::Requirement;
-use pds2_chain::block::BlockHeader;
-use pds2_chain::erc20::Erc20Op;
-use pds2_chain::erc721::Erc721Op;
-use pds2_chain::tx::SignedTransaction;
-use pds2_crypto::codec::Decode;
-use pds2_crypto::{PublicKey, Signature};
+use pds2::market::contract::{Call, Contribution, Init, Phase, WorkloadState};
+use pds2::market::workload::{RewardScheme, TaskKind, WorkloadSpec};
+use pds2::ml::data::Dataset;
+use pds2::storage::semantic::{MetaValue, Requirement};
+use pds2::storage::store::RecordId;
+use pds2::tee::measurement::Measurement;
+use pds2_chain::address::{Account, Address};
+use pds2_chain::block::Block;
+use pds2_chain::chain::Blockchain;
+use pds2_chain::contract::ContractRegistry;
+use pds2_chain::erc20::{Erc20Op, TokenId};
+use pds2_chain::erc721::{AssetKind, Erc721Op, NftId};
+use pds2_chain::smt::{verify_proof, SmtProof, SmtTree};
+use pds2_chain::sync::SyncMsg;
+use pds2_chain::tx::{SignedTransaction, Transaction, TxKind};
+use pds2_crypto::codec::{Decode, DecodeError, Encode};
+use pds2_crypto::{sha256, Digest, KeyPair, MerkleTree};
+use pds2_learning::gossip::GossipMsg;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
+
+/// What decoding some bytes as a row's type gave: an error, or the value's
+/// own encoding and whether the value would be believed. `None` for plain
+/// data, which carries nothing to believe it by.
+type Decoded = Result<(Vec<u8>, Option<bool>), DecodeError>;
+
+/// Shared by the tests' threads through [`table`].
+type DecodeFn = dyn Fn(&[u8]) -> Decoded + Send + Sync;
+
+struct Row {
+    /// The type as `impl Decode for` names it, then `/` and which sample
+    /// when a type has several.
+    name: &'static str,
+    sample: Vec<u8>,
+    decode: Box<DecodeFn>,
+}
+
+/// A row for plain data: any value of the type is as good as another.
+fn plain<T: Decode + Encode>(name: &'static str, sample: T) -> Row {
+    Row {
+        name,
+        sample: sample.to_bytes(),
+        decode: Box::new(|bytes| T::from_bytes(bytes).map(|v| (v.to_bytes(), None))),
+    }
+}
+
+/// A row for a value that vouches for itself: `believed` is the check its
+/// consumer runs before acting on it.
+fn checked<T: Decode + Encode>(
+    name: &'static str,
+    sample: T,
+    believed: impl Fn(&T) -> bool + Send + Sync + 'static,
+) -> Row {
+    Row {
+        name,
+        sample: sample.to_bytes(),
+        decode: Box::new(move |bytes| {
+            T::from_bytes(bytes).map(|v| (v.to_bytes(), Some(believed(&v))))
+        }),
+    }
+}
+
+fn address(seed: u64) -> Address {
+    Address::of(&KeyPair::from_seed(seed).public)
+}
+
+fn transfer(from: &KeyPair, nonce: u64, amount: u128) -> SignedTransaction {
+    Transaction {
+        from: from.public.clone(),
+        nonce,
+        kind: TxKind::Transfer {
+            to: address(2),
+            amount,
+        },
+        gas_limit: 90_000,
+        max_fee_per_gas: 0,
+        priority_fee_per_gas: 0,
+    }
+    .sign(from)
+}
+
+/// Proposer signature over the header, tx-root commitment over the body,
+/// sender signature on every transaction.
+fn block_intact(block: &Block) -> bool {
+    block.header.verify_signature()
+        && block.header.tx_root == Block::compute_tx_root(&block.transactions)
+        && block.transactions.iter().all(|t| t.verify_signature())
+}
+
+/// The 64-leaf tree of the sparse-Merkle-proof tests: keys 0..64 are
+/// present, everything else absent.
+mod smt_fixture {
+    use super::*;
+
+    pub fn key(i: u64) -> Digest {
+        sha256(&i.to_le_bytes())
+    }
+
+    pub fn value_bytes(i: u64) -> Vec<u8> {
+        format!("leaf-value-{i}").into_bytes()
+    }
+
+    /// The value a verifier would check for probe key `i`.
+    pub fn expected_value(i: u64) -> Option<Vec<u8>> {
+        (i < 64).then(|| value_bytes(i))
+    }
+
+    /// Row name and probe key: two present keys, then two absent ones whose
+    /// paths end at another key's leaf and at an empty subtree, the three
+    /// shapes `SmtProof::found` has on the wire.
+    pub const PROBES: [(&str, u64); 4] = [
+        ("SmtProof/inclusion_3", 3),
+        ("SmtProof/inclusion_41", 41),
+        ("SmtProof/absence_130", 130),
+        ("SmtProof/absence_9999", 9_999),
+    ];
+
+    pub fn tree() -> (SmtTree, Digest) {
+        let leaves = (0..64).map(|i| (key(i), sha256(&value_bytes(i))));
+        let (tree, _) = SmtTree::from_leaves(leaves.collect());
+        let root = tree.root_hash();
+        (tree, root)
+    }
+}
+
+fn build_table() -> Vec<Row> {
+    let alice = KeyPair::from_seed(1);
+    let (a, b) = (address(1), address(2));
+    let tx = transfer(&alice, 9, 1_234);
+
+    // One chain: a block of one transfer, an empty block, then some token
+    // and NFT traffic for the two module snapshots.
+    let mut chain = Blockchain::single_validator(55, &[(a, 10_000_000)], ContractRegistry::new());
+    chain.submit(transfer(&alice, 0, 5)).unwrap();
+    let block = chain.produce_block();
+    let empty_block = chain.produce_block();
+    let mint = Erc721Op::Mint {
+        kind: AssetKind::Dataset,
+        content: sha256(b"dataset"),
+        label: "readings".into(),
+    };
+    let token_traffic = [
+        TxKind::Erc20(Erc20Op::Create {
+            symbol: "RWD".into(),
+            initial_supply: 1_000,
+        }),
+        TxKind::Erc20(Erc20Op::Transfer {
+            token: TokenId(0),
+            to: b,
+            amount: 10,
+        }),
+        TxKind::Erc20(Erc20Op::Approve {
+            token: TokenId(0),
+            spender: b,
+            amount: 7,
+        }),
+        TxKind::Erc721(mint.clone()),
+        TxKind::Erc721(Erc721Op::Approve {
+            id: NftId(0),
+            approved: Some(b),
+        }),
+    ];
+    for (nonce, kind) in (1..).zip(token_traffic) {
+        let tx = Transaction {
+            from: alice.public.clone(),
+            nonce,
+            kind,
+            gas_limit: 200_000,
+            max_fee_per_gas: 0,
+            priority_fee_per_gas: 0,
+        };
+        let hash = chain.submit(tx.sign(&alice)).unwrap();
+        chain.produce_block();
+        assert!(chain.receipt(&hash).unwrap().success);
+    }
+
+    let msg = b"decode_fuzz";
+    let signature = alice.sign(msg);
+    // Both verification paths answer alike on whatever decodes.
+    let both_paths = |key: &pds2_crypto::PublicKey, sig: &pds2_crypto::Signature| {
+        let fast = key.verify(msg, sig);
+        assert_eq!(fast, key.verify_reference(msg, sig), "paths split");
+        fast
+    };
+
+    let leaves: Vec<Vec<u8>> = (0..11u8).map(|i| vec![i; 3]).collect();
+    let merkle = MerkleTree::from_leaves(&leaves);
+    let merkle_root = merkle.root();
+
+    let (smt, smt_root) = smt_fixture::tree();
+    let smt_row = |(name, i): (&'static str, u64)| {
+        checked(
+            name,
+            smt.prove(&smt_fixture::key(i)),
+            move |p: &SmtProof| {
+                let value = smt_fixture::expected_value(i);
+                verify_proof(&smt_root, &smt_fixture::key(i), value.as_deref(), p)
+            },
+        )
+    };
+
+    let reading = Device::new(1)
+        .sign_batch((0..5).map(|i| (i, vec![1.0, -2.5], 0.5)))
+        .swap_remove(3);
+    let reading_index = reading.path.leaf_index;
+
+    let provider = KeyPair::from_seed(3);
+    let contract = Address::contract(&b, 0);
+    let records = vec![RecordId(sha256(b"r1")), RecordId(sha256(b"r2"))];
+    let certificate =
+        ParticipationCertificate::issue(&provider, 7, contract, records, 120, b, 1_000);
+
+    let precondition = Requirement::All(vec![
+        Requirement::HasClass {
+            attr: "type".into(),
+            class: "sensor/temperature".into(),
+        },
+        Requirement::Not(Box::new(Requirement::NumInRange {
+            attr: "rate".into(),
+            min: 0.5,
+            max: 2.0,
+        })),
+        Requirement::Any(vec![
+            Requirement::Exists {
+                attr: "unit".into(),
+            },
+            Requirement::StrEquals {
+                attr: "unit".into(),
+                value: "K".into(),
+            },
+        ]),
+    ]);
+    let init = Init {
+        spec_hash: sha256(b"spec"),
+        code_measurement: sha256(b"code"),
+        provider_reward: 10_000,
+        executor_fee: 500,
+        min_providers: 2,
+        min_records: 10,
+        deadline_height: 30,
+        exec_timeout_blocks: 2,
+        reward_token: Some(TokenId(3)),
+    };
+    let spec = WorkloadSpec {
+        title: "fuzz".into(),
+        precondition: precondition.clone(),
+        task: TaskKind::Regression,
+        feature_dim: 2,
+        provider_reward: 10_000,
+        executor_fee: 500,
+        reward_scheme: RewardScheme::ShapleyMonteCarlo { permutations: 7 },
+        min_providers: 2,
+        min_records: 10,
+        code_measurement: Measurement::of(b"code", 1),
+        validation: Dataset::new(vec![vec![0.5, -1.0], vec![2.0, 3.0]], vec![0.0, 1.0]),
+        local_epochs: 3,
+        aggregation_rounds: 1,
+        dp_noise_multiplier: Some(1.5),
+        reward_token: Some(TokenId(3)),
+        data_bounds: None,
+    };
+    let contribution = Contribution {
+        records: 20,
+        certificate_hash: sha256(b"cert"),
+        executor: b,
+    };
+    let state = WorkloadState {
+        consumer: a,
+        init: init.clone(),
+        funded: 11_000,
+        phase: Phase::Completed,
+        started_height: 9,
+        executors: [(b, Some(sha256(b"model"))), (address(4), None)].into(),
+        contributions: [(address(5), contribution)].into(),
+        result: Some(sha256(b"model")),
+        slashed: vec![address(6)],
+    };
+
+    let (committee, nonces, partial) = {
+        use pds2_gov::dkg::{run_dkg_quiet, ThresholdParams};
+        use pds2_gov::sign::{nonce_commitment, partial_sign, NonceGuard};
+        let params = ThresholdParams::new(3, 4).unwrap();
+        let (committee, shares) = run_dkg_quiet(0xF122, params).unwrap();
+        let nonces: Vec<(u64, _)> = shares[..3]
+            .iter()
+            .map(|s| (s.index, nonce_commitment(s, msg, 0)))
+            .collect();
+        let mut guard = NonceGuard::new();
+        let partial = partial_sign(&shares[0], &committee, msg, 0, &nonces, &mut guard).unwrap();
+        (committee, nonces, partial)
+    };
+
+    let mut rows = vec![
+        // pds2-crypto
+        checked("PublicKey", alice.public.clone(), {
+            let signature = signature.clone();
+            move |key| both_paths(key, &signature)
+        }),
+        checked("Signature", signature, {
+            let key = alice.public.clone();
+            move |sig| both_paths(&key, sig)
+        }),
+        // `leaf_index` is not bound by the root (`MerkleProof::root_from`
+        // says so): the check pins it, as a verifier that cares where the
+        // leaf sat would.
+        checked("MerkleProof", merkle.prove(6).unwrap(), move |p| {
+            p.leaf_index == 6 && p.verify(&leaves[6], &merkle_root)
+        }),
+        // pds2-chain
+        plain("Address", a),
+        plain(
+            "Account",
+            Account {
+                balance: 77,
+                nonce: 3,
+            },
+        ),
+        plain("TokenId", TokenId(9)),
+        plain("NftId", NftId(9)),
+        plain("AssetKind", AssetKind::WorkloadCode),
+        plain(
+            "Erc20Op",
+            Erc20Op::TransferFrom {
+                token: TokenId(1),
+                owner: a,
+                to: b,
+                amount: 5,
+            },
+        ),
+        plain("Erc721Op", mint),
+        plain(
+            "NftInfo",
+            chain.state.erc721.info(NftId(0)).unwrap().clone(),
+        ),
+        plain("Erc20Module", chain.state.erc20.clone()),
+        plain("Erc721Module", chain.state.erc721.clone()),
+        plain("Event", chain.events_by_topic("erc20.transfer")[0].clone()),
+        plain("TxKind", tx.tx.kind.clone()),
+        plain("Transaction", tx.tx.clone()),
+        checked("SignedTransaction", tx, SignedTransaction::verify_signature),
+        checked("BlockHeader", block.header.clone(), |h| {
+            h.verify_signature()
+        }),
+        checked("Block", block.clone(), block_intact),
+        checked(
+            "SyncMsg/new_block",
+            SyncMsg::NewBlock(empty_block),
+            |m| match m {
+                SyncMsg::NewBlock(block) => block_intact(block),
+                SyncMsg::Blocks(blocks) => blocks.iter().all(block_intact),
+                SyncMsg::Request { .. } | SyncMsg::Announce { .. } => false,
+            },
+        ),
+        plain("SyncMsg/request", SyncMsg::Request { from_height: 17 }),
+        // pds2-storage
+        plain("MetaValue", MetaValue::Num(36.6)),
+        plain("Requirement", precondition),
+        // pds2-core
+        plain("RewardScheme", spec.reward_scheme),
+        plain("TaskKind", spec.task),
+        plain("WorkloadSpec", spec),
+        // As for `MerkleProof`, the position in the batch is pinned.
+        checked("SignedReading", reading, move |r| {
+            r.path.leaf_index == reading_index && r.signature_valid()
+        }),
+        checked("ParticipationCertificate", certificate, move |c| {
+            c.verify(7, contract, b, 500)
+        }),
+        plain("Init", init),
+        plain("Call/start", Call::Start),
+        plain(
+            "Call/submit_participation",
+            Call::SubmitParticipation(vec![(a, 20, sha256(b"c0")), (b, 30, sha256(b"c1"))]),
+        ),
+        plain("Call/submit_result", Call::SubmitResult(sha256(b"model"))),
+        plain(
+            "Call/finalize",
+            Call::Finalize(vec![(a, 3_000), (b, 0), (address(4), u128::MAX)]),
+        ),
+        plain("WorkloadState", state),
+        // pds2-gov: the aggregator's dual-exponentiation check.
+        checked("PartialSig", partial, move |p| {
+            let mut session =
+                pds2_gov::SigningSession::new(&committee, msg, 0, nonces.clone()).unwrap();
+            session.offer(&committee, p).is_ok()
+        }),
+        // pds2-learning
+        checked(
+            "GossipMsg",
+            GossipMsg::new(vec![0.25, -1.5, 3.75, 0.0], 17, true),
+            GossipMsg::verify,
+        ),
+    ];
+    rows.extend(smt_fixture::PROBES.map(smt_row));
+    rows
+}
+
+fn table() -> &'static [Row] {
+    static TABLE: OnceLock<Vec<Row>> = OnceLock::new();
+    TABLE.get_or_init(build_table)
+}
+
+/// The rows of one type.
+fn rows_of(ty: &str) -> Vec<&'static Row> {
+    let rows: Vec<_> = table()
+        .iter()
+        .filter(|r| r.name.split('/').next() == Some(ty))
+        .collect();
+    assert!(!rows.is_empty(), "no row for {ty}");
+    rows
+}
+
+// ---------------------------------------------------------------------------
+// The drivers.
+// ---------------------------------------------------------------------------
+
+/// A sample decodes to itself, and is believed if anything of its type is.
+fn assert_samples_reencode<'a>(rows: impl IntoIterator<Item = &'a Row>) {
+    for row in rows {
+        let (bytes, believed) = (row.decode)(&row.sample).expect(row.name);
+        assert_eq!(bytes, row.sample, "{}: re-encoding differs", row.name);
+        assert_ne!(believed, Some(false), "{}: sample refused", row.name);
+    }
+}
+
+/// Truncation in flight never yields a value, let alone a panic.
+fn assert_prefixes_rejected<'a>(rows: impl IntoIterator<Item = &'a Row>) {
+    for row in rows {
+        for len in 0..row.sample.len() {
+            assert!(
+                (row.decode)(&row.sample[..len]).is_err(),
+                "{}: truncation to {len}/{} bytes decoded",
+                row.name,
+                row.sample.len()
+            );
+        }
+    }
+}
+
+/// A bit flipped in flight is an error, or the same value, or a value its
+/// own check catches.
+fn assert_bit_flips_caught<'a>(rows: impl IntoIterator<Item = &'a Row>) {
+    for row in rows {
+        for idx in 0..row.sample.len() {
+            for bit in 0..8 {
+                let mut bytes = row.sample.clone();
+                bytes[idx] ^= 1 << bit;
+                if let Ok((reencoded, Some(true))) = (row.decode)(&bytes) {
+                    assert!(
+                        reencoded == row.sample,
+                        "{}: flip at byte {idx} bit {bit} is another value and believed",
+                        row.name
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Decoding `bytes`, and a sample with `bytes` written over it from `at`
+/// (which gets random bytes past a sample's first fields), returns.
+fn assert_no_panic<'a>(rows: impl IntoIterator<Item = &'a Row>, bytes: &[u8], at: usize) {
+    for row in rows {
+        let _ = (row.decode)(bytes);
+        let mut spliced = row.sample.clone();
+        let at = at % spliced.len();
+        let n = bytes.len().min(spliced.len() - at);
+        spliced[at..at + n].copy_from_slice(&bytes[..n]);
+        let _ = (row.decode)(&spliced);
+    }
+}
 
 fn arbitrary_bytes() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..512)
 }
 
-macro_rules! fuzz_decode {
-    ($name:ident, $ty:ty) => {
-        proptest! {
-            #[test]
-            fn $name(bytes in arbitrary_bytes()) {
-                // Must return Ok or Err, never panic or hang.
-                let _ = <$ty>::from_bytes(&bytes);
-            }
+#[test]
+fn every_sample_reencodes_to_its_own_bytes() {
+    assert_samples_reencode(table());
+}
+
+#[test]
+fn every_strict_prefix_is_an_error() {
+    assert_prefixes_rejected(table());
+}
+
+#[test]
+fn every_bit_flip_is_an_error_or_the_sample_or_refused() {
+    assert_bit_flips_caught(table());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in arbitrary_bytes(), at in any::<usize>()) {
+        assert_no_panic(table(), &bytes, at);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The names the per-type tests had before the table. Each was a loop of its
+// own; each is now the rows of one type through one driver and adds nothing
+// to the whole-table tests above. They stay only because the PR that wrote
+// the table could retire no more than a few test names (ISSUE 22 says so):
+// this block is to be deleted, never extended.
+// ---------------------------------------------------------------------------
+
+macro_rules! one_type {
+    ($($name:ident => $driver:ident($ty:literal);)*) => {$(
+        #[test]
+        fn $name() {
+            $driver(rows_of($ty));
         }
+    )*};
+}
+
+macro_rules! one_type_arbitrary {
+    ($($name:ident => $ty:literal;)*) => {
+        proptest! {$(
+            #[test]
+            fn $name(bytes in arbitrary_bytes(), at in any::<usize>()) {
+                assert_no_panic(rows_of($ty), &bytes, at);
+            }
+        )*}
     };
 }
 
-fuzz_decode!(signed_transaction_never_panics, SignedTransaction);
-fuzz_decode!(block_header_never_panics, BlockHeader);
-fuzz_decode!(signature_never_panics, Signature);
-fuzz_decode!(public_key_never_panics, PublicKey);
-fuzz_decode!(erc20_op_never_panics, Erc20Op);
-fuzz_decode!(erc721_op_never_panics, Erc721Op);
-fuzz_decode!(workload_spec_never_panics, WorkloadSpec);
-fuzz_decode!(signed_reading_never_panics, SignedReading);
-fuzz_decode!(certificate_never_panics, ParticipationCertificate);
-fuzz_decode!(requirement_never_panics, Requirement);
-fuzz_decode!(smt_proof_never_panics, pds2_chain::SmtProof);
-fuzz_decode!(merkle_proof_never_panics, pds2_crypto::MerkleProof);
-fuzz_decode!(partial_sig_never_panics, pds2_gov::PartialSig);
+one_type_arbitrary! {
+    signed_transaction_never_panics => "SignedTransaction";
+    block_header_never_panics => "BlockHeader";
+    signature_never_panics => "Signature";
+    public_key_never_panics => "PublicKey";
+    erc20_op_never_panics => "Erc20Op";
+    erc721_op_never_panics => "Erc721Op";
+    workload_spec_never_panics => "WorkloadSpec";
+    signed_reading_never_panics => "SignedReading";
+    certificate_never_panics => "ParticipationCertificate";
+    requirement_never_panics => "Requirement";
+    smt_proof_never_panics => "SmtProof";
+    merkle_proof_never_panics => "MerkleProof";
+    partial_sig_never_panics => "PartialSig";
+    workload_state_never_panics => "WorkloadState";
+}
 
-proptest! {
-    #[test]
-    fn workload_state_never_panics(bytes in arbitrary_bytes()) {
-        let _ = WorkloadState::from_snapshot(&bytes);
-    }
+one_type! {
+    bitflipped_transaction_is_rejected_or_unverifiable => assert_bit_flips_caught("SignedTransaction");
+    bitflipped_partial_sig_is_rejected_or_unverifiable => assert_bit_flips_caught("PartialSig");
+}
 
-    /// Bit-flipping a valid encoding either still decodes (to a different
-    /// value whose signature then fails) or errors — never panics.
-    #[test]
-    fn bitflipped_transaction_is_rejected_or_unverifiable(
-        flip_at in 0usize..200,
-        flip_bit in 0u8..8,
-    ) {
-        use pds2_chain::address::Address;
-        use pds2_chain::tx::{Transaction, TxKind};
-        use pds2_crypto::{Encode, KeyPair};
-        let kp = KeyPair::from_seed(1);
-        let tx = Transaction {
-            from: kp.public.clone(),
-            nonce: 3,
-            kind: TxKind::Transfer {
-                to: Address::of(&KeyPair::from_seed(2).public),
-                amount: 77,
-            },
-            gas_limit: 55_000,
-            max_fee_per_gas: 0,
-            priority_fee_per_gas: 0,
-        }
-        .sign(&kp);
-        let mut bytes = tx.to_bytes();
-        let idx = flip_at % bytes.len();
-        bytes[idx] ^= 1 << flip_bit;
-        match SignedTransaction::from_bytes(&bytes) {
-            Err(_) => {} // malformed: rejected at decode
-            Ok(decoded) => {
-                // Structurally valid: the signature must catch the change.
-                prop_assert!(
-                    !decoded.verify_signature() || decoded == tx,
-                    "bit flip must invalidate the signature"
-                );
-            }
-        }
-    }
+mod corrupted_in_flight {
+    use super::*;
 
-    /// Bit-flipping a valid threshold partial signature on the wire must
-    /// either fail to decode or be rejected by the aggregator's
-    /// dual-exponentiation check — a byzantine shareholder cannot smuggle
-    /// a corrupted partial into an aggregate.
-    #[test]
-    fn bitflipped_partial_sig_is_rejected_or_unverifiable(
-        flip_at in 0usize..200,
-        flip_bit in 0u8..8,
-    ) {
-        use pds2_crypto::Encode;
-        use pds2_gov::dkg::{run_dkg_quiet, ThresholdParams};
-        use pds2_gov::sign::{nonce_commitment, partial_sign, NonceGuard};
-        use pds2_gov::{PartialSig, SigningSession};
-
-        let params = ThresholdParams::new(3, 4).unwrap();
-        let (committee, shares) = run_dkg_quiet(0xF122, params).unwrap();
-        let msg = b"wire partial";
-        let nonces: Vec<(u64, _)> = shares[..3]
-            .iter()
-            .map(|s| (s.index, nonce_commitment(s, msg, 0)))
-            .collect();
-        let partial =
-            partial_sign(&shares[0], &committee, msg, 0, &nonces, &mut NonceGuard::new()).unwrap();
-        let mut bytes = partial.to_bytes();
-        let idx = flip_at % bytes.len();
-        bytes[idx] ^= 1 << flip_bit;
-        match PartialSig::from_bytes(&bytes) {
-            Err(_) => {} // malformed: rejected at decode
-            Ok(decoded) => {
-                let mut session =
-                    SigningSession::new(&committee, msg, 0, nonces.clone()).unwrap();
-                prop_assert!(
-                    session.offer(&committee, &decoded).is_err() || decoded == partial,
-                    "flipped partial must fail the dual-exp check"
-                );
-            }
-        }
+    one_type! {
+        truncated_transaction_always_errors => assert_prefixes_rejected("SignedTransaction");
+        truncated_block_always_errors => assert_prefixes_rejected("Block");
+        truncated_gossip_msg_always_errors => assert_prefixes_rejected("GossipMsg");
+        truncated_signature_always_errors => assert_prefixes_rejected("Signature");
+        truncated_public_key_always_errors => assert_prefixes_rejected("PublicKey");
+        bitflipped_transaction_every_position => assert_bit_flips_caught("SignedTransaction");
+        bitflipped_block_every_position => assert_bit_flips_caught("Block");
+        bitflipped_signature_every_position => assert_bit_flips_caught("Signature");
+        bitflipped_public_key_every_position => assert_bit_flips_caught("PublicKey");
+        bitflipped_gossip_msg_every_position => assert_bit_flips_caught("GossipMsg");
     }
 }
 
+/// `impl Decode for T` under `crates/*/src`, the codec's own primitives
+/// aside.
+fn decodable_types() -> BTreeSet<String> {
+    fn visit(dir: &std::path::Path, out: &mut BTreeSet<String>) {
+        for entry in std::fs::read_dir(dir).expect("readable dir").flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                visit(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs")
+                && !path.ends_with("crypto/src/codec.rs")
+            {
+                let body = std::fs::read_to_string(&path).unwrap_or_default();
+                for (at, opener) in body.match_indices("impl Decode for ") {
+                    let rest = &body[at + opener.len()..];
+                    let end = rest.find(|c: char| !c.is_alphanumeric() && c != '_');
+                    out.insert(rest[..end.unwrap_or(rest.len())].to_string());
+                }
+            }
+        }
+    }
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut types = BTreeSet::new();
+    for entry in std::fs::read_dir(crates).expect("crates dir").flatten() {
+        let src = entry.path().join("src");
+        if src.is_dir() {
+            visit(&src, &mut types);
+        }
+    }
+    types
+}
+
+#[test]
+fn every_decodable_type_has_a_row() {
+    let declared = decodable_types();
+    assert!(declared.len() > 30, "sanity: found only {declared:?}");
+    let rows: BTreeSet<String> = table()
+        .iter()
+        .map(|r| r.name.split('/').next().unwrap().to_string())
+        .collect();
+    let missing: Vec<_> = declared.difference(&rows).collect();
+    let stale: Vec<_> = rows.difference(&declared).collect();
+    assert!(
+        missing.is_empty(),
+        "`impl Decode for` types with no row in tests/decode_fuzz.rs: {missing:?}\n\
+         (add one to `build_table`: `plain(..)`, or `checked(..)` with the check \
+         its consumer runs)"
+    );
+    assert!(
+        stale.is_empty(),
+        "rows for types nothing implements `Decode` for: {stale:?}"
+    );
+}
+
 // ---------------------------------------------------------------------------
-// Sparse-Merkle-proof mutations: a light client accepts state only
-// through `verify_proof` against a header root, so every mutation of a
-// serialized proof — truncation at every prefix length, a bit flip at
-// every position, swapping any two sibling hashes — must either fail to
-// decode or fail verification. Exercised for both inclusion and
-// non-inclusion proofs from a seeded 64-leaf tree.
+// What the table cannot say about a sparse-Merkle proof: it round-trips for
+// present and absent keys alike without proving the opposite claim, and no
+// two of its sibling hashes can be swapped.
 // ---------------------------------------------------------------------------
 
 mod smt_proof_mutations {
-    use pds2_chain::smt::{verify_proof, SmtProof, SmtTree};
-    use pds2_crypto::codec::{Decode, Encode};
-    use pds2_crypto::{sha256, Digest};
+    use super::smt_fixture::{expected_value, key, tree, value_bytes, PROBES};
+    use super::*;
 
-    fn key(i: u64) -> Digest {
-        sha256(&i.to_le_bytes())
+    // Two more of the old names (see `one_type!`).
+    one_type! {
+        truncated_smt_proof_never_verifies => assert_prefixes_rejected("SmtProof");
+        bitflipped_smt_proof_never_verifies => assert_bit_flips_caught("SmtProof");
     }
-
-    fn value_bytes(i: u64) -> Vec<u8> {
-        format!("leaf-value-{i}").into_bytes()
-    }
-
-    /// A 64-leaf tree; keys 0..64 are present, everything else absent.
-    fn fixture() -> (SmtTree, Digest) {
-        let leaves: Vec<(Digest, Digest)> =
-            (0..64).map(|i| (key(i), sha256(&value_bytes(i)))).collect();
-        let (tree, _) = SmtTree::from_leaves(leaves);
-        let root = tree.root_hash();
-        (tree, root)
-    }
-
-    /// The value a verifier would check for probe key `i`, honoring the
-    /// fixture's present/absent split.
-    fn expected_value(i: u64) -> Option<Vec<u8>> {
-        (i < 64).then(|| value_bytes(i))
-    }
-
-    /// Probe keys: a present one (inclusion) and an absent one whose
-    /// path ends at a mismatched witness leaf or an empty subtree
-    /// (non-inclusion).
-    const PROBES: [u64; 4] = [3, 41, 130, 9_999];
 
     #[test]
     fn smt_proof_roundtrip_covers_inclusion_and_absence() {
-        let (tree, root) = fixture();
+        let (tree, root) = tree();
+        let found = |i| match tree.prove(&key(i)).found {
+            Some((k, _)) if k == key(i) => "own leaf",
+            Some(_) => "witness leaf",
+            None => "empty subtree",
+        };
+        assert_eq!(
+            PROBES.map(|(_, i)| found(i)),
+            ["own leaf", "own leaf", "witness leaf", "empty subtree"]
+        );
         for i in (0..64).chain(100..164) {
             let proof = tree.prove(&key(i));
             let back = SmtProof::from_bytes(&proof.to_bytes()).expect("roundtrip decodes");
@@ -196,48 +686,9 @@ mod smt_proof_mutations {
     }
 
     #[test]
-    fn truncated_smt_proof_never_verifies() {
-        let (tree, root) = fixture();
-        for i in PROBES {
-            let wire = tree.prove(&key(i)).to_bytes();
-            let value = expected_value(i);
-            for len in 0..wire.len() {
-                if let Ok(p) = SmtProof::from_bytes(&wire[..len]) {
-                    assert!(
-                        !verify_proof(&root, &key(i), value.as_deref(), &p),
-                        "key {i}: truncation to {len}/{} bytes still verifies",
-                        wire.len()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bitflipped_smt_proof_never_verifies() {
-        let (tree, root) = fixture();
-        for i in PROBES {
-            let wire = tree.prove(&key(i)).to_bytes();
-            let value = expected_value(i);
-            for idx in 0..wire.len() {
-                for bit in 0..8 {
-                    let mut bytes = wire.clone();
-                    bytes[idx] ^= 1 << bit;
-                    if let Ok(p) = SmtProof::from_bytes(&bytes) {
-                        assert!(
-                            !verify_proof(&root, &key(i), value.as_deref(), &p),
-                            "key {i}: flip at byte {idx} bit {bit} still verifies"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sibling_swapped_smt_proof_never_verifies() {
-        let (tree, root) = fixture();
-        for i in PROBES {
+        let (tree, root) = tree();
+        for (_, i) in PROBES {
             let proof = tree.prove(&key(i));
             let value = expected_value(i);
             let n = proof.siblings.len();
@@ -254,227 +705,6 @@ mod smt_proof_mutations {
                     assert!(
                         !verify_proof(&root, &key(i), value.as_deref(), &mutated),
                         "key {i}: swapping siblings {a}<->{b} still verifies"
-                    );
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Corrupted-in-flight variants: the exact damage the chaos layer's
-// byzantine links inflict — truncation at every prefix length and a bit
-// flip at every byte position — applied exhaustively to the codecs that
-// cross the simulated network (tx, block, gossip model). Every variant
-// must produce `Err` or a semantically-rejected value; none may panic.
-// ---------------------------------------------------------------------------
-
-mod corrupted_in_flight {
-    use pds2_chain::address::Address;
-    use pds2_chain::block::Block;
-    use pds2_chain::chain::Blockchain;
-    use pds2_chain::contract::ContractRegistry;
-    use pds2_chain::tx::{SignedTransaction, Transaction, TxKind};
-    use pds2_crypto::codec::{Decode, Encode};
-    use pds2_crypto::KeyPair;
-    use pds2_learning::gossip::GossipMsg;
-
-    fn sample_transaction() -> SignedTransaction {
-        let kp = KeyPair::from_seed(1);
-        Transaction {
-            from: kp.public.clone(),
-            nonce: 9,
-            kind: TxKind::Transfer {
-                to: Address::of(&KeyPair::from_seed(2).public),
-                amount: 1_234,
-            },
-            gas_limit: 90_000,
-            max_fee_per_gas: 0,
-            priority_fee_per_gas: 0,
-        }
-        .sign(&kp)
-    }
-
-    fn sample_block() -> Block {
-        let alice = KeyPair::from_seed(1);
-        let mut chain = Blockchain::single_validator(
-            55,
-            &[(Address::of(&alice.public), 10_000)],
-            ContractRegistry::new(),
-        );
-        chain
-            .submit(
-                Transaction {
-                    from: alice.public.clone(),
-                    nonce: 0,
-                    kind: TxKind::Transfer {
-                        to: Address::of(&KeyPair::from_seed(2).public),
-                        amount: 5,
-                    },
-                    gas_limit: 100_000,
-                    max_fee_per_gas: 0,
-                    priority_fee_per_gas: 0,
-                }
-                .sign(&alice),
-            )
-            .unwrap();
-        chain.produce_block()
-    }
-
-    fn sample_gossip_msg() -> GossipMsg {
-        GossipMsg::new(vec![0.25, -1.5, 3.75, 0.0], 17, true)
-    }
-
-    /// Decoding every strict prefix must error — truncation in flight can
-    /// never yield a usable value, let alone a panic.
-    fn assert_truncation_rejected<T: Decode>(wire: &[u8], what: &str) {
-        for len in 0..wire.len() {
-            assert!(
-                T::from_bytes(&wire[..len]).is_err(),
-                "{what}: truncation to {len}/{} bytes decoded successfully",
-                wire.len()
-            );
-        }
-    }
-
-    #[test]
-    fn truncated_transaction_always_errors() {
-        assert_truncation_rejected::<SignedTransaction>(&sample_transaction().to_bytes(), "tx");
-    }
-
-    #[test]
-    fn truncated_block_always_errors() {
-        assert_truncation_rejected::<Block>(&sample_block().to_bytes(), "block");
-    }
-
-    #[test]
-    fn truncated_gossip_msg_always_errors() {
-        assert_truncation_rejected::<GossipMsg>(&sample_gossip_msg().to_bytes(), "gossip");
-    }
-
-    #[test]
-    fn bitflipped_transaction_every_position() {
-        let tx = sample_transaction();
-        let wire = tx.to_bytes();
-        for idx in 0..wire.len() {
-            for bit in 0..8 {
-                let mut bytes = wire.clone();
-                bytes[idx] ^= 1 << bit;
-                if let Ok(decoded) = SignedTransaction::from_bytes(&bytes) {
-                    assert!(
-                        !decoded.verify_signature() || decoded == tx,
-                        "flip at byte {idx} bit {bit} produced a different tx \
-                         with a valid signature"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bitflipped_block_every_position() {
-        let block = sample_block();
-        let wire = block.to_bytes();
-        for idx in 0..wire.len() {
-            for bit in 0..8 {
-                let mut bytes = wire.clone();
-                bytes[idx] ^= 1 << bit;
-                if let Ok(decoded) = Block::from_bytes(&bytes) {
-                    // A decodable mutant must be caught by the block's own
-                    // integrity checks: proposer signature over the header,
-                    // or the tx-root commitment over the body.
-                    let intact = decoded.header.verify_signature()
-                        && decoded.header.tx_root == Block::compute_tx_root(&decoded.transactions)
-                        && decoded.transactions.iter().all(|t| t.verify_signature());
-                    assert!(
-                        !intact || decoded == block,
-                        "flip at byte {idx} bit {bit} produced a different block \
-                         passing all integrity checks"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_signature_always_errors() {
-        let kp = KeyPair::from_seed(7);
-        let sig = kp.sign(b"truncation probe");
-        assert_truncation_rejected::<pds2_crypto::Signature>(&sig.to_bytes(), "signature");
-    }
-
-    #[test]
-    fn truncated_public_key_always_errors() {
-        let kp = KeyPair::from_seed(7);
-        assert_truncation_rejected::<pds2_crypto::PublicKey>(&kp.public.to_bytes(), "public key");
-    }
-
-    /// A bit-flipped signature encoding either fails to decode or decodes
-    /// to a signature the (unchanged) key rejects — on both the fast and
-    /// the schoolbook verification paths.
-    #[test]
-    fn bitflipped_signature_every_position() {
-        let kp = KeyPair::from_seed(7);
-        let msg = b"bit flip probe";
-        let sig = kp.sign(msg);
-        let wire = sig.to_bytes();
-        for idx in 0..wire.len() {
-            for bit in 0..8 {
-                let mut bytes = wire.clone();
-                bytes[idx] ^= 1 << bit;
-                if let Ok(decoded) = pds2_crypto::Signature::from_bytes(&bytes) {
-                    let fast = kp.public.verify(msg, &decoded);
-                    let reference = kp.public.verify_reference(msg, &decoded);
-                    assert_eq!(fast, reference, "paths split at byte {idx} bit {bit}");
-                    assert!(
-                        !fast || decoded == sig,
-                        "flip at byte {idx} bit {bit} produced a different \
-                         signature that still verifies"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A bit-flipped public-key encoding either fails to decode or decodes
-    /// to a key that rejects the original signature — again identically on
-    /// both verification paths.
-    #[test]
-    fn bitflipped_public_key_every_position() {
-        let kp = KeyPair::from_seed(7);
-        let msg = b"bit flip probe";
-        let sig = kp.sign(msg);
-        let wire = kp.public.to_bytes();
-        for idx in 0..wire.len() {
-            for bit in 0..8 {
-                let mut bytes = wire.clone();
-                bytes[idx] ^= 1 << bit;
-                if let Ok(decoded) = pds2_crypto::PublicKey::from_bytes(&bytes) {
-                    let fast = decoded.verify(msg, &sig);
-                    let reference = decoded.verify_reference(msg, &sig);
-                    assert_eq!(fast, reference, "paths split at byte {idx} bit {bit}");
-                    assert!(
-                        !fast || decoded == kp.public,
-                        "flip at byte {idx} bit {bit} produced a different \
-                         key accepting the original signature"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bitflipped_gossip_msg_every_position() {
-        let msg = sample_gossip_msg();
-        let wire = msg.to_bytes();
-        for idx in 0..wire.len() {
-            for bit in 0..8 {
-                let mut bytes = wire.clone();
-                bytes[idx] ^= 1 << bit;
-                if let Ok(decoded) = GossipMsg::from_bytes(&bytes) {
-                    assert!(
-                        !decoded.verify() || decoded == msg,
-                        "flip at byte {idx} bit {bit} survived the content digest"
                     );
                 }
             }

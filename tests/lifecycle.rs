@@ -165,11 +165,11 @@ fn rewards_conserve_escrow_exactly() {
     let (_, fin) = market.run_full_lifecycle(workload, &assignments).unwrap();
     let st = market.workload_state(workload).unwrap();
     let provider_total: u128 = fin.provider_shares.iter().map(|(_, v)| v).sum();
-    assert_eq!(provider_total, st.provider_reward);
+    assert_eq!(provider_total, st.init.provider_reward);
     // Native supply is globally conserved: the consumer ends up having
     // paid exactly the provider rewards plus honest-executor fees, with
     // the unused escrow refunded at finalization.
-    let paid_fees = fin.paid_executors.len() as u128 * st.executor_fee;
+    let paid_fees = fin.paid_executors.len() as u128 * st.init.executor_fee;
     let consumer_after = market.chain.state.balance(&consumer);
     assert_eq!(
         initial_funds - consumer_after,

@@ -301,7 +301,7 @@ mod state_backend_props {
     use pds2_chain::erc721::{AssetKind, Erc721Op};
     use pds2_chain::tx::{Transaction, TxKind};
     use pds2_chain::{NftId, TokenId};
-    use pds2_core::contract::{calls, WorkloadContract, WORKLOAD_CODE_ID};
+    use pds2_core::contract::{Call, Init, WorkloadContract, WORKLOAD_CODE_ID};
     use proptest::prop_oneof;
 
     const N_ACCOUNTS: usize = 3;
@@ -470,25 +470,26 @@ mod state_backend_props {
             WorkOp::NftBurn { id } => TxKind::Erc721(Erc721Op::Burn { id: NftId(id) }),
             WorkOp::WorkloadDeploy => TxKind::Deploy {
                 code_id: WORKLOAD_CODE_ID.into(),
-                init: WorkloadContract::init_bytes(
-                    sha256(b"spec"),
-                    sha256(b"code"),
-                    100,
-                    10,
-                    1,
-                    1,
-                    0,
-                    0,
-                    Some(token),
-                ),
+                init: Init {
+                    spec_hash: sha256(b"spec"),
+                    code_measurement: sha256(b"code"),
+                    provider_reward: 100,
+                    executor_fee: 10,
+                    min_providers: 1,
+                    min_records: 1,
+                    deadline_height: 0,
+                    exec_timeout_blocks: 0,
+                    reward_token: Some(token),
+                }
+                .to_bytes(),
             },
             WorkOp::WorkloadEscrow { which, amount } => TxKind::Erc20(Erc20Op::Transfer {
                 token,
                 to: workload(which),
                 amount,
             }),
-            WorkOp::WorkloadFund { which, value } => call(which, calls::fund(), value),
-            WorkOp::WorkloadCancel { which } => call(which, calls::cancel(), 0),
+            WorkOp::WorkloadFund { which, value } => call(which, Call::Fund.to_bytes(), value),
+            WorkOp::WorkloadCancel { which } => call(which, Call::Cancel.to_bytes(), 0),
         }
     }
 
@@ -1045,18 +1046,25 @@ mod mempool_props {
 //   * refund XOR payout: the escrow leaves the contract exactly once —
 //     either entirely back to the consumer (cancel/expire/abort) or as
 //     payouts + remainder-refund (finalize);
+//   * only the consumer moves its escrow by choice: FINALIZE and CANCEL
+//     from anyone else fail (EXPIRE and ABORT are public, and refund it);
 //   * terminal phases are absorbing: after Completed/Cancelled every
 //     further call fails and no balance moves.
+//
+// Every transaction's input is a `Call` value, and the model predicts and
+// applies by matching on `Call` with no `_` arm: a tenth call does not
+// compile until the model says what it does. The model knows the contract's
+// rules from the paper and the module doc, not from its code.
 // ---------------------------------------------------------------------------
 
 mod workload_lifecycle {
     use super::*;
     use pds2_chain::chain::Blockchain;
     use pds2_chain::contract::ContractRegistry;
-    use pds2_chain::tx::{SignedTransaction, Transaction, TxKind};
-    use pds2_core::contract::{calls, WorkloadContract, WORKLOAD_CODE_ID};
+    use pds2_chain::tx::{Transaction, TxKind};
+    use pds2_core::contract::{Call, Init, WorkloadContract, WORKLOAD_CODE_ID};
     use proptest::prop_oneof;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     const PROVIDER_REWARD: u128 = 1_000;
     const EXECUTOR_FEE: u128 = 50;
@@ -1064,6 +1072,11 @@ mod workload_lifecycle {
     const MIN_RECORDS: u64 = 10;
     const DEADLINE_HEIGHT: u64 = 6;
     const EXEC_TIMEOUT_BLOCKS: u64 = 2;
+
+    /// Who signs: an index into the test's keys.
+    const CONSUMER: usize = 0;
+    const EXECUTORS: [usize; 2] = [1, 2];
+    const STRANGER: usize = 3;
 
     #[derive(Clone, Debug)]
     pub enum Op {
@@ -1079,12 +1092,25 @@ mod workload_lifecycle {
             executor: usize,
         },
         Finalize {
+            sender: usize,
             share: u128,
         },
-        Cancel,
+        Cancel {
+            sender: usize,
+        },
         Expire,
         Abort,
         Mine,
+    }
+
+    /// The consumer as often as not, else an executor or a stranger.
+    fn sender_strategy() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            Just(CONSUMER),
+            Just(CONSUMER),
+            Just(EXECUTORS[0]),
+            Just(STRANGER),
+        ]
     }
 
     pub fn op_strategy() -> impl Strategy<Value = Op> {
@@ -1100,13 +1126,29 @@ mod workload_lifecycle {
             }),
             Just(Op::Start),
             (0usize..2).prop_map(|executor| Op::SubmitResult { executor }),
-            (0u128..1_200).prop_map(|share| Op::Finalize { share }),
-            Just(Op::Cancel),
+            (sender_strategy(), 0u128..1_200)
+                .prop_map(|(sender, share)| Op::Finalize { sender, share }),
+            sender_strategy().prop_map(|sender| Op::Cancel { sender }),
             Just(Op::Expire),
             Just(Op::Abort),
             Just(Op::Mine),
         ]
     }
+
+    /// A random walk rarely gets a workload started, let alone to where a
+    /// FINALIZE would pay: each case first takes a drawn number of these
+    /// steps.
+    const HAPPY_PATH: [Op; 5] = [
+        Op::Fund(1_100),
+        Op::Register(0),
+        Op::Participate {
+            executor: 0,
+            provider: 0,
+            records: 20,
+        },
+        Op::Start,
+        Op::SubmitResult { executor: 0 },
+    ];
 
     #[derive(Clone, Copy, PartialEq, Debug)]
     pub enum ModelPhase {
@@ -1119,92 +1161,114 @@ mod workload_lifecycle {
     /// outcome of every call and the exact post-state of every balance.
     pub struct Model {
         pub phase: ModelPhase,
+        pub consumer: Address,
+        pub contract: Address,
         pub escrow: u128,
         pub started_height: u64,
-        pub registered: [bool; 2],
-        pub voted: [bool; 2],
-        /// (provider index, records, executor index)
-        pub contributions: Vec<(usize, u64, usize)>,
+        pub registered: BTreeSet<Address>,
+        pub voted: BTreeSet<Address>,
+        /// provider → (records, executor)
+        pub contributions: BTreeMap<Address, (u64, Address)>,
+        /// Every balance the calls can move.
+        pub balances: BTreeMap<Address, u128>,
     }
 
     impl Model {
-        pub fn new() -> Self {
-            Model {
-                phase: ModelPhase::Open,
-                escrow: 0,
-                started_height: 0,
-                registered: [false; 2],
-                voted: [false; 2],
-                contributions: Vec::new(),
-            }
-        }
-
-        fn registered_count(&self) -> u128 {
-            self.registered.iter().filter(|r| **r).count() as u128
-        }
-
-        fn all_contributing_executors_voted(&self) -> bool {
-            self.contributions.iter().all(|&(_, _, e)| self.voted[e])
-        }
-
-        /// Predicts whether the call must succeed at `exec_height`.
-        pub fn predict(&self, op: &Op, exec_height: u64) -> bool {
+        /// Predicts whether `call` from `sender` must succeed at
+        /// `exec_height`.
+        pub fn predict(&self, sender: Address, call: &Call, exec_height: u64) -> bool {
             use ModelPhase::*;
-            match *op {
-                Op::Fund(_) => self.phase == Open,
-                Op::Register(e) => self.phase == Open && !self.registered[e],
-                Op::Participate {
-                    executor, provider, ..
-                } => {
+            match call {
+                Call::Fund => self.phase == Open,
+                Call::RegisterExecutor => self.phase == Open && !self.registered.contains(&sender),
+                Call::SubmitParticipation(rows) => {
                     self.phase == Open
-                        && self.registered[executor]
-                        && !self.contributions.iter().any(|&(p, _, _)| p == provider)
+                        && self.registered.contains(&sender)
+                        && rows
+                            .iter()
+                            .all(|(p, _, _)| !self.contributions.contains_key(p))
                 }
-                Op::Start => {
+                Call::Start => {
+                    let records: u64 = self.contributions.values().map(|(r, _)| r).sum();
                     self.phase == Open
                         && self.contributions.len() as u32 >= MIN_PROVIDERS
-                        && self.contributions.iter().map(|&(_, r, _)| r).sum::<u64>() >= MIN_RECORDS
-                        && self.escrow >= PROVIDER_REWARD + EXECUTOR_FEE * self.registered_count()
+                        && records >= MIN_RECORDS
+                        && self.escrow
+                            >= PROVIDER_REWARD + EXECUTOR_FEE * self.registered.len() as u128
                 }
-                Op::SubmitResult { executor } => {
-                    self.phase == Executing && self.registered[executor] && !self.voted[executor]
-                }
-                Op::Finalize { share } => {
+                Call::SubmitResult(_) => {
                     self.phase == Executing
-                        && self.all_contributing_executors_voted()
-                        && share <= PROVIDER_REWARD
+                        && self.registered.contains(&sender)
+                        && !self.voted.contains(&sender)
                 }
-                Op::Cancel => self.phase == Open,
-                Op::Expire => self.phase == Open && exec_height > DEADLINE_HEIGHT,
-                Op::Abort => {
+                Call::Finalize(shares) => {
+                    self.phase == Executing
+                        && sender == self.consumer
+                        && self
+                            .contributions
+                            .values()
+                            .all(|(_, e)| self.voted.contains(e))
+                        && shares.iter().map(|(_, amount)| amount).sum::<u128>() <= PROVIDER_REWARD
+                }
+                Call::Cancel => self.phase == Open && sender == self.consumer,
+                Call::Expire => self.phase == Open && exec_height > DEADLINE_HEIGHT,
+                Call::Abort => {
                     self.phase == Executing
                         && exec_height > self.started_height + EXEC_TIMEOUT_BLOCKS
                 }
-                Op::Mine => true,
             }
         }
-    }
 
-    fn call_tx(
-        kp: &KeyPair,
-        nonce: u64,
-        contract: Address,
-        input: Vec<u8>,
-        value: u128,
-    ) -> SignedTransaction {
-        Transaction {
-            from: kp.public.clone(),
-            nonce,
-            kind: TxKind::Call {
-                contract,
-                input,
-                value,
-            },
-            gas_limit: 1_000_000,
-            max_fee_per_gas: 0,
-            priority_fee_per_gas: 0,
+        fn credit(&mut self, to: Address, amount: u128) {
+            *self.balances.get_mut(&to).unwrap() += amount;
+            *self.balances.get_mut(&self.contract).unwrap() -= amount;
         }
-        .sign(kp)
+
+        /// Applies a call that succeeded, carrying `value`, at `exec_height`.
+        pub fn apply(&mut self, sender: Address, call: &Call, value: u128, exec_height: u64) {
+            match call {
+                Call::Fund => {
+                    self.escrow += value;
+                    *self.balances.get_mut(&sender).unwrap() -= value;
+                    *self.balances.get_mut(&self.contract).unwrap() += value;
+                }
+                Call::RegisterExecutor => {
+                    self.registered.insert(sender);
+                }
+                Call::SubmitParticipation(rows) => {
+                    for (provider, records, _) in rows {
+                        self.contributions.insert(*provider, (*records, sender));
+                    }
+                }
+                Call::Start => {
+                    self.phase = ModelPhase::Executing;
+                    self.started_height = exec_height;
+                }
+                Call::SubmitResult(_) => {
+                    self.voted.insert(sender);
+                }
+                Call::Finalize(shares) => {
+                    // Unanimous result: the shares go to the providers they
+                    // name, every voter earns the fee, the consumer gets
+                    // what is left (`credit` panics if they paid more).
+                    for (provider, amount) in shares {
+                        self.credit(*provider, *amount);
+                    }
+                    for voter in self.voted.clone() {
+                        self.credit(voter, EXECUTOR_FEE);
+                    }
+                    self.credit(self.consumer, self.balances[&self.contract]);
+                    self.escrow = 0;
+                    self.phase = ModelPhase::Terminal;
+                }
+                Call::Cancel | Call::Expire | Call::Abort => {
+                    // Full refund, exactly once.
+                    self.credit(self.consumer, self.escrow);
+                    self.escrow = 0;
+                    self.phase = ModelPhase::Terminal;
+                }
+            }
+        }
     }
 
     proptest! {
@@ -1212,256 +1276,120 @@ mod workload_lifecycle {
 
         #[test]
         fn contract_lifecycle_state_machine(
+            head_start in 0usize..=HAPPY_PATH.len(),
             ops in proptest::collection::vec(op_strategy(), 1..30),
         ) {
-            let consumer = KeyPair::from_seed(1);
-            let executors = [KeyPair::from_seed(10), KeyPair::from_seed(11)];
-            let providers = [
-                Address::of(&KeyPair::from_seed(20).public),
-                Address::of(&KeyPair::from_seed(21).public),
-            ];
-            let consumer_addr = Address::of(&consumer.public);
-            let executor_addrs = [
-                Address::of(&executors[0].public),
-                Address::of(&executors[1].public),
-            ];
+            // The consumer, two executors and a stranger hold keys; the
+            // providers are only paid.
+            let keys = [1, 10, 11, 12].map(KeyPair::from_seed);
+            let addrs = keys.clone().map(|k| Address::of(&k.public));
+            let providers = [20, 21].map(|s| Address::of(&KeyPair::from_seed(s).public));
+            let genesis = [1_000_000, 1_000, 1_000, 0];
+            let alloc: Vec<(Address, u128)> = addrs.iter().copied().zip(genesis).collect();
             let mut registry = ContractRegistry::new();
             registry.register(WORKLOAD_CODE_ID, WorkloadContract::construct);
-            let mut chain = Blockchain::single_validator(
-                77,
-                &[
-                    (consumer_addr, 1_000_000),
-                    (executor_addrs[0], 1_000),
-                    (executor_addrs[1], 1_000),
-                ],
-                registry,
-            );
+            let mut chain = Blockchain::single_validator(77, &alloc, registry);
             let initial_supply = chain.state.total_native_supply();
+            let send = |chain: &mut Blockchain, who: usize, kind: TxKind| {
+                let tx = Transaction {
+                    from: keys[who].public.clone(),
+                    nonce: chain.state.nonce(&addrs[who]),
+                    kind,
+                    gas_limit: 1_000_000,
+                    max_fee_per_gas: 0,
+                    priority_fee_per_gas: 0,
+                }
+                .sign(&keys[who]);
+                let hash = chain.submit(tx).unwrap();
+                chain.produce_block();
+                chain.receipt(&hash).expect("receipt recorded").clone()
+            };
 
             // Deploy the workload with a short deadline and execution
             // timeout so the sequence can actually reach both.
-            let deploy = Transaction {
-                from: consumer.public.clone(),
-                nonce: 0,
-                kind: TxKind::Deploy {
-                    code_id: WORKLOAD_CODE_ID.into(),
-                    init: WorkloadContract::init_bytes(
-                        sha256(b"spec"),
-                        sha256(b"code"),
-                        PROVIDER_REWARD,
-                        EXECUTOR_FEE,
-                        MIN_PROVIDERS,
-                        MIN_RECORDS,
-                        DEADLINE_HEIGHT,
-                        EXEC_TIMEOUT_BLOCKS,
-                        None,
-                    ),
-                },
-                gas_limit: 1_000_000,
-                max_fee_per_gas: 0,
-                priority_fee_per_gas: 0,
-            }
-            .sign(&consumer);
-            let deploy_hash = deploy.hash();
-            chain.submit(deploy).unwrap();
-            chain.produce_block();
-            let contract = chain
-                .receipt(&deploy_hash)
-                .expect("deploy receipt")
+            let init = Init {
+                spec_hash: sha256(b"spec"),
+                code_measurement: sha256(b"code"),
+                provider_reward: PROVIDER_REWARD,
+                executor_fee: EXECUTOR_FEE,
+                min_providers: MIN_PROVIDERS,
+                min_records: MIN_RECORDS,
+                deadline_height: DEADLINE_HEIGHT,
+                exec_timeout_blocks: EXEC_TIMEOUT_BLOCKS,
+                reward_token: None,
+            };
+            let deploy = TxKind::Deploy {
+                code_id: WORKLOAD_CODE_ID.into(),
+                init: init.to_bytes(),
+            };
+            let contract = send(&mut chain, CONSUMER, deploy)
                 .deployed
                 .expect("deploy succeeds");
 
-            let mut model = Model::new();
-            let mut expected: BTreeMap<Address, u128> = BTreeMap::new();
-            expected.insert(consumer_addr, 1_000_000);
-            expected.insert(executor_addrs[0], 1_000);
-            expected.insert(executor_addrs[1], 1_000);
-            expected.insert(providers[0], 0);
-            expected.insert(providers[1], 0);
-            expected.insert(contract, 0);
-            let mut consumer_nonce: u64 = 1;
-            let mut executor_nonces: [u64; 2] = [0, 0];
-            let result_digest = sha256(b"result");
+            let mut balances: BTreeMap<Address, u128> = alloc.into_iter().collect();
+            balances.extend(providers.map(|p| (p, 0)));
+            balances.insert(contract, 0);
+            let mut model = Model {
+                phase: ModelPhase::Open,
+                consumer: addrs[CONSUMER],
+                contract,
+                escrow: 0,
+                started_height: 0,
+                registered: BTreeSet::new(),
+                voted: BTreeSet::new(),
+                contributions: BTreeMap::new(),
+                balances,
+            };
 
-            for op in &ops {
-                // `produce_block` executes at the pre-production height.
-                let exec_height = chain.height();
-                let predicted = model.predict(op, exec_height);
-                let was_terminal = model.phase == ModelPhase::Terminal;
-
-                let tx = match *op {
-                    Op::Fund(v) => {
-                        let t = call_tx(&consumer, consumer_nonce, contract, calls::fund(), v);
-                        consumer_nonce += 1;
-                        Some(t)
+            for op in HAPPY_PATH[..head_start].iter().chain(&ops) {
+                // Who sends which call with how much; `None` mines an empty
+                // block. EXPIRE and ABORT are public: executors send them.
+                let step = match *op {
+                    Op::Fund(value) => Some((CONSUMER, Call::Fund, value)),
+                    Op::Register(e) => Some((EXECUTORS[e], Call::RegisterExecutor, 0)),
+                    Op::Participate { executor, provider, records } => {
+                        let rows = vec![(providers[provider], records, sha256(b"cert"))];
+                        Some((EXECUTORS[executor], Call::SubmitParticipation(rows), 0))
                     }
-                    Op::Register(e) => {
-                        let t = call_tx(
-                            &executors[e],
-                            executor_nonces[e],
-                            contract,
-                            calls::register_executor(),
-                            0,
-                        );
-                        executor_nonces[e] += 1;
-                        Some(t)
-                    }
-                    Op::Participate {
-                        executor,
-                        provider,
-                        records,
-                    } => {
-                        let input = calls::submit_participation(&[(
-                            providers[provider],
-                            records,
-                            sha256(b"cert"),
-                        )]);
-                        let t = call_tx(
-                            &executors[executor],
-                            executor_nonces[executor],
-                            contract,
-                            input,
-                            0,
-                        );
-                        executor_nonces[executor] += 1;
-                        Some(t)
-                    }
-                    Op::Start => {
-                        let t = call_tx(&consumer, consumer_nonce, contract, calls::start(), 0);
-                        consumer_nonce += 1;
-                        Some(t)
-                    }
+                    Op::Start => Some((CONSUMER, Call::Start, 0)),
                     Op::SubmitResult { executor } => {
-                        let t = call_tx(
-                            &executors[executor],
-                            executor_nonces[executor],
-                            contract,
-                            calls::submit_result(result_digest),
-                            0,
-                        );
-                        executor_nonces[executor] += 1;
-                        Some(t)
+                        Some((EXECUTORS[executor], Call::SubmitResult(sha256(b"result")), 0))
                     }
-                    Op::Finalize { share } => {
-                        let shares = match model.contributions.first() {
-                            Some(&(p, _, _)) => vec![(providers[p], share)],
-                            None => Vec::new(),
-                        };
-                        let t = call_tx(
-                            &consumer,
-                            consumer_nonce,
-                            contract,
-                            calls::finalize(&shares),
-                            0,
-                        );
-                        consumer_nonce += 1;
-                        Some(t)
+                    Op::Finalize { sender, share } => {
+                        // The whole share to the first contributor, if any.
+                        let first = model.contributions.keys().next();
+                        let shares = first.map(|p| (*p, share)).into_iter().collect();
+                        Some((sender, Call::Finalize(shares), 0))
                     }
-                    Op::Cancel => {
-                        let t = call_tx(&consumer, consumer_nonce, contract, calls::cancel(), 0);
-                        consumer_nonce += 1;
-                        Some(t)
-                    }
-                    // Expire and abort are public: send them from executors
-                    // to exercise the anyone-may-call path.
-                    Op::Expire => {
-                        let t = call_tx(
-                            &executors[0],
-                            executor_nonces[0],
-                            contract,
-                            calls::expire(),
-                            0,
-                        );
-                        executor_nonces[0] += 1;
-                        Some(t)
-                    }
-                    Op::Abort => {
-                        let t = call_tx(
-                            &executors[1],
-                            executor_nonces[1],
-                            contract,
-                            calls::abort(),
-                            0,
-                        );
-                        executor_nonces[1] += 1;
-                        Some(t)
-                    }
+                    Op::Cancel { sender } => Some((sender, Call::Cancel, 0)),
+                    Op::Expire => Some((EXECUTORS[0], Call::Expire, 0)),
+                    Op::Abort => Some((EXECUTORS[1], Call::Abort, 0)),
                     Op::Mine => None,
                 };
-
-                let success = match tx {
-                    Some(tx) => {
-                        let hash = tx.hash();
-                        chain.submit(tx).unwrap();
-                        chain.produce_block();
-                        chain.receipt(&hash).expect("receipt recorded").success
-                    }
-                    None => {
-                        chain.produce_block();
-                        true
-                    }
+                let Some((who, call, value)) = step else {
+                    chain.produce_block();
+                    continue;
                 };
+                // `produce_block` executes at the pre-production height.
+                let exec_height = chain.height();
+                let predicted = model.predict(addrs[who], &call, exec_height);
+                let was_terminal = model.phase == ModelPhase::Terminal;
+                let kind = TxKind::Call {
+                    contract,
+                    input: call.to_bytes(),
+                    value,
+                };
+                let success = send(&mut chain, who, kind).success;
 
                 prop_assert_eq!(
                     success, predicted,
-                    "model disagreed on {:?} at height {} (phase {:?})",
-                    op, exec_height, model.phase
+                    "model disagreed on {:?} from key {} at height {} (phase {:?})",
+                    call, who, exec_height, model.phase
                 );
                 // Terminal phases absorb every call.
-                if was_terminal && !matches!(op, Op::Mine) {
-                    prop_assert!(!success, "{op:?} succeeded after terminal phase");
-                }
-
-                // Apply the successful op to the model and expected balances.
+                prop_assert!(!(was_terminal && success), "{call:?} succeeded after terminal phase");
                 if success {
-                    match *op {
-                        Op::Fund(v) => {
-                            model.escrow += v;
-                            *expected.get_mut(&consumer_addr).unwrap() -= v;
-                            *expected.get_mut(&contract).unwrap() += v;
-                        }
-                        Op::Register(e) => model.registered[e] = true,
-                        Op::Participate {
-                            executor,
-                            provider,
-                            records,
-                        } => model.contributions.push((provider, records, executor)),
-                        Op::Start => {
-                            model.phase = ModelPhase::Executing;
-                            model.started_height = exec_height;
-                        }
-                        Op::SubmitResult { executor } => model.voted[executor] = true,
-                        Op::Finalize { share } => {
-                            // Unanimous result: every voter earns the fee,
-                            // the first contributor's provider earns the
-                            // share, the consumer gets the remainder.
-                            let mut paid: u128 = 0;
-                            if share > 0 {
-                                let (p, _, _) = model.contributions[0];
-                                *expected.get_mut(&providers[p]).unwrap() += share;
-                                paid += share;
-                            }
-                            for (addr, voted) in executor_addrs.iter().zip(&model.voted) {
-                                if *voted {
-                                    *expected.get_mut(addr).unwrap() += EXECUTOR_FEE;
-                                    paid += EXECUTOR_FEE;
-                                }
-                            }
-                            prop_assert!(paid <= model.escrow, "payout exceeds escrow");
-                            *expected.get_mut(&consumer_addr).unwrap() += model.escrow - paid;
-                            *expected.get_mut(&contract).unwrap() = 0;
-                            model.escrow = 0;
-                            model.phase = ModelPhase::Terminal;
-                        }
-                        Op::Cancel | Op::Expire | Op::Abort => {
-                            // Full refund, exactly once.
-                            *expected.get_mut(&consumer_addr).unwrap() += model.escrow;
-                            *expected.get_mut(&contract).unwrap() = 0;
-                            model.escrow = 0;
-                            model.phase = ModelPhase::Terminal;
-                        }
-                        Op::Mine => {}
-                    }
+                    model.apply(addrs[who], &call, value, exec_height);
                 }
 
                 // Invariants, every step.
@@ -1469,14 +1397,14 @@ mod workload_lifecycle {
                     chain.state.total_native_supply(),
                     initial_supply,
                     "supply not conserved after {:?}",
-                    op
+                    call
                 );
-                for (addr, want) in &expected {
+                for (addr, want) in &model.balances {
                     prop_assert_eq!(
                         chain.state.balance(addr),
                         *want,
                         "balance of {} wrong after {:?} (phase {:?})",
-                        addr, op, model.phase
+                        addr, call, model.phase
                     );
                 }
                 if model.phase == ModelPhase::Terminal {

@@ -7,7 +7,8 @@ use pds2_chain::block::BlockHeader;
 use pds2_chain::chain::{Blockchain, ChainConfig, ChainError};
 use pds2_chain::contract::ContractRegistry;
 use pds2_chain::tx::{Transaction, TxKind};
-use pds2_core::contract::{calls, WorkloadContract, WORKLOAD_CODE_ID};
+use pds2_core::contract::{Call, Init, WorkloadContract, WORKLOAD_CODE_ID};
+use pds2_crypto::codec::Encode;
 use pds2_crypto::sha256;
 use pds2_crypto::KeyPair;
 
@@ -56,17 +57,18 @@ fn replica_converges_with_producer() {
                 nonce: 1,
                 kind: TxKind::Deploy {
                     code_id: WORKLOAD_CODE_ID.into(),
-                    init: WorkloadContract::init_bytes(
-                        sha256(b"spec"),
-                        sha256(b"code"),
-                        1_000,
-                        50,
-                        1,
-                        1,
-                        0,
-                        0,
-                        None,
-                    ),
+                    init: Init {
+                        spec_hash: sha256(b"spec"),
+                        code_measurement: sha256(b"code"),
+                        provider_reward: 1_000,
+                        executor_fee: 50,
+                        min_providers: 1,
+                        min_records: 1,
+                        deadline_height: 0,
+                        exec_timeout_blocks: 0,
+                        reward_token: None,
+                    }
+                    .to_bytes(),
                 },
                 gas_limit: 1_000_000,
                 max_fee_per_gas: 0,
@@ -88,7 +90,7 @@ fn replica_converges_with_producer() {
                 nonce: 2,
                 kind: TxKind::Call {
                     contract,
-                    input: calls::fund(),
+                    input: Call::Fund.to_bytes(),
                     value: 2_000,
                 },
                 gas_limit: 1_000_000,
