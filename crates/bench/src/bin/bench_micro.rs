@@ -1,8 +1,8 @@
 //! The micro rows `benchmark/` cannot see, all on [`pds2_bench::micro`]:
 //! size sweeps over what the benchmark fixes (state size, pool depth,
-//! fleet size, readings per signed batch) and layers its workloads never
-//! reach (the hash kernel, threshold signing, tracing switched off, the
-//! oblivious primitives).
+//! fleet size, readings per signed batch, signatures per batched check)
+//! and layers its workloads never reach (the hash kernel, threshold
+//! signing, tracing switched off, the oblivious primitives).
 //! Anything on the path of a benchmark workload is measured there and
 //! not here; EXPERIMENTS.md E15 and E17–E20 read their tables from the
 //! file this writes.
@@ -23,6 +23,7 @@ use pds2_chain::mempool::{Mempool, SelectionStats};
 use pds2_chain::smt::{self, SmtTree};
 use pds2_chain::tx::{SignedTransaction, Transaction, TxKind};
 use pds2_core::authenticity::{Device, ManufacturerRegistry, ReadingVerifier};
+use pds2_crypto::schnorr::{verify_batch, BatchItem};
 use pds2_crypto::sha256::{self, sha256, Sha256};
 use pds2_crypto::{Digest, Encode, KeyPair, PublicKey, Signature};
 use pds2_gov::dkg::{run_dkg_quiet, ThresholdParams};
@@ -133,9 +134,51 @@ fn crypto_rows(m: &mut Micro, mode: Mode) -> f64 {
     });
 
     let kp = KeyPair::from_seed(7);
-    verify_row(m, mode, "crypto.schnorr.verify_us", &kp.public, |msg| {
+    let verify_us = verify_row(m, mode, "crypto.schnorr.verify_us", &kp.public, |msg| {
         kp.sign(msg)
-    })
+    });
+    batch_rows(m, mode, verify_us);
+    verify_us
+}
+
+/// `crypto.schnorr.verify_batch_us_per_sig@n`: one batched check of `n`
+/// signatures under `n` distinct keys (what a block of transfers from
+/// distinct senders is), divided by `n`. The benchmark sees this only as
+/// a block's `validate_cold_us_per_tx` at its own block size.
+fn batch_rows(m: &mut Micro, mode: Mode, verify_us: f64) {
+    const SIZES: [usize; 3] = [8, 64, 256];
+    let signed: Vec<_> = (0..*SIZES.last().expect("not empty") as u64)
+        .map(|i| {
+            let kp = KeyPair::from_seed(0xBA7C + i);
+            let msg = sha256(&i.to_le_bytes());
+            (kp.sign(msg.as_bytes()), kp.public, msg)
+        })
+        .collect();
+    let items: Vec<BatchItem<'_>> = signed
+        .iter()
+        .map(|(sig, key, msg)| (key, &msg.as_bytes()[..], sig))
+        .collect();
+    let mut per_sig = Vec::new();
+    for n in SIZES {
+        let mut taken: Vec<f64> = (0..mode.samples)
+            .map(|_| {
+                let iters = mode.iters(512 / n).max(1);
+                let t = Instant::now();
+                for _ in 0..iters {
+                    assert!(verify_batch(black_box(&items[..n])));
+                }
+                t.elapsed().as_secs_f64() * 1e6 / (iters * n) as f64
+            })
+            .collect();
+        let name = format!("crypto.schnorr.verify_batch_us_per_sig@{n}");
+        per_sig.push(m.record(&name, "us", &mut taken));
+    }
+    // The reason the batch exists: a block-sized one costs well under
+    // half a single check per signature, and a larger one costs less.
+    assert!(
+        per_sig[2] < per_sig[0] && per_sig[2] < 0.5 * verify_us,
+        "batched {per_sig:?} us per signature against {verify_us:.1} us single"
+    );
 }
 
 /// Times one verification under `key`, cycling over 32 messages signed

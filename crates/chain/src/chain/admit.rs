@@ -164,8 +164,8 @@ mod tests {
         let mut chain = test_chain(&alice);
         let tx = signed_transfer(&alice, 0, bob, 1);
         chain.submit(tx.clone()).unwrap();
-        let mut forged = tx.signature.clone();
-        forged.s = forged.s.add(&pds2_crypto::BigUint::one());
+        let s = tx.signature.s().add(&pds2_crypto::BigUint::one());
+        let forged = pds2_crypto::Signature::new(tx.signature.r().clone(), s).expect("in range");
         let forged = SignedTransaction::new(tx.tx.clone(), forged);
         assert!(!forged.verify_signature());
         assert_eq!(chain.submit(forged.clone()), Err(ChainError::Duplicate));

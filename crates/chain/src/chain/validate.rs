@@ -3,6 +3,7 @@
 
 use super::{Blockchain, ChainError};
 use crate::block::{Block, BlockHeader};
+use crate::sigcache;
 
 impl Blockchain {
     /// Validates a block received from elsewhere against the current
@@ -39,13 +40,15 @@ impl Blockchain {
             if !block.tx_root_matches() {
                 return Err(ChainError::InvalidBlock("tx root mismatch"));
             }
-            // Signature checks are independent per transaction, so they fan
-            // out across the pds2-par worker pool; the verdict (all-true) is
-            // order-insensitive, and each check also warms the transaction's
-            // digest cache for later Merkle/receipt lookups.
-            let verdicts =
-                pds2_par::par_map_indexed(&block.transactions, |_, tx| tx.verify_signature());
-            if !verdicts.into_iter().all(|ok| ok) {
+            // The block's signatures are one batch: those the cache does
+            // not remember cost one multi-exponentiation between them, not
+            // one dual exponentiation each. The body hashes were computed
+            // (and cached per transaction) by the tx-root check above.
+            let hashes: Vec<_> = block.transactions.iter().map(|tx| tx.hash()).collect();
+            let batch: Vec<_> = (block.transactions.iter().zip(&hashes))
+                .map(|(tx, hash)| (&tx.tx.from, &hash.as_bytes()[..], &tx.signature))
+                .collect();
+            if !sigcache::verify_batch_cached(&batch) {
                 return Err(ChainError::InvalidBlock("bad tx signature"));
             }
             Ok(())

@@ -20,6 +20,14 @@
 //! state, are identical with the cache empty, warm, or disabled, at any
 //! `PDS2_THREADS` value.
 //!
+//! A block's transactions go through [`verify_batch_cached`]: the triples
+//! the cache remembers are set aside, the rest are checked as ONE
+//! randomised product (`pds2_crypto::schnorr::verify_batch`, DESIGN.md
+//! §5d) and remembered only if that product passes. The batch accepts
+//! exactly when every member would pass [`verify_cached`] on its own, so
+//! the statements above hold for it unchanged, and a refused batch leaves
+//! the cache as it found it.
+//!
 //! The cache is two-generation bounded: inserts go to the live
 //! generation; when it fills, the previous generation is dropped and the
 //! live one takes its place. Memory is thus capped at roughly
@@ -27,7 +35,7 @@
 //! survive.
 
 use parking_lot::Mutex;
-use pds2_crypto::schnorr::{PublicKey, Signature};
+use pds2_crypto::schnorr::{self, BatchItem, PublicKey, Signature};
 use pds2_crypto::sha256::{Digest, Sha256};
 use pds2_crypto::BigUint;
 use pds2_obs::Counter;
@@ -90,8 +98,8 @@ fn update_biguint(h: &mut Sha256, n: &BigUint) {
 /// Length-prefixed and domain-separated, so distinct triples can never
 /// produce the same preimage bytes. The preimage is
 /// `domain ‖ len ‖ message ‖ len ‖ key.to_bytes() ‖ len ‖ sig.to_bytes()`
-/// (lengths `u64` little-endian), fed to the hasher piecewise so that
-/// neither encoding is materialised.
+/// (lengths `u64` little-endian): the key is fed to the hasher straight
+/// from its limbs, the signature as its 65 fixed-width wire bytes.
 pub fn triple_digest(message: &[u8], key: &PublicKey, sig: &Signature) -> Digest {
     let y = key.element();
     let mut h = Sha256::new();
@@ -100,9 +108,8 @@ pub fn triple_digest(message: &[u8], key: &PublicKey, sig: &Signature) -> Digest
     h.update(message);
     h.update(&encoded_len(y).to_le_bytes());
     update_biguint(&mut h, y);
-    h.update(&(encoded_len(&sig.e) + encoded_len(&sig.s)).to_le_bytes());
-    update_biguint(&mut h, &sig.e);
-    update_biguint(&mut h, &sig.s);
+    h.update(&(Signature::LEN as u64).to_le_bytes());
+    h.update(&sig.to_wire());
     h.finalize()
 }
 
@@ -138,6 +145,23 @@ pub fn verify_cached(message: &[u8], key: &PublicKey, sig: &Signature) -> bool {
     let ok = key.verify(message, sig);
     if ok {
         insert(digest);
+    }
+    ok
+}
+
+/// Verifies every member of `items` with the cache in front of ONE
+/// batched check: remembered triples are set aside (a hit each), the
+/// rest (a miss each) go through [`schnorr::verify_batch`] on the calling
+/// thread, and are remembered only if the whole batch passes.
+pub fn verify_batch_cached(items: &[BatchItem<'_>]) -> bool {
+    let (digests, misses): (Vec<Digest>, Vec<BatchItem<'_>>) = items
+        .iter()
+        .map(|&(key, message, sig)| (triple_digest(message, key, sig), (key, message, sig)))
+        .filter(|(digest, _)| !contains(digest))
+        .unzip();
+    let ok = schnorr::verify_batch(&misses);
+    if ok {
+        digests.into_iter().for_each(insert);
     }
     ok
 }
@@ -197,17 +221,25 @@ mod tests {
             BigUint::from_bytes_be(&[0xab; 33]),
             BigUint::from_bytes_be(&[0x01; 64]),
         ];
+        // The key half is streamed from the limbs and a key is not range
+        // checked, so every shape goes through it; the signature half is
+        // fixed-width, so its shapes are the in-range extremes of `R`
+        // and `s` beside a signed one.
+        let group = schnorr::Group::standard();
+        let one = BigUint::one();
+        let sigs = [
+            sig,
+            Signature::new(one.clone(), BigUint::from_bytes_be(&[])).expect("in range"),
+            Signature::new(group.p.sub(&one), group.q.sub(&one)).expect("in range"),
+            Signature::new(shapes[4].clone(), shapes[3].clone()).expect("in range"),
+        ];
         for y in &shapes {
-            for e in &shapes {
-                let key = PublicKey::from_element(y.clone());
-                let sig = Signature {
-                    e: e.clone(),
-                    s: y.clone(),
-                };
+            let key = PublicKey::from_element(y.clone());
+            for sig in &sigs {
                 assert_eq!(
-                    triple_digest(b"shape", &key, &sig),
-                    by_encoding(b"shape", &key, &sig),
-                    "y={y:?} e={e:?}"
+                    triple_digest(b"shape", &key, sig),
+                    by_encoding(b"shape", &key, sig),
+                    "y={y:?} sig={sig:?}"
                 );
             }
         }

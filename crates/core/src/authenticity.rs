@@ -591,12 +591,19 @@ mod tests {
         (registry, device)
     }
 
+    /// The same signature with `R` and `s` moved up by `dr` and `ds`.
+    fn bumped(sig: &Signature, dr: u64, ds: u64) -> Signature {
+        use pds2_crypto::BigUint;
+        let (r, s) = (
+            sig.r().add(&BigUint::from_u64(dr)),
+            sig.s().add(&BigUint::from_u64(ds)),
+        );
+        Signature::new(r, s).expect("still in range")
+    }
+
     /// The same signature with its response scalar off by one.
     fn other_signature_bytes(sig: &Signature) -> Signature {
-        Signature {
-            e: sig.e.clone(),
-            s: sig.s.add(&pds2_crypto::BigUint::one()),
-        }
+        bumped(sig, 0, 1)
     }
 
     #[test]
@@ -687,12 +694,8 @@ mod tests {
             r.path.steps.push(step)
         });
         push("no path", &|r| r.path.steps.clear());
-        push("signature s", &|r| {
-            r.signature = other_signature_bytes(&r.signature)
-        });
-        push("signature e", &|r| {
-            r.signature.e = r.signature.e.add(&pds2_crypto::BigUint::one())
-        });
+        push("signature s", &|r| r.signature = bumped(&r.signature, 0, 1));
+        push("signature R", &|r| r.signature = bumped(&r.signature, 1, 0));
         out
     }
 

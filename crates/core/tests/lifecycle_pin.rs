@@ -25,17 +25,21 @@ use pds2_tee::measurement::EnclaveCode;
 // regenerated once by the PR on top of 4f10d0c that made a device sign a
 // batch: a record id is the hash of its readings' bytes, which now hold a
 // root signature and a path, and the dataset NFTs carry the record ids.
-// Every other field, and the event count, held.
-const TRACE_DIGEST: &str = "c0c9002242a2bc560c8949b9a4421c8684f8451ed542312c66e7693b701a42af";
+// The same four moved once more when the signature went from `(e, s)` to
+// the 65-byte `(R, s)` (PR 23), for the same reason: the readings' bytes
+// hold a signature, so the record ids, the NFT leaves and the events that
+// name them move with it. Every other field, and the event count, held
+// both times.
+const TRACE_DIGEST: &str = "880be51ad13d73b66ae9a3382448c2b380bbea48305e5dfbd446a5fe42080aba";
 const TRACE_EVENTS: u64 = 370;
 
 fn pinned() -> Outcome {
     let hex = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
     Outcome {
         height: 57,
-        head: "d712383d1d1ce6bcb300f83c3cdd912fed6db734e5dbfdc95f5234075c29c405".into(),
-        state_root: "8bac1f6933e892ea1becb342cce0db81ec0817a0de3bbfa8811b7fecc88ce240".into(),
-        events_sha: "b6fb034c3f8b5b2a9420fa28572e451ad44ab2a54428dc91d8f4c072cc42a471".into(),
+        head: "936c025d52cf008461ebbb8429d9bf1d3dd0c56c11b154b4a6c3a69b139a53bd".into(),
+        state_root: "47c9b71afde03ed1fd76040609f744cf5500ec204cb21c87bb3683eca6756746".into(),
+        events_sha: "8df6079a84c123d91d74e900532510b44e18158c018e496af7d6bd2efb21c6f5".into(),
         result_hashes: hex(&[
             "806f5f916bb3e00514366c3d33be6489eadc8cacf1ac3b8d88d002eeecc5d174",
             "849107174f50a04b5d0a5953b1869184e96ad56eca18df84aa747af907b034eb",

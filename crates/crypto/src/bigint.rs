@@ -112,11 +112,30 @@ impl BigUint {
     ///
     /// Panics if the value does not fit in `len` bytes.
     pub fn to_bytes_be_padded(&self, len: usize) -> Vec<u8> {
-        let raw = self.to_bytes_be();
-        assert!(raw.len() <= len, "value does not fit in {len} bytes");
-        let mut out = vec![0u8; len - raw.len()];
-        out.extend_from_slice(&raw);
+        let mut out = vec![0u8; len];
+        self.write_bytes_be(&mut out);
         out
+    }
+
+    /// Fills `out` with the big-endian value, left-padded with zeros,
+    /// straight from the limbs (no allocation).
+    ///
+    /// Panics if the value does not fit in `out.len()` bytes.
+    pub fn write_bytes_be(&self, out: &mut [u8]) {
+        let len = out.len();
+        assert!(
+            self.bits().div_ceil(8) as usize <= len,
+            "value does not fit in {len} bytes"
+        );
+        out.fill(0);
+        for (i, limb) in self.limbs.iter().enumerate() {
+            let bytes = limb.to_le_bytes();
+            for (j, &b) in bytes.iter().enumerate() {
+                if let Some(slot) = len.checked_sub(i * 8 + j + 1) {
+                    out[slot] = b;
+                }
+            }
+        }
     }
 
     /// Parses a hexadecimal string (no `0x` prefix, case-insensitive).

@@ -3,9 +3,12 @@
 use pds2_crypto::bigint::BigUint;
 use pds2_crypto::codec::{Decode, Encode, Encoder};
 use pds2_crypto::merkle::MerkleTree;
+use pds2_crypto::montgomery::bucket_window;
+use pds2_crypto::schnorr::{batch_randomisers, verify_batch, BatchItem, Group, BATCH_MIN};
 use pds2_crypto::sha256::{self, sha256, Digest, Sha256};
-use pds2_crypto::MontgomeryCtx;
+use pds2_crypto::{KeyPair, MontgomeryCtx, PublicKey, Signature};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Strategy producing BigUints up to ~256 bits from raw byte vectors.
 fn biguint() -> impl Strategy<Value = BigUint> {
@@ -212,12 +215,10 @@ proptest! {
     ) {
         let kp = pds2_crypto::KeyPair::from_seed(seed);
         let other = pds2_crypto::KeyPair::from_seed(seed.wrapping_add(1));
-        let q = &pds2_crypto::schnorr::Group::standard().q;
         let sig = kp.sign(&msg);
-        let mut tampered_s = sig.clone();
-        tampered_s.s = tampered_s.s.add_mod(&BigUint::from_u64(bump), q);
-        let mut tampered_e = sig.clone();
-        tampered_e.e = tampered_e.e.add_mod(&BigUint::from_u64(bump), q);
+        let bump = BigUint::from_u64(bump);
+        let tampered_s = with_parts(sig.r(), &sig.s().add(&bump));
+        let tampered_r = with_parts(&sig.r().add(&bump), sig.s());
         let mut wrong_msg = msg.clone();
         wrong_msg.push(0);
         for (pk, m, s) in [
@@ -225,11 +226,351 @@ proptest! {
             (&kp.public, &wrong_msg, &sig),
             (&other.public, &msg, &sig),
             (&kp.public, &msg, &tampered_s),
-            (&kp.public, &msg, &tampered_e),
+            (&kp.public, &msg, &tampered_r),
         ] {
             prop_assert_eq!(pk.verify(m, s), pk.verify_reference(m, s));
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Batched verification: soundness of the one-product check (DESIGN.md §5d).
+// ---------------------------------------------------------------------------
+
+/// `(R, s)` reduced into range, so a bumped field always builds.
+fn with_parts(r: &BigUint, s: &BigUint) -> Signature {
+    let group = Group::standard();
+    let r = r.rem(&group.p);
+    let r = if r.is_zero() { BigUint::one() } else { r };
+    Signature::new(r, s.rem(&group.q)).expect("reduced into range")
+}
+
+/// One signed triple, owned.
+#[derive(Clone)]
+struct Signed {
+    key: PublicKey,
+    message: Vec<u8>,
+    signature: Signature,
+}
+
+impl Signed {
+    fn item(&self) -> BatchItem<'_> {
+        (&self.key, &self.message, &self.signature)
+    }
+
+    fn verdicts(&self) -> (bool, bool) {
+        let (key, message, sig) = self.item();
+        (key.verify(message, sig), key.verify_reference(message, sig))
+    }
+}
+
+/// 320 valid triples under 40 keys, signed once per process.
+fn pool() -> &'static [Signed] {
+    static POOL: OnceLock<Vec<Signed>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        (0..320u64)
+            .map(|i| {
+                let kp = KeyPair::from_seed(9_000 + i % 40);
+                let message = i.to_le_bytes().repeat(1 + (i % 5) as usize);
+                Signed {
+                    signature: kp.sign(&message),
+                    key: kp.public,
+                    message,
+                }
+            })
+            .collect()
+    })
+}
+
+fn batch_of(picks: impl IntoIterator<Item = usize>) -> Vec<BatchItem<'static>> {
+    picks.into_iter().map(|i| pool()[i % 320].item()).collect()
+}
+
+/// The four forgeries of soundness test (b), applied to a valid triple.
+fn forge(honest: &Signed, kind: usize) -> Signed {
+    let one = BigUint::one();
+    let (r, s) = (honest.signature.r(), honest.signature.s());
+    let mut forged = honest.clone();
+    match kind % 4 {
+        0 => forged.signature = with_parts(r, &s.add(&one)),
+        1 => forged.signature = with_parts(&r.add(&one), s),
+        2 => forged.message.push(0),
+        _ => forged.key = KeyPair::from_seed(8_999).public,
+    }
+    forged
+}
+
+/// (a) Completeness at every small size, on both sides of the loop/batch
+/// constant, with keys repeating from the 41st member on.
+#[test]
+fn every_all_valid_batch_passes_at_every_small_size() {
+    assert!((0..=48).contains(&BATCH_MIN));
+    for n in 0..=48 {
+        assert!(verify_batch(&batch_of(0..n)), "n={n}");
+    }
+    // Nothing but one triple, over and over.
+    for n in [1, 3, 4, 5, 17] {
+        assert!(verify_batch(&batch_of(std::iter::repeat_n(7, n))), "n={n}");
+    }
+}
+
+/// (b) One forgery of each kind at every position of a batch, at the
+/// smallest size the bucket method takes and at a larger one.
+#[test]
+fn one_forgery_at_any_position_is_always_refused() {
+    for n in [BATCH_MIN, 13] {
+        for position in 0..n {
+            for kind in 0..4 {
+                let forged = forge(&pool()[position], kind);
+                assert_eq!(forged.verdicts(), (false, false));
+                let mut batch = batch_of(0..n);
+                batch[position] = forged.item();
+                assert!(
+                    !verify_batch(&batch),
+                    "n={n} position={position} kind={kind}"
+                );
+            }
+        }
+    }
+}
+
+/// Why the members are weighted: `s₁ + 1` and `s₂ − 1` leave `Σ sᵢ` as it
+/// was, so an unweighted product of the members' equations would pass
+/// with both of them forged. Under the randomisers it does not.
+#[test]
+fn two_forgeries_that_cancel_unweighted_are_refused() {
+    let one = BigUint::one();
+    let q = &Group::standard().q;
+    for n in [4usize, 9, 64] {
+        let (a, b) = (&pool()[1], &pool()[n - 1]);
+        let up = Signed {
+            signature: with_parts(a.signature.r(), &a.signature.s().add_mod(&one, q)),
+            ..a.clone()
+        };
+        let down = Signed {
+            signature: with_parts(b.signature.r(), &b.signature.s().sub_mod(&one, q)),
+            ..b.clone()
+        };
+        assert_eq!(
+            (up.verdicts(), down.verdicts()),
+            ((false, false), (false, false))
+        );
+        let mut batch = batch_of(0..n);
+        batch[1] = up.item();
+        batch[n - 1] = down.item();
+        assert!(!verify_batch(&batch), "n={n}");
+    }
+}
+
+/// An element of exact order 28 in Z_p* (p = 28q + 1): `h^q` for the
+/// first small `h` whose image is not in a proper subgroup.
+fn root_of_unity_28() -> BigUint {
+    let group = Group::standard();
+    (2u64..)
+        .map(|h| BigUint::from_u64(h).modpow(&group.q, &group.p))
+        .find(|z| {
+            let pow = |e: u64| z.modpow(&BigUint::from_u64(e), &group.p);
+            !pow(14).is_one() && !pow(4).is_one()
+        })
+        .expect("Z_p* is cyclic")
+}
+
+/// (c) Agreement under taint. A signer who knows `x` can mix an element
+/// of small order into `R`, into `y`, or into both *before* hashing, and
+/// gets a triple that satisfies the equation only up to the cofactor:
+/// all three paths accept it. Mixed in *after* hashing it changes `e`,
+/// and all three refuse. Either way no path disagrees with another.
+#[test]
+fn single_batch_and_reference_agree_on_small_order_taint() {
+    let group = Group::standard();
+    let zeta = root_of_unity_28();
+    let kp = KeyPair::from_seed(77);
+    let (x, y) = (kp.secret.scalar(), kp.public.element());
+    let message = b"tainted".to_vec();
+    let k = BigUint::from_u64(0x5eed_5eed).mul(&BigUint::from_u64(0xfeed_f00d));
+    let fillers = batch_of(0..6);
+    let mut accepted = 0;
+    for order in [2u64, 4, 7, 14, 28] {
+        let z = zeta.modpow(&BigUint::from_u64(28 / order), &group.p);
+        assert!(z.modpow(&BigUint::from_u64(order), &group.p).is_one() && !z.is_one());
+        for (taint_r, taint_y, before_hashing) in [
+            (true, false, true),
+            (false, true, true),
+            (true, true, true),
+            (true, false, false),
+            (false, true, false),
+        ] {
+            let mix = |v: &BigUint, on: bool| {
+                if on {
+                    v.mul_mod(&z, &group.p)
+                } else {
+                    v.clone()
+                }
+            };
+            let clean_r = group.pow_g(&k);
+            let (r, key) = (mix(&clean_r, taint_r), mix(y, taint_y));
+            let (hashed_r, hashed_y) = if before_hashing {
+                (&r, &key)
+            } else {
+                (&clean_r, y)
+            };
+            let e =
+                group.hash_to_scalar(&[&hashed_r.to_bytes_be(), &hashed_y.to_bytes_be(), &message]);
+            let s = k.add_mod(&e.mul_mod(x, &group.q), &group.q);
+            let member = Signed {
+                key: PublicKey::from_element(key),
+                message: message.clone(),
+                signature: Signature::new(r, s).expect("in range"),
+            };
+            let case = format!("order {order} R {taint_r} y {taint_y} before {before_hashing}");
+            assert_eq!(
+                member.verdicts(),
+                (before_hashing, before_hashing),
+                "{case}"
+            );
+            for position in [0, 3, 6] {
+                let mut batch = fillers.clone();
+                batch.insert(position, member.item());
+                assert_eq!(verify_batch(&batch), before_hashing, "{case} at {position}");
+            }
+            accepted += before_hashing as usize;
+        }
+    }
+    assert_eq!(accepted, 15);
+}
+
+/// (d) The randomisers are a function of the batch and of all of it.
+#[test]
+fn randomisers_depend_on_the_batch_only_and_on_its_order() {
+    let batch = batch_of(0..40);
+    let a = batch_randomisers(&batch);
+    assert_eq!(a, batch_randomisers(&batch_of(0..40)));
+    assert!(a.iter().all(|a| !a.is_zero() && a.bits() <= 129));
+    let mut distinct = a.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), a.len());
+    // Any reordering, one more member or one changed field is another
+    // seed: no randomiser survives.
+    let mut swapped = batch.clone();
+    swapped.swap(3, 29);
+    let mut rotated = batch.clone();
+    rotated.rotate_left(1);
+    let forged = forge(&pool()[11], 0);
+    let mut changed = batch.clone();
+    changed[11] = forged.item();
+    for other in [swapped, rotated, changed, batch_of(0..41), batch_of(0..39)] {
+        let b = batch_randomisers(&other);
+        assert!(a.iter().zip(&b).all(|(a, b)| a != b));
+        assert!(b.iter().all(|b| !b.is_zero()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// (a) Completeness at block sizes: any draw from the pool, repeated
+    /// keys and repeated triples included.
+    #[test]
+    fn every_all_valid_batch_passes(picks in proptest::collection::vec(0usize..320, 1..301)) {
+        prop_assert!(verify_batch(&batch_of(picks)));
+    }
+
+    /// (b) One forgery anywhere in a batch of any size.
+    #[test]
+    fn one_forgery_in_a_batch_is_always_refused(
+        picks in proptest::collection::vec(0usize..320, 1..301),
+        position in any::<usize>(),
+        kind in 0usize..4,
+    ) {
+        let position = position % picks.len();
+        let forged = forge(&pool()[picks[position]], kind);
+        let mut batch = batch_of(picks);
+        batch[position] = forged.item();
+        prop_assert!(!verify_batch(&batch));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The bucket multi-exponentiation vs a product of schoolbook modpows.
+// ---------------------------------------------------------------------------
+
+fn assert_multi_pow_matches_schoolbook(m: &BigUint, terms: &[(BigUint, BigUint)]) {
+    let expected = terms
+        .iter()
+        .fold(BigUint::one().rem(m), |acc, (base, exp)| {
+            acc.mul_mod(&base.modpow_schoolbook(exp, m), m)
+        });
+    let refs: Vec<(&BigUint, &BigUint)> = terms.iter().map(|(b, e)| (b, e)).collect();
+    for ctx in both_widths(m) {
+        assert_eq!(
+            ctx.multi_pow(&refs),
+            expected,
+            "m={m:?} terms={}",
+            terms.len()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// (e) Random widths and counts (n = 0 included), exponents from
+    /// zero to five limbs, so that windows of every width up to 4 bits
+    /// land on limb boundaries.
+    #[test]
+    fn multi_pow_matches_schoolbook(
+        width in 0..KERNEL_LIMBS.len(),
+        m in limbs(33),
+        terms in proptest::collection::vec(
+            (limbs(34), proptest::collection::vec(any::<u64>(), 0..5)),
+            0..40,
+        ),
+    ) {
+        let k = KERNEL_LIMBS[width].min(6);
+        let mut m = m[..k].to_vec();
+        m[0] |= 1;
+        m[k - 1] |= 1 << 63;
+        let m = BigUint::from_limbs(m);
+        let terms: Vec<(BigUint, BigUint)> = terms
+            .into_iter()
+            .map(|(base, exp)| (BigUint::from_limbs(base[..k + 1].to_vec()), BigUint::from_limbs(exp)))
+            .collect();
+        assert_multi_pow_matches_schoolbook(&m, &terms);
+    }
+}
+
+/// (e) Enough terms for the 5- and 6-bit windows, whose digits straddle
+/// limbs at bits 60..66 and 126..132, on the group prime: all-ones
+/// exponents put a non-zero digit in every window, zero exponents in
+/// none, and the two batch shapes (128- and 255-bit) mix in one product.
+#[test]
+fn multi_pow_wide_windows_straddle_limbs() {
+    let p = Group::standard().p.clone();
+    let ones = |bits: u32| BigUint::one().shl(bits).sub(&BigUint::one());
+    for n in [260usize, 600] {
+        let terms: Vec<(BigUint, BigUint)> = (0..n as u64)
+            .map(|i| {
+                let exp = match i % 4 {
+                    0 => BigUint::zero(),
+                    1 => ones(128),
+                    2 => ones(255),
+                    _ => sha_scalar(i),
+                };
+                (sha_scalar(i + 1_000_000).add(&BigUint::from_u64(2)), exp)
+            })
+            .collect();
+        let bits = terms.iter().map(|(_, exp)| exp.bits());
+        assert_eq!(bucket_window(bits), if n == 260 { 5 } else { 6 });
+        assert_multi_pow_matches_schoolbook(&p, &terms);
+    }
+    assert_multi_pow_matches_schoolbook(&p, &[]);
+    assert_multi_pow_matches_schoolbook(&p, &[(BigUint::from_u64(5), BigUint::zero())]);
+}
+
+/// A 256-bit value from a counter.
+fn sha_scalar(i: u64) -> BigUint {
+    BigUint::from_bytes_be(sha256(&i.to_le_bytes()).as_bytes())
 }
 
 // ---------------------------------------------------------------------------

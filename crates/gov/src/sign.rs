@@ -16,7 +16,7 @@
 //!
 //! The aggregate `s = Σ_{i∈S} s_i^part` satisfies `s = k + e·x` with
 //! `k = Σ (d_i + ρ_i e_i)` and `x = Σ λ_i s_i` the interpolated group
-//! secret — so `(e, s)` **is a plain Schnorr signature** under the group
+//! secret — so `(R, s)` **is a plain Schnorr signature** under the group
 //! key `Y`, verified by the unmodified
 //! [`pds2_crypto::schnorr::PublicKey::verify`] on the Montgomery fast
 //! path. Verifiers never learn (or care) that the key was split.
@@ -228,19 +228,25 @@ fn effective_nonces(message: &[u8], nonces: &[(u64, NonceCommitment)]) -> Vec<(u
         .collect()
 }
 
-/// The Schnorr challenge for a fixed effective-nonce set:
-/// `e = H(Π R_j ‖ Y ‖ m)` — the single-key formula.
-fn challenge(committee: &Committee, message: &[u8], effective: &[(u64, BigUint)]) -> BigUint {
+/// The aggregate nonce point and the Schnorr challenge for a fixed
+/// effective-nonce set: `R = Π R_j` and `e = H(R ‖ Y ‖ m)` — the
+/// single-key formula.
+fn challenge(
+    committee: &Committee,
+    message: &[u8],
+    effective: &[(u64, BigUint)],
+) -> (BigUint, BigUint) {
     let group = Group::standard();
     let mut r_total = BigUint::one();
     for (_, r) in effective {
         r_total = r_total.mul_mod(r, &group.p);
     }
-    group.hash_to_scalar(&[
+    let e = group.hash_to_scalar(&[
         &r_total.to_bytes_be(),
         &committee.group_public().element().to_bytes_be(),
         message,
-    ])
+    ]);
+    (r_total, e)
 }
 
 /// Round 2, member side: computes this share's partial signature for a
@@ -279,7 +285,7 @@ pub fn partial_sign(
     let (d, e_nonce) = nonce_scalars(share, message, attempt);
     let rho = binding_factor(share.index, message, &transcript);
     let k = d.add_mod(&rho.mul_mod(&e_nonce, &group.q), &group.q);
-    let e = challenge(committee, message, &effective_nonces(message, nonces));
+    let (_, e) = challenge(committee, message, &effective_nonces(message, nonces));
     let s = k.add_mod(
         &e.mul_mod(&lambda, &group.q)
             .mul_mod(&share.scalar, &group.q),
@@ -301,12 +307,13 @@ pub fn partial_sign(
 /// one group signature.
 #[derive(Debug)]
 pub struct SigningSession {
-    message: Vec<u8>,
     attempt: u32,
     epoch: u64,
     signers: Vec<u64>,
     /// Effective nonce points `R_j` derived from the fixed transcript.
     nonces: Vec<(u64, BigUint)>,
+    /// Their product `R`, the nonce point the aggregate carries.
+    r: BigUint,
     e: BigUint,
     accepted: BTreeMap<u64, BigUint>,
 }
@@ -334,13 +341,13 @@ impl SigningSession {
             }
         }
         let effective = effective_nonces(message, &nonces);
-        let e = challenge(committee, message, &effective);
+        let (r, e) = challenge(committee, message, &effective);
         Ok(SigningSession {
-            message: message.to_vec(),
             attempt,
             epoch: committee.epoch,
             signers,
             nonces: effective,
+            r,
             e,
             accepted: BTreeMap::new(),
         })
@@ -407,11 +414,12 @@ impl SigningSession {
         self.accepted.len() == self.signers.len()
     }
 
-    /// Aggregates the accepted partials into one group signature and
-    /// checks it against the group public key before returning it (the
-    /// full verification costs one dual exponentiation — cheap insurance
-    /// against an aggregator-side bug forging an unverifiable header).
-    /// Bumps `gov.aggregations`.
+    /// Aggregates the accepted partials into one group signature `(R, s)`
+    /// from the session's own `R` and `e`, and checks `g^s · Y^{q − e} = R`
+    /// before returning it (one dual exponentiation and no hash: what a
+    /// verifier would re-derive the session already holds — cheap
+    /// insurance against an aggregator-side bug forging an unverifiable
+    /// header). Bumps `gov.aggregations`.
     pub fn aggregate(&self, committee: &Committee) -> Result<Signature, GovError> {
         if !self.ready() {
             return Err(GovError::NotEnoughShares);
@@ -421,13 +429,11 @@ impl SigningSession {
         for part in self.accepted.values() {
             s = s.add_mod(part, &group.q);
         }
-        let sig = Signature {
-            e: self.e.clone(),
-            s,
-        };
-        if !committee.group_public().verify(&self.message, &sig) {
+        let y = committee.group_public().element();
+        if group.dual_pow_g(&s, y, &group.q.sub(&self.e)) != self.r {
             return Err(GovError::AggregateInvalid);
         }
+        let sig = Signature::new(self.r.clone(), s).ok_or(GovError::AggregateInvalid)?;
         pds2_obs::counter!("gov.aggregations").inc();
         Ok(sig)
     }

@@ -67,7 +67,7 @@ fn gov_link() -> LinkModel {
 #[derive(Clone, Debug, PartialEq)]
 struct GovRun {
     trace: Digest,
-    /// Digest over the aggregator's completed `(seq, e, s)` signatures.
+    /// Digest over the aggregator's completed `(seq, R, s)` signatures.
     sigs: Digest,
     /// The aggregator's completed signatures, by sequence number.
     completed: Vec<(u64, pds2_crypto::schnorr::Signature)>,
@@ -87,12 +87,7 @@ fn run_gov(cfg: &GovConfig, sim_seed: u64, plan: Option<FaultPlan>, until: u64) 
     let mut h = Sha256::new();
     for (seq, sig) in &agg.completed {
         h.update(&seq.to_le_bytes());
-        let e = sig.e.to_bytes_be();
-        let s = sig.s.to_bytes_be();
-        h.update(&(e.len() as u64).to_le_bytes());
-        h.update(&e);
-        h.update(&(s.len() as u64).to_le_bytes());
-        h.update(&s);
+        h.update(&sig.to_wire());
     }
     GovRun {
         trace: sim.trace_hash().expect("trace enabled"),

@@ -507,6 +507,45 @@ fn every_bit_flip_is_an_error_or_the_sample_or_refused() {
     assert_bit_flips_caught(table());
 }
 
+/// The `Signature` row's sample is 65 bytes with no prefix to truncate
+/// into, so what the table's drivers cannot reach is the range of the two
+/// fields: `R = 0`, `R ≥ p` and `s ≥ q` are refused where the bytes
+/// enter, before any verifier sees them.
+#[test]
+fn non_canonical_signature_fields_fail_at_decode() {
+    use pds2_crypto::schnorr::Group;
+    use pds2_crypto::{BigUint, Signature};
+    let group = Group::standard();
+    let sample = rows_of("Signature")[0].sample.clone();
+    assert_eq!(sample.len(), Signature::LEN);
+    let with = |r: Option<&BigUint>, s: Option<&BigUint>| {
+        let mut bytes = sample.clone();
+        if let Some(r) = r {
+            r.write_bytes_be(&mut bytes[..33]);
+        }
+        if let Some(s) = s {
+            s.write_bytes_be(&mut bytes[33..]);
+        }
+        Signature::from_bytes(&bytes)
+    };
+    let refused = Err(DecodeError::Invalid("signature out of range"));
+    let one = BigUint::one();
+    assert_eq!(with(Some(&BigUint::zero()), None), refused);
+    assert_eq!(with(Some(&group.p), None), refused);
+    assert_eq!(with(Some(&one.shl(264).sub(&one)), None), refused);
+    assert_eq!(with(None, Some(&group.q)), refused);
+    assert_eq!(with(None, Some(&one.shl(256).sub(&one))), refused);
+    // The largest values in range decode, to themselves.
+    let top = with(Some(&group.p.sub(&one)), Some(&group.q.sub(&one))).unwrap();
+    assert_eq!((top.r(), top.s()), (&group.p.sub(&one), &group.q.sub(&one)));
+    let mut longer = sample.clone();
+    longer.push(0);
+    assert_eq!(
+        Signature::from_bytes(&longer),
+        Err(DecodeError::TrailingBytes)
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -100,10 +100,10 @@ fn verification_fast_path_is_thread_and_cache_invariant() {
     // signature check itself.
     let q = &pds2_crypto::schnorr::Group::standard().q;
     let mut tampered = cold_copy(&block);
-    tampered.transactions[3].signature.s = tampered.transactions[3]
-        .signature
-        .s
-        .add_mod(&pds2_crypto::BigUint::one(), q);
+    let sig = &tampered.transactions[3].signature;
+    let s = sig.s().add_mod(&pds2_crypto::BigUint::one(), q);
+    tampered.transactions[3].signature =
+        pds2_crypto::Signature::new(sig.r().clone(), s).expect("in range");
 
     // Signature level: fast and reference verifiers agree on every tx of
     // both blocks.

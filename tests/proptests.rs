@@ -160,7 +160,11 @@ proptest! {
             1 => forged.timestamp = forged.timestamp.wrapping_add(1),
             2 => forged.sequence = forged.sequence.wrapping_add(1),
             3 => forged.features[at % 2] -= 1.0,
-            4 => forged.signature.s = forged.signature.s.add(&pds2_crypto::BigUint::one()),
+            4 => {
+                let sig = &forged.signature;
+                let s = sig.s().add(&pds2_crypto::BigUint::one());
+                forged.signature = pds2_crypto::Signature::new(sig.r().clone(), s).expect("s + 1 < q");
+            }
             // A batch of one has no path to alter: it gets a step instead.
             5..=7 if steps == 0 => forged.path.steps.push(extra_step),
             5 => forged.path.steps[at % steps].sibling.0[at % 32] ^= 1 << (at % 8),
