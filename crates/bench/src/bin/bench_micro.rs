@@ -615,8 +615,9 @@ fn sched_rows(m: &mut Micro, mode: Mode) {
 
 fn obs_rows(m: &mut Micro, mode: Mode, verify_us: f64) {
     assert!(!obs::enabled(), "site timing requires tracing disabled");
-    // One round is what `validate_external_block` wraps a check in: a
-    // span opened and dropped, a counter bumped, an `enabled()` gate.
+    // One round is what `validate_external_block` wraps a check in, in
+    // the two forms a site can take: the one `span` opened and dropped
+    // and the one `event!` (an `enabled()` gate), with a counter bumped.
     let mut round = 0u64;
     let site_ns = m.time(
         "obs.disabled_site_ns",
@@ -625,7 +626,7 @@ fn obs_rows(m: &mut Micro, mode: Mode, verify_us: f64) {
         mode.iters(100_000),
         || {
             round += 1;
-            let span = obs::span_traced(
+            let span = obs::span(
                 "bench",
                 "disabled_site",
                 obs::Stamp::Block(black_box(round)),
@@ -633,9 +634,12 @@ fn obs_rows(m: &mut Micro, mode: Mode, verify_us: f64) {
                 Vec::new(),
             );
             obs::counter!("test.bench_micro.disabled_site").inc();
-            if obs::enabled() {
-                span.finish(obs::Stamp::Block(round), Vec::new());
-            }
+            obs::event!(
+                "bench",
+                "disabled_site.done",
+                obs::Stamp::Block(round),
+                span.ctx()
+            );
         },
     );
     // "Off" must mean off: a disabled round per signature check has to

@@ -32,7 +32,7 @@ fn capture(path: &Path, phases: &[u64], plant: bool) -> obs::TraceReport {
     let mut first = true;
     for &seed in phases {
         if !first && plant {
-            obs::event!("net", "intruder", obs::Stamp::Sim(0), "planted" => 1u64);
+            obs::event!("net", "intruder", obs::Stamp::Sim(0), obs::TraceCtx::NONE, "planted" => 1u64);
         }
         first = false;
         trace_scenario::run(seed);

@@ -89,7 +89,7 @@ impl Blockchain {
                 root.finish(pds2_obs::Stamp::Block(height), Vec::new());
                 minted
             } else {
-                pds2_obs::emit_traced(
+                pds2_obs::emit(
                     "chain",
                     "tx.submit",
                     pds2_obs::Stamp::Block(height),

@@ -43,7 +43,7 @@ impl Blockchain {
         for tx in txs {
             let hash = tx.hash();
             if let Some((ctx, submitted_at)) = self.tx_traces.remove(&hash) {
-                pds2_obs::trace_event!(
+                pds2_obs::event!(
                     "chain",
                     "tx.included",
                     pds2_obs::Stamp::Block(height),
@@ -110,7 +110,7 @@ impl Blockchain {
         self.emit_included(&block.transactions, height);
         self.commit_block(block, receipts);
         pds2_obs::counter!("chain.blocks_applied").inc();
-        pds2_obs::trace_event!(
+        pds2_obs::event!(
             "chain",
             "apply_block",
             pds2_obs::Stamp::Block(height),

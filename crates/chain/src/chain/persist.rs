@@ -99,27 +99,33 @@ impl Blockchain {
         enc.finish()
     }
 
-    /// Restores the tip state (fee + world state) from snapshot bytes.
+    /// Restores the tip state (fee + world state) from the bytes of the
+    /// snapshot slot written at `height`; on error nothing has changed.
     /// Blocks, receipts and events are NOT in the snapshot — the caller
     /// loads the block prefix from the log.
-    fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<u64, String> {
+    fn restore_snapshot(&mut self, height: u64, bytes: &[u8]) -> Result<(), String> {
         let mut dec = Decoder::new(bytes);
-        let height = dec.get_u64().map_err(|e| format!("snapshot: {e:?}"))?;
+        if dec.get_u64().map_err(|e| format!("snapshot: {e:?}"))? != height {
+            return Err("snapshot: height differs from its slot's".into());
+        }
         let next_base_fee = dec.get_u64().map_err(|e| format!("snapshot: {e:?}"))?;
         let state = WorldState::decode_snapshot(&mut dec, &self.registry)?;
         dec.expect_end().map_err(|e| format!("snapshot: {e:?}"))?;
         self.state = state;
         self.next_base_fee = next_base_fee;
-        Ok(height)
+        Ok(())
     }
 
     /// Rebuilds a crashed node from its durable store: restore the
-    /// latest snapshot (falling back to genesis replay if it is missing
-    /// or corrupt), replay the block log from there — re-validating
-    /// every block and checking each frame's receipts digest against the
-    /// re-derived receipts — then reinstate journaled transactions the
-    /// chain does not already include. The log's torn tail, if any, is
-    /// truncated first.
+    /// latest snapshot if the log still holds a decodable block for
+    /// every height below it (falling back to genesis replay if it is
+    /// missing or corrupt, or if damage truncated the log beneath it —
+    /// the state of height `H` must never sit under a shorter chain),
+    /// replay the block log from there — re-validating every block and
+    /// checking each frame's receipts digest against the re-derived
+    /// receipts — then reinstate journaled transactions the chain does
+    /// not already include. The log's torn tail, if any, is truncated
+    /// first.
     ///
     /// `genesis` must be the same construction the crashed node started
     /// from (validators, allocations, registry, config);
@@ -134,38 +140,44 @@ impl Blockchain {
         let (snapshot, frames) = {
             let mut log = store.lock();
             let scan = log.repair();
-            (log.snapshot().map(|(_, b)| b.to_vec()), scan.frames)
+            (log.snapshot().map(|(h, b)| (h, b.to_vec())), scan.frames)
         };
-        let replay_from = match snapshot.map(|bytes| chain.restore_snapshot(&bytes)) {
-            Some(Ok(height)) => height,
-            Some(Err(_)) => {
-                pds2_obs::counter!("chain.snapshot_restore_failed").inc();
-                0
-            }
-            None => 0,
-        };
-        for frame in frames.iter().filter(|f| f.kind == FRAME_BLOCK) {
-            let decoded = Self::decode_block_frame(&frame.payload);
-            if frame.height < replay_from {
+        let block_frames: Vec<_> = frames.iter().filter(|f| f.kind == FRAME_BLOCK).collect();
+        let mut replay_from = 0;
+        if let Some((height, bytes)) = snapshot {
+            let prefix: Vec<Block> = (0..height)
+                .zip(&block_frames)
+                .map_while(|(h, frame)| {
+                    let (block, _) = Self::decode_block_frame(&frame.payload)?;
+                    (frame.height == h).then_some(block)
+                })
+                .collect();
+            if prefix.len() as u64 == height && chain.restore_snapshot(height, &bytes).is_ok() {
                 // Snapshot fast path: the block prefix loads raw (no
                 // re-execution; pre-snapshot receipts and events are
                 // not retained).
-                if let Some((block, _)) = decoded {
+                for block in prefix {
                     chain
                         .seen
                         .extend(block.transactions.iter().map(|tx| tx.hash()));
                     chain.blocks.push(block);
                 }
-                continue;
+                replay_from = chain.blocks.len();
+            } else {
+                pds2_obs::counter!("chain.snapshot_restore_failed").inc();
             }
+        }
+        for frame in &block_frames[replay_from..] {
             // The tail replays through full validation + execution. A
             // frame that does not decode, a block that does not apply, or
             // receipts that differ from the pre-crash execution mean the
             // log is not trustworthy past this point.
-            let replayed = decoded.is_some_and(|(block, expected_receipts)| {
-                chain.apply_external_block(&block).is_ok()
-                    && chain.stored_receipts_digest(&block) == expected_receipts
-            });
+            let replayed = Self::decode_block_frame(&frame.payload).is_some_and(
+                |(block, expected_receipts)| {
+                    chain.apply_external_block(&block).is_ok()
+                        && chain.stored_receipts_digest(&block) == expected_receipts
+                },
+            );
             if !replayed {
                 break;
             }
@@ -183,5 +195,59 @@ impl Blockchain {
         // every replayed frame).
         chain.attach_store(store, snapshot_every);
         chain
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{signed_transfer, test_chain};
+    use super::*;
+    use crate::address::Address;
+    use pds2_crypto::KeyPair;
+
+    /// A flipped bit or a torn write at every frame of a six-block
+    /// journal with a snapshot at height 4: whatever prefix of the log
+    /// survives, the recovered node holds exactly the state of the
+    /// blocks it holds — the never-crashed chain's root at that height.
+    #[test]
+    fn recovery_from_a_log_damaged_at_any_frame_lands_on_the_twins_state() {
+        let alice = KeyPair::from_seed(1);
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        let store = Arc::new(Mutex::new(ChainLog::new()));
+        let mut live = test_chain(&alice);
+        live.attach_store(store.clone(), 4);
+        let mut roots = vec![live.state.state_root()];
+        for nonce in 0..6 {
+            live.submit(signed_transfer(&alice, nonce, bob, 10))
+                .unwrap();
+            live.produce_block();
+            roots.push(live.state.state_root());
+        }
+        let pristine = store.lock().clone();
+        assert_eq!(pristine.snapshot().expect("snapshot written").0, 4);
+        let recover = |log: ChainLog| {
+            Blockchain::recover_from_store(test_chain(&alice), Arc::new(Mutex::new(log)), 4)
+        };
+        let whole = recover(pristine.clone());
+        assert_eq!((whole.height(), whole.state.state_root()), (6, roots[6]));
+
+        let frames = pristine.scan().frames;
+        let mut offset = 0;
+        for (i, frame) in frames.iter().enumerate() {
+            let held = frames[..i].iter().filter(|f| f.kind == FRAME_BLOCK).count();
+            let mut flipped = pristine.clone();
+            flipped.corrupt_bit(offset + 20, 0);
+            let mut torn = pristine.clone();
+            torn.truncate_tail(pristine.log_bytes() - offset - 5);
+            for (damage, log) in [("flipped", flipped), ("torn", torn)] {
+                let recovered = recover(log);
+                let what = format!("{damage} at frame {i}, {held} blocks held");
+                assert_eq!(recovered.height(), held as u64, "{what}");
+                assert_eq!(recovered.state.balance(&bob), 10 * held as u128, "{what}");
+                assert_eq!(recovered.state.state_root(), roots[held], "{what}");
+            }
+            offset += 1 + 8 + 8 + frame.payload.len() + 8;
+        }
+        assert_eq!(offset, pristine.log_bytes());
     }
 }

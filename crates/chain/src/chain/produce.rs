@@ -15,7 +15,7 @@ impl Blockchain {
     /// stale, in which case they are dropped.
     pub fn produce_block(&mut self) -> Block {
         let height = self.height();
-        let span = pds2_obs::span_traced(
+        let span = pds2_obs::span(
             "chain",
             "produce_block",
             pds2_obs::Stamp::Block(height),

@@ -12,7 +12,7 @@ impl Blockchain {
     /// nothing, so it also serves wherever only a verdict is wanted.
     pub fn validate_external_block(&self, block: &Block) -> Result<(), ChainError> {
         let height = block.header.height;
-        let span = pds2_obs::span_traced(
+        let span = pds2_obs::span(
             "chain",
             "validate_block",
             pds2_obs::Stamp::Block(height),

@@ -70,7 +70,7 @@ pub struct CallCtx<'a> {
     /// Causal context of the workload that submitted this transaction
     /// ([`pds2_obs::TraceCtx::NONE`] when the submission was untraced).
     /// Contracts attach their domain events to it via
-    /// [`pds2_obs::trace_event!`].
+    /// [`pds2_obs::event!`].
     pub trace: pds2_obs::TraceCtx,
     pub(crate) gas: &'a mut GasMeter,
     pub(crate) events: &'a mut EventSink,

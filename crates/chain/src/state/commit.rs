@@ -121,7 +121,13 @@ impl WorldState {
             .map(|k| (k.digest(), self.leaf_digest(k)))
             .collect();
         let touched = updates.len() as u64;
-        let span = pds2_obs::span("state", "commit", pds2_obs::Stamp::None);
+        let span = pds2_obs::span(
+            "state",
+            "commit",
+            pds2_obs::Stamp::None,
+            pds2_obs::TraceCtx::NONE,
+            Vec::new(),
+        );
         let (root, hashed) = committer.backend.commit(updates, || self.full_leaves());
         committer.dirty.clear();
         pds2_obs::counter!("state.smt.nodes_hashed").add(hashed);

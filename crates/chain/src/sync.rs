@@ -26,6 +26,11 @@
 //!   again — unless it was built with [`ChainReplica::new_persistent`],
 //!   in which case it first restores snapshot + log from its durable
 //!   [`ChainLog`] and only fetches the missing suffix from peers.
+//!
+//! A harness that finds two replicas apart asks
+//! [`ChainReplica::first_divergent_height`], which reads the
+//! `(height, block hash)` pairs off the two chains when asked: the
+//! replica keeps no second record of the blocks it holds.
 
 use crate::block::Block;
 use crate::chain::{Blockchain, ChainError};
@@ -148,14 +153,6 @@ pub struct ChainReplica {
     /// Transactions from orphaned fork blocks (or the pre-fork mempool)
     /// readmitted into the pool after a fork switch.
     pub txs_reinstated: u64,
-    /// One `(height, block hash)` digest checkpoint per block this
-    /// replica currently holds. Block hashes commit to their parents,
-    /// so the list is a chained-digest sequence: equal entries at
-    /// height `h` certify identical chains through `h`, and two
-    /// replicas' lists bisect to the exact forking height
-    /// ([`pds2_obs::diff::first_divergent_height`]) without comparing
-    /// block bodies.
-    block_checkpoints: Vec<(u64, Digest)>,
 }
 
 impl ChainReplica {
@@ -185,7 +182,6 @@ impl ChainReplica {
             catchup_requests: 0,
             forks_adopted: 0,
             txs_reinstated: 0,
-            block_checkpoints: Vec::new(),
         }
     }
 
@@ -229,40 +225,27 @@ impl ChainReplica {
         self.syncing
     }
 
-    /// The per-block digest checkpoints of the replica's current chain
-    /// (`(height, block hash)`, ascending height).
-    pub fn block_checkpoints(&self) -> &[(u64, Digest)] {
-        &self.block_checkpoints
+    /// One `(height, block hash)` digest checkpoint per block the
+    /// replica holds, ascending height, read off the chain when asked.
+    /// Block hashes commit to their parents, so the list is a
+    /// chained-digest sequence: equal entries at height `h` certify
+    /// identical chains through `h`.
+    pub fn block_checkpoints(&self) -> Vec<(u64, Digest)> {
+        let checkpoint = |b: &Block| (b.header.height, b.header.hash());
+        self.chain.blocks().iter().map(checkpoint).collect()
     }
 
     /// First height at which this replica's chain and `other`'s
-    /// disagree, or `None` when one is a prefix of the other of equal
-    /// length. Chaos harnesses call this after a run to localize a
-    /// replica divergence to its forking block without diffing block
-    /// bodies.
+    /// disagree, or `None` when they are equal; a pure extension
+    /// reports the first height only one side holds. Bisects the two
+    /// checkpoint lists ([`pds2_obs::diff::first_divergent_height`]),
+    /// so chaos harnesses localize a replica divergence to its forking
+    /// block without diffing block bodies.
     pub fn first_divergent_height(&self, other: &ChainReplica) -> Option<u64> {
-        pds2_obs::diff::first_divergent_height(&self.block_checkpoints, &other.block_checkpoints)
-    }
-
-    /// Reconciles the checkpoint list with the chain after any apply,
-    /// fork switch, or crash recovery. Block hashes chain, so if the
-    /// tail entry still matches its block the whole prefix matches;
-    /// otherwise entries invalidated by rewritten history pop off
-    /// before the new suffix is recorded.
-    fn record_block_checkpoints(&mut self) {
-        let blocks = self.chain.blocks();
-        self.block_checkpoints.truncate(blocks.len());
-        while let Some((_, digest)) = self.block_checkpoints.last() {
-            let i = self.block_checkpoints.len() - 1;
-            if blocks[i].header.hash() == *digest {
-                break;
-            }
-            self.block_checkpoints.pop();
-        }
-        for block in &blocks[self.block_checkpoints.len()..] {
-            self.block_checkpoints
-                .push((block.header.height, block.header.hash()));
-        }
+        pds2_obs::diff::first_divergent_height(
+            &self.block_checkpoints(),
+            &other.block_checkpoints(),
+        )
     }
 
     fn my_turn(&self) -> bool {
@@ -354,7 +337,6 @@ impl Node for ChainReplica {
                 if !self.syncing && self.my_turn() {
                     let block = self.chain.produce_block();
                     self.blocks_produced += 1;
-                    self.record_block_checkpoints();
                     self.broadcast(ctx, SyncMsg::NewBlock(block));
                 }
                 ctx.set_timer(self.produce_interval_us, TIMER_PRODUCE);
@@ -446,7 +428,6 @@ impl Node for ChainReplica {
                 }
             }
         }
-        self.record_block_checkpoints();
     }
 
     fn msg_size(msg: &SyncMsg) -> u64 {
@@ -493,7 +474,6 @@ impl Node for ChainReplica {
             None => (self.genesis)(),
         };
         self.syncing = true;
-        self.record_block_checkpoints();
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, SyncMsg>) {
@@ -608,6 +588,37 @@ mod tests {
         assert_eq!(replica.chain().height(), 4);
         assert_eq!(replica.chain().head_hash(), canonical.head_hash());
         assert_eq!(replica.forks_adopted, 1);
+    }
+
+    #[test]
+    fn first_divergent_height_follows_fork_adoption_and_crash() {
+        let f = factory();
+        let mut twin = ChainReplica::new(f.clone(), None, 1_000, 5_000);
+        for _ in 0..4 {
+            twin.chain_mut().produce_block();
+        }
+        let mut replica = ChainReplica::new(f, Some(0), 1_000, 5_000);
+        let alice = KeyPair::from_seed(1);
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        replica
+            .chain_mut()
+            .submit(transfer(&alice, bob, 1))
+            .unwrap();
+        replica.chain_mut().produce_block(); // a different block 0
+        assert_eq!(replica.block_checkpoints().len(), 1);
+        assert_eq!(replica.first_divergent_height(&twin), Some(0));
+
+        assert!(replica.adopt_if_longer(twin.chain().blocks()));
+        assert_eq!(replica.block_checkpoints(), twin.block_checkpoints());
+        assert_eq!(replica.first_divergent_height(&twin), None);
+
+        replica.chain_mut().produce_block();
+        assert_eq!(replica.first_divergent_height(&twin), Some(4));
+        assert_eq!(twin.first_divergent_height(&replica), Some(4));
+
+        replica.on_crash(); // volatile: back to genesis
+        assert!(replica.block_checkpoints().is_empty());
+        assert_eq!(replica.first_divergent_height(&twin), Some(0));
     }
 
     #[test]

@@ -78,7 +78,13 @@ impl ThresholdCtx {
     /// height. Deterministic: every replica holding the same validator
     /// set derives the same nonces and byte-identical signatures.
     pub fn seal(&self, height: u64, payload: &[u8]) -> Signature {
-        let span = pds2_obs::span("gov", "sign", pds2_obs::Stamp::Block(height));
+        let span = pds2_obs::span(
+            "gov",
+            "sign",
+            pds2_obs::Stamp::Block(height),
+            pds2_obs::TraceCtx::NONE,
+            Vec::new(),
+        );
         let quorum: Vec<&ValidatorShare> = self.shares.iter().collect();
         let sig = sign_with_quorum(&self.committee, &quorum, payload)
             .expect("sealing with the full honest share set cannot fail");

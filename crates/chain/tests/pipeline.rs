@@ -44,7 +44,7 @@ impl Contract for Probe {
             return Err(ContractError::Revert("deliberate".into()));
         }
         ctx.emit("probe.bump", format!("n={}", self.0))?;
-        obs::trace_event!(
+        obs::event!(
             "test", "probe.bump", obs::Stamp::Block(ctx.block_height), ctx.trace, "n" => self.0,
         );
         Ok(self.0.to_le_bytes().to_vec())

@@ -395,6 +395,7 @@ impl WorkloadContract {
             "market",
             "contract.created",
             pds2_obs::Stamp::None,
+            pds2_obs::TraceCtx::NONE,
             "provider_reward" => init.provider_reward,
             "executor_fee" => init.executor_fee,
             "min_providers" => init.min_providers,
@@ -466,7 +467,7 @@ impl WorkloadContract {
             format!("by={} total={}", ctx.sender, self.state.funded),
         )?;
         pds2_obs::counter!("market.fund_calls").inc();
-        pds2_obs::trace_event!(
+        pds2_obs::event!(
             "market",
             "contract.funded",
             pds2_obs::Stamp::Block(ctx.block_height),
@@ -546,7 +547,7 @@ impl WorkloadContract {
         self.state.phase = Phase::Executing;
         self.state.started_height = ctx.block_height;
         pds2_obs::counter!("market.contracts_started").inc();
-        pds2_obs::trace_event!(
+        pds2_obs::event!(
             "market",
             "contract.phase",
             pds2_obs::Stamp::Block(ctx.block_height),
@@ -676,7 +677,7 @@ impl WorkloadContract {
         self.state.result = Some(majority);
         self.state.phase = Phase::Completed;
         pds2_obs::counter!("market.contracts_completed").inc();
-        pds2_obs::trace_event!(
+        pds2_obs::event!(
             "market",
             "contract.phase",
             pds2_obs::Stamp::Block(ctx.block_height),
@@ -712,7 +713,7 @@ impl WorkloadContract {
         }
         self.state.phase = Phase::Cancelled;
         counter.inc();
-        pds2_obs::trace_event!(
+        pds2_obs::event!(
             "market",
             "contract.phase",
             pds2_obs::Stamp::Block(ctx.block_height),

@@ -30,7 +30,7 @@ impl Marketplace {
         )?;
         self.tick();
         pds2_obs::counter!("market.aborts").inc();
-        pds2_obs::trace_event!(
+        pds2_obs::event!(
             "market",
             "workload.abort",
             pds2_obs::Stamp::Block(self.chain.height()),

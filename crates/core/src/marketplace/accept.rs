@@ -179,7 +179,7 @@ impl Marketplace {
         runtime.verifier_stats.2 += out_of_bounds;
         runtime.verifier_stats.3 += signatures_checked;
         self.tick();
-        pds2_obs::trace_event!(
+        pds2_obs::event!(
             "market",
             "provider.accept",
             pds2_obs::Stamp::Block(self.chain.height()),

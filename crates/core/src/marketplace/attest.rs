@@ -33,7 +33,7 @@ impl Marketplace {
         runtime.executors.push(executor);
         runtime.quotes.insert(executor, quote);
         self.tick();
-        pds2_obs::trace_event!(
+        pds2_obs::event!(
             "market",
             "executor.join",
             pds2_obs::Stamp::Block(self.chain.height()),

@@ -79,7 +79,7 @@ impl Marketplace {
     /// every honest executor submits the agreed result hash on-chain.
     pub fn execute(&mut self, workload_id: u64) -> Result<ExecutionReport, MarketError> {
         self.enter_workload_trace(workload_id);
-        let span = pds2_obs::span_traced(
+        let span = pds2_obs::span(
             "market",
             "execute",
             pds2_obs::Stamp::Block(self.chain.height()),
@@ -241,7 +241,7 @@ impl Marketplace {
                 Err(e) if attempt >= max_attempts => return Err(e),
                 Err(_) => {
                     pds2_obs::counter!("market.retries").inc();
-                    pds2_obs::trace_event!(
+                    pds2_obs::event!(
                         "market",
                         "execute.retry",
                         pds2_obs::Stamp::Block(self.chain.height()),

@@ -54,7 +54,7 @@ impl Marketplace {
             .map(|(e, _)| *e)
             .collect();
         self.tick();
-        pds2_obs::trace_event!(
+        pds2_obs::event!(
             "market",
             "workload.payout",
             pds2_obs::Stamp::Block(self.chain.height()),

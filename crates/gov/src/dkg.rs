@@ -159,7 +159,13 @@ pub fn run_dkg(
     seed: u64,
     params: ThresholdParams,
 ) -> Result<(Committee, Vec<ValidatorShare>), GovError> {
-    let span = pds2_obs::span("gov", "dkg", pds2_obs::Stamp::None);
+    let span = pds2_obs::span(
+        "gov",
+        "dkg",
+        pds2_obs::Stamp::None,
+        pds2_obs::TraceCtx::NONE,
+        Vec::new(),
+    );
     let out = run_dkg_quiet(seed, params);
     pds2_obs::counter!("gov.dkg_rounds").inc();
     if pds2_obs::enabled() {

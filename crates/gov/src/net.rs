@@ -50,6 +50,7 @@ use crate::sign::{
 };
 use crate::GovError;
 use pds2_crypto::schnorr::Signature;
+use pds2_crypto::sha256::Sha256;
 use pds2_crypto::BigUint;
 use pds2_net::sim::{Ctx, Node, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -485,6 +486,24 @@ impl GovNode {
     }
 }
 
+/// Bytes that hold any group element or scalar of the 260-bit group: a
+/// node reduces every one it puts in a message mod `p` or mod `q`.
+const WIDE: usize = 33;
+
+fn ints(h: &mut Sha256, values: &[u64]) {
+    for v in values {
+        h.update(&v.to_le_bytes());
+    }
+}
+
+fn wide(h: &mut Sha256, values: &[&BigUint]) {
+    for v in values {
+        let mut bytes = [0u8; WIDE];
+        v.write_bytes_be(&mut bytes);
+        h.update(&bytes);
+    }
+}
+
 impl Node for GovNode {
     type Msg = GovMsg;
 
@@ -638,6 +657,73 @@ impl Node for GovNode {
         }
     }
 
+    /// Tag, then every field at fixed width (integers little-endian,
+    /// group elements and scalars in `WIDE` big-endian bytes), so the
+    /// delivered-message trace commits to what a message says, not to
+    /// its size: a byzantine `s + 1` is as long as the honest `s`.
+    fn msg_digest(msg: &GovMsg) -> u64 {
+        let mut h = Sha256::new();
+        h.update(&[Self::msg_kind(msg)]);
+        match msg {
+            GovMsg::NonceReq {
+                seq,
+                attempt,
+                epoch,
+                digest,
+            } => {
+                ints(&mut h, &[*seq, *attempt as u64, *epoch]);
+                h.update(digest);
+            }
+            GovMsg::Nonce {
+                seq,
+                attempt,
+                epoch,
+                signer,
+                commit,
+            } => {
+                ints(&mut h, &[*seq, *attempt as u64, *epoch, *signer]);
+                wide(&mut h, &[&commit.hiding, &commit.binding]);
+            }
+            GovMsg::SignReq {
+                seq,
+                attempt,
+                epoch,
+                digest,
+                nonces,
+            } => {
+                ints(
+                    &mut h,
+                    &[*seq, *attempt as u64, *epoch, nonces.len() as u64],
+                );
+                h.update(digest);
+                for (signer, commit) in nonces {
+                    h.update(&signer.to_le_bytes());
+                    wide(&mut h, &[&commit.hiding, &commit.binding]);
+                }
+            }
+            GovMsg::Partial { seq, partial: p } => {
+                ints(&mut h, &[*seq, p.signer, p.epoch, p.attempt as u64]);
+                wide(&mut h, &[&p.r, &p.s]);
+            }
+            GovMsg::RecoverReq { epoch } => ints(&mut h, &[*epoch]),
+            GovMsg::RecoverOffer { epoch, signer } => ints(&mut h, &[*epoch, *signer]),
+            GovMsg::RecoverSet { epoch, helpers } => {
+                ints(&mut h, &[*epoch, helpers.len() as u64]);
+                ints(&mut h, helpers);
+            }
+            GovMsg::RecoverHelp {
+                epoch,
+                helpers,
+                contribution,
+            } => {
+                ints(&mut h, &[*epoch, helpers.len() as u64]);
+                ints(&mut h, helpers);
+                wide(&mut h, &[contribution]);
+            }
+        }
+        h.finalize().fold_u64()
+    }
+
     fn on_crash(&mut self) {
         // Process restart: the share (secret, held in memory / an HSM in
         // a real deployment) and all in-flight protocol state are gone;
@@ -728,6 +814,49 @@ mod tests {
         let cfg = cfg(3, 4, 3);
         let sim = run(&cfg, 7, 2_000_000);
         assert_all_signed(&sim, &cfg);
+    }
+
+    #[test]
+    fn msg_digest_tells_two_partials_apart_by_s_alone() {
+        let partial = PartialSig {
+            signer: 2,
+            epoch: 0,
+            attempt: 1,
+            r: BigUint::from_u64(0xAB),
+            s: BigUint::from_u64(0xCD),
+        };
+        let mut forged = partial.clone();
+        forged.s = forged
+            .s
+            .add_mod(&BigUint::one(), &BigUint::from_u64(u64::MAX));
+        let (honest, lie) = (
+            GovMsg::Partial { seq: 0, partial },
+            GovMsg::Partial {
+                seq: 0,
+                partial: forged,
+            },
+        );
+        assert_eq!(GovNode::msg_size(&honest), GovNode::msg_size(&lie));
+        assert_ne!(GovNode::msg_digest(&honest), GovNode::msg_digest(&lie));
+        assert_eq!(GovNode::msg_digest(&honest), GovNode::msg_digest(&honest));
+    }
+
+    #[test]
+    fn msg_digest_tells_two_sign_reqs_apart_by_one_nonce_commitment() {
+        let commit = |d: u64, e: u64| NonceCommitment {
+            hiding: BigUint::from_u64(d),
+            binding: BigUint::from_u64(e),
+        };
+        let req = |last: NonceCommitment| GovMsg::SignReq {
+            seq: 3,
+            attempt: 0,
+            epoch: 1,
+            digest: [7; 32],
+            nonces: vec![(1, commit(10, 11)), (2, commit(20, 21)), (4, last)],
+        };
+        let (a, b) = (req(commit(40, 41)), req(commit(40, 42)));
+        assert_eq!(GovNode::msg_size(&a), GovNode::msg_size(&b));
+        assert_ne!(GovNode::msg_digest(&a), GovNode::msg_digest(&b));
     }
 
     #[test]

@@ -88,6 +88,7 @@ impl PrivacyAccountant {
             "learning",
             "dp.spend",
             pds2_obs::Stamp::None,
+            pds2_obs::TraceCtx::NONE,
             "epsilon" => epsilon,
             "delta" => delta,
             "total_epsilon" => self.epsilon,

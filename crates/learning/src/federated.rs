@@ -161,7 +161,7 @@ where
         }
         let acc = eval(&global, test);
         pds2_obs::counter!("learning.fed_rounds").inc();
-        pds2_obs::trace_event!(
+        pds2_obs::event!(
             "learning",
             "fed.round",
             pds2_obs::Stamp::Round(round as u64),
@@ -182,7 +182,8 @@ where
     }
 }
 
-fn eval<M: Model>(model: &M, test: &Dataset) -> f64 {
+/// Test accuracy of `model` at the 0.5 threshold (0 on an empty set).
+pub(crate) fn eval<M: Model>(model: &M, test: &Dataset) -> f64 {
     if test.is_empty() {
         return 0.0;
     }

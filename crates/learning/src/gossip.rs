@@ -394,9 +394,8 @@ where
     if let Some(plan) = fault_plan {
         sim.install_fault_plan(plan);
     }
-    sim.enable_trace();
     // The experiment is the root of one causal trace: every message the
-    // simulator delivers (and every eval round below) descends from it, so
+    // simulator delivers (and every eval round) descends from it, so
     // obs_report can profile the whole gossip run as a single DAG.
     let root = pds2_obs::new_trace(
         "learning",
@@ -407,12 +406,24 @@ where
             ("evals", pds2_obs::Value::from(eval_at_us.len() as u64)),
         ],
     );
-    if root.id() != 0 {
-        sim.set_root_ctx(root.ctx());
-    }
+    evaluate(sim, root, test, eval_at_us, usize::MAX)
+}
+
+/// Runs `sim` to each instant of `eval_at_us` under the trace `root`
+/// mints, and records the mean test accuracy of at most `eval_sample`
+/// online nodes (stride-sampled) at each.
+fn evaluate<M: Model + Sync>(
+    mut sim: pds2_net::Simulator<GossipNode<M>>,
+    root: pds2_obs::Span,
+    test: &Dataset,
+    eval_at_us: &[u64],
+    eval_sample: usize,
+) -> GossipOutcome {
+    sim.enable_trace();
+    sim.set_root_ctx(root.ctx());
     let mut accuracy_curve = Vec::with_capacity(eval_at_us.len());
     for &t in eval_at_us {
-        let round_span = pds2_obs::span_traced(
+        let round_span = pds2_obs::span(
             "learning",
             "gossip.round",
             pds2_obs::Stamp::Sim(sim.now()),
@@ -424,14 +435,10 @@ where
         // they fan out across the pds2-par pool; the node-order mean below
         // keeps the float summation identical for any thread count.
         let online: Vec<usize> = (0..sim.len()).filter(|&id| sim.is_online(id)).collect();
-        let accs = pds2_par::par_map_indexed(&online, |_, &id| {
-            let model = &sim.node(id).model;
-            let preds: Vec<f64> = test
-                .x
-                .iter()
-                .map(|x| if model.predict(x) >= 0.5 { 1.0 } else { 0.0 })
-                .collect();
-            pds2_ml::metrics::accuracy(&preds, &test.y)
+        let step = (online.len() / eval_sample.max(1)).max(1);
+        let sampled: Vec<usize> = online.iter().copied().step_by(step).collect();
+        let accs = pds2_par::par_map_indexed(&sampled, |_, &id| {
+            crate::federated::eval(&sim.node(id).model, test)
         });
         let mean = if accs.is_empty() {
             0.0
@@ -439,7 +446,7 @@ where
             accs.iter().sum::<f64>() / accs.len() as f64
         };
         pds2_obs::counter!("learning.gossip_evals").inc();
-        pds2_obs::trace_event!(
+        pds2_obs::event!(
             "learning",
             "gossip.eval",
             pds2_obs::Stamp::Sim(t),
@@ -455,14 +462,13 @@ where
         accuracy_curve.push(mean);
     }
     let stats = sim.stats();
-    let models_transferred = sim.stats().delivered;
     root.finish(
         pds2_obs::Stamp::Sim(sim.now()),
         vec![("delivered", pds2_obs::Value::from(stats.delivered))],
     );
     GossipOutcome {
         accuracy_curve,
-        models_transferred,
+        models_transferred: stats.delivered,
         bytes_transferred: stats.bytes_delivered,
         online_nodes: sim.online_count(),
         corrupted_dropped: sim.nodes().map(|n| n.corrupted_dropped).sum(),
@@ -536,7 +542,6 @@ where
         let trace = churn.trace(opts.seed, opts.n_nodes);
         sim.install_fault_plan(FaultPlan::new(opts.seed).crashes_from(trace));
     }
-    sim.enable_trace();
     let root = pds2_obs::new_trace(
         "learning",
         "gossip.scale",
@@ -546,45 +551,7 @@ where
             ("holders", pds2_obs::Value::from(holders as u64)),
         ],
     );
-    if root.id() != 0 {
-        sim.set_root_ctx(root.ctx());
-    }
-    let mut accuracy_curve = Vec::with_capacity(opts.eval_at_us.len());
-    for &t in &opts.eval_at_us {
-        sim.run_until(t);
-        let online: Vec<usize> = (0..sim.len()).filter(|&id| sim.is_online(id)).collect();
-        let step = (online.len() / opts.eval_sample.max(1)).max(1);
-        let sampled: Vec<usize> = online.iter().copied().step_by(step).collect();
-        let accs = pds2_par::par_map_indexed(&sampled, |_, &id| {
-            let model = &sim.node(id).model;
-            let preds: Vec<f64> = test
-                .x
-                .iter()
-                .map(|x| if model.predict(x) >= 0.5 { 1.0 } else { 0.0 })
-                .collect();
-            pds2_ml::metrics::accuracy(&preds, &test.y)
-        });
-        let mean = if accs.is_empty() {
-            0.0
-        } else {
-            accs.iter().sum::<f64>() / accs.len() as f64
-        };
-        pds2_obs::counter!("learning.gossip_evals").inc();
-        accuracy_curve.push(mean);
-    }
-    let stats = sim.stats();
-    root.finish(
-        pds2_obs::Stamp::Sim(sim.now()),
-        vec![("delivered", pds2_obs::Value::from(stats.delivered))],
-    );
-    GossipOutcome {
-        accuracy_curve,
-        models_transferred: stats.delivered,
-        bytes_transferred: stats.bytes_delivered,
-        online_nodes: sim.online_count(),
-        corrupted_dropped: sim.nodes().map(|n| n.corrupted_dropped).sum(),
-        trace_hash: sim.trace_hash(),
-    }
+    evaluate(sim, root, test, &opts.eval_at_us, opts.eval_sample)
 }
 
 /// Result of a gossip-learning run.

@@ -9,7 +9,7 @@ use crate::fault::{FaultPlan, FaultState, SendVerdict};
 use crate::link::LinkModel;
 use crate::sched::{EventQueue, SchedulerKind};
 use pds2_crypto::{Digest, Sha256};
-use pds2_obs::TraceCtx;
+use pds2_obs::{Stamp, TraceCtx, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,7 +91,7 @@ pub struct Ctx<'a, M> {
 }
 
 enum Action<M> {
-    Send { to: NodeId, msg: M, ctx: TraceCtx },
+    Send { to: NodeId, msg: M },
     Timer { delay_us: u64, tag: u64 },
 }
 
@@ -101,14 +101,7 @@ impl<'a, M> Ctx<'a, M> {
     /// being handled rides along in the envelope, so the receiver's
     /// spans link back to this delivery without any protocol changes.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        let ctx = self.incoming;
-        self.send_traced(to, msg, ctx);
-    }
-
-    /// Sends a message under an explicit causal context (overrides the
-    /// automatic propagation of [`Ctx::incoming`]).
-    pub fn send_traced(&mut self, to: NodeId, msg: M, ctx: TraceCtx) {
-        self.actions.push(Action::Send { to, msg, ctx });
+        self.actions.push(Action::Send { to, msg });
     }
 
     /// Causal context this callback runs under: the delivery span of
@@ -214,7 +207,9 @@ impl OnlineSet {
     }
 }
 
-/// Traffic and liveness statistics.
+/// Traffic and liveness statistics: the one tally of what the simulator
+/// did to each message, timer and node. The `net.*` counters are
+/// published from it, not counted beside it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Messages handed to the network.
@@ -256,6 +251,8 @@ pub struct Simulator<N: Node> {
     link: LinkModel,
     rng: StdRng,
     stats: NetStats,
+    /// `stats` as of the last [`Simulator::publish_counters`].
+    published: NetStats,
     started: bool,
     fault: Option<FaultState>,
     trace: Option<Sha256>,
@@ -288,6 +285,7 @@ impl<N: Node> Simulator<N> {
             link,
             rng: StdRng::seed_from_u64(seed),
             stats: NetStats::default(),
+            published: NetStats::default(),
             started: false,
             fault: None,
             trace: None,
@@ -445,143 +443,123 @@ impl<N: Node> Simulator<N> {
         self.queue.push(time, seq, kind);
     }
 
-    fn dispatch_actions(&mut self, origin: NodeId, actions: Vec<Action<N::Msg>>) {
+    /// Writes the row of a message the network destroyed, mangled,
+    /// copied or delayed. The tally is the `self.stats` line beside each
+    /// call; [`Simulator::publish_counters`] derives the counter from it.
+    fn fate_row(
+        &self,
+        name: &'static str,
+        ctx: TraceCtx,
+        (from, to): (NodeId, NodeId),
+        extra: Option<(&'static str, u64)>,
+    ) {
+        if pds2_obs::enabled() {
+            let mut fields = vec![("from", Value::from(from)), ("to", Value::from(to))];
+            fields.extend(extra.map(|(key, v)| (key, Value::from(v))));
+            pds2_obs::emit("net", name, Stamp::Sim(self.now), ctx, fields);
+        }
+    }
+
+    /// Adds what `stats` gained since the last call to the `net.*`
+    /// counters, so each counter is its `NetStats` field summed over
+    /// every simulator of the process, as of their last `run_until`.
+    fn publish_counters(&mut self) {
+        let (now, was) = (
+            self.stats,
+            std::mem::replace(&mut self.published, self.stats),
+        );
+        pds2_obs::counter!("net.sent").add(now.sent - was.sent);
+        pds2_obs::counter!("net.delivered").add(now.delivered - was.delivered);
+        pds2_obs::counter!("net.dropped_loss").add(now.dropped_loss - was.dropped_loss);
+        pds2_obs::counter!("net.dropped_offline").add(now.dropped_offline - was.dropped_offline);
+        pds2_obs::counter!("net.bytes_delivered").add(now.bytes_delivered - was.bytes_delivered);
+        pds2_obs::counter!("net.timers_fired").add(now.timers_fired - was.timers_fired);
+        pds2_obs::counter!("net.dropped_partition")
+            .add(now.dropped_partition - was.dropped_partition);
+        pds2_obs::counter!("net.dropped_fault").add(now.dropped_fault - was.dropped_fault);
+        pds2_obs::counter!("net.corrupted").add(now.corrupted - was.corrupted);
+        pds2_obs::counter!("net.duplicated").add(now.duplicated - was.duplicated);
+        pds2_obs::counter!("net.reordered").add(now.reordered - was.reordered);
+        pds2_obs::counter!("net.crashes").add(now.crashes - was.crashes);
+        pds2_obs::counter!("net.recoveries").add(now.recoveries - was.recoveries);
+    }
+
+    /// Carries out what a callback asked for; every message it sent
+    /// travels under `ctx`, the context the callback ran under.
+    fn dispatch_actions(&mut self, origin: NodeId, ctx: TraceCtx, actions: Vec<Action<N::Msg>>) {
         for action in actions {
             match action {
-                Action::Send { to, msg, ctx } => {
+                Action::Send { to, msg } => {
                     self.stats.sent += 1;
-                    pds2_obs::counter!("net.sent").inc();
                     // Fault layer first (dedicated RNG, deterministic
                     // event order), then the benign link model — so the
                     // protocol RNG stream is identical with and without
                     // an installed plan.
+                    let link = (origin, to);
                     let mut msg = msg;
                     let mut extra_delay_us = 0;
                     let mut duplicate_after_us = None;
                     if let Some(fault) = &mut self.fault {
                         let kind = N::msg_kind(&msg);
                         let fate = fault.judge_send(origin, to, kind, self.now);
-                        match fate.verdict {
+                        let mut verdict = fate.verdict;
+                        if verdict == SendVerdict::DeliverCorrupted {
+                            // Corruption the protocol cannot even represent
+                            // destroys the frame on the wire.
+                            match N::corrupt_msg(&msg, fault.rng_mut()) {
+                                Some(mangled) => msg = mangled,
+                                None => verdict = SendVerdict::DropFault,
+                            }
+                        }
+                        let kind = Some(("kind", kind as u64));
+                        match verdict {
                             SendVerdict::DropPartition => {
                                 self.stats.dropped_partition += 1;
-                                pds2_obs::counter!("net.dropped_partition").inc();
-                                pds2_obs::trace_event!(
-                                    "net",
-                                    "drop.partition",
-                                    pds2_obs::Stamp::Sim(self.now),
-                                    ctx,
-                                    "from" => origin, "to" => to, "kind" => kind as u64,
-                                );
+                                self.fate_row("drop.partition", ctx, link, kind);
                                 continue;
                             }
                             SendVerdict::DropFault => {
                                 self.stats.dropped_fault += 1;
-                                pds2_obs::counter!("net.dropped_fault").inc();
-                                pds2_obs::trace_event!(
-                                    "net",
-                                    "drop.censor",
-                                    pds2_obs::Stamp::Sim(self.now),
-                                    ctx,
-                                    "from" => origin, "to" => to, "kind" => kind as u64,
-                                );
+                                self.fate_row("drop.censor", ctx, link, kind);
                                 continue;
                             }
                             SendVerdict::DeliverCorrupted => {
-                                match N::corrupt_msg(&msg, fault.rng_mut()) {
-                                    Some(mangled) => {
-                                        self.stats.corrupted += 1;
-                                        pds2_obs::counter!("net.corrupted").inc();
-                                        pds2_obs::trace_event!(
-                                            "net",
-                                            "corrupt",
-                                            pds2_obs::Stamp::Sim(self.now),
-                                            ctx,
-                                            "from" => origin, "to" => to, "kind" => kind as u64,
-                                        );
-                                        msg = mangled;
-                                    }
-                                    None => {
-                                        // Corruption the protocol cannot
-                                        // even represent: the frame is
-                                        // destroyed on the wire.
-                                        self.stats.dropped_fault += 1;
-                                        pds2_obs::counter!("net.dropped_fault").inc();
-                                        pds2_obs::trace_event!(
-                                            "net",
-                                            "drop.censor",
-                                            pds2_obs::Stamp::Sim(self.now),
-                                            ctx,
-                                            "from" => origin, "to" => to, "kind" => kind as u64,
-                                        );
-                                        continue;
-                                    }
-                                }
+                                self.stats.corrupted += 1;
+                                self.fate_row("corrupt", ctx, link, kind);
                             }
                             SendVerdict::Deliver => {}
                         }
                         if fate.extra_delay_us > 0 {
                             self.stats.reordered += 1;
-                            pds2_obs::counter!("net.reordered").inc();
-                            pds2_obs::trace_event!(
-                                "net",
-                                "reorder",
-                                pds2_obs::Stamp::Sim(self.now),
-                                ctx,
-                                "from" => origin, "to" => to,
-                                "extra_delay_us" => fate.extra_delay_us,
-                            );
+                            let extra = Some(("extra_delay_us", fate.extra_delay_us));
+                            self.fate_row("reorder", ctx, link, extra);
                             extra_delay_us = fate.extra_delay_us;
                         }
                         duplicate_after_us = fate.duplicate_after_us;
                     }
                     if self.link.drops(&mut self.rng) {
                         self.stats.dropped_loss += 1;
-                        pds2_obs::counter!("net.dropped_loss").inc();
-                        pds2_obs::trace_event!(
-                            "net",
-                            "drop.loss",
-                            pds2_obs::Stamp::Sim(self.now),
-                            ctx,
-                            "from" => origin, "to" => to,
-                        );
+                        self.fate_row("drop.loss", ctx, link, None);
                         continue;
                     }
                     let size = N::msg_size(&msg);
                     let delay = self.link.delay_us(&mut self.rng, origin, to, size);
                     let at = self.now + delay + extra_delay_us;
+                    let sent_us = self.now;
+                    let deliver = move |msg| EventKind::Deliver {
+                        from: origin,
+                        to,
+                        msg,
+                        size,
+                        ctx,
+                        sent_us,
+                    };
                     if let Some(after_us) = duplicate_after_us {
                         self.stats.duplicated += 1;
-                        pds2_obs::counter!("net.duplicated").inc();
-                        pds2_obs::trace_event!(
-                            "net",
-                            "duplicate",
-                            pds2_obs::Stamp::Sim(self.now),
-                            ctx,
-                            "from" => origin, "to" => to,
-                        );
-                        self.push(
-                            at + after_us.max(1),
-                            EventKind::Deliver {
-                                from: origin,
-                                to,
-                                msg: msg.clone(),
-                                size,
-                                ctx,
-                                sent_us: self.now,
-                            },
-                        );
+                        self.fate_row("duplicate", ctx, link, None);
+                        self.push(at + after_us.max(1), deliver(msg.clone()));
                     }
-                    self.push(
-                        at,
-                        EventKind::Deliver {
-                            from: origin,
-                            to,
-                            msg,
-                            size,
-                            ctx,
-                            sent_us: self.now,
-                        },
-                    );
+                    self.push(at, deliver(msg));
                 }
                 Action::Timer { delay_us, tag } => {
                     let at = self.now + delay_us;
@@ -606,7 +584,7 @@ impl<N: Node> Simulator<N> {
         };
         f(&mut self.nodes[id], &mut ctx);
         let actions = ctx.actions;
-        self.dispatch_actions(id, actions);
+        self.dispatch_actions(id, incoming, actions);
     }
 
     /// Runs `on_start` on every node (idempotent).
@@ -615,9 +593,8 @@ impl<N: Node> Simulator<N> {
             return;
         }
         self.started = true;
-        let root = self.root_ctx;
         for id in 0..self.nodes.len() {
-            self.call_node(id, root, |n, ctx| n.on_start(ctx));
+            self.call_node(id, self.root_ctx, |n, ctx| n.on_start(ctx));
         }
     }
 
@@ -625,7 +602,13 @@ impl<N: Node> Simulator<N> {
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline_us: SimTime) -> u64 {
         self.start();
-        let span = pds2_obs::span("net", "run", pds2_obs::Stamp::Sim(self.now));
+        let span = pds2_obs::span(
+            "net",
+            "run",
+            Stamp::Sim(self.now),
+            TraceCtx::NONE,
+            Vec::new(),
+        );
         let cascades_before = self.queue.cascades();
         let mut processed = 0;
         while let Some(time) = self.queue.peek_time() {
@@ -640,15 +623,11 @@ impl<N: Node> Simulator<N> {
                     self.online.set(node, online);
                 }
                 EventKind::Timer { node, tag } => {
-                    pds2_obs::counter!("net.timers_fired").inc();
+                    // Timers on offline nodes are counted and skipped;
+                    // protocols re-arm on their own schedule.
+                    self.stats.timers_fired += 1;
                     if self.online.get(node) {
-                        self.stats.timers_fired += 1;
-                        let root = self.root_ctx;
-                        self.call_node(node, root, |n, ctx| n.on_timer(ctx, tag));
-                    } else {
-                        // Timers on offline nodes are silently skipped;
-                        // protocols re-arm on their own schedule.
-                        self.stats.timers_fired += 1;
+                        self.call_node(node, self.root_ctx, |n, ctx| n.on_timer(ctx, tag));
                     }
                 }
                 EventKind::Deliver {
@@ -667,21 +646,18 @@ impl<N: Node> Simulator<N> {
                         .is_some_and(|f| f.severed_at_delivery(from, to, self.now))
                     {
                         self.stats.dropped_partition += 1;
-                        pds2_obs::counter!("net.dropped_partition").inc();
-                        pds2_obs::trace_event!(
-                            "net",
-                            "drop.partition",
-                            pds2_obs::Stamp::Sim(self.now),
-                            ctx,
-                            "from" => from, "to" => to,
-                        );
+                        self.fate_row("drop.partition", ctx, (from, to), None);
                     } else if self.online.get(to) {
                         self.stats.delivered += 1;
                         self.stats.bytes_delivered += size;
-                        pds2_obs::counter!("net.delivered").inc();
-                        pds2_obs::counter!("net.bytes_delivered").add(size);
-                        let kind = N::msg_kind(&msg);
-                        let digest = N::msg_digest(&msg);
+                        // Only the trace hash and an active capture read
+                        // the kind and the digest (for a `SyncMsg` an
+                        // encoding and a SHA-256 of the whole message).
+                        let (kind, digest) = if self.trace.is_some() || pds2_obs::enabled() {
+                            (N::msg_kind(&msg), N::msg_digest(&msg))
+                        } else {
+                            (0, 0)
+                        };
                         self.record_trace(from, to, kind, size, digest);
                         // One hop of the causal DAG: the delivery span is
                         // a child of the sender's context, and everything
@@ -690,70 +666,55 @@ impl<N: Node> Simulator<N> {
                         // (from, to, kind, size, digest) tuple the
                         // delivery trace hash commits to, plus `sent_us`
                         // so `obs_report` can compute per-hop latency.
-                        let span = pds2_obs::span_traced(
+                        let span = pds2_obs::span(
                             "net",
                             "deliver",
-                            pds2_obs::Stamp::Sim(self.now),
+                            Stamp::Sim(self.now),
                             ctx,
                             vec![
-                                ("from", pds2_obs::Value::from(from)),
-                                ("to", pds2_obs::Value::from(to)),
-                                ("kind", pds2_obs::Value::from(kind as u64)),
-                                ("size", pds2_obs::Value::from(size)),
-                                ("digest", pds2_obs::Value::from(digest)),
-                                ("sent_us", pds2_obs::Value::from(sent_us)),
+                                ("from", Value::from(from)),
+                                ("to", Value::from(to)),
+                                ("kind", Value::from(kind as u64)),
+                                ("size", Value::from(size)),
+                                ("digest", Value::from(digest)),
+                                ("sent_us", Value::from(sent_us)),
                             ],
                         );
                         let incoming = if span.id() != 0 { span.ctx() } else { ctx };
                         self.call_node(to, incoming, |n, ctx| n.on_message(ctx, from, msg));
-                        span.finish(pds2_obs::Stamp::Sim(self.now), Vec::new());
+                        span.finish(Stamp::Sim(self.now), Vec::new());
                     } else {
                         self.stats.dropped_offline += 1;
-                        pds2_obs::counter!("net.dropped_offline").inc();
-                        pds2_obs::trace_event!(
-                            "net",
-                            "drop.offline",
-                            pds2_obs::Stamp::Sim(self.now),
-                            ctx,
-                            "from" => from, "to" => to,
-                        );
+                        self.fate_row("drop.offline", ctx, (from, to), None);
                     }
                 }
                 EventKind::Crash { node } => {
                     self.stats.crashes += 1;
-                    pds2_obs::counter!("net.crashes").inc();
                     pds2_obs::event!(
-                        "net",
-                        "crash",
-                        pds2_obs::Stamp::Sim(self.now),
-                        "node" => node,
+                        "net", "crash", Stamp::Sim(self.now), TraceCtx::NONE, "node" => node,
                     );
                     self.online.set(node, false);
                     self.nodes[node].on_crash();
                 }
                 EventKind::Recover { node } => {
                     self.stats.recoveries += 1;
-                    pds2_obs::counter!("net.recoveries").inc();
                     pds2_obs::event!(
-                        "net",
-                        "recover",
-                        pds2_obs::Stamp::Sim(self.now),
-                        "node" => node,
+                        "net", "recover", Stamp::Sim(self.now), TraceCtx::NONE, "node" => node,
                     );
                     self.online.set(node, true);
-                    let root = self.root_ctx;
-                    self.call_node(node, root, |n, ctx| n.on_recover(ctx));
+                    self.call_node(node, self.root_ctx, |n, ctx| n.on_recover(ctx));
                 }
             }
         }
+        self.publish_counters();
         pds2_obs::counter!("net.sched.events_processed").add(processed);
         let cascades = self.queue.cascades() - cascades_before;
         pds2_obs::counter!("net.sched.wheel_cascades").add(cascades);
         span.finish(
-            pds2_obs::Stamp::Sim(self.now),
+            Stamp::Sim(self.now),
             vec![
-                ("events", pds2_obs::Value::from(processed)),
-                ("pending", pds2_obs::Value::from(self.queue.len() as u64)),
+                ("events", Value::from(processed)),
+                ("pending", Value::from(self.queue.len() as u64)),
             ],
         );
         processed

@@ -561,16 +561,16 @@ pub fn first_divergent_height(a: &[(u64, Digest)], b: &[(u64, Digest)]) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SinkKind, Stamp};
+    use crate::{SinkKind, Stamp, TraceCtx};
 
     fn run(n: u64, skip: Option<u64>, extra: Option<u64>) {
         for i in 0..n {
             if Some(i) == skip {
                 continue;
             }
-            crate::event!("test", "tick", Stamp::Sim(i), "i" => i);
+            crate::event!("test", "tick", Stamp::Sim(i), TraceCtx::NONE, "i" => i);
             if Some(i) == extra {
-                crate::event!("test", "intruder", Stamp::Sim(i));
+                crate::event!("test", "intruder", Stamp::Sim(i), TraceCtx::NONE);
             }
         }
     }

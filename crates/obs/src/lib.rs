@@ -59,9 +59,8 @@ pub use metrics::{
 };
 pub use sink::SinkKind;
 pub use trace::{
-    capture, emit, emit_traced, enabled, new_trace, segment_merkle_root, span, span_traced,
-    test_lock, trace_digest, Capture, Event, EventKind, SegmentCheckpoint, Span, Stamp, TraceCtx,
-    TraceReport, Value, SEGMENT_EVENTS,
+    capture, emit, enabled, new_trace, segment_merkle_root, span, test_lock, trace_digest, Capture,
+    Event, EventKind, SegmentCheckpoint, Span, Stamp, TraceCtx, TraceReport, Value, SEGMENT_EVENTS,
 };
 
 /// Interns (once per call site) and returns a `&'static` [`Counter`].
@@ -96,43 +95,26 @@ macro_rules! histogram {
     }};
 }
 
-/// Emits a point event iff a capture is active. Field values go through
-/// [`Value::from`], so `u64`, `u128`, `i64`, `f64`, `&str` and `String`
-/// all work:
+/// Emits a point event iff a capture is active, attached to a causal
+/// context ([`TraceCtx`]): the event joins the context's trace as a
+/// child of `ctx.parent_span`, or stands alone under
+/// [`TraceCtx::NONE`]. Field values go through [`Value::from`], so
+/// `u64`, `u128`, `i64`, `f64`, `&str` and `String` all work:
 ///
 /// ```
 /// use pds2_obs as obs;
-/// obs::event!("net", "deliver", obs::Stamp::Sim(42), "src" => 1u64, "dst" => 2u64);
+/// let root = obs::new_trace("test", "job", obs::Stamp::Sim(0), vec![]);
+/// obs::event!("test", "step", obs::Stamp::Sim(5), root.ctx(), "i" => 1u64);
+/// obs::event!("net", "crash", obs::Stamp::Sim(42), obs::TraceCtx::NONE, "node" => 2u64);
 /// ```
 ///
 /// When tracing is disabled this is a single relaxed atomic load — the
 /// field expressions are not evaluated.
 #[macro_export]
 macro_rules! event {
-    ($domain:expr, $name:expr, $stamp:expr $(, $key:expr => $val:expr)* $(,)?) => {
-        if $crate::enabled() {
-            $crate::emit($domain, $name, $stamp, vec![$(($key, $crate::Value::from($val))),*]);
-        }
-    };
-}
-
-/// Emits a point event attached to a causal context ([`TraceCtx`]): the
-/// event joins the context's trace as a child of `ctx.parent_span`.
-/// With [`TraceCtx::NONE`] this degrades to a plain [`event!`].
-///
-/// ```
-/// use pds2_obs as obs;
-/// let root = obs::new_trace("test", "job", obs::Stamp::Sim(0), vec![]);
-/// obs::trace_event!("test", "step", obs::Stamp::Sim(5), root.ctx(), "i" => 1u64);
-/// ```
-///
-/// When tracing is disabled this is a single relaxed atomic load — the
-/// field expressions are not evaluated.
-#[macro_export]
-macro_rules! trace_event {
     ($domain:expr, $name:expr, $stamp:expr, $ctx:expr $(, $key:expr => $val:expr)* $(,)?) => {
         if $crate::enabled() {
-            $crate::emit_traced(
+            $crate::emit(
                 $domain,
                 $name,
                 $stamp,
@@ -146,7 +128,7 @@ macro_rules! trace_event {
 #[cfg(test)]
 mod tests {
     use crate as obs;
-    use crate::{SinkKind, Stamp};
+    use crate::{SinkKind, Stamp, TraceCtx};
 
     #[test]
     fn counters_and_gauges_roundtrip() {
@@ -178,10 +160,10 @@ mod tests {
         let _g = obs::test_lock();
         let run = || {
             for i in 0..10u64 {
-                obs::event!("test", "tick", Stamp::Sim(i), "i" => i, "sq" => i * i);
+                obs::event!("test", "tick", Stamp::Sim(i), TraceCtx::NONE, "i" => i, "sq" => i * i);
             }
-            let s = obs::span("test", "work", Stamp::Block(7));
-            obs::event!("test", "inner", Stamp::None, "msg" => "hello");
+            let s = obs::span("test", "work", Stamp::Block(7), TraceCtx::NONE, Vec::new());
+            obs::event!("test", "inner", Stamp::None, TraceCtx::NONE, "msg" => "hello");
             s.finish(Stamp::Block(8), vec![("gas", obs::Value::from(21u64))]);
         };
 
@@ -225,8 +207,8 @@ mod tests {
         let _g = obs::test_lock();
         let ids = || {
             let cap = obs::capture(SinkKind::Ring(16));
-            let a = obs::span("alpha", "s", Stamp::None);
-            let b = obs::span("beta", "s", Stamp::None);
+            let a = obs::span("alpha", "s", Stamp::None, TraceCtx::NONE, Vec::new());
+            let b = obs::span("beta", "s", Stamp::None, TraceCtx::NONE, Vec::new());
             let ids = (a.id(), b.id());
             drop(a);
             drop(b);
@@ -248,7 +230,7 @@ mod tests {
     #[test]
     fn disabled_emission_is_invisible() {
         let _g = obs::test_lock();
-        obs::event!("test", "ghost", Stamp::Sim(1), "x" => 1u64);
+        obs::event!("test", "ghost", Stamp::Sim(1), TraceCtx::NONE, "x" => 1u64);
         let cap = obs::capture(SinkKind::Ring(16));
         let empty = cap.finish();
         assert_eq!(empty.events, 0);

@@ -530,7 +530,7 @@ mod tests {
         let _g = obs::test_lock();
         let cap = obs::capture(SinkKind::Ring(usize::MAX));
         let root = obs::new_trace("market", "workload.submit", Stamp::Sim(100), vec![]);
-        let fast = obs::span_traced(
+        let fast = obs::span(
             "chain",
             "produce_block",
             Stamp::Sim(120),
@@ -538,8 +538,8 @@ mod tests {
             vec![],
         );
         fast.finish(Stamp::Sim(200), vec![]);
-        let slow = obs::span_traced("net", "deliver", Stamp::Sim(150), root.ctx(), vec![]);
-        obs::emit_traced(
+        let slow = obs::span("net", "deliver", Stamp::Sim(150), root.ctx(), vec![]);
+        obs::emit(
             "market",
             "workload.payout",
             Stamp::Sim(890),
@@ -585,7 +585,7 @@ mod tests {
         let _g = obs::test_lock();
         let run = || {
             let root = obs::new_trace("test", "job", Stamp::Sim(0), vec![]);
-            let child = obs::span_traced(
+            let child = obs::span(
                 "test",
                 "step",
                 Stamp::Sim(10),

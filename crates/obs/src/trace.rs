@@ -421,23 +421,12 @@ fn emit_locked(
     }
 }
 
-/// Records a point event. Prefer the [`event!`](crate::event!) macro,
-/// which skips field construction when tracing is disabled.
-pub fn emit(
-    domain: &'static str,
-    name: &'static str,
-    stamp: Stamp,
-    fields: Vec<(&'static str, Value)>,
-) {
-    emit_traced(domain, name, stamp, TraceCtx::NONE, fields);
-}
-
 /// Records a point event attached to a causal context: the event joins
-/// `ctx`'s trace as a zero-duration child of `ctx.parent_span`. With
-/// [`TraceCtx::NONE`] this degrades to a free-standing point. Prefer
-/// the [`trace_event!`](crate::trace_event!) macro, which skips field
-/// construction when tracing is disabled.
-pub fn emit_traced(
+/// `ctx`'s trace as a zero-duration child of `ctx.parent_span`; under
+/// [`TraceCtx::NONE`] it is a free-standing point. Prefer the
+/// [`event!`](crate::event!) macro, which skips field construction when
+/// tracing is disabled.
+pub fn emit(
     domain: &'static str,
     name: &'static str,
     stamp: Stamp,
@@ -585,18 +574,14 @@ fn open_span(
     }
 }
 
-/// Opens an *untraced* span: allocates a domain-separated id and
-/// records a span-start event, but joins no causal DAG. When tracing
-/// is disabled the span is inert (id 0, no events on close).
-pub fn span(domain: &'static str, name: &'static str, stamp: Stamp) -> Span {
-    open_span(domain, name, stamp, TraceCtx::NONE, false, Vec::new())
-}
-
-/// Opens a span as a causal child of `ctx` (with start fields). Under
-/// [`TraceCtx::NONE`] this behaves like [`span`] plus start fields —
-/// propagation code can thread a maybe-empty context without
-/// branching. Hand [`Span::ctx`] to everything this span causes.
-pub fn span_traced(
+/// Opens a span as a causal child of `ctx`, with start fields. Under
+/// [`TraceCtx::NONE`] the span is *untraced*: it allocates a
+/// domain-separated id and records its start and end, but joins no
+/// causal DAG — propagation code can thread a maybe-empty context
+/// without branching. Hand [`Span::ctx`] to everything this span
+/// causes. When tracing is disabled the span is inert (id 0, no events
+/// on close).
+pub fn span(
     domain: &'static str,
     name: &'static str,
     stamp: Stamp,

@@ -21,7 +21,7 @@
 //! so the windows count observations and bad observations and nothing
 //! else.
 
-use crate::trace::Stamp;
+use crate::trace::{Stamp, TraceCtx};
 
 #[derive(Clone)]
 struct Bucket {
@@ -199,6 +199,7 @@ impl SloMonitor {
                     "slo",
                     "alert.fire",
                     Stamp::Sim(t_us),
+                    TraceCtx::NONE,
                     "rule" => self.rule.name,
                     "burn_short_x100" => short_burn,
                     "burn_long_x100" => long_burn,
@@ -212,6 +213,7 @@ impl SloMonitor {
                 "slo",
                 "alert.resolve",
                 Stamp::Sim(t_us),
+                TraceCtx::NONE,
                 "rule" => self.rule.name,
                 "burn_short_x100" => short_burn,
                 "burn_long_x100" => long_burn,

@@ -7,15 +7,15 @@
 use pds2_obs as obs;
 use pds2_obs::diff::{self, Verdict};
 use pds2_obs::jsonl::Row;
-use pds2_obs::{SinkKind, Stamp};
+use pds2_obs::{SinkKind, Stamp, TraceCtx};
 use std::path::Path;
 
 fn capture_to(path: &Path, n: u64, intruder_at: Option<u64>) -> obs::TraceReport {
     let cap = obs::capture(SinkKind::Jsonl(path.to_path_buf()));
     for i in 0..n {
-        obs::event!("chain", "tick", Stamp::Sim(i * 10), "i" => i);
+        obs::event!("chain", "tick", Stamp::Sim(i * 10), TraceCtx::NONE, "i" => i);
         if Some(i) == intruder_at {
-            obs::event!("net", "intruder", Stamp::Sim(i * 10));
+            obs::event!("net", "intruder", Stamp::Sim(i * 10), TraceCtx::NONE);
         }
     }
     cap.finish()

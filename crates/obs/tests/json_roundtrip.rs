@@ -9,7 +9,7 @@
 
 use pds2_obs as obs;
 use pds2_obs::jsonl::{RawEvent, Row};
-use pds2_obs::{SinkKind, Stamp, Value};
+use pds2_obs::{SinkKind, Stamp, TraceCtx, Value};
 
 fn parse_event(line: &str) -> RawEvent {
     Row::parse(line)
@@ -91,14 +91,26 @@ fn to_json_roundtrips_all_value_variants() {
             })
             .collect();
         match i % 3 {
-            0 => obs::emit("fuzz", "point", random_stamp(&mut rng), fields),
+            0 => obs::emit(
+                "fuzz",
+                "point",
+                random_stamp(&mut rng),
+                TraceCtx::NONE,
+                fields,
+            ),
             1 => {
-                let s = obs::span("fuzz", "spanned", random_stamp(&mut rng));
+                let s = obs::span(
+                    "fuzz",
+                    "spanned",
+                    random_stamp(&mut rng),
+                    TraceCtx::NONE,
+                    Vec::new(),
+                );
                 s.finish(random_stamp(&mut rng), fields);
             }
             _ => {
                 let root = obs::new_trace("fuzz", "rooted", random_stamp(&mut rng), fields);
-                obs::trace_event!("fuzz", "child", Stamp::Sim(i), root.ctx(), "i" => i);
+                obs::event!("fuzz", "child", Stamp::Sim(i), root.ctx(), "i" => i);
                 root.finish(Stamp::Sim(i + 1), Vec::new());
             }
         }
@@ -131,6 +143,7 @@ fn non_finite_floats_survive_as_strings() {
         "fuzz",
         "weird",
         Stamp::Sim(1),
+        TraceCtx::NONE,
         vec![
             ("nan", Value::F64(f64::NAN)),
             ("inf", Value::F64(f64::INFINITY)),
@@ -158,11 +171,12 @@ fn jsonl_sink_lines_are_individually_valid() {
                 "fuzz",
                 "line",
                 Stamp::Sim(i as u64),
+                TraceCtx::NONE,
                 "s" => s.clone(),
                 "i" => i as u64,
             );
         }
-        let span = obs::span("fuzz", "wrap", Stamp::Sim(99));
+        let span = obs::span("fuzz", "wrap", Stamp::Sim(99), TraceCtx::NONE, Vec::new());
         span.finish(
             Stamp::Sim(100),
             vec![("s", Value::from(strings[4].clone()))],

@@ -6,7 +6,7 @@
 use pds2_obs as obs;
 use pds2_obs::jsonl::Row;
 use pds2_obs::report::TraceAnalysis;
-use pds2_obs::{SinkKind, Stamp};
+use pds2_obs::{SinkKind, Stamp, TraceCtx};
 
 fn analyse_twice(jsonl: &str) -> (String, String) {
     let a = TraceAnalysis::from_jsonl(jsonl);
@@ -32,7 +32,7 @@ fn empty_capture_analyses_cleanly() {
 fn single_event_trace_analyses_cleanly() {
     let _g = obs::test_lock();
     let cap = obs::capture(SinkKind::Ring(16));
-    obs::event!("chain", "lonely", Stamp::Sim(7), "x" => 1u64);
+    obs::event!("chain", "lonely", Stamp::Sim(7), TraceCtx::NONE, "x" => 1u64);
     let rep = cap.finish();
     assert_eq!(rep.events, 1);
     let jsonl = rep

@@ -11,7 +11,7 @@
 
 use pds2_obs as obs;
 use pds2_obs::jsonl::{RawEvent, Row};
-use pds2_obs::{SinkKind, Stamp, Value};
+use pds2_obs::{SinkKind, Stamp, TraceCtx, Value};
 
 const FIXTURE: &str = include_str!("fixtures/row_pin.jsonl");
 
@@ -23,6 +23,7 @@ fn scenario() {
         "pin",
         "values",
         Stamp::None,
+        TraceCtx::NONE,
         vec![
             ("u64", Value::U64(u64::MAX)),
             ("u128", Value::U128((1u128 << 64) + 7)),
@@ -44,8 +45,8 @@ fn scenario() {
             ("key \"quoted\"", Value::Str(String::new())),
         ],
     );
-    let untraced = obs::span("pin", "untraced", Stamp::Sim(5));
-    obs::event!("pin", "inside", Stamp::Block(3), "x" => 1u64);
+    let untraced = obs::span("pin", "untraced", Stamp::Sim(5), TraceCtx::NONE, Vec::new());
+    obs::event!("pin", "inside", Stamp::Block(3), TraceCtx::NONE, "x" => 1u64);
     untraced.finish(Stamp::Sim(9), vec![("gas", Value::from(21u64))]);
 
     let root = obs::new_trace(
@@ -54,13 +55,15 @@ fn scenario() {
         Stamp::Round(1),
         vec![("who", Value::from("consumer"))],
     );
-    let child = obs::span_traced("pin.child", "step", Stamp::Sim(10), root.ctx(), vec![]);
-    obs::trace_event!("pin", "traced_point", Stamp::Block(4), child.ctx(), "amount" => 10u128.pow(20));
+    let child = obs::span("pin.child", "step", Stamp::Sim(10), root.ctx(), vec![]);
+    obs::event!("pin", "traced_point", Stamp::Block(4), child.ctx(), "amount" => 10u128.pow(20));
     drop(child);
     root.finish(Stamp::Round(2), vec![]);
 
     for i in 0..obs::SEGMENT_EVENTS {
-        obs::event!("pin", "tick", Stamp::Sim(100 + i), "i" => i, "half" => i as f64 / 2.0);
+        obs::event!(
+            "pin", "tick", Stamp::Sim(100 + i), TraceCtx::NONE, "i" => i, "half" => i as f64 / 2.0,
+        );
     }
 }
 

@@ -21,6 +21,8 @@ use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, NetStats, Simulator}
 use pds2_obs as obs;
 use std::sync::Arc;
 
+mod common;
+
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 const N_REPLICAS: usize = 4;
 
@@ -92,16 +94,8 @@ fn run_chain_counted(seed: u64, plan: FaultPlan, until_us: u64) -> ChainRun {
     let before = obs::snapshot();
     let run = run_chain(seed, plan, until_us);
     let d = obs::snapshot().counter_deltas(&before);
+    common::assert_net_counters_mirror(&d, &[run.stats]);
     let delta = |name: &str| d.get(name).copied().unwrap_or(0);
-    assert_eq!(delta("net.sent"), run.stats.sent, "net.sent counter");
-    assert_eq!(delta("net.delivered"), run.stats.delivered);
-    assert_eq!(delta("net.bytes_delivered"), run.stats.bytes_delivered);
-    assert_eq!(delta("net.dropped_partition"), run.stats.dropped_partition);
-    assert_eq!(delta("net.dropped_fault"), run.stats.dropped_fault);
-    assert_eq!(delta("net.corrupted"), run.stats.corrupted);
-    assert_eq!(delta("net.crashes"), run.stats.crashes);
-    assert_eq!(delta("net.recoveries"), run.stats.recoveries);
-    assert_eq!(delta("net.timers_fired"), run.stats.timers_fired);
     assert!(delta("chain.blocks_produced") > 0, "{d:?}");
     // `>=`: failed fork-choice candidates apply (and count) blocks the
     // replica's own accounting never credits.
@@ -521,24 +515,10 @@ fn fixture_line(n: usize) -> (&'static str, &'static str) {
     )
 }
 
-/// The golden scenario exercises every fault type at once.
-fn golden_plan() -> FaultPlan {
-    FaultPlan::new(0x601D)
-        .partition(1_500_000, 3_500_000, vec![vec![0, 3], vec![1, 2]])
-        .crash(1, 4_000_000, Some(5_500_000))
-        .byzantine(
-            500_000,
-            2_500_000,
-            LinkScope::from_node(3),
-            LinkEffect::Corrupt { probability: 0.3 },
-        )
-        .drop_kind(6_000_000, 7_000_000, LinkScope::any(), kind::NEW_BLOCK, 1.0)
-}
-
 #[test]
 fn golden_trace_regression() {
     let _obs = obs::test_lock();
-    let run = run_chain_counted(0x601D, golden_plan(), 10_050_000);
+    let run = run_chain_counted(0x601D, common::golden_plan(), 10_050_000);
     assert_converged(&run);
     let (want_trace, want_root) = fixture_line(0);
     assert_eq!(
@@ -689,7 +669,8 @@ fn replica_divergence_localizes_to_forking_height() {
             Some(1),
             "checkpoint bisection must localize the fork to height 1"
         );
-        // Checkpoints mirror the held chain exactly on every replica.
+        // The checkpoint list is the held chain, block for block, on
+        // every replica.
         for id in 0..N_REPLICAS {
             let r = sim.node(id);
             let blocks = r.chain().blocks();

@@ -16,7 +16,9 @@ use pds2_chain::address::Address;
 use pds2_chain::chain::{Blockchain, ChainConfig};
 use pds2_chain::contract::ContractRegistry;
 use pds2_chain::sync::{ChainReplica, GenesisFactory};
+use pds2_chain::threshold::SigMode;
 use pds2_chain::tx::{Transaction, TxKind};
+use pds2_crypto::sha256::Sha256;
 use pds2_crypto::{Digest, KeyPair};
 use pds2_learning::gossip::{run_gossip_experiment_with_faults, GossipConfig};
 use pds2_ml::data::gaussian_blobs;
@@ -27,24 +29,54 @@ use pds2_obs::jsonl::RawEvent;
 use pds2_obs::report::TraceAnalysis;
 use std::sync::Arc;
 
+mod common;
+
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 const N_REPLICAS: usize = 4;
 
-fn factory() -> GenesisFactory {
-    Arc::new(|| {
+fn factory_with(config: fn() -> ChainConfig) -> GenesisFactory {
+    Arc::new(move || {
         Blockchain::new(
             (0..N_REPLICAS as u64)
                 .map(|i| KeyPair::from_seed(9_000 + i))
                 .collect(),
             &[(Address::of(&KeyPair::from_seed(1).public), 1_000_000)],
             ContractRegistry::new(),
-            ChainConfig::default(),
+            config(),
         )
     })
 }
 
-fn chaos_chain_run(seed: u64, until_us: u64) -> pds2_net::NetStats {
-    let plan = FaultPlan::new(0x0B5)
+fn fast_link() -> LinkModel {
+    LinkModel {
+        base_latency_us: 5_000,
+        jitter_us: 2_000,
+        bandwidth_bytes_per_sec: 12_500_000,
+        drop_probability: 0.0,
+        node_slowdown: Vec::new(),
+        topology: None,
+    }
+}
+
+/// `n` replicas of `f`'s chain on `link` under `plan`, not yet started.
+fn replica_sim(
+    f: GenesisFactory,
+    n: usize,
+    link: LinkModel,
+    plan: FaultPlan,
+    seed: u64,
+) -> Simulator<ChainReplica> {
+    let replicas: Vec<ChainReplica> = (0..n)
+        .map(|i| ChainReplica::new(f.clone(), Some(i), 200_000, 150_000))
+        .collect();
+    let mut sim = Simulator::new(replicas, link, seed);
+    sim.install_fault_plan(plan);
+    sim.enable_trace();
+    sim
+}
+
+fn chaos_plan() -> FaultPlan {
+    FaultPlan::new(0x0B5)
         .partition(1_500_000, 3_500_000, vec![vec![0, 1], vec![2, 3]])
         .crash(2, 4_000_000, Some(5_500_000))
         .byzantine(
@@ -52,22 +84,12 @@ fn chaos_chain_run(seed: u64, until_us: u64) -> pds2_net::NetStats {
             2_500_000,
             LinkScope::from_node(3),
             LinkEffect::Corrupt { probability: 0.3 },
-        );
-    let f = factory();
-    let replicas: Vec<ChainReplica> = (0..N_REPLICAS)
-        .map(|i| ChainReplica::new(f.clone(), Some(i), 200_000, 150_000))
-        .collect();
-    let link = LinkModel {
-        base_latency_us: 5_000,
-        jitter_us: 2_000,
-        bandwidth_bytes_per_sec: 12_500_000,
-        drop_probability: 0.0,
-        node_slowdown: Vec::new(),
-        topology: None,
-    };
-    let mut sim = Simulator::new(replicas, link, seed);
-    sim.install_fault_plan(plan);
-    sim.enable_trace();
+        )
+}
+
+fn chaos_chain_run(seed: u64, until_us: u64) -> pds2_net::NetStats {
+    let f = factory_with(ChainConfig::default);
+    let mut sim = replica_sim(f, N_REPLICAS, fast_link(), chaos_plan(), seed);
     sim.run_until(until_us);
     sim.stats()
 }
@@ -201,16 +223,7 @@ fn chain_counters_mirror_net_stats_and_replay() {
         (stats, deltas)
     };
     let (stats, deltas) = run_with_deltas();
-    assert_eq!(deltas["net.sent"], stats.sent);
-    assert_eq!(deltas["net.delivered"], stats.delivered);
-    assert_eq!(deltas["net.bytes_delivered"], stats.bytes_delivered);
-    assert_eq!(deltas["net.dropped_partition"], stats.dropped_partition);
-    assert_eq!(deltas["net.crashes"], stats.crashes);
-    assert_eq!(deltas["net.recoveries"], stats.recoveries);
-    assert_eq!(
-        deltas["net.corrupted"] + deltas["net.dropped_fault"],
-        stats.corrupted + stats.dropped_fault
-    );
+    common::assert_net_counters_mirror(&deltas, &[stats]);
     assert!(deltas["chain.blocks_produced"] > 0, "{deltas:?}");
     assert!(deltas["chain.blocks_validated"] > 0, "{deltas:?}");
 
@@ -226,6 +239,121 @@ fn chain_counters_mirror_net_stats_and_replay() {
         strip_sigcache(&deltas2),
         strip_sigcache(&deltas),
         "counter deltas must replay exactly for a serial workload"
+    );
+}
+
+/// The counters are published from each simulator's own tally, so two
+/// simulators stepped alternately in one process add up: the deltas are
+/// the sum of both `stats()`, field by field.
+#[test]
+fn two_interleaved_simulators_sum_into_the_counters() {
+    let _g = obs::test_lock();
+    let f = factory_with(ChainConfig::default);
+    let before = obs::snapshot();
+    let mut a = replica_sim(f.clone(), N_REPLICAS, fast_link(), chaos_plan(), 81);
+    let mut b = replica_sim(f, N_REPLICAS, fast_link(), common::golden_plan(), 82);
+    for step in 1..=6u64 {
+        a.run_until(step * 1_000_000);
+        b.run_until(step * 1_100_000);
+    }
+    let deltas = obs::snapshot().counter_deltas(&before);
+    assert_ne!(a.stats(), b.stats(), "the two runs must differ");
+    assert!(a.stats().crashes + b.stats().crashes == 2);
+    common::assert_net_counters_mirror(&deltas, &[a.stats(), b.stats()]);
+}
+
+// Generated at `607a187`, when `sim.rs` wrote each fate's row inline
+// beside its `NetStats` field and its counter.
+const NET_ROWS: usize = 1893;
+const NET_ROWS_SHA256: &str = "e26fd9399651fed1962ac7683fab9b901539a17fe1b35f181adb88a82a7d79df";
+
+/// Every row the simulator writes, byte for byte: the golden all-faults
+/// scenario (every fate but loss, duplication and reordering), then a
+/// lossy two-node run under duplication and reordering, both under a
+/// minted root context so the rows' trace and parent ids are pinned too.
+/// The chains seal with `SigMode::Single` whatever `PDS2_SIG_MODE` says:
+/// a header signature is inside a `NewBlock`'s `size` and `digest`.
+#[test]
+fn net_rows_match_the_pin_generated_at_the_parent() {
+    let _g = obs::test_lock();
+    let single = || ChainConfig {
+        sig_mode: SigMode::Single,
+        ..ChainConfig::default()
+    };
+    let cap = obs::capture(obs::SinkKind::Ring(usize::MAX));
+    let root = obs::new_trace("test", "net_pin", obs::Stamp::Sim(0), Vec::new());
+    let mut golden = replica_sim(
+        factory_with(single),
+        N_REPLICAS,
+        fast_link(),
+        common::golden_plan(),
+        0x601D,
+    );
+    golden.set_root_ctx(root.ctx());
+    golden.run_until(10_050_000);
+    let lossy_link = LinkModel {
+        drop_probability: 0.2,
+        ..fast_link()
+    };
+    let lossy_plan = FaultPlan::new(0x1055)
+        .byzantine(
+            0,
+            2_000_000,
+            LinkScope::any(),
+            LinkEffect::Duplicate {
+                probability: 0.3,
+                extra_delay_us: 700,
+            },
+        )
+        .byzantine(
+            500_000,
+            3_000_000,
+            LinkScope::any(),
+            LinkEffect::Reorder {
+                probability: 0.3,
+                max_extra_delay_us: 40_000,
+            },
+        );
+    let mut lossy = replica_sim(factory_with(single), 2, lossy_link, lossy_plan, 0x1055);
+    lossy.set_root_ctx(root.ctx());
+    lossy.run_until(3_000_000);
+    drop(root);
+    let report = cap.finish();
+
+    let rows: Vec<String> = report
+        .entries
+        .iter()
+        .filter(|e| e.domain == "net")
+        .map(|e| e.to_json())
+        .collect();
+    for name in [
+        "run",
+        "deliver",
+        "drop.partition",
+        "drop.censor",
+        "drop.offline",
+        "drop.loss",
+        "corrupt",
+        "duplicate",
+        "reorder",
+        "crash",
+        "recover",
+    ] {
+        let needle = format!("\"name\":\"{name}\"");
+        assert!(
+            rows.iter().any(|r| r.contains(&needle)),
+            "the scenario must write a {name} row"
+        );
+    }
+    let mut h = Sha256::new();
+    for row in &rows {
+        h.update(row.as_bytes());
+        h.update(b"\n");
+    }
+    assert_eq!(
+        (rows.len(), h.finalize().to_hex().as_str()),
+        (NET_ROWS, NET_ROWS_SHA256),
+        "the simulator's rows moved"
     );
 }
 
