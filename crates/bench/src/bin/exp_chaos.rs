@@ -7,7 +7,7 @@
 //! and shows the digest check holding final accuracy flat while the
 //! corrupted-drop counter climbs.
 //! Part 3 replays one chaotic run twice per worker count to demonstrate
-//! bit-identical trace hashes — the property the chaos harness rests on.
+//! bit-identical trace digests — the property the chaos harness rests on.
 //!
 //! `cargo run --release -p pds2-bench --bin exp_chaos`
 
@@ -65,14 +65,15 @@ fn run_chain_chaos(seed: u64, plan: FaultPlan, until_us: u64) -> ChaosResult {
         .collect();
     let mut sim = Simulator::new(replicas, link(), seed);
     sim.install_fault_plan(plan);
-    sim.enable_trace();
+    let cap = pds2_obs::capture(pds2_obs::SinkKind::Null);
     sim.run_until(until_us);
+    let trace = cap.finish().digest;
     let heads: Vec<_> = sim.nodes().map(|r| r.chain().head_hash()).collect();
     let stats = sim.stats();
     ChaosResult {
         height: sim.node(0).chain().height(),
         converged: heads.iter().all(|h| *h == heads[0]),
-        trace: sim.trace_hash().expect("trace enabled").short(),
+        trace: trace[..8].to_string(),
         dropped: stats.dropped_partition + stats.dropped_fault,
         corrupted: stats.corrupted,
         crashes: stats.crashes,
@@ -202,6 +203,6 @@ fn main() {
     println!(
         "\nshape: the cluster converges to one head under every plan, the \
          gossip digest check keeps accuracy flat as corruption rises, and \
-         every seeded run replays to the same trace hash at any worker count."
+         every seeded run replays to the same trace digest at any worker count."
     );
 }

@@ -302,8 +302,9 @@ fn assert_market_determinism(n: usize, horizon_us: u64) {
             kind,
             Some(mon.clone()),
         );
-        sim.enable_trace();
+        let cap = obs::capture(obs::SinkKind::Null);
         sim.run_until(horizon_us);
+        let trace = cap.finish().digest;
         let lat: Vec<Vec<u64>> = sim
             .nodes()
             .take(validators)
@@ -311,7 +312,7 @@ fn assert_market_determinism(n: usize, horizon_us: u64) {
             .collect();
         let mon = mon.lock();
         let alert = (mon.fired_count(), mon.first_fired_at());
-        (sim.trace_hash().unwrap(), sim.stats(), lat, alert)
+        (trace, sim.stats(), lat, alert)
     };
     let a = run(SchedulerKind::Wheel);
     let b = run(SchedulerKind::Heap);

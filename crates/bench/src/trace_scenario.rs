@@ -149,7 +149,6 @@ fn chaos_chain_sync(seed: u64, until_us: u64) {
     };
     let mut sim = Simulator::new(replicas, link, seed);
     sim.install_fault_plan(plan);
-    sim.enable_trace();
     let root = pds2_obs::new_trace(
         "chain",
         "sync.experiment",

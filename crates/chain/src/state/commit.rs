@@ -133,10 +133,7 @@ impl WorldState {
         pds2_obs::counter!("state.smt.nodes_hashed").add(hashed);
         span.finish(
             pds2_obs::Stamp::None,
-            vec![
-                ("touched", pds2_obs::Value::from(touched)),
-                ("nodes_hashed", pds2_obs::Value::from(hashed)),
-            ],
+            vec![("touched", pds2_obs::Value::from(touched))],
         );
         root
     }

@@ -1,27 +1,30 @@
 //! One block pipeline: a producer, a follower and a node recovered from
 //! the producer's journal run the same stages and must end up identical —
 //! same head, same state root, same receipts, same event list — under
-//! both header-sealing modes. The producer and the follower each run
-//! under an obs capture whose digest is pinned, so the order in which
-//! either path emits its events is fixed at the chain layer.
+//! both header-sealing modes and both commitment backends. The producer
+//! and the follower each run under an obs capture whose digest is
+//! pinned, so the order in which either path emits its events is fixed
+//! at the chain layer, and the digest does not follow the backend.
 //!
 //! One test per process: captures are process-global.
 
 use parking_lot::Mutex;
 use pds2_chain::{
-    Address, Block, Blockchain, CallCtx, ChainConfig, Contract, ContractError, ContractRegistry,
-    Erc20Op, SigMode, SignedTransaction, Transaction, TxKind,
+    Address, BackendKind, Block, Blockchain, CallCtx, ChainConfig, Contract, ContractError,
+    ContractRegistry, Erc20Op, SigMode, SignedTransaction, Transaction, TxKind,
 };
 use pds2_crypto::KeyPair;
 use pds2_obs as obs;
 use pds2_storage::chainlog::ChainLog;
 use std::sync::Arc;
 
-// Generated at the commit before the pipeline stages were shared.
-const PRODUCER_SINGLE: &str = "8d13e0da379351e6cb5107272fbb4f75af0ec9d300e72971c790771807bcb63b";
-const PRODUCER_THRESHOLD: &str = "0d122e8761867c544c6d004f765916b175d4507d294f87f00d476021e8732f91";
+// Generated at the commit before the pipeline stages were shared, and
+// regenerated once when the `state/commit` span stopped carrying
+// `nodes_hashed`, a count that follows the backend (PR 25).
+const PRODUCER_SINGLE: &str = "b78f8d18b7055807b0c8c794da2412b0ac53be99ba7bed01e7a243694c48ee12";
+const PRODUCER_THRESHOLD: &str = "6993c35a1e4acc0e13365c3713948456114e7a4bbfc3787e49163aa9245bb753";
 // A follower traces no sealing, so its digest is the same in both modes.
-const FOLLOWER: &str = "391127ad9b9cea73768e38c87caf6e3007f544c6627969eeefa19ad9bf8a964c";
+const FOLLOWER: &str = "0f75ce2ba57581510a5c7fc01cde8b7770dd98fb0e050dfa71702d86ae99a95e";
 
 const TXS_PER_BLOCK: usize = 3;
 const BLOCKS: usize = 3;
@@ -63,14 +66,14 @@ impl Contract for Probe {
     }
 }
 
-fn genesis(sig_mode: SigMode, funded: &[&KeyPair]) -> Blockchain {
+fn genesis(sig_mode: SigMode, backend: BackendKind, funded: &[&KeyPair]) -> Blockchain {
     let alloc: Vec<_> = funded
         .iter()
         .map(|kp| (Address::of(&kp.public), 1_000_000_000_000))
         .collect();
     let mut registry = ContractRegistry::new();
     registry.register("probe", Probe::construct);
-    Blockchain::new(
+    let mut chain = Blockchain::new(
         (0..3).map(|i| KeyPair::from_seed(7_000 + i)).collect(),
         &alloc,
         registry,
@@ -80,7 +83,9 @@ fn genesis(sig_mode: SigMode, funded: &[&KeyPair]) -> Blockchain {
             sig_mode,
             ..ChainConfig::default()
         },
-    )
+    );
+    chain.state.set_backend(backend);
+    chain
 }
 
 fn signed(kp: &KeyPair, nonce: u64, max_fee: u64, kind: TxKind) -> SignedTransaction {
@@ -142,7 +147,7 @@ fn summary(chain: &Blockchain) -> (u64, pds2_crypto::Digest, pds2_crypto::Digest
     )
 }
 
-fn run(sig_mode: SigMode, producer_digest: &str) {
+fn run(sig_mode: SigMode, backend: BackendKind, producer_digest: &str) {
     let alice = KeyPair::from_seed(1);
     let carol = KeyPair::from_seed(3);
     let txs = workload(&alice, &carol);
@@ -150,7 +155,7 @@ fn run(sig_mode: SigMode, producer_digest: &str) {
     // Producer: journals into `store`, mints one trace per submission.
     let store = Arc::new(Mutex::new(ChainLog::new()));
     let cap = obs::capture(obs::SinkKind::Null);
-    let mut producer = genesis(sig_mode, &[&alice, &carol]);
+    let mut producer = genesis(sig_mode, backend, &[&alice, &carol]);
     producer.attach_store(store.clone(), 0);
     for tx in &txs {
         producer.submit(tx.clone()).expect("admitted");
@@ -163,7 +168,7 @@ fn run(sig_mode: SigMode, producer_digest: &str) {
     // Follower: hears the same transactions, applies the producer's
     // blocks under an ambient trace (as a replica does per delivery).
     let cap = obs::capture(obs::SinkKind::Null);
-    let mut follower = genesis(sig_mode, &[&alice, &carol]);
+    let mut follower = genesis(sig_mode, backend, &[&alice, &carol]);
     let ambient = obs::new_trace("test", "follow", obs::Stamp::Block(0), Vec::new());
     follower.set_trace_ctx(ambient.ctx());
     for tx in &txs {
@@ -176,7 +181,8 @@ fn run(sig_mode: SigMode, producer_digest: &str) {
     assert_eq!(cap.finish().digest, FOLLOWER, "follower trace");
 
     // Recovered: replays the producer's journal from genesis.
-    let recovered = Blockchain::recover_from_store(genesis(sig_mode, &[&alice, &carol]), store, 0);
+    let recovered =
+        Blockchain::recover_from_store(genesis(sig_mode, backend, &[&alice, &carol]), store, 0);
 
     for (name, node) in [("follower", &follower), ("recovered", &recovered)] {
         assert_eq!(summary(node), summary(&producer), "{name}");
@@ -204,6 +210,8 @@ fn run(sig_mode: SigMode, producer_digest: &str) {
 #[test]
 fn producer_follower_and_recovered_node_agree_in_both_sig_modes() {
     let _guard = obs::test_lock();
-    run(SigMode::Single, PRODUCER_SINGLE);
-    run(SigMode::Threshold, PRODUCER_THRESHOLD);
+    for backend in [BackendKind::Smt, BackendKind::FullRehash] {
+        run(SigMode::Single, backend, PRODUCER_SINGLE);
+        run(SigMode::Threshold, backend, PRODUCER_THRESHOLD);
+    }
 }

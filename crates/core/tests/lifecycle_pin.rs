@@ -29,8 +29,10 @@ use pds2_tee::measurement::EnclaveCode;
 // the 65-byte `(R, s)` (PR 23), for the same reason: the readings' bytes
 // hold a signature, so the record ids, the NFT leaves and the events that
 // name them move with it. Every other field, and the event count, held
-// both times.
-const TRACE_DIGEST: &str = "880be51ad13d73b66ae9a3382448c2b380bbea48305e5dfbd446a5fe42080aba";
+// both times. `TRACE_DIGEST` alone moved once more when the `state/commit`
+// span stopped carrying `nodes_hashed`, a count that follows the backend
+// (PR 25).
+const TRACE_DIGEST: &str = "87a5e4b9b788be390f366962d5a5b139a5437f01c971b273163065a853d9768e";
 const TRACE_EVENTS: u64 = 370;
 
 fn pinned() -> Outcome {
@@ -264,13 +266,11 @@ fn four_workload_scenario_repeats_byte_for_byte() {
     let plain = scenario();
     let cap = obs::capture(obs::SinkKind::Null);
     let traced = scenario();
-    let digest = obs::trace_digest();
     let report = cap.finish();
     assert_eq!(plain, traced, "a capture must not change behaviour");
     assert_eq!(plain, pinned());
-    assert_eq!(digest, report.digest);
     assert_eq!(
-        (digest.as_str(), report.events),
+        (report.digest.as_str(), report.events),
         (TRACE_DIGEST, TRACE_EVENTS)
     );
 }

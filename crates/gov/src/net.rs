@@ -659,8 +659,8 @@ impl Node for GovNode {
 
     /// Tag, then every field at fixed width (integers little-endian,
     /// group elements and scalars in `WIDE` big-endian bytes), so the
-    /// delivered-message trace commits to what a message says, not to
-    /// its size: a byzantine `s + 1` is as long as the honest `s`.
+    /// trace digest commits to what a message says, not to its size: a
+    /// byzantine `s + 1` is as long as the honest `s`.
     fn msg_digest(msg: &GovMsg) -> u64 {
         let mut h = Sha256::new();
         h.update(&[Self::msg_kind(msg)]);

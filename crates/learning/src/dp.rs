@@ -173,6 +173,7 @@ mod tests {
 
     #[test]
     fn accountant_composes_linearly() {
+        let _obs = pds2_obs::test_lock();
         let mut acc = PrivacyAccountant::new();
         for _ in 0..10 {
             acc.spend(0.1, 1e-6);

@@ -211,6 +211,7 @@ mod tests {
 
     #[test]
     fn fedavg_converges_on_blobs() {
+        let _obs = pds2_obs::test_lock();
         let (shards, test) = setup();
         let out = run_fedavg(
             &shards,
@@ -231,6 +232,7 @@ mod tests {
 
     #[test]
     fn coordinator_load_equals_all_transfers() {
+        let _obs = pds2_obs::test_lock();
         // Every model transfer passes through the coordinator — the
         // bottleneck claim of §III-C.
         let (shards, test) = setup();
@@ -250,6 +252,7 @@ mod tests {
 
     #[test]
     fn coordinator_failure_freezes_model() {
+        let _obs = pds2_obs::test_lock();
         let (shards, test) = setup();
         let out = run_fedavg(
             &shards,
@@ -272,6 +275,7 @@ mod tests {
 
     #[test]
     fn offline_clients_waste_rounds() {
+        let _obs = pds2_obs::test_lock();
         let (shards, test) = setup();
         let nobody: fn(usize, usize) -> bool = |_, _| false;
         let out = run_fedavg(
@@ -293,6 +297,7 @@ mod tests {
 
     #[test]
     fn partial_availability_still_learns() {
+        let _obs = pds2_obs::test_lock();
         let (shards, test) = setup();
         let flaky: fn(usize, usize) -> bool = |round, client| (round + client) % 2 == 0;
         let out = run_fedavg(
@@ -308,6 +313,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        let _obs = pds2_obs::test_lock();
         let (shards, test) = setup();
         let run = || {
             run_fedavg(

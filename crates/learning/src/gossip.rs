@@ -365,8 +365,7 @@ where
 
 /// [`run_gossip_experiment`] with an optional chaos [`FaultPlan`]
 /// (partitions, byzantine corruption, crash-recovery) compiled into the
-/// run, plus a delivered-message trace hash for golden-trace regression
-/// tests.
+/// run.
 #[allow(clippy::too_many_arguments)]
 pub fn run_gossip_experiment_with_faults<M, F>(
     shards: Vec<Dataset>,
@@ -419,7 +418,6 @@ fn evaluate<M: Model + Sync>(
     eval_at_us: &[u64],
     eval_sample: usize,
 ) -> GossipOutcome {
-    sim.enable_trace();
     sim.set_root_ctx(root.ctx());
     let mut accuracy_curve = Vec::with_capacity(eval_at_us.len());
     for &t in eval_at_us {
@@ -472,7 +470,6 @@ fn evaluate<M: Model + Sync>(
         bytes_transferred: stats.bytes_delivered,
         online_nodes: sim.online_count(),
         corrupted_dropped: sim.nodes().map(|n| n.corrupted_dropped).sum(),
-        trace_hash: sim.trace_hash(),
     }
 }
 
@@ -567,12 +564,13 @@ pub struct GossipOutcome {
     pub online_nodes: usize,
     /// Messages receivers discarded on digest mismatch.
     pub corrupted_dropped: u64,
-    /// Delivered-message trace digest of the run (golden-trace tests).
-    pub trace_hash: Option<pds2_crypto::Digest>,
 }
 
 #[cfg(test)]
 mod tests {
+    // Every test that runs an experiment takes `pds2_obs::test_lock()`:
+    // the collector is process-global, and one test compares digests.
+
     use super::*;
     use pds2_ml::data::gaussian_blobs;
     use pds2_ml::model::LogisticRegression;
@@ -600,6 +598,7 @@ mod tests {
 
     #[test]
     fn gossip_converges_on_blobs() {
+        let _obs = pds2_obs::test_lock();
         let out = quick_run(MergeRule::AgeWeighted, None);
         assert!(
             out.accuracy_curve[0] > 0.9,
@@ -611,6 +610,7 @@ mod tests {
 
     #[test]
     fn all_merge_rules_learn() {
+        let _obs = pds2_obs::test_lock();
         for rule in [
             MergeRule::AgeWeighted,
             MergeRule::Average,
@@ -627,6 +627,7 @@ mod tests {
 
     #[test]
     fn gossip_survives_churn() {
+        let _obs = pds2_obs::test_lock();
         // 30% of nodes fail permanently; the rest still converge —
         // the §III-C robustness claim for coordinator-free aggregation.
         let out = quick_run(MergeRule::AgeWeighted, Some((0.3, 2_000_000)));
@@ -672,6 +673,7 @@ mod tests {
 
     #[test]
     fn dp_noise_perturbs_updates() {
+        let _obs = pds2_obs::test_lock();
         let data = gaussian_blobs(100, 2, 1.0, 1);
         let shards = data.partition_iid(4, 1);
         let run = |dp| {
@@ -706,6 +708,7 @@ mod tests {
 
     #[test]
     fn push_pull_doubles_mixing_per_cycle() {
+        let _obs = pds2_obs::test_lock();
         let data = gaussian_blobs(400, 3, 0.7, 1);
         let (train, test) = data.split(0.25, 2);
         let shards = train.partition_iid(8, 3);
@@ -741,6 +744,7 @@ mod tests {
 
     #[test]
     fn gossip_is_model_generic_multiclass_softmax() {
+        let _obs = pds2_obs::test_lock();
         // The protocol averages flat parameter vectors, so any Model works —
         // here a 3-class softmax over three Gaussian clusters.
         use pds2_ml::model::SoftmaxRegression;
@@ -836,9 +840,10 @@ mod tests {
 
     #[test]
     fn scale_run_learns_on_a_sparse_fleet_and_is_scheduler_invariant() {
+        let _obs = pds2_obs::test_lock();
         // A 600-node fleet where only 12 nodes hold data: relays still
-        // spread the model, the sampled eval converges, and the
-        // delivered-message trace is identical under both schedulers.
+        // spread the model, the sampled eval converges, and the trace
+        // digest is identical under both schedulers.
         let data = gaussian_blobs(600, 3, 0.7, 1);
         let (train, test) = data.split(0.25, 2);
         let run = |scheduler| {
@@ -861,11 +866,14 @@ mod tests {
                 }),
                 scheduler: Some(scheduler),
             };
-            run_gossip_experiment_at_scale(&train, &test, &opts, || LogisticRegression::new(3))
+            let cap = pds2_obs::capture(pds2_obs::SinkKind::Null);
+            let out =
+                run_gossip_experiment_at_scale(&train, &test, &opts, || LogisticRegression::new(3));
+            (cap.finish().digest, out)
         };
-        let wheel = run(pds2_net::SchedulerKind::Wheel);
-        let heap = run(pds2_net::SchedulerKind::Heap);
-        assert_eq!(wheel.trace_hash, heap.trace_hash, "schedulers must agree");
+        let (wheel_digest, wheel) = run(pds2_net::SchedulerKind::Wheel);
+        let (heap_digest, heap) = run(pds2_net::SchedulerKind::Heap);
+        assert_eq!(wheel_digest, heap_digest, "schedulers must agree");
         assert_eq!(wheel.models_transferred, heap.models_transferred);
         assert!(wheel.online_nodes > 500);
         assert!(
@@ -877,6 +885,7 @@ mod tests {
 
     #[test]
     fn byzantine_corruption_is_dropped_not_merged() {
+        let _obs = pds2_obs::test_lock();
         let data = gaussian_blobs(600, 3, 0.7, 1);
         let (train, test) = data.split(0.25, 2);
         let shards = train.partition_iid(10, 3);
@@ -907,6 +916,5 @@ mod tests {
             "accuracy under corruption {:?}",
             out.accuracy_curve
         );
-        assert!(out.trace_hash.is_some());
     }
 }

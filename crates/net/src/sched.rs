@@ -29,6 +29,7 @@
 //! a drop-in oracle (`PDS2_NET_SCHED=heap`).
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Bits of the timestamp consumed per wheel level.
@@ -259,7 +260,8 @@ impl<T> TimingWheel<T> {
     /// `(time, seq, item)`.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
         self.ensure_active()?;
-        let e = self.active.pop_front().expect("active non-empty");
+        // `ensure_active` returns a time only with the active queue filled.
+        let e = self.active.pop_front()?;
         self.len -= 1;
         Some((e.time, e.seq, e.item))
     }
@@ -379,25 +381,23 @@ impl<T> TimingWheel<T> {
             debug_assert!(slot_entries.iter().all(|e| e.time == target));
             slot_entries.sort_unstable_by_key(|e| e.seq);
             let mut from_overflow = Vec::new();
-            while let Some(Reverse(top)) = self.overflow.peek() {
-                if top.time != target {
+            while let Some(top) = self.overflow.peek_mut() {
+                if top.0.time != target {
                     break;
                 }
-                let Reverse(e) = self.overflow.pop().expect("peeked");
-                from_overflow.push(e);
+                from_overflow.push(PeekMut::pop(top).0);
             }
             // Merge the two seq-sorted runs.
             let mut a = slot_entries.drain(..).peekable();
             let mut b = from_overflow.into_iter().peekable();
             loop {
-                let take_a = match (a.peek(), b.peek()) {
-                    (Some(x), Some(y)) => x.seq < y.seq,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
+                let next = match (a.peek(), b.peek()) {
+                    (Some(x), Some(y)) if y.seq <= x.seq => b.next(),
+                    (Some(_), _) => a.next(),
+                    (None, _) => b.next(),
                 };
-                let next = if take_a { a.next() } else { b.next() };
-                self.active.push_back(next.expect("peeked"));
+                let Some(next) = next else { break };
+                self.active.push_back(next);
             }
             drop(a);
             self.scratch = slot_entries;

@@ -8,7 +8,6 @@
 use crate::fault::{FaultPlan, FaultState, SendVerdict};
 use crate::link::LinkModel;
 use crate::sched::{EventQueue, SchedulerKind};
-use pds2_crypto::{Digest, Sha256};
 use pds2_obs::{Stamp, TraceCtx, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,16 +41,17 @@ pub trait Node {
     }
 
     /// Coarse message-type tag used by [`crate::fault::TypedDrop`]
-    /// censorship and the delivered-message trace. Protocols with a
-    /// single message type can keep the default.
+    /// censorship and the `net/deliver` span. Protocols with a single
+    /// message type can keep the default.
     fn msg_kind(msg: &Self::Msg) -> u8 {
         let _ = msg;
         0
     }
 
-    /// Content fingerprint folded into the delivered-message trace.
-    /// Override with a real digest of the payload so the golden trace
-    /// detects silent content changes, not just shape changes.
+    /// Content fingerprint carried by the `net/deliver` span, and so
+    /// folded into the trace digest. Override with a real digest of the
+    /// payload so a golden digest detects silent content changes, not
+    /// just shape changes.
     fn msg_digest(msg: &Self::Msg) -> u64 {
         Self::msg_size(msg)
     }
@@ -255,7 +255,6 @@ pub struct Simulator<N: Node> {
     published: NetStats,
     started: bool,
     fault: Option<FaultState>,
-    trace: Option<Sha256>,
     root_ctx: TraceCtx,
 }
 
@@ -288,7 +287,6 @@ impl<N: Node> Simulator<N> {
             published: NetStats::default(),
             started: false,
             fault: None,
-            trace: None,
             root_ctx: TraceCtx::NONE,
         }
     }
@@ -408,33 +406,6 @@ impl<N: Node> Simulator<N> {
             }
         }
         self.fault = Some(FaultState::new(plan));
-    }
-
-    /// Starts hashing every delivered message into a running trace
-    /// digest. Call before [`Simulator::start`] so the trace covers the
-    /// full run.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Sha256::new());
-    }
-
-    /// The running delivered-message trace digest, if
-    /// [`Simulator::enable_trace`] was called. Two runs with identical
-    /// seeds, plans and protocols yield identical hashes.
-    pub fn trace_hash(&self) -> Option<Digest> {
-        self.trace.clone().map(|h| h.finalize())
-    }
-
-    fn record_trace(&mut self, from: NodeId, to: NodeId, kind: u8, size: u64, digest: u64) {
-        if let Some(trace) = &mut self.trace {
-            let mut row = [0u8; 33];
-            row[..8].copy_from_slice(&self.now.to_le_bytes());
-            row[8..16].copy_from_slice(&(from as u64).to_le_bytes());
-            row[16..24].copy_from_slice(&(to as u64).to_le_bytes());
-            row[24] = kind;
-            row[25..33].copy_from_slice(&size.to_le_bytes());
-            trace.update(&row);
-            trace.update(&digest.to_le_bytes());
-        }
     }
 
     fn push(&mut self, time: SimTime, kind: EventKind<N::Msg>) {
@@ -611,11 +582,11 @@ impl<N: Node> Simulator<N> {
         );
         let cascades_before = self.queue.cascades();
         let mut processed = 0;
-        while let Some(time) = self.queue.peek_time() {
-            if time > deadline_us {
+        while self.queue.peek_time().is_some_and(|t| t <= deadline_us) {
+            // `peek_time` has just seen this event.
+            let Some((time, _seq, kind)) = self.queue.pop() else {
                 break;
-            }
-            let (time, _seq, kind) = self.queue.pop().unwrap();
+            };
             self.now = time;
             processed += 1;
             match kind {
@@ -650,22 +621,20 @@ impl<N: Node> Simulator<N> {
                     } else if self.online.get(to) {
                         self.stats.delivered += 1;
                         self.stats.bytes_delivered += size;
-                        // Only the trace hash and an active capture read
-                        // the kind and the digest (for a `SyncMsg` an
-                        // encoding and a SHA-256 of the whole message).
-                        let (kind, digest) = if self.trace.is_some() || pds2_obs::enabled() {
+                        // Only an active capture reads the kind and the
+                        // digest (for a `SyncMsg` an encoding and a SHA-256
+                        // of the whole message).
+                        let (kind, digest) = if pds2_obs::enabled() {
                             (N::msg_kind(&msg), N::msg_digest(&msg))
                         } else {
                             (0, 0)
                         };
-                        self.record_trace(from, to, kind, size, digest);
                         // One hop of the causal DAG: the delivery span is
                         // a child of the sender's context, and everything
                         // the handler does (sends, chain spans) chains
-                        // off the span. Fields carry the same
-                        // (from, to, kind, size, digest) tuple the
-                        // delivery trace hash commits to, plus `sent_us`
-                        // so `obs_report` can compute per-hop latency.
+                        // off the span. Its fields say who sent what to
+                        // whom, plus `sent_us` so `obs_report` can compute
+                        // per-hop latency.
                         let span = pds2_obs::span(
                             "net",
                             "deliver",
@@ -728,8 +697,20 @@ impl<N: Node> Simulator<N> {
 
 #[cfg(test)]
 mod tests {
+    // Every test that runs a simulator takes `pds2_obs::test_lock()`:
+    // the collector is process-global, so a run on another thread would
+    // land in a digest this binary is comparing.
+
     use super::*;
     use crate::fault::{LinkEffect, LinkScope};
+    use pds2_obs::{SinkKind, TraceReport};
+
+    /// The capture of whatever `run` emits.
+    fn traced(run: impl FnOnce()) -> TraceReport {
+        let cap = pds2_obs::capture(SinkKind::Ring(usize::MAX));
+        run();
+        cap.finish()
+    }
 
     /// Test protocol: a ping-pong counter. Node 0 starts; each node
     /// forwards `count+1` to a fixed next hop until TTL.
@@ -774,6 +755,7 @@ mod tests {
 
     #[test]
     fn messages_travel_the_ring() {
+        let _obs = pds2_obs::test_lock();
         let mut sim = Simulator::new(ring(3), LinkModel::instant(), 1);
         sim.run_until(1_000_000);
         // 10 hops total: counts 1..=10 distributed around the ring.
@@ -786,6 +768,7 @@ mod tests {
 
     #[test]
     fn determinism_same_seed_same_trace() {
+        let _obs = pds2_obs::test_lock();
         let run = |seed| {
             let mut sim = Simulator::new(ring(5), LinkModel::default(), seed);
             sim.run_until(10_000_000);
@@ -796,6 +779,7 @@ mod tests {
 
     #[test]
     fn offline_nodes_drop_messages() {
+        let _obs = pds2_obs::test_lock();
         let mut sim = Simulator::new(ring(3), LinkModel::instant(), 1);
         sim.schedule_outage(1, 0, SimTime::MAX);
         sim.run_until(1_000_000);
@@ -807,6 +791,7 @@ mod tests {
 
     #[test]
     fn outage_with_recovery() {
+        let _obs = pds2_obs::test_lock();
         let mut sim = Simulator::new(ring(2), LinkModel::instant(), 1);
         sim.schedule_outage(1, 0, 500);
         sim.run_until(400);
@@ -817,6 +802,7 @@ mod tests {
 
     #[test]
     fn timers_fire() {
+        let _obs = pds2_obs::test_lock();
         struct TimerNode {
             fired: Vec<(SimTime, u64)>,
         }
@@ -842,6 +828,7 @@ mod tests {
 
     #[test]
     fn random_peer_excludes_self() {
+        let _obs = pds2_obs::test_lock();
         struct P;
         impl Node for P {
             type Msg = ();
@@ -936,6 +923,7 @@ mod tests {
 
     #[test]
     fn partition_severs_and_heals() {
+        let _obs = pds2_obs::test_lock();
         let mut sim = flood_sim(4, 1);
         sim.install_fault_plan(FaultPlan::new(1).partition(0, 5_000, vec![vec![0, 1], vec![2, 3]]));
         sim.run_until(4_000);
@@ -956,6 +944,7 @@ mod tests {
 
     #[test]
     fn crash_invokes_hooks_and_recovery_restarts() {
+        let _obs = pds2_obs::test_lock();
         let mut sim = flood_sim(3, 2);
         sim.install_fault_plan(FaultPlan::new(2).crash(1, 1_000, Some(3_000)));
         sim.run_until(10_000);
@@ -969,6 +958,7 @@ mod tests {
 
     #[test]
     fn byzantine_corruption_and_duplication_are_counted() {
+        let _obs = pds2_obs::test_lock();
         let mut sim = flood_sim(2, 3);
         sim.install_fault_plan(
             FaultPlan::new(3)
@@ -1000,6 +990,7 @@ mod tests {
 
     #[test]
     fn typed_drops_censor_only_matching_kind() {
+        let _obs = pds2_obs::test_lock();
         // Flood uses kind 0 everywhere; censor kind 0 from node 0 only.
         let mut sim = flood_sim(3, 4);
         sim.install_fault_plan(FaultPlan::new(4).drop_kind(
@@ -1018,14 +1009,16 @@ mod tests {
 
     #[test]
     fn trace_hash_is_reproducible_and_fault_sensitive() {
+        let _obs = pds2_obs::test_lock();
         let run = |plan: Option<FaultPlan>| {
             let mut sim = flood_sim(3, 9);
             if let Some(p) = plan {
                 sim.install_fault_plan(p);
             }
-            sim.enable_trace();
-            sim.run_until(20_000);
-            sim.trace_hash().unwrap()
+            traced(|| {
+                sim.run_until(20_000);
+            })
+            .digest
         };
         let clean_a = run(None);
         let clean_b = run(None);
@@ -1036,8 +1029,10 @@ mod tests {
 
     #[test]
     fn installing_a_plan_does_not_perturb_protocol_rng() {
-        // A no-op plan (faults outside the horizon) must leave the
-        // delivered-message trace byte-identical to a plan-free run.
+        let _obs = pds2_obs::test_lock();
+        // A no-op plan (faults outside the horizon) must leave every
+        // delivery byte-identical to a plan-free run. (The digest moves:
+        // the `net/run` span counts the plan's crash as pending.)
         let run = |install: bool| {
             let mut sim = flood_sim(3, 11);
             if install {
@@ -1048,15 +1043,20 @@ mod tests {
                     LinkEffect::Drop { probability: 1.0 },
                 ));
             }
-            sim.enable_trace();
-            sim.run_until(20_000);
-            sim.trace_hash().unwrap()
+            let report = traced(|| {
+                sim.run_until(20_000);
+            });
+            let deliveries = report.entries.into_iter().filter(|e| e.name == "deliver");
+            deliveries.collect::<Vec<_>>()
         };
-        assert_eq!(run(false), run(true));
+        let clean = run(false);
+        assert!(!clean.is_empty());
+        assert_eq!(clean, run(true));
     }
 
     #[test]
     fn lossy_links_drop_statistically() {
+        let _obs = pds2_obs::test_lock();
         // Broadcast-ish: node 0 sends 1000 one-off messages via timers.
         struct Spammer {
             n: u32,

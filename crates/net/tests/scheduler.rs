@@ -3,9 +3,10 @@
 //!
 //! Both schedulers promise strict `(time, seq)` dispatch order, so any
 //! workload — random sends, timers, outages scheduled behind the clock,
-//! fault plans, segmented deadlines — must produce bit-identical
-//! delivered-message traces, `NetStats` and final clocks whichever
-//! scheduler runs it.
+//! fault plans, segmented deadlines — must produce bit-identical trace
+//! digests, `NetStats` and final clocks whichever scheduler runs it.
+//! Every test takes `pds2_obs::test_lock()`: the collector is
+//! process-global, and a run on another thread would land in a digest.
 
 use pds2_net::fault::{FaultPlan, LinkEffect, LinkScope};
 use pds2_net::sched::SchedulerKind;
@@ -16,8 +17,8 @@ use rand::Rng;
 
 /// A protocol that exercises every event type: each node runs a
 /// periodic timer, fans a counter out to hash-chosen peers, and replies
-/// to even values. Message digests commit to payloads so the golden
-/// trace catches any reordering.
+/// to even values. Message digests commit to payloads so the trace
+/// digest catches any reordering.
 struct Chatter {
     period_us: u64,
     fanout: usize,
@@ -71,7 +72,7 @@ impl Node for Chatter {
 /// Everything comparable about one run.
 #[derive(Debug, PartialEq)]
 struct RunFingerprint {
-    trace: pds2_crypto::Digest,
+    trace: String,
     stats: NetStats,
     now: SimTime,
     processed: u64,
@@ -131,7 +132,7 @@ fn run(
                 ),
         );
     }
-    sim.enable_trace();
+    let cap = pds2_obs::capture(pds2_obs::SinkKind::Null);
     let mut processed = 0;
     for s in 1..=segments {
         processed += sim.run_until(horizon_us * s / segments);
@@ -143,7 +144,7 @@ fn run(
     }
     processed += sim.run_until(horizon_us);
     RunFingerprint {
-        trace: sim.trace_hash().unwrap(),
+        trace: cap.finish().digest,
         stats: sim.stats(),
         now: sim.now(),
         processed,
@@ -154,6 +155,7 @@ fn run(
 
 #[test]
 fn wheel_matches_heap_on_a_fixed_chaos_workload() {
+    let _obs = pds2_obs::test_lock();
     let a = run(SchedulerKind::Wheel, 12, 77, 300_000, 4, true);
     let b = run(SchedulerKind::Heap, 12, 77, 300_000, 4, true);
     assert_eq!(a, b);
@@ -163,6 +165,7 @@ fn wheel_matches_heap_on_a_fixed_chaos_workload() {
 
 #[test]
 fn wheel_matches_heap_beyond_the_wheel_horizon() {
+    let _obs = pds2_obs::test_lock();
     // Timers alone, but spanning > 2^36 µs (~19 h) so every level and
     // the far-future overflow bucket participate.
     struct SparseTimers {
@@ -211,6 +214,7 @@ proptest! {
         segments in 1u64..6,
         with_faults in any::<bool>(),
     ) {
+        let _obs = pds2_obs::test_lock();
         let a = run(SchedulerKind::Wheel, n, seed, horizon_us, segments, with_faults);
         let b = run(SchedulerKind::Heap, n, seed, horizon_us, segments, with_faults);
         prop_assert_eq!(a, b);

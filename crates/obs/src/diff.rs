@@ -1,21 +1,21 @@
-//! Divergence forensics over segmented trace digests.
+//! Divergence forensics over the trace digest's checkpoints.
 //!
-//! Two captures whose [`trace_digest`](crate::trace_digest)s disagree
-//! differ *somewhere*; this module finds the first place without
-//! replaying either run or reading both event streams in full. The
-//! collector's per-segment checkpoints ([`SegmentCheckpoint`]) chain as
-//! `chained_i = H(chained_{i-1} ‖ digest_i)`, so chained-value equality
-//! at index `i` certifies that the entire event prefix through segment
-//! `i` is identical. Mismatch is therefore *monotone* in `i`, and the
-//! first divergent segment is found by binary search over checkpoints —
-//! O(log n) digest compares — after which only that one segment's event
-//! bodies (≤ [`SEGMENT_EVENTS`](crate::SEGMENT_EVENTS) per side) are
-//! materialized and compared to name the exact first divergent `seq`.
+//! Two captures whose digests ([`TraceReport::digest`]) disagree differ
+//! *somewhere*; this module finds the first place without replaying
+//! either run or reading both event streams in full. The collector's
+//! checkpoints ([`SegmentCheckpoint`]) sample its running hash chain
+//! after every segment, so equal `chained` values at index `i` certify
+//! that the entire event prefix through segment `i` is identical.
+//! Mismatch is therefore *monotone* in `i`, and the first divergent
+//! segment is found by binary search over checkpoints — O(log n) digest
+//! compares — after which only that one segment's event bodies (≤
+//! [`SEGMENT_EVENTS`](crate::SEGMENT_EVENTS) per side) are materialized
+//! and compared to name the exact first divergent `seq`.
 //!
 //! This is the in-repo seed of ROADMAP item 1's checkpoint fraud proof:
-//! a committee signs a segment-root; a challenger who disagrees bisects
-//! the chains and opens a single segment instead of replaying the
-//! side-chain.
+//! a committee signs a capture's digest; a challenger who disagrees
+//! bisects the checkpoints and opens a single segment instead of
+//! replaying the side-chain.
 
 use crate::jsonl::{self, push_quoted, Row};
 use crate::trace::SegmentCheckpoint;
@@ -137,11 +137,12 @@ pub enum Verdict {
         /// Events both captures share (= the shorter side's length).
         common_events: u64,
     },
-    /// Segment digests disagree but every rendered event row matches:
-    /// the divergence is in the canonical binary encoding only (e.g. a
-    /// field changed integer width without changing its printed value).
+    /// A segment's checkpoints disagree but every rendered event row
+    /// matches: the divergence is in the canonical binary encoding only
+    /// (e.g. a field changed integer width without changing its printed
+    /// value).
     DigestOnly {
-        /// Segment index whose digests disagree.
+        /// Segment index whose checkpoints disagree.
         segment: u64,
     },
 }
@@ -539,6 +540,7 @@ pub fn diff_reports(
         Source::Report(b, label_b),
         context_k,
     )
+    // Only a `Source::File` does I/O, and both sides here are reports.
     .expect("an in-process capture is read without I/O")
 }
 

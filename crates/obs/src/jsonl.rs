@@ -7,8 +7,8 @@
 //!
 //! ```text
 //! {"seq":N,"kind":K,"domain":"…","name":"…"[,"span":N][,"trace":N][,"parent":N][,STAMP][,"fields":{…}]}
-//! {"checkpoint":I,"start_seq":N,"end_seq":N,"digest":"HEX","chained":"HEX"}
-//! {"segment_root":"HEX","segments":N,"trace_digest":"HEX"}
+//! {"checkpoint":I,"start_seq":N,"end_seq":N,"chained":"HEX"}
+//! {"segments":N,"trace_digest":"HEX"}
 //! ```
 //!
 //! - **Event rows** appear in `seq` order. `K` is `"point"`,
@@ -25,8 +25,9 @@
 //!   escape `"`, `\`, and control characters and are otherwise raw
 //!   UTF-8.
 //! - **Checkpoint rows**: row `I` follows the last event of segment `I`
-//!   ([`SegmentCheckpoint`]; `crate::diff` bisects them), so the `I`th
-//!   checkpoint row of an undamaged file has index `I`.
+//!   and carries the trace digest as of that event ([`SegmentCheckpoint`];
+//!   `crate::diff` bisects them), so the `I`th checkpoint row of an
+//!   undamaged file has index `I`.
 //! - **The trailer** is the last row of a capture that was finished. A
 //!   human reads it with `tail -1` to compare two files at a glance; no
 //!   code does ([`Row::Trailer`] only recognises it).
@@ -252,6 +253,7 @@ impl From<&Event> for RawEvent {
     fn from(e: &Event) -> RawEvent {
         match Row::parse(&e.to_json()) {
             Some(Row::Event(raw)) => raw,
+            // `event_row` writes only what `event` reads back.
             _ => unreachable!("an event row reads back as an event row"),
         }
     }
@@ -261,26 +263,19 @@ impl SegmentCheckpoint {
     /// The checkpoint's row.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"checkpoint\":{},\"start_seq\":{},\"end_seq\":{},\"digest\":\"{}\",\"chained\":\"{}\"}}",
+            "{{\"checkpoint\":{},\"start_seq\":{},\"end_seq\":{},\"chained\":\"{}\"}}",
             self.index,
             self.start_seq,
             self.end_seq,
-            self.digest.to_hex(),
             self.chained.to_hex()
         )
     }
 }
 
-/// The trailer row: Merkle root over the segment digests, segment
-/// count, final trace digest.
-pub(crate) fn trailer_json(
-    segment_root: &Digest,
-    segments: usize,
-    trace_digest: &Digest,
-) -> String {
+/// The trailer row: checkpoint count, final trace digest.
+pub(crate) fn trailer_json(segments: usize, trace_digest: &Digest) -> String {
     format!(
-        "{{\"segment_root\":\"{}\",\"segments\":{segments},\"trace_digest\":\"{}\"}}",
-        segment_root.to_hex(),
+        "{{\"segments\":{segments},\"trace_digest\":\"{}\"}}",
         trace_digest.to_hex()
     )
 }
@@ -306,7 +301,7 @@ impl Row {
         match obj.first()?.0.as_str() {
             "seq" => event(&obj).map(Row::Event),
             "checkpoint" => checkpoint(&obj).map(Row::Checkpoint),
-            "segment_root" => Some(Row::Trailer),
+            "segments" => Some(Row::Trailer),
             _ => None,
         }
     }
@@ -389,7 +384,6 @@ fn checkpoint(obj: &Object) -> Option<SegmentCheckpoint> {
         index: get_u64(obj, "checkpoint")?,
         start_seq: get_u64(obj, "start_seq")?,
         end_seq: get_u64(obj, "end_seq")?,
-        digest: Digest::from_hex(get_str(obj, "digest")?)?,
         chained: Digest::from_hex(get_str(obj, "chained")?)?,
     })
 }
@@ -581,11 +575,10 @@ mod tests {
             index: 3,
             start_seq: 3072,
             end_seq: 4095,
-            digest: pds2_crypto::sha256::sha256(b"d"),
             chained: pds2_crypto::sha256::sha256(b"c"),
         };
         assert_eq!(Row::parse(&cp.to_json()), Some(Row::Checkpoint(cp)));
-        let trailer = trailer_json(&cp.digest, 4, &cp.chained);
+        let trailer = trailer_json(4, &cp.chained);
         assert_eq!(Row::parse(&trailer), Some(Row::Trailer));
         let event = r#"{"seq":7,"kind":"point","domain":"d","name":"n","later_key":{"x":1}}"#;
         assert_eq!(peek_seq(event), Some(7));

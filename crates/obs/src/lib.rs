@@ -5,13 +5,13 @@
 //! of what the platform did with their workloads. This crate is the
 //! in-repo analogue of that promise for the simulator: a tracing and
 //! metrics substrate whose output is itself replay-checkable. Every
-//! event stream folds into a running SHA-256 [`trace_digest`], and
-//! because events carry only *logical* timestamps — simulated
-//! microseconds, block heights, learning rounds, never the wall clock —
-//! a run's trace is bit-identical across reruns, machines, and
-//! `PDS2_THREADS` settings. Two runs agree iff their digests agree,
-//! which turns "did this refactor change behaviour?" into a string
-//! comparison.
+//! event stream folds into one running SHA-256 digest
+//! ([`TraceReport::digest`]), and because events carry only *logical*
+//! timestamps — simulated microseconds, block heights, learning rounds,
+//! never the wall clock — a run's trace is bit-identical across reruns,
+//! machines, and `PDS2_THREADS` settings. Two runs agree iff their
+//! digests agree, which turns "did this refactor change behaviour?" into
+//! a string comparison.
 //!
 //! Three pieces:
 //!
@@ -59,8 +59,8 @@ pub use metrics::{
 };
 pub use sink::SinkKind;
 pub use trace::{
-    capture, emit, enabled, new_trace, segment_merkle_root, span, test_lock, trace_digest, Capture,
-    Event, EventKind, SegmentCheckpoint, Span, Stamp, TraceCtx, TraceReport, Value, SEGMENT_EVENTS,
+    capture, emit, enabled, new_trace, span, test_lock, Capture, Event, EventKind,
+    SegmentCheckpoint, Span, Stamp, TraceCtx, TraceReport, Value, SEGMENT_EVENTS,
 };
 
 /// Interns (once per call site) and returns a `&'static` [`Counter`].
@@ -181,7 +181,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let event_lines = body
             .lines()
-            .filter(|l| !l.starts_with("{\"checkpoint\"") && !l.starts_with("{\"segment_root\""))
+            .filter(|l| !l.starts_with("{\"checkpoint\"") && !l.starts_with("{\"segments\""))
             .count();
         assert_eq!(event_lines, 13);
         assert!(
@@ -199,7 +199,6 @@ mod tests {
             "sink choice must not change the digest"
         );
         assert_eq!(ring.digest, null.digest);
-        assert_eq!(ring.digest, obs::trace_digest());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::jsonl::{RawEvent, Row};
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::trace::{EventKind, Stamp};
 use pds2_crypto::sha256::Sha256;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Logical microseconds assigned to one block height when mapping
 /// [`Stamp::Block`] onto the simulated-time axis (the default
@@ -203,7 +203,9 @@ impl TraceAnalysis {
                             points: Vec::new(),
                         },
                     );
-                    if e.parent != 0 && e.trace != 0 {
+                    // A span is never its own child: a hostile row that
+                    // names itself as parent stays a childless node.
+                    if e.parent != 0 && e.trace != 0 && e.parent != e.span {
                         let child = e.span;
                         if let Some(p) = a.spans.get_mut(&e.parent) {
                             p.children.push(child);
@@ -220,10 +222,9 @@ impl TraceAnalysis {
                     let fallback = a.spans.get(&e.parent).map(|p| p.start_us).unwrap_or(0);
                     let us = stamp_us(e.stamp, fallback);
                     let row = (e.seq, e.domain.clone(), e.name.clone(), us);
-                    if e.parent != 0 && a.spans.contains_key(&e.parent) {
-                        a.spans.get_mut(&e.parent).unwrap().points.push(row);
-                    } else {
-                        a.free_points.push(row);
+                    match a.spans.get_mut(&e.parent).filter(|_| e.parent != 0) {
+                        Some(parent) => parent.points.push(row),
+                        None => a.free_points.push(row),
                     }
                 }
             }
@@ -242,23 +243,20 @@ impl TraceAnalysis {
         }
         // Unclosed spans extend to their last child/point activity so
         // critical paths through them are still meaningful.
-        let reach: Vec<(u64, u64)> = a
+        let reach: Vec<u64> = a
             .spans
             .values()
             .map(|s| {
-                let child_max = s
-                    .children
+                s.children
                     .iter()
                     .filter_map(|c| a.spans.get(c))
                     .map(|c| c.end_us)
                     .chain(s.points.iter().map(|p| p.3))
                     .max()
-                    .unwrap_or(s.end_us);
-                (s.id, child_max)
+                    .unwrap_or(s.end_us)
             })
             .collect();
-        for (id, child_max) in reach {
-            let node = a.spans.get_mut(&id).unwrap();
+        for (node, child_max) in a.spans.values_mut().zip(reach) {
             if !node.closed {
                 node.end_us = node.end_us.max(child_max);
             }
@@ -328,8 +326,12 @@ impl TraceAnalysis {
     /// is the causal sequence that bounded the trace's makespan.
     fn critical_path(&self, root: u64) -> Vec<CriticalHop> {
         let mut path = Vec::new();
+        let mut visited = BTreeSet::new();
         let mut cur = root;
         while let Some(node) = self.spans.get(&cur) {
+            if !visited.insert(cur) {
+                break;
+            }
             path.push(CriticalHop {
                 span: node.id,
                 label: format!("{}/{}", node.domain, node.name),
@@ -373,10 +375,15 @@ impl TraceAnalysis {
             if s.trace == 0 {
                 continue;
             }
-            // Build the ancestry chain root→self.
+            // Build the ancestry chain root→self, stopping where a
+            // hostile capture's parent links loop back.
             let mut frames = Vec::new();
+            let mut visited = BTreeSet::new();
             let mut cur = Some(s);
             while let Some(n) = cur {
+                if !visited.insert(n.id) {
+                    break;
+                }
                 frames.push(format!("{}/{}", n.domain, n.name));
                 cur = if n.parent != 0 {
                     self.spans.get(&n.parent)

@@ -3,9 +3,9 @@
 //! The collector folds every event into the trace digest *before*
 //! handing it to the sink, so the digest is sink-invariant: a ring
 //! capture, a JSONL capture and a digest-only [`SinkKind::Null`]
-//! capture of the same run report the same [`trace_digest`]
-//! (`crate::trace_digest`). Sinks only decide what, if anything, is
-//! retained for later inspection.
+//! capture of the same run report the same digest
+//! ([`TraceReport::digest`](crate::TraceReport)). Sinks only decide what,
+//! if anything, is retained for later inspection.
 
 use crate::trace::Event;
 use std::collections::VecDeque;
@@ -39,22 +39,25 @@ pub(crate) enum ActiveSink {
 }
 
 impl ActiveSink {
-    pub(crate) fn open(kind: SinkKind) -> std::io::Result<ActiveSink> {
-        Ok(match kind {
+    pub(crate) fn open(kind: SinkKind) -> ActiveSink {
+        match kind {
             SinkKind::Ring(cap) => ActiveSink::Ring {
                 cap: cap.max(1),
                 buf: VecDeque::new(),
                 evicted: 0,
             },
-            SinkKind::Jsonl(path) => {
-                let file = std::fs::File::create(&path)?;
-                ActiveSink::Jsonl {
+            SinkKind::Jsonl(path) => match std::fs::File::create(&path) {
+                Ok(file) => ActiveSink::Jsonl {
                     path,
                     writer: BufWriter::new(file),
-                }
-            }
+                },
+                // Like a failed write (`write_row`), a file that cannot be
+                // created must not abort the run: the capture keeps its
+                // digest and reports no path.
+                Err(_) => ActiveSink::Null,
+            },
             SinkKind::Null => ActiveSink::Null,
-        })
+        }
     }
 
     pub(crate) fn record(&mut self, event: &Event) {

@@ -11,7 +11,7 @@
 use crate::jsonl::trailer_json;
 use crate::sink::{ActiveSink, SinkKind};
 use parking_lot::{Mutex, MutexGuard};
-use pds2_crypto::sha256::{sha256_pair, Digest, Sha256};
+use pds2_crypto::sha256::{Digest, Sha256};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -219,15 +219,16 @@ impl Event {
 /// (a 1M-event capture produces ~1000 checkpoints).
 pub const SEGMENT_EVENTS: u64 = 1024;
 
-/// Digest checkpoint covering one fixed-size slice of the event stream.
+/// A sample of the running trace digest, taken after every
+/// [`SEGMENT_EVENTS`]th event and after the last one.
 ///
-/// In addition to the capture-wide running digest, the collector folds
-/// every event into a *per-segment* digest that restarts each
-/// [`SEGMENT_EVENTS`] events. Each closed segment also extends a chain
-/// `chained_i = H(chained_{i-1} ‖ digest_i)`, so two captures can be
-/// bisected to their first divergent segment by comparing `chained`
-/// values — O(log n) digest compares, no event bodies — and then only
-/// that segment's events need inspecting (`crate::diff`).
+/// The running digest is a hash chain, so `chained` at index `i` equal
+/// on two captures certifies that their event prefixes through
+/// `end_seq` are identical: two captures can be bisected to their first
+/// divergent segment by comparing `chained` values — O(log n) digest
+/// compares, no event bodies — and then only that segment's events
+/// need inspecting (`crate::diff`). The last checkpoint's `chained` is
+/// the capture's digest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegmentCheckpoint {
     /// 0-based segment index.
@@ -236,46 +237,19 @@ pub struct SegmentCheckpoint {
     pub start_seq: u64,
     /// Last event `seq` the segment covers (inclusive).
     pub end_seq: u64,
-    /// Digest of this segment's events alone (seeded per index).
-    pub digest: Digest,
-    /// Chained digest over all segments up to and including this one.
+    /// The running trace digest after event `end_seq`.
     pub chained: Digest,
-}
-
-/// Merkle root over segment digests (duplicate-last padding on odd
-/// levels; [`Digest::ZERO`] for an empty capture). A future committee
-/// checkpoint can commit to this root and let a fraud prover open a
-/// single divergent segment with an O(log n) branch (ROADMAP item 1).
-pub fn segment_merkle_root(segments: &[SegmentCheckpoint]) -> Digest {
-    if segments.is_empty() {
-        return Digest::ZERO;
-    }
-    let mut level: Vec<Digest> = segments.iter().map(|s| s.digest).collect();
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            let right = if pair.len() == 2 { &pair[1] } else { &pair[0] };
-            next.push(sha256_pair(pair[0].as_bytes(), right.as_bytes()));
-        }
-        level = next;
-    }
-    level[0]
 }
 
 struct Collector {
     active: Option<ActiveSink>,
     digest: Digest,
-    last_digest: Digest,
     seq: u64,
     /// Next span sequence number per 32-bit domain hash; reset at
     /// capture start so span ids are identical across reruns.
     span_seqs: HashMap<u32, u32>,
-    /// Running digest of the *current* segment's events.
-    seg_digest: Digest,
     /// First `seq` of the current segment.
     seg_start: u64,
-    /// Chained digest over all closed segments.
-    chained: Digest,
     /// Checkpoints of the closed segments, in order.
     segments: Vec<SegmentCheckpoint>,
 }
@@ -289,12 +263,9 @@ fn collector() -> &'static Mutex<Collector> {
         Mutex::new(Collector {
             active: None,
             digest: Digest::ZERO,
-            last_digest: Digest::ZERO,
             seq: 0,
             span_seqs: HashMap::new(),
-            seg_digest: Digest::ZERO,
             seg_start: 0,
-            chained: Digest::ZERO,
             segments: Vec::new(),
         })
     })
@@ -303,22 +274,6 @@ fn collector() -> &'static Mutex<Collector> {
 fn seed_digest() -> Digest {
     let mut h = Sha256::new();
     h.update(b"pds2-obs-trace-v1");
-    h.finalize()
-}
-
-/// Seed of segment `index`'s digest: domain-separated from the trace
-/// digest and bound to the index, so identical event slices at
-/// different positions can never produce equal segment digests.
-fn segment_seed(index: u64) -> Digest {
-    let mut h = Sha256::new();
-    h.update(b"pds2-obs-segment-v1");
-    h.update(&index.to_le_bytes());
-    h.finalize()
-}
-
-fn chain_seed() -> Digest {
-    let mut h = Sha256::new();
-    h.update(b"pds2-obs-segchain-v1");
     h.finalize()
 }
 
@@ -348,38 +303,25 @@ fn fold(col: &mut Collector, event: &Event) {
     h.update(col.digest.as_bytes());
     h.update(&bytes);
     col.digest = h.finalize();
-    let mut h = Sha256::new();
-    h.update(col.seg_digest.as_bytes());
-    h.update(&bytes);
-    col.seg_digest = h.finalize();
     if let Some(sink) = col.active.as_mut() {
         sink.record(event);
     }
 }
 
-/// Closes the current segment: chains its digest, records the
+/// Closes the current segment: records the running digest as its
 /// checkpoint (the JSONL sink writes a checkpoint row — *not* folded
-/// into any digest, so sinks stay digest-invariant) and reseeds the
-/// per-segment digest for the next slice.
+/// into the digest, so sinks stay digest-invariant).
 fn close_segment(col: &mut Collector) {
-    let index = col.segments.len() as u64;
-    let mut h = Sha256::new();
-    h.update(col.chained.as_bytes());
-    h.update(col.seg_digest.as_bytes());
-    let chained = h.finalize();
     let cp = SegmentCheckpoint {
-        index,
+        index: col.segments.len() as u64,
         start_seq: col.seg_start,
         end_seq: col.seq - 1,
-        digest: col.seg_digest,
-        chained,
+        chained: col.digest,
     };
     if let Some(sink) = col.active.as_mut() {
         sink.write_row(|| cp.to_json());
     }
-    col.chained = chained;
     col.segments.push(cp);
-    col.seg_digest = segment_seed(index + 1);
     col.seg_start = col.seq;
 }
 
@@ -623,15 +565,13 @@ pub struct TraceReport {
     pub entries: Vec<Event>,
     /// Events the ring evicted to stay within capacity.
     pub evicted: u64,
-    /// The JSONL file written (JSONL sink only).
+    /// The JSONL file written (JSONL sink only; `None` when the file
+    /// could not be created).
     pub path: Option<PathBuf>,
     /// Digest checkpoints, one per [`SEGMENT_EVENTS`]-event slice (the
-    /// last may be partial). Equal chained tails ⇔ equal prefixes;
+    /// last may be partial). Equal chained values ⇔ equal prefixes;
     /// bisect them with [`crate::diff`] to localize a divergence.
     pub segments: Vec<SegmentCheckpoint>,
-    /// Hex Merkle root over the segment digests
-    /// ([`segment_merkle_root`]); all-zero hex for an empty capture.
-    pub segment_root: String,
 }
 
 /// Starts a capture with the given sink. Panics if one is already
@@ -643,14 +583,11 @@ pub fn capture(kind: SinkKind) -> Capture {
         col.active.is_none(),
         "pds2-obs capture already active; serialize tests with obs::test_lock()"
     );
-    let sink = ActiveSink::open(kind).expect("opening obs sink");
-    col.active = Some(sink);
+    col.active = Some(ActiveSink::open(kind));
     col.digest = seed_digest();
     col.seq = 0;
     col.span_seqs.clear();
-    col.seg_digest = segment_seed(0);
     col.seg_start = 0;
-    col.chained = chain_seed();
     col.segments.clear();
     ENABLED.store(true, Ordering::Relaxed);
     Capture { finished: false }
@@ -663,16 +600,10 @@ fn finish_locked(col: &mut Collector) -> TraceReport {
         // covers every event.
         close_segment(col);
     }
-    let root = segment_merkle_root(&col.segments);
-    if let Some(sink) = col.active.as_mut() {
-        sink.write_row(|| trailer_json(&root, col.segments.len(), &col.digest));
-    }
-    let (entries, evicted, path) = col
-        .active
-        .take()
-        .expect("finish called with no active capture")
-        .close();
-    col.last_digest = col.digest;
+    // Only a live `Capture` gets here, and only here is its sink taken.
+    let mut sink = col.active.take().expect("a live capture has a sink");
+    sink.write_row(|| trailer_json(col.segments.len(), &col.digest));
+    let (entries, evicted, path) = sink.close();
     TraceReport {
         digest: col.digest.to_hex(),
         events: col.seq,
@@ -680,7 +611,6 @@ fn finish_locked(col: &mut Collector) -> TraceReport {
         evicted,
         path,
         segments: std::mem::take(&mut col.segments),
-        segment_root: root.to_hex(),
     }
 }
 
@@ -702,18 +632,6 @@ impl Drop for Capture {
                 finish_locked(&mut col);
             }
         }
-    }
-}
-
-/// Hex digest of the active capture's event stream so far, or of the
-/// most recently finished capture. Two runs behaved identically
-/// (as far as their instrumentation can see) iff these strings match.
-pub fn trace_digest() -> String {
-    let col = collector().lock();
-    if col.active.is_some() {
-        col.digest.to_hex()
-    } else {
-        col.last_digest.to_hex()
     }
 }
 

@@ -106,3 +106,31 @@ fn a_line_nested_deeper_than_a_row_is_refused_without_using_the_stack() {
         .join()
         .expect("no panic, and no stack overflow takes the process down");
 }
+
+#[test]
+fn a_span_that_is_its_own_ancestor_still_analyses() {
+    // One span naming itself as parent, and two spans naming each other:
+    // the critical-path descent and the folded-stack ancestry walk must
+    // each stop where they come back to a span they have seen.
+    let own_parent = r#"{"seq":0,"kind":"span_start","domain":"a","name":"x","span":5,"trace":5,"parent":5,"sim_us":1}"#;
+    let cycle = [
+        r#"{"seq":0,"kind":"span_start","domain":"a","name":"x","span":7,"trace":9,"parent":6,"sim_us":1}"#,
+        r#"{"seq":1,"kind":"span_start","domain":"a","name":"y","span":6,"trace":9,"parent":7,"sim_us":2}"#,
+    ]
+    .join("\n");
+    // On a thread with a deadline: a walk that never stops must fail
+    // the test, not hang it.
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let digests = [analyse_twice(own_parent), analyse_twice(&cycle)];
+        let _ = done.send(digests);
+    });
+    let [(a1, a2), (b1, b2)] = finished
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the analysis returns");
+    worker.join().expect("the analysis does not panic");
+    assert_eq!((a1, b1), (a2, b2), "self-ancestry digests must be stable");
+    let a = TraceAnalysis::from_jsonl(own_parent);
+    assert_eq!(a.traces.len(), 1);
+    assert_eq!(a.traces[0].critical_path.len(), 1, "the root, once");
+}

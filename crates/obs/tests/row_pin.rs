@@ -3,7 +3,9 @@
 //! `fixtures/row_pin.jsonl` was written by the code at `918a204`, when
 //! `trace.rs`, `report.rs` and `sink.rs` each rendered their own rows;
 //! [`scenario`] captured to JSONL must still produce exactly those
-//! bytes. Every line must be a fixed point of `Row::parse` → render,
+//! bytes. Rows 1025, 1035 and 1036 (the two checkpoints and the trailer)
+//! were regenerated once, when a checkpoint became a sample of the trace
+//! digest (PR 25); every event row and the digest itself held. Every line must be a fixed point of `Row::parse` → render,
 //! and a ring capture of the same scenario, converted with
 //! `RawEvent::from`, must render the same event lines: what the sink
 //! writes, what the reader re-renders and what an in-memory analysis

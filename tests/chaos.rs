@@ -53,7 +53,8 @@ fn fast_link() -> LinkModel {
 /// Everything comparable about one chaos run, for replay assertions.
 #[derive(Clone, Debug, PartialEq)]
 struct ChainRun {
-    trace: Digest,
+    /// The obs trace digest of the run.
+    trace: String,
     heads: Vec<Digest>,
     roots: Vec<Digest>,
     heights: Vec<u64>,
@@ -71,10 +72,10 @@ fn run_chain(seed: u64, plan: FaultPlan, until_us: u64) -> ChainRun {
         .collect();
     let mut sim = Simulator::new(replicas, fast_link(), seed);
     sim.install_fault_plan(plan);
-    sim.enable_trace();
+    let cap = obs::capture(obs::SinkKind::Null);
     sim.run_until(until_us);
     ChainRun {
-        trace: sim.trace_hash().expect("trace enabled"),
+        trace: cap.finish().digest,
         heads: sim.nodes().map(|r| r.chain().head_hash()).collect(),
         roots: sim.nodes().map(|r| r.chain().state.state_root()).collect(),
         heights: sim.nodes().map(|r| r.chain().height()).collect(),
@@ -299,11 +300,11 @@ fn run_reorg(seed: u64, plan: FaultPlan, until_us: u64) -> ReorgRun {
         .submit(tx)
         .expect("seed transfer");
     sim.install_fault_plan(plan);
-    sim.enable_trace();
+    let cap = obs::capture(obs::SinkKind::Null);
     sim.run_until(until_us);
     ReorgRun {
         base: ChainRun {
-            trace: sim.trace_hash().expect("trace enabled"),
+            trace: cap.finish().digest,
             heads: sim.nodes().map(|r| r.chain().head_hash()).collect(),
             roots: sim.nodes().map(|r| r.chain().state.state_root()).collect(),
             heights: sim.nodes().map(|r| r.chain().height()).collect(),
@@ -358,11 +359,11 @@ fn fork_reorg_reinstates_orphaned_transactions() {
     // Pinned trace + root (fixture line 2; line 1 is the golden run).
     let (want_trace, want_root) = fixture_line(1);
     assert_eq!(
-        run.base.trace.to_hex(),
+        run.base.trace,
         want_trace,
         "reorg trace changed; if this is an intended protocol change, \
          update line 2 of tests/fixtures/chaos_golden.txt to:\n{} {}",
-        run.base.trace.to_hex(),
+        run.base.trace,
         run.base.roots[0].to_hex()
     );
     assert_eq!(
@@ -370,7 +371,7 @@ fn fork_reorg_reinstates_orphaned_transactions() {
         want_root,
         "reorg state root changed; if intended, update line 2 of \
          tests/fixtures/chaos_golden.txt to:\n{} {}",
-        run.base.trace.to_hex(),
+        run.base.trace,
         run.base.roots[0].to_hex()
     );
 }
@@ -422,11 +423,11 @@ fn run_persistent_crash(seed: u64, plan: FaultPlan, until_us: u64, persistent: b
         .submit(tx)
         .expect("seed pending tx");
     sim.install_fault_plan(plan);
-    sim.enable_trace();
+    let cap = obs::capture(obs::SinkKind::Null);
     sim.run_until(until_us);
     PersistRun {
         base: ChainRun {
-            trace: sim.trace_hash().expect("trace enabled"),
+            trace: cap.finish().digest,
             heads: sim.nodes().map(|r| r.chain().head_hash()).collect(),
             roots: sim.nodes().map(|r| r.chain().state.state_root()).collect(),
             heights: sim.nodes().map(|r| r.chain().height()).collect(),
@@ -482,11 +483,11 @@ fn persistent_crash_recovers_from_snapshot_and_log() {
     // Pinned trace + recovered root (fixture line 3).
     let (want_trace, want_root) = fixture_line(2);
     assert_eq!(
-        run.base.trace.to_hex(),
+        run.base.trace,
         want_trace,
         "persistent-recovery trace changed; if this is an intended \
          protocol change, update line 3 of tests/fixtures/chaos_golden.txt to:\n{} {}",
-        run.base.trace.to_hex(),
+        run.base.trace,
         run.base.roots[2].to_hex()
     );
     assert_eq!(
@@ -494,7 +495,7 @@ fn persistent_crash_recovers_from_snapshot_and_log() {
         want_root,
         "recovered state root changed; if intended, update line 3 of \
          tests/fixtures/chaos_golden.txt to:\n{} {}",
-        run.base.trace.to_hex(),
+        run.base.trace,
         run.base.roots[2].to_hex()
     );
 }
@@ -510,7 +511,7 @@ fn fixture_line(n: usize) -> (&'static str, &'static str) {
         .unwrap_or_else(|| panic!("fixture line {} missing", n + 1));
     let mut fields = line.split_whitespace();
     (
-        fields.next().expect("fixture: trace hash"),
+        fields.next().expect("fixture: trace digest"),
         fields.next().expect("fixture: state root"),
     )
 }
@@ -522,11 +523,11 @@ fn golden_trace_regression() {
     assert_converged(&run);
     let (want_trace, want_root) = fixture_line(0);
     assert_eq!(
-        run.trace.to_hex(),
+        run.trace,
         want_trace,
-        "delivered-message trace changed; if this is an intended protocol \
+        "trace digest changed; if this is an intended protocol \
          change, update line 1 of tests/fixtures/chaos_golden.txt to:\n{} {}",
-        run.trace.to_hex(),
+        run.trace,
         run.roots[0].to_hex()
     );
     assert_eq!(
@@ -534,7 +535,7 @@ fn golden_trace_regression() {
         want_root,
         "final state root changed; if intended, update line 1 of \
          tests/fixtures/chaos_golden.txt to:\n{} {}",
-        run.trace.to_hex(),
+        run.trace,
         run.roots[0].to_hex()
     );
 }
@@ -543,6 +544,7 @@ fn golden_trace_regression() {
 fn gossip_partition_heals_and_accuracy_recovers() {
     let _obs = obs::test_lock();
     let run = || {
+        let cap = obs::capture(obs::SinkKind::Null);
         let data = gaussian_blobs(600, 3, 0.7, 1);
         let (train, test) = data.split(0.25, 2);
         let shards = train.partition_iid(10, 3);
@@ -551,7 +553,7 @@ fn gossip_partition_heals_and_accuracy_recovers() {
             4_000_000,
             vec![(0..5).collect(), (5..10).collect()],
         );
-        run_gossip_experiment_with_faults(
+        let out = run_gossip_experiment_with_faults(
             shards,
             &test,
             GossipConfig {
@@ -564,10 +566,11 @@ fn gossip_partition_heals_and_accuracy_recovers() {
             None,
             Some(plan),
             || LogisticRegression::new(3),
-        )
+        );
+        (cap.finish().digest, out)
     };
     let before = obs::snapshot();
-    let out = run();
+    let (trace, out) = run();
     let deltas = obs::snapshot().counter_deltas(&before);
     assert_eq!(
         deltas.get("learning.gossip_evals").copied().unwrap_or(0),
@@ -582,14 +585,12 @@ fn gossip_partition_heals_and_accuracy_recovers() {
         out.accuracy_curve
     );
     assert_eq!(out.online_nodes, 10, "partitions must not kill nodes");
-    let trace = out.trace_hash.expect("trace enabled");
     let bits: Vec<u64> = out.accuracy_curve.iter().map(|a| a.to_bits()).collect();
     // Bit-identical replay at forced worker counts.
     for threads in THREAD_COUNTS {
-        let again = pds2_par::with_threads(threads, run);
+        let (again_trace, again) = pds2_par::with_threads(threads, run);
         assert_eq!(
-            again.trace_hash,
-            Some(trace),
+            again_trace, trace,
             "gossip trace diverged at {threads} threads"
         );
         let again_bits: Vec<u64> = again.accuracy_curve.iter().map(|a| a.to_bits()).collect();

@@ -66,7 +66,8 @@ fn gov_link() -> LinkModel {
 /// Everything comparable about one committee run.
 #[derive(Clone, Debug, PartialEq)]
 struct GovRun {
-    trace: Digest,
+    /// The obs trace digest of the run.
+    trace: String,
     /// Digest over the aggregator's completed `(seq, R, s)` signatures.
     sigs: Digest,
     /// The aggregator's completed signatures, by sequence number.
@@ -81,8 +82,9 @@ fn run_gov(cfg: &GovConfig, sim_seed: u64, plan: Option<FaultPlan>, until: u64) 
     if let Some(p) = plan {
         sim.install_fault_plan(p);
     }
-    sim.enable_trace();
+    let cap = obs::capture(obs::SinkKind::Null);
     sim.run_until(until);
+    let trace = cap.finish().digest;
     let agg: &GovNode = sim.node(0);
     let mut h = Sha256::new();
     for (seq, sig) in &agg.completed {
@@ -90,7 +92,7 @@ fn run_gov(cfg: &GovConfig, sim_seed: u64, plan: Option<FaultPlan>, until: u64) 
         h.update(&sig.to_wire());
     }
     GovRun {
-        trace: sim.trace_hash().expect("trace enabled"),
+        trace,
         sigs: h.finalize(),
         completed: agg
             .completed
@@ -146,7 +148,7 @@ fn gov_fixture_line(n: usize) -> (&'static str, &'static str) {
         .unwrap_or_else(|| panic!("fixture line {} missing", n + 1));
     let mut fields = line.split_whitespace();
     (
-        fields.next().expect("fixture: trace hash"),
+        fields.next().expect("fixture: trace digest"),
         fields.next().expect("fixture: sig digest"),
     )
 }
@@ -154,12 +156,12 @@ fn gov_fixture_line(n: usize) -> (&'static str, &'static str) {
 fn assert_gov_fixture(line: usize, run: &GovRun) {
     let (want_trace, want_sigs) = gov_fixture_line(line);
     assert_eq!(
-        run.trace.to_hex(),
+        run.trace,
         want_trace,
         "gov trace changed; if this is an intended protocol change, \
          update line {} of tests/fixtures/gov_golden.txt to:\n{} {}",
         line + 1,
-        run.trace.to_hex(),
+        run.trace,
         run.sigs.to_hex()
     );
     assert_eq!(
@@ -168,7 +170,7 @@ fn assert_gov_fixture(line: usize, run: &GovRun) {
         "aggregate signatures changed; if intended, update line {} of \
          tests/fixtures/gov_golden.txt to:\n{} {}",
         line + 1,
-        run.trace.to_hex(),
+        run.trace,
         run.sigs.to_hex()
     );
 }
@@ -286,24 +288,24 @@ fn fast_link() -> LinkModel {
 
 #[derive(Clone, Debug, PartialEq)]
 struct ChainRun {
-    trace: Digest,
+    trace: String,
     heads: Vec<Digest>,
     roots: Vec<Digest>,
     heights: Vec<u64>,
     stats: NetStats,
 }
 
-fn run_threshold_chain(seed: u64, plan: FaultPlan, until_us: u64) -> ChainRun {
+fn run_threshold_chain(sink: obs::SinkKind, seed: u64, plan: FaultPlan, until_us: u64) -> ChainRun {
     let f = threshold_factory();
     let replicas: Vec<ChainReplica> = (0..N_REPLICAS)
         .map(|i| ChainReplica::new(f.clone(), Some(i), 200_000, 150_000))
         .collect();
     let mut sim = Simulator::new(replicas, fast_link(), seed);
     sim.install_fault_plan(plan);
-    sim.enable_trace();
+    let cap = obs::capture(sink);
     sim.run_until(until_us);
     ChainRun {
-        trace: sim.trace_hash().expect("trace enabled"),
+        trace: cap.finish().digest,
         heads: sim.nodes().map(|r| r.chain().head_hash()).collect(),
         roots: sim.nodes().map(|r| r.chain().state.state_root()).collect(),
         heights: sim.nodes().map(|r| r.chain().height()).collect(),
@@ -329,19 +331,17 @@ fn golden_plan() -> FaultPlan {
 #[test]
 fn threshold_sealed_chain_survives_golden_chaos() {
     let _obs = obs::test_lock();
-    let run = run_threshold_chain(0x601D, golden_plan(), 10_050_000);
+    let chaos = || run_threshold_chain(obs::SinkKind::Null, 0x601D, golden_plan(), 10_050_000);
+    let run = chaos();
     for i in 1..N_REPLICAS {
         assert_eq!(run.heads[i], run.heads[0], "replica {i} head diverged");
         assert_eq!(run.roots[i], run.roots[0], "replica {i} root diverged");
     }
     assert!(run.heights[0] >= 10, "{:?}", run.heights);
     // Bit-identical replay at every worker count.
-    let again = run_threshold_chain(0x601D, golden_plan(), 10_050_000);
-    assert_eq!(again, run, "re-run of the same seed diverged");
+    assert_eq!(chaos(), run, "re-run of the same seed diverged");
     for threads in THREAD_COUNTS {
-        let r = pds2_par::with_threads(threads, || {
-            run_threshold_chain(0x601D, golden_plan(), 10_050_000)
-        });
+        let r = pds2_par::with_threads(threads, chaos);
         assert_eq!(r, run, "run diverged at {threads} threads");
     }
     // Pinned fixture (line 1 of chaos_golden_threshold.txt).
@@ -351,14 +351,14 @@ fn threshold_sealed_chain_survives_golden_chaos() {
         .next()
         .expect("fixture line 1 missing")
         .split_whitespace();
-    let want_trace = fields.next().expect("fixture: trace hash");
+    let want_trace = fields.next().expect("fixture: trace digest");
     let want_root = fields.next().expect("fixture: state root");
     assert_eq!(
-        run.trace.to_hex(),
+        run.trace,
         want_trace,
         "threshold chaos trace changed; if this is an intended protocol \
          change, update line 1 of tests/fixtures/chaos_golden_threshold.txt to:\n{} {}",
-        run.trace.to_hex(),
+        run.trace,
         run.roots[0].to_hex()
     );
     assert_eq!(
@@ -366,7 +366,7 @@ fn threshold_sealed_chain_survives_golden_chaos() {
         want_root,
         "threshold chaos state root changed; if intended, update line 1 \
          of tests/fixtures/chaos_golden_threshold.txt to:\n{} {}",
-        run.trace.to_hex(),
+        run.trace,
         run.roots[0].to_hex()
     );
 }
@@ -378,11 +378,10 @@ fn threshold_sealed_chain_survives_golden_chaos() {
 fn threshold_chain_obs_digest_is_thread_and_sink_invariant() {
     let _obs = obs::test_lock();
     let digest_with = |kind: obs::SinkKind, threads: usize| {
-        let cap = obs::capture(kind);
         pds2_par::with_threads(threads, || {
-            run_threshold_chain(0x601D, golden_plan(), 6_000_000)
-        });
-        cap.finish().digest
+            run_threshold_chain(kind, 0x601D, golden_plan(), 6_000_000)
+        })
+        .trace
     };
     let ring = digest_with(obs::SinkKind::Ring(usize::MAX), 1);
     let path = std::env::temp_dir().join("pds2_chaos_gov_obs.jsonl");

@@ -3,7 +3,9 @@
 //!
 //! Each test runs the same computation under `pds2_par::with_threads` at
 //! 1, 4 and 8 threads (the programmatic form of the `PDS2_THREADS` knob)
-//! and compares exact bytes/bits, not approximate values.
+//! and compares exact bytes/bits, not approximate values. A test that
+//! runs traced code takes `pds2_obs::test_lock()`: one of them compares
+//! capture digests, and the collector is process-global.
 
 use pds2_chain::address::Address;
 use pds2_chain::chain::{Blockchain, ChainConfig};
@@ -67,6 +69,7 @@ fn cold_copy(block: &pds2_chain::block::Block) -> pds2_chain::block::Block {
 
 #[test]
 fn chain_state_root_is_thread_count_invariant() {
+    let _obs = pds2_obs::test_lock();
     let block = make_block();
     let results: Vec<(Digest, Digest)> = THREAD_COUNTS
         .iter()
@@ -94,6 +97,7 @@ fn chain_state_root_is_thread_count_invariant() {
 /// every thread count whether the verified-signature cache is cold or warm.
 #[test]
 fn verification_fast_path_is_thread_and_cache_invariant() {
+    let _obs = pds2_obs::test_lock();
     let block = make_block();
     // Tampered variant: corrupt one signature scalar. The tx bodies (and
     // therefore the tx root) stay valid, so rejection must come from the
@@ -167,6 +171,7 @@ fn verification_fast_path_is_thread_and_cache_invariant() {
 /// the burned total) — to be bit-identical at every worker count.
 #[test]
 fn base_fee_trajectory_is_thread_count_invariant() {
+    let _obs = pds2_obs::test_lock();
     let run = || {
         pds2_chain::sigcache::clear();
         let alice = KeyPair::from_seed(1);
@@ -246,11 +251,12 @@ fn base_fee_trajectory_is_thread_count_invariant() {
 /// Both state-commitment backends — the incremental SMT and the
 /// full-rehash oracle — must produce bit-identical roots to each other
 /// and to themselves at every worker count, including the
-/// `state.smt.nodes_hashed` obs counter (large commits fan node hashing
-/// out through `pds2-par`, which must not change what gets hashed).
+/// `state.smt.nodes_hashed` obs counter (a commit is one serial descent,
+/// so the count is a function of the tree and the batch alone).
 #[test]
 fn state_backends_agree_at_every_thread_count() {
     use pds2_chain::backend::BackendKind;
+    let _obs = pds2_obs::test_lock();
     let block = make_block();
     let run = |kind: BackendKind| {
         let before = pds2_obs::snapshot();
@@ -264,7 +270,6 @@ fn state_backends_agree_at_every_thread_count() {
         let hashed = d.get("state.smt.nodes_hashed").copied().unwrap_or(0);
         (root, verifier.head_hash(), hashed)
     };
-    let _obs = pds2_obs::test_lock();
     let base_smt = run(BackendKind::Smt);
     let base_oracle = run(BackendKind::FullRehash);
     assert_eq!(base_smt.0, base_oracle.0, "backends disagree on the root");
@@ -387,14 +392,15 @@ proptest! {
 
 /// The event scheduler (timing wheel vs retained heap oracle) is an
 /// implementation detail: a gossip-learning run over a generator-backed
-/// topology with churn must produce bit-identical delivered-message
-/// traces for every (scheduler, thread count) combination.
+/// topology with churn must produce bit-identical trace digests for
+/// every (scheduler, thread count) combination.
 #[test]
 fn scheduler_and_thread_count_never_change_gossip_results() {
     use pds2::learning::gossip::{run_gossip_experiment_at_scale, GossipConfig, ScaleGossipOpts};
     use pds2::ml::model::LogisticRegression;
     use pds2::net::{ChurnModel, LinkModel, SchedulerKind, Topology};
 
+    let _obs = pds2_obs::test_lock();
     let data = pds2::ml::data::gaussian_blobs(400, 3, 0.7, 1);
     let (train, test) = data.split(0.25, 2);
     let run = |scheduler, threads| {
@@ -420,10 +426,11 @@ fn scheduler_and_thread_count_never_change_gossip_results() {
                 }),
                 scheduler: Some(scheduler),
             };
+            let cap = pds2_obs::capture(pds2_obs::SinkKind::Null);
             let out =
                 run_gossip_experiment_at_scale(&train, &test, &opts, || LogisticRegression::new(3));
             (
-                out.trace_hash.expect("trace enabled"),
+                cap.finish().digest,
                 out.models_transferred,
                 out.online_nodes,
                 out.accuracy_curve
