@@ -9,38 +9,27 @@
 
 use pds2_bench::print_table;
 use pds2_learning::attack::{generalization_gap, loss_threshold_attack};
-use pds2_learning::dp::gaussian_noise;
-use pds2_ml::data::gaussian_blobs;
-use pds2_ml::linalg::clip_norm;
-use pds2_ml::metrics::accuracy;
+use pds2_learning::dp;
+use pds2_ml::data::{gaussian_blobs, Dataset};
+use pds2_ml::metrics::classifier_accuracy;
 use pds2_ml::model::{LogisticRegression, Model};
+use pds2_ml::sgd;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// DP-SGD-style training: clipped full-batch gradient + Gaussian noise.
-fn train_dp(
-    members: &pds2_ml::data::Dataset,
-    noise_sigma: f64,
-    steps: usize,
-    seed: u64,
-) -> LogisticRegression {
+/// Full-batch training: DP-SGD steps (clip 1, then noise) when
+/// `noise_sigma > 0`, plain unclipped steps otherwise.
+fn train_dp(members: &Dataset, noise_sigma: f64, steps: usize, seed: u64) -> LogisticRegression {
     let mut model = LogisticRegression::new(members.dim());
     let mut rng = StdRng::seed_from_u64(seed);
     let batch: Vec<usize> = (0..members.len()).collect();
     for _ in 0..steps {
-        let mut grad = model.gradient(members, &batch);
         if noise_sigma > 0.0 {
-            // DP-SGD: clip then noise.
-            clip_norm(&mut grad, 1.0);
-            for g in &mut grad {
-                *g += gaussian_noise(&mut rng, noise_sigma);
-            }
+            dp::sgd_step(&mut model, members, &batch, 0.5, 1.0, noise_sigma, &mut rng);
+        } else {
+            let grad = model.gradient(members, &batch);
+            sgd::step(&mut model, &grad, 0.5);
         }
-        let mut params = model.params();
-        for (p, g) in params.iter_mut().zip(&grad) {
-            *p -= 0.5 * g;
-        }
-        model.set_params(&params);
     }
     model
 }
@@ -64,8 +53,7 @@ fn main() {
             let model = train_dp(&members, sigma, 300, 100 + s);
             let attack = loss_threshold_attack(&model, &members, &non_members);
             adv += attack.advantage;
-            let preds: Vec<f64> = eval.x.iter().map(|x| model.classify(x)).collect();
-            acc += accuracy(&preds, &eval.y);
+            acc += classifier_accuracy(&model, &eval);
             gap += generalization_gap(&model, &members, &non_members);
         }
         rows.push(vec![

@@ -5,10 +5,12 @@ use super::{actor, call, send, workload, MarketError, Marketplace};
 use crate::authenticity::{ReadingVerifier, SignedReading};
 use crate::certificate::ParticipationCertificate;
 use crate::contract::Call;
+use crate::workload::RewardScheme;
 use pds2_chain::address::Address;
 use pds2_crypto::codec::{DecodeError, Decoder};
 use pds2_crypto::sha256::sha256;
 use pds2_ml::data::Dataset;
+use pds2_rewards::shapley::MAX_EXACT_PLAYERS;
 use pds2_storage::store::{AccessGrant, ThirdPartyStore};
 
 impl Marketplace {
@@ -49,6 +51,15 @@ impl Marketplace {
         let spec = &runtime.spec;
         if !runtime.executors.contains(&executor) {
             return Err(MarketError::UnknownActor("executor (not joined)"));
+        }
+        // Exact Shapley values every coalition at finalize: refuse the
+        // provider it could not pay before any grant or escrowed payout
+        // depends on it.
+        let accepted: usize = runtime.executor_data.values().map(Vec::len).sum();
+        if spec.reward_scheme == RewardScheme::ShapleyExact && accepted >= MAX_EXACT_PLAYERS {
+            return Err(MarketError::BadPhase(format!(
+                "exact Shapley pays at most {MAX_EXACT_PLAYERS} providers"
+            )));
         }
         // Provider-side attestation check (§II-E: no trust in executors).
         // A crashed executor has no quote: its enclave is gone.

@@ -9,10 +9,15 @@ use pds2_chain::address::Address;
 use pds2_chain::state::TxReceipt;
 use pds2_crypto::codec::Encoder;
 use pds2_crypto::sha256::{sha256, Digest};
+use pds2_learning::dp;
 use pds2_ml::data::Dataset;
+use pds2_ml::linalg::weighted_mean;
+use pds2_ml::metrics::classifier_accuracy;
 use pds2_ml::model::{LinearRegression, LogisticRegression, Model};
-use pds2_ml::sgd::{train, SgdConfig};
+use pds2_ml::sgd::{draw_batch, train, SgdConfig};
 use pds2_tee::cost::CostMeter;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// Outcome of the execution phase.
@@ -148,7 +153,8 @@ impl Marketplace {
         }
 
         // Local training inside each executor's enclave.
-        let mut local_params: Vec<(Vec<f64>, u64)> = Vec::new();
+        let mut local_params: Vec<Vec<f64>> = Vec::new();
+        let mut local_weights: Vec<f64> = Vec::new();
         let mut enclave_costs = HashMap::new();
         for &executor in &executors_with_data {
             let parts: Vec<Dataset> = runtime.executor_data[&executor]
@@ -172,22 +178,16 @@ impl Marketplace {
                 train_local(spec, &pooled, workload_id)
             });
             enclave_costs.insert(executor, enclave.meter());
-            local_params.push((params, n));
+            local_params.push(params);
+            local_weights.push(n as f64);
         }
 
         // Decentralized aggregation: iterative peer averaging converging to
         // the record-weighted mean (identical on every executor, so all
-        // honest executors submit the same hash).
-        let total_records: u64 = local_params.iter().map(|(_, n)| n).sum();
-        let dim = local_params[0].0.len();
-        let mut aggregated = vec![0.0; dim];
-        for (params, n) in &local_params {
-            for (a, p) in aggregated.iter_mut().zip(params) {
-                *a += p * (*n as f64 / total_records as f64);
-            }
-        }
-        // Aggregation rounds only affect simulated communication cost here;
-        // the fixed point is the weighted mean.
+        // honest executors submit the same hash). Aggregation rounds only
+        // affect simulated communication cost here; the fixed point is the
+        // weighted mean.
+        let aggregated = weighted_mean(&local_params, &local_weights);
         let result_hash = hash_params(&aggregated);
 
         // Validation score on the consumer's public validation set.
@@ -283,7 +283,7 @@ fn train_local(spec: &WorkloadSpec, data: &Dataset, workload_id: u64) -> Vec<f64
         lr_decay: 0.98,
         batch_size: 16,
         epochs: spec.local_epochs as usize,
-        clip: spec.dp_noise_multiplier.map(|_| 1.0),
+        clip: None,
         seed: workload_id,
     };
     match spec.task {
@@ -293,11 +293,21 @@ fn train_local(spec: &WorkloadSpec, data: &Dataset, workload_id: u64) -> Vec<f64
                 None => {
                     train(&mut m, data, &cfg);
                 }
+                // Like `train`, nothing to learn from an empty set.
+                Some(_) if data.is_empty() => {}
                 Some(multiplier) => {
-                    // DP-SGD: clipped per-epoch gradients plus seeded
-                    // Gaussian noise (deterministic per workload, so all
-                    // executors converge to the same aggregate).
-                    train_dp_classifier(&mut m, data, &cfg, multiplier, workload_id);
+                    // DP-SGD: one clipped, noised step per epoch on a drawn
+                    // batch, seeded from the workload id so every executor
+                    // converges to the same aggregate and the run replays.
+                    let clip = 1.0;
+                    let mut rng = StdRng::seed_from_u64(workload_id ^ 0xd9);
+                    let mut lr = cfg.learning_rate;
+                    for _ in 0..cfg.epochs {
+                        let batch = draw_batch(&mut rng, data.len(), cfg.batch_size);
+                        let sigma = multiplier * clip / batch.len() as f64;
+                        dp::sgd_step(&mut m, data, &batch, lr, clip, sigma, &mut rng);
+                        lr *= cfg.lr_decay;
+                    }
                 }
             }
             m.params()
@@ -311,54 +321,13 @@ fn train_local(spec: &WorkloadSpec, data: &Dataset, workload_id: u64) -> Vec<f64
     }
 }
 
-/// DP-SGD training for the classification workload path: per-step clipped
-/// gradients with Gaussian noise, all seeded from the workload id so the
-/// run stays replayable.
-fn train_dp_classifier(
-    model: &mut LogisticRegression,
-    data: &Dataset,
-    cfg: &SgdConfig,
-    noise_multiplier: f64,
-    workload_id: u64,
-) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    if data.is_empty() {
-        return;
-    }
-    let clip = cfg.clip.unwrap_or(1.0);
-    let mut rng = StdRng::seed_from_u64(workload_id ^ 0xd9);
-    let mut lr = cfg.learning_rate;
-    for _ in 0..cfg.epochs {
-        let batch: Vec<usize> = (0..cfg.batch_size.min(data.len()))
-            .map(|_| rng.random_range(0..data.len()))
-            .collect();
-        let mut grad = model.gradient(data, &batch);
-        pds2_ml::linalg::clip_norm(&mut grad, clip);
-        let sigma = noise_multiplier * clip / batch.len() as f64;
-        for g in &mut grad {
-            let u1: f64 = rng.random::<f64>().max(1e-12);
-            let u2: f64 = rng.random();
-            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            *g += sigma * z;
-        }
-        let mut params = model.params();
-        for (p, g) in params.iter_mut().zip(&grad) {
-            *p -= lr * g;
-        }
-        model.set_params(&params);
-        lr *= cfg.lr_decay;
-    }
-}
-
 /// Scores aggregated parameters on the validation set.
 fn score_params(spec: &WorkloadSpec, params: &[f64]) -> f64 {
     match spec.task {
         TaskKind::BinaryClassification => {
             let mut m = LogisticRegression::new(spec.feature_dim as usize);
             m.set_params(params);
-            let preds: Vec<f64> = spec.validation.x.iter().map(|x| m.classify(x)).collect();
-            pds2_ml::metrics::accuracy(&preds, &spec.validation.y)
+            classifier_accuracy(&m, &spec.validation)
         }
         TaskKind::Regression => {
             let mut m = LinearRegression::new(spec.feature_dim as usize);

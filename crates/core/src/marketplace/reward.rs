@@ -9,7 +9,7 @@ use pds2_chain::address::Address;
 use pds2_ml::data::Dataset;
 use pds2_ml::sgd::SgdConfig;
 use pds2_rewards::shapley::{
-    exact_shapley, monte_carlo_shapley_par, proportional, to_reward_shares, McConfig,
+    exact_shapley, monte_carlo_shapley, proportional, to_reward_shares, McConfig,
 };
 use pds2_rewards::utility::MlUtility;
 
@@ -154,10 +154,8 @@ fn compute_shares(
             );
             let phi = match spec.reward_scheme {
                 RewardScheme::ShapleyExact => exact_shapley(&mut utility),
-                // Parallel estimator: bit-identical to the serial one for
-                // any PDS2_THREADS, so reward splits stay reproducible.
-                RewardScheme::ShapleyMonteCarlo { permutations } => monte_carlo_shapley_par(
-                    &utility,
+                RewardScheme::ShapleyMonteCarlo { permutations } => monte_carlo_shapley(
+                    &mut utility,
                     &McConfig {
                         permutations: permutations as usize,
                         truncation_tolerance: 1e-3,

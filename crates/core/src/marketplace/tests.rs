@@ -212,6 +212,29 @@ fn full_lifecycle_shapley() {
     assert_eq!(total, 10_000);
 }
 
+/// Exact Shapley panics above its bound, so the 21st provider of an
+/// exact-Shapley workload used to be accepted and then panic `finalize`
+/// with the escrow funded and the data handed over. It is refused at
+/// accept instead, before a grant or a participation transaction.
+#[test]
+fn exact_shapley_refuses_the_provider_past_its_bound() {
+    let mut w = build_world(21, 1, RewardScheme::ShapleyExact);
+    let (last, first) = w.providers.split_last().unwrap();
+    for &p in first {
+        w.market
+            .provider_accept(p, w.workload, w.executors[0])
+            .unwrap();
+    }
+    let height = w.market.chain.height();
+    let err = w
+        .market
+        .provider_accept(*last, w.workload, w.executors[0])
+        .unwrap_err();
+    assert!(err.to_string().contains("at most 20 providers"), "{err}");
+    assert_eq!(w.market.chain.height(), height, "nothing was mined");
+    assert!(w.market.prove_participation(w.workload, *last).is_err());
+}
+
 #[test]
 fn eligible_providers_respect_precondition() {
     let mut w = build_world(2, 1, RewardScheme::ProportionalToRecords);

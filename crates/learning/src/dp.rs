@@ -7,6 +7,10 @@
 //! helpers, and a simple composition accountant, which experiment E11 uses
 //! to trade attack advantage against model accuracy.
 
+use pds2_ml::data::{standard_normal, Dataset};
+use pds2_ml::linalg::clip_norm;
+use pds2_ml::model::Model;
+use pds2_ml::sgd;
 use rand::Rng;
 
 /// Samples Laplace(0, b) noise.
@@ -17,12 +21,31 @@ pub fn laplace_noise<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).max(1e-300).ln()
 }
 
-/// Samples Gaussian(0, sigma²) noise (Box–Muller).
+/// Samples Gaussian(0, sigma²) noise.
 pub fn gaussian_noise<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
     assert!(sigma >= 0.0, "sigma must be non-negative");
-    let u1: f64 = rng.random::<f64>().max(1e-12);
-    let u2: f64 = rng.random();
-    sigma * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    sigma * standard_normal(rng)
+}
+
+/// One DP-SGD step on `batch`: the gradient is clipped to L2 norm `clip`,
+/// each coordinate gets `sigma · N(0, 1)` noise, then the model descends
+/// along it at rate `lr`. Callers keep their own loops (epochs, local
+/// steps, full batch) and their own choice of `sigma`.
+pub fn sgd_step<M: Model, R: Rng + ?Sized>(
+    model: &mut M,
+    data: &Dataset,
+    batch: &[usize],
+    lr: f64,
+    clip: f64,
+    sigma: f64,
+    rng: &mut R,
+) {
+    let mut grad = model.gradient(data, batch);
+    clip_norm(&mut grad, clip);
+    for g in &mut grad {
+        *g += gaussian_noise(rng, sigma);
+    }
+    sgd::step(model, &grad, lr);
 }
 
 /// The Laplace mechanism: releases `value + Lap(sensitivity / epsilon)`,

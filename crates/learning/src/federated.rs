@@ -10,6 +10,7 @@
 
 use pds2_ml::data::Dataset;
 use pds2_ml::linalg::weighted_mean;
+use pds2_ml::metrics::classifier_accuracy;
 use pds2_ml::model::Model;
 use pds2_ml::sgd::{self, SgdConfig};
 use rand::rngs::StdRng;
@@ -116,7 +117,7 @@ where
     for round in 0..cfg.rounds {
         if round >= coordinator_alive_until {
             // Coordinator dead: nothing aggregates; model frozen.
-            accuracy_curve.push(eval(&global, test));
+            accuracy_curve.push(classifier_accuracy(&global, test));
             continue;
         }
         // Sample distinct clients.
@@ -159,7 +160,7 @@ where
             let averaged = weighted_mean(&updates, &weights);
             global.set_params(&averaged);
         }
-        let acc = eval(&global, test);
+        let acc = classifier_accuracy(&global, test);
         pds2_obs::counter!("learning.fed_rounds").inc();
         pds2_obs::event!(
             "learning",
@@ -180,19 +181,6 @@ where
         accuracy_curve,
         stats,
     }
-}
-
-/// Test accuracy of `model` at the 0.5 threshold (0 on an empty set).
-pub(crate) fn eval<M: Model>(model: &M, test: &Dataset) -> f64 {
-    if test.is_empty() {
-        return 0.0;
-    }
-    let preds: Vec<f64> = test
-        .x
-        .iter()
-        .map(|x| if model.predict(x) >= 0.5 { 1.0 } else { 0.0 })
-        .collect();
-    pds2_ml::metrics::accuracy(&preds, &test.y)
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use pds2_crypto::Sha256;
 use pds2_ml::data::Dataset;
 use pds2_ml::linalg::weighted_average;
+use pds2_ml::metrics::classifier_accuracy;
 use pds2_ml::model::Model;
 use pds2_ml::sgd;
 use pds2_net::fault::FaultPlan;
@@ -194,31 +195,25 @@ impl<M: Model> GossipNode<M> {
         if self.data.is_empty() {
             return;
         }
+        let lr = self.cfg.learning_rate;
         for _ in 0..self.cfg.local_steps {
-            let batch: Vec<usize> = (0..self.cfg.batch_size.min(self.data.len()))
-                .map(|_| rng.random_range(0..self.data.len()))
-                .collect();
+            let batch = sgd::draw_batch(rng, self.data.len(), self.cfg.batch_size);
             match self.cfg.dp {
-                None => sgd::step(
-                    &mut self.model,
-                    &self.data,
-                    &batch,
-                    self.cfg.learning_rate,
-                    None,
-                ),
+                None => {
+                    let grad = self.model.gradient(&self.data, &batch);
+                    sgd::step(&mut self.model, &grad, lr);
+                }
                 Some(dp) => {
-                    // Clip, then add Gaussian noise scaled to the clip.
-                    let mut grad = self.model.gradient(&self.data, &batch);
-                    pds2_ml::linalg::clip_norm(&mut grad, dp.clip);
                     let sigma = dp.noise_multiplier * dp.clip / batch.len() as f64;
-                    for g in &mut grad {
-                        *g += sigma * gaussian(rng);
-                    }
-                    let mut params = self.model.params();
-                    for (p, g) in params.iter_mut().zip(&grad) {
-                        *p -= self.cfg.learning_rate * g;
-                    }
-                    self.model.set_params(&params);
+                    crate::dp::sgd_step(
+                        &mut self.model,
+                        &self.data,
+                        &batch,
+                        lr,
+                        dp.clip,
+                        sigma,
+                        rng,
+                    );
                 }
             }
         }
@@ -245,14 +240,6 @@ impl<M: Model> GossipNode<M> {
         self.age = self.age.max(incoming.age) + 1;
         self.models_merged += 1;
     }
-}
-
-/// Standard-normal sample via Box–Muller (local helper to avoid a
-/// distribution dependency).
-fn gaussian(rng: &mut rand::rngs::StdRng) -> f64 {
-    let u1: f64 = rng.random::<f64>().max(1e-12);
-    let u2: f64 = rng.random();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 impl<M: Model> Node for GossipNode<M> {
@@ -436,7 +423,7 @@ fn evaluate<M: Model + Sync>(
         let step = (online.len() / eval_sample.max(1)).max(1);
         let sampled: Vec<usize> = online.iter().copied().step_by(step).collect();
         let accs = pds2_par::par_map_indexed(&sampled, |_, &id| {
-            crate::federated::eval(&sim.node(id).model, test)
+            classifier_accuracy(&sim.node(id).model, test)
         });
         let mean = if accs.is_empty() {
             0.0

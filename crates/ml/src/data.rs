@@ -176,8 +176,10 @@ fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
     }
 }
 
-/// Standard-normal sample via Box–Muller.
-fn randn(rng: &mut StdRng) -> f64 {
+/// Standard-normal sample via Box–Muller: the one Gaussian sampler every
+/// noise source in the workspace draws from (DP noise is
+/// `sigma * standard_normal(rng)`).
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.random::<f64>().max(1e-12);
     let u2: f64 = rng.random();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -193,7 +195,7 @@ pub fn gaussian_blobs(n: usize, dim: usize, spread: f64, seed: u64) -> Dataset {
         let label = (i % 2) as f64;
         let center = if label > 0.5 { 1.0 } else { -1.0 };
         let row: Vec<f64> = (0..dim)
-            .map(|_| center + spread * randn(&mut rng))
+            .map(|_| center + spread * standard_normal(&mut rng))
             .collect();
         x.push(row);
         y.push(label);
@@ -211,8 +213,8 @@ pub fn two_spirals(n: usize, noise: f64, seed: u64) -> Dataset {
         let t = 0.5 + 3.0 * (i as f64 / n as f64) * std::f64::consts::PI;
         let sign = if label > 0.5 { 1.0 } else { -1.0 };
         x.push(vec![
-            sign * t * t.cos() + noise * randn(&mut rng),
-            sign * t * t.sin() + noise * randn(&mut rng),
+            sign * t * t.cos() + noise * standard_normal(&mut rng),
+            sign * t * t.sin() + noise * standard_normal(&mut rng),
         ]);
         y.push(label);
     }
@@ -223,13 +225,13 @@ pub fn two_spirals(n: usize, noise: f64, seed: u64) -> Dataset {
 /// ground-truth weight vector.
 pub fn noisy_linear(n: usize, dim: usize, noise: f64, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
-    let w: Vec<f64> = (0..dim).map(|_| randn(&mut rng)).collect();
-    let b = randn(&mut rng);
+    let w: Vec<f64> = (0..dim).map(|_| standard_normal(&mut rng)).collect();
+    let b = standard_normal(&mut rng);
     let mut x = Vec::with_capacity(n);
     let mut y = Vec::with_capacity(n);
     for _ in 0..n {
-        let row: Vec<f64> = (0..dim).map(|_| randn(&mut rng)).collect();
-        let target = crate::linalg::dot(&w, &row) + b + noise * randn(&mut rng);
+        let row: Vec<f64> = (0..dim).map(|_| standard_normal(&mut rng)).collect();
+        let target = crate::linalg::dot(&w, &row) + b + noise * standard_normal(&mut rng);
         x.push(row);
         y.push(target);
     }
@@ -274,7 +276,7 @@ pub fn iot_sensor_series(n: usize, device_phase: f64, noise: f64, seed: u64) -> 
     let raw: Vec<f64> = (0..n + window)
         .map(|t| {
             let hour = (t % 24) as f64 / 24.0 * std::f64::consts::TAU;
-            20.0 + 5.0 * (hour + device_phase).sin() + noise * randn(&mut rng)
+            20.0 + 5.0 * (hour + device_phase).sin() + noise * standard_normal(&mut rng)
         })
         .collect();
     let mut x = Vec::with_capacity(n);

@@ -1,5 +1,19 @@
 //! Evaluation metrics.
 
+use crate::data::Dataset;
+use crate::model::Model;
+
+/// Test accuracy of a binary classifier: each prediction thresholded at
+/// 0.5, scored against the labels (0 on an empty set).
+pub fn classifier_accuracy<M: Model>(model: &M, test: &Dataset) -> f64 {
+    let preds: Vec<f64> = test
+        .x
+        .iter()
+        .map(|x| if model.predict(x) >= 0.5 { 1.0 } else { 0.0 })
+        .collect();
+    accuracy(&preds, &test.y)
+}
+
 /// Fraction of predictions exactly matching targets (use on hard labels).
 pub fn accuracy(predictions: &[f64], targets: &[f64]) -> f64 {
     assert_eq!(predictions.len(), targets.len(), "length mismatch");

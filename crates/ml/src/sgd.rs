@@ -53,7 +53,11 @@ pub fn train<M: Model>(model: &mut M, data: &Dataset, cfg: &SgdConfig) -> Vec<f6
             order.swap(i, j);
         }
         for batch in order.chunks(cfg.batch_size) {
-            step(model, data, batch, lr, cfg.clip);
+            let mut grad = model.gradient(data, batch);
+            if let Some(c) = cfg.clip {
+                clip_norm(&mut grad, c);
+            }
+            step(model, &grad, lr);
         }
         losses.push(model.loss(data));
         lr *= cfg.lr_decay;
@@ -61,18 +65,21 @@ pub fn train<M: Model>(model: &mut M, data: &Dataset, cfg: &SgdConfig) -> Vec<f6
     losses
 }
 
-/// One SGD step on an explicit batch (exposed for the decentralized
-/// protocols, which interleave local steps with merges).
-pub fn step<M: Model>(model: &mut M, data: &Dataset, batch: &[usize], lr: f64, clip: Option<f64>) {
-    let mut grad = model.gradient(data, batch);
-    if let Some(c) = clip {
-        clip_norm(&mut grad, c);
-    }
+/// One descent step along a gradient the caller computed: `p -= lr·g`.
+/// Exposed for the decentralized protocols, which interleave local steps
+/// with merges, and for DP-SGD, which clips and noises the gradient first.
+pub fn step<M: Model>(model: &mut M, grad: &[f64], lr: f64) {
     let mut params = model.params();
-    for (p, g) in params.iter_mut().zip(&grad) {
+    for (p, g) in params.iter_mut().zip(grad) {
         *p -= lr * g;
     }
     model.set_params(&params);
+}
+
+/// `min(size, n)` row indices drawn uniformly with replacement: the
+/// mini-batch of one local step when there are no epochs to shuffle.
+pub fn draw_batch<R: Rng + ?Sized>(rng: &mut R, n: usize, size: usize) -> Vec<usize> {
+    (0..size.min(n)).map(|_| rng.random_range(0..n)).collect()
 }
 
 #[cfg(test)]
@@ -160,9 +167,19 @@ mod tests {
     fn clipping_bounds_update_magnitude() {
         let data = noisy_linear(100, 3, 10.0, 6); // noisy -> big gradients
         let mut clipped = LinearRegression::new(3);
-        let batch: Vec<usize> = (0..100).collect();
         let before = clipped.params();
-        step(&mut clipped, &data, &batch, 1.0, Some(0.001));
+        // One full-batch step.
+        train(
+            &mut clipped,
+            &data,
+            &SgdConfig {
+                learning_rate: 1.0,
+                batch_size: 100,
+                epochs: 1,
+                clip: Some(0.001),
+                ..Default::default()
+            },
+        );
         let after = clipped.params();
         let delta: f64 = before
             .iter()

@@ -1,26 +1,22 @@
 //! # pds2-par — deterministic fork-join parallelism
 //!
-//! A small scoped-thread runtime for the PDS² hot paths (block
-//! validation, Merkle hashing, Monte-Carlo Shapley, evaluation sweeps)
-//! built on std threads and `parking_lot`, with one hard guarantee:
+//! A small scoped-thread runtime for the PDS² fan-outs (Merkle hashing,
+//! evaluation sweeps) built on std threads and `parking_lot`, with one
+//! hard guarantee:
 //!
 //! > **The thread count never changes a result.** `PDS2_THREADS=1` and
 //! > `PDS2_THREADS=64` produce bit-identical outputs.
 //!
-//! Three mechanisms deliver that guarantee:
+//! Two mechanisms deliver that guarantee:
 //!
 //! 1. **Index-ordered results** — [`par_map_indexed`] hands each worker
 //!    dynamically-scheduled chunks but reassembles outputs strictly by
-//!    input index, so the caller sees exactly the serial ordering.
-//! 2. **Index-ordered reduction** — [`par_chunks_reduce`] folds chunk
-//!    accumulators left-to-right in chunk order. Chunk boundaries depend
-//!    only on the input length and chunk size, never on the thread
-//!    count, so floating-point reductions associate identically on every
-//!    run.
-//! 3. **Per-task RNG streams** — [`stream_rng`] derives an independent
+//!    input index, so the caller sees exactly the serial ordering; a
+//!    caller that folds the results folds them in input order.
+//! 2. **Per-task RNG streams** — [`stream_rng`] derives an independent
 //!    generator from `(seed, task_index)`, so randomized tasks (e.g.
 //!    Shapley permutations) draw the same values no matter which thread
-//!    executes them.
+//!    or which order executes them.
 //!
 //! ## Thread-count knob
 //!
@@ -202,33 +198,6 @@ where
     result
 }
 
-/// Maps fixed-size chunks of `items` through `map` and folds the chunk
-/// accumulators **in chunk order** with `reduce`.
-///
-/// `map` receives `(chunk_index, base_item_index, chunk_slice)`. Chunk
-/// boundaries are a pure function of `items.len()` and `chunk_size`, and
-/// the fold runs left-to-right over chunk indices, so the reduction
-/// associates identically for every thread count — the property that
-/// keeps floating-point reductions bit-stable. Returns `None` for empty
-/// input.
-pub fn par_chunks_reduce<T, A, M, R>(items: &[T], chunk_size: usize, map: M, reduce: R) -> Option<A>
-where
-    T: Sync,
-    A: Send,
-    M: Fn(usize, usize, &[T]) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    if items.is_empty() {
-        return None;
-    }
-    let chunk = chunk_size.max(1);
-    let bounds: Vec<(usize, usize)> = (0..items.len().div_ceil(chunk))
-        .map(|c| (c * chunk, ((c + 1) * chunk).min(items.len())))
-        .collect();
-    let accumulators = par_map_indexed(&bounds, |c, &(lo, hi)| map(c, lo, &items[lo..hi]));
-    accumulators.into_iter().reduce(reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,54 +226,6 @@ mod tests {
             with_threads(4, || par_map_indexed(&one, |_, v| v + 1)),
             vec![8]
         );
-    }
-
-    #[test]
-    fn float_reduction_is_bit_stable_across_thread_counts() {
-        // Sums that differ under re-association expose any ordering bug.
-        let values: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 2_654_435_761u64 % 1000) as f64).powf(1.5) * 1e-7 + 1.0)
-            .collect();
-        let reference = with_threads(1, || {
-            par_chunks_reduce(
-                &values,
-                64,
-                |_, _, chunk| chunk.iter().sum::<f64>(),
-                |a, b| a + b,
-            )
-        })
-        .unwrap();
-        for threads in [2, 3, 5, 16] {
-            let sum = with_threads(threads, || {
-                par_chunks_reduce(
-                    &values,
-                    64,
-                    |_, _, chunk| chunk.iter().sum::<f64>(),
-                    |a, b| a + b,
-                )
-            })
-            .unwrap();
-            assert_eq!(sum.to_bits(), reference.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunks_reduce_reports_indices() {
-        let items: Vec<u32> = (0..10).collect();
-        let spans = with_threads(3, || {
-            par_chunks_reduce(
-                &items,
-                4,
-                |c, base, chunk| vec![(c, base, chunk.len())],
-                |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                },
-            )
-        })
-        .unwrap();
-        assert_eq!(spans, vec![(0, 0, 4), (1, 4, 4), (2, 8, 2)]);
-        assert!(par_chunks_reduce(&[] as &[u32], 4, |_, _, c| c.len(), |a, b| a + b).is_none());
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! the optimal parameters; a fraction-of-price buyer receives a noised
 //! version whose expected quality degrades smoothly as the budget shrinks.
 
-use pds2_ml::data::Dataset;
+use pds2_ml::data::{standard_normal, Dataset};
+use pds2_ml::metrics::classifier_accuracy;
 use pds2_ml::model::Model;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Pricing curve parameters.
 #[derive(Clone, Copy, Debug)]
@@ -71,7 +72,7 @@ impl<M: Model> PricedModel<M> {
         let mut rng = StdRng::seed_from_u64(sale_seed);
         let mut params = model.params();
         for p in &mut params {
-            *p += sigma * gaussian(&mut rng);
+            *p += sigma * standard_normal(&mut rng);
         }
         model.set_params(&params);
         model
@@ -92,7 +93,7 @@ impl<M: Model> PricedModel<M> {
                 let mut acc_sum = 0.0;
                 for s in 0..samples {
                     let m = self.instance_for_budget(b, seed ^ (s as u64) << 32 ^ b as u64);
-                    acc_sum += classify_accuracy(&m, test);
+                    acc_sum += classifier_accuracy(&m, test);
                 }
                 (b, acc_sum / samples as f64)
             })
@@ -103,24 +104,6 @@ impl<M: Model> PricedModel<M> {
     pub fn optimal(&self) -> &M {
         &self.optimal
     }
-}
-
-fn classify_accuracy<M: Model>(model: &M, test: &Dataset) -> f64 {
-    if test.is_empty() {
-        return 0.0;
-    }
-    let preds: Vec<f64> = test
-        .x
-        .iter()
-        .map(|x| if model.predict(x) >= 0.5 { 1.0 } else { 0.0 })
-        .collect();
-    pds2_ml::metrics::accuracy(&preds, &test.y)
-}
-
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random::<f64>().max(1e-12);
-    let u2: f64 = rng.random();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -143,7 +126,7 @@ mod tests {
         let (priced, te) = trained_model();
         let bought = priced.instance_for_budget(1_000, 42);
         assert_eq!(bought.params(), priced.optimal().params());
-        assert!(classify_accuracy(&bought, &te) > 0.9);
+        assert!(classifier_accuracy(&bought, &te) > 0.9);
     }
 
     #[test]
@@ -168,7 +151,7 @@ mod tests {
             "full-budget accuracy should clearly beat zero-budget: {curve:?}"
         );
         // Top of the curve equals the optimal-model accuracy.
-        assert!((last - classify_accuracy(priced.optimal(), &te)).abs() < 1e-12);
+        assert!((last - classifier_accuracy(priced.optimal(), &te)).abs() < 1e-12);
     }
 
     #[test]

@@ -82,13 +82,17 @@ impl<F: FnMut(&[usize]) -> f64> Utility for FnUtility<F> {
     }
 }
 
+/// The most players [`exact_shapley`] takes: 2^20 coalition valuations.
+pub const MAX_EXACT_PLAYERS: usize = 20;
+
 /// Exact Shapley values by full subset enumeration: O(2^n · n) utility
-/// evaluations. Panics above 20 players — that is the point of E7.
+/// evaluations. Panics above [`MAX_EXACT_PLAYERS`] — that is the point of
+/// E7.
 #[allow(clippy::needless_range_loop)] // bitmask-indexed subset table
 pub fn exact_shapley<U: Utility>(utility: &mut U) -> Vec<f64> {
     let n = utility.n_players();
     assert!(
-        n <= 20,
+        n <= MAX_EXACT_PLAYERS,
         "exact Shapley is exponential; use monte_carlo_shapley"
     );
     if n == 0 {
@@ -151,8 +155,8 @@ impl Default for McConfig {
 ///
 /// The permutation is drawn from its own RNG stream derived from
 /// `(cfg.seed, perm_index)`, so the result is a pure function of the
-/// config and the index — independent of which worker evaluates it and of
-/// how many permutations run before it.
+/// config and the index, independent of how many permutations run before
+/// it.
 fn permutation_marginals<U: Utility>(
     utility: &mut U,
     cfg: &McConfig,
@@ -185,25 +189,12 @@ fn permutation_marginals<U: Utility>(
     marginals
 }
 
-/// Folds per-permutation marginal vectors into the Shapley estimate,
-/// always in permutation order (the float-summation order contract shared
-/// by the serial and parallel paths).
-fn average_marginals(per_perm: Vec<Vec<f64>>, n: usize, permutations: usize) -> Vec<f64> {
-    let mut sums = vec![0.0; n];
-    for marginals in per_perm {
-        for (s, m) in sums.iter_mut().zip(&marginals) {
-            *s += m;
-        }
-    }
-    sums.iter().map(|s| s / permutations as f64).collect()
-}
-
 /// Truncated Monte-Carlo Shapley approximation.
 ///
 /// Each permutation draws from an independent RNG stream keyed by
 /// `(cfg.seed, permutation_index)` and contributes a marginal vector that
-/// is summed in permutation order, so this serial routine and
-/// [`monte_carlo_shapley_par`] produce bit-identical estimates.
+/// is summed in permutation order. Every permutation shares the caller's
+/// utility, so a memoizing utility values each coalition once per split.
 pub fn monte_carlo_shapley<U: Utility>(utility: &mut U, cfg: &McConfig) -> Vec<f64> {
     let n = utility.n_players();
     if n == 0 {
@@ -213,54 +204,14 @@ pub fn monte_carlo_shapley<U: Utility>(utility: &mut U, cfg: &McConfig) -> Vec<f
     let full: Vec<usize> = (0..n).collect();
     let v_full = utility.value(&full);
     let v_empty = utility.value(&[]);
-    let per_perm: Vec<Vec<f64>> = (0..cfg.permutations)
-        .map(|p| permutation_marginals(utility, cfg, v_full, v_empty, p))
-        .collect();
-    average_marginals(per_perm, n, cfg.permutations)
-}
-
-/// Parallel truncated Monte-Carlo Shapley.
-///
-/// Permutations fan out across the `pds2-par` worker pool in fixed-size
-/// chunks; each chunk evaluates on its own clone of the utility (warm
-/// with whatever the source had already memoized), and the resulting
-/// marginal vectors are averaged in permutation order. Bit-identical to
-/// [`monte_carlo_shapley`] for every `PDS2_THREADS` value.
-pub fn monte_carlo_shapley_par<U>(utility: &U, cfg: &McConfig) -> Vec<f64>
-where
-    U: Utility + Clone + Send + Sync,
-{
-    let n = utility.n_players();
-    if n == 0 {
-        return Vec::new();
+    let mut sums = vec![0.0; n];
+    for p in 0..cfg.permutations {
+        let marginals = permutation_marginals(utility, cfg, v_full, v_empty, p);
+        for (s, m) in sums.iter_mut().zip(&marginals) {
+            *s += m;
+        }
     }
-    assert!(cfg.permutations > 0, "need at least one permutation");
-    let (v_full, v_empty) = {
-        let mut probe = utility.clone();
-        let full: Vec<usize> = (0..n).collect();
-        (probe.value(&full), probe.value(&[]))
-    };
-    // Chunk size is fixed (not thread-count derived): each worker clones
-    // the utility once per chunk, and chunk boundaries never move.
-    const PERMS_PER_CLONE: usize = 8;
-    let indices: Vec<usize> = (0..cfg.permutations).collect();
-    let per_perm = pds2_par::par_chunks_reduce(
-        &indices,
-        PERMS_PER_CLONE,
-        |_, _, chunk| {
-            let mut local = utility.clone();
-            chunk
-                .iter()
-                .map(|&p| permutation_marginals(&mut local, cfg, v_full, v_empty, p))
-                .collect::<Vec<_>>()
-        },
-        |mut a, mut b| {
-            a.append(&mut b);
-            a
-        },
-    )
-    .unwrap_or_default();
-    average_marginals(per_perm, n, cfg.permutations)
+    sums.iter().map(|s| s / cfg.permutations as f64).collect()
 }
 
 /// Leave-one-out valuation: `v(N) - v(N \ {i})`.
@@ -311,7 +262,7 @@ mod tests {
     use super::*;
 
     /// Additive game: v(S) = Σ weights[i].
-    fn additive(weights: Vec<f64>) -> FnUtility<impl FnMut(&[usize]) -> f64 + Clone + Send + Sync> {
+    fn additive(weights: Vec<f64>) -> FnUtility<impl FnMut(&[usize]) -> f64> {
         let n = weights.len();
         FnUtility::new(n, move |s: &[usize]| s.iter().map(|&i| weights[i]).sum())
     }
@@ -471,27 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_estimates_are_bit_identical() {
-        let weights = vec![1.0, 4.0, 2.0, 3.0, 0.5, 7.0, 0.25, 1.5];
-        let cfg = McConfig {
-            permutations: 100,
-            truncation_tolerance: 1e-9,
-            seed: 17,
-        };
-        let serial = monte_carlo_shapley(&mut additive(weights.clone()), &cfg);
-        for threads in [1, 2, 4, 8] {
-            let par = pds2_par::with_threads(threads, || {
-                monte_carlo_shapley_par(&additive(weights.clone()), &cfg)
-            });
-            assert_eq!(
-                serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                par.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn permutation_streams_make_estimate_independent_of_order() {
         // Evaluating only the second half of the permutations must give
         // the same per-permutation marginals as a full run: each stream
@@ -517,7 +447,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exponential")]
     fn exact_rejects_large_n() {
-        let mut u = FnUtility::new(21, |_: &[usize]| 0.0);
+        let mut u = FnUtility::new(MAX_EXACT_PLAYERS + 1, |_: &[usize]| 0.0);
         let _ = exact_shapley(&mut u);
     }
 

@@ -4,6 +4,7 @@
 
 use crate::shapley::Utility;
 use pds2_ml::data::Dataset;
+use pds2_ml::metrics::classifier_accuracy;
 use pds2_ml::model::LogisticRegression;
 use pds2_ml::sgd::{train, SgdConfig};
 use std::collections::HashMap;
@@ -11,11 +12,9 @@ use std::collections::HashMap;
 /// Coalition utility = test accuracy of a logistic-regression model
 /// trained on the union of the coalition's shards. Evaluations are
 /// memoized — a requirement in practice because each one is a full
-/// training run (the "time needed to train" cost the paper flags).
-///
-/// `Clone` lets [`crate::shapley::monte_carlo_shapley_par`] hand each
-/// worker its own copy (cache included, so pre-warmed entries carry over).
-#[derive(Clone)]
+/// training run (the "time needed to train" cost the paper flags), and
+/// the one memo serves every permutation of a Monte-Carlo split, so each
+/// coalition trains at most once.
 pub struct MlUtility {
     shards: Vec<Dataset>,
     test: Dataset,
@@ -53,16 +52,15 @@ impl MlUtility {
         train(&mut model, &pooled, &self.sgd);
         self.training_runs += 1;
         pds2_obs::counter!("rewards.training_runs").inc();
-        let preds: Vec<f64> = self.test.x.iter().map(|x| model.classify(x)).collect();
-        pds2_ml::metrics::accuracy(&preds, &self.test.y)
+        classifier_accuracy(&model, &self.test)
     }
 }
 
 impl Utility for MlUtility {
     fn value(&mut self, coalition: &[usize]) -> f64 {
-        // Counters only (no trace events): Monte-Carlo Shapley clones
-        // this utility into pds2-par workers, and counter totals stay
-        // meaningful under any interleaving.
+        // Counters only (no trace events): a Monte-Carlo split makes
+        // hundreds of these calls, one trace event each would swamp a
+        // lifecycle's trace.
         pds2_obs::counter!("rewards.shapley_evals").inc();
         let key = coalition.to_vec();
         if let Some(&v) = self.cache.get(&key) {

@@ -4,7 +4,7 @@
 
 use pds2::he;
 use pds2::learning::attack::loss_threshold_attack;
-use pds2::learning::dp::{gaussian_sigma, PrivacyAccountant};
+use pds2::learning::dp::{gaussian_sigma, sgd_step, PrivacyAccountant};
 use pds2::learning::gossip::{run_gossip_experiment, DpConfig, GossipConfig};
 use pds2::ml::data::gaussian_blobs;
 use pds2::ml::model::LogisticRegression;
@@ -114,23 +114,11 @@ fn dp_reduces_membership_inference_advantage() {
 
     // DP-SGD: clipped full-batch gradients plus per-coordinate Gaussian
     // noise on every step.
-    use pds2::learning::dp::gaussian_noise;
-    use pds2::ml::linalg::clip_norm;
-    use pds2::ml::model::Model;
     let mut noisy = LogisticRegression::new(16);
     let mut dp_rng = StdRng::seed_from_u64(5);
     let batch: Vec<usize> = (0..members.len()).collect();
     for _ in 0..300 {
-        let mut grad = noisy.gradient(&members, &batch);
-        clip_norm(&mut grad, 1.0);
-        for g in &mut grad {
-            *g += gaussian_noise(&mut dp_rng, 0.25);
-        }
-        let mut params = noisy.params();
-        for (p, g) in params.iter_mut().zip(&grad) {
-            *p -= 0.5 * g;
-        }
-        noisy.set_params(&params);
+        sgd_step(&mut noisy, &members, &batch, 0.5, 1.0, 0.25, &mut dp_rng);
     }
     let noisy_attack = loss_threshold_attack(&noisy, &members, &non_members);
 
