@@ -1,9 +1,10 @@
-//! E3 — §III-A: governance-chain throughput and per-action gas.
+//! E3 — §III-A: governance-chain gas per action and block capacity.
 //!
-//! Measures transactions/second for native transfers, ERC-20 transfers and
-//! ERC-721 mints; reports the gas each marketplace action consumes; and
-//! sweeps the block gas limit (ablation A4) to show its effect on
-//! transactions per block.
+//! Reports the gas each marketplace action consumes and sweeps the block
+//! gas limit (ablation A4) to show its effect on transactions per block.
+//! Throughput is not timed here: `benchmark/`'s `pipeline_transfer`
+//! `tx_per_s` measures the transfer path end to end (submit, produce and
+//! a follower's apply).
 //!
 //! `cargo run --release -p pds2-bench --bin exp_chain_throughput`
 
@@ -13,9 +14,8 @@ use pds2_chain::chain::{Blockchain, ChainConfig};
 use pds2_chain::contract::ContractRegistry;
 use pds2_chain::erc20::Erc20Op;
 use pds2_chain::erc721::{AssetKind, Erc721Op};
-use pds2_chain::tx::{Transaction, TxKind};
+use pds2_chain::tx::{SignedTransaction, Transaction, TxKind};
 use pds2_crypto::{sha256, KeyPair};
-use std::time::Instant;
 
 fn fresh_chain(alice: &KeyPair, gas_limit: u64) -> Blockchain {
     Blockchain::new(
@@ -30,77 +30,66 @@ fn fresh_chain(alice: &KeyPair, gas_limit: u64) -> Blockchain {
     )
 }
 
-fn throughput(label: &str, n: usize, mut make: impl FnMut(u64) -> TxKind) -> Vec<String> {
+fn signed(alice: &KeyPair, nonce: u64, kind: TxKind, gas_limit: u64) -> SignedTransaction {
+    Transaction {
+        from: alice.public.clone(),
+        nonce,
+        kind,
+        gas_limit,
+        max_fee_per_gas: 0,
+        priority_fee_per_gas: 0,
+    }
+    .sign(alice)
+}
+
+/// The gas of `make(1)`, sent after `make(0)` (which for ERC-20 creates
+/// the token the transfer moves).
+fn gas_per_tx(label: &str, make: impl Fn(u64) -> TxKind) -> Vec<String> {
     let alice = KeyPair::from_seed(1);
     let mut chain = fresh_chain(&alice, u64::MAX);
-    // Pre-sign outside the timed section.
-    let txs: Vec<_> = (0..n as u64)
+    let hashes: Vec<_> = (0..2)
         .map(|nonce| {
-            Transaction {
-                from: alice.public.clone(),
-                nonce,
-                kind: make(nonce),
-                gas_limit: 1_000_000,
-                max_fee_per_gas: 0,
-                priority_fee_per_gas: 0,
-            }
-            .sign(&alice)
+            let tx = signed(&alice, nonce, make(nonce), 1_000_000);
+            chain.submit(tx).expect("admission")
         })
         .collect();
-    let t = Instant::now();
-    for tx in txs {
-        chain.submit(tx).expect("admission");
-    }
-    let submit_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    chain.produce_until_empty(1000);
-    let execute_s = t.elapsed().as_secs_f64();
-    let first_block = chain.block(0).unwrap();
-    let gas = chain
-        .receipt(&first_block.transactions[0].hash())
-        .map(|r| r.gas_used)
-        .unwrap_or(0);
-    vec![
-        label.to_string(),
-        format!("{:.0}", n as f64 / submit_s),
-        format!("{:.0}", n as f64 / execute_s),
-        gas.to_string(),
-    ]
+    chain.produce_until_empty(10);
+    let gas = chain.receipt(&hashes[1]).expect("executed").gas_used;
+    vec![label.to_string(), gas.to_string()]
 }
 
 fn main() {
-    println!("E3: governance-chain throughput (single validator, release build)\n");
+    println!("E3: governance-chain gas per action (single validator)\n");
     let bob = Address::of(&KeyPair::from_seed(2).public);
-    let n = 2_000;
 
-    let mut rows = Vec::new();
-    rows.push(throughput("native transfer", n, |_| TxKind::Transfer {
-        to: bob,
-        amount: 1,
-    }));
-    // ERC-20: create once then transfer. The creation tx is nonce 0.
-    rows.push(throughput("erc20 transfer", n, |nonce| {
-        if nonce == 0 {
-            TxKind::Erc20(Erc20Op::Create {
-                symbol: "B".into(),
-                initial_supply: u128::MAX / 2,
+    let rows = vec![
+        gas_per_tx("native transfer", |_| TxKind::Transfer {
+            to: bob,
+            amount: 1,
+        }),
+        gas_per_tx("erc20 transfer", |nonce| {
+            if nonce == 0 {
+                TxKind::Erc20(Erc20Op::Create {
+                    symbol: "B".into(),
+                    initial_supply: u128::MAX / 2,
+                })
+            } else {
+                TxKind::Erc20(Erc20Op::Transfer {
+                    token: pds2_chain::erc20::TokenId(0),
+                    to: bob,
+                    amount: 1,
+                })
+            }
+        }),
+        gas_per_tx("erc721 mint", |nonce| {
+            TxKind::Erc721(Erc721Op::Mint {
+                kind: AssetKind::Dataset,
+                content: sha256(&nonce.to_le_bytes()),
+                label: String::new(),
             })
-        } else {
-            TxKind::Erc20(Erc20Op::Transfer {
-                token: pds2_chain::erc20::TokenId(0),
-                to: bob,
-                amount: 1,
-            })
-        }
-    }));
-    rows.push(throughput("erc721 mint", n, |nonce| {
-        TxKind::Erc721(Erc721Op::Mint {
-            kind: AssetKind::Dataset,
-            content: sha256(&nonce.to_le_bytes()),
-            label: String::new(),
-        })
-    }));
-    print_table(&["action", "submit tx/s", "execute tx/s", "gas/tx"], &rows);
+        }),
+    ];
+    print_table(&["action", "gas/tx"], &rows);
 
     // Ablation A4: block gas limit vs txs per block.
     println!("\nA4: block gas limit vs transactions per block");
@@ -109,16 +98,10 @@ fn main() {
         let alice = KeyPair::from_seed(1);
         let mut chain = fresh_chain(&alice, limit);
         for nonce in 0..500u64 {
-            let tx = Transaction {
-                from: alice.public.clone(),
-                nonce,
-                kind: TxKind::Transfer { to: bob, amount: 1 },
-                gas_limit: 50_000,
-                max_fee_per_gas: 0,
-                priority_fee_per_gas: 0,
-            }
-            .sign(&alice);
-            chain.submit(tx).unwrap();
+            let transfer = TxKind::Transfer { to: bob, amount: 1 };
+            chain
+                .submit(signed(&alice, nonce, transfer, 50_000))
+                .unwrap();
         }
         let blocks = chain.produce_until_empty(10_000);
         rows.push(vec![
@@ -130,6 +113,7 @@ fn main() {
     print_table(&["block_gas_limit", "blocks", "tx/block"], &rows);
     println!(
         "\nshape: token ops cost a fixed gas premium over native transfers; \
-         tx/block scales linearly with the block gas limit."
+         tx/block scales linearly with the block gas limit. Throughput: \
+         benchmark/ pipeline_transfer tx_per_s."
     );
 }

@@ -6,8 +6,8 @@
 //! partition/crash/byzantine faults, and gossip learning under
 //! corruption — and checks the tentpole acceptance criteria:
 //!
-//! - the capture digest is bit-identical across `PDS2_THREADS` ∈
-//!   {1, 4, 8} and across ring / JSONL / null sinks;
+//! - the capture digest is bit-identical across worker counts
+//!   (`with_threads`) ∈ {1, 4, 8} and across ring / JSONL / null sinks;
 //! - the reconstructed critical-path report (text + report digest) is
 //!   identical whether the DAG is rebuilt from the in-memory ring or
 //!   re-parsed from the JSONL file;

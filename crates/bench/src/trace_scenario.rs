@@ -20,6 +20,7 @@ use pds2_learning::gossip::{run_gossip_experiment_with_faults, GossipConfig};
 use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
 use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, Simulator};
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 const N_REPLICAS: usize = 4;
@@ -95,7 +96,7 @@ fn faulty_marketplace(seed: u64) {
     let spec_b =
         crate::classification_spec(&code_b, validation, RewardScheme::ProportionalToRecords, 3);
     let wl_b = market
-        .submit_workload_with_timeout(consumer, spec_b, code_b, 2, 4)
+        .submit_workload_with_timeout(consumer, spec_b, code_b, 2, NonZeroU32::new(4).unwrap())
         .expect("submit B");
     for &e in &executors {
         market.executor_join(e, wl_b).expect("join B");

@@ -78,18 +78,6 @@ impl Blockchain {
         let account = value.map(|b| Account::from_bytes(&b).expect("canonical account encoding"));
         AccountProof { account, proof }
     }
-
-    /// Produces an authenticated NFT read (ownership of datasets and
-    /// workload code, §III-A): metadata plus (non-)inclusion proof.
-    pub fn prove_nft(
-        &self,
-        id: crate::erc721::NftId,
-    ) -> (Option<crate::erc721::NftInfo>, SmtProof) {
-        let (value, proof) = self.state.prove_leaf(&LeafKey::Erc721Token(id));
-        let info =
-            value.map(|b| crate::erc721::NftInfo::from_bytes(&b).expect("canonical NFT encoding"));
-        (info, proof)
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! the real check. Cache state can only convert "would verify" into
 //! "verified cheaply": accept/reject decisions, and therefore chain
 //! state, are identical with the cache empty, warm, or disabled, at any
-//! `PDS2_THREADS` value.
+//! worker count (`with_threads`).
 //!
 //! A block's transactions go through [`verify_batch_cached`]: the triples
 //! the cache remembers are set aside, the rest are checked as ONE

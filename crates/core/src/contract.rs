@@ -14,8 +14,12 @@
 //! Executing ──FINALIZE [consumer] (2/3 agreement, reward payout)──▶ Completed
 //! Open ──CANCEL [consumer]──▶ Cancelled
 //! Open ──EXPIRE [anyone] (deadline passed)──▶ Cancelled
-//! Executing ──ABORT [anyone] (execution timeout passed)──▶ Cancelled
+//! Executing ──ABORT [anyone] (START height + timeout passed)──▶ Cancelled
 //! ```
+//!
+//! Every funded escrow has an exit: an Open workload has its consumer's
+//! CANCEL, and an Executing one ABORT, because every workload is deployed
+//! with a non-zero execution timeout ([`Init::exec_timeout_blocks`]).
 //!
 //! The deploy input is one [`Init`] and the call input one [`Call`]; each
 //! has one `Encode` / `Decode` pair, which owns its tags, its counts and
@@ -36,6 +40,7 @@ use pds2_chain::erc20::TokenId;
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use pds2_crypto::sha256::{Digest, DIGEST_LEN};
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 
 /// Contract type id registered with the chain.
 pub const WORKLOAD_CODE_ID: &str = "pds2-workload-v1";
@@ -94,10 +99,11 @@ pub struct Init {
     /// refunding the consumer (0 = no deadline).
     pub deadline_height: u64,
     /// Blocks after START before anyone may abort a stuck Executing
-    /// workload and refund the consumer (0 = no execution timeout).
-    /// This is the chaos-harness escape hatch: if every executor holding
-    /// data crashes mid-workload, the escrow is not locked forever.
-    pub exec_timeout_blocks: u64,
+    /// workload and refund the consumer. There is no "off" value: if the
+    /// executors never agree, or every executor holding data crashes
+    /// mid-workload, the escrow is not locked forever. A `u32` added to
+    /// START's `u64` height cannot overflow.
+    pub exec_timeout_blocks: NonZeroU32,
     /// When set, rewards/fees are escrowed and paid in this ERC-20 token
     /// instead of native currency (§III-A fungible-token rewards).
     pub reward_token: Option<TokenId>,
@@ -112,7 +118,7 @@ impl Encode for Init {
         enc.put_u32(self.min_providers);
         enc.put_u64(self.min_records);
         enc.put_u64(self.deadline_height);
-        enc.put_u64(self.exec_timeout_blocks);
+        enc.put_u32(self.exec_timeout_blocks.get());
         enc.put_option(&self.reward_token);
     }
 }
@@ -127,7 +133,8 @@ impl Decode for Init {
             min_providers: dec.get_u32()?,
             min_records: dec.get_u64()?,
             deadline_height: dec.get_u64()?,
-            exec_timeout_blocks: dec.get_u64()?,
+            exec_timeout_blocks: NonZeroU32::new(dec.get_u32()?)
+                .ok_or(DecodeError::Invalid("zero execution timeout"))?,
             reward_token: dec.get_option()?,
         })
     }
@@ -286,11 +293,9 @@ impl WorkloadState {
     }
 
     /// The height ABORT has to be past: START's height plus the execution
-    /// timeout. `None` when the workload was deployed without a timeout.
-    /// The contract enforces it; the marketplace mines up to it.
-    pub fn abort_height(&self) -> Option<u64> {
-        let timeout = self.init.exec_timeout_blocks;
-        (timeout != 0).then(|| self.started_height + timeout)
+    /// timeout. The contract enforces it; the marketplace mines up to it.
+    pub fn abort_height(&self) -> u64 {
+        self.started_height + u64::from(self.init.exec_timeout_blocks.get())
     }
 
     /// What START needs funded for the executors registered so far. Both
@@ -754,10 +759,7 @@ impl WorkloadContract {
 
     fn abort(&mut self, ctx: &mut CallCtx<'_>) -> Result<(), ContractError> {
         self.require_phase(Phase::Executing)?;
-        let abort_height = self
-            .state
-            .abort_height()
-            .ok_or_else(|| ContractError::Revert("workload has no execution timeout".into()))?;
+        let abort_height = self.state.abort_height();
         if ctx.block_height <= abort_height {
             return Err(ContractError::Revert(format!(
                 "execution timeout {abort_height} not reached at height {}",
@@ -809,8 +811,13 @@ mod tests {
     use pds2_crypto::sha256::sha256;
     use pds2_crypto::KeyPair;
 
+    fn timeout(blocks: u32) -> NonZeroU32 {
+        NonZeroU32::new(blocks).unwrap()
+    }
+
     /// The terms most tests deploy: a pool of 10 000, a fee of 500, two
-    /// providers and ten records to start, no deadline, no timeout.
+    /// providers and ten records to start, no deadline, and a timeout of
+    /// 64 blocks that no test waits out.
     fn terms() -> Init {
         Init {
             spec_hash: sha256(b"spec"),
@@ -820,9 +827,17 @@ mod tests {
             min_providers: 2,
             min_records: 10,
             deadline_height: 0,
-            exec_timeout_blocks: 0,
+            exec_timeout_blocks: timeout(64),
             reward_token: None,
         }
+    }
+
+    /// `init`'s bytes with the execution timeout written as zero: the
+    /// field after two digests, two `u128`s, a `u32` and two `u64`s.
+    fn with_zero_timeout(init: &Init) -> Vec<u8> {
+        let mut bytes = init.to_bytes();
+        bytes[116..120].fill(0);
+        bytes
     }
 
     struct Harness {
@@ -836,10 +851,10 @@ mod tests {
 
     impl Harness {
         fn new(n_executors: usize) -> Harness {
-            Harness::new_with_timeout(n_executors, 0)
+            Harness::with_init(n_executors, terms())
         }
 
-        fn new_with_timeout(n_executors: usize, exec_timeout_blocks: u64) -> Harness {
+        fn new_with_timeout(n_executors: usize, exec_timeout_blocks: NonZeroU32) -> Harness {
             let init = Init {
                 exec_timeout_blocks,
                 ..terms()
@@ -1214,7 +1229,7 @@ mod tests {
     fn lone_executor(steps: &[Call]) -> (Harness, KeyPair) {
         let init = Init {
             deadline_height: 1,
-            exec_timeout_blocks: 1,
+            exec_timeout_blocks: timeout(1),
             ..quorumless_init(0, None)
         };
         let mut h = Harness::with_init(1, init);
@@ -1460,7 +1475,7 @@ mod tests {
 
     #[test]
     fn abort_refunds_after_execution_timeout() {
-        let mut h = Harness::new_with_timeout(2, 2);
+        let mut h = Harness::new_with_timeout(2, timeout(2));
         let consumer_addr = Address::of(&h.consumer.public);
         let balance_before = h.chain.state.balance(&consumer_addr);
         h.drive_to_executing();
@@ -1496,15 +1511,35 @@ mod tests {
     fn abort_requires_configured_timeout_and_executing_phase() {
         let mut h = Harness::new(2);
         let stranger = KeyPair::from_seed(55);
-        // Open phase: wrong phase regardless of timeout config.
+        // Open phase: wrong phase whatever the timeout.
         let r = h.call(&stranger, Call::Abort, 0);
         assert!(!r.success);
         assert!(r.error.unwrap().contains("wrong phase"));
+        // A workload with no timeout cannot be deployed.
+        let consumer = h.consumer.clone();
+        let r = h.send(
+            &consumer,
+            TxKind::Deploy {
+                code_id: WORKLOAD_CODE_ID.into(),
+                init: with_zero_timeout(&terms()),
+            },
+        );
+        assert_eq!(
+            r.error.as_deref(),
+            Some("bad input: invalid value: zero execution timeout")
+        );
+        assert_eq!(r.deployed, None);
+    }
+
+    #[test]
+    fn abort_at_the_largest_timeout_waits_for_it() {
+        let mut h = Harness::new_with_timeout(2, NonZeroU32::MAX);
         h.drive_to_executing();
-        // Executing but no timeout configured.
-        let r = h.call(&stranger, Call::Abort, 0);
-        assert!(!r.success);
-        assert!(r.error.unwrap().contains("no execution timeout"));
+        // The block after START's.
+        let r = h.call(&KeyPair::from_seed(55), Call::Abort, 0);
+        let error = r.error.expect("ABORT one block after START is refused");
+        assert!(error.contains("not reached"), "{error}");
+        assert_eq!(h.state().phase, Phase::Executing);
     }
 
     #[test]

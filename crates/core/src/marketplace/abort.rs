@@ -13,9 +13,7 @@ impl Marketplace {
     pub fn abort_workload(&mut self, workload_id: u64) -> Result<u128, MarketError> {
         self.enter_workload_trace(workload_id);
         let state = self.executing_state(workload_id)?;
-        let abort_height = state
-            .abort_height()
-            .ok_or_else(|| MarketError::BadPhase("workload has no execution timeout".into()))?;
+        let abort_height = state.abort_height();
         let height = self.chain.height();
         if height <= abort_height {
             self.mine_empty_blocks(abort_height - height + 1);

@@ -41,6 +41,7 @@ pub use accept::decode_readings;
 pub use execute::{hash_params, ExecutionReport, RetryPolicy};
 pub use register::StorageChoice;
 pub use reward::FinalizeReport;
+pub use submit::DEFAULT_EXEC_TIMEOUT_BLOCKS;
 
 use crate::authenticity::{Device, ManufacturerRegistry};
 use crate::contract::{Call, WorkloadContract, WorkloadState, WORKLOAD_CODE_ID};

@@ -13,11 +13,18 @@ use pds2_crypto::codec::Encode;
 use pds2_crypto::sha256::sha256;
 use pds2_tee::measurement::EnclaveCode;
 use std::collections::HashMap;
+use std::num::NonZeroU32;
+
+/// The execution timeout [`Marketplace::submit_workload`] arms. It is far
+/// longer than any Executing span the marketplace drives: START, one
+/// SUBMIT_RESULT per executor, and [`super::RetryPolicy::default`]'s
+/// backoff of 2 + 4 empty blocks.
+pub const DEFAULT_EXEC_TIMEOUT_BLOCKS: NonZeroU32 = NonZeroU32::new(64).expect("64 is not zero");
 
 impl Marketplace {
-    /// Step 1: the consumer submits a workload. Deploys the contract,
-    /// funds the escrow for up to `max_executors` executors and mints the
-    /// workload-code NFT.
+    /// Step 1: the consumer submits a workload. Deploys the contract with
+    /// [`DEFAULT_EXEC_TIMEOUT_BLOCKS`], funds the escrow for up to
+    /// `max_executors` executors and mints the workload-code NFT.
     pub fn submit_workload(
         &mut self,
         consumer: Address,
@@ -25,21 +32,26 @@ impl Marketplace {
         code: EnclaveCode,
         max_executors: u32,
     ) -> Result<u64, MarketError> {
-        self.submit_workload_with_timeout(consumer, spec, code, max_executors, 0)
+        self.submit_workload_with_timeout(
+            consumer,
+            spec,
+            code,
+            max_executors,
+            DEFAULT_EXEC_TIMEOUT_BLOCKS,
+        )
     }
 
-    /// Like [`Marketplace::submit_workload`], but arms the contract's
-    /// execution timeout: once Executing, anyone may abort the workload
-    /// after `exec_timeout_blocks` governance blocks and refund the
-    /// consumer — the escape hatch when every executor holding data
-    /// crashes mid-workload (0 disables the timeout).
+    /// Like [`Marketplace::submit_workload`], with the contract's execution
+    /// timeout chosen: once Executing, anyone may abort the workload after
+    /// `exec_timeout_blocks` governance blocks and refund the consumer —
+    /// the way out when every executor holding data crashes mid-workload.
     pub fn submit_workload_with_timeout(
         &mut self,
         consumer: Address,
         spec: WorkloadSpec,
         code: EnclaveCode,
         max_executors: u32,
-        exec_timeout_blocks: u64,
+        exec_timeout_blocks: NonZeroU32,
     ) -> Result<u64, MarketError> {
         if code.measurement() != spec.code_measurement {
             return Err(MarketError::Attestation(
@@ -60,7 +72,10 @@ impl Marketplace {
             pds2_obs::Stamp::Block(self.chain.height()),
             vec![
                 ("max_executors", pds2_obs::Value::from(max_executors as u64)),
-                ("timeout_blocks", pds2_obs::Value::from(exec_timeout_blocks)),
+                (
+                    "timeout_blocks",
+                    pds2_obs::Value::from(exec_timeout_blocks.get()),
+                ),
             ],
         );
         let trace = root.ctx();

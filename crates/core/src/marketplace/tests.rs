@@ -5,6 +5,7 @@ use crate::workload::RewardScheme;
 use pds2_crypto::sha256::sha256;
 use pds2_ml::data::gaussian_blobs;
 use pds2_storage::semantic::{MetaValue, Metadata};
+use std::num::NonZeroU32;
 
 fn temperature_metadata() -> Metadata {
     Metadata::new()
@@ -26,14 +27,15 @@ struct World {
 }
 
 fn build_world(n_providers: usize, n_executors: usize, scheme: RewardScheme) -> World {
-    build_world_with_timeout(n_providers, n_executors, scheme, 0)
+    let timeout = DEFAULT_EXEC_TIMEOUT_BLOCKS.get();
+    build_world_with_timeout(n_providers, n_executors, scheme, timeout)
 }
 
 fn build_world_with_timeout(
     n_providers: usize,
     n_executors: usize,
     scheme: RewardScheme,
-    exec_timeout_blocks: u64,
+    exec_timeout_blocks: u32,
 ) -> World {
     let mut market = Marketplace::new(42);
     let consumer = market.register_consumer(1, 1_000_000);
@@ -66,7 +68,7 @@ fn build_world_with_timeout(
             spec,
             code,
             n_executors as u32,
-            exec_timeout_blocks,
+            NonZeroU32::new(exec_timeout_blocks).unwrap(),
         )
         .unwrap();
     for &e in &executors {
@@ -407,7 +409,11 @@ fn crashed_executor_aborts_with_refund() {
 
 #[test]
 fn abort_requires_timeout_and_executing_phase() {
-    // No timeout configured: abort is unavailable even when Executing.
+    // Open phase: abort is premature whatever the timeout.
+    let mut w = build_world_with_timeout(2, 1, RewardScheme::ProportionalToRecords, 3);
+    let err = w.market.abort_workload(w.workload).unwrap_err();
+    assert!(matches!(err, MarketError::BadPhase(_)), "{err}");
+    // `submit_workload` arms the default timeout, and the abort waits it out.
     let mut w = build_world(2, 1, RewardScheme::ProportionalToRecords);
     for &p in &w.providers.clone() {
         w.market
@@ -415,12 +421,12 @@ fn abort_requires_timeout_and_executing_phase() {
             .unwrap();
     }
     assert!(w.market.try_start(w.workload).unwrap());
-    let err = w.market.abort_workload(w.workload).unwrap_err();
-    assert!(matches!(err, MarketError::BadPhase(_)), "{err}");
-    // Open phase: abort is premature even with a timeout configured.
-    let mut w = build_world_with_timeout(2, 1, RewardScheme::ProportionalToRecords, 3);
-    let err = w.market.abort_workload(w.workload).unwrap_err();
-    assert!(matches!(err, MarketError::BadPhase(_)), "{err}");
+    let started = w.market.workload_state(w.workload).unwrap().started_height;
+    w.market.abort_workload(w.workload).unwrap();
+    let timeout = u64::from(DEFAULT_EXEC_TIMEOUT_BLOCKS.get());
+    assert!(w.market.chain.height() > started + timeout);
+    let st = w.market.workload_state(w.workload).unwrap();
+    assert_eq!((st.phase, st.funded), (Phase::Cancelled, 0));
 }
 
 #[test]

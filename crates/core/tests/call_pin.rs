@@ -22,6 +22,7 @@ use pds2_core::contract::{Call, Init, WorkloadContract, WorkloadState, WORKLOAD_
 use pds2_crypto::codec::{Decode, Encode};
 use pds2_crypto::sha256::sha256;
 use pds2_crypto::KeyPair;
+use std::num::NonZeroU32;
 
 // Generated at 57ea5ea, the commit before the call and init forms got one
 // owner each, with that commit's builders (one function per call in a
@@ -35,6 +36,15 @@ use pds2_crypto::KeyPair;
 // looked at, and having charged nothing but the base 5 000 (the cut
 // participation had been charged for the row before the cut). No other
 // receipt, no balance and no snapshot moved.
+//
+// At 2b6b005 the execution timeout was a `u64` and 0 meant "none". It is
+// now a non-zero `u32`: four bytes shorter on the wire and never zero, so
+// every workload can be aborted once Executing. The two init forms, the
+// seven deploy receipts (64 gas less for four fewer init bytes), the row
+// where a stranger's ABORT of A met "no timeout", now a refused deploy of
+// A's terms with a zero timeout, and the five snapshots (each holds its
+// init) moved, each marked `Moved` below with what it was. The heights,
+// every other receipt and every balance held.
 
 /// One sample of each form, field by field: a call is `tag ‖ fields`, a
 /// count is a `u64`, every integer little-endian.
@@ -100,7 +110,8 @@ const FORMS: &[(&str, &[&str])] = &[
             "02000000",
             "0a00000000000000",
             "0000000000000000",
-            "0000000000000000",
+            // Moved. At 2b6b005: "0000000000000000" (no timeout)
+            "40000000",
             "00",
         ],
     ),
@@ -114,7 +125,8 @@ const FORMS: &[(&str, &[&str])] = &[
             "ffffffff",
             "0700000000000000",
             "e803000000000000",
-            "0200000000000000",
+            // Moved. At 2b6b005: "0200000000000000"
+            "02000000",
             "01",
             "0300000000000000",
         ],
@@ -124,13 +136,20 @@ const FORMS: &[(&str, &[&str])] = &[
 /// `label | gas | outcome | events` of every transaction of the script, in
 /// order.
 const RECEIPTS: &[&str] = &[
-    "deploy A | gas=56856 | ok out= | contract.deploy{code=pds2-workload-v1 addr=0x3a855116 by=0xbe66cd65}",
-    "deploy B | gas=56856 | ok out= | contract.deploy{code=pds2-workload-v1 addr=0x6e5f51a3 by=0xbe66cd65}",
-    "deploy C | gas=56856 | ok out= | contract.deploy{code=pds2-workload-v1 addr=0x82b9a1fd by=0xbe66cd65}",
-    "deploy D | gas=56984 | ok out= | contract.deploy{code=pds2-workload-v1 addr=0x63be8b1e by=0xbe66cd65}",
-    "deploy E | gas=56856 | ok out= | contract.deploy{code=pds2-workload-v1 addr=0x8f56239d by=0xbe66cd65}",
-    "deploy: trailing byte | gas=56872 | ERR bad input: trailing bytes after decode | ",
-    "deploy: cut short | gas=56936 | ERR bad input: unexpected end of input | ",
+    // Moved. At 2b6b005: gas=56856
+    "deploy A | gas=56792 | ok out= | contract.deploy{code=pds2-workload-v1 addr=0x3a855116 by=0xbe66cd65}",
+    // Moved. At 2b6b005: gas=56856
+    "deploy B | gas=56792 | ok out= | contract.deploy{code=pds2-workload-v1 addr=0x6e5f51a3 by=0xbe66cd65}",
+    // Moved. At 2b6b005: gas=56856
+    "deploy C | gas=56792 | ok out= | contract.deploy{code=pds2-workload-v1 addr=0x82b9a1fd by=0xbe66cd65}",
+    // Moved. At 2b6b005: gas=56984
+    "deploy D | gas=56920 | ok out= | contract.deploy{code=pds2-workload-v1 addr=0x63be8b1e by=0xbe66cd65}",
+    // Moved. At 2b6b005: gas=56856
+    "deploy E | gas=56792 | ok out= | contract.deploy{code=pds2-workload-v1 addr=0x8f56239d by=0xbe66cd65}",
+    // Moved. At 2b6b005: gas=56872
+    "deploy: trailing byte | gas=56808 | ERR bad input: trailing bytes after decode | ",
+    // Moved. At 2b6b005: gas=56936
+    "deploy: cut short | gas=56872 | ERR bad input: unexpected end of input | ",
     "C fund | gas=31131 | ok out= | workload.funded{by=0xbe66cd65 total=900}",
     "C expire: at the deadline | gas=30756 | ERR reverted: deadline 8 not reached at height 8 | ",
     "A fund: no value | gas=30756 | ERR reverted: funding requires value | ",
@@ -173,7 +192,9 @@ const RECEIPTS: &[&str] = &[
     "A executing: start | gas=30756 | ERR reverted: wrong phase: expected Open, contract is Executing | ",
     "A executing: cancel | gas=30756 | ERR reverted: wrong phase: expected Open, contract is Executing | ",
     "A executing: expire | gas=30756 | ERR reverted: wrong phase: expected Open, contract is Executing | ",
-    "A abort: no timeout | gas=30756 | ERR reverted: workload has no execution timeout | ",
+    // Moved. At 2b6b005: "A abort: no timeout", a stranger's ABORT of A
+    // while Executing, gas=30756, reverted because A had no timeout.
+    "deploy: no timeout | gas=56792 | ERR bad input: invalid value: zero execution timeout | ",
     "A result: stranger | gas=31268 | ERR reverted: unregistered executor | ",
     "A result | gas=31643 | ok out= | workload.result_submitted{executor=0x39df3966 result=bf5b6382}",
     "A result: twice | gas=31268 | ERR reverted: result already submitted | ",
@@ -248,11 +269,16 @@ const BALANCES: &[&str] = &[
 
 /// `name phase sha256(snapshot)` of each contract at the end.
 const SNAPSHOTS: &[&str] = &[
-    "A Completed 1822754250762c4a1c6131c0c9d7d71f02c3af7a3ac8eb8bd5e3452b8ab5aa8e",
-    "B Cancelled 9665afd508a57b25e05d817abf7c8c2db93d2dde3146972cd17de441460dcea7",
-    "C Cancelled d2b70818d272c58469c936bb52bb6e63ce0fc9801f93af078a68fea30e7fba78",
-    "D Cancelled 6e8381b06fdf840c2a84a4cb4d51279bbdc9417869e210b286de32e9bfb22261",
-    "E Completed 82e8b91f703151607d9ec6060e9624aed3fffb719265d9610798dda86f716676",
+    // Moved. At 2b6b005: 1822754250762c4a1c6131c0c9d7d71f02c3af7a3ac8eb8bd5e3452b8ab5aa8e
+    "A Completed be9275101c89dab26b950de15ec96b034d9afad8bcb52f8b388b58ed49385436",
+    // Moved. At 2b6b005: 9665afd508a57b25e05d817abf7c8c2db93d2dde3146972cd17de441460dcea7
+    "B Cancelled 8b2dbf1f9393191c1114caaf4fe299a9152094305b641620935e4b2b7591eca5",
+    // Moved. At 2b6b005: d2b70818d272c58469c936bb52bb6e63ce0fc9801f93af078a68fea30e7fba78
+    "C Cancelled 7ee164060322b5a267ba161acd0afc8057bcfc1dcae0da6cbabcc8f23e7f1e03",
+    // Moved. At 2b6b005: 6e8381b06fdf840c2a84a4cb4d51279bbdc9417869e210b286de32e9bfb22261
+    "D Cancelled 16d5fb1203d80de5acb6a75ca4a299590512c367cff892adbdb4c546823ef305",
+    // Moved. At 2b6b005: 82e8b91f703151607d9ec6060e9624aed3fffb719265d9610798dda86f716676
+    "E Completed 1381f4fb0a7a4353f9f78ff80243d9e4d74f65b190b3a9ecb4618638c8729ba8",
 ];
 
 fn hex(bytes: &[u8]) -> String {
@@ -305,7 +331,7 @@ fn forms() -> Vec<(&'static str, Vec<u8>)> {
                 min_providers: 2,
                 min_records: 10,
                 deadline_height: 0,
-                exec_timeout_blocks: 0,
+                exec_timeout_blocks: NonZeroU32::new(64).unwrap(),
                 reward_token: None,
             }
             .to_bytes(),
@@ -320,7 +346,7 @@ fn forms() -> Vec<(&'static str, Vec<u8>)> {
                 min_providers: u32::MAX,
                 min_records: 7,
                 deadline_height: 1_000,
-                exec_timeout_blocks: 2,
+                exec_timeout_blocks: NonZeroU32::new(2).unwrap(),
                 reward_token: Some(TokenId(3)),
             }
             .to_bytes(),
@@ -476,7 +502,7 @@ fn script() -> (Vec<String>, Vec<String>, Vec<String>) {
                 min_providers: u32,
                 min_records: u64,
                 deadline_height: u64,
-                exec_timeout_blocks: u64,
+                exec_timeout_blocks: u32,
                 reward_token: Option<TokenId>| {
         Init {
             spec_hash: sha256(b"spec"),
@@ -486,7 +512,7 @@ fn script() -> (Vec<String>, Vec<String>, Vec<String>) {
             min_providers,
             min_records,
             deadline_height,
-            exec_timeout_blocks,
+            exec_timeout_blocks: NonZeroU32::new(exec_timeout_blocks).unwrap(),
             reward_token,
         }
         .to_bytes()
@@ -494,18 +520,19 @@ fn script() -> (Vec<String>, Vec<String>, Vec<String>) {
 
     // Five workloads: A is paid out, B cancelled, C expires (deadline at
     // height 8), D is token-denominated and aborted, E has no quorum and
-    // no reward and is finalized with nothing to pay.
-    let a = run.deploy("deploy A", init(10_000, 500, 2, 10, 0, 0, None));
-    let b = run.deploy("deploy B", init(10_000, 500, 2, 10, 0, 0, None));
-    let c = run.deploy("deploy C", init(10_000, 500, 2, 10, 8, 0, None));
+    // no reward and is finalized with nothing to pay. D's execution timeout
+    // is 2 blocks; the others' 64 are never waited out.
+    let a = run.deploy("deploy A", init(10_000, 500, 2, 10, 0, 64, None));
+    let b = run.deploy("deploy B", init(10_000, 500, 2, 10, 0, 64, None));
+    let c = run.deploy("deploy C", init(10_000, 500, 2, 10, 8, 64, None));
     let d = run.deploy("deploy D", init(600, 50, 1, 5, 1_000, 2, Some(token)));
-    let e = run.deploy("deploy E", init(0, 0, 0, 0, 0, 0, None));
+    let e = run.deploy("deploy E", init(0, 0, 0, 0, 0, 64, None));
     run.send(
         "deploy: trailing byte",
         CONSUMER,
         TxKind::Deploy {
             code_id: WORKLOAD_CODE_ID.into(),
-            init: [init(1, 1, 1, 1, 0, 0, None), vec![0]].concat(),
+            init: [init(1, 1, 1, 1, 0, 64, None), vec![0]].concat(),
         },
     );
     run.send(
@@ -513,7 +540,7 @@ fn script() -> (Vec<String>, Vec<String>, Vec<String>) {
         CONSUMER,
         TxKind::Deploy {
             code_id: WORKLOAD_CODE_ID.into(),
-            init: cut(init(1, 1, 1, 1, 0, 0, Some(token)), 3),
+            init: cut(init(1, 1, 1, 1, 0, 64, Some(token)), 3),
         },
     );
 
@@ -659,12 +686,18 @@ fn script() -> (Vec<String>, Vec<String>, Vec<String>) {
             "expire",
         ],
     );
-    run.call(
-        "A abort: no timeout",
-        STRANGER,
-        a,
-        Call::Abort.to_bytes(),
-        0,
+    // A's terms with the timeout written as zero, the field after two
+    // digests, two `u128`s, a `u32` and two `u64`s: a workload that could
+    // hold its escrow forever is never deployed.
+    let mut no_timeout = init(10_000, 500, 2, 10, 0, 64, None);
+    no_timeout[116..120].fill(0);
+    run.send(
+        "deploy: no timeout",
+        CONSUMER,
+        TxKind::Deploy {
+            code_id: WORKLOAD_CODE_ID.into(),
+            init: no_timeout,
+        },
     );
     let (honest, forged) = (sha256(b"honest"), sha256(b"forged"));
     run.call(

@@ -13,6 +13,7 @@ use pds2_crypto::merkle::MerkleProof;
 use pds2_crypto::sha256::sha256;
 use pds2_crypto::KeyPair;
 use pds2_storage::store::RecordId;
+use std::num::NonZeroU32;
 
 /// `bytes` decodes; with the `u64` count at `count_at` replaced by 2⁶⁰, or
 /// by one more than the bytes that follow it, it is a `LengthOverflow`.
@@ -127,7 +128,7 @@ fn workload_state_slashed_count() {
             min_providers: 1,
             min_records: 1,
             deadline_height: 0,
-            exec_timeout_blocks: 0,
+            exec_timeout_blocks: NonZeroU32::MIN,
             reward_token: None,
         },
         funded: 11,

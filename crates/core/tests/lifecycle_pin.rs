@@ -19,6 +19,7 @@ use pds2_ml::data::{gaussian_blobs, Dataset};
 use pds2_obs as obs;
 use pds2_storage::semantic::{MetaValue, Metadata, Requirement};
 use pds2_tee::measurement::EnclaveCode;
+use std::num::NonZeroU32;
 
 // Generated at d0065fe, the commit before `marketplace.rs` was cut along
 // the lifecycle. `TRACE_DIGEST`, `head`, `state_root` and `events_sha` were
@@ -32,15 +33,20 @@ use pds2_tee::measurement::EnclaveCode;
 // both times. `TRACE_DIGEST` alone moved once more when the `state/commit`
 // span stopped carrying `nodes_hashed`, a count that follows the backend
 // (PR 25).
-const TRACE_DIGEST: &str = "87a5e4b9b788be390f366962d5a5b139a5437f01c971b273163065a853d9768e";
+// `head`, `state_root` and `TRACE_DIGEST` moved once more when the
+// execution timeout became a non-zero `u32`: A and B, submitted with the
+// default, now carry 64 blocks where they carried 0, and every contract's
+// init is four bytes shorter. The heights, the event log, the shares and
+// the refunds held.
+const TRACE_DIGEST: &str = "47c040e73866864af9b804fca8358fc1f1c4ba6be367f8f05bebead8d6e66ae5";
 const TRACE_EVENTS: u64 = 370;
 
 fn pinned() -> Outcome {
     let hex = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
     Outcome {
         height: 57,
-        head: "936c025d52cf008461ebbb8429d9bf1d3dd0c56c11b154b4a6c3a69b139a53bd".into(),
-        state_root: "47c9b71afde03ed1fd76040609f744cf5500ec204cb21c87bb3683eca6756746".into(),
+        head: "1ce08181fed9ab1fe83e861c306ba0980d5f516a19e34db30353f8eb361e4af7".into(),
+        state_root: "c0c20fd3e737e9908f0588d701fa7173012e750bed342a3f49b261244e40d395".into(),
         events_sha: "8df6079a84c123d91d74e900532510b44e18158c018e496af7d6bd2efb21c6f5".into(),
         result_hashes: hex(&[
             "806f5f916bb3e00514366c3d33be6489eadc8cacf1ac3b8d88d002eeecc5d174",
@@ -89,6 +95,10 @@ fn temperature_meta() -> Metadata {
             0,
         )
         .with("sample-rate-hz", MetaValue::Num(1.0), 1)
+}
+
+fn blocks(n: u32) -> NonZeroU32 {
+    NonZeroU32::new(n).unwrap()
 }
 
 fn spec(code: &EnclaveCode, validation: &Dataset, min_providers: u32) -> WorkloadSpec {
@@ -201,7 +211,13 @@ fn scenario() -> Outcome {
     // backoff mines until their scheduled recovery and execution succeeds.
     let code_c = code("c");
     let c = market
-        .submit_workload_with_timeout(consumer, spec(&code_c, &validation, 2), code_c, 2, 100)
+        .submit_workload_with_timeout(
+            consumer,
+            spec(&code_c, &validation, 2),
+            code_c,
+            2,
+            blocks(100),
+        )
         .unwrap();
     market.executor_join(executors[0], c).unwrap();
     market.executor_join(executors[1], c).unwrap();
@@ -229,7 +245,13 @@ fn scenario() -> Outcome {
     // the execution timeout has passed.
     let code_d = code("d");
     let d = market
-        .submit_workload_with_timeout(consumer, spec(&code_d, &validation, 2), code_d, 1, 3)
+        .submit_workload_with_timeout(
+            consumer,
+            spec(&code_d, &validation, 2),
+            code_d,
+            1,
+            blocks(3),
+        )
         .unwrap();
     market.executor_join(executors[2], d).unwrap();
     market

@@ -270,26 +270,13 @@ impl BigUint {
         Some(BigUint::from_limbs(out))
     }
 
-    /// Limb count above which multiplication switches to Karatsuba.
-    /// Measured crossover: this allocation-based Karatsuba only beats the
-    /// schoolbook loop from ~128 limbs (8192-bit operands); 96 engages it
-    /// just below that so the recursive halves stay in schoolbook range.
-    const KARATSUBA_THRESHOLD: usize = 96;
-
-    /// `self * other` (schoolbook below `Self::KARATSUBA_THRESHOLD`
-    /// limbs, Karatsuba above — relevant for Paillier's 2048-bit `n²`
-    /// arithmetic).
+    /// `self * other`, schoolbook. The widest operands in the workspace
+    /// are Paillier's 2048-bit `n²` (32 limbs), far below where a
+    /// Karatsuba split would pay for its allocations (~128 limbs).
     pub fn mul(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
             return BigUint::zero();
         }
-        if self.limbs.len().min(other.limbs.len()) < Self::KARATSUBA_THRESHOLD {
-            return self.mul_schoolbook(other);
-        }
-        self.mul_karatsuba(other)
-    }
-
-    fn mul_schoolbook(&self, other: &BigUint) -> BigUint {
         let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
         for (i, &a) in self.limbs.iter().enumerate() {
             if a == 0 {
@@ -310,34 +297,6 @@ impl BigUint {
             }
         }
         BigUint::from_limbs(out)
-    }
-
-    /// Karatsuba: split both operands at `m` limbs, reduce one n-limb
-    /// multiplication to three n/2-limb multiplications.
-    fn mul_karatsuba(&self, other: &BigUint) -> BigUint {
-        let m = self.limbs.len().max(other.limbs.len()) / 2;
-        let (a0, a1) = self.split_at_limb(m);
-        let (b0, b1) = other.split_at_limb(m);
-        let z0 = a0.mul(&b0);
-        let z2 = a1.mul(&b1);
-        // z1 = (a0+a1)(b0+b1) - z0 - z2
-        let z1 = a0.add(&a1).mul(&b0.add(&b1)).sub(&z0).sub(&z2);
-        // result = z2·B^(2m) + z1·B^m + z0, with B = 2^64.
-        z2.shl((2 * m) as u32 * 64)
-            .add(&z1.shl(m as u32 * 64))
-            .add(&z0)
-    }
-
-    /// Splits into (low `m` limbs, remaining high limbs).
-    fn split_at_limb(&self, m: usize) -> (BigUint, BigUint) {
-        if self.limbs.len() <= m {
-            (self.clone(), BigUint::zero())
-        } else {
-            (
-                BigUint::from_limbs(self.limbs[..m].to_vec()),
-                BigUint::from_limbs(self.limbs[m..].to_vec()),
-            )
-        }
     }
 
     /// `self * small`.
@@ -868,32 +827,6 @@ mod tests {
             a.mul(&c).to_u128(),
             Some(0x1234_5678_9abc_def0u128 * 0xfedc_ba98u128)
         );
-    }
-
-    #[test]
-    fn karatsuba_matches_schoolbook() {
-        let mut rng = StdRng::seed_from_u64(99);
-        // Sizes straddling the threshold, including asymmetric operands.
-        for (abits, bbits) in [
-            (8192u32, 8192u32),
-            (8192, 1024),
-            (16384, 16384),
-            (7000, 13000),
-        ] {
-            let a = BigUint::random_bits(&mut rng, abits);
-            let b = BigUint::random_bits(&mut rng, bbits);
-            assert_eq!(a.mul(&b), a.mul_schoolbook(&b), "{abits}x{bbits}");
-            assert_eq!(a.mul(&b), b.mul(&a), "commutes {abits}x{bbits}");
-        }
-    }
-
-    #[test]
-    fn karatsuba_handles_zero_halves() {
-        // Operand whose low half is all zeros exercises the split edges.
-        let mut rng = StdRng::seed_from_u64(100);
-        let hi = BigUint::random_bits(&mut rng, 6400).shl(6400);
-        let b = BigUint::random_bits(&mut rng, 12800);
-        assert_eq!(hi.mul(&b), hi.mul_schoolbook(&b));
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! Results are plain [`BigUint`] values, bit-identical to the schoolbook
 //! path — the representation changes inside a call, never the outcome —
 //! so the repo-wide determinism invariant (identical results at every
-//! `PDS2_THREADS`) is untouched. Property tests in
+//! worker count, `with_threads`) is untouched. Property tests in
 //! `crates/crypto/tests/proptests.rs` pin the equivalence of both
 //! instantiations and the schoolbook reference over random operands and
 //! the edge cases (0, 1, n−1, operand = n, the final-subtraction carry).

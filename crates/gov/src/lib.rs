@@ -29,7 +29,7 @@
 //! differential oracle.
 //!
 //! Everything is seed-deterministic: same seed, same committee, same
-//! signatures, at any `PDS2_THREADS` value. Observability: `gov.*`
+//! signatures, at any worker count (`with_threads`). Observability: `gov.*`
 //! counters plus `gov/dkg` and `gov/sign` spans (OBSERVABILITY.md).
 
 #![forbid(unsafe_code)]

@@ -379,11 +379,6 @@ impl SoftmaxRegression {
         }
     }
 
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        self.classes
-    }
-
     /// Per-class logits.
     pub fn logits(&self, x: &[f64]) -> Vec<f64> {
         (0..self.classes)

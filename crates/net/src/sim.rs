@@ -688,11 +688,6 @@ impl<N: Node> Simulator<N> {
         );
         processed
     }
-
-    /// Consumes the simulator, returning the node states.
-    pub fn into_nodes(self) -> Vec<N> {
-        self.nodes
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! ([`TraceReport::digest`]), and because events carry only *logical*
 //! timestamps — simulated microseconds, block heights, learning rounds,
 //! never the wall clock — a run's trace is bit-identical across reruns,
-//! machines, and `PDS2_THREADS` settings. Two runs agree iff their
+//! machines, and worker counts (`with_threads`). Two runs agree iff their
 //! digests agree, which turns "did this refactor change behaviour?" into
 //! a string comparison.
 //!

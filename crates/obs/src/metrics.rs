@@ -543,6 +543,9 @@ mod tests {
         h.reset();
         h.observe(1);
         h.observe(10);
+        // Its own gauge: the hwm line must not depend on which other test
+        // registered one first.
+        gauge_handle("test.metrics.prom-gauge").set(1.0);
         let snap = snapshot();
         let prom = snap.render_prometheus();
         assert!(prom.contains("# TYPE pds2_test_metrics_prom_hist histogram\n"));
@@ -551,6 +554,6 @@ mod tests {
         assert!(prom.contains("pds2_test_metrics_prom_hist_bucket{le=\"+Inf\"} 2\n"));
         assert!(prom.contains("pds2_test_metrics_prom_hist_sum 11\n"));
         assert!(prom.contains("pds2_test_metrics_prom_hist_count 2\n"));
-        assert!(prom.contains("_hwm gauge\n"));
+        assert!(prom.contains("# TYPE pds2_test_metrics_prom_gauge_hwm gauge\n"));
     }
 }

@@ -22,7 +22,8 @@
 //! intermediate collections are ordered (`BTreeMap`, seq-sorted
 //! vectors) and ties break on seq, so [`TraceAnalysis::render_text`]
 //! and [`TraceAnalysis::report_digest`] are bit-identical across
-//! reruns, `PDS2_THREADS`, and ring-vs-JSONL capture of the same run.
+//! reruns, worker counts (`with_threads`), and ring-vs-JSONL capture of
+//! the same run.
 
 use crate::jsonl::{RawEvent, Row};
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};

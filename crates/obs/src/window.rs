@@ -7,7 +7,7 @@
 //! determinism: windows advance on the logical [`Stamp::Sim`] clock
 //! carried by the observations themselves, never the wall clock, so a
 //! monitor fed the same observation sequence fires at the same logical
-//! instant in every rerun, at any `PDS2_THREADS` — and its alert
+//! instant in every rerun, at any worker count (`with_threads`) — and its alert
 //! transitions are regular digested trace events, pinned by the same
 //! golden-digest machinery as everything else.
 //!

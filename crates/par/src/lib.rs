@@ -4,8 +4,8 @@
 //! evaluation sweeps) built on std threads and `parking_lot`, with one
 //! hard guarantee:
 //!
-//! > **The thread count never changes a result.** `PDS2_THREADS=1` and
-//! > `PDS2_THREADS=64` produce bit-identical outputs.
+//! > **The thread count never changes a result.** A worker count
+//! > (`with_threads`) of 1 and one of 64 produce bit-identical outputs.
 //!
 //! Two mechanisms deliver that guarantee:
 //!
@@ -18,33 +18,20 @@
 //!    Shapley permutations) draw the same values no matter which thread
 //!    or which order executes them.
 //!
-//! ## Thread-count knob
+//! ## Worker count
 //!
-//! The effective worker count resolves, in order: the scoped
-//! [`with_threads`] override (used by benchmarks and tests so parallel
-//! and serial runs can be compared inside one process), the
-//! `PDS2_THREADS` environment variable, and finally
-//! [`std::thread::available_parallelism`]. A value of `1` executes on
-//! the calling thread with zero spawning overhead — exactly the code a
+//! The worker count is the scoped [`with_threads`] override if one is
+//! set (benchmarks and tests use it to compare parallel and serial runs
+//! inside one process), else [`hardware_cores`]. A value of `1` executes
+//! on the calling thread with zero spawning overhead — exactly the code a
 //! serial implementation would have run.
 //!
 //! ## Serial-fallback cutoff
 //!
-//! Spawning workers the hardware cannot run concurrently only buys
-//! scheduling overhead (block validation once measured 0.72× with
-//! `PDS2_THREADS=4` on a 1-core host).
-//! Two guards remove that penalty without touching results:
-//!
-//! * **effective-core detection** — an env-derived worker count is
-//!   capped at [`hardware_cores`] (a scoped [`with_threads`] override is
-//!   honoured verbatim: tests force worker counts deliberately);
-//! * **work-size threshold** — inputs below [`MIN_PAR_ITEMS`] items run
-//!   on the calling thread; fork-join setup dwarfs the work for tiny
-//!   batches.
-//!
-//! Both guards change only *where* code runs, never what it computes —
-//! the determinism contract (bit-identical at any worker count) already
-//! guarantees that.
+//! Inputs below [`MIN_PAR_ITEMS`] items run on the calling thread:
+//! fork-join setup dwarfs the work for tiny batches. This changes only
+//! *where* code runs, never what it computes — the determinism contract
+//! (bit-identical at any worker count) already guarantees that.
 
 #![forbid(unsafe_code)]
 
@@ -59,9 +46,6 @@ thread_local! {
     /// Scoped per-thread override installed by [`with_threads`].
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
-
-/// Cached `PDS2_THREADS` / hardware default (read once per process).
-static ENV_THREADS: OnceLock<usize> = OnceLock::new();
 
 /// Cached hardware thread count (read once per process).
 static HW_CORES: OnceLock<usize> = OnceLock::new();
@@ -80,33 +64,11 @@ pub fn hardware_cores() -> usize {
     })
 }
 
-/// Caps a requested worker count by the hardware: asking for more
-/// workers than cores only adds scheduling overhead (never changes
-/// results — see the crate-level determinism contract).
-pub fn effective_workers(requested: usize) -> usize {
-    requested.clamp(1, hardware_cores())
-}
-
-fn env_threads() -> usize {
-    *ENV_THREADS.get_or_init(|| {
-        match std::env::var("PDS2_THREADS") {
-            // Env-derived counts are capped at the hardware: a
-            // `PDS2_THREADS=4` on a 1-core host runs serial instead of
-            // paying for context switches.
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => effective_workers(n.min(256)),
-                _ => 1, // unparseable or zero: fail safe to serial
-            },
-            Err(_) => hardware_cores(),
-        }
-    })
-}
-
 /// The worker count parallel operations will use right now.
 pub fn current_threads() -> usize {
     THREAD_OVERRIDE
         .with(|o| o.get())
-        .unwrap_or_else(env_threads)
+        .unwrap_or_else(hardware_cores)
 }
 
 /// Runs `f` with the worker count forced to `n` on this thread.
@@ -251,17 +213,6 @@ mod tests {
             assert_eq!(with_threads(5, current_threads), 5);
             assert_eq!(current_threads(), 2);
         });
-    }
-
-    #[test]
-    fn effective_workers_caps_at_hardware() {
-        let cores = hardware_cores();
-        assert!(cores >= 1);
-        assert_eq!(effective_workers(0), 1);
-        assert_eq!(effective_workers(1), 1);
-        assert_eq!(effective_workers(cores), cores);
-        assert_eq!(effective_workers(cores + 7), cores);
-        assert_eq!(effective_workers(usize::MAX), cores);
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl AttestationService {
         self.revoked.insert(id);
     }
 
-    /// Number of registered platforms.
-    pub fn platform_count(&self) -> usize {
-        self.platforms.len()
-    }
-
     /// Verifies a quote's signature and platform status.
     pub fn verify(&self, quote: &Quote) -> Result<(), AttestationError> {
         if self.revoked.contains(&quote.platform) {

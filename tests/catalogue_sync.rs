@@ -152,7 +152,7 @@ fn metric_catalogue_matches_code() {
 }
 
 /// Configuration belongs in values passed by the caller, not in the
-/// process environment. Four `PDS2_*` reads remain until the benchmark
+/// process environment. Three `PDS2_*` reads remain until the benchmark
 /// stops naming them; this pins the set so it can only shrink.
 #[test]
 fn env_knobs_do_not_grow() {
@@ -162,12 +162,7 @@ fn env_knobs_do_not_grow() {
         .collect();
     assert_eq!(
         read,
-        [
-            "PDS2_NET_SCHED",
-            "PDS2_SIG_MODE",
-            "PDS2_STATE_BACKEND",
-            "PDS2_THREADS"
-        ],
+        ["PDS2_NET_SCHED", "PDS2_SIG_MODE", "PDS2_STATE_BACKEND"],
         "crates/*/src reads a different set of PDS2_* environment variables; \
          remove the read (pass the value in) or, when deleting a knob, \
          shrink this list"

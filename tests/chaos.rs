@@ -6,7 +6,7 @@
 //! Every scenario asserts two things: the *protocol* property (the
 //! cluster converges / recovers / rejects corruption) and the *harness*
 //! property (the run replays bit-identically from its seed, at any
-//! `PDS2_THREADS` worker count).
+//! worker count, `with_threads`).
 
 use pds2_chain::address::Address;
 use pds2_chain::chain::{Blockchain, ChainConfig};
@@ -125,7 +125,7 @@ fn assert_converged(run: &ChainRun) {
 fn assert_replays_identically(seed: u64, plan: impl Fn() -> FaultPlan, until_us: u64) {
     let base = run_chain(seed, plan(), until_us);
     // Same seed, same plan: the whole run is bit-identical — including at
-    // forced worker counts (the programmatic form of `PDS2_THREADS`).
+    // forced worker counts (`with_threads`).
     let again = run_chain(seed, plan(), until_us);
     assert_eq!(again, base, "re-run of the same seed diverged");
     for threads in THREAD_COUNTS {

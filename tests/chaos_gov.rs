@@ -7,7 +7,7 @@
 //! Mirrors `tests/chaos.rs`: every scenario asserts the *protocol*
 //! property (t-of-n signs, t−1 cannot, recovery restores the share) and
 //! the *harness* property (bit-identical replay from the seed at any
-//! `PDS2_THREADS` count, pinned by golden fixtures —
+//! worker count (`with_threads`), pinned by golden fixtures —
 //! `fixtures/gov_golden.txt` for the committee protocol,
 //! `fixtures/chaos_golden_threshold.txt` for threshold-sealed sync).
 

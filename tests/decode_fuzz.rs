@@ -35,6 +35,7 @@ use pds2_crypto::{sha256, Digest, KeyPair, MerkleTree};
 use pds2_learning::gossip::GossipMsg;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::num::NonZeroU32;
 use std::sync::OnceLock;
 
 /// What decoding some bytes as a row's type gave: an error, or the value's
@@ -256,7 +257,7 @@ fn build_table() -> Vec<Row> {
         min_providers: 2,
         min_records: 10,
         deadline_height: 30,
-        exec_timeout_blocks: 2,
+        exec_timeout_blocks: NonZeroU32::new(2).unwrap(),
         reward_token: Some(TokenId(3)),
     };
     let spec = WorkloadSpec {
@@ -544,6 +545,24 @@ fn non_canonical_signature_fields_fail_at_decode() {
         Signature::from_bytes(&longer),
         Err(DecodeError::TrailingBytes)
     );
+}
+
+/// What the table's generic checks cannot say of `Init`: a workload with
+/// no execution timeout would hold its escrow forever once Executing, so
+/// the row's sample with the timeout written as zero is refused where the
+/// bytes enter, as a deploy input and inside a contract snapshot.
+#[test]
+fn init_row_refuses_a_zero_timeout() {
+    // The timeout follows two digests, two `u128`s, a `u32` and two `u64`s;
+    // a snapshot puts the consumer's address first.
+    let refused = Err(DecodeError::Invalid("zero execution timeout"));
+    for (ty, at) in [("Init", 116), ("WorkloadState", 32 + 116)] {
+        let row = rows_of(ty)[0];
+        let mut bytes = row.sample.clone();
+        assert_eq!(bytes[at..at + 4], 2u32.to_le_bytes(), "{ty}");
+        bytes[at..at + 4].fill(0);
+        assert_eq!((row.decode)(&bytes), refused, "{ty}");
+    }
 }
 
 proptest! {

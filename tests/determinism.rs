@@ -2,7 +2,7 @@
 //! `pds2-par` execution layer must be byte-identical at any worker count.
 //!
 //! Each test runs the same computation under `pds2_par::with_threads` at
-//! 1, 4 and 8 threads (the programmatic form of the `PDS2_THREADS` knob)
+//! 1, 4 and 8 threads (the worker count, `with_threads`)
 //! and compares exact bytes/bits, not approximate values. A test that
 //! runs traced code takes `pds2_obs::test_lock()`: one of them compares
 //! capture digests, and the collector is process-global.

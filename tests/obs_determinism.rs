@@ -1,6 +1,6 @@
 //! Observability determinism: the `pds2-obs` trace digest must be a
 //! pure function of (seed, fault plan, workload) — bit-identical across
-//! reruns, `PDS2_THREADS` worker counts, and sink choices — and counter
+//! reruns, worker counts (`with_threads`), and sink choices — and counter
 //! snapshots must mirror the simulator's own accounting.
 //!
 //! Every test takes `obs::test_lock()`: the registry and collector are
@@ -124,7 +124,7 @@ fn chain_chaos_trace_digest_is_thread_and_sink_invariant() {
 /// that drives the base fee up and back down must produce the same
 /// per-block base-fee trajectory, the same selection order, the same
 /// state root *and* the same trace digest across ring/JSONL/null sinks
-/// and `PDS2_THREADS` ∈ {1, 4, 8}.
+/// and worker counts (`with_threads`) ∈ {1, 4, 8}.
 #[test]
 fn fee_market_trajectory_is_thread_and_sink_invariant() {
     let _g = obs::test_lock();
@@ -446,7 +446,7 @@ fn marketplace_lifecycle_trace_is_deterministic() {
 /// E16 acceptance: the shared trace-lifecycle scenario (faulty
 /// marketplace lifecycle + chaos chain sync + gossip under corruption)
 /// produces a causal DAG whose critical-path report — text and digest —
-/// is bit-identical across `PDS2_THREADS` ∈ {1, 4, 8} and across the
+/// is bit-identical across worker counts (`with_threads`) ∈ {1, 4, 8} and across the
 /// ring and JSONL sinks, and every trace has a non-empty critical path.
 #[test]
 fn trace_lifecycle_critical_path_is_thread_and_sink_invariant() {
@@ -577,8 +577,8 @@ fn gossip_trace_and_corruption_counter_are_deterministic() {
 
 /// PR 10 tentpole acceptance: segment checkpoints (samples of the
 /// running trace digest) and burn-rate alert events are part of the
-/// deterministic surface — bit-identical across `PDS2_THREADS`
-/// ∈ {1, 4, 8} and ring/JSONL/null sinks, with the JSONL sink's
+/// deterministic surface — bit-identical across worker counts
+/// (`with_threads`) ∈ {1, 4, 8} and ring/JSONL/null sinks, with the JSONL sink's
 /// interleaved checkpoint rows exactly mirroring the report's.
 #[test]
 fn segment_checkpoints_and_alert_events_are_thread_and_sink_invariant() {

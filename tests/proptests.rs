@@ -15,6 +15,7 @@ use pds2_chain::address::Address;
 use pds2_crypto::codec::{Decode, Encode};
 use pds2_crypto::{sha256, KeyPair};
 use proptest::prelude::*;
+use std::num::NonZeroU32;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -482,7 +483,7 @@ mod state_backend_props {
                     min_providers: 1,
                     min_records: 1,
                     deadline_height: 0,
-                    exec_timeout_blocks: 0,
+                    exec_timeout_blocks: NonZeroU32::MIN,
                     reward_token: Some(token),
                 }
                 .to_bytes(),
@@ -714,7 +715,7 @@ mod smt_model {
 //   * selections are per-account gapless runs starting exactly at the
 //     account's state nonce, within the gas and count budgets;
 //   * the same insert sequence drains in the same order on every rerun
-//     and at every worker count (the programmatic `PDS2_THREADS`).
+//     and at every worker count (`with_threads`).
 // ---------------------------------------------------------------------------
 
 mod mempool_props {
@@ -1053,7 +1054,10 @@ mod mempool_props {
 //   * only the consumer moves its escrow by choice: FINALIZE and CANCEL
 //     from anyone else fail (EXPIRE and ABORT are public, and refund it);
 //   * terminal phases are absorbing: after Completed/Cancelled every
-//     further call fails and no balance moves.
+//     further call fails and no balance moves;
+//   * every funded escrow has an exit: whatever the walk left, the
+//     consumer's CANCEL ends an Open workload, and a stranger's ABORT past
+//     the drawn execution timeout ends an Executing one.
 //
 // Every transaction's input is a `Call` value, and the model predicts and
 // applies by matching on `Call` with no `_` arm: a tenth call does not
@@ -1075,7 +1079,6 @@ mod workload_lifecycle {
     const MIN_PROVIDERS: u32 = 1;
     const MIN_RECORDS: u64 = 10;
     const DEADLINE_HEIGHT: u64 = 6;
-    const EXEC_TIMEOUT_BLOCKS: u64 = 2;
 
     /// Who signs: an index into the test's keys.
     const CONSUMER: usize = 0;
@@ -1169,6 +1172,8 @@ mod workload_lifecycle {
         pub contract: Address,
         pub escrow: u128,
         pub started_height: u64,
+        /// The execution timeout the workload was deployed with.
+        pub timeout: u64,
         pub registered: BTreeSet<Address>,
         pub voted: BTreeSet<Address>,
         /// provider → (records, executor)
@@ -1217,8 +1222,7 @@ mod workload_lifecycle {
                 Call::Cancel => self.phase == Open && sender == self.consumer,
                 Call::Expire => self.phase == Open && exec_height > DEADLINE_HEIGHT,
                 Call::Abort => {
-                    self.phase == Executing
-                        && exec_height > self.started_height + EXEC_TIMEOUT_BLOCKS
+                    self.phase == Executing && exec_height > self.started_height + self.timeout
                 }
             }
         }
@@ -1281,6 +1285,7 @@ mod workload_lifecycle {
         #[test]
         fn contract_lifecycle_state_machine(
             head_start in 0usize..=HAPPY_PATH.len(),
+            timeout in 1u32..=4,
             ops in proptest::collection::vec(op_strategy(), 1..30),
         ) {
             // The consumer, two executors and a stranger hold keys; the
@@ -1309,8 +1314,8 @@ mod workload_lifecycle {
                 chain.receipt(&hash).expect("receipt recorded").clone()
             };
 
-            // Deploy the workload with a short deadline and execution
-            // timeout so the sequence can actually reach both.
+            // Deploy the workload with a short deadline and a drawn
+            // execution timeout so the sequence can actually reach both.
             let init = Init {
                 spec_hash: sha256(b"spec"),
                 code_measurement: sha256(b"code"),
@@ -1319,7 +1324,7 @@ mod workload_lifecycle {
                 min_providers: MIN_PROVIDERS,
                 min_records: MIN_RECORDS,
                 deadline_height: DEADLINE_HEIGHT,
-                exec_timeout_blocks: EXEC_TIMEOUT_BLOCKS,
+                exec_timeout_blocks: NonZeroU32::new(timeout).unwrap(),
                 reward_token: None,
             };
             let deploy = TxKind::Deploy {
@@ -1339,41 +1344,21 @@ mod workload_lifecycle {
                 contract,
                 escrow: 0,
                 started_height: 0,
+                timeout: u64::from(timeout),
                 registered: BTreeSet::new(),
                 voted: BTreeSet::new(),
                 contributions: BTreeMap::new(),
                 balances,
             };
 
-            for op in HAPPY_PATH[..head_start].iter().chain(&ops) {
-                // Who sends which call with how much; `None` mines an empty
-                // block. EXPIRE and ABORT are public: executors send them.
-                let step = match *op {
-                    Op::Fund(value) => Some((CONSUMER, Call::Fund, value)),
-                    Op::Register(e) => Some((EXECUTORS[e], Call::RegisterExecutor, 0)),
-                    Op::Participate { executor, provider, records } => {
-                        let rows = vec![(providers[provider], records, sha256(b"cert"))];
-                        Some((EXECUTORS[executor], Call::SubmitParticipation(rows), 0))
-                    }
-                    Op::Start => Some((CONSUMER, Call::Start, 0)),
-                    Op::SubmitResult { executor } => {
-                        Some((EXECUTORS[executor], Call::SubmitResult(sha256(b"result")), 0))
-                    }
-                    Op::Finalize { sender, share } => {
-                        // The whole share to the first contributor, if any.
-                        let first = model.contributions.keys().next();
-                        let shares = first.map(|p| (*p, share)).into_iter().collect();
-                        Some((sender, Call::Finalize(shares), 0))
-                    }
-                    Op::Cancel { sender } => Some((sender, Call::Cancel, 0)),
-                    Op::Expire => Some((EXECUTORS[0], Call::Expire, 0)),
-                    Op::Abort => Some((EXECUTORS[1], Call::Abort, 0)),
-                    Op::Mine => None,
-                };
-                let Some((who, call, value)) = step else {
-                    chain.produce_block();
-                    continue;
-                };
+            // One call: the model predicts it, the chain runs it in its own
+            // block, and every invariant is checked. Returns its success.
+            let call_and_check = |chain: &mut Blockchain,
+                                  model: &mut Model,
+                                  who: usize,
+                                  call: Call,
+                                  value: u128|
+             -> bool {
                 // `produce_block` executes at the pre-production height.
                 let exec_height = chain.height();
                 let predicted = model.predict(addrs[who], &call, exec_height);
@@ -1383,7 +1368,7 @@ mod workload_lifecycle {
                     input: call.to_bytes(),
                     value,
                 };
-                let success = send(&mut chain, who, kind).success;
+                let success = send(chain, who, kind).success;
 
                 prop_assert_eq!(
                     success, predicted,
@@ -1418,7 +1403,58 @@ mod workload_lifecycle {
                         "terminal contract still holds escrow"
                     );
                 }
+                success
+            };
+
+            for op in HAPPY_PATH[..head_start].iter().chain(&ops) {
+                // Who sends which call with how much; `None` mines an empty
+                // block. EXPIRE and ABORT are public: executors send them.
+                let step = match *op {
+                    Op::Fund(value) => Some((CONSUMER, Call::Fund, value)),
+                    Op::Register(e) => Some((EXECUTORS[e], Call::RegisterExecutor, 0)),
+                    Op::Participate { executor, provider, records } => {
+                        let rows = vec![(providers[provider], records, sha256(b"cert"))];
+                        Some((EXECUTORS[executor], Call::SubmitParticipation(rows), 0))
+                    }
+                    Op::Start => Some((CONSUMER, Call::Start, 0)),
+                    Op::SubmitResult { executor } => {
+                        Some((EXECUTORS[executor], Call::SubmitResult(sha256(b"result")), 0))
+                    }
+                    Op::Finalize { sender, share } => {
+                        // The whole share to the first contributor, if any.
+                        let first = model.contributions.keys().next();
+                        let shares = first.map(|p| (*p, share)).into_iter().collect();
+                        Some((sender, Call::Finalize(shares), 0))
+                    }
+                    Op::Cancel { sender } => Some((sender, Call::Cancel, 0)),
+                    Op::Expire => Some((EXECUTORS[0], Call::Expire, 0)),
+                    Op::Abort => Some((EXECUTORS[1], Call::Abort, 0)),
+                    Op::Mine => None,
+                };
+                let Some((who, call, value)) = step else {
+                    chain.produce_block();
+                    continue;
+                };
+                call_and_check(&mut chain, &mut model, who, call, value);
             }
+
+            // The exit, from wherever the walk stopped.
+            let exit = match model.phase {
+                ModelPhase::Open => Some((CONSUMER, Call::Cancel)),
+                ModelPhase::Executing => {
+                    while chain.height() <= model.started_height + model.timeout {
+                        chain.produce_block();
+                    }
+                    Some((STRANGER, Call::Abort))
+                }
+                ModelPhase::Terminal => None,
+            };
+            if let Some((who, call)) = exit {
+                let success = call_and_check(&mut chain, &mut model, who, call.clone(), 0);
+                prop_assert!(success, "{call:?} from key {who} is no exit");
+            }
+            prop_assert_eq!(model.phase, ModelPhase::Terminal);
+            prop_assert_eq!(chain.state.balance(&contract), 0);
         }
     }
 }

@@ -8,6 +8,7 @@ use pds2_chain::chain::{Blockchain, ChainConfig, ChainError};
 use pds2_chain::contract::ContractRegistry;
 use pds2_chain::tx::{Transaction, TxKind};
 use pds2_core::contract::{Call, Init, WorkloadContract, WORKLOAD_CODE_ID};
+use pds2_core::marketplace::DEFAULT_EXEC_TIMEOUT_BLOCKS;
 use pds2_crypto::codec::Encode;
 use pds2_crypto::sha256;
 use pds2_crypto::KeyPair;
@@ -65,7 +66,7 @@ fn replica_converges_with_producer() {
                         min_providers: 1,
                         min_records: 1,
                         deadline_height: 0,
-                        exec_timeout_blocks: 0,
+                        exec_timeout_blocks: DEFAULT_EXEC_TIMEOUT_BLOCKS,
                         reward_token: None,
                     }
                     .to_bytes(),
