@@ -20,7 +20,7 @@ use pds2_crypto::KeyPair;
 use pds2_learning::gossip::{run_gossip_experiment_with_faults, GossipConfig};
 use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
-use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, Simulator};
+use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, SchedulerKind, Simulator};
 use std::sync::Arc;
 
 const N_VALIDATORS: usize = 4;
@@ -165,6 +165,7 @@ fn main() {
             &[10_000_000],
             None,
             Some(plan),
+            SchedulerKind::Wheel,
             || LogisticRegression::new(3),
         );
         rows.push(vec![

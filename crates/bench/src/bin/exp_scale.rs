@@ -61,7 +61,7 @@ fn gossip_opts(n: usize, holders: usize, horizon_us: u64) -> ScaleGossipOpts {
             mean_downtime_us: horizon_us / 8,
             churn_fraction_x1024: 50, // ~5 % of the fleet churns
         }),
-        scheduler: Some(SchedulerKind::Wheel),
+        scheduler: SchedulerKind::Wheel,
     }
 }
 

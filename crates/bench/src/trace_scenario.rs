@@ -19,7 +19,7 @@ use pds2_crypto::KeyPair;
 use pds2_learning::gossip::{run_gossip_experiment_with_faults, GossipConfig};
 use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
-use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, Simulator};
+use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, SchedulerKind, Simulator};
 use std::num::NonZeroU32;
 use std::sync::Arc;
 
@@ -187,6 +187,7 @@ fn chaos_gossip(seed: u64) {
         &[1_000_000, 2_400_000],
         None,
         Some(plan),
+        SchedulerKind::Wheel,
         || LogisticRegression::new(3),
     );
 }

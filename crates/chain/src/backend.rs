@@ -14,8 +14,8 @@
 //!   root that differs from this one.
 //!
 //! Both give **bit-identical roots** for identical logical state: the
-//! root is a pure function of the canonical leaf set. Selection is via
-//! [`BackendKind::from_env`] (`PDS2_STATE_BACKEND=smt|rehash`) or
+//! root is a pure function of the canonical leaf set. The kind is a value
+//! the caller passes to [`crate::state::WorldState::with_backend`] or
 //! [`crate::state::WorldState::set_backend`].
 
 use crate::address::Address;
@@ -98,13 +98,10 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Reads `PDS2_STATE_BACKEND` (`smt` default; `rehash`, `memory` or
-    /// `full` select the oracle). Unknown values fall back to the SMT.
+    // Reads nothing; only the benchmark calls it. ROADMAP item 8(a) deletes it.
+    #[doc(hidden)]
     pub fn from_env() -> BackendKind {
-        match std::env::var("PDS2_STATE_BACKEND").as_deref() {
-            Ok("rehash") | Ok("memory") | Ok("full") => BackendKind::FullRehash,
-            _ => BackendKind::Smt,
-        }
+        BackendKind::Smt
     }
 
     /// An empty commitment of this kind.
@@ -119,7 +116,7 @@ impl BackendKind {
 
 /// The authenticated leaf set: one tree, filled the way `kind` says.
 pub(crate) struct Commitment {
-    kind: BackendKind,
+    pub(crate) kind: BackendKind,
     tree: SmtTree,
     committed: bool,
 }
@@ -248,6 +245,7 @@ mod tests {
 
     #[test]
     fn env_knob_selects_backend() {
+        assert_eq!(BackendKind::from_env(), BackendKind::Smt);
         assert_eq!(BackendKind::Smt.make().name(), "smt");
         assert_eq!(BackendKind::FullRehash.make().name(), "rehash");
     }

@@ -58,9 +58,8 @@ pub struct ChainConfig {
     /// the fee up (see [`crate::gas::next_base_fee`]).
     pub initial_base_fee: u64,
     /// Header signing scheme (see [`crate::threshold`]). Defaults to
-    /// [`SigMode::from_env`], so `PDS2_SIG_MODE=threshold` flips every
-    /// default-configured chain — including replica genesis factories —
-    /// to t-of-n committee sealing; tests override it programmatically.
+    /// [`SigMode::Single`]; pass [`SigMode::Threshold`] here for t-of-n
+    /// committee sealing.
     pub sig_mode: SigMode,
 }
 
@@ -72,7 +71,7 @@ impl Default for ChainConfig {
             max_txs_per_block: 1024,
             mempool_capacity: 1 << 20,
             initial_base_fee: 0,
-            sig_mode: SigMode::from_env(),
+            sig_mode: SigMode::Single,
         }
     }
 }

@@ -109,7 +109,7 @@ impl Blockchain {
             return Err("snapshot: height differs from its slot's".into());
         }
         let next_base_fee = dec.get_u64().map_err(|e| format!("snapshot: {e:?}"))?;
-        let state = WorldState::decode_snapshot(&mut dec, &self.registry)?;
+        let state = WorldState::decode_snapshot(&mut dec, &self.registry, self.state.backend())?;
         dec.expect_end().map_err(|e| format!("snapshot: {e:?}"))?;
         self.state = state;
         self.next_base_fee = next_base_fee;
@@ -203,6 +203,7 @@ mod tests {
     use super::super::tests::{signed_transfer, test_chain};
     use super::*;
     use crate::address::Address;
+    use crate::backend::BackendKind;
     use pds2_crypto::KeyPair;
 
     /// A flipped bit or a torn write at every frame of a six-block
@@ -249,5 +250,32 @@ mod tests {
             offset += 1 + 8 + 8 + frame.payload.len() + 8;
         }
         assert_eq!(offset, pristine.log_bytes());
+    }
+
+    /// A chain on the full-rehash oracle that recovers through its
+    /// snapshot stays on the oracle: the restored state takes the backend
+    /// of the chain it is restored into.
+    #[test]
+    fn snapshot_restore_keeps_the_chains_backend() {
+        let alice = KeyPair::from_seed(1);
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        let genesis = || {
+            let mut chain = test_chain(&alice);
+            chain.state.set_backend(BackendKind::FullRehash);
+            chain
+        };
+        let store = Arc::new(Mutex::new(ChainLog::new()));
+        let mut live = genesis();
+        live.attach_store(store.clone(), 2);
+        for nonce in 0..3 {
+            live.submit(signed_transfer(&alice, nonce, bob, 10))
+                .unwrap();
+            live.produce_block();
+        }
+        assert_eq!(store.lock().snapshot().expect("snapshot written").0, 2);
+        let recovered = Blockchain::recover_from_store(genesis(), store, 2);
+        assert_eq!(recovered.height(), 3);
+        assert_eq!(recovered.state.backend_name(), "rehash");
+        assert_eq!(recovered.state.state_root(), live.state.state_root());
     }
 }

@@ -44,6 +44,11 @@ impl WorldState {
         self.committer.borrow().backend.name()
     }
 
+    /// The active commitment backend.
+    pub(crate) fn backend(&self) -> BackendKind {
+        self.committer.borrow().backend.kind
+    }
+
     /// Marks one leaf for recommit. Conservative over-marking is always
     /// safe: the committed value is recomputed from the live maps, and
     /// an absent entry becomes a (possibly no-op) delete.

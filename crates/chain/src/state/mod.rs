@@ -124,13 +124,13 @@ pub struct WorldState {
 
 impl Default for WorldState {
     fn default() -> Self {
-        Self::with_backend(BackendKind::from_env())
+        Self::with_backend(BackendKind::Smt)
     }
 }
 
 impl WorldState {
-    /// Creates an empty state with the backend selected by
-    /// `PDS2_STATE_BACKEND` (SMT unless overridden).
+    /// Creates an empty state on the incremental SMT; the oracle is
+    /// [`WorldState::with_backend`]'s to pick.
     pub fn new() -> Self {
         Self::default()
     }

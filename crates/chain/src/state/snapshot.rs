@@ -31,11 +31,13 @@ impl WorldState {
         enc.put_u128(self.native_supply);
     }
 
-    /// Rebuilds a state from a snapshot. The whole leaf set is marked
-    /// dirty, so the first `state_root()` repopulates the backend.
+    /// Rebuilds a state from a snapshot on the `backend` the restoring
+    /// chain runs. The whole leaf set is marked dirty, so the first
+    /// `state_root()` repopulates the backend.
     pub(crate) fn decode_snapshot(
         dec: &mut Decoder<'_>,
         registry: &ContractRegistry,
+        backend: BackendKind,
     ) -> Result<WorldState, String> {
         let fail = |e: pds2_crypto::DecodeError| format!("snapshot decode: {e:?}");
         let mut st = WorldState::new();
@@ -71,7 +73,7 @@ impl WorldState {
         st.burned = dec.get_u128().map_err(fail)?;
         st.native_supply = dec.get_u128().map_err(fail)?;
         // The maps were filled directly, so no leaf is marked yet.
-        st.set_backend(BackendKind::from_env());
+        st.set_backend(backend);
         Ok(st)
     }
 }

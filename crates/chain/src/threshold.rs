@@ -2,13 +2,13 @@
 //!
 //! In `single` mode (the default, and the differential oracle) each
 //! block is signed by its round-robin proposer's own key. In
-//! `threshold` mode — `PDS2_SIG_MODE=threshold`, or
-//! [`SigMode::Threshold`] set programmatically in [`crate::ChainConfig`]
-//! — the validator set runs a deterministic DKG (via [`pds2_gov`]) and
-//! every block is sealed by a t-of-n quorum whose partial signatures
-//! aggregate into **one ordinary Schnorr signature** under the
-//! committee's group public key. A single compromised validator can no
-//! longer forge history: forging now needs `t = ⌊n/2⌋ + 1` shares.
+//! `threshold` mode — [`SigMode::Threshold`] passed as
+//! [`crate::ChainConfig::sig_mode`] — the validator set runs a
+//! deterministic DKG (via [`pds2_gov`]) and every block is sealed by a
+//! t-of-n quorum whose partial signatures aggregate into **one ordinary
+//! Schnorr signature** under the committee's group public key. A single
+//! compromised validator can no longer forge history: forging now needs
+//! `t = ⌊n/2⌋ + 1` shares.
 //!
 //! Only the signature field changes between modes. The header still
 //! names the round-robin proposer (so `WrongProposer` enforcement and
@@ -44,13 +44,10 @@ pub enum SigMode {
 }
 
 impl SigMode {
-    /// Reads `PDS2_SIG_MODE` (`single` | `threshold`); anything else —
-    /// including unset — is [`SigMode::Single`].
+    // Reads nothing; only the benchmark calls it. ROADMAP item 8(a) deletes it.
+    #[doc(hidden)]
     pub fn from_env() -> SigMode {
-        match std::env::var("PDS2_SIG_MODE").as_deref() {
-            Ok("threshold") => SigMode::Threshold,
-            _ => SigMode::Single,
-        }
+        SigMode::Single
     }
 }
 
@@ -186,8 +183,7 @@ mod tests {
 
     #[test]
     fn sig_mode_from_env_defaults_to_single() {
-        // Tests must not set the var process-wide; just check the parse
-        // contract via the default.
+        assert_eq!(SigMode::from_env(), SigMode::Single);
         assert_eq!(SigMode::default(), SigMode::Single);
     }
 }

@@ -30,7 +30,7 @@ fn chain(senders: &[KeyPair], initial_base_fee: u64) -> Blockchain {
         ContractRegistry::new(),
         ChainConfig {
             initial_base_fee,
-            // One proposer signature per header, whatever PDS2_SIG_MODE says.
+            // One proposer signature per header.
             sig_mode: SigMode::Single,
             ..ChainConfig::default()
         },

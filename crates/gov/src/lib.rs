@@ -24,8 +24,8 @@
 //!
 //! [`net::GovNode`] runs the whole protocol over the deterministic
 //! network simulator for the chaos harness; `pds2-chain` wires
-//! [`sign::sign_with_quorum`] into block sealing behind
-//! `PDS2_SIG_MODE=threshold` with the single-key path kept as a
+//! [`sign::sign_with_quorum`] into block sealing for a chain configured
+//! with `SigMode::Threshold`, with the single-key path kept as a
 //! differential oracle.
 //!
 //! Everything is seed-deterministic: same seed, same committee, same

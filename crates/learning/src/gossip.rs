@@ -19,7 +19,7 @@ use pds2_ml::metrics::classifier_accuracy;
 use pds2_ml::model::Model;
 use pds2_ml::sgd;
 use pds2_net::fault::FaultPlan;
-use pds2_net::{Ctx, Node, NodeId};
+use pds2_net::{Ctx, Node, NodeId, SchedulerKind};
 use rand::Rng;
 
 /// Gossip exchange pattern.
@@ -345,14 +345,15 @@ where
     M: Model + Sync,
     F: Fn() -> M,
 {
+    let wheel = SchedulerKind::Wheel;
     run_gossip_experiment_with_faults(
-        shards, test, cfg, link, seed, eval_at_us, churn, None, make_model,
+        shards, test, cfg, link, seed, eval_at_us, churn, None, wheel, make_model,
     )
 }
 
 /// [`run_gossip_experiment`] with an optional chaos [`FaultPlan`]
 /// (partitions, byzantine corruption, crash-recovery) compiled into the
-/// run.
+/// run, on the given event scheduler.
 #[allow(clippy::too_many_arguments)]
 pub fn run_gossip_experiment_with_faults<M, F>(
     shards: Vec<Dataset>,
@@ -363,6 +364,7 @@ pub fn run_gossip_experiment_with_faults<M, F>(
     eval_at_us: &[u64],
     churn: Option<(f64, u64)>,
     fault_plan: Option<FaultPlan>,
+    scheduler: SchedulerKind,
     make_model: F,
 ) -> GossipOutcome
 where
@@ -373,7 +375,7 @@ where
         .into_iter()
         .map(|shard| GossipNode::new(make_model(), shard, cfg.clone()))
         .collect();
-    let mut sim = pds2_net::Simulator::new(nodes, link, seed);
+    let mut sim = pds2_net::Simulator::with_scheduler(nodes, link, seed, scheduler);
     if let Some((prob, horizon)) = churn {
         sim.schedule_random_churn(prob, horizon, 0);
     }
@@ -482,8 +484,8 @@ pub struct ScaleGossipOpts {
     pub link: pds2_net::LinkModel,
     /// Optional generated churn trace compiled into a fault plan.
     pub churn: Option<pds2_net::ChurnModel>,
-    /// Scheduler override (`None` = `PDS2_NET_SCHED` / wheel default).
-    pub scheduler: Option<pds2_net::SchedulerKind>,
+    /// Event scheduler: the timing wheel, or the heap oracle.
+    pub scheduler: SchedulerKind,
 }
 
 /// Gossip learning at fleet scale: `n_nodes` participants of which only
@@ -517,11 +519,8 @@ where
             GossipNode::new(make_model(), data, opts.cfg.clone())
         })
         .collect();
-    let scheduler = opts
-        .scheduler
-        .unwrap_or_else(pds2_net::SchedulerKind::from_env);
     let mut sim =
-        pds2_net::Simulator::with_scheduler(nodes, opts.link.clone(), opts.seed, scheduler);
+        pds2_net::Simulator::with_scheduler(nodes, opts.link.clone(), opts.seed, opts.scheduler);
     if let Some(churn) = opts.churn {
         let trace = churn.trace(opts.seed, opts.n_nodes);
         sim.install_fault_plan(FaultPlan::new(opts.seed).crashes_from(trace));
@@ -851,7 +850,7 @@ mod tests {
                     mean_downtime_us: 500_000,
                     churn_fraction_x1024: 100, // ~10% of nodes churn
                 }),
-                scheduler: Some(scheduler),
+                scheduler,
             };
             let cap = pds2_obs::capture(pds2_obs::SinkKind::Null);
             let out =
@@ -894,6 +893,7 @@ mod tests {
             &[5_000_000],
             None,
             Some(plan),
+            SchedulerKind::Wheel,
             || LogisticRegression::new(3),
         );
         assert!(out.corrupted_dropped > 0, "corruption must be observed");

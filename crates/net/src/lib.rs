@@ -16,7 +16,7 @@
 
 //! Scale: the event queue is a hierarchical timing wheel
 //! ([`sched::TimingWheel`], with the original heap retained as a
-//! differential oracle behind `PDS2_NET_SCHED=heap`), and
+//! differential oracle that [`Simulator::with_scheduler`] takes), and
 //! [`topology::Topology`] derives per-node attributes, regional
 //! latencies, churn traces and arrival schedules from `hash(seed,
 //! node_id)` instead of materialized vectors — 100k+-node scenarios run

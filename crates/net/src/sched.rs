@@ -26,7 +26,8 @@
 //!
 //! Determinism does not depend on wheel internals: the pop order is
 //! fully specified by `(time, seq)`, which is why the heap can serve as
-//! a drop-in oracle (`PDS2_NET_SCHED=heap`).
+//! a drop-in oracle (pass [`SchedulerKind::Heap`] to
+//! [`crate::Simulator::with_scheduler`]).
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -54,14 +55,10 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Reads `PDS2_NET_SCHED` (`heap` selects the oracle; anything else
-    /// — including unset — selects the wheel). Mirrors the
-    /// `PDS2_STATE_BACKEND` toggle of the chain state backends.
+    // Reads nothing; only the benchmark calls it. ROADMAP item 8(a) deletes it.
+    #[doc(hidden)]
     pub fn from_env() -> SchedulerKind {
-        match std::env::var("PDS2_NET_SCHED").as_deref() {
-            Ok("heap") | Ok("binary-heap") | Ok("binary_heap") => SchedulerKind::Heap,
-            _ => SchedulerKind::Wheel,
-        }
+        SchedulerKind::Wheel
     }
 }
 
@@ -652,9 +649,6 @@ mod tests {
 
     #[test]
     fn scheduler_kind_from_env_defaults_to_wheel() {
-        // Not run with the env var set in CI; just pin the default.
-        if std::env::var("PDS2_NET_SCHED").is_err() {
-            assert_eq!(SchedulerKind::from_env(), SchedulerKind::Wheel);
-        }
+        assert_eq!(SchedulerKind::from_env(), SchedulerKind::Wheel);
     }
 }

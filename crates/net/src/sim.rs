@@ -260,10 +260,9 @@ pub struct Simulator<N: Node> {
 
 impl<N: Node> Simulator<N> {
     /// Creates a simulator over `nodes` with the given link model and
-    /// seed, using the scheduler selected by `PDS2_NET_SCHED` (timing
-    /// wheel unless `heap` is requested).
+    /// seed, on the timing wheel.
     pub fn new(nodes: Vec<N>, link: LinkModel, seed: u64) -> Self {
-        Simulator::with_scheduler(nodes, link, seed, SchedulerKind::from_env())
+        Simulator::with_scheduler(nodes, link, seed, SchedulerKind::Wheel)
     }
 
     /// Creates a simulator with an explicit scheduler — the differential

@@ -1,8 +1,8 @@
 //! Chaos harness for threshold-federated governance (DESIGN.md §5i):
 //! the t-of-n signing committee under byzantine shareholders, quorum
 //! partitions and crash-recovery races during proactive refresh — plus
-//! the full chain-replica chaos suite re-run under
-//! `PDS2_SIG_MODE=threshold` sealing.
+//! chain replicas under the golden chaos plan, their chains built with
+//! `SigMode::Threshold` sealing.
 //!
 //! Mirrors `tests/chaos.rs`: every scenario asserts the *protocol*
 //! property (t-of-n signs, t−1 cannot, recovery restores the share) and

@@ -619,11 +619,6 @@ one_type_arbitrary! {
     workload_state_never_panics => "WorkloadState";
 }
 
-one_type! {
-    bitflipped_transaction_is_rejected_or_unverifiable => assert_bit_flips_caught("SignedTransaction");
-    bitflipped_partial_sig_is_rejected_or_unverifiable => assert_bit_flips_caught("PartialSig");
-}
-
 mod corrupted_in_flight {
     use super::*;
 

@@ -427,7 +427,7 @@ fn scheduler_and_thread_count_never_change_gossip_results() {
                     mean_downtime_us: 400_000,
                     churn_fraction_x1024: 128,
                 }),
-                scheduler: Some(scheduler),
+                scheduler,
             };
             let cap = pds2_obs::capture(pds2_obs::SinkKind::Null);
             let out =

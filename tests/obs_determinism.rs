@@ -23,7 +23,7 @@ use pds2_crypto::{Digest, KeyPair};
 use pds2_learning::gossip::{run_gossip_experiment_with_faults, GossipConfig};
 use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
-use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, Simulator};
+use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, SchedulerKind, Simulator};
 use pds2_obs as obs;
 use pds2_obs::jsonl::RawEvent;
 use pds2_obs::report::TraceAnalysis;
@@ -265,8 +265,9 @@ const NET_ROWS_SHA256: &str = "e26fd9399651fed1962ac7683fab9b901539a17fe1b35f181
 /// scenario (every fate but loss, duplication and reordering), then a
 /// lossy two-node run under duplication and reordering, both under a
 /// minted root context so the rows' trace and parent ids are pinned too.
-/// The chains seal with `SigMode::Single` whatever `PDS2_SIG_MODE` says:
-/// a header signature is inside a `NewBlock`'s `size` and `digest`.
+/// The chains seal with `SigMode::Single`, the default, named here
+/// because a header signature is inside a `NewBlock`'s `size` and
+/// `digest`.
 #[test]
 fn net_rows_match_the_pin_generated_at_the_parent() {
     let _g = obs::test_lock();
@@ -541,6 +542,7 @@ fn gossip_trace_and_corruption_counter_are_deterministic() {
             &[1_500_000, 4_000_000],
             None,
             Some(plan),
+            SchedulerKind::Wheel,
             || LogisticRegression::new(3),
         )
     };
