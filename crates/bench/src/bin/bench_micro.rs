@@ -26,7 +26,7 @@ use pds2_core::authenticity::{Device, ManufacturerRegistry, ReadingVerifier};
 use pds2_crypto::schnorr::{verify_batch, BatchItem};
 use pds2_crypto::sha256::{self, sha256, Sha256};
 use pds2_crypto::{Digest, Encode, KeyPair, PublicKey, Signature};
-use pds2_gov::dkg::{run_dkg_quiet, ThresholdParams};
+use pds2_gov::dkg::{run_dkg, ThresholdParams};
 use pds2_gov::sign::{nonce_commitment, partial_sign, NonceGuard};
 use pds2_gov::{sign_with_quorum, SigningSession, ValidatorShare};
 use pds2_net::{Ctx, LinkModel, Node, NodeId, SchedulerKind, Simulator, Topology};
@@ -202,8 +202,8 @@ fn verify_row(
 }
 
 // ---------------------------------------------------------------------
-// Threshold governance (DESIGN.md §5i, E20): no benchmark workload
-// seals with a committee.
+// Threshold governance (DESIGN.md §5i, E20): blocks are sealed by one
+// proposer key, so no benchmark workload signs with a committee.
 // ---------------------------------------------------------------------
 
 fn gov_rows(m: &mut Micro, mode: Mode, verify_us: f64) {
@@ -216,11 +216,11 @@ fn gov_rows(m: &mut Micro, mode: Mode, verify_us: f64) {
         samples,
         mode.iters(16),
         || {
-            run_dkg_quiet(0xD6, params).expect("valid params");
+            run_dkg(0xD6, params).expect("valid params");
         },
     );
 
-    let (committee, shares) = run_dkg_quiet(0xBE9C, params).expect("valid params");
+    let (committee, shares) = run_dkg(0xBE9C, params).expect("valid params");
     let quorum: Vec<&ValidatorShare> = shares.iter().take(params.t).collect();
     let msg = b"bench partial";
     let nonces: Vec<_> = quorum

@@ -57,13 +57,11 @@ impl BlockHeader {
         enc.finish()
     }
 
-    /// Builds a header naming `proposer` and seals it with whatever
-    /// `sign` returns for the header's signing bytes: the proposer's own
-    /// signature, or the committee's threshold signature — the header
-    /// body is the same either way.
+    /// Builds a header naming `keys`' public key as proposer and seals it
+    /// with the proposer's own signature.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sealed(
-        proposer: PublicKey,
+    pub fn new_signed(
+        keys: &KeyPair,
         height: u64,
         parent: Digest,
         state_root: Digest,
@@ -71,9 +69,9 @@ impl BlockHeader {
         timestamp: u64,
         base_fee: u64,
         gas_used: u64,
-        sign: impl FnOnce(&[u8]) -> Signature,
     ) -> BlockHeader {
-        let signature = sign(&Self::signing_bytes(
+        let proposer = keys.public.clone();
+        let signature = keys.sign(&Self::signing_bytes(
             height,
             &parent,
             &state_root,
@@ -96,46 +94,13 @@ impl BlockHeader {
         }
     }
 
-    /// Builds a header and signs it with the proposer's own key.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_signed(
-        keys: &KeyPair,
-        height: u64,
-        parent: Digest,
-        state_root: Digest,
-        tx_root: Digest,
-        timestamp: u64,
-        base_fee: u64,
-        gas_used: u64,
-    ) -> BlockHeader {
-        Self::sealed(
-            keys.public.clone(),
-            height,
-            parent,
-            state_root,
-            tx_root,
-            timestamp,
-            base_fee,
-            gas_used,
-            |payload| keys.sign(payload),
-        )
-    }
-
     /// Verifies the signature against the embedded proposer's key.
-    pub fn verify_signature(&self) -> bool {
-        self.verify_signature_with(&self.proposer)
-    }
-
-    /// Verifies the header signature against an explicit key instead of
-    /// the embedded proposer — threshold mode checks the committee's
-    /// group key while the header keeps naming its round-robin proposer
-    /// (which still drives the coinbase and `WrongProposer` checks).
     ///
     /// Routed through [`crate::sigcache`]: during sync replay and fork
     /// choice the same headers are re-validated repeatedly, and an
     /// already-accepted header costs one hash instead of an
     /// exponentiation.
-    pub fn verify_signature_with(&self, key: &PublicKey) -> bool {
+    pub fn verify_signature(&self) -> bool {
         let payload = Self::signing_bytes(
             self.height,
             &self.parent,
@@ -146,7 +111,7 @@ impl BlockHeader {
             self.gas_used,
             &self.proposer,
         );
-        crate::sigcache::verify_cached(&payload, key, &self.signature)
+        crate::sigcache::verify_cached(&payload, &self.proposer, &self.signature)
     }
 
     /// The header hash (block identifier).

@@ -45,12 +45,11 @@ impl Blockchain {
         let tx_nonce = tx.tx.nonce;
         let tx_bytes = self.store.as_ref().map(|_| tx.to_bytes());
         let mut evicted = Vec::new();
-        let (outcome, pool_len) = {
-            let mut pool = self.mempool.lock();
-            let outcome = pool.insert(tx, account_nonce, self.config.block_gas_limit, &mut evicted);
-            (outcome, pool.len())
-        };
-        let outcome = match outcome {
+        let gas_limit = self.config.block_gas_limit;
+        let inserted = self
+            .mempool
+            .insert(tx, account_nonce, gas_limit, &mut evicted);
+        let outcome = match inserted {
             Ok(o) => o,
             Err(e) => {
                 pds2_obs::counter!("chain.txs_rejected").inc();
@@ -108,7 +107,7 @@ impl Blockchain {
         if let Some(bytes) = tx_bytes {
             self.journal_tx(&bytes);
         }
-        Self::publish_mempool_gauge(pool_len);
+        self.publish_mempool_gauge();
         Ok(hash)
     }
 

@@ -99,14 +99,10 @@ impl Blockchain {
             gas::next_base_fee(block.header.base_fee, gas_used, self.config.block_gas_limit);
         pds2_obs::gauge!("chain.base_fee").set(self.next_base_fee as f64);
         // Drop any mempool copies of the included transactions.
-        let pool_len = {
-            let mut pool = self.mempool.lock();
-            for tx in &block.transactions {
-                pool.remove_by_hash(&tx.hash());
-            }
-            pool.len()
-        };
-        Self::publish_mempool_gauge(pool_len);
+        for tx in &block.transactions {
+            self.mempool.remove_by_hash(&tx.hash());
+        }
+        self.publish_mempool_gauge();
         self.emit_included(&block.transactions, height);
         self.commit_block(block, receipts);
         pds2_obs::counter!("chain.blocks_applied").inc();

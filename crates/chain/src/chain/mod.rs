@@ -26,7 +26,6 @@ use crate::contract::ContractRegistry;
 use crate::event::Event;
 use crate::mempool::{Mempool, SubmitError};
 use crate::state::{TxReceipt, WorldState};
-use crate::threshold::{SigMode, ThresholdCtx};
 use crate::tx::SignedTransaction;
 use parking_lot::Mutex;
 use pds2_crypto::schnorr::{KeyPair, PublicKey};
@@ -57,10 +56,6 @@ pub struct ChainConfig {
     /// legacy zero-fee transactions includable until congestion pushes
     /// the fee up (see [`crate::gas::next_base_fee`]).
     pub initial_base_fee: u64,
-    /// Header signing scheme (see [`crate::threshold`]). Defaults to
-    /// [`SigMode::Single`]; pass [`SigMode::Threshold`] here for t-of-n
-    /// committee sealing.
-    pub sig_mode: SigMode,
 }
 
 impl Default for ChainConfig {
@@ -71,7 +66,6 @@ impl Default for ChainConfig {
             max_txs_per_block: 1024,
             mempool_capacity: 1 << 20,
             initial_base_fee: 0,
-            sig_mode: SigMode::Single,
         }
     }
 }
@@ -126,7 +120,7 @@ pub struct Blockchain {
     blocks: Vec<Block>,
     receipts: HashMap<Digest, TxReceipt>,
     events: Vec<Event>,
-    mempool: Mutex<Mempool>,
+    mempool: Mempool,
     /// Base fee the *next* produced block will carry, derived from the
     /// previous block's gas usage by [`crate::gas::next_base_fee`].
     next_base_fee: u64,
@@ -146,10 +140,6 @@ pub struct Blockchain {
     store: Option<Arc<Mutex<ChainLog>>>,
     /// Snapshot cadence in blocks (0 = never snapshot).
     snapshot_every: u64,
-    /// Threshold sealing context (`Some` iff `config.sig_mode` is
-    /// [`SigMode::Threshold`]); shared process-globally per validator
-    /// set via [`crate::threshold::committee_for`].
-    threshold: Option<Arc<ThresholdCtx>>,
 }
 
 impl Blockchain {
@@ -165,13 +155,6 @@ impl Blockchain {
         for (addr, amount) in genesis_alloc {
             state.genesis_credit(*addr, *amount);
         }
-        let threshold = match config.sig_mode {
-            SigMode::Single => None,
-            SigMode::Threshold => {
-                let pubs: Vec<PublicKey> = validators.iter().map(|v| v.public.clone()).collect();
-                Some(crate::threshold::committee_for(&pubs))
-            }
-        };
         Blockchain {
             state,
             registry,
@@ -179,7 +162,7 @@ impl Blockchain {
             blocks: Vec::new(),
             receipts: HashMap::new(),
             events: Vec::new(),
-            mempool: Mutex::new(Mempool::new(config.mempool_capacity)),
+            mempool: Mempool::new(config.mempool_capacity),
             next_base_fee: config.initial_base_fee,
             config,
             seen: std::collections::HashSet::new(),
@@ -187,7 +170,6 @@ impl Blockchain {
             tx_traces: HashMap::new(),
             store: None,
             snapshot_every: 0,
-            threshold,
         }
     }
 
@@ -256,7 +238,7 @@ impl Blockchain {
 
     /// Number of pending mempool transactions.
     pub fn mempool_len(&self) -> usize {
-        self.mempool.lock().len()
+        self.mempool.len()
     }
 
     /// Base fee the next produced block will carry.
@@ -267,7 +249,7 @@ impl Blockchain {
     /// Every pending transaction in deterministic (sender, nonce) order.
     /// The reorg path uses this to carry a pool across a fork switch.
     pub fn mempool_txs(&self) -> Vec<SignedTransaction> {
-        self.mempool.lock().all()
+        self.mempool.all()
     }
 
     /// Whether a durable store is attached.
@@ -275,13 +257,10 @@ impl Blockchain {
         self.store.is_some()
     }
 
-    /// Publishes the `chain.mempool_size` gauge from a pool length read
-    /// under the lock. Every site that mutates the pool reports through
-    /// this helper with the length it observed inside its own lock
-    /// acquisition, so the gauge never interleaves with a concurrent
-    /// mutation (it previously mixed in-lock and re-lock reads).
-    fn publish_mempool_gauge(len: usize) {
-        pds2_obs::gauge!("chain.mempool_size").set(len as f64);
+    /// Publishes the `chain.mempool_size` gauge; every site that
+    /// mutates the pool reports through this helper.
+    fn publish_mempool_gauge(&self) {
+        pds2_obs::gauge!("chain.mempool_size").set(self.mempool.len() as f64);
     }
 
     /// The validator whose turn it is at `height`.
@@ -329,19 +308,6 @@ mod tests {
             1000,
             &[(Address::of(&alice.public), 1_000_000)],
             ContractRegistry::new(),
-        )
-    }
-
-    pub(super) fn mode_chain(sig_mode: SigMode, alice: &KeyPair) -> Blockchain {
-        let validators: Vec<KeyPair> = (0..4).map(|i| KeyPair::from_seed(2100 + i)).collect();
-        Blockchain::new(
-            validators,
-            &[(Address::of(&alice.public), 1_000_000)],
-            ContractRegistry::new(),
-            ChainConfig {
-                sig_mode,
-                ..ChainConfig::default()
-            },
         )
     }
 

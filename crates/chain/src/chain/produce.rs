@@ -29,18 +29,14 @@ impl Blockchain {
         // entries pruned on the way. O(accounts + selected · log accounts)
         // instead of the old O(pending²) rescan.
         let mut sel_stats = SelectionStats::default();
-        let (selected, pool_len) = {
-            let state = &self.state;
-            let mut pool = self.mempool.lock();
-            let selected = pool.select(
-                base_fee,
-                self.config.block_gas_limit,
-                self.config.max_txs_per_block,
-                |addr| state.nonce(addr),
-                &mut sel_stats,
-            );
-            (selected, pool.len())
-        };
+        let state = &self.state;
+        let selected = self.mempool.select(
+            base_fee,
+            self.config.block_gas_limit,
+            self.config.max_txs_per_block,
+            |addr| state.nonce(addr),
+            &mut sel_stats,
+        );
         if sel_stats.stale_dropped > 0 {
             pds2_obs::counter!("chain.mempool_stale_dropped").add(sel_stats.stale_dropped as u64);
         }
@@ -61,14 +57,11 @@ impl Blockchain {
         let receipts = self.execute_block(&selected, &env, produce_ctx);
         self.emit_included(&selected, height);
 
-        // Seal. The header body and the proposer it names are the same
-        // in both modes — only the signature differs, the proposer's own
-        // or the t-of-n committee's.
         let gas_used: u64 = receipts.iter().map(|r| r.gas_used).sum();
         let tx_root = Block::compute_tx_root(&selected);
         let state_root = self.state.state_root();
-        let header = BlockHeader::sealed(
-            proposer.public.clone(),
+        let header = BlockHeader::new_signed(
+            &proposer,
             height,
             self.head_hash(),
             state_root,
@@ -76,10 +69,6 @@ impl Blockchain {
             height * self.config.block_interval_secs,
             base_fee,
             gas_used,
-            |payload| match &self.threshold {
-                None => proposer.sign(payload),
-                Some(ctx) => ctx.seal(height, payload),
-            },
         );
         let block = Block {
             header,
@@ -91,7 +80,7 @@ impl Blockchain {
         pds2_obs::counter!("chain.txs_included").add(block.transactions.len() as u64);
         pds2_obs::histogram!("chain.gas_per_block").observe(gas_used);
         pds2_obs::gauge!("chain.base_fee").set(self.next_base_fee as f64);
-        Self::publish_mempool_gauge(pool_len);
+        self.publish_mempool_gauge();
         if pds2_obs::enabled() {
             span.finish(
                 pds2_obs::Stamp::Block(height),
@@ -131,11 +120,10 @@ impl Blockchain {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{fee_transfer, mode_chain, signed_transfer, test_chain};
+    use super::super::tests::{fee_transfer, signed_transfer, test_chain};
     use super::super::ChainConfig;
     use super::*;
     use crate::contract::ContractRegistry;
-    use crate::threshold::SigMode;
     use crate::tx::{Transaction, TxKind};
     use pds2_crypto::schnorr::{KeyPair, PublicKey};
     use pds2_crypto::sha256::Digest;
@@ -198,34 +186,6 @@ mod tests {
             let b = chain.produce_block();
             assert_eq!(b.header.proposer, pubs[expected]);
         }
-    }
-
-    #[test]
-    fn threshold_mode_agrees_with_single_mode_block_for_block() {
-        let alice = KeyPair::from_seed(1);
-        let bob = Address::of(&KeyPair::from_seed(2).public);
-        let mut single = mode_chain(SigMode::Single, &alice);
-        let mut threshold = mode_chain(SigMode::Threshold, &alice);
-        for h in 0..5u64 {
-            for c in [&mut single, &mut threshold] {
-                c.submit(signed_transfer(&alice, h, bob, 10 + h as u128))
-                    .unwrap();
-            }
-            let bs = single.produce_block();
-            let bt = threshold.produce_block();
-            // The differential oracle: everything but the signature is
-            // bit-identical — proposer (and thus coinbase), roots, fees.
-            assert_eq!(bs.header.state_root, bt.header.state_root, "h={h}");
-            assert_eq!(bs.header.tx_root, bt.header.tx_root);
-            assert_eq!(bs.header.proposer, bt.header.proposer);
-            assert_eq!(bs.header.base_fee, bt.header.base_fee);
-            assert_ne!(bs.header.signature, bt.header.signature);
-            // The threshold seal verifies only against the group key.
-            assert!(!bt.header.verify_signature(), "not the proposer's sig");
-            let ctx = crate::threshold::committee_for(&threshold.validator_set());
-            assert!(bt.header.verify_signature_with(ctx.group_public()));
-        }
-        assert_eq!(single.state.state_root(), threshold.state.state_root());
     }
 
     #[test]

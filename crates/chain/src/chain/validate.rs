@@ -2,7 +2,7 @@
 //! local head before it is executed.
 
 use super::{Blockchain, ChainError};
-use crate::block::{Block, BlockHeader};
+use crate::block::Block;
 use crate::sigcache;
 
 impl Blockchain {
@@ -34,7 +34,7 @@ impl Blockchain {
             if block.header.proposer != self.proposer_for(height).public {
                 return Err(ChainError::WrongProposer);
             }
-            if !self.header_sig_ok(&block.header) {
+            if !block.header.verify_signature() {
                 return Err(ChainError::InvalidBlock("bad header signature"));
             }
             if !block.tx_root_matches() {
@@ -69,46 +69,16 @@ impl Blockchain {
         }
         res
     }
-
-    /// Whether `header` carries the signature this chain's mode expects:
-    /// the named proposer's own, or — with a threshold committee — the
-    /// group's.
-    pub(super) fn header_sig_ok(&self, header: &BlockHeader) -> bool {
-        match &self.threshold {
-            None => header.verify_signature(),
-            Some(ctx) => header.verify_signature_with(ctx.group_public()),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{mode_chain, signed_transfer, test_chain};
+    use super::super::tests::{signed_transfer, test_chain};
     use super::*;
     use crate::address::Address;
-    use crate::threshold::SigMode;
-    use pds2_crypto::schnorr::KeyPair;
-
-    #[test]
-    fn threshold_validator_rejects_single_key_seal() {
-        let alice = KeyPair::from_seed(1);
-        let mut threshold = mode_chain(SigMode::Threshold, &alice);
-        // A proposer gone rogue seals with its own key instead of
-        // gathering a quorum: every honest threshold validator rejects.
-        let single = mode_chain(SigMode::Single, &alice);
-        let mut shadow = mode_chain(SigMode::Single, &alice);
-        let forged = shadow.produce_block();
-        drop(single);
-        assert_eq!(
-            threshold.validate_external_block(&forged),
-            Err(ChainError::InvalidBlock("bad header signature"))
-        );
-        // And the genuine threshold seal is accepted.
-        let mut shadow_t = mode_chain(SigMode::Threshold, &alice);
-        let good = shadow_t.produce_block();
-        threshold.validate_external_block(&good).unwrap();
-        threshold.apply_external_block(&good).unwrap();
-    }
+    use crate::block::BlockHeader;
+    use pds2_crypto::schnorr::{KeyPair, Signature};
+    use pds2_crypto::BigUint;
 
     #[test]
     fn external_block_validation_rejects_tampering() {
@@ -147,6 +117,23 @@ mod tests {
         assert_eq!(
             chain.validate_external_block(&forged),
             Err(ChainError::WrongProposer)
+        );
+
+        // The scheduled proposer named, another key's signature.
+        forged.header.proposer = good.header.proposer.clone();
+        assert_eq!(
+            chain.validate_external_block(&forged),
+            Err(ChainError::InvalidBlock("bad header signature"))
+        );
+
+        // The good header with its signature's `s` moved by one.
+        let sig = &good.header.signature;
+        let mut bent = good.clone();
+        bent.header.signature =
+            Signature::new(sig.r().clone(), sig.s().add(&BigUint::one())).expect("in range");
+        assert_eq!(
+            chain.validate_external_block(&bent),
+            Err(ChainError::InvalidBlock("bad header signature"))
         );
 
         // Wrong height.

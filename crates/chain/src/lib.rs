@@ -26,14 +26,12 @@
 //!   tree, filled incrementally or, as the reference oracle, by a full
 //!   rehash (DESIGN.md §5f);
 //! - [`block`] — blocks, headers (one constructor, sealed by the
-//!   proposer or the committee), Merkle transaction roots;
+//!   proposer's key), Merkle transaction roots;
 //! - [`mempool`] — the fee-market transaction pool: per-account nonce
 //!   chains, priority selection, bounded admission with eviction;
 //! - [`chain`] — the ledger as one block pipeline, a file per stage:
 //!   admit → produce → validate → apply → persist → prove, shared by
 //!   the producer, followers and crash recovery (DESIGN.md §5f);
-//! - [`threshold`] — t-of-n committee sealing of block headers
-//!   (DESIGN.md §5i);
 //! - [`sync`] — block sync over `pds2-net`: catch-up, fork choice on
 //!   rejoin, crash-stop recovery (the chaos-harness consumer);
 //! - [`sigcache`] — bounded cache of verified-signature digests, so sync
@@ -72,5 +70,4 @@ pub use mempool::{Mempool, SubmitError};
 pub use smt::{verify_proof, SmtProof, SmtTree};
 pub use state::{BlockEnv, TxReceipt, WorldState};
 pub use sync::{ChainReplica, GenesisFactory, SyncMsg};
-pub use threshold::{committee_for, SigMode, ThresholdCtx};
 pub use tx::{SignedTransaction, Transaction, TxKind};

@@ -14,8 +14,8 @@
 
 use pds2_chain::sigcache::{clear, contains, triple_digest};
 use pds2_chain::{
-    Address, Block, Blockchain, ChainConfig, ChainError, ContractRegistry, SigMode,
-    SignedTransaction, Transaction, TxKind,
+    Address, Block, Blockchain, ChainConfig, ChainError, ContractRegistry, SignedTransaction,
+    Transaction, TxKind,
 };
 use pds2_crypto::schnorr::{Group, BATCH_MIN};
 use pds2_crypto::{BigUint, KeyPair, Signature};
@@ -30,10 +30,7 @@ fn genesis() -> Blockchain {
         vec![KeyPair::from_seed(7_100)],
         &alloc,
         ContractRegistry::new(),
-        ChainConfig {
-            sig_mode: SigMode::Single,
-            ..ChainConfig::default()
-        },
+        ChainConfig::default(),
     )
 }
 

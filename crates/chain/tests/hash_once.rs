@@ -6,8 +6,8 @@
 //! `sigcache` counters, which any concurrently running test would move.
 
 use pds2_chain::{
-    sigcache, Address, Blockchain, ChainConfig, ContractRegistry, SigMode, SignedTransaction,
-    Transaction, TxKind,
+    sigcache, Address, Blockchain, ChainConfig, ContractRegistry, SignedTransaction, Transaction,
+    TxKind,
 };
 use pds2_crypto::{Decode, Encode, KeyPair};
 
@@ -30,8 +30,6 @@ fn chain(senders: &[KeyPair], initial_base_fee: u64) -> Blockchain {
         ContractRegistry::new(),
         ChainConfig {
             initial_base_fee,
-            // One proposer signature per header.
-            sig_mode: SigMode::Single,
             ..ChainConfig::default()
         },
     )

@@ -1,7 +1,7 @@
 //! One block pipeline: a producer, a follower and a node recovered from
 //! the producer's journal run the same stages and must end up identical —
-//! same head, same state root, same receipts, same event list — under
-//! both header-sealing modes and both commitment backends. The producer
+//! same head, same state root, same receipts, same event list — on
+//! both commitment backends. The producer
 //! and the follower each run under an obs capture whose digest is
 //! pinned, so the order in which either path emits its events is fixed
 //! at the chain layer, and the digest does not follow the backend.
@@ -11,7 +11,7 @@
 use parking_lot::Mutex;
 use pds2_chain::{
     Address, BackendKind, Block, Blockchain, CallCtx, ChainConfig, Contract, ContractError,
-    ContractRegistry, Erc20Op, SigMode, SignedTransaction, Transaction, TxKind,
+    ContractRegistry, Erc20Op, SignedTransaction, Transaction, TxKind,
 };
 use pds2_crypto::KeyPair;
 use pds2_obs as obs;
@@ -22,8 +22,6 @@ use std::sync::Arc;
 // regenerated once when the `state/commit` span stopped carrying
 // `nodes_hashed`, a count that follows the backend (PR 25).
 const PRODUCER_SINGLE: &str = "b78f8d18b7055807b0c8c794da2412b0ac53be99ba7bed01e7a243694c48ee12";
-const PRODUCER_THRESHOLD: &str = "6993c35a1e4acc0e13365c3713948456114e7a4bbfc3787e49163aa9245bb753";
-// A follower traces no sealing, so its digest is the same in both modes.
 const FOLLOWER: &str = "0f75ce2ba57581510a5c7fc01cde8b7770dd98fb0e050dfa71702d86ae99a95e";
 
 const TXS_PER_BLOCK: usize = 3;
@@ -66,7 +64,7 @@ impl Contract for Probe {
     }
 }
 
-fn genesis(sig_mode: SigMode, backend: BackendKind, funded: &[&KeyPair]) -> Blockchain {
+fn genesis(backend: BackendKind, funded: &[&KeyPair]) -> Blockchain {
     let alloc: Vec<_> = funded
         .iter()
         .map(|kp| (Address::of(&kp.public), 1_000_000_000_000))
@@ -80,7 +78,6 @@ fn genesis(sig_mode: SigMode, backend: BackendKind, funded: &[&KeyPair]) -> Bloc
         ChainConfig {
             max_txs_per_block: TXS_PER_BLOCK,
             initial_base_fee: 10,
-            sig_mode,
             ..ChainConfig::default()
         },
     );
@@ -147,7 +144,7 @@ fn summary(chain: &Blockchain) -> (u64, pds2_crypto::Digest, pds2_crypto::Digest
     )
 }
 
-fn run(sig_mode: SigMode, backend: BackendKind, producer_digest: &str) {
+fn run(backend: BackendKind) {
     let alice = KeyPair::from_seed(1);
     let carol = KeyPair::from_seed(3);
     let txs = workload(&alice, &carol);
@@ -155,20 +152,20 @@ fn run(sig_mode: SigMode, backend: BackendKind, producer_digest: &str) {
     // Producer: journals into `store`, mints one trace per submission.
     let store = Arc::new(Mutex::new(ChainLog::new()));
     let cap = obs::capture(obs::SinkKind::Null);
-    let mut producer = genesis(sig_mode, backend, &[&alice, &carol]);
+    let mut producer = genesis(backend, &[&alice, &carol]);
     producer.attach_store(store.clone(), 0);
     for tx in &txs {
         producer.submit(tx.clone()).expect("admitted");
     }
     let blocks: Vec<Block> = (0..BLOCKS).map(|_| producer.produce_block()).collect();
-    assert_eq!(cap.finish().digest, producer_digest, "producer trace");
+    assert_eq!(cap.finish().digest, PRODUCER_SINGLE, "producer trace");
     let included: Vec<usize> = blocks.iter().map(|b| b.transactions.len()).collect();
     assert_eq!(included, [TXS_PER_BLOCK, TXS_PER_BLOCK, 0]);
 
     // Follower: hears the same transactions, applies the producer's
     // blocks under an ambient trace (as a replica does per delivery).
     let cap = obs::capture(obs::SinkKind::Null);
-    let mut follower = genesis(sig_mode, backend, &[&alice, &carol]);
+    let mut follower = genesis(backend, &[&alice, &carol]);
     let ambient = obs::new_trace("test", "follow", obs::Stamp::Block(0), Vec::new());
     follower.set_trace_ctx(ambient.ctx());
     for tx in &txs {
@@ -181,8 +178,7 @@ fn run(sig_mode: SigMode, backend: BackendKind, producer_digest: &str) {
     assert_eq!(cap.finish().digest, FOLLOWER, "follower trace");
 
     // Recovered: replays the producer's journal from genesis.
-    let recovered =
-        Blockchain::recover_from_store(genesis(sig_mode, backend, &[&alice, &carol]), store, 0);
+    let recovered = Blockchain::recover_from_store(genesis(backend, &[&alice, &carol]), store, 0);
 
     for (name, node) in [("follower", &follower), ("recovered", &recovered)] {
         assert_eq!(summary(node), summary(&producer), "{name}");
@@ -208,10 +204,9 @@ fn run(sig_mode: SigMode, backend: BackendKind, producer_digest: &str) {
 }
 
 #[test]
-fn producer_follower_and_recovered_node_agree_in_both_sig_modes() {
+fn producer_follower_and_recovered_node_agree_on_both_backends() {
     let _guard = obs::test_lock();
     for backend in [BackendKind::Smt, BackendKind::FullRehash] {
-        run(SigMode::Single, backend, PRODUCER_SINGLE);
-        run(SigMode::Threshold, backend, PRODUCER_THRESHOLD);
+        run(backend);
     }
 }

@@ -150,39 +150,7 @@ fn eval_poly(coeffs: &[BigUint], x: u64, q: &BigUint) -> BigUint {
 
 /// Runs the (deterministic, seedable) DKG and returns the public
 /// committee plus every validator's share.
-///
-/// Emits the `gov/dkg` span and bumps `gov.dkg_rounds`. Callers that
-/// rebuild committees from caches (the chain's genesis factory does, on
-/// every fork-choice candidate) should use [`run_dkg_quiet`] so trace
-/// digests do not depend on cache warmth.
 pub fn run_dkg(
-    seed: u64,
-    params: ThresholdParams,
-) -> Result<(Committee, Vec<ValidatorShare>), GovError> {
-    let span = pds2_obs::span(
-        "gov",
-        "dkg",
-        pds2_obs::Stamp::None,
-        pds2_obs::TraceCtx::NONE,
-        Vec::new(),
-    );
-    let out = run_dkg_quiet(seed, params);
-    pds2_obs::counter!("gov.dkg_rounds").inc();
-    if pds2_obs::enabled() {
-        span.finish(
-            pds2_obs::Stamp::None,
-            vec![
-                ("t", pds2_obs::Value::from(params.t)),
-                ("n", pds2_obs::Value::from(params.n)),
-                ("ok", pds2_obs::Value::from(out.is_ok() as u64)),
-            ],
-        );
-    }
-    out
-}
-
-/// [`run_dkg`] without observability side effects.
-pub fn run_dkg_quiet(
     seed: u64,
     params: ThresholdParams,
 ) -> Result<(Committee, Vec<ValidatorShare>), GovError> {
@@ -390,7 +358,7 @@ mod tests {
     use super::*;
 
     fn dkg(t: usize, n: usize) -> (Committee, Vec<ValidatorShare>) {
-        run_dkg_quiet(0xD16, ThresholdParams::new(t, n).unwrap()).unwrap()
+        run_dkg(0xD16, ThresholdParams::new(t, n).unwrap()).unwrap()
     }
 
     #[test]
@@ -400,7 +368,7 @@ mod tests {
         assert_eq!(c1, c2);
         assert_eq!(s1, s2);
         // Different seed, different key.
-        let (c3, _) = run_dkg_quiet(0xBEEF, ThresholdParams::new(3, 5).unwrap()).unwrap();
+        let (c3, _) = run_dkg(0xBEEF, ThresholdParams::new(3, 5).unwrap()).unwrap();
         assert_ne!(c1.group_public(), c3.group_public());
     }
 

@@ -1,16 +1,17 @@
 //! Threshold-federated governance for the PDS2 chain (DESIGN.md §5i).
 //!
-//! PR 3 gave the chain single-key Schnorr block signatures; this crate
-//! removes the single point of trust. The validator set runs a
-//! deterministic [DKG](dkg::run_dkg) that splits a group signing key
-//! into `(t, n)` Shamir shares — no party ever holds the whole key —
-//! and blocks are sealed by any `t`-of-`n` quorum whose
+//! Every chain block is sealed by its proposer's own Schnorr key; this
+//! crate is the committee signature that does not trust any one
+//! validator. The validator set runs a deterministic [DKG](dkg::run_dkg)
+//! that splits a group signing key into `(t, n)` Shamir shares — no
+//! party ever holds the whole key — and any `t`-of-`n` quorum's
 //! [partial signatures](sign::partial_sign) aggregate, via Lagrange
 //! interpolation at zero, into **one ordinary Schnorr signature** under
 //! the group public key. Verifiers are oblivious: the aggregate passes
-//! the unmodified `PublicKey::verify`, so chain validation, the
-//! signature cache and the Montgomery fast path from PR 3 are reused
-//! byte-for-byte.
+//! the unmodified `PublicKey::verify` and its Montgomery fast path.
+//! These signatures are priced for checkpoint cadence — one every `k`
+//! blocks over `(height, head hash, state root)` — not for every block
+//! (ROADMAP item 5).
 //!
 //! Three lifecycle mechanisms complete the committee story:
 //!
@@ -22,15 +23,13 @@
 //! - [`dkg::recover_share`] rebuilds a crashed validator's share from
 //!   any `t` helpers ("break-glass" recovery for up to `n − t` losses).
 //!
-//! [`net::GovNode`] runs the whole protocol over the deterministic
-//! network simulator for the chaos harness; `pds2-chain` wires
-//! [`sign::sign_with_quorum`] into block sealing for a chain configured
-//! with `SigMode::Threshold`, with the single-key path kept as a
-//! differential oracle.
+//! [`net::GovNode`] runs the whole protocol, with shares held apart,
+//! over the deterministic network simulator for the chaos harness;
+//! [`sign::sign_with_quorum`] is its in-process reference.
 //!
 //! Everything is seed-deterministic: same seed, same committee, same
-//! signatures, at any worker count (`with_threads`). Observability: `gov.*`
-//! counters plus `gov/dkg` and `gov/sign` spans (OBSERVABILITY.md).
+//! signatures, at any worker count (`with_threads`). Observability:
+//! `gov.*` counters (OBSERVABILITY.md).
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +37,7 @@ pub mod dkg;
 pub mod net;
 pub mod sign;
 
-pub use dkg::{run_dkg, run_dkg_quiet, Committee, ThresholdParams, ValidatorShare};
+pub use dkg::{run_dkg, Committee, ThresholdParams, ValidatorShare};
 pub use sign::{sign_with_quorum, NonceCommitment, NonceGuard, PartialSig, SigningSession};
 
 /// Errors across DKG, signing, refresh and recovery.

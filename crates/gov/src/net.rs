@@ -42,8 +42,8 @@
 //! hashes in golden files.
 
 use crate::dkg::{
-    recover_share, recovery_contribution, refresh_committee, refresh_share, run_dkg_quiet,
-    Committee, ThresholdParams, ValidatorShare,
+    recover_share, recovery_contribution, refresh_committee, refresh_share, run_dkg, Committee,
+    ThresholdParams, ValidatorShare,
 };
 use crate::sign::{
     nonce_commitment, partial_sign, NonceCommitment, NonceGuard, PartialSig, SigningSession,
@@ -169,7 +169,7 @@ pub struct GovNode {
 /// commitments are public information any party can rebuild (or, in a
 /// real deployment, refetch).
 fn committee_at(seed: u64, params: ThresholdParams, epoch: u64) -> Committee {
-    let (mut committee, _) = run_dkg_quiet(seed, params).expect("params validated at build");
+    let (mut committee, _) = run_dkg(seed, params).expect("params validated at build");
     for _ in 0..epoch {
         refresh_committee(&mut committee);
     }
@@ -180,8 +180,7 @@ impl GovNode {
     /// Builds the full committee. Shares come from the (in-process,
     /// trusted-setup) DKG; node `i` keeps share `i + 1`.
     pub fn build(cfg: &GovConfig) -> Vec<GovNode> {
-        let (committee, shares) =
-            run_dkg_quiet(cfg.seed, cfg.params).expect("valid threshold params");
+        let (committee, shares) = run_dkg(cfg.seed, cfg.params).expect("valid threshold params");
         shares
             .into_iter()
             .map(|share| GovNode {

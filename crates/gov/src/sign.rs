@@ -440,9 +440,8 @@ impl SigningSession {
 }
 
 /// One-call t-of-n signature over `message` using the given quorum of
-/// shares — the in-process path block sealing uses, and the reference
-/// the network protocol in [`crate::net`] is differentially tested
-/// against. The quorum must hold at least `t` shares; exactly the first
+/// shares — the reference the network protocol in [`crate::net`] is
+/// differentially tested against. The quorum must hold at least `t` shares; exactly the first
 /// `t` are used.
 ///
 /// Fresh [`NonceGuard`]s per call are sound here because the caller is
@@ -482,10 +481,10 @@ pub fn sign_with_quorum(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dkg::{run_dkg_quiet, ThresholdParams};
+    use crate::dkg::{run_dkg, ThresholdParams};
 
     fn setup(t: usize, n: usize) -> (Committee, Vec<ValidatorShare>) {
-        run_dkg_quiet(0x516E, ThresholdParams::new(t, n).unwrap()).unwrap()
+        run_dkg(0x516E, ThresholdParams::new(t, n).unwrap()).unwrap()
     }
 
     fn refs<'a>(shares: &'a [ValidatorShare], idx: &[usize]) -> Vec<&'a ValidatorShare> {

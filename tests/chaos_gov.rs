@@ -1,35 +1,21 @@
 //! Chaos harness for threshold-federated governance (DESIGN.md §5i):
 //! the t-of-n signing committee under byzantine shareholders, quorum
-//! partitions and crash-recovery races during proactive refresh — plus
-//! chain replicas under the golden chaos plan, their chains built with
-//! `SigMode::Threshold` sealing.
+//! partitions and crash-recovery races during proactive refresh.
 //!
 //! Mirrors `tests/chaos.rs`: every scenario asserts the *protocol*
 //! property (t-of-n signs, t−1 cannot, recovery restores the share) and
 //! the *harness* property (bit-identical replay from the seed at any
-//! worker count (`with_threads`), pinned by golden fixtures —
-//! `fixtures/gov_golden.txt` for the committee protocol,
-//! `fixtures/chaos_golden_threshold.txt` for threshold-sealed sync).
+//! worker count (`with_threads`), pinned by `fixtures/gov_golden.txt`).
 
-use pds2_chain::address::Address;
-use pds2_chain::chain::{Blockchain, ChainConfig};
-use pds2_chain::contract::ContractRegistry;
-use pds2_chain::sync::{kind, ChainReplica, GenesisFactory};
-use pds2_chain::threshold::SigMode;
 use pds2_crypto::sha256::Sha256;
-use pds2_crypto::{Digest, KeyPair};
-use pds2_gov::dkg::{run_dkg_quiet, ThresholdParams};
+use pds2_crypto::Digest;
+use pds2_gov::dkg::{run_dkg, ThresholdParams};
 use pds2_gov::net::{GovConfig, GovMsg, GovNode};
-use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, NetStats, Simulator};
+use pds2_net::{FaultPlan, LinkModel, NetStats, Simulator};
 use pds2_obs as obs;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
-
-// ---------------------------------------------------------------------
-// Committee protocol scenarios (GovNode over the network simulator).
-// ---------------------------------------------------------------------
 
 fn digests(n: usize) -> Vec<[u8; 32]> {
     (0..n as u8)
@@ -111,7 +97,7 @@ fn run_gov(cfg: &GovConfig, sim_seed: u64, plan: Option<FaultPlan>, until: u64) 
 /// group public key — proactive refresh must never invalidate one.
 fn assert_sigs_verify(cfg: &GovConfig, run: &GovRun) {
     assert_eq!(run.completed.len(), cfg.digests.len(), "{run:?}");
-    let (committee, _) = run_dkg_quiet(cfg.seed, cfg.params).unwrap();
+    let (committee, _) = run_dkg(cfg.seed, cfg.params).unwrap();
     for (seq, sig) in &run.completed {
         assert!(
             committee
@@ -251,147 +237,6 @@ fn crash_recovery_race_across_refresh_rebuilds_share() {
     assert_sigs_verify(&cfg, &run);
     assert_gov_replays(&cfg, 0x7C, plan, 8_000_000, &run);
     assert_gov_fixture(2, &run);
-}
-
-// ---------------------------------------------------------------------
-// Threshold-sealed chain replicas under the golden chaos plan.
-// ---------------------------------------------------------------------
-
-const N_REPLICAS: usize = 4;
-
-fn threshold_factory() -> GenesisFactory {
-    Arc::new(|| {
-        Blockchain::new(
-            (0..N_REPLICAS as u64)
-                .map(|i| KeyPair::from_seed(9_000 + i))
-                .collect(),
-            &[(Address::of(&KeyPair::from_seed(1).public), 1_000_000)],
-            ContractRegistry::new(),
-            ChainConfig {
-                sig_mode: SigMode::Threshold,
-                ..ChainConfig::default()
-            },
-        )
-    })
-}
-
-fn fast_link() -> LinkModel {
-    LinkModel {
-        base_latency_us: 5_000,
-        jitter_us: 2_000,
-        bandwidth_bytes_per_sec: 12_500_000,
-        drop_probability: 0.0,
-        node_slowdown: Vec::new(),
-        topology: None,
-    }
-}
-
-#[derive(Clone, Debug, PartialEq)]
-struct ChainRun {
-    trace: String,
-    heads: Vec<Digest>,
-    roots: Vec<Digest>,
-    heights: Vec<u64>,
-    stats: NetStats,
-}
-
-fn run_threshold_chain(sink: obs::SinkKind, seed: u64, plan: FaultPlan, until_us: u64) -> ChainRun {
-    let f = threshold_factory();
-    let replicas: Vec<ChainReplica> = (0..N_REPLICAS)
-        .map(|i| ChainReplica::new(f.clone(), Some(i), 200_000, 150_000))
-        .collect();
-    let mut sim = Simulator::new(replicas, fast_link(), seed);
-    sim.install_fault_plan(plan);
-    let cap = obs::capture(sink);
-    sim.run_until(until_us);
-    ChainRun {
-        trace: cap.finish().digest,
-        heads: sim.nodes().map(|r| r.chain().head_hash()).collect(),
-        roots: sim.nodes().map(|r| r.chain().state.state_root()).collect(),
-        heights: sim.nodes().map(|r| r.chain().height()).collect(),
-        stats: sim.stats(),
-    }
-}
-
-/// The same all-faults plan as `chaos.rs::golden_plan` — the point is
-/// that threshold sealing survives the identical gauntlet.
-fn golden_plan() -> FaultPlan {
-    FaultPlan::new(0x601D)
-        .partition(1_500_000, 3_500_000, vec![vec![0, 3], vec![1, 2]])
-        .crash(1, 4_000_000, Some(5_500_000))
-        .byzantine(
-            500_000,
-            2_500_000,
-            LinkScope::from_node(3),
-            LinkEffect::Corrupt { probability: 0.3 },
-        )
-        .drop_kind(6_000_000, 7_000_000, LinkScope::any(), kind::NEW_BLOCK, 1.0)
-}
-
-#[test]
-fn threshold_sealed_chain_survives_golden_chaos() {
-    let _obs = obs::test_lock();
-    let chaos = || run_threshold_chain(obs::SinkKind::Null, 0x601D, golden_plan(), 10_050_000);
-    let run = chaos();
-    for i in 1..N_REPLICAS {
-        assert_eq!(run.heads[i], run.heads[0], "replica {i} head diverged");
-        assert_eq!(run.roots[i], run.roots[0], "replica {i} root diverged");
-    }
-    assert!(run.heights[0] >= 10, "{:?}", run.heights);
-    // Bit-identical replay at every worker count.
-    assert_eq!(chaos(), run, "re-run of the same seed diverged");
-    for threads in THREAD_COUNTS {
-        let r = pds2_par::with_threads(threads, chaos);
-        assert_eq!(r, run, "run diverged at {threads} threads");
-    }
-    // Pinned fixture (line 1 of chaos_golden_threshold.txt).
-    let fixture = include_str!("fixtures/chaos_golden_threshold.txt");
-    let mut fields = fixture
-        .lines()
-        .next()
-        .expect("fixture line 1 missing")
-        .split_whitespace();
-    let want_trace = fields.next().expect("fixture: trace digest");
-    let want_root = fields.next().expect("fixture: state root");
-    assert_eq!(
-        run.trace,
-        want_trace,
-        "threshold chaos trace changed; if this is an intended protocol \
-         change, update line 1 of tests/fixtures/chaos_golden_threshold.txt to:\n{} {}",
-        run.trace,
-        run.roots[0].to_hex()
-    );
-    assert_eq!(
-        run.roots[0].to_hex(),
-        want_root,
-        "threshold chaos state root changed; if intended, update line 1 \
-         of tests/fixtures/chaos_golden_threshold.txt to:\n{} {}",
-        run.trace,
-        run.roots[0].to_hex()
-    );
-}
-
-/// The obs trace digest of a threshold-sealed chaos run is sink- and
-/// thread-invariant — `gov/sign` spans and the committee cache must not
-/// leak nondeterminism into the digest.
-#[test]
-fn threshold_chain_obs_digest_is_thread_and_sink_invariant() {
-    let _obs = obs::test_lock();
-    let digest_with = |kind: obs::SinkKind, threads: usize| {
-        pds2_par::with_threads(threads, || {
-            run_threshold_chain(kind, 0x601D, golden_plan(), 6_000_000)
-        })
-        .trace
-    };
-    let ring = digest_with(obs::SinkKind::Ring(usize::MAX), 1);
-    let path = std::env::temp_dir().join("pds2_chaos_gov_obs.jsonl");
-    let jsonl = digest_with(obs::SinkKind::Jsonl(path.clone()), 1);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(ring, jsonl, "ring vs JSONL sink changed the digest");
-    for threads in THREAD_COUNTS {
-        let d = digest_with(obs::SinkKind::Null, threads);
-        assert_eq!(d, ring, "obs digest diverged at {threads} threads");
-    }
 }
 
 /// Drive one GovMsg through the trace to make sure the enum stays

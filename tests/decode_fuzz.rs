@@ -296,10 +296,10 @@ fn build_table() -> Vec<Row> {
     };
 
     let (committee, nonces, partial) = {
-        use pds2_gov::dkg::{run_dkg_quiet, ThresholdParams};
+        use pds2_gov::dkg::{run_dkg, ThresholdParams};
         use pds2_gov::sign::{nonce_commitment, partial_sign, NonceGuard};
         let params = ThresholdParams::new(3, 4).unwrap();
-        let (committee, shares) = run_dkg_quiet(0xF122, params).unwrap();
+        let (committee, shares) = run_dkg(0xF122, params).unwrap();
         let nonces: Vec<(u64, _)> = shares[..3]
             .iter()
             .map(|s| (s.index, nonce_commitment(s, msg, 0)))

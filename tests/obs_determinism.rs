@@ -16,7 +16,6 @@ use pds2_chain::address::Address;
 use pds2_chain::chain::{Blockchain, ChainConfig};
 use pds2_chain::contract::ContractRegistry;
 use pds2_chain::sync::{ChainReplica, GenesisFactory};
-use pds2_chain::threshold::SigMode;
 use pds2_chain::tx::{Transaction, TxKind};
 use pds2_crypto::sha256::{sha256, Sha256};
 use pds2_crypto::{Digest, KeyPair};
@@ -34,15 +33,15 @@ mod common;
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 const N_REPLICAS: usize = 4;
 
-fn factory_with(config: fn() -> ChainConfig) -> GenesisFactory {
-    Arc::new(move || {
+fn factory() -> GenesisFactory {
+    Arc::new(|| {
         Blockchain::new(
             (0..N_REPLICAS as u64)
                 .map(|i| KeyPair::from_seed(9_000 + i))
                 .collect(),
             &[(Address::of(&KeyPair::from_seed(1).public), 1_000_000)],
             ContractRegistry::new(),
-            config(),
+            ChainConfig::default(),
         )
     })
 }
@@ -87,7 +86,7 @@ fn chaos_plan() -> FaultPlan {
 }
 
 fn chaos_chain_run(seed: u64, until_us: u64) -> pds2_net::NetStats {
-    let f = factory_with(ChainConfig::default);
+    let f = factory();
     let mut sim = replica_sim(f, N_REPLICAS, fast_link(), chaos_plan(), seed);
     sim.run_until(until_us);
     sim.stats()
@@ -242,7 +241,7 @@ fn chain_counters_mirror_net_stats_and_replay() {
 #[test]
 fn two_interleaved_simulators_sum_into_the_counters() {
     let _g = obs::test_lock();
-    let f = factory_with(ChainConfig::default);
+    let f = factory();
     let before = obs::snapshot();
     let mut a = replica_sim(f.clone(), N_REPLICAS, fast_link(), chaos_plan(), 81);
     let mut b = replica_sim(f, N_REPLICAS, fast_link(), common::golden_plan(), 82);
@@ -265,20 +264,13 @@ const NET_ROWS_SHA256: &str = "e26fd9399651fed1962ac7683fab9b901539a17fe1b35f181
 /// scenario (every fate but loss, duplication and reordering), then a
 /// lossy two-node run under duplication and reordering, both under a
 /// minted root context so the rows' trace and parent ids are pinned too.
-/// The chains seal with `SigMode::Single`, the default, named here
-/// because a header signature is inside a `NewBlock`'s `size` and
-/// `digest`.
 #[test]
 fn net_rows_match_the_pin_generated_at_the_parent() {
     let _g = obs::test_lock();
-    let single = || ChainConfig {
-        sig_mode: SigMode::Single,
-        ..ChainConfig::default()
-    };
     let cap = obs::capture(obs::SinkKind::Ring(usize::MAX));
     let root = obs::new_trace("test", "net_pin", obs::Stamp::Sim(0), Vec::new());
     let mut golden = replica_sim(
-        factory_with(single),
+        factory(),
         N_REPLICAS,
         fast_link(),
         common::golden_plan(),
@@ -309,7 +301,7 @@ fn net_rows_match_the_pin_generated_at_the_parent() {
                 max_extra_delay_us: 40_000,
             },
         );
-    let mut lossy = replica_sim(factory_with(single), 2, lossy_link, lossy_plan, 0x1055);
+    let mut lossy = replica_sim(factory(), 2, lossy_link, lossy_plan, 0x1055);
     lossy.set_root_ctx(root.ctx());
     lossy.run_until(3_000_000);
     drop(root);

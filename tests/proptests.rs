@@ -1505,8 +1505,7 @@ mod threshold_gov_props {
     use pds2_crypto::bigint::BigUint;
     use pds2_crypto::schnorr::{Group, PublicKey};
     use pds2_gov::dkg::{
-        lagrange_at, refresh_committee, refresh_share, run_dkg_quiet, ThresholdParams,
-        ValidatorShare,
+        lagrange_at, refresh_committee, refresh_share, run_dkg, ThresholdParams, ValidatorShare,
     };
     use pds2_gov::sign::sign_with_quorum;
 
@@ -1540,7 +1539,7 @@ mod threshold_gov_props {
             start in 0usize..8,
         ) {
             let params = ThresholdParams::majority(n);
-            let (committee, shares) = run_dkg_quiet(seed, params).unwrap();
+            let (committee, shares) = run_dkg(seed, params).unwrap();
             let group = Group::standard();
             let a = subset(&shares, params.t, start % n);
             let b = subset(&shares, params.t, (start + 1) % n);
@@ -1567,7 +1566,7 @@ mod threshold_gov_props {
             n in 3usize..7,
         ) {
             let params = ThresholdParams::majority(n);
-            let (mut committee, mut shares) = run_dkg_quiet(seed, params).unwrap();
+            let (mut committee, mut shares) = run_dkg(seed, params).unwrap();
             let key_before = committee.group_public().clone();
             let old: Vec<BigUint> = shares.iter().map(|s| s.scalar.clone()).collect();
             refresh_committee(&mut committee);
@@ -1604,7 +1603,7 @@ mod threshold_gov_props {
             start in 0usize..8,
         ) {
             let params = ThresholdParams::majority(n);
-            let (committee, shares) = run_dkg_quiet(seed, params).unwrap();
+            let (committee, shares) = run_dkg(seed, params).unwrap();
             // majority(n≥3) always has t ≥ 2, so t−1 ≥ 1 shares exist.
             prop_assert!(params.t >= 2);
             let group = Group::standard();
