@@ -2,13 +2,28 @@
 
 use super::{digest_tag, Blockchain, ChainError};
 use crate::mempool::InsertOutcome;
+use crate::sigcache;
 use crate::tx::SignedTransaction;
 use pds2_crypto::codec::Encode;
+use pds2_crypto::schnorr::BatchItem;
 use pds2_crypto::sha256::Digest;
+use std::collections::HashSet;
 
 impl Blockchain {
-    /// Submits a transaction to the mempool after stateless+stateful
-    /// admission checks.
+    /// Submits one transaction: [`Self::submit_batch`] of one, whose member
+    /// gets the single signature check at its turn instead of a batch pass.
+    pub fn submit(&mut self, tx: SignedTransaction) -> Result<Digest, ChainError> {
+        let hash = tx.hash();
+        self.admit(tx, hash, None)
+    }
+
+    /// Submits transactions to the mempool in order, after
+    /// stateless+stateful admission checks, and returns each one's
+    /// verdict. Verdicts, pool, journal and the admission and cache
+    /// counters are those of one [`Self::submit`] per member in order, but
+    /// the signatures are checked together: one batch over every member
+    /// whose turn is certain to reach the check, bisected if refused
+    /// ([`sigcache::verify_each_cached`]).
     ///
     /// With a live capture and no ambient causal context, submission
     /// *mints* a new trace (`chain/tx.submit` root) — a bare tx entering
@@ -16,18 +31,72 @@ impl Blockchain {
     /// context (the marketplace's workload trace, a replica's delivery
     /// span) joins that trace instead. Inclusion later emits
     /// `chain/tx.included` on the same trace with the blocks-waited count.
-    pub fn submit(&mut self, tx: SignedTransaction) -> Result<Digest, ChainError> {
+    pub fn submit_batch(&mut self, txs: Vec<SignedTransaction>) -> Vec<Result<Digest, ChainError>> {
+        let hashes: Vec<Digest> = txs.iter().map(|tx| tx.hash()).collect();
+        // In order, a member reaches the signature check iff `seen` lacks
+        // its hash when its turn comes. The first member with a hash that
+        // `seen` lacks now always does, since only admitting that hash puts
+        // it there; those are checked up front. The rest are decided at
+        // their turn.
+        let mut fresh = HashSet::with_capacity(txs.len());
+        let batched: Vec<usize> = (0..txs.len())
+            .filter(|&i| !self.seen.contains(&hashes[i]) && fresh.insert(hashes[i]))
+            .collect();
+        let items: Vec<BatchItem<'_>> = batched
+            .iter()
+            .map(|&i| {
+                (
+                    &txs[i].tx.from,
+                    &hashes[i].as_bytes()[..],
+                    &txs[i].signature,
+                )
+            })
+            .collect();
+        let mut signature_ok = vec![None; txs.len()];
+        for (&i, ok) in batched.iter().zip(sigcache::verify_each_cached(&items)) {
+            signature_ok[i] = Some(ok);
+        }
+        drop(items);
+        txs.into_iter()
+            .zip(hashes)
+            .zip(signature_ok)
+            .map(|((tx, hash), ok)| self.admit(tx, hash, ok))
+            .collect()
+    }
+
+    /// Re-admits transactions a crash or a reorg took out of the pool, as
+    /// one [`Self::submit_batch`], and counts the re-admitted ones in
+    /// `chain.txs_reinstated`; returns that count.
+    pub(crate) fn reinstate(&mut self, txs: Vec<SignedTransaction>) -> u64 {
+        let verdicts = self.submit_batch(txs);
+        let readmitted = verdicts.iter().filter(|v| v.is_ok()).count() as u64;
+        if readmitted > 0 {
+            pds2_obs::counter!("chain.txs_reinstated").add(readmitted);
+        }
+        readmitted
+    }
+
+    /// One member's turn in [`Self::submit_batch`] or [`Self::submit`];
+    /// `signature_ok` is the batch's verdict, if a batch checked it.
+    fn admit(
+        &mut self,
+        tx: SignedTransaction,
+        hash: Digest,
+        signature_ok: Option<bool>,
+    ) -> Result<Digest, ChainError> {
         pds2_obs::counter!("chain.txs_submitted").inc();
         // Cheap reject before expensive reject: `seen` only ever holds
         // hashes of transactions that already passed verification, so a
         // known body is refused for one set lookup instead of a Schnorr
         // check (recovery resubmits every journaled tx since genesis).
-        let hash = tx.hash();
         if self.seen.contains(&hash) {
             pds2_obs::counter!("chain.txs_rejected").inc();
             return Err(ChainError::Duplicate);
         }
-        if !tx.verify_signature() {
+        // Unchecked by a batch: `submit`'s transaction, a repeat of an
+        // earlier member's hash, or one an earlier member's eviction or
+        // replacement took out of `seen`. It gets the single check.
+        if !signature_ok.unwrap_or_else(|| tx.verify_signature()) {
             pds2_obs::counter!("chain.txs_rejected").inc();
             return Err(ChainError::InvalidSignature);
         }
@@ -109,28 +178,6 @@ impl Blockchain {
         }
         self.publish_mempool_gauge();
         Ok(hash)
-    }
-
-    /// Feeds transactions from orphaned blocks, a pre-fork mempool or a
-    /// recovered journal back through submission. Transactions the chain
-    /// already includes, whose nonces it already consumed, or that fail
-    /// any other admission check are silently skipped — they are either
-    /// redundant or unusable on this fork. Returns how many re-entered
-    /// the pool.
-    pub fn reinstate_transactions(
-        &mut self,
-        txs: impl IntoIterator<Item = SignedTransaction>,
-    ) -> usize {
-        let mut reinstated = 0;
-        for tx in txs {
-            if self.submit(tx).is_ok() {
-                reinstated += 1;
-            }
-        }
-        if reinstated > 0 {
-            pds2_obs::counter!("chain.txs_reinstated").add(reinstated as u64);
-        }
-        reinstated
     }
 }
 
@@ -273,8 +320,12 @@ mod tests {
         let t1 = signed_transfer(&alice, 1, bob, 1);
         chain.submit(t0.clone()).unwrap();
         chain.produce_block(); // includes t0
-        let reinstated = chain.reinstate_transactions(vec![t0, t1]);
-        assert_eq!(reinstated, 1, "t0 already included, t1 re-enters");
+        let verdicts = chain.submit_batch(vec![t0, t1.clone()]);
+        assert_eq!(
+            verdicts,
+            [Err(ChainError::Duplicate), Ok(t1.hash())],
+            "t0 already included, t1 re-enters"
+        );
         assert_eq!(chain.mempool_len(), 1);
     }
 }

@@ -37,6 +37,7 @@
 use crate::address::Address;
 use crate::tx::SignedTransaction;
 use pds2_crypto::sha256::Digest;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
 /// Minimum percentage both fee fields must grow for replace-by-fee.
@@ -279,8 +280,7 @@ impl Mempool {
         let (_, _, addr) = victim;
         let old_key = self.current_tail_key(&addr);
         let chain = self.accounts.get_mut(&addr)?;
-        let (&nonce, _) = chain.iter().next_back()?;
-        let removed = chain.remove(&nonce).expect("tail exists");
+        let (_, removed) = chain.pop_last()?;
         if chain.is_empty() {
             self.accounts.remove(&addr);
         }
@@ -312,31 +312,34 @@ impl Mempool {
         let sender = tx.sender();
         let nonce = tx.tx.nonce;
         debug_assert!(nonce >= state_nonce, "chain admits stale nonces?");
+        // Evictions below never take the sender's own tail, so this stays
+        // the key to retire on both paths.
+        let old_key = self.current_tail_key(&sender);
 
         // Replace-by-fee for an occupied (sender, nonce) slot.
-        if let Some(existing) = self.accounts.get(&sender).and_then(|c| c.get(&nonce)) {
+        if let Some(slot) = self
+            .accounts
+            .get_mut(&sender)
+            .and_then(|c| c.get_mut(&nonce))
+        {
             // +REPLACE_BUMP_PCT%, floored at +1 so tiny fees still cost
             // something to replace (u128 intermediate avoids overflow).
             let bump = |fee: u64| {
                 let delta = (fee as u128 * REPLACE_BUMP_PCT as u128 / 100).max(1);
                 fee.saturating_add(delta.min(u64::MAX as u128) as u64)
             };
-            let need_max = bump(existing.tx.tx.max_fee_per_gas);
-            let need_prio = bump(existing.tx.tx.priority_fee_per_gas);
+            let need_max = bump(slot.tx.tx.max_fee_per_gas);
+            let need_prio = bump(slot.tx.tx.priority_fee_per_gas);
             if tx.tx.max_fee_per_gas < need_max || tx.tx.priority_fee_per_gas < need_prio {
                 return Err(SubmitError::ReplacementUnderpriced {
                     required_max_fee: need_max,
                     required_priority_fee: need_prio,
                 });
             }
-            let old_key = self.current_tail_key(&sender);
             let hash = tx.hash();
             let seq = self.next_seq;
             self.next_seq += 1;
-            let chain = self.accounts.get_mut(&sender).expect("checked above");
-            let old = chain
-                .insert(nonce, PendingTx { tx, hash, seq })
-                .expect("checked above");
+            let old = std::mem::replace(slot, PendingTx { tx, hash, seq });
             self.by_hash.remove(&old.hash);
             self.by_hash.insert(hash, (sender, nonce));
             self.refresh_tail(sender, old_key);
@@ -362,13 +365,16 @@ impl Mempool {
                     })
                 }
                 Some(_) => {
-                    let h = self.evict_cheapest(&sender).expect("floor found");
+                    let Some(h) = self.evict_cheapest(&sender) else {
+                        return Err(SubmitError::PoolFull {
+                            capacity: self.capacity,
+                        });
+                    };
                     evicted.push(h);
                 }
             }
         }
 
-        let old_key = self.current_tail_key(&sender);
         let hash = tx.hash();
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -416,28 +422,24 @@ impl Mempool {
     /// `state_nonce` (consumed by a block this pool never saw). Returns
     /// how many were dropped.
     pub fn prune_stale(&mut self, sender: Address, state_nonce: u64) -> usize {
+        let old_key = self.current_tail_key(&sender);
         let Some(chain) = self.accounts.get_mut(&sender) else {
             return 0;
         };
-        let stale: Vec<u64> = chain.range(..state_nonce).map(|(n, _)| *n).collect();
+        let live = chain.split_off(&state_nonce);
+        let stale = std::mem::replace(chain, live);
         if stale.is_empty() {
             return 0;
-        }
-        let old_key = self.current_tail_key(&sender);
-        let chain = self.accounts.get_mut(&sender).expect("checked above");
-        let mut dropped = 0;
-        for n in stale {
-            if let Some(p) = chain.remove(&n) {
-                self.by_hash.remove(&p.hash);
-                self.len -= 1;
-                dropped += 1;
-            }
         }
         if chain.is_empty() {
             self.accounts.remove(&sender);
         }
+        for p in stale.values() {
+            self.by_hash.remove(&p.hash);
+        }
+        self.len -= stale.len();
         self.refresh_tail(sender, old_key);
-        dropped
+        stale.len()
     }
 
     /// Selects up to `max_txs` transactions fitting `gas_limit` at
@@ -508,20 +510,25 @@ impl Mempool {
         let mut gas_left = gas_limit;
         while selected.len() < max_txs {
             let Some(cand) = heap.pop() else { break };
-            let chain = self.accounts.get(&cand.sender).expect("candidate exists");
-            let head = chain.get(&cand.nonce).expect("candidate exists");
-            if head.tx.tx.gas_limit > gas_left {
+            // A candidate is its account's ready head, and only a popped
+            // candidate's own chain changes, so both lookups always hit.
+            let Some(chain) = self.accounts.get_mut(&cand.sender) else {
+                continue;
+            };
+            // Selection takes the head, so the tail only moves when the
+            // chain holds a single entry (head == tail) — the common
+            // multi-nonce case skips the eviction-index churn entirely.
+            let was_tail = chain.keys().next_back() == Some(&cand.nonce);
+            let Entry::Occupied(head) = chain.entry(cand.nonce) else {
+                continue;
+            };
+            if head.get().tx.tx.gas_limit > gas_left {
                 // Doesn't fit this block; the whole account waits (a
                 // later nonce must not jump its predecessor).
                 stats.gas_deferred += 1;
                 continue;
             }
-            let chain = self.accounts.get_mut(&cand.sender).expect("checked");
-            // Selection takes the head, so the tail only moves when the
-            // chain holds a single entry (head == tail) — the common
-            // multi-nonce case skips the eviction-index churn entirely.
-            let was_tail = chain.keys().next_back() == Some(&cand.nonce);
-            let taken = chain.remove(&cand.nonce).expect("checked");
+            let taken = head.remove();
             self.by_hash.remove(&taken.hash);
             self.len -= 1;
             gas_left -= taken.tx.tx.gas_limit;
@@ -567,9 +574,11 @@ impl Mempool {
                 );
                 count += 1;
             }
-            let tail = chain.values().next_back().expect("non-empty");
             assert!(
-                self.evictable.contains(&Self::evict_key(*addr, tail)),
+                chain
+                    .values()
+                    .next_back()
+                    .is_some_and(|tail| self.evictable.contains(&Self::evict_key(*addr, tail))),
                 "tail of {addr} missing from eviction index"
             );
         }

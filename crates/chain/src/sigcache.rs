@@ -26,7 +26,8 @@
 //! §5d) and remembered only if that product passes. The batch accepts
 //! exactly when every member would pass [`verify_cached`] on its own, so
 //! the statements above hold for it unchanged, and a refused batch leaves
-//! the cache as it found it.
+//! the cache as it found it. Admission needs a verdict per member instead,
+//! and takes it from [`verify_each_cached`], which bisects a refused batch.
 //!
 //! The cache is two-generation bounded: inserts go to the live
 //! generation; when it fills, the previous generation is dropped and the
@@ -149,21 +150,81 @@ pub fn verify_cached(message: &[u8], key: &PublicKey, sig: &Signature) -> bool {
     ok
 }
 
+/// Looks every member of `items` up once (a hit or a miss each) and
+/// returns the misses: their positions in `items` and their triple
+/// digests.
+fn lookup_misses(items: &[BatchItem<'_>]) -> (Vec<usize>, Vec<Digest>) {
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, &(key, message, sig))| (i, triple_digest(message, key, sig)))
+        .filter(|(_, digest)| !contains(digest))
+        .unzip()
+}
+
 /// Verifies every member of `items` with the cache in front of ONE
 /// batched check: remembered triples are set aside (a hit each), the
 /// rest (a miss each) go through [`schnorr::verify_batch`] on the calling
 /// thread, and are remembered only if the whole batch passes.
 pub fn verify_batch_cached(items: &[BatchItem<'_>]) -> bool {
-    let (digests, misses): (Vec<Digest>, Vec<BatchItem<'_>>) = items
-        .iter()
-        .map(|&(key, message, sig)| (triple_digest(message, key, sig), (key, message, sig)))
-        .filter(|(digest, _)| !contains(digest))
-        .unzip();
-    let ok = schnorr::verify_batch(&misses);
+    let (at, digests) = lookup_misses(items);
+    let batch: Vec<BatchItem<'_>> = at.iter().map(|&i| items[i]).collect();
+    let ok = schnorr::verify_batch(&batch);
     if ok {
         digests.into_iter().for_each(insert);
     }
     ok
+}
+
+/// The verdict of every member of `items`, each looked up once as
+/// [`verify_cached`] would: the misses are checked as one batch, and a
+/// refused batch is halved and each half retried, so k bad members among
+/// n cost O(k log n) batch checks rather than n single ones (counted in
+/// `chain.admit_batch_checks`). Fewer than [`schnorr::BATCH_MIN`] members
+/// are checked one by one, each once (`chain.admit_single_checks`). Every
+/// member that passes is remembered. Member by member, the verdicts are
+/// [`verify_cached`]'s.
+pub fn verify_each_cached(items: &[BatchItem<'_>]) -> Vec<bool> {
+    let (at, digests) = lookup_misses(items);
+    let mut verdicts = vec![true; items.len()];
+    bisect(&at, &mut verdicts, &mut |members| {
+        if let &[i] = members {
+            pds2_obs::counter!("chain.admit_single_checks").inc();
+            let (key, message, sig) = items[i];
+            return key.verify(message, sig);
+        }
+        pds2_obs::counter!("chain.admit_batch_checks").inc();
+        let batch: Vec<BatchItem<'_>> = members.iter().map(|&i| items[i]).collect();
+        schnorr::verify_batch(&batch)
+    });
+    for (i, digest) in at.into_iter().zip(digests) {
+        if verdicts[i] {
+            insert(digest);
+        }
+    }
+    verdicts
+}
+
+/// Runs `check` over the members at positions `at`, and if it refuses
+/// them, over each half in turn. Below [`schnorr::BATCH_MIN`] members a
+/// batch is no cheaper than its single checks (`verify_batch` loops over
+/// them), so there `check` runs on each member alone, once, and its
+/// verdict is written into `verdicts`.
+fn bisect(at: &[usize], verdicts: &mut [bool], check: &mut impl FnMut(&[usize]) -> bool) {
+    // A refused single member must not be halved.
+    const _: () = assert!(schnorr::BATCH_MIN >= 2);
+    if at.len() < schnorr::BATCH_MIN {
+        for &i in at {
+            verdicts[i] = check(&[i]);
+        }
+        return;
+    }
+    if check(at) {
+        return;
+    }
+    let (left, right) = at.split_at(at.len() / 2);
+    bisect(left, verdicts, check);
+    bisect(right, verdicts, check);
 }
 
 /// (hits, misses) since process start (or the last [`clear`]).
@@ -243,6 +304,64 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Runs [`bisect`] over n members, the ones `bad` names refused, and
+    /// returns the verdicts, the batch checks and how many times each
+    /// member was checked alone.
+    fn bisect_counting(n: usize, bad: impl Fn(usize) -> bool) -> (Vec<bool>, u32, Vec<u32>) {
+        let (mut verdicts, mut batches, mut singles) = (vec![true; n], 0, vec![0; n]);
+        bisect(&(0..n).collect::<Vec<_>>(), &mut verdicts, &mut |members| {
+            match members {
+                &[i] => singles[i] += 1,
+                _ => {
+                    assert!(members.len() >= schnorr::BATCH_MIN);
+                    batches += 1;
+                }
+            }
+            !members.iter().any(|&i| bad(i))
+        });
+        (verdicts, batches, singles)
+    }
+
+    /// One bad member anywhere among n costs at most one batch check of
+    /// the whole plus two per halving, 2⌈log₂ n⌉ + 1, and fewer than
+    /// 2·`BATCH_MIN` single checks, and is the only refusal;
+    /// `tests/admit_amplification.rs` counts the same through admission
+    /// with real signatures.
+    #[test]
+    fn bisection_pays_two_checks_per_halving() {
+        for n in [1usize, 4, 13, 256] {
+            let bound = 2 * n.next_power_of_two().trailing_zeros() + 1;
+            for bad in 0..n {
+                let (verdicts, batches, singles) = bisect_counting(n, |i| i == bad);
+                assert!((0..n).all(|i| verdicts[i] == (i != bad)), "{bad} of {n}");
+                assert!(batches <= bound, "{bad} of {n}: {batches} batch checks");
+                let alone: u32 = singles.iter().sum();
+                assert!(
+                    alone < 2 * schnorr::BATCH_MIN as u32,
+                    "{bad} of {n}: {alone}"
+                );
+                assert!(singles.iter().all(|&s| s <= 1), "{bad} of {n}: {singles:?}");
+            }
+        }
+        // Every member bad: each is found by one check of it alone, under
+        // one batch check per set of at least `BATCH_MIN` (13; 6, 7; 4).
+        let (verdicts, batches, singles) = bisect_counting(13, |_| true);
+        assert_eq!(
+            (verdicts, batches, singles),
+            (vec![false; 13], 4, vec![1; 13])
+        );
+        // Nothing bad: one batch check, and a set too small to batch is
+        // checked member by member.
+        assert_eq!(
+            bisect_counting(13, |_| false),
+            (vec![true; 13], 1, vec![0; 13])
+        );
+        assert_eq!(
+            bisect_counting(3, |_| false),
+            (vec![true; 3], 0, vec![1; 3])
+        );
     }
 
     #[test]

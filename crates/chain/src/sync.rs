@@ -314,7 +314,7 @@ impl ChainReplica {
             reinstated.extend(block.transactions.iter().cloned());
         }
         reinstated.extend(orphaned.mempool_txs());
-        self.txs_reinstated += self.chain.reinstate_transactions(reinstated) as u64;
+        self.txs_reinstated += self.chain.reinstate(reinstated);
         true
     }
 }

@@ -37,6 +37,13 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+impl Frame {
+    /// Bytes the frame occupies in the log: header, payload and checksum.
+    pub fn encoded_len(&self) -> usize {
+        1 + 8 + 8 + self.payload.len() + 8
+    }
+}
+
 /// FNV-1a 64-bit — cheap, deterministic frame checksum (not
 /// cryptographic; integrity against torn writes, not adversaries — the
 /// chain re-validates everything it replays).
@@ -144,14 +151,15 @@ impl ChainLog {
     pub fn repair(&mut self) -> ScanResult {
         let scan = self.scan();
         if scan.truncated {
-            let valid_len: usize = scan
-                .frames
-                .iter()
-                .map(|f| 1 + 8 + 8 + f.payload.len() + 8)
-                .sum();
-            self.log.truncate(valid_len);
+            self.keep_prefix(&scan.frames);
         }
         scan
+    }
+
+    /// Truncates the raw log to `kept`, a prefix of the frames its scan
+    /// returns: every later frame is dropped, the snapshot slot stays.
+    pub fn keep_prefix(&mut self, kept: &[Frame]) {
+        self.log.truncate(kept.iter().map(Frame::encoded_len).sum());
     }
 
     /// Replaces the snapshot slot (an on-disk store would write to a
@@ -274,6 +282,18 @@ mod tests {
         assert!(!scan.truncated);
         assert_eq!(scan.frames.len(), 4);
         assert_eq!(scan.frames[3].payload, b"replacement".to_vec());
+    }
+
+    #[test]
+    fn keep_prefix_drops_later_frames_and_keeps_the_snapshot() {
+        let mut log = filled();
+        log.write_snapshot(1, vec![7]);
+        let frames = log.scan().frames;
+        log.keep_prefix(&frames[..2]);
+        assert_eq!(log.scan().frames, frames[..2]);
+        assert_eq!(log.snapshot(), Some((1, &[7u8][..])));
+        log.append(FRAME_TX, 2, b"after");
+        assert_eq!(log.scan().frames[2].payload, b"after".to_vec());
     }
 
     #[test]

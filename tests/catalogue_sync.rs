@@ -179,3 +179,27 @@ fn env_knobs_do_not_grow() {
          parameter or a config field instead: {readers:?}"
     );
 }
+
+/// `pub fn`s under `crates/chain/src/chain/`, the `Blockchain` type and
+/// its proof helpers, may only shrink: a new entry point replaces an old
+/// one (as `submit_batch` replaced `reinstate_transactions`).
+const BLOCKCHAIN_PUB_FNS: usize = 29;
+
+#[test]
+fn blockchain_surface_does_not_grow() {
+    let mut files = Vec::new();
+    rust_sources(&repo_root().join("crates/chain/src/chain"), &mut files);
+    assert!(!files.is_empty(), "no sources under crates/chain/src/chain");
+    let count: usize = files
+        .iter()
+        .map(|file| {
+            let body = std::fs::read_to_string(file).unwrap_or_default();
+            body.matches("pub fn ").count()
+        })
+        .sum();
+    assert!(
+        count <= BLOCKCHAIN_PUB_FNS,
+        "{count} `pub fn` under crates/chain/src/chain/, more than \
+         {BLOCKCHAIN_PUB_FNS}: retire an entry point for each one added"
+    );
+}

@@ -699,12 +699,6 @@ mod smt_proof_mutations {
     use super::smt_fixture::{expected_value, key, tree, value_bytes, PROBES};
     use super::*;
 
-    // Two more of the old names (see `one_type!`).
-    one_type! {
-        truncated_smt_proof_never_verifies => assert_prefixes_rejected("SmtProof");
-        bitflipped_smt_proof_never_verifies => assert_bit_flips_caught("SmtProof");
-    }
-
     #[test]
     fn smt_proof_roundtrip_covers_inclusion_and_absence() {
         let (tree, root) = tree();

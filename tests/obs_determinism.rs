@@ -205,7 +205,8 @@ fn fee_market_trajectory_is_thread_and_sink_invariant() {
 
 /// Counter deltas around one serial run mirror the simulator's own
 /// `NetStats` exactly, and repeat exactly on a rerun (the sigcache
-/// counters are excluded: warmth legitimately shifts hit/miss splits).
+/// counters and the admission checks of its misses are excluded: warmth
+/// legitimately shifts hit/miss splits).
 #[test]
 fn chain_counters_mirror_net_stats_and_replay() {
     let _g = obs::test_lock();
@@ -224,7 +225,7 @@ fn chain_counters_mirror_net_stats_and_replay() {
     assert_eq!(stats2, stats, "chaos run must replay bit-identically");
     let strip_sigcache = |d: &std::collections::BTreeMap<String, u64>| {
         d.iter()
-            .filter(|(k, _)| !k.starts_with("chain.sigcache"))
+            .filter(|(k, _)| !k.starts_with("chain.sigcache") && !k.starts_with("chain.admit_"))
             .map(|(k, v)| (k.clone(), *v))
             .collect::<Vec<_>>()
     };
