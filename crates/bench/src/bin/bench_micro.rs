@@ -8,7 +8,7 @@
 //! file this writes.
 //!
 //! Nothing is re-proved before timing: every equivalence the rows rest
-//! on (kernels, backends, schedulers, thread counts) is a tier-1 test.
+//! on (kernels, backends, schedulers) is a tier-1 test.
 //! The few assertions left compare two rows of the same run.
 //!
 //! Writes `BENCH_micro.json` in the working directory.

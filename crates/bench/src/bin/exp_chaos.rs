@@ -6,8 +6,8 @@
 //! Part 2 sweeps byzantine corruption probability on the gossip overlay
 //! and shows the digest check holding final accuracy flat while the
 //! corrupted-drop counter climbs.
-//! Part 3 replays one chaotic run twice per worker count to demonstrate
-//! bit-identical trace digests — the property the chaos harness rests on.
+//! Part 3 replays one chaotic run twice to demonstrate bit-identical
+//! trace digests — the property the chaos harness rests on.
 //!
 //! `cargo run --release -p pds2-bench --bin exp_chaos`
 
@@ -186,24 +186,16 @@ fn main() {
             .partition(1_500_000, 3_500_000, vec![vec![0, 3], vec![1, 2]])
             .crash(1, 4_000_000, Some(5_500_000))
     };
-    let mut rows = Vec::new();
-    for threads in [1usize, 4, 8] {
-        let a = pds2_par::with_threads(threads, || run_chain_chaos(42, plan(), 15_000_000));
-        let b = pds2_par::with_threads(threads, || run_chain_chaos(42, plan(), 15_000_000));
-        rows.push(vec![
-            threads.to_string(),
-            a.trace.clone(),
-            b.trace.clone(),
-            if a.trace == b.trace { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
+    let a = run_chain_chaos(42, plan(), 15_000_000);
+    let b = run_chain_chaos(42, plan(), 15_000_000);
+    let identical = if a.trace == b.trace { "yes" } else { "NO" };
     print_table(
-        &["threads", "run A trace", "run B trace", "identical"],
-        &rows,
+        &["run A trace", "run B trace", "identical"],
+        &[vec![a.trace, b.trace, identical.to_string()]],
     );
     println!(
         "\nshape: the cluster converges to one head under every plan, the \
          gossip digest check keeps accuracy flat as corruption rises, and \
-         every seeded run replays to the same trace digest at any worker count."
+         every seeded run replays to the same trace digest."
     );
 }

@@ -193,9 +193,8 @@ fn chaos_gossip(seed: u64) {
 }
 
 /// Runs the full E16 workload. The caller owns the capture: wrap this in
-/// [`pds2_obs::capture`] (any sink) and any `pds2_par::with_threads`
-/// setting; the resulting event stream is bit-identical for a given
-/// `seed`.
+/// [`pds2_obs::capture`] (any sink); the resulting event stream is
+/// bit-identical for a given `seed`.
 pub fn run(seed: u64) {
     faulty_marketplace(seed);
     chaos_chain_sync(seed, 5_000_000);

@@ -164,11 +164,13 @@ impl Block {
     /// inclusion proofs both come from it.
     ///
     /// Leaves are the domain-separated hashes of the (cached) transaction
-    /// digests, computed in parallel in index order — the same tree
-    /// `MerkleTree::from_leaves` would build over the digest bytes.
+    /// digests — the same tree `MerkleTree::from_leaves` would build over
+    /// the digest bytes.
     pub(crate) fn tx_tree(txs: &[SignedTransaction]) -> MerkleTree {
-        let leaf_hashes =
-            pds2_par::par_map_indexed(txs, |_, t| merkle::leaf_hash(t.hash().as_bytes()));
+        let leaf_hashes = txs
+            .iter()
+            .map(|t| merkle::leaf_hash(t.hash().as_bytes()))
+            .collect();
         MerkleTree::from_leaf_hashes(leaf_hashes)
     }
 

@@ -122,8 +122,9 @@ impl Blockchain {
     /// validation leaves the chain where block `i - 1` put it.
     ///
     /// Nothing is pipelined: the helper thread the name recalls lost to
-    /// this loop at two workers and is gone (ROADMAP item 3). The name
-    /// stays because `benchmark/src/adapter.rs` calls it.
+    /// this loop at two workers and is gone (a per-worker split is parked
+    /// in ROADMAP). The name stays because `benchmark/src/adapter.rs`
+    /// calls it until ROADMAP 8(b) renames it.
     pub fn apply_external_blocks_pipelined(
         &mut self,
         blocks: &[Block],

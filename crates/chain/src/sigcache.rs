@@ -17,8 +17,7 @@
 //! cached, so malformed or tampered inputs always pay — and always fail —
 //! the real check. Cache state can only convert "would verify" into
 //! "verified cheaply": accept/reject decisions, and therefore chain
-//! state, are identical with the cache empty, warm, or disabled, at any
-//! worker count (`with_threads`).
+//! state, are identical with the cache empty, warm, or disabled.
 //!
 //! A block's transactions go through [`verify_batch_cached`]: the triples
 //! the cache remembers are set aside, the rest are checked as ONE

@@ -240,16 +240,3 @@ fn known_answers_recorded_at_the_parent_commit() {
         );
     }
 }
-
-#[test]
-fn hash_count_never_depends_on_the_worker_pool() {
-    for threads in [1usize, 4, 8] {
-        pds2_par::with_threads(threads, || {
-            let mut tree = SmtTree::new();
-            for (updates, want) in known_answer_batches().into_iter().zip(KNOWN_ANSWERS) {
-                assert_eq!(tree.commit(updates), want.2, "{threads} threads");
-                assert_eq!(tree.root_hash().to_hex(), want.0, "{threads} threads");
-            }
-        });
-    }
-}

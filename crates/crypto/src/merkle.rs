@@ -58,43 +58,22 @@ pub struct MerkleProof {
 impl MerkleTree {
     /// Builds a tree from leaf payloads. An empty input yields the
     /// all-zero root sentinel.
-    ///
-    /// Leaf hashing fans out across the `pds2-par` worker pool; each hash
-    /// is an independent pure function of one leaf and the results come
-    /// back in leaf order, so the tree is identical for any thread count.
-    pub fn from_leaves<T: AsRef<[u8]> + Sync>(leaves: &[T]) -> Self {
-        let hashes = pds2_par::par_map_indexed(leaves, |_, l| leaf_hash(l.as_ref()));
-        Self::from_leaf_hashes(hashes)
+    pub fn from_leaves<T: AsRef<[u8]>>(leaves: &[T]) -> Self {
+        Self::from_leaf_hashes(leaves.iter().map(|l| leaf_hash(l.as_ref())).collect())
     }
 
     /// Builds a tree from pre-hashed leaves.
-    ///
-    /// Wide levels hash their node pairs in parallel (index-ordered, so
-    /// the result never depends on the thread count); narrow levels stay
-    /// serial to avoid fan-out overhead near the root.
     pub fn from_leaf_hashes(hashes: Vec<Digest>) -> Self {
-        const PAR_LEVEL_MIN: usize = 512;
-        let mut levels = vec![hashes];
-        while levels.last().unwrap().len() > 1 {
-            let prev = levels.last().unwrap();
-            let pairs: Vec<&[Digest]> = prev.chunks(2).collect();
-            let hash_pair = |_: usize, pair: &&[Digest]| match *pair {
-                [left, right] => node_hash(left, right),
-                // Odd node: promote unchanged.
-                [only] => *only,
-                _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
-            };
-            let next = if pairs.len() >= PAR_LEVEL_MIN {
-                pds2_par::par_map_indexed(&pairs, hash_pair)
-            } else {
-                pairs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| hash_pair(i, p))
-                    .collect()
-            };
-            levels.push(next);
+        let mut levels = Vec::new();
+        let mut level = hashes;
+        while level.len() > 1 {
+            let pairs = level.chunks_exact(2);
+            // Odd node: promote unchanged.
+            let odd = pairs.remainder().first().copied();
+            let next = pairs.map(|p| node_hash(&p[0], &p[1])).chain(odd).collect();
+            levels.push(std::mem::replace(&mut level, next));
         }
+        levels.push(level);
         MerkleTree { levels }
     }
 

@@ -54,8 +54,8 @@
 //!
 //! Results are plain [`BigUint`] values, bit-identical to the schoolbook
 //! path — the representation changes inside a call, never the outcome —
-//! so the repo-wide determinism invariant (identical results at every
-//! worker count, `with_threads`) is untouched. Property tests in
+//! so the repo-wide determinism invariant (identical results on every
+//! rerun) is untouched. Property tests in
 //! `crates/crypto/tests/proptests.rs` pin the equivalence of both
 //! instantiations and the schoolbook reference over random operands and
 //! the edge cases (0, 1, n−1, operand = n, the final-subtraction carry).

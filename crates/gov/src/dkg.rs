@@ -15,7 +15,7 @@
 //!
 //! Polynomial coefficients are derived from a public `(seed, dealer,
 //! coefficient)` hash instead of per-dealer CSPRNGs, so every replica —
-//! and every rerun at any worker count (`with_threads`) — computes bit-identical
+//! and every rerun — computes bit-identical
 //! committees from the same seed. A production deployment would replace
 //! the coefficient hash with local randomness and an actual broadcast round;
 //! nothing else changes, which is exactly the trade the rest of the

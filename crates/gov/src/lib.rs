@@ -28,7 +28,7 @@
 //! [`sign::sign_with_quorum`] is its in-process reference.
 //!
 //! Everything is seed-deterministic: same seed, same committee, same
-//! signatures, at any worker count (`with_threads`). Observability:
+//! signatures, on every rerun. Observability:
 //! `gov.*` counters (OBSERVABILITY.md).
 
 #![forbid(unsafe_code)]

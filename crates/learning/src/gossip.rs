@@ -342,7 +342,7 @@ pub fn run_gossip_experiment<M, F>(
     make_model: F,
 ) -> GossipOutcome
 where
-    M: Model + Sync,
+    M: Model,
     F: Fn() -> M,
 {
     let wheel = SchedulerKind::Wheel;
@@ -368,7 +368,7 @@ pub fn run_gossip_experiment_with_faults<M, F>(
     make_model: F,
 ) -> GossipOutcome
 where
-    M: Model + Sync,
+    M: Model,
     F: Fn() -> M,
 {
     let nodes: Vec<GossipNode<M>> = shards
@@ -400,7 +400,7 @@ where
 /// Runs `sim` to each instant of `eval_at_us` under the trace `root`
 /// mints, and records the mean test accuracy of at most `eval_sample`
 /// online nodes (stride-sampled) at each.
-fn evaluate<M: Model + Sync>(
+fn evaluate<M: Model>(
     mut sim: pds2_net::Simulator<GossipNode<M>>,
     root: pds2_obs::Span,
     test: &Dataset,
@@ -418,15 +418,13 @@ fn evaluate<M: Model + Sync>(
             vec![("eval_at", pds2_obs::Value::from(t))],
         );
         sim.run_until(t);
-        // Per-node evaluation sweeps are read-only over the test set, so
-        // they fan out across the pds2-par pool; the node-order mean below
-        // keeps the float summation identical for any thread count.
         let online: Vec<usize> = (0..sim.len()).filter(|&id| sim.is_online(id)).collect();
         let step = (online.len() / eval_sample.max(1)).max(1);
-        let sampled: Vec<usize> = online.iter().copied().step_by(step).collect();
-        let accs = pds2_par::par_map_indexed(&sampled, |_, &id| {
-            classifier_accuracy(&sim.node(id).model, test)
-        });
+        let accs: Vec<f64> = online
+            .iter()
+            .step_by(step)
+            .map(|&id| classifier_accuracy(&sim.node(id).model, test))
+            .collect();
         let mean = if accs.is_empty() {
             0.0
         } else {
@@ -501,7 +499,7 @@ pub fn run_gossip_experiment_at_scale<M, F>(
     make_model: F,
 ) -> GossipOutcome
 where
-    M: Model + Sync,
+    M: Model,
     F: Fn() -> M,
 {
     let holders = opts.data_holders.clamp(1, opts.n_nodes);

@@ -12,8 +12,8 @@
 //! [`SEGMENT_EVENTS`](crate::SEGMENT_EVENTS) per side) are materialized
 //! and compared to name the exact first divergent `seq`.
 //!
-//! This is the in-repo seed of ROADMAP item 1's checkpoint fraud proof:
-//! a committee signs a capture's digest; a challenger who disagrees
+//! This is the in-repo seed of the dispute game ROADMAP parks: a
+//! committee signs a capture's digest; a challenger who disagrees
 //! bisects the checkpoints and opens a single segment instead of
 //! replaying the side-chain.
 

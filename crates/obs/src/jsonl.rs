@@ -39,7 +39,7 @@
 //! module writes, [`Row::parse`] followed by `to_json` gives the row
 //! back byte for byte (`tests/row_pin.rs`, `tests/json_roundtrip.rs`).
 //! Unknown keys are ignored, so a field added to a row (a wall-clock
-//! channel, ROADMAP item 7) is one writer line and one reader line here.
+//! channel, ROADMAP item 9) is one writer line and one reader line here.
 
 use crate::trace::{Event, EventKind, SegmentCheckpoint, Stamp, Value};
 use pds2_crypto::sha256::Digest;

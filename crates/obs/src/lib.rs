@@ -8,8 +8,8 @@
 //! event stream folds into one running SHA-256 digest
 //! ([`TraceReport::digest`]), and because events carry only *logical*
 //! timestamps — simulated microseconds, block heights, learning rounds,
-//! never the wall clock — a run's trace is bit-identical across reruns,
-//! machines, and worker counts (`with_threads`). Two runs agree iff their
+//! never the wall clock — a run's trace is bit-identical across reruns
+//! and machines. Two runs agree iff their
 //! digests agree, which turns "did this refactor change behaviour?" into
 //! a string comparison.
 //!
@@ -38,7 +38,7 @@
 //! Determinism contract: events must be emitted from serial code paths
 //! only (the discrete-event simulator loop, block production and
 //! validation entry points, marketplace calls, learning round loops).
-//! Parallel workers inside `pds2-par` regions touch *counters* only.
+//! Any other thread touches *counters* only.
 //! Tests that assert counter deltas or digests take [`test_lock`] to
 //! serialize against other tests in the same binary, since the
 //! registry and collector are process-global.

@@ -22,8 +22,7 @@
 //! intermediate collections are ordered (`BTreeMap`, seq-sorted
 //! vectors) and ties break on seq, so [`TraceAnalysis::render_text`]
 //! and [`TraceAnalysis::report_digest`] are bit-identical across
-//! reruns, worker counts (`with_threads`), and ring-vs-JSONL capture of
-//! the same run.
+//! reruns and ring-vs-JSONL capture of the same run.
 
 use crate::jsonl::{RawEvent, Row};
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};

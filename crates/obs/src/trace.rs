@@ -6,8 +6,7 @@
 //! `encode` is a canonical length-prefixed binary form (never the JSON
 //! rendering). Event timestamps are [`Stamp`]s — simulated time, block
 //! height or learning round — so the chain commits only to *logical*
-//! behaviour and is bit-identical across reruns and worker counts
-//! (`with_threads`).
+//! behaviour and is bit-identical across reruns.
 
 use crate::jsonl::trailer_json;
 use crate::sink::{ActiveSink, SinkKind};

@@ -16,7 +16,8 @@
 //! Utility functions are arbitrary coalition valuations `v: 2^N -> R`
 //! with `v(∅)` defining the baseline.
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// A coalition utility function: maps a sorted set of player indices to a
@@ -151,6 +152,21 @@ impl Default for McConfig {
     }
 }
 
+/// Derives the RNG for task `index` of a computation seeded with `seed`.
+///
+/// Uses two rounds of SplitMix64 finalization over `seed ^ φ·index`, so
+/// neighbouring task indices receive statistically independent streams
+/// and task 0's stream differs from `StdRng::seed_from_u64(seed)`.
+fn stream_rng(seed: u64, index: u64) -> StdRng {
+    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    StdRng::seed_from_u64(z ^ (z >> 31))
+}
+
 /// Marginal contributions of every player under permutation `perm_index`.
 ///
 /// The permutation is drawn from its own RNG stream derived from
@@ -165,7 +181,7 @@ fn permutation_marginals<U: Utility>(
     perm_index: usize,
 ) -> Vec<f64> {
     let n = utility.n_players();
-    let mut rng = pds2_par::stream_rng(cfg.seed, perm_index as u64);
+    let mut rng = stream_rng(cfg.seed, perm_index as u64);
     // Fisher–Yates from the identity permutation.
     let mut perm: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
@@ -419,6 +435,21 @@ mod tests {
         assert_eq!(u.memo_misses, 2);
         // Distinct coalitions stay distinct keys.
         assert_ne!(u.value(&[0]), u.value(&[0, 1]));
+    }
+
+    #[test]
+    fn stream_rngs_are_independent_and_deterministic() {
+        let mut a = stream_rng(42, 0);
+        let mut a2 = stream_rng(42, 0);
+        let mut b = stream_rng(42, 1);
+        let xs: Vec<u64> = (0..32).map(|_| a.random()).collect();
+        let xs2: Vec<u64> = (0..32).map(|_| a2.random()).collect();
+        let ys: Vec<u64> = (0..32).map(|_| b.random()).collect();
+        assert_eq!(xs, xs2, "same (seed, index) must replay");
+        assert_ne!(xs, ys, "different indices must diverge");
+        let mut c = stream_rng(43, 0);
+        let zs: Vec<u64> = (0..32).map(|_| c.random()).collect();
+        assert_ne!(xs, zs, "different seeds must diverge");
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! ([`he`], [`mpc`], [`tee`]), collaborative learning ([`learning`],
 //! [`ml`]), reward attribution ([`rewards`]), storage ([`storage`]),
 //! the deterministic network simulator ([`net`]), and the
-//! cross-cutting substrates: hand-rolled cryptography ([`crypto`]),
-//! deterministic parallelism ([`par`]) and deterministic
-//! observability ([`obs`], see `OBSERVABILITY.md`).
+//! cross-cutting substrates: hand-rolled cryptography ([`crypto`]) and
+//! deterministic observability ([`obs`], see `OBSERVABILITY.md`).
 
 #![forbid(unsafe_code)]
 
@@ -21,7 +20,6 @@ pub use pds2_ml as ml;
 pub use pds2_mpc as mpc;
 pub use pds2_net as net;
 pub use pds2_obs as obs;
-pub use pds2_par as par;
 pub use pds2_rewards as rewards;
 pub use pds2_storage as storage;
 pub use pds2_tee as tee;

@@ -180,6 +180,30 @@ fn env_knobs_do_not_grow() {
     );
 }
 
+/// The program runs on the calling thread. A fan-out that nothing
+/// measures is a second code path for one result, tested by a different
+/// harness than the one the benchmark runs; a parallel site comes back
+/// only as a change that measures it on a host with more than two cores
+/// (ROADMAP, Parked). So no source under `crates/*/src` starts a thread
+/// (`thread::spawn`, `thread::scope`, `thread::Builder`).
+#[test]
+fn library_crates_spawn_no_threads() {
+    let spawners: Vec<PathBuf> = crate_sources()
+        .into_iter()
+        .filter(|file| {
+            let body = std::fs::read_to_string(file).unwrap_or_default();
+            ["thread::spawn", "thread::scope", "thread::Builder"]
+                .iter()
+                .any(|call| body.contains(call))
+        })
+        .collect();
+    assert!(
+        spawners.is_empty(),
+        "these sources start threads; run the work on the calling thread: \
+         {spawners:?}"
+    );
+}
+
 /// `pub fn`s under `crates/chain/src/chain/`, the `Blockchain` type and
 /// its proof helpers, may only shrink: a new entry point replaces an old
 /// one (as `submit_batch` replaced `reinstate_transactions`).

@@ -5,8 +5,8 @@
 //!
 //! Every scenario asserts two things: the *protocol* property (the
 //! cluster converges / recovers / rejects corruption) and the *harness*
-//! property (the run replays bit-identically from its seed, at any
-//! worker count, `with_threads`). Each runs twice, on the timing wheel
+//! property (the run replays bit-identically from its seed). Each runs
+//! twice, on the timing wheel
 //! and on the binary-heap oracle, with the same assertions and the same
 //! pinned fixture lines.
 
@@ -25,7 +25,6 @@ use std::sync::Arc;
 
 mod common;
 
-const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 const N_REPLICAS: usize = 4;
 
 /// Runs `scenario` on the timing wheel, then on the binary-heap oracle,
@@ -154,14 +153,9 @@ fn assert_replays_identically(
     until_us: u64,
 ) {
     let base = run_chain(sched, seed, plan(), until_us);
-    // Same seed, same plan: the whole run is bit-identical — including at
-    // forced worker counts (`with_threads`).
+    // Same seed, same plan: the whole run is bit-identical.
     let again = run_chain(sched, seed, plan(), until_us);
     assert_eq!(again, base, "re-run of the same seed diverged");
-    for threads in THREAD_COUNTS {
-        let r = pds2_par::with_threads(threads, || run_chain(sched, seed, plan(), until_us));
-        assert_eq!(r, base, "run diverged at {threads} threads");
-    }
 }
 
 #[test]
@@ -381,13 +375,9 @@ fn fork_reorg_reinstates_orphaned_transactions() {
                  canonical chain: {run:?}"
             );
         }
-        // The harness property: bit-identical replay, at any worker count.
+        // The harness property: bit-identical replay.
         let again = run_reorg(sched, 4_000_000);
         assert_eq!(again, run, "re-run of the same seed diverged");
-        for threads in THREAD_COUNTS {
-            let r = pds2_par::with_threads(threads, || run_reorg(sched, 4_000_000));
-            assert_eq!(r, run, "run diverged at {threads} threads");
-        }
         // Pinned trace + root (fixture line 2; line 1 is the golden run).
         let (want_trace, want_root) = fixture_line(1);
         assert_eq!(
@@ -500,15 +490,9 @@ fn persistent_crash_recovers_from_snapshot_and_log() {
             volatile.pools[2], 0,
             "a volatile replica must forget the pending transaction: {volatile:?}"
         );
-        // Harness property: bit-identical replay, at any worker count.
+        // Harness property: bit-identical replay.
         let again = run_persistent_crash(sched, 29, plan(), 15_000_000, true);
         assert_eq!(again, run, "re-run of the same seed diverged");
-        for threads in THREAD_COUNTS {
-            let r = pds2_par::with_threads(threads, || {
-                run_persistent_crash(sched, 29, plan(), 15_000_000, true)
-            });
-            assert_eq!(r, run, "run diverged at {threads} threads");
-        }
         // Pinned trace + recovered root (fixture line 3).
         let (want_trace, want_root) = fixture_line(2);
         assert_eq!(
@@ -618,19 +602,14 @@ fn gossip_partition_heals_and_accuracy_recovers() {
         );
         assert_eq!(out.online_nodes, 10, "partitions must not kill nodes");
         let bits: Vec<u64> = out.accuracy_curve.iter().map(|a| a.to_bits()).collect();
-        // Bit-identical replay at forced worker counts.
-        for threads in THREAD_COUNTS {
-            let (again_trace, again) = pds2_par::with_threads(threads, run);
-            assert_eq!(
-                again_trace, trace,
-                "gossip trace diverged at {threads} threads"
-            );
-            let again_bits: Vec<u64> = again.accuracy_curve.iter().map(|a| a.to_bits()).collect();
-            assert_eq!(
-                again_bits, bits,
-                "accuracy curve not bit-identical at {threads} threads"
-            );
-        }
+        // Bit-identical replay.
+        let (again_trace, again) = run();
+        assert_eq!(again_trace, trace, "gossip trace diverged on a rerun");
+        let again_bits: Vec<u64> = again.accuracy_curve.iter().map(|a| a.to_bits()).collect();
+        assert_eq!(
+            again_bits, bits,
+            "accuracy curve not bit-identical on a rerun"
+        );
     });
 }
 

@@ -4,8 +4,8 @@
 //!
 //! Mirrors `tests/chaos.rs`: every scenario asserts the *protocol*
 //! property (t-of-n signs, t−1 cannot, recovery restores the share) and
-//! the *harness* property (bit-identical replay from the seed at any
-//! worker count (`with_threads`), pinned by `fixtures/gov_golden.txt`).
+//! the *harness* property (bit-identical replay from the seed, pinned by
+//! `fixtures/gov_golden.txt`).
 
 use pds2_crypto::sha256::Sha256;
 use pds2_crypto::Digest;
@@ -14,8 +14,6 @@ use pds2_gov::net::{GovConfig, GovMsg, GovNode};
 use pds2_net::{FaultPlan, LinkModel, NetStats, Simulator};
 use pds2_obs as obs;
 use std::collections::BTreeSet;
-
-const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 
 fn digests(n: usize) -> Vec<[u8; 32]> {
     (0..n as u8)
@@ -117,10 +115,6 @@ fn assert_gov_replays(
 ) {
     let again = run_gov(cfg, sim_seed, plan(), until);
     assert_eq!(&again, base, "re-run of the same seed diverged");
-    for threads in THREAD_COUNTS {
-        let r = pds2_par::with_threads(threads, || run_gov(cfg, sim_seed, plan(), until));
-        assert_eq!(&r, base, "run diverged at {threads} threads");
-    }
 }
 
 /// One `"<trace> <sig-digest>"` pair per line: line 1 byzantine

@@ -1,6 +1,6 @@
 //! Observability determinism: the `pds2-obs` trace digest must be a
 //! pure function of (seed, fault plan, workload) — bit-identical across
-//! reruns, worker counts (`with_threads`), and sink choices — and counter
+//! reruns and sink choices — and counter
 //! snapshots must mirror the simulator's own accounting.
 //!
 //! Every test takes `obs::test_lock()`: the registry and collector are
@@ -30,7 +30,6 @@ use std::sync::Arc;
 
 mod common;
 
-const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 const N_REPLICAS: usize = 4;
 
 fn factory() -> GenesisFactory {
@@ -92,38 +91,36 @@ fn chaos_chain_run(seed: u64, until_us: u64) -> pds2_net::NetStats {
     sim.stats()
 }
 
-/// Same (seed, plan, workload) ⇒ identical trace digest across
-/// threads 1/4/8 and with ring-buffer vs JSONL vs null sinks — the
-/// tentpole acceptance criterion, on the full chaos stack.
+/// Same (seed, plan, workload) ⇒ identical trace digest on a rerun and
+/// with ring-buffer vs JSONL vs null sinks — the tentpole acceptance
+/// criterion, on the full chaos stack.
 #[test]
 fn chain_chaos_trace_digest_is_thread_and_sink_invariant() {
     let _g = obs::test_lock();
-    let digest_with = |kind: obs::SinkKind, threads: usize| {
+    let digest_with = |kind: obs::SinkKind| {
         let cap = obs::capture(kind);
-        pds2_par::with_threads(threads, || chaos_chain_run(77, 9_000_000));
+        chaos_chain_run(77, 9_000_000);
         cap.finish().digest
     };
 
-    let ring = digest_with(obs::SinkKind::Ring(4096), 1);
+    let ring = digest_with(obs::SinkKind::Ring(4096));
 
     let path = std::env::temp_dir().join("pds2_obs_determinism.jsonl");
-    let jsonl = digest_with(obs::SinkKind::Jsonl(path.clone()), 1);
+    let jsonl = digest_with(obs::SinkKind::Jsonl(path.clone()));
     let lines = std::fs::read_to_string(&path).expect("jsonl trace written");
     std::fs::remove_file(&path).ok();
     assert!(!lines.is_empty(), "jsonl sink must record events");
     assert_eq!(ring, jsonl, "ring vs JSONL sink changed the digest");
 
-    for threads in THREAD_COUNTS {
-        let d = digest_with(obs::SinkKind::Null, threads);
-        assert_eq!(d, ring, "trace digest diverged at {threads} threads");
-    }
+    let null = digest_with(obs::SinkKind::Null);
+    assert_eq!(null, ring, "null-sink rerun changed the digest");
 }
 
 /// The fee market (DESIGN.md §5f) under observation: a congestion ramp
 /// that drives the base fee up and back down must produce the same
 /// per-block base-fee trajectory, the same selection order, the same
 /// state root *and* the same trace digest across ring/JSONL/null sinks
-/// and worker counts (`with_threads`) ∈ {1, 4, 8}.
+/// and reruns.
 #[test]
 fn fee_market_trajectory_is_thread_and_sink_invariant() {
     let _g = obs::test_lock();
@@ -166,13 +163,13 @@ fn fee_market_trajectory_is_thread_and_sink_invariant() {
         }
         (fees, order, chain.state.state_root())
     };
-    let run_with = |kind: obs::SinkKind, threads: usize| {
+    let run_with = |kind: obs::SinkKind| {
         let cap = obs::capture(kind);
-        let out = pds2_par::with_threads(threads, scenario);
+        let out = scenario();
         (cap.finish(), out)
     };
 
-    let (ring, base) = run_with(obs::SinkKind::Ring(usize::MAX), 1);
+    let (ring, base) = run_with(obs::SinkKind::Ring(usize::MAX));
     assert!(ring.events > 0, "block production must emit trace events");
     let fees = &base.0;
     assert!(
@@ -186,21 +183,19 @@ fn fee_market_trajectory_is_thread_and_sink_invariant() {
     assert_eq!(base.1.len(), 24, "every transfer must land");
 
     let path = std::env::temp_dir().join("pds2_obs_fee_market.jsonl");
-    let (jsonl, jsonl_out) = run_with(obs::SinkKind::Jsonl(path.clone()), 1);
+    let (jsonl, jsonl_out) = run_with(obs::SinkKind::Jsonl(path.clone()));
     let body = std::fs::read_to_string(&path).expect("jsonl trace written");
     std::fs::remove_file(&path).ok();
     assert!(!body.is_empty(), "jsonl sink must record events");
     assert_eq!(ring.digest, jsonl.digest, "ring vs JSONL digest");
     assert_eq!(jsonl_out, base, "ring vs JSONL fee trajectory");
 
-    for threads in THREAD_COUNTS {
-        let (cap, out) = run_with(obs::SinkKind::Null, threads);
-        assert_eq!(
-            cap.digest, ring.digest,
-            "fee-market trace diverged at {threads} threads"
-        );
-        assert_eq!(out, base, "fee trajectory diverged at {threads} threads");
-    }
+    let (null, null_out) = run_with(obs::SinkKind::Null);
+    assert_eq!(
+        null.digest, ring.digest,
+        "fee-market trace diverged on a rerun"
+    );
+    assert_eq!(null_out, base, "fee trajectory diverged on a rerun");
 }
 
 /// Counter deltas around one serial run mirror the simulator's own
@@ -346,8 +341,8 @@ fn net_rows_match_the_pin_generated_at_the_parent() {
 }
 
 /// The marketplace lifecycle trace — contract phase transitions, escrow
-/// funding, block production spans — is deterministic across reruns and
-/// thread counts, and the lifecycle counters move as the contract walks
+/// funding, block production spans — is deterministic across reruns,
+/// and the lifecycle counters move as the contract walks
 /// Open → Executing → Completed.
 #[test]
 fn marketplace_lifecycle_trace_is_deterministic() {
@@ -425,23 +420,21 @@ fn marketplace_lifecycle_trace_is_deterministic() {
         "phase-transition events must be traced"
     );
 
-    for threads in THREAD_COUNTS {
-        let cap = obs::capture(obs::SinkKind::Null);
-        pds2_par::with_threads(threads, lifecycle);
-        let again = cap.finish();
-        assert_eq!(
-            again.digest, report.digest,
-            "lifecycle trace diverged at {threads} threads"
-        );
-        assert_eq!(again.events, report.events);
-    }
+    let cap = obs::capture(obs::SinkKind::Null);
+    lifecycle();
+    let again = cap.finish();
+    assert_eq!(
+        again.digest, report.digest,
+        "lifecycle trace diverged on a rerun"
+    );
+    assert_eq!(again.events, report.events);
 }
 
 /// E16 acceptance: the shared trace-lifecycle scenario (faulty
 /// marketplace lifecycle + chaos chain sync + gossip under corruption)
 /// produces a causal DAG whose critical-path report — text and digest —
-/// is bit-identical across worker counts (`with_threads`) ∈ {1, 4, 8} and across the
-/// ring and JSONL sinks, and every trace has a non-empty critical path.
+/// is bit-identical across reruns and across the ring, JSONL and null
+/// sinks, and every trace has a non-empty critical path.
 #[test]
 fn trace_lifecycle_critical_path_is_thread_and_sink_invariant() {
     let _g = obs::test_lock();
@@ -497,17 +490,18 @@ fn trace_lifecycle_critical_path_is_thread_and_sink_invariant() {
         jsonl_analysis.report_digest()
     );
 
-    // Thread sweep: the capture digest is a pure function of the seed.
-    for threads in THREAD_COUNTS {
-        let cap = obs::capture(obs::SinkKind::Null);
-        pds2_par::with_threads(threads, || trace_scenario::run(SEED));
-        let d = cap.finish().digest;
-        assert_eq!(d, ring.digest, "E16 digest diverged at {threads} threads");
-    }
+    // Null-sink rerun: the capture digest is a pure function of the seed.
+    let cap = obs::capture(obs::SinkKind::Null);
+    trace_scenario::run(SEED);
+    assert_eq!(
+        cap.finish().digest,
+        ring.digest,
+        "E16 digest diverged on a rerun"
+    );
 }
 
 /// Gossip learning under byzantine corruption: eval events are digested
-/// deterministically at any thread count, and the migrated
+/// deterministically on a rerun, and the migrated
 /// `learning.corrupted_dropped` registry counter agrees with the
 /// per-node totals summed into `GossipOutcome`.
 #[test]
@@ -558,23 +552,21 @@ fn gossip_trace_and_corruption_counter_are_deterministic() {
         .collect();
     assert_eq!(evals.len(), 2, "one eval event per evaluation point");
 
-    for threads in THREAD_COUNTS {
-        let cap = obs::capture(obs::SinkKind::Null);
-        let again = pds2_par::with_threads(threads, run);
-        let d = cap.finish().digest;
-        assert_eq!(
-            d, report.digest,
-            "gossip trace diverged at {threads} threads"
-        );
-        assert_eq!(again.models_transferred, out.models_transferred);
-    }
+    let cap = obs::capture(obs::SinkKind::Null);
+    let again = run();
+    assert_eq!(
+        cap.finish().digest,
+        report.digest,
+        "gossip trace diverged on a rerun"
+    );
+    assert_eq!(again.models_transferred, out.models_transferred);
 }
 
 /// PR 10 tentpole acceptance: segment checkpoints (samples of the
 /// running trace digest) and burn-rate alert events are part of the
-/// deterministic surface — bit-identical across worker counts
-/// (`with_threads`) ∈ {1, 4, 8} and ring/JSONL/null sinks, with the JSONL sink's
-/// interleaved checkpoint rows exactly mirroring the report's.
+/// deterministic surface — bit-identical across reruns and ring/JSONL/null
+/// sinks, with the JSONL sink's interleaved checkpoint rows exactly
+/// mirroring the report's.
 #[test]
 fn segment_checkpoints_and_alert_events_are_thread_and_sink_invariant() {
     let _g = obs::test_lock();
@@ -604,13 +596,13 @@ fn segment_checkpoints_and_alert_events_are_thread_and_sink_invariant() {
         assert_eq!(mon.fired_count(), 1, "the breach phase must fire once");
         assert!(!mon.firing(), "the recovery phase must resolve");
     };
-    let run_with = |kind: obs::SinkKind, threads: usize| {
+    let run_with = |kind: obs::SinkKind| {
         let cap = obs::capture(kind);
-        pds2_par::with_threads(threads, workload);
+        workload();
         cap.finish()
     };
 
-    let ring = run_with(obs::SinkKind::Ring(usize::MAX), 1);
+    let ring = run_with(obs::SinkKind::Ring(usize::MAX));
     assert!(
         ring.events > 2 * obs::SEGMENT_EVENTS,
         "workload must span multiple segments, got {} events",
@@ -643,7 +635,7 @@ fn segment_checkpoints_and_alert_events_are_thread_and_sink_invariant() {
 
     // JSONL: digest, checkpoint rows and trailer all agree with ring.
     let path = std::env::temp_dir().join("pds2_obs_segments.jsonl");
-    let jsonl = run_with(obs::SinkKind::Jsonl(path.clone()), 1);
+    let jsonl = run_with(obs::SinkKind::Jsonl(path.clone()));
     let body = std::fs::read_to_string(&path).expect("jsonl trace written");
     std::fs::remove_file(&path).ok();
     assert_eq!(ring.digest, jsonl.digest, "ring vs JSONL digest");
@@ -667,17 +659,12 @@ fn segment_checkpoints_and_alert_events_are_thread_and_sink_invariant() {
         "the trailer row must carry the trace digest"
     );
 
-    for threads in THREAD_COUNTS {
-        let d = run_with(obs::SinkKind::Null, threads);
-        assert_eq!(
-            d.digest, ring.digest,
-            "digest diverged at {threads} threads"
-        );
-        assert_eq!(
-            d.segments, ring.segments,
-            "segment checkpoints diverged at {threads} threads"
-        );
-    }
+    let null = run_with(obs::SinkKind::Null);
+    assert_eq!(null.digest, ring.digest, "digest diverged on a rerun");
+    assert_eq!(
+        null.segments, ring.segments,
+        "segment checkpoints diverged on a rerun"
+    );
 }
 
 /// The collector's fold, `d' = H(d ‖ encode(event))`, with `Event::encode`'s

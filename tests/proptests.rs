@@ -714,8 +714,7 @@ mod smt_model {
 //     and never the submitting account's own chain;
 //   * selections are per-account gapless runs starting exactly at the
 //     account's state nonce, within the gas and count budgets;
-//   * the same insert sequence drains in the same order on every rerun
-//     and at every worker count (`with_threads`).
+//   * the same insert sequence drains in the same order on every rerun.
 // ---------------------------------------------------------------------------
 
 mod mempool_props {
@@ -988,7 +987,7 @@ mod mempool_props {
         }
 
         /// Draining the same insert sequence selects the same transactions
-        /// in the same order on a rerun and at every worker count.
+        /// in the same order on a rerun.
         #[test]
         fn mempool_selection_is_deterministic(
             txs in proptest::collection::vec(
@@ -1032,10 +1031,6 @@ mod mempool_props {
             };
             let base = drain();
             prop_assert_eq!(&drain(), &base, "rerun diverged");
-            for threads in [1usize, 4, 8] {
-                let r = pds2_par::with_threads(threads, drain);
-                prop_assert_eq!(&r, &base, "selection diverged at {} threads", threads);
-            }
         }
     }
 }
