@@ -11,43 +11,12 @@
 //!
 //! `cargo run --release -p pds2-bench --bin exp_chaos`
 
+use pds2_bench::fleet::Fleet;
 use pds2_bench::print_table;
-use pds2_chain::address::Address;
-use pds2_chain::chain::{Blockchain, ChainConfig};
-use pds2_chain::contract::ContractRegistry;
-use pds2_chain::sync::{ChainReplica, GenesisFactory};
-use pds2_crypto::KeyPair;
-use pds2_learning::gossip::{run_gossip_experiment_with_faults, GossipConfig};
+use pds2_learning::gossip::{run_gossip_experiment, GossipConfig, GossipRun};
 use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
-use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, SchedulerKind, Simulator};
-use std::sync::Arc;
-
-const N_VALIDATORS: usize = 4;
-
-fn factory() -> GenesisFactory {
-    Arc::new(|| {
-        Blockchain::new(
-            (0..N_VALIDATORS as u64)
-                .map(|i| KeyPair::from_seed(9_000 + i))
-                .collect(),
-            &[(Address::of(&KeyPair::from_seed(1).public), 1_000_000)],
-            ContractRegistry::new(),
-            ChainConfig::default(),
-        )
-    })
-}
-
-fn link() -> LinkModel {
-    LinkModel {
-        base_latency_us: 5_000,
-        jitter_us: 2_000,
-        bandwidth_bytes_per_sec: 12_500_000,
-        drop_probability: 0.0,
-        node_slowdown: Vec::new(),
-        topology: None,
-    }
-}
+use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope};
 
 struct ChaosResult {
     height: u64,
@@ -59,12 +28,7 @@ struct ChaosResult {
 }
 
 fn run_chain_chaos(seed: u64, plan: FaultPlan, until_us: u64) -> ChaosResult {
-    let f = factory();
-    let replicas: Vec<ChainReplica> = (0..N_VALIDATORS)
-        .map(|i| ChainReplica::new(f.clone(), Some(i), 200_000, 150_000))
-        .collect();
-    let mut sim = Simulator::new(replicas, link(), seed);
-    sim.install_fault_plan(plan);
+    let mut sim = Fleet::lan().build(seed, plan);
     let cap = pds2_obs::capture(pds2_obs::SinkKind::Null);
     sim.run_until(until_us);
     let trace = cap.finish().digest;
@@ -153,21 +117,16 @@ fn main() {
             LinkScope::any(),
             LinkEffect::Corrupt { probability: p },
         );
-        let out = run_gossip_experiment_with_faults(
-            train.partition_iid(10, 3),
-            &test,
-            GossipConfig {
-                period_us: 200_000,
-                ..Default::default()
-            },
-            LinkModel::instant(),
-            7,
-            &[10_000_000],
-            None,
-            Some(plan),
-            SchedulerKind::Wheel,
-            || LogisticRegression::new(3),
-        );
+        let cfg = GossipConfig {
+            period_us: 200_000,
+            ..Default::default()
+        };
+        let run = GossipRun {
+            faults: plan,
+            ..GossipRun::new(cfg, LinkModel::instant(), 7, &[10_000_000])
+        };
+        let shards = train.partition_iid(10, 3);
+        let out = run_gossip_experiment(shards, &test, &run, || LogisticRegression::new(3));
         rows.push(vec![
             format!("{:.0}%", p * 100.0),
             format!("{:.3}", out.accuracy_curve[0]),

@@ -10,10 +10,10 @@
 
 use pds2_bench::print_table;
 use pds2_learning::federated::{run_fedavg, FedConfig};
-use pds2_learning::gossip::{run_gossip_experiment, GossipConfig};
+use pds2_learning::gossip::{run_gossip_experiment, GossipConfig, GossipRun};
 use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
-use pds2_net::LinkModel;
+use pds2_net::{FaultPlan, LinkModel};
 
 fn main() {
     let n_nodes = 20;
@@ -26,20 +26,18 @@ fn main() {
 
     println!("E6 part 1: final accuracy vs permanent-failure rate ({n_nodes} nodes, non-IID, failures from t=0)\n");
     let mut rows = Vec::new();
+    let cfg = GossipConfig {
+        period_us: 500_000,
+        ..Default::default()
+    };
     for &fail in &[0.0f64, 0.1, 0.2, 0.3, 0.4, 0.5] {
-        let gossip = run_gossip_experiment(
-            skewed.clone(),
-            &test,
-            GossipConfig {
-                period_us: 500_000,
-                ..Default::default()
-            },
-            LinkModel::default(),
-            7,
-            &[30_000_000],
-            Some((fail, 1_000_000)), // nodes die within the first second
-            || LogisticRegression::new(5),
-        );
+        let run = GossipRun {
+            // Nodes die within the first second.
+            faults: FaultPlan::new(7).random_failures(n_nodes, fail, 1_000_000),
+            ..GossipRun::new(cfg.clone(), LinkModel::default(), 7, &[30_000_000])
+        };
+        let gossip =
+            run_gossip_experiment(skewed.clone(), &test, &run, || LogisticRegression::new(5));
         // FedAvg: the same fraction of clients is dead from round 0.
         let fed = run_fedavg(
             &skewed,
@@ -109,19 +107,8 @@ fn main() {
             &|_, _| true,
             usize::MAX,
         );
-        let gossip = run_gossip_experiment(
-            shards_n,
-            &test,
-            GossipConfig {
-                period_us: 500_000,
-                ..Default::default()
-            },
-            LinkModel::default(),
-            7,
-            &[10_000_000],
-            None,
-            || LogisticRegression::new(5),
-        );
+        let run = GossipRun::new(cfg.clone(), LinkModel::default(), 7, &[10_000_000]);
+        let gossip = run_gossip_experiment(shards_n, &test, &run, || LogisticRegression::new(5));
         // Gossip per-node load: each node receives ~1 model per period.
         let per_node = gossip.models_transferred as f64 / n as f64;
         rows.push(vec![

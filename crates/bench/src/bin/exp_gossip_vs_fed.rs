@@ -9,7 +9,9 @@
 
 use pds2_bench::print_table;
 use pds2_learning::federated::{run_fedavg, FedConfig};
-use pds2_learning::gossip::{run_gossip_experiment, GossipConfig, GossipProtocol, MergeRule};
+use pds2_learning::gossip::{
+    run_gossip_experiment, GossipConfig, GossipProtocol, GossipRun, MergeRule,
+};
 use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
 use pds2_net::LinkModel;
@@ -38,15 +40,16 @@ fn main() {
         let gossip = run_gossip_experiment(
             shards.clone(),
             &test,
-            GossipConfig {
-                period_us: 500_000,
-                merge: MergeRule::AgeWeighted,
-                ..Default::default()
-            },
-            LinkModel::default(),
-            7,
-            &eval_points,
-            None,
+            &GossipRun::new(
+                GossipConfig {
+                    period_us: 500_000,
+                    merge: MergeRule::AgeWeighted,
+                    ..Default::default()
+                },
+                LinkModel::default(),
+                7,
+                &eval_points,
+            ),
             || LogisticRegression::new(5),
         );
 
@@ -100,15 +103,16 @@ fn main() {
         let out = run_gossip_experiment(
             shards.clone(),
             &test,
-            GossipConfig {
-                period_us: 500_000,
-                merge: rule,
-                ..Default::default()
-            },
-            LinkModel::default(),
-            7,
-            &[10_000_000, 30_000_000],
-            None,
+            &GossipRun::new(
+                GossipConfig {
+                    period_us: 500_000,
+                    merge: rule,
+                    ..Default::default()
+                },
+                LinkModel::default(),
+                7,
+                &[10_000_000, 30_000_000],
+            ),
             || LogisticRegression::new(5),
         );
         rows.push(vec![
@@ -126,15 +130,16 @@ fn main() {
         let out = run_gossip_experiment(
             shards.clone(),
             &test,
-            GossipConfig {
-                period_us: 500_000,
-                protocol,
-                ..Default::default()
-            },
-            LinkModel::default(),
-            7,
-            &[10_000_000],
-            None,
+            &GossipRun::new(
+                GossipConfig {
+                    period_us: 500_000,
+                    protocol,
+                    ..Default::default()
+                },
+                LinkModel::default(),
+                7,
+                &[10_000_000],
+            ),
             || LogisticRegression::new(5),
         );
         rows.push(vec![

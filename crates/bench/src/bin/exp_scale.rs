@@ -18,12 +18,12 @@
 
 use parking_lot::Mutex;
 use pds2_bench::print_table;
-use pds2_learning::gossip::{run_gossip_experiment_at_scale, GossipConfig, ScaleGossipOpts};
+use pds2_learning::gossip::{run_gossip_experiment, sparse_shards, GossipConfig, GossipRun};
 use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
 use pds2_net::{
-    ArrivalGen, ArrivalPattern, ChurnModel, Ctx, LinkModel, Node, NodeId, SchedulerKind, SimTime,
-    Simulator, Topology,
+    ArrivalGen, ArrivalPattern, ChurnModel, Ctx, FaultPlan, LinkModel, Node, NodeId, SchedulerKind,
+    SimTime, Simulator, Topology,
 };
 use pds2_obs as obs;
 use pds2_obs::report::TraceAnalysis;
@@ -43,34 +43,32 @@ struct GossipRow {
     accuracy: f64,
 }
 
-fn gossip_opts(n: usize, holders: usize, horizon_us: u64) -> ScaleGossipOpts {
-    ScaleGossipOpts {
-        n_nodes: n,
-        data_holders: holders,
+fn gossip_run(n: usize, horizon_us: u64) -> GossipRun {
+    let cfg = GossipConfig {
+        period_us: 400_000,
+        ..Default::default()
+    };
+    let link = LinkModel::regional(Topology::five_continents(19).with_slowdown_spread(1024, 2048));
+    let churn = ChurnModel {
+        horizon_us,
+        mean_uptime_us: horizon_us / 2,
+        mean_downtime_us: horizon_us / 8,
+        churn_fraction_x1024: 50, // ~5 % of the fleet churns
+    };
+    GossipRun {
         eval_sample: 64,
-        seed: 19,
-        eval_at_us: vec![horizon_us / 2, horizon_us],
-        cfg: GossipConfig {
-            period_us: 400_000,
-            ..Default::default()
-        },
-        link: LinkModel::regional(Topology::five_continents(19).with_slowdown_spread(1024, 2048)),
-        churn: Some(ChurnModel {
-            horizon_us,
-            mean_uptime_us: horizon_us / 2,
-            mean_downtime_us: horizon_us / 8,
-            churn_fraction_x1024: 50, // ~5 % of the fleet churns
-        }),
-        scheduler: SchedulerKind::Wheel,
+        faults: FaultPlan::new(19).churn(&churn, n),
+        ..GossipRun::new(cfg, link, 19, &[horizon_us / 2, horizon_us])
     }
 }
 
 fn gossip_at_scale(n: usize, holders: usize, horizon_us: u64) -> GossipRow {
     let data = gaussian_blobs(1200, 3, 0.7, 1);
     let (train, test) = data.split(0.25, 2);
-    let opts = gossip_opts(n, holders, horizon_us);
+    let run = gossip_run(n, horizon_us);
     let t = Instant::now();
-    let out = run_gossip_experiment_at_scale(&train, &test, &opts, || LogisticRegression::new(3));
+    let shards = sparse_shards(&train, n, holders, 19);
+    let out = run_gossip_experiment(shards, &test, &run, || LogisticRegression::new(3));
     let wall_s = t.elapsed().as_secs_f64();
     assert!(
         out.online_nodes > n * 8 / 10,

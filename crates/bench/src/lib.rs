@@ -144,6 +144,7 @@ pub fn build_world(
     }
 }
 
+pub mod fleet;
 pub mod micro;
 pub mod trace_scenario;
 

@@ -8,22 +8,16 @@
 //! here is a pure function of `seed`: logical stamps only, deterministic
 //! fault schedules, no wall clock.
 
+use crate::fleet::Fleet;
 use crate::{round_robin_assignments, temperature_metadata, BenchWorld};
 use pds2_chain::address::Address;
-use pds2_chain::chain::{Blockchain, ChainConfig};
-use pds2_chain::contract::ContractRegistry;
-use pds2_chain::sync::{ChainReplica, GenesisFactory};
 use pds2_core::marketplace::{Marketplace, RetryPolicy, StorageChoice};
 use pds2_core::workload::RewardScheme;
-use pds2_crypto::KeyPair;
-use pds2_learning::gossip::{run_gossip_experiment_with_faults, GossipConfig};
+use pds2_learning::gossip::{run_gossip_experiment, GossipConfig, GossipRun};
 use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
-use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, SchedulerKind, Simulator};
+use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope};
 use std::num::NonZeroU32;
-use std::sync::Arc;
-
-const N_REPLICAS: usize = 4;
 
 /// Marketplace leg: one workload that completes only after a full
 /// executor crash is healed by retry backoff, and a second that is
@@ -127,34 +121,12 @@ fn chaos_chain_sync(seed: u64, until_us: u64) {
             LinkScope::from_node(3),
             LinkEffect::Corrupt { probability: 0.25 },
         );
-    let factory: GenesisFactory = Arc::new(|| {
-        Blockchain::new(
-            (0..N_REPLICAS as u64)
-                .map(|i| KeyPair::from_seed(9_000 + i))
-                .collect(),
-            &[(Address::of(&KeyPair::from_seed(1).public), 1_000_000)],
-            ContractRegistry::new(),
-            ChainConfig::default(),
-        )
-    });
-    let replicas: Vec<ChainReplica> = (0..N_REPLICAS)
-        .map(|i| ChainReplica::new(factory.clone(), Some(i), 200_000, 150_000))
-        .collect();
-    let link = LinkModel {
-        base_latency_us: 5_000,
-        jitter_us: 2_000,
-        bandwidth_bytes_per_sec: 12_500_000,
-        drop_probability: 0.0,
-        node_slowdown: Vec::new(),
-        topology: None,
-    };
-    let mut sim = Simulator::new(replicas, link, seed);
-    sim.install_fault_plan(plan);
+    let mut sim = Fleet::lan().build(seed, plan);
     let root = pds2_obs::new_trace(
         "chain",
         "sync.experiment",
         pds2_obs::Stamp::Sim(0),
-        vec![("replicas", pds2_obs::Value::from(N_REPLICAS as u64))],
+        vec![("replicas", pds2_obs::Value::from(sim.len() as u64))],
     );
     if root.id() != 0 {
         sim.set_root_ctx(root.ctx());
@@ -175,21 +147,15 @@ fn chaos_gossip(seed: u64) {
         LinkScope::any(),
         LinkEffect::Corrupt { probability: 0.3 },
     );
-    run_gossip_experiment_with_faults(
-        shards,
-        &test,
-        GossipConfig {
-            period_us: 100_000,
-            ..Default::default()
-        },
-        LinkModel::instant(),
-        seed,
-        &[1_000_000, 2_400_000],
-        None,
-        Some(plan),
-        SchedulerKind::Wheel,
-        || LogisticRegression::new(3),
-    );
+    let cfg = GossipConfig {
+        period_us: 100_000,
+        ..Default::default()
+    };
+    let run = GossipRun {
+        faults: plan,
+        ..GossipRun::new(cfg, LinkModel::instant(), seed, &[1_000_000, 2_400_000])
+    };
+    run_gossip_experiment(shards, &test, &run, || LogisticRegression::new(3));
 }
 
 /// Runs the full E16 workload. The caller owns the capture: wrap this in

@@ -324,47 +324,60 @@ impl<M: Model> Node for GossipNode<M> {
     }
 }
 
-/// Builds a gossip simulation over label-partitioned data and runs it,
-/// returning mean test accuracy over online nodes, sampled at each element
-/// of `eval_at_us`.
-///
-/// This is the E5/E6 workhorse; `make_model` supplies the (identical)
-/// initial model for every node.
-#[allow(clippy::too_many_arguments)]
+/// Everything about one gossip run except its data and its model: the
+/// protocol, the network, the seed, when to evaluate, and every fault the
+/// run suffers.
+#[derive(Clone, Debug)]
+pub struct GossipRun {
+    /// Protocol parameters.
+    pub cfg: GossipConfig,
+    /// Link model — [`pds2_net::LinkModel::regional`] over a
+    /// generator-backed topology at fleet scale.
+    pub link: pds2_net::LinkModel,
+    /// Simulation seed.
+    pub seed: u64,
+    /// Evaluation instants (µs).
+    pub eval_at_us: Vec<u64>,
+    /// Each evaluation averages at most this many online nodes
+    /// (stride-sampled; evaluating 100k nodes would dominate the run).
+    pub eval_sample: usize,
+    /// The run's faults. An outage is one of this plan's crashes:
+    /// permanent failures from [`FaultPlan::random_failures`], up/down
+    /// sessions from [`FaultPlan::churn`].
+    pub faults: FaultPlan,
+    /// Event scheduler: the timing wheel, or the heap oracle.
+    pub scheduler: SchedulerKind,
+}
+
+impl GossipRun {
+    /// A fault-free run on the timing wheel that evaluates every online
+    /// node at each of `eval_at_us`.
+    pub fn new(
+        cfg: GossipConfig,
+        link: pds2_net::LinkModel,
+        seed: u64,
+        eval_at_us: &[u64],
+    ) -> GossipRun {
+        GossipRun {
+            cfg,
+            link,
+            seed,
+            eval_at_us: eval_at_us.to_vec(),
+            eval_sample: usize::MAX,
+            faults: FaultPlan::new(seed),
+            scheduler: SchedulerKind::Wheel,
+        }
+    }
+}
+
+/// Runs gossip learning with one node per shard, each starting from
+/// `make_model()`, and returns the mean test accuracy of the online nodes
+/// at each evaluation instant. This is the E5/E6/E14/E19 workhorse; give
+/// it [`sparse_shards`] for the fleet-scale shape.
 pub fn run_gossip_experiment<M, F>(
     shards: Vec<Dataset>,
     test: &Dataset,
-    cfg: GossipConfig,
-    link: pds2_net::LinkModel,
-    seed: u64,
-    eval_at_us: &[u64],
-    churn: Option<(f64, u64)>, // (fail probability, horizon_us); permanent failures
-    make_model: F,
-) -> GossipOutcome
-where
-    M: Model,
-    F: Fn() -> M,
-{
-    let wheel = SchedulerKind::Wheel;
-    run_gossip_experiment_with_faults(
-        shards, test, cfg, link, seed, eval_at_us, churn, None, wheel, make_model,
-    )
-}
-
-/// [`run_gossip_experiment`] with an optional chaos [`FaultPlan`]
-/// (partitions, byzantine corruption, crash-recovery) compiled into the
-/// run, on the given event scheduler.
-#[allow(clippy::too_many_arguments)]
-pub fn run_gossip_experiment_with_faults<M, F>(
-    shards: Vec<Dataset>,
-    test: &Dataset,
-    cfg: GossipConfig,
-    link: pds2_net::LinkModel,
-    seed: u64,
-    eval_at_us: &[u64],
-    churn: Option<(f64, u64)>,
-    fault_plan: Option<FaultPlan>,
-    scheduler: SchedulerKind,
+    run: &GossipRun,
     make_model: F,
 ) -> GossipOutcome
 where
@@ -373,15 +386,11 @@ where
 {
     let nodes: Vec<GossipNode<M>> = shards
         .into_iter()
-        .map(|shard| GossipNode::new(make_model(), shard, cfg.clone()))
+        .map(|shard| GossipNode::new(make_model(), shard, run.cfg.clone()))
         .collect();
-    let mut sim = pds2_net::Simulator::with_scheduler(nodes, link, seed, scheduler);
-    if let Some((prob, horizon)) = churn {
-        sim.schedule_random_churn(prob, horizon, 0);
-    }
-    if let Some(plan) = fault_plan {
-        sim.install_fault_plan(plan);
-    }
+    let mut sim =
+        pds2_net::Simulator::with_scheduler(nodes, run.link.clone(), run.seed, run.scheduler);
+    sim.install_fault_plan(run.faults.clone());
     // The experiment is the root of one causal trace: every message the
     // simulator delivers (and every eval round) descends from it, so
     // obs_report can profile the whole gossip run as a single DAG.
@@ -391,25 +400,12 @@ where
         pds2_obs::Stamp::Sim(0),
         vec![
             ("nodes", pds2_obs::Value::from(sim.len() as u64)),
-            ("evals", pds2_obs::Value::from(eval_at_us.len() as u64)),
+            ("evals", pds2_obs::Value::from(run.eval_at_us.len() as u64)),
         ],
     );
-    evaluate(sim, root, test, eval_at_us, usize::MAX)
-}
-
-/// Runs `sim` to each instant of `eval_at_us` under the trace `root`
-/// mints, and records the mean test accuracy of at most `eval_sample`
-/// online nodes (stride-sampled) at each.
-fn evaluate<M: Model>(
-    mut sim: pds2_net::Simulator<GossipNode<M>>,
-    root: pds2_obs::Span,
-    test: &Dataset,
-    eval_at_us: &[u64],
-    eval_sample: usize,
-) -> GossipOutcome {
     sim.set_root_ctx(root.ctx());
-    let mut accuracy_curve = Vec::with_capacity(eval_at_us.len());
-    for &t in eval_at_us {
+    let mut accuracy_curve = Vec::with_capacity(run.eval_at_us.len());
+    for &t in &run.eval_at_us {
         let round_span = pds2_obs::span(
             "learning",
             "gossip.round",
@@ -419,7 +415,7 @@ fn evaluate<M: Model>(
         );
         sim.run_until(t);
         let online: Vec<usize> = (0..sim.len()).filter(|&id| sim.is_online(id)).collect();
-        let step = (online.len() / eval_sample.max(1)).max(1);
+        let step = (online.len() / run.eval_sample.max(1)).max(1);
         let accs: Vec<f64> = online
             .iter()
             .step_by(step)
@@ -460,79 +456,25 @@ fn evaluate<M: Model>(
     }
 }
 
-/// Options for a fleet-scale gossip run ([`run_gossip_experiment_at_scale`]).
-#[derive(Clone, Debug)]
-pub struct ScaleGossipOpts {
-    /// Total fleet size (most nodes hold no data and only relay/merge).
-    pub n_nodes: usize,
-    /// How many nodes receive a shard of the training data, spread
-    /// evenly across the id space.
-    pub data_holders: usize,
-    /// Evaluation samples at most this many online nodes per round
-    /// (stride-sampled; evaluating 100k nodes would dominate the run).
-    pub eval_sample: usize,
-    /// Simulation seed.
-    pub seed: u64,
-    /// Evaluation instants (µs).
-    pub eval_at_us: Vec<u64>,
-    /// Protocol parameters.
-    pub cfg: GossipConfig,
-    /// Link model — typically [`pds2_net::LinkModel::regional`] over a
-    /// generator-backed topology at this scale.
-    pub link: pds2_net::LinkModel,
-    /// Optional generated churn trace compiled into a fault plan.
-    pub churn: Option<pds2_net::ChurnModel>,
-    /// Event scheduler: the timing wheel, or the heap oracle.
-    pub scheduler: SchedulerKind,
-}
-
-/// Gossip learning at fleet scale: `n_nodes` participants of which only
-/// `data_holders` hold training shards, the rest merging and relaying —
-/// the paper-vision shape where most user devices contribute connectivity
-/// and only some contribute data. Per-node state stays small (empty
-/// datasets skip local SGD), so 100k+-node fleets are practical; the
-/// E19 `exp_scale` bin drives this to completion at 100k nodes.
-pub fn run_gossip_experiment_at_scale<M, F>(
-    train: &Dataset,
-    test: &Dataset,
-    opts: &ScaleGossipOpts,
-    make_model: F,
-) -> GossipOutcome
-where
-    M: Model,
-    F: Fn() -> M,
-{
-    let holders = opts.data_holders.clamp(1, opts.n_nodes);
-    let shards = train.partition_iid(holders, opts.seed);
-    let stride = (opts.n_nodes / holders).max(1);
-    let mut shard_iter = shards.into_iter();
-    let nodes: Vec<GossipNode<M>> = (0..opts.n_nodes)
+/// The fleet-scale shape, where most user devices contribute
+/// connectivity and only some contribute data: `n_nodes` shards, of which
+/// `holders` (clamped to `1..=n_nodes`) are IID parts of `train` placed
+/// at an even stride across the id space. The rest are empty; their
+/// nodes skip local SGD and only merge and relay, so per-node state stays
+/// small and 100k-node fleets are practical (E19's `exp_scale`).
+pub fn sparse_shards(train: &Dataset, n_nodes: usize, holders: usize, seed: u64) -> Vec<Dataset> {
+    let holders = holders.clamp(1, n_nodes);
+    let stride = (n_nodes / holders).max(1);
+    let mut shards = train.partition_iid(holders, seed).into_iter();
+    (0..n_nodes)
         .map(|id| {
-            let empty = || Dataset::new(Vec::new(), Vec::new());
-            let data = if id % stride == 0 && id / stride < holders {
-                shard_iter.next().unwrap_or_else(empty)
-            } else {
-                empty()
-            };
-            GossipNode::new(make_model(), data, opts.cfg.clone())
+            let holds = id % stride == 0 && id / stride < holders;
+            holds
+                .then(|| shards.next())
+                .flatten()
+                .unwrap_or_else(|| Dataset::new(Vec::new(), Vec::new()))
         })
-        .collect();
-    let mut sim =
-        pds2_net::Simulator::with_scheduler(nodes, opts.link.clone(), opts.seed, opts.scheduler);
-    if let Some(churn) = opts.churn {
-        let trace = churn.trace(opts.seed, opts.n_nodes);
-        sim.install_fault_plan(FaultPlan::new(opts.seed).crashes_from(trace));
-    }
-    let root = pds2_obs::new_trace(
-        "learning",
-        "gossip.scale",
-        pds2_obs::Stamp::Sim(0),
-        vec![
-            ("nodes", pds2_obs::Value::from(opts.n_nodes as u64)),
-            ("holders", pds2_obs::Value::from(holders as u64)),
-        ],
-    );
-    evaluate(sim, root, test, &opts.eval_at_us, opts.eval_sample)
+        .collect()
 }
 
 /// Result of a gossip-learning run.
@@ -560,30 +502,26 @@ mod tests {
     use pds2_ml::model::LogisticRegression;
     use pds2_net::LinkModel;
 
-    fn quick_run(merge: MergeRule, churn: Option<(f64, u64)>) -> GossipOutcome {
+    fn quick_run(merge: MergeRule, faults: FaultPlan) -> GossipOutcome {
         let data = gaussian_blobs(600, 3, 0.7, 1);
         let (train, test) = data.split(0.25, 2);
         let shards = train.partition_iid(10, 3);
-        run_gossip_experiment(
-            shards,
-            &test,
-            GossipConfig {
-                period_us: 100_000,
-                merge,
-                ..Default::default()
-            },
-            LinkModel::instant(),
-            7,
-            &[5_000_000],
-            churn,
-            || LogisticRegression::new(3),
-        )
+        let cfg = GossipConfig {
+            period_us: 100_000,
+            merge,
+            ..Default::default()
+        };
+        let run = GossipRun {
+            faults,
+            ..GossipRun::new(cfg, LinkModel::instant(), 7, &[5_000_000])
+        };
+        run_gossip_experiment(shards, &test, &run, || LogisticRegression::new(3))
     }
 
     #[test]
     fn gossip_converges_on_blobs() {
         let _obs = pds2_obs::test_lock();
-        let out = quick_run(MergeRule::AgeWeighted, None);
+        let out = quick_run(MergeRule::AgeWeighted, FaultPlan::new(7));
         assert!(
             out.accuracy_curve[0] > 0.9,
             "accuracy {:?}",
@@ -600,7 +538,7 @@ mod tests {
             MergeRule::Average,
             MergeRule::Replace,
         ] {
-            let out = quick_run(rule, None);
+            let out = quick_run(rule, FaultPlan::new(7));
             assert!(
                 out.accuracy_curve[0] > 0.8,
                 "{rule:?}: {:?}",
@@ -614,8 +552,11 @@ mod tests {
         let _obs = pds2_obs::test_lock();
         // 30% of nodes fail permanently; the rest still converge —
         // the §III-C robustness claim for coordinator-free aggregation.
-        let out = quick_run(MergeRule::AgeWeighted, Some((0.3, 2_000_000)));
-        assert!(out.online_nodes <= 10);
+        let out = quick_run(
+            MergeRule::AgeWeighted,
+            FaultPlan::new(7).random_failures(10, 0.3, 2_000_000),
+        );
+        assert!(out.online_nodes < 10, "some nodes must fail");
         assert!(
             out.accuracy_curve[0] > 0.85,
             "accuracy under churn {:?}",
@@ -661,20 +602,13 @@ mod tests {
         let data = gaussian_blobs(100, 2, 1.0, 1);
         let shards = data.partition_iid(4, 1);
         let run = |dp| {
-            run_gossip_experiment(
-                shards.clone(),
-                &data,
-                GossipConfig {
-                    period_us: 100_000,
-                    dp,
-                    ..Default::default()
-                },
-                LinkModel::instant(),
-                3,
-                &[1_000_000],
-                None,
-                || LogisticRegression::new(2),
-            )
+            let cfg = GossipConfig {
+                period_us: 100_000,
+                dp,
+                ..Default::default()
+            };
+            let run = GossipRun::new(cfg, LinkModel::instant(), 3, &[1_000_000]);
+            run_gossip_experiment(shards.clone(), &data, &run, || LogisticRegression::new(2))
         };
         let clean = run(None);
         let noisy = run(Some(DpConfig {
@@ -697,20 +631,13 @@ mod tests {
         let (train, test) = data.split(0.25, 2);
         let shards = train.partition_iid(8, 3);
         let run = |protocol| {
-            run_gossip_experiment(
-                shards.clone(),
-                &test,
-                GossipConfig {
-                    period_us: 200_000,
-                    protocol,
-                    ..Default::default()
-                },
-                LinkModel::instant(),
-                7,
-                &[2_000_000],
-                None,
-                || LogisticRegression::new(3),
-            )
+            let cfg = GossipConfig {
+                period_us: 200_000,
+                protocol,
+                ..Default::default()
+            };
+            let run = GossipRun::new(cfg, LinkModel::instant(), 7, &[2_000_000]);
+            run_gossip_experiment(shards.clone(), &test, &run, || LogisticRegression::new(3))
         };
         let push = run(GossipProtocol::Push);
         let push_pull = run(GossipProtocol::PushPull);
@@ -830,29 +757,27 @@ mod tests {
         // digest is identical under both schedulers.
         let data = gaussian_blobs(600, 3, 0.7, 1);
         let (train, test) = data.split(0.25, 2);
+        let churn = pds2_net::ChurnModel {
+            horizon_us: 4_000_000,
+            mean_uptime_us: 2_000_000,
+            mean_downtime_us: 500_000,
+            churn_fraction_x1024: 100, // ~10% of nodes churn
+        };
         let run = |scheduler| {
-            let opts = ScaleGossipOpts {
-                n_nodes: 600,
-                data_holders: 12,
+            let cfg = GossipConfig {
+                period_us: 400_000,
+                ..Default::default()
+            };
+            let link = pds2_net::LinkModel::regional(pds2_net::Topology::five_continents(11));
+            let run = GossipRun {
                 eval_sample: 40,
-                seed: 11,
-                eval_at_us: vec![4_000_000],
-                cfg: GossipConfig {
-                    period_us: 400_000,
-                    ..Default::default()
-                },
-                link: pds2_net::LinkModel::regional(pds2_net::Topology::five_continents(11)),
-                churn: Some(pds2_net::ChurnModel {
-                    horizon_us: 4_000_000,
-                    mean_uptime_us: 2_000_000,
-                    mean_downtime_us: 500_000,
-                    churn_fraction_x1024: 100, // ~10% of nodes churn
-                }),
+                faults: FaultPlan::new(11).churn(&churn, 600),
                 scheduler,
+                ..GossipRun::new(cfg, link, 11, &[4_000_000])
             };
             let cap = pds2_obs::capture(pds2_obs::SinkKind::Null);
-            let out =
-                run_gossip_experiment_at_scale(&train, &test, &opts, || LogisticRegression::new(3));
+            let shards = sparse_shards(&train, 600, 12, 11);
+            let out = run_gossip_experiment(shards, &test, &run, || LogisticRegression::new(3));
             (cap.finish().digest, out)
         };
         let (wheel_digest, wheel) = run(pds2_net::SchedulerKind::Wheel);
@@ -879,21 +804,15 @@ mod tests {
             pds2_net::LinkScope::any(),
             pds2_net::LinkEffect::Corrupt { probability: 0.3 },
         );
-        let out = run_gossip_experiment_with_faults(
-            shards,
-            &test,
-            GossipConfig {
-                period_us: 100_000,
-                ..Default::default()
-            },
-            LinkModel::instant(),
-            7,
-            &[5_000_000],
-            None,
-            Some(plan),
-            SchedulerKind::Wheel,
-            || LogisticRegression::new(3),
-        );
+        let cfg = GossipConfig {
+            period_us: 100_000,
+            ..Default::default()
+        };
+        let run = GossipRun {
+            faults: plan,
+            ..GossipRun::new(cfg, LinkModel::instant(), 7, &[5_000_000])
+        };
+        let out = run_gossip_experiment(shards, &test, &run, || LogisticRegression::new(3));
         assert!(out.corrupted_dropped > 0, "corruption must be observed");
         // Learning still converges because corrupt models are never merged.
         assert!(

@@ -23,4 +23,6 @@ pub mod gossip;
 pub use attack::{loss_threshold_attack, AttackResult};
 pub use dp::PrivacyAccountant;
 pub use federated::{run_fedavg, FedConfig, FedOutcome};
-pub use gossip::{run_gossip_experiment, GossipConfig, GossipNode, GossipOutcome, MergeRule};
+pub use gossip::{
+    run_gossip_experiment, GossipConfig, GossipNode, GossipOutcome, GossipRun, MergeRule,
+};

@@ -20,10 +20,11 @@
 //!   at send time: silent drop, in-flight corruption (via
 //!   [`Node::corrupt_msg`]), duplication, or reordering far beyond
 //!   ordinary jitter.
-//! * **Crash** — unlike the benign churn of
-//!   [`Simulator::schedule_outage`], a crash invokes
+//! * **Crash** — the one way a node goes offline: a crash invokes
 //!   [`Node::on_crash`] (volatile state is lost) and a recovery invokes
 //!   [`Node::on_recover`] so the protocol can re-arm timers and resync.
+//!   Churn is crashes too: [`FaultPlan::random_failures`] draws permanent
+//!   failures and [`FaultPlan::churn`] compiles up/down sessions.
 //! * **Typed drop** — drops messages whose [`Node::msg_kind`] matches,
 //!   modelling an adversary that censors e.g. catch-up responses.
 //!
@@ -31,9 +32,9 @@
 //! [`Node::on_crash`]: crate::Node::on_crash
 //! [`Node::on_recover`]: crate::Node::on_recover
 //! [`Node::msg_kind`]: crate::Node::msg_kind
-//! [`Simulator::schedule_outage`]: crate::Simulator::schedule_outage
 
 use crate::sim::{NodeId, SimTime};
+use crate::topology::ChurnModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -237,10 +238,30 @@ impl FaultPlan {
         self
     }
 
-    /// Appends a pre-compiled crash schedule — typically a generated
-    /// churn trace from [`crate::topology::ChurnModel::trace`].
-    pub fn crashes_from(mut self, specs: Vec<CrashSpec>) -> Self {
-        self.crashes.extend(specs);
+    /// Crashes each of nodes `0..n_nodes` for good with probability
+    /// `probability`, at an instant uniform in `[0, horizon_us)`. The draws
+    /// come from the plan's seed, so the protocol RNG stream does not see
+    /// them.
+    pub fn random_failures(
+        mut self,
+        n_nodes: usize,
+        probability: f64,
+        horizon_us: SimTime,
+    ) -> Self {
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xFA11_0DEA_D5EE_D000);
+        for node in 0..n_nodes {
+            if rng.random::<f64>() < probability {
+                let at = rng.random_range(0..horizon_us.max(1));
+                self = self.crash(node, at, None);
+            }
+        }
+        self
+    }
+
+    /// Adds the up/down sessions `model` generates for an `n_nodes` fleet
+    /// under the plan's seed: each session is a crash and its recovery.
+    pub fn churn(mut self, model: &ChurnModel, n_nodes: usize) -> Self {
+        self.crashes.extend(model.trace(self.seed, n_nodes));
         self
     }
 
@@ -321,6 +342,15 @@ impl FaultState {
         // installing a plan never perturbs protocol randomness.
         let rng = StdRng::seed_from_u64(plan.seed ^ 0xFA01_7C4A_0511_77ED);
         FaultState { plan, rng }
+    }
+
+    /// Adds `plan`'s faults to the installed ones. Fault randomness keeps
+    /// drawing from the first plan's stream.
+    pub(crate) fn extend(&mut self, plan: FaultPlan) {
+        self.plan.partitions.extend(plan.partitions);
+        self.plan.link_faults.extend(plan.link_faults);
+        self.plan.crashes.extend(plan.crashes);
+        self.plan.typed_drops.extend(plan.typed_drops);
     }
 
     pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
@@ -462,6 +492,25 @@ mod tests {
         let verdicts = run(&plan);
         assert!(verdicts.contains(&SendVerdict::Deliver));
         assert!(verdicts.contains(&SendVerdict::DropFault));
+    }
+
+    #[test]
+    fn random_failures_are_seeded_permanent_and_in_the_horizon() {
+        let plan = |seed| FaultPlan::new(seed).random_failures(1_000, 0.3, 5_000);
+        let a = plan(3);
+        assert_eq!(a.crashes, plan(3).crashes, "same seed, same failures");
+        assert_ne!(a.crashes, plan(4).crashes);
+        assert!((240..360).contains(&a.crashes.len()), "{}", a.crashes.len());
+        let mut nodes: Vec<NodeId> = a.crashes.iter().map(|c| c.node).collect();
+        nodes.dedup();
+        assert_eq!(nodes.len(), a.crashes.len(), "each node fails at most once");
+        for c in &a.crashes {
+            assert!(c.at < 5_000 && c.recover_at.is_none(), "{c:?}");
+        }
+        assert!(FaultPlan::new(3)
+            .random_failures(100, 0.0, 5_000)
+            .crashes
+            .is_empty());
     }
 
     #[test]

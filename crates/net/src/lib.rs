@@ -4,7 +4,7 @@
 //! the decentralized-learning experiments (E5/E6). Protocols implement the
 //! [`Node`] trait; the [`Simulator`] owns the virtual clock, delivers
 //! messages through a configurable [`LinkModel`] (latency, bandwidth,
-//! jitter, loss, per-node slowdown) and injects churn.
+//! jitter, loss, per-node slowdown).
 //!
 //! Everything is seeded: the same seed reproduces the same event trace,
 //! which the integration tests assert.
@@ -12,7 +12,8 @@
 //! Chaos engineering: [`fault::FaultPlan`] compiles seeded fault
 //! schedules — partitions, byzantine links, crash-recovery, typed
 //! censorship — into the same event queue, replaying bit-identically
-//! from the seed.
+//! from the seed. It is the one fault model: every outage, churn
+//! included, is one of its crashes.
 
 //! Scale: the event queue is a hierarchical timing wheel
 //! ([`sched::TimingWheel`], with the original heap retained as a

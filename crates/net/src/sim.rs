@@ -150,10 +150,6 @@ enum EventKind<M> {
         node: NodeId,
         tag: u64,
     },
-    SetOnline {
-        node: NodeId,
-        online: bool,
-    },
     Crash {
         node: NodeId,
     },
@@ -350,61 +346,29 @@ impl<N: Node> Simulator<N> {
     }
 
     /// Number of currently online nodes (O(1): the count is maintained
-    /// on every `SetOnline`/`Crash`/`Recover` transition).
+    /// on every `Crash`/`Recover` transition).
     pub fn online_count(&self) -> usize {
         self.online.count()
     }
 
-    /// Schedules a node to go offline at `at` and return at `until`
-    /// (`until = SimTime::MAX` for a permanent failure).
-    pub fn schedule_outage(&mut self, node: NodeId, at: SimTime, until: SimTime) {
-        self.push(
-            at,
-            EventKind::SetOnline {
-                node,
-                online: false,
-            },
-        );
-        if until != SimTime::MAX {
-            self.push(until, EventKind::SetOnline { node, online: true });
-        }
-    }
-
-    /// Schedules random outages: each node independently fails with
-    /// probability `fail_prob` at a uniform time within `[0, horizon_us)`,
-    /// staying down for `downtime_us` (or forever if `downtime_us == 0`).
-    pub fn schedule_random_churn(
-        &mut self,
-        fail_prob: f64,
-        horizon_us: SimTime,
-        downtime_us: SimTime,
-    ) {
-        for node in 0..self.nodes.len() {
-            if self.rng.random::<f64>() < fail_prob {
-                let at = self.rng.random_range(0..horizon_us.max(1));
-                let until = if downtime_us == 0 {
-                    SimTime::MAX
-                } else {
-                    at + downtime_us
-                };
-                self.schedule_outage(node, at, until);
-            }
-        }
-    }
-
     /// Installs a seeded [`FaultPlan`]: schedules its crash/recovery
     /// events and arms partitions, byzantine links and typed drops for
-    /// every subsequent send. Fault randomness comes from the plan's own
-    /// seed, so the protocol RNG stream is unchanged by installing a
-    /// plan. Call before [`Simulator::start`].
+    /// every subsequent send. A crash is the only way a node goes
+    /// offline. Fault randomness comes from the plan's own seed, so the
+    /// protocol RNG stream is unchanged by installing a plan. A second
+    /// plan adds its faults to the first's (a crash it dates behind the
+    /// clock fires on the next event) and keeps the first's fault RNG.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        for crash in plan.crashes.clone() {
+        for crash in &plan.crashes {
             self.push(crash.at, EventKind::Crash { node: crash.node });
             if let Some(recover_at) = crash.recover_at {
                 self.push(recover_at, EventKind::Recover { node: crash.node });
             }
         }
-        self.fault = Some(FaultState::new(plan));
+        match &mut self.fault {
+            Some(state) => state.extend(plan),
+            None => self.fault = Some(FaultState::new(plan)),
+        }
     }
 
     fn push(&mut self, time: SimTime, kind: EventKind<N::Msg>) {
@@ -589,12 +553,9 @@ impl<N: Node> Simulator<N> {
             self.now = time;
             processed += 1;
             match kind {
-                EventKind::SetOnline { node, online } => {
-                    self.online.set(node, online);
-                }
                 EventKind::Timer { node, tag } => {
-                    // Timers on offline nodes are counted and skipped;
-                    // protocols re-arm on their own schedule.
+                    // Timers on crashed nodes are counted and skipped;
+                    // protocols re-arm in `on_recover`.
                     self.stats.timers_fired += 1;
                     if self.online.get(node) {
                         self.call_node(node, self.root_ctx, |n, ctx| n.on_timer(ctx, tag));
@@ -775,7 +736,7 @@ mod tests {
     fn offline_nodes_drop_messages() {
         let _obs = pds2_obs::test_lock();
         let mut sim = Simulator::new(ring(3), LinkModel::instant(), 1);
-        sim.schedule_outage(1, 0, SimTime::MAX);
+        sim.install_fault_plan(FaultPlan::new(1).crash(1, 0, None));
         sim.run_until(1_000_000);
         // Node 0 sends to 1 which is down: chain stops immediately.
         assert_eq!(sim.stats().dropped_offline, 1);
@@ -787,7 +748,7 @@ mod tests {
     fn outage_with_recovery() {
         let _obs = pds2_obs::test_lock();
         let mut sim = Simulator::new(ring(2), LinkModel::instant(), 1);
-        sim.schedule_outage(1, 0, 500);
+        sim.install_fault_plan(FaultPlan::new(1).crash(1, 0, Some(500)));
         sim.run_until(400);
         assert!(!sim.is_online(1));
         sim.run_until(1_000);
@@ -948,6 +909,21 @@ mod tests {
         assert_eq!(sim.node(1).recoveries, 1);
         // The recovered node re-armed its broadcast timer and caught up.
         assert!(sim.node(1).highest > 0);
+    }
+
+    #[test]
+    fn every_offline_node_is_a_plan_crash() {
+        let _obs = pds2_obs::test_lock();
+        let mut sim = flood_sim(24, 6);
+        sim.install_fault_plan(FaultPlan::new(6).random_failures(24, 0.3, 8_000));
+        for t in (1..=10).map(|k| k * 1_000) {
+            sim.run_until(t);
+            let offline = (0..24).filter(|&id| !sim.is_online(id)).count();
+            assert_eq!(offline as u64, sim.stats().crashes, "at {t} us");
+            assert_eq!(sim.online_count(), 24 - offline);
+        }
+        assert!(sim.stats().crashes > 0);
+        assert_eq!(sim.stats().recoveries, 0, "random failures are permanent");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! sessions, arrival jitter) is a couple of integer hashes away. Two
 //! simulators built from the same `(seed, matrix)` agree on every
 //! attribute without exchanging any state, which keeps the wheel-vs-heap
-//! and thread-invariance differential checks cheap at any scale.
+//! differential checks cheap at any scale.
 //!
 //! All derived quantities use integer arithmetic only (fixed-point in
 //! 1/1024ths where fractions are needed), so delivery times are
@@ -145,8 +145,9 @@ impl Topology {
 }
 
 /// A mobile-churn generator: a hash-selected fraction of the fleet
-/// alternates up/down sessions with hash-jittered durations, compiled
-/// into the [`CrashSpec`] list the fault plan already understands.
+/// alternates up/down sessions with hash-jittered durations. A session
+/// is a crash and its recovery; [`crate::fault::FaultPlan::churn`] adds
+/// them to a plan.
 #[derive(Clone, Copy, Debug)]
 pub struct ChurnModel {
     /// Sessions are generated up to this horizon (µs).
@@ -162,9 +163,8 @@ pub struct ChurnModel {
 
 impl ChurnModel {
     /// Compiles the churn trace for an `n_nodes` fleet under `seed`.
-    /// Deterministic in `(seed, model, n_nodes)`; feed the result to
-    /// [`crate::fault::FaultPlan::crashes_from`].
-    pub fn trace(&self, seed: u64, n_nodes: usize) -> Vec<CrashSpec> {
+    /// Deterministic in `(seed, model, n_nodes)`.
+    pub(crate) fn trace(&self, seed: u64, n_nodes: usize) -> Vec<CrashSpec> {
         let mut out = Vec::new();
         let jitter = |h: u64, mean: SimTime| mean / 2 + h % mean.max(1);
         for node in 0..n_nodes {

@@ -2,7 +2,7 @@
 //! binary-heap oracle.
 //!
 //! Both schedulers promise strict `(time, seq)` dispatch order, so any
-//! workload — random sends, timers, outages scheduled behind the clock,
+//! workload — random sends, timers, crashes installed behind the clock,
 //! fault plans, segmented deadlines — must produce bit-identical trace
 //! digests, `NetStats` and final clocks whichever scheduler runs it.
 //! Every test takes `pds2_obs::test_lock()`: the collector is
@@ -81,8 +81,8 @@ struct RunFingerprint {
 }
 
 /// Runs the chatter workload under the given scheduler. `segments`
-/// splits the horizon into that many `run_until` calls, with outages
-/// scheduled *between* segments — after the clock has advanced — so the
+/// splits the horizon into that many `run_until` calls, with a crash
+/// installed *between* segments — after the clock has advanced — so the
 /// wheel's past-event overflow path is exercised exactly like the
 /// heap's.
 fn run(
@@ -136,10 +136,11 @@ fn run(
     let mut processed = 0;
     for s in 1..=segments {
         processed += sim.run_until(horizon_us * s / segments);
-        // Schedule an outage behind the advanced clock: the heap fires
-        // it on the next pop, so the wheel must as well.
+        // Install a crash dated behind the advanced clock: the heap
+        // fires it on the next pop, so the wheel must as well.
         if s == 1 && sim.now() > 100 {
-            sim.schedule_outage(0, sim.now() - 100, sim.now() + horizon_us / 8);
+            let back = Some(sim.now() + horizon_us / 8);
+            sim.install_fault_plan(FaultPlan::new(seed).crash(0, sim.now() - 100, back));
         }
     }
     processed += sim.run_until(horizon_us);

@@ -5,10 +5,10 @@
 //! Run with: `cargo run --release --example gossip_vs_federated`
 
 use pds2::learning::federated::{run_fedavg, FedConfig};
-use pds2::learning::gossip::{run_gossip_experiment, GossipConfig, MergeRule};
+use pds2::learning::gossip::{run_gossip_experiment, GossipConfig, GossipRun, MergeRule};
 use pds2::ml::data::gaussian_blobs;
 use pds2::ml::model::LogisticRegression;
-use pds2::net::LinkModel;
+use pds2::net::{FaultPlan, LinkModel};
 
 fn main() {
     let n_nodes = 20;
@@ -25,20 +25,15 @@ fn main() {
 
     for (label, shards) in [("IID", &shards_iid), ("non-IID", &shards_skew)] {
         // Gossip learning: fully decentralized.
-        let gossip = run_gossip_experiment(
-            shards.clone(),
-            &test,
-            GossipConfig {
-                period_us: 500_000,
-                merge: MergeRule::AgeWeighted,
-                ..Default::default()
-            },
-            LinkModel::default(),
-            7,
-            &[30_000_000], // 30 simulated seconds
-            None,
-            || LogisticRegression::new(5),
-        );
+        let cfg = GossipConfig {
+            period_us: 500_000,
+            merge: MergeRule::AgeWeighted,
+            ..Default::default()
+        };
+        // 30 simulated seconds.
+        let run = GossipRun::new(cfg, LinkModel::default(), 7, &[30_000_000]);
+        let gossip =
+            run_gossip_experiment(shards.clone(), &test, &run, || LogisticRegression::new(5));
 
         // FedAvg: same communication budget, central coordinator.
         let fed = run_fedavg(
@@ -69,19 +64,17 @@ fn main() {
     }
 
     // Churn: 30% of nodes die permanently partway through.
-    let gossip_churn = run_gossip_experiment(
-        shards_iid.clone(),
-        &test,
-        GossipConfig {
-            period_us: 500_000,
-            ..Default::default()
-        },
-        LinkModel::default(),
-        7,
-        &[30_000_000],
-        Some((0.3, 15_000_000)),
-        || LogisticRegression::new(5),
-    );
+    let cfg = GossipConfig {
+        period_us: 500_000,
+        ..Default::default()
+    };
+    let run = GossipRun {
+        faults: FaultPlan::new(7).random_failures(n_nodes, 0.3, 15_000_000),
+        ..GossipRun::new(cfg, LinkModel::default(), 7, &[30_000_000])
+    };
+    let gossip_churn = run_gossip_experiment(shards_iid.clone(), &test, &run, || {
+        LogisticRegression::new(5)
+    });
     println!("== 30% permanent churn ==");
     println!(
         "gossip survives: accuracy {:.3} with {} nodes left",

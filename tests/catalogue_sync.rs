@@ -227,3 +227,32 @@ fn blockchain_surface_does_not_grow() {
          {BLOCKCHAIN_PUB_FNS}: retire an entry point for each one added"
     );
 }
+
+/// A replica fleet is built in one place, `pds2_bench::fleet`: a scenario
+/// differs from another in its fault plan, its seed and the fields of
+/// `Fleet` it sets, never in a genesis, a link or a replica constructor
+/// of its own. So outside `crates/chain/src/sync.rs` (the type and its
+/// unit tests) and `crates/bench/src/fleet.rs`, no source under
+/// `crates/*/src`, `tests/` or `examples/` constructs a `ChainReplica`.
+#[test]
+fn replica_fleets_are_built_in_one_place() {
+    let mut files = crate_sources();
+    rust_sources(&repo_root().join("tests"), &mut files);
+    rust_sources(&repo_root().join("examples"), &mut files);
+    let allowed = ["crates/chain/src/sync.rs", "crates/bench/src/fleet.rs"];
+    // Split so that this file does not match itself.
+    let needle = concat!("ChainReplica", "::new");
+    let builders: Vec<PathBuf> = files
+        .into_iter()
+        .filter(|file| !allowed.iter().any(|a| file.ends_with(a)))
+        .filter(|file| {
+            let body = std::fs::read_to_string(file).unwrap_or_default();
+            body.contains(needle)
+        })
+        .collect();
+    assert!(
+        builders.is_empty(),
+        "these sources build chain replicas; take a fleet from \
+         `pds2_bench::fleet::Fleet` instead: {builders:?}"
+    );
+}

@@ -10,13 +10,12 @@
 //! and on the binary-heap oracle, with the same assertions and the same
 //! pinned fixture lines.
 
+use pds2_bench::fleet::{Fleet, N_REPLICAS};
 use pds2_chain::address::Address;
-use pds2_chain::chain::{Blockchain, ChainConfig};
-use pds2_chain::contract::ContractRegistry;
-use pds2_chain::sync::{kind, ChainReplica, GenesisFactory};
+use pds2_chain::sync::{kind, ChainReplica};
 use pds2_chain::tx::{Transaction, TxKind};
 use pds2_crypto::{Digest, KeyPair};
-use pds2_learning::gossip::{run_gossip_experiment_with_faults, GossipConfig};
+use pds2_learning::gossip::{run_gossip_experiment, GossipConfig, GossipRun};
 use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
 use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, NetStats, SchedulerKind, Simulator};
@@ -24,8 +23,6 @@ use pds2_obs as obs;
 use std::sync::Arc;
 
 mod common;
-
-const N_REPLICAS: usize = 4;
 
 /// Runs `scenario` on the timing wheel, then on the binary-heap oracle,
 /// holding [`obs::test_lock`] throughout (counters and captures are
@@ -36,30 +33,6 @@ fn on_both_schedulers(scenario: impl Fn(SchedulerKind)) {
     for sched in [SchedulerKind::Wheel, SchedulerKind::Heap] {
         eprintln!("scheduler: {sched:?}");
         scenario(sched);
-    }
-}
-
-fn factory() -> GenesisFactory {
-    Arc::new(|| {
-        Blockchain::new(
-            (0..N_REPLICAS as u64)
-                .map(|i| KeyPair::from_seed(9_000 + i))
-                .collect(),
-            &[(Address::of(&KeyPair::from_seed(1).public), 1_000_000)],
-            ContractRegistry::new(),
-            ChainConfig::default(),
-        )
-    })
-}
-
-fn fast_link() -> LinkModel {
-    LinkModel {
-        base_latency_us: 5_000,
-        jitter_us: 2_000,
-        bandwidth_bytes_per_sec: 12_500_000,
-        drop_probability: 0.0,
-        node_slowdown: Vec::new(),
-        topology: None,
     }
 }
 
@@ -94,18 +67,17 @@ impl ChainRun {
     }
 }
 
-/// `N_REPLICAS` volatile replicas of [`factory`]'s chain on `sched`.
-fn replica_sim(sched: SchedulerKind, seed: u64) -> Simulator<ChainReplica> {
-    let f = factory();
-    let replicas: Vec<ChainReplica> = (0..N_REPLICAS)
-        .map(|i| ChainReplica::new(f.clone(), Some(i), 200_000, 150_000))
-        .collect();
-    Simulator::with_scheduler(replicas, fast_link(), seed, sched)
+/// The LAN fleet on `sched`, driven from `seed` under `plan`.
+fn replica_sim(sched: SchedulerKind, seed: u64, plan: FaultPlan) -> Simulator<ChainReplica> {
+    let fleet = Fleet {
+        scheduler: sched,
+        ..Fleet::lan()
+    };
+    fleet.build(seed, plan)
 }
 
 fn run_chain(sched: SchedulerKind, seed: u64, plan: FaultPlan, until_us: u64) -> ChainRun {
-    let mut sim = replica_sim(sched, seed);
-    sim.install_fault_plan(plan);
+    let mut sim = replica_sim(sched, seed, plan);
     let cap = obs::capture(obs::SinkKind::Null);
     sim.run_until(until_us);
     ChainRun::of(&sim, cap.finish().digest)
@@ -311,7 +283,7 @@ fn reorg_plan() -> FaultPlan {
 /// [`replica_sim`] with the contested transfer seeded into replica 1's
 /// mempool only, so it rides the block [`reorg_plan`] orphans.
 fn reorg_sim(sched: SchedulerKind) -> Simulator<ChainReplica> {
-    let mut sim = replica_sim(sched, 0xF02C);
+    let mut sim = replica_sim(sched, 0xF02C, reorg_plan());
     let alice = KeyPair::from_seed(1);
     let tx = Transaction {
         from: alice.public.clone(),
@@ -329,7 +301,6 @@ fn reorg_sim(sched: SchedulerKind) -> Simulator<ChainReplica> {
         .chain_mut()
         .submit(tx)
         .expect("seed transfer");
-    sim.install_fault_plan(reorg_plan());
     sim
 }
 
@@ -419,18 +390,13 @@ fn run_persistent_crash(
     persistent: bool,
 ) -> PersistRun {
     use pds2_storage::chainlog::ChainLog;
-    let f = factory();
     let store = Arc::new(parking_lot::Mutex::new(ChainLog::new()));
-    let replicas: Vec<ChainReplica> = (0..N_REPLICAS)
-        .map(|i| {
-            if persistent && i == 2 {
-                ChainReplica::new_persistent(f.clone(), Some(i), 200_000, 150_000, store.clone(), 4)
-            } else {
-                ChainReplica::new(f.clone(), Some(i), 200_000, 150_000)
-            }
-        })
-        .collect();
-    let mut sim = Simulator::with_scheduler(replicas, fast_link(), seed, sched);
+    let fleet = Fleet {
+        scheduler: sched,
+        journaled: persistent.then_some((2, store)),
+        ..Fleet::lan()
+    };
+    let mut sim = fleet.build(seed, plan);
     // A nonce-gapped transfer seeded only into replica 2's mempool: the
     // gap (nonce 1 with state nonce 0) keeps it pending forever, so
     // whether it survives the crash depends entirely on the journal.
@@ -451,7 +417,6 @@ fn run_persistent_crash(
         .chain_mut()
         .submit(tx)
         .expect("seed pending tx");
-    sim.install_fault_plan(plan);
     let cap = obs::capture(obs::SinkKind::Null);
     sim.run_until(until_us);
     PersistRun {
@@ -568,21 +533,16 @@ fn gossip_partition_heals_and_accuracy_recovers() {
                 4_000_000,
                 vec![(0..5).collect(), (5..10).collect()],
             );
-            let out = run_gossip_experiment_with_faults(
-                shards,
-                &test,
-                GossipConfig {
-                    period_us: 100_000,
-                    ..Default::default()
-                },
-                LinkModel::instant(),
-                7,
-                &[3_000_000, 10_000_000],
-                None,
-                Some(plan),
-                sched,
-                || LogisticRegression::new(3),
-            );
+            let cfg = GossipConfig {
+                period_us: 100_000,
+                ..Default::default()
+            };
+            let run = GossipRun {
+                faults: plan,
+                scheduler: sched,
+                ..GossipRun::new(cfg, LinkModel::instant(), 7, &[3_000_000, 10_000_000])
+            };
+            let out = run_gossip_experiment(shards, &test, &run, || LogisticRegression::new(3));
             (cap.finish().digest, out)
         };
         let before = obs::snapshot();

@@ -424,38 +424,35 @@ proptest! {
 /// rerun and under either scheduler.
 #[test]
 fn scheduler_and_thread_count_never_change_gossip_results() {
-    use pds2::learning::gossip::{run_gossip_experiment_at_scale, GossipConfig, ScaleGossipOpts};
+    use pds2::learning::gossip::{run_gossip_experiment, sparse_shards, GossipConfig, GossipRun};
     use pds2::ml::model::LogisticRegression;
-    use pds2::net::{ChurnModel, LinkModel, SchedulerKind, Topology};
+    use pds2::net::{ChurnModel, FaultPlan, LinkModel, SchedulerKind, Topology};
 
     let _obs = pds2_obs::test_lock();
     let data = pds2::ml::data::gaussian_blobs(400, 3, 0.7, 1);
     let (train, test) = data.split(0.25, 2);
+    let churn = ChurnModel {
+        horizon_us: 3_000_000,
+        mean_uptime_us: 1_500_000,
+        mean_downtime_us: 400_000,
+        churn_fraction_x1024: 128,
+    };
     let run = |scheduler| {
-        let opts = ScaleGossipOpts {
-            n_nodes: 300,
-            data_holders: 10,
+        let cfg = GossipConfig {
+            period_us: 300_000,
+            ..Default::default()
+        };
+        let link =
+            LinkModel::regional(Topology::five_continents(21).with_slowdown_spread(1024, 4096));
+        let run = GossipRun {
             eval_sample: 25,
-            seed: 21,
-            eval_at_us: vec![1_500_000, 3_000_000],
-            cfg: GossipConfig {
-                period_us: 300_000,
-                ..Default::default()
-            },
-            link: LinkModel::regional(
-                Topology::five_continents(21).with_slowdown_spread(1024, 4096),
-            ),
-            churn: Some(ChurnModel {
-                horizon_us: 3_000_000,
-                mean_uptime_us: 1_500_000,
-                mean_downtime_us: 400_000,
-                churn_fraction_x1024: 128,
-            }),
+            faults: FaultPlan::new(21).churn(&churn, 300),
             scheduler,
+            ..GossipRun::new(cfg, link, 21, &[1_500_000, 3_000_000])
         };
         let cap = pds2_obs::capture(pds2_obs::SinkKind::Null);
-        let out =
-            run_gossip_experiment_at_scale(&train, &test, &opts, || LogisticRegression::new(3));
+        let shards = sparse_shards(&train, 300, 10, 21);
+        let out = run_gossip_experiment(shards, &test, &run, || LogisticRegression::new(3));
         (
             cap.finish().digest,
             out.models_transferred,

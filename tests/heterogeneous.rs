@@ -5,7 +5,7 @@
 //! bandwidth is tight — the protocol must still converge, and slow nodes
 //! must not stall fast ones (no synchronization barrier exists).
 
-use pds2::learning::gossip::{run_gossip_experiment, GossipConfig, MergeRule};
+use pds2::learning::gossip::{run_gossip_experiment, GossipConfig, GossipRun, MergeRule};
 use pds2::ml::data::gaussian_blobs;
 use pds2::ml::model::LogisticRegression;
 use pds2::net::{LinkModel, NetStats, Node, NodeId, Simulator};
@@ -32,15 +32,16 @@ fn gossip_converges_on_heterogeneous_lossy_network() {
     let out = run_gossip_experiment(
         shards,
         &test,
-        GossipConfig {
-            period_us: 500_000,
-            merge: MergeRule::AgeWeighted,
-            ..Default::default()
-        },
-        link,
-        7,
-        &[40_000_000],
-        None,
+        &GossipRun::new(
+            GossipConfig {
+                period_us: 500_000,
+                merge: MergeRule::AgeWeighted,
+                ..Default::default()
+            },
+            link,
+            7,
+            &[40_000_000],
+        ),
         || LogisticRegression::new(4),
     );
     assert!(
@@ -117,14 +118,15 @@ fn bandwidth_constrains_large_models() {
     let out = run_gossip_experiment(
         shards,
         &test,
-        GossipConfig {
-            period_us: 200_000,
-            ..Default::default()
-        },
-        tight,
-        8,
-        &[20_000_000],
-        None,
+        &GossipRun::new(
+            GossipConfig {
+                period_us: 200_000,
+                ..Default::default()
+            },
+            tight,
+            8,
+            &[20_000_000],
+        ),
         || LogisticRegression::new(4),
     );
     // 5 params * 8B + 16B header = 56B per model, ~5.6ms serialization on

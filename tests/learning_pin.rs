@@ -11,7 +11,9 @@
 
 use pds2::learning::dp::{gaussian_mechanism_vec, gaussian_sigma};
 use pds2::learning::federated::{run_fedavg, FedConfig};
-use pds2::learning::gossip::{run_gossip_experiment, DpConfig, GossipConfig, GossipNode};
+use pds2::learning::gossip::{
+    run_gossip_experiment, DpConfig, GossipConfig, GossipNode, GossipRun,
+};
 use pds2::ml::data::{gaussian_blobs, noisy_linear, Dataset};
 use pds2::ml::model::{LogisticRegression, Model};
 use pds2::ml::sgd::{train, SgdConfig};
@@ -79,11 +81,12 @@ fn dp_gossip_run_is_pinned() {
     let out = run_gossip_experiment(
         shards.clone(),
         &eval,
-        cfg.clone(),
-        LinkModel::instant(),
-        11,
-        &[300_000, 1_000_000, 20_000_000],
-        None,
+        &GossipRun::new(
+            cfg.clone(),
+            LinkModel::instant(),
+            11,
+            &[300_000, 1_000_000, 20_000_000],
+        ),
         || LogisticRegression::new(16),
     );
     assert_eq!(

@@ -11,66 +11,23 @@ use pds2::market::marketplace::{Marketplace, StorageChoice};
 use pds2::market::workload::{RewardScheme, TaskKind, WorkloadSpec};
 use pds2::storage::semantic::{MetaValue, Metadata, Requirement};
 use pds2::tee::measurement::EnclaveCode;
+use pds2_bench::fleet::Fleet;
 use pds2_bench::trace_scenario;
 use pds2_chain::address::Address;
 use pds2_chain::chain::{Blockchain, ChainConfig};
 use pds2_chain::contract::ContractRegistry;
-use pds2_chain::sync::{ChainReplica, GenesisFactory};
 use pds2_chain::tx::{Transaction, TxKind};
 use pds2_crypto::sha256::{sha256, Sha256};
 use pds2_crypto::{Digest, KeyPair};
-use pds2_learning::gossip::{run_gossip_experiment_with_faults, GossipConfig};
+use pds2_learning::gossip::{run_gossip_experiment, GossipConfig, GossipRun};
 use pds2_ml::data::gaussian_blobs;
 use pds2_ml::model::LogisticRegression;
-use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope, SchedulerKind, Simulator};
+use pds2_net::{FaultPlan, LinkEffect, LinkModel, LinkScope};
 use pds2_obs as obs;
 use pds2_obs::jsonl::RawEvent;
 use pds2_obs::report::TraceAnalysis;
-use std::sync::Arc;
 
 mod common;
-
-const N_REPLICAS: usize = 4;
-
-fn factory() -> GenesisFactory {
-    Arc::new(|| {
-        Blockchain::new(
-            (0..N_REPLICAS as u64)
-                .map(|i| KeyPair::from_seed(9_000 + i))
-                .collect(),
-            &[(Address::of(&KeyPair::from_seed(1).public), 1_000_000)],
-            ContractRegistry::new(),
-            ChainConfig::default(),
-        )
-    })
-}
-
-fn fast_link() -> LinkModel {
-    LinkModel {
-        base_latency_us: 5_000,
-        jitter_us: 2_000,
-        bandwidth_bytes_per_sec: 12_500_000,
-        drop_probability: 0.0,
-        node_slowdown: Vec::new(),
-        topology: None,
-    }
-}
-
-/// `n` replicas of `f`'s chain on `link` under `plan`, not yet started.
-fn replica_sim(
-    f: GenesisFactory,
-    n: usize,
-    link: LinkModel,
-    plan: FaultPlan,
-    seed: u64,
-) -> Simulator<ChainReplica> {
-    let replicas: Vec<ChainReplica> = (0..n)
-        .map(|i| ChainReplica::new(f.clone(), Some(i), 200_000, 150_000))
-        .collect();
-    let mut sim = Simulator::new(replicas, link, seed);
-    sim.install_fault_plan(plan);
-    sim
-}
 
 fn chaos_plan() -> FaultPlan {
     FaultPlan::new(0x0B5)
@@ -85,8 +42,7 @@ fn chaos_plan() -> FaultPlan {
 }
 
 fn chaos_chain_run(seed: u64, until_us: u64) -> pds2_net::NetStats {
-    let f = factory();
-    let mut sim = replica_sim(f, N_REPLICAS, fast_link(), chaos_plan(), seed);
+    let mut sim = Fleet::lan().build(seed, chaos_plan());
     sim.run_until(until_us);
     sim.stats()
 }
@@ -237,10 +193,9 @@ fn chain_counters_mirror_net_stats_and_replay() {
 #[test]
 fn two_interleaved_simulators_sum_into_the_counters() {
     let _g = obs::test_lock();
-    let f = factory();
     let before = obs::snapshot();
-    let mut a = replica_sim(f.clone(), N_REPLICAS, fast_link(), chaos_plan(), 81);
-    let mut b = replica_sim(f, N_REPLICAS, fast_link(), common::golden_plan(), 82);
+    let mut a = Fleet::lan().build(81, chaos_plan());
+    let mut b = Fleet::lan().build(82, common::golden_plan());
     for step in 1..=6u64 {
         a.run_until(step * 1_000_000);
         b.run_until(step * 1_100_000);
@@ -265,18 +220,13 @@ fn net_rows_match_the_pin_generated_at_the_parent() {
     let _g = obs::test_lock();
     let cap = obs::capture(obs::SinkKind::Ring(usize::MAX));
     let root = obs::new_trace("test", "net_pin", obs::Stamp::Sim(0), Vec::new());
-    let mut golden = replica_sim(
-        factory(),
-        N_REPLICAS,
-        fast_link(),
-        common::golden_plan(),
-        0x601D,
-    );
+    let mut golden = Fleet::lan().build(0x601D, common::golden_plan());
     golden.set_root_ctx(root.ctx());
     golden.run_until(10_050_000);
+    let lan = Fleet::lan();
     let lossy_link = LinkModel {
         drop_probability: 0.2,
-        ..fast_link()
+        ..lan.link
     };
     let lossy_plan = FaultPlan::new(0x1055)
         .byzantine(
@@ -297,7 +247,12 @@ fn net_rows_match_the_pin_generated_at_the_parent() {
                 max_extra_delay_us: 40_000,
             },
         );
-    let mut lossy = replica_sim(factory(), 2, lossy_link, lossy_plan, 0x1055);
+    let lossy = Fleet {
+        replicas: 2,
+        link: lossy_link,
+        ..Fleet::lan()
+    };
+    let mut lossy = lossy.build(0x1055, lossy_plan);
     lossy.set_root_ctx(root.ctx());
     lossy.run_until(3_000_000);
     drop(root);
@@ -517,21 +472,15 @@ fn gossip_trace_and_corruption_counter_are_deterministic() {
             LinkScope::any(),
             LinkEffect::Corrupt { probability: 0.3 },
         );
-        run_gossip_experiment_with_faults(
-            shards,
-            &test,
-            GossipConfig {
-                period_us: 100_000,
-                ..Default::default()
-            },
-            LinkModel::instant(),
-            7,
-            &[1_500_000, 4_000_000],
-            None,
-            Some(plan),
-            SchedulerKind::Wheel,
-            || LogisticRegression::new(3),
-        )
+        let cfg = GossipConfig {
+            period_us: 100_000,
+            ..Default::default()
+        };
+        let run = GossipRun {
+            faults: plan,
+            ..GossipRun::new(cfg, LinkModel::instant(), 7, &[1_500_000, 4_000_000])
+        };
+        run_gossip_experiment(shards, &test, &run, || LogisticRegression::new(3))
     };
 
     let before = obs::snapshot();

@@ -5,7 +5,7 @@
 use pds2::he;
 use pds2::learning::attack::loss_threshold_attack;
 use pds2::learning::dp::{gaussian_sigma, sgd_step, PrivacyAccountant};
-use pds2::learning::gossip::{run_gossip_experiment, DpConfig, GossipConfig};
+use pds2::learning::gossip::{run_gossip_experiment, DpConfig, GossipConfig, GossipRun};
 use pds2::ml::data::gaussian_blobs;
 use pds2::ml::model::LogisticRegression;
 use pds2::ml::sgd::{train, SgdConfig};
@@ -82,17 +82,18 @@ fn dp_reduces_membership_inference_advantage() {
         run_gossip_experiment(
             shards.clone(),
             &members, // evaluate on members to extract a model snapshot
-            GossipConfig {
-                period_us: 100_000,
-                local_steps: 6,
-                learning_rate: 0.4,
-                dp,
-                ..Default::default()
-            },
-            LinkModel::instant(),
-            11,
-            &[20_000_000],
-            None,
+            &GossipRun::new(
+                GossipConfig {
+                    period_us: 100_000,
+                    local_steps: 6,
+                    learning_rate: 0.4,
+                    dp,
+                    ..Default::default()
+                },
+                LinkModel::instant(),
+                11,
+                &[20_000_000],
+            ),
             || LogisticRegression::new(16),
         )
     };
