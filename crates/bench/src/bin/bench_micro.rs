@@ -79,8 +79,8 @@ fn size_suffix(n: usize) -> String {
 // The hash kernel (DESIGN.md §5d) and the yardstick.
 // ---------------------------------------------------------------------
 
-/// Returns `crypto.schnorr.verify_us`, the quantity two later
-/// assertions divide by.
+/// Returns `crypto.schnorr.verify_us` (a key seen before), the quantity
+/// four assertions divide by.
 fn crypto_rows(m: &mut Micro, mode: Mode) -> f64 {
     // Whatever kernel this CPU dispatches to must agree with the
     // portable loop on a 64-block message before either is timed: the
@@ -133,20 +133,48 @@ fn crypto_rows(m: &mut Micro, mode: Mode) -> f64 {
         black_box(black_box(&left).short());
     });
 
-    let kp = KeyPair::from_seed(7);
-    let verify_us = verify_row(m, mode, "crypto.schnorr.verify_us", &kp.public, |msg| {
-        kp.sign(msg)
-    });
-    batch_rows(m, mode, verify_us);
-    verify_us
+    signature_rows(m, mode)
 }
 
-/// `crypto.schnorr.verify_batch_us_per_sig@n`: one batched check of `n`
-/// signatures under `n` distinct keys (what a block of transfers from
-/// distinct senders is), divided by `n`. The benchmark sees this only as
-/// a block's `validate_cold_us_per_tx` at its own block size.
-fn batch_rows(m: &mut Micro, mode: Mode, verify_us: f64) {
+/// Microseconds per call of `f` over `iters` back-to-back calls.
+fn time_block(iters: usize, mut f: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    t.elapsed().as_secs_f64() * 1e6 / iters as f64
+}
+
+/// The single and batched signature rows, sampled in rounds: a round
+/// times one block of each, so a slow spell of the host lands on every
+/// row alike and the assertions between them compare like with like.
+/// Blocks, not single calls: alternating known and first calls one by
+/// one read the known row about 10 % high against the first-key row.
+///
+/// * `crypto.schnorr.verify_us`: one verification under a key seen
+///   before, cycling over 32 messages;
+/// * `crypto.schnorr.verify_first_key_us`: one under a key this thread
+///   has not verified under before, which builds the key's rows
+///   (DESIGN.md §5d); every call takes a fresh key;
+/// * `crypto.schnorr.verify_batch_us_per_sig@n`: one batched check of
+///   `n` signatures under `n` distinct keys (what a block of transfers
+///   from distinct senders is), divided by `n`. The benchmark sees this
+///   only as a block's `validate_cold_us_per_tx` at its own block size.
+///
+/// Returns `verify_us`.
+fn signature_rows(m: &mut Micro, mode: Mode) -> f64 {
     const SIZES: [usize; 3] = [8, 64, 256];
+    let kp = KeyPair::from_seed(7);
+    let known: Vec<_> = (0..32u64)
+        .map(|i| (i.to_le_bytes(), kp.sign(&i.to_le_bytes())))
+        .collect();
+    let iters = mode.iters(512);
+    let fresh: Vec<_> = (0..(mode.samples * iters) as u64)
+        .map(|i| {
+            let kp = KeyPair::from_seed(0xF125_7000 + i);
+            (kp.sign(b"first"), kp.public)
+        })
+        .collect();
     let signed: Vec<_> = (0..*SIZES.last().expect("not empty") as u64)
         .map(|i| {
             let kp = KeyPair::from_seed(0xBA7C + i);
@@ -158,27 +186,52 @@ fn batch_rows(m: &mut Micro, mode: Mode, verify_us: f64) {
         .iter()
         .map(|(sig, key, msg)| (key, &msg.as_bytes()[..], sig))
         .collect();
-    let mut per_sig = Vec::new();
+    // One untimed call of each: the known key's rows are built here.
+    assert!(kp.public.verify(&known[0].0, &known[0].1));
     for n in SIZES {
-        let mut taken: Vec<f64> = (0..mode.samples)
-            .map(|_| {
-                let iters = mode.iters(512 / n).max(1);
-                let t = Instant::now();
-                for _ in 0..iters {
-                    assert!(verify_batch(black_box(&items[..n])));
-                }
-                t.elapsed().as_secs_f64() * 1e6 / (iters * n) as f64
-            })
-            .collect();
-        let name = format!("crypto.schnorr.verify_batch_us_per_sig@{n}");
-        per_sig.push(m.record(&name, "us", &mut taken));
+        assert!(verify_batch(&items[..n]));
     }
+    let (mut known_us, mut first_us) = (Vec::new(), Vec::new());
+    let mut batch_us = vec![Vec::new(); SIZES.len()];
+    let (mut next_known, mut next_fresh) = (0, fresh.iter());
+    for _ in 0..mode.samples {
+        known_us.push(time_block(iters, || {
+            let (msg, sig) = &known[next_known % known.len()];
+            next_known += 1;
+            assert!(kp.public.verify(msg, sig));
+        }));
+        first_us.push(time_block(iters, || {
+            let (sig, key) = next_fresh.next().expect("one fresh key per call");
+            assert!(key.verify(b"first", sig));
+        }));
+        for (samples, n) in batch_us.iter_mut().zip(SIZES) {
+            let batches = mode.iters(512 / n).max(1);
+            samples.push(
+                time_block(batches, || assert!(verify_batch(black_box(&items[..n])))) / n as f64,
+            );
+        }
+    }
+    let verify_us = m.record("crypto.schnorr.verify_us", "us", &mut known_us);
+    let first_key_us = m.record("crypto.schnorr.verify_first_key_us", "us", &mut first_us);
+    // What the rows buy: a key seen before costs well under what its first
+    // verification does.
+    assert!(
+        verify_us <= 0.6 * first_key_us,
+        "a known key's verify ({verify_us:.1} us) exceeds 0.6x a first one ({first_key_us:.1} us)"
+    );
+    let per_sig: Vec<f64> = (batch_us.iter_mut().zip(SIZES))
+        .map(|(samples, n)| {
+            let name = format!("crypto.schnorr.verify_batch_us_per_sig@{n}");
+            m.record(&name, "us", samples)
+        })
+        .collect();
     // The reason the batch exists: a block-sized one costs well under
     // half a single check per signature, and a larger one costs less.
     assert!(
         per_sig[2] < per_sig[0] && per_sig[2] < 0.5 * verify_us,
         "batched {per_sig:?} us per signature against {verify_us:.1} us single"
     );
+    verify_us
 }
 
 /// Times one verification under `key`, cycling over 32 messages signed
@@ -665,29 +718,36 @@ fn authenticity_rows(m: &mut Micro, mode: Mode) {
     registry.register_manufacturer(manufacturer.public.clone());
     let mut device = Device::new(1);
     registry.endorse(&manufacturer, &device).unwrap();
-    let mut per_reading = Vec::new();
-    for batch in [1usize, 32, 256] {
-        let readings: Vec<_> = (0..(mode.iters(1024) / batch).max(1))
-            .flat_map(|_| device.sign_batch((0..batch).map(|i| (0, vec![i as f64; 4], 1.0))))
-            .collect();
-        // A verifier refuses what it has seen: each sample is a new one,
-        // so every batch root is checked cold once.
-        let mut samples: Vec<f64> = (0..mode.samples)
-            .map(|_| {
-                let mut verifier = ReadingVerifier::new(&registry);
-                let t = Instant::now();
-                for r in &readings {
-                    verifier.verify(black_box(r)).expect("honest reading");
-                }
-                t.elapsed().as_secs_f64() * 1e6 / readings.len() as f64
-            })
-            .collect();
-        per_reading.push(m.record(
-            &format!("core.authenticity.verify_us_per_reading@{batch}"),
-            "us",
-            &mut samples,
-        ));
+    const BATCHES: [usize; 3] = [1, 32, 256];
+    let readings: Vec<Vec<_>> = BATCHES
+        .iter()
+        .map(|&batch| {
+            (0..(mode.iters(1024) / batch).max(1))
+                .flat_map(|_| device.sign_batch((0..batch).map(|i| (0, vec![i as f64; 4], 1.0))))
+                .collect()
+        })
+        .collect();
+    // A verifier refuses what it has seen: each sample is a new one, so
+    // every batch root is checked cold once. A round times every size
+    // once, so a slow spell of the host lands on the rows the assertion
+    // compares alike.
+    let mut samples = vec![Vec::new(); BATCHES.len()];
+    for _ in 0..mode.samples {
+        for (taken, readings) in samples.iter_mut().zip(&readings) {
+            let mut verifier = ReadingVerifier::new(&registry);
+            let t = Instant::now();
+            for r in readings {
+                verifier.verify(black_box(r)).expect("honest reading");
+            }
+            taken.push(t.elapsed().as_secs_f64() * 1e6 / readings.len() as f64);
+        }
     }
+    let per_reading: Vec<f64> = (samples.iter_mut().zip(BATCHES))
+        .map(|(taken, batch)| {
+            let name = format!("core.authenticity.verify_us_per_reading@{batch}");
+            m.record(&name, "us", taken)
+        })
+        .collect();
     assert!(
         per_reading[1] <= per_reading[0] / 8.0,
         "a reading in a batch of 32 ({:.2} us) must cost at most an eighth of one \

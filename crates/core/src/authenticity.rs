@@ -19,9 +19,10 @@
 //!   signature per batch root and the path of every reading.
 
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
-use pds2_crypto::merkle::{MerkleProof, MerkleTree};
+use pds2_crypto::merkle::{MerkleProof, MerkleTree, ProofStep};
 use pds2_crypto::schnorr::{KeyPair, PublicKey, Signature};
-use pds2_crypto::sha256::{sha256, Digest};
+use pds2_crypto::sha256::{sha256, Digest, Sha256};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// A device identifier (hash of the device public key).
@@ -59,35 +60,39 @@ pub struct SignedReading {
 }
 
 impl SignedReading {
-    fn payload_bytes(
+    /// The hash of a reading's signed fields, streamed into the hasher:
+    /// the tag, the device, sequence, timestamp, the feature count and
+    /// values and the target, integers and floats little-endian (the
+    /// bytes the canonical encoder writes).
+    fn payload_hash(
         device: &DeviceId,
         sequence: u64,
         timestamp: u64,
         features: &[f64],
         target: f64,
-    ) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_raw(b"pds2-reading-v1");
-        enc.put_digest(&device.0);
-        enc.put_u64(sequence);
-        enc.put_u64(timestamp);
-        enc.put_u64(features.len() as u64);
+    ) -> Digest {
+        let mut h = Sha256::new();
+        h.update(b"pds2-reading-v1")
+            .update(device.0.as_bytes())
+            .update(&sequence.to_le_bytes())
+            .update(&timestamp.to_le_bytes())
+            .update(&(features.len() as u64).to_le_bytes());
         for f in features {
-            enc.put_f64(*f);
+            h.update(&f.to_bits().to_le_bytes());
         }
-        enc.put_f64(target);
-        enc.finish()
+        h.update(&target.to_bits().to_le_bytes());
+        h.finalize()
     }
 
     /// Content hash (duplicate detection key).
     pub fn reading_hash(&self) -> Digest {
-        sha256(&Self::payload_bytes(
+        Self::payload_hash(
             &self.device,
             self.sequence,
             self.timestamp,
             &self.features,
             self.target,
-        ))
+        )
     }
 
     /// Checks only the cryptography, with nothing remembered: the key is
@@ -228,9 +233,7 @@ impl Device {
         let tree = MerkleTree::from_leaf_hashes(
             rows.iter()
                 .map(|(sequence, timestamp, features, target)| {
-                    sha256(&SignedReading::payload_bytes(
-                        &self.id, *sequence, *timestamp, features, *target,
-                    ))
+                    SignedReading::payload_hash(&self.id, *sequence, *timestamp, features, *target)
                 })
                 .collect(),
         );
@@ -356,16 +359,58 @@ impl std::fmt::Display for ReadingRejection {
     }
 }
 
+/// The last inclusion path a [`ReadingVerifier`] walked: its steps and the
+/// node each step produced (the last one is the root). Readings of one
+/// batch arrive in order and share the upper part of their paths, so the
+/// next walk usually meets a remembered node after a step or two.
+#[derive(Default)]
+struct PathMemo {
+    steps: Vec<ProofStep>,
+    nodes: Vec<Digest>,
+}
+
+impl PathMemo {
+    /// `path.root_from(leaf)`, the same value: once a step produces the
+    /// node the remembered walk produced at that step and the steps above
+    /// it are the remembered ones, the rest of the walk is the remembered
+    /// one. The memo then holds this walk.
+    fn root_from(&mut self, path: &MerkleProof, leaf: Digest) -> Digest {
+        let steps = &path.steps;
+        let comparable = self.steps.len() == steps.len();
+        if !comparable {
+            self.steps.clear();
+            self.steps.extend_from_slice(steps);
+            self.nodes.clear();
+            self.nodes.resize(steps.len(), leaf);
+        }
+        let mut node = leaf;
+        for (i, step) in steps.iter().enumerate() {
+            node = step.parent(&node);
+            if comparable && self.nodes[i] == node && self.steps[i + 1..] == steps[i + 1..] {
+                self.steps[..=i].copy_from_slice(&steps[..=i]);
+                return self.nodes[steps.len() - 1];
+            }
+            self.nodes[i] = node;
+        }
+        self.steps.copy_from_slice(steps);
+        node
+    }
+}
+
 /// The executor-side verification pipeline (§IV-B: "The signature is
 /// verified by executors, as buyers do not have access to the data").
 pub struct ReadingVerifier<'a> {
     registry: &'a ManufacturerRegistry,
     seen: HashSet<Digest>,
     device_high_water: HashMap<DeviceId, (u64, u64)>, // (sequence, timestamp)
-    /// The signature each verified batch root was verified under. Only a
-    /// reading carrying the same signature bytes for the same device and
-    /// root skips the exponentiation; a failed check leaves no entry.
-    verified_roots: HashMap<(DeviceId, Digest), Signature>,
+    /// The signature and key each verified batch root was verified
+    /// under. Only a reading carrying the same signature bytes and the
+    /// same key for the same device and root skips the key's hash and
+    /// the exponentiation; a failed check leaves no entry.
+    verified_roots: HashMap<(DeviceId, Digest), (Signature, PublicKey)>,
+    /// The last path walked, so a reading pays only for the part of its
+    /// path the previous one did not share.
+    path_memo: PathMemo,
     /// Readings accepted.
     pub accepted: u64,
     /// Readings rejected, by count.
@@ -383,6 +428,7 @@ impl<'a> ReadingVerifier<'a> {
             seen: HashSet::new(),
             device_high_water: HashMap::new(),
             verified_roots: HashMap::new(),
+            path_memo: PathMemo::default(),
             accepted: 0,
             rejected: 0,
             signatures_checked: 0,
@@ -410,7 +456,9 @@ impl<'a> ReadingVerifier<'a> {
         if self.seen.contains(&hash) {
             return Err(ReadingRejection::Duplicate);
         }
-        if let Some(&(seq, ts)) = self.device_high_water.get(&reading.device) {
+        let high_water = self.device_high_water.entry(reading.device);
+        if let Entry::Occupied(ref mark) = high_water {
+            let &(seq, ts) = mark.get();
             if reading.sequence <= seq {
                 return Err(ReadingRejection::SequenceReplay);
             }
@@ -419,28 +467,32 @@ impl<'a> ReadingVerifier<'a> {
             }
         }
         self.seen.insert(hash);
-        self.device_high_water
-            .insert(reading.device, (reading.sequence, reading.timestamp));
+        high_water.insert_entry((reading.sequence, reading.timestamp));
         Ok(())
     }
 
-    /// [`SignedReading::signature_valid`], paying the exponentiation once
-    /// per batch root. The key and the path are checked for every reading.
+    /// [`SignedReading::signature_valid`], paying the key's hash and the
+    /// exponentiation once per batch root. Every reading's path is walked
+    /// to its root (through the memo of the last walk), and a reading
+    /// whose key or signature differs from the ones its root was verified
+    /// under is checked in full.
     fn signature_valid(&mut self, reading: &SignedReading, hash: Digest) -> bool {
+        let root = self.path_memo.root_from(&reading.path, hash);
+        let batch = (reading.device, root);
+        if let Some((signature, key)) = self.verified_roots.get(&batch) {
+            if *signature == reading.signature && *key == reading.device_key {
+                return true;
+            }
+        }
         if !reading.key_matches_device() {
             return false;
-        }
-        let root = reading.path.root_from(hash);
-        let batch = (reading.device, root);
-        if self.verified_roots.get(&batch) == Some(&reading.signature) {
-            return true;
         }
         self.signatures_checked += 1;
         let valid = reading.root_signed(&root);
         if valid {
             self.verified_roots
                 .entry(batch)
-                .or_insert_with(|| reading.signature.clone());
+                .or_insert_with(|| (reading.signature.clone(), reading.device_key.clone()));
         }
         valid
     }
@@ -845,12 +897,101 @@ mod tests {
         }
     }
 
+    /// A reading's signed fields through the canonical encoder: the bytes
+    /// [`SignedReading::reading_hash`] streams into its hasher.
+    fn encoded_payload(r: &SignedReading) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_raw(b"pds2-reading-v1");
+        enc.put_digest(&r.device.0);
+        enc.put_u64(r.sequence);
+        enc.put_u64(r.timestamp);
+        enc.put_u64(r.features.len() as u64);
+        for f in &r.features {
+            enc.put_f64(*f);
+        }
+        enc.put_f64(r.target);
+        enc.finish()
+    }
+
+    #[test]
+    fn the_path_memo_gives_every_root_the_walk_gives() {
+        let mut device = Device::new(9);
+        let mut other = Device::new(10);
+        let mut walks = Vec::new();
+        for n in [1usize, 2, 3, 5, 8, 13, 32] {
+            walks.extend(batch(&mut device, n, 100 * n as u64));
+        }
+        // Another device's batches interleaved, and paths with one sibling
+        // or one direction changed.
+        let interleaved: Vec<_> = batch(&mut other, 16, 0)
+            .into_iter()
+            .zip(batch(&mut device, 16, 10_000))
+            .flat_map(|(a, b)| [a, b])
+            .collect();
+        walks.extend(interleaved);
+        let mut bent = Vec::new();
+        for r in walks.iter().filter(|r| r.path.steps.len() >= 3) {
+            for level in [0, 1, r.path.steps.len() - 1] {
+                let mut sibling = r.clone();
+                sibling.path.steps[level].sibling = sha256(b"not the sibling");
+                let mut turned = r.clone();
+                turned.path.steps[level].sibling_on_right ^= true;
+                bent.extend([sibling, turned, r.clone()]);
+            }
+        }
+        walks.extend(bent);
+        let mut memo = PathMemo::default();
+        for r in &walks {
+            let leaf = r.reading_hash();
+            assert_eq!(memo.root_from(&r.path, leaf), r.path.root_from(leaf));
+        }
+    }
+
+    #[test]
+    fn the_reading_hash_is_the_hash_of_the_encoded_fields() {
+        let mut device = Device::new(8);
+        let rows = [
+            (0, vec![], 0.0),
+            (1, vec![1.5], -2.0),
+            (
+                7,
+                vec![f64::MAX, -0.0, 1e-300, 3.25, 9.0, 11.0, 12.5, 13.0],
+                0.5,
+            ),
+        ];
+        for r in device.sign_batch(rows) {
+            assert_eq!(r.reading_hash(), sha256(&encoded_payload(&r)));
+        }
+    }
+
+    #[test]
+    fn a_swapped_key_under_a_verified_root_and_signature_is_refused() {
+        let (registry, mut device) = endorsed();
+        let readings = batch(&mut device, 4, 0);
+        let mut verifier = ReadingVerifier::new(&registry);
+        assert_eq!(verifier.verify(&readings[0]), Ok(()));
+        assert_eq!(verifier.signatures_checked, 1);
+        // Same root, same signature bytes, another key: the remembered
+        // root does not vouch for it, and its key is not the device's.
+        for key in [KeyPair::from_seed(666).public, Device::new(2).keys.public] {
+            let mut swapped = readings[1].clone();
+            swapped.device_key = key;
+            assert_eq!(
+                verifier.verify(&swapped),
+                Err(ReadingRejection::BadSignature)
+            );
+        }
+        assert_eq!(verifier.signatures_checked, 1);
+        // The honest reading still passes on the remembered root.
+        assert_eq!(verifier.verify(&readings[1]), Ok(()));
+        assert_eq!(verifier.signatures_checked, 1);
+    }
+
     #[test]
     fn root_and_reading_signatures_are_different_domains() {
         let mut device = Device::new(6);
         let r = device.sign_reading(1, vec![1.0], 0.0);
-        let own_bytes =
-            SignedReading::payload_bytes(&r.device, r.sequence, r.timestamp, &r.features, r.target);
+        let own_bytes = encoded_payload(&r);
         // The signature a device used to put on a reading's own bytes is
         // not a root signature...
         let mut old_form = r.clone();

@@ -5,9 +5,10 @@
 //!
 //! - [`bigint`] — arbitrary-precision unsigned integers with modular
 //!   arithmetic and primality testing (used by Paillier and Schnorr);
-//! - [`montgomery`] — Montgomery-form multiplication, fixed-window and
-//!   Shamir/Straus dual exponentiation (the signature-verification fast
-//!   path; see DESIGN.md §5d);
+//! - [`montgomery`] — Montgomery-form multiplication and squaring, one
+//!   exponentiation loop over row tables (fixed windows, a fixed-base
+//!   comb, a verifying key's rows) and the bucket multi-exponentiation
+//!   (the signature-verification fast path; see DESIGN.md §5d);
 //! - [`mod@sha256`] — SHA-256 (FIPS 180-4);
 //! - [`hmac`] — HMAC-SHA-256 and HKDF;
 //! - [`chacha20`] — ChaCha20 stream cipher plus encrypt-then-MAC sealing;
@@ -35,6 +36,6 @@ pub mod sha256;
 pub use bigint::BigUint;
 pub use codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 pub use merkle::{MerkleProof, MerkleTree};
-pub use montgomery::{MontgomeryCtx, PowTable};
+pub use montgomery::MontgomeryCtx;
 pub use schnorr::{KeyPair, PublicKey, SecretKey, Signature};
 pub use sha256::{sha256, Digest, Sha256};

@@ -46,6 +46,17 @@ pub struct ProofStep {
     pub sibling_on_right: bool,
 }
 
+impl ProofStep {
+    /// The parent of `node` and this step's sibling.
+    pub fn parent(&self, node: &Digest) -> Digest {
+        if self.sibling_on_right {
+            node_hash(node, &self.sibling)
+        } else {
+            node_hash(&self.sibling, node)
+        }
+    }
+}
+
 /// An inclusion proof for a single leaf.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MerkleProof {
@@ -140,13 +151,9 @@ impl MerkleProof {
     /// `leaf_index` says where the prover found the leaf and is not bound
     /// by the root.
     pub fn root_from(&self, leaf: Digest) -> Digest {
-        self.steps.iter().fold(leaf, |acc, step| {
-            if step.sibling_on_right {
-                node_hash(&acc, &step.sibling)
-            } else {
-                node_hash(&step.sibling, &acc)
-            }
-        })
+        self.steps
+            .iter()
+            .fold(leaf, |node, step| step.parent(&node))
     }
 }
 

@@ -10,47 +10,55 @@
 //! no division and no allocation.
 //!
 //! There is one CIOS body, `Kernel::mul`, generic over how a residue is
-//! stored (`Limbs`). [`MontgomeryCtx::new`] looks at the modulus' limb
-//! count and picks the instantiation:
+//! stored (`Limbs`), and one squaring body beside it, `Kernel::sqr`
+//! (each off-diagonal limb product once, doubled, then the same
+//! reduction: about 30 % cheaper, for moduli up to eight limbs).
+//! [`MontgomeryCtx::new`] looks at the modulus' limb count and picks the
+//! instantiation:
 //!
 //! * **compile-time width** — a 5-limb modulus (the 260-bit Schnorr
 //!   group prime `p`, DESIGN.md §5d) runs on `[u64; 5]` residues. The
 //!   limb count is a constant, so the limb loops unroll and stay in
-//!   registers, and residues and window tables live on the stack;
+//!   registers, and residues live on the stack;
 //! * **run-time width** — every other odd modulus (Paillier `n²`, MPC
 //!   fields, Miller–Rabin candidates) runs the same code on `Vec<u64>`
 //!   residues, allocated before an exponentiation's loop and reused.
 //!
-//! On top of the multiplier sit four exponentiation strategies:
+//! On top of the multiplier sit two exponentiation loops:
 //!
-//! * [`MontgomeryCtx::modpow`] — fixed-window (w = 4) exponentiation:
-//!   ~`bits` squarings plus one table multiply per 4 bits, versus one
-//!   multiply per set bit for the bit-by-bit schoolbook loop;
-//! * [`MontgomeryCtx::modpow_with_table`] — the same walk over a caller
-//!   supplied [`PowTable`], so a fixed base (the group generator)
-//!   amortises its table across calls;
-//! * [`MontgomeryCtx::modpow_dual`] — Shamir/Straus simultaneous double
-//!   exponentiation: `a^x · b^y mod n` in ONE interleaved pass sharing
-//!   the squaring chain, which is what one Schnorr verification
-//!   (`g^s · y^{q-e}`) needs;
+//! * one walk over **row tables** (`RowShape`), behind
+//!   [`MontgomeryCtx::modpow`] and the Schnorr group's `g^a` and
+//!   `g^a · y^b`. Row `j` of a table holds the powers
+//!   `b_j^1 .. b_j^{2^w − 1}` of `b_j = base^{2^{stride·j}}` and covers the
+//!   exponent's bits `[stride·j, stride·(j+1))`, so an exponentiation is
+//!   `stride / w` digit positions with `w` squarings between two of them
+//!   and one multiplication per non-zero digit of every row. Three shapes
+//!   run on it: one row of 4-bit windows (a plain fixed-window modpow,
+//!   ~`bits` squarings plus one multiply per 4 bits), a fixed-base comb
+//!   (stride = `w`, one row per window: no squaring at all, built once
+//!   for the group generator) and a per-key table of a few rows at a wide
+//!   stride (a verifying key's: the squaring chain shrinks by the row
+//!   count). Terms of a product each run the walk and meet in one
+//!   accumulator;
 //! * [`MontgomeryCtx::multi_pow`] — Pippenger bucket multi-exponentiation
 //!   `Π baseᵢ^{expᵢ} mod n`: no per-base table at all, one squaring chain
 //!   for the whole product and, per `c`-bit window, one multiplication
 //!   per term into one of `2^c − 1` buckets plus a fold of the buckets.
 //!   The shared part is paid once, so the cost per term falls as terms
 //!   are added (about 77 multiplications per signature at 256 signatures
-//!   against about 392 for a dual exponentiation each), which is what a
-//!   batched signature check is made of. [`bucket_window`] picks `c` from
-//!   the exponents' lengths.
+//!   against about 190 for a single check under a known key), which is
+//!   what a batched signature check is made of. [`bucket_window`] picks
+//!   `c` from the exponents' lengths.
 //!
 //! [`MontgomeryCtx::eq_pow_u64`] compares two residues up to a small power
 //! (`a^e = b^e`) by square-and-multiply inside the kernel: the cofactor
 //! step of both signature checks, twelve multiplications at `e = 28`.
 //!
-//! A [`PowTable`] is one contiguous block of 16 residues, and windows are
-//! read straight from the exponent's limbs (a bucket window of 3, 5 or 6
-//! bits may straddle two of them). Between entering and leaving an
-//! exponentiation loop nothing touches the heap.
+//! A row table is one contiguous block of residues, and digits are read
+//! straight from the exponent's limbs (a window of 3, 5 or 6 bits may
+//! straddle two of them). At compile-time width nothing inside an
+//! exponentiation loop touches the heap; at run-time width a residue is
+//! allocated when a running product takes its first factor.
 //!
 //! Results are plain [`BigUint`] values, bit-identical to the schoolbook
 //! path — the representation changes inside a call, never the outcome —
@@ -64,63 +72,131 @@ use crate::bigint::BigUint;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-/// Fixed window width for all exponentiation strategies. It divides 64,
-/// so a window never straddles two exponent limbs.
+/// Window width of the one-row table behind [`MontgomeryCtx::modpow`].
 const WINDOW: u32 = 4;
-const TABLE_LEN: usize = 1 << WINDOW;
+
+/// Widest digit any loop reads: row tables hold `2^w − 1` entries per row,
+/// and [`MontgomeryCtx::multi_pow`] holds 63 buckets of one residue (2.5 KB
+/// at five limbs) at most, whatever the batch size.
+const MAX_WINDOW: u32 = 6;
 
 /// Limb count of the one modulus size that gets the compile-time-width
 /// kernel: the 260-bit Schnorr group prime.
 const FIXED_LIMBS: usize = 5;
+
+/// Widest modulus, in limbs, whose squarings take [`Kernel::sqr`]: its
+/// 2k-limb square lives in a stack array of this many limbs twice over.
+const SQR_LIMBS: usize = 8;
 
 /// How residues of one width are stored.
 ///
 /// `[u64; K]` fixes the limb count at compile time; `Vec<u64>` carries it
 /// at run time. [`Kernel`] is written once against this trait.
 trait Limbs: Clone + AsRef<[u64]> + AsMut<[u64]> {
-    /// [`TABLE_LEN`] residues in one contiguous block.
-    type Table: Clone + std::fmt::Debug;
     /// A zero residue of `k` limbs.
     fn zeroed(k: usize) -> Self;
-    /// A table of [`TABLE_LEN`] zero residues of `k` limbs.
-    fn zeroed_table(k: usize) -> Self::Table;
-    /// Entry `i` of a table of `k`-limb residues.
-    fn entry(table: &Self::Table, i: usize, k: usize) -> &[u64];
-    /// Entry `i` of a table of `k`-limb residues, mutably.
-    fn entry_mut(table: &mut Self::Table, i: usize, k: usize) -> &mut [u64];
 }
 
 impl<const K: usize> Limbs for [u64; K] {
-    type Table = [[u64; K]; TABLE_LEN];
     fn zeroed(k: usize) -> Self {
         debug_assert_eq!(k, K);
         [0; K]
     }
-    fn zeroed_table(k: usize) -> Self::Table {
-        debug_assert_eq!(k, K);
-        [[0; K]; TABLE_LEN]
-    }
-    fn entry(table: &Self::Table, i: usize, _k: usize) -> &[u64] {
-        &table[i]
-    }
-    fn entry_mut(table: &mut Self::Table, i: usize, _k: usize) -> &mut [u64] {
-        &mut table[i]
-    }
 }
 
 impl Limbs for Vec<u64> {
-    type Table = Vec<u64>;
     fn zeroed(k: usize) -> Self {
         vec![0; k]
     }
-    fn zeroed_table(k: usize) -> Self::Table {
-        vec![0; k * TABLE_LEN]
+}
+
+/// How a row table splits an exponent. Row `j` holds the powers
+/// `b_j^1 .. b_j^{2^width − 1}` of `b_j = base^{2^{stride·j}}` and covers
+/// the exponent's bits `[stride·j, stride·(j+1))`; the top row also takes
+/// every bit above, so any exponent is in range (past the rows' span it
+/// costs squarings). A walk reads `stride / width` digit positions, from
+/// the most significant down, with `width` squarings between two of them.
+///
+/// The shapes in use: one row of 4-bit windows (a plain fixed-window
+/// exponentiation), a comb (stride = width, one row per window, no
+/// squaring) and a few rows at a wide stride (a verifying key's table).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RowShape {
+    width: u32,
+    stride: u32,
+    rows: u32,
+}
+
+impl RowShape {
+    /// The one-row table of 4-bit windows.
+    const ONE_ROW: RowShape = RowShape::new::<WINDOW, WINDOW, 1>();
+
+    /// The shape of `W`-bit digits at stride `S` over `R` rows, checked
+    /// when the crate compiles: an invalid one is a build error, so no
+    /// value of this type can make a walk index out of range.
+    pub(crate) const fn new<const W: u32, const S: u32, const R: u32>() -> RowShape {
+        const { assert!(RowShape::checked(W, S, R).is_some(), "invalid row shape") };
+        RowShape {
+            width: W,
+            stride: S,
+            rows: R,
+        }
     }
-    fn entry(table: &Self::Table, i: usize, k: usize) -> &[u64] {
-        &table[i * k..(i + 1) * k]
+
+    /// A shape, or `None` unless `1 ≤ width ≤ 6`, `stride` is a non-zero
+    /// multiple of `width`, there is at least one row and the rows' span
+    /// `stride · rows` fits in 32 bits.
+    const fn checked(width: u32, stride: u32, rows: u32) -> Option<RowShape> {
+        let span_fits = stride.checked_mul(rows).is_some();
+        if width == 0 || width > MAX_WINDOW || stride == 0 || !stride.is_multiple_of(width) {
+            return None;
+        }
+        if rows == 0 || !span_fits {
+            return None;
+        }
+        Some(RowShape {
+            width,
+            stride,
+            rows,
+        })
     }
-    fn entry_mut(table: &mut Self::Table, i: usize, k: usize) -> &mut [u64] {
-        &mut table[i * k..(i + 1) * k]
+
+    /// Residues per row: one per non-zero digit.
+    fn entries(self) -> usize {
+        (1 << self.width) - 1
+    }
+
+    /// Digit positions a walk over an exponent of `exp_bits` bits reads:
+    /// `stride / width`, or more when the exponent reaches past the top
+    /// row's stride.
+    fn positions(self, exp_bits: u32) -> u32 {
+        let above_lower_rows = exp_bits.saturating_sub(self.stride * (self.rows - 1));
+        (self.stride / self.width).max(above_lower_rows.div_ceil(self.width))
+    }
+}
+
+/// A row table (see [`RowShape`]) in Montgomery form: `rows · (2^w − 1)`
+/// residues in one block. Only the context that built it may walk it;
+/// outside an exponentiation call, tables are kept only by the crate's
+/// one long-lived context, the Schnorr group's.
+#[derive(Debug)]
+pub(crate) struct PowRows {
+    shape: RowShape,
+    limbs: Box<[u64]>,
+}
+
+impl PowRows {
+    /// Entry for digit `d ≥ 1` of row `j`, as `k` limbs.
+    #[inline]
+    fn entry(&self, j: u32, d: usize, k: usize) -> &[u64] {
+        let at = (j as usize * self.shape.entries() + d - 1) * k;
+        &self.limbs[at..at + k]
+    }
+
+    /// Heap bytes held: what a cache of tables pays per entry.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.limbs)
     }
 }
 
@@ -216,6 +292,76 @@ impl<L: Limbs> Kernel<L> {
         }
     }
 
+    /// Montgomery squaring `out = a² · R^{-1} mod n` for `a < n`, equal to
+    /// `mul(out, a, a)`: the products `aᵢ·aⱼ` with `i < j` are taken once
+    /// and doubled and the diagonal added, k(k+1)/2 limb products where
+    /// [`Self::mul`] takes k², then the 2k-limb square is reduced limb by
+    /// limb (separated operand scanning). Squarings are most of an
+    /// exponentiation's chain and all of a key's row build. Moduli wider
+    /// than [`SQR_LIMBS`] multiply instead: the square is held on the
+    /// stack.
+    #[inline]
+    fn sqr(&self, out: &mut [u64], a: &[u64]) {
+        let n = self.n.as_ref();
+        let k = n.len();
+        if k > SQR_LIMBS {
+            return self.mul(out, a, a);
+        }
+        // One check up front lets every index below go unchecked.
+        assert!(out.len() == k && a.len() == k);
+        let mut t = [0u64; 2 * SQR_LIMBS];
+        for i in 0..k {
+            let mut carry = 0u64;
+            for j in i + 1..k {
+                let cur = t[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry as u128;
+                t[i + j] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            t[i + k] = carry;
+        }
+        // Doubling the off-diagonal half loses no bit: it is below a²/2.
+        let mut shifted_out = 0u64;
+        for limb in &mut t[..2 * k] {
+            let next = *limb >> 63;
+            *limb = (*limb << 1) | shifted_out;
+            shifted_out = next;
+        }
+        let mut carry = 0u64;
+        for i in 0..k {
+            let square = a[i] as u128 * a[i] as u128;
+            let lo = t[2 * i] as u128 + (square as u64) as u128 + carry as u128;
+            t[2 * i] = lo as u64;
+            let hi = t[2 * i + 1] as u128 + (square >> 64) + (lo >> 64);
+            t[2 * i + 1] = hi as u64;
+            carry = (hi >> 64) as u64; // zero after the last limb: a² < R²
+        }
+        // t = (t + m·n) / R, one limb of m at a time; `hi` is the carry
+        // out of limb i + k, at most 1.
+        let mut hi = 0u64;
+        for i in 0..k {
+            let m = t[i].wrapping_mul(self.n0inv);
+            let mut carry = 0u64;
+            for j in 0..k {
+                let cur = t[i + j] as u128 + m as u128 * n[j] as u128 + carry as u128;
+                t[i + j] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            let cur = t[i + k] as u128 + carry as u128 + hi as u128;
+            t[i + k] = cur as u64;
+            hi = (cur >> 64) as u64;
+        }
+        out.copy_from_slice(&t[k..2 * k]);
+        if hi != 0 || cmp_limbs(out, n) != Ordering::Less {
+            let mut borrow = false;
+            for j in 0..k {
+                let (d, b1) = out[j].overflowing_sub(n[j]);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                out[j] = d;
+                borrow = b1 | b2;
+            }
+        }
+    }
+
     /// Converts `x < n` into Montgomery form.
     fn to_mont(&self, x: &BigUint) -> L {
         let mut out = L::zeroed(self.k());
@@ -244,49 +390,97 @@ impl<L: Limbs> Kernel<L> {
         self.demont(out.as_ref())
     }
 
-    /// The w=4 window table for `base < n`: Montgomery forms of
-    /// `base^0 .. base^15`.
-    fn table(&self, base: &BigUint) -> L::Table {
-        let k = self.k();
-        let base_m = self.to_mont(base);
-        let mut table = L::zeroed_table(k);
-        L::entry_mut(&mut table, 0, k).copy_from_slice(self.r1.as_ref());
-        let mut next = L::zeroed(k);
-        for i in 1..TABLE_LEN {
-            self.mul(next.as_mut(), L::entry(&table, i - 1, k), base_m.as_ref());
-            L::entry_mut(&mut table, i, k).copy_from_slice(next.as_ref());
+    /// `slot ← slot · by`, where `None` stands for Mont(1): the first
+    /// factor is copied in, not multiplied.
+    #[inline]
+    fn mul_into(&self, slot: &mut Option<L>, tmp: &mut L, by: &[u64]) {
+        match slot {
+            Some(x) => {
+                self.mul(tmp.as_mut(), x.as_ref(), by);
+                std::mem::swap(x, tmp);
+            }
+            None => *slot = Some(padded(by, self.k())),
         }
-        table
     }
 
-    /// Shamir/Straus simultaneous double exponentiation `a^x · b^y mod n`
-    /// over window tables for `a` and `b`: one squaring chain, up to two
-    /// table multiplies per window. The two residues it works on are set
-    /// up before the loop, which allocates nothing.
-    fn pow_dual(
-        &self,
-        a_table: &L::Table,
-        x: &BigUint,
-        b_table: &L::Table,
-        y: &BigUint,
-    ) -> BigUint {
+    /// The row table of `shape` for `base < n` (see [`RowShape`]). Each
+    /// row's entries are successive products by its base `b`; the next
+    /// row's base is `b^{2^w} = b^{2^w − 1} · b` squared `stride − w` more
+    /// times. A comb's row costs `2^w − 1` multiplications, a row at a
+    /// wide stride about `stride`.
+    fn rows(&self, base: &BigUint, shape: RowShape) -> PowRows {
         let k = self.k();
-        let mut acc = self.r1.clone(); // Mont(1)
+        let (entries, rows) = (shape.entries(), shape.rows as usize);
+        let mut limbs = vec![0u64; rows * entries * k];
+        let mut row_base = self.to_mont(base);
         let mut tmp = L::zeroed(k);
-        for w in (0..x.bits().max(y.bits()).div_ceil(WINDOW)).rev() {
-            for _ in 0..WINDOW {
-                self.mul(tmp.as_mut(), acc.as_ref(), acc.as_ref());
-                std::mem::swap(&mut acc, &mut tmp);
+        for (j, row) in limbs.chunks_exact_mut(entries * k).enumerate() {
+            row[..k].copy_from_slice(row_base.as_ref());
+            for d in 1..entries {
+                let (done, next) = row.split_at_mut(d * k);
+                self.mul(&mut next[..k], &done[(d - 1) * k..], row_base.as_ref());
             }
-            for (table, exp) in [(a_table, x), (b_table, y)] {
-                let idx = window_at(exp.limbs(), w);
-                if idx != 0 {
-                    self.mul(tmp.as_mut(), acc.as_ref(), L::entry(table, idx, k));
-                    std::mem::swap(&mut acc, &mut tmp);
+            if j + 1 < rows {
+                self.mul(tmp.as_mut(), &row[(entries - 1) * k..], row_base.as_ref());
+                std::mem::swap(&mut row_base, &mut tmp);
+                for _ in shape.width..shape.stride {
+                    self.sqr(tmp.as_mut(), row_base.as_ref());
+                    std::mem::swap(&mut row_base, &mut tmp);
                 }
             }
         }
-        self.demont(acc.as_ref())
+        PowRows {
+            shape,
+            limbs: limbs.into_boxed_slice(),
+        }
+    }
+
+    /// `Π tableᵢ^{expᵢ} mod n`: the one exponentiation loop over row
+    /// tables. Each term walks its digit positions from the most
+    /// significant down, squaring `w` times between two positions and
+    /// multiplying in the entry of every non-zero digit of every row. A
+    /// term of one position (a comb) has no squarings, so its digits go
+    /// straight into the product; a longer one runs its own chain and
+    /// joins the product with one multiplication.
+    fn pow_rows(&self, terms: &[(&PowRows, &BigUint)]) -> BigUint {
+        let k = self.k();
+        let mut tmp = L::zeroed(k);
+        let mut product: Option<L> = None;
+        for &(table, exp) in terms {
+            debug_assert_eq!(table.limbs.len() % k, 0, "table built for another modulus");
+            let shape = table.shape;
+            let (exp, positions) = (exp.limbs(), shape.positions(exp.bits()));
+            let mut chain: Option<L> = None;
+            let acc = if positions == 1 {
+                &mut product
+            } else {
+                &mut chain
+            };
+            for i in (0..positions).rev() {
+                if let Some(x) = acc.as_mut().filter(|_| i + 1 < positions) {
+                    for _ in 0..shape.width {
+                        self.sqr(tmp.as_mut(), x.as_ref());
+                        std::mem::swap(x, &mut tmp);
+                    }
+                }
+                // Past its stride only the top row has digits left.
+                let first = if i < shape.stride / shape.width {
+                    0
+                } else {
+                    shape.rows - 1
+                };
+                for j in first..shape.rows {
+                    let d = bits_at(exp, j * shape.stride + i * shape.width, shape.width);
+                    if d != 0 {
+                        self.mul_into(acc, &mut tmp, table.entry(j, d, k));
+                    }
+                }
+            }
+            if let Some(chain) = chain {
+                self.mul_into(&mut product, &mut tmp, chain.as_ref());
+            }
+        }
+        self.demont(product.as_ref().map_or(self.r1.as_ref(), AsRef::as_ref))
     }
 
     /// `x ← x^e` in Montgomery form for a small `e ≥ 1`, by left-to-right
@@ -298,7 +492,7 @@ impl<L: Limbs> Kernel<L> {
         let base = x.clone();
         let mut tmp = L::zeroed(self.k());
         for bit in (0..e.ilog2()).rev() {
-            self.mul(tmp.as_mut(), x.as_ref(), x.as_ref());
+            self.sqr(tmp.as_mut(), x.as_ref());
             std::mem::swap(x, &mut tmp);
             if (e >> bit) & 1 == 1 {
                 self.mul(tmp.as_mut(), x.as_ref(), base.as_ref());
@@ -345,7 +539,7 @@ impl<L: Limbs> Kernel<L> {
         for w in (0..max_bits.div_ceil(c)).rev() {
             if let Some(acc) = acc.as_mut() {
                 for _ in 0..c {
-                    self.mul(tmp.as_mut(), acc.as_ref(), acc.as_ref());
+                    self.sqr(tmp.as_mut(), acc.as_ref());
                     std::mem::swap(acc, &mut tmp);
                 }
             }
@@ -399,22 +593,6 @@ pub struct MontgomeryCtx {
     modulus: BigUint,
 }
 
-/// A precomputed window table of powers `base^0 .. base^15` in Montgomery
-/// form — one contiguous block of 16 residues — reusable across
-/// exponentiations with the same base and modulus. For the 5-limb Schnorr
-/// modulus it is a plain 640-byte value with no heap part.
-#[derive(Clone, Debug)]
-pub struct PowTable(Table);
-
-// The large variant is the point: boxing it would put the per-call key
-// table of a verification back on the heap.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug)]
-enum Table {
-    Fixed(<[u64; FIXED_LIMBS] as Limbs>::Table),
-    RunTime(<Vec<u64> as Limbs>::Table),
-}
-
 impl MontgomeryCtx {
     /// Builds a context for an odd modulus `> 1`; `None` otherwise.
     ///
@@ -454,7 +632,7 @@ impl MontgomeryCtx {
 
     /// `x mod n`, borrowing `x` when it is already reduced (the hot case:
     /// public keys and table bases are range-checked before they get here).
-    fn reduced<'a>(&self, x: &'a BigUint) -> Cow<'a, BigUint> {
+    pub(crate) fn reduced<'a>(&self, x: &'a BigUint) -> Cow<'a, BigUint> {
         if x.cmp_val(&self.modulus) == Ordering::Less {
             Cow::Borrowed(x)
         } else {
@@ -474,47 +652,27 @@ impl MontgomeryCtx {
         }
     }
 
-    /// Builds the w=4 window table for `base` (16 Montgomery entries).
-    pub fn pow_table(&self, base: &BigUint) -> PowTable {
+    /// Builds the row table of `shape` for `base` (see [`RowShape`]).
+    pub(crate) fn pow_rows(&self, base: &BigUint, shape: RowShape) -> PowRows {
         let base = self.reduced(base);
-        PowTable(match &self.kernel {
-            Width::Fixed(kernel) => Table::Fixed(kernel.table(&base)),
-            Width::RunTime(kernel) => Table::RunTime(kernel.table(&base)),
-        })
+        match &self.kernel {
+            Width::Fixed(kernel) => kernel.rows(&base, shape),
+            Width::RunTime(kernel) => kernel.rows(&base, shape),
+        }
     }
 
-    /// `base^exp mod n` by fixed-window (w = 4) exponentiation.
+    /// `base^exp mod n` by fixed-window (w = 4) exponentiation: the
+    /// one-row case of the row-table walk.
     pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        self.modpow_with_table(&self.pow_table(base), exp)
+        self.modpow_with_rows(&[(&self.pow_rows(base, RowShape::ONE_ROW), exp)])
     }
 
-    /// `base^exp mod n` reusing a precomputed window table for `base`.
-    pub fn modpow_with_table(&self, table: &PowTable, exp: &BigUint) -> BigUint {
-        // A zero second exponent never selects a second-table entry, so
-        // the dual walk is the single-base walk: one loop serves both.
-        self.modpow_dual(table, exp, table, &BigUint::zero())
-    }
-
-    /// Shamir/Straus simultaneous double exponentiation:
-    /// `a^x · b^y mod n` in one interleaved pass over a shared squaring
-    /// chain, given window tables for both bases.
-    ///
-    /// # Panics
-    ///
-    /// If a table was built by a context for a different modulus size.
-    pub fn modpow_dual(
-        &self,
-        a_table: &PowTable,
-        x: &BigUint,
-        b_table: &PowTable,
-        y: &BigUint,
-    ) -> BigUint {
-        match (&self.kernel, &a_table.0, &b_table.0) {
-            (Width::Fixed(kernel), Table::Fixed(a), Table::Fixed(b)) => kernel.pow_dual(a, x, b, y),
-            (Width::RunTime(kernel), Table::RunTime(a), Table::RunTime(b)) => {
-                kernel.pow_dual(a, x, b, y)
-            }
-            _ => panic!("window table built for a different modulus"),
+    /// `Π tableᵢ^{expᵢ} mod n` over row tables this context built; an
+    /// empty product is 1.
+    pub(crate) fn modpow_with_rows(&self, terms: &[(&PowRows, &BigUint)]) -> BigUint {
+        match &self.kernel {
+            Width::Fixed(kernel) => kernel.pow_rows(terms),
+            Width::RunTime(kernel) => kernel.pow_rows(terms),
         }
     }
 
@@ -555,11 +713,7 @@ impl MontgomeryCtx {
     }
 }
 
-/// Widest bucket window [`MontgomeryCtx::multi_pow`] uses: 63 buckets of
-/// one residue (2.5 KB at five limbs) whatever the batch size.
-const MAX_BUCKET_WINDOW: u32 = 6;
-
-/// The bucket window `c ≤ MAX_BUCKET_WINDOW` with the fewest modelled
+/// The bucket window `c ≤ MAX_WINDOW` with the fewest modelled
 /// multiplications for terms whose exponents have these bit lengths:
 /// per window `c` squarings and a fold of about `2^c` plus one
 /// multiplication per occupied bucket, and one bucket multiplication per
@@ -573,16 +727,13 @@ pub fn bucket_window(exp_bits: impl Iterator<Item = u32> + Clone) -> u32 {
         let in_buckets: u64 = exp_bits.clone().map(|b| u64::from(b.div_ceil(c))).sum();
         u64::from(max_bits.div_ceil(c)) * per_window + in_buckets
     };
-    (1..=MAX_BUCKET_WINDOW)
-        .min_by_key(|&c| cost(c))
-        .expect("the range is not empty")
-}
-
-/// Extracts 4-bit window `w` (windows counted from the least significant
-/// bit) straight from the exponent's limbs; zero past the top limb.
-#[inline]
-fn window_at(exp: &[u64], w: u32) -> usize {
-    bits_at(exp, w * WINDOW, WINDOW)
+    // The first minimiser: a later window must be strictly cheaper.
+    let first = (1, cost(1));
+    let (best, _) = (2..=MAX_WINDOW).fold(first, |(best, least), c| match cost(c) {
+        cheaper if cheaper < least => (c, cheaper),
+        _ => (best, least),
+    });
+    best
 }
 
 /// The `width ≤ 6` bits of `exp` starting at bit `bit`, straight from the
@@ -621,6 +772,75 @@ mod tests {
 
     fn odd_modulus(rng: &mut StdRng, bits: u32) -> BigUint {
         BigUint::random_bits(rng, bits).set_bit(bits - 1).set_bit(0)
+    }
+
+    fn shape(width: u32, stride: u32, rows: u32) -> RowShape {
+        RowShape::checked(width, stride, rows).expect("a valid shape")
+    }
+
+    /// `a^x · b^y` the way a verification computes `g^s · y^{q−e}`: a comb
+    /// for `a` and a key's eight rows for `b`, one walk.
+    fn dual(ctx: &MontgomeryCtx, a: &BigUint, x: &BigUint, b: &BigUint, y: &BigUint) -> BigUint {
+        let comb = ctx.pow_rows(a, shape(4, 4, 64));
+        let rows = ctx.pow_rows(b, shape(2, 32, 8));
+        ctx.modpow_with_rows(&[(&rows, y), (&comb, x)])
+    }
+
+    #[test]
+    fn row_shapes_refuse_what_a_walk_could_not_index() {
+        assert!(RowShape::checked(0, 4, 1).is_none());
+        assert!(RowShape::checked(7, 7, 1).is_none());
+        assert!(RowShape::checked(4, 6, 1).is_none());
+        assert!(RowShape::checked(2, 0, 1).is_none());
+        assert!(RowShape::checked(2, 32, 0).is_none());
+        assert!(RowShape::checked(1, 1 << 16, 1 << 16).is_none());
+        assert_eq!(RowShape::checked(4, 4, 1), Some(RowShape::ONE_ROW));
+        assert_eq!(shape(2, 32, 8).positions(255), 16);
+        assert_eq!(shape(4, 4, 64).positions(256), 1);
+        assert_eq!(shape(4, 4, 64).positions(260), 2);
+        assert_eq!(shape(4, 4, 1).positions(0), 1);
+        assert_eq!(shape(4, 4, 1).positions(255), 64);
+    }
+
+    /// Every shape at both widths against the schoolbook power, with
+    /// exponents inside the rows' span, reaching past it, with zero top
+    /// windows and zero.
+    #[test]
+    fn every_row_shape_matches_schoolbook() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let shapes = [
+            shape(4, 4, 1),
+            shape(1, 1, 1),
+            shape(6, 6, 1),
+            shape(4, 4, 64),
+            shape(2, 32, 8),
+            shape(3, 6, 5),
+            shape(5, 10, 3),
+            shape(6, 60, 2),
+        ];
+        for bits in [64u32, 260, 321] {
+            let m = odd_modulus(&mut rng, bits);
+            for ctx in [
+                MontgomeryCtx::new(&m).unwrap(),
+                MontgomeryCtx::new_run_time_width(&m).unwrap(),
+            ] {
+                let base = BigUint::random_bits(&mut rng, bits + 3);
+                for shape in shapes {
+                    let table = ctx.pow_rows(&base, shape);
+                    for exp_bits in [1u32, 17, 64, 129, 255, 256, 300] {
+                        let exp = BigUint::random_bits(&mut rng, exp_bits);
+                        let low = exp.rem(&BigUint::one().shl(exp_bits / 2));
+                        for exp in [exp, low, BigUint::zero()] {
+                            assert_eq!(
+                                ctx.modpow_with_rows(&[(&table, &exp)]),
+                                base.modpow_schoolbook(&exp, &m),
+                                "bits={bits} shape={shape:?} exp={exp:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -724,6 +944,7 @@ mod tests {
     #[test]
     fn windows_come_straight_from_the_limbs() {
         let exp = [0xfedc_ba98_7654_3210u64, 0x5];
+        let window_at = |exp: &[u64], w: u32| bits_at(exp, w * WINDOW, WINDOW);
         for w in 0..16 {
             assert_eq!(window_at(&exp, w), w as usize);
         }
@@ -748,7 +969,7 @@ mod tests {
         // Every width at every offset against the bit-by-bit definition.
         let exp = [0x0123_4567_89ab_cdefu64, 0xfedc_ba98_7654_3210, 0x5a5a];
         let bit = |i: u32| (exp[(i / 64) as usize] >> (i % 64)) & 1;
-        for width in 1..=MAX_BUCKET_WINDOW {
+        for width in 1..=MAX_WINDOW {
             for at in 0..(192 - width) {
                 let expected = (0..width).fold(0, |v, j| v | (bit(at + j) as usize) << j);
                 assert_eq!(bits_at(&exp, at, width), expected, "at={at} width={width}");
@@ -799,7 +1020,7 @@ mod tests {
         assert_eq!(ctx.multi_pow(&[]), BigUint::one());
         let (a, zero) = (BigUint::random_bits(&mut rng, 260), BigUint::zero());
         assert_eq!(ctx.multi_pow(&[(&a, &zero), (&a, &zero)]), BigUint::one());
-        // One term is a plain exponentiation, two are the dual one.
+        // One term is a plain exponentiation, two are a product of two.
         let (b, x, y) = (
             BigUint::random_bits(&mut rng, 270),
             BigUint::random_bits(&mut rng, 255),
@@ -808,7 +1029,7 @@ mod tests {
         assert_eq!(ctx.multi_pow(&[(&a, &x)]), ctx.modpow(&a, &x));
         assert_eq!(
             ctx.multi_pow(&[(&a, &x), (&b, &y)]),
-            ctx.modpow_dual(&ctx.pow_table(&a), &x, &ctx.pow_table(&b), &y)
+            dual(&ctx, &a, &x, &b, &y)
         );
     }
 
@@ -842,7 +1063,7 @@ mod tests {
             let b = BigUint::random_bits(&mut rng, 260);
             let x = BigUint::random_bits(&mut rng, 255);
             let y = BigUint::random_bits(&mut rng, 255);
-            let fused = ctx.modpow_dual(&ctx.pow_table(&a), &x, &ctx.pow_table(&b), &y);
+            let fused = dual(&ctx, &a, &x, &b, &y);
             let split = ctx.modpow(&a, &x).mul_mod(&ctx.modpow(&b, &y), &n);
             assert_eq!(fused, split);
         }
@@ -860,7 +1081,7 @@ mod tests {
             let x = if xb == 0 { BigUint::zero() } else { x };
             let y = BigUint::random_bits(&mut rng, yb.max(1));
             let y = if yb == 0 { BigUint::zero() } else { y };
-            let fused = ctx.modpow_dual(&ctx.pow_table(&a), &x, &ctx.pow_table(&b), &y);
+            let fused = dual(&ctx, &a, &x, &b, &y);
             let split = ctx.modpow(&a, &x).mul_mod(&ctx.modpow(&b, &y), &n);
             assert_eq!(fused, split, "xb={xb} yb={yb}");
         }

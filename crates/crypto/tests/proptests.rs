@@ -4,7 +4,10 @@ use pds2_crypto::bigint::BigUint;
 use pds2_crypto::codec::{Decode, Encode, Encoder};
 use pds2_crypto::merkle::MerkleTree;
 use pds2_crypto::montgomery::bucket_window;
-use pds2_crypto::schnorr::{batch_randomisers, verify_batch, BatchItem, Group, BATCH_MIN};
+use pds2_crypto::schnorr::{
+    batch_randomisers, key_rows_cached, key_rows_held, verify_batch, BatchItem, Group, BATCH_MIN,
+    KEY_ROWS_PER_GENERATION,
+};
 use pds2_crypto::sha256::{self, sha256, Digest, Sha256};
 use pds2_crypto::{KeyPair, MontgomeryCtx, PublicKey, Signature};
 use proptest::prelude::*;
@@ -375,21 +378,19 @@ fn root_of_unity_28() -> BigUint {
         .expect("Z_p* is cyclic")
 }
 
-/// (c) Agreement under taint. A signer who knows `x` can mix an element
-/// of small order into `R`, into `y`, or into both *before* hashing, and
-/// gets a triple that satisfies the equation only up to the cofactor:
-/// all three paths accept it. Mixed in *after* hashing it changes `e`,
-/// and all three refuse. Either way no path disagrees with another.
-#[test]
-fn single_batch_and_reference_agree_on_small_order_taint() {
+/// The 25 tainted members of test (c), each with the verdict every path
+/// must give it: a signer who knows `x` mixes an element of order 2, 4,
+/// 7, 14 or 28 into `R`, into `y` or into both, before hashing (accepted
+/// up to the cofactor) or after (refused, since it changes `e`).
+fn tainted_members() -> Vec<(String, Signed, bool)> {
     let group = Group::standard();
     let zeta = root_of_unity_28();
     let kp = KeyPair::from_seed(77);
     let (x, y) = (kp.secret.scalar(), kp.public.element());
     let message = b"tainted".to_vec();
     let k = BigUint::from_u64(0x5eed_5eed).mul(&BigUint::from_u64(0xfeed_f00d));
-    let fillers = batch_of(0..6);
-    let mut accepted = 0;
+    let clean_r = group.pow_g(&k);
+    let mut members = Vec::new();
     for order in [2u64, 4, 7, 14, 28] {
         let z = zeta.modpow(&BigUint::from_u64(28 / order), &group.p);
         assert!(z.modpow(&BigUint::from_u64(order), &group.p).is_one() && !z.is_one());
@@ -407,7 +408,6 @@ fn single_batch_and_reference_agree_on_small_order_taint() {
                     v.clone()
                 }
             };
-            let clean_r = group.pow_g(&k);
             let (r, key) = (mix(&clean_r, taint_r), mix(y, taint_y));
             let (hashed_r, hashed_y) = if before_hashing {
                 (&r, &key)
@@ -423,20 +423,185 @@ fn single_batch_and_reference_agree_on_small_order_taint() {
                 signature: Signature::new(r, s).expect("in range"),
             };
             let case = format!("order {order} R {taint_r} y {taint_y} before {before_hashing}");
-            assert_eq!(
-                member.verdicts(),
-                (before_hashing, before_hashing),
-                "{case}"
-            );
-            for position in [0, 3, 6] {
-                let mut batch = fillers.clone();
-                batch.insert(position, member.item());
-                assert_eq!(verify_batch(&batch), before_hashing, "{case} at {position}");
-            }
-            accepted += before_hashing as usize;
+            members.push((case, member, before_hashing));
         }
     }
+    members
+}
+
+/// (c) Agreement under taint. A signer who knows `x` can mix an element
+/// of small order into `R`, into `y`, or into both *before* hashing, and
+/// gets a triple that satisfies the equation only up to the cofactor:
+/// all three paths accept it. Mixed in *after* hashing it changes `e`,
+/// and all three refuse. Either way no path disagrees with another.
+#[test]
+fn single_batch_and_reference_agree_on_small_order_taint() {
+    let fillers = batch_of(0..6);
+    let mut accepted = 0;
+    for (case, member, before_hashing) in tainted_members() {
+        assert_eq!(
+            member.verdicts(),
+            (before_hashing, before_hashing),
+            "{case}"
+        );
+        for position in [0, 3, 6] {
+            let mut batch = fillers.clone();
+            batch.insert(position, member.item());
+            assert_eq!(verify_batch(&batch), before_hashing, "{case} at {position}");
+        }
+        accepted += before_hashing as usize;
+    }
     assert_eq!(accepted, 15);
+}
+
+// ---------------------------------------------------------------------------
+// Row tables: the generator's comb and the verifying keys' rows (DESIGN.md
+// §5d) against the schoolbook powers and the reference verifier.
+// ---------------------------------------------------------------------------
+
+/// `pow_g` walks the comb: every exponent shape against the schoolbook
+/// power, the ones whose top windows are zero and the ones longer than
+/// the comb's 256 bits included.
+#[test]
+fn comb_pow_g_matches_schoolbook() {
+    let group = Group::standard();
+    let one = BigUint::one();
+    let mut exps = vec![
+        BigUint::zero(),
+        one.clone(),
+        BigUint::from_u64(15),
+        BigUint::from_u64(16),
+        group.q.sub(&one),
+        group.q.clone(),
+        group.q.add(&one),
+        one.shl(252),
+        one.shl(255),
+        one.shl(256).sub(&one),
+        one.shl(256),
+        one.shl(300).add(&one),
+        group.p.clone(),
+    ];
+    for i in 0..24u64 {
+        let full = sha_scalar(i);
+        // Zero top windows: the exponent cut to 4·w bits for w below 64.
+        let cut = full.rem(&one.shl(4 * (i as u32 * 5 % 64)));
+        exps.extend([full.rem(&group.q), cut]);
+    }
+    for e in &exps {
+        assert_eq!(
+            group.pow_g(e),
+            group.g.modpow_schoolbook(e, &group.p),
+            "e={e:?}"
+        );
+    }
+}
+
+/// `dual_pow_g`, the single check threshold governance runs on partial
+/// signatures, against the schoolbook product: keys in and out of the
+/// subgroup, unreduced and degenerate ones, each seen twice.
+#[test]
+fn dual_pow_g_matches_schoolbook_for_every_key_shape() {
+    let group = Group::standard();
+    let p = &group.p;
+    let zeta = root_of_unity_28();
+    let key = KeyPair::from_seed(31).public.element().clone();
+    let keys = [
+        key.clone(),
+        key.mul_mod(&zeta, p),
+        zeta.clone(),
+        BigUint::zero(),
+        BigUint::one(),
+        p.sub(&BigUint::one()),
+        key.add(p),
+        sha_scalar(5).add(&BigUint::from_u64(7)),
+    ];
+    for (i, y) in keys.iter().enumerate() {
+        for sighting in 0..2u64 {
+            let a = sha_scalar(100 + i as u64).rem(&group.q);
+            let b = match sighting {
+                0 => group.q.sub(&sha_scalar(200 + i as u64).rem(&group.q)),
+                _ => sha_scalar(300 + i as u64).shl(40),
+            };
+            let expected = group
+                .g
+                .modpow_schoolbook(&a, p)
+                .mul_mod(&y.modpow_schoolbook(&b, p), p);
+            assert_eq!(
+                group.dual_pow_g(&a, y, &b),
+                expected,
+                "key {i} sighting {sighting}"
+            );
+        }
+    }
+}
+
+/// A forgery under a key whose rows are cached is refused, and it leaves
+/// nothing behind: the key's next honest signature still verifies.
+#[test]
+fn a_forgery_under_a_warm_key_is_refused_and_the_next_honest_one_passes() {
+    let kp = KeyPair::from_seed(4_242);
+    let honest = Signed {
+        key: kp.public.clone(),
+        message: b"warm".to_vec(),
+        signature: kp.sign(b"warm"),
+    };
+    assert!(!key_rows_cached(&kp.public));
+    assert_eq!(honest.verdicts(), (true, true));
+    assert!(key_rows_cached(&kp.public));
+    for kind in 0..3 {
+        let forged = forge(&honest, kind);
+        assert_eq!(forged.verdicts(), (false, false), "kind {kind}");
+        let next = kp.sign(&[b'n', kind as u8]);
+        assert!(kp.public.verify(&[b'n', kind as u8], &next), "kind {kind}");
+    }
+}
+
+/// Row-based verification agrees with the reference on a key's first
+/// sighting, its second and after its generation rolled (found in the
+/// older one), for honest keys, forgeries under them and the 25 tainted
+/// members of test (c); and after more than two generations of distinct
+/// keys a thread holds at most two generations.
+#[test]
+fn row_verify_matches_reference_across_sightings_and_generations() {
+    let mut tracked: Vec<(String, Signed, bool)> = tainted_members();
+    for i in 0..4u64 {
+        let kp = KeyPair::from_seed(5_000 + i);
+        let message = i.to_le_bytes().to_vec();
+        let signature = kp.sign(&message);
+        let honest = Signed {
+            key: kp.public,
+            message,
+            signature,
+        };
+        tracked.push((format!("honest {i}"), forge(&honest, 0), false));
+        tracked.push((format!("honest {i}"), honest, true));
+    }
+    let check = |when: &str| {
+        for (case, member, verdict) in &tracked {
+            assert_eq!(member.verdicts(), (*verdict, *verdict), "{when}: {case}");
+        }
+    };
+    // Keys the filler walks never meet: small elements, one per call.
+    let group = Group::standard();
+    let (a, b) = (BigUint::from_u64(3), BigUint::from_u64(5));
+    let mut filler = 1_000_000u64;
+    let mut fill = |keys: usize| {
+        for _ in 0..keys {
+            filler += 1;
+            group.dual_pow_g(&a, &BigUint::from_u64(filler), &b);
+        }
+        assert!(key_rows_held() <= 2 * KEY_ROWS_PER_GENERATION);
+    };
+    assert!(tracked.iter().all(|(_, m, _)| !key_rows_cached(&m.key)));
+    check("first sighting");
+    assert!(tracked.iter().all(|(_, m, _)| key_rows_cached(&m.key)));
+    check("second sighting");
+    fill(KEY_ROWS_PER_GENERATION);
+    assert!(tracked.iter().all(|(_, m, _)| key_rows_cached(&m.key)));
+    check("found in the older generation");
+    // More than two generations of distinct keys have now passed through.
+    fill(KEY_ROWS_PER_GENERATION + 1);
+    assert!(key_rows_held() > KEY_ROWS_PER_GENERATION);
 }
 
 /// (d) The randomisers are a function of the batch and of all of it.
@@ -687,7 +852,8 @@ fn both_widths(m: &BigUint) -> [MontgomeryCtx; 2] {
 }
 
 /// Asserts that both instantiations and the schoolbook path agree
-/// bit-for-bit on a multiplication, a single and a dual exponentiation.
+/// bit-for-bit on a multiplication, a single exponentiation (the one-row
+/// walk) and a product of two (the bucket method).
 fn assert_kernels_match_schoolbook(
     m: &BigUint,
     a: &BigUint,
@@ -702,7 +868,7 @@ fn assert_kernels_match_schoolbook(
         assert_eq!(ctx.mul_mod(a, b), mul, "mul m={m:?} a={a:?} b={b:?}");
         assert_eq!(ctx.modpow(a, x), pow, "pow m={m:?} a={a:?} x={x:?}");
         assert_eq!(
-            ctx.modpow_dual(&ctx.pow_table(a), x, &ctx.pow_table(b), y),
+            ctx.multi_pow(&[(a, x), (b, y)]),
             dual,
             "dual m={m:?} a={a:?} x={x:?} b={b:?} y={y:?}"
         );

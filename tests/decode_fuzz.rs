@@ -626,12 +626,8 @@ mod corrupted_in_flight {
         truncated_transaction_always_errors => assert_prefixes_rejected("SignedTransaction");
         truncated_block_always_errors => assert_prefixes_rejected("Block");
         truncated_gossip_msg_always_errors => assert_prefixes_rejected("GossipMsg");
-        truncated_signature_always_errors => assert_prefixes_rejected("Signature");
-        truncated_public_key_always_errors => assert_prefixes_rejected("PublicKey");
         bitflipped_transaction_every_position => assert_bit_flips_caught("SignedTransaction");
         bitflipped_block_every_position => assert_bit_flips_caught("Block");
-        bitflipped_signature_every_position => assert_bit_flips_caught("Signature");
-        bitflipped_public_key_every_position => assert_bit_flips_caught("PublicKey");
         bitflipped_gossip_msg_every_position => assert_bit_flips_caught("GossipMsg");
     }
 }
