@@ -37,7 +37,8 @@ use std::sync::Arc;
 
 /// First eight bytes of a digest as a trace-field-sized fingerprint.
 fn digest_tag(d: &Digest) -> u64 {
-    u64::from_le_bytes(d.as_bytes()[..8].try_into().expect("digest >= 8 bytes"))
+    let &[b0, b1, b2, b3, b4, b5, b6, b7, ..] = d.as_bytes();
+    u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
 }
 
 /// Chain configuration.

@@ -75,6 +75,7 @@ impl Blockchain {
     /// validated block header.
     pub fn prove_account(&self, addr: &Address) -> AccountProof {
         let (value, proof) = self.state.prove_leaf(&LeafKey::Account(*addr));
+        // An account leaf's value is `Account::to_bytes`, which `from_bytes` inverts.
         let account = value.map(|b| Account::from_bytes(&b).expect("canonical account encoding"));
         AccountProof { account, proof }
     }

@@ -218,11 +218,6 @@ impl Mempool {
         self.len == 0
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Whether `hash` is pending.
     pub fn contains(&self, hash: &Digest) -> bool {
         self.by_hash.contains_key(hash)

@@ -51,6 +51,7 @@ impl WorldState {
             pending_token_transfers: Vec::new(),
             erc20: &self.erc20,
         };
+        // Found at the top; the escrow transfer and `mark` remove no contract.
         let instance = self
             .contracts
             .get_mut(&contract_addr)
@@ -64,14 +65,18 @@ impl WorldState {
             Err(e) => Err(e.to_string()),
         };
         if result.is_err() {
+            // Still there: the call sees only `ctx` and `pay_out` moves balances.
             let instance = self
                 .contracts
                 .get_mut(&contract_addr)
                 .expect("checked above");
+            // `snapshot` came from this same instance before the call.
             instance
                 .contract
                 .restore(&snapshot)
                 .expect("restoring own snapshot cannot fail");
+            // The escrow credited `value`, and a failed call or payout moved
+            // nothing out of the contract's balance.
             if value > 0 {
                 self.native_transfer(contract_addr, sender, value)
                     .expect("escrow refund cannot fail");
@@ -108,6 +113,8 @@ impl WorldState {
         if !covered {
             return Err(ContractError::InsufficientContractFunds.to_string());
         }
+        // `covered` held each total to its balance in a token that exists,
+        // the only ways a transfer below can fail.
         for (to, amount) in native {
             self.native_transfer(contract_addr, to, amount)
                 .expect("total checked above");

@@ -99,10 +99,7 @@ impl WorldState {
     /// full-rehash oracle's input.
     fn full_leaves(&self) -> Vec<(Digest, Digest)> {
         self.leaf_keys()
-            .map(|k| {
-                let value = self.leaf_digest(&k).expect("enumerated leaves are present");
-                (k.digest(), value)
-            })
+            .filter_map(|k| Some((k.digest(), self.leaf_digest(&k)?)))
             .collect()
     }
 

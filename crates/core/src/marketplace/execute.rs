@@ -184,9 +184,8 @@ impl Marketplace {
 
         // Decentralized aggregation: iterative peer averaging converging to
         // the record-weighted mean (identical on every executor, so all
-        // honest executors submit the same hash). Aggregation rounds only
-        // affect simulated communication cost here; the fixed point is the
-        // weighted mean.
+        // honest executors submit the same hash), taken here in one step:
+        // nothing reads `aggregation_rounds`, not even a cost model.
         let aggregated = weighted_mean(&local_params, &local_weights);
         let result_hash = hash_params(&aggregated);
 

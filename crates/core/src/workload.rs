@@ -110,7 +110,9 @@ pub struct WorkloadSpec {
     pub validation: Dataset,
     /// SGD epochs executors run locally.
     pub local_epochs: u32,
-    /// Decentralized averaging rounds among executors.
+    /// Decentralized averaging rounds among executors. Encoded with the
+    /// spec but read by nothing: execution takes the averaging's fixed
+    /// point, the record-weighted mean, in one step (ROADMAP 8(j)).
     pub aggregation_rounds: u32,
     /// Optional differential-privacy noise multiplier applied by
     /// executors to local updates (§IV-D mitigation).

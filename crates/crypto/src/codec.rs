@@ -55,10 +55,6 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Encodes an `f64` via its IEEE-754 bit pattern.
     pub fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -185,10 +181,6 @@ impl<'a> Decoder<'a> {
 
     pub fn get_u128(&mut self) -> Result<u128, DecodeError> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    pub fn get_i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
@@ -424,7 +416,6 @@ mod tests {
         enc.put_u32(0xdeadbeef);
         enc.put_u64(u64::MAX);
         enc.put_u128(u128::MAX - 5);
-        enc.put_i64(-42);
         enc.put_f64(3.25);
         enc.put_bytes(b"hello");
         enc.put_str("wörld");
@@ -435,7 +426,6 @@ mod tests {
         assert_eq!(dec.get_u32().unwrap(), 0xdeadbeef);
         assert_eq!(dec.get_u64().unwrap(), u64::MAX);
         assert_eq!(dec.get_u128().unwrap(), u128::MAX - 5);
-        assert_eq!(dec.get_i64().unwrap(), -42);
         assert_eq!(dec.get_f64().unwrap(), 3.25);
         assert_eq!(dec.get_bytes().unwrap(), b"hello");
         assert_eq!(dec.get_str().unwrap(), "wörld");

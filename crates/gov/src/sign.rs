@@ -353,11 +353,6 @@ impl SigningSession {
         })
     }
 
-    /// The signer set fixed at construction.
-    pub fn signers(&self) -> &[u64] {
-        &self.signers
-    }
-
     /// The Schnorr challenge this attempt signs under.
     pub fn challenge(&self) -> &BigUint {
         &self.e

@@ -34,16 +34,6 @@ pub mod fixed {
     pub fn to_fixed(v: f64) -> i64 {
         (v * SCALE).round() as i64
     }
-
-    /// Converts a scaled integer back to `f64`.
-    pub fn from_fixed(v: i64) -> f64 {
-        v as f64 / SCALE
-    }
-
-    /// Undoes the double scaling after a fixed-point multiplication.
-    pub fn from_fixed_product(v: i64) -> f64 {
-        v as f64 / (SCALE * SCALE)
-    }
 }
 
 /// A Paillier public key `(n, n²)` with `g = n + 1` implied.
@@ -413,12 +403,11 @@ mod tests {
     fn fixed_point_helpers() {
         use super::fixed::*;
         let x = 2.348712;
-        let f = to_fixed(x);
-        assert!((from_fixed(f) - x).abs() < 1e-5);
+        assert!((to_fixed(x) as f64 / SCALE - x).abs() < 1e-5);
         // Product of two fixed-point values carries double scale.
         let a = to_fixed(1.5);
         let b = to_fixed(-2.0);
-        assert!((from_fixed_product(a * b) - -3.0).abs() < 1e-5);
+        assert!(((a * b) as f64 / (SCALE * SCALE) - -3.0).abs() < 1e-5);
     }
 
     #[test]

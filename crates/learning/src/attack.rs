@@ -140,7 +140,7 @@ mod tests {
         // Plenty of easy data -> train/test losses match -> low advantage.
         let data = gaussian_blobs(2000, 3, 0.6, 3);
         let (train_set, test_set) = data.split(0.5, 4);
-        let mut m = LogisticRegression::with_l2(3, 0.01);
+        let mut m = LogisticRegression::new(3);
         train(&mut m, &train_set, &SgdConfig::default());
         let result = loss_threshold_attack(&m, &train_set, &test_set);
         assert!(

@@ -1,11 +1,11 @@
-//! Differential-privacy mechanisms and budget accounting (§IV-D).
+//! Differential-privacy mechanisms and the DP-SGD step (§IV-D).
 //!
 //! The paper proposes that "executors could statically or dynamically
 //! analyze each workload to assess the risk of privacy leaks and apply the
 //! most suitable measures to limit it", citing differential privacy. This
-//! module provides the Laplace and Gaussian mechanisms, calibration
-//! helpers, and a simple composition accountant, which experiment E11 uses
-//! to trade attack advantage against model accuracy.
+//! module provides the Laplace and Gaussian mechanisms, their calibration,
+//! and the DP-SGD step that DP workloads, gossip learning and experiment
+//! E11 use to trade attack advantage against model accuracy.
 
 use pds2_ml::data::{standard_normal, Dataset};
 use pds2_ml::linalg::clip_norm;
@@ -81,64 +81,6 @@ pub fn gaussian_mechanism_vec<R: Rng + ?Sized>(
     }
 }
 
-/// Tracks cumulative privacy spend under basic (linear) composition.
-///
-/// Basic composition is pessimistic compared to moments accounting, but it
-/// is exact as an upper bound and keeps the accounting auditable — the
-/// governance layer logs the accumulated ε per provider.
-#[derive(Clone, Debug, Default)]
-pub struct PrivacyAccountant {
-    epsilon: f64,
-    delta: f64,
-    releases: u64,
-}
-
-impl PrivacyAccountant {
-    /// Fresh accountant with zero spend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one (ε, δ) release.
-    pub fn spend(&mut self, epsilon: f64, delta: f64) {
-        assert!(epsilon >= 0.0 && delta >= 0.0);
-        self.epsilon += epsilon;
-        self.delta += delta;
-        self.releases += 1;
-        pds2_obs::counter!("learning.dp_releases").inc();
-        pds2_obs::gauge!("learning.dp_epsilon_spent").add(epsilon);
-        pds2_obs::event!(
-            "learning",
-            "dp.spend",
-            pds2_obs::Stamp::None,
-            pds2_obs::TraceCtx::NONE,
-            "epsilon" => epsilon,
-            "delta" => delta,
-            "total_epsilon" => self.epsilon,
-        );
-    }
-
-    /// Total ε under basic composition.
-    pub fn total_epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Total δ under basic composition.
-    pub fn total_delta(&self) -> f64 {
-        self.delta
-    }
-
-    /// Number of releases recorded.
-    pub fn releases(&self) -> u64 {
-        self.releases
-    }
-
-    /// Whether the spend stays within a budget.
-    pub fn within(&self, epsilon_budget: f64, delta_budget: f64) -> bool {
-        self.epsilon <= epsilon_budget && self.delta <= delta_budget
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,20 +134,6 @@ mod tests {
         // Tighter ε or δ → more noise.
         assert!(gaussian_sigma(1.0, 0.5, 1e-5) > s);
         assert!(gaussian_sigma(1.0, 1.0, 1e-9) > s);
-    }
-
-    #[test]
-    fn accountant_composes_linearly() {
-        let _obs = pds2_obs::test_lock();
-        let mut acc = PrivacyAccountant::new();
-        for _ in 0..10 {
-            acc.spend(0.1, 1e-6);
-        }
-        assert!((acc.total_epsilon() - 1.0).abs() < 1e-9);
-        assert!((acc.total_delta() - 1e-5).abs() < 1e-12);
-        assert_eq!(acc.releases(), 10);
-        assert!(acc.within(1.0, 1e-4));
-        assert!(!acc.within(0.5, 1e-4));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! - [`federated`] — the FedAvg baseline with a central coordinator,
 //!   exhibiting exactly the §III-C limitations (aggregator load,
 //!   coordinator single point of failure, wasted rounds under churn);
-//! - [`dp`] — Laplace/Gaussian mechanisms and privacy accounting (§IV-D);
+//! - [`dp`] — Laplace/Gaussian mechanisms and the DP-SGD step (§IV-D);
 //! - [`attack`] — the loss-threshold membership-inference attack used to
 //!   *measure* leakage with and without DP (experiment E11).
 
@@ -21,7 +21,6 @@ pub mod federated;
 pub mod gossip;
 
 pub use attack::{loss_threshold_attack, AttackResult};
-pub use dp::PrivacyAccountant;
 pub use federated::{run_fedavg, FedConfig, FedOutcome};
 pub use gossip::{
     run_gossip_experiment, GossipConfig, GossipNode, GossipOutcome, GossipRun, MergeRule,

@@ -114,50 +114,6 @@ impl Dataset {
             .collect()
     }
 
-    /// Per-feature standardization (mean 0, stddev 1), returning the new
-    /// dataset and the (mean, std) used — apply the same to test data.
-    pub fn standardize(&self) -> (Dataset, Vec<(f64, f64)>) {
-        let d = self.dim();
-        let n = self.len().max(1) as f64;
-        let mut stats = vec![(0.0, 0.0); d];
-        for row in &self.x {
-            for (j, v) in row.iter().enumerate() {
-                stats[j].0 += v;
-            }
-        }
-        for s in &mut stats {
-            s.0 /= n;
-        }
-        for row in &self.x {
-            for (j, v) in row.iter().enumerate() {
-                let delta = v - stats[j].0;
-                stats[j].1 += delta * delta;
-            }
-        }
-        for s in &mut stats {
-            s.1 = (s.1 / n).sqrt().max(1e-12);
-        }
-        (self.apply_standardization(&stats), stats)
-    }
-
-    /// Applies previously-computed standardization statistics.
-    pub fn apply_standardization(&self, stats: &[(f64, f64)]) -> Dataset {
-        let x = self
-            .x
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .zip(stats)
-                    .map(|(v, (m, s))| (v - m) / s)
-                    .collect()
-            })
-            .collect();
-        Dataset {
-            x,
-            y: self.y.clone(),
-        }
-    }
-
     /// Fraction of rows with label 1 (classification datasets).
     pub fn positive_fraction(&self) -> f64 {
         if self.is_empty() {
@@ -203,24 +159,6 @@ pub fn gaussian_blobs(n: usize, dim: usize, spread: f64, seed: u64) -> Dataset {
     Dataset::new(x, y)
 }
 
-/// Two interleaved spirals (binary classification, not linearly separable).
-pub fn two_spirals(n: usize, noise: f64, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut x = Vec::with_capacity(n);
-    let mut y = Vec::with_capacity(n);
-    for i in 0..n {
-        let label = (i % 2) as f64;
-        let t = 0.5 + 3.0 * (i as f64 / n as f64) * std::f64::consts::PI;
-        let sign = if label > 0.5 { 1.0 } else { -1.0 };
-        x.push(vec![
-            sign * t * t.cos() + noise * standard_normal(&mut rng),
-            sign * t * t.sin() + noise * standard_normal(&mut rng),
-        ]);
-        y.push(label);
-    }
-    Dataset::new(x, y)
-}
-
 /// Linear-regression data: `y = w·x + b + noise` with a hidden seeded
 /// ground-truth weight vector.
 pub fn noisy_linear(n: usize, dim: usize, noise: f64, seed: u64) -> Dataset {
@@ -234,35 +172,6 @@ pub fn noisy_linear(n: usize, dim: usize, noise: f64, seed: u64) -> Dataset {
         let target = crate::linalg::dot(&w, &row) + b + noise * standard_normal(&mut rng);
         x.push(row);
         y.push(target);
-    }
-    Dataset::new(x, y)
-}
-
-/// A "spambase-like" task: sparse non-negative frequency features whose
-/// rates depend on the class, mimicking word-frequency spam data (the kind
-/// of small tabular task used in the gossip-learning literature).
-pub fn spam_like(n: usize, dim: usize, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Class-conditional activation probabilities per feature.
-    let p_spam: Vec<f64> = (0..dim).map(|_| rng.random::<f64>() * 0.5).collect();
-    let p_ham: Vec<f64> = (0..dim).map(|_| rng.random::<f64>() * 0.5).collect();
-    let mut x = Vec::with_capacity(n);
-    let mut y = Vec::with_capacity(n);
-    for i in 0..n {
-        let label = (i % 2) as f64;
-        let rates = if label > 0.5 { &p_spam } else { &p_ham };
-        let row: Vec<f64> = rates
-            .iter()
-            .map(|&p| {
-                if rng.random::<f64>() < p {
-                    (rng.random::<f64>() * 5.0 * 100.0).round() / 100.0
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        x.push(row);
-        y.push(label);
     }
     Dataset::new(x, y)
 }
@@ -304,8 +213,6 @@ mod tests {
     fn generators_are_seeded() {
         assert_eq!(gaussian_blobs(50, 3, 1.0, 7), gaussian_blobs(50, 3, 1.0, 7));
         assert_ne!(gaussian_blobs(50, 3, 1.0, 7), gaussian_blobs(50, 3, 1.0, 8));
-        assert_eq!(spam_like(30, 10, 3), spam_like(30, 10, 3));
-        assert_eq!(two_spirals(30, 0.1, 3), two_spirals(30, 0.1, 3));
         assert_eq!(noisy_linear(30, 4, 0.1, 3), noisy_linear(30, 4, 0.1, 3));
     }
 
@@ -350,20 +257,6 @@ mod tests {
             .filter(|p| p.positive_fraction() < 0.15 || p.positive_fraction() > 0.85)
             .count();
         assert!(skewed >= 6, "only {skewed}/10 providers are label-skewed");
-    }
-
-    #[test]
-    fn standardize_zero_mean_unit_var() {
-        let d = noisy_linear(200, 3, 0.5, 4);
-        let (std_d, stats) = d.standardize();
-        for j in 0..3 {
-            let mean: f64 = std_d.x.iter().map(|r| r[j]).sum::<f64>() / 200.0;
-            let var: f64 = std_d.x.iter().map(|r| r[j] * r[j]).sum::<f64>() / 200.0;
-            assert!(mean.abs() < 1e-9, "mean {mean}");
-            assert!((var - 1.0).abs() < 1e-6, "var {var}");
-        }
-        // Applying the same stats to the same data reproduces it.
-        assert_eq!(d.apply_standardization(&stats), std_d);
     }
 
     #[test]

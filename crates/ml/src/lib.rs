@@ -5,13 +5,13 @@
 //! valuable data aggregation workloads in the industry" (§I).
 //!
 //! - [`linalg`] — dense vector kernels, parameter averaging, norm clipping;
-//! - [`data`] — seeded synthetic datasets (blobs, spirals, noisy-linear,
-//!   spam-like, IoT sensor series) with IID and label-skewed partitioning;
-//! - [`model`] — linear regression, logistic regression, a small MLP, all
-//!   exposing flat parameter vectors for decentralized averaging;
+//! - [`data`] — seeded synthetic datasets (blobs, noisy-linear, IoT sensor
+//!   series) with IID and label-skewed partitioning;
+//! - [`model`] — linear, logistic and softmax regression, all exposing
+//!   flat parameter vectors for decentralized averaging;
 //! - [`sgd`] — mini-batch SGD with optional gradient clipping (DP-SGD
 //!   building block);
-//! - [`metrics`] — accuracy, MSE, log loss, AUC.
+//! - [`metrics`] — accuracy and MSE.
 
 #![forbid(unsafe_code)]
 
@@ -23,5 +23,5 @@ pub mod sgd;
 pub mod solve;
 
 pub use data::Dataset;
-pub use model::{LinearRegression, LogisticRegression, Mlp, Model, SoftmaxRegression};
+pub use model::{LinearRegression, LogisticRegression, Model, SoftmaxRegression};
 pub use sgd::{train, SgdConfig};

@@ -1,4 +1,5 @@
-//! Models: linear regression, logistic regression and a small MLP.
+//! Models: linear regression, binary logistic regression and multiclass
+//! softmax regression.
 //!
 //! All models expose a flat parameter vector ([`Model::params`] /
 //! [`Model::set_params`]) so the decentralized aggregation protocols
@@ -118,8 +119,6 @@ pub struct LogisticRegression {
     pub weights: Vec<f64>,
     /// Intercept.
     pub bias: f64,
-    /// L2 regularization strength.
-    pub l2: f64,
 }
 
 impl LogisticRegression {
@@ -128,16 +127,6 @@ impl LogisticRegression {
         LogisticRegression {
             weights: vec![0.0; dim],
             bias: 0.0,
-            l2: 0.0,
-        }
-    }
-
-    /// With L2 regularization.
-    pub fn with_l2(dim: usize, l2: f64) -> Self {
-        LogisticRegression {
-            weights: vec![0.0; dim],
-            bias: 0.0,
-            l2,
         }
     }
 
@@ -165,8 +154,7 @@ impl Model for LogisticRegression {
             return 0.0;
         }
         let eps = 1e-12;
-        let nll: f64 = data
-            .x
+        data.x
             .iter()
             .zip(&data.y)
             .map(|(x, y)| {
@@ -174,8 +162,7 @@ impl Model for LogisticRegression {
                 -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
             })
             .sum::<f64>()
-            / data.len() as f64;
-        nll + 0.5 * self.l2 * dot(&self.weights, &self.weights)
+            / data.len() as f64
     }
 
     #[allow(clippy::needless_range_loop)] // grad/x lockstep indexing
@@ -195,9 +182,6 @@ impl Model for LogisticRegression {
         for g in &mut grad {
             *g *= scale;
         }
-        for j in 0..d {
-            grad[j] += self.l2 * self.weights[j];
-        }
         grad
     }
 
@@ -211,144 +195,6 @@ impl Model for LogisticRegression {
         assert_eq!(params.len(), self.weights.len() + 1, "param size mismatch");
         self.weights.copy_from_slice(&params[..params.len() - 1]);
         self.bias = params[params.len() - 1];
-    }
-}
-
-/// A one-hidden-layer MLP with tanh activation for binary classification.
-///
-/// Small but genuinely non-linear — used to show the marketplace handles
-/// workloads a linear model cannot fit (the two-spirals example).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Mlp {
-    input_dim: usize,
-    hidden: usize,
-    /// Hidden weights, row-major `[hidden x input_dim]`.
-    w1: Vec<f64>,
-    b1: Vec<f64>,
-    w2: Vec<f64>,
-    b2: f64,
-}
-
-impl Mlp {
-    /// Creates an MLP with small deterministic weight initialization.
-    pub fn new(input_dim: usize, hidden: usize, seed: u64) -> Self {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let scale = 1.0 / (input_dim as f64).sqrt();
-        Mlp {
-            input_dim,
-            hidden,
-            w1: (0..hidden * input_dim)
-                .map(|_| (rng.random::<f64>() - 0.5) * 2.0 * scale)
-                .collect(),
-            b1: vec![0.0; hidden],
-            w2: (0..hidden)
-                .map(|_| (rng.random::<f64>() - 0.5) * 2.0 / (hidden as f64).sqrt())
-                .collect(),
-            b2: 0.0,
-        }
-    }
-
-    fn hidden_activations(&self, x: &[f64]) -> Vec<f64> {
-        (0..self.hidden)
-            .map(|h| {
-                let row = &self.w1[h * self.input_dim..(h + 1) * self.input_dim];
-                (dot(row, x) + self.b1[h]).tanh()
-            })
-            .collect()
-    }
-
-    /// Hard class decision at threshold 0.5.
-    pub fn classify(&self, x: &[f64]) -> f64 {
-        if self.predict(x) >= 0.5 {
-            1.0
-        } else {
-            0.0
-        }
-    }
-}
-
-impl Model for Mlp {
-    fn raw_predict(&self, x: &[f64]) -> f64 {
-        let h = self.hidden_activations(x);
-        dot(&self.w2, &h) + self.b2
-    }
-
-    fn predict(&self, x: &[f64]) -> f64 {
-        sigmoid(self.raw_predict(x))
-    }
-
-    fn loss(&self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let eps = 1e-12;
-        data.x
-            .iter()
-            .zip(&data.y)
-            .map(|(x, y)| {
-                let p = self.predict(x).clamp(eps, 1.0 - eps);
-                -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
-            })
-            .sum::<f64>()
-            / data.len() as f64
-    }
-
-    #[allow(clippy::needless_range_loop)] // grad/x lockstep indexing
-    fn gradient(&self, data: &Dataset, batch: &[usize]) -> Vec<f64> {
-        assert!(!batch.is_empty(), "empty gradient batch");
-        let (d, h) = (self.input_dim, self.hidden);
-        let mut g_w1 = vec![0.0; h * d];
-        let mut g_b1 = vec![0.0; h];
-        let mut g_w2 = vec![0.0; h];
-        let mut g_b2 = 0.0;
-        for &i in batch {
-            let x = &data.x[i];
-            let act = self.hidden_activations(x);
-            let p = sigmoid(dot(&self.w2, &act) + self.b2);
-            let err = p - data.y[i]; // dL/dz for logistic output
-            for k in 0..h {
-                g_w2[k] += err * act[k];
-                let dtanh = 1.0 - act[k] * act[k];
-                let delta = err * self.w2[k] * dtanh;
-                g_b1[k] += delta;
-                for j in 0..d {
-                    g_w1[k * d + j] += delta * x[j];
-                }
-            }
-            g_b2 += err;
-        }
-        let scale = 1.0 / batch.len() as f64;
-        let mut grad = Vec::with_capacity(h * d + h + h + 1);
-        grad.extend(g_w1.into_iter().map(|v| v * scale));
-        grad.extend(g_b1.into_iter().map(|v| v * scale));
-        grad.extend(g_w2.into_iter().map(|v| v * scale));
-        grad.push(g_b2 * scale);
-        grad
-    }
-
-    fn params(&self) -> Vec<f64> {
-        // Capacity computed directly: the trait's n_params() default is
-        // defined in terms of params() itself.
-        let mut p = Vec::with_capacity(self.w1.len() + self.b1.len() + self.w2.len() + 1);
-        p.extend_from_slice(&self.w1);
-        p.extend_from_slice(&self.b1);
-        p.extend_from_slice(&self.w2);
-        p.push(self.b2);
-        p
-    }
-
-    fn set_params(&mut self, params: &[f64]) {
-        let (d, h) = (self.input_dim, self.hidden);
-        assert_eq!(params.len(), h * d + h + h + 1, "param size mismatch");
-        let (w1, rest) = params.split_at(h * d);
-        let (b1, rest) = rest.split_at(h);
-        let (w2, b2) = rest.split_at(h);
-        self.w1.copy_from_slice(w1);
-        self.b1.copy_from_slice(b1);
-        self.w2.copy_from_slice(w2);
-        self.b2 = b2[0];
     }
 }
 
@@ -531,7 +377,7 @@ mod tests {
     #[test]
     fn logreg_gradient_matches_finite_difference() {
         let data = gaussian_blobs(30, 2, 1.0, 3);
-        let mut m = LogisticRegression::with_l2(2, 0.01);
+        let mut m = LogisticRegression::new(2);
         m.set_params(&[0.5, -0.3, 0.2]);
         let batch: Vec<usize> = (0..30).collect();
         let g = m.gradient(&data, &batch);
@@ -550,45 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn mlp_gradient_matches_finite_difference() {
-        let data = gaussian_blobs(20, 2, 1.0, 4);
-        let m = Mlp::new(2, 4, 7);
-        let batch: Vec<usize> = (0..20).collect();
-        let g = m.gradient(&data, &batch);
-        let eps = 1e-6;
-        let base_params = m.params();
-        for k in (0..g.len()).step_by(3) {
-            let mut p = base_params.clone();
-            p[k] += eps;
-            let mut m_plus = m.clone();
-            m_plus.set_params(&p);
-            p[k] -= 2.0 * eps;
-            let mut m_minus = m.clone();
-            m_minus.set_params(&p);
-            let fd = (m_plus.loss(&data) - m_minus.loss(&data)) / (2.0 * eps);
-            assert!((g[k] - fd).abs() < 1e-4, "param {k}: {} vs {}", g[k], fd);
-        }
-    }
-
-    #[test]
     fn logreg_probability_range() {
         let m = LogisticRegression::new(2);
         let p = m.predict(&[100.0, -100.0]);
         assert!((0.0..=1.0).contains(&p));
         assert_eq!(m.classify(&[0.0, 0.0]), 1.0, "p=0.5 classifies as 1");
-    }
-
-    #[test]
-    fn mlp_params_roundtrip() {
-        let m = Mlp::new(3, 5, 1);
-        let p = m.params();
-        assert_eq!(p.len(), 5 * 3 + 5 + 5 + 1);
-        let mut m2 = Mlp::new(3, 5, 2);
-        m2.set_params(&p);
-        assert_eq!(m2.params(), p);
-        // Identical params -> identical predictions.
-        let x = [0.1, -0.2, 0.3];
-        assert_eq!(m.predict(&x), m2.predict(&x));
     }
 
     #[test]

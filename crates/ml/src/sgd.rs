@@ -85,9 +85,9 @@ pub fn draw_batch<R: Rng + ?Sized>(rng: &mut R, n: usize, size: usize) -> Vec<us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::{gaussian_blobs, noisy_linear, two_spirals};
+    use crate::data::{gaussian_blobs, noisy_linear};
     use crate::metrics::accuracy;
-    use crate::model::{LinearRegression, LogisticRegression, Mlp};
+    use crate::model::{LinearRegression, LogisticRegression};
 
     #[test]
     fn linreg_fits_linear_data() {
@@ -122,45 +122,6 @@ mod tests {
         let preds: Vec<f64> = test_set.x.iter().map(|x| m.classify(x)).collect();
         let acc = accuracy(&preds, &test_set.y);
         assert!(acc > 0.95, "accuracy {acc}");
-    }
-
-    #[test]
-    fn mlp_beats_linear_on_spirals() {
-        let data = two_spirals(600, 0.05, 3);
-        let (tr, te) = data.split(0.3, 4);
-        let mut lin = LogisticRegression::new(2);
-        train(
-            &mut lin,
-            &tr,
-            &SgdConfig {
-                epochs: 60,
-                ..Default::default()
-            },
-        );
-        let mut mlp = Mlp::new(2, 16, 5);
-        train(
-            &mut mlp,
-            &tr,
-            &SgdConfig {
-                learning_rate: 0.3,
-                lr_decay: 0.995,
-                epochs: 300,
-                batch_size: 16,
-                ..Default::default()
-            },
-        );
-        let lin_acc = accuracy(
-            &te.x.iter().map(|x| lin.classify(x)).collect::<Vec<_>>(),
-            &te.y,
-        );
-        let mlp_acc = accuracy(
-            &te.x.iter().map(|x| mlp.classify(x)).collect::<Vec<_>>(),
-            &te.y,
-        );
-        assert!(
-            mlp_acc > lin_acc + 0.1,
-            "mlp {mlp_acc} should clearly beat linear {lin_acc} on spirals"
-        );
     }
 
     #[test]

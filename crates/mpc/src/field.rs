@@ -106,15 +106,6 @@ impl Fp {
         }
     }
 
-    /// Field negation.
-    pub fn neg(self) -> Fp {
-        if self.0 == 0 {
-            self
-        } else {
-            Fp(MODULUS - self.0)
-        }
-    }
-
     /// Field multiplication with Mersenne reduction.
     pub fn mul(self, other: Fp) -> Fp {
         let prod = self.0 as u128 * other.0 as u128;
@@ -205,7 +196,7 @@ mod tests {
         let b = Fp::new(MODULUS - 5);
         assert_eq!(a.add(b).sub(b), a);
         assert_eq!(a.sub(a), Fp::ZERO);
-        assert_eq!(a.add(a.neg()), Fp::ZERO);
+        assert_eq!(a.add(Fp::ZERO.sub(a)), Fp::ZERO);
     }
 
     #[test]

@@ -82,14 +82,6 @@ impl LinkScope {
         }
     }
 
-    /// Every message addressed to `node`.
-    pub fn to_node(node: NodeId) -> LinkScope {
-        LinkScope {
-            from: None,
-            to: Some(node),
-        }
-    }
-
     /// The single directed link `from → to`.
     pub fn link(from: NodeId, to: NodeId) -> LinkScope {
         LinkScope {
@@ -469,7 +461,6 @@ mod tests {
         assert!(LinkScope::any().matches(3, 4));
         assert!(LinkScope::from_node(3).matches(3, 9));
         assert!(!LinkScope::from_node(3).matches(4, 9));
-        assert!(LinkScope::to_node(9).matches(3, 9));
         assert!(LinkScope::link(3, 9).matches(3, 9));
         assert!(!LinkScope::link(3, 9).matches(9, 3));
     }

@@ -235,11 +235,6 @@ impl SloMonitor {
     pub fn first_fired_at(&self) -> Option<u64> {
         self.first_fired_at
     }
-
-    /// The rule under evaluation.
-    pub fn rule(&self) -> &SloRule {
-        &self.rule
-    }
 }
 
 #[cfg(test)]

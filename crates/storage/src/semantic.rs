@@ -20,11 +20,9 @@ use std::collections::BTreeMap;
 /// A class taxonomy: `child -> parent` edges over slash-separated names.
 ///
 /// Classes are identified by path-like strings (`"sensor/environment/
-/// temperature"`); a class is a subclass of every prefix of its path, and
-/// additional cross-links can be registered explicitly.
+/// temperature"`); a class is a subclass of every prefix of its path.
 #[derive(Clone, Debug, Default)]
 pub struct Ontology {
-    extra_parents: BTreeMap<String, Vec<String>>,
     known: std::collections::BTreeSet<String>,
 }
 
@@ -46,16 +44,6 @@ impl Ontology {
         }
     }
 
-    /// Adds an explicit subclass relation beyond path prefixes.
-    pub fn add_subclass(&mut self, child: &str, parent: &str) {
-        self.declare(child);
-        self.declare(parent);
-        self.extra_parents
-            .entry(child.to_string())
-            .or_default()
-            .push(parent.to_string());
-    }
-
     /// Number of declared classes (used in leakage estimation).
     pub fn class_count(&self) -> usize {
         self.known.len()
@@ -63,29 +51,7 @@ impl Ontology {
 
     /// True iff `child` is `parent` or a (transitive) subclass of it.
     pub fn is_subclass(&self, child: &str, parent: &str) -> bool {
-        if child == parent || is_path_prefix(parent, child) {
-            return true;
-        }
-        // Walk explicit links (DFS with a visited set; ontologies are tiny).
-        let mut stack: Vec<&str> = vec![child];
-        let mut visited = std::collections::BTreeSet::new();
-        while let Some(c) = stack.pop() {
-            if !visited.insert(c.to_string()) {
-                continue;
-            }
-            if c == parent || is_path_prefix(parent, c) {
-                return true;
-            }
-            if let Some(parents) = self.extra_parents.get(c) {
-                stack.extend(parents.iter().map(|s| s.as_str()));
-            }
-            // Path prefixes are also ancestors whose explicit links apply.
-            if let Some(idx) = c.rfind('/') {
-                let prefix = &c[..idx];
-                stack.push(prefix);
-            }
-        }
-        false
+        child == parent || is_path_prefix(parent, child)
     }
 }
 
@@ -385,7 +351,8 @@ mod tests {
         o.declare("sensor/environment/temperature");
         o.declare("sensor/environment/humidity");
         o.declare("sensor/motion/accelerometer");
-        o.add_subclass("wearable/heart-rate", "sensor/health");
+        o.declare("wearable/heart-rate");
+        o.declare("sensor/health");
         o
     }
 
@@ -411,14 +378,6 @@ mod tests {
         assert!(!o.is_subclass("sensor/motion/accelerometer", "sensor/environment"));
         // No accidental string-prefix matches.
         assert!(!o.is_subclass("sensors-other", "sensor"));
-    }
-
-    #[test]
-    fn explicit_subclass_links() {
-        let o = ontology();
-        assert!(o.is_subclass("wearable/heart-rate", "sensor/health"));
-        assert!(o.is_subclass("wearable/heart-rate", "sensor"));
-        assert!(!o.is_subclass("sensor/health", "wearable/heart-rate"));
     }
 
     #[test]

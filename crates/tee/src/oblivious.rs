@@ -22,12 +22,6 @@ pub fn o_select(cond: bool, a: u64, b: u64) -> u64 {
     (a & mask) | (b & !mask)
 }
 
-/// Branchless select for `f64` (via bit patterns).
-#[inline]
-pub fn o_select_f64(cond: bool, a: f64, b: f64) -> f64 {
-    f64::from_bits(o_select(cond, a.to_bits(), b.to_bits()))
-}
-
 /// Branchless conditional swap: swaps `a` and `b` iff `cond`.
 #[inline]
 pub fn o_swap(cond: bool, a: &mut u64, b: &mut u64) {
@@ -110,8 +104,6 @@ mod tests {
     fn select_behaviour() {
         assert_eq!(o_select(true, 7, 9), 7);
         assert_eq!(o_select(false, 7, 9), 9);
-        assert_eq!(o_select_f64(true, 1.5, -2.5), 1.5);
-        assert_eq!(o_select_f64(false, 1.5, -2.5), -2.5);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 use crate::attestation::{PlatformId, Quote};
 use crate::cost::{CostMeter, CostModel};
 use crate::measurement::{EnclaveCode, Measurement};
-use parking_lot::Mutex;
 use pds2_crypto::chacha20::{open as aead_open, seal as aead_seal, SealedBlob, KEY_LEN, NONCE_LEN};
 use pds2_crypto::hmac::hkdf;
 use pds2_crypto::schnorr::KeyPair;
@@ -27,7 +26,6 @@ pub struct Platform {
     seal_secret: [u8; KEY_LEN],
     /// Performance model used to charge enclave work.
     pub cost_model: CostModel,
-    launched: Mutex<Vec<Measurement>>,
 }
 
 impl Platform {
@@ -39,7 +37,6 @@ impl Platform {
             hw_key,
             seal_secret: secret.try_into().unwrap(),
             cost_model,
-            launched: Mutex::new(Vec::new()),
         })
     }
 
@@ -56,20 +53,13 @@ impl Platform {
 
     /// Launches an enclave from measured code.
     pub fn launch(self: &Arc<Self>, code: &EnclaveCode) -> Enclave {
-        let measurement = code.measurement();
-        self.launched.lock().push(measurement);
         Enclave {
             platform: Arc::clone(self),
-            measurement,
+            measurement: code.measurement(),
             name: code.name.clone(),
             meter: CostMeter::default(),
             seal_counter: 0,
         }
-    }
-
-    /// Measurements of all enclaves this platform has launched.
-    pub fn launched_measurements(&self) -> Vec<Measurement> {
-        self.launched.lock().clone()
     }
 
     /// Derives the sealing key for a given measurement (platform-internal).
@@ -103,11 +93,6 @@ impl Enclave {
     /// Human-readable name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The hosting platform's id.
-    pub fn platform_id(&self) -> PlatformId {
-        self.platform.id()
     }
 
     /// Accumulated simulated cost of this enclave's work.
@@ -182,10 +167,10 @@ mod tests {
     #[test]
     fn launch_records_measurement() {
         let p = platform(1);
-        let e = p.launch(&code("trainer", 1));
-        assert_eq!(p.launched_measurements(), vec![e.measurement()]);
+        let c = code("trainer", 1);
+        let e = p.launch(&c);
+        assert_eq!(e.measurement(), c.measurement());
         assert_eq!(e.name(), "trainer");
-        assert_eq!(e.platform_id(), p.id());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! found exactly this: mempool counters emitted nowhere despite being
 //! the obvious forensics need).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -254,5 +254,123 @@ fn replica_fleets_are_built_in_one_place() {
         builders.is_empty(),
         "these sources build chain replicas; take a fleet from \
          `pds2_bench::fleet::Fleet` instead: {builders:?}"
+    );
+}
+
+/// The lines of `body` above its first `#[cfg(test)]`, without `//`
+/// comment lines.
+fn production_lines(body: &str) -> Vec<&str> {
+    body.lines()
+        .take_while(|line| line.trim() != "#[cfg(test)]")
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .collect()
+}
+
+fn identifiers(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|word| !word.is_empty())
+}
+
+/// Public items that no production code names, each with the reason it
+/// stays. "Item n" is a ROADMAP item.
+const CALLERLESS_PUB_ITEMS: &[(&str, &str)] = &[
+    ("check_invariants", "test hook: mempool consistency"),
+    ("truncate_tail", "fault injector: torn journal tail"),
+    ("corrupt_bit", "fault injector: flipped journal bit"),
+    ("counter_deltas", "test hook: per-run counter deltas"),
+    ("key_rows_held", "test hook: row cache size"),
+    ("key_rows_cached", "test hook: row cache membership"),
+    ("batch_randomisers", "test hook: batch coefficients"),
+    ("drop_kind", "fault injector: drop a message kind"),
+    ("has_store", "test hook: whether a chain journals"),
+    ("share_epoch", "test hook: a validator's share epoch"),
+    ("scheduler_kind", "test hook: the simulator's scheduler"),
+    ("backend_name", "test hook: the state commitment"),
+    ("o_sort_comparisons", "test hook: sorting network size"),
+    ("to_u128", "test hook: bigint proptests vs u128"),
+    ("decode_fixed", "test hook: inverse of encode_fixed"),
+    ("dot_naive", "reference oracle: the unrolled dot"),
+    ("verify_reference", "reference oracle: signature check"),
+    ("noisy_linear", "pinned fixture of learning_pin"),
+    ("unseal", "named by PAPER.md: sealed storage"),
+    ("revoke", "named by PAPER.md: revoked attestation"),
+    ("verify_certificate", "security check on device certs"),
+    ("owner_of", "ERC-721 standard query"),
+    ("diff_reports", "item 1: the seed swarm's verdict"),
+    ("divergent_seq", "item 1: the seed swarm's verdict"),
+    ("prove_account", "item 6: a provider's payout receipt"),
+    ("verify_account_proof", "item 6: payout receipt"),
+    ("laplace_mechanism", "item 14: goes with its tests"),
+    ("gaussian_mechanism_vec", "item 14: goes with its tests"),
+    ("to_bytes_be_padded", "item 14: goes with its tests"),
+    ("provider_address", "item 14: goes with its tests"),
+];
+
+/// Every `pub fn` / `struct` / `enum` / `trait` under `crates/*/src`
+/// (above the file's tests) is named, as a whole word, by production code
+/// besides its own declaration: a line of `crates/*/src` other than a
+/// `pub use`, or of `src/`, `examples/` or `benchmark/src`, each above its
+/// file's tests and outside `//` comments. An item that only its unit
+/// tests reach is dead weight that the next reader must still understand;
+/// it goes with those tests, or gets an entry with its reason in
+/// `CALLERLESS_PUB_ITEMS`.
+#[test]
+fn every_public_item_has_a_caller() {
+    let mut uses: BTreeMap<String, usize> = BTreeMap::new();
+    let mut declared: Vec<(String, PathBuf)> = Vec::new();
+    let mut count = |line: &str| {
+        for word in identifiers(line) {
+            *uses.entry(word.to_string()).or_default() += 1;
+        }
+    };
+    for file in crate_sources() {
+        let body = std::fs::read_to_string(&file).unwrap_or_default();
+        for line in production_lines(&body) {
+            let code = line.trim_start();
+            if code.starts_with("pub use ") {
+                continue;
+            }
+            count(code);
+            let item = ["pub fn ", "pub struct ", "pub enum ", "pub trait "]
+                .iter()
+                .find_map(|kw| code.strip_prefix(kw));
+            if let Some(name) = item.and_then(|rest| identifiers(rest).next()) {
+                declared.push((name.to_string(), file.clone()));
+            }
+        }
+    }
+    let mut others = Vec::new();
+    for dir in ["src", "examples", "benchmark/src"] {
+        rust_sources(&repo_root().join(dir), &mut others);
+    }
+    for file in others {
+        let body = std::fs::read_to_string(&file).unwrap_or_default();
+        production_lines(&body).into_iter().for_each(&mut count);
+    }
+    // A declaration names its item once; a caller adds at least one more.
+    let mut declarations: BTreeMap<&str, usize> = BTreeMap::new();
+    for (name, _) in &declared {
+        *declarations.entry(name.as_str()).or_default() += 1;
+    }
+    let callerless = |name: &str| declarations.get(name).is_some_and(|&n| uses[name] <= n);
+    let allowed: BTreeSet<&str> = CALLERLESS_PUB_ITEMS.iter().map(|(n, _)| *n).collect();
+    let dead: Vec<String> = declared
+        .iter()
+        .filter(|(name, _)| callerless(name) && !allowed.contains(name.as_str()))
+        .map(|(name, file)| format!("{name} ({})", file.display()))
+        .collect();
+    assert!(
+        dead.is_empty(),
+        "public items that no production code names; delete them with the \
+         tests that reach only them, or list each with its reason: {dead:#?}"
+    );
+    let stale: Vec<&str> = allowed
+        .into_iter()
+        .filter(|name| !callerless(name))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "CALLERLESS_PUB_ITEMS names items that are gone or now have a \
+         caller; drop them from the list: {stale:?}"
     );
 }

@@ -4,7 +4,7 @@
 
 use pds2::he;
 use pds2::learning::attack::loss_threshold_attack;
-use pds2::learning::dp::{gaussian_sigma, sgd_step, PrivacyAccountant};
+use pds2::learning::dp::sgd_step;
 use pds2::learning::gossip::{run_gossip_experiment, DpConfig, GossipConfig, GossipRun};
 use pds2::ml::data::gaussian_blobs;
 use pds2::ml::model::LogisticRegression;
@@ -137,24 +137,6 @@ fn dp_reduces_membership_inference_advantage() {
         noise_multiplier: 0.5,
     }));
     assert!(out.accuracy_curve[0] > 0.6, "{:?}", out.accuracy_curve);
-}
-
-/// The privacy accountant composes across a workload's updates and the
-/// Gaussian calibration matches the analytic formula.
-#[test]
-fn privacy_budget_accounting() {
-    let mut acc = PrivacyAccountant::new();
-    let per_step_eps = 0.05;
-    let steps = 40;
-    for _ in 0..steps {
-        acc.spend(per_step_eps, 1e-7);
-    }
-    assert!((acc.total_epsilon() - 2.0).abs() < 1e-9);
-    // Budget check with a float-safe margin (40 × 0.05 accumulates ULPs).
-    assert!(acc.within(2.0 + 1e-9, 1e-4));
-    assert!(!acc.within(1.9, 1e-4));
-    // Noise needed for the whole budget vs per step.
-    assert!(gaussian_sigma(1.0, per_step_eps, 1e-7) > gaussian_sigma(1.0, 2.0, 1e-7));
 }
 
 /// Sealed third-party storage leaks no plaintext even under full lifecycle

@@ -199,7 +199,7 @@ proptest! {
         prop_assert_eq!(x.add(y), y.add(x));
         prop_assert_eq!(x.mul(y), y.mul(x));
         prop_assert_eq!(x.mul(y.add(z)), x.mul(y).add(x.mul(z)));
-        prop_assert_eq!(x.add(x.neg()), Fp::ZERO);
+        prop_assert_eq!(x.add(Fp::ZERO.sub(x)), Fp::ZERO);
         if x != Fp::ZERO {
             prop_assert_eq!(x.mul(x.inv().unwrap()), Fp::ONE);
         }
