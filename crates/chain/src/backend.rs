@@ -39,8 +39,6 @@ pub enum LeafKey {
     Erc20Meta(TokenId),
     /// ERC-20 balance entry (explicit zeros included).
     Erc20Bal(TokenId, Address),
-    /// ERC-20 allowance entry `(owner, spender)`.
-    Erc20Allow(TokenId, Address, Address),
     /// ERC-20 next-token-id counter (present iff non-zero).
     Erc20Next,
     /// ERC-721 token metadata.
@@ -55,22 +53,22 @@ pub enum LeafKey {
 
 impl LeafKey {
     /// The 256-bit tree key for this leaf: `sha256` of the domain prefix,
-    /// a variant tag, the token or NFT id (if any) and the addresses (if
-    /// any) in canonical-codec form. At most 15 + 1 + 8 + 32 + 32 bytes,
-    /// laid out on the stack and hashed in one call.
+    /// a variant tag, the token or NFT id (if any) and the address (if
+    /// any) in canonical-codec form. At most 15 + 1 + 8 + 32 bytes, laid
+    /// out on the stack and hashed in one call. Tag 3 stays unassigned, so
+    /// every other leaf keeps the key it always had.
     pub fn digest(&self) -> Digest {
-        let (tag, id, addrs): (u8, Option<u64>, [Option<&Address>; 2]) = match self {
-            LeafKey::Account(a) => (0, None, [Some(a), None]),
-            LeafKey::Erc20Meta(t) => (1, Some(t.0), [None, None]),
-            LeafKey::Erc20Bal(t, a) => (2, Some(t.0), [Some(a), None]),
-            LeafKey::Erc20Allow(t, o, s) => (3, Some(t.0), [Some(o), Some(s)]),
-            LeafKey::Erc20Next => (4, None, [None, None]),
-            LeafKey::Erc721Token(id) => (5, Some(id.0), [None, None]),
-            LeafKey::Erc721Next => (6, None, [None, None]),
-            LeafKey::Contract(a) => (7, None, [Some(a), None]),
-            LeafKey::Burned => (8, None, [None, None]),
+        let (tag, id, addr): (u8, Option<u64>, Option<&Address>) = match self {
+            LeafKey::Account(a) => (0, None, Some(a)),
+            LeafKey::Erc20Meta(t) => (1, Some(t.0), None),
+            LeafKey::Erc20Bal(t, a) => (2, Some(t.0), Some(a)),
+            LeafKey::Erc20Next => (4, None, None),
+            LeafKey::Erc721Token(id) => (5, Some(id.0), None),
+            LeafKey::Erc721Next => (6, None, None),
+            LeafKey::Contract(a) => (7, None, Some(a)),
+            LeafKey::Burned => (8, None, None),
         };
-        let mut buf = [0u8; 88];
+        let mut buf = [0u8; 56];
         let mut len = 0;
         let mut put = |bytes: &[u8]| {
             buf[len..len + bytes.len()].copy_from_slice(bytes);
@@ -81,7 +79,7 @@ impl LeafKey {
         if let Some(id) = id {
             put(&id.to_le_bytes());
         }
-        for addr in addrs.into_iter().flatten() {
+        if let Some(addr) = addr {
             put(addr.0.as_bytes());
         }
         sha256(&buf[..len])
@@ -178,7 +176,6 @@ mod tests {
             LeafKey::Account(addr),
             LeafKey::Erc20Meta(TokenId(0)),
             LeafKey::Erc20Bal(TokenId(0), addr),
-            LeafKey::Erc20Allow(TokenId(0), addr, addr),
             LeafKey::Erc20Next,
             LeafKey::Erc721Token(NftId(0)),
             LeafKey::Erc721Next,
@@ -206,10 +203,6 @@ mod tests {
         assert_eq!(LeafKey::Account(a).digest(), encoded(0, &[&a]));
         assert_eq!(LeafKey::Erc20Meta(t).digest(), encoded(1, &[&t]));
         assert_eq!(LeafKey::Erc20Bal(t, a).digest(), encoded(2, &[&t, &a]));
-        assert_eq!(
-            LeafKey::Erc20Allow(t, a, b).digest(),
-            encoded(3, &[&t, &a, &b])
-        );
         assert_eq!(LeafKey::Erc20Next.digest(), encoded(4, &[]));
         assert_eq!(LeafKey::Erc721Token(n).digest(), encoded(5, &[&n]));
         assert_eq!(LeafKey::Erc721Next.digest(), encoded(6, &[]));

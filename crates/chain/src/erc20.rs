@@ -2,8 +2,11 @@
 //!
 //! §III-A: ERC-20 tokens "could be used to handle any kind of rewards
 //! offered by the consumers, which would be split among the providers."
-//! The module supports multiple independent tokens, each with balances,
-//! allowances, minting (creator-controlled) and burning.
+//! The module holds any number of independent tokens. A token is created
+//! with its whole supply in the creator's balance and afterwards only
+//! moves: a signed `Transfer` (the consumer escrowing a reward) or
+//! [`Erc20Module::module_transfer`] from a native contract (the workload
+//! contract paying it out).
 
 use crate::address::Address;
 use crate::backend::LeafKey;
@@ -30,21 +33,13 @@ impl Decode for TokenId {
 /// Operations accepted by the ERC-20 module (carried inside transactions).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Erc20Op {
-    /// Creates a new token; the sender becomes its minter.
+    /// Creates a new token with its whole supply in the sender's balance;
+    /// the sender is recorded as its minter.
     Create {
         /// Token symbol for display.
         symbol: String,
         /// Initial supply minted to the sender.
         initial_supply: u128,
-    },
-    /// Mints new supply (minter only).
-    Mint {
-        /// Token to mint.
-        token: TokenId,
-        /// Recipient of the minted amount.
-        to: Address,
-        /// Amount to mint.
-        amount: u128,
     },
     /// Transfers tokens from the sender.
     Transfer {
@@ -55,41 +50,12 @@ pub enum Erc20Op {
         /// Amount.
         amount: u128,
     },
-    /// Approves a spender for an allowance.
-    Approve {
-        /// Token.
-        token: TokenId,
-        /// Spender being approved.
-        spender: Address,
-        /// Allowance amount (replaces previous).
-        amount: u128,
-    },
-    /// Spends an allowance on behalf of `owner`.
-    TransferFrom {
-        /// Token.
-        token: TokenId,
-        /// Account whose tokens move.
-        owner: Address,
-        /// Recipient.
-        to: Address,
-        /// Amount.
-        amount: u128,
-    },
-    /// Destroys tokens held by the sender.
-    Burn {
-        /// Token.
-        token: TokenId,
-        /// Amount to burn.
-        amount: u128,
-    },
 }
 
+// Tags 1 and 3–5 stay unassigned, so the two ops keep the bytes (and the
+// transaction hashes) they always had; an unassigned tag is `InvalidTag`.
 const T_CREATE: u8 = 0;
-const T_MINT: u8 = 1;
 const T_TRANSFER: u8 = 2;
-const T_APPROVE: u8 = 3;
-const T_TRANSFER_FROM: u8 = 4;
-const T_BURN: u8 = 5;
 
 impl Encode for Erc20Op {
     fn encode(&self, enc: &mut Encoder) {
@@ -102,43 +68,10 @@ impl Encode for Erc20Op {
                 enc.put_str(symbol);
                 enc.put_u128(*initial_supply);
             }
-            Erc20Op::Mint { token, to, amount } => {
-                enc.put_u8(T_MINT);
-                token.encode(enc);
-                to.encode(enc);
-                enc.put_u128(*amount);
-            }
             Erc20Op::Transfer { token, to, amount } => {
                 enc.put_u8(T_TRANSFER);
                 token.encode(enc);
                 to.encode(enc);
-                enc.put_u128(*amount);
-            }
-            Erc20Op::Approve {
-                token,
-                spender,
-                amount,
-            } => {
-                enc.put_u8(T_APPROVE);
-                token.encode(enc);
-                spender.encode(enc);
-                enc.put_u128(*amount);
-            }
-            Erc20Op::TransferFrom {
-                token,
-                owner,
-                to,
-                amount,
-            } => {
-                enc.put_u8(T_TRANSFER_FROM);
-                token.encode(enc);
-                owner.encode(enc);
-                to.encode(enc);
-                enc.put_u128(*amount);
-            }
-            Erc20Op::Burn { token, amount } => {
-                enc.put_u8(T_BURN);
-                token.encode(enc);
                 enc.put_u128(*amount);
             }
         }
@@ -152,29 +85,9 @@ impl Decode for Erc20Op {
                 symbol: dec.get_str()?,
                 initial_supply: dec.get_u128()?,
             }),
-            T_MINT => Ok(Erc20Op::Mint {
-                token: TokenId::decode(dec)?,
-                to: Address::decode(dec)?,
-                amount: dec.get_u128()?,
-            }),
             T_TRANSFER => Ok(Erc20Op::Transfer {
                 token: TokenId::decode(dec)?,
                 to: Address::decode(dec)?,
-                amount: dec.get_u128()?,
-            }),
-            T_APPROVE => Ok(Erc20Op::Approve {
-                token: TokenId::decode(dec)?,
-                spender: Address::decode(dec)?,
-                amount: dec.get_u128()?,
-            }),
-            T_TRANSFER_FROM => Ok(Erc20Op::TransferFrom {
-                token: TokenId::decode(dec)?,
-                owner: Address::decode(dec)?,
-                to: Address::decode(dec)?,
-                amount: dec.get_u128()?,
-            }),
-            T_BURN => Ok(Erc20Op::Burn {
-                token: TokenId::decode(dec)?,
                 amount: dec.get_u128()?,
             }),
             t => Err(DecodeError::InvalidTag(t)),
@@ -189,12 +102,6 @@ pub enum TokenError {
     UnknownToken,
     /// Balance too low.
     InsufficientBalance,
-    /// Allowance too low.
-    InsufficientAllowance,
-    /// Only the minter may mint.
-    NotMinter,
-    /// Supply arithmetic would overflow.
-    Overflow,
 }
 
 impl std::fmt::Display for TokenError {
@@ -202,9 +109,6 @@ impl std::fmt::Display for TokenError {
         match self {
             TokenError::UnknownToken => write!(f, "unknown token"),
             TokenError::InsufficientBalance => write!(f, "insufficient token balance"),
-            TokenError::InsufficientAllowance => write!(f, "insufficient allowance"),
-            TokenError::NotMinter => write!(f, "sender is not the token minter"),
-            TokenError::Overflow => write!(f, "token supply overflow"),
         }
     }
 }
@@ -218,7 +122,6 @@ struct TokenState {
     minter: Option<Address>,
     total_supply: u128,
     balances: BTreeMap<Address, u128>,
-    allowances: BTreeMap<(Address, Address), u128>,
 }
 
 /// The ERC-20 module holding every fungible token on the chain.
@@ -259,22 +162,6 @@ impl Erc20Module {
                 ));
                 Ok(Some(id))
             }
-            Erc20Op::Mint { token, to, amount } => {
-                let state = self.tokens.get_mut(token).ok_or(TokenError::UnknownToken)?;
-                if state.minter != Some(sender) {
-                    return Err(TokenError::NotMinter);
-                }
-                state.total_supply = state
-                    .total_supply
-                    .checked_add(*amount)
-                    .ok_or(TokenError::Overflow)?;
-                *state.balances.entry(*to).or_default() += amount;
-                events.emit(Event::token(
-                    "erc20.mint",
-                    format!("token={} to={to} amount={amount}", token.0),
-                ));
-                Ok(None)
-            }
             Erc20Op::Transfer { token, to, amount } => {
                 self.module_transfer(*token, sender, *to, *amount)?;
                 events.emit(Event::token(
@@ -283,109 +170,32 @@ impl Erc20Module {
                 ));
                 Ok(None)
             }
-            Erc20Op::Approve {
-                token,
-                spender,
-                amount,
-            } => {
-                let state = self.tokens.get_mut(token).ok_or(TokenError::UnknownToken)?;
-                state.allowances.insert((sender, *spender), *amount);
-                events.emit(Event::token(
-                    "erc20.approve",
-                    format!(
-                        "token={} owner={sender} spender={spender} amount={amount}",
-                        token.0
-                    ),
-                ));
-                Ok(None)
-            }
-            Erc20Op::TransferFrom {
-                token,
-                owner,
-                to,
-                amount,
-            } => {
-                // Validate allowance AND balance before mutating anything,
-                // so a failed op leaves no partial effects.
-                {
-                    let state = self.tokens.get_mut(token).ok_or(TokenError::UnknownToken)?;
-                    let allowance = state
-                        .allowances
-                        .get(&(*owner, sender))
-                        .copied()
-                        .unwrap_or(0);
-                    if allowance < *amount {
-                        return Err(TokenError::InsufficientAllowance);
-                    }
-                    let balance = state.balances.get(owner).copied().unwrap_or(0);
-                    if balance < *amount {
-                        return Err(TokenError::InsufficientBalance);
-                    }
-                    state
-                        .allowances
-                        .insert((*owner, sender), allowance - amount);
-                }
-                self.module_transfer(*token, *owner, *to, *amount)?;
-                events.emit(Event::token(
-                    "erc20.transfer_from",
-                    format!(
-                        "token={} owner={owner} spender={sender} to={to} amount={amount}",
-                        token.0
-                    ),
-                ));
-                Ok(None)
-            }
-            Erc20Op::Burn { token, amount } => {
-                let state = self.tokens.get_mut(token).ok_or(TokenError::UnknownToken)?;
-                let bal = state.balances.entry(sender).or_default();
-                if *bal < *amount {
-                    return Err(TokenError::InsufficientBalance);
-                }
-                *bal -= amount;
-                state.total_supply -= amount;
-                events.emit(Event::token(
-                    "erc20.burn",
-                    format!("token={} from={sender} amount={amount}", token.0),
-                ));
-                Ok(None)
-            }
         }
     }
 
     /// The leaves `op` from `sender` can have written, `created` being the
     /// id [`Self::apply`] returned. To be marked on success AND failure: a
-    /// failed `Transfer` or `Burn` still creates a zero balance entry for
-    /// the sender (`entry().or_default()` precedes the check), and missing
-    /// it would silently fork the root. Every marked leaf is recomputed
-    /// from the live maps, so naming one that did not change is harmless.
+    /// failed `Transfer` still creates a zero balance entry for the sender
+    /// (`entry().or_default()` precedes the check), and missing it would
+    /// silently fork the root. Every marked leaf is recomputed from the
+    /// live maps, so naming one that did not change is harmless.
     pub(crate) fn touched_leaves(
         sender: Address,
         op: &Erc20Op,
         created: Option<TokenId>,
     ) -> Vec<LeafKey> {
-        use LeafKey::{Erc20Allow as Allow, Erc20Bal as Bal, Erc20Meta as Meta};
+        use LeafKey::{Erc20Bal as Bal, Erc20Meta as Meta};
         match *op {
             Erc20Op::Create { .. } => created.map_or(Vec::new(), |id| {
                 vec![LeafKey::Erc20Next, Meta(id), Bal(id, sender)]
             }),
-            Erc20Op::Mint { token, to, .. } => vec![Meta(token), Bal(token, to)],
             Erc20Op::Transfer { token, to, .. } => vec![Bal(token, sender), Bal(token, to)],
-            Erc20Op::Approve { token, spender, .. } => vec![Allow(token, sender, spender)],
-            Erc20Op::TransferFrom {
-                token, owner, to, ..
-            } => vec![
-                Allow(token, owner, sender),
-                Bal(token, owner),
-                Bal(token, to),
-            ],
-            Erc20Op::Burn { token, .. } => vec![Meta(token), Bal(token, sender)],
         }
     }
 
     /// Moves `amount` of `token` from one balance to another. Besides
-    /// `Transfer` and `TransferFrom` it serves, without a signed op, the
-    /// trusted native contracts (e.g. the workload contract paying rewards
-    /// from escrow).
+    /// `Transfer` it serves, without a signed op, the trusted native
+    /// contracts (e.g. the workload contract paying rewards from escrow).
     pub fn module_transfer(
         &mut self,
         token: TokenId,
@@ -414,14 +224,6 @@ impl Erc20Module {
             .unwrap_or(0)
     }
 
-    /// Allowance query.
-    pub fn allowance(&self, token: TokenId, owner: &Address, spender: &Address) -> u128 {
-        self.tokens
-            .get(&token)
-            .and_then(|t| t.allowances.get(&(*owner, *spender)).copied())
-            .unwrap_or(0)
-    }
-
     /// Total supply query.
     pub fn total_supply(&self, token: TokenId) -> Option<u128> {
         self.tokens.get(&token).map(|t| t.total_supply)
@@ -433,22 +235,15 @@ impl Erc20Module {
     }
 
     /// The leaves this ledger has: the id counter once a token was
-    /// created, and per token its metadata and every balance and allowance
-    /// entry. Explicit zeros are entries: a failed transfer leaves one
-    /// behind and approvals of 0 are stored, and those must hash
-    /// identically on every node.
+    /// created, and per token its metadata and every balance entry.
+    /// Explicit zeros are entries: a failed transfer leaves one behind, and
+    /// it must hash identically on every node.
     pub(crate) fn leaf_keys(&self) -> impl Iterator<Item = LeafKey> + '_ {
         let next = (self.next_id != 0).then_some(LeafKey::Erc20Next);
         next.into_iter()
             .chain(self.tokens.iter().flat_map(|(&id, t)| {
                 let balances = t.balances.keys().map(move |a| LeafKey::Erc20Bal(id, *a));
-                let allowances = t
-                    .allowances
-                    .keys()
-                    .map(move |(o, s)| LeafKey::Erc20Allow(id, *o, *s));
-                std::iter::once(LeafKey::Erc20Meta(id))
-                    .chain(balances)
-                    .chain(allowances)
+                std::iter::once(LeafKey::Erc20Meta(id)).chain(balances)
             }))
     }
 
@@ -464,9 +259,6 @@ impl Erc20Module {
                 enc.put_u128(t.total_supply);
             }
             LeafKey::Erc20Bal(t, a) => enc.put_u128(*self.tokens.get(t)?.balances.get(a)?),
-            LeafKey::Erc20Allow(t, o, s) => {
-                enc.put_u128(*self.tokens.get(t)?.allowances.get(&(*o, *s))?)
-            }
             LeafKey::Erc20Next if self.next_id != 0 => enc.put_u64(self.next_id),
             _ => return None,
         }
@@ -489,12 +281,6 @@ impl Encode for Erc20Module {
                 addr.encode(enc);
                 enc.put_u128(*bal);
             }
-            enc.put_u64(t.allowances.len() as u64);
-            for ((o, s), a) in &t.allowances {
-                o.encode(enc);
-                s.encode(enc);
-                enc.put_u128(*a);
-            }
         }
     }
 }
@@ -514,12 +300,6 @@ impl Decode for Erc20Module {
                 let addr = Address::decode(dec)?;
                 balances.insert(addr, dec.get_u128()?);
             }
-            let mut allowances = BTreeMap::new();
-            for _ in 0..dec.get_u64()? {
-                let o = Address::decode(dec)?;
-                let s = Address::decode(dec)?;
-                allowances.insert((o, s), dec.get_u128()?);
-            }
             tokens.insert(
                 id,
                 TokenState {
@@ -527,7 +307,6 @@ impl Decode for Erc20Module {
                     minter,
                     total_supply,
                     balances,
-                    allowances,
                 },
             );
         }
@@ -611,116 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn only_minter_can_mint() {
-        let mut m = Erc20Module::default();
-        let (alice, mallory) = (addr(1), addr(3));
-        let id = create_token(&mut m, alice, 0);
-        let mut ev = EventSink::new();
-        assert_eq!(
-            m.apply(
-                mallory,
-                &Erc20Op::Mint {
-                    token: id,
-                    to: mallory,
-                    amount: 1_000_000
-                },
-                &mut ev
-            )
-            .unwrap_err(),
-            TokenError::NotMinter
-        );
-        m.apply(
-            alice,
-            &Erc20Op::Mint {
-                token: id,
-                to: alice,
-                amount: 5,
-            },
-            &mut ev,
-        )
-        .unwrap();
-        assert_eq!(m.total_supply(id), Some(5));
-    }
-
-    #[test]
-    fn allowance_workflow() {
-        let mut m = Erc20Module::default();
-        let (alice, bob, carol) = (addr(1), addr(2), addr(3));
-        let id = create_token(&mut m, alice, 100);
-        let mut ev = EventSink::new();
-        m.apply(
-            alice,
-            &Erc20Op::Approve {
-                token: id,
-                spender: bob,
-                amount: 40,
-            },
-            &mut ev,
-        )
-        .unwrap();
-        assert_eq!(m.allowance(id, &alice, &bob), 40);
-        m.apply(
-            bob,
-            &Erc20Op::TransferFrom {
-                token: id,
-                owner: alice,
-                to: carol,
-                amount: 25,
-            },
-            &mut ev,
-        )
-        .unwrap();
-        assert_eq!(m.balance_of(id, &carol), 25);
-        assert_eq!(m.allowance(id, &alice, &bob), 15);
-        // Exceeding the remaining allowance fails.
-        assert_eq!(
-            m.apply(
-                bob,
-                &Erc20Op::TransferFrom {
-                    token: id,
-                    owner: alice,
-                    to: carol,
-                    amount: 16
-                },
-                &mut ev
-            )
-            .unwrap_err(),
-            TokenError::InsufficientAllowance
-        );
-    }
-
-    #[test]
-    fn burn_reduces_supply() {
-        let mut m = Erc20Module::default();
-        let alice = addr(1);
-        let id = create_token(&mut m, alice, 100);
-        let mut ev = EventSink::new();
-        m.apply(
-            alice,
-            &Erc20Op::Burn {
-                token: id,
-                amount: 60,
-            },
-            &mut ev,
-        )
-        .unwrap();
-        assert_eq!(m.total_supply(id), Some(40));
-        assert_eq!(m.balance_of(id, &alice), 40);
-        assert_eq!(
-            m.apply(
-                alice,
-                &Erc20Op::Burn {
-                    token: id,
-                    amount: 41
-                },
-                &mut ev
-            )
-            .unwrap_err(),
-            TokenError::InsufficientBalance
-        );
-    }
-
-    #[test]
     fn unknown_token_rejected() {
         let mut m = Erc20Module::default();
         let mut ev = EventSink::new();
@@ -737,6 +406,16 @@ mod tests {
             .unwrap_err(),
             TokenError::UnknownToken
         );
+        // The retired Mint, Approve, TransferFrom and Burn tags are refused
+        // whatever follows; 88 bytes would have held the longest body.
+        for tag in [1, 3, 4, 5] {
+            let mut bytes = [0; 89];
+            bytes[0] = tag;
+            assert_eq!(
+                Erc20Op::from_bytes(&bytes),
+                Err(DecodeError::InvalidTag(tag))
+            );
+        }
     }
 
     #[test]

@@ -29,14 +29,12 @@ impl Decode for NftId {
 }
 
 /// What kind of marketplace asset an NFT represents.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AssetKind {
     /// A registered dataset (content hash of the provider's data).
     Dataset,
     /// A workload-code package (content hash of the enclave binary).
     WorkloadCode,
-    /// Anything else.
-    Other,
 }
 
 impl Encode for AssetKind {
@@ -44,7 +42,6 @@ impl Encode for AssetKind {
         enc.put_u8(match self {
             AssetKind::Dataset => 0,
             AssetKind::WorkloadCode => 1,
-            AssetKind::Other => 2,
         });
     }
 }
@@ -54,13 +51,13 @@ impl Decode for AssetKind {
         match dec.get_u8()? {
             0 => Ok(AssetKind::Dataset),
             1 => Ok(AssetKind::WorkloadCode),
-            2 => Ok(AssetKind::Other),
             t => Err(DecodeError::InvalidTag(t)),
         }
     }
 }
 
-/// Operations accepted by the ERC-721 module.
+/// Operations accepted by the ERC-721 module. An NFT stays with the
+/// provider or consumer that minted it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Erc721Op {
     /// Mints an NFT to the sender.
@@ -72,39 +69,11 @@ pub enum Erc721Op {
         /// Optional display label.
         label: String,
     },
-    /// Transfers an owned NFT.
-    Transfer {
-        /// Token to transfer.
-        id: NftId,
-        /// Recipient.
-        to: Address,
-    },
-    /// Approves one address to take the token.
-    Approve {
-        /// Token.
-        id: NftId,
-        /// Approved taker (or None to clear).
-        approved: Option<Address>,
-    },
-    /// Transfers using an approval.
-    TransferFrom {
-        /// Token.
-        id: NftId,
-        /// Recipient.
-        to: Address,
-    },
-    /// Burns an owned NFT.
-    Burn {
-        /// Token to burn.
-        id: NftId,
-    },
 }
 
+// Tags 1–4 stay unassigned, so a mint keeps the bytes (and the transaction
+// hash) it always had; an unassigned tag is `InvalidTag`.
 const N_MINT: u8 = 0;
-const N_TRANSFER: u8 = 1;
-const N_APPROVE: u8 = 2;
-const N_TRANSFER_FROM: u8 = 3;
-const N_BURN: u8 = 4;
 
 impl Encode for Erc721Op {
     fn encode(&self, enc: &mut Encoder) {
@@ -119,25 +88,6 @@ impl Encode for Erc721Op {
                 enc.put_digest(content);
                 enc.put_str(label);
             }
-            Erc721Op::Transfer { id, to } => {
-                enc.put_u8(N_TRANSFER);
-                id.encode(enc);
-                to.encode(enc);
-            }
-            Erc721Op::Approve { id, approved } => {
-                enc.put_u8(N_APPROVE);
-                id.encode(enc);
-                enc.put_option(approved);
-            }
-            Erc721Op::TransferFrom { id, to } => {
-                enc.put_u8(N_TRANSFER_FROM);
-                id.encode(enc);
-                to.encode(enc);
-            }
-            Erc721Op::Burn { id } => {
-                enc.put_u8(N_BURN);
-                id.encode(enc);
-            }
         }
     }
 }
@@ -150,21 +100,6 @@ impl Decode for Erc721Op {
                 content: dec.get_digest()?,
                 label: dec.get_str()?,
             }),
-            N_TRANSFER => Ok(Erc721Op::Transfer {
-                id: NftId::decode(dec)?,
-                to: Address::decode(dec)?,
-            }),
-            N_APPROVE => Ok(Erc721Op::Approve {
-                id: NftId::decode(dec)?,
-                approved: dec.get_option()?,
-            }),
-            N_TRANSFER_FROM => Ok(Erc721Op::TransferFrom {
-                id: NftId::decode(dec)?,
-                to: Address::decode(dec)?,
-            }),
-            N_BURN => Ok(Erc721Op::Burn {
-                id: NftId::decode(dec)?,
-            }),
             t => Err(DecodeError::InvalidTag(t)),
         }
     }
@@ -173,10 +108,6 @@ impl Decode for Erc721Op {
 /// Errors from NFT operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NftError {
-    /// Token does not exist.
-    UnknownToken,
-    /// Caller is neither owner nor approved.
-    NotAuthorized,
     /// The same content hash was already minted for this asset kind.
     DuplicateContent,
 }
@@ -184,8 +115,6 @@ pub enum NftError {
 impl std::fmt::Display for NftError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NftError::UnknownToken => write!(f, "unknown NFT"),
-            NftError::NotAuthorized => write!(f, "caller not owner or approved"),
             NftError::DuplicateContent => write!(f, "content hash already minted"),
         }
     }
@@ -196,7 +125,7 @@ impl std::error::Error for NftError {}
 /// Metadata stored for one NFT.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NftInfo {
-    /// Current owner.
+    /// Owner: the account that minted it.
     pub owner: Address,
     /// Asset class.
     pub kind: AssetKind,
@@ -204,25 +133,15 @@ pub struct NftInfo {
     pub content: Digest,
     /// Display label.
     pub label: String,
-    /// Approved taker, if any.
-    pub approved: Option<Address>,
 }
 
 /// The ERC-721 module holding every NFT on the chain.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Erc721Module {
     tokens: BTreeMap<NftId, NftInfo>,
-    /// Duplicate-prevention index: (kind tag, content) -> id.
-    by_content: BTreeMap<(u8, Digest), NftId>,
+    /// Duplicate-prevention index: (kind, content) -> id.
+    by_content: BTreeMap<(AssetKind, Digest), NftId>,
     next_id: u64,
-}
-
-fn kind_tag(kind: AssetKind) -> u8 {
-    match kind {
-        AssetKind::Dataset => 0,
-        AssetKind::WorkloadCode => 1,
-        AssetKind::Other => 2,
-    }
 }
 
 impl Erc721Module {
@@ -239,7 +158,7 @@ impl Erc721Module {
                 content,
                 label,
             } => {
-                let key = (kind_tag(*kind), *content);
+                let key = (*kind, *content);
                 if self.by_content.contains_key(&key) {
                     return Err(NftError::DuplicateContent);
                 }
@@ -252,7 +171,6 @@ impl Erc721Module {
                         kind: *kind,
                         content: *content,
                         label: label.clone(),
-                        approved: None,
                     },
                 );
                 self.by_content.insert(key, id);
@@ -262,67 +180,16 @@ impl Erc721Module {
                 ));
                 Ok(Some(id))
             }
-            Erc721Op::Transfer { id, to } => {
-                let info = self.tokens.get_mut(id).ok_or(NftError::UnknownToken)?;
-                if info.owner != sender {
-                    return Err(NftError::NotAuthorized);
-                }
-                info.owner = *to;
-                info.approved = None;
-                events.emit(Event::token(
-                    "erc721.transfer",
-                    format!("id={} from={sender} to={to}", id.0),
-                ));
-                Ok(None)
-            }
-            Erc721Op::Approve { id, approved } => {
-                let info = self.tokens.get_mut(id).ok_or(NftError::UnknownToken)?;
-                if info.owner != sender {
-                    return Err(NftError::NotAuthorized);
-                }
-                info.approved = *approved;
-                Ok(None)
-            }
-            Erc721Op::TransferFrom { id, to } => {
-                let info = self.tokens.get_mut(id).ok_or(NftError::UnknownToken)?;
-                if info.approved != Some(sender) {
-                    return Err(NftError::NotAuthorized);
-                }
-                let from = info.owner;
-                info.owner = *to;
-                info.approved = None;
-                events.emit(Event::token(
-                    "erc721.transfer_from",
-                    format!("id={} from={from} to={to} by={sender}", id.0),
-                ));
-                Ok(None)
-            }
-            Erc721Op::Burn { id } => {
-                let info = self.tokens.get(id).ok_or(NftError::UnknownToken)?;
-                if info.owner != sender {
-                    return Err(NftError::NotAuthorized);
-                }
-                let key = (kind_tag(info.kind), info.content);
-                self.tokens.remove(id);
-                self.by_content.remove(&key);
-                events.emit(Event::token("erc721.burn", format!("id={}", id.0)));
-                Ok(None)
-            }
         }
     }
 
     /// The leaves `op` can have written, `created` being the id
-    /// [`Self::apply`] returned. Failed NFT ops do not mutate, but the
-    /// token is named either way: recomputing an untouched leaf is a no-op.
+    /// [`Self::apply`] returned. A failed mint writes nothing.
     pub(crate) fn touched_leaves(op: &Erc721Op, created: Option<NftId>) -> Vec<LeafKey> {
         match *op {
             Erc721Op::Mint { .. } => created.map_or(Vec::new(), |id| {
                 vec![LeafKey::Erc721Next, LeafKey::Erc721Token(id)]
             }),
-            Erc721Op::Transfer { id, .. }
-            | Erc721Op::Approve { id, .. }
-            | Erc721Op::TransferFrom { id, .. }
-            | Erc721Op::Burn { id } => vec![LeafKey::Erc721Token(id)],
         }
     }
 
@@ -338,10 +205,10 @@ impl Erc721Module {
 
     /// Looks up an NFT by its committed content hash.
     pub fn find_by_content(&self, kind: AssetKind, content: &Digest) -> Option<NftId> {
-        self.by_content.get(&(kind_tag(kind), *content)).copied()
+        self.by_content.get(&(kind, *content)).copied()
     }
 
-    /// Number of live tokens.
+    /// Number of minted tokens.
     pub fn count(&self) -> usize {
         self.tokens.len()
     }
@@ -371,7 +238,6 @@ impl Encode for NftInfo {
         self.kind.encode(enc);
         enc.put_digest(&self.content);
         enc.put_str(&self.label);
-        enc.put_option(&self.approved);
     }
 }
 
@@ -382,7 +248,6 @@ impl Decode for NftInfo {
             kind: AssetKind::decode(dec)?,
             content: dec.get_digest()?,
             label: dec.get_str()?,
-            approved: dec.get_option()?,
         })
     }
 }
@@ -409,7 +274,7 @@ impl Decode for Erc721Module {
         for _ in 0..n {
             let id = NftId::decode(dec)?;
             let info = NftInfo::decode(dec)?;
-            by_content.insert((kind_tag(info.kind), info.content), id);
+            by_content.insert((info.kind, info.content), id);
             tokens.insert(id, info);
         }
         Ok(Erc721Module {
@@ -510,91 +375,32 @@ mod tests {
     }
 
     #[test]
-    fn transfer_requires_ownership() {
-        let mut m = Erc721Module::default();
-        let (alice, bob) = (addr(1), addr(2));
-        let id = mint(&mut m, alice, "data");
-        let mut ev = EventSink::new();
-        assert_eq!(
-            m.apply(bob, &Erc721Op::Transfer { id, to: bob }, &mut ev)
-                .unwrap_err(),
-            NftError::NotAuthorized
-        );
-        m.apply(alice, &Erc721Op::Transfer { id, to: bob }, &mut ev)
-            .unwrap();
-        assert_eq!(m.owner_of(id), Some(bob));
-    }
-
-    #[test]
-    fn approval_workflow() {
-        let mut m = Erc721Module::default();
-        let (alice, bob, carol) = (addr(1), addr(2), addr(3));
-        let id = mint(&mut m, alice, "data");
-        let mut ev = EventSink::new();
-        m.apply(
-            alice,
-            &Erc721Op::Approve {
-                id,
-                approved: Some(bob),
-            },
-            &mut ev,
-        )
-        .unwrap();
-        // Carol is not approved.
-        assert_eq!(
-            m.apply(carol, &Erc721Op::TransferFrom { id, to: carol }, &mut ev)
-                .unwrap_err(),
-            NftError::NotAuthorized
-        );
-        m.apply(bob, &Erc721Op::TransferFrom { id, to: carol }, &mut ev)
-            .unwrap();
-        assert_eq!(m.owner_of(id), Some(carol));
-        // Approval cleared on transfer.
-        assert_eq!(
-            m.apply(bob, &Erc721Op::TransferFrom { id, to: bob }, &mut ev)
-                .unwrap_err(),
-            NftError::NotAuthorized
-        );
-    }
-
-    #[test]
-    fn burn_frees_content() {
-        let mut m = Erc721Module::default();
-        let alice = addr(1);
-        let id = mint(&mut m, alice, "data");
-        let mut ev = EventSink::new();
-        m.apply(alice, &Erc721Op::Burn { id }, &mut ev).unwrap();
-        assert_eq!(m.owner_of(id), None);
-        assert_eq!(m.count(), 0);
-        // Content can be minted again after burn.
-        let id2 = mint(&mut m, alice, "data");
-        assert_ne!(id, id2, "ids are never reused");
-    }
-
-    #[test]
     fn op_codec_roundtrip() {
-        let ops = vec![
-            Erc721Op::Mint {
-                kind: AssetKind::WorkloadCode,
-                content: sha256(b"x"),
-                label: "l".into(),
-            },
-            Erc721Op::Transfer {
-                id: NftId(3),
-                to: addr(1),
-            },
-            Erc721Op::Approve {
-                id: NftId(3),
-                approved: None,
-            },
-            Erc721Op::TransferFrom {
-                id: NftId(3),
-                to: addr(2),
-            },
-            Erc721Op::Burn { id: NftId(9) },
-        ];
-        for op in ops {
-            assert_eq!(Erc721Op::from_bytes(&op.to_bytes()).unwrap(), op);
+        let ops = [AssetKind::Dataset, AssetKind::WorkloadCode].map(|kind| Erc721Op::Mint {
+            kind,
+            content: sha256(b"x"),
+            label: "l".into(),
+        });
+        for op in &ops {
+            assert_eq!(&Erc721Op::from_bytes(&op.to_bytes()).unwrap(), op);
         }
+        // The retired Transfer, Approve, TransferFrom and Burn tags, and
+        // the retired catch-all asset kind, are refused whatever follows;
+        // 41 bytes would have held the longest body.
+        for tag in 1..=4 {
+            let mut bytes = [0; 42];
+            bytes[0] = tag;
+            assert_eq!(
+                Erc721Op::from_bytes(&bytes),
+                Err(DecodeError::InvalidTag(tag))
+            );
+        }
+        let mut other = ops[0].to_bytes();
+        other[1] = 2;
+        assert_eq!(
+            Erc721Op::from_bytes(&other),
+            Err(DecodeError::InvalidTag(2))
+        );
+        assert_eq!(AssetKind::from_bytes(&[2]), Err(DecodeError::InvalidTag(2)));
     }
 }

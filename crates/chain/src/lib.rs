@@ -10,10 +10,11 @@
 //! - [`address`] — accounts and address derivation;
 //! - [`tx`] — signed transactions (transfers, token ops, deploy, call);
 //! - [`gas`] — gas schedule and metering;
-//! - [`erc20`] — fungible tokens (consumer rewards), and the layout of
-//!   their state leaves;
-//! - [`erc721`] — NFTs committing to datasets and workload code, and the
-//!   layout of theirs;
+//! - [`erc20`] — fungible tokens (consumer rewards): a signer creates one
+//!   or transfers it into escrow, a native contract pays it out; and the
+//!   layout of their state leaves;
+//! - [`erc721`] — NFTs committing to datasets and workload code, minted
+//!   and held by their owner; and the layout of theirs;
 //! - [`contract`] — the native-contract framework with atomic rollback;
 //! - [`state`] — the world state and the one state transition, a file per
 //!   concern: price → signature → nonce → escrow → payload → settle

@@ -82,10 +82,9 @@ impl WorldState {
                 enc.finish()
             }),
             LeafKey::Burned => (self.burned != 0).then(|| self.burned.to_bytes()),
-            LeafKey::Erc20Meta(..)
-            | LeafKey::Erc20Bal(..)
-            | LeafKey::Erc20Allow(..)
-            | LeafKey::Erc20Next => self.erc20.leaf_value(key),
+            LeafKey::Erc20Meta(..) | LeafKey::Erc20Bal(..) | LeafKey::Erc20Next => {
+                self.erc20.leaf_value(key)
+            }
             LeafKey::Erc721Token(..) | LeafKey::Erc721Next => self.erc721.leaf_value(key),
         }
     }

@@ -560,11 +560,6 @@ fn leaf_digest_is_the_hash_of_the_leaf_value_for_every_kind() {
             symbol: "RWD".into(),
             initial_supply: 500,
         }),
-        TxKind::Erc20(Erc20Op::Approve {
-            token: crate::erc20::TokenId(0),
-            spender: bob,
-            amount: 77,
-        }),
         TxKind::Erc721(Erc721Op::Mint {
             kind: crate::erc721::AssetKind::Dataset,
             content: sha256(b"dataset"),
@@ -603,7 +598,6 @@ fn leaf_digest_is_the_hash_of_the_leaf_value_for_every_kind() {
         LeafKey::Account(bob),
         LeafKey::Erc20Meta(token),
         LeafKey::Erc20Bal(token, alice_addr),
-        LeafKey::Erc20Allow(token, alice_addr, bob),
         LeafKey::Erc20Next,
         LeafKey::Erc721Token(crate::erc721::NftId(0)),
         LeafKey::Erc721Next,
@@ -613,7 +607,6 @@ fn leaf_digest_is_the_hash_of_the_leaf_value_for_every_kind() {
     let missing = [
         LeafKey::Account(absent),
         LeafKey::Erc20Bal(token, absent),
-        LeafKey::Erc20Allow(token, bob, alice_addr),
         LeafKey::Contract(absent),
     ];
     // The tree holds the hash of exactly these bytes under the present

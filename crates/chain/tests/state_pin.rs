@@ -29,15 +29,20 @@ use pds2_obs as obs;
 // transition. `TRACE_DIGEST` was regenerated once, when the `state/commit`
 // span stopped carrying `nodes_hashed` (a count that follows the backend;
 // PR 25): the event count and every other byte of the trace held.
-const STEPS: usize = 77;
-const STEPS_SHA: &str = "d08fa33f5d525ab84e7ea8cfadaf6eee4f78d195142264d310bed83029689bab";
-const LEAVES_SHA: &str = "f11dbc45cb4ae8ac288139fb886f5f968631895a15ed510a10379dc1736917ab";
-const PROBED: usize = 277;
-const PRESENT: usize = 32;
+// Every constant but the supply and the burn was regenerated once more when
+// the token operations the marketplace never sends were retired: their 24
+// steps and the allowance probes went, the two catch-all mints became a
+// dataset and a code mint, and an NFT leaf lost its trailing approval byte.
+// The values were recorded on the parent with only those edits.
+const STEPS: usize = 53;
+const STEPS_SHA: &str = "bff4bcde1521b852f8ce036abbe09f407953619dc538183826877aaa3c57e5a6";
+const LEAVES_SHA: &str = "252a05646de59abb81ce512ed932102c4b9319990127693e520ac9fd2416b663";
+const PROBED: usize = 85;
+const PRESENT: usize = 29;
 const SUPPLY: u128 = 53_486_444;
 const BURNED: u128 = 1_513_556;
-const TRACE_DIGEST: &str = "48dd096bb83502a34bd63dd942b18fbd07c57afc6f8b6ca65fa688edc40bb2e8";
-const TRACE_EVENTS: u64 = 142;
+const TRACE_DIGEST: &str = "2190c3acc848532c4b537acbc91799f6e36c22ccdae3ef03b6fbe8e140bea6a3";
+const TRACE_EVENTS: u64 = 94;
 
 const GENESIS: u128 = 55_000_000;
 
@@ -188,7 +193,6 @@ fn steps(addr: &[Address], vault: Address) -> Vec<Step> {
     use Gas::{Intrinsic, Limit};
     let (alice, bob, carol, dave) = (addr[ALICE], addr[BOB], addr[CAROL], addr[DAVE]);
     let (t0, t1, unknown) = (TokenId(0), TokenId(1), TokenId(77));
-    let (n0, n1, n99) = (NftId(0), NftId(1), NftId(99));
     let transfer = |to, amount| TxKind::Transfer { to, amount };
     let deploy = |code_id: &str, init: &[u8]| TxKind::Deploy {
         code_id: code_id.into(),
@@ -207,24 +211,7 @@ fn steps(addr: &[Address], vault: Address) -> Vec<Step> {
             initial_supply,
         })
     };
-    let mint = |token, to, amount| TxKind::Erc20(Erc20Op::Mint { token, to, amount });
     let send = |token, to, amount| TxKind::Erc20(Erc20Op::Transfer { token, to, amount });
-    let approve = |token, spender, amount| {
-        TxKind::Erc20(Erc20Op::Approve {
-            token,
-            spender,
-            amount,
-        })
-    };
-    let pull = |token, owner, to, amount| {
-        TxKind::Erc20(Erc20Op::TransferFrom {
-            token,
-            owner,
-            to,
-            amount,
-        })
-    };
-    let burn = |token, amount| TxKind::Erc20(Erc20Op::Burn { token, amount });
     let mint_nft = |kind, content: &[u8]| {
         TxKind::Erc721(Erc721Op::Mint {
             kind,
@@ -232,13 +219,8 @@ fn steps(addr: &[Address], vault: Address) -> Vec<Step> {
             label: "pin".into(),
         })
     };
-    let give_nft = |id, to| TxKind::Erc721(Erc721Op::Transfer { id, to });
-    let approve_nft = |id, approved| TxKind::Erc721(Erc721Op::Approve { id, approved });
-    let pull_nft = |id, to| TxKind::Erc721(Erc721Op::TransferFrom { id, to });
-    let burn_nft = |id| TxKind::Erc721(Erc721Op::Burn { id });
     let no_token = "insufficient token balance";
     let no_funds = "contract balance too low for payout";
-    let not_owner = "caller not owner or approved";
 
     vec![
         // Deploy, native transfers, gas.
@@ -264,7 +246,7 @@ fn steps(addr: &[Address], vault: Address) -> Vec<Step> {
         step(ALICE, create("LOW", 1))
             .gas(Intrinsic(gas::ERC20_OP - 1))
             .fails("out of gas"),
-        step(ALICE, mint_nft(AssetKind::Other, b"low"))
+        step(ALICE, mint_nft(AssetKind::Dataset, b"low"))
             .gas(Intrinsic(gas::ERC721_OP - 1))
             .fails("out of gas"),
         step(ALICE, deploy("vault", &[]))
@@ -276,39 +258,14 @@ fn steps(addr: &[Address], vault: Address) -> Vec<Step> {
         // Every ERC-20 op and error.
         step(ALICE, create("RWD", 1_000_000)),
         step(ALICE, create("ZERO", 0)),
-        step(ALICE, mint(t0, bob, 500)),
-        step(BOB, mint(t0, bob, 1)).fails("not the token minter"),
-        step(ALICE, mint(t0, bob, u128::MAX)).fails("token supply overflow"),
-        step(ALICE, mint(unknown, bob, 1)).fails("unknown token"),
         step(ALICE, send(t0, carol, 300)),
         // A sender with no entry: the failed transfer leaves a zero entry.
         step(DAVE, send(t0, alice, 1)).fails(no_token),
         step(ALICE, send(unknown, bob, 1)).fails("unknown token"),
-        step(ALICE, approve(t0, bob, 200)),
-        step(ALICE, approve(t0, carol, 0)),
-        step(ALICE, approve(unknown, bob, 1)).fails("unknown token"),
-        step(BOB, pull(t0, alice, carol, 150)),
-        step(BOB, pull(t0, alice, carol, 100)).fails("insufficient allowance"),
-        step(CAROL, pull(t0, alice, carol, 1)).fails("insufficient allowance"),
-        step(ALICE, approve(t0, dave, u128::MAX)),
-        step(DAVE, pull(t0, alice, dave, 10_000_000)).fails(no_token),
-        step(ALICE, burn(t0, 100)),
-        // No entry in token 1 either: the failed burn leaves one.
-        step(CAROL, burn(t1, 5)).fails(no_token),
-        step(ALICE, burn(unknown, 1)).fails("unknown token"),
         // Every ERC-721 op and error.
         step(ALICE, mint_nft(AssetKind::Dataset, b"d")),
         step(BOB, mint_nft(AssetKind::Dataset, b"d")).fails("content hash already minted"),
         step(ALICE, mint_nft(AssetKind::WorkloadCode, b"d")),
-        step(ALICE, give_nft(n0, bob)),
-        step(ALICE, give_nft(n0, carol)).fails(not_owner),
-        step(BOB, approve_nft(n0, Some(carol))),
-        step(ALICE, approve_nft(n0, None)).fails(not_owner),
-        step(CAROL, pull_nft(n0, carol)),
-        step(BOB, pull_nft(n0, bob)).fails(not_owner),
-        step(ALICE, burn_nft(n1)),
-        step(ALICE, burn_nft(n99)).fails("unknown NFT"),
-        step(ALICE, give_nft(n99, bob)).fails("unknown NFT"),
         // Calls.
         step(ALICE, call(vault, 0, None, 700)),
         step(ALICE, call(vault, 1, None, 50)).fails("reverted: deliberate"),
@@ -378,7 +335,7 @@ fn steps(addr: &[Address], vault: Address) -> Vec<Step> {
         step(ALICE, deploy("vault", &[]))
             .paying(2, 8, 8)
             .gas(Limit(200_000)),
-        step(BOB, mint_nft(AssetKind::Other, b"fee"))
+        step(BOB, mint_nft(AssetKind::WorkloadCode, b"fee"))
             .paying(2, 10, 1)
             .gas(Limit(150_000)),
         // The coinbase is paid its own tip.
@@ -492,9 +449,6 @@ fn run(kind: BackendKind) -> Outcome {
         probes.extend([LeafKey::Account(*a), LeafKey::Contract(*a)]);
         for t in tokens {
             probes.push(LeafKey::Erc20Bal(t, *a));
-            for b in &addr[..4] {
-                probes.push(LeafKey::Erc20Allow(t, *a, *b));
-            }
         }
     }
     let root = st.state_root();

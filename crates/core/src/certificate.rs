@@ -112,11 +112,6 @@ impl ParticipationCertificate {
         self.provider.verify(&payload, &self.signature)
     }
 
-    /// Provider address derived from the embedded key.
-    pub fn provider_address(&self) -> Address {
-        Address::of(&self.provider)
-    }
-
     /// The hash recorded on-chain for audit.
     pub fn certificate_hash(&self) -> Digest {
         self.content_hash()
@@ -221,11 +216,5 @@ mod tests {
         assert_eq!(back, cert);
         assert!(back.verify(7, contract, executor, 500));
         assert_eq!(back.certificate_hash(), cert.certificate_hash());
-    }
-
-    #[test]
-    fn provider_address_matches_key() {
-        let (provider, cert, _, _) = sample();
-        assert_eq!(cert.provider_address(), Address::of(&provider.public));
     }
 }

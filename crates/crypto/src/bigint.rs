@@ -108,15 +108,6 @@ impl BigUint {
         out
     }
 
-    /// Serializes to big-endian bytes, left-padded with zeros to `len` bytes.
-    ///
-    /// Panics if the value does not fit in `len` bytes.
-    pub fn to_bytes_be_padded(&self, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        self.write_bytes_be(&mut out);
-        out
-    }
-
     /// Fills `out` with the big-endian value, left-padded with zeros,
     /// straight from the limbs (no allocation).
     ///
@@ -885,17 +876,13 @@ mod tests {
         assert_eq!(a.to_bytes_be(), vec![1, 2, 3, 4, 5, 6, 7, 8, 9]);
         assert_eq!(BigUint::from_bytes_be(&[0, 0, 7]), b(7));
         assert_eq!(BigUint::zero().to_bytes_be(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn padded_bytes() {
-        assert_eq!(b(7).to_bytes_be_padded(4), vec![0, 0, 0, 7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit")]
-    fn padded_bytes_too_small() {
-        let _ = b(0x1_0000).to_bytes_be_padded(2);
+        // The fixed-width form pads on the left and refuses a value that
+        // does not fit.
+        let mut four = [0xff; 4];
+        b(7).write_bytes_be(&mut four);
+        assert_eq!(four, [0, 0, 0, 7]);
+        let too_small = std::panic::catch_unwind(|| b(0x1_0000).write_bytes_be(&mut [0; 2]));
+        assert!(too_small.is_err());
     }
 
     #[test]

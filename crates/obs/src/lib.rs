@@ -18,10 +18,10 @@
 //! - **Metrics** ([`counter!`], [`gauge!`], [`histogram!`]): typed
 //!   handles interned in a process-wide registry. A hot-path increment
 //!   is one relaxed atomic add on a cached `&'static` handle. Counters
-//!   are totals, deliberately *outside* the trace digest: parallel
-//!   workers may bump them in nondeterministic interleavings (and a
-//!   warm sigcache changes hit/miss splits) without breaking trace
-//!   determinism.
+//!   are totals, deliberately *outside* the trace digest: a warm cache
+//!   (the sigcache, the signature row cache) changes hit/miss splits
+//!   between otherwise identical runs, and the tests of one binary share
+//!   the process-wide registry and bump it from their own threads.
 //! - **Tracing** ([`event!`], [`span`]): structured events with a
 //!   domain, a name, a [`Stamp`], and typed fields. Span IDs are
 //!   domain-separated (high 32 bits hash the domain, low 32 bits a

@@ -7,11 +7,12 @@
 //! histograms are monotonic totals; per-handle `reset` exists for
 //! benches and tests that need cold starts.
 //!
-//! Metrics are deliberately *not* part of the trace digest: parallel
-//! workers increment them in nondeterministic interleavings, and cache
-//! warmth (e.g. the sigcache) legitimately changes hit/miss splits
-//! between otherwise identical runs. Totals are still deterministic
-//! for serial workloads, which the chaos tests assert.
+//! Metrics are deliberately *not* part of the trace digest: cache warmth
+//! (e.g. the sigcache) legitimately changes hit/miss splits between
+//! otherwise identical runs, and the tests of one binary share this
+//! registry, each bumping it from its own test thread. Totals are still
+//! deterministic for one workload run alone, which the chaos tests
+//! assert.
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};

@@ -257,6 +257,12 @@ fn replica_fleets_are_built_in_one_place() {
     );
 }
 
+/// Whether `file` is a unit-test module of its own (`#[cfg(test)] mod
+/// tests;`), none of whose lines are production code.
+fn is_test_module(file: &Path) -> bool {
+    file.file_name().is_some_and(|name| name == "tests.rs")
+}
+
 /// The lines of `body` above its first `#[cfg(test)]`, without `//`
 /// comment lines.
 fn production_lines(body: &str) -> Vec<&str> {
@@ -302,8 +308,6 @@ const CALLERLESS_PUB_ITEMS: &[(&str, &str)] = &[
     ("verify_account_proof", "item 6: payout receipt"),
     ("laplace_mechanism", "item 14: goes with its tests"),
     ("gaussian_mechanism_vec", "item 14: goes with its tests"),
-    ("to_bytes_be_padded", "item 14: goes with its tests"),
-    ("provider_address", "item 14: goes with its tests"),
 ];
 
 /// Every `pub fn` / `struct` / `enum` / `trait` under `crates/*/src`
@@ -372,5 +376,77 @@ fn every_public_item_has_a_caller() {
         stale.is_empty(),
         "CALLERLESS_PUB_ITEMS names items that are gone or now have a \
          caller; drop them from the list: {stale:?}"
+    );
+}
+
+/// The enums whose variants are the forms of transaction a signer can send.
+const TRANSACTION_FORMS: [&str; 4] = ["TxKind", "Erc20Op", "Erc721Op", "AssetKind"];
+
+/// Whether `line` holds `path` (such as `TxKind::Call`) as a whole path.
+fn names_path(line: &str, path: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    line.match_indices(path)
+        .any(|(at, _)| !line[..at].ends_with(ident) && !line[at + path.len()..].starts_with(ident))
+}
+
+/// Every variant of the `TRANSACTION_FORMS` is a form that any signer can
+/// send and every node must decode and apply, so each is named as
+/// `Enum::Variant` by production code outside the file that declares the
+/// enum, under the rules of `every_public_item_has_a_caller` with the
+/// `tests.rs` modules left out as well. A form that nothing sends goes,
+/// with its decoder and state-transition arms.
+#[test]
+fn every_transaction_form_has_a_sender() {
+    let mut files = crate_sources();
+    for dir in ["src", "examples", "benchmark/src"] {
+        rust_sources(&repo_root().join(dir), &mut files);
+    }
+    let bodies: Vec<(PathBuf, String)> = files
+        .into_iter()
+        .filter(|file| !is_test_module(file))
+        .map(|file| {
+            let body = std::fs::read_to_string(&file).unwrap_or_default();
+            (file, body)
+        })
+        .collect();
+    let mut unsent = Vec::new();
+    for name in TRANSACTION_FORMS {
+        let opener = format!("pub enum {name} {{");
+        let (home, body) = bodies
+            .iter()
+            .find(|(_, body)| production_lines(body).iter().any(|l| l.trim() == opener))
+            .unwrap_or_else(|| panic!("no `{opener}` under crates/*/src"));
+        let variants: Vec<&str> = production_lines(body)
+            .into_iter()
+            .skip_while(|line| line.trim() != opener)
+            .skip(1)
+            .take_while(|line| *line != "}")
+            .filter(|line| {
+                line.strip_prefix("    ")
+                    .is_some_and(|v| v.starts_with(char::is_uppercase))
+            })
+            .filter_map(|line| identifiers(line).next())
+            .collect();
+        assert!(!variants.is_empty(), "no variants found for {name}");
+        for variant in variants {
+            let path = format!("{name}::{variant}");
+            let sent = bodies
+                .iter()
+                .filter(|(file, _)| file != home)
+                .any(|(_, body)| {
+                    production_lines(body).iter().any(|line| {
+                        let code = line.trim_start();
+                        !code.starts_with("pub use ") && names_path(code, &path)
+                    })
+                });
+            if !sent {
+                unsent.push(format!("{path} ({})", home.display()));
+            }
+        }
+    }
+    assert!(
+        unsent.is_empty(),
+        "transaction forms that no production code sends; delete each with \
+         its encoding and apply arms: {unsent:#?}"
     );
 }

@@ -168,16 +168,7 @@ fn build_table() -> Vec<Row> {
             to: b,
             amount: 10,
         }),
-        TxKind::Erc20(Erc20Op::Approve {
-            token: TokenId(0),
-            spender: b,
-            amount: 7,
-        }),
         TxKind::Erc721(mint.clone()),
-        TxKind::Erc721(Erc721Op::Approve {
-            id: NftId(0),
-            approved: Some(b),
-        }),
     ];
     for (nonce, kind) in (1..).zip(token_traffic) {
         let tx = Transaction {
@@ -339,9 +330,8 @@ fn build_table() -> Vec<Row> {
         plain("AssetKind", AssetKind::WorkloadCode),
         plain(
             "Erc20Op",
-            Erc20Op::TransferFrom {
+            Erc20Op::Transfer {
                 token: TokenId(1),
-                owner: a,
                 to: b,
                 amount: 5,
             },

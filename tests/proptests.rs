@@ -305,7 +305,7 @@ mod state_backend_props {
     use pds2_chain::erc20::Erc20Op;
     use pds2_chain::erc721::{AssetKind, Erc721Op};
     use pds2_chain::tx::{Transaction, TxKind};
-    use pds2_chain::{NftId, TokenId};
+    use pds2_chain::TokenId;
     use pds2_core::contract::{Call, Init, WorkloadContract, WORKLOAD_CODE_ID};
     use proptest::prop_oneof;
 
@@ -313,66 +313,26 @@ mod state_backend_props {
     const TOKEN: TokenId = TokenId(0);
 
     /// What one random transaction does; accounts are named by index.
-    /// Native transfers (some overdrawn, so they fail), every ERC-20 op
-    /// (some unauthorized or overdrawn — failed token ops still create
-    /// zero-balance entries, the classic dirty-tracking trap), NFT mints
-    /// (some duplicates), transfers and burns (some by a stranger), and
-    /// the steps of a token-denominated workload contract: deploy it, send
-    /// it tokens, FUND it (with native value attached it reverts and the
-    /// escrow is refunded), CANCEL it (the escrow comes back as a token
-    /// payout; from anyone but the deployer it reverts and the contract is
-    /// rolled back). `which` picks one of the workloads deployed so far.
+    /// Native transfers (some overdrawn, so they fail), both ERC-20 ops
+    /// (some transfers overdrawn — a failed transfer still creates a
+    /// zero-balance entry, the classic dirty-tracking trap), NFT mints
+    /// (some duplicates), and the steps of a token-denominated workload
+    /// contract: deploy it, send it tokens, FUND it (with native value
+    /// attached it reverts and the escrow is refunded), CANCEL it (the
+    /// escrow comes back as a token payout; from anyone but the deployer
+    /// it reverts and the contract is rolled back). `which` picks one of the workloads deployed so far.
     /// The base fee is 1, so whatever runs burns half of what it pays for
     /// gas and tips the proposer the other half.
     #[derive(Clone, Debug)]
     enum WorkOp {
-        Native {
-            to: usize,
-            amount: u128,
-        },
+        Native { to: usize, amount: u128 },
         Erc20Create,
-        Erc20Mint {
-            to: usize,
-            amount: u128,
-        },
-        Erc20Transfer {
-            to: usize,
-            amount: u128,
-        },
-        Erc20Burn {
-            amount: u128,
-        },
-        Erc20Approve {
-            spender: usize,
-            amount: u128,
-        },
-        Erc20TransferFrom {
-            owner: usize,
-            to: usize,
-            amount: u128,
-        },
-        NftMint {
-            content: u8,
-        },
-        NftTransfer {
-            id: u64,
-            to: usize,
-        },
-        NftBurn {
-            id: u64,
-        },
+        Erc20Transfer { to: usize, amount: u128 },
+        NftMint { content: u8 },
         WorkloadDeploy,
-        WorkloadEscrow {
-            which: usize,
-            amount: u128,
-        },
-        WorkloadFund {
-            which: usize,
-            value: u128,
-        },
-        WorkloadCancel {
-            which: usize,
-        },
+        WorkloadEscrow { which: usize, amount: u128 },
+        WorkloadFund { which: usize, value: u128 },
+        WorkloadCancel { which: usize },
     }
 
     /// A sender and what it sends.
@@ -381,19 +341,8 @@ mod state_backend_props {
         let op = prop_oneof![
             (who(), 0u128..200_000).prop_map(|(to, amount)| WorkOp::Native { to, amount }),
             Just(WorkOp::Erc20Create),
-            (who(), 0u128..500).prop_map(|(to, amount)| WorkOp::Erc20Mint { to, amount }),
             (who(), 0u128..500).prop_map(|(to, amount)| WorkOp::Erc20Transfer { to, amount }),
-            (0u128..500).prop_map(|amount| WorkOp::Erc20Burn { amount }),
-            (who(), 0u128..500)
-                .prop_map(|(spender, amount)| WorkOp::Erc20Approve { spender, amount }),
-            (who(), who(), 0u128..300).prop_map(|(owner, to, amount)| WorkOp::Erc20TransferFrom {
-                owner,
-                to,
-                amount
-            }),
             (0u8..6).prop_map(|content| WorkOp::NftMint { content }),
-            (0u64..4, who()).prop_map(|(id, to)| WorkOp::NftTransfer { id, to }),
-            (0u64..4).prop_map(|id| WorkOp::NftBurn { id }),
             Just(WorkOp::WorkloadDeploy),
             (0usize..4, 0u128..400)
                 .prop_map(|(which, amount)| WorkOp::WorkloadEscrow { which, amount }),
@@ -439,40 +388,16 @@ mod state_backend_props {
                 symbol: "TOK".into(),
                 initial_supply: 1_000,
             }),
-            WorkOp::Erc20Mint { to, amount } => TxKind::Erc20(Erc20Op::Mint {
-                token,
-                to: addrs[to],
-                amount,
-            }),
             WorkOp::Erc20Transfer { to, amount } => TxKind::Erc20(Erc20Op::Transfer {
                 token,
                 to: addrs[to],
                 amount,
             }),
-            WorkOp::Erc20Burn { amount } => TxKind::Erc20(Erc20Op::Burn { token, amount }),
-            WorkOp::Erc20Approve { spender, amount } => TxKind::Erc20(Erc20Op::Approve {
-                token,
-                spender: addrs[spender],
-                amount,
-            }),
-            WorkOp::Erc20TransferFrom { owner, to, amount } => {
-                TxKind::Erc20(Erc20Op::TransferFrom {
-                    token,
-                    owner: addrs[owner],
-                    to: addrs[to],
-                    amount,
-                })
-            }
             WorkOp::NftMint { content } => TxKind::Erc721(Erc721Op::Mint {
                 kind: AssetKind::Dataset,
                 content: sha256(&[content]),
                 label: "d".into(),
             }),
-            WorkOp::NftTransfer { id, to } => TxKind::Erc721(Erc721Op::Transfer {
-                id: NftId(id),
-                to: addrs[to],
-            }),
-            WorkOp::NftBurn { id } => TxKind::Erc721(Erc721Op::Burn { id: NftId(id) }),
             WorkOp::WorkloadDeploy => TxKind::Deploy {
                 code_id: WORKLOAD_CODE_ID.into(),
                 init: Init {
