@@ -1,5 +1,4 @@
-//! Deterministic distributed key generation, proactive share refresh and
-//! break-glass share recovery for the validator committee.
+//! Deterministic distributed key generation for the validator committee.
 //!
 //! The DKG is Pedersen-style with Feldman commitments, run over the same
 //! Schnorr group block signatures already use (DESIGN.md §5d): every
@@ -11,6 +10,10 @@
 //! a commitment to the group secret `x = Σ_i f_i(0)` that **no single
 //! party ever holds**.
 //!
+//! The committee is built once per genesis configuration: its shares and
+//! commitments are fixed for the life of the DKG, and a validator's
+//! share is durable state that survives a crash.
+//!
 //! ## Determinism
 //!
 //! Polynomial coefficients are derived from a public `(seed, dealer,
@@ -20,23 +23,6 @@
 //! the coefficient hash with local randomness and an actual broadcast round;
 //! nothing else changes, which is exactly the trade the rest of the
 //! repo makes (deterministic nonces, seeded fault plans).
-//!
-//! ## Proactive refresh
-//!
-//! [`refresh_delta`] derives, per epoch, a zero-sharing: every dealer
-//! contributes a polynomial with `z_i(0) = 0`, so adding `Σ_i z_i(j)` to
-//! share `s_j` re-randomizes every share while the group secret — and
-//! therefore the group public key — is unchanged. Old-epoch shares become
-//! useless to an attacker who compromised fewer than `t` validators
-//! before the refresh.
-//!
-//! ## Break-glass recovery
-//!
-//! A validator that crashed and lost its share interpolates it back from
-//! any `t` helpers: helper `i` sends `λ_i^S(m) · s_i` (the Lagrange
-//! weight evaluated at the *lost index* `m`, not at zero), and the sum of
-//! `t` contributions is `f(m) = s_m`. The recovered share is checked
-//! against the public commitment `Y_m = g^{s_m}` before it is trusted.
 
 use crate::GovError;
 use pds2_crypto::schnorr::{Group, PublicKey};
@@ -45,8 +31,6 @@ use pds2_crypto::BigUint;
 
 /// Domain tag for DKG polynomial coefficients.
 const DOMAIN_DKG: &[u8] = b"pds2-gov-dkg-v1";
-/// Domain tag for refresh (zero-sharing) polynomial coefficients.
-const DOMAIN_REFRESH: &[u8] = b"pds2-gov-refresh-v1";
 
 /// The `(t, n)` committee shape: `t` of `n` validators must cooperate to
 /// sign; up to `n − t` may crash without halting the chain; fewer than
@@ -82,9 +66,6 @@ pub struct ValidatorShare {
     /// Evaluation point `x = index` (`1..=n`; 0 is the secret itself and
     /// is never dealt).
     pub index: u64,
-    /// Refresh epoch this share belongs to (starts at 0; partial
-    /// signatures from different epochs do not combine).
-    pub epoch: u64,
     /// The share scalar `f(index) ∈ Z_q`.
     pub scalar: BigUint,
 }
@@ -95,17 +76,11 @@ pub struct ValidatorShare {
 pub struct Committee {
     /// Committee shape.
     pub params: ThresholdParams,
-    /// Current refresh epoch.
-    pub epoch: u64,
-    /// DKG seed (public in this deterministic reproduction; see module
-    /// docs). Kept so refresh deltas and per-epoch commitments can be
-    /// recomputed by any party, including one recovering from a crash.
-    pub seed: u64,
     /// Group public key `Y = g^x`; aggregate signatures verify against
     /// this single key through the ordinary [`PublicKey::verify`].
     group_public: PublicKey,
-    /// Per-validator share commitments `Y_j = g^{s_j}` for the current
-    /// epoch, indexed by `index − 1`.
+    /// Per-validator share commitments `Y_j = g^{s_j}`, indexed by
+    /// `index − 1`.
     commitments: Vec<BigUint>,
 }
 
@@ -126,13 +101,14 @@ impl Committee {
 /// The 256-bit hash is reduced mod the 255-bit `q`; the resulting bias
 /// is < 2^-250 per draw — irrelevant even before noting that this
 /// reproduction's seeds are public anyway.
-fn coeff_scalar(domain: &[u8], seed: u64, epoch: u64, dealer: u64, k: u64) -> BigUint {
+fn coeff_scalar(seed: u64, dealer: u64, k: u64) -> BigUint {
     let group = Group::standard();
     let mut h = Sha256::new();
-    h.update(&(domain.len() as u64).to_le_bytes());
-    h.update(domain);
+    h.update(&(DOMAIN_DKG.len() as u64).to_le_bytes());
+    h.update(DOMAIN_DKG);
     h.update(&seed.to_le_bytes());
-    h.update(&epoch.to_le_bytes());
+    // Reserved zero word, part of the preimage every pinned committee used.
+    h.update(&0u64.to_le_bytes());
     h.update(&dealer.to_le_bytes());
     h.update(&k.to_le_bytes());
     BigUint::from_bytes_be(h.finalize().as_bytes()).rem(&group.q)
@@ -162,7 +138,7 @@ pub fn run_dkg(
     let polys: Vec<Vec<BigUint>> = (1..=n as u64)
         .map(|dealer| {
             (0..t as u64)
-                .map(|k| coeff_scalar(DOMAIN_DKG, seed, 0, dealer, k))
+                .map(|k| coeff_scalar(seed, dealer, k))
                 .collect()
         })
         .collect();
@@ -194,7 +170,6 @@ pub fn run_dkg(
         }
         shares.push(ValidatorShare {
             index: j,
-            epoch: 0,
             scalar: sum,
         });
     }
@@ -209,8 +184,6 @@ pub fn run_dkg(
     Ok((
         Committee {
             params,
-            epoch: 0,
-            seed,
             group_public: PublicKey::from_element(y),
             commitments: share_commitments,
         },
@@ -218,70 +191,14 @@ pub fn run_dkg(
     ))
 }
 
-/// The zero-sharing delta validator `index` adds to its share when
-/// moving from `epoch` to `epoch + 1`: `Σ_i z_i(index)` where every
-/// dealer polynomial has `z_i(0) = 0` (constant term omitted, powers
-/// start at `x^1`).
-///
-/// Derivable by every committee member independently (module docs
-/// explain the deterministic stand-in), so refresh needs no extra
-/// message round in the simulation.
-pub fn refresh_delta(seed: u64, params: ThresholdParams, epoch: u64, index: u64) -> BigUint {
-    let group = Group::standard();
-    let q = &group.q;
-    let mut delta = BigUint::zero();
-    for dealer in 1..=params.n as u64 {
-        // Coefficients for x^1..x^{t-1}; f(0) = 0 by construction.
-        let coeffs: Vec<BigUint> = (1..params.t as u64)
-            .map(|k| coeff_scalar(DOMAIN_REFRESH, seed, epoch, dealer, k))
-            .collect();
-        let xq = BigUint::from_u64(index);
-        // Horner, then one extra multiply by x (powers start at 1).
-        let val = eval_poly(&coeffs, index, q).mul_mod(&xq, q);
-        delta = delta.add_mod(&val, q);
-    }
-    delta
-}
-
-/// Advances `share` by one refresh epoch in place.
-///
-/// Bumps `gov.share_refreshes`. With `t = 1` the zero-polynomials are
-/// identically zero (a degree-0 polynomial with `f(0) = 0` is 0), so the
-/// share is unchanged — replication has nothing to re-randomize.
-pub fn refresh_share(params: ThresholdParams, seed: u64, share: &mut ValidatorShare) {
-    let group = Group::standard();
-    let delta = refresh_delta(seed, params, share.epoch, share.index);
-    share.scalar = share.scalar.add_mod(&delta, &group.q);
-    share.epoch += 1;
-    pds2_obs::counter!("gov.share_refreshes").inc();
-}
-
-/// Advances the public committee state by one refresh epoch: every share
-/// commitment becomes `Y_j · g^{Δ_j}`; the group public key is asserted
-/// unchanged (it is, by construction — the deltas share zero).
-pub fn refresh_committee(committee: &mut Committee) {
-    let group = Group::standard();
-    for (i, c) in committee.commitments.iter_mut().enumerate() {
-        let delta = refresh_delta(
-            committee.seed,
-            committee.params,
-            committee.epoch,
-            i as u64 + 1,
-        );
-        *c = c.mul_mod(&group.pow_g(&delta), &group.p);
-    }
-    committee.epoch += 1;
-}
-
-/// The Lagrange weight `λ_i^S(x)` = `Π_{j∈S, j≠i} (x − x_j)/(x_i − x_j)
-/// mod q` for interpolation at an arbitrary point `x` (0 for signing,
-/// the lost index for recovery). `signers` must contain `i` and hold
-/// distinct nonzero indices — both are validated, not assumed.
-pub fn lagrange_at(signers: &[u64], i: u64, x: u64, q: &BigUint) -> Result<BigUint, GovError> {
+/// The Lagrange weight `λ_i^S(0)` = `Π_{j∈S, j≠i} x_j/(x_j − x_i) mod q`
+/// for interpolation at zero, where the group secret sits. `signers`
+/// must contain `i` and hold distinct nonzero indices — both are
+/// validated, not assumed.
+pub fn lagrange_at(signers: &[u64], i: u64, q: &BigUint) -> Result<BigUint, GovError> {
     // Distinctness of the WHOLE slice up front — a duplicated `i` itself
     // would otherwise slip through a per-`j` check and silently produce
-    // a wrong weight (callers like `recovery_contribution` take a
-    // caller-supplied helper set).
+    // a wrong weight (callers pass a signer set a peer chose).
     let mut seen = std::collections::BTreeSet::new();
     for &j in signers {
         if !seen.insert(j) {
@@ -298,59 +215,11 @@ pub fn lagrange_at(signers: &[u64], i: u64, x: u64, q: &BigUint) -> Result<BigUi
         if j == i {
             continue;
         }
-        num = num.mul_mod(&as_fq(x).sub_mod(&as_fq(j), q), q);
-        den = den.mul_mod(&as_fq(i).sub_mod(&as_fq(j), q), q);
+        num = num.mul_mod(&as_fq(j), q);
+        den = den.mul_mod(&as_fq(j).sub_mod(&as_fq(i), q), q);
     }
     let den_inv = den.modinv(q).ok_or(GovError::DuplicateSigner(i))?;
     Ok(num.mul_mod(&den_inv, q))
-}
-
-/// Helper `i`'s contribution to recovering the share of `lost`:
-/// `λ_i^S(lost) · s_i mod q`. `helper_set` is the full set of `t`
-/// helper indices participating in this recovery.
-///
-/// A production deployment would blind these contributions pairwise (the
-/// sum would be unchanged); the simulation sends them in the clear, as
-/// it does every other secret, because nodes are processes in one
-/// address space.
-pub fn recovery_contribution(
-    share: &ValidatorShare,
-    helper_set: &[u64],
-    lost: u64,
-) -> Result<BigUint, GovError> {
-    let group = Group::standard();
-    let lambda = lagrange_at(helper_set, share.index, lost, &group.q)?;
-    Ok(lambda.mul_mod(&share.scalar, &group.q))
-}
-
-/// Sums `t` helper contributions into the lost share and verifies it
-/// against the public commitment `Y_lost` before trusting it. Bumps
-/// `gov.share_recoveries` on success.
-pub fn recover_share(
-    committee: &Committee,
-    contributions: &[BigUint],
-    lost: u64,
-) -> Result<ValidatorShare, GovError> {
-    if contributions.len() < committee.params.t {
-        return Err(GovError::NotEnoughShares);
-    }
-    let group = Group::standard();
-    let mut scalar = BigUint::zero();
-    for c in contributions {
-        scalar = scalar.add_mod(c, &group.q);
-    }
-    let expected = committee
-        .commitment(lost)
-        .ok_or(GovError::UnknownSigner(lost))?;
-    if &group.pow_g(&scalar) != expected {
-        return Err(GovError::CommitmentMismatch);
-    }
-    pds2_obs::counter!("gov.share_recoveries").inc();
-    Ok(ValidatorShare {
-        index: lost,
-        epoch: committee.epoch,
-        scalar,
-    })
 }
 
 #[cfg(test)]
@@ -370,6 +239,11 @@ mod tests {
         // Different seed, different key.
         let (c3, _) = run_dkg(0xBEEF, ThresholdParams::new(3, 5).unwrap()).unwrap();
         assert_ne!(c1.group_public(), c3.group_public());
+        // Pinned: the group key for (0xD16, 3-of-5) never moves.
+        assert_eq!(
+            c1.group_public().element().to_hex(),
+            "8113e9166af8fa37ca502f8657205620a7956d363b12b3c3682fe0c180766128"
+        );
     }
 
     #[test]
@@ -381,7 +255,7 @@ mod tests {
             let signers: Vec<u64> = subset.iter().map(|&i| shares[i].index).collect();
             let mut x = BigUint::zero();
             for &i in &subset {
-                let lambda = lagrange_at(&signers, shares[i].index, 0, &group.q).unwrap();
+                let lambda = lagrange_at(&signers, shares[i].index, &group.q).unwrap();
                 x = x.add_mod(&lambda.mul_mod(&shares[i].scalar, &group.q), &group.q);
             }
             assert_eq!(
@@ -407,61 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_preserves_group_key_and_changes_shares() {
-        let (mut committee, mut shares) = dkg(3, 5);
-        let before = committee.group_public().clone();
-        let old = shares.clone();
-        for s in shares.iter_mut() {
-            refresh_share(committee.params, committee.seed, s);
-        }
-        refresh_committee(&mut committee);
-        assert_eq!(committee.group_public(), &before, "group key must survive");
-        assert_eq!(committee.epoch, 1);
-        let group = Group::standard();
-        for (new, old) in shares.iter().zip(&old) {
-            assert_ne!(new.scalar, old.scalar, "share {} unchanged", new.index);
-            assert_eq!(new.epoch, 1);
-            // Refreshed commitments still match refreshed shares.
-            assert_eq!(
-                committee.commitment(new.index).unwrap(),
-                &group.pow_g(&new.scalar)
-            );
-        }
-    }
-
-    #[test]
-    fn recovery_restores_exact_share() {
-        let (committee, shares) = dkg(3, 5);
-        let lost = 2u64;
-        let helper_set = vec![1u64, 4, 5];
-        let contributions: Vec<BigUint> = helper_set
-            .iter()
-            .map(|&h| recovery_contribution(&shares[(h - 1) as usize], &helper_set, lost).unwrap())
-            .collect();
-        let recovered = recover_share(&committee, &contributions, lost).unwrap();
-        assert_eq!(recovered, shares[(lost - 1) as usize]);
-    }
-
-    #[test]
-    fn recovery_rejects_corrupt_contribution() {
-        let (committee, shares) = dkg(3, 5);
-        let helper_set = vec![1u64, 3, 5];
-        let mut contributions: Vec<BigUint> = helper_set
-            .iter()
-            .map(|&h| recovery_contribution(&shares[(h - 1) as usize], &helper_set, 2).unwrap())
-            .collect();
-        contributions[1] = contributions[1].add_mod(&BigUint::one(), &Group::standard().q);
-        assert_eq!(
-            recover_share(&committee, &contributions, 2).unwrap_err(),
-            GovError::CommitmentMismatch
-        );
-        assert_eq!(
-            recover_share(&committee, &contributions[..2], 2).unwrap_err(),
-            GovError::NotEnoughShares
-        );
-    }
-
-    #[test]
     fn bad_params_rejected() {
         assert_eq!(
             ThresholdParams::new(0, 3).unwrap_err(),
@@ -478,12 +297,12 @@ mod tests {
     #[test]
     fn lagrange_rejects_bad_sets() {
         let q = &Group::standard().q;
-        assert!(lagrange_at(&[1, 2, 3], 4, 0, q).is_err());
-        assert!(lagrange_at(&[1, 2, 2], 1, 0, q).is_err());
+        assert!(lagrange_at(&[1, 2, 3], 4, q).is_err());
+        assert!(lagrange_at(&[1, 2, 2], 1, q).is_err());
         // A duplicate of `i` itself must be caught too, not just
         // duplicates among the other signers.
         assert_eq!(
-            lagrange_at(&[1, 1, 2], 1, 0, q).unwrap_err(),
+            lagrange_at(&[1, 1, 2], 1, q).unwrap_err(),
             GovError::DuplicateSigner(1)
         );
     }

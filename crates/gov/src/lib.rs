@@ -13,15 +13,11 @@
 //! blocks over `(height, head hash, state root)` — not for every block
 //! (ROADMAP item 5).
 //!
-//! Three lifecycle mechanisms complete the committee story:
-//!
-//! - [`sign::SigningSession`] rejects byzantine partials before they
-//!   can poison an aggregate (one dual exponentiation per check);
-//! - [`dkg::refresh_share`] proactively re-randomizes every share on
-//!   validator churn while the group key — and thus every historical
-//!   block signature — stays valid;
-//! - [`dkg::recover_share`] rebuilds a crashed validator's share from
-//!   any `t` helpers ("break-glass" recovery for up to `n − t` losses).
+//! The committee is built once per genesis configuration: its key
+//! material is fixed for the life of its DKG, and a validator's share is
+//! durable state that survives a crash. [`sign::SigningSession`] rejects
+//! byzantine partials before they can poison an aggregate (one dual
+//! exponentiation per check).
 //!
 //! [`net::GovNode`] runs the whole protocol, with shares held apart,
 //! over the deterministic network simulator for the chaos harness;
@@ -40,27 +36,27 @@ pub mod sign;
 pub use dkg::{run_dkg, Committee, ThresholdParams, ValidatorShare};
 pub use sign::{sign_with_quorum, NonceCommitment, NonceGuard, PartialSig, SigningSession};
 
-/// Errors across DKG, signing, refresh and recovery.
+/// Errors across DKG and signing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GovError {
     /// `t = 0` or `t > n`.
     BadThreshold,
-    /// Fewer than `t` shares/partials/contributions were supplied.
+    /// Fewer than `t` shares or partials were supplied.
     NotEnoughShares,
     /// A signer index appears twice in a signer set.
     DuplicateSigner(u64),
     /// A signer index is not part of the committee (or signer set).
     UnknownSigner(u64),
-    /// A dealt share, recovered share or refreshed commitment failed
-    /// verification against its public (Feldman) commitment.
+    /// A dealt share failed verification against its dealer's public
+    /// (Feldman) commitments.
     CommitmentMismatch,
     /// A partial's nonce commitment does not match the signer set fixed
     /// for this attempt (inconsistent aggregator views).
     NonceMismatch,
-    /// A partial from a different attempt or refresh epoch.
+    /// A partial from a different attempt.
     StalePartial,
-    /// A signer was asked to sign the same `(epoch, attempt, message)`
-    /// tuple under a second, different commitment transcript — refused
+    /// A signer was asked to sign the same `(attempt, message)` pair
+    /// under a second, different commitment transcript — refused
     /// by [`sign::NonceGuard`] so deterministic nonces never meet two
     /// challenges (the Schnorr key-extraction hazard).
     NonceReuse,
@@ -81,10 +77,10 @@ impl std::fmt::Display for GovError {
             GovError::UnknownSigner(i) => write!(f, "signer {i} is not in the committee/set"),
             GovError::CommitmentMismatch => write!(f, "share fails its public commitment check"),
             GovError::NonceMismatch => write!(f, "nonce commitment differs from the fixed set"),
-            GovError::StalePartial => write!(f, "partial from a stale attempt or epoch"),
+            GovError::StalePartial => write!(f, "partial from a stale attempt"),
             GovError::NonceReuse => write!(
                 f,
-                "tuple already signed under a different commitment transcript"
+                "pair already signed under a different commitment transcript"
             ),
             GovError::BadPartial(i) => write!(f, "byzantine partial signature from signer {i}"),
             GovError::AggregateInvalid => write!(f, "aggregate failed group-key verification"),

@@ -2,7 +2,7 @@
 //! binding.
 //!
 //! Round 1 — every quorum member `i` derives a deterministic *pair* of
-//! nonces `(d_i, e_i) = HMAC(s_i, epoch ‖ attempt ‖ tag ‖ m) mod q`
+//! nonces `(d_i, e_i) = HMAC(s_i, 0 ‖ attempt ‖ tag ‖ m) mod q`
 //! (RFC 6979 in spirit, one HMAC per component tag) and publishes the
 //! commitment pair `(D_i, E_i) = (g^{d_i}, g^{e_i})`.
 //!
@@ -42,14 +42,14 @@
 //!   never the old one under a new challenge;
 //! - the **[`NonceGuard`]** makes [`partial_sign`] stateful: a signer
 //!   records the transcript digest it signed for each
-//!   `(epoch, attempt, message)` tuple and refuses any other transcript
-//!   for the same tuple ([`GovError::NonceReuse`]). Without it, a
-//!   dishonest aggregator could collect partials for one tuple under
+//!   `(attempt, message)` pair and refuses any other transcript for the
+//!   same pair ([`GovError::NonceReuse`]). Without it, a
+//!   dishonest aggregator could collect partials for one pair under
 //!   several transcripts and solve the resulting linear system for the
 //!   base nonces and the share.
 //!
 //! The `attempt` counter still domain-separates retries: when an
-//! aggregation attempt aborts (byzantine partial, refresh race), the
+//! aggregation attempt aborts (byzantine partial, partition stall), the
 //! retry re-derives fresh base nonces on top of everything above.
 
 use crate::dkg::{lagrange_at, Committee, ValidatorShare};
@@ -85,8 +85,6 @@ pub struct NonceCommitment {
 pub struct PartialSig {
     /// Signer index (evaluation point, 1-based).
     pub signer: u64,
-    /// Refresh epoch of the share that produced this partial.
-    pub epoch: u64,
     /// Retry counter the nonces were derived under.
     pub attempt: u32,
     /// Effective nonce point `R_i = D_i · E_i^{ρ_i}`.
@@ -98,7 +96,6 @@ pub struct PartialSig {
 impl Encode for PartialSig {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u64(self.signer);
-        enc.put_u64(self.epoch);
         enc.put_u32(self.attempt);
         self.r.encode_into(enc);
         self.s.encode_into(enc);
@@ -109,7 +106,6 @@ impl Decode for PartialSig {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(PartialSig {
             signer: dec.get_u64()?,
-            epoch: dec.get_u64()?,
             attempt: dec.get_u32()?,
             r: BigUint::decode_from(dec)?,
             s: BigUint::decode_from(dec)?,
@@ -118,36 +114,35 @@ impl Decode for PartialSig {
 }
 
 /// Per-signer anti-reuse state (see the module docs): each
-/// `(epoch, attempt, message)` tuple is signed under at most one
-/// commitment transcript, ever. Long-lived signers must persist one
+/// `(attempt, message)` pair is signed under at most one commitment
+/// transcript, ever. Long-lived signers must persist one
 /// guard per share across restarts — [`crate::net::GovNode`] treats it
 /// as on-disk state that survives crashes, exactly like completed
 /// signatures.
 #[derive(Clone, Debug, Default)]
 pub struct NonceGuard {
-    /// `(epoch, attempt, H(message)) → transcript digest` for every
-    /// tuple this signer has produced a partial for.
-    signed: BTreeMap<(u64, u32, [u8; 32]), [u8; 32]>,
+    /// `(attempt, H(message)) → transcript digest` for every pair this
+    /// signer has produced a partial for.
+    signed: BTreeMap<(u32, [u8; 32]), [u8; 32]>,
 }
 
 impl NonceGuard {
-    /// An empty guard (no tuple signed yet).
+    /// An empty guard (no pair signed yet).
     pub fn new() -> NonceGuard {
         NonceGuard::default()
     }
 
-    /// Records `transcript` for the tuple, or rejects it if a different
-    /// transcript was already signed for the same tuple.
+    /// Records `transcript` for the pair, or rejects it if a different
+    /// transcript was already signed for the same pair.
     fn admit(
         &mut self,
-        epoch: u64,
         attempt: u32,
         message: &[u8],
         transcript: [u8; 32],
     ) -> Result<(), GovError> {
         let mut h = Sha256::new();
         h.update(message);
-        let key = (epoch, attempt, *h.finalize().as_bytes());
+        let key = (attempt, *h.finalize().as_bytes());
         match self.signed.get(&key) {
             Some(prev) if *prev != transcript => Err(GovError::NonceReuse),
             _ => {
@@ -165,7 +160,8 @@ fn nonce_scalars(share: &ValidatorShare, message: &[u8], attempt: u32) -> (BigUi
     let derive = |tag: u8| {
         let mut keyed = Vec::with_capacity(DOMAIN_NONCE.len() + 13 + message.len());
         keyed.extend_from_slice(DOMAIN_NONCE);
-        keyed.extend_from_slice(&share.epoch.to_le_bytes());
+        // Reserved zero word, part of the preimage every pinned signature used.
+        keyed.extend_from_slice(&0u64.to_le_bytes());
         keyed.extend_from_slice(&attempt.to_le_bytes());
         keyed.push(tag);
         keyed.extend_from_slice(message);
@@ -255,8 +251,8 @@ fn challenge(
 /// Rejects a set that does not list this signer, lists it with a
 /// commitment pair that differs from the locally derived one (an
 /// aggregator feeding inconsistent views), contains duplicates, or —
-/// via `guard` — re-visits a `(epoch, attempt, message)` tuple this
-/// signer already signed under a *different* transcript
+/// via `guard` — re-visits an `(attempt, message)` pair this signer
+/// already signed under a *different* transcript
 /// ([`GovError::NonceReuse`]; re-signing the identical transcript is
 /// fine and reproduces the identical partial). Bumps
 /// `gov.partials_sent`.
@@ -279,9 +275,9 @@ pub fn partial_sign(
         return Err(GovError::NonceMismatch);
     }
     // Validates distinctness of the whole set as a side effect.
-    let lambda = lagrange_at(&signers, share.index, 0, &group.q)?;
+    let lambda = lagrange_at(&signers, share.index, &group.q)?;
     let transcript = transcript_digest(nonces);
-    guard.admit(share.epoch, attempt, message, transcript)?;
+    guard.admit(attempt, message, transcript)?;
     let (d, e_nonce) = nonce_scalars(share, message, attempt);
     let rho = binding_factor(share.index, message, &transcript);
     let k = d.add_mod(&rho.mul_mod(&e_nonce, &group.q), &group.q);
@@ -294,7 +290,6 @@ pub fn partial_sign(
     pds2_obs::counter!("gov.partials_sent").inc();
     Ok(PartialSig {
         signer: share.index,
-        epoch: share.epoch,
         attempt,
         r: group.pow_g(&k),
         s,
@@ -308,7 +303,6 @@ pub fn partial_sign(
 #[derive(Debug)]
 pub struct SigningSession {
     attempt: u32,
-    epoch: u64,
     signers: Vec<u64>,
     /// Effective nonce points `R_j` derived from the fixed transcript.
     nonces: Vec<(u64, BigUint)>,
@@ -344,7 +338,6 @@ impl SigningSession {
         let (r, e) = challenge(committee, message, &effective);
         Ok(SigningSession {
             attempt,
-            epoch: committee.epoch,
             signers,
             nonces: effective,
             r,
@@ -372,7 +365,7 @@ impl SigningSession {
 
     fn check(&mut self, committee: &Committee, partial: &PartialSig) -> Result<(), GovError> {
         let group = Group::standard();
-        if partial.attempt != self.attempt || partial.epoch != self.epoch {
+        if partial.attempt != self.attempt {
             return Err(GovError::StalePartial);
         }
         if !self.signers.contains(&partial.signer) {
@@ -382,6 +375,7 @@ impl SigningSession {
             .nonces
             .iter()
             .find(|(i, _)| *i == partial.signer)
+            // `nonces` holds one entry per member of `signers`, checked above.
             .expect("signer set checked above")
             .1;
         if &partial.r != expected_r {
@@ -391,7 +385,7 @@ impl SigningSession {
             return Err(GovError::BadPartial(partial.signer));
         }
         // g^{s_i} · Y_i^{q − e·λ_i} must equal R_i.
-        let lambda = lagrange_at(&self.signers, partial.signer, 0, &group.q)?;
+        let lambda = lagrange_at(&self.signers, partial.signer, &group.q)?;
         let e_lambda = self.e.mul_mod(&lambda, &group.q);
         let y_i = committee
             .commitment(partial.signer)
@@ -549,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_epoch_and_attempt_partials_are_rejected() {
+    fn stale_attempt_partials_are_rejected() {
         let (committee, shares) = setup(2, 3);
         let msg = b"m";
         let quorum = refs(&shares, &[0, 1]);
@@ -568,12 +562,6 @@ mod tests {
         wrong_attempt.attempt = 0;
         assert_eq!(
             session.offer(&committee, &wrong_attempt).unwrap_err(),
-            GovError::StalePartial
-        );
-        let mut wrong_epoch = good.clone();
-        wrong_epoch.epoch = 9;
-        assert_eq!(
-            session.offer(&committee, &wrong_epoch).unwrap_err(),
             GovError::StalePartial
         );
         session.offer(&committee, &good).unwrap();
@@ -631,6 +619,13 @@ mod tests {
         let a = sign_with_quorum(&committee, &refs(&shares, &[0, 1, 2]), b"det").unwrap();
         let b = sign_with_quorum(&committee, &refs(&shares, &[0, 1, 2]), b"det").unwrap();
         assert_eq!(a, b);
+        // Pinned: the aggregate for this quorum and message never moves.
+        let wire: String = a.to_wire().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            wire,
+            "095811350e673a4ec68dcdffacd2f6f13345e27726414d98cdc0c372d750ece1\
+             fd40244ae4af0d0c023b75af031ee2314a31d56f6cf8565d7beadd41dd6360c149"
+        );
         // A different quorum binds a different transcript into every
         // effective nonce — distinct but equally valid signature.
         let c = sign_with_quorum(&committee, &refs(&shares, &[1, 2, 3]), b"det").unwrap();
@@ -701,8 +696,8 @@ mod tests {
         );
     }
 
-    /// The stateful guard pins each `(epoch, attempt, message)` tuple to
-    /// one transcript: re-signing the identical transcript reproduces
+    /// The stateful guard pins each `(attempt, message)` pair to one
+    /// transcript: re-signing the identical transcript reproduces
     /// the identical partial, any other transcript is refused.
     #[test]
     fn nonce_guard_refuses_second_transcript_for_same_tuple() {
@@ -720,7 +715,7 @@ mod tests {
             partial_sign(&shares[1], &committee, msg, 0, &nb, &mut guard).unwrap_err(),
             GovError::NonceReuse
         );
-        // A different attempt (or message) is a fresh tuple.
+        // A different attempt (or message) is a fresh pair.
         let nb1 = commitments(&qb, msg, 1);
         partial_sign(&shares[1], &committee, msg, 1, &nb1, &mut guard).unwrap();
     }

@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example private_inference`
 
 use pds2::he;
+use pds2::he::fixed::{to_fixed, SCALE};
 use pds2::mpc::{secure_linear_inference, MpcEngine};
 use pds2::tee::cost::CostModel;
 use pds2::tee::measurement::EnclaveCode;
@@ -54,7 +55,6 @@ fn main() {
     let t = Instant::now();
     let sk = he::generate_keypair(&mut rng, 1024).expect("keygen");
     let keygen_ms = t.elapsed().as_millis();
-    let to_fixed = |v: f64| (v * 65536.0).round() as i64;
     let t = Instant::now();
     let enc_weights: Vec<he::Ciphertext> = weights
         .iter()
@@ -67,11 +67,11 @@ fn main() {
     let with_bias = sk.public.add(
         &dot,
         &sk.public
-            .encrypt_signed(&mut rng, to_fixed(bias) * 65536)
+            .encrypt_signed(&mut rng, to_fixed(bias) * SCALE as i64)
             .unwrap(),
     );
     let compute_ms = t.elapsed().as_millis();
-    let he_result = sk.decrypt_signed(&with_bias).unwrap() as f64 / (65536.0 * 65536.0);
+    let he_result = sk.decrypt_signed(&with_bias).unwrap() as f64 / (SCALE * SCALE);
     let bytes: usize = enc_weights.iter().map(|c| c.byte_len()).sum();
     println!(
         "paillier  : {he_result:.4} — keygen {keygen_ms} ms, encrypt {enc_ms} ms, compute {compute_ms} ms, {bytes} ciphertext bytes"

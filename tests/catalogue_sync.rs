@@ -289,7 +289,6 @@ const CALLERLESS_PUB_ITEMS: &[(&str, &str)] = &[
     ("batch_randomisers", "test hook: batch coefficients"),
     ("drop_kind", "fault injector: drop a message kind"),
     ("has_store", "test hook: whether a chain journals"),
-    ("share_epoch", "test hook: a validator's share epoch"),
     ("scheduler_kind", "test hook: the simulator's scheduler"),
     ("backend_name", "test hook: the state commitment"),
     ("o_sort_comparisons", "test hook: sorting network size"),

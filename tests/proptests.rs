@@ -1413,10 +1413,9 @@ mod link_fixed_point {
 }
 
 // ---------------------------------------------------------------------------
-// Threshold governance (DESIGN.md §5i). Three invariants the protocol
+// Threshold governance (DESIGN.md §5i). Two invariants the protocol
 // stands on: any t-of-n quorum reconstructs the same group secret (and
-// signs validly under the one group key), proactive refresh re-randomizes
-// every share without moving the group key, and t−1 shares reconstruct
+// signs validly under the one group key), and t−1 shares reconstruct
 // garbage — the whole point of the threshold.
 // ---------------------------------------------------------------------------
 
@@ -1424,9 +1423,7 @@ mod threshold_gov_props {
     use super::*;
     use pds2_crypto::bigint::BigUint;
     use pds2_crypto::schnorr::{Group, PublicKey};
-    use pds2_gov::dkg::{
-        lagrange_at, refresh_committee, refresh_share, run_dkg, ThresholdParams, ValidatorShare,
-    };
+    use pds2_gov::dkg::{lagrange_at, run_dkg, ThresholdParams, ValidatorShare};
     use pds2_gov::sign::sign_with_quorum;
 
     /// Interpolates `f(0)` (the group secret) from a share subset.
@@ -1434,7 +1431,7 @@ mod threshold_gov_props {
         let signers: Vec<u64> = shares.iter().map(|s| s.index).collect();
         let mut x = BigUint::zero();
         for s in shares {
-            let lambda = lagrange_at(&signers, s.index, 0, q).unwrap();
+            let lambda = lagrange_at(&signers, s.index, q).unwrap();
             x = x.add_mod(&s.scalar.mul_mod(&lambda, q), q);
         }
         x
@@ -1478,42 +1475,6 @@ mod threshold_gov_props {
             prop_assert!(committee.group_public().verify(b"gov-prop", &sig_a));
             let sig_b = sign_with_quorum(&committee, &b, b"gov-prop").unwrap();
             prop_assert!(committee.group_public().verify(b"gov-prop", &sig_b));
-        }
-
-        #[test]
-        fn refresh_preserves_group_key_and_changes_every_share(
-            seed in any::<u64>(),
-            n in 3usize..7,
-        ) {
-            let params = ThresholdParams::majority(n);
-            let (mut committee, mut shares) = run_dkg(seed, params).unwrap();
-            let key_before = committee.group_public().clone();
-            let old: Vec<BigUint> = shares.iter().map(|s| s.scalar.clone()).collect();
-            refresh_committee(&mut committee);
-            for share in &mut shares {
-                refresh_share(params, seed, share);
-            }
-            prop_assert_eq!(
-                committee.group_public(), &key_before,
-                "proactive refresh moved the group public key"
-            );
-            for (share, old_scalar) in shares.iter().zip(&old) {
-                prop_assert_ne!(
-                    &share.scalar, old_scalar,
-                    "share {} survived the refresh unchanged", share.index
-                );
-                prop_assert_eq!(share.epoch, 1);
-            }
-            // Refreshed quorums still reconstruct the ORIGINAL secret and
-            // sign under the unchanged key.
-            let group = Group::standard();
-            let q = subset(&shares, params.t, 1 % n);
-            prop_assert_eq!(
-                &PublicKey::from_element(group.pow_g(&interpolate(&q, &group.q))),
-                &key_before
-            );
-            let sig = sign_with_quorum(&committee, &q, b"post-refresh").unwrap();
-            prop_assert!(key_before.verify(b"post-refresh", &sig));
         }
 
         #[test]
