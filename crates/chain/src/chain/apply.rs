@@ -55,11 +55,10 @@ impl Blockchain {
         }
     }
 
-    /// Commits an executed block: records its receipts and events,
-    /// appends it to the ledger, journals it and snapshots on cadence.
+    /// Commits an executed block: records its receipts, appends it to the
+    /// ledger, journals it and snapshots on cadence.
     pub(super) fn commit_block(&mut self, block: &Block, receipts: Vec<TxReceipt>) {
         for receipt in receipts {
-            self.events.extend(receipt.events.iter().cloned());
             self.seen.insert(receipt.tx_hash);
             self.receipts.insert(receipt.tx_hash, receipt);
         }

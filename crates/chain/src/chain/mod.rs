@@ -46,8 +46,6 @@ fn digest_tag(d: &Digest) -> u64 {
 pub struct ChainConfig {
     /// Gas budget per block.
     pub block_gas_limit: u64,
-    /// Logical seconds between blocks (drives header timestamps).
-    pub block_interval_secs: u64,
     /// Maximum transactions per block regardless of gas.
     pub max_txs_per_block: usize,
     /// Maximum pending transactions held in the mempool; beyond it the
@@ -63,7 +61,6 @@ impl Default for ChainConfig {
     fn default() -> Self {
         ChainConfig {
             block_gas_limit: 30_000_000,
-            block_interval_secs: 12,
             max_txs_per_block: 1024,
             mempool_capacity: 1 << 20,
             initial_base_fee: 0,
@@ -120,7 +117,6 @@ pub struct Blockchain {
     validators: Vec<KeyPair>,
     blocks: Vec<Block>,
     receipts: HashMap<Digest, TxReceipt>,
-    events: Vec<Event>,
     mempool: Mempool,
     /// Base fee the *next* produced block will carry, derived from the
     /// previous block's gas usage by [`crate::gas::next_base_fee`].
@@ -162,7 +158,6 @@ impl Blockchain {
             validators,
             blocks: Vec::new(),
             receipts: HashMap::new(),
-            events: Vec::new(),
             mempool: Mempool::new(config.mempool_capacity),
             next_base_fee: config.initial_base_fee,
             config,
@@ -224,17 +219,22 @@ impl Blockchain {
         self.receipts.get(tx_hash)
     }
 
-    /// All events ever emitted, in chain order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
+    /// Every event the held receipts record, in block and transaction
+    /// order (blocks loaded from a snapshot hold no receipts).
+    pub fn events(&self) -> Vec<&Event> {
+        self.blocks
+            .iter()
+            .flat_map(|block| &block.transactions)
+            .filter_map(|tx| self.receipts.get(&tx.hash()))
+            .flat_map(|receipt| &receipt.events)
+            .collect()
     }
 
     /// Events whose topic starts with `prefix`.
     pub fn events_by_topic(&self, prefix: &str) -> Vec<&Event> {
-        self.events
-            .iter()
-            .filter(|e| e.topic.starts_with(prefix))
-            .collect()
+        let mut events = self.events();
+        events.retain(|e| e.topic.starts_with(prefix));
+        events
     }
 
     /// Number of pending mempool transactions.

@@ -7,6 +7,10 @@ use crate::gas;
 use crate::mempool::SelectionStats;
 use crate::state::BlockEnv;
 
+/// Logical seconds between blocks: a header's timestamp is its height
+/// times this.
+const BLOCK_INTERVAL_SECS: u64 = 12;
+
 impl Blockchain {
     /// Produces, validates and appends the next block from the mempool.
     ///
@@ -66,7 +70,7 @@ impl Blockchain {
             self.head_hash(),
             state_root,
             tx_root,
-            height * self.config.block_interval_secs,
+            height * BLOCK_INTERVAL_SECS,
             base_fee,
             gas_used,
         );

@@ -183,16 +183,6 @@ impl WorldState {
         self.burned
     }
 
-    /// Whether a contract is deployed at `addr`.
-    pub fn has_contract(&self, addr: &Address) -> bool {
-        self.contracts.contains_key(addr)
-    }
-
-    /// The `code_id` of the contract at `addr`.
-    pub fn contract_code_id(&self, addr: &Address) -> Option<&str> {
-        self.contracts.get(addr).map(|c| c.code_id.as_str())
-    }
-
     /// Read-only view of a contract's canonical snapshot (for inspection
     /// and off-chain indexing).
     pub fn contract_snapshot(&self, addr: &Address) -> Option<Vec<u8>> {

@@ -126,8 +126,8 @@ fn deploy_and_call_contract() {
     );
     assert!(r.success, "{:?}", r.error);
     let addr = r.deployed.unwrap();
-    assert!(st.has_contract(&addr));
-    assert_eq!(st.contract_code_id(&addr), Some("counter"));
+    assert!(st.contracts.contains_key(&addr));
+    assert_eq!(st.contracts[&addr].code_id, "counter");
 
     let call = make_tx(
         &alice,

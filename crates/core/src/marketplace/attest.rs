@@ -86,11 +86,6 @@ impl Marketplace {
         Ok(())
     }
 
-    /// Whether an executor is currently in the crashed state.
-    pub fn executor_is_crashed(&self, executor: Address) -> bool {
-        self.executors.get(&executor).is_some_and(|a| a.crashed)
-    }
-
     /// Recovers a crashed executor: clears the crash flag and relaunches
     /// (and re-attests) an enclave for every workload the executor had
     /// joined — the original enclaves died with the crash.

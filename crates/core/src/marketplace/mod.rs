@@ -221,6 +221,8 @@ fn send_raw(chain: &mut Blockchain, trace: TraceCtx, keys: &KeyPair, kind: TxKin
         Err(e) => return TxReceipt::failed(Digest::ZERO, 0, 0, e.to_string()),
     };
     chain.produce_block();
+    // Every step seals the block its one transaction went into, so the pool
+    // held only this executable transaction and the new block includes it.
     chain
         .receipt(&hash)
         .cloned()

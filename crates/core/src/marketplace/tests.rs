@@ -385,7 +385,7 @@ fn crashed_executor_aborts_with_refund() {
     assert!(w.market.try_start(w.workload).unwrap());
     // The only executor holding data crashes with no recovery in sight.
     w.market.executor_crash(w.executors[0], None).unwrap();
-    assert!(w.market.executor_is_crashed(w.executors[0]));
+    assert!(w.market.executors[&w.executors[0]].crashed);
     let err = w.market.execute(w.workload).unwrap_err();
     assert!(matches!(err, MarketError::BadPhase(_)), "{err}");
     // Graceful abort: timeout elapses, consumer gets the escrow back.
@@ -449,7 +449,7 @@ fn executor_recovery_retries_to_success() {
         .execute_with_retry(w.workload, RetryPolicy::default())
         .unwrap();
     assert!(attempts > 1, "first attempt must fail while crashed");
-    assert!(!w.market.executor_is_crashed(w.executors[0]));
+    assert!(!w.market.executors[&w.executors[0]].crashed);
     assert!(report.validation_score > 0.8, "{}", report.validation_score);
     // The relaunched enclave carries a fresh verified quote and the
     // lifecycle completes normally after recovery.

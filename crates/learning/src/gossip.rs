@@ -654,55 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn gossip_is_model_generic_multiclass_softmax() {
-        let _obs = pds2_obs::test_lock();
-        // The protocol averages flat parameter vectors, so any Model works —
-        // here a 3-class softmax over three Gaussian clusters.
-        use pds2_ml::model::SoftmaxRegression;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(1);
-        let centers = [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)];
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        for i in 0..600 {
-            let c = i % 3;
-            x.push(vec![
-                centers[c].0 + rng.random::<f64>() - 0.5,
-                centers[c].1 + rng.random::<f64>() - 0.5,
-            ]);
-            y.push(c as f64);
-        }
-        let data = pds2_ml::data::Dataset::new(x, y);
-        let (train, test) = data.split(0.25, 2);
-        let shards = train.partition_iid(6, 3);
-        let nodes: Vec<GossipNode<SoftmaxRegression>> = shards
-            .into_iter()
-            .map(|shard| {
-                GossipNode::new(
-                    SoftmaxRegression::new(2, 3),
-                    shard,
-                    GossipConfig {
-                        period_us: 100_000,
-                        learning_rate: 0.3,
-                        local_steps: 2,
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        let mut sim = pds2_net::Simulator::new(nodes, LinkModel::instant(), 7);
-        sim.run_until(5_000_000);
-        // Every node's model classifies the held-out set well.
-        for id in 0..sim.len() {
-            let model = &sim.node(id).model;
-            let preds: Vec<f64> = test.x.iter().map(|x| model.classify(x)).collect();
-            let acc = pds2_ml::metrics::accuracy(&preds, &test.y);
-            assert!(acc > 0.9, "node {id} accuracy {acc}");
-        }
-    }
-
-    #[test]
     fn message_size_tracks_dimension() {
         let msg = GossipMsg::new(vec![0.0; 100], 1, false);
         assert_eq!(

@@ -9,7 +9,7 @@
 //! - [`federated`] — the FedAvg baseline with a central coordinator,
 //!   exhibiting exactly the §III-C limitations (aggregator load,
 //!   coordinator single point of failure, wasted rounds under churn);
-//! - [`dp`] — Laplace/Gaussian mechanisms and the DP-SGD step (§IV-D);
+//! - [`dp`] — the DP-SGD step and its Gaussian sampler (§IV-D);
 //! - [`attack`] — the loss-threshold membership-inference attack used to
 //!   *measure* leakage with and without DP (experiment E11).
 

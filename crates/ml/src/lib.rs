@@ -7,8 +7,8 @@
 //! - [`linalg`] — dense vector kernels, parameter averaging, norm clipping;
 //! - [`data`] — seeded synthetic datasets (blobs, noisy-linear, IoT sensor
 //!   series) with IID and label-skewed partitioning;
-//! - [`model`] — linear, logistic and softmax regression, all exposing
-//!   flat parameter vectors for decentralized averaging;
+//! - [`model`] — linear and logistic regression, both exposing flat
+//!   parameter vectors for decentralized averaging;
 //! - [`sgd`] — mini-batch SGD with optional gradient clipping (DP-SGD
 //!   building block);
 //! - [`metrics`] — accuracy and MSE.
@@ -23,5 +23,5 @@ pub mod sgd;
 pub mod solve;
 
 pub use data::Dataset;
-pub use model::{LinearRegression, LogisticRegression, Model, SoftmaxRegression};
+pub use model::{LinearRegression, LogisticRegression, Model};
 pub use sgd::{train, SgdConfig};

@@ -31,8 +31,8 @@ use pds2_crypto::sha256::Sha256;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Logical microseconds assigned to one block height when mapping
-/// [`Stamp::Block`] onto the simulated-time axis (the default
-/// `ChainConfig::block_interval_secs` of 12 s).
+/// [`Stamp::Block`] onto the simulated-time axis (the chain's 12 s
+/// between blocks).
 pub const SIM_US_PER_BLOCK: u64 = 12_000_000;
 
 /// Logical microseconds assigned to one learning round when mapping

@@ -28,15 +28,21 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// The `src` directory of every crate under `crates/`.
+fn crate_src_dirs() -> Vec<PathBuf> {
+    std::fs::read_dir(repo_root().join("crates"))
+        .expect("crates dir")
+        .flatten()
+        .map(|entry| entry.path().join("src"))
+        .filter(|src| src.is_dir())
+        .collect()
+}
+
 /// Every `.rs` file under `crates/*/src`.
 fn crate_sources() -> Vec<PathBuf> {
-    let crates = repo_root().join("crates");
     let mut files = Vec::new();
-    for entry in std::fs::read_dir(&crates).expect("crates dir").flatten() {
-        let src = entry.path().join("src");
-        if src.is_dir() {
-            rust_sources(&src, &mut files);
-        }
+    for src in crate_src_dirs() {
+        rust_sources(&src, &mut files);
     }
     assert!(
         !files.is_empty(),
@@ -257,24 +263,139 @@ fn replica_fleets_are_built_in_one_place() {
     );
 }
 
-/// Whether `file` is a unit-test module of its own (`#[cfg(test)] mod
-/// tests;`), none of whose lines are production code.
-fn is_test_module(file: &Path) -> bool {
-    file.file_name().is_some_and(|name| name == "tests.rs")
+/// The directory that holds the files of the modules `file` declares
+/// out of line (`mod x;` is `x.rs` there).
+fn module_dir(file: &Path) -> PathBuf {
+    let dir = file.parent().expect("a source file has a directory");
+    match file.file_stem().and_then(|s| s.to_str()) {
+        Some("mod" | "lib" | "main") | None => dir.to_path_buf(),
+        Some(stem) => dir.join(stem),
+    }
 }
 
-/// The lines of `body` above its first `#[cfg(test)]`, without `//`
-/// comment lines.
-fn production_lines(body: &str) -> Vec<&str> {
-    body.lines()
-        .take_while(|line| line.trim() != "#[cfg(test)]")
-        .filter(|line| !line.trim_start().starts_with("//"))
-        .collect()
+/// The lines of `body` outside `//` comments and outside every item that
+/// a `#[cfg(test)]` is attached to, and the names of the modules that
+/// such an attribute declares out of line (`#[cfg(test)] mod tests;`).
+/// An item ends with its own line if that ends in `;` or `}`, and
+/// otherwise at the first later line of its indentation that starts with
+/// `}`: its closing brace, in formatted code.
+fn split_tests(body: &str) -> (Vec<&str>, Vec<&str>) {
+    let (mut lines, mut test_modules) = (Vec::new(), Vec::new());
+    let mut rest = body.lines();
+    while let Some(line) = rest.next() {
+        let code = line.trim_start();
+        if code.starts_with("//") {
+            continue;
+        }
+        if code != "#[cfg(test)]" {
+            lines.push(line);
+            continue;
+        }
+        let Some(item) = rest.by_ref().find(|l| {
+            let l = l.trim_start();
+            !l.starts_with("#[") && !l.starts_with("//")
+        }) else {
+            break;
+        };
+        let code = item.trim_start();
+        if let Some(name) = code.strip_prefix("mod ").and_then(|m| m.strip_suffix(';')) {
+            test_modules.push(name);
+        } else if !code.ends_with([';', '}']) {
+            let indent = &item[..item.len() - code.len()];
+            rest.by_ref()
+                .find(|l| l.strip_prefix(indent).is_some_and(|l| l.starts_with('}')));
+        }
+    }
+    (lines, test_modules)
+}
+
+/// Every `.rs` file under `dirs` with its production lines (see
+/// `split_tests`). A file that a `#[cfg(test)] mod x;` declares is a unit
+/// test, and is left out with every file under its module directory.
+fn production_sources(dirs: &[PathBuf]) -> Vec<(PathBuf, Vec<String>)> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        rust_sources(dir, &mut files);
+    }
+    let mut sources = Vec::new();
+    let mut test_modules: Vec<PathBuf> = Vec::new();
+    for file in files {
+        let body = std::fs::read_to_string(&file).unwrap_or_default();
+        let (lines, tests) = split_tests(&body);
+        let dir = module_dir(&file);
+        test_modules.extend(tests.into_iter().map(|name| dir.join(name)));
+        sources.push((file, lines.into_iter().map(String::from).collect()));
+    }
+    sources.retain(|(file, _)| {
+        !test_modules
+            .iter()
+            .any(|m| file.with_extension("") == *m || file.starts_with(m))
+    });
+    assert!(!sources.is_empty(), "no rust sources found under {dirs:?}");
+    sources
 }
 
 fn identifiers(line: &str) -> impl Iterator<Item = &str> {
     line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .filter(|word| !word.is_empty())
+}
+
+/// The type that `code` implements for, if it is an `impl` header: `Foo`
+/// for `impl<T> fmt::Debug for path::Foo<T> {`.
+fn impl_self_type(code: &str) -> Option<&str> {
+    let mut header = code
+        .strip_prefix("unsafe ")
+        .unwrap_or(code)
+        .strip_prefix("impl")?;
+    if header.starts_with('<') {
+        let mut depth = 0;
+        let close = header.find(|c| {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            depth == 0
+        })?;
+        header = &header[close + 1..];
+    } else if !header.starts_with(' ') {
+        return None;
+    }
+    let ty = header.rsplit(" for ").next()?;
+    identifiers(ty.split(['<', '{']).next()?).last()
+}
+
+/// For each of `lines`, the type whose `impl` block holds it, header and
+/// closing brace included.
+fn own_impl_types(lines: &[String]) -> Vec<Option<&str>> {
+    let mut open: Option<(&str, usize)> = None;
+    lines
+        .iter()
+        .map(|line| {
+            let code = line.trim_start();
+            let indent = line.len() - code.len();
+            if let Some((ty, at)) = open {
+                if at == indent && code.starts_with('}') {
+                    open = None;
+                }
+                return Some(ty);
+            }
+            let ty = impl_self_type(code)?;
+            if code.ends_with('{') {
+                open = Some((ty, indent));
+            }
+            Some(ty)
+        })
+        .collect()
+}
+
+/// The production code that calls the library crates: the umbrella
+/// crate, the examples and the end-to-end benchmark.
+fn caller_dirs() -> Vec<PathBuf> {
+    ["src", "examples", "benchmark/src"]
+        .iter()
+        .map(|dir| repo_root().join(dir))
+        .collect()
 }
 
 /// Public items that no production code names, each with the reason it
@@ -287,6 +408,7 @@ const CALLERLESS_PUB_ITEMS: &[(&str, &str)] = &[
     ("key_rows_held", "test hook: row cache size"),
     ("key_rows_cached", "test hook: row cache membership"),
     ("batch_randomisers", "test hook: batch coefficients"),
+    ("new_run_time_width", "test hook: run-time kernel width"),
     ("drop_kind", "fault injector: drop a message kind"),
     ("has_store", "test hook: whether a chain journals"),
     ("scheduler_kind", "test hook: the simulator's scheduler"),
@@ -296,6 +418,10 @@ const CALLERLESS_PUB_ITEMS: &[(&str, &str)] = &[
     ("decode_fixed", "test hook: inverse of encode_fixed"),
     ("dot_naive", "reference oracle: the unrolled dot"),
     ("verify_reference", "reference oracle: signature check"),
+    (
+        "recompute_native_supply",
+        "reference oracle: supply counter",
+    ),
     ("noisy_linear", "pinned fixture of learning_pin"),
     ("unseal", "named by PAPER.md: sealed storage"),
     ("revoke", "named by PAPER.md: revoked attestation"),
@@ -303,37 +429,37 @@ const CALLERLESS_PUB_ITEMS: &[(&str, &str)] = &[
     ("owner_of", "ERC-721 standard query"),
     ("diff_reports", "item 1: the seed swarm's verdict"),
     ("divergent_seq", "item 1: the seed swarm's verdict"),
+    ("GovNode", "item 5: the committee protocol"),
     ("prove_account", "item 6: a provider's payout receipt"),
     ("verify_account_proof", "item 6: payout receipt"),
-    ("laplace_mechanism", "item 14: goes with its tests"),
-    ("gaussian_mechanism_vec", "item 14: goes with its tests"),
 ];
 
-/// Every `pub fn` / `struct` / `enum` / `trait` under `crates/*/src`
-/// (above the file's tests) is named, as a whole word, by production code
-/// besides its own declaration: a line of `crates/*/src` other than a
-/// `pub use`, or of `src/`, `examples/` or `benchmark/src`, each above its
-/// file's tests and outside `//` comments. An item that only its unit
-/// tests reach is dead weight that the next reader must still understand;
-/// it goes with those tests, or gets an entry with its reason in
-/// `CALLERLESS_PUB_ITEMS`.
+/// Every `pub fn` / `struct` / `enum` / `trait` in the production code of
+/// `crates/*/src` (see `production_sources`) is named, as a whole word, by
+/// production code besides its own declaration: a line of `crates/*/src`
+/// other than a `pub use`, or of `src/`, `examples/` or `benchmark/src`.
+/// A type's name inside its own `impl` blocks does not count. An item
+/// that only its unit tests reach is dead weight that the next reader
+/// must still understand; it goes with those tests, or gets an entry
+/// with its reason in `CALLERLESS_PUB_ITEMS`.
 #[test]
 fn every_public_item_has_a_caller() {
     let mut uses: BTreeMap<String, usize> = BTreeMap::new();
     let mut declared: Vec<(String, PathBuf)> = Vec::new();
-    let mut count = |line: &str| {
-        for word in identifiers(line) {
-            *uses.entry(word.to_string()).or_default() += 1;
+    let mut count = |lines: &[String]| {
+        for (line, own) in lines.iter().zip(own_impl_types(lines)) {
+            for word in identifiers(line).filter(|word| Some(*word) != own) {
+                *uses.entry(word.to_string()).or_default() += 1;
+            }
         }
     };
-    for file in crate_sources() {
-        let body = std::fs::read_to_string(&file).unwrap_or_default();
-        for line in production_lines(&body) {
-            let code = line.trim_start();
-            if code.starts_with("pub use ") {
-                continue;
-            }
-            count(code);
+    for (file, lines) in production_sources(&crate_src_dirs()) {
+        let lines: Vec<String> = lines
+            .into_iter()
+            .filter(|line| !line.trim_start().starts_with("pub use "))
+            .collect();
+        count(&lines);
+        for code in lines.iter().map(|line| line.trim_start()) {
             let item = ["pub fn ", "pub struct ", "pub enum ", "pub trait "]
                 .iter()
                 .find_map(|kw| code.strip_prefix(kw));
@@ -342,13 +468,8 @@ fn every_public_item_has_a_caller() {
             }
         }
     }
-    let mut others = Vec::new();
-    for dir in ["src", "examples", "benchmark/src"] {
-        rust_sources(&repo_root().join(dir), &mut others);
-    }
-    for file in others {
-        let body = std::fs::read_to_string(&file).unwrap_or_default();
-        production_lines(&body).into_iter().for_each(&mut count);
+    for (_, lines) in production_sources(&caller_dirs()) {
+        count(&lines);
     }
     // A declaration names its item once; a caller adds at least one more.
     let mut declarations: BTreeMap<&str, usize> = BTreeMap::new();
@@ -391,32 +512,20 @@ fn names_path(line: &str, path: &str) -> bool {
 /// Every variant of the `TRANSACTION_FORMS` is a form that any signer can
 /// send and every node must decode and apply, so each is named as
 /// `Enum::Variant` by production code outside the file that declares the
-/// enum, under the rules of `every_public_item_has_a_caller` with the
-/// `tests.rs` modules left out as well. A form that nothing sends goes,
-/// with its decoder and state-transition arms.
+/// enum, read as `every_public_item_has_a_caller` reads it. A form that
+/// nothing sends goes, with its decoder and state-transition arms.
 #[test]
 fn every_transaction_form_has_a_sender() {
-    let mut files = crate_sources();
-    for dir in ["src", "examples", "benchmark/src"] {
-        rust_sources(&repo_root().join(dir), &mut files);
-    }
-    let bodies: Vec<(PathBuf, String)> = files
-        .into_iter()
-        .filter(|file| !is_test_module(file))
-        .map(|file| {
-            let body = std::fs::read_to_string(&file).unwrap_or_default();
-            (file, body)
-        })
-        .collect();
+    let sources = production_sources(&[crate_src_dirs(), caller_dirs()].concat());
     let mut unsent = Vec::new();
     for name in TRANSACTION_FORMS {
         let opener = format!("pub enum {name} {{");
-        let (home, body) = bodies
+        let (home, lines) = sources
             .iter()
-            .find(|(_, body)| production_lines(body).iter().any(|l| l.trim() == opener))
+            .find(|(_, lines)| lines.iter().any(|l| l.trim() == opener))
             .unwrap_or_else(|| panic!("no `{opener}` under crates/*/src"));
-        let variants: Vec<&str> = production_lines(body)
-            .into_iter()
+        let variants: Vec<&str> = lines
+            .iter()
             .skip_while(|line| line.trim() != opener)
             .skip(1)
             .take_while(|line| *line != "}")
@@ -429,15 +538,12 @@ fn every_transaction_form_has_a_sender() {
         assert!(!variants.is_empty(), "no variants found for {name}");
         for variant in variants {
             let path = format!("{name}::{variant}");
-            let sent = bodies
+            let sent = sources
                 .iter()
                 .filter(|(file, _)| file != home)
-                .any(|(_, body)| {
-                    production_lines(body).iter().any(|line| {
-                        let code = line.trim_start();
-                        !code.starts_with("pub use ") && names_path(code, &path)
-                    })
-                });
+                .flat_map(|(_, lines)| lines)
+                .map(|line| line.trim_start())
+                .any(|code| !code.starts_with("pub use ") && names_path(code, &path));
             if !sent {
                 unsent.push(format!("{path} ({})", home.display()));
             }

@@ -9,7 +9,7 @@
 //! copies of the Gaussian sampler, the DP-SGD step, the classifier
 //! accuracy and the parallel Shapley estimator were folded into one each.
 
-use pds2::learning::dp::{gaussian_mechanism_vec, gaussian_sigma};
+use pds2::learning::dp::gaussian_noise;
 use pds2::learning::federated::{run_fedavg, FedConfig};
 use pds2::learning::gossip::{
     run_gossip_experiment, DpConfig, GossipConfig, GossipNode, GossipRun,
@@ -142,16 +142,15 @@ fn priced_model_sales_are_pinned() {
 }
 
 /// The parent drew `(σ·a)·b` and the shared sampler gives `σ·(a·b)`,
-/// which round apart in the last bit for most σ. An ε chosen so that σ is
-/// exactly 2 makes both products exact, so the noise stream itself is
-/// pinned across that change.
+/// which round apart in the last bit for most σ. At σ = 2 both products
+/// are exact, so the noise stream itself is pinned across that change.
 #[test]
 fn gaussian_mechanism_is_pinned() {
-    let epsilon = gaussian_sigma(1.0, 1.0, 1e-5);
-    assert_eq!(gaussian_sigma(2.0, epsilon, 1e-5), 2.0);
     let mut rng = StdRng::seed_from_u64(6);
     let mut v: Vec<f64> = (0..16).map(|i| i as f64 * 0.25).collect();
-    gaussian_mechanism_vec(&mut rng, &mut v, 2.0, epsilon, 1e-5);
+    for x in &mut v {
+        *x += gaussian_noise(&mut rng, 2.0);
+    }
     assert_eq!(
         bits_sha(&v),
         "8c39f6aa8116893957e152ee1eebef10417a4be83b149d6b0942d16a7b1c0449"
