@@ -90,16 +90,26 @@ impl Blockchain {
             return;
         }
         let Some(store) = &self.store else { return };
-        let height = self.height();
-        let bytes = self.snapshot_bytes();
-        store.lock().write_snapshot(height, bytes);
+        // Written into the buffer of the snapshot it replaces: a state of
+        // megabytes goes in one pass over memory already mapped, with no
+        // series of reallocations and no fresh pages to fault in.
+        let mut log = store.lock();
+        let buffer = log
+            .take_snapshot()
+            .map_or_else(Vec::new, |(_, bytes)| bytes);
+        log.write_snapshot(self.height(), self.snapshot_into(buffer));
         pds2_obs::counter!("chain.snapshots_written").inc();
     }
 
     /// Serializes the chain tip for a recovery snapshot: height, fee
     /// state and the complete world state.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        self.snapshot_into(Vec::new())
+    }
+
+    /// [`Blockchain::snapshot_bytes`], written into `buffer`.
+    fn snapshot_into(&self, buffer: Vec<u8>) -> Vec<u8> {
+        let mut enc = Encoder::reusing(buffer);
         enc.put_u64(self.height());
         enc.put_u64(self.next_base_fee);
         self.state.encode_snapshot(&mut enc);

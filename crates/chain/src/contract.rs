@@ -20,7 +20,6 @@ use crate::address::Address;
 use crate::erc20::{Erc20Module, TokenId};
 use crate::event::{Event, EventSink};
 use crate::gas::{self, GasMeter};
-use pds2_crypto::sha256::{sha256, Digest};
 use std::collections::HashMap;
 
 /// Why a contract call failed.
@@ -127,11 +126,6 @@ pub trait Contract {
 
     /// Restores state from a snapshot.
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), ContractError>;
-
-    /// Canonical state digest (default: hash of the snapshot).
-    fn state_digest(&self) -> Digest {
-        sha256(&self.snapshot())
-    }
 }
 
 /// Constructor signature for a registered contract type.
@@ -282,7 +276,7 @@ mod tests {
         assert!(reg.contains("counter"));
         assert!(!reg.contains("missing"));
         let c = reg.instantiate("counter", addr(1), &[]).unwrap();
-        assert_eq!(c.state_digest(), c.state_digest());
+        assert_eq!(c.snapshot(), c.snapshot());
     }
 
     #[test]

@@ -27,10 +27,9 @@ impl WorldState {
         events: &mut EventSink,
     ) -> Result<Vec<u8>, String> {
         meter.charge(gas::CALL_BASE).map_err(|e| e.to_string())?;
-        let Some(instance) = self.contracts.get(&contract_addr) else {
+        if !self.contracts.contains_key(&contract_addr) {
             return Err(format!("no contract at {contract_addr}"));
-        };
-        let snapshot = instance.contract.snapshot();
+        }
         if value > 0 {
             self.native_transfer(sender, contract_addr, value)?;
         }
@@ -64,16 +63,18 @@ impl WorldState {
             }
             Err(e) => Err(e.to_string()),
         };
-        if result.is_err() {
-            // Still there: the call sees only `ctx` and `pay_out` moves balances.
-            let instance = self
-                .contracts
-                .get_mut(&contract_addr)
-                .expect("checked above");
-            // `snapshot` came from this same instance before the call.
+        // Still there: the call sees only `ctx` and `pay_out` moves balances.
+        let instance = self
+            .contracts
+            .get_mut(&contract_addr)
+            .expect("checked above");
+        if result.is_ok() {
+            instance.committed = instance.contract.snapshot();
+        } else {
+            // `committed` is this instance's own state before the call.
             instance
                 .contract
-                .restore(&snapshot)
+                .restore(&instance.committed)
                 .expect("restoring own snapshot cannot fail");
             // The escrow credited `value`, and a failed call or payout moved
             // nothing out of the contract's balance.

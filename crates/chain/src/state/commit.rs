@@ -76,9 +76,17 @@ impl WorldState {
         match key {
             LeafKey::Account(a) => self.accounts.get(a).map(|acct| acct.to_bytes()),
             LeafKey::Contract(a) => self.contracts.get(a).map(|inst| {
+                // Both backends read `committed`, so a stale copy would not
+                // split their roots: this check, on every commit of a build
+                // with debug assertions, holds the copy to a fresh encoding.
+                debug_assert_eq!(
+                    inst.committed,
+                    inst.contract.snapshot(),
+                    "contract {a}: committed bytes are stale"
+                );
                 let mut enc = Encoder::new();
                 enc.put_str(&inst.code_id);
-                enc.put_digest(&inst.contract.state_digest());
+                enc.put_digest(&sha256(&inst.committed));
                 enc.finish()
             }),
             LeafKey::Burned => (self.burned != 0).then(|| self.burned.to_bytes()),

@@ -100,6 +100,10 @@ struct ContractInstance {
     deployer: Address,
     init: Vec<u8>,
     contract: Box<dyn crate::contract::Contract>,
+    /// `contract.snapshot()` as of the last deploy, successful call or
+    /// snapshot restore: the one encoding that rollback, the state root,
+    /// the recovery snapshot and [`WorldState::contract_snapshot`] read.
+    committed: Vec<u8>,
 }
 
 /// The full chain state.
@@ -186,7 +190,7 @@ impl WorldState {
     /// Read-only view of a contract's canonical snapshot (for inspection
     /// and off-chain indexing).
     pub fn contract_snapshot(&self, addr: &Address) -> Option<Vec<u8>> {
-        self.contracts.get(addr).map(|c| c.contract.snapshot())
+        self.contracts.get(addr).map(|c| c.committed.clone())
     }
 
     /// The one write path to an account: marks its leaf, then hands out

@@ -25,7 +25,7 @@ impl WorldState {
             enc.put_str(&inst.code_id);
             inst.deployer.encode(enc);
             enc.put_bytes(&inst.init);
-            enc.put_bytes(&inst.contract.snapshot());
+            enc.put_bytes(&inst.committed);
         }
         enc.put_u128(self.burned);
         enc.put_u128(self.native_supply);
@@ -60,12 +60,15 @@ impl WorldState {
             contract
                 .restore(&snap)
                 .map_err(|e| format!("snapshot restore {code_id}: {e}"))?;
+            // Re-encoded rather than kept: a slot's bytes that decode
+            // need not be the canonical encoding the root commits to.
             st.contracts.insert(
                 addr,
                 ContractInstance {
                     code_id,
                     deployer,
                     init,
+                    committed: contract.snapshot(),
                     contract,
                 },
             );

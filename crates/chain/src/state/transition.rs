@@ -195,6 +195,7 @@ impl WorldState {
                     code_id: code_id.clone(),
                     deployer: sender,
                     init: init.clone(),
+                    committed: contract.snapshot(),
                     contract,
                 };
                 self.contracts.insert(addr, instance);

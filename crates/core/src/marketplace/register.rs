@@ -119,11 +119,9 @@ impl Marketplace {
                 initial_supply: supply,
             }),
         )?;
-        Ok(TokenId(u64::from_le_bytes(
-            receipt.output[..8]
-                .try_into()
-                .expect("create returns token id"),
-        )))
+        let id = <[u8; 8]>::try_from(receipt.output.as_slice())
+            .map_err(|_| MarketError::ChainFailure("create receipt carries no token id".into()))?;
+        Ok(TokenId(u64::from_le_bytes(id)))
     }
 
     /// Provisions a manufacturer-endorsed device for a provider.

@@ -116,7 +116,7 @@ impl Marketplace {
         let header = self
             .chain
             .block(proof.block_height)
-            .expect("proof references an existing block")
+            .ok_or_else(|| MarketError::ChainFailure("participation block not on-chain".into()))?
             .header
             .clone();
         Ok((proof, header))
@@ -134,36 +134,35 @@ fn compute_shares(
         return Vec::new();
     }
     let total = spec.provider_reward;
+    // The utility owns its shards: the one copy of provider data
+    // finalization makes.
+    let utility = || {
+        let shards: Vec<Dataset> = provider_data.iter().map(|(_, d)| (*d).clone()).collect();
+        MlUtility::new(
+            shards,
+            spec.validation.clone(),
+            SgdConfig {
+                epochs: (spec.local_epochs as usize).max(1),
+                seed: workload_id,
+                ..Default::default()
+            },
+        )
+    };
     let raw: Vec<f64> = match spec.reward_scheme {
         RewardScheme::ProportionalToRecords => {
             let weights: Vec<f64> = provider_data.iter().map(|(_, d)| d.len() as f64).collect();
             proportional(&weights, total as f64)
         }
-        RewardScheme::ShapleyExact | RewardScheme::ShapleyMonteCarlo { .. } => {
-            // The utility owns its shards: the one copy of provider data
-            // finalization makes.
-            let shards: Vec<Dataset> = provider_data.iter().map(|(_, d)| (*d).clone()).collect();
-            let mut utility = MlUtility::new(
-                shards,
-                spec.validation.clone(),
-                SgdConfig {
-                    epochs: (spec.local_epochs as usize).max(1),
-                    seed: workload_id,
-                    ..Default::default()
-                },
-            );
-            let phi = match spec.reward_scheme {
-                RewardScheme::ShapleyExact => exact_shapley(&mut utility),
-                RewardScheme::ShapleyMonteCarlo { permutations } => monte_carlo_shapley(
-                    &mut utility,
-                    &McConfig {
-                        permutations: permutations as usize,
-                        truncation_tolerance: 1e-3,
-                        seed: workload_id,
-                    },
-                ),
-                RewardScheme::ProportionalToRecords => unreachable!(),
+        RewardScheme::ShapleyExact => {
+            to_reward_shares(&exact_shapley(&mut utility()), total as f64)
+        }
+        RewardScheme::ShapleyMonteCarlo { permutations } => {
+            let config = McConfig {
+                permutations: permutations as usize,
+                truncation_tolerance: 1e-3,
+                seed: workload_id,
             };
+            let phi = monte_carlo_shapley(&mut utility(), &config);
             to_reward_shares(&phi, total as f64)
         }
     };

@@ -110,7 +110,7 @@ impl Marketplace {
         };
         let contract = send(&mut self.chain, trace, keys, deploy)?
             .deployed
-            .expect("deploy receipt carries address");
+            .ok_or_else(|| MarketError::ChainFailure("deploy receipt carries no address".into()))?;
         // Fund the escrow. Native currency rides on the FUND call; an
         // ERC-20 escrow is transferred first and FUND, carrying no value,
         // acknowledges the balance (§III-A token rewards).

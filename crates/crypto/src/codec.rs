@@ -20,6 +20,13 @@ impl Encoder {
         Self::default()
     }
 
+    /// Creates an encoder that writes into `buf`, cleared first: its
+    /// allocation is reused.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Encoder { buf }
+    }
+
     /// Consumes the encoder, returning the bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf

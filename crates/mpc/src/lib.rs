@@ -6,7 +6,6 @@
 //!
 //! - [`field`] — the prime field F_{2^61-1} all arithmetic lives in;
 //! - [`additive`] — n-out-of-n additive secret sharing and Beaver triples;
-//! - [`shamir`] — (t, n) threshold sharing with Lagrange reconstruction;
 //! - [`engine`] — a protocol engine that executes shared-vector arithmetic
 //!   while metering rounds, bytes and triples, so experiment E4 can compare
 //!   SMC's communication profile against HE's and the TEE's compute
@@ -40,7 +39,6 @@
 pub mod additive;
 pub mod engine;
 pub mod field;
-pub mod shamir;
 
 pub use engine::{secure_linear_inference, CostReport, MpcEngine, SharedVec};
 pub use field::Fp;

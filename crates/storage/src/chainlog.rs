@@ -168,6 +168,12 @@ impl ChainLog {
         self.snapshot = Some((height, bytes));
     }
 
+    /// Empties the snapshot slot and hands back what it held, so the next
+    /// snapshot can be written into the same buffer.
+    pub fn take_snapshot(&mut self) -> Option<(u64, Vec<u8>)> {
+        self.snapshot.take()
+    }
+
     /// The current snapshot, if one was written.
     pub fn snapshot(&self) -> Option<(u64, &[u8])> {
         self.snapshot.as_ref().map(|(h, b)| (*h, b.as_slice()))
@@ -303,5 +309,7 @@ mod tests {
         log.write_snapshot(5, vec![1, 2, 3]);
         log.write_snapshot(9, vec![4]);
         assert_eq!(log.snapshot(), Some((9, &[4u8][..])));
+        assert_eq!(log.take_snapshot(), Some((9, vec![4])));
+        assert_eq!(log.snapshot(), None);
     }
 }

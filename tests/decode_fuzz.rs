@@ -595,8 +595,6 @@ macro_rules! one_type_arbitrary {
 one_type_arbitrary! {
     signed_transaction_never_panics => "SignedTransaction";
     block_header_never_panics => "BlockHeader";
-    signature_never_panics => "Signature";
-    public_key_never_panics => "PublicKey";
     erc20_op_never_panics => "Erc20Op";
     erc721_op_never_panics => "Erc721Op";
     workload_spec_never_panics => "WorkloadSpec";
@@ -604,8 +602,6 @@ one_type_arbitrary! {
     certificate_never_panics => "ParticipationCertificate";
     requirement_never_panics => "Requirement";
     smt_proof_never_panics => "SmtProof";
-    merkle_proof_never_panics => "MerkleProof";
-    partial_sig_never_panics => "PartialSig";
     workload_state_never_panics => "WorkloadState";
 }
 

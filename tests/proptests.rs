@@ -205,17 +205,6 @@ proptest! {
         }
     }
 
-    /// Shamir reconstruct∘split is the identity for any (t, n) and secret.
-    #[test]
-    fn shamir_roundtrip(secret in any::<u64>(), t in 1usize..6, extra in 0usize..4) {
-        use pds2::mpc::shamir::{reconstruct, split};
-        let n = t + extra;
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(secret);
-        let shares = split(&mut rng, Fp::new(secret), t, n).unwrap();
-        prop_assert_eq!(reconstruct(&shares[..t], t).unwrap(), Fp::new(secret));
-        prop_assert_eq!(reconstruct(&shares[extra..], t).unwrap(), Fp::new(secret));
-    }
-
     /// Reward shares never exceed the pool and always sum to it (after
     /// integer conversion) for arbitrary valuations.
     #[test]
