@@ -130,25 +130,37 @@ impl Commitment {
 
     /// Applies a batch of leaf changes (`None` = delete) and returns
     /// `(new root, node hashes computed)`. The incremental kind uses the
-    /// delta; the oracle ignores it and takes `full`, the enumeration of
-    /// the whole canonical leaf set, so it is blind to any dirty-tracking
-    /// mistake. Either way the root is the canonical SMT root of the
-    /// current leaf set.
+    /// delta once it holds a tree. Its first commit, and every commit of
+    /// the oracle, ignore the delta and build the tree in one pass from
+    /// `full`, the enumeration of the whole canonical leaf set, so the
+    /// oracle is blind to any dirty-tracking mistake. Either way the root
+    /// is the canonical SMT root of the current leaf set.
     pub(crate) fn commit(
         &mut self,
         changed: Vec<(Digest, Option<Digest>)>,
         full: impl FnOnce() -> Vec<(Digest, Digest)>,
     ) -> (Digest, u64) {
-        let hashed = match self.kind {
-            BackendKind::Smt => self.tree.commit(changed),
-            BackendKind::FullRehash => {
-                let (tree, hashed) = SmtTree::from_leaves(full());
-                self.tree = tree;
-                hashed
-            }
+        let hashed = if self.committed && self.kind == BackendKind::Smt {
+            self.tree.commit(changed)
+        } else {
+            let (tree, hashed) = SmtTree::from_leaves(full());
+            self.tree = tree;
+            hashed
         };
         self.committed = true;
         (self.tree.root_hash(), hashed)
+    }
+
+    /// Whether the tree holds a commit yet. Until it does, the first
+    /// commit builds it from the whole leaf set, so no change needs to be
+    /// recorded.
+    pub(crate) fn committed(&self) -> bool {
+        self.committed
+    }
+
+    /// Number of leaves in the tree.
+    pub(crate) fn len(&self) -> usize {
+        self.tree.len()
     }
 
     /// Root of the last commit (`None` before the first).

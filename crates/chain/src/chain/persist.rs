@@ -1,12 +1,14 @@
 //! Persist: journal frames, state snapshots and crash recovery.
 
 use super::Blockchain;
-use crate::block::{receipts_digest, Block};
+use crate::block::{receipts_digest, Block, BlockHeader};
+use crate::gas;
 use crate::state::WorldState;
 use crate::tx::SignedTransaction;
 use parking_lot::Mutex;
 use pds2_crypto::codec::{Decode, Decoder, Encode, Encoder};
-use pds2_crypto::sha256::Digest;
+use pds2_crypto::schnorr::Signature;
+use pds2_crypto::sha256::{sha256, Digest};
 use pds2_storage::chainlog::{ChainLog, Frame, FRAME_BLOCK, FRAME_TX};
 use std::sync::Arc;
 
@@ -117,26 +119,31 @@ impl Blockchain {
     }
 
     /// Restores the tip state (fee + world state) from the bytes of the
-    /// snapshot slot written at `height`, whose block carries
-    /// `state_root`; on error nothing has changed. The slot has no
-    /// checksum, so a state that decodes is still compared with the root.
-    /// Blocks, receipts and events are NOT in the snapshot — the caller
-    /// loads the block prefix from the log.
+    /// snapshot slot written at `height`, whose block is `tip`; on error
+    /// nothing has changed. The slot has no checksum, so a state that
+    /// decodes is still compared with the root, and the base fee with the
+    /// one `tip` implies. Blocks, receipts and events are NOT in the
+    /// snapshot — the caller loads the block prefix from the log.
     fn restore_snapshot(
         &mut self,
         height: u64,
         bytes: &[u8],
-        state_root: &Digest,
+        tip: &BlockHeader,
     ) -> Result<(), String> {
         let mut dec = Decoder::new(bytes);
         if dec.get_u64().map_err(|e| format!("snapshot: {e:?}"))? != height {
             return Err("snapshot: height differs from its slot's".into());
         }
         let next_base_fee = dec.get_u64().map_err(|e| format!("snapshot: {e:?}"))?;
+        if next_base_fee
+            != gas::next_base_fee(tip.base_fee, tip.gas_used, self.config.block_gas_limit)
+        {
+            return Err("snapshot: base fee differs from its block's".into());
+        }
         let state = WorldState::decode_snapshot(&mut dec, &self.registry, self.state.backend())?;
         dec.expect_end().map_err(|e| format!("snapshot: {e:?}"))?;
         // The first block replayed on top would build this tree anyway.
-        if state.state_root() != *state_root {
+        if state.state_root() != tip.state_root {
             return Err("snapshot: state root differs from its block's".into());
         }
         self.state = state;
@@ -170,18 +177,18 @@ impl Blockchain {
     ) -> Blockchain {
         let mut chain = genesis;
         chain.store = None; // no re-journaling while replaying
-        let (snapshot, frames) = {
-            let mut log = store.lock();
-            let scan = log.repair();
-            (log.snapshot().map(|(h, b)| (h, b.to_vec())), scan.frames)
-        };
+
+        // Held until the snapshot is restored: the slot is decoded where
+        // it lies instead of being copied out.
+        let mut log = store.lock();
+        let frames = log.repair().frames;
         // Positions in `frames` of the block frames, in order.
         let block_at: Vec<usize> = (0..frames.len())
             .filter(|&i| frames[i].kind == FRAME_BLOCK)
             .collect();
         let block_frames: Vec<_> = block_at.iter().map(|&i| &frames[i]).collect();
         let mut replay_from = 0;
-        if let Some((height, bytes)) = snapshot {
+        if let Some((height, bytes)) = log.snapshot() {
             let prefix: Vec<Block> = (0..height)
                 .zip(&block_frames)
                 .map_while(|(h, frame)| {
@@ -190,11 +197,9 @@ impl Blockchain {
                 })
                 .collect();
             let restored = prefix.len() as u64 == height
-                && prefix.last().is_some_and(|tip| {
-                    chain
-                        .restore_snapshot(height, &bytes, &tip.header.state_root)
-                        .is_ok()
-                });
+                && prefix
+                    .last()
+                    .is_some_and(|tip| chain.restore_snapshot(height, bytes, &tip.header).is_ok());
             if restored {
                 // Snapshot fast path: the block prefix loads raw (no
                 // re-execution; pre-snapshot receipts and events are
@@ -210,6 +215,7 @@ impl Blockchain {
                 pds2_obs::counter!("chain.snapshot_restore_failed").inc();
             }
         }
+        drop(log);
         // The tail replays through full validation + execution. A frame
         // that does not decode, a block that does not apply, or receipts
         // that differ from the pre-crash execution mean the log is not
@@ -229,18 +235,31 @@ impl Blockchain {
             Some(j) => (block_at[j], j),
             None => (frames.len(), block_frames.len()),
         };
-        // `submit_batch` dedups everything the replayed chain already
-        // included (via `seen`).
+        // A journaled transaction the replayed chain already included is
+        // skipped before it is decoded. Nothing is re-admitted yet, so
+        // `seen` holds the included transactions' hashes, and no admission
+        // takes one out. A frame is the body's canonical encoding and then
+        // the signature, so a hit on the hash of all but the signature
+        // means (by collision resistance) that the frame's body is that
+        // transaction's: decoded, it would only be refused as a duplicate.
         let journaled = |frames: &[Frame]| -> Vec<SignedTransaction> {
             frames
                 .iter()
                 .filter(|f| f.kind == FRAME_TX)
+                .filter(|f| {
+                    let body = f.payload.len().checked_sub(Signature::LEN);
+                    !body.is_some_and(|len| chain.seen.contains(&sha256(&f.payload[..len])))
+                })
                 .filter_map(|f| SignedTransaction::from_bytes(&f.payload).ok())
                 .collect()
         };
+        let (kept_txs, dropped_txs) = (
+            journaled(&frames[..kept_frames]),
+            journaled(&frames[kept_frames..]),
+        );
         // The kept frames journal these already: they are re-admitted
         // before persistence is re-armed, or each would be journaled twice.
-        chain.reinstate(journaled(&frames[..kept_frames]));
+        chain.reinstate(kept_txs);
         store.lock().keep_prefix(&frames[..kept_frames]);
         // The log holds the first `kept_blocks` blocks, and the receipts
         // digests of those the snapshot loaded are still the originals.
@@ -248,7 +267,7 @@ impl Blockchain {
         // Their frames are gone: re-admitted with persistence armed, they
         // are journaled again. Two batches decide as one would, since each
         // decides as sequential submits do.
-        chain.reinstate(journaled(&frames[kept_frames..]));
+        chain.reinstate(dropped_txs);
         pds2_obs::counter!("chain.recoveries").inc();
         chain
     }
@@ -428,6 +447,151 @@ mod tests {
             (6, live.state.state_root())
         );
         assert!(failed.get() > failed_before);
+    }
+
+    /// A journaled chain whose snapshot at height 4 holds accounts, an
+    /// ERC-20, an NFT and a contract, with two blocks and a pending
+    /// transaction above it. Returns the live chain, its store and the
+    /// hash of a transaction included beneath the snapshot.
+    fn chain_with_every_kind_of_leaf() -> (Blockchain, Arc<Mutex<ChainLog>>, Digest) {
+        use crate::erc20::Erc20Op;
+        use crate::erc721::{AssetKind, Erc721Op};
+        use crate::tx::{Transaction, TxKind};
+        let alice = KeyPair::from_seed(1);
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        let mut live = genesis_with_counter(&alice);
+        let store = Arc::new(Mutex::new(ChainLog::new()));
+        live.attach_store(store.clone(), 4);
+        let counter = Address::contract(&Address::of(&alice.public), 3);
+        let kinds = [
+            TxKind::Transfer {
+                to: bob,
+                amount: 10,
+            },
+            TxKind::Erc20(Erc20Op::Create {
+                symbol: "TOK".into(),
+                initial_supply: 1_000,
+            }),
+            TxKind::Erc721(Erc721Op::Mint {
+                kind: AssetKind::Dataset,
+                content: pds2_crypto::sha256::sha256(b"data"),
+                label: "d".into(),
+            }),
+            TxKind::Deploy {
+                code_id: "counter".into(),
+                init: Vec::new(),
+            },
+            TxKind::Call {
+                contract: counter,
+                input: vec![0],
+                value: 0,
+            },
+            TxKind::Transfer { to: bob, amount: 5 },
+            TxKind::Transfer { to: bob, amount: 1 },
+        ];
+        let mut first = None;
+        for (nonce, kind) in kinds.into_iter().enumerate() {
+            let tx = Transaction {
+                from: alice.public.clone(),
+                nonce: nonce as u64,
+                kind,
+                gas_limit: 1_000_000,
+                max_fee_per_gas: 1_000,
+                priority_fee_per_gas: 1,
+            }
+            .sign(&alice);
+            first.get_or_insert(tx.hash());
+            live.submit(tx).unwrap();
+            if nonce < 6 {
+                live.produce_block();
+            }
+        }
+        assert_eq!((live.height(), live.mempool_len()), (6, 1));
+        (live, store, first.unwrap())
+    }
+
+    /// One validator, `alice` funded, a base fee that every block moves
+    /// and a registered counter contract.
+    fn genesis_with_counter(alice: &KeyPair) -> Blockchain {
+        let mut registry = crate::contract::ContractRegistry::new();
+        registry.register("counter", crate::contract::test_support::Counter::construct);
+        Blockchain::new(
+            vec![KeyPair::from_seed(1000)],
+            &[(Address::of(&alice.public), 1_000_000_000_000)],
+            registry,
+            crate::chain::ChainConfig {
+                initial_base_fee: 7,
+                ..crate::chain::ChainConfig::default()
+            },
+        )
+    }
+
+    /// Damage swept over the snapshot slot, which has no checksum: one
+    /// flipped bit at every byte offset, and the slot cut at every length.
+    /// Every recovery lands on the never-crashed chain: its height, head,
+    /// root, base fee, supply and pending pool. Either the slot is
+    /// restored, or it is refused, counted, and the chain is replayed
+    /// from genesis. A corrupted count is refused before anything is
+    /// sized from it, so no case panics or runs out of memory.
+    #[test]
+    fn recovery_from_a_damaged_snapshot_slot_lands_on_the_live_chain() {
+        let alice = KeyPair::from_seed(1);
+        let (live, store, beneath) = chain_with_every_kind_of_leaf();
+        let (height, slot) = {
+            let log = store.lock();
+            let (height, bytes) = log.snapshot().expect("snapshot written");
+            (height, bytes.to_vec())
+        };
+        assert_eq!(height, 4);
+        let want = (
+            live.height(),
+            live.head_hash(),
+            live.state.state_root(),
+            live.base_fee(),
+            live.state.total_native_supply(),
+            live.mempool_txs(),
+        );
+        let failed = pds2_obs::counter!("chain.snapshot_restore_failed");
+        let recover = |damaged: Vec<u8>, what: String| {
+            let mut log = store.lock().clone();
+            log.write_snapshot(height, damaged);
+            let failed_before = failed.get();
+            let chain = Blockchain::recover_from_store(
+                genesis_with_counter(&alice),
+                Arc::new(Mutex::new(log)),
+                4,
+            );
+            let got = (
+                chain.height(),
+                chain.head_hash(),
+                chain.state.state_root(),
+                chain.base_fee(),
+                chain.state.total_native_supply(),
+                chain.mempool_txs(),
+            );
+            assert_eq!(got, want, "{what}");
+            // Blocks a snapshot loaded hold no receipts.
+            let restored = chain.receipt(&beneath).is_none();
+            assert!(
+                restored || failed.get() > failed_before,
+                "{what}: not counted"
+            );
+            restored
+        };
+        assert!(recover(slot.clone(), "undamaged".into()));
+        let mut restored = 0;
+        for offset in 0..slot.len() {
+            let mut flipped = slot.clone();
+            flipped[offset] ^= 1 << (offset % 8);
+            restored += recover(flipped, format!("bit {} of byte {offset}", offset % 8)) as usize;
+        }
+        for len in 0..slot.len() {
+            assert!(!recover(slot[..len].to_vec(), format!("cut at {len}")));
+        }
+        // Only the contract's deployer is neither in the root nor checked:
+        // a flipped bit there still restores (this contract's restore
+        // overwrites what its constructor took from it).
+        assert_eq!(restored, 32);
     }
 
     /// A chain on the full-rehash oracle that recovers through its

@@ -34,7 +34,8 @@
 //! node splits the updates on its bit, visits only the halves that have
 //! any, and is rewritten in its own slot when a child changed. So a
 //! commit costs O(touched keys · depth) hashes and allocates nothing
-//! beyond the sorted update list.
+//! beyond the sorted update list. A bulk build runs the same descent
+//! over its sorted leaf list from an empty tree.
 //!
 //! There is one version of the tree. `Clone` copies both arrays, and a
 //! commit leaves no previous root behind; nothing in the workspace reads
@@ -54,6 +55,31 @@ pub const MAX_DEPTH: usize = 256;
 
 /// One update of a commit: `Some` upserts the value digest, `None` deletes.
 type Update = (Digest, Option<Digest>);
+
+/// What [`SmtTree::build`] reads from one entry of its sorted input: a
+/// commit's [`Update`], or a leaf of a bulk build, which always upserts.
+trait Upsert {
+    fn key(&self) -> &Digest;
+    fn value(&self) -> Option<Digest>;
+}
+
+impl Upsert for Update {
+    fn key(&self) -> &Digest {
+        &self.0
+    }
+    fn value(&self) -> Option<Digest> {
+        self.1
+    }
+}
+
+impl Upsert for (Digest, Digest) {
+    fn key(&self) -> &Digest {
+        &self.0
+    }
+    fn value(&self) -> Option<Digest> {
+        Some(self.1)
+    }
+}
 
 /// Bit `d` (MSB-first across the digest bytes) of a key.
 #[inline]
@@ -162,12 +188,21 @@ impl SmtTree {
 
     /// Builds a tree from an arbitrary-order list of distinct leaves.
     /// Returns the tree and the number of node hashes computed.
+    ///
+    /// The list is sorted in place and built from directly: one sort, no
+    /// second list. Both arrays are sized up front: `n` leaves, and the
+    /// about `n / ln 2` internal nodes that `n` random keys split into.
     pub fn from_leaves(mut leaves: Vec<(Digest, Digest)>) -> (SmtTree, u64) {
         leaves.sort_unstable_by_key(|a| a.0);
         leaves.dedup_by(|a, b| a.0 == b.0);
-        let updates: Vec<Update> = leaves.into_iter().map(|(k, v)| (k, Some(v))).collect();
-        let mut tree = SmtTree::new();
-        let hashed = tree.commit(updates);
+        let n = leaves.len();
+        let mut tree = SmtTree {
+            leaves: Vec::with_capacity(n),
+            internals: Vec::with_capacity(n + n / 2),
+            ..SmtTree::default()
+        };
+        let mut hashed = 0u64;
+        tree.root = tree.build(0, &leaves, None, &mut hashed);
         (tree, hashed)
     }
 
@@ -279,20 +314,22 @@ impl SmtTree {
     /// Builds the canonical subtree at `depth` of the upserts among
     /// sorted, distinct `ups` (all sharing bits `0..depth`) plus `kept`,
     /// the displaced leaf of this path when no update names its key.
-    fn build(
+    fn build<U: Upsert>(
         &mut self,
         depth: usize,
-        ups: &[Update],
+        ups: &[U],
         kept: Option<(Digest, Digest)>,
         hashed: &mut u64,
     ) -> Ref {
         match (ups, kept) {
             ([], None) => Ref::EMPTY,
             ([], Some((k, v))) => self.new_leaf(k, v, hashed),
-            ([(k, v)], None) => v.map_or(Ref::EMPTY, |v| self.new_leaf(*k, v, hashed)),
+            ([u], None) => u
+                .value()
+                .map_or(Ref::EMPTY, |v| self.new_leaf(*u.key(), v, hashed)),
             _ => {
                 assert!(depth < MAX_DEPTH, "distinct 256-bit keys must diverge");
-                let split = ups.partition_point(|(k, _)| !bit(k, depth));
+                let split = ups.partition_point(|u| !bit(u.key(), depth));
                 let (kept_left, kept_right) = match kept {
                     Some((k, _)) if bit(&k, depth) => (None, kept),
                     _ => (kept, None),

@@ -2,11 +2,15 @@
 //!
 //! Every piece of consensus state is a [`LeafKey`] with canonical value
 //! bytes. `WorldState` owns the layout of the `Account`, `Contract` and
-//! `Burned` leaves; the token ledgers own theirs. Writes mark the leaf
-//! they touch, [`WorldState::state_root`] recomputes the marked leaves
-//! from the live maps and folds them into the tree.
+//! `Burned` leaves; the token ledgers own theirs. Once the tree holds a
+//! commit, writes mark the leaf they touch, and
+//! [`WorldState::state_root`] recomputes the marked leaves from the live
+//! maps and folds them into the tree. Before that first commit (genesis,
+//! a snapshot restore, a backend switch) nothing is marked: the first
+//! commit builds the tree in one walk of the maps.
 
-use super::WorldState;
+use super::{ContractInstance, WorldState};
+use crate::address::Address;
 use crate::backend::{BackendKind, Commitment, LeafKey};
 use crate::smt::SmtProof;
 use pds2_crypto::codec::{Encode, Encoder};
@@ -14,7 +18,7 @@ use pds2_crypto::sha256::{sha256, Digest};
 use std::collections::BTreeSet;
 
 /// Root-commitment bookkeeping: the tree plus the set of leaves mutated
-/// since the last commit.
+/// since the last commit (empty until the first).
 pub(super) struct Committer {
     backend: Commitment,
     dirty: BTreeSet<LeafKey>,
@@ -30,13 +34,10 @@ impl Committer {
 }
 
 impl WorldState {
-    /// Swaps the commitment backend in place. The entire current leaf
-    /// set is marked dirty so the next `state_root()` rebuilds the new
-    /// backend's tree from scratch.
+    /// Swaps the commitment backend in place. The new backend holds no
+    /// tree, so the next `state_root()` builds it from the whole leaf set.
     pub fn set_backend(&mut self, kind: BackendKind) {
-        let mut fresh = Committer::new(kind);
-        fresh.dirty = self.leaf_keys().collect();
-        *self.committer.get_mut() = fresh;
+        *self.committer.get_mut() = Committer::new(kind);
     }
 
     /// Name of the active commitment backend.
@@ -51,22 +52,13 @@ impl WorldState {
 
     /// Marks one leaf for recommit. Conservative over-marking is always
     /// safe: the committed value is recomputed from the live maps, and
-    /// an absent entry becomes a (possibly no-op) delete.
+    /// an absent entry becomes a (possibly no-op) delete. Before the
+    /// first commit there is nothing to mark against.
     pub(super) fn mark(&self, key: LeafKey) {
-        self.committer.borrow_mut().dirty.insert(key);
-    }
-
-    /// Every leaf currently present, from the live maps. Deliberately
-    /// independent of the dirty set, so an incremental marking bug cannot
-    /// hide in what the full-rehash oracle is given.
-    fn leaf_keys(&self) -> impl Iterator<Item = LeafKey> + '_ {
-        let accounts = self.accounts.keys().map(|a| LeafKey::Account(*a));
-        let contracts = self.contracts.keys().map(|a| LeafKey::Contract(*a));
-        accounts
-            .chain(self.erc20.leaf_keys())
-            .chain(self.erc721.leaf_keys())
-            .chain(contracts)
-            .chain((self.burned != 0).then_some(LeafKey::Burned))
+        let mut committer = self.committer.borrow_mut();
+        if committer.backend.committed() {
+            committer.dirty.insert(key);
+        }
     }
 
     /// Canonical value bytes of one leaf, `None` when the leaf is
@@ -75,20 +67,7 @@ impl WorldState {
     pub fn leaf_value(&self, key: &LeafKey) -> Option<Vec<u8>> {
         match key {
             LeafKey::Account(a) => self.accounts.get(a).map(|acct| acct.to_bytes()),
-            LeafKey::Contract(a) => self.contracts.get(a).map(|inst| {
-                // Both backends read `committed`, so a stale copy would not
-                // split their roots: this check, on every commit of a build
-                // with debug assertions, holds the copy to a fresh encoding.
-                debug_assert_eq!(
-                    inst.committed,
-                    inst.contract.snapshot(),
-                    "contract {a}: committed bytes are stale"
-                );
-                let mut enc = Encoder::new();
-                enc.put_str(&inst.code_id);
-                enc.put_digest(&sha256(&inst.committed));
-                enc.finish()
-            }),
+            LeafKey::Contract(a) => self.contracts.get(a).map(|inst| contract_value(a, inst)),
             LeafKey::Burned => (self.burned != 0).then(|| self.burned.to_bytes()),
             LeafKey::Erc20Meta(..) | LeafKey::Erc20Bal(..) | LeafKey::Erc20Next => {
                 self.erc20.leaf_value(key)
@@ -102,12 +81,33 @@ impl WorldState {
         self.leaf_value(key).map(|bytes| sha256(&bytes))
     }
 
-    /// The complete canonical leaf set `(tree key, value digest)`: the
-    /// full-rehash oracle's input.
+    /// The complete canonical leaf set `(tree key, value digest)`, in one
+    /// walk of the live maps: what a first commit and every commit of the
+    /// full-rehash oracle build from. Deliberately independent of the
+    /// dirty set, so an incremental marking bug cannot hide in it. Account
+    /// values are encoded into one reused buffer.
     fn full_leaves(&self) -> Vec<(Digest, Digest)> {
-        self.leaf_keys()
+        let tokens = self
+            .erc20
+            .leaf_keys()
+            .chain(self.erc721.leaf_keys())
+            .chain((self.burned != 0).then_some(LeafKey::Burned));
+        let mut leaves: Vec<(Digest, Digest)> = tokens
             .filter_map(|k| Some((k.digest(), self.leaf_digest(&k)?)))
-            .collect()
+            .collect();
+        leaves.reserve_exact(self.accounts.len() + self.contracts.len());
+        let mut buf = Vec::new();
+        for (addr, acct) in &self.accounts {
+            let mut enc = Encoder::reusing(buf);
+            acct.encode(&mut enc);
+            buf = enc.finish();
+            leaves.push((LeafKey::Account(*addr).digest(), sha256(&buf)));
+        }
+        for (addr, inst) in &self.contracts {
+            let value = contract_value(addr, inst);
+            leaves.push((LeafKey::Contract(*addr).digest(), sha256(&value)));
+        }
+        leaves
     }
 
     /// Canonical root hash of the entire state: the sparse-Merkle root
@@ -116,7 +116,9 @@ impl WorldState {
     /// Commits lazily: leaves touched since the last call are
     /// recomputed from the live maps and folded into the backend's
     /// tree, costing O(touched keys · depth) on the incremental
-    /// backend. With nothing dirty this is a cached-root read.
+    /// backend. With nothing dirty this is a cached-root read. The first
+    /// commit builds the tree from the whole leaf set, which it reports
+    /// as touched.
     pub fn state_root(&self) -> Digest {
         let mut committer = self.committer.borrow_mut();
         if committer.dirty.is_empty() {
@@ -124,12 +126,12 @@ impl WorldState {
                 return root;
             }
         }
+        let first = !committer.backend.committed();
         let updates: Vec<(Digest, Option<Digest>)> = committer
             .dirty
             .iter()
             .map(|k| (k.digest(), self.leaf_digest(k)))
             .collect();
-        let touched = updates.len() as u64;
         let span = pds2_obs::span(
             "state",
             "commit",
@@ -137,7 +139,13 @@ impl WorldState {
             pds2_obs::TraceCtx::NONE,
             Vec::new(),
         );
+        let changed = updates.len();
         let (root, hashed) = committer.backend.commit(updates, || self.full_leaves());
+        let touched = if first {
+            committer.backend.len()
+        } else {
+            changed
+        } as u64;
         committer.dirty.clear();
         pds2_obs::counter!("state.smt.nodes_hashed").add(hashed);
         span.finish(
@@ -156,4 +164,21 @@ impl WorldState {
         let proof = self.committer.borrow().backend.prove(&key.digest());
         (self.leaf_value(key), proof)
     }
+}
+
+/// Canonical value bytes of a contract leaf: code id and the digest of
+/// the committed state.
+fn contract_value(addr: &Address, inst: &ContractInstance) -> Vec<u8> {
+    // Both backends read `committed`, so a stale copy would not split
+    // their roots: this check, on every commit of a build with debug
+    // assertions, holds the copy to a fresh encoding.
+    debug_assert_eq!(
+        inst.committed,
+        inst.contract.snapshot(),
+        "contract {addr}: committed bytes are stale"
+    );
+    let mut enc = Encoder::new();
+    enc.put_str(&inst.code_id);
+    enc.put_digest(&sha256(&inst.committed));
+    enc.finish()
 }

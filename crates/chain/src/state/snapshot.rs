@@ -6,6 +6,9 @@ use crate::backend::BackendKind;
 use crate::contract::ContractRegistry;
 use pds2_crypto::codec::{Decode, Decoder, Encode, Encoder};
 
+/// Encoded bytes of one account entry: address, balance, nonce.
+const ACCOUNT_ENTRY_LEN: usize = 32 + 16 + 8;
+
 impl WorldState {
     /// Serializes the complete state for a recovery snapshot. Contracts
     /// are stored as `(code_id, deployer, init, snapshot)` so restore
@@ -32,20 +35,27 @@ impl WorldState {
     }
 
     /// Rebuilds a state from a snapshot on the `backend` the restoring
-    /// chain runs. The whole leaf set is marked dirty, so the first
-    /// `state_root()` repopulates the backend.
+    /// chain runs. The backend holds no tree yet, so the first
+    /// `state_root()` builds it from the restored maps.
     pub(crate) fn decode_snapshot(
         dec: &mut Decoder<'_>,
         registry: &ContractRegistry,
         backend: BackendKind,
     ) -> Result<WorldState, String> {
         let fail = |e: pds2_crypto::DecodeError| format!("snapshot decode: {e:?}");
-        let mut st = WorldState::new();
-        for _ in 0..dec.get_u64().map_err(fail)? {
+        let mut st = WorldState::with_backend(backend);
+        // The entries were written in key order, so the map is bulk-built
+        // from them (a repeated key keeps its last value, as inserts
+        // would). The count is held to what the slot can still hold
+        // before anything is sized from it.
+        let count = dec.get_u64().map_err(fail)?;
+        let count = dec.bounded_count(count, ACCOUNT_ENTRY_LEN).map_err(fail)?;
+        let mut accounts = Vec::with_capacity(count);
+        for _ in 0..count {
             let addr = Address::decode(dec).map_err(fail)?;
-            let acct = Account::decode(dec).map_err(fail)?;
-            st.accounts.insert(addr, acct);
+            accounts.push((addr, Account::decode(dec).map_err(fail)?));
         }
+        st.accounts = accounts.into_iter().collect();
         st.erc20 = crate::erc20::Erc20Module::decode(dec).map_err(fail)?;
         st.erc721 = crate::erc721::Erc721Module::decode(dec).map_err(fail)?;
         for _ in 0..dec.get_u64().map_err(fail)? {
@@ -75,8 +85,14 @@ impl WorldState {
         }
         st.burned = dec.get_u128().map_err(fail)?;
         st.native_supply = dec.get_u128().map_err(fail)?;
-        // The maps were filled directly, so no leaf is marked yet.
-        st.set_backend(backend);
+        // Outside the root, so checked here: one walk of the accounts.
+        let sum = st
+            .accounts
+            .values()
+            .try_fold(0u128, |sum, a| sum.checked_add(a.balance));
+        if sum != Some(st.native_supply) {
+            return Err("snapshot: native supply differs from its accounts'".into());
+        }
         Ok(st)
     }
 }

@@ -7,11 +7,25 @@
 //! leaf slice: no store, no updates, preimages spelled out with `sha256`.
 //! The known-answer constants were recorded with the `Arc` pointer tree
 //! at commit `03fad62`, before the flat store replaced it.
+//!
+//! The last test holds a chain's whole-state entries (genesis, snapshot
+//! restore, backend switch), which build the tree in one pass, to the
+//! full-rehash oracle and to a chain that committed incrementally.
 
+use parking_lot::Mutex;
 use pds2_chain::smt::{SmtProof, SmtTree};
+use pds2_chain::{
+    Account, Address, AssetKind, BackendKind, Blockchain, CallCtx, ChainConfig, Contract,
+    ContractError, ContractRegistry, Erc20Op, Erc721Op, LeafKey, TokenId, Transaction, TxKind,
+};
+use pds2_crypto::codec::Encode;
 use pds2_crypto::sha256::{sha256, Digest};
+use pds2_crypto::KeyPair;
+use pds2_obs as obs;
+use pds2_storage::chainlog::ChainLog;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 type Update = (Digest, Option<Digest>);
 type Leaves = [(Digest, Digest)];
@@ -238,5 +252,274 @@ fn known_answers_recorded_at_the_parent_commit() {
             &mirror,
             &[0, 1, 499, 999, 1_000, 1_399, 2_999, 5_000].map(key),
         );
+    }
+}
+
+/// A contract for the chain below: input 0 bumps its count, input 1
+/// bumps it and reverts.
+struct Tally(u64);
+
+impl Tally {
+    fn construct(_: Address, _: &[u8]) -> Result<Box<dyn Contract>, ContractError> {
+        Ok(Box::new(Tally(0)))
+    }
+}
+
+impl Contract for Tally {
+    fn call(&mut self, ctx: &mut CallCtx<'_>, input: &[u8]) -> Result<Vec<u8>, ContractError> {
+        ctx.charge_gas(100)?;
+        self.0 += 1;
+        match input {
+            [0] => Ok(Vec::new()),
+            _ => Err(ContractError::Revert("deliberate".into())),
+        }
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        self.0.to_le_bytes().to_vec()
+    }
+
+    fn restore(&mut self, snapshot: &[u8]) -> Result<(), ContractError> {
+        let bytes = snapshot
+            .try_into()
+            .map_err(|_| ContractError::BadInput("tally snapshot".into()))?;
+        self.0 = u64::from_le_bytes(bytes);
+        Ok(())
+    }
+}
+
+/// The funded accounts of the chain below.
+fn senders() -> Vec<KeyPair> {
+    (0..3).map(|i| KeyPair::from_seed(300 + i)).collect()
+}
+
+const FUNDS: u128 = 1_000_000_000_000;
+const SNAPSHOT_EVERY: u64 = 2;
+
+/// A chain over `senders()` on commitment `kind`, with a base fee, so
+/// the burned counter is a leaf too.
+fn genesis(kind: BackendKind) -> Blockchain {
+    let alloc: Vec<_> = senders()
+        .iter()
+        .map(|k| (Address::of(&k.public), FUNDS))
+        .collect();
+    let mut registry = ContractRegistry::new();
+    registry.register("tally", Tally::construct);
+    let mut chain = Blockchain::new(
+        vec![KeyPair::from_seed(900)],
+        &alloc,
+        registry,
+        ChainConfig {
+            initial_base_fee: 3,
+            ..ChainConfig::default()
+        },
+    );
+    chain.state.set_backend(kind);
+    chain
+}
+
+/// What one random transaction does; accounts and contracts are named by
+/// index. Some of each kind fail: overdrawn transfers, transfers of a
+/// token that does not exist, a mint of content already minted, a call
+/// to no contract or one that reverts.
+#[derive(Clone, Debug)]
+enum Op {
+    Native { to: usize, amount: u128 },
+    Erc20Create,
+    Erc20Transfer { token: u64, to: usize, amount: u128 },
+    NftMint { content: u8 },
+    Deploy,
+    Call { which: u64, input: u8, value: u128 },
+}
+
+fn op_strategy() -> impl Strategy<Value = (usize, Op)> {
+    let who = || 0usize..3;
+    let op = prop_oneof![
+        (who(), 0..FUNDS * 3 / 2).prop_map(|(to, amount)| Op::Native { to, amount }),
+        Just(Op::Erc20Create),
+        (0u64..3, who(), 0u128..1_500).prop_map(|(token, to, amount)| Op::Erc20Transfer {
+            token,
+            to,
+            amount
+        }),
+        (0u8..4).prop_map(|content| Op::NftMint { content }),
+        Just(Op::Deploy),
+        (0u64..3, 0u8..2, 0u128..100).prop_map(|(which, input, value)| Op::Call {
+            which,
+            input,
+            value
+        }),
+    ];
+    (who(), op)
+}
+
+/// Sender 0's first transactions, so that a contract (its nonce 0), a
+/// token and an NFT exist for the random ones to hit, and the chain is
+/// two blocks long before they start.
+fn prologue() -> Vec<(usize, Op)> {
+    [
+        Op::Deploy,
+        Op::Erc20Create,
+        Op::NftMint { content: 0 },
+        Op::Call {
+            which: 0,
+            input: 0,
+            value: 7,
+        },
+    ]
+    .into_iter()
+    .map(|op| (0, op))
+    .collect()
+}
+
+fn payload(op: &Op, addrs: &[Address]) -> TxKind {
+    match *op {
+        Op::Native { to, amount } => TxKind::Transfer {
+            to: addrs[to],
+            amount,
+        },
+        Op::Erc20Create => TxKind::Erc20(Erc20Op::Create {
+            symbol: "TOK".into(),
+            initial_supply: 1_000,
+        }),
+        Op::Erc20Transfer { token, to, amount } => TxKind::Erc20(Erc20Op::Transfer {
+            token: TokenId(token),
+            to: addrs[to],
+            amount,
+        }),
+        Op::NftMint { content } => TxKind::Erc721(Erc721Op::Mint {
+            kind: AssetKind::Dataset,
+            content: sha256(&[content]),
+            label: "d".into(),
+        }),
+        Op::Deploy => TxKind::Deploy {
+            code_id: "tally".into(),
+            init: Vec::new(),
+        },
+        Op::Call {
+            which,
+            input,
+            value,
+        } => TxKind::Call {
+            contract: Address::contract(&addrs[0], which),
+            input: vec![input],
+            value,
+        },
+    }
+}
+
+/// The `touched` count of every `state/commit` span `run` emits.
+fn commits_touched(run: impl FnOnce()) -> Vec<u64> {
+    let cap = obs::capture(obs::SinkKind::Ring(1 << 12));
+    run();
+    cap.finish()
+        .entries
+        .iter()
+        .filter(|e| e.kind == obs::EventKind::SpanEnd && (e.domain, e.name) == ("state", "commit"))
+        .map(|e| match e.fields[..] {
+            [("touched", obs::Value::U64(n))] => n,
+            _ => panic!("a commit span reports what it touched"),
+        })
+        .collect()
+}
+
+fn tip(chain: &Blockchain) -> (u64, Digest, Digest) {
+    (chain.height(), chain.head_hash(), chain.state.state_root())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The three ways a commitment starts without a tree, each a build
+    /// over the whole state: a genesis, a snapshot restore and a backend
+    /// switch. Their first roots equal the full-rehash oracle's and the
+    /// live chain's, which has committed incrementally since genesis;
+    /// the genesis root also equals the spec's over its account leaves.
+    /// Nothing is marked before a first commit: the switched node's build
+    /// leaves nothing to commit, and from the next block on its commits
+    /// touch what the oracle's do.
+    #[test]
+    fn whole_state_entries_agree_with_the_oracle(
+        ops in proptest::collection::vec(op_strategy(), 0..14),
+        switch_at in 0usize..8,
+    ) {
+        let _guard = obs::test_lock();
+        let addrs: Vec<Address> = senders().iter().map(|k| Address::of(&k.public)).collect();
+        let mut live = genesis(BackendKind::Smt);
+        let mut oracle = genesis(BackendKind::FullRehash);
+        let mut switched = genesis(BackendKind::Smt);
+
+        // Genesis.
+        let mut leaves: Vec<(Digest, Digest)> = addrs
+            .iter()
+            .map(|a| {
+                let account = Account { balance: FUNDS, nonce: 0 };
+                (LeafKey::Account(*a).digest(), sha256(&account.to_bytes()))
+            })
+            .collect();
+        leaves.sort();
+        let spec = spec_root(0, &leaves);
+        prop_assert_eq!(live.state.state_root(), spec);
+        prop_assert_eq!(oracle.state.state_root(), spec);
+
+        // Random blocks, followed by the oracle and by a node that
+        // switches to a fresh tree before block `switch_at`.
+        let store = Arc::new(Mutex::new(ChainLog::new()));
+        live.attach_store(store.clone(), SNAPSHOT_EVERY);
+        let ops: Vec<(usize, Op)> = prologue().into_iter().chain(ops).collect();
+        let blocks = ops.len().div_ceil(3);
+        let switch_at = switch_at % blocks;
+        let mut beneath = None;
+        for (height, batch) in ops.chunks(3).enumerate() {
+            // A transaction that cannot pay for its gas is included
+            // without consuming its nonce: start from the state's.
+            let mut nonces: Vec<u64> = addrs.iter().map(|a| live.state.nonce(a)).collect();
+            for (from, op) in batch {
+                let keys = &senders()[*from];
+                let tx = Transaction {
+                    from: keys.public.clone(),
+                    nonce: nonces[*from],
+                    kind: payload(op, &addrs),
+                    gas_limit: 1_000_000,
+                    max_fee_per_gas: 100,
+                    priority_fee_per_gas: 1,
+                }
+                .sign(keys);
+                nonces[*from] += 1;
+                beneath.get_or_insert(tx.hash());
+                let _ = live.submit(tx);
+            }
+            let block = live.produce_block();
+            if height == switch_at {
+                switched.state.set_backend(BackendKind::Smt);
+            }
+            // Every commit until the next block: the one inside the block
+            // and any that reading the root then still has to make.
+            let follow = |node: &mut Blockchain| {
+                commits_touched(|| {
+                    node.apply_external_block(&block).unwrap();
+                    node.state.state_root();
+                })
+            };
+            let (by_oracle, by_switched) = (follow(&mut oracle), follow(&mut switched));
+            prop_assert_eq!(tip(&oracle), tip(&live), "oracle at {}", height);
+            prop_assert_eq!(tip(&switched), tip(&live), "switched at {}", height);
+            if height == switch_at {
+                // The build leaves nothing behind to commit.
+                prop_assert_eq!(by_switched.len(), 1, "commits at the switch");
+            } else if height > switch_at {
+                prop_assert_eq!(by_switched, by_oracle, "touched at {}", height);
+            }
+        }
+
+        // Restores, on either backend: the first root is checked against
+        // the header at the snapshot's height, the blocks above it replay
+        // incrementally, and the tip is the live chain's.
+        for kind in [BackendKind::Smt, BackendKind::FullRehash] {
+            let disk = Arc::new(Mutex::new(store.lock().clone()));
+            let recovered = Blockchain::recover_from_store(genesis(kind), disk, SNAPSHOT_EVERY);
+            prop_assert!(recovered.receipt(&beneath.unwrap()).is_none(), "restored from the snapshot");
+            prop_assert_eq!(tip(&recovered), tip(&live));
+        }
     }
 }

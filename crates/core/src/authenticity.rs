@@ -200,6 +200,7 @@ impl Device {
         features: Vec<f64>,
         target: f64,
     ) -> SignedReading {
+        // `sign_batch` returns one reading per row, and this is one row.
         self.sign_batch([(timestamp, features, target)])
             .pop()
             .expect("one row in, one reading out")
@@ -249,6 +250,7 @@ impl Device {
                     features,
                     target,
                     signature: signature.clone(),
+                    // The tree has one leaf per row, so row `i` has one.
                     path: tree.prove(i).expect("one leaf per row"),
                 },
             )

@@ -47,7 +47,12 @@ impl Marketplace {
         executor: Address,
     ) -> Result<(), MarketError> {
         self.enter_workload_trace(workload_id);
-        let runtime = workload(&self.workloads, workload_id)?;
+        // Held to the end: the contribution is recorded where it was
+        // looked up.
+        let runtime = self
+            .workloads
+            .get_mut(&workload_id)
+            .ok_or(MarketError::UnknownWorkload(workload_id))?;
         let spec = &runtime.spec;
         if !runtime.executors.contains(&executor) {
             return Err(MarketError::UnknownActor("executor (not joined)"));
@@ -175,10 +180,6 @@ impl Marketplace {
             ),
         )?;
 
-        let runtime = self
-            .workloads
-            .get_mut(&workload_id)
-            .expect("looked up above");
         runtime
             .executor_data
             .entry(executor)

@@ -3,8 +3,14 @@
 //! The group parameters are fixed: the subgroup order is the well-known
 //! prime q = 2^255 - 19, and the modulus is the smallest prime
 //! p = k·q + 1 (k even), which the derivation loop finds at k = 28, with
-//! generator g = 2^k mod p = 2^28 of exact order q. The constants are
-//! checked structurally on every startup (odd, right magnitude, q | p−1,
+//! generator g = 2^k mod p = 2^28 of exact order q. So p = 28q + 1 is a
+//! 260-bit prime. The group is a stand-in with no real security: the
+//! 255-bit order stops generic attacks, but discrete logs mod p fall to
+//! index calculus, whose cost grows with |p|, and a 260-bit field is far
+//! below any security level (NIST SP 800-57 asks for 2048 bits for
+//! 112). ROADMAP item 16 replaces it with an elliptic-curve group.
+//!
+//! The constants are checked structurally on every startup (odd, right magnitude, q | p−1,
 //! g^q = 1) and re-derived from scratch — Miller–Rabin minimality search
 //! included — under `debug_assertions`, so release builds skip the
 //! first-signature latency spike without ever trusting unverified magic

@@ -413,6 +413,7 @@ const CALLERLESS_PUB_ITEMS: &[(&str, &str)] = &[
     ("has_store", "test hook: whether a chain journals"),
     ("scheduler_kind", "test hook: the simulator's scheduler"),
     ("backend_name", "test hook: the state commitment"),
+    ("set_backend", "reference oracle: a chain's commitment"),
     ("o_sort_comparisons", "test hook: sorting network size"),
     ("to_u128", "test hook: bigint proptests vs u128"),
     ("decode_fixed", "test hook: inverse of encode_fixed"),
