@@ -74,10 +74,13 @@ impl Blockchain {
     ///
     /// Execution is deterministic, so after a valid block the local state
     /// root must equal the header's. A [`ChainError::InvalidBlock`]
-    /// `"state root mismatch"` therefore means the proposer lied about its
-    /// post-state; like a real validator, the caller must halt this
-    /// replica (the local state has already executed the block's
-    /// transactions and is no longer canonical).
+    /// `"state root mismatch"` (or `"gas used mismatch"`) therefore means
+    /// the proposer lied about its post-state. The block is not appended,
+    /// but its transactions have already executed: the local state is no
+    /// longer canonical, and nothing here undoes it. No caller halts the
+    /// replica either: `ChainReplica` counts the refusal in
+    /// `blocks_rejected` and carries on from the executed state until a
+    /// longer chain replaces it. Undoing the block is ROADMAP item 14.
     pub fn apply_external_block(&mut self, block: &Block) -> Result<(), ChainError> {
         self.validate_external_block(block)?;
         let height = block.header.height;

@@ -4,9 +4,10 @@
 //! offered by the consumers, which would be split among the providers."
 //! The module holds any number of independent tokens. A token is created
 //! with its whole supply in the creator's balance and afterwards only
-//! moves: a signed `Transfer` (the consumer escrowing a reward) or
-//! [`Erc20Module::module_transfer`] from a native contract (the workload
-//! contract paying it out).
+//! moves: a signed `Transfer` (the consumer escrowing a reward) or a
+//! payout that a native contract scheduled (the workload contract paying
+//! it out). Every write marks the leaves it can touch through the callback
+//! `WorldState` passes in, so the state root sees each one.
 
 use crate::address::Address;
 use crate::backend::LeafKey;
@@ -132,12 +133,14 @@ pub struct Erc20Module {
 }
 
 impl Erc20Module {
-    /// Applies an operation on behalf of `sender`, emitting events.
-    pub fn apply(
+    /// Applies an operation on behalf of `sender`, emitting events and
+    /// passing `mark` every leaf the operation can write.
+    pub(crate) fn apply(
         &mut self,
         sender: Address,
         op: &Erc20Op,
         events: &mut EventSink,
+        mut mark: impl FnMut(LeafKey),
     ) -> Result<Option<TokenId>, TokenError> {
         match op {
             Erc20Op::Create {
@@ -146,6 +149,9 @@ impl Erc20Module {
             } => {
                 let id = TokenId(self.next_id);
                 self.next_id += 1;
+                mark(LeafKey::Erc20Next);
+                mark(LeafKey::Erc20Meta(id));
+                mark(LeafKey::Erc20Bal(id, sender));
                 let mut state = TokenState {
                     symbol: symbol.clone(),
                     minter: Some(sender),
@@ -163,7 +169,7 @@ impl Erc20Module {
                 Ok(Some(id))
             }
             Erc20Op::Transfer { token, to, amount } => {
-                self.module_transfer(*token, sender, *to, *amount)?;
+                self.module_transfer(*token, sender, *to, *amount, mark)?;
                 events.emit(Event::token(
                     "erc20.transfer",
                     format!("token={} from={sender} to={to} amount={amount}", token.0),
@@ -173,36 +179,25 @@ impl Erc20Module {
         }
     }
 
-    /// The leaves `op` from `sender` can have written, `created` being the
-    /// id [`Self::apply`] returned. To be marked on success AND failure: a
-    /// failed `Transfer` still creates a zero balance entry for the sender
-    /// (`entry().or_default()` precedes the check), and missing it would
-    /// silently fork the root. Every marked leaf is recomputed from the
-    /// live maps, so naming one that did not change is harmless.
-    pub(crate) fn touched_leaves(
-        sender: Address,
-        op: &Erc20Op,
-        created: Option<TokenId>,
-    ) -> Vec<LeafKey> {
-        use LeafKey::{Erc20Bal as Bal, Erc20Meta as Meta};
-        match *op {
-            Erc20Op::Create { .. } => created.map_or(Vec::new(), |id| {
-                vec![LeafKey::Erc20Next, Meta(id), Bal(id, sender)]
-            }),
-            Erc20Op::Transfer { token, to, .. } => vec![Bal(token, sender), Bal(token, to)],
-        }
-    }
-
     /// Moves `amount` of `token` from one balance to another. Besides
     /// `Transfer` it serves, without a signed op, the trusted native
     /// contracts (e.g. the workload contract paying rewards from escrow).
-    pub fn module_transfer(
+    /// Both balances are passed to `mark` first, whatever the outcome: a
+    /// transfer that fails for want of balance still leaves a zero entry
+    /// for `from` (`entry().or_default()` precedes the check), and an
+    /// unmarked entry would silently fork the root. Every marked leaf is
+    /// recomputed from the live maps, so marking one that did not change
+    /// is harmless.
+    pub(crate) fn module_transfer(
         &mut self,
         token: TokenId,
         from: Address,
         to: Address,
         amount: u128,
+        mut mark: impl FnMut(LeafKey),
     ) -> Result<(), TokenError> {
+        mark(LeafKey::Erc20Bal(token, from));
+        mark(LeafKey::Erc20Bal(token, to));
         let state = self
             .tokens
             .get_mut(&token)
@@ -332,6 +327,7 @@ mod tests {
                 initial_supply: supply,
             },
             &mut events,
+            |_| {},
         )
         .unwrap()
         .unwrap()
@@ -361,6 +357,7 @@ mod tests {
                 amount: 30,
             },
             &mut ev,
+            |_| {},
         )
         .unwrap();
         assert_eq!(m.balance_of(id, &alice), 70);
@@ -383,6 +380,7 @@ mod tests {
                     amount: 11,
                 },
                 &mut ev,
+                |_| {},
             )
             .unwrap_err();
         assert_eq!(err, TokenError::InsufficientBalance);
@@ -401,7 +399,8 @@ mod tests {
                     to: addr(2),
                     amount: 1
                 },
-                &mut ev
+                &mut ev,
+                |_| {}
             )
             .unwrap_err(),
             TokenError::UnknownToken
@@ -414,6 +413,39 @@ mod tests {
             assert_eq!(
                 Erc20Op::from_bytes(&bytes),
                 Err(DecodeError::InvalidTag(tag))
+            );
+        }
+    }
+
+    #[test]
+    fn every_op_marks_what_it_can_write() {
+        use LeafKey::{Erc20Bal as Bal, Erc20Meta as Meta, Erc20Next as Next};
+        fn run(m: &mut Erc20Module, sender: Address, op: Erc20Op) -> (bool, Vec<LeafKey>) {
+            let mut marked = Vec::new();
+            let ok = m.apply(sender, &op, &mut EventSink::new(), |k| marked.push(k));
+            (ok.is_ok(), marked)
+        }
+        let mut m = Erc20Module::default();
+        let (alice, bob) = (addr(1), addr(2));
+        let create = Erc20Op::Create {
+            symbol: "PDS".into(),
+            initial_supply: 0,
+        };
+        assert_eq!(
+            run(&mut m, alice, create),
+            (true, vec![Next, Meta(TokenId(0)), Bal(TokenId(0), alice)])
+        );
+        // A failed transfer marks too: an overdraft leaves the sender's
+        // zero entry behind, and an unknown token is refused after the marks.
+        for token in [TokenId(0), TokenId(42)] {
+            let transfer = Erc20Op::Transfer {
+                token,
+                to: bob,
+                amount: 1,
+            };
+            assert_eq!(
+                run(&mut m, alice, transfer),
+                (false, vec![Bal(token, alice), Bal(token, bob)])
             );
         }
     }
@@ -436,6 +468,7 @@ mod tests {
                     amount: 100,
                 },
                 &mut ev,
+                |_| {},
             );
         }
         let total: u128 = holders.iter().map(|h| m.balance_of(id, h)).sum();

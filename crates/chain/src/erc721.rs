@@ -145,13 +145,16 @@ pub struct Erc721Module {
 }
 
 impl Erc721Module {
-    /// Applies an operation on behalf of `sender`.
-    pub fn apply(
+    /// Applies an operation on behalf of `sender`, passing `mark` every
+    /// leaf it writes: a mint writes the id counter and its new token, a
+    /// refused one nothing.
+    pub(crate) fn apply(
         &mut self,
         sender: Address,
         op: &Erc721Op,
         events: &mut EventSink,
-    ) -> Result<Option<NftId>, NftError> {
+        mut mark: impl FnMut(LeafKey),
+    ) -> Result<NftId, NftError> {
         match op {
             Erc721Op::Mint {
                 kind,
@@ -164,6 +167,8 @@ impl Erc721Module {
                 }
                 let id = NftId(self.next_id);
                 self.next_id += 1;
+                mark(LeafKey::Erc721Next);
+                mark(LeafKey::Erc721Token(id));
                 self.tokens.insert(
                     id,
                     NftInfo {
@@ -178,18 +183,8 @@ impl Erc721Module {
                     "erc721.mint",
                     format!("id={} owner={sender} content={}", id.0, content.short()),
                 ));
-                Ok(Some(id))
+                Ok(id)
             }
-        }
-    }
-
-    /// The leaves `op` can have written, `created` being the id
-    /// [`Self::apply`] returned. A failed mint writes nothing.
-    pub(crate) fn touched_leaves(op: &Erc721Op, created: Option<NftId>) -> Vec<LeafKey> {
-        match *op {
-            Erc721Op::Mint { .. } => created.map_or(Vec::new(), |id| {
-                vec![LeafKey::Erc721Next, LeafKey::Erc721Token(id)]
-            }),
         }
     }
 
@@ -304,8 +299,8 @@ mod tests {
                 label: label.into(),
             },
             &mut ev,
+            |_| {},
         )
-        .unwrap()
         .unwrap()
     }
 
@@ -339,11 +334,31 @@ mod tests {
                     content: sha256(b"data"),
                     label: "copy".into()
                 },
-                &mut ev
+                &mut ev,
+                |_| {}
             )
             .unwrap_err(),
             NftError::DuplicateContent
         );
+    }
+
+    #[test]
+    fn a_mint_marks_the_counter_and_its_token_and_a_refused_one_nothing() {
+        let mut m = Erc721Module::default();
+        let op = Erc721Op::Mint {
+            kind: AssetKind::Dataset,
+            content: sha256(b"data"),
+            label: "data".into(),
+        };
+        for expected in [Ok(NftId(0)), Err(NftError::DuplicateContent)] {
+            let mut marked = Vec::new();
+            let result = m.apply(addr(1), &op, &mut EventSink::new(), |k| marked.push(k));
+            let wrote = result
+                .iter()
+                .flat_map(|&id| [LeafKey::Erc721Next, LeafKey::Erc721Token(id)]);
+            assert_eq!(marked, wrote.collect::<Vec<_>>());
+            assert_eq!(result, expected);
+        }
     }
 
     #[test]
@@ -359,6 +374,7 @@ mod tests {
                 label: "d".into(),
             },
             &mut ev,
+            |_| {},
         )
         .unwrap();
         m.apply(
@@ -369,6 +385,7 @@ mod tests {
                 label: "w".into(),
             },
             &mut ev,
+            |_| {},
         )
         .unwrap();
         assert_eq!(m.count(), 2);

@@ -142,6 +142,21 @@ struct Candidate {
     nonce: u64,
 }
 
+impl Candidate {
+    /// `sender`'s ready transaction `pending` at `nonce` as a candidate,
+    /// or `None` when it is priced below `base_fee` (it stays pending).
+    fn ready(sender: Address, nonce: u64, pending: &PendingTx, base_fee: u64) -> Option<Self> {
+        let tip = pending.tx.tx.effective_tip(base_fee)?;
+        let seq = pending.seq;
+        Some(Candidate {
+            tip,
+            seq,
+            sender,
+            nonce,
+        })
+    }
+}
+
 impl PartialEq for Candidate {
     fn eq(&self, other: &Self) -> bool {
         self.seq == other.seq
@@ -168,11 +183,6 @@ pub struct SelectionStats {
     /// Transactions whose nonce fell below the account nonce and were
     /// dropped while seeding the heap.
     pub stale_dropped: usize,
-    /// Accounts whose ready head was priced below the base fee.
-    pub unaffordable_accounts: usize,
-    /// Accounts skipped because their next transaction no longer fit
-    /// the remaining block gas.
-    pub gas_deferred: usize,
 }
 
 /// Fee-market mempool with per-account nonce chains. See the module
@@ -189,9 +199,6 @@ pub struct Mempool {
     len: usize,
     next_seq: u64,
     capacity: usize,
-    /// Cumulative evictions (monotone; mirrored onto the obs registry
-    /// by the chain).
-    pub evicted_total: u64,
 }
 
 impl Mempool {
@@ -204,7 +211,6 @@ impl Mempool {
             len: 0,
             next_seq: 0,
             capacity: capacity.max(1),
-            evicted_total: 0,
         }
     }
 
@@ -281,7 +287,6 @@ impl Mempool {
         }
         self.by_hash.remove(&removed.hash);
         self.len -= 1;
-        self.evicted_total += 1;
         self.refresh_tail(addr, old_key);
         Some(removed.hash)
     }
@@ -399,14 +404,7 @@ impl Mempool {
                 // The eviction index tracks only each account's tail, so
                 // removing an interior/head nonce leaves it untouched.
                 if tail_nonce == Some(nonce) {
-                    self.evictable.remove(&Self::evict_key(sender, &removed));
-                    if let Some(tail) = self
-                        .accounts
-                        .get(&sender)
-                        .and_then(|c| c.values().next_back())
-                    {
-                        self.evictable.insert(Self::evict_key(sender, tail));
-                    }
+                    self.refresh_tail(sender, Some(Self::evict_key(sender, &removed)));
                 }
             }
         }
@@ -475,29 +473,12 @@ impl Mempool {
                 std::cmp::Ordering::Greater => continue, // nonce gap: nothing ready
                 std::cmp::Ordering::Equal => {}
             }
-            match head.tx.tx.effective_tip(base_fee) {
-                Some(tip) => heap.push(Candidate {
-                    tip,
-                    seq: head.seq,
-                    sender,
-                    nonce,
-                }),
-                None => stats.unaffordable_accounts += 1,
-            }
+            heap.extend(Candidate::ready(sender, nonce, head, base_fee));
         }
         for (sender, nonce) in stale {
             stats.stale_dropped += self.prune_stale(sender, nonce);
-            let Some(head) = self.accounts.get(&sender).and_then(|c| c.get(&nonce)) else {
-                continue;
-            };
-            match head.tx.tx.effective_tip(base_fee) {
-                Some(tip) => heap.push(Candidate {
-                    tip,
-                    seq: head.seq,
-                    sender,
-                    nonce,
-                }),
-                None => stats.unaffordable_accounts += 1,
+            if let Some(head) = self.accounts.get(&sender).and_then(|c| c.get(&nonce)) {
+                heap.extend(Candidate::ready(sender, nonce, head, base_fee));
             }
         }
 
@@ -520,7 +501,6 @@ impl Mempool {
             if head.get().tx.tx.gas_limit > gas_left {
                 // Doesn't fit this block; the whole account waits (a
                 // later nonce must not jump its predecessor).
-                stats.gas_deferred += 1;
                 continue;
             }
             let taken = head.remove();
@@ -529,16 +509,12 @@ impl Mempool {
             gas_left -= taken.tx.tx.gas_limit;
             // Promote the account's next nonce, if contiguous + priced.
             if let Some(next) = chain.get(&(cand.nonce + 1)) {
-                if let Some(tip) = next.tx.tx.effective_tip(base_fee) {
-                    heap.push(Candidate {
-                        tip,
-                        seq: next.seq,
-                        sender: cand.sender,
-                        nonce: cand.nonce + 1,
-                    });
-                } else {
-                    stats.unaffordable_accounts += 1;
-                }
+                heap.extend(Candidate::ready(
+                    cand.sender,
+                    cand.nonce + 1,
+                    next,
+                    base_fee,
+                ));
             }
             if chain.is_empty() {
                 self.accounts.remove(&cand.sender);
@@ -678,7 +654,6 @@ mod tests {
         let sel = pool.select(10, u64::MAX, usize::MAX, |_| 0, &mut stats);
         assert_eq!(sel.len(), 1);
         assert_eq!(sel[0].tx.max_fee_per_gas, 20);
-        assert_eq!(stats.unaffordable_accounts, 1);
         assert_eq!(pool.len(), 1, "unaffordable tx stays pending");
     }
 

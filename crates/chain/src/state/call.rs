@@ -121,10 +121,9 @@ impl WorldState {
                 .expect("total checked above");
         }
         for (token, to, amount) in tokens {
-            self.mark(LeafKey::Erc20Bal(token, contract_addr));
-            self.mark(LeafKey::Erc20Bal(token, to));
+            let mark = |key| self.committer.borrow_mut().mark(key);
             self.erc20
-                .module_transfer(token, contract_addr, to, amount)
+                .module_transfer(token, contract_addr, to, amount, mark)
                 .expect("totals checked above");
             events.emit(Event::new(
                 "erc20.contract_payout",

@@ -3,7 +3,8 @@
 //! Every piece of consensus state is a [`LeafKey`] with canonical value
 //! bytes. `WorldState` owns the layout of the `Account`, `Contract` and
 //! `Burned` leaves; the token ledgers own theirs. Once the tree holds a
-//! commit, writes mark the leaf they touch, and
+//! commit, each write marks the leaf it touches where it writes (a
+//! ledger through the mark callback `WorldState` passes in), and
 //! [`WorldState::state_root`] recomputes the marked leaves from the live
 //! maps and folds them into the tree. Before that first commit (genesis,
 //! a snapshot restore, a backend switch) nothing is marked: the first
@@ -31,6 +32,17 @@ impl Committer {
             dirty: BTreeSet::new(),
         }
     }
+
+    /// Marks one leaf for recommit. Conservative over-marking is always
+    /// safe: the committed value is recomputed from the live maps, and
+    /// an absent entry becomes a (possibly no-op) delete. Before the
+    /// first commit there is nothing to mark against. The ledgers get
+    /// this as their mark callback, borrowing only the committer.
+    pub(super) fn mark(&mut self, key: LeafKey) {
+        if self.backend.committed() {
+            self.dirty.insert(key);
+        }
+    }
 }
 
 impl WorldState {
@@ -50,15 +62,9 @@ impl WorldState {
         self.committer.borrow().backend.kind
     }
 
-    /// Marks one leaf for recommit. Conservative over-marking is always
-    /// safe: the committed value is recomputed from the live maps, and
-    /// an absent entry becomes a (possibly no-op) delete. Before the
-    /// first commit there is nothing to mark against.
+    /// Marks one leaf for recommit: [`Committer::mark`].
     pub(super) fn mark(&self, key: LeafKey) {
-        let mut committer = self.committer.borrow_mut();
-        if committer.backend.committed() {
-            committer.dirty.insert(key);
-        }
+        self.committer.borrow_mut().mark(key);
     }
 
     /// Canonical value bytes of one leaf, `None` when the leaf is

@@ -5,8 +5,6 @@ use super::{BlockEnv, ContractInstance, TxReceipt, WorldState};
 use crate::address::Address;
 use crate::backend::LeafKey;
 use crate::contract::ContractRegistry;
-use crate::erc20::Erc20Module;
-use crate::erc721::Erc721Module;
 use crate::event::{Event, EventSink};
 use crate::gas::{self, GasMeter};
 use crate::tx::{SignedTransaction, TxKind};
@@ -137,7 +135,7 @@ impl WorldState {
 
     /// Runs the payload against the meter and returns `(output, deployed
     /// address)`. An `Err` leaves nothing behind but the marks and, for a
-    /// failed ERC-20 transfer or burn, the sender's zero balance entry.
+    /// failed ERC-20 transfer, the sender's zero balance entry.
     #[allow(clippy::too_many_arguments)]
     fn execute_payload(
         &mut self,
@@ -149,8 +147,9 @@ impl WorldState {
         meter: &mut GasMeter,
         events: &mut EventSink,
     ) -> Result<(Vec<u8>, Option<Address>), String> {
-        let id_bytes =
-            |created: Option<u64>| created.map_or(Vec::new(), |id| id.to_le_bytes().into());
+        // The ledgers' mark callback borrows only the committer, so it is
+        // passed beside the ledger it marks for.
+        let mark = |key| self.committer.borrow_mut().mark(key);
         match &signed.tx.kind {
             TxKind::Transfer { to, amount } => {
                 self.native_transfer(sender, *to, *amount)?;
@@ -162,24 +161,16 @@ impl WorldState {
             }
             TxKind::Erc20(op) => {
                 meter.charge(gas::ERC20_OP).map_err(|e| e.to_string())?;
-                let result = self.erc20.apply(sender, op, events);
-                let created = *result.as_ref().unwrap_or(&None);
-                // Whatever the outcome: see `touched_leaves`.
-                for key in Erc20Module::touched_leaves(sender, op, created) {
-                    self.mark(key);
-                }
-                result.map_err(|e| e.to_string())?;
-                Ok((id_bytes(created.map(|id| id.0)), None))
+                let created = self.erc20.apply(sender, op, events, mark);
+                let id_bytes = created
+                    .map_err(|e| e.to_string())?
+                    .map(|id| id.0.to_le_bytes());
+                Ok((id_bytes.map_or(Vec::new(), Vec::from), None))
             }
             TxKind::Erc721(op) => {
                 meter.charge(gas::ERC721_OP).map_err(|e| e.to_string())?;
-                let result = self.erc721.apply(sender, op, events);
-                let created = *result.as_ref().unwrap_or(&None);
-                for key in Erc721Module::touched_leaves(op, created) {
-                    self.mark(key);
-                }
-                result.map_err(|e| e.to_string())?;
-                Ok((id_bytes(created.map(|id| id.0)), None))
+                let id = self.erc721.apply(sender, op, events, mark);
+                Ok((id.map_err(|e| e.to_string())?.0.to_le_bytes().into(), None))
             }
             TxKind::Deploy { code_id, init } => {
                 meter.charge(gas::DEPLOY).map_err(|e| e.to_string())?;

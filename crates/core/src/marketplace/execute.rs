@@ -166,7 +166,7 @@ impl Marketplace {
             let enclave = self
                 .executors
                 .get_mut(&executor)
-                .expect("registered")
+                .ok_or(MarketError::UnknownActor("executor"))?
                 .enclaves
                 .get_mut(&workload_id)
                 .ok_or(MarketError::Attestation("enclave not launched".into()))?;
@@ -204,6 +204,7 @@ impl Marketplace {
 
         let (readings_accepted, readings_rejected, readings_out_of_bounds, signatures_checked) =
             runtime.verifier_stats;
+        // `workload` found it at the top, and nothing since removes one.
         self.workloads
             .get_mut(&workload_id)
             .expect("looked up above")

@@ -500,6 +500,33 @@ fn every_public_item_has_a_caller() {
     );
 }
 
+/// The file among `sources` that declares `pub enum {name}`, and the
+/// names of its variants, read as formatted code: one variant a line,
+/// indented four spaces, up to a closing `}` in the first column.
+fn enum_variants<'a>(
+    sources: &'a [(PathBuf, Vec<String>)],
+    name: &str,
+) -> (&'a PathBuf, Vec<&'a str>) {
+    let opener = format!("pub enum {name} {{");
+    let (home, lines) = sources
+        .iter()
+        .find(|(_, lines)| lines.iter().any(|l| l.trim() == opener))
+        .unwrap_or_else(|| panic!("no `{opener}` under crates/*/src"));
+    let variants: Vec<&str> = lines
+        .iter()
+        .skip_while(|line| line.trim() != opener)
+        .skip(1)
+        .take_while(|line| *line != "}")
+        .filter(|line| {
+            line.strip_prefix("    ")
+                .is_some_and(|v| v.starts_with(char::is_uppercase))
+        })
+        .filter_map(|line| identifiers(line).next())
+        .collect();
+    assert!(!variants.is_empty(), "no variants found for {name}");
+    (home, variants)
+}
+
 /// The enums whose variants are the forms of transaction a signer can send.
 const TRANSACTION_FORMS: [&str; 4] = ["TxKind", "Erc20Op", "Erc721Op", "AssetKind"];
 
@@ -520,23 +547,7 @@ fn every_transaction_form_has_a_sender() {
     let sources = production_sources(&[crate_src_dirs(), caller_dirs()].concat());
     let mut unsent = Vec::new();
     for name in TRANSACTION_FORMS {
-        let opener = format!("pub enum {name} {{");
-        let (home, lines) = sources
-            .iter()
-            .find(|(_, lines)| lines.iter().any(|l| l.trim() == opener))
-            .unwrap_or_else(|| panic!("no `{opener}` under crates/*/src"));
-        let variants: Vec<&str> = lines
-            .iter()
-            .skip_while(|line| line.trim() != opener)
-            .skip(1)
-            .take_while(|line| *line != "}")
-            .filter(|line| {
-                line.strip_prefix("    ")
-                    .is_some_and(|v| v.starts_with(char::is_uppercase))
-            })
-            .filter_map(|line| identifiers(line).next())
-            .collect();
-        assert!(!variants.is_empty(), "no variants found for {name}");
+        let (home, variants) = enum_variants(&sources, name);
         for variant in variants {
             let path = format!("{name}::{variant}");
             let sent = sources
@@ -554,5 +565,39 @@ fn every_transaction_form_has_a_sender() {
         unsent.is_empty(),
         "transaction forms that no production code sends; delete each with \
          its encoding and apply arms: {unsent:#?}"
+    );
+}
+
+/// Each token ledger marks the leaves it writes, at the write, through the
+/// callback `WorldState` passes in. A second list of those leaves kept
+/// elsewhere can drift from the writes, and a leaf it misses splits the
+/// roots without an error. So no production line of `crates/*/src`
+/// outside `erc20.rs` and `erc721.rs` both marks (holds an identifier
+/// that starts with `mark`) and names a ledger leaf (an `Erc20*` or
+/// `Erc721*` variant of `LeafKey`).
+#[test]
+fn only_the_ledgers_mark_their_leaves() {
+    let sources = production_sources(&crate_src_dirs());
+    let (_, variants) = enum_variants(&sources, "LeafKey");
+    let ledger_leaves: Vec<&str> = variants
+        .into_iter()
+        .filter(|v| v.starts_with("Erc20") || v.starts_with("Erc721"))
+        .collect();
+    assert!(!ledger_leaves.is_empty(), "no ledger leaves in `LeafKey`");
+    let ledgers = ["crates/chain/src/erc20.rs", "crates/chain/src/erc721.rs"];
+    let marks: Vec<String> = sources
+        .iter()
+        .filter(|(file, _)| !ledgers.iter().any(|l| file.ends_with(l)))
+        .flat_map(|(file, lines)| lines.iter().map(move |line| (file, line)))
+        .filter(|(_, line)| {
+            identifiers(line).any(|w| w.starts_with("mark"))
+                && identifiers(line).any(|w| ledger_leaves.contains(&w))
+        })
+        .map(|(file, line)| format!("{}: {}", file.display(), line.trim()))
+        .collect();
+    assert!(
+        marks.is_empty(),
+        "lines that mark a token ledger's leaf outside the ledger; mark it \
+         in the ledger method that writes it: {marks:#?}"
     );
 }

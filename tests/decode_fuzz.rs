@@ -572,15 +572,6 @@ proptest! {
 // this block is to be deleted, never extended.
 // ---------------------------------------------------------------------------
 
-macro_rules! one_type {
-    ($($name:ident => $driver:ident($ty:literal);)*) => {$(
-        #[test]
-        fn $name() {
-            $driver(rows_of($ty));
-        }
-    )*};
-}
-
 macro_rules! one_type_arbitrary {
     ($($name:ident => $ty:literal;)*) => {
         proptest! {$(
@@ -603,19 +594,6 @@ one_type_arbitrary! {
     requirement_never_panics => "Requirement";
     smt_proof_never_panics => "SmtProof";
     workload_state_never_panics => "WorkloadState";
-}
-
-mod corrupted_in_flight {
-    use super::*;
-
-    one_type! {
-        truncated_transaction_always_errors => assert_prefixes_rejected("SignedTransaction");
-        truncated_block_always_errors => assert_prefixes_rejected("Block");
-        truncated_gossip_msg_always_errors => assert_prefixes_rejected("GossipMsg");
-        bitflipped_transaction_every_position => assert_bit_flips_caught("SignedTransaction");
-        bitflipped_block_every_position => assert_bit_flips_caught("Block");
-        bitflipped_gossip_msg_every_position => assert_bit_flips_caught("GossipMsg");
-    }
 }
 
 /// `impl Decode for T` under `crates/*/src`, the codec's own primitives
