@@ -74,13 +74,13 @@ impl Blockchain {
     ///
     /// Execution is deterministic, so after a valid block the local state
     /// root must equal the header's. A [`ChainError::InvalidBlock`]
-    /// `"state root mismatch"` (or `"gas used mismatch"`) therefore means
+    /// `"gas used mismatch"` or `"state root mismatch"` therefore means
     /// the proposer lied about its post-state. The block is not appended,
-    /// but its transactions have already executed: the local state is no
-    /// longer canonical, and nothing here undoes it. No caller halts the
-    /// replica either: `ChainReplica` counts the refusal in
-    /// `blocks_rejected` and carries on from the executed state until a
-    /// longer chain replaces it. Undoing the block is ROADMAP item 14.
+    /// but its transactions have already executed and their root is
+    /// committed, so the state is no longer the one the head commits to.
+    /// Nothing here undoes it: `ChainReplica` sees the committed root move
+    /// across the refused call and rebuilds its chain from the blocks it
+    /// holds. An undo list that spares that rebuild is ROADMAP item 14.
     pub fn apply_external_block(&mut self, block: &Block) -> Result<(), ChainError> {
         self.validate_external_block(block)?;
         let height = block.header.height;
@@ -90,11 +90,14 @@ impl Blockchain {
             coinbase: Address::of(&block.header.proposer),
         };
         let receipts = self.execute_block(&block.transactions, &env, self.trace_ctx);
+        // Committed before either check, so that a refusal leaves its
+        // change in the committed root.
+        let state_root = self.state.state_root();
         let gas_used: u64 = receipts.iter().map(|r| r.gas_used).sum();
         if gas_used != block.header.gas_used {
             return Err(ChainError::InvalidBlock("gas used mismatch"));
         }
-        if self.state.state_root() != block.header.state_root {
+        if state_root != block.header.state_root {
             return Err(ChainError::InvalidBlock("state root mismatch"));
         }
         self.next_base_fee =

@@ -19,7 +19,7 @@ mod produce;
 mod prove;
 mod validate;
 
-pub use prove::{verify_account_proof, AccountProof, InclusionProof};
+pub use prove::InclusionProof;
 
 use crate::block::Block;
 use crate::contract::ContractRegistry;

@@ -103,8 +103,7 @@ impl Blockchain {
         pds2_obs::counter!("chain.snapshots_written").inc();
     }
 
-    /// Serializes the chain tip for a recovery snapshot: height, fee
-    /// state and the complete world state.
+    /// Serializes the chain tip's world state for a recovery snapshot.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         self.snapshot_into(Vec::new())
     }
@@ -112,34 +111,18 @@ impl Blockchain {
     /// [`Blockchain::snapshot_bytes`], written into `buffer`.
     fn snapshot_into(&self, buffer: Vec<u8>) -> Vec<u8> {
         let mut enc = Encoder::reusing(buffer);
-        enc.put_u64(self.height());
-        enc.put_u64(self.next_base_fee);
         self.state.encode_snapshot(&mut enc);
         enc.finish()
     }
 
-    /// Restores the tip state (fee + world state) from the bytes of the
-    /// snapshot slot written at `height`, whose block is `tip`; on error
-    /// nothing has changed. The slot has no checksum, so a state that
-    /// decodes is still compared with the root, and the base fee with the
-    /// one `tip` implies. Blocks, receipts and events are NOT in the
-    /// snapshot — the caller loads the block prefix from the log.
-    fn restore_snapshot(
-        &mut self,
-        height: u64,
-        bytes: &[u8],
-        tip: &BlockHeader,
-    ) -> Result<(), String> {
+    /// Restores the tip state from the bytes of a snapshot slot whose
+    /// block is `tip`; on error nothing has changed. The base fee is the
+    /// one `tip` implies. The slot has no checksum, so a state that
+    /// decodes is still compared with `tip`'s root. Blocks, receipts and
+    /// events are NOT in the snapshot — the caller loads the block prefix
+    /// from the log.
+    fn restore_snapshot(&mut self, bytes: &[u8], tip: &BlockHeader) -> Result<(), String> {
         let mut dec = Decoder::new(bytes);
-        if dec.get_u64().map_err(|e| format!("snapshot: {e:?}"))? != height {
-            return Err("snapshot: height differs from its slot's".into());
-        }
-        let next_base_fee = dec.get_u64().map_err(|e| format!("snapshot: {e:?}"))?;
-        if next_base_fee
-            != gas::next_base_fee(tip.base_fee, tip.gas_used, self.config.block_gas_limit)
-        {
-            return Err("snapshot: base fee differs from its block's".into());
-        }
         let state = WorldState::decode_snapshot(&mut dec, &self.registry, self.state.backend())?;
         dec.expect_end().map_err(|e| format!("snapshot: {e:?}"))?;
         // The first block replayed on top would build this tree anyway.
@@ -147,7 +130,8 @@ impl Blockchain {
             return Err("snapshot: state root differs from its block's".into());
         }
         self.state = state;
-        self.next_base_fee = next_base_fee;
+        self.next_base_fee =
+            gas::next_base_fee(tip.base_fee, tip.gas_used, self.config.block_gas_limit);
         Ok(())
     }
 
@@ -199,7 +183,7 @@ impl Blockchain {
             let restored = prefix.len() as u64 == height
                 && prefix
                     .last()
-                    .is_some_and(|tip| chain.restore_snapshot(height, bytes, &tip.header).is_ok());
+                    .is_some_and(|tip| chain.restore_snapshot(bytes, &tip.header).is_ok());
             if restored {
                 // Snapshot fast path: the block prefix loads raw (no
                 // re-execution; pre-snapshot receipts and events are
@@ -436,8 +420,8 @@ mod tests {
         };
         assert_eq!(height, 4);
         let mut flipped = snapshot;
-        // Height, base fee and the account count come first.
-        flipped[3 * 8] ^= 1;
+        // The account count comes first, then the first address.
+        flipped[8] ^= 1;
         store.lock().write_snapshot(height, flipped);
         let failed = pds2_obs::counter!("chain.snapshot_restore_failed");
         let failed_before = failed.get();

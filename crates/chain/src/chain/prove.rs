@@ -1,12 +1,11 @@
 //! Prove: authenticated reads for light clients holding only validated
-//! block headers.
+//! block headers. A transaction's inclusion is proved here against the
+//! header's `tx_root`; any state leaf is proved against its `state_root`
+//! by [`crate::state::WorldState::prove_leaf`] and checked with
+//! [`crate::smt::verify_proof`].
 
 use super::Blockchain;
-use crate::address::{Account, Address};
-use crate::backend::LeafKey;
 use crate::block::{Block, BlockHeader};
-use crate::smt::SmtProof;
-use pds2_crypto::codec::{Decode, Encode};
 use pds2_crypto::sha256::Digest;
 
 /// A light-client proof that a transaction was included in a block.
@@ -28,28 +27,6 @@ impl InclusionProof {
     }
 }
 
-/// An authenticated account read (see [`Blockchain::prove_account`]).
-#[derive(Clone, Debug)]
-pub struct AccountProof {
-    /// The account, or `None` with a proof of absence.
-    pub account: Option<Account>,
-    /// Merkle (non-)inclusion proof against the state root.
-    pub proof: SmtProof,
-}
-
-/// Verifies an [`AccountProof`] against a trusted state root (from a
-/// validated block header). Checks inclusion of the account's canonical
-/// encoding, or absence when the proof carries no account.
-pub fn verify_account_proof(state_root: &Digest, addr: &Address, proof: &AccountProof) -> bool {
-    let key = LeafKey::Account(*addr).digest();
-    match &proof.account {
-        Some(acct) => {
-            crate::smt::verify_proof(state_root, &key, Some(&acct.to_bytes()), &proof.proof)
-        }
-        None => crate::smt::verify_proof(state_root, &key, None, &proof.proof),
-    }
-}
-
 impl Blockchain {
     /// Produces a light-client inclusion proof for a transaction: the
     /// block height plus a Merkle path from the transaction hash to the
@@ -68,23 +45,12 @@ impl Blockchain {
         }
         None
     }
-
-    /// Produces an authenticated account read: the account (if any) plus
-    /// a Merkle (non-)inclusion proof against the current state root.
-    /// Light clients verify with [`verify_account_proof`] holding only a
-    /// validated block header.
-    pub fn prove_account(&self, addr: &Address) -> AccountProof {
-        let (value, proof) = self.state.prove_leaf(&LeafKey::Account(*addr));
-        // An account leaf's value is `Account::to_bytes`, which `from_bytes` inverts.
-        let account = value.map(|b| Account::from_bytes(&b).expect("canonical account encoding"));
-        AccountProof { account, proof }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::{signed_transfer, test_chain};
-    use super::*;
+    use crate::address::Address;
     use pds2_crypto::schnorr::KeyPair;
 
     #[test]

@@ -182,10 +182,10 @@ impl Erc20Module {
     /// Moves `amount` of `token` from one balance to another. Besides
     /// `Transfer` it serves, without a signed op, the trusted native
     /// contracts (e.g. the workload contract paying rewards from escrow).
-    /// Both balances are passed to `mark` first, whatever the outcome: a
-    /// transfer that fails for want of balance still leaves a zero entry
-    /// for `from` (`entry().or_default()` precedes the check), and an
-    /// unmarked entry would silently fork the root. Every marked leaf is
+    /// Both balances are passed to `mark` first, whatever the outcome.
+    /// A refused transfer writes nothing: the balance is checked before
+    /// any entry is made. A transfer of zero from an address with no
+    /// entry still makes a zero entry at both ends. Every marked leaf is
     /// recomputed from the live maps, so marking one that did not change
     /// is harmless.
     pub(crate) fn module_transfer(
@@ -202,11 +202,10 @@ impl Erc20Module {
             .tokens
             .get_mut(&token)
             .ok_or(TokenError::UnknownToken)?;
-        let from_bal = state.balances.entry(from).or_default();
-        if *from_bal < amount {
+        if state.balances.get(&from).copied().unwrap_or(0) < amount {
             return Err(TokenError::InsufficientBalance);
         }
-        *from_bal -= amount;
+        *state.balances.entry(from).or_default() -= amount;
         *state.balances.entry(to).or_default() += amount;
         Ok(())
     }
@@ -231,8 +230,8 @@ impl Erc20Module {
 
     /// The leaves this ledger has: the id counter once a token was
     /// created, and per token its metadata and every balance entry.
-    /// Explicit zeros are entries: a failed transfer leaves one behind, and
-    /// it must hash identically on every node.
+    /// Explicit zeros are entries: a transfer of zero leaves them behind,
+    /// and they must hash identically on every node.
     pub(crate) fn leaf_keys(&self) -> impl Iterator<Item = LeafKey> + '_ {
         let next = (self.next_id != 0).then_some(LeafKey::Erc20Next);
         next.into_iter()
@@ -435,8 +434,9 @@ mod tests {
             run(&mut m, alice, create),
             (true, vec![Next, Meta(TokenId(0)), Bal(TokenId(0), alice)])
         );
-        // A failed transfer marks too: an overdraft leaves the sender's
-        // zero entry behind, and an unknown token is refused after the marks.
+        // A failed transfer marks too, and writes nothing: an overdraft
+        // from a sender with no entry leaves none, and an unknown token is
+        // refused after the marks.
         for token in [TokenId(0), TokenId(42)] {
             let transfer = Erc20Op::Transfer {
                 token,
@@ -448,6 +448,7 @@ mod tests {
                 (false, vec![Bal(token, alice), Bal(token, bob)])
             );
         }
+        assert_eq!(m.leaf_keys().collect::<Vec<_>>(), [Next, Meta(TokenId(0))]);
     }
 
     #[test]

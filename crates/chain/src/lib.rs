@@ -62,7 +62,7 @@ pub mod tx;
 pub use address::{Account, Address};
 pub use backend::{BackendKind, LeafKey};
 pub use block::{Block, BlockHeader};
-pub use chain::{verify_account_proof, AccountProof, Blockchain, ChainConfig, ChainError};
+pub use chain::{Blockchain, ChainConfig, ChainError};
 pub use contract::{CallCtx, Contract, ContractError, ContractRegistry};
 pub use erc20::{Erc20Module, Erc20Op, TokenError, TokenId};
 pub use erc721::{AssetKind, Erc721Module, Erc721Op, NftError, NftId};

@@ -62,6 +62,13 @@ impl WorldState {
         self.committer.borrow().backend.kind
     }
 
+    /// The root of the last commit (`None` before the first). Unlike
+    /// [`Self::state_root`] it folds in no pending change, so reading it
+    /// commits nothing.
+    pub(crate) fn committed_root(&self) -> Option<Digest> {
+        self.committer.borrow().backend.root()
+    }
+
     /// Marks one leaf for recommit: [`Committer::mark`].
     pub(super) fn mark(&self, key: LeafKey) {
         self.committer.borrow_mut().mark(key);

@@ -134,8 +134,7 @@ impl WorldState {
     }
 
     /// Runs the payload against the meter and returns `(output, deployed
-    /// address)`. An `Err` leaves nothing behind but the marks and, for a
-    /// failed ERC-20 transfer, the sender's zero balance entry.
+    /// address)`. An `Err` leaves nothing behind but the marks.
     #[allow(clippy::too_many_arguments)]
     fn execute_payload(
         &mut self,

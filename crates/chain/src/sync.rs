@@ -19,7 +19,9 @@
 //!   in a [`SyncMsg::Blocks`] batch;
 //! * corrupted blocks (byzantine links flip bits in flight) fail
 //!   validation and are counted in [`ChainReplica::blocks_rejected`],
-//!   never applied;
+//!   never applied; a block refused only after it executed (a proposer
+//!   that signed a wrong root) is counted too, and the replica rebuilds
+//!   its chain from the blocks it holds;
 //! * a crashed replica loses everything but its keys and config
 //!   ([`crate::chain::Blockchain`] is rebuilt from the genesis factory)
 //!   and resynchronises on recovery before it is allowed to propose
@@ -269,7 +271,8 @@ impl ChainReplica {
             .iter()
             .position(|b| b.header.height >= self.chain.height())
             .unwrap_or(blocks.len());
-        match self.chain.apply_external_blocks_pipelined(&blocks[start..]) {
+        let blocks = &blocks[start..];
+        match self.undo_if_refused(|chain| chain.apply_external_blocks_pipelined(blocks)) {
             Ok(n) => {
                 self.blocks_applied += n as u64;
                 Ok(())
@@ -279,6 +282,39 @@ impl ChainReplica {
                 Err(e)
             }
         }
+    }
+
+    /// Runs `apply` on the chain. A block refused after it executed (its
+    /// gas or root is not the header's) has moved the committed root all
+    /// the same; the chain is then rebuilt from the blocks it holds, so
+    /// the refused block leaves no trace. A persistent replica recovers
+    /// from its store, which never journaled the refused block; a volatile
+    /// one replays its blocks on a new genesis, as fork choice does, and
+    /// readmits its pool.
+    fn undo_if_refused<T, E>(
+        &mut self,
+        apply: impl FnOnce(&mut Blockchain) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let before = self.chain.state.committed_root();
+        let result = apply(&mut self.chain);
+        if result.is_ok() || self.chain.state.committed_root() == before {
+            return result;
+        }
+        self.chain = match &self.store {
+            Some(store) => {
+                Blockchain::recover_from_store((self.genesis)(), store.clone(), self.snapshot_every)
+            }
+            None => {
+                let mut chain = (self.genesis)();
+                // Every block here applied once already, so the replay
+                // reaches the head; were one refused, the replica would
+                // hold the blocks before it and fetch the rest from peers.
+                let _ = chain.apply_external_blocks_pipelined(self.chain.blocks());
+                chain.reinstate(self.chain.mempool_txs());
+                chain
+            }
+        };
+        result
     }
 
     /// Fork choice on rejoin: rebuild from genesis and re-validate the
@@ -363,7 +399,7 @@ impl Node for ChainReplica {
             SyncMsg::NewBlock(block) => {
                 let height = block.header.height;
                 if height == self.chain.height() {
-                    match self.chain.apply_external_block(&block) {
+                    match self.undo_if_refused(|chain| chain.apply_external_block(&block)) {
                         Ok(()) => {
                             self.blocks_applied += 1;
                             self.syncing = false;
@@ -588,6 +624,89 @@ mod tests {
         assert_eq!(replica.chain().height(), 4);
         assert_eq!(replica.chain().head_hash(), canonical.head_hash());
         assert_eq!(replica.forks_adopted, 1);
+    }
+
+    /// ROADMAP item 14's reproduction. The scheduled proposer re-signs its
+    /// block with one bit of `state_root` flipped: the block passes
+    /// validation, executes, and only then is refused. Through either
+    /// entry point, on a volatile and on a persistent replica, at the first
+    /// height and above one block, the follower ends as a twin that never
+    /// saw the forged block, and the honest block at that height applies.
+    #[test]
+    fn a_block_refused_after_it_executed_leaves_no_trace() {
+        use crate::block::BlockHeader;
+        use crate::tx::SignedTransaction;
+        let f = factory();
+        let alice = KeyPair::from_seed(1);
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        let tx = transfer(&alice, bob, 500);
+        let view = |c: &Blockchain| {
+            let root = c.state.state_root();
+            let pool = c.mempool_txs();
+            let included = |t: &SignedTransaction| c.receipt(&t.hash()).is_some();
+            assert!(!pool.iter().any(included), "the pool holds an included tx");
+            (c.height(), c.head_hash(), root, c.state.balance(&bob), pool)
+        };
+        for below in 0..2u64 {
+            let mut proposer = f();
+            let prefix: Vec<Block> = (0..below).map(|_| proposer.produce_block()).collect();
+            proposer.submit(tx.clone()).unwrap();
+            let honest = proposer.produce_block();
+            let h = &honest.header;
+            let mut root = h.state_root;
+            root.0[0] ^= 1;
+            let forged = Block {
+                header: BlockHeader::new_signed(
+                    &KeyPair::from_seed(9_000 + below),
+                    h.height,
+                    h.parent,
+                    root,
+                    h.tx_root,
+                    h.timestamp,
+                    h.base_fee,
+                    h.gas_used,
+                ),
+                transactions: honest.transactions.clone(),
+            };
+            for persistent in [false, true] {
+                for batch in [false, true] {
+                    let what = format!("forged at {below}, persistent {persistent}, batch {batch}");
+                    let mut follower = match persistent {
+                        true => {
+                            let store = Arc::new(Mutex::new(ChainLog::new()));
+                            ChainReplica::new_persistent(f.clone(), Some(1), 1_000, 5_000, store, 2)
+                        }
+                        false => ChainReplica::new(f.clone(), Some(1), 1_000, 5_000),
+                    };
+                    let mut twin = f();
+                    follower.apply_batch(&prefix).unwrap();
+                    twin.apply_external_blocks_pipelined(&prefix).unwrap();
+                    follower.chain_mut().submit(tx.clone()).unwrap();
+                    twin.submit(tx.clone()).unwrap();
+
+                    let refused = match batch {
+                        true => follower.apply_batch(std::slice::from_ref(&forged)),
+                        false => follower.undo_if_refused(|c| c.apply_external_block(&forged)),
+                    };
+                    assert_eq!(
+                        refused,
+                        Err(ChainError::InvalidBlock("state root mismatch")),
+                        "{what}"
+                    );
+                    assert_eq!(view(follower.chain()), view(&twin), "{what}");
+                    assert_eq!(view(&twin).3, 0, "{what}");
+
+                    follower.apply_batch(std::slice::from_ref(&honest)).unwrap();
+                    twin.apply_external_block(&honest).unwrap();
+                    assert_eq!(view(follower.chain()), view(&twin), "{what}");
+                    assert_eq!(
+                        (view(&twin).1, view(&twin).3),
+                        (proposer.head_hash(), 500),
+                        "{what}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ impl Marketplace {
         let runtime = self
             .workloads
             .get_mut(&workload_id)
-            .expect("an enclave was launched for it");
+            .ok_or(MarketError::UnknownWorkload(workload_id))?;
         send(
             &mut self.chain,
             self.current_trace,
@@ -117,7 +117,7 @@ impl Marketplace {
         let quote = self.launch_attested(executor, workload_id)?;
         self.workloads
             .get_mut(&workload_id)
-            .expect("an enclave was launched for it")
+            .ok_or(MarketError::UnknownWorkload(workload_id))?
             .quotes
             .insert(executor, quote);
         Ok(())

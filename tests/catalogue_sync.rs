@@ -213,7 +213,7 @@ fn library_crates_spawn_no_threads() {
 /// `pub fn`s under `crates/chain/src/chain/`, the `Blockchain` type and
 /// its proof helpers, may only shrink: a new entry point replaces an old
 /// one (as `submit_batch` replaced `reinstate_transactions`).
-const BLOCKCHAIN_PUB_FNS: usize = 29;
+const BLOCKCHAIN_PUB_FNS: usize = 27;
 
 #[test]
 fn blockchain_surface_does_not_grow() {
@@ -431,8 +431,8 @@ const CALLERLESS_PUB_ITEMS: &[(&str, &str)] = &[
     ("diff_reports", "item 1: the seed swarm's verdict"),
     ("divergent_seq", "item 1: the seed swarm's verdict"),
     ("GovNode", "item 5: the committee protocol"),
-    ("prove_account", "item 6: a provider's payout receipt"),
-    ("verify_account_proof", "item 6: payout receipt"),
+    ("prove_leaf", "item 6: a provider's payout receipt"),
+    ("verify_proof", "item 6: a provider's payout receipt"),
 ];
 
 /// Every `pub fn` / `struct` / `enum` / `trait` in the production code of
@@ -600,4 +600,65 @@ fn only_the_ledgers_mark_their_leaves() {
         "lines that mark a token ledger's leaf outside the ledger; mark it \
          in the ledger method that writes it: {marks:#?}"
     );
+}
+
+/// The documents name the binaries that regenerate their numbers. Every
+/// `-p pds2-<crate> … --bin <name>` in EXPERIMENTS.md and README.md names
+/// a file `crates/<crate>/src/bin/<name>.rs` (a `--bin` with no `-p`
+/// before it on its line is `pds2-bench`'s), and each of the two
+/// documents names every experiment bin (`crates/bench/src/bin/exp_*`).
+/// A renamed or deleted bin fails here, not in a reader's shell.
+#[test]
+fn documented_bins_exist_and_every_experiment_is_documented() {
+    let bins = |krate: &str| -> BTreeSet<String> {
+        std::fs::read_dir(repo_root().join("crates").join(krate).join("src/bin"))
+            .map(|dir| {
+                dir.flatten()
+                    .filter_map(|e| Some(e.path().file_stem()?.to_str()?.to_string()))
+                    .collect()
+            })
+            .unwrap_or_default()
+    };
+    let experiments: BTreeSet<String> = bins("bench")
+        .into_iter()
+        .filter(|bin| bin.starts_with("exp_"))
+        .collect();
+    assert!(
+        !experiments.is_empty(),
+        "no exp_* bins under crates/bench/src/bin"
+    );
+    for doc in ["EXPERIMENTS.md", "README.md"] {
+        let body = std::fs::read_to_string(repo_root().join(doc)).expect("readable doc");
+        let mut named = BTreeSet::new();
+        let mut stale = Vec::new();
+        for line in body.lines() {
+            for (at, _) in line.match_indices("--bin ") {
+                let Some(name) = identifiers(&line[at + 6..]).next() else {
+                    continue;
+                };
+                if !line[at + 6..].starts_with(name) {
+                    continue; // a placeholder such as `<exp>`
+                }
+                let krate = line[..at]
+                    .rsplit_once("-p pds2-")
+                    .and_then(|(_, rest)| identifiers(rest).next())
+                    .unwrap_or("bench");
+                if krate == "bench" {
+                    named.insert(name.to_string());
+                }
+                if !bins(krate).contains(name) {
+                    stale.push(format!("{name} (crates/{krate}/src/bin)"));
+                }
+            }
+        }
+        assert!(
+            stale.is_empty(),
+            "{doc} runs bins that do not exist: {stale:?}"
+        );
+        let missing: Vec<_> = experiments.difference(&named).collect();
+        assert!(
+            missing.is_empty(),
+            "{doc} names no `--bin` line for these experiments: {missing:?}"
+        );
+    }
 }

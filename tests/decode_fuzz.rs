@@ -564,38 +564,6 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The names the per-type tests had before the table. Each was a loop of its
-// own; each is now the rows of one type through one driver and adds nothing
-// to the whole-table tests above. They stay only because the PR that wrote
-// the table could retire no more than a few test names (ISSUE 22 says so):
-// this block is to be deleted, never extended.
-// ---------------------------------------------------------------------------
-
-macro_rules! one_type_arbitrary {
-    ($($name:ident => $ty:literal;)*) => {
-        proptest! {$(
-            #[test]
-            fn $name(bytes in arbitrary_bytes(), at in any::<usize>()) {
-                assert_no_panic(rows_of($ty), &bytes, at);
-            }
-        )*}
-    };
-}
-
-one_type_arbitrary! {
-    signed_transaction_never_panics => "SignedTransaction";
-    block_header_never_panics => "BlockHeader";
-    erc20_op_never_panics => "Erc20Op";
-    erc721_op_never_panics => "Erc721Op";
-    workload_spec_never_panics => "WorkloadSpec";
-    signed_reading_never_panics => "SignedReading";
-    certificate_never_panics => "ParticipationCertificate";
-    requirement_never_panics => "Requirement";
-    smt_proof_never_panics => "SmtProof";
-    workload_state_never_panics => "WorkloadState";
-}
-
 /// `impl Decode for T` under `crates/*/src`, the codec's own primitives
 /// aside.
 fn decodable_types() -> BTreeSet<String> {

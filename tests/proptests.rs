@@ -502,10 +502,13 @@ mod state_backend_props {
             // Cross-check the proof path against the oracle root: an
             // account proof taken from the SMT chain verifies against the
             // root the full-rehash oracle computed independently.
-            let proof = smt.prove_account(&addrs[0]);
-            prop_assert!(pds2_chain::verify_account_proof(
+            let key = pds2_chain::LeafKey::Account(addrs[0]);
+            let (account, proof) = smt.state.prove_leaf(&key);
+            prop_assert!(account.is_some());
+            prop_assert!(pds2_chain::verify_proof(
                 &oracle.state.state_root(),
-                &addrs[0],
+                &key.digest(),
+                account.as_deref(),
                 &proof,
             ));
         }
