@@ -6,20 +6,23 @@ use super::{digest_tag, Blockchain, ChainError};
 use crate::address::Address;
 use crate::block::Block;
 use crate::gas;
-use crate::state::{BlockEnv, TxReceipt};
+use crate::state::{BlockEnv, Savepoint, TxReceipt};
 use crate::tx::SignedTransaction;
 use pds2_obs::TraceCtx;
 
 impl Blockchain {
-    /// Executes `txs` in order under `env`. A traced transaction executes
-    /// under its own submission-time context, so contract events it
-    /// raises join the workload's trace; the rest run under `default_ctx`.
+    /// Executes `txs` in order under `env`, inside a savepoint that the
+    /// block's commit releases or its refusal rolls back to. A traced
+    /// transaction executes under its own submission-time context, so
+    /// contract events it raises join the workload's trace; the rest run
+    /// under `default_ctx`.
     pub(super) fn execute_block(
         &mut self,
         txs: &[SignedTransaction],
         env: &BlockEnv,
         default_ctx: TraceCtx,
-    ) -> Vec<TxReceipt> {
+    ) -> (Savepoint, Vec<TxReceipt>) {
+        let savepoint = self.state.savepoint();
         let mut receipts = Vec::with_capacity(txs.len());
         for (i, tx) in txs.iter().enumerate() {
             let trace = self
@@ -34,7 +37,7 @@ impl Blockchain {
                 trace,
             ));
         }
-        receipts
+        (savepoint, receipts)
     }
 
     /// Closes out the pending trace record of every traced transaction
@@ -55,9 +58,16 @@ impl Blockchain {
         }
     }
 
-    /// Commits an executed block: records its receipts, appends it to the
-    /// ledger, journals it and snapshots on cadence.
-    pub(super) fn commit_block(&mut self, block: &Block, receipts: Vec<TxReceipt>) {
+    /// Commits an executed block: releases its savepoint, records its
+    /// receipts, appends it to the ledger, journals it and snapshots on
+    /// cadence.
+    pub(super) fn commit_block(
+        &mut self,
+        block: &Block,
+        savepoint: Savepoint,
+        receipts: Vec<TxReceipt>,
+    ) {
+        self.state.release(savepoint);
         for receipt in receipts {
             self.seen.insert(receipt.tx_hash);
             self.receipts.insert(receipt.tx_hash, receipt);
@@ -75,12 +85,12 @@ impl Blockchain {
     /// Execution is deterministic, so after a valid block the local state
     /// root must equal the header's. A [`ChainError::InvalidBlock`]
     /// `"gas used mismatch"` or `"state root mismatch"` therefore means
-    /// the proposer lied about its post-state. The block is not appended,
-    /// but its transactions have already executed and their root is
-    /// committed, so the state is no longer the one the head commits to.
-    /// Nothing here undoes it: `ChainReplica` sees the committed root move
-    /// across the refused call and rebuilds its chain from the blocks it
-    /// holds. An undo list that spares that rebuild is ROADMAP item 14.
+    /// the proposer lied about its post-state. The block is refused after
+    /// it executed, and it leaves no trace: the state rolls back to the
+    /// savepoint taken before its first transaction, so the chain is the
+    /// one it was, root included, and the honest block at that height
+    /// still applies. Every caller gets this: a replica, fork choice's
+    /// candidate and the recovery tail replay.
     pub fn apply_external_block(&mut self, block: &Block) -> Result<(), ChainError> {
         self.validate_external_block(block)?;
         let height = block.header.height;
@@ -89,16 +99,24 @@ impl Blockchain {
             base_fee: block.header.base_fee,
             coinbase: Address::of(&block.header.proposer),
         };
-        let receipts = self.execute_block(&block.transactions, &env, self.trace_ctx);
-        // Committed before either check, so that a refusal leaves its
-        // change in the committed root.
-        let state_root = self.state.state_root();
+        let (savepoint, receipts) = self.execute_block(&block.transactions, &env, self.trace_ctx);
         let gas_used: u64 = receipts.iter().map(|r| r.gas_used).sum();
-        if gas_used != block.header.gas_used {
-            return Err(ChainError::InvalidBlock("gas used mismatch"));
-        }
-        if state_root != block.header.state_root {
-            return Err(ChainError::InvalidBlock("state root mismatch"));
+        let refused = if gas_used != block.header.gas_used {
+            Some("gas used mismatch")
+        } else if self.state.state_root() != block.header.state_root {
+            Some("state root mismatch")
+        } else {
+            None
+        };
+        if let Some(why) = refused {
+            self.state.rollback(savepoint);
+            // The head's header holds the root the block started from.
+            let root = |head: &Block| head.header.state_root == self.state.state_root();
+            debug_assert!(
+                self.blocks.last().is_none_or(root),
+                "block {height} left a trace"
+            );
+            return Err(ChainError::InvalidBlock(why));
         }
         self.next_base_fee =
             gas::next_base_fee(block.header.base_fee, gas_used, self.config.block_gas_limit);
@@ -109,7 +127,7 @@ impl Blockchain {
         }
         self.publish_mempool_gauge();
         self.emit_included(&block.transactions, height);
-        self.commit_block(block, receipts);
+        self.commit_block(block, savepoint, receipts);
         pds2_obs::counter!("chain.blocks_applied").inc();
         pds2_obs::event!(
             "chain",
@@ -123,8 +141,9 @@ impl Blockchain {
 
     /// Applies a run of external blocks in order, stopping at the first
     /// one refused: `Ok(n)` when all `n` applied, `Err((i, e))` when block
-    /// `i` was refused with blocks `0..i` applied. A block refused by
-    /// validation leaves the chain where block `i - 1` put it.
+    /// `i` was refused with blocks `0..i` applied. A refused block, by
+    /// validation or after it executed, leaves the chain where block
+    /// `i - 1` put it.
     ///
     /// Nothing is pipelined: the helper thread the name recalls lost to
     /// this loop at two workers and is gone (a per-worker split is parked

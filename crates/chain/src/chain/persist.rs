@@ -311,6 +311,63 @@ mod tests {
         assert_eq!(offset, pristine.log_bytes());
     }
 
+    /// The journal's last frame is a block that executes and is then
+    /// refused: the scheduled proposer re-signed its header over a state
+    /// root with one bit flipped, and the frame's checksum holds. The
+    /// tail replay refuses it and leaves no trace of it, so the recovered
+    /// node is the never-crashed chain at height 2, and the block it
+    /// produces next is one a fresh follower applies.
+    #[test]
+    fn a_journaled_block_refused_after_it_executed_leaves_no_trace_in_recovery() {
+        use crate::block::BlockHeader;
+        let alice = KeyPair::from_seed(1);
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        let store = Arc::new(Mutex::new(ChainLog::new()));
+        let mut live = test_chain(&alice);
+        live.attach_store(store.clone(), 0);
+        let mut ahead = test_chain(&alice);
+        for nonce in 0..2 {
+            live.submit(signed_transfer(&alice, nonce, bob, 10))
+                .unwrap();
+            ahead.apply_external_block(&live.produce_block()).unwrap();
+        }
+        ahead.submit(signed_transfer(&alice, 2, bob, 500)).unwrap();
+        let honest = ahead.produce_block();
+        let h = &honest.header;
+        let mut root = h.state_root;
+        root.0[0] ^= 1;
+        let forged = Block {
+            header: BlockHeader::new_signed(
+                &KeyPair::from_seed(1000),
+                h.height,
+                h.parent,
+                root,
+                h.tx_root,
+                h.timestamp,
+                h.base_fee,
+                h.gas_used,
+            ),
+            transactions: honest.transactions.clone(),
+        };
+        ahead.journal_block(&mut store.lock(), &forged);
+
+        let mut recovered = Blockchain::recover_from_store(test_chain(&alice), store, 0);
+        assert_eq!(
+            (
+                recovered.height(),
+                recovered.state.state_root(),
+                recovered.state.balance(&bob)
+            ),
+            (2, live.state.state_root(), 20)
+        );
+        recovered.produce_block();
+        let mut follower = test_chain(&alice);
+        assert_eq!(
+            follower.apply_external_blocks_pipelined(recovered.blocks()),
+            Ok(3)
+        );
+    }
+
     /// `log` with the receipts digest of the block frame at `height` bent;
     /// every frame's checksum still holds, snapshot slot included.
     fn bend_receipts(log: &ChainLog, height: u64) -> ChainLog {

@@ -58,7 +58,7 @@ impl Blockchain {
             base_fee,
             coinbase: Address::of(&proposer.public),
         };
-        let receipts = self.execute_block(&selected, &env, produce_ctx);
+        let (savepoint, receipts) = self.execute_block(&selected, &env, produce_ctx);
         self.emit_included(&selected, height);
 
         let gas_used: u64 = receipts.iter().map(|r| r.gas_used).sum();
@@ -94,7 +94,7 @@ impl Blockchain {
                 ],
             );
         }
-        self.commit_block(&block, receipts);
+        self.commit_block(&block, savepoint, receipts);
         block
     }
 

@@ -8,8 +8,9 @@
 //! The framework provides the Ethereum-like execution guarantees the
 //! governance layer needs:
 //!
-//! - **atomicity** — a failed call rolls back all contract state, pending
-//!   value transfers and events (via snapshot/restore);
+//! - **atomicity** — a failed call rolls back all contract state, the
+//!   escrow, every payout and its events (the state's undo list restores
+//!   the contract from its committed snapshot);
 //! - **metering** — contracts charge gas through [`CallCtx::charge_gas`];
 //! - **auditability** — events emitted through the context land in the
 //!   block's receipt log;
@@ -92,16 +93,21 @@ impl<'a> CallCtx<'a> {
         Ok(())
     }
 
-    /// Schedules a native-token payout from the contract's account. The
-    /// transfer is applied only if the call succeeds and the contract
-    /// balance covers all scheduled payouts.
+    /// Schedules a native-token payout from the contract's account,
+    /// applied if the call succeeds. Payouts move one by one, in the order
+    /// scheduled, and the whole call reverts on the first that does not
+    /// fit the balance left. That is the same as holding their total to
+    /// the balance, except for a payout to the calling contract itself,
+    /// which moves nothing out; no contract in this workspace schedules
+    /// one.
     pub fn transfer_out(&mut self, to: Address, amount: u128) {
         self.pending_transfers.push((to, amount));
     }
 
     /// Schedules an ERC-20 payout from the contract's token balance —
-    /// §III-A's "rewards … handled with fungible tokens". Applied only if
-    /// the call succeeds and the balance covers all scheduled payouts.
+    /// §III-A's "rewards … handled with fungible tokens". Applied after
+    /// the native payouts, one by one as [`Self::transfer_out`]'s are;
+    /// one in a token that does not exist reverts the call too.
     pub fn transfer_token_out(&mut self, token: TokenId, to: Address, amount: u128) {
         self.pending_token_transfers.push((token, to, amount));
     }

@@ -6,12 +6,14 @@
 //! with its whole supply in the creator's balance and afterwards only
 //! moves: a signed `Transfer` (the consumer escrowing a reward) or a
 //! payout that a native contract scheduled (the workload contract paying
-//! it out). Every write marks the leaves it can touch through the callback
-//! `WorldState` passes in, so the state root sees each one.
+//! it out). Every write records the leaves it can touch, with the values
+//! they hold, through the callback `WorldState` passes in, so the state
+//! root sees each one and an undo can put it back.
 
 use crate::address::Address;
 use crate::backend::LeafKey;
 use crate::event::{Event, EventSink};
+use crate::state::Old;
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use std::collections::BTreeMap;
 
@@ -134,13 +136,14 @@ pub struct Erc20Module {
 
 impl Erc20Module {
     /// Applies an operation on behalf of `sender`, emitting events and
-    /// passing `mark` every leaf the operation can write.
+    /// passing `record` every leaf the operation can write, with the value
+    /// it holds.
     pub(crate) fn apply(
         &mut self,
         sender: Address,
         op: &Erc20Op,
         events: &mut EventSink,
-        mut mark: impl FnMut(LeafKey),
+        mut record: impl FnMut(LeafKey, Old),
     ) -> Result<Option<TokenId>, TokenError> {
         match op {
             Erc20Op::Create {
@@ -148,10 +151,10 @@ impl Erc20Module {
                 initial_supply,
             } => {
                 let id = TokenId(self.next_id);
+                record(LeafKey::Erc20Next, Old::Count(self.next_id));
                 self.next_id += 1;
-                mark(LeafKey::Erc20Next);
-                mark(LeafKey::Erc20Meta(id));
-                mark(LeafKey::Erc20Bal(id, sender));
+                record(LeafKey::Erc20Meta(id), Old::Absent);
+                record(LeafKey::Erc20Bal(id, sender), Old::Absent);
                 let mut state = TokenState {
                     symbol: symbol.clone(),
                     minter: Some(sender),
@@ -169,7 +172,7 @@ impl Erc20Module {
                 Ok(Some(id))
             }
             Erc20Op::Transfer { token, to, amount } => {
-                self.module_transfer(*token, sender, *to, *amount, mark)?;
+                self.module_transfer(*token, sender, *to, *amount, record)?;
                 events.emit(Event::token(
                     "erc20.transfer",
                     format!("token={} from={sender} to={to} amount={amount}", token.0),
@@ -182,26 +185,28 @@ impl Erc20Module {
     /// Moves `amount` of `token` from one balance to another. Besides
     /// `Transfer` it serves, without a signed op, the trusted native
     /// contracts (e.g. the workload contract paying rewards from escrow).
-    /// Both balances are passed to `mark` first, whatever the outcome.
+    /// Both balances are passed to `record` first, whatever the outcome.
     /// A refused transfer writes nothing: the balance is checked before
     /// any entry is made. A transfer of zero from an address with no
-    /// entry still makes a zero entry at both ends. Every marked leaf is
-    /// recomputed from the live maps, so marking one that did not change
-    /// is harmless.
+    /// entry still makes a zero entry at both ends. Every recorded leaf is
+    /// recomputed from the live maps, and its recorded value is the one it
+    /// holds, so recording one that did not change is harmless.
     pub(crate) fn module_transfer(
         &mut self,
         token: TokenId,
         from: Address,
         to: Address,
         amount: u128,
-        mut mark: impl FnMut(LeafKey),
+        mut record: impl FnMut(LeafKey, Old),
     ) -> Result<(), TokenError> {
-        mark(LeafKey::Erc20Bal(token, from));
-        mark(LeafKey::Erc20Bal(token, to));
-        let state = self
-            .tokens
-            .get_mut(&token)
-            .ok_or(TokenError::UnknownToken)?;
+        let state = self.tokens.get_mut(&token);
+        let held = |owner| {
+            let balance = state.as_ref().and_then(|t| t.balances.get(owner));
+            balance.map_or(Old::Absent, |b| Old::Amount(*b))
+        };
+        record(LeafKey::Erc20Bal(token, from), held(&from));
+        record(LeafKey::Erc20Bal(token, to), held(&to));
+        let state = state.ok_or(TokenError::UnknownToken)?;
         if state.balances.get(&from).copied().unwrap_or(0) < amount {
             return Err(TokenError::InsufficientBalance);
         }
@@ -239,6 +244,27 @@ impl Erc20Module {
                 let balances = t.balances.keys().map(move |a| LeafKey::Erc20Bal(id, *a));
                 std::iter::once(LeafKey::Erc20Meta(id)).chain(balances)
             }))
+    }
+
+    /// Puts back `old`, the value one of this ledger's leaves held before
+    /// a write (the state's undo list). A token's metadata is written only
+    /// when it is created, so undoing it removes the token.
+    pub(crate) fn undo(&mut self, key: LeafKey, old: Old) {
+        match (key, old) {
+            (LeafKey::Erc20Next, Old::Count(next_id)) => self.next_id = next_id,
+            (LeafKey::Erc20Meta(id), _) => {
+                self.tokens.remove(&id);
+            }
+            (LeafKey::Erc20Bal(id, owner), old) => {
+                if let Some(token) = self.tokens.get_mut(&id) {
+                    match old {
+                        Old::Amount(balance) => token.balances.insert(owner, balance),
+                        _ => token.balances.remove(&owner),
+                    };
+                }
+            }
+            _ => {}
+        }
     }
 
     /// Canonical value bytes of one of this ledger's leaves; `None` when
@@ -326,7 +352,7 @@ mod tests {
                 initial_supply: supply,
             },
             &mut events,
-            |_| {},
+            |_, _| {},
         )
         .unwrap()
         .unwrap()
@@ -356,7 +382,7 @@ mod tests {
                 amount: 30,
             },
             &mut ev,
-            |_| {},
+            |_, _| {},
         )
         .unwrap();
         assert_eq!(m.balance_of(id, &alice), 70);
@@ -379,7 +405,7 @@ mod tests {
                     amount: 11,
                 },
                 &mut ev,
-                |_| {},
+                |_, _| {},
             )
             .unwrap_err();
         assert_eq!(err, TokenError::InsufficientBalance);
@@ -399,7 +425,7 @@ mod tests {
                     amount: 1
                 },
                 &mut ev,
-                |_| {}
+                |_, _| {}
             )
             .unwrap_err(),
             TokenError::UnknownToken
@@ -421,7 +447,7 @@ mod tests {
         use LeafKey::{Erc20Bal as Bal, Erc20Meta as Meta, Erc20Next as Next};
         fn run(m: &mut Erc20Module, sender: Address, op: Erc20Op) -> (bool, Vec<LeafKey>) {
             let mut marked = Vec::new();
-            let ok = m.apply(sender, &op, &mut EventSink::new(), |k| marked.push(k));
+            let ok = m.apply(sender, &op, &mut EventSink::new(), |k, _| marked.push(k));
             (ok.is_ok(), marked)
         }
         let mut m = Erc20Module::default();
@@ -469,7 +495,7 @@ mod tests {
                     amount: 100,
                 },
                 &mut ev,
-                |_| {},
+                |_, _| {},
             );
         }
         let total: u128 = holders.iter().map(|h| m.balance_of(id, h)).sum();

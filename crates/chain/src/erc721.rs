@@ -8,6 +8,7 @@
 use crate::address::Address;
 use crate::backend::LeafKey;
 use crate::event::{Event, EventSink};
+use crate::state::Old;
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use pds2_crypto::Digest;
 use std::collections::BTreeMap;
@@ -145,15 +146,15 @@ pub struct Erc721Module {
 }
 
 impl Erc721Module {
-    /// Applies an operation on behalf of `sender`, passing `mark` every
-    /// leaf it writes: a mint writes the id counter and its new token, a
-    /// refused one nothing.
+    /// Applies an operation on behalf of `sender`, passing `record` every
+    /// leaf it writes, with the value it holds: a mint writes the id
+    /// counter and its new token, a refused one nothing.
     pub(crate) fn apply(
         &mut self,
         sender: Address,
         op: &Erc721Op,
         events: &mut EventSink,
-        mut mark: impl FnMut(LeafKey),
+        mut record: impl FnMut(LeafKey, Old),
     ) -> Result<NftId, NftError> {
         match op {
             Erc721Op::Mint {
@@ -166,9 +167,9 @@ impl Erc721Module {
                     return Err(NftError::DuplicateContent);
                 }
                 let id = NftId(self.next_id);
+                record(LeafKey::Erc721Next, Old::Count(self.next_id));
                 self.next_id += 1;
-                mark(LeafKey::Erc721Next);
-                mark(LeafKey::Erc721Token(id));
+                record(LeafKey::Erc721Token(id), Old::Absent);
                 self.tokens.insert(
                     id,
                     NftInfo {
@@ -214,6 +215,21 @@ impl Erc721Module {
         let next = (self.next_id != 0).then_some(LeafKey::Erc721Next);
         next.into_iter()
             .chain(self.tokens.keys().map(|id| LeafKey::Erc721Token(*id)))
+    }
+
+    /// Puts back `old`, the value one of this ledger's leaves held before
+    /// a write (the state's undo list). A token is written only when it is
+    /// minted, so undoing it removes the token and its content entry.
+    pub(crate) fn undo(&mut self, key: LeafKey, old: Old) {
+        match (key, old) {
+            (LeafKey::Erc721Next, Old::Count(next_id)) => self.next_id = next_id,
+            (LeafKey::Erc721Token(id), _) => {
+                if let Some(info) = self.tokens.remove(&id) {
+                    self.by_content.remove(&(info.kind, info.content));
+                }
+            }
+            _ => {}
+        }
     }
 
     /// Canonical value bytes of one of this ledger's leaves; `None` when
@@ -299,7 +315,7 @@ mod tests {
                 label: label.into(),
             },
             &mut ev,
-            |_| {},
+            |_, _| {},
         )
         .unwrap()
     }
@@ -335,7 +351,7 @@ mod tests {
                     label: "copy".into()
                 },
                 &mut ev,
-                |_| {}
+                |_, _| {}
             )
             .unwrap_err(),
             NftError::DuplicateContent
@@ -352,7 +368,7 @@ mod tests {
         };
         for expected in [Ok(NftId(0)), Err(NftError::DuplicateContent)] {
             let mut marked = Vec::new();
-            let result = m.apply(addr(1), &op, &mut EventSink::new(), |k| marked.push(k));
+            let result = m.apply(addr(1), &op, &mut EventSink::new(), |k, _| marked.push(k));
             let wrote = result
                 .iter()
                 .flat_map(|&id| [LeafKey::Erc721Next, LeafKey::Erc721Token(id)]);
@@ -374,7 +390,7 @@ mod tests {
                 label: "d".into(),
             },
             &mut ev,
-            |_| {},
+            |_, _| {},
         )
         .unwrap();
         m.apply(
@@ -385,7 +401,7 @@ mod tests {
                 label: "w".into(),
             },
             &mut ev,
-            |_| {},
+            |_, _| {},
         )
         .unwrap();
         assert_eq!(m.count(), 2);

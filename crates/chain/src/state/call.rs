@@ -1,19 +1,20 @@
-//! A contract call: escrow in, payout or refund out, nothing in between.
+//! A contract call: escrow in, payouts out. A failed one is rolled back
+//! by the savepoint around the payload.
 
-use super::WorldState;
+use super::{Old, WorldState};
 use crate::address::Address;
 use crate::backend::LeafKey;
 use crate::contract::{CallCtx, ContractError};
 use crate::erc20::TokenId;
 use crate::event::{Event, EventSink};
 use crate::gas::{self, GasMeter};
-use std::collections::BTreeMap;
 
 impl WorldState {
     /// Escrows `value` with the contract, runs the call and pays what it
-    /// scheduled. An `Err` from the call or from the payouts is undone in
-    /// one place: the contract's state and the escrow are as they were
-    /// (the atomicity `crate::contract` promises).
+    /// scheduled. An `Err` from any of the three may leave writes behind;
+    /// `apply_transaction_env` rolls them back, so the contract's state
+    /// and every balance are as they were (the atomicity
+    /// `crate::contract` promises).
     #[allow(clippy::too_many_arguments)]
     pub(super) fn execute_call(
         &mut self,
@@ -27,15 +28,21 @@ impl WorldState {
         events: &mut EventSink,
     ) -> Result<Vec<u8>, String> {
         meter.charge(gas::CALL_BASE).map_err(|e| e.to_string())?;
+        let missing = || format!("no contract at {contract_addr}");
         if !self.contracts.contains_key(&contract_addr) {
-            return Err(format!("no contract at {contract_addr}"));
+            return Err(missing());
         }
         if value > 0 {
             self.native_transfer(sender, contract_addr, value)?;
         }
-        // The call may change the contract's state and a failed one puts it
-        // back; its leaf is recomputed either way.
-        self.mark(LeafKey::Contract(contract_addr));
+        let instance = self.contracts.get_mut(&contract_addr).ok_or_else(missing)?;
+        // The call writes the contract's leaf. Its committed bytes move to
+        // the undo list (the payload's savepoint is open, so the list keeps
+        // them), and a call that pays out commits fresh ones.
+        let old = std::mem::take(&mut instance.committed);
+        self.committer
+            .get_mut()
+            .record(LeafKey::Contract(contract_addr), Old::Contract(old));
         // Split borrows: the contract is called mutably while the token
         // module is readable through the context.
         let mut ctx = CallCtx {
@@ -50,47 +57,21 @@ impl WorldState {
             pending_token_transfers: Vec::new(),
             erc20: &self.erc20,
         };
-        // Found at the top; the escrow transfer and `mark` remove no contract.
-        let instance = self
-            .contracts
-            .get_mut(&contract_addr)
-            .expect("checked above");
-        let result = match instance.contract.call(&mut ctx, input) {
-            Ok(output) => {
-                let (native, tokens) = (ctx.pending_transfers, ctx.pending_token_transfers);
-                self.pay_out(contract_addr, native, tokens, events)
-                    .map(|()| output)
-            }
-            Err(e) => Err(e.to_string()),
-        };
-        // Still there: the call sees only `ctx` and `pay_out` moves balances.
-        let instance = self
-            .contracts
-            .get_mut(&contract_addr)
-            .expect("checked above");
-        if result.is_ok() {
-            instance.committed = instance.contract.snapshot();
-        } else {
-            // `committed` is this instance's own state before the call.
-            instance
-                .contract
-                .restore(&instance.committed)
-                .expect("restoring own snapshot cannot fail");
-            // The escrow credited `value`, and a failed call or payout moved
-            // nothing out of the contract's balance.
-            if value > 0 {
-                self.native_transfer(contract_addr, sender, value)
-                    .expect("escrow refund cannot fail");
-            }
-        }
-        result
+        let output = instance
+            .contract
+            .call(&mut ctx, input)
+            .map_err(|e| e.to_string())?;
+        let (native, tokens) = (ctx.pending_transfers, ctx.pending_token_transfers);
+        self.pay_out(contract_addr, native, tokens, events)?;
+        let instance = self.contracts.get_mut(&contract_addr).ok_or_else(missing)?;
+        instance.committed = instance.contract.snapshot();
+        Ok(output)
     }
 
-    /// Applies the payouts a successful call scheduled. Overspend aborts
-    /// the whole call: the native total must fit the contract's balance
-    /// and each token's total its balance in a token that exists (a total
-    /// past `u128::MAX` fits nothing). Nothing moves before every total is
-    /// known to fit, so an `Err` has changed nothing.
+    /// Applies the payouts a successful call scheduled, in order. The
+    /// first that does not fit the contract's balance, or names a token
+    /// that does not exist, fails the call. The token leaves are marked
+    /// once every payout went through, so a refused call marks none.
     fn pay_out(
         &mut self,
         contract_addr: Address,
@@ -98,33 +79,21 @@ impl WorldState {
         tokens: Vec<(TokenId, Address, u128)>,
         events: &mut EventSink,
     ) -> Result<(), String> {
-        let native_total = native
-            .iter()
-            .try_fold(0u128, |sum, (_, amount)| sum.checked_add(*amount));
-        let mut token_totals: BTreeMap<TokenId, Option<u128>> = BTreeMap::new();
-        for (token, _, amount) in &tokens {
-            let total = token_totals.entry(*token).or_insert(Some(0));
-            *total = total.and_then(|sum| sum.checked_add(*amount));
-        }
-        let covered = native_total.is_some_and(|total| total <= self.balance(&contract_addr))
-            && token_totals.iter().all(|(token, total)| {
-                self.erc20.total_supply(*token).is_some()
-                    && total.is_some_and(|t| t <= self.erc20.balance_of(*token, &contract_addr))
-            });
-        if !covered {
-            return Err(ContractError::InsufficientContractFunds.to_string());
-        }
-        // `covered` held each total to its balance in a token that exists,
-        // the only ways a transfer below can fail.
+        let refused = || ContractError::InsufficientContractFunds.to_string();
         for (to, amount) in native {
             self.native_transfer(contract_addr, to, amount)
-                .expect("total checked above");
+                .map_err(|_| refused())?;
         }
+        let mut paid = Vec::with_capacity(2 * tokens.len());
         for (token, to, amount) in tokens {
-            let mark = |key| self.committer.borrow_mut().mark(key);
+            let committer = self.committer.get_mut();
+            let keep = |key, old| {
+                paid.push(key);
+                committer.keep(key, old);
+            };
             self.erc20
-                .module_transfer(token, contract_addr, to, amount, mark)
-                .expect("totals checked above");
+                .module_transfer(token, contract_addr, to, amount, keep)
+                .map_err(|_| refused())?;
             events.emit(Event::new(
                 "erc20.contract_payout",
                 format!(
@@ -133,6 +102,8 @@ impl WorldState {
                 ),
             ));
         }
+        let committer = self.committer.get_mut();
+        paid.into_iter().for_each(|key| committer.mark(key));
         Ok(())
     }
 }

@@ -2,14 +2,16 @@
 //!
 //! Every piece of consensus state is a [`LeafKey`] with canonical value
 //! bytes. `WorldState` owns the layout of the `Account`, `Contract` and
-//! `Burned` leaves; the token ledgers own theirs. Once the tree holds a
-//! commit, each write marks the leaf it touches where it writes (a
-//! ledger through the mark callback `WorldState` passes in), and
-//! [`WorldState::state_root`] recomputes the marked leaves from the live
-//! maps and folds them into the tree. Before that first commit (genesis,
-//! a snapshot restore, a backend switch) nothing is marked: the first
-//! commit builds the tree in one walk of the maps.
+//! `Burned` leaves; the token ledgers own theirs. Each write records the
+//! leaf it touches where it writes (a ledger through the callback
+//! `WorldState` passes in): once the tree holds a commit the leaf is
+//! marked, and [`WorldState::state_root`] recomputes the marked leaves
+//! from the live maps and folds them into the tree. Before that first
+//! commit (genesis, a snapshot restore, a backend switch) nothing is
+//! marked: the first commit builds the tree in one walk of the maps. The
+//! same call puts the leaf's old value on the undo list (`super::undo`).
 
+use super::undo::Old;
 use super::{ContractInstance, WorldState};
 use crate::address::Address;
 use crate::backend::{BackendKind, Commitment, LeafKey};
@@ -18,11 +20,19 @@ use pds2_crypto::codec::{Encode, Encoder};
 use pds2_crypto::sha256::{sha256, Digest};
 use std::collections::BTreeSet;
 
-/// Root-commitment bookkeeping: the tree plus the set of leaves mutated
-/// since the last commit (empty until the first).
+/// Write bookkeeping: the tree plus the set of leaves mutated since the
+/// last commit (empty until the first), and the undo list.
 pub(super) struct Committer {
     backend: Commitment,
     dirty: BTreeSet<LeafKey>,
+    /// `(leaf, old value)` of each write since the outermost open
+    /// savepoint, oldest first; empty while none is open.
+    pub(super) undo: Vec<(LeafKey, Old)>,
+    /// Savepoints open.
+    pub(super) open: usize,
+    /// Commits so far: a savepoint notes it, so that its rollback knows
+    /// whether the tree took in the writes it undoes.
+    pub(super) commits: u64,
 }
 
 impl Committer {
@@ -30,17 +40,35 @@ impl Committer {
         Committer {
             backend: kind.make(),
             dirty: BTreeSet::new(),
+            undo: Vec::new(),
+            open: 0,
+            commits: 0,
         }
     }
 
     /// Marks one leaf for recommit. Conservative over-marking is always
     /// safe: the committed value is recomputed from the live maps, and
     /// an absent entry becomes a (possibly no-op) delete. Before the
-    /// first commit there is nothing to mark against. The ledgers get
-    /// this as their mark callback, borrowing only the committer.
+    /// first commit there is nothing to mark against.
     pub(super) fn mark(&mut self, key: LeafKey) {
         if self.backend.committed() {
             self.dirty.insert(key);
+        }
+    }
+
+    /// Marks `key` and keeps `old` for an undo: [`Self::keep`]. Every
+    /// write to the state calls this; the ledgers get it as their
+    /// callback, borrowing only the committer.
+    pub(super) fn record(&mut self, key: LeafKey, old: Old) {
+        self.mark(key);
+        self.keep(key, old);
+    }
+
+    /// While a savepoint is open, records `old`, the value `key` holds
+    /// before the write about to happen.
+    pub(super) fn keep(&mut self, key: LeafKey, old: Old) {
+        if self.open > 0 {
+            self.undo.push((key, old));
         }
     }
 }
@@ -62,16 +90,9 @@ impl WorldState {
         self.committer.borrow().backend.kind
     }
 
-    /// The root of the last commit (`None` before the first). Unlike
-    /// [`Self::state_root`] it folds in no pending change, so reading it
-    /// commits nothing.
-    pub(crate) fn committed_root(&self) -> Option<Digest> {
-        self.committer.borrow().backend.root()
-    }
-
-    /// Marks one leaf for recommit: [`Committer::mark`].
-    pub(super) fn mark(&self, key: LeafKey) {
-        self.committer.borrow_mut().mark(key);
+    /// Records a write of one leaf: [`Committer::record`].
+    pub(super) fn record(&mut self, key: LeafKey, old: Old) {
+        self.committer.get_mut().record(key, old);
     }
 
     /// Canonical value bytes of one leaf, `None` when the leaf is
@@ -160,6 +181,7 @@ impl WorldState {
             changed
         } as u64;
         committer.dirty.clear();
+        committer.commits += 1;
         pds2_obs::counter!("state.smt.nodes_hashed").add(hashed);
         span.finish(
             pds2_obs::Stamp::None,

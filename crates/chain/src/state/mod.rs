@@ -8,10 +8,11 @@
 //!
 //! One file per concern, in the order a transaction meets them:
 //! `transition` (price → signature → nonce → escrow → payload → settle →
-//! receipt), `call` (a contract call: escrow in, payout or refund out),
-//! `commit` (dirty leaves → root and proofs) and `snapshot` (the recovery
-//! codec). This file holds the state itself, its read-only queries and the
-//! one write path to an account.
+//! receipt), `call` (a contract call: escrow in, payouts out, all of it
+//! undone if any part fails), `commit` (dirty leaves → root and proofs),
+//! `undo` (savepoints and the `(leaf, old value)` list they roll back)
+//! and `snapshot` (the recovery codec). This file holds the state itself,
+//! its read-only queries and the one write path to an account.
 
 mod call;
 mod commit;
@@ -19,6 +20,9 @@ mod snapshot;
 #[cfg(test)]
 mod tests;
 mod transition;
+mod undo;
+
+pub(crate) use undo::{Old, Savepoint};
 
 use crate::address::{Account, Address};
 use crate::backend::{BackendKind, LeafKey};
@@ -26,6 +30,7 @@ use crate::event::Event;
 use commit::Committer;
 use pds2_crypto::sha256::Digest;
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Per-block execution environment: the consensus values every
@@ -152,7 +157,8 @@ impl WorldState {
         }
     }
 
-    /// Credits an address at genesis.
+    /// Credits an address at genesis. No savepoint encloses it, so no
+    /// rollback takes the credit back, nor the supply it mints.
     pub fn genesis_credit(&mut self, addr: Address, amount: u128) {
         self.account_mut(addr).balance += amount;
         self.native_supply += amount;
@@ -193,12 +199,17 @@ impl WorldState {
         self.contracts.get(addr).map(|c| c.committed.clone())
     }
 
-    /// The one write path to an account: marks its leaf, then hands out
-    /// the entry, created empty if the address is new. Marking before the
-    /// write is what lets an undo list record the old value here.
+    /// The one write path to an account: records its leaf with the value
+    /// it holds, then hands out the entry, created empty if the address
+    /// is new.
     fn account_mut(&mut self, addr: Address) -> &mut Account {
-        self.mark(LeafKey::Account(addr));
-        self.accounts.entry(addr).or_default()
+        let entry = self.accounts.entry(addr);
+        let old = match &entry {
+            Entry::Occupied(account) => Old::Account(*account.get()),
+            Entry::Vacant(_) => Old::Absent,
+        };
+        self.committer.get_mut().record(LeafKey::Account(addr), old);
+        entry.or_default()
     }
 
     fn native_transfer(&mut self, from: Address, to: Address, amount: u128) -> Result<(), String> {

@@ -1,7 +1,7 @@
 //! The state transition, in the order it happens: price → signature →
 //! nonce → escrow → payload → settle → receipt.
 
-use super::{BlockEnv, ContractInstance, TxReceipt, WorldState};
+use super::{BlockEnv, ContractInstance, Old, TxReceipt, WorldState};
 use crate::address::Address;
 use crate::backend::LeafKey;
 use crate::contract::ContractRegistry;
@@ -24,7 +24,9 @@ impl WorldState {
     /// 3. the nonce is consumed and `gas_limit × price` is escrowed from
     ///    the sender up front (so execution cannot spend money owed for
     ///    gas);
-    /// 4. the payload runs against the gas meter;
+    /// 4. the payload runs against the gas meter, inside a savepoint that
+    ///    a failed payload rolls back to (a failed call leaves no escrow,
+    ///    payout or contract change behind);
     /// 5. the unused portion is refunded, the base-fee share of the
     ///    consumed gas is burned (`burned` accumulator, part of the state
     ///    root) and the tip share is credited to `env.coinbase`.
@@ -82,6 +84,7 @@ impl WorldState {
         let mut meter = GasMeter::new(tx.gas_limit);
         let mut events = EventSink::new();
         let intrinsic = gas::TX_BASE.saturating_add(signed.body_len() as u64 * gas::PER_BYTE);
+        let savepoint = self.savepoint();
         let result = match meter.charge(intrinsic) {
             Err(_) => Err("out of gas (intrinsic)".into()),
             Ok(()) => self.execute_payload(
@@ -94,13 +97,17 @@ impl WorldState {
                 &mut events,
             ),
         };
+        match result {
+            Ok(_) => self.release(savepoint),
+            Err(_) => self.rollback(savepoint),
+        }
 
         let gas_used = meter.used();
         let gas_cost = gas_used as u128 * price as u128;
         self.account_mut(sender).balance += upfront - gas_cost;
         let burn = gas_used as u128 * env.base_fee as u128;
         if burn > 0 {
-            self.mark(LeafKey::Burned);
+            self.record(LeafKey::Burned, Old::Amount(self.burned));
             self.burned += burn;
             // Escrow−refund−tip nets the circulating supply down by exactly
             // the burn.
@@ -134,7 +141,7 @@ impl WorldState {
     }
 
     /// Runs the payload against the meter and returns `(output, deployed
-    /// address)`. An `Err` leaves nothing behind but the marks.
+    /// address)`. What an `Err` wrote, its caller rolls back.
     #[allow(clippy::too_many_arguments)]
     fn execute_payload(
         &mut self,
@@ -146,9 +153,9 @@ impl WorldState {
         meter: &mut GasMeter,
         events: &mut EventSink,
     ) -> Result<(Vec<u8>, Option<Address>), String> {
-        // The ledgers' mark callback borrows only the committer, so it is
-        // passed beside the ledger it marks for.
-        let mark = |key| self.committer.borrow_mut().mark(key);
+        // The ledgers' callback borrows only the committer, so it is passed
+        // beside the ledger it records for.
+        let record = |key, old| self.committer.borrow_mut().record(key, old);
         match &signed.tx.kind {
             TxKind::Transfer { to, amount } => {
                 self.native_transfer(sender, *to, *amount)?;
@@ -160,7 +167,7 @@ impl WorldState {
             }
             TxKind::Erc20(op) => {
                 meter.charge(gas::ERC20_OP).map_err(|e| e.to_string())?;
-                let created = self.erc20.apply(sender, op, events, mark);
+                let created = self.erc20.apply(sender, op, events, record);
                 let id_bytes = created
                     .map_err(|e| e.to_string())?
                     .map(|id| id.0.to_le_bytes());
@@ -168,7 +175,7 @@ impl WorldState {
             }
             TxKind::Erc721(op) => {
                 meter.charge(gas::ERC721_OP).map_err(|e| e.to_string())?;
-                let id = self.erc721.apply(sender, op, events, mark);
+                let id = self.erc721.apply(sender, op, events, record);
                 Ok((id.map_err(|e| e.to_string())?.0.to_le_bytes().into(), None))
             }
             TxKind::Deploy { code_id, init } => {
@@ -188,8 +195,8 @@ impl WorldState {
                     committed: contract.snapshot(),
                     contract,
                 };
+                self.record(LeafKey::Contract(addr), Old::Absent);
                 self.contracts.insert(addr, instance);
-                self.mark(LeafKey::Contract(addr));
                 self.account_mut(addr);
                 events.emit(Event::new(
                     "contract.deploy",

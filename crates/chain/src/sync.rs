@@ -20,8 +20,9 @@
 //! * corrupted blocks (byzantine links flip bits in flight) fail
 //!   validation and are counted in [`ChainReplica::blocks_rejected`],
 //!   never applied; a block refused only after it executed (a proposer
-//!   that signed a wrong root) is counted too, and the replica rebuilds
-//!   its chain from the blocks it holds;
+//!   that signed a wrong root) is counted too, and
+//!   [`Blockchain::apply_external_block`] has already rolled its writes
+//!   back, so the replica holds the chain it held before;
 //! * a crashed replica loses everything but its keys and config
 //!   ([`crate::chain::Blockchain`] is rebuilt from the genesis factory)
 //!   and resynchronises on recovery before it is allowed to propose
@@ -272,7 +273,7 @@ impl ChainReplica {
             .position(|b| b.header.height >= self.chain.height())
             .unwrap_or(blocks.len());
         let blocks = &blocks[start..];
-        match self.undo_if_refused(|chain| chain.apply_external_blocks_pipelined(blocks)) {
+        match self.chain.apply_external_blocks_pipelined(blocks) {
             Ok(n) => {
                 self.blocks_applied += n as u64;
                 Ok(())
@@ -282,39 +283,6 @@ impl ChainReplica {
                 Err(e)
             }
         }
-    }
-
-    /// Runs `apply` on the chain. A block refused after it executed (its
-    /// gas or root is not the header's) has moved the committed root all
-    /// the same; the chain is then rebuilt from the blocks it holds, so
-    /// the refused block leaves no trace. A persistent replica recovers
-    /// from its store, which never journaled the refused block; a volatile
-    /// one replays its blocks on a new genesis, as fork choice does, and
-    /// readmits its pool.
-    fn undo_if_refused<T, E>(
-        &mut self,
-        apply: impl FnOnce(&mut Blockchain) -> Result<T, E>,
-    ) -> Result<T, E> {
-        let before = self.chain.state.committed_root();
-        let result = apply(&mut self.chain);
-        if result.is_ok() || self.chain.state.committed_root() == before {
-            return result;
-        }
-        self.chain = match &self.store {
-            Some(store) => {
-                Blockchain::recover_from_store((self.genesis)(), store.clone(), self.snapshot_every)
-            }
-            None => {
-                let mut chain = (self.genesis)();
-                // Every block here applied once already, so the replay
-                // reaches the head; were one refused, the replica would
-                // hold the blocks before it and fetch the rest from peers.
-                let _ = chain.apply_external_blocks_pipelined(self.chain.blocks());
-                chain.reinstate(self.chain.mempool_txs());
-                chain
-            }
-        };
-        result
     }
 
     /// Fork choice on rejoin: rebuild from genesis and re-validate the
@@ -399,7 +367,7 @@ impl Node for ChainReplica {
             SyncMsg::NewBlock(block) => {
                 let height = block.header.height;
                 if height == self.chain.height() {
-                    match self.undo_if_refused(|chain| chain.apply_external_block(&block)) {
+                    match self.chain.apply_external_block(&block) {
                         Ok(()) => {
                             self.blocks_applied += 1;
                             self.syncing = false;
@@ -626,17 +594,28 @@ mod tests {
         assert_eq!(replica.forks_adopted, 1);
     }
 
-    /// ROADMAP item 14's reproduction. The scheduled proposer re-signs its
-    /// block with one bit of `state_root` flipped: the block passes
-    /// validation, executes, and only then is refused. Through either
-    /// entry point, on a volatile and on a persistent replica, at the first
-    /// height and above one block, the follower ends as a twin that never
-    /// saw the forged block, and the honest block at that height applies.
+    /// The scheduled proposer re-signs its block with one bit of
+    /// `state_root` flipped: the block passes validation, executes, and
+    /// only then is refused. Through the chain's own entry point and the
+    /// replica's batch, on a volatile and on a persistent replica, at the
+    /// first height and above one block, the follower ends as a twin that
+    /// never saw the forged block, and the honest block at that height
+    /// applies. No rebuild runs: the genesis factory, which a crash, fork
+    /// choice or a rebuild of the chain would call, is not called across
+    /// the refusal.
     #[test]
     fn a_block_refused_after_it_executed_leaves_no_trace() {
         use crate::block::BlockHeader;
         use crate::tx::SignedTransaction;
-        let f = factory();
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let built = Arc::new(AtomicUsize::new(0));
+        let f: GenesisFactory = {
+            let (genesis, built) = (factory(), built.clone());
+            Arc::new(move || {
+                built.fetch_add(1, Ordering::Relaxed);
+                genesis()
+            })
+        };
         let alice = KeyPair::from_seed(1);
         let bob = Address::of(&KeyPair::from_seed(2).public);
         let tx = transfer(&alice, bob, 500);
@@ -684,15 +663,17 @@ mod tests {
                     follower.chain_mut().submit(tx.clone()).unwrap();
                     twin.submit(tx.clone()).unwrap();
 
+                    let builds = built.load(Ordering::Relaxed);
                     let refused = match batch {
                         true => follower.apply_batch(std::slice::from_ref(&forged)),
-                        false => follower.undo_if_refused(|c| c.apply_external_block(&forged)),
+                        false => follower.chain_mut().apply_external_block(&forged),
                     };
                     assert_eq!(
                         refused,
                         Err(ChainError::InvalidBlock("state root mismatch")),
                         "{what}"
                     );
+                    assert_eq!(built.load(Ordering::Relaxed), builds, "{what}: rebuilt");
                     assert_eq!(view(follower.chain()), view(&twin), "{what}");
                     assert_eq!(view(&twin).3, 0, "{what}");
 

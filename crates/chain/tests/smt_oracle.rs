@@ -8,15 +8,17 @@
 //! The known-answer constants were recorded with the `Arc` pointer tree
 //! at commit `03fad62`, before the flat store replaced it.
 //!
-//! The last test holds a chain's whole-state entries (genesis, snapshot
+//! The chain tests hold a chain's whole-state entries (genesis, snapshot
 //! restore, backend switch), which build the tree in one pass, to the
-//! full-rehash oracle and to a chain that committed incrementally.
+//! full-rehash oracle and to a chain that committed incrementally, and a
+//! block refused after it executed to the state it found.
 
 use parking_lot::Mutex;
 use pds2_chain::smt::{SmtProof, SmtTree};
 use pds2_chain::{
-    Account, Address, AssetKind, BackendKind, Blockchain, CallCtx, ChainConfig, Contract,
-    ContractError, ContractRegistry, Erc20Op, Erc721Op, LeafKey, TokenId, Transaction, TxKind,
+    Account, Address, AssetKind, BackendKind, Block, BlockHeader, Blockchain, CallCtx, ChainConfig,
+    ChainError, Contract, ContractError, ContractRegistry, Erc20Op, Erc721Op, LeafKey, NftId,
+    TokenId, Transaction, TxKind,
 };
 use pds2_crypto::codec::Encode;
 use pds2_crypto::sha256::{sha256, Digest};
@@ -520,6 +522,103 @@ proptest! {
             let recovered = Blockchain::recover_from_store(genesis(kind), disk, SNAPSHOT_EVERY);
             prop_assert!(recovered.receipt(&beneath.unwrap()).is_none(), "restored from the snapshot");
             prop_assert_eq!(tip(&recovered), tip(&live));
+        }
+    }
+}
+
+/// Every leaf a block of `ops` from `senders()` can write: the senders',
+/// the proposer's and each possible contract's account, contract and
+/// token balances, every token's metadata and NFT, both counters and the
+/// burn.
+fn leaves_a_block_can_write(ops: usize) -> Vec<LeafKey> {
+    let mut owners: Vec<Address> = senders().iter().map(|k| Address::of(&k.public)).collect();
+    let contracts: Vec<Address> = owners
+        .iter()
+        .flat_map(|a| (0..ops as u64).map(|n| Address::contract(a, n)))
+        .collect();
+    owners.push(Address::of(&KeyPair::from_seed(900).public));
+    owners.extend(contracts);
+    let mut keys = vec![LeafKey::Erc20Next, LeafKey::Erc721Next, LeafKey::Burned];
+    for token in (0..ops as u64).map(TokenId) {
+        keys.push(LeafKey::Erc20Meta(token));
+        keys.extend(owners.iter().map(|a| LeafKey::Erc20Bal(token, *a)));
+    }
+    keys.extend((0..ops as u64).map(|id| LeafKey::Erc721Token(NftId(id))));
+    for a in &owners {
+        keys.extend([LeafKey::Account(*a), LeafKey::Contract(*a)]);
+    }
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A block of random operations (transfers that go through or overdraw,
+    /// token creates and transfers, mints, deploys, calls that pay, revert
+    /// or hit no contract), re-signed by its proposer over a root with one
+    /// bit flipped: on either backend, applying it executes every
+    /// transaction and is then refused, and every leaf it could have
+    /// written, the root, the supply and the burn are what they were
+    /// before it. The honest block then applies.
+    #[test]
+    fn a_block_refused_after_it_executed_leaves_every_leaf_as_it_was(
+        ops in proptest::collection::vec(op_strategy(), 1..12),
+    ) {
+        let addrs: Vec<Address> = senders().iter().map(|k| Address::of(&k.public)).collect();
+        let mut producer = genesis(BackendKind::Smt);
+        let mut blocks = Vec::new();
+        for batch in [prologue(), ops] {
+            let mut nonces: Vec<u64> = addrs.iter().map(|a| producer.state.nonce(a)).collect();
+            for (from, op) in &batch {
+                let keys = &senders()[*from];
+                let tx = Transaction {
+                    from: keys.public.clone(),
+                    nonce: nonces[*from],
+                    kind: payload(op, &addrs),
+                    gas_limit: 1_000_000,
+                    max_fee_per_gas: 100,
+                    priority_fee_per_gas: 1,
+                }
+                .sign(keys);
+                nonces[*from] += 1;
+                let _ = producer.submit(tx);
+            }
+            blocks.push(producer.produce_block());
+        }
+        let honest = &blocks[1];
+        let h = &honest.header;
+        let mut root = h.state_root;
+        root.0[0] ^= 1;
+        let forged = Block {
+            header: BlockHeader::new_signed(
+                &KeyPair::from_seed(900),
+                h.height,
+                h.parent,
+                root,
+                h.tx_root,
+                h.timestamp,
+                h.base_fee,
+                h.gas_used,
+            ),
+            transactions: honest.transactions.clone(),
+        };
+        let probes = leaves_a_block_can_write(4 + honest.transactions.len());
+        let view = |node: &Blockchain| {
+            let values: Vec<_> = probes.iter().map(|k| node.state.leaf_value(k)).collect();
+            let state = &node.state;
+            (values, tip(node), state.total_native_supply(), state.burned())
+        };
+        for kind in [BackendKind::Smt, BackendKind::FullRehash] {
+            let mut node = genesis(kind);
+            node.apply_external_block(&blocks[0]).unwrap();
+            let before = view(&node);
+            prop_assert_eq!(
+                node.apply_external_block(&forged),
+                Err(ChainError::InvalidBlock("state root mismatch"))
+            );
+            prop_assert_eq!(view(&node), before);
+            node.apply_external_block(honest).unwrap();
+            prop_assert_eq!(view(&node), view(&producer));
         }
     }
 }

@@ -58,6 +58,7 @@ impl Marketplace {
                     32,
                 )
                 .try_into()
+                // `hkdf` returns exactly the length it is asked for, 32 here.
                 .expect("hkdf returns the 32 bytes asked for");
                 let store = ThirdPartyStore::new(owner, key, publish_level);
                 (Box::new(store), Some(key))
@@ -131,7 +132,9 @@ impl Marketplace {
         let device = Device::new(seed);
         self.manufacturers
             .endorse(&self.manufacturer_keys, &device)
-            .expect("platform manufacturer is registered");
+            .ok_or_else(|| {
+                MarketError::Authenticity("the platform manufacturer is not trusted".into())
+            })?;
         let id = device.id();
         actor_mut(&mut self.providers, &provider, "provider")?
             .devices

@@ -568,13 +568,13 @@ fn every_transaction_form_has_a_sender() {
     );
 }
 
-/// Each token ledger marks the leaves it writes, at the write, through the
-/// callback `WorldState` passes in. A second list of those leaves kept
+/// Each token ledger records the leaves it writes, at the write, through
+/// the callback `WorldState` passes in. A second list of those leaves kept
 /// elsewhere can drift from the writes, and a leaf it misses splits the
 /// roots without an error. So no production line of `crates/*/src`
-/// outside `erc20.rs` and `erc721.rs` both marks (holds an identifier
-/// that starts with `mark`) and names a ledger leaf (an `Erc20*` or
-/// `Erc721*` variant of `LeafKey`).
+/// outside `erc20.rs` and `erc721.rs` both marks or records (holds an
+/// identifier that starts with `mark`, `record` or `keep`) and names a
+/// ledger leaf (an `Erc20*` or `Erc721*` variant of `LeafKey`).
 #[test]
 fn only_the_ledgers_mark_their_leaves() {
     let sources = production_sources(&crate_src_dirs());
@@ -590,7 +590,7 @@ fn only_the_ledgers_mark_their_leaves() {
         .filter(|(file, _)| !ledgers.iter().any(|l| file.ends_with(l)))
         .flat_map(|(file, lines)| lines.iter().map(move |line| (file, line)))
         .filter(|(_, line)| {
-            identifiers(line).any(|w| w.starts_with("mark"))
+            identifiers(line).any(|w| ["mark", "record", "keep"].iter().any(|p| w.starts_with(p)))
                 && identifiers(line).any(|w| ledger_leaves.contains(&w))
         })
         .map(|(file, line)| format!("{}: {}", file.display(), line.trim()))
@@ -599,6 +599,124 @@ fn only_the_ledgers_mark_their_leaves() {
         marks.is_empty(),
         "lines that mark a token ledger's leaf outside the ledger; mark it \
          in the ledger method that writes it: {marks:#?}"
+    );
+}
+
+/// The functions of `crates/chain/src` that may write the state's
+/// accounts, contracts or burn counter, by file: those that record the
+/// write on the undo list, the undo itself, and the snapshot decode,
+/// which fills a state that nothing has committed yet.
+const STATE_WRITERS: [(&str, &str); 6] = [
+    ("state/mod.rs", "account_mut"),
+    ("state/transition.rs", "apply_transaction_env"),
+    ("state/transition.rs", "execute_payload"),
+    ("state/call.rs", "execute_call"),
+    ("state/undo.rs", "undo"),
+    ("state/snapshot.rs", "decode_snapshot"),
+];
+
+/// Files of `crates/chain/src` whose own field shares a name with the
+/// state's: the pool's per-sender `accounts`.
+const SAME_NAMED_FIELDS: [&str; 1] = ["mempool.rs"];
+
+/// Whether `line` writes one of the state's own maps or its burn counter:
+/// a mutating method on `accounts` or `contracts`, an assignment to one of
+/// the three, or a `&mut` borrow of one.
+fn writes_state(line: &str) -> bool {
+    const MUTATORS: [&str; 13] = [
+        "insert(",
+        "remove(",
+        "get_mut(",
+        "entry(",
+        "clear(",
+        "retain(",
+        "append(",
+        "extend(",
+        "split_off(",
+        "pop_first(",
+        "pop_last(",
+        "values_mut(",
+        "iter_mut(",
+    ];
+    let field = |name: &str| {
+        line.match_indices(name).any(|(at, _)| {
+            let rest = &line[at + name.len()..];
+            let assigned = [" = ", " += ", " -= "]
+                .iter()
+                .any(|op| rest.starts_with(op));
+            let mutated = name != ".burned"
+                && rest
+                    .strip_prefix('.')
+                    .is_some_and(|call| MUTATORS.iter().any(|m| call.starts_with(m)));
+            let path = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '.';
+            let borrowed = !rest.starts_with(path)
+                && line[..at]
+                    .rsplit_once("&mut ")
+                    .is_some_and(|(_, owner)| owner.chars().all(path));
+            assigned || mutated || borrowed
+        })
+    };
+    [".accounts", ".contracts", ".burned"]
+        .iter()
+        .any(|name| field(name))
+}
+
+/// The name of the function each of `lines` sits in (`""` before the
+/// first), read off the last line above it that declares one.
+fn enclosing_fns(lines: &[String]) -> Vec<&str> {
+    let mut current = "";
+    lines
+        .iter()
+        .map(|line| {
+            let code = line.trim_start();
+            let declared = code
+                .match_indices("fn ")
+                .find(|(at, _)| *at == 0 || code[..*at].ends_with(' '));
+            if let Some((at, _)) = declared {
+                let name = &code[at + 3..];
+                let end = name
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .unwrap_or(name.len());
+                if end > 0 {
+                    current = &name[..end];
+                }
+            }
+            current
+        })
+        .collect()
+}
+
+/// A block refused after it executed, and a failed call, are undone from
+/// one list of `(leaf, old value)`, so every write to the state must be
+/// one that records its leaf's old value. A write the list misses leaves
+/// a refused block's trace in a replica, silently. So no production line
+/// of `crates/chain/src` writes the `accounts` or `contracts` map or the
+/// `burned` counter outside `STATE_WRITERS` (`SAME_NAMED_FIELDS` aside).
+#[test]
+fn only_the_recording_sites_write_the_state() {
+    let src = repo_root().join("crates/chain/src");
+    let mut writes = Vec::new();
+    for (file, lines) in production_sources(std::slice::from_ref(&src)) {
+        let rel = file
+            .strip_prefix(&src)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .into_owned();
+        if SAME_NAMED_FIELDS.contains(&rel.as_str()) {
+            continue;
+        }
+        for (line, func) in lines.iter().zip(enclosing_fns(&lines)) {
+            let allowed = STATE_WRITERS.contains(&(rel.as_str(), func));
+            if writes_state(line) && !allowed {
+                writes.push(format!("{rel} ({func}): {}", line.trim()));
+            }
+        }
+    }
+    assert!(
+        writes.is_empty(),
+        "writes to the state that the undo list does not record; go \
+         through `account_mut` or record the leaf's old value where it is \
+         written: {writes:#?}"
     );
 }
 
