@@ -159,11 +159,17 @@ fn time_block(iters: usize, mut f: impl FnMut()) -> f64 {
 /// * `crypto.schnorr.verify_batch_us_per_sig@n`: one batched check of
 ///   `n` signatures under `n` distinct keys (what a block of transfers
 ///   from distinct senders is), divided by `n`. The benchmark sees this
-///   only as a block's `validate_cold_us_per_tx` at its own block size.
+///   only as a block's `validate_cold_us_per_tx` at its own block size;
+/// * `crypto.schnorr.verify_batch_us_per_sig@1024/256keys`: four such
+///   blocks of 256 from the same senders checked as one batch, as a run
+///   of blocks is, divided by 1024. Each key is one term of the product
+///   for its four signatures.
 ///
 /// Returns `verify_us`.
 fn signature_rows(m: &mut Micro, mode: Mode) -> f64 {
     const SIZES: [usize; 3] = [8, 64, 256];
+    /// Blocks of the largest size that one run checks as one batch.
+    const RUN_BLOCKS: usize = 4;
     let kp = KeyPair::from_seed(7);
     let known: Vec<_> = (0..32u64)
         .map(|i| (i.to_le_bytes(), kp.sign(&i.to_le_bytes())))
@@ -175,11 +181,14 @@ fn signature_rows(m: &mut Micro, mode: Mode) -> f64 {
             (kp.sign(b"first"), kp.public)
         })
         .collect();
-    let signed: Vec<_> = (0..*SIZES.last().expect("not empty") as u64)
+    let senders: Vec<_> = (0..SIZES[2] as u64)
+        .map(|i| KeyPair::from_seed(0xBA7C + i))
+        .collect();
+    let signed: Vec<_> = (0..(RUN_BLOCKS * SIZES[2]) as u64)
         .map(|i| {
-            let kp = KeyPair::from_seed(0xBA7C + i);
+            let kp = &senders[i as usize % SIZES[2]];
             let msg = sha256(&i.to_le_bytes());
-            (kp.sign(msg.as_bytes()), kp.public, msg)
+            (kp.sign(msg.as_bytes()), kp.public.clone(), msg)
         })
         .collect();
     let items: Vec<BatchItem<'_>> = signed
@@ -191,8 +200,10 @@ fn signature_rows(m: &mut Micro, mode: Mode) -> f64 {
     for n in SIZES {
         assert!(verify_batch(&items[..n]));
     }
+    assert!(verify_batch(&items));
     let (mut known_us, mut first_us) = (Vec::new(), Vec::new());
     let mut batch_us = vec![Vec::new(); SIZES.len()];
+    let mut run_us = Vec::new();
     let (mut next_known, mut next_fresh) = (0, fresh.iter());
     for _ in 0..mode.samples {
         known_us.push(time_block(iters, || {
@@ -210,6 +221,8 @@ fn signature_rows(m: &mut Micro, mode: Mode) -> f64 {
                 time_block(batches, || assert!(verify_batch(black_box(&items[..n])))) / n as f64,
             );
         }
+        let run = time_block(1, || assert!(verify_batch(black_box(&items))));
+        run_us.push(run / items.len() as f64);
     }
     let verify_us = m.record("crypto.schnorr.verify_us", "us", &mut known_us);
     let first_key_us = m.record("crypto.schnorr.verify_first_key_us", "us", &mut first_us);
@@ -230,6 +243,19 @@ fn signature_rows(m: &mut Micro, mode: Mode) -> f64 {
     assert!(
         per_sig[2] < per_sig[0] && per_sig[2] < 0.5 * verify_us,
         "batched {per_sig:?} us per signature against {verify_us:.1} us single"
+    );
+    let run = m.record(
+        "crypto.schnorr.verify_batch_us_per_sig@1024/256keys",
+        "us",
+        &mut run_us,
+    );
+    // What one term per key buys a run: four signatures a key cost well
+    // under four distinct keys' signatures each.
+    assert!(
+        run <= 0.7 * per_sig[2],
+        "a run of {RUN_BLOCKS} blocks as one batch ({run:.2} us per signature) exceeds 0.7x \
+         one block's ({:.2} us)",
+        per_sig[2]
     );
     verify_us
 }

@@ -101,7 +101,12 @@ impl BlockHeader {
     /// already-accepted header costs one hash instead of an
     /// exponentiation.
     pub fn verify_signature(&self) -> bool {
-        let payload = Self::signing_bytes(
+        crate::sigcache::verify_cached(&self.signed_bytes(), &self.proposer, &self.signature)
+    }
+
+    /// The bytes the proposer signed: every field but the signature.
+    pub(crate) fn signed_bytes(&self) -> Vec<u8> {
+        Self::signing_bytes(
             self.height,
             &self.parent,
             &self.state_root,
@@ -110,13 +115,20 @@ impl BlockHeader {
             self.base_fee,
             self.gas_used,
             &self.proposer,
-        );
-        crate::sigcache::verify_cached(&payload, &self.proposer, &self.signature)
+        )
     }
 
     /// The header hash (block identifier).
     pub fn hash(&self) -> Digest {
         self.content_hash()
+    }
+
+    /// Bytes of the header's encoding, without encoding it: fixed-width
+    /// fields around the proposer key, whose width is its element's.
+    pub(crate) fn encoded_len(&self) -> usize {
+        // Height, three digests, timestamp, base fee and gas used.
+        const FIXED: usize = 8 + 3 * 32 + 3 * 8;
+        FIXED + self.proposer.encoded_len() + Signature::LEN
     }
 }
 
@@ -160,6 +172,15 @@ pub struct Block {
 }
 
 impl Block {
+    /// Bytes of the block's encoding, `to_bytes().len()`, without encoding
+    /// it: the header's, the transaction count, and each transaction's
+    /// body length (learnt when its body was hashed) and signature.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let txs = self.transactions.iter();
+        let bodies: usize = txs.map(|tx| tx.body_len() + Signature::LEN).sum();
+        self.header.encoded_len() + 8 + bodies
+    }
+
     /// The Merkle tree over a transaction list: header roots and
     /// inclusion proofs both come from it.
     ///

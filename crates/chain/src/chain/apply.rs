@@ -2,6 +2,7 @@
 //! block — the state transition every node runs, whether it sealed the
 //! block itself, received it from a peer or is replaying its own journal.
 
+use super::validate::{run_windows, window_signatures_hold};
 use super::{digest_tag, Blockchain, ChainError};
 use crate::address::Address;
 use crate::block::Block;
@@ -92,7 +93,14 @@ impl Blockchain {
     /// still applies. Every caller gets this: a replica, fork choice's
     /// candidate and the recovery tail replay.
     pub fn apply_external_block(&mut self, block: &Block) -> Result<(), ChainError> {
-        self.validate_external_block(block)?;
+        self.apply_block(block, false)
+    }
+
+    /// [`Self::apply_external_block`] behind
+    /// [`validate_block`](Self::validate_block), told whether the block's
+    /// signatures were already checked.
+    fn apply_block(&mut self, block: &Block, signatures_checked: bool) -> Result<(), ChainError> {
+        self.validate_block(block, signatures_checked)?;
         let height = block.header.height;
         let env = BlockEnv {
             height,
@@ -145,18 +153,48 @@ impl Blockchain {
     /// validation or after it executed, leaves the chain where block
     /// `i - 1` put it.
     ///
-    /// Nothing is pipelined: the helper thread the name recalls lost to
-    /// this loop at two workers and is gone (a per-worker split is parked
-    /// in ROADMAP). The name stays because `benchmark/src/adapter.rs`
-    /// calls it until ROADMAP 8(b) renames it.
+    /// Every header and transaction signature of the run is checked
+    /// before its first block executes, as one batch per window of
+    /// consecutive blocks that hold at most half a generation of the
+    /// signature cache between them (32 768 signatures), so the run pays
+    /// one multi-exponentiation per window instead of one per block (or
+    /// two single checks per one-transaction block). The blocks of an
+    /// accepted window then run only their head checks and their
+    /// transaction root. A refused window remembers nothing, and its
+    /// blocks are validated one at a time as [`Self::apply_external_block`]
+    /// does: the applied prefix, the refused index and its error are those
+    /// of applying the blocks one by one, for at most twice their
+    /// signature work. A window of one block, so a run of one, is applied
+    /// as a block alone is.
+    ///
+    /// The name stays because `benchmark/src/adapter.rs` calls it until
+    /// ROADMAP 8(b) renames it.
     pub fn apply_external_blocks_pipelined(
         &mut self,
         blocks: &[Block],
     ) -> Result<usize, (usize, ChainError)> {
-        for (i, b) in blocks.iter().enumerate() {
-            self.apply_external_block(b).map_err(|e| (i, e))?;
+        self.apply_run(blocks, |_, _| Ok(()))
+    }
+
+    /// [`Self::apply_external_blocks_pipelined`] with `after` called on
+    /// each block's index once it applied: an error there stops the run at
+    /// that block, which stays applied.
+    pub(super) fn apply_run(
+        &mut self,
+        blocks: &[Block],
+        mut after: impl FnMut(&Self, usize) -> Result<(), ChainError>,
+    ) -> Result<usize, (usize, ChainError)> {
+        let mut at = 0;
+        for window in run_windows(blocks) {
+            let checked = window.len() > 1 && window_signatures_hold(window);
+            for block in window {
+                self.apply_block(block, checked)
+                    .and_then(|()| after(self, at))
+                    .map_err(|e| (at, e))?;
+                at += 1;
+            }
         }
-        Ok(blocks.len())
+        Ok(at)
     }
 }
 

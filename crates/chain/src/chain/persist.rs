@@ -1,6 +1,6 @@
 //! Persist: journal frames, state snapshots and crash recovery.
 
-use super::Blockchain;
+use super::{Blockchain, ChainError};
 use crate::block::{receipts_digest, Block, BlockHeader};
 use crate::gas;
 use crate::state::WorldState;
@@ -200,18 +200,23 @@ impl Blockchain {
             }
         }
         drop(log);
-        // The tail replays through full validation + execution. A frame
-        // that does not decode, a block that does not apply, or receipts
-        // that differ from the pre-crash execution mean the log is not
-        // trustworthy past this point.
-        let stopped_at = (replay_from..block_frames.len()).find(|&j| {
-            !Self::decode_block_frame(&block_frames[j].payload).is_some_and(
-                |(block, expected_receipts)| {
-                    chain.apply_external_block(&block).is_ok()
-                        && chain.stored_receipts_digest(&block) == expected_receipts
-                },
-            )
+        // The tail replays through full validation + execution, as one
+        // run. A frame that does not decode, a block that does not apply,
+        // or receipts that differ from the pre-crash execution mean the
+        // log is not trustworthy past this point.
+        let (tail, receipts): (Vec<Block>, Vec<Digest>) = block_frames[replay_from..]
+            .iter()
+            .map_while(|frame| Self::decode_block_frame(&frame.payload))
+            .unzip();
+        let replayed = chain.apply_run(&tail, |chain, i| {
+            if chain.stored_receipts_digest(&tail[i]) == receipts[i] {
+                Ok(())
+            } else {
+                Err(ChainError::InvalidBlock("receipts mismatch"))
+            }
         });
+        let replayed = replay_from + replayed.unwrap_or_else(|(i, _)| i);
+        let stopped_at = (replayed < block_frames.len()).then_some(replayed);
         // The log keeps every frame before the block frame that stopped
         // the replay, if one did; the frames from it on would otherwise
         // stay in front of every block appended from here on.
@@ -365,6 +370,64 @@ mod tests {
         assert_eq!(
             follower.apply_external_blocks_pipelined(recovered.blocks()),
             Ok(3)
+        );
+    }
+
+    /// The journal's last block frame carries a transaction whose
+    /// signature's `s` was moved by one, under a header the scheduled
+    /// proposer signed over it. Transaction hashes exclude the signature,
+    /// so the header is the honest one, the transaction root holds and
+    /// only the signature check sees the damage. The tail is replayed as
+    /// one run, whose batch is refused; its blocks then go one by one, so
+    /// recovery lands on height 2, the block before the bent one.
+    #[test]
+    fn a_journaled_block_with_a_bent_tx_signature_stops_the_replay_before_it() {
+        use crate::block::BlockHeader;
+        use pds2_crypto::BigUint;
+        let alice = KeyPair::from_seed(1);
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        let store = Arc::new(Mutex::new(ChainLog::new()));
+        let mut live = test_chain(&alice);
+        live.attach_store(store.clone(), 0);
+        let mut ahead = test_chain(&alice);
+        for nonce in 0..2 {
+            live.submit(signed_transfer(&alice, nonce, bob, 10))
+                .unwrap();
+            ahead.apply_external_block(&live.produce_block()).unwrap();
+        }
+        ahead.submit(signed_transfer(&alice, 2, bob, 7)).unwrap();
+        let honest = ahead.produce_block();
+        let tx = &honest.transactions[0];
+        let sig = &tx.signature;
+        let bent = Signature::new(sig.r().clone(), sig.s().add(&BigUint::one())).unwrap();
+        let h = &honest.header;
+        let header = BlockHeader::new_signed(
+            &KeyPair::from_seed(1000),
+            h.height,
+            h.parent,
+            h.state_root,
+            Block::compute_tx_root(&honest.transactions),
+            h.timestamp,
+            h.base_fee,
+            h.gas_used,
+        );
+        assert_eq!(&header, h);
+        let forged = Block {
+            header,
+            transactions: vec![SignedTransaction::new(tx.tx.clone(), bent)],
+        };
+        assert!(forged.tx_root_matches());
+        ahead.journal_block(&mut store.lock(), &forged);
+
+        let recovered = Blockchain::recover_from_store(test_chain(&alice), store, 0);
+        assert_eq!(
+            (
+                recovered.height(),
+                recovered.head_hash(),
+                recovered.state.state_root(),
+                recovered.state.balance(&bob)
+            ),
+            (2, live.head_hash(), live.state.state_root(), 20)
         );
     }
 

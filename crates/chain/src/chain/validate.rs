@@ -4,6 +4,53 @@
 use super::{Blockchain, ChainError};
 use crate::block::Block;
 use crate::sigcache;
+use pds2_crypto::schnorr::BatchItem;
+use pds2_crypto::sha256::Digest;
+
+/// Signatures that one window of a run checks as one batch: half a
+/// generation of the signature cache, so every triple an accepted window
+/// remembers is still there when its transaction's execution re-checks it.
+const RUN_WINDOW: usize = sigcache::CAPACITY / 2;
+
+/// Splits a run into windows of consecutive blocks that hold at most
+/// [`RUN_WINDOW`] signatures each, a header's and its transactions'. A
+/// block that holds more is a window alone.
+pub(super) fn run_windows(blocks: &[Block]) -> impl Iterator<Item = &[Block]> {
+    let mut rest = blocks;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let mut members = 0;
+        let fit = rest
+            .iter()
+            .take_while(|b| {
+                members += 1 + b.transactions.len();
+                members <= RUN_WINDOW
+            })
+            .count();
+        let (window, tail) = rest.split_at(fit.max(1));
+        rest = tail;
+        Some(window)
+    })
+}
+
+/// Whether every header and transaction signature in `window` holds, by
+/// one [`sigcache::verify_batch_cached`] call: an accepted window is
+/// remembered, a refused one is not.
+pub(super) fn window_signatures_hold(window: &[Block]) -> bool {
+    let headers: Vec<Vec<u8>> = window.iter().map(|b| b.header.signed_bytes()).collect();
+    let txs = window.iter().flat_map(|b| &b.transactions);
+    let hashes: Vec<Digest> = txs.clone().map(|tx| tx.hash()).collect();
+    let mut batch: Vec<BatchItem<'_>> = (window.iter().zip(&headers))
+        .map(|(b, bytes)| (&b.header.proposer, &bytes[..], &b.header.signature))
+        .collect();
+    batch.extend(
+        txs.zip(&hashes)
+            .map(|(tx, hash)| (&tx.tx.from, &hash.as_bytes()[..], &tx.signature)),
+    );
+    sigcache::verify_batch_cached(&batch)
+}
 
 impl Blockchain {
     /// Validates a block received from elsewhere against the current
@@ -11,6 +58,18 @@ impl Blockchain {
     /// [`apply_external_block`](Self::apply_external_block); it changes
     /// nothing, so it also serves wherever only a verdict is wanted.
     pub fn validate_external_block(&self, block: &Block) -> Result<(), ChainError> {
+        self.validate_block(block, false)
+    }
+
+    /// [`Self::validate_external_block`], told whether the block's header
+    /// and transaction signatures were already checked, in an accepted
+    /// batch of the run it came in. Those it does not look up again: only
+    /// the head checks and the transaction root are left.
+    pub(super) fn validate_block(
+        &self,
+        block: &Block,
+        signatures_checked: bool,
+    ) -> Result<(), ChainError> {
         let height = block.header.height;
         let span = pds2_obs::span(
             "chain",
@@ -34,11 +93,14 @@ impl Blockchain {
             if block.header.proposer != self.proposer_for(height).public {
                 return Err(ChainError::WrongProposer);
             }
-            if !block.header.verify_signature() {
+            if !signatures_checked && !block.header.verify_signature() {
                 return Err(ChainError::InvalidBlock("bad header signature"));
             }
             if !block.tx_root_matches() {
                 return Err(ChainError::InvalidBlock("tx root mismatch"));
+            }
+            if signatures_checked {
+                return Ok(());
             }
             // The block's signatures are one batch: those the cache does
             // not remember cost one multi-exponentiation between them, not

@@ -25,8 +25,13 @@
 //! §5d) and remembered only if that product passes. The batch accepts
 //! exactly when every member would pass [`verify_cached`] on its own, so
 //! the statements above hold for it unchanged, and a refused batch leaves
-//! the cache as it found it. Admission needs a verdict per member instead,
-//! and takes it from [`verify_each_cached`], which bisects a refused batch.
+//! the cache as it found it. A run of blocks (catch-up, a sync batch, fork
+//! choice, recovery's tail) makes one such call for all its headers and
+//! transactions, per window of at most `CAPACITY / 2` signatures: a window
+//! that large cannot push its own triples out before its blocks execute and
+//! look each transaction up again. Admission needs a verdict per member
+//! instead, and takes it from [`verify_each_cached`], which bisects a
+//! refused batch.
 //!
 //! The cache is two-generation bounded: inserts go to the live
 //! generation; when it fills, the previous generation is dropped and the
@@ -37,13 +42,12 @@
 use parking_lot::Mutex;
 use pds2_crypto::schnorr::{self, BatchItem, PublicKey, Signature};
 use pds2_crypto::sha256::{Digest, Sha256};
-use pds2_crypto::BigUint;
 use pds2_obs::Counter;
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
 /// Digests retained per generation (two generations live at once).
-const CAPACITY: usize = 1 << 16;
+pub(crate) const CAPACITY: usize = 1 << 16;
 
 struct Generations {
     live: HashSet<Digest>,
@@ -73,20 +77,17 @@ fn cache() -> &'static Mutex<Generations> {
     })
 }
 
-/// Bytes `BigUint::encode_into` writes for `n`: a `u64` count, then the
-/// minimal big-endian magnitude.
-fn encoded_len(n: &BigUint) -> u64 {
-    8 + u64::from(n.bits().div_ceil(8))
-}
-
-/// Feeds the hasher exactly the bytes `BigUint::encode_into` would
-/// append for `n`, straight from the limbs.
-fn update_biguint(h: &mut Sha256, n: &BigUint) {
-    let len = encoded_len(n) - 8;
-    h.update(&len.to_le_bytes());
-    let limbs = n.limbs();
+/// Feeds the hasher `key.to_bytes()` behind its `u64` length, straight
+/// from the limbs: the element's byte count, then its minimal big-endian
+/// magnitude.
+fn update_key(h: &mut Sha256, key: &PublicKey) {
+    let len = key.encoded_len();
+    let magnitude = len - 8;
+    h.update(&(len as u64).to_le_bytes());
+    h.update(&(magnitude as u64).to_le_bytes());
+    let limbs = key.element().limbs();
     // Minimal big-endian: only the top limb loses leading zero bytes.
-    let mut skip = limbs.len() * 8 - len as usize;
+    let mut skip = limbs.len() * 8 - magnitude;
     for limb in limbs.iter().rev() {
         h.update(&limb.to_be_bytes()[skip..]);
         skip = 0;
@@ -101,13 +102,11 @@ fn update_biguint(h: &mut Sha256, n: &BigUint) {
 /// (lengths `u64` little-endian): the key is fed to the hasher straight
 /// from its limbs, the signature as its 65 fixed-width wire bytes.
 pub fn triple_digest(message: &[u8], key: &PublicKey, sig: &Signature) -> Digest {
-    let y = key.element();
     let mut h = Sha256::new();
     h.update(b"pds2-sigcache-v1");
     h.update(&(message.len() as u64).to_le_bytes());
     h.update(message);
-    h.update(&encoded_len(y).to_le_bytes());
-    update_biguint(&mut h, y);
+    update_key(&mut h, key);
     h.update(&(Signature::LEN as u64).to_le_bytes());
     h.update(&sig.to_wire());
     h.finalize()
@@ -246,7 +245,7 @@ mod tests {
     // Tests that read the process-wide counters live in
     // `tests/sigcache.rs`, a process of their own.
     use super::*;
-    use pds2_crypto::KeyPair;
+    use pds2_crypto::{BigUint, KeyPair};
 
     #[test]
     fn streamed_preimage_equals_the_encoded_one() {

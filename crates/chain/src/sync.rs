@@ -434,8 +434,16 @@ impl Node for ChainReplica {
         }
     }
 
+    /// The length of `msg.to_bytes()`, summed from the parts' lengths:
+    /// a message goes to every peer, and encoding it once per recipient
+    /// only to count its bytes cost more than the send.
     fn msg_size(msg: &SyncMsg) -> u64 {
-        msg.to_bytes().len() as u64
+        let body = match msg {
+            SyncMsg::NewBlock(block) => block.encoded_len(),
+            SyncMsg::Request { .. } | SyncMsg::Announce { .. } => 8,
+            SyncMsg::Blocks(blocks) => 8 + blocks.iter().map(Block::encoded_len).sum::<usize>(),
+        };
+        1 + body as u64
     }
 
     fn msg_kind(msg: &SyncMsg) -> u8 {
@@ -542,6 +550,57 @@ mod tests {
             let back = SyncMsg::from_bytes(&msg.to_bytes()).unwrap();
             assert_eq!(back.to_bytes(), msg.to_bytes());
             assert_eq!(ChainReplica::msg_kind(&back), ChainReplica::msg_kind(msg));
+        }
+    }
+
+    /// The size a replica reports is its message's encoded length, for
+    /// every kind: an empty batch, a decoded block whose transactions have
+    /// not been hashed yet, and a block that deploys and calls a contract.
+    #[test]
+    fn msg_size_is_the_encoded_length() {
+        use crate::tx::{Transaction, TxKind};
+        let alice = KeyPair::from_seed(1);
+        let bob = Address::of(&KeyPair::from_seed(2).public);
+        let mut chain = factory()();
+        chain.submit(transfer(&alice, bob, 5)).unwrap();
+        let block = chain.produce_block();
+        let sign = |nonce, kind| {
+            Transaction {
+                from: alice.public.clone(),
+                nonce,
+                kind,
+                gas_limit: 1_000_000,
+                max_fee_per_gas: 9,
+                priority_fee_per_gas: 1,
+            }
+            .sign(&alice)
+        };
+        let deploy = TxKind::Deploy {
+            code_id: "counter".into(),
+            init: vec![1, 2, 3],
+        };
+        let call = TxKind::Call {
+            contract: Address::contract(&Address::of(&alice.public), 1),
+            input: vec![0; 40],
+            value: 7,
+        };
+        let contracts = Block {
+            header: block.header.clone(),
+            transactions: vec![sign(1, deploy), sign(2, call)],
+        };
+        let cold = || Block::from_bytes(&block.to_bytes()).unwrap();
+        let msgs = [
+            SyncMsg::NewBlock(block.clone()),
+            SyncMsg::NewBlock(cold()),
+            SyncMsg::NewBlock(contracts.clone()),
+            SyncMsg::Request { from_height: 7 },
+            SyncMsg::Blocks(Vec::new()),
+            SyncMsg::Blocks(vec![cold(), contracts, block]),
+            SyncMsg::Announce { height: u64::MAX },
+        ];
+        for (i, msg) in msgs.iter().enumerate() {
+            let size = ChainReplica::msg_size(msg);
+            assert_eq!(size, msg.to_bytes().len() as u64, "message {i}");
         }
     }
 

@@ -43,7 +43,9 @@
 //!   verification, which builds the rows;
 //! * [`verify_batch`], a block of them: randomisers `aᵢ` hashed from the
 //!   batch and ONE Pippenger multi-exponentiation
-//!   `g^{−Σ aᵢsᵢ} · Π Rᵢ^{aᵢ} · Π yᵢ^{aᵢeᵢ}` whose 28th power must be 1.
+//!   `g^{−Σ aᵢsᵢ} · Π Rᵢ^{aᵢ} · Π yᵢ^{aᵢeᵢ}` whose 28th power must be 1,
+//!   with one term per distinct key `y`, whose exponent is its members'
+//!   `aᵢeᵢ` summed mod q.
 //!
 //! Both compare 28th powers because p = 28q + 1: the cofactor projects
 //! every element of Z_p* onto the subgroup of order q, so the two shapes
@@ -61,6 +63,7 @@ use crate::sha256::{sha256_pair, Digest, Sha256};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -568,6 +571,12 @@ impl PublicKey {
     pub fn to_bytes(&self) -> Vec<u8> {
         Encode::to_bytes(self)
     }
+
+    /// Bytes of [`Self::to_bytes`], without encoding: the `u64` length,
+    /// then the element's minimal big-endian width.
+    pub fn encoded_len(&self) -> usize {
+        8 + self.y.bits().div_ceil(8) as usize
+    }
 }
 
 impl Encode for PublicKey {
@@ -666,16 +675,22 @@ fn challenge_digests(items: &[BatchItem<'_>]) -> Vec<Digest> {
 ///
 /// `( g^{−Σ aᵢsᵢ} · Π Rᵢ^{aᵢ} · Π yᵢ^{aᵢeᵢ} )²⁸ = 1`,
 ///
-/// one Pippenger multi-exponentiation of `2n + 1` terms
-/// ([`MontgomeryCtx::multi_pow`]) and one cofactor step. The 28th power
-/// makes this the product of the members' own conditions
-/// `Xᵢ = (Rᵢ · yᵢ^{eᵢ} · g^{−sᵢ})²⁸ = 1` raised to `aᵢ`, inside the
-/// subgroup of prime order q: a batch whose members all pass
-/// [`PublicKey::verify`] always passes, and one with a member that fails
-/// it passes with probability at most 2⁻¹²⁸ (the `aᵢ` range over 2¹²⁸
-/// values below q, so `Xᵢ^{aᵢ}` takes 2¹²⁸ distinct values when `Xᵢ ≠ 1`
-/// and at most one of them cancels the rest of the product). Below
-/// [`BATCH_MIN`] members, where buckets lose, it loops over `verify`.
+/// one Pippenger multi-exponentiation ([`MontgomeryCtx::multi_pow`]) and
+/// one cofactor step. The 28th power makes this the product of the
+/// members' own conditions `Xᵢ = (Rᵢ · yᵢ^{eᵢ} · g^{−sᵢ})²⁸ = 1` raised to
+/// `aᵢ`, inside the subgroup of prime order q: a batch whose members all
+/// pass [`PublicKey::verify`] always passes, and one with a member that
+/// fails it passes with probability at most 2⁻¹²⁸ (the `aᵢ` range over
+/// 2¹²⁸ values below q, so `Xᵢ^{aᵢ}` takes 2¹²⁸ distinct values when
+/// `Xᵢ ≠ 1` and at most one of them cancels the rest of the product).
+/// Below [`BATCH_MIN`] members, where buckets lose, it loops over `verify`.
+///
+/// Members under one key share its term: the key is raised once, to its
+/// members' `aᵢeᵢ` summed mod q, so `n` members under `k` distinct keys
+/// are `n + k + 1` terms (`2n + 1` when no key repeats, as in a block of
+/// transfers from distinct senders). Reducing the sum rather than each
+/// product moves the product by an element of small order at most, which
+/// the 28th power removes: the verdict is the per-member terms' verdict.
 pub fn verify_batch(items: &[BatchItem<'_>]) -> bool {
     if items.len() < BATCH_MIN {
         return items
@@ -688,21 +703,35 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> bool {
     }
     let challenges = challenge_digests(items);
     let a = randomisers(items, &challenges);
-    // Σ aᵢsᵢ is reduced once, at the end.
+    // Σ aᵢsᵢ and each key's Σ aᵢeᵢ are reduced once, at the end. Each
+    // distinct key is one term, found by its limbs (a key in range is
+    // below p, five limbs at most).
     let mut s_sum = BigUint::zero();
-    let ae: Vec<BigUint> = (items.iter().zip(&challenges).zip(&a))
-        .map(|(((_, _, sig), challenge), a)| {
-            s_sum = s_sum.add(&a.mul(&sig.s));
-            group.reduce_q(&a.mul(&group.to_scalar(challenge)))
-        })
-        .collect();
-    let g_exp = group.q.sub(&group.reduce_q(&s_sum));
-    let mut terms: Vec<(&BigUint, &BigUint)> = Vec::with_capacity(2 * items.len() + 1);
-    terms.push((&group.g, &g_exp));
-    for (((key, _, sig), a), ae) in items.iter().zip(&a).zip(&ae) {
-        terms.push((&sig.r, a));
-        terms.push((&key.y, ae));
+    let mut key_at: HashMap<[u64; 5], usize> = HashMap::with_capacity(items.len());
+    let mut keys: Vec<(&BigUint, BigUint)> = Vec::new();
+    for (((key, _, sig), challenge), a) in items.iter().zip(&challenges).zip(&a) {
+        s_sum = s_sum.add(&a.mul(&sig.s));
+        let ae = a.mul(&group.to_scalar(challenge));
+        let Some(limbs) = cache_key(&key.y) else {
+            return false;
+        };
+        match key_at.entry(limbs) {
+            Entry::Occupied(at) => {
+                let sum = &mut keys[*at.get()].1;
+                *sum = sum.add(&ae);
+            }
+            Entry::Vacant(at) => {
+                at.insert(keys.len());
+                keys.push((&key.y, ae));
+            }
+        }
     }
+    let g_exp = group.q.sub(&group.reduce_q(&s_sum));
+    let ae: Vec<BigUint> = keys.iter().map(|(_, sum)| group.reduce_q(sum)).collect();
+    let mut terms: Vec<(&BigUint, &BigUint)> = Vec::with_capacity(items.len() + keys.len() + 1);
+    terms.push((&group.g, &g_exp));
+    terms.extend(items.iter().zip(&a).map(|((_, _, sig), a)| (&sig.r, a)));
+    terms.extend(keys.iter().map(|(y, _)| *y).zip(&ae));
     let mont = &Group::ctx().mont;
     mont.eq_pow_u64(&mont.multi_pow(&terms), &BigUint::one(), GROUP_K)
 }

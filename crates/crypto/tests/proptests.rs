@@ -657,6 +657,128 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Merged key terms: members under one key share one term of the product.
+// ---------------------------------------------------------------------------
+
+/// 64 valid triples under 8 keys, eight a key, signed once per process.
+fn shared_key_pool() -> &'static [Signed] {
+    static POOL: OnceLock<Vec<Signed>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        (0..64u64)
+            .map(|i| {
+                let kp = KeyPair::from_seed(9_500 + i % 8);
+                let message = (1_000 + i).to_le_bytes().to_vec();
+                Signed {
+                    signature: kp.sign(&message),
+                    key: kp.public,
+                    message,
+                }
+            })
+            .collect()
+    })
+}
+
+/// Eight members under one key with an element of order 28 mixed in,
+/// each signed by a holder of the clean key's secret. The first seven
+/// hash the tainted key, so they hold up to the cofactor and every path
+/// accepts them; the last hashes the clean key, so every path refuses it.
+fn tainted_key_members() -> &'static [Signed] {
+    static MEMBERS: OnceLock<Vec<Signed>> = OnceLock::new();
+    MEMBERS.get_or_init(|| {
+        let group = Group::standard();
+        let kp = KeyPair::from_seed(78);
+        let (x, y) = (kp.secret.scalar(), kp.public.element());
+        let key = y.mul_mod(&root_of_unity_28(), &group.p);
+        (0..8u64)
+            .map(|i| {
+                let message = i.to_le_bytes().to_vec();
+                let k = BigUint::from_u64(0x7a1_0000 + i).mul(&BigUint::from_u64(0xfeed_f00d));
+                let r = group.pow_g(&k);
+                let hashed = if i < 7 { &key } else { y };
+                let e = group.hash_to_scalar(&[&r.to_bytes_be(), &hashed.to_bytes_be(), &message]);
+                Signed {
+                    key: PublicKey::from_element(key.clone()),
+                    message,
+                    signature: Signature::new(r, k.add_mod(&e.mul_mod(x, &group.q), &group.q))
+                        .expect("in range"),
+                }
+            })
+            .collect()
+    })
+}
+
+/// Members under a key with a small-order component share its term: the
+/// seven that hold up to the cofactor pass as one batch, beside honest
+/// members of other keys, and the one that does not is refused.
+#[test]
+fn a_key_with_a_small_order_component_is_one_term() {
+    let tainted = tainted_key_members();
+    let verdicts: Vec<_> = tainted.iter().map(Signed::verdicts).collect();
+    assert_eq!(verdicts[..7], [(true, true); 7]);
+    assert_eq!(verdicts[7], (false, false));
+    let honest = shared_key_pool().iter().take(9).map(Signed::item);
+    let mut batch: Vec<BatchItem<'_>> = tainted[..7].iter().map(Signed::item).collect();
+    batch.extend(honest);
+    assert!(verify_batch(&batch));
+    batch.push(tainted[7].item());
+    assert!(!verify_batch(&batch));
+}
+
+/// Two signatures under one key with their messages swapped: each member
+/// is refused alone, and the two together (under a shared key term, with
+/// honest members of that key around them) are refused too.
+#[test]
+fn swapped_messages_under_one_key_are_refused_together() {
+    let pool = shared_key_pool();
+    // Members 3 and 11 are the same key's.
+    let (a, b) = (&pool[3], &pool[11]);
+    assert_eq!(a.key, b.key);
+    let swapped = [
+        Signed {
+            message: b.message.clone(),
+            ..a.clone()
+        },
+        Signed {
+            message: a.message.clone(),
+            ..b.clone()
+        },
+    ];
+    assert!(swapped.iter().all(|m| m.verdicts() == (false, false)));
+    for n in [0, 2, 6, 30] {
+        let mut batch: Vec<BatchItem<'_>> = swapped.iter().map(Signed::item).collect();
+        batch.extend(pool.iter().take(n).map(Signed::item));
+        assert!(!verify_batch(&batch), "with {n} honest members");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A batch drawn from eight keys, so most members share a key's term,
+    /// with at most one member replaced by a forgery of any kind, plus
+    /// members under a key that carries a small-order component: the batch
+    /// accepts exactly when every member does.
+    #[test]
+    fn a_batch_under_shared_keys_accepts_exactly_when_every_member_does(
+        picks in proptest::collection::vec(0usize..64, 1..80),
+        tainted in proptest::collection::vec(0usize..8, 0..6),
+        position in any::<usize>(),
+        forgery in 0usize..5,
+    ) {
+        let mut members: Vec<Signed> =
+            picks.iter().map(|&i| shared_key_pool()[i].clone()).collect();
+        if forgery < 4 {
+            let at = position % members.len();
+            members[at] = forge(&members[at], forgery);
+        }
+        members.extend(tainted.iter().map(|&i| tainted_key_members()[i].clone()));
+        let each = members.iter().all(|m| m.verdicts() == (true, true));
+        let batch: Vec<BatchItem<'_>> = members.iter().map(Signed::item).collect();
+        prop_assert_eq!(verify_batch(&batch), each);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The bucket multi-exponentiation vs a product of schoolbook modpows.
 // ---------------------------------------------------------------------------
 
