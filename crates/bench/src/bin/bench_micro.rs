@@ -23,9 +23,10 @@ use pds2_chain::mempool::{Mempool, SelectionStats};
 use pds2_chain::smt::{self, SmtTree};
 use pds2_chain::tx::{SignedTransaction, Transaction, TxKind};
 use pds2_core::authenticity::{Device, ManufacturerRegistry, ReadingVerifier};
-use pds2_crypto::schnorr::{verify_batch, BatchItem};
+use pds2_crypto::bigint::BigUint;
+use pds2_crypto::schnorr::{verify_batch, BatchItem, Group};
 use pds2_crypto::sha256::{self, sha256, Sha256};
-use pds2_crypto::{Digest, Encode, KeyPair, PublicKey, Signature};
+use pds2_crypto::{Digest, Encode, KeyPair, MontgomeryCtx, PublicKey, Signature};
 use pds2_gov::dkg::{run_dkg, ThresholdParams};
 use pds2_gov::sign::{nonce_commitment, partial_sign, NonceGuard};
 use pds2_gov::{sign_with_quorum, SigningSession, ValidatorShare};
@@ -76,7 +77,7 @@ fn size_suffix(n: usize) -> String {
 }
 
 // ---------------------------------------------------------------------
-// The hash kernel (DESIGN.md §5d) and the yardstick.
+// The hash and multiplication kernels (DESIGN.md §5d) and the yardstick.
 // ---------------------------------------------------------------------
 
 /// Returns `crypto.schnorr.verify_us` (a key seen before), the quantity
@@ -133,7 +134,33 @@ fn crypto_rows(m: &mut Micro, mode: Mode) -> f64 {
         black_box(black_box(&left).short());
     });
 
+    montgomery_rows(m, mode);
     signature_rows(m, mode)
+}
+
+/// `crypto.montgomery.mul_ns@p` and `crypto.montgomery.sqr_ns@p`: one
+/// multiplication and one squaring mod the group prime on the
+/// compile-time-width kernel, each in a chain of 1 000 that waits on
+/// itself, as a walk's chain does. Sampled in rounds, like the signature
+/// rows.
+fn montgomery_rows(m: &mut Micro, mode: Mode) {
+    const STEPS: usize = 1_000;
+    let p = &Group::standard().p;
+    let ctx = MontgomeryCtx::new(p).expect("p is odd");
+    let (x, y) = (p.shr(1), p.shr(2).add(&BigUint::from_u64(3)));
+    let iters = mode.iters(256);
+    let per_step_ns = |block_us: f64| block_us * 1e3 / STEPS as f64;
+    let (mut mul_ns, mut sqr_ns) = (Vec::new(), Vec::new());
+    for _ in 0..mode.samples {
+        mul_ns.push(per_step_ns(time_block(iters, || {
+            black_box(ctx.mul_chain(black_box(&x), &y, STEPS));
+        })));
+        sqr_ns.push(per_step_ns(time_block(iters, || {
+            black_box(ctx.sqr_chain(black_box(&x), STEPS));
+        })));
+    }
+    m.record("crypto.montgomery.mul_ns@p", "ns", &mut mul_ns);
+    m.record("crypto.montgomery.sqr_ns@p", "ns", &mut sqr_ns);
 }
 
 /// Microseconds per call of `f` over `iters` back-to-back calls.

@@ -1,7 +1,7 @@
 //! The one way `pds2-bench` times a layer (`bench_micro`): every row is
 //! a median with its median absolute deviation and its sample count,
-//! every file carries the host it was recorded on, and there is one
-//! JSON shape.
+//! every file carries the host it was recorded on (with a calibration
+//! figure of its speed), and there is one JSON shape.
 //!
 //! `benchmark/` measures whatever is on the path of its five workloads;
 //! rows belong here only when it cannot see them: a size sweep over
@@ -45,17 +45,73 @@ pub fn summarize(samples: &mut [f64]) -> (f64, f64) {
     (med, median(&mut deviations))
 }
 
+/// Rounds of the calibration kernel's loop.
+const CALIBRATION_ITERS: u64 = 40_000;
+
+/// The end-to-end benchmark clock's calibration kernel
+/// (`benchmark/src/clock.rs`, about 400 µs on its reference host),
+/// copied rather than imported: a 256-bit schoolbook multiply-accumulate,
+/// the instruction mix of the modular arithmetic.
+#[inline(never)]
+fn calibration_kernel(seed: u64) -> u64 {
+    let mut a = [
+        seed | 1,
+        seed.rotate_left(13) | 1,
+        seed.rotate_left(29) | 1,
+        seed.rotate_left(43) | 1,
+    ];
+    let b = [
+        0x9e37_79b9_7f4a_7c15u64,
+        0xbf58_476d_1ce4_e5b9,
+        0x94d0_49bb_1331_11eb,
+        0xd6e8_feb8_6659_fd93,
+    ];
+    for _ in 0..CALIBRATION_ITERS {
+        let mut r = [0u64; 8];
+        for i in 0..4 {
+            let mut carry = 0u128;
+            for j in 0..4 {
+                let t = (a[i] as u128) * (b[j] as u128) + r[i + j] as u128 + carry;
+                r[i + j] = t as u64;
+                carry = t >> 64;
+            }
+            r[i + 4] = carry as u64;
+        }
+        a = [r[0] ^ r[4], r[1] ^ r[5], r[2] ^ r[6], (r[3] ^ r[7]) | 1];
+    }
+    a[0] ^ a[1] ^ a[2] ^ a[3]
+}
+
+/// The fastest of three passes of [`calibration_kernel`], in µs: an
+/// interrupt only makes a pass slower, a slow host makes all three so.
+/// The `host` block records it, so a file re-recorded on a slow host can
+/// be told from a regression.
+fn calibration_us() -> f64 {
+    (0..3u64)
+        .map(|pass| {
+            let t = Instant::now();
+            std::hint::black_box(calibration_kernel(std::hint::black_box(pass + 3)));
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Collects rows, printing each as it lands, and writes them out once.
 pub struct Micro {
     smoke: bool,
+    calibration_us: f64,
     rows: Vec<Row>,
 }
 
 impl Micro {
-    /// An empty collector; `smoke` is only recorded in the file.
+    /// An empty collector, which reads the host's calibration first;
+    /// `smoke` is only recorded in the file.
     pub fn new(smoke: bool) -> Self {
+        let calibration_us = calibration_us();
+        println!("host calibration kernel {} us", number(calibration_us));
         Micro {
             smoke,
+            calibration_us,
             rows: Vec::new(),
         }
     }
@@ -135,10 +191,12 @@ impl Micro {
     pub fn finish(self, path: &str) {
         let mut json = String::from("{\n");
         json.push_str(&format!(
-            "  \"host\": {{\"cores\": {}, \"workers\": {}, \"sha256_backend\": \"{}\"}},\n",
+            "  \"host\": {{\"cores\": {}, \"workers\": {}, \"sha256_backend\": \"{}\", \
+             \"calibration_kernel_us\": {}}},\n",
             pds2_par::hardware_cores(),
             pds2_par::current_threads(),
             pds2_crypto::sha256::backend(),
+            number(self.calibration_us),
         ));
         json.push_str(&format!("  \"smoke\": {},\n  \"rows\": [\n", self.smoke));
         for (i, r) in self.rows.iter().enumerate() {

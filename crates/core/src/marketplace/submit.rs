@@ -19,7 +19,7 @@ use std::num::NonZeroU32;
 /// longer than any Executing span the marketplace drives: START, one
 /// SUBMIT_RESULT per executor, and [`super::RetryPolicy::default`]'s
 /// backoff of 2 + 4 empty blocks.
-pub const DEFAULT_EXEC_TIMEOUT_BLOCKS: NonZeroU32 = NonZeroU32::new(64).expect("64 is not zero");
+pub const DEFAULT_EXEC_TIMEOUT_BLOCKS: NonZeroU32 = NonZeroU32::MIN.saturating_add(63);
 
 impl Marketplace {
     /// Step 1: the consumer submits a workload. Deploys the contract with

@@ -3,26 +3,31 @@
 //!
 //! Schoolbook `mul_mod` pays a full Knuth division per multiplication.
 //! [`MontgomeryCtx`] precomputes, once per (odd) modulus `n`, everything
-//! needed to replace that division with a fused multiply-and-reduce
-//! (CIOS — coarsely integrated operand scanning): `-n^{-1} mod 2^64` and
-//! `R^2 mod n` for `R = 2^{64k}` where `k` is the limb count of `n`.
-//! Every subsequent modular multiplication is then one `O(k^2)` pass with
-//! no division and no allocation.
+//! needed to replace that division with a multiply-and-reduce:
+//! `-n^{-1} mod 2^64` and `R^2 mod n` for `R = 2^{64k}` where `k` is the
+//! limb count of `n`. Every subsequent modular multiplication is then one
+//! `O(k^2)` pass with no division and no allocation.
 //!
-//! There is one CIOS body, `Kernel::mul`, generic over how a residue is
-//! stored (`Limbs`), and one squaring body beside it, `Kernel::sqr`
-//! (each off-diagonal limb product once, doubled, then the same
-//! reduction: about 30 % cheaper, for moduli up to eight limbs).
-//! [`MontgomeryCtx::new`] looks at the modulus' limb count and picks the
-//! instantiation:
+//! `Kernel` holds everything above the multiplier once, generic over how a
+//! residue is stored (`Limbs`); each storage brings its own
+//! multiplication and squaring. [`MontgomeryCtx::new`] looks at the
+//! modulus and picks the instantiation:
 //!
-//! * **compile-time width** — a 5-limb modulus (the 260-bit Schnorr
-//!   group prime `p`, DESIGN.md §5d) runs on `[u64; 5]` residues. The
-//!   limb count is a constant, so the limb loops unroll and stay in
+//! * **compile-time width** — a modulus of the shape `top·2^256 − c`
+//!   (five limbs, the middle three all ones: the 260-bit Schnorr group
+//!   prime `p = 14·2^256 − 531`, DESIGN.md §5d, and every candidate of
+//!   its derivation) runs on `[u64; 5]` residues. It forms the 10-limb
+//!   product or square, then reduces by the shape: a step's `m·n` is
+//!   `m·top·2^256 − m·c`, and the low limb of `m·c` is the limb being
+//!   cleared, so a step is three limb products where CIOS takes six
+//!   (`mul` 40 limb products in all against 55, `sqr` 30 against 45).
+//!   The limb count is a constant, so the limb loops unroll and stay in
 //!   registers, and residues live on the stack;
 //! * **run-time width** — every other odd modulus (Paillier `n²`, MPC
-//!   fields, Miller–Rabin candidates) runs the same code on `Vec<u64>`
-//!   residues, allocated before an exponentiation's loop and reused.
+//!   fields, Miller–Rabin candidates of other sizes) runs CIOS (coarsely
+//!   integrated operand scanning) on `Vec<u64>` residues, allocated before
+//!   an exponentiation's loop and reused, and squares up to eight limbs
+//!   with the off-diagonal products once and doubled (about 30 % cheaper).
 //!
 //! On top of the multiplier sit two exponentiation loops:
 //!
@@ -65,8 +70,10 @@
 //! so the repo-wide determinism invariant (identical results on every
 //! rerun) is untouched. Property tests in
 //! `crates/crypto/tests/proptests.rs` pin the equivalence of both
-//! instantiations and the schoolbook reference over random operands and
-//! the edge cases (0, 1, n−1, operand = n, the final-subtraction carry).
+//! instantiations and the schoolbook reference over random operands,
+//! random shaped moduli and the edge cases (0, 1, n−1, operand = n, the
+//! final-subtraction carry, products that run the shaped reduction's
+//! borrow and carry chains their whole length).
 
 use crate::bigint::BigUint;
 use std::borrow::Cow;
@@ -80,33 +87,202 @@ const WINDOW: u32 = 4;
 /// at five limbs) at most, whatever the batch size.
 const MAX_WINDOW: u32 = 6;
 
-/// Limb count of the one modulus size that gets the compile-time-width
-/// kernel: the 260-bit Schnorr group prime.
+/// Limb count of the moduli that get the compile-time-width kernel: those
+/// of [`is_shaped`]'s shape, the 260-bit Schnorr group prime among them.
 const FIXED_LIMBS: usize = 5;
 
-/// Widest modulus, in limbs, whose squarings take [`Kernel::sqr`]: its
-/// 2k-limb square lives in a stack array of this many limbs twice over.
+/// Widest run-time-width modulus, in limbs, whose squarings take the
+/// squaring body: its 2k-limb square lives in a stack array of this many
+/// limbs twice over.
 const SQR_LIMBS: usize = 8;
 
-/// How residues of one width are stored.
-///
-/// `[u64; K]` fixes the limb count at compile time; `Vec<u64>` carries it
-/// at run time. [`Kernel`] is written once against this trait.
-trait Limbs: Clone + AsRef<[u64]> + AsMut<[u64]> {
-    /// A zero residue of `k` limbs.
-    fn zeroed(k: usize) -> Self;
+/// Whether a modulus' limbs are `top·2^256 − c` with `2 ≤ top ≤ 2^64` and
+/// `0 < c < 2^64`: five limbs, the middle three all ones. Every candidate
+/// `k·q + 1` of the Schnorr group's derivation has that shape, p itself
+/// with `top = 14` and `c = 531`.
+fn is_shaped(n: &[u64]) -> bool {
+    matches!(n, [_, u64::MAX, u64::MAX, u64::MAX, top] if *top != 0)
 }
 
-impl<const K: usize> Limbs for [u64; K] {
+/// How residues of one width are stored, and the Montgomery
+/// multiplication and squaring that width runs.
+///
+/// `[u64; 5]` fixes the limb count at compile time and reduces by the
+/// modulus' shape; `Vec<u64>` carries the limb count at run time and
+/// reduces by CIOS. Everything else in [`Kernel`] is written once against
+/// this trait.
+trait Limbs: Sized + Clone + AsRef<[u64]> + AsMut<[u64]> {
+    /// A zero residue of `k` limbs.
+    fn zeroed(k: usize) -> Self;
+
+    /// `out = a · b · R^{-1} mod n` for k-limb `a, b < n`.
+    fn mul(kernel: &Kernel<Self>, out: &mut [u64], a: &[u64], b: &[u64]);
+
+    /// `out = a² · R^{-1} mod n` for a k-limb `a < n`: what
+    /// `mul(out, a, a)` gives, for fewer limb products.
+    fn sqr(kernel: &Kernel<Self>, out: &mut [u64], a: &[u64]);
+}
+
+/// The compile-time width, for a modulus of [`is_shaped`]'s shape.
+/// `n = top·2^256 − c` and `n0inv = -n^{-1} = c^{-1} mod 2^64`, so for
+/// `m = tᵢ·n0inv` the low limb of `m·c` is `tᵢ` itself and
+/// `m·n = m·top·2^256 − m·c`: adding `m·n` at limb `i` clears limb `i`
+/// with no borrow, takes `hi64(m·c)` off limb `i + 1` and adds `m·top` at
+/// limbs `i + 4` and `i + 5`. A reduction step is three limb products
+/// where CIOS takes six, and the limb count is a constant, so every loop
+/// unrolls and the residues stay in registers.
+impl Limbs for [u64; FIXED_LIMBS] {
     fn zeroed(k: usize) -> Self {
-        debug_assert_eq!(k, K);
-        [0; K]
+        debug_assert_eq!(k, FIXED_LIMBS);
+        [0; FIXED_LIMBS]
+    }
+
+    /// The 10-limb product, then [`Kernel::reduce_shaped`].
+    #[inline(always)]
+    fn mul(kernel: &Kernel<Self>, out: &mut [u64], a: &[u64], b: &[u64]) {
+        // One check up front lets every index below go unchecked.
+        assert!(a.len() == FIXED_LIMBS && b.len() == FIXED_LIMBS);
+        let mut t = [0u64; 2 * FIXED_LIMBS];
+        for i in 0..FIXED_LIMBS {
+            let mut carry = 0u64;
+            for j in 0..FIXED_LIMBS {
+                let cur = t[i + j] as u128 + a[i] as u128 * b[j] as u128 + carry as u128;
+                t[i + j] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            t[i + FIXED_LIMBS] = carry;
+        }
+        kernel.reduce_shaped(out, t);
+    }
+
+    /// The 10-limb square, then [`Kernel::reduce_shaped`].
+    #[inline(always)]
+    fn sqr(kernel: &Kernel<Self>, out: &mut [u64], a: &[u64]) {
+        assert!(a.len() == FIXED_LIMBS);
+        let mut t = [0u64; 2 * FIXED_LIMBS];
+        square(&mut t, a);
+        kernel.reduce_shaped(out, t);
     }
 }
 
+/// The run-time width, for every other odd modulus: CIOS (coarsely
+/// integrated operand scanning) for a product, and for a square up to
+/// [`SQR_LIMBS`] limbs the square first, then the same reduction limb by
+/// limb (separated operand scanning).
 impl Limbs for Vec<u64> {
     fn zeroed(k: usize) -> Self {
         vec![0; k]
+    }
+
+    fn mul(kernel: &Kernel<Self>, out: &mut [u64], a: &[u64], b: &[u64]) {
+        let n = kernel.n.as_slice();
+        let k = n.len();
+        // One check up front lets every index below go unchecked.
+        assert!(out.len() == k && a.len() == k && b.len() == k);
+        // The running state is k + 1 limbs: `out` plus `hi`.
+        out.fill(0);
+        let mut hi = 0u64;
+        for &ai in a {
+            // t += ai * b
+            let mut carry = 0u64;
+            for j in 0..k {
+                let cur = out[j] as u128 + ai as u128 * b[j] as u128 + carry as u128;
+                out[j] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            let top = hi as u128 + carry as u128;
+            // m = t[0] * n0inv mod 2^64; t = (t + m * n) >> 64.
+            let m = out[0].wrapping_mul(kernel.n0inv);
+            let mut carry = ((out[0] as u128 + m as u128 * n[0] as u128) >> 64) as u64;
+            for j in 1..k {
+                let cur = out[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
+                out[j - 1] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            let top = top + carry as u128;
+            out[k - 1] = top as u64;
+            hi = (top >> 64) as u64; // never exceeds 1
+        }
+        subtract_n_unless_below(out, hi, n);
+    }
+
+    fn sqr(kernel: &Kernel<Self>, out: &mut [u64], a: &[u64]) {
+        let n = kernel.n.as_slice();
+        let k = n.len();
+        if k > SQR_LIMBS {
+            return Self::mul(kernel, out, a, a);
+        }
+        // One check up front lets every index below go unchecked.
+        assert!(out.len() == k && a.len() == k);
+        let mut t = [0u64; 2 * SQR_LIMBS];
+        square(&mut t[..2 * k], a);
+        // t = (t + m·n) / R, one limb of m at a time; `hi` is the carry
+        // out of limb i + k, at most 1.
+        let mut hi = 0u64;
+        for i in 0..k {
+            let m = t[i].wrapping_mul(kernel.n0inv);
+            let mut carry = 0u64;
+            for j in 0..k {
+                let cur = t[i + j] as u128 + m as u128 * n[j] as u128 + carry as u128;
+                t[i + j] = cur as u64;
+                carry = (cur >> 64) as u64;
+            }
+            let cur = t[i + k] as u128 + carry as u128 + hi as u128;
+            t[i + k] = cur as u64;
+            hi = (cur >> 64) as u64;
+        }
+        out.copy_from_slice(&t[k..2 * k]);
+        subtract_n_unless_below(out, hi, n);
+    }
+}
+
+/// `t = a²` for a k-limb `a` into a zeroed `t` of `2k` limbs: each
+/// product `aᵢ·aⱼ` with `i < j` once, doubled, then the diagonal, so
+/// k(k+1)/2 limb products where a multiplication takes k².
+#[inline]
+fn square(t: &mut [u64], a: &[u64]) {
+    let k = a.len();
+    assert!(t.len() == 2 * k);
+    for i in 0..k {
+        let mut carry = 0u64;
+        for j in i + 1..k {
+            let cur = t[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry as u128;
+            t[i + j] = cur as u64;
+            carry = (cur >> 64) as u64;
+        }
+        t[i + k] = carry;
+    }
+    // Doubling the off-diagonal half loses no bit: it is below a²/2.
+    let mut shifted_out = 0u64;
+    for limb in t.iter_mut() {
+        let next = *limb >> 63;
+        *limb = (*limb << 1) | shifted_out;
+        shifted_out = next;
+    }
+    let mut carry = 0u64;
+    for i in 0..k {
+        let square = a[i] as u128 * a[i] as u128;
+        let lo = t[2 * i] as u128 + (square as u64) as u128 + carry as u128;
+        t[2 * i] = lo as u64;
+        let hi = t[2 * i + 1] as u128 + (square >> 64) + (lo >> 64);
+        t[2 * i + 1] = hi as u64;
+        carry = (hi >> 64) as u64; // zero after the last limb: a² < R²
+    }
+}
+
+/// The last step of every reduction: `hi·R + out`, below `2n`, brought
+/// below `n` by one conditional subtraction whose last borrow cancels
+/// `hi`.
+#[inline]
+fn subtract_n_unless_below(out: &mut [u64], hi: u64, n: &[u64]) {
+    if hi != 0 || cmp_limbs(out, n) != Ordering::Less {
+        let mut borrow = false;
+        for (limb, &nj) in out.iter_mut().zip(n) {
+            let (d, b1) = limb.overflowing_sub(nj);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            *limb = d;
+            borrow = b1 | b2;
+        }
     }
 }
 
@@ -244,122 +420,36 @@ impl<L: Limbs> Kernel<L> {
         self.n.as_ref().len()
     }
 
-    /// CIOS Montgomery multiplication: `out = a · b · R^{-1} mod n`.
-    ///
-    /// `a` and `b` are k-limb values `< n`; so is the result. This is the
-    /// only multiplication body in the module: at `L = [u64; K]` the limb
-    /// count is a constant and both limb loops unroll.
+    /// Montgomery multiplication `out = a · b · R^{-1} mod n` for k-limb
+    /// `a, b < n`, by the width's own reduction (see [`Limbs`]).
     #[inline]
     fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
-        let n = self.n.as_ref();
-        let k = n.len();
-        // One check up front lets every index below go unchecked.
-        assert!(out.len() == k && a.len() == k && b.len() == k);
-        // The running state is k + 1 limbs: `out` plus `hi`.
-        out.fill(0);
-        let mut hi = 0u64;
-        for &ai in a {
-            // t += ai * b
-            let mut carry = 0u64;
-            for j in 0..k {
-                let cur = out[j] as u128 + ai as u128 * b[j] as u128 + carry as u128;
-                out[j] = cur as u64;
-                carry = (cur >> 64) as u64;
-            }
-            let top = hi as u128 + carry as u128;
-            // m = t[0] * n0inv mod 2^64; t = (t + m * n) >> 64.
-            let m = out[0].wrapping_mul(self.n0inv);
-            let mut carry = ((out[0] as u128 + m as u128 * n[0] as u128) >> 64) as u64;
-            for j in 1..k {
-                let cur = out[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
-                out[j - 1] = cur as u64;
-                carry = (cur >> 64) as u64;
-            }
-            let top = top + carry as u128;
-            out[k - 1] = top as u64;
-            hi = (top >> 64) as u64; // never exceeds 1
-        }
-        // Final conditional subtraction brings the result below n; its
-        // last borrow cancels `hi`.
-        if hi != 0 || cmp_limbs(out, n) != Ordering::Less {
-            let mut borrow = false;
-            for j in 0..k {
-                let (d, b1) = out[j].overflowing_sub(n[j]);
-                let (d, b2) = d.overflowing_sub(borrow as u64);
-                out[j] = d;
-                borrow = b1 | b2;
-            }
-        }
+        L::mul(self, out, a, b)
     }
 
     /// Montgomery squaring `out = a² · R^{-1} mod n` for `a < n`, equal to
-    /// `mul(out, a, a)`: the products `aᵢ·aⱼ` with `i < j` are taken once
-    /// and doubled and the diagonal added, k(k+1)/2 limb products where
-    /// [`Self::mul`] takes k², then the 2k-limb square is reduced limb by
-    /// limb (separated operand scanning). Squarings are most of an
-    /// exponentiation's chain and all of a key's row build. Moduli wider
-    /// than [`SQR_LIMBS`] multiply instead: the square is held on the
-    /// stack.
+    /// `mul(out, a, a)`. Squarings are most of an exponentiation's chain
+    /// and all of a key's row build.
     #[inline]
     fn sqr(&self, out: &mut [u64], a: &[u64]) {
-        let n = self.n.as_ref();
-        let k = n.len();
-        if k > SQR_LIMBS {
-            return self.mul(out, a, a);
-        }
-        // One check up front lets every index below go unchecked.
-        assert!(out.len() == k && a.len() == k);
-        let mut t = [0u64; 2 * SQR_LIMBS];
-        for i in 0..k {
-            let mut carry = 0u64;
-            for j in i + 1..k {
-                let cur = t[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry as u128;
-                t[i + j] = cur as u64;
-                carry = (cur >> 64) as u64;
+        L::sqr(self, out, a)
+    }
+
+    /// `x · y^steps mod n` by `steps` multiplications in a row (`y` in
+    /// Montgomery form, so each one multiplies by `y`), or `x^(2^steps)`
+    /// by `steps` squarings in a row when `y` is `None`: each step waits
+    /// on the one before, which is what a walk's chain does.
+    fn chain(&self, x: &BigUint, y: Option<&BigUint>, steps: usize) -> BigUint {
+        let (mut acc, mut tmp) = (self.to_mont(x), L::zeroed(self.k()));
+        let y = y.map(|y| self.to_mont(y));
+        for _ in 0..steps {
+            match &y {
+                Some(y) => self.mul(tmp.as_mut(), acc.as_ref(), y.as_ref()),
+                None => self.sqr(tmp.as_mut(), acc.as_ref()),
             }
-            t[i + k] = carry;
+            std::mem::swap(&mut acc, &mut tmp);
         }
-        // Doubling the off-diagonal half loses no bit: it is below a²/2.
-        let mut shifted_out = 0u64;
-        for limb in &mut t[..2 * k] {
-            let next = *limb >> 63;
-            *limb = (*limb << 1) | shifted_out;
-            shifted_out = next;
-        }
-        let mut carry = 0u64;
-        for i in 0..k {
-            let square = a[i] as u128 * a[i] as u128;
-            let lo = t[2 * i] as u128 + (square as u64) as u128 + carry as u128;
-            t[2 * i] = lo as u64;
-            let hi = t[2 * i + 1] as u128 + (square >> 64) + (lo >> 64);
-            t[2 * i + 1] = hi as u64;
-            carry = (hi >> 64) as u64; // zero after the last limb: a² < R²
-        }
-        // t = (t + m·n) / R, one limb of m at a time; `hi` is the carry
-        // out of limb i + k, at most 1.
-        let mut hi = 0u64;
-        for i in 0..k {
-            let m = t[i].wrapping_mul(self.n0inv);
-            let mut carry = 0u64;
-            for j in 0..k {
-                let cur = t[i + j] as u128 + m as u128 * n[j] as u128 + carry as u128;
-                t[i + j] = cur as u64;
-                carry = (cur >> 64) as u64;
-            }
-            let cur = t[i + k] as u128 + carry as u128 + hi as u128;
-            t[i + k] = cur as u64;
-            hi = (cur >> 64) as u64;
-        }
-        out.copy_from_slice(&t[k..2 * k]);
-        if hi != 0 || cmp_limbs(out, n) != Ordering::Less {
-            let mut borrow = false;
-            for j in 0..k {
-                let (d, b1) = out[j].overflowing_sub(n[j]);
-                let (d, b2) = d.overflowing_sub(borrow as u64);
-                out[j] = d;
-                borrow = b1 | b2;
-            }
-        }
+        self.demont(acc.as_ref())
     }
 
     /// Converts `x < n` into Montgomery form.
@@ -574,12 +664,66 @@ impl<L: Limbs> Kernel<L> {
     }
 }
 
-/// The kernel instantiation a modulus runs on, chosen by its limb count.
+impl Kernel<[u64; FIXED_LIMBS]> {
+    /// `out = t · R^{-1} mod n` for a 10-limb `t < n²` and `n` of
+    /// [`is_shaped`]'s shape: five steps of three limb products each (see
+    /// the `Limbs` impl), then [`subtract_n_unless_below`].
+    ///
+    /// Step `i` reads limb `i`, which only the product and the steps
+    /// before it wrote. Its `hi64(m·c)` goes off limbs `i + 1 ..= 4` by a
+    /// borrow chain of fixed length, whose borrow out of limb 4 is owed
+    /// to limb 5. Each `m·top` is added once the low half is done, in the
+    /// high half's one carry chain, except the low limb of step 0's: that
+    /// is limb 4, which step 4 reads. Nothing branches on a value but the
+    /// final subtraction.
+    #[inline(always)]
+    fn reduce_shaped(&self, out: &mut [u64], mut t: [u64; 2 * FIXED_LIMBS]) {
+        const K: usize = FIXED_LIMBS;
+        assert!(out.len() == K);
+        debug_assert!(is_shaped(&self.n), "a fixed-width kernel for {:x?}", self.n);
+        let [n0, _, _, _, n4] = self.n;
+        let c = n0.wrapping_neg();
+        // m·top = m·(n4 + 1) < 2^128, also at top = 2^64.
+        let m_top = |m: u64| m as u128 * n4 as u128 + m as u128;
+        let mut m = [0u64; K];
+        // What the low half owes limb 5 and what it carries into it.
+        let (mut owed, mut carried) = (0u64, 0u64);
+        for i in 0..K {
+            m[i] = t[i].wrapping_mul(self.n0inv);
+            let mut borrow = ((m[i] as u128 * c as u128) >> 64) as u64;
+            for limb in &mut t[i + 1..K] {
+                let (d, b) = limb.overflowing_sub(borrow);
+                *limb = d;
+                borrow = b as u64;
+            }
+            owed += borrow;
+            if i == 0 {
+                let (sum, over) = t[K - 1].overflowing_add(m_top(m[0]) as u64);
+                t[K - 1] = sum;
+                carried = over as u64;
+            }
+        }
+        // (t + Σ mᵢ·n·2^{64i}) / R < 2n: five limbs and a carry.
+        let mut acc = carried as i128 - owed as i128;
+        for j in 0..K {
+            acc += t[K + j] as i128 + (m_top(m[j]) >> 64) as i128;
+            if j + 1 < K {
+                acc += m_top(m[j + 1]) as u64 as i128;
+            }
+            out[j] = acc as u64;
+            acc >>= 64;
+        }
+        subtract_n_unless_below(out, acc as u64, &self.n);
+    }
+}
+
+/// The kernel instantiation a modulus runs on, chosen by its shape.
 #[derive(Clone, Debug)]
 enum Width {
-    /// Compile-time width: `[u64; 5]` residues on the stack.
+    /// Compile-time width: `[u64; 5]` residues on the stack, reduced by
+    /// the modulus' shape.
     Fixed(Kernel<[u64; FIXED_LIMBS]>),
-    /// Run-time width: the same code over `Vec<u64>` residues.
+    /// Run-time width: `Vec<u64>` residues, reduced by CIOS.
     RunTime(Kernel<Vec<u64>>),
 }
 
@@ -596,14 +740,16 @@ pub struct MontgomeryCtx {
 impl MontgomeryCtx {
     /// Builds a context for an odd modulus `> 1`; `None` otherwise.
     ///
-    /// A 5-limb modulus gets the compile-time-width kernel, every other
-    /// size the run-time-width one; results are identical either way.
+    /// A modulus of the shape `top·2^256 − c` (five limbs, the middle three
+    /// all ones, as the Schnorr group prime is) gets the compile-time-width
+    /// kernel, every other odd modulus the run-time-width one; results are
+    /// identical either way.
     pub fn new(modulus: &BigUint) -> Option<MontgomeryCtx> {
-        Self::build(modulus, modulus.limbs().len() == FIXED_LIMBS)
+        Self::build(modulus, is_shaped(modulus.limbs()))
     }
 
     /// Like [`Self::new`] but always on the run-time-width kernel, so the
-    /// differential tests can run both instantiations on one 5-limb
+    /// differential tests can run both instantiations on one shaped
     /// modulus. Not a tuning choice: production code calls [`Self::new`].
     #[doc(hidden)]
     pub fn new_run_time_width(modulus: &BigUint) -> Option<MontgomeryCtx> {
@@ -649,6 +795,29 @@ impl MontgomeryCtx {
         match &self.kernel {
             Width::Fixed(kernel) => kernel.mul_mod(&a, &b),
             Width::RunTime(kernel) => kernel.mul_mod(&a, &b),
+        }
+    }
+
+    /// `x · y^steps mod n` by `steps` kernel multiplications, each waiting
+    /// on the one before: what `bench_micro` divides by `steps` to time
+    /// one multiplication.
+    #[doc(hidden)]
+    pub fn mul_chain(&self, x: &BigUint, y: &BigUint, steps: usize) -> BigUint {
+        let (x, y) = (self.reduced(x), self.reduced(y));
+        match &self.kernel {
+            Width::Fixed(kernel) => kernel.chain(&x, Some(&y), steps),
+            Width::RunTime(kernel) => kernel.chain(&x, Some(&y), steps),
+        }
+    }
+
+    /// `x^(2^steps) mod n` by `steps` kernel squarings in a row: the
+    /// squaring's counterpart of [`Self::mul_chain`].
+    #[doc(hidden)]
+    pub fn sqr_chain(&self, x: &BigUint, steps: usize) -> BigUint {
+        let x = self.reduced(x);
+        match &self.kernel {
+            Width::Fixed(kernel) => kernel.chain(&x, None, steps),
+            Width::RunTime(kernel) => kernel.chain(&x, None, steps),
         }
     }
 
@@ -768,10 +937,20 @@ fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn odd_modulus(rng: &mut StdRng, bits: u32) -> BigUint {
         BigUint::random_bits(rng, bits).set_bit(bits - 1).set_bit(0)
+    }
+
+    /// `top·2^256 − c`, the shape the compile-time width takes.
+    fn shaped(top: u128, c: u64) -> BigUint {
+        BigUint::from_u128(top).shl(256).sub(&BigUint::from_u64(c))
+    }
+
+    /// A random shaped modulus: odd `c`, `top` from 2 to 2^64.
+    fn random_shaped(rng: &mut StdRng) -> BigUint {
+        shaped(rng.random_range(2..=1u128 << 64), rng.random::<u64>() | 1)
     }
 
     fn shape(width: u32, stride: u32, rows: u32) -> RowShape {
@@ -929,7 +1108,7 @@ mod tests {
     #[test]
     fn to_from_mont_roundtrip() {
         let mut rng = StdRng::seed_from_u64(15);
-        let n = odd_modulus(&mut rng, 320);
+        let n = random_shaped(&mut rng);
         let fixed: Kernel<[u64; FIXED_LIMBS]> = Kernel::new(&n);
         let run_time: Kernel<Vec<u64>> = Kernel::new(&n);
         for _ in 0..100 {
@@ -1045,11 +1224,121 @@ mod tests {
     }
 
     #[test]
-    fn five_limb_moduli_pick_the_fixed_kernel() {
+    fn only_shaped_moduli_pick_the_fixed_kernel() {
         let mut rng = StdRng::seed_from_u64(18);
-        for (bits, fixed) in [(256u32, false), (257, true), (320, true), (321, false)] {
-            let ctx = MontgomeryCtx::new(&odd_modulus(&mut rng, bits)).unwrap();
-            assert_eq!(matches!(ctx.kernel, Width::Fixed(_)), fixed, "bits={bits}");
+        let fixed = |n: &BigUint| matches!(MontgomeryCtx::new(n).unwrap().kernel, Width::Fixed(_));
+        for bits in [256u32, 257, 320, 321] {
+            assert!(!fixed(&odd_modulus(&mut rng, bits)), "bits={bits}");
+        }
+        let p = crate::schnorr::Group::standard().p.clone();
+        assert_eq!(p, shaped(14, 531));
+        for n in [p, shaped(2, 1), shaped(1 << 64, 1), random_shaped(&mut rng)] {
+            assert!(fixed(&n), "n={n:?}");
+            // One limb off the shape is run-time width again.
+            let mut limbs = n.limbs().to_vec();
+            limbs[2] ^= 1 << 7;
+            assert!(!fixed(&BigUint::from_limbs(limbs)), "n={n:?}");
+        }
+        // 2^256 − c is four limbs: top 1 is not the shape.
+        assert!(!fixed(&shaped(1, 19)));
+    }
+
+    /// Operands `< n` that run the shaped reduction's chains their whole
+    /// length: 0, 1, n − 1 and its neighbours, and factors of products
+    /// whose low limbs are all ones (`(2^{32j} − 1)(2^{32j} + 1)`) or all
+    /// zeros above a set limb 0 (`(2^{64j} + 1)²`), so a borrow runs from
+    /// limb 1 to limb 4 and carries run through the high half.
+    fn chain_edges(n: &BigUint) -> Vec<BigUint> {
+        let one = BigUint::one();
+        let pow2 = |bits: u32| one.shl(bits);
+        let mut edges = vec![
+            BigUint::zero(),
+            one.clone(),
+            BigUint::from_u64(2),
+            n.sub(&one),
+            n.sub(&BigUint::from_u64(2)),
+            n.shr(1),
+        ];
+        for j in 1..=8 {
+            edges.push(pow2(32 * j).sub(&one));
+            edges.push(pow2(32 * j).add(&one));
+        }
+        edges.retain(|e| e < n);
+        edges
+    }
+
+    /// The shaped reduction against CIOS and the schoolbook product
+    /// `a·b·R⁻¹ mod n`, on the raw kernels (no conversion in between),
+    /// over random shapes, p, both ends of `top` and `c`, random
+    /// operands and [`chain_edges`], multiplied and squared.
+    #[test]
+    fn shaped_kernel_matches_cios_and_schoolbook() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut moduli = vec![
+            crate::schnorr::Group::standard().p.clone(),
+            shaped(2, 1),
+            shaped(2, u64::MAX),
+            shaped(1 << 64, 1),
+            shaped(1 << 64, u64::MAX),
+            shaped(u128::from(u64::MAX), 531),
+        ];
+        moduli.extend((0..24).map(|_| random_shaped(&mut rng)));
+        for n in &moduli {
+            let fixed: Kernel<[u64; FIXED_LIMBS]> = Kernel::new(n);
+            let cios: Kernel<Vec<u64>> = Kernel::new(n);
+            let r_inv = BigUint::one()
+                .shl(320)
+                .rem(n)
+                .modinv(n)
+                .expect("R is a unit mod odd n");
+            let mut operands = chain_edges(n);
+            operands.extend((0..6).map(|_| BigUint::random_bits(&mut rng, 330).rem(n)));
+            for a in &operands {
+                let a_limbs: [u64; FIXED_LIMBS] = padded(a.limbs(), FIXED_LIMBS);
+                for b in &operands {
+                    let b_limbs: [u64; FIXED_LIMBS] = padded(b.limbs(), FIXED_LIMBS);
+                    let (mut got, mut want) = ([0u64; FIXED_LIMBS], vec![0u64; FIXED_LIMBS]);
+                    fixed.mul(&mut got, &a_limbs, &b_limbs);
+                    cios.mul(&mut want, &a_limbs, &b_limbs);
+                    assert_eq!(got.as_slice(), want, "mul n={n:?} a={a:?} b={b:?}");
+                    let expected = a.mul(b).mul(&r_inv).rem(n);
+                    assert_eq!(BigUint::from_limbs(got.to_vec()), expected);
+                }
+                let (mut got, mut want) = ([0u64; FIXED_LIMBS], vec![0u64; FIXED_LIMBS]);
+                fixed.sqr(&mut got, &a_limbs);
+                cios.sqr(&mut want, &a_limbs);
+                assert_eq!(got.as_slice(), want, "sqr n={n:?} a={a:?}");
+                let expected = a.mul(a).mul(&r_inv).rem(n);
+                assert_eq!(BigUint::from_limbs(got.to_vec()), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn chains_match_schoolbook_at_both_widths() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in [random_shaped(&mut rng), odd_modulus(&mut rng, 200)] {
+            let (x, y) = (
+                BigUint::random_bits(&mut rng, 330),
+                BigUint::random_bits(&mut rng, 330),
+            );
+            for ctx in [
+                MontgomeryCtx::new(&n).unwrap(),
+                MontgomeryCtx::new_run_time_width(&n).unwrap(),
+            ] {
+                for steps in [0usize, 1, 2, 37] {
+                    let y_steps = y.modpow_schoolbook(&BigUint::from_u64(steps as u64), &n);
+                    assert_eq!(
+                        ctx.mul_chain(&x, &y, steps),
+                        x.mul_mod(&y_steps, &n).rem(&n)
+                    );
+                    let two_steps = BigUint::one().shl(steps as u32);
+                    assert_eq!(
+                        ctx.sqr_chain(&x, steps),
+                        x.modpow_schoolbook(&two_steps, &n)
+                    );
+                }
+            }
         }
     }
 

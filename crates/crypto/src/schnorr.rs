@@ -30,7 +30,9 @@
 //! and attestation quotes. That makes verification the hottest arithmetic
 //! in the system, and it runs on the Montgomery fast path (DESIGN.md
 //! §5d), a process-wide [`MontgomeryCtx`] for p — the fixed-width kernel
-//! on stack-resident `[u64; 5]` residues — in two shapes:
+//! on stack-resident `[u64; 5]` residues, which reduces by p's shape
+//! `14·2^256 − 531` in three limb products per limb where a generic
+//! reduction takes six — in two shapes:
 //!
 //! * [`PublicKey::verify`], one signature: `T = g^s · y^{q-e}` in one
 //!   walk over row tables — a fixed-base comb for g built once (38 KB, no

@@ -818,6 +818,7 @@ proptest! {
         let mut m = m[..k].to_vec();
         m[0] |= 1;
         m[k - 1] |= 1 << 63;
+        shape_at_five_limbs(&mut m);
         let m = BigUint::from_limbs(m);
         let terms: Vec<(BigUint, BigUint)> = terms
             .into_iter()
@@ -961,11 +962,25 @@ fn montgomery_edge_operands_match_schoolbook() {
 // ---------------------------------------------------------------------------
 
 /// Limb counts on both sides of the width choice: `MontgomeryCtx::new`
-/// takes the compile-time-width kernel at 5 limbs only.
+/// takes the compile-time-width kernel for 5-limb moduli of the shape
+/// `top·2^256 − c` only, so the strategies below draw that shape at 5
+/// limbs (see `shape_at_five_limbs`).
 const KERNEL_LIMBS: [usize; 6] = [1, 4, 5, 6, 16, 33];
 
-/// The two kernel instantiations for `m`. Off 5 limbs both run at
-/// run-time width, which is the point: one body, whatever the width.
+/// Gives a drawn 5-limb modulus the shape the compile-time width takes:
+/// the middle three limbs all ones (its low limb is odd and its top limb
+/// non-zero already). Any other drawn modulus would run at run-time width
+/// on both sides of `both_widths`.
+fn shape_at_five_limbs(m: &mut [u64]) {
+    if let [_, middle @ .., _] = m {
+        if middle.len() == 3 {
+            middle.fill(u64::MAX);
+        }
+    }
+}
+
+/// The two kernel instantiations for `m`. Off the shape both run at
+/// run-time width, which is the point: one answer, whatever the width.
 fn both_widths(m: &BigUint) -> [MontgomeryCtx; 2] {
     [
         MontgomeryCtx::new(m).expect("odd modulus > 1"),
@@ -1020,6 +1035,7 @@ proptest! {
         // A non-zero top limb makes the modulus exactly k limbs; a set
         // top bit also makes sums overflow the k-th limb.
         m[k - 1] |= if top_heavy { 1 << 63 } else { 1 };
+        shape_at_five_limbs(&mut m);
         let m = BigUint::from_limbs(m);
         let m = if m.is_one() { BigUint::from_u64(3) } else { m };
         // `a` may exceed the modulus by a limb; `b` is at most as wide.
@@ -1088,4 +1104,78 @@ fn kernel_final_subtraction_carry_branch_matches_schoolbook() {
         }
     }
     assert!(forced >= 4, "only {forced} cases reached the carry limb");
+}
+
+// ---------------------------------------------------------------------------
+// The shaped reduction of the compile-time width, over random shapes.
+// ---------------------------------------------------------------------------
+
+/// `top·2^256 − c`, the shape `MontgomeryCtx::new` runs at compile-time
+/// width.
+fn shaped(top: u128, c: u64) -> BigUint {
+    BigUint::from_u128(top).shl(256).sub(&BigUint::from_u64(c))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random odd `c` and `top` from 2 to 2^64: both widths against
+    /// `mul_mod` and `modpow_schoolbook` on random operands (one limb
+    /// wider than the modulus) and exponents, and a product of two
+    /// powers through the bucket method.
+    #[test]
+    fn shaped_moduli_match_schoolbook(
+        top in 2u128..=1 << 64,
+        c in any::<u64>(),
+        a in limbs(6),
+        b in limbs(5),
+        x in proptest::collection::vec(any::<u64>(), 0..5),
+        y in proptest::collection::vec(any::<u64>(), 0..5),
+    ) {
+        let m = shaped(top, c | 1);
+        prop_assert_eq!(m.limbs().len(), 5);
+        assert_kernels_match_schoolbook(
+            &m,
+            &BigUint::from_limbs(a),
+            &BigUint::from_limbs(b),
+            &BigUint::from_limbs(x),
+            &BigUint::from_limbs(y),
+        );
+    }
+}
+
+/// p itself and the shapes at the ends of both ranges, on operands that
+/// run the reduction's borrow and carry chains their whole length: 0, 1,
+/// n − 1, factors of products whose low limbs are all ones
+/// (`(2^{32j} − 1)(2^{32j} + 1)`), and `2^{64j} + 1`, whose square has a
+/// set limb 0 under zero limbs.
+#[test]
+fn shaped_moduli_chain_edges_match_schoolbook() {
+    let p = Group::standard().p.clone();
+    assert_eq!(p, shaped(14, 531));
+    let one = BigUint::one();
+    for m in [
+        p,
+        shaped(2, 1),
+        shaped(2, u64::MAX),
+        shaped(1 << 64, 1),
+        shaped(1 << 64, u64::MAX),
+    ] {
+        let mut edges = vec![
+            BigUint::zero(),
+            one.clone(),
+            m.sub(&one),
+            m.sub(&BigUint::from_u64(2)),
+        ];
+        for j in 1..=8 {
+            edges.push(one.shl(32 * j).sub(&one));
+            edges.push(one.shl(32 * j).add(&one));
+        }
+        edges.retain(|e| e < &m);
+        for a in &edges {
+            for b in &edges {
+                assert_kernels_match_schoolbook(&m, a, b, b, a);
+            }
+        }
+    }
 }
