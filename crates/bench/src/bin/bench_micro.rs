@@ -384,8 +384,8 @@ fn gov_rows(m: &mut Micro, mode: Mode, verify_us: f64) {
 const TOUCH: u64 = 256;
 /// Bytes per slot of the tree's leaf and internal-node arrays (pinned
 /// by a `smt` unit test).
-const LEAF_SLOT_BYTES: u64 = 96;
-const INTERNAL_SLOT_BYTES: u64 = 40;
+const LEAF_SLOT_BYTES: u64 = 64;
+const INTERNAL_SLOT_BYTES: u64 = 72;
 
 fn key(i: u64) -> Digest {
     sha256(&i.to_le_bytes())

@@ -27,15 +27,24 @@
 //! there is no prover-controlled index a forged non-inclusion proof
 //! could lie about.
 //!
-//! Storage. Leaves (96 bytes) and internal nodes (40 bytes) sit in one
-//! `Vec` each and name each other by `u32` slot (`Ref`); a slot whose
+//! Storage. Leaves (key and value digest, 64 bytes) and internal nodes
+//! (two child slots and the two children's hashes, 72 bytes) sit in one
+//! `Vec` each and name each other by `u32` slot (`Ref`); the tree keeps
+//! the root's hash itself. A node's hash lives in its parent, so
+//! rehashing a parent and proving a key read the sibling's hash from
+//! the record already loaded, never the sibling's own. A slot whose
 //! node is deleted goes on that array's free list and is the next one
 //! handed out. A commit sorts its updates and descends once: an internal
 //! node splits the updates on its bit, visits only the halves that have
 //! any, and is rewritten in its own slot when a child changed. So a
-//! commit costs O(touched keys · depth) hashes and allocates nothing
-//! beyond the sorted update list. A bulk build runs the same descent
-//! over its sorted leaf list from an empty tree.
+//! commit costs O(touched keys · depth) hashes. Before the descent, a
+//! level pass reads the nodes the updates will visit one level at a
+//! time: the loads of one level do not wait on each other, so their
+//! cache misses overlap instead of stalling the descent one by one. The
+//! pass keeps its two level buffers in the tree, so a commit allocates
+//! nothing beyond the sorted update list once they have grown. A bulk
+//! build runs the same descent over its sorted leaf list from an empty
+//! tree.
 //!
 //! There is one version of the tree. `Clone` copies both arrays, and a
 //! commit leaves no previous root behind; nothing in the workspace reads
@@ -140,19 +149,28 @@ impl Default for Ref {
     }
 }
 
+/// A subtree and its hash: what a parent holds of each child.
+type Child = (Ref, Digest);
+
 #[derive(Clone, Copy)]
 struct Leaf {
     key: Digest,
     value: Digest,
-    hash: Digest,
 }
 
+/// An internal node holds its children's hashes, so a parent rehash and
+/// a proof read the sibling's hash from the record already loaded.
 #[derive(Clone, Copy)]
 struct Internal {
     left: Ref,
     right: Ref,
-    hash: Digest,
+    left_hash: Digest,
+    right_hash: Digest,
 }
+
+/// A node the level pass will read, with the range of the commit's
+/// sorted updates under it.
+type Visit = (Ref, u32, u32);
 
 /// Puts `node` in the slot freed last, or in a new one, and returns the
 /// slot. Slot numbers stay below [`Ref::EMPTY`]'s in either array.
@@ -171,13 +189,33 @@ fn store<T>(slots: &mut Vec<T>, free: &mut Vec<u32>, node: T) -> u32 {
 
 /// A sparse Merkle tree (see the module docs for the canonical shape,
 /// the hashing rules and the storage).
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct SmtTree {
     root: Ref,
+    root_hash: Digest,
     leaves: Vec<Leaf>,
     internals: Vec<Internal>,
     free_leaves: Vec<u32>,
     free_internals: Vec<u32>,
+    /// The level pass's two levels, kept so that a commit allocates
+    /// nothing for them once they have grown.
+    level: Vec<Visit>,
+    next_level: Vec<Visit>,
+}
+
+impl Default for SmtTree {
+    fn default() -> SmtTree {
+        SmtTree {
+            root: Ref::EMPTY,
+            root_hash: Digest::ZERO,
+            leaves: Vec::new(),
+            internals: Vec::new(),
+            free_leaves: Vec::new(),
+            free_internals: Vec::new(),
+            level: Vec::new(),
+            next_level: Vec::new(),
+        }
+    }
 }
 
 impl SmtTree {
@@ -202,13 +240,13 @@ impl SmtTree {
             ..SmtTree::default()
         };
         let mut hashed = 0u64;
-        tree.root = tree.build(0, &leaves, None, &mut hashed);
+        (tree.root, tree.root_hash) = tree.build(0, &leaves, None, &mut hashed);
         (tree, hashed)
     }
 
     /// Root hash ([`Digest::ZERO`] when empty).
     pub fn root_hash(&self) -> Digest {
-        self.hash_of(self.root)
+        self.root_hash
     }
 
     /// Number of leaves present.
@@ -239,8 +277,11 @@ impl SmtTree {
         // One growth step for a bulk build instead of a doubling series.
         self.leaves.reserve(updates.len());
         self.internals.reserve(updates.len());
+        self.warm(&updates);
         let mut hashed = 0u64;
-        self.root = self.apply(self.root, 0, &updates, &mut hashed).0;
+        if let Some(root) = self.apply(self.root, 0, &updates, &mut hashed) {
+            (self.root, self.root_hash) = root;
+        }
         hashed
     }
 
@@ -252,61 +293,105 @@ impl SmtTree {
     pub fn prove(&self, key: &Digest) -> SmtProof {
         let mut siblings = Vec::new();
         let found = self
-            .descend(key, |sibling| siblings.push(self.hash_of(sibling)))
+            .descend(key, |sibling| siblings.push(*sibling))
             .map(|leaf| (leaf.key, leaf.value));
         SmtProof { siblings, found }
     }
 
-    /// Walks `key`'s path from the root, handing `off_path` the subtree
-    /// not taken at each level, to the leaf the path ends in (if any).
-    fn descend(&self, key: &Digest, mut off_path: impl FnMut(Ref)) -> Option<&Leaf> {
+    /// Walks `key`'s path from the root, handing `off_path` the hash of
+    /// the subtree not taken at each level, to the leaf the path ends in
+    /// (if any).
+    fn descend(&self, key: &Digest, mut off_path: impl FnMut(&Digest)) -> Option<&Leaf> {
         let (mut cur, mut depth) = (self.root, 0);
         loop {
             match cur.slot() {
                 Slot::Empty => return None,
                 Slot::Leaf(i) => return Some(&self.leaves[i]),
                 Slot::Internal(i) => {
-                    let Internal { left, right, .. } = self.internals[i];
-                    let (on, off) = if bit(key, depth) {
-                        (right, left)
+                    let node = &self.internals[i];
+                    cur = if bit(key, depth) {
+                        off_path(&node.left_hash);
+                        node.right
                     } else {
-                        (left, right)
+                        off_path(&node.right_hash);
+                        node.left
                     };
-                    off_path(off);
-                    cur = on;
                     depth += 1;
                 }
             }
         }
     }
 
-    fn hash_of(&self, node: Ref) -> Digest {
-        match node.slot() {
-            Slot::Empty => Digest::ZERO,
-            Slot::Leaf(i) => self.leaves[i].hash,
-            Slot::Internal(i) => self.internals[i].hash,
+    /// Reads the nodes a commit of the sorted, distinct `ups` will visit,
+    /// one level at a time, before [`Self::apply`] descends to them.
+    /// Within a level no load waits for another, so their cache misses
+    /// overlap instead of each stalling the descent in turn.
+    fn warm(&mut self, ups: &[Update]) {
+        let (mut level, mut next) = (
+            std::mem::take(&mut self.level),
+            std::mem::take(&mut self.next_level),
+        );
+        level.clear();
+        level.push((self.root, 0, ups.len() as u32));
+        // Folds one byte from each end of every record read, so that the
+        // loads (a record spans two cache lines) cannot be dropped.
+        let mut seen = 0u8;
+        let mut depth = 0;
+        while !level.is_empty() && depth < MAX_DEPTH {
+            next.clear();
+            for &(node, lo, hi) in &level {
+                match node.slot() {
+                    Slot::Empty => {}
+                    Slot::Leaf(i) => {
+                        let leaf = &self.leaves[i];
+                        seen ^= leaf.key.0[0] ^ leaf.value.0[31];
+                    }
+                    Slot::Internal(i) => {
+                        let node = &self.internals[i];
+                        seen ^= node.right_hash.0[31];
+                        let under = &ups[lo as usize..hi as usize];
+                        let split = lo + under.partition_point(|(k, _)| !bit(k, depth)) as u32;
+                        if lo < split {
+                            next.push((node.left, lo, split));
+                        }
+                        if split < hi {
+                            next.push((node.right, split, hi));
+                        }
+                    }
+                }
+            }
+            std::mem::swap(&mut level, &mut next);
+            depth += 1;
         }
+        std::hint::black_box(seen);
+        (self.level, self.next_level) = (level, next);
     }
 
-    fn new_leaf(&mut self, key: Digest, value: Digest, hashed: &mut u64) -> Ref {
+    fn new_leaf(&mut self, key: Digest, value: Digest, hashed: &mut u64) -> Child {
         *hashed += 1;
         let hash = leaf_hash(&key, &value);
-        let leaf = Leaf { key, value, hash };
-        Ref(store(&mut self.leaves, &mut self.free_leaves, leaf) | Ref::LEAF_BIT)
+        let slot = store(&mut self.leaves, &mut self.free_leaves, Leaf { key, value });
+        (Ref(slot | Ref::LEAF_BIT), hash)
     }
 
     /// Canonical parent of two child subtrees: empty + empty is empty, a
     /// lone leaf floats up (a one-key subtree *is* a leaf), anything else
     /// is an internal node.
-    fn combine(&mut self, left: Ref, right: Ref, hashed: &mut u64) -> Ref {
-        match (left.slot(), right.slot()) {
+    fn combine(&mut self, left: Child, right: Child, hashed: &mut u64) -> Child {
+        match (left.0.slot(), right.0.slot()) {
             (Slot::Empty, Slot::Empty | Slot::Leaf(_)) => right,
             (Slot::Leaf(_), Slot::Empty) => left,
             _ => {
                 *hashed += 1;
-                let hash = node_hash(&self.hash_of(left), &self.hash_of(right));
-                let node = Internal { left, right, hash };
-                Ref(store(&mut self.internals, &mut self.free_internals, node))
+                let hash = node_hash(&left.1, &right.1);
+                let node = Internal {
+                    left: left.0,
+                    right: right.0,
+                    left_hash: left.1,
+                    right_hash: right.1,
+                };
+                let slot = store(&mut self.internals, &mut self.free_internals, node);
+                (Ref(slot), hash)
             }
         }
     }
@@ -320,13 +405,13 @@ impl SmtTree {
         ups: &[U],
         kept: Option<(Digest, Digest)>,
         hashed: &mut u64,
-    ) -> Ref {
+    ) -> Child {
         match (ups, kept) {
-            ([], None) => Ref::EMPTY,
+            ([], None) => (Ref::EMPTY, Digest::ZERO),
             ([], Some((k, v))) => self.new_leaf(k, v, hashed),
-            ([u], None) => u
-                .value()
-                .map_or(Ref::EMPTY, |v| self.new_leaf(*u.key(), v, hashed)),
+            ([u], None) => u.value().map_or((Ref::EMPTY, Digest::ZERO), |v| {
+                self.new_leaf(*u.key(), v, hashed)
+            }),
             _ => {
                 assert!(depth < MAX_DEPTH, "distinct 256-bit keys must diverge");
                 let split = ups.partition_point(|u| !bit(u.key(), depth));
@@ -342,38 +427,52 @@ impl SmtTree {
     }
 
     /// Applies sorted, distinct updates to the subtree at `node` and
-    /// returns what stands there now, and whether it was rewritten. A
-    /// slot given up here is the one `store` hands out next, so a node
-    /// that stays a node is rewritten where it was.
-    fn apply(&mut self, node: Ref, depth: usize, ups: &[Update], hashed: &mut u64) -> (Ref, bool) {
+    /// returns what stands there now with its hash, or `None` when it was
+    /// not rewritten (its hash is the one its parent holds). A slot given
+    /// up here is the one `store` hands out next, so a node that stays a
+    /// node is rewritten where it was.
+    fn apply(
+        &mut self,
+        node: Ref,
+        depth: usize,
+        ups: &[Update],
+        hashed: &mut u64,
+    ) -> Option<Child> {
         if ups.is_empty() {
-            return (node, false);
+            return None;
         }
         match node.slot() {
             Slot::Empty => {
                 let built = self.build(depth, ups, None, hashed);
-                (built, built != Ref::EMPTY)
+                (built.0 != Ref::EMPTY).then_some(built)
             }
             // A leaf under the updates is re-created (and re-hashed) from
             // the merged set unless an update overrides or deletes it.
             Slot::Leaf(i) => {
-                let Leaf { key, value, .. } = self.leaves[i];
+                let Leaf { key, value } = self.leaves[i];
                 self.free_leaves.push(i as u32);
                 let named = ups.binary_search_by_key(&key, |u| u.0).is_ok();
                 let kept = (!named).then_some((key, value));
-                (self.build(depth, ups, kept, hashed), true)
+                Some(self.build(depth, ups, kept, hashed))
             }
             Slot::Internal(i) => {
                 assert!(depth < MAX_DEPTH, "distinct 256-bit keys must diverge");
-                let Internal { left, right, .. } = self.internals[i];
+                let Internal {
+                    left,
+                    right,
+                    left_hash,
+                    right_hash,
+                } = self.internals[i];
                 let split = ups.partition_point(|(k, _)| !bit(k, depth));
-                let (left, left_new) = self.apply(left, depth + 1, &ups[..split], hashed);
-                let (right, right_new) = self.apply(right, depth + 1, &ups[split..], hashed);
-                if !(left_new || right_new) {
-                    return (node, false);
+                let new_left = self.apply(left, depth + 1, &ups[..split], hashed);
+                let new_right = self.apply(right, depth + 1, &ups[split..], hashed);
+                if new_left.is_none() && new_right.is_none() {
+                    return None;
                 }
                 self.free_internals.push(i as u32);
-                (self.combine(left, right, hashed), true)
+                let left = new_left.unwrap_or((left, left_hash));
+                let right = new_right.unwrap_or((right, right_hash));
+                Some(self.combine(left, right, hashed))
             }
         }
     }
@@ -578,8 +677,8 @@ mod tests {
     #[test]
     fn node_sizes_are_the_documented_ones() {
         // `bench_micro` derives `chain.smt.tree_bytes` from these two figures.
-        assert_eq!(std::mem::size_of::<Leaf>(), 96);
-        assert_eq!(std::mem::size_of::<Internal>(), 40);
+        assert_eq!(std::mem::size_of::<Leaf>(), 64);
+        assert_eq!(std::mem::size_of::<Internal>(), 72);
         // A fresh build hashes every node once and frees nothing.
         let (tree, hashed) = SmtTree::from_leaves((0..500).map(|i| (key(i), val(i))).collect());
         assert_eq!(tree.leaves.len(), 500);
@@ -733,6 +832,72 @@ mod tests {
         assert_eq!(tree.commit(vec![(c, None)]), 0);
         assert_eq!(tree.root_hash(), la);
         assert_eq!(live_slots(&tree), (1, 0));
+    }
+
+    /// One commit that inserts into an empty subtree, splits a leaf,
+    /// floats a leaf up and deletes a leaf beside an internal node: every
+    /// touched key's proof verifies and is the proof a fresh build gives.
+    #[test]
+    fn a_mixed_commit_proves_what_a_fresh_build_proves() {
+        let base: BTreeMap<Digest, Digest> = (0..64).map(|i| (key(i), val(i))).collect();
+        let (mut tree, _) = SmtTree::from_leaves(base.iter().map(|(k, v)| (*k, *v)).collect());
+        let depth = |t: &SmtTree, k: &Digest| t.prove(k).siblings.len();
+        // The keys of `base` beside `k`'s leaf: they share its path to
+        // the leaf's depth and take the other branch at the last level.
+        let beside = |k: &Digest| -> Vec<Digest> {
+            let d = depth(&tree, k);
+            let same = |o: &Digest| (0..d - 1).all(|b| bit(o, b) == bit(k, b));
+            base.keys()
+                .filter(|o| same(o) && bit(o, d - 1) != bit(k, d - 1))
+                .copied()
+                .collect()
+        };
+        let fresh =
+            |ok: fn(&SmtProof) -> bool| (64..).map(key).find(|k| ok(&tree.prove(k))).unwrap();
+        let into_empty = fresh(|p| p.found.is_none());
+        let split = fresh(|p| p.found.is_some());
+        // The leaf whose path `split` takes: the split pushes it down.
+        let (displaced, _) = tree.prove(&split).found.unwrap();
+        let floats = *base.keys().find(|k| beside(k).len() == 1).unwrap();
+        let partner = beside(&floats)[0];
+        // Away from the float: on the other side of bit 0.
+        let empties = *base
+            .keys()
+            .find(|k| beside(k).len() > 1 && bit(k, 0) != bit(&floats, 0) && **k != displaced)
+            .unwrap();
+        let before: Vec<usize> = [displaced, partner]
+            .iter()
+            .map(|k| depth(&tree, k))
+            .collect();
+
+        let mut after = base.clone();
+        after.insert(into_empty, val(100));
+        after.insert(split, val(101));
+        after.remove(&floats);
+        after.remove(&empties);
+        tree.commit(vec![
+            (into_empty, Some(val(100))),
+            (split, Some(val(101))),
+            (floats, None),
+            (empties, None),
+        ]);
+        // Each case happened: the displaced leaf went down, the partner
+        // of the deleted leaf floated up, and a path now ends empty.
+        assert!(depth(&tree, &displaced) > before[0]);
+        assert!(depth(&tree, &partner) < before[1]);
+        assert_eq!(tree.prove(&empties).found, None);
+
+        let (whole, _) = SmtTree::from_leaves(after.iter().map(|(k, v)| (*k, *v)).collect());
+        let root = tree.root_hash();
+        assert_eq!(root, whole.root_hash());
+        for k in [into_empty, split, floats, empties, displaced, partner] {
+            let proof = tree.prove(&k);
+            assert_eq!(proof, whole.prove(&k));
+            match after.get(&k) {
+                Some(v) => assert!(proof.verify_inclusion(&root, &k, v)),
+                None => assert!(proof.verify_absence(&root, &k)),
+            }
+        }
     }
 
     #[test]

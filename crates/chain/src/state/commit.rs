@@ -13,7 +13,7 @@
 
 use super::undo::Old;
 use super::{ContractInstance, WorldState};
-use crate::address::Address;
+use crate::address::{Account, Address};
 use crate::backend::{BackendKind, Commitment, LeafKey};
 use crate::smt::SmtProof;
 use pds2_crypto::codec::{Encode, Encoder};
@@ -110,16 +110,23 @@ impl WorldState {
         }
     }
 
-    /// What the tree stores for one leaf.
+    /// What the tree stores for one leaf. An account, the leaf most
+    /// commits touch, is hashed from its encoding on the stack.
     fn leaf_digest(&self, key: &LeafKey) -> Option<Digest> {
-        self.leaf_value(key).map(|bytes| sha256(&bytes))
+        match key {
+            LeafKey::Account(a) => self
+                .accounts
+                .get(a)
+                .map(|acct| sha256(&account_bytes(acct))),
+            _ => self.leaf_value(key).map(|bytes| sha256(&bytes)),
+        }
     }
 
     /// The complete canonical leaf set `(tree key, value digest)`, in one
     /// walk of the live maps: what a first commit and every commit of the
     /// full-rehash oracle build from. Deliberately independent of the
     /// dirty set, so an incremental marking bug cannot hide in it. Account
-    /// values are encoded into one reused buffer.
+    /// values are encoded on the stack.
     fn full_leaves(&self) -> Vec<(Digest, Digest)> {
         let tokens = self
             .erc20
@@ -130,12 +137,11 @@ impl WorldState {
             .filter_map(|k| Some((k.digest(), self.leaf_digest(&k)?)))
             .collect();
         leaves.reserve_exact(self.accounts.len() + self.contracts.len());
-        let mut buf = Vec::new();
         for (addr, acct) in &self.accounts {
-            let mut enc = Encoder::reusing(buf);
-            acct.encode(&mut enc);
-            buf = enc.finish();
-            leaves.push((LeafKey::Account(*addr).digest(), sha256(&buf)));
+            leaves.push((
+                LeafKey::Account(*addr).digest(),
+                sha256(&account_bytes(acct)),
+            ));
         }
         for (addr, inst) in &self.contracts {
             let value = contract_value(addr, inst);
@@ -161,6 +167,7 @@ impl WorldState {
             }
         }
         let first = !committer.backend.committed();
+        // The set's iterator knows its length: one allocation of it.
         let updates: Vec<(Digest, Option<Digest>)> = committer
             .dirty
             .iter()
@@ -216,4 +223,26 @@ fn contract_value(addr: &Address, inst: &ContractInstance) -> Vec<u8> {
     enc.put_str(&inst.code_id);
     enc.put_digest(&sha256(&inst.committed));
     enc.finish()
+}
+
+/// An account's canonical encoding (`Account: Encode`, balance then
+/// nonce, little-endian) in a stack buffer.
+fn account_bytes(acct: &Account) -> [u8; 24] {
+    let mut out = [0u8; 24];
+    out[..16].copy_from_slice(&acct.balance.to_le_bytes());
+    out[16..].copy_from_slice(&acct.nonce.to_le_bytes());
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn account_bytes_are_the_encoding() {
+        for (balance, nonce) in [(0, 0), (1, 2), (u128::MAX, u64::MAX), (1 << 100, 7)] {
+            let acct = Account { balance, nonce };
+            assert_eq!(account_bytes(&acct).to_vec(), acct.to_bytes());
+        }
+    }
 }

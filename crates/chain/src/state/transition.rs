@@ -161,7 +161,7 @@ impl WorldState {
                 self.native_transfer(sender, *to, *amount)?;
                 events.emit(Event::new(
                     "native.transfer",
-                    format!("from={sender} to={to} amount={amount}"),
+                    transfer_event_data(&sender, to, *amount),
                 ));
                 Ok((Vec::new(), None))
             }
@@ -220,6 +220,58 @@ impl WorldState {
                     events,
                 )?;
                 Ok((output, None))
+            }
+        }
+    }
+}
+
+/// The `native.transfer` event's data, `from=0x… to=0x… amount=…` as
+/// `Address: Display` and `u128: Display` render it, pushed into one
+/// string sized up front: every transfer pays for this.
+fn transfer_event_data(from: &Address, to: &Address, amount: u128) -> String {
+    // Two `0x` + 8-hex addresses, at most 39 digits, 18 bytes of labels.
+    let mut s = String::with_capacity(2 * 10 + 39 + 18);
+    s.push_str("from=0x");
+    s.push_str(&from.0.short());
+    s.push_str(" to=0x");
+    s.push_str(&to.0.short());
+    s.push_str(" amount=");
+    let mut digits = [0u8; 39];
+    let mut at = digits.len();
+    let mut rest = amount;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    s.extend(digits[at..].iter().map(|&d| char::from(d)));
+    s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pds2_crypto::sha256::{sha256, Digest};
+
+    #[test]
+    fn transfer_event_data_is_the_format_rendering() {
+        let addrs = [
+            Address(Digest::ZERO),
+            Address(Digest([0xff; 32])),
+            Address(sha256(b"alice")),
+            Address(sha256(b"bob")),
+        ];
+        let amounts = [0, 1, 9, 10, 1_000_000_007, u64::MAX as u128 + 1, u128::MAX];
+        for from in &addrs {
+            for to in &addrs {
+                for amount in amounts {
+                    let data = transfer_event_data(from, to, amount);
+                    assert_eq!(data, format!("from={from} to={to} amount={amount}"));
+                    assert!(data.len() <= 2 * 10 + 39 + 18, "fits the size reserved");
+                }
             }
         }
     }

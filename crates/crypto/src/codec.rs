@@ -166,6 +166,13 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
+    /// The next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
@@ -179,15 +186,15 @@ impl<'a> Decoder<'a> {
     }
 
     pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     pub fn get_u128(&mut self) -> Result<u128, DecodeError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+        Ok(u128::from_le_bytes(self.take_array()?))
     }
 
     pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
@@ -205,8 +212,7 @@ impl<'a> Decoder<'a> {
     }
 
     pub fn get_digest(&mut self) -> Result<Digest, DecodeError> {
-        let bytes = self.take(DIGEST_LEN)?;
-        Ok(Digest(bytes.try_into().unwrap()))
+        Ok(Digest(self.take_array::<DIGEST_LEN>()?))
     }
 
     pub fn get_raw(&mut self, n: usize) -> Result<Vec<u8>, DecodeError> {
