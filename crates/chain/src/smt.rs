@@ -41,8 +41,8 @@
 //! level pass reads the nodes the updates will visit one level at a
 //! time: the loads of one level do not wait on each other, so their
 //! cache misses overlap instead of stalling the descent one by one. The
-//! pass keeps its two level buffers in the tree, so a commit allocates
-//! nothing beyond the sorted update list once they have grown. A bulk
+//! pass keeps its buffer in the tree, so a commit allocates nothing
+//! beyond the sorted update list once it has grown. A bulk
 //! build runs the same descent over its sorted leaf list from an empty
 //! tree.
 //!
@@ -197,10 +197,9 @@ pub struct SmtTree {
     internals: Vec<Internal>,
     free_leaves: Vec<u32>,
     free_internals: Vec<u32>,
-    /// The level pass's two levels, kept so that a commit allocates
-    /// nothing for them once they have grown.
-    level: Vec<Visit>,
-    next_level: Vec<Visit>,
+    /// The level pass's visits, kept so that a commit allocates nothing
+    /// for them once the buffer has grown.
+    visits: Vec<Visit>,
 }
 
 impl Default for SmtTree {
@@ -212,8 +211,7 @@ impl Default for SmtTree {
             internals: Vec::new(),
             free_leaves: Vec::new(),
             free_internals: Vec::new(),
-            level: Vec::new(),
-            next_level: Vec::new(),
+            visits: Vec::new(),
         }
     }
 }
@@ -327,19 +325,19 @@ impl SmtTree {
     /// Within a level no load waits for another, so their cache misses
     /// overlap instead of each stalling the descent in turn.
     fn warm(&mut self, ups: &[Update]) {
-        let (mut level, mut next) = (
-            std::mem::take(&mut self.level),
-            std::mem::take(&mut self.next_level),
-        );
-        level.clear();
-        level.push((self.root, 0, ups.len() as u32));
+        // Levels follow each other in one buffer: `start..end` is the
+        // level being read, and its children are pushed after it.
+        let mut visits = std::mem::take(&mut self.visits);
+        visits.clear();
+        visits.push((self.root, 0, ups.len() as u32));
         // Folds one byte from each end of every record read, so that the
         // loads (a record spans two cache lines) cannot be dropped.
         let mut seen = 0u8;
-        let mut depth = 0;
-        while !level.is_empty() && depth < MAX_DEPTH {
-            next.clear();
-            for &(node, lo, hi) in &level {
+        let (mut start, mut depth) = (0, 0);
+        while start < visits.len() && depth < MAX_DEPTH {
+            let end = visits.len();
+            for at in start..end {
+                let (node, lo, hi) = visits[at];
                 match node.slot() {
                     Slot::Empty => {}
                     Slot::Leaf(i) => {
@@ -352,19 +350,18 @@ impl SmtTree {
                         let under = &ups[lo as usize..hi as usize];
                         let split = lo + under.partition_point(|(k, _)| !bit(k, depth)) as u32;
                         if lo < split {
-                            next.push((node.left, lo, split));
+                            visits.push((node.left, lo, split));
                         }
                         if split < hi {
-                            next.push((node.right, split, hi));
+                            visits.push((node.right, split, hi));
                         }
                     }
                 }
             }
-            std::mem::swap(&mut level, &mut next);
-            depth += 1;
+            (start, depth) = (end, depth + 1);
         }
         std::hint::black_box(seen);
-        (self.level, self.next_level) = (level, next);
+        self.visits = visits;
     }
 
     fn new_leaf(&mut self, key: Digest, value: Digest, hashed: &mut u64) -> Child {
