@@ -232,9 +232,9 @@ fn transfer_event_data(from: &Address, to: &Address, amount: u128) -> String {
     // Two `0x` + 8-hex addresses, at most 39 digits, 18 bytes of labels.
     let mut s = String::with_capacity(2 * 10 + 39 + 18);
     s.push_str("from=0x");
-    s.push_str(&from.0.short());
+    push_short_hex(&mut s, from);
     s.push_str(" to=0x");
-    s.push_str(&to.0.short());
+    push_short_hex(&mut s, to);
     s.push_str(" amount=");
     let mut digits = [0u8; 39];
     let mut at = digits.len();
@@ -249,6 +249,17 @@ fn transfer_event_data(from: &Address, to: &Address, amount: u128) -> String {
     }
     s.extend(digits[at..].iter().map(|&d| char::from(d)));
     s
+}
+
+/// The address' first four bytes as lowercase hex, what
+/// `Digest::short` renders, written straight into `s`.
+fn push_short_hex(s: &mut String, address: &Address) {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+    let [a, b, c, d, ..] = address.0 .0;
+    for byte in [a, b, c, d] {
+        s.push(char::from(NIBBLES[usize::from(byte >> 4)]));
+        s.push(char::from(NIBBLES[usize::from(byte & 0x0f)]));
+    }
 }
 
 #[cfg(test)]

@@ -29,12 +29,12 @@ fn chacha20_block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) ->
     state[1] = 0x3320646e;
     state[2] = 0x79622d32;
     state[3] = 0x6b206574;
-    for i in 0..8 {
-        state[4 + i] = u32::from_le_bytes(key[i * 4..i * 4 + 4].try_into().unwrap());
+    for (word, bytes) in state[4..12].iter_mut().zip(key.as_chunks::<4>().0) {
+        *word = u32::from_le_bytes(*bytes);
     }
     state[12] = counter;
-    for i in 0..3 {
-        state[13 + i] = u32::from_le_bytes(nonce[i * 4..i * 4 + 4].try_into().unwrap());
+    for (word, bytes) in state[13..].iter_mut().zip(nonce.as_chunks::<4>().0) {
+        *word = u32::from_le_bytes(*bytes);
     }
     let mut working = state;
     for _ in 0..10 {
@@ -65,6 +65,7 @@ pub fn chacha20_xor(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], data: &mut [u8
         for (b, k) in chunk.iter_mut().zip(ks.iter()) {
             *b ^= k;
         }
+        // Sealed states are far below the 256 GiB one nonce's counters 1 ..= 2^32 − 1 cover.
         counter = counter.checked_add(1).expect("ChaCha20 counter overflow");
     }
 }
@@ -82,9 +83,12 @@ pub struct SealedBlob {
 
 /// Derives independent cipher and MAC keys from a master key.
 fn derive_keys(master: &[u8; KEY_LEN]) -> ([u8; KEY_LEN], [u8; KEY_LEN]) {
-    let enc = crate::hmac::hkdf(b"pds2-seal", master, b"enc", KEY_LEN);
-    let mac = crate::hmac::hkdf(b"pds2-seal", master, b"mac", KEY_LEN);
-    (enc.try_into().unwrap(), mac.try_into().unwrap())
+    let key = |info: &[u8]| {
+        let mut key = [0u8; KEY_LEN];
+        key.copy_from_slice(&crate::hmac::hkdf(b"pds2-seal", master, info, KEY_LEN));
+        key
+    };
+    (key(b"enc"), key(b"mac"))
 }
 
 /// Encrypt-then-MAC sealing.

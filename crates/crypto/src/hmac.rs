@@ -54,8 +54,12 @@ pub fn hkdf_expand(prk: &Digest, info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * DIGEST_LEN, "HKDF output too long");
     let mut out = Vec::with_capacity(len);
     let mut previous: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while out.len() < len {
+    // Block `counter` is T(counter), 1 ≤ counter ≤ 255: the length check
+    // above allows no more.
+    for counter in 1..=u8::MAX {
+        if out.len() >= len {
+            break;
+        }
         let mut msg = Vec::with_capacity(previous.len() + info.len() + 1);
         msg.extend_from_slice(&previous);
         msg.extend_from_slice(info);
@@ -64,7 +68,6 @@ pub fn hkdf_expand(prk: &Digest, info: &[u8], len: usize) -> Vec<u8> {
         previous = block.as_bytes().to_vec();
         let take = (len - out.len()).min(DIGEST_LEN);
         out.extend_from_slice(&block.as_bytes()[..take]);
-        counter = counter.checked_add(1).expect("HKDF counter overflow");
     }
     out
 }
@@ -155,6 +158,17 @@ mod tests {
         assert_eq!(hkdf_expand(&prk, b"", 100).len(), 100);
         // Different info strings yield independent keys.
         assert_ne!(hkdf_expand(&prk, b"a", 32), hkdf_expand(&prk, b"b", 32));
+    }
+
+    /// The longest output takes all 255 blocks: the counter's last value
+    /// is 255, and nothing wraps or panics after it.
+    #[test]
+    fn hkdf_expands_to_its_full_length() {
+        let prk = hkdf_extract(b"s", b"i");
+        let full = hkdf_expand(&prk, b"", 255 * 32);
+        assert_eq!(full.len(), 255 * 32);
+        assert_eq!(full[..100], hkdf_expand(&prk, b"", 100)[..]);
+        assert_ne!(full[254 * 32..], full[253 * 32..254 * 32]);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //!
 //! - [`bigint`] — arbitrary-precision unsigned integers with modular
 //!   arithmetic and primality testing (used by Paillier and Schnorr);
-//! - [`montgomery`] — Montgomery-form multiplication and squaring, one
-//!   exponentiation loop over row tables (fixed windows, a fixed-base
-//!   comb, a verifying key's rows) and the bucket multi-exponentiation
-//!   (the signature-verification fast path; see DESIGN.md §5d);
+//! - [`montgomery`] — Montgomery-form multiplication and squaring,
+//!   fixed-window exponentiation, Lim–Lee combs that share one squaring
+//!   chain (the generator's and a verifying key's) and the bucket
+//!   multi-exponentiation (the signature-verification fast path; see
+//!   DESIGN.md §5d);
 //! - [`mod@sha256`] — SHA-256 (FIPS 180-4);
 //! - [`hmac`] — HMAC-SHA-256 and HKDF;
 //! - [`chacha20`] — ChaCha20 stream cipher plus encrypt-then-MAC sealing;

@@ -29,29 +29,32 @@
 //!   an exponentiation's loop and reused, and squares up to eight limbs
 //!   with the off-diagonal products once and doubled (about 30 % cheaper).
 //!
-//! On top of the multiplier sit two exponentiation loops:
+//! On top of the multiplier sit three exponentiation loops:
 //!
-//! * one walk over **row tables** (`RowShape`), behind
-//!   [`MontgomeryCtx::modpow`] and the Schnorr group's `g^a` and
-//!   `g^a · y^b`. Row `j` of a table holds the powers
-//!   `b_j^1 .. b_j^{2^w − 1}` of `b_j = base^{2^{stride·j}}` and covers the
-//!   exponent's bits `[stride·j, stride·(j+1))`, so an exponentiation is
-//!   `stride / w` digit positions with `w` squarings between two of them
-//!   and one multiplication per non-zero digit of every row. Three shapes
-//!   run on it: one row of 4-bit windows (a plain fixed-window modpow,
-//!   ~`bits` squarings plus one multiply per 4 bits), a fixed-base comb
-//!   (stride = `w`, one row per window: no squaring at all, built once
-//!   for the group generator) and a per-key table of a few rows at a wide
-//!   stride (a verifying key's: the squaring chain shrinks by the row
-//!   count). Terms of a product each run the walk and meet in one
-//!   accumulator;
+//! * [`MontgomeryCtx::modpow`] — fixed windows of 4 bits over a table of
+//!   `base^1 .. base^15`: about `bits` squarings plus one multiplication
+//!   per 4 bits. Paillier, the MPC fields and Miller–Rabin run on it;
+//! * **Lim–Lee combs** (`CombShape`, C. H. Lim and P. J. Lee, "More
+//!   flexible exponentiation with precomputation", CRYPTO '94), behind
+//!   the Schnorr group's `g^a` and `g^a · y^b`. A comb splits a 256-bit
+//!   exponent into `h` rows of `v·b` bits and each row into `v` blocks of
+//!   `b` bits; sub-table `t`, entry `I` (`1 ≤ I < 2^h`) holds
+//!   `Π_{j∈I} base^{2^{(j·v+t)·b}}`. A walk runs `b` steps, most
+//!   significant first: one squaring, then per sub-table one
+//!   multiplication by the entry its bit column indexes. So a power costs
+//!   `b − 1` squarings and about `v·b` multiplications, and terms of a
+//!   product with the same `b` share the squarings: the generator's comb
+//!   (8 rows, 2 sub-tables, 510 residues, 20 KB, built once) and a key's
+//!   (4 rows, 4 sub-tables, 60 residues, 2.4 KB) make `g^a · y^b` 15
+//!   squarings and about 92 multiplications. A key's comb costs 240
+//!   squarings and 44 multiplications to build;
 //! * [`MontgomeryCtx::multi_pow`] — Pippenger bucket multi-exponentiation
 //!   `Π baseᵢ^{expᵢ} mod n`: no per-base table at all, one squaring chain
 //!   for the whole product and, per `c`-bit window, one multiplication
 //!   per term into one of `2^c − 1` buckets plus a fold of the buckets.
 //!   The shared part is paid once, so the cost per term falls as terms
 //!   are added (about 77 multiplications per signature at 256 signatures
-//!   against about 190 for a single check under a known key), which is
+//!   against about 107 for a single check under a known key), which is
 //!   what a batched signature check is made of. [`bucket_window`] picks
 //!   `c` from the exponents' lengths.
 //!
@@ -59,11 +62,12 @@
 //! (`a^e = b^e`) by square-and-multiply inside the kernel: the cofactor
 //! step of both signature checks, twelve multiplications at `e = 28`.
 //!
-//! A row table is one contiguous block of residues, and digits are read
+//! A table is one contiguous block of residues. Window digits are read
 //! straight from the exponent's limbs (a window of 3, 5 or 6 bits may
-//! straddle two of them). At compile-time width nothing inside an
-//! exponentiation loop touches the heap; at run-time width a residue is
-//! allocated when a running product takes its first factor.
+//! straddle two of them); a comb's bit columns by shifts over its rows,
+//! each of which lies in one limb. At compile-time width nothing inside
+//! an exponentiation loop touches the heap; at run-time width a residue
+//! is allocated when a running product takes its first factor.
 //!
 //! Results are plain [`BigUint`] values, bit-identical to the schoolbook
 //! path — the representation changes inside a call, never the outcome —
@@ -79,13 +83,22 @@ use crate::bigint::BigUint;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-/// Window width of the one-row table behind [`MontgomeryCtx::modpow`].
+/// Window width of the table behind [`MontgomeryCtx::modpow`].
 const WINDOW: u32 = 4;
 
-/// Widest digit any loop reads: row tables hold `2^w − 1` entries per row,
-/// and [`MontgomeryCtx::multi_pow`] holds 63 buckets of one residue (2.5 KB
-/// at five limbs) at most, whatever the batch size.
+/// Widest digit any loop reads: [`MontgomeryCtx::multi_pow`] holds 63
+/// buckets of one residue (2.5 KB at five limbs) at most, whatever the
+/// batch size.
 const MAX_WINDOW: u32 = 6;
+
+/// Bits of exponent every comb covers: a comb exponent is four limbs.
+pub(crate) const COMB_BITS: u32 = 256;
+
+/// Limbs of a comb exponent.
+pub(crate) const COMB_LIMBS: usize = (COMB_BITS / 64) as usize;
+
+/// Most rows a comb has: a bit column indexes at most 255 entries.
+const MAX_COMB_ROWS: usize = 8;
 
 /// Limb count of the moduli that get the compile-time-width kernel: those
 /// of [`is_shaped`]'s shape, the 260-bit Schnorr group prime among them.
@@ -286,90 +299,117 @@ fn subtract_n_unless_below(out: &mut [u64], hi: u64, n: &[u64]) {
     }
 }
 
-/// How a row table splits an exponent. Row `j` holds the powers
-/// `b_j^1 .. b_j^{2^width − 1}` of `b_j = base^{2^{stride·j}}` and covers
-/// the exponent's bits `[stride·j, stride·(j+1))`; the top row also takes
-/// every bit above, so any exponent is in range (past the rows' span it
-/// costs squarings). A walk reads `stride / width` digit positions, from
-/// the most significant down, with `width` squarings between two of them.
+/// The shape of a Lim–Lee comb over a [`COMB_BITS`]-bit exponent: `rows`
+/// (h) rows of `tables · steps` (v·b) bits, each row split into `tables`
+/// blocks of `steps` bits. Sub-table `t`, entry `I` (`1 ≤ I < 2^h`) holds
+/// `Π_{j∈I} base^{2^{(j·v+t)·b}}`, so at step `i` the bits `i` of block
+/// `t` of every row, one per row, index the one entry that sub-table
+/// contributes. A row is at most one limb wide and a limb holds whole
+/// rows, so each row is read out of one limb; a block is at least `h`
+/// bits wide, so a step's indices of all sub-tables fit in one word.
 ///
-/// The shapes in use: one row of 4-bit windows (a plain fixed-window
-/// exponentiation), a comb (stride = width, one row per window, no
-/// squaring) and a few rows at a wide stride (a verifying key's table).
+/// The shapes in use: the generator's `h = 8, v = 2, b = 16` (510
+/// residues) and a verifying key's `h = 4, v = 4, b = 16` (60 residues).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct RowShape {
-    width: u32,
-    stride: u32,
+pub(crate) struct CombShape {
     rows: u32,
+    tables: u32,
+    steps: u32,
 }
 
-impl RowShape {
-    /// The one-row table of 4-bit windows.
-    const ONE_ROW: RowShape = RowShape::new::<WINDOW, WINDOW, 1>();
-
-    /// The shape of `W`-bit digits at stride `S` over `R` rows, checked
-    /// when the crate compiles: an invalid one is a build error, so no
-    /// value of this type can make a walk index out of range.
-    pub(crate) const fn new<const W: u32, const S: u32, const R: u32>() -> RowShape {
-        const { assert!(RowShape::checked(W, S, R).is_some(), "invalid row shape") };
-        RowShape {
-            width: W,
-            stride: S,
-            rows: R,
+impl CombShape {
+    /// The shape of `H` rows, `V` sub-tables and `B` steps, checked when
+    /// the crate compiles: an invalid one is a build error, so no value
+    /// of this type can make a walk index out of range.
+    pub(crate) const fn new<const H: u32, const V: u32, const B: u32>() -> CombShape {
+        const { assert!(CombShape::checked(H, V, B).is_some(), "invalid comb shape") };
+        CombShape {
+            rows: H,
+            tables: V,
+            steps: B,
         }
     }
 
-    /// A shape, or `None` unless `1 ≤ width ≤ 6`, `stride` is a non-zero
-    /// multiple of `width`, there is at least one row and the rows' span
-    /// `stride · rows` fits in 32 bits.
-    const fn checked(width: u32, stride: u32, rows: u32) -> Option<RowShape> {
-        let span_fits = stride.checked_mul(rows).is_some();
-        if width == 0 || width > MAX_WINDOW || stride == 0 || !stride.is_multiple_of(width) {
+    /// A shape, or `None` unless `1 ≤ rows ≤ 8`, `rows ≤ steps`, `tables`
+    /// is non-zero, the row width `tables · steps` divides 64 and the
+    /// rows cover exactly [`COMB_BITS`] bits.
+    const fn checked(rows: u32, tables: u32, steps: u32) -> Option<CombShape> {
+        if rows == 0 || rows > MAX_COMB_ROWS as u32 || rows > steps || tables == 0 {
             return None;
         }
-        if rows == 0 || !span_fits {
+        let Some(width) = tables.checked_mul(steps) else {
+            return None;
+        };
+        if width > 64 || !64u32.is_multiple_of(width) || rows * width != COMB_BITS {
             return None;
         }
-        Some(RowShape {
-            width,
-            stride,
+        Some(CombShape {
             rows,
+            tables,
+            steps,
         })
     }
 
-    /// Residues per row: one per non-zero digit.
+    /// Residues per sub-table, one per non-empty set of rows; also the
+    /// mask of an entry index.
     fn entries(self) -> usize {
-        (1 << self.width) - 1
+        (1 << self.rows) - 1
     }
 
-    /// Digit positions a walk over an exponent of `exp_bits` bits reads:
-    /// `stride / width`, or more when the exponent reaches past the top
-    /// row's stride.
-    fn positions(self, exp_bits: u32) -> u32 {
-        let above_lower_rows = exp_bits.saturating_sub(self.stride * (self.rows - 1));
-        (self.stride / self.width).max(above_lower_rows.div_ceil(self.width))
+    /// The exponent's rows, row `j` in the low bits of word `j`: every
+    /// limb holds `64 / width` whole rows, so a row is one shift and one
+    /// mask. The words past the last row stay zero.
+    fn rows_of(self, exp: &[u64; COMB_LIMBS]) -> [u64; MAX_COMB_ROWS] {
+        let width = self.tables * self.steps;
+        let mask = u64::MAX >> (64 - width);
+        let pieces = exp
+            .iter()
+            .flat_map(|&limb| (0..64 / width).map(move |r| (limb >> (r * width)) & mask));
+        let mut rows = [0u64; MAX_COMB_ROWS];
+        for (row, piece) in rows.iter_mut().zip(pieces) {
+            *row = piece;
+        }
+        rows
+    }
+
+    /// Step `step`'s entry indices of every sub-table at once: bit `j` of
+    /// sub-table `t`'s index, at bit `t·b + j`, is bit `step` of block `t`
+    /// of row `j`. One shift, mask and shift per row.
+    #[inline]
+    fn columns(self, rows: &[u64; MAX_COMB_ROWS], step: u32) -> u64 {
+        let starts = (0..self.tables).fold(0u64, |m, t| m | 1 << (t * self.steps));
+        let rows = rows.iter().take(self.rows as usize);
+        rows.enumerate().fold(0, |columns, (j, row)| {
+            columns | ((row >> step) & starts) << j
+        })
+    }
+
+    /// Sub-table `t`'s entry index out of a step's [`Self::columns`].
+    #[inline]
+    fn index(self, columns: u64, t: u32) -> usize {
+        (columns >> (t * self.steps)) as usize & self.entries()
     }
 }
 
-/// A row table (see [`RowShape`]) in Montgomery form: `rows · (2^w − 1)`
-/// residues in one block. Only the context that built it may walk it;
-/// outside an exponentiation call, tables are kept only by the crate's
-/// one long-lived context, the Schnorr group's.
+/// A comb (see [`CombShape`]) in Montgomery form: `tables · (2^h − 1)`
+/// residues in one block, sub-table after sub-table. Only the context
+/// that built it may walk it; outside an exponentiation call, combs are
+/// kept only by the crate's one long-lived context, the Schnorr group's.
 #[derive(Debug)]
-pub(crate) struct PowRows {
-    shape: RowShape,
+pub(crate) struct Comb {
+    shape: CombShape,
     limbs: Box<[u64]>,
 }
 
-impl PowRows {
-    /// Entry for digit `d ≥ 1` of row `j`, as `k` limbs.
+impl Comb {
+    /// Entry `index ≥ 1` of sub-table `t`, as `k` limbs.
     #[inline]
-    fn entry(&self, j: u32, d: usize, k: usize) -> &[u64] {
-        let at = (j as usize * self.shape.entries() + d - 1) * k;
+    fn entry(&self, t: u32, index: usize, k: usize) -> &[u64] {
+        let at = (t as usize * self.shape.entries() + index - 1) * k;
         &self.limbs[at..at + k]
     }
 
-    /// Heap bytes held: what a cache of tables pays per entry.
+    /// Heap bytes held: what a cache of combs pays per entry.
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
         std::mem::size_of_val(&*self.limbs)
@@ -493,84 +533,113 @@ impl<L: Limbs> Kernel<L> {
         }
     }
 
-    /// The row table of `shape` for `base < n` (see [`RowShape`]). Each
-    /// row's entries are successive products by its base `b`; the next
-    /// row's base is `b^{2^w} = b^{2^w − 1} · b` squared `stride − w` more
-    /// times. A comb's row costs `2^w − 1` multiplications, a row at a
-    /// wide stride about `stride`.
-    fn rows(&self, base: &BigUint, shape: RowShape) -> PowRows {
+    /// `x ← x²`, `times` times in a row.
+    #[inline]
+    fn square_times(&self, x: &mut L, tmp: &mut L, times: u32) {
+        for _ in 0..times {
+            self.sqr(tmp.as_mut(), x.as_ref());
+            std::mem::swap(x, tmp);
+        }
+    }
+
+    /// `base^exp mod n` for `base < n` by fixed windows of [`WINDOW`]
+    /// bits, most significant first: a table of `base^1 .. base^15` (14
+    /// multiplications), then per window [`WINDOW`] squarings and one
+    /// multiplication by the window's entry unless the window is zero.
+    fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         let k = self.k();
-        let (entries, rows) = (shape.entries(), shape.rows as usize);
-        let mut limbs = vec![0u64; rows * entries * k];
-        let mut row_base = self.to_mont(base);
+        let entries = (1 << WINDOW) - 1;
+        let mut table = vec![0u64; entries * k];
+        table[..k].copy_from_slice(self.to_mont(base).as_ref());
+        for d in 1..entries {
+            let (done, next) = table.split_at_mut(d * k);
+            self.mul(&mut next[..k], &done[(d - 1) * k..], &done[..k]);
+        }
         let mut tmp = L::zeroed(k);
-        for (j, row) in limbs.chunks_exact_mut(entries * k).enumerate() {
-            row[..k].copy_from_slice(row_base.as_ref());
-            for d in 1..entries {
-                let (done, next) = row.split_at_mut(d * k);
-                self.mul(&mut next[..k], &done[(d - 1) * k..], row_base.as_ref());
+        let mut acc: Option<L> = None;
+        for w in (0..exp.bits().div_ceil(WINDOW)).rev() {
+            if let Some(x) = acc.as_mut() {
+                self.square_times(x, &mut tmp, WINDOW);
             }
-            if j + 1 < rows {
-                self.mul(tmp.as_mut(), &row[(entries - 1) * k..], row_base.as_ref());
-                std::mem::swap(&mut row_base, &mut tmp);
-                for _ in shape.width..shape.stride {
-                    self.sqr(tmp.as_mut(), row_base.as_ref());
-                    std::mem::swap(&mut row_base, &mut tmp);
-                }
+            let d = bits_at(exp.limbs(), w * WINDOW, WINDOW);
+            if d != 0 {
+                self.mul_into(&mut acc, &mut tmp, &table[(d - 1) * k..d * k]);
             }
         }
-        PowRows {
+        self.demont(acc.as_ref().map_or(self.r1.as_ref(), AsRef::as_ref))
+    }
+
+    /// The comb of `shape` for `base < n` (see [`CombShape`]). The powers
+    /// `base^{2^{b·m}}`, `m < h·v`, are one chain, each `b` squarings
+    /// after the one before, and power `m = j·v + t` is entry `2^j` of
+    /// sub-table `t`; every other entry is the product of its lowest
+    /// row's entry and the entry of the rest. A key's comb is 240
+    /// squarings and 44 multiplications.
+    fn comb(&self, base: &BigUint, shape: CombShape) -> Comb {
+        let k = self.k();
+        let entries = shape.entries();
+        let mut limbs = vec![0u64; shape.tables as usize * entries * k];
+        let (mut power, mut tmp) = (self.to_mont(base), L::zeroed(k));
+        for j in 0..shape.rows as usize {
+            for t in 0..shape.tables as usize {
+                if j + t > 0 {
+                    self.square_times(&mut power, &mut tmp, shape.steps);
+                }
+                let at = (t * entries + (1 << j) - 1) * k;
+                limbs[at..at + k].copy_from_slice(power.as_ref());
+            }
+        }
+        for table in limbs.chunks_exact_mut(entries * k) {
+            for index in 1..=entries {
+                let low = index & index.wrapping_neg();
+                if low == index {
+                    continue;
+                }
+                let (done, next) = table.split_at_mut((index - 1) * k);
+                let entry = |i: usize| &done[(i - 1) * k..i * k];
+                self.mul(&mut next[..k], entry(index - low), entry(low));
+            }
+        }
+        Comb {
             shape,
             limbs: limbs.into_boxed_slice(),
         }
     }
 
-    /// `Π tableᵢ^{expᵢ} mod n`: the one exponentiation loop over row
-    /// tables. Each term walks its digit positions from the most
-    /// significant down, squaring `w` times between two positions and
-    /// multiplying in the entry of every non-zero digit of every row. A
-    /// term of one position (a comb) has no squarings, so its digits go
-    /// straight into the product; a longer one runs its own chain and
-    /// joins the product with one multiplication.
-    fn pow_rows(&self, terms: &[(&PowRows, &BigUint)]) -> BigUint {
+    /// `Π combᵢ^{expᵢ} mod n`: the one walk over combs. All terms share
+    /// one squaring chain: step `i` runs from the largest step count
+    /// down, squares the product (except at the first factor) and
+    /// multiplies in, for every term with more than `i` steps and every
+    /// sub-table of it, the entry its bit column `i` indexes.
+    fn pow_combs<const N: usize>(&self, terms: [(&Comb, &[u64; COMB_LIMBS]); N]) -> BigUint {
         let k = self.k();
+        debug_assert!(
+            terms.iter().all(|(comb, _)| comb.limbs.len() % k == 0),
+            "comb built for another modulus"
+        );
+        let rows = terms.map(|(comb, exp)| comb.shape.rows_of(exp));
+        let steps = terms.iter().map(|(comb, _)| comb.shape.steps);
         let mut tmp = L::zeroed(k);
-        let mut product: Option<L> = None;
-        for &(table, exp) in terms {
-            debug_assert_eq!(table.limbs.len() % k, 0, "table built for another modulus");
-            let shape = table.shape;
-            let (exp, positions) = (exp.limbs(), shape.positions(exp.bits()));
-            let mut chain: Option<L> = None;
-            let acc = if positions == 1 {
-                &mut product
-            } else {
-                &mut chain
-            };
-            for i in (0..positions).rev() {
-                if let Some(x) = acc.as_mut().filter(|_| i + 1 < positions) {
-                    for _ in 0..shape.width {
-                        self.sqr(tmp.as_mut(), x.as_ref());
-                        std::mem::swap(x, &mut tmp);
-                    }
-                }
-                // Past its stride only the top row has digits left.
-                let first = if i < shape.stride / shape.width {
-                    0
-                } else {
-                    shape.rows - 1
-                };
-                for j in first..shape.rows {
-                    let d = bits_at(exp, j * shape.stride + i * shape.width, shape.width);
-                    if d != 0 {
-                        self.mul_into(acc, &mut tmp, table.entry(j, d, k));
-                    }
-                }
+        let mut acc: Option<L> = None;
+        for i in (0..steps.max().unwrap_or(0)).rev() {
+            if let Some(x) = acc.as_mut() {
+                self.square_times(x, &mut tmp, 1);
             }
-            if let Some(chain) = chain {
-                self.mul_into(&mut product, &mut tmp, chain.as_ref());
+            for ((comb, _), rows) in terms.iter().zip(&rows) {
+                let shape = comb.shape;
+                if i >= shape.steps {
+                    continue;
+                }
+                let columns = shape.columns(rows, i);
+                for t in 0..shape.tables {
+                    let index = shape.index(columns, t);
+                    if index != 0 {
+                        self.mul_into(&mut acc, &mut tmp, comb.entry(t, index, k));
+                    }
+                }
             }
         }
-        self.demont(product.as_ref().map_or(self.r1.as_ref(), AsRef::as_ref))
+        self.demont(acc.as_ref().map_or(self.r1.as_ref(), AsRef::as_ref))
     }
 
     /// `x ← x^e` in Montgomery form for a small `e ≥ 1`, by left-to-right
@@ -582,8 +651,7 @@ impl<L: Limbs> Kernel<L> {
         let base = x.clone();
         let mut tmp = L::zeroed(self.k());
         for bit in (0..e.ilog2()).rev() {
-            self.sqr(tmp.as_mut(), x.as_ref());
-            std::mem::swap(x, &mut tmp);
+            self.square_times(x, &mut tmp, 1);
             if (e >> bit) & 1 == 1 {
                 self.mul(tmp.as_mut(), x.as_ref(), base.as_ref());
                 std::mem::swap(x, &mut tmp);
@@ -628,10 +696,7 @@ impl<L: Limbs> Kernel<L> {
         };
         for w in (0..max_bits.div_ceil(c)).rev() {
             if let Some(acc) = acc.as_mut() {
-                for _ in 0..c {
-                    self.sqr(tmp.as_mut(), acc.as_ref());
-                    std::mem::swap(acc, &mut tmp);
-                }
+                self.square_times(acc, &mut tmp, c);
             }
             // Bit `d` set: bucket `d` holds a product (c ≤ 6, so 64 bits).
             let mut occupied = 0u64;
@@ -821,27 +886,33 @@ impl MontgomeryCtx {
         }
     }
 
-    /// Builds the row table of `shape` for `base` (see [`RowShape`]).
-    pub(crate) fn pow_rows(&self, base: &BigUint, shape: RowShape) -> PowRows {
+    /// Builds the comb of `shape` for `base` (see [`CombShape`]).
+    pub(crate) fn comb(&self, base: &BigUint, shape: CombShape) -> Comb {
         let base = self.reduced(base);
         match &self.kernel {
-            Width::Fixed(kernel) => kernel.rows(&base, shape),
-            Width::RunTime(kernel) => kernel.rows(&base, shape),
+            Width::Fixed(kernel) => kernel.comb(&base, shape),
+            Width::RunTime(kernel) => kernel.comb(&base, shape),
         }
     }
 
-    /// `base^exp mod n` by fixed-window (w = 4) exponentiation: the
-    /// one-row case of the row-table walk.
-    pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        self.modpow_with_rows(&[(&self.pow_rows(base, RowShape::ONE_ROW), exp)])
+    /// `Π combᵢ^{expᵢ} mod n` over combs this context built, in one walk
+    /// whose squarings every term shares; an empty product is 1.
+    pub(crate) fn pow_combs<const N: usize>(
+        &self,
+        terms: [(&Comb, &[u64; COMB_LIMBS]); N],
+    ) -> BigUint {
+        match &self.kernel {
+            Width::Fixed(kernel) => kernel.pow_combs(terms),
+            Width::RunTime(kernel) => kernel.pow_combs(terms),
+        }
     }
 
-    /// `Π tableᵢ^{expᵢ} mod n` over row tables this context built; an
-    /// empty product is 1.
-    pub(crate) fn modpow_with_rows(&self, terms: &[(&PowRows, &BigUint)]) -> BigUint {
+    /// `base^exp mod n` by fixed-window (w = 4) exponentiation.
+    pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let base = self.reduced(base);
         match &self.kernel {
-            Width::Fixed(kernel) => kernel.pow_rows(terms),
-            Width::RunTime(kernel) => kernel.pow_rows(terms),
+            Width::Fixed(kernel) => kernel.modpow(&base, exp),
+            Width::RunTime(kernel) => kernel.modpow(&base, exp),
         }
     }
 
@@ -953,50 +1024,103 @@ mod tests {
         shaped(rng.random_range(2..=1u128 << 64), rng.random::<u64>() | 1)
     }
 
-    fn shape(width: u32, stride: u32, rows: u32) -> RowShape {
-        RowShape::checked(width, stride, rows).expect("a valid shape")
+    fn shape(rows: u32, tables: u32, steps: u32) -> CombShape {
+        CombShape::checked(rows, tables, steps).expect("a valid shape")
     }
 
-    /// `a^x · b^y` the way a verification computes `g^s · y^{q−e}`: a comb
-    /// for `a` and a key's eight rows for `b`, one walk.
+    /// The limbs of a comb exponent below 2^256.
+    fn limbs(x: &BigUint) -> [u64; COMB_LIMBS] {
+        let mut out = [0u64; COMB_LIMBS];
+        out[..x.limbs().len()].copy_from_slice(x.limbs());
+        out
+    }
+
+    /// The generator's shape and a key's.
+    const G: (u32, u32, u32) = (8, 2, 16);
+    const KEY: (u32, u32, u32) = (4, 4, 16);
+
+    /// `a^x · b^y` the way a verification computes `g^s · y^{q−e}`: the
+    /// generator's comb for `a` and a key's for `b`, one walk.
     fn dual(ctx: &MontgomeryCtx, a: &BigUint, x: &BigUint, b: &BigUint, y: &BigUint) -> BigUint {
-        let comb = ctx.pow_rows(a, shape(4, 4, 64));
-        let rows = ctx.pow_rows(b, shape(2, 32, 8));
-        ctx.modpow_with_rows(&[(&rows, y), (&comb, x)])
+        let g = ctx.comb(a, shape(G.0, G.1, G.2));
+        let key = ctx.comb(b, shape(KEY.0, KEY.1, KEY.2));
+        ctx.pow_combs([(&key, &limbs(y)), (&g, &limbs(x))])
     }
 
     #[test]
-    fn row_shapes_refuse_what_a_walk_could_not_index() {
-        assert!(RowShape::checked(0, 4, 1).is_none());
-        assert!(RowShape::checked(7, 7, 1).is_none());
-        assert!(RowShape::checked(4, 6, 1).is_none());
-        assert!(RowShape::checked(2, 0, 1).is_none());
-        assert!(RowShape::checked(2, 32, 0).is_none());
-        assert!(RowShape::checked(1, 1 << 16, 1 << 16).is_none());
-        assert_eq!(RowShape::checked(4, 4, 1), Some(RowShape::ONE_ROW));
-        assert_eq!(shape(2, 32, 8).positions(255), 16);
-        assert_eq!(shape(4, 4, 64).positions(256), 1);
-        assert_eq!(shape(4, 4, 64).positions(260), 2);
-        assert_eq!(shape(4, 4, 1).positions(0), 1);
-        assert_eq!(shape(4, 4, 1).positions(255), 64);
+    fn comb_shapes_refuse_what_a_walk_could_not_index() {
+        assert!(CombShape::checked(0, 4, 64).is_none());
+        assert!(CombShape::checked(16, 1, 16).is_none());
+        assert!(CombShape::checked(4, 0, 16).is_none());
+        assert!(CombShape::checked(4, 4, 0).is_none());
+        assert!(CombShape::checked(4, 64, 1).is_none());
+        assert!(CombShape::checked(8, 8, 4).is_none());
+        assert!(CombShape::checked(2, 1, 128).is_none());
+        assert!(CombShape::checked(4, 4, 8).is_none());
+        assert!(CombShape::checked(8, 1, 64).is_none());
+        assert!(CombShape::checked(4, 1 << 16, 1 << 16).is_none());
+        assert_eq!(
+            CombShape::checked(8, 2, 16),
+            Some(CombShape::new::<8, 2, 16>())
+        );
+        assert_eq!(shape(KEY.0, KEY.1, KEY.2).entries(), 15);
+        assert_eq!(shape(G.0, G.1, G.2).entries(), 255);
+    }
+
+    #[test]
+    fn a_combs_rows_and_columns_come_straight_from_the_limbs() {
+        let exp = [
+            0x0123_4567_89ab_cdefu64,
+            0xfedc_ba98_7654_3210,
+            0x0f0f_0f0f_f0f0_f0f0,
+            0x8000_0000_0000_0001,
+        ];
+        let rows = shape(4, 4, 16).rows_of(&exp);
+        assert_eq!(rows[..4], exp[..]);
+        assert_eq!(rows[4..], [0; 4]);
+        let rows = shape(8, 2, 16).rows_of(&exp);
+        let halves: Vec<u64> = exp
+            .iter()
+            .flat_map(|l| [l & 0xffff_ffff, l >> 32])
+            .collect();
+        assert_eq!(rows[..], halves[..]);
+        // Every step's index of every sub-table against the bit-by-bit
+        // definition.
+        let bit = |i: u32| ((exp[(i / 64) as usize] >> (i % 64)) & 1) as usize;
+        for (h, v, b) in [
+            (4u32, 4u32, 16u32),
+            (8, 2, 16),
+            (4, 16, 4),
+            (8, 1, 32),
+            (4, 1, 64),
+        ] {
+            let shape = shape(h, v, b);
+            let rows = shape.rows_of(&exp);
+            for step in 0..b {
+                let columns = shape.columns(&rows, step);
+                for t in 0..v {
+                    let want = (0..h).fold(0, |i, j| i | bit((j * v + t) * b + step) << j);
+                    assert_eq!(shape.index(columns, t), want, "{h}x{v}x{b} step {step}");
+                }
+            }
+        }
     }
 
     /// Every shape at both widths against the schoolbook power, with
-    /// exponents inside the rows' span, reaching past it, with zero top
-    /// windows and zero.
+    /// random exponents of every length up to 256 bits, ones whose top
+    /// rows are zero, zero itself and all ones.
     #[test]
-    fn every_row_shape_matches_schoolbook() {
+    fn every_comb_shape_matches_schoolbook() {
         let mut rng = StdRng::seed_from_u64(21);
         let shapes = [
-            shape(4, 4, 1),
-            shape(1, 1, 1),
-            shape(6, 6, 1),
-            shape(4, 4, 64),
-            shape(2, 32, 8),
-            shape(3, 6, 5),
-            shape(5, 10, 3),
-            shape(6, 60, 2),
+            shape(4, 1, 64),
+            shape(4, 4, 16),
+            shape(4, 16, 4),
+            shape(8, 1, 32),
+            shape(8, 2, 16),
+            shape(8, 4, 8),
         ];
+        let all_ones = BigUint::one().shl(COMB_BITS).sub(&BigUint::one());
         for bits in [64u32, 260, 321] {
             let m = odd_modulus(&mut rng, bits);
             for ctx in [
@@ -1005,13 +1129,13 @@ mod tests {
             ] {
                 let base = BigUint::random_bits(&mut rng, bits + 3);
                 for shape in shapes {
-                    let table = ctx.pow_rows(&base, shape);
-                    for exp_bits in [1u32, 17, 64, 129, 255, 256, 300] {
+                    let comb = ctx.comb(&base, shape);
+                    for exp_bits in [1u32, 17, 64, 129, 255, 256] {
                         let exp = BigUint::random_bits(&mut rng, exp_bits);
                         let low = exp.rem(&BigUint::one().shl(exp_bits / 2));
-                        for exp in [exp, low, BigUint::zero()] {
+                        for exp in [exp, low, BigUint::zero(), all_ones.clone()] {
                             assert_eq!(
-                                ctx.modpow_with_rows(&[(&table, &exp)]),
+                                ctx.pow_combs([(&comb, &limbs(&exp))]),
                                 base.modpow_schoolbook(&exp, &m),
                                 "bits={bits} shape={shape:?} exp={exp:?}"
                             );
@@ -1019,6 +1143,75 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Single bits at every (row, sub-table, step) of both shapes in use,
+    /// and whole bit columns, at both widths: each single bit against the
+    /// running square of the base, each column against the schoolbook
+    /// power. A comb whose sub-tables swapped bases fails here.
+    #[test]
+    fn single_bits_and_whole_columns_match_at_both_widths() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let m = random_shaped(&mut rng);
+        let base = BigUint::random_bits(&mut rng, 300).rem(&m);
+        for ctx in [
+            MontgomeryCtx::new(&m).unwrap(),
+            MontgomeryCtx::new_run_time_width(&m).unwrap(),
+        ] {
+            for (h, v, b) in [G, KEY] {
+                let comb = ctx.comb(&base, shape(h, v, b));
+                let mut power = base.clone();
+                for at in 0..COMB_BITS {
+                    let exp = BigUint::one().shl(at);
+                    assert_eq!(ctx.pow_combs([(&comb, &limbs(&exp))]), power, "bit {at}");
+                    power = power.mul_mod(&power, &m);
+                }
+                for step in 0..b {
+                    let column = (0..h * v).fold(BigUint::zero(), |e, block| {
+                        e.add(&BigUint::one().shl(block * b + step))
+                    });
+                    let want = base.modpow_schoolbook(&column, &m);
+                    assert_eq!(ctx.pow_combs([(&comb, &limbs(&column))]), want);
+                }
+            }
+        }
+    }
+
+    /// Terms of different step counts meet in one walk: the shorter
+    /// ones join the shared chain at their own top step.
+    #[test]
+    fn combs_of_different_steps_share_one_walk() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let m = odd_modulus(&mut rng, 260);
+        for ctx in [
+            MontgomeryCtx::new(&m).unwrap(),
+            MontgomeryCtx::new_run_time_width(&m).unwrap(),
+        ] {
+            let (a, b) = (
+                BigUint::random_bits(&mut rng, 260),
+                BigUint::random_bits(&mut rng, 260),
+            );
+            let short = ctx.comb(&a, shape(4, 16, 4));
+            let long = ctx.comb(&b, shape(8, 1, 32));
+            for _ in 0..4 {
+                let (x, y) = (
+                    BigUint::random_bits(&mut rng, 256),
+                    BigUint::random_bits(&mut rng, 200),
+                );
+                let want = a
+                    .modpow_schoolbook(&x, &m)
+                    .mul_mod(&b.modpow_schoolbook(&y, &m), &m);
+                assert_eq!(
+                    ctx.pow_combs([(&short, &limbs(&x)), (&long, &limbs(&y))]),
+                    want
+                );
+                assert_eq!(
+                    ctx.pow_combs([(&long, &limbs(&y)), (&short, &limbs(&x))]),
+                    want
+                );
+            }
+            assert_eq!(ctx.pow_combs([]), BigUint::one());
         }
     }
 

@@ -35,14 +35,16 @@
 //! reduction takes six — in two shapes:
 //!
 //! * [`PublicKey::verify`], one signature: `T = g^s · y^{q-e}` in one
-//!   walk over row tables — a fixed-base comb for g built once (38 KB, no
-//!   squaring) and eight rows `y^{2^{32j}}` for the key (960 bytes, 30
-//!   squarings) — and the comparison `T²⁸ = R²⁸`. The same keys sign
-//!   again and again, so a key's rows live in a two-generation cache of
+//!   walk over two Lim–Lee combs that share one chain of 15 squarings —
+//!   the generator's, built once (8 rows, 2 sub-tables, 20 KB), and the
+//!   key's (4 rows, 4 sub-tables, 2.4 KB, built from `y^{2^{16m}}`,
+//!   `m < 16`) — and the comparison `T²⁸ = R²⁸`. The same keys sign
+//!   again and again, so a key's comb lives in a two-generation cache of
 //!   constant capacity on the verifying thread ([`KEY_ROWS_PER_GENERATION`]):
-//!   no lock, no hash of the key beyond the map's own, about 190
-//!   multiplications for a known key against about 420 for its first
-//!   verification, which builds the rows;
+//!   no lock, no hash of the key beyond the map's own, 15 squarings and
+//!   about 92 multiplications for a known key against about 390 for its
+//!   first verification, which builds the comb. A signature's `g^k` is
+//!   15 squarings and about 32 multiplications on the generator's comb;
 //! * [`verify_batch`], a block of them: randomisers `aᵢ` hashed from the
 //!   batch and ONE Pippenger multi-exponentiation
 //!   `g^{−Σ aᵢsᵢ} · Π Rᵢ^{aᵢ} · Π yᵢ^{aᵢeᵢ}` whose 28th power must be 1,
@@ -60,7 +62,7 @@
 use crate::bigint::BigUint;
 use crate::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use crate::hmac::hmac_sha256;
-use crate::montgomery::{MontgomeryCtx, PowRows, RowShape};
+use crate::montgomery::{Comb, CombShape, MontgomeryCtx, COMB_BITS, COMB_LIMBS};
 use crate::sha256::{sha256_pair, Digest, Sha256};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,47 +88,49 @@ pub struct Group {
 static GROUP: OnceLock<Group> = OnceLock::new();
 
 /// Precomputed fast-path state for the standard group: the Montgomery
-/// context for p and the fixed-base comb for g (shared by signing, key
+/// context for p and the generator's comb (shared by signing, key
 /// generation and verification).
 struct GroupCtx {
     mont: MontgomeryCtx,
-    g_comb: PowRows,
+    g_comb: Comb,
 }
 
-/// The generator's comb: one row of 15 powers per 4-bit window of a
-/// 256-bit exponent (64 × 15 residues, 38 KB), so `g^k` for `k < 2^256`
-/// is at most 64 multiplications and no squaring.
-const G_COMB: RowShape = RowShape::new::<4, 4, 64>();
+/// The generator's comb: 8 rows of 32 bits, each split into 2 blocks of
+/// 16 (2 × 255 residues, 20 KB), so `g^k` for `k < 2^256` is 15 squarings
+/// and about 32 multiplications.
+const G_COMB: CombShape = CombShape::new::<8, 2, 16>();
 
-/// A verifying key's rows: `y^{2^{32j}}` for `j < 8`, each with its square
-/// and cube (24 residues, 960 bytes), so `y^b` for `b < 2^256` is 30
-/// squarings and about 96 multiplications instead of 255 and 60.
-const KEY_ROWS: RowShape = RowShape::new::<2, 32, 8>();
+/// A verifying key's comb: 4 rows of 64 bits, each split into 4 blocks
+/// of 16 (4 × 15 residues, 2.4 KB), built from `y^{2^{16m}}` for `m < 16`
+/// in 240 squarings and 44 multiplications. Its 16 steps are the
+/// generator comb's, so `g^a · y^b` walks both on one chain of 15
+/// squarings, with about 92 multiplications.
+const KEY_COMB: CombShape = CombShape::new::<4, 4, 16>();
 
-/// Keys per generation of a thread's key-row cache: above the largest
+/// Keys per generation of a thread's key-comb cache: above the largest
 /// working set of senders a workload keeps (2 000 on `mempool_flood`), so
 /// a key that signs again while its generation lives is found. A thread
-/// holds at most twice this many tables, under 9 MB. A constant of the
+/// holds at most twice this many combs, about 20 MB. A constant of the
 /// design, not a knob.
 pub const KEY_ROWS_PER_GENERATION: usize = 4096;
 
-/// A thread's tables for the keys it verified lately, in two generations:
-/// a lookup that misses `current` but hits `previous` moves the table
+/// A thread's combs for the keys it verified lately, in two generations:
+/// a lookup that misses `current` but hits `previous` moves the comb
 /// forward, and when `current` is full the older generation is dropped
 /// and `current` becomes it. Keyed by the key's limbs (the element below
-/// p, so its five limbs are the whole value); each table is a pure
+/// p, so its five limbs are the whole value); each comb is a pure
 /// function of its key, so whatever the cache holds, every result is what
-/// a fresh table would give.
+/// a fresh comb would give.
 #[derive(Default)]
-struct KeyRowCache {
-    current: HashMap<[u64; 5], PowRows>,
-    previous: HashMap<[u64; 5], PowRows>,
+struct KeyCombCache {
+    current: HashMap<[u64; 5], Comb>,
+    previous: HashMap<[u64; 5], Comb>,
 }
 
-impl KeyRowCache {
-    /// The table for `y` under its `key`, built on a miss in both
-    /// generations.
-    fn rows(&mut self, mont: &MontgomeryCtx, key: [u64; 5], y: &BigUint) -> &PowRows {
+impl KeyCombCache {
+    /// The comb for `y < p`, built on a miss in both generations.
+    fn comb(&mut self, mont: &MontgomeryCtx, y: &BigUint) -> &Comb {
+        let key = low_limbs(y);
         if self.current.len() >= KEY_ROWS_PER_GENERATION && !self.current.contains_key(&key) {
             std::mem::swap(&mut self.current, &mut self.previous);
             self.current.clear();
@@ -135,44 +139,46 @@ impl KeyRowCache {
         self.current.entry(key).or_insert_with(|| {
             previous
                 .remove(&key)
-                .unwrap_or_else(|| mont.pow_rows(y, KEY_ROWS))
+                .unwrap_or_else(|| mont.comb(y, KEY_COMB))
         })
     }
 
-    /// The table for `y` if either generation holds one; never builds.
-    fn cached(&self, y: &BigUint) -> Option<&PowRows> {
-        let key = cache_key(y)?;
+    /// The comb for `y` if either generation holds one; never builds.
+    fn cached(&self, y: &BigUint) -> Option<&Comb> {
+        let key = (y.limbs().len() <= 5).then(|| low_limbs(y))?;
         self.current.get(&key).or_else(|| self.previous.get(&key))
     }
 }
 
-/// The cache key of an element: its limbs, zero-padded to five. `None`
-/// for a value of more than five limbs, which is no element below p.
-fn cache_key(y: &BigUint) -> Option<[u64; 5]> {
-    let mut key = [0u64; 5];
-    key.get_mut(..y.limbs().len())?.copy_from_slice(y.limbs());
-    Some(key)
+/// The low `N` limbs of `x`, zero-padded: all of `x` for `x < 2^{64N}`
+/// (an element below p at `N = 5`, a comb exponent at `N = 4`).
+fn low_limbs<const N: usize>(x: &BigUint) -> [u64; N] {
+    let mut out = [0u64; N];
+    for (limb, &x) in out.iter_mut().zip(x.limbs()) {
+        *limb = x;
+    }
+    out
 }
 
 thread_local! {
-    static KEY_ROW_CACHE: RefCell<KeyRowCache> = RefCell::default();
+    static KEY_COMBS: RefCell<KeyCombCache> = RefCell::default();
 }
 
-/// Tables this thread's key-row cache holds, both generations together
+/// Combs this thread's key-comb cache holds, both generations together
 /// (test hook: the cache stays within `2 × KEY_ROWS_PER_GENERATION`).
 #[doc(hidden)]
 pub fn key_rows_held() -> usize {
-    KEY_ROW_CACHE.with(|cache| {
+    KEY_COMBS.with(|cache| {
         let cache = cache.borrow();
         cache.current.len() + cache.previous.len()
     })
 }
 
-/// Whether this thread's key-row cache holds a table for `key` (test
+/// Whether this thread's key-comb cache holds a comb for `key` (test
 /// hook: a key's first and later verifications take different paths).
 #[doc(hidden)]
 pub fn key_rows_cached(key: &PublicKey) -> bool {
-    KEY_ROW_CACHE.with(|cache| cache.borrow().cached(&key.y).is_some())
+    KEY_COMBS.with(|cache| cache.borrow().cached(&key.y).is_some())
 }
 
 static GROUP_CTX: OnceLock<GroupCtx> = OnceLock::new();
@@ -190,7 +196,7 @@ impl Group {
             let group = Group::standard();
             // `from_constants` asserts p odd and > 1, all `new` asks.
             let mont = MontgomeryCtx::new(&group.p).expect("standard modulus is an odd prime");
-            let g_comb = mont.pow_rows(&group.g, G_COMB);
+            let g_comb = mont.comb(&group.g, G_COMB);
             GroupCtx { mont, g_comb }
         })
     }
@@ -244,39 +250,49 @@ impl Group {
         }
     }
 
-    /// `g^e mod p` through the generator's comb: at most 64
-    /// multiplications and no squaring for `e < 2^256`.
+    /// `g^e mod p` through the generator's comb: 15 squarings and about
+    /// 32 multiplications. An exponent above the comb's 256 bits is
+    /// reduced mod q first, which leaves the power alone: g has order q.
     ///
     /// Public because the threshold-governance layer (`pds2-gov`) computes
     /// nonce commitments `g^k` and share commitments `g^{s_i}` on the same
     /// fast path signing and verification use.
     pub fn pow_g(&self, e: &BigUint) -> BigUint {
         let ctx = Self::ctx();
-        ctx.mont.modpow_with_rows(&[(&ctx.g_comb, e)])
+        ctx.mont.pow_combs([(&ctx.g_comb, &self.g_exponent(e))])
     }
 
-    /// `g^a · y^b mod p` in one walk over the generator's comb and `y`'s
-    /// rows, taken from this thread's key-row cache or built into it (see
+    /// `e` as the generator comb's exponent: its limbs, or above 256 bits
+    /// those of `e mod q`, the same power of g.
+    fn g_exponent(&self, e: &BigUint) -> [u64; COMB_LIMBS] {
+        if e.bits() > COMB_BITS {
+            low_limbs(&self.reduce_q(e))
+        } else {
+            low_limbs(e)
+        }
+    }
+
+    /// `g^a · y^b mod p` in one walk over the generator's comb and `y`'s,
+    /// taken from this thread's key-comb cache or built into it (see
     /// [`KEY_ROWS_PER_GENERATION`]) — the machinery [`PublicKey::verify`]
-    /// runs on. About 190 multiplications for a key seen before, about
-    /// 420 the first time.
+    /// runs on. 15 squarings and about 92 multiplications for a key seen
+    /// before, about 390 the first time. A `b` above the comb's 256 bits
+    /// (no signature check makes one; y's order is not known) takes
+    /// [`MontgomeryCtx::modpow`] instead.
     ///
     /// `pds2-gov` uses this to check a partial signature `s_i` against its
     /// signer's share commitment: `g^{s_i} · Y_i^{q - e·λ_i} == R_i`.
     pub fn dual_pow_g(&self, a: &BigUint, y: &BigUint, b: &BigUint) -> BigUint {
         let ctx = Self::ctx();
         let y = ctx.mont.reduced(y);
-        KEY_ROW_CACHE.with(|cache| match cache_key(&y) {
-            Some(key) => {
-                let mut cache = cache.borrow_mut();
-                let rows = cache.rows(&ctx.mont, key, &y);
-                ctx.mont.modpow_with_rows(&[(rows, b), (&ctx.g_comb, a)])
-            }
-            // Not taken: `reduced` leaves y below p, five limbs at most.
-            None => {
-                let rows = ctx.mont.pow_rows(&y, KEY_ROWS);
-                ctx.mont.modpow_with_rows(&[(&rows, b), (&ctx.g_comb, a)])
-            }
+        if b.bits() > COMB_BITS {
+            return ctx.mont.mul_mod(&self.pow_g(a), &ctx.mont.modpow(&y, b));
+        }
+        let (a, b) = (self.g_exponent(a), low_limbs(b));
+        KEY_COMBS.with(|cache| {
+            let mut cache = cache.borrow_mut();
+            let comb = cache.comb(&ctx.mont, &y);
+            ctx.mont.pow_combs([(comb, &b), (&ctx.g_comb, &a)])
         })
     }
 
@@ -511,7 +527,7 @@ impl PublicKey {
     /// Verifies a signature over `message` (Montgomery fast path).
     ///
     /// Hashes `e = H(R ‖ y ‖ m)`, computes `T = g^s · y^(q-e) mod p` in
-    /// one walk over the generator's comb and this key's rows
+    /// one walk over the generator's comb and this key's
     /// ([`Group::dual_pow_g`]), and accepts iff `T²⁸ = R²⁸` (at once when
     /// `T = R`, which is every honestly made signature, so the common case
     /// pays nothing for the cofactor). Because p = 28q + 1, raising both
@@ -714,10 +730,7 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> bool {
     for (((key, _, sig), challenge), a) in items.iter().zip(&challenges).zip(&a) {
         s_sum = s_sum.add(&a.mul(&sig.s));
         let ae = a.mul(&group.to_scalar(challenge));
-        let Some(limbs) = cache_key(&key.y) else {
-            return false;
-        };
-        match key_at.entry(limbs) {
+        match key_at.entry(low_limbs(&key.y)) {
             Entry::Occupied(at) => {
                 let sum = &mut keys[*at.get()].1;
                 *sum = sum.add(&ae);
@@ -926,8 +939,8 @@ mod tests {
 
     #[test]
     fn repeated_verifies_of_one_key_agree_with_reference() {
-        // The first verify builds the key's rows, the later ones reuse
-        // them: every one must keep agreeing with the reference path.
+        // The first verify builds the key's comb, the later ones reuse
+        // it: every one must keep agreeing with the reference path.
         let kp = KeyPair::from_seed(77);
         for i in 0..5u64 {
             let msg = i.to_le_bytes();
@@ -971,11 +984,11 @@ mod tests {
     }
 
     #[test]
-    fn a_keys_rows_fit_in_a_kilobyte_and_the_comb_in_38() {
+    fn a_keys_comb_fits_in_2_4_kilobytes_and_the_generators_in_20() {
         let ctx = Group::ctx();
         let key = KeyPair::from_seed(23).public;
-        assert_eq!(ctx.mont.pow_rows(&key.y, KEY_ROWS).heap_bytes(), 24 * 40);
-        assert_eq!(ctx.g_comb.heap_bytes(), 64 * 15 * 40);
+        assert_eq!(ctx.mont.comb(&key.y, KEY_COMB).heap_bytes(), 4 * 15 * 40);
+        assert_eq!(ctx.g_comb.heap_bytes(), 2 * 255 * 40);
     }
 
     #[test]

@@ -455,8 +455,8 @@ fn single_batch_and_reference_agree_on_small_order_taint() {
 }
 
 // ---------------------------------------------------------------------------
-// Row tables: the generator's comb and the verifying keys' rows (DESIGN.md
-// §5d) against the schoolbook powers and the reference verifier.
+// Lim–Lee combs: the generator's and the verifying keys' (DESIGN.md §5d)
+// against the schoolbook powers and the reference verifier.
 // ---------------------------------------------------------------------------
 
 /// `pow_g` walks the comb: every exponent shape against the schoolbook
@@ -535,7 +535,116 @@ fn dual_pow_g_matches_schoolbook_for_every_key_shape() {
     }
 }
 
-/// A forgery under a key whose rows are cached is refused, and it leaves
+/// `g^a · y^b` by two schoolbook powers.
+fn dual_schoolbook(a: &BigUint, y: &BigUint, b: &BigUint) -> BigUint {
+    let group = Group::standard();
+    let p = &group.p;
+    group
+        .g
+        .modpow_schoolbook(a, p)
+        .mul_mod(&y.modpow_schoolbook(b, p), p)
+}
+
+/// The exponents at the ends of the combs' range and past it: 0, 1,
+/// q − 1, 2^255 − 1, 2^256 − 1, and above 256 bits (g's is reduced mod q,
+/// a key's takes the fixed-window power).
+fn edge_exponents() -> Vec<BigUint> {
+    let group = Group::standard();
+    let one = BigUint::one();
+    vec![
+        BigUint::zero(),
+        one.clone(),
+        group.q.sub(&one),
+        one.shl(255).sub(&one),
+        one.shl(256).sub(&one),
+        one.shl(256),
+        one.shl(300).add(&one),
+        group.p.clone(),
+        one.shl(511).sub(&one),
+    ]
+}
+
+/// `pow_g` and `dual_pow_g` on the edge exponents, under an honest key
+/// and one with an order-28 component, each as a first and a later
+/// sighting, against the schoolbook powers.
+#[test]
+fn combs_match_schoolbook_on_edge_exponents() {
+    let group = Group::standard();
+    let zeta = root_of_unity_28();
+    let honest = KeyPair::from_seed(33).public.element().clone();
+    let keys = [honest.clone(), honest.mul_mod(&zeta, &group.p)];
+    let exps = edge_exponents();
+    for e in &exps {
+        assert_eq!(
+            group.pow_g(e),
+            group.g.modpow_schoolbook(e, &group.p),
+            "e={e:?}"
+        );
+    }
+    for (k, y) in keys.iter().enumerate() {
+        for a in &exps {
+            for b in &exps {
+                let want = dual_schoolbook(a, y, b);
+                assert_eq!(group.dual_pow_g(a, y, b), want, "key {k} a={a:?} b={b:?}");
+            }
+        }
+    }
+}
+
+/// Single bits at every corner of both combs — first and last row,
+/// sub-table and step: bit `(j·v + t)·16 + i` — and whole bit columns,
+/// every block's bit `i` set (both combs have 16 blocks of 16 bits), one
+/// sub-table's column alone, and every bit of one step but one.
+#[test]
+fn comb_corners_and_whole_columns_match_schoolbook() {
+    let group = Group::standard();
+    let zeta = root_of_unity_28();
+    let y = KeyPair::from_seed(34)
+        .public
+        .element()
+        .mul_mod(&zeta, &group.p);
+    let bit = |at: u32| BigUint::one().shl(at);
+    let column = |blocks: &mut dyn Iterator<Item = u32>, i: u32| {
+        blocks.fold(BigUint::zero(), |e, block| e.add(&bit(block * 16 + i)))
+    };
+    let mut exps = Vec::new();
+    // The generator's comb: 8 rows, 2 sub-tables; a key's: 4 rows, 4.
+    for (rows, tables) in [(8u32, 2u32), (4, 4)] {
+        for j in [0, rows - 1] {
+            for t in [0, tables - 1] {
+                for i in [0, 15] {
+                    exps.push(bit((j * tables + t) * 16 + i));
+                }
+            }
+        }
+        for i in [0, 7, 15] {
+            for t in 0..tables {
+                exps.push(column(&mut (0..rows).map(|j| j * tables + t), i));
+            }
+        }
+    }
+    for i in [0, 1, 14, 15] {
+        exps.push(column(&mut (0..16), i));
+        exps.push(column(&mut (1..16), i));
+    }
+    for e in &exps {
+        assert_eq!(
+            group.pow_g(e),
+            group.g.modpow_schoolbook(e, &group.p),
+            "e={e:?}"
+        );
+        let other = group.q.sub(&BigUint::one()).sub(&e.rem(&group.q));
+        for (a, b) in [(&BigUint::zero(), e), (e, e), (&other, e), (e, &other)] {
+            assert_eq!(
+                group.dual_pow_g(a, &y, b),
+                dual_schoolbook(a, &y, b),
+                "a={a:?} b={b:?}"
+            );
+        }
+    }
+}
+
+/// A forgery under a key whose comb is cached is refused, and it leaves
 /// nothing behind: the key's next honest signature still verifies.
 #[test]
 fn a_forgery_under_a_warm_key_is_refused_and_the_next_honest_one_passes() {
@@ -556,11 +665,12 @@ fn a_forgery_under_a_warm_key_is_refused_and_the_next_honest_one_passes() {
     }
 }
 
-/// Row-based verification agrees with the reference on a key's first
-/// sighting, its second and after its generation rolled (found in the
-/// older one), for honest keys, forgeries under them and the 25 tainted
-/// members of test (c); and after more than two generations of distinct
-/// keys a thread holds at most two generations.
+/// Comb-based verification agrees with the reference on a key's first
+/// sighting, its second, after its generation rolled (found in the older
+/// one) and after its comb was evicted and rebuilt, for honest keys,
+/// forgeries under them and the 25 tainted members of test (c); and after
+/// more than two generations of distinct keys a thread holds at most two
+/// generations.
 #[test]
 fn row_verify_matches_reference_across_sightings_and_generations() {
     let mut tracked: Vec<(String, Signed, bool)> = tainted_members();
@@ -599,9 +709,18 @@ fn row_verify_matches_reference_across_sightings_and_generations() {
     fill(KEY_ROWS_PER_GENERATION);
     assert!(tracked.iter().all(|(_, m, _)| key_rows_cached(&m.key)));
     check("found in the older generation");
-    // More than two generations of distinct keys have now passed through.
-    fill(KEY_ROWS_PER_GENERATION + 1);
+    // More than two generations of distinct keys have now passed through:
+    // every tracked comb was evicted, and the rebuilt ones give the same
+    // verdicts and the same powers.
+    let y = tracked[0].1.key.element().clone();
+    let (a, b) = (sha_scalar(41).rem(&group.q), sha_scalar(42).rem(&group.q));
+    let before = group.dual_pow_g(&a, &y, &b);
+    fill(2 * KEY_ROWS_PER_GENERATION);
     assert!(key_rows_held() > KEY_ROWS_PER_GENERATION);
+    assert!(tracked.iter().all(|(_, m, _)| !key_rows_cached(&m.key)));
+    check("rebuilt after eviction");
+    assert_eq!(group.dual_pow_g(&a, &y, &b), before);
+    assert_eq!(before, dual_schoolbook(&a, &y, &b));
 }
 
 /// (d) The randomisers are a function of the batch and of all of it.

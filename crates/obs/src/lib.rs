@@ -19,7 +19,7 @@
 //!   handles interned in a process-wide registry. A hot-path increment
 //!   is one relaxed atomic add on a cached `&'static` handle. Counters
 //!   are totals, deliberately *outside* the trace digest: a warm cache
-//!   (the sigcache, the signature row cache) changes hit/miss splits
+//!   (the sigcache, the key comb cache) changes hit/miss splits
 //!   between otherwise identical runs, and the tests of one binary share
 //!   the process-wide registry and bump it from their own threads.
 //! - **Tracing** ([`event!`], [`span`]): structured events with a

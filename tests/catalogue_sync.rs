@@ -405,8 +405,8 @@ const CALLERLESS_PUB_ITEMS: &[(&str, &str)] = &[
     ("truncate_tail", "fault injector: torn journal tail"),
     ("corrupt_bit", "fault injector: flipped journal bit"),
     ("counter_deltas", "test hook: per-run counter deltas"),
-    ("key_rows_held", "test hook: row cache size"),
-    ("key_rows_cached", "test hook: row cache membership"),
+    ("key_rows_held", "test hook: key comb cache size"),
+    ("key_rows_cached", "test hook: key comb cache membership"),
     ("batch_randomisers", "test hook: batch coefficients"),
     ("new_run_time_width", "test hook: run-time kernel width"),
     ("drop_kind", "fault injector: drop a message kind"),
