@@ -103,17 +103,33 @@ fn crypto_rows(m: &mut Micro, mode: Mode) -> f64 {
         0x1f83d9ab,
         0x5be0cd19,
     ];
+    let standard_iv = state;
     sha256::compress_portable(&mut state, &padded);
-    let portable: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
+    let as_bytes =
+        |words: [u32; 8]| -> Vec<u8> { words.iter().flat_map(|w| w.to_be_bytes()).collect() };
     assert_eq!(
         sha256(&padded[..LEN]).as_bytes()[..],
-        portable[..],
+        as_bytes(state)[..],
         "{} kernel disagrees with the portable compression",
         sha256::backend()
     );
+    // The same for the one-block entry point the state tree hashes
+    // through, from the standard IV and from a chained one.
+    let mut block = [0u8; 64];
+    block.copy_from_slice(&padded[..64]);
+    for iv in [standard_iv, state] {
+        let mut portable = iv;
+        sha256::compress_portable(&mut portable, &block);
+        assert_eq!(
+            sha256::compress_block(&iv, &block).as_bytes()[..],
+            as_bytes(portable)[..],
+            "{} kernel disagrees with the portable compression on one block",
+            sha256::backend()
+        );
+    }
 
     let (samples, iters) = (mode.samples, mode.iters(100_000));
-    let block = &padded[..64];
+    let block = &block;
     m.time(
         "crypto.sha256.compress_portable_ns",
         "ns",

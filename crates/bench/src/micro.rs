@@ -84,8 +84,9 @@ fn calibration_kernel(seed: u64) -> u64 {
 
 /// The fastest of three passes of [`calibration_kernel`], in µs: an
 /// interrupt only makes a pass slower, a slow host makes all three so.
-/// The `host` block records it, so a file re-recorded on a slow host can
-/// be told from a regression.
+/// The `host` block records it before the first row and again after the
+/// last, so a file re-recorded on a slow host, or in a spell that began
+/// mid-run, can be told from a regression.
 fn calibration_us() -> f64 {
     (0..3u64)
         .map(|pass| {
@@ -104,8 +105,9 @@ pub struct Micro {
 }
 
 impl Micro {
-    /// An empty collector, which reads the host's calibration first;
-    /// `smoke` is only recorded in the file.
+    /// An empty collector, which reads the host's calibration first
+    /// ([`Micro::finish`] reads it again); `smoke` is only recorded in
+    /// the file.
     pub fn new(smoke: bool) -> Self {
         let calibration_us = calibration_us();
         println!("host calibration kernel {} us", number(calibration_us));
@@ -187,16 +189,23 @@ impl Micro {
         self.rows.push(row);
     }
 
-    /// Writes `{"host", "smoke", "rows"}` to `path`.
+    /// Reads the host's calibration again and writes `{"host", "smoke",
+    /// "rows"}` to `path`, the host block with both readings.
     pub fn finish(self, path: &str) {
+        let calibration_after_us = calibration_us();
+        println!(
+            "host calibration kernel after the last row {} us",
+            number(calibration_after_us)
+        );
         let mut json = String::from("{\n");
         json.push_str(&format!(
             "  \"host\": {{\"cores\": {}, \"workers\": {}, \"sha256_backend\": \"{}\", \
-             \"calibration_kernel_us\": {}}},\n",
+             \"calibration_kernel_us\": {}, \"calibration_kernel_us_after\": {}}},\n",
             pds2_par::hardware_cores(),
             pds2_par::current_threads(),
             pds2_crypto::sha256::backend(),
             number(self.calibration_us),
+            number(calibration_after_us),
         ));
         json.push_str(&format!("  \"smoke\": {},\n  \"rows\": [\n", self.smoke));
         for (i, r) in self.rows.iter().enumerate() {

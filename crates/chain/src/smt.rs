@@ -14,12 +14,24 @@
 //! bit. With `sha256` keys the expected depth is ~log₂(n) and the node
 //! count is O(n).
 //!
-//! Hashing is domain-separated from the transaction Merkle tree
-//! ([`pds2_crypto::merkle`] uses prefixes `0x00`/`0x01`):
+//! Hashing. Every hash in the tree is one SHA-256 compression `C` over
+//! exactly one 64-byte block, from a tagged initial value:
 //!
-//! - leaf: `sha256(0x02 ‖ key ‖ value_digest)`
-//! - internal: `sha256(0x03 ‖ left_hash ‖ right_hash)` with
+//! - leaf: `C(IV_leaf, key ‖ value_digest)`
+//! - internal: `C(IV_node, left_hash ‖ right_hash)` with
 //!   `Digest::ZERO` standing in for an empty child.
+//!
+//! `IV_leaf` and `IV_node` are the chaining values after compressing
+//! one tag block from SHA-256's standard IV: `b"pds2/smt/leaf"` and
+//! `b"pds2/smt/node"`, each zero-padded to 64 bytes. An input is always
+//! two digests, so there is no padding and no length block: one
+//! compression per hash, where `sha256` over a prefix byte and the same
+//! 64 bytes takes two. The distinct IVs keep leaves apart from nodes,
+//! and both apart from the transaction Merkle tree
+//! ([`pds2_crypto::merkle`], full `sha256` with prefixes `0x00`/`0x01`).
+//! Zcash's Sprout note-commitment tree hashes its nodes the same way
+//! (`MerkleCRH`, the bare compression function); DESIGN.md §5f gives the
+//! soundness argument.
 //!
 //! Internal nodes exist at every consecutive depth along a multi-key
 //! path (no skip compression), so a proof is simply the sibling hash per
@@ -52,12 +64,18 @@
 //! `(key, old value)` and replay it as an ordinary commit.
 
 use pds2_crypto::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
-use pds2_crypto::sha256::{sha256, Digest};
+use pds2_crypto::sha256::{compress_block, sha256, Digest};
 
-/// Domain prefix for leaf hashes.
-const LEAF_PREFIX: u8 = 0x02;
-/// Domain prefix for internal-node hashes.
-const NODE_PREFIX: u8 = 0x03;
+/// `IV_leaf`: the chaining value after compressing `b"pds2/smt/leaf"`,
+/// zero-padded to one block, from SHA-256's standard IV (a test derives
+/// it again).
+const LEAF_IV: [u32; 8] = [
+    0xd7e69d96, 0x504ee065, 0x7803da8a, 0x9cc1be9b, 0xdde3cf1f, 0x076c2861, 0x459b8ae5, 0xf7c56084,
+];
+/// `IV_node`: the same for `b"pds2/smt/node"`.
+const NODE_IV: [u32; 8] = [
+    0x026982e9, 0x8ffec8c0, 0x8f673169, 0x4738ba71, 0x364119ce, 0x2c42a43e, 0x2d2644ce, 0x6839d1b5,
+];
 
 /// Proofs cannot be deeper than the key width (256-bit sha256 keys).
 pub const MAX_DEPTH: usize = 256;
@@ -96,24 +114,23 @@ fn bit(key: &Digest, d: usize) -> bool {
     (key.as_bytes()[d >> 3] >> (7 - (d & 7))) & 1 == 1
 }
 
-/// `sha256(prefix ‖ a ‖ b)`: 65 bytes laid out on the stack, which
-/// `sha256` hashes as two blocks in one call.
-fn tagged_hash(prefix: u8, a: &Digest, b: &Digest) -> Digest {
-    let mut buf = [0u8; 65];
-    buf[0] = prefix;
-    buf[1..33].copy_from_slice(a.as_bytes());
-    buf[33..].copy_from_slice(b.as_bytes());
-    sha256(&buf)
+/// `C(iv, a ‖ b)`: the one block laid out on the stack and compressed
+/// once.
+fn tagged_hash(iv: &[u32; 8], a: &Digest, b: &Digest) -> Digest {
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(a.as_bytes());
+    block[32..].copy_from_slice(b.as_bytes());
+    compress_block(iv, &block)
 }
 
-/// `sha256(0x02 ‖ key ‖ value_digest)`.
+/// `C(IV_leaf, key ‖ value_digest)`.
 pub fn leaf_hash(key: &Digest, value: &Digest) -> Digest {
-    tagged_hash(LEAF_PREFIX, key, value)
+    tagged_hash(&LEAF_IV, key, value)
 }
 
-/// `sha256(0x03 ‖ left ‖ right)`.
+/// `C(IV_node, left ‖ right)`.
 pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
-    tagged_hash(NODE_PREFIX, left, right)
+    tagged_hash(&NODE_IV, left, right)
 }
 
 /// Names a subtree: a slot of the leaf array when the top bit is set, a
@@ -587,6 +604,48 @@ mod tests {
     #[test]
     fn empty_tree_root_is_zero() {
         assert_eq!(SmtTree::new().root_hash(), Digest::ZERO);
+    }
+
+    /// Each IV is the portable compression of its zero-padded tag block
+    /// from SHA-256's standard IV.
+    #[test]
+    fn ivs_are_derived_from_their_tags() {
+        const H0: [u32; 8] = [
+            0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+            0x5be0cd19,
+        ];
+        for (tag, iv) in [
+            (&b"pds2/smt/leaf"[..], LEAF_IV),
+            (b"pds2/smt/node", NODE_IV),
+        ] {
+            let mut block = [0u8; 64];
+            block[..tag.len()].copy_from_slice(tag);
+            let mut state = H0;
+            pds2_crypto::sha256::compress_portable(&mut state, &block);
+            assert_eq!(state, iv, "{}", String::from_utf8_lossy(tag));
+        }
+    }
+
+    /// Known answers from an independent implementation of the
+    /// compression, and the same 64 bytes hashed as a leaf and as a node.
+    #[test]
+    fn leaf_and_node_hash_known_answers() {
+        let (k, v) = (sha256(b"key"), sha256(b"value"));
+        let leaf = leaf_hash(&k, &v);
+        let node = node_hash(&k, &v);
+        assert_eq!(
+            leaf.to_hex(),
+            "00e5e3adc4f3a0e1ca805ec56a5d449f152b383f61e5911a1ee1cd716ceb808b"
+        );
+        assert_eq!(
+            node.to_hex(),
+            "9af6e4d6653afbb2b7b0d7b108ef4bb0da7c1be0fef90c58b472d29a47a42164"
+        );
+        assert_ne!(leaf, node);
+        assert_eq!(
+            node_hash(&Digest::ZERO, &Digest::ZERO).to_hex(),
+            "969713f02c0437bde3940ce6ec42953cb1909250a8735a000dd5b6483f18d947"
+        );
     }
 
     #[test]

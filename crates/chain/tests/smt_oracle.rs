@@ -4,9 +4,12 @@
 //! workspace rebuild through `SmtTree::from_leaves`, so they compare the
 //! tree with itself. `spec_root` / `spec_proof` below are the module-doc
 //! rules of `pds2_chain::smt` written as plain recursion over a sorted
-//! leaf slice: no store, no updates, preimages spelled out with `sha256`.
-//! The known-answer constants were recorded with the `Arc` pointer tree
-//! at commit `03fad62`, before the flat store replaced it.
+//! leaf slice: no store, no updates, each hash spelled out as the
+//! portable compression from an IV derived here from its tag. The
+//! known-answer lengths and hash counts were recorded with the `Arc`
+//! pointer tree at commit `03fad62`, before the flat store replaced it;
+//! the roots were re-recorded once, when each node hash became one
+//! compression.
 //!
 //! The chain tests hold a chain's whole-state entries (genesis, snapshot
 //! restore, backend switch), which build the tree in one pass, to the
@@ -21,7 +24,7 @@ use pds2_chain::{
     TokenId, Transaction, TxKind,
 };
 use pds2_crypto::codec::Encode;
-use pds2_crypto::sha256::{sha256, Digest};
+use pds2_crypto::sha256::{self, sha256, Digest};
 use pds2_crypto::KeyPair;
 use pds2_obs as obs;
 use pds2_storage::chainlog::ChainLog;
@@ -36,8 +39,24 @@ fn bit(key: &Digest, d: usize) -> bool {
     (key.as_bytes()[d >> 3] >> (7 - (d & 7))) & 1 == 1
 }
 
-fn tagged(prefix: u8, a: &Digest, b: &Digest) -> Digest {
-    sha256(&[&[prefix][..], a.as_bytes(), b.as_bytes()].concat())
+/// The tag, zero-padded to one block, then `a ‖ b`, compressed without
+/// padding from SHA-256's standard IV on the portable kernel: the tree's
+/// `C(IV_tag, a ‖ b)` with the IV derived here, not read from the tree.
+fn tagged(tag: &[u8], a: &Digest, b: &Digest) -> Digest {
+    let mut state = [
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+        0x5be0cd19,
+    ];
+    let mut blocks = [0u8; 128];
+    blocks[..tag.len()].copy_from_slice(tag);
+    blocks[64..96].copy_from_slice(a.as_bytes());
+    blocks[96..].copy_from_slice(b.as_bytes());
+    sha256::compress_portable(&mut state, &blocks);
+    let mut out = [0u8; 32];
+    for (o, w) in out.chunks_exact_mut(4).zip(state) {
+        o.copy_from_slice(&w.to_be_bytes());
+    }
+    Digest(out)
 }
 
 /// Splits leaves sharing bits `0..depth` on bit `depth`.
@@ -50,11 +69,11 @@ fn halves(depth: usize, leaves: &Leaves) -> (&Leaves, &Leaves) {
 fn spec_root(depth: usize, leaves: &Leaves) -> Digest {
     match leaves {
         [] => Digest::ZERO,
-        [(k, v)] => tagged(0x02, k, v),
+        [(k, v)] => tagged(b"pds2/smt/leaf", k, v),
         _ => {
             let (left, right) = halves(depth, leaves);
             tagged(
-                0x03,
+                b"pds2/smt/node",
                 &spec_root(depth + 1, left),
                 &spec_root(depth + 1, right),
             )
@@ -216,21 +235,22 @@ fn known_answer_batches() -> [Vec<Update>; 3] {
     [build, mixed, large]
 }
 
-/// `(root, len, hashes returned by commit)` after each step, as computed
-/// by the pointer tree at the parent commit.
+/// `(root, len, hashes returned by commit)` after each step: the counts
+/// as the pointer tree computed them, the roots under the one-compression
+/// hash.
 const KNOWN_ANSWERS: [(&str, usize, u64); 3] = [
     (
-        "5c547f64034e227b4b7f43ef44056868cc2c33b04e38149d9794b3b24acbd3d7",
+        "b9a4b78f4a87adb9209acff13cc3df66908f0a44a0f1d1191026bcb5eb238f06",
         1_000,
         2_427,
     ),
     (
-        "6c3df20af09acf5a656b8d8f2544bb8c48d9a9f2b1bd5dfb2ed493f799725553",
+        "becff4e0f9f9668a7a084a8b55779a9b21c34798caee8d3259b2f9ad1bca50b8",
         1_027,
         648,
     ),
     (
-        "85c5842685cefe7364b07f3c6174563812db045ddca3264c72c3688ecd1f82c8",
+        "1dd262c08170e5695a0cd019fcb3d437d927988714caa5ec7dcc0000b192993c",
         1_815,
         4_256,
     ),

@@ -39,8 +39,12 @@ use pds2_obs as obs;
 // no longer writes `Erc20Bal(0, dave)`. They were
 // `bff4bcde1521b852f8ce036abbe09f407953619dc538183826877aaa3c57e5a6`,
 // `252a05646de59abb81ce512ed932102c4b9319990127693e520ac9fd2416b663` and 29.
+// `STEPS_SHA` alone moved when the tree's leaf and node hashes became one
+// compression from a tagged IV (it covers the state root after every
+// step); it was
+// `8e2b7869e524aa700d2f877d895e50859c385d9edc628e02f2b9bbc20b1b71da`.
 const STEPS: usize = 53;
-const STEPS_SHA: &str = "8e2b7869e524aa700d2f877d895e50859c385d9edc628e02f2b9bbc20b1b71da";
+const STEPS_SHA: &str = "54817c09f35a8650890548cd5a029629efcc11c3e81f8362bb0ecabdacfe73cb";
 const LEAVES_SHA: &str = "5420103f1fb7281be5b855e6b7b07de22c2407f2f36e79156ddf6ba8d687bfef";
 const PROBED: usize = 85;
 const PRESENT: usize = 28;

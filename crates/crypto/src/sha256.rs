@@ -328,6 +328,19 @@ fn compress(state: &mut [u32; 8], blocks: &[u8]) {
     compress_portable(state, blocks);
 }
 
+/// One compression of exactly one 64-byte `block` from the chaining
+/// value `iv`, with no padding and no length: the dispatched kernel's
+/// output as a digest. Not SHA-256 of anything; a caller that hashes
+/// fixed 64-byte inputs from its own tag-derived IV (the state tree's
+/// leaves and nodes) gets one compression per hash instead of two.
+#[doc(hidden)]
+#[inline]
+pub fn compress_block(iv: &[u32; 8], block: &[u8; 64]) -> Digest {
+    let mut state = *iv;
+    compress(&mut state, block);
+    digest_of(&state)
+}
+
 fn digest_of(state: &[u32; 8]) -> Digest {
     let mut out = [0u8; DIGEST_LEN];
     for (o, w) in out.chunks_exact_mut(4).zip(state) {
@@ -597,6 +610,29 @@ mod tests {
                 let (a, b) = msg.split_at(split.min(len));
                 assert_eq!(sha256_pair(a, b), expected, "len {len} split {split}");
             }
+        }
+    }
+
+    /// `compress_block` from the standard IV over the all-zero and the
+    /// all-`0xff` block: both kernels against values from an independent
+    /// implementation (the first is the depth-1 empty root of Zcash's
+    /// Sprout tree, whose node hash is this compression).
+    #[test]
+    fn compress_block_known_answers() {
+        for (block, expected_hex) in [
+            (
+                [0u8; 64],
+                "da5698be17b9b46962335799779fbeca8ce5d491c0d26243bafef9ea1837a9d8",
+            ),
+            (
+                [0xffu8; 64],
+                "ef0c748df4da50a8d6c43c013edc3ce76c9d9fa9a1458ade56eb86c0a64492d2",
+            ),
+        ] {
+            assert_eq!(compress_block(&H0, &block).to_hex(), expected_hex);
+            let mut state = H0;
+            compress_portable(&mut state, &block);
+            assert_eq!(digest_of(&state).to_hex(), expected_hex, "portable");
         }
     }
 

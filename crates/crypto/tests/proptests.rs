@@ -18,6 +18,11 @@ fn biguint() -> impl Strategy<Value = BigUint> {
     proptest::collection::vec(any::<u8>(), 0..32).prop_map(|v| BigUint::from_bytes_be(&v))
 }
 
+/// SHA-256's standard initial chaining value (FIPS 180-4 §5.3.3).
+const H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
 /// SHA-256 built on the portable compression alone (padding done here):
 /// the reference side of `sha256_paths_agree`.
 fn sha256_portable(data: &[u8]) -> Digest {
@@ -27,11 +32,12 @@ fn sha256_portable(data: &[u8]) -> Digest {
         msg.push(0);
     }
     msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
-    let mut state = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    sha256::compress_portable(&mut state, &msg);
+    digest_of_portable(H0, &msg)
+}
+
+/// The portable compression of whole `blocks` from `state`, as a digest.
+fn digest_of_portable(mut state: [u32; 8], blocks: &[u8]) -> Digest {
+    sha256::compress_portable(&mut state, blocks);
     let mut out = [0u8; 32];
     for (o, w) in out.chunks_exact_mut(4).zip(state) {
         o.copy_from_slice(&w.to_be_bytes());
@@ -181,6 +187,23 @@ proptest! {
         prop_assert_eq!(streaming.finalize(), expected);
         prop_assert_eq!(sha256(msg), expected);
         prop_assert_eq!(sha256::sha256_pair(&msg[..a], &msg[a..]), expected);
+    }
+
+    /// The dispatched one-block compression equals the portable one
+    /// from random chaining values, and from the standard IV on the
+    /// all-zero and all-`0xff` blocks.
+    #[test]
+    fn compress_block_agrees_with_portable(
+        iv in any::<[u8; 32]>(),
+        block in any::<[u8; 64]>(),
+    ) {
+        let iv: [u32; 8] = std::array::from_fn(|i| {
+            u32::from_be_bytes([iv[4 * i], iv[4 * i + 1], iv[4 * i + 2], iv[4 * i + 3]])
+        });
+        prop_assert_eq!(sha256::compress_block(&iv, &block), digest_of_portable(iv, &block));
+        for fixed in [[0u8; 64], [0xff; 64]] {
+            prop_assert_eq!(sha256::compress_block(&H0, &fixed), digest_of_portable(H0, &fixed));
+        }
     }
 
     #[test]
