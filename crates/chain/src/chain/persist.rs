@@ -123,7 +123,7 @@ impl Blockchain {
     /// from the log.
     fn restore_snapshot(&mut self, bytes: &[u8], tip: &BlockHeader) -> Result<(), String> {
         let mut dec = Decoder::new(bytes);
-        let state = WorldState::decode_snapshot(&mut dec, &self.registry, self.state.backend())?;
+        let state = WorldState::decode_snapshot(&mut dec, &self.registry)?;
         dec.expect_end().map_err(|e| format!("snapshot: {e:?}"))?;
         // The first block replayed on top would build this tree anyway.
         if state.state_root() != tip.state_root {
@@ -267,7 +267,6 @@ mod tests {
     use super::super::tests::{signed_transfer, test_chain};
     use super::*;
     use crate::address::Address;
-    use crate::backend::BackendKind;
     use pds2_crypto::KeyPair;
 
     /// A flipped bit or a torn write at every frame of a six-block
@@ -698,20 +697,15 @@ mod tests {
         assert_eq!(restored, 32);
     }
 
-    /// A chain on the full-rehash oracle that recovers through its
-    /// snapshot stays on the oracle: the restored state takes the backend
-    /// of the chain it is restored into.
+    /// A chain that recovers through its snapshot builds its tree from
+    /// the restored maps and replays the block above it: its root equals
+    /// the rebuild of its maps and the live chain's.
     #[test]
-    fn snapshot_restore_keeps_the_chains_backend() {
+    fn a_restored_root_equals_its_rebuild_and_the_live_root() {
         let alice = KeyPair::from_seed(1);
         let bob = Address::of(&KeyPair::from_seed(2).public);
-        let genesis = || {
-            let mut chain = test_chain(&alice);
-            chain.state.set_backend(BackendKind::FullRehash);
-            chain
-        };
         let store = Arc::new(Mutex::new(ChainLog::new()));
-        let mut live = genesis();
+        let mut live = test_chain(&alice);
         live.attach_store(store.clone(), 2);
         for nonce in 0..3 {
             live.submit(signed_transfer(&alice, nonce, bob, 10))
@@ -719,9 +713,9 @@ mod tests {
             live.produce_block();
         }
         assert_eq!(store.lock().snapshot().expect("snapshot written").0, 2);
-        let recovered = Blockchain::recover_from_store(genesis(), store, 2);
+        let recovered = Blockchain::recover_from_store(test_chain(&alice), store, 2);
         assert_eq!(recovered.height(), 3);
-        assert_eq!(recovered.state.backend_name(), "rehash");
+        assert_eq!(recovered.state.state_root(), recovered.state.rehash_root());
         assert_eq!(recovered.state.state_root(), live.state.state_root());
     }
 }

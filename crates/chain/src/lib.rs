@@ -18,14 +18,14 @@
 //! - [`contract`] — the native-contract framework with atomic rollback;
 //! - [`state`] — the world state and the one state transition, a file per
 //!   concern: price → signature → nonce → escrow → payload → settle
-//!   (`transition`, `call`), then commit (`commit`) and the recovery
-//!   snapshot (DESIGN.md §5f);
+//!   (`transition`, `call`), then commit (`commit`: one commitment, the
+//!   tree folding in the marked leaves; `rehash_root` is the test oracle)
+//!   and the recovery snapshot (DESIGN.md §5f);
 //! - [`smt`] — the sparse Merkle tree authenticating the state, two
 //!   flat node arrays updated in place, with (non-)inclusion proofs for
 //!   light clients;
-//! - [`backend`] — the leaf keys and the one commitment struct over the
-//!   tree, filled incrementally or, as the reference oracle, by a full
-//!   rehash (DESIGN.md §5f);
+//! - [`backend`] — the leaf keys the state commitment is keyed by
+//!   (DESIGN.md §5f);
 //! - [`block`] — blocks, headers (one constructor, sealed by the
 //!   proposer's key), Merkle transaction roots;
 //! - [`mempool`] — the fee-market transaction pool: per-account nonce
@@ -60,7 +60,7 @@ pub mod threshold;
 pub mod tx;
 
 pub use address::{Account, Address};
-pub use backend::{BackendKind, LeafKey};
+pub use backend::LeafKey;
 pub use block::{Block, BlockHeader};
 pub use chain::{Blockchain, ChainConfig, ChainError};
 pub use contract::{CallCtx, Contract, ContractError, ContractRegistry};

@@ -5,7 +5,8 @@
 //! contracts into (see [`crate::backend`]). Structure is *canonical*: it
 //! is a pure function of the key set, so any two nodes holding the same
 //! logical state produce bit-identical roots regardless of insertion
-//! order or which backend maintained the tree.
+//! order and of whether the tree was updated in place or built in one
+//! pass.
 //!
 //! Shape. Keys are traversed MSB-first. A subtree holding no keys is
 //! empty (hash [`Digest::ZERO`]); a subtree holding exactly one key is a

@@ -1,4 +1,4 @@
-//! From dirty leaves to a root: the state's side of the commitment.
+//! From dirty leaves to a root: the state's one commitment.
 //!
 //! Every piece of consensus state is a [`LeafKey`] with canonical value
 //! bytes. `WorldState` owns the layout of the `Account`, `Contract` and
@@ -7,51 +7,45 @@
 //! `WorldState` passes in): once the tree holds a commit the leaf is
 //! marked, and [`WorldState::state_root`] recomputes the marked leaves
 //! from the live maps and folds them into the tree. Before that first
-//! commit (genesis, a snapshot restore, a backend switch) nothing is
-//! marked: the first commit builds the tree in one walk of the maps. The
-//! same call puts the leaf's old value on the undo list (`super::undo`).
+//! commit (genesis, a snapshot restore) nothing is marked: the first
+//! commit builds the tree in one walk of the maps. The same call puts the
+//! leaf's old value on the undo list (`super::undo`).
+//! [`WorldState::rehash_root`] is the test oracle: the root rebuilt from
+//! every leaf, blind to the marks.
 
 use super::undo::Old;
 use super::{ContractInstance, WorldState};
 use crate::address::{Account, Address};
-use crate::backend::{BackendKind, Commitment, LeafKey};
-use crate::smt::SmtProof;
+use crate::backend::LeafKey;
+use crate::smt::{SmtProof, SmtTree};
 use pds2_crypto::codec::{Encode, Encoder};
 use pds2_crypto::sha256::{sha256, Digest};
 use std::collections::BTreeSet;
 
 /// Write bookkeeping: the tree plus the set of leaves mutated since the
 /// last commit (empty until the first), and the undo list.
+#[derive(Default)]
 pub(super) struct Committer {
-    backend: Commitment,
+    tree: SmtTree,
     dirty: BTreeSet<LeafKey>,
     /// `(leaf, old value)` of each write since the outermost open
     /// savepoint, oldest first; empty while none is open.
     pub(super) undo: Vec<(LeafKey, Old)>,
     /// Savepoints open.
     pub(super) open: usize,
-    /// Commits so far: a savepoint notes it, so that its rollback knows
-    /// whether the tree took in the writes it undoes.
+    /// Commits so far: the tree holds one once this is non-zero, and a
+    /// savepoint notes it, so that its rollback knows whether the tree
+    /// took in the writes it undoes.
     pub(super) commits: u64,
 }
 
 impl Committer {
-    pub(super) fn new(kind: BackendKind) -> Committer {
-        Committer {
-            backend: kind.make(),
-            dirty: BTreeSet::new(),
-            undo: Vec::new(),
-            open: 0,
-            commits: 0,
-        }
-    }
-
     /// Marks one leaf for recommit. Conservative over-marking is always
     /// safe: the committed value is recomputed from the live maps, and
     /// an absent entry becomes a (possibly no-op) delete. Before the
     /// first commit there is nothing to mark against.
     pub(super) fn mark(&mut self, key: LeafKey) {
-        if self.backend.committed() {
+        if self.commits > 0 {
             self.dirty.insert(key);
         }
     }
@@ -74,22 +68,6 @@ impl Committer {
 }
 
 impl WorldState {
-    /// Swaps the commitment backend in place. The new backend holds no
-    /// tree, so the next `state_root()` builds it from the whole leaf set.
-    pub fn set_backend(&mut self, kind: BackendKind) {
-        *self.committer.get_mut() = Committer::new(kind);
-    }
-
-    /// Name of the active commitment backend.
-    pub fn backend_name(&self) -> &'static str {
-        self.committer.borrow().backend.name()
-    }
-
-    /// The active commitment backend.
-    pub(crate) fn backend(&self) -> BackendKind {
-        self.committer.borrow().backend.kind
-    }
-
     /// Records a write of one leaf: [`Committer::record`].
     pub(super) fn record(&mut self, key: LeafKey, old: Old) {
         self.committer.get_mut().record(key, old);
@@ -123,8 +101,8 @@ impl WorldState {
     }
 
     /// The complete canonical leaf set `(tree key, value digest)`, in one
-    /// walk of the live maps: what a first commit and every commit of the
-    /// full-rehash oracle build from. Deliberately independent of the
+    /// walk of the live maps: what a first commit and
+    /// [`Self::rehash_root`] build from. Deliberately independent of the
     /// dirty set, so an incremental marking bug cannot hide in it. Account
     /// values are encoded on the stack.
     fn full_leaves(&self) -> Vec<(Digest, Digest)> {
@@ -154,19 +132,16 @@ impl WorldState {
     /// over the [`LeafKey`] → value-bytes map (see DESIGN.md §5f).
     ///
     /// Commits lazily: leaves touched since the last call are
-    /// recomputed from the live maps and folded into the backend's
-    /// tree, costing O(touched keys · depth) on the incremental
-    /// backend. With nothing dirty this is a cached-root read. The first
-    /// commit builds the tree from the whole leaf set, which it reports
-    /// as touched.
+    /// recomputed from the live maps and folded into the tree, costing
+    /// O(touched keys · depth). With nothing dirty this is a cached-root
+    /// read. The first commit builds the tree from the whole leaf set,
+    /// which it reports as touched.
     pub fn state_root(&self) -> Digest {
         let mut committer = self.committer.borrow_mut();
-        if committer.dirty.is_empty() {
-            if let Some(root) = committer.backend.root() {
-                return root;
-            }
+        let first = committer.commits == 0;
+        if !first && committer.dirty.is_empty() {
+            return committer.tree.root_hash();
         }
-        let first = !committer.backend.committed();
         // The set's iterator knows its length: one allocation of it.
         let updates: Vec<(Digest, Option<Digest>)> = committer
             .dirty
@@ -180,21 +155,30 @@ impl WorldState {
             pds2_obs::TraceCtx::NONE,
             Vec::new(),
         );
-        let changed = updates.len();
-        let (root, hashed) = committer.backend.commit(updates, || self.full_leaves());
-        let touched = if first {
-            committer.backend.len()
+        let (hashed, touched) = if first {
+            let (tree, hashed) = SmtTree::from_leaves(self.full_leaves());
+            committer.tree = tree;
+            (hashed, committer.tree.len())
         } else {
-            changed
-        } as u64;
+            let changed = updates.len();
+            (committer.tree.commit(updates), changed)
+        };
         committer.dirty.clear();
         committer.commits += 1;
         pds2_obs::counter!("state.smt.nodes_hashed").add(hashed);
         span.finish(
             pds2_obs::Stamp::None,
-            vec![("touched", pds2_obs::Value::from(touched))],
+            vec![("touched", pds2_obs::Value::from(touched as u64))],
         );
-        root
+        committer.tree.root_hash()
+    }
+
+    /// The reference oracle: the root rebuilt from every leaf of the live
+    /// maps. It reads neither the marks nor the tree, so a missed or
+    /// spurious mark shows up as a [`Self::state_root`] that differs.
+    #[doc(hidden)]
+    pub fn rehash_root(&self) -> Digest {
+        SmtTree::from_leaves(self.full_leaves()).0.root_hash()
     }
 
     /// Produces the leaf's current value and a Merkle (non-)inclusion
@@ -203,7 +187,7 @@ impl WorldState {
     /// root from a validated block header.
     pub fn prove_leaf(&self, key: &LeafKey) -> (Option<Vec<u8>>, SmtProof) {
         let _ = self.state_root(); // flush pending changes
-        let proof = self.committer.borrow().backend.prove(&key.digest());
+        let proof = self.committer.borrow().tree.prove(&key.digest());
         (self.leaf_value(key), proof)
     }
 }
@@ -211,9 +195,9 @@ impl WorldState {
 /// Canonical value bytes of a contract leaf: code id and the digest of
 /// the committed state.
 fn contract_value(addr: &Address, inst: &ContractInstance) -> Vec<u8> {
-    // Both backends read `committed`, so a stale copy would not split
-    // their roots: this check, on every commit of a build with debug
-    // assertions, holds the copy to a fresh encoding.
+    // The commit and the rehash both read `committed`, so a stale copy
+    // would not split their roots: this check, on every commit of a build
+    // with debug assertions, holds the copy to a fresh encoding.
     debug_assert_eq!(
         inst.committed,
         inst.contract.snapshot(),

@@ -25,7 +25,7 @@ mod undo;
 pub(crate) use undo::{Old, Savepoint};
 
 use crate::address::{Account, Address};
-use crate::backend::{BackendKind, LeafKey};
+use crate::backend::LeafKey;
 use crate::event::Event;
 use commit::Committer;
 use pds2_crypto::sha256::Digest;
@@ -112,6 +112,7 @@ struct ContractInstance {
 }
 
 /// The full chain state.
+#[derive(Default)]
 pub struct WorldState {
     accounts: BTreeMap<Address, Account>,
     /// Fungible-token module.
@@ -131,30 +132,10 @@ pub struct WorldState {
     committer: RefCell<Committer>,
 }
 
-impl Default for WorldState {
-    fn default() -> Self {
-        Self::with_backend(BackendKind::Smt)
-    }
-}
-
 impl WorldState {
-    /// Creates an empty state on the incremental SMT; the oracle is
-    /// [`WorldState::with_backend`]'s to pick.
+    /// Creates an empty state.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty state with an explicit commitment backend.
-    pub fn with_backend(kind: BackendKind) -> Self {
-        WorldState {
-            accounts: BTreeMap::new(),
-            erc20: Default::default(),
-            erc721: Default::default(),
-            contracts: BTreeMap::new(),
-            burned: 0,
-            native_supply: 0,
-            committer: RefCell::new(Committer::new(kind)),
-        }
     }
 
     /// Credits an address at genesis. No savepoint encloses it, so no

@@ -2,7 +2,6 @@
 
 use super::{ContractInstance, WorldState};
 use crate::address::{Account, Address};
-use crate::backend::BackendKind;
 use crate::contract::ContractRegistry;
 use pds2_crypto::codec::{Decode, Decoder, Encode, Encoder};
 
@@ -33,16 +32,15 @@ impl WorldState {
         enc.put_u128(self.burned);
     }
 
-    /// Rebuilds a state from a snapshot on the `backend` the restoring
-    /// chain runs. The backend holds no tree yet, so the first
-    /// `state_root()` builds it from the restored maps.
+    /// Rebuilds a state from a snapshot. Its commitment holds no tree
+    /// yet, so the first `state_root()` builds it from the restored maps,
+    /// as [`WorldState::rehash_root`] would.
     pub(crate) fn decode_snapshot(
         dec: &mut Decoder<'_>,
         registry: &ContractRegistry,
-        backend: BackendKind,
     ) -> Result<WorldState, String> {
         let fail = |e: pds2_crypto::DecodeError| format!("snapshot decode: {e:?}");
-        let mut st = WorldState::with_backend(backend);
+        let mut st = WorldState::new();
         // The entries were written in key order, so the map is bulk-built
         // from them (a repeated key keeps its last value, as inserts
         // would). The count is held to what the slot can still hold

@@ -1,17 +1,17 @@
 //! One block pipeline: a producer, a follower and a node recovered from
 //! the producer's journal run the same stages and must end up identical —
-//! same head, same state root, same receipts, same event list — on
-//! both commitment backends. The producer
-//! and the follower each run under an obs capture whose digest is
-//! pinned, so the order in which either path emits its events is fixed
-//! at the chain layer, and the digest does not follow the backend.
+//! same head, same state root, same receipts, same event list — and each
+//! root equals its rebuild from every leaf after every block. The
+//! producer and the follower each run under an obs capture whose digest
+//! is pinned, so the order in which either path emits its events is
+//! fixed at the chain layer.
 //!
 //! One test per process: captures are process-global.
 
 use parking_lot::Mutex;
 use pds2_chain::{
-    Address, BackendKind, Block, Blockchain, CallCtx, ChainConfig, Contract, ContractError,
-    ContractRegistry, Erc20Op, SignedTransaction, Transaction, TxKind,
+    Address, Block, Blockchain, CallCtx, ChainConfig, Contract, ContractError, ContractRegistry,
+    Erc20Op, SignedTransaction, Transaction, TxKind,
 };
 use pds2_crypto::KeyPair;
 use pds2_obs as obs;
@@ -64,14 +64,14 @@ impl Contract for Probe {
     }
 }
 
-fn genesis(backend: BackendKind, funded: &[&KeyPair]) -> Blockchain {
+fn genesis(funded: &[&KeyPair]) -> Blockchain {
     let alloc: Vec<_> = funded
         .iter()
         .map(|kp| (Address::of(&kp.public), 1_000_000_000_000))
         .collect();
     let mut registry = ContractRegistry::new();
     registry.register("probe", Probe::construct);
-    let mut chain = Blockchain::new(
+    Blockchain::new(
         (0..3).map(|i| KeyPair::from_seed(7_000 + i)).collect(),
         &alloc,
         registry,
@@ -80,9 +80,7 @@ fn genesis(backend: BackendKind, funded: &[&KeyPair]) -> Blockchain {
             initial_base_fee: 10,
             ..ChainConfig::default()
         },
-    );
-    chain.state.set_backend(backend);
-    chain
+    )
 }
 
 fn signed(kp: &KeyPair, nonce: u64, max_fee: u64, kind: TxKind) -> SignedTransaction {
@@ -144,7 +142,20 @@ fn summary(chain: &Blockchain) -> (u64, pds2_crypto::Digest, pds2_crypto::Digest
     )
 }
 
-fn run(backend: BackendKind) {
+/// `chain`'s root equals its rebuild from every leaf. Neither read emits
+/// anything once the block has committed its root.
+fn assert_rehash(chain: &Blockchain, what: &str) {
+    assert_eq!(
+        chain.state.state_root(),
+        chain.state.rehash_root(),
+        "{what} at {}",
+        chain.height()
+    );
+}
+
+#[test]
+fn producer_follower_and_recovered_node_agree() {
+    let _guard = obs::test_lock();
     let alice = KeyPair::from_seed(1);
     let carol = KeyPair::from_seed(3);
     let txs = workload(&alice, &carol);
@@ -152,12 +163,18 @@ fn run(backend: BackendKind) {
     // Producer: journals into `store`, mints one trace per submission.
     let store = Arc::new(Mutex::new(ChainLog::new()));
     let cap = obs::capture(obs::SinkKind::Null);
-    let mut producer = genesis(backend, &[&alice, &carol]);
+    let mut producer = genesis(&[&alice, &carol]);
     producer.attach_store(store.clone(), 0);
     for tx in &txs {
         producer.submit(tx.clone()).expect("admitted");
     }
-    let blocks: Vec<Block> = (0..BLOCKS).map(|_| producer.produce_block()).collect();
+    let blocks: Vec<Block> = (0..BLOCKS)
+        .map(|_| {
+            let block = producer.produce_block();
+            assert_rehash(&producer, "producer");
+            block
+        })
+        .collect();
     assert_eq!(cap.finish().digest, PRODUCER_SINGLE, "producer trace");
     let included: Vec<usize> = blocks.iter().map(|b| b.transactions.len()).collect();
     assert_eq!(included, [TXS_PER_BLOCK, TXS_PER_BLOCK, 0]);
@@ -165,7 +182,7 @@ fn run(backend: BackendKind) {
     // Follower: hears the same transactions, applies the producer's
     // blocks under an ambient trace (as a replica does per delivery).
     let cap = obs::capture(obs::SinkKind::Null);
-    let mut follower = genesis(backend, &[&alice, &carol]);
+    let mut follower = genesis(&[&alice, &carol]);
     let ambient = obs::new_trace("test", "follow", obs::Stamp::Block(0), Vec::new());
     follower.set_trace_ctx(ambient.ctx());
     for tx in &txs {
@@ -173,12 +190,15 @@ fn run(backend: BackendKind) {
     }
     for block in &blocks {
         follower.apply_external_block(block).expect("valid block");
+        assert_rehash(&follower, "follower");
     }
     ambient.finish(obs::Stamp::Block(follower.height()), Vec::new());
     assert_eq!(cap.finish().digest, FOLLOWER, "follower trace");
 
-    // Recovered: replays the producer's journal from genesis.
-    let recovered = Blockchain::recover_from_store(genesis(backend, &[&alice, &carol]), store, 0);
+    // Recovered: replays the producer's journal from genesis, checking
+    // each block's root against the producer's.
+    let recovered = Blockchain::recover_from_store(genesis(&[&alice, &carol]), store, 0);
+    assert_rehash(&recovered, "recovered");
 
     for (name, node) in [("follower", &follower), ("recovered", &recovered)] {
         assert_eq!(summary(node), summary(&producer), "{name}");
@@ -201,12 +221,4 @@ fn run(backend: BackendKind) {
     assert!(receipt(6).is_none());
     assert_eq!(producer.mempool_len(), 1);
     assert_eq!(producer.events().len(), 5);
-}
-
-#[test]
-fn producer_follower_and_recovered_node_agree_on_both_backends() {
-    let _guard = obs::test_lock();
-    for backend in [BackendKind::Smt, BackendKind::FullRehash] {
-        run(backend);
-    }
 }

@@ -1,6 +1,6 @@
 //! An oracle for the sparse Merkle tree that shares no code with it.
 //!
-//! The full-rehash backend and every other differential check in the
+//! `WorldState::rehash_root` and every other differential check in the
 //! workspace rebuild through `SmtTree::from_leaves`, so they compare the
 //! tree with itself. `spec_root` / `spec_proof` below are the module-doc
 //! rules of `pds2_chain::smt` written as plain recursion over a sorted
@@ -11,17 +11,17 @@
 //! the roots were re-recorded once, when each node hash became one
 //! compression.
 //!
-//! The chain tests hold a chain's whole-state entries (genesis, snapshot
-//! restore, backend switch), which build the tree in one pass, to the
-//! full-rehash oracle and to a chain that committed incrementally, and a
+//! The chain tests hold a chain's whole-state entries (genesis and the
+//! snapshot restore of a recovery), which build the tree in one pass, to
+//! the rehash oracle and to a chain that committed incrementally, and a
 //! block refused after it executed to the state it found.
 
 use parking_lot::Mutex;
 use pds2_chain::smt::{SmtProof, SmtTree};
 use pds2_chain::{
-    Account, Address, AssetKind, BackendKind, Block, BlockHeader, Blockchain, CallCtx, ChainConfig,
-    ChainError, Contract, ContractError, ContractRegistry, Erc20Op, Erc721Op, LeafKey, NftId,
-    TokenId, Transaction, TxKind,
+    Account, Address, AssetKind, Block, BlockHeader, Blockchain, CallCtx, ChainConfig, ChainError,
+    Contract, ContractError, ContractRegistry, Erc20Op, Erc721Op, LeafKey, NftId, TokenId,
+    Transaction, TxKind,
 };
 use pds2_crypto::codec::Encode;
 use pds2_crypto::sha256::{self, sha256, Digest};
@@ -318,16 +318,16 @@ fn senders() -> Vec<KeyPair> {
 const FUNDS: u128 = 1_000_000_000_000;
 const SNAPSHOT_EVERY: u64 = 2;
 
-/// A chain over `senders()` on commitment `kind`, with a base fee, so
-/// the burned counter is a leaf too.
-fn genesis(kind: BackendKind) -> Blockchain {
+/// A chain over `senders()` with a base fee, so the burned counter is a
+/// leaf too.
+fn genesis() -> Blockchain {
     let alloc: Vec<_> = senders()
         .iter()
         .map(|k| (Address::of(&k.public), FUNDS))
         .collect();
     let mut registry = ContractRegistry::new();
     registry.register("tally", Tally::construct);
-    let mut chain = Blockchain::new(
+    Blockchain::new(
         vec![KeyPair::from_seed(900)],
         &alloc,
         registry,
@@ -335,9 +335,7 @@ fn genesis(kind: BackendKind) -> Blockchain {
             initial_base_fee: 3,
             ..ChainConfig::default()
         },
-    );
-    chain.state.set_backend(kind);
-    chain
+    )
 }
 
 /// What one random transaction does; accounts and contracts are named by
@@ -449,17 +447,25 @@ fn tip(chain: &Blockchain) -> (u64, Digest, Digest) {
     (chain.height(), chain.head_hash(), chain.state.state_root())
 }
 
+/// A node recovered from a copy of `store`, started from `genesis`.
+fn recover(genesis: Blockchain, store: &Mutex<ChainLog>) -> Blockchain {
+    let disk = Arc::new(Mutex::new(store.lock().clone()));
+    Blockchain::recover_from_store(genesis, disk, SNAPSHOT_EVERY)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The three ways a commitment starts without a tree, each a build
-    /// over the whole state: a genesis, a snapshot restore and a backend
-    /// switch. Their first roots equal the full-rehash oracle's and the
-    /// live chain's, which has committed incrementally since genesis;
-    /// the genesis root also equals the spec's over its account leaves.
-    /// Nothing is marked before a first commit: the switched node's build
-    /// leaves nothing to commit, and from the next block on its commits
-    /// touch what the oracle's do.
+    /// The two ways a commitment starts without a tree, each a build
+    /// over the whole state: a genesis and the snapshot restore of a
+    /// recovery. Their first roots equal the rehash oracle's and the live
+    /// chain's, which has committed incrementally since genesis; the
+    /// genesis root also equals the spec's over its account leaves. A
+    /// follower's root equals its rehash after every block. Nothing is
+    /// marked before a first commit: a node recovered from the journal
+    /// after block `switch_at`, the one production path that builds a
+    /// tree mid-chain, makes its build and then, for each block it
+    /// replays and each it follows, commits what the follower did.
     #[test]
     fn whole_state_entries_agree_with_the_oracle(
         ops in proptest::collection::vec(op_strategy(), 0..14),
@@ -467,9 +473,9 @@ proptest! {
     ) {
         let _guard = obs::test_lock();
         let addrs: Vec<Address> = senders().iter().map(|k| Address::of(&k.public)).collect();
-        let mut live = genesis(BackendKind::Smt);
-        let mut oracle = genesis(BackendKind::FullRehash);
-        let mut switched = genesis(BackendKind::Smt);
+        let mut live = genesis();
+        let mut follower = genesis();
+        let mut switched: Option<Blockchain> = None;
 
         // Genesis.
         let mut leaves: Vec<(Digest, Digest)> = addrs
@@ -482,16 +488,18 @@ proptest! {
         leaves.sort();
         let spec = spec_root(0, &leaves);
         prop_assert_eq!(live.state.state_root(), spec);
-        prop_assert_eq!(oracle.state.state_root(), spec);
+        prop_assert_eq!(live.state.rehash_root(), spec);
 
-        // Random blocks, followed by the oracle and by a node that
-        // switches to a fresh tree before block `switch_at`.
+        // Random blocks, followed by a follower and, from block
+        // `switch_at` on, by a node recovered after it.
         let store = Arc::new(Mutex::new(ChainLog::new()));
         live.attach_store(store.clone(), SNAPSHOT_EVERY);
         let ops: Vec<(usize, Op)> = prologue().into_iter().chain(ops).collect();
         let blocks = ops.len().div_ceil(3);
         let switch_at = switch_at % blocks;
         let mut beneath = None;
+        // The follower's commits for each block, by block index.
+        let mut by_follower: Vec<Vec<u64>> = Vec::new();
         for (height, batch) in ops.chunks(3).enumerate() {
             // A transaction that cannot pay for its gas is included
             // without consuming its nonce: start from the state's.
@@ -512,9 +520,6 @@ proptest! {
                 let _ = live.submit(tx);
             }
             let block = live.produce_block();
-            if height == switch_at {
-                switched.state.set_backend(BackendKind::Smt);
-            }
             // Every commit until the next block: the one inside the block
             // and any that reading the root then still has to make.
             let follow = |node: &mut Blockchain| {
@@ -523,26 +528,46 @@ proptest! {
                     node.state.state_root();
                 })
             };
-            let (by_oracle, by_switched) = (follow(&mut oracle), follow(&mut switched));
-            prop_assert_eq!(tip(&oracle), tip(&live), "oracle at {}", height);
-            prop_assert_eq!(tip(&switched), tip(&live), "switched at {}", height);
-            if height == switch_at {
-                // The build leaves nothing behind to commit.
-                prop_assert_eq!(by_switched.len(), 1, "commits at the switch");
-            } else if height > switch_at {
-                prop_assert_eq!(by_switched, by_oracle, "touched at {}", height);
+            by_follower.push(follow(&mut follower));
+            prop_assert_eq!(tip(&follower), tip(&live), "follower at {}", height);
+            prop_assert_eq!(
+                follower.state.rehash_root(),
+                follower.state.state_root(),
+                "rehash at {}",
+                height
+            );
+            if let Some(node) = switched.as_mut() {
+                prop_assert_eq!(&follow(node), &by_follower[height], "touched at {}", height);
+                prop_assert_eq!(tip(node), tip(&live), "switched at {}", height);
+            } else if height == switch_at {
+                // The snapshot at height `from` is restored, so blocks
+                // `from..=height` (by index) replay on top of its build.
+                let from = store.lock().snapshot().map_or(0, |(at, _)| at as usize);
+                let start = genesis();
+                let mut node = None;
+                let touched = commits_touched(|| {
+                    let recovered = recover(start, &store);
+                    recovered.state.state_root();
+                    node = Some(recovered);
+                });
+                let replayed = by_follower[from..].concat();
+                let build = usize::from(from > 0);
+                prop_assert_eq!(touched.len(), build + replayed.len(), "commits at the switch");
+                prop_assert_eq!(&touched[build..], &replayed[..], "touched at the switch");
+                let node = node.unwrap();
+                prop_assert_eq!(tip(&node), tip(&live), "switched at {}", height);
+                prop_assert_eq!(node.state.rehash_root(), node.state.state_root());
+                switched = Some(node);
             }
         }
 
-        // Restores, on either backend: the first root is checked against
-        // the header at the snapshot's height, the blocks above it replay
-        // incrementally, and the tip is the live chain's.
-        for kind in [BackendKind::Smt, BackendKind::FullRehash] {
-            let disk = Arc::new(Mutex::new(store.lock().clone()));
-            let recovered = Blockchain::recover_from_store(genesis(kind), disk, SNAPSHOT_EVERY);
-            prop_assert!(recovered.receipt(&beneath.unwrap()).is_none(), "restored from the snapshot");
-            prop_assert_eq!(tip(&recovered), tip(&live));
-        }
+        // A restore: the first root is checked against the header at the
+        // snapshot's height, the blocks above it replay incrementally, and
+        // the tip is the live chain's and its own rehash.
+        let recovered = recover(genesis(), &store);
+        prop_assert!(recovered.receipt(&beneath.unwrap()).is_none(), "restored from the snapshot");
+        prop_assert_eq!(tip(&recovered), tip(&live));
+        prop_assert_eq!(recovered.state.rehash_root(), recovered.state.state_root());
     }
 }
 
@@ -576,16 +601,16 @@ proptest! {
     /// A block of random operations (transfers that go through or overdraw,
     /// token creates and transfers, mints, deploys, calls that pay, revert
     /// or hit no contract), re-signed by its proposer over a root with one
-    /// bit flipped: on either backend, applying it executes every
-    /// transaction and is then refused, and every leaf it could have
-    /// written, the root, the supply and the burn are what they were
-    /// before it. The honest block then applies.
+    /// bit flipped: applying it executes every transaction and is then
+    /// refused, and every leaf it could have written, the root, the supply
+    /// and the burn are what they were before it, and the root is still
+    /// its rehash. The honest block then applies.
     #[test]
     fn a_block_refused_after_it_executed_leaves_every_leaf_as_it_was(
         ops in proptest::collection::vec(op_strategy(), 1..12),
     ) {
         let addrs: Vec<Address> = senders().iter().map(|k| Address::of(&k.public)).collect();
-        let mut producer = genesis(BackendKind::Smt);
+        let mut producer = genesis();
         let mut blocks = Vec::new();
         for batch in [prologue(), ops] {
             let mut nonces: Vec<u64> = addrs.iter().map(|a| producer.state.nonce(a)).collect();
@@ -628,17 +653,19 @@ proptest! {
             let state = &node.state;
             (values, tip(node), state.total_native_supply(), state.burned())
         };
-        for kind in [BackendKind::Smt, BackendKind::FullRehash] {
-            let mut node = genesis(kind);
-            node.apply_external_block(&blocks[0]).unwrap();
-            let before = view(&node);
-            prop_assert_eq!(
-                node.apply_external_block(&forged),
-                Err(ChainError::InvalidBlock("state root mismatch"))
-            );
-            prop_assert_eq!(view(&node), before);
-            node.apply_external_block(honest).unwrap();
-            prop_assert_eq!(view(&node), view(&producer));
-        }
+        let mut node = genesis();
+        let rehashed = |node: &Blockchain| node.state.rehash_root() == node.state.state_root();
+        node.apply_external_block(&blocks[0]).unwrap();
+        prop_assert!(rehashed(&node), "first block");
+        let before = view(&node);
+        prop_assert_eq!(
+            node.apply_external_block(&forged),
+            Err(ChainError::InvalidBlock("state root mismatch"))
+        );
+        prop_assert_eq!(view(&node), before);
+        prop_assert!(rehashed(&node), "refused block");
+        node.apply_external_block(honest).unwrap();
+        prop_assert_eq!(view(&node), view(&producer));
+        prop_assert!(rehashed(&node), "honest block");
     }
 }

@@ -6,7 +6,8 @@
 //! and fee-paying. What is compared against constants: every receipt and
 //! the state root after every step, the value bytes of a fixed list of
 //! present and absent leaves (each proved against the final root), supply
-//! and burn, on both commitment backends, and the obs trace of the run. A
+//! and burn, and the obs trace of the run; the root after every step also
+//! equals its rebuild from every leaf. A
 //! change to `state/` that alters a receipt, an error string, a leaf, a
 //! marked key or the order of two balance movements fails here. This is to
 //! `state/` what `pipeline.rs` is to `chain/` and
@@ -17,8 +18,8 @@
 use pds2_chain::erc721::AssetKind;
 use pds2_chain::state::{BlockEnv, WorldState};
 use pds2_chain::{
-    gas, verify_proof, Address, BackendKind, CallCtx, Contract, ContractError, ContractRegistry,
-    Erc20Op, Erc721Op, LeafKey, NftId, TokenId, Transaction, TxKind,
+    gas, verify_proof, Address, CallCtx, Contract, ContractError, ContractRegistry, Erc20Op,
+    Erc721Op, LeafKey, NftId, TokenId, Transaction, TxKind,
 };
 use pds2_crypto::codec::Encode;
 use pds2_crypto::sha256::{sha256, Digest, Sha256};
@@ -368,7 +369,7 @@ struct Outcome {
     burned: u128,
 }
 
-fn run(kind: BackendKind) -> Outcome {
+fn run() -> Outcome {
     let keys: Vec<KeyPair> = [1, 2, 3, 4, 9].map(KeyPair::from_seed).into();
     let addr: Vec<Address> = keys.iter().map(|k| Address::of(&k.public)).collect();
     let coinbase = addr[COINBASE];
@@ -387,7 +388,7 @@ fn run(kind: BackendKind) -> Outcome {
     ];
     let mut registry = ContractRegistry::new();
     registry.register("vault", Vault::construct);
-    let mut st = WorldState::with_backend(kind);
+    let mut st = WorldState::new();
     st.genesis_credit(addr[ALICE], 50_000_000);
     st.genesis_credit(addr[BOB], 2_000_000);
     st.genesis_credit(addr[CAROL], 2_000_000);
@@ -427,6 +428,7 @@ fn run(kind: BackendKind) -> Outcome {
         );
         let root = st.state_root();
         println!("{i:2} {root} {receipt:?}");
+        assert_eq!(root, st.rehash_root(), "step {i}: root against its rehash");
         match (step.err, &receipt.error) {
             (None, None) => assert!(receipt.success, "step {i}"),
             (Some(want), Some(got)) => assert!(got.contains(want), "step {i}: {got}"),
@@ -487,21 +489,11 @@ fn run(kind: BackendKind) -> Outcome {
 #[test]
 fn every_transaction_kind_and_failure_repeats_byte_for_byte() {
     let _guard = obs::test_lock();
-    let traced = |kind| {
-        let cap = obs::capture(obs::SinkKind::Null);
-        let out = run(kind);
-        (out, cap.finish())
-    };
-    let smt = run(BackendKind::Smt);
-    let (traced_smt, report) = traced(BackendKind::Smt);
-    let (rehash, rehash_report) = traced(BackendKind::FullRehash);
-    assert_eq!(smt, traced_smt, "a capture must not change behaviour");
-    assert_eq!(smt, rehash, "backends disagree");
-    assert_eq!(
-        (rehash_report.digest, rehash_report.events),
-        (report.digest.clone(), report.events),
-        "the trace digest must not follow the state backend"
-    );
+    let untraced = run();
+    let cap = obs::capture(obs::SinkKind::Null);
+    let outcome = run();
+    let report = cap.finish();
+    assert_eq!(untraced, outcome, "a capture must not change behaviour");
     let pinned = Outcome {
         steps: STEPS,
         steps_sha: STEPS_SHA.into(),
@@ -512,7 +504,7 @@ fn every_transaction_kind_and_failure_repeats_byte_for_byte() {
         burned: BURNED,
     };
     assert_eq!(
-        (smt, report.digest.as_str(), report.events),
+        (outcome, report.digest.as_str(), report.events),
         (pinned, TRACE_DIGEST, TRACE_EVENTS)
     );
 }

@@ -239,6 +239,7 @@ impl BigUint {
 
     /// `self - other`. Panics if `other > self`.
     pub fn sub(&self, other: &BigUint) -> BigUint {
+        // Documented contract: the caller guarantees `other <= self`.
         self.checked_sub(other)
             .expect("BigUint::sub underflow: subtrahend larger than minuend")
     }
@@ -396,6 +397,7 @@ impl BigUint {
     /// Knuth algorithm D for multi-limb divisors.
     fn divrem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         // Normalize so the top divisor limb has its high bit set.
+        // `divrem` calls this only with a divisor of two or more limbs.
         let shift = divisor.limbs.last().unwrap().leading_zeros();
         let u = self.shl(shift);
         let v = divisor.shl(shift);
@@ -750,11 +752,11 @@ impl fmt::Display for BigUint {
         let mut v = self.clone();
         while !v.is_zero() {
             let (q, r) = v.divrem_u64(10);
-            digits.push(b'0' + r as u8);
+            digits.push(char::from(b'0' + r as u8));
             v = q;
         }
-        digits.reverse();
-        write!(f, "{}", std::str::from_utf8(&digits).unwrap())
+        let decimal: String = digits.into_iter().rev().collect();
+        f.write_str(&decimal)
     }
 }
 

@@ -223,42 +223,32 @@ fn base_fee_trajectory_is_thread_count_invariant() {
     assert_eq!(run(), base, "rerun diverged");
 }
 
-/// Both state-commitment backends — the incremental SMT and the
-/// full-rehash oracle — must produce bit-identical roots to each other
-/// and to themselves on a rerun, including the `state.smt.nodes_hashed`
+/// A follower's incremental state root equals the rebuild of its leaves,
+/// and a rerun repeats the root, the head and the `state.smt.nodes_hashed`
 /// obs counter (a commit is one serial descent, so the count is a
 /// function of the tree and the batch alone).
 #[test]
-fn state_backends_agree_at_every_thread_count() {
-    use pds2_chain::backend::BackendKind;
+fn state_root_equals_its_rehash_and_repeats() {
     let _obs = pds2_obs::test_lock();
     let block = make_block();
-    let run = |kind: BackendKind| {
+    let run = || {
         let before = pds2_obs::snapshot();
         let mut verifier = make_chain();
-        verifier.state.set_backend(kind);
         verifier
             .apply_external_block(&cold_copy(&block))
             .expect("valid block");
         let root = verifier.state.state_root();
         let d = pds2_obs::snapshot().counter_deltas(&before);
         let hashed = d.get("state.smt.nodes_hashed").copied().unwrap_or(0);
+        assert_eq!(
+            root,
+            verifier.state.rehash_root(),
+            "root against its rehash"
+        );
         (root, verifier.head_hash(), hashed)
     };
-    let base_smt = run(BackendKind::Smt);
-    let base_oracle = run(BackendKind::FullRehash);
-    assert_eq!(base_smt.0, base_oracle.0, "backends disagree on the root");
-    assert_eq!(base_smt.1, base_oracle.1, "backends disagree on the head");
-    assert_eq!(
-        run(BackendKind::Smt),
-        base_smt,
-        "SMT backend rerun diverged"
-    );
-    assert_eq!(
-        run(BackendKind::FullRehash),
-        base_oracle,
-        "full-rehash backend rerun diverged"
-    );
+    let base = run();
+    assert_eq!(run(), base, "rerun diverged");
 }
 
 /// `(leaves, root, SHA-256 over the encoded first- and last-leaf

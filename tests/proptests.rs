@@ -278,17 +278,16 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential test for the pluggable state-commitment backends: the same
-// random transaction workload runs on two chains — one committing through
-// the incremental sparse Merkle tree (dirty-key tracking), one through
-// the full-rehash reference oracle that rebuilds the tree from every leaf
-// on every commit. The roots must agree after EVERY block: any missed or
-// spurious dirty mark in the execution layer splits them immediately.
+// Differential test for the state commitment: a random transaction
+// workload runs on a chain committing through the incremental sparse
+// Merkle tree (dirty-key tracking), and after EVERY block its root must
+// equal `rehash_root`, the reference oracle that rebuilds the tree from
+// every leaf: any missed or spurious dirty mark in the execution layer
+// splits them immediately.
 // ---------------------------------------------------------------------------
 
-mod state_backend_props {
+mod state_root_props {
     use super::*;
-    use pds2_chain::backend::BackendKind;
     use pds2_chain::chain::{Blockchain, ChainConfig};
     use pds2_chain::contract::ContractRegistry;
     use pds2_chain::erc20::Erc20Op;
@@ -412,12 +411,12 @@ mod state_backend_props {
         }
     }
 
-    fn build_chain(kind: BackendKind) -> Blockchain {
+    fn build_chain() -> Blockchain {
         let mut registry = ContractRegistry::new();
         registry.register(WORKLOAD_CODE_ID, WorkloadContract::construct);
         // Every transaction escrows 400 000 for gas: the third account can
         // pay for one and then depends on what the others send it.
-        let mut chain = Blockchain::new(
+        Blockchain::new(
             vec![KeyPair::from_seed(77)],
             &[
                 (Address::of(&KeyPair::from_seed(100).public), 100_000_000),
@@ -429,26 +428,21 @@ mod state_backend_props {
                 initial_base_fee: 1,
                 ..ChainConfig::default()
             },
-        );
-        chain.state.set_backend(kind);
-        chain
+        )
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn backends_agree_on_random_workloads(
+        fn incremental_root_equals_rehash_on_random_workloads(
             ops in proptest::collection::vec(op_strategy(), 1..40),
         ) {
             let keys: Vec<KeyPair> =
                 (0..N_ACCOUNTS as u64).map(|i| KeyPair::from_seed(100 + i)).collect();
             let addrs: Vec<Address> = keys.iter().map(|k| Address::of(&k.public)).collect();
-            let mut smt = build_chain(BackendKind::Smt);
-            let mut oracle = build_chain(BackendKind::FullRehash);
-            prop_assert_eq!(smt.state.backend_name(), "smt");
-            prop_assert_eq!(oracle.state.backend_name(), "rehash");
-            prop_assert_eq!(smt.state.state_root(), oracle.state.state_root());
+            let mut chain = build_chain();
+            prop_assert_eq!(chain.state.state_root(), chain.state.rehash_root());
 
             let ops: Vec<(usize, WorkOp)> =
                 PROLOGUE.iter().map(|op| (0, op.clone())).chain(ops).collect();
@@ -457,7 +451,7 @@ mod state_backend_props {
             for batch in ops.chunks(4) {
                 // A transaction that cannot pay for its gas is included
                 // without consuming its nonce: start from the state's.
-                let mut nonces: Vec<u64> = addrs.iter().map(|a| smt.state.nonce(a)).collect();
+                let mut nonces: Vec<u64> = addrs.iter().map(|a| chain.state.nonce(a)).collect();
                 for (from, op) in batch {
                     let from = *from;
                     let tx = Transaction {
@@ -471,42 +465,37 @@ mod state_backend_props {
                     .sign(&keys[from]);
                     submitted.push(tx.hash());
                     // Admission can fail (the same transaction again, after
-                    // it could not pay for its gas): identically on both.
-                    let a = smt.submit(tx.clone());
-                    let b = oracle.submit(tx);
-                    prop_assert_eq!(a.is_ok(), b.is_ok(), "admission diverged");
-                    if a.is_ok() {
+                    // it could not pay for its gas).
+                    if chain.submit(tx).is_ok() {
                         if matches!(op, WorkOp::WorkloadDeploy) {
                             workloads.push(Address::contract(&addrs[from], nonces[from]));
                         }
                         nonces[from] += 1;
                     }
                 }
-                let b1 = smt.produce_block();
-                let b2 = oracle.produce_block();
-                // Bit-identical blocks, and therefore bit-identical roots,
-                // after every block — not just at the end.
-                prop_assert_eq!(&b1.header.state_root, &b2.header.state_root,
-                    "state roots diverged at height {}", b1.header.height);
-                prop_assert_eq!(b1.header.hash(), b2.header.hash());
+                let block = chain.produce_block();
+                // The header's root is the rebuild's after every block —
+                // not just at the end.
+                prop_assert_eq!(&block.header.state_root, &chain.state.rehash_root(),
+                    "state root differs from its rehash at height {}", block.header.height);
                 prop_assert_eq!(
-                    smt.state.total_native_supply(),
-                    smt.state.recompute_native_supply(),
+                    chain.state.total_native_supply(),
+                    chain.state.recompute_native_supply(),
                     "O(1) supply counter drifted from the ground truth"
                 );
             }
             for hash in &submitted[..PROLOGUE.len()] {
-                let receipt = smt.receipt(hash).expect("included");
+                let receipt = chain.receipt(hash).expect("included");
                 prop_assert!(receipt.success, "prologue: {:?}", receipt.error);
             }
             // Cross-check the proof path against the oracle root: an
-            // account proof taken from the SMT chain verifies against the
-            // root the full-rehash oracle computed independently.
+            // account proof taken from the incremental tree verifies
+            // against the root the rehash computed independently.
             let key = pds2_chain::LeafKey::Account(addrs[0]);
-            let (account, proof) = smt.state.prove_leaf(&key);
+            let (account, proof) = chain.state.prove_leaf(&key);
             prop_assert!(account.is_some());
             prop_assert!(pds2_chain::verify_proof(
-                &oracle.state.state_root(),
+                &chain.state.rehash_root(),
                 &key.digest(),
                 account.as_deref(),
                 &proof,
